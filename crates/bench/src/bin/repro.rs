@@ -59,9 +59,8 @@
 //!                            # batch engine and write MATRIX_sweep.json
 //! repro --matrix=FILE        # same, custom output path
 //! repro --dump-scenarios FILE  # write the selected scenario specs as JSON
-//!                              # instead of running them (--bench-sweep and
-//!                              # named experiments on the same command line
-//!                              # still run)
+//!                              # instead of running them (named experiments
+//!                              # on the same command line still run)
 //! repro --from-scenarios FILE  # load scenario specs from a JSON file and
 //!                              # run them as one batch
 //!
@@ -82,11 +81,6 @@
 //! repro --serve-requests N   # with --serve: exit after N connections
 //!                            # (smoke tests / CI)
 //!
-//! repro --bench-sweep        # time sequential vs parallel sweeps for every
-//!                            # registered architecture and write
-//!                            # BENCH_sweep.json (wall-clock + peak bandwidth
-//!                            # + cold/warm result-cache timings)
-//! repro --bench-sweep=FILE   # same, custom output path
 //! repro --threads 4          # force the parallel-sweep worker count
 //!                            # (overrides RAYON_NUM_THREADS and the
 //!                            # detected parallelism)
@@ -99,9 +93,9 @@
 //! ```
 
 use pnoc_bench::experiments::{run_by_name, ExperimentReport, ALL_EXPERIMENTS};
-use pnoc_bench::json::{reports_json, Json};
+use pnoc_bench::json::reports_json;
 use pnoc_bench::runner::{
-    ensure_registered, latency_percentiles_at_saturation, Architecture, EffortLevel, TrafficKind,
+    ensure_registered, latency_percentiles_at_saturation, Architecture, EffortLevel,
 };
 use pnoc_bench::scenario_io::{matrix_json, parse_scenarios, render_scenarios};
 use pnoc_bench::server::{serve, ServerOptions};
@@ -112,7 +106,6 @@ use pnoc_sim::report::{fmt_f, Table};
 use pnoc_sim::scenario::{
     run_specs, run_specs_with_cache, MatrixResult, PointCache, ScenarioMatrix, ScenarioSpec,
 };
-use pnoc_sim::sweep::SweepMode;
 use pnoc_store::ResultStore;
 use std::io::Write as _;
 use std::time::Instant;
@@ -496,300 +489,6 @@ fn print_workload_table(outcome: &MatrixResult) {
     println!("{table}");
 }
 
-/// Measures the result cache end-to-end for `BENCH_sweep.json`: runs the
-/// default quick matrix twice against a fresh temporary store — cold
-/// (everything simulated and stored) and warm (every point served from the
-/// cache) — asserting that the warm outcome is bitwise-identical and that
-/// both rendered documents (matrix JSON and JSONL metric stream) match
-/// byte-for-byte. Returns `(cold_seconds, warm_seconds, cached_points)`.
-///
-/// Always quick-effort, independent of the CLI flag: the measurement gates
-/// on the *ratio* (CI requires warm ≥ 5x faster), not on absolute time.
-fn run_cache_warm_measurement() -> (f64, f64, usize) {
-    let specs = default_matrix(EffortLevel::Quick, &[], &[], &[]).specs();
-    let dir = std::env::temp_dir().join(format!("pnoc-store-bench-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    let store = ResultStore::open(&dir).unwrap_or_else(|e| {
-        eprintln!("cannot open cache dir {}: {e}", dir.display());
-        std::process::exit(1);
-    });
-    eprintln!(
-        "[repro] cache cold/warm: quick matrix, {} scenario(s) ...",
-        specs.len()
-    );
-    let run = |label: &str| -> (MatrixResult, f64) {
-        let started = Instant::now();
-        let outcome = run_specs_with_cache(&specs, Some(&store)).unwrap_or_else(|error| {
-            eprintln!("{label} cache run failed: {error}");
-            std::process::exit(2);
-        });
-        (outcome, started.elapsed().as_secs_f64())
-    };
-    let (cold, cold_seconds) = run("cold");
-    assert_eq!(cold.cache.hits, 0, "cold run hit a freshly created cache");
-    let (warm, warm_seconds) = run("warm");
-    assert_eq!(warm.cache.misses, 0, "warm run missed the cache");
-    assert_eq!(
-        warm.cache.hits, warm.unique_points,
-        "warm run did not serve every unique point from the cache"
-    );
-    assert!(
-        cold.bitwise_eq(&warm),
-        "cache round-trip changed simulation results"
-    );
-    let render_rows = |outcome: &MatrixResult| -> Vec<u8> {
-        let mut sink = JsonlSink::new(Vec::new());
-        outcome
-            .write_metrics(&mut sink)
-            .expect("rendering into memory cannot fail");
-        sink.into_inner()
-    };
-    assert_eq!(
-        matrix_json(&cold).render(),
-        matrix_json(&warm).render(),
-        "matrix documents differ between cold and warm runs"
-    );
-    assert_eq!(
-        render_rows(&cold),
-        render_rows(&warm),
-        "metric streams differ between cold and warm runs"
-    );
-    eprintln!(
-        "[repro]   cache: cold {cold_seconds:.2}s, warm {warm_seconds:.2}s ({:.1}x), \
-         {} point(s) served warm",
-        cold_seconds / warm_seconds.max(1e-9),
-        warm.cache.hits
-    );
-    let _ = std::fs::remove_dir_all(&dir);
-    (cold_seconds, warm_seconds, warm.cache.hits)
-}
-
-/// Measures what reusing the persistent executor pool buys over the old
-/// spawn-per-call dispatch: the same stream of small deterministic batches
-/// is timed once on the persistent pool (`rayon::par_map_slice`) and once
-/// on the preserved spawn-per-call reference path, at a forced worker count
-/// of 4 so the comparison is apples-to-apples on any host (the spawn path
-/// pays 4 thread spawns per batch; the pool pays condvar wakeups). Returns
-/// `(persistent_seconds, spawn_per_call_seconds)`; the caller restores the
-/// thread override.
-fn run_executor_reuse_measurement() -> (f64, f64) {
-    const BATCHES: usize = 200;
-    const ITEMS: usize = 64;
-    const SPIN_ROUNDS: u64 = 2000;
-    // Deterministic splitmix64 spin: enough work per item that a batch is
-    // real, small enough that per-batch dispatch overhead dominates the
-    // spawn-per-call path.
-    let work = |&seed: &u64| -> u64 {
-        let mut z = seed;
-        for _ in 0..SPIN_ROUNDS {
-            z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
-            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-            z ^= z >> 31;
-        }
-        z
-    };
-    rayon::set_thread_count(4);
-    let _ = rayon::warm_up();
-    let items: Vec<u64> = (0..ITEMS as u64).collect();
-    let mut persistent_check = 0u64;
-    let persistent_started = Instant::now();
-    for _ in 0..BATCHES {
-        for value in rayon::par_map_slice(&items, work) {
-            persistent_check = persistent_check.wrapping_add(value);
-        }
-    }
-    let persistent_seconds = persistent_started.elapsed().as_secs_f64();
-    let mut spawn_check = 0u64;
-    let spawn_started = Instant::now();
-    for _ in 0..BATCHES {
-        for value in rayon::par_map_slice_spawn_per_call(&items, work) {
-            spawn_check = spawn_check.wrapping_add(value);
-        }
-    }
-    let spawn_seconds = spawn_started.elapsed().as_secs_f64();
-    assert_eq!(
-        persistent_check, spawn_check,
-        "executor dispatch paths disagree on results"
-    );
-    eprintln!(
-        "[repro]   executor reuse: persistent {persistent_seconds:.3}s, \
-         spawn-per-call {spawn_seconds:.3}s ({:.2}x) over {BATCHES} batches",
-        spawn_seconds / persistent_seconds.max(1e-9)
-    );
-    (persistent_seconds, spawn_seconds)
-}
-
-/// Times sequential vs parallel saturation sweeps for every registered
-/// architecture on the paper-scale load ladder and writes the results as
-/// machine-readable JSON, so future changes can track the performance
-/// trajectory. Also asserts, on every run, that the parallel sweep is
-/// bitwise-identical to the sequential one.
-///
-/// Beyond the whole-ladder timings, the report carries per-ladder-point
-/// sequential wall clocks (the lowest-load point is where idle-cycle gating
-/// pays off most) and a worker-thread scaling curve (1/2/4/8 threads on the
-/// d-HetPNoC ladder). `thread_override` is the `--threads` value (0 = none);
-/// the scaling curve restores it when done.
-fn run_bench_sweep(effort: EffortLevel, path: &str, thread_override: usize) {
-    ensure_registered();
-    let kind = TrafficKind::named("skewed-3");
-    let set = BandwidthSet::Set1;
-    let config = effort.config(set);
-    let loads = EffortLevel::Paper.load_ladder(&config);
-    // The worker count the parallel sweeps below actually use: the --threads
-    // override, then RAYON_NUM_THREADS, then the detected parallelism —
-    // capped at the number of ladder points.
-    let threads = rayon::current_thread_count(loads.len());
-    // Spawn the pool's workers up front so worker startup is reported as its
-    // own number instead of being smeared into the first parallel sweep.
-    let pool_startup_seconds = rayon::warm_up();
-    eprintln!("[repro] pool startup {pool_startup_seconds:.4}s ({threads} worker(s))");
-    let mut entries = Vec::new();
-    for architecture in Architecture::all() {
-        eprintln!(
-            "[repro] bench-sweep {} ({} points) ...",
-            architecture.name(),
-            loads.len()
-        );
-        let scenario = ScenarioSpec::new(architecture.name(), kind.name())
-            .with_bandwidth_set(set)
-            .with_effort(effort)
-            .with_ladder(loads.clone())
-            .resolve()
-            .unwrap_or_else(|error| panic!("{error}"));
-        let sequential = scenario.run_with_mode(SweepMode::Sequential);
-        let parallel = scenario.run_with_mode(SweepMode::Parallel);
-        assert!(
-            sequential.bitwise_eq(&parallel),
-            "parallel sweep diverged from the sequential sweep for '{}'",
-            architecture.name()
-        );
-        let sequential_seconds = sequential.wall_clock_seconds;
-        let parallel_seconds = parallel.wall_clock_seconds;
-        // Per-point sequential cost: one single-load scenario per ladder
-        // point, so the low-load end (where switch gating leaves almost
-        // nothing to step) is visible instead of being averaged away.
-        let mut point_seconds = Vec::with_capacity(loads.len());
-        for &load in &loads {
-            let point = ScenarioSpec::new(architecture.name(), kind.name())
-                .with_bandwidth_set(set)
-                .with_effort(effort)
-                .with_ladder(vec![load])
-                .resolve()
-                .unwrap_or_else(|error| panic!("{error}"));
-            point_seconds.push(
-                point
-                    .run_with_mode(SweepMode::Sequential)
-                    .wall_clock_seconds,
-            );
-        }
-        eprintln!(
-            "[repro]   sequential {sequential_seconds:.2}s, parallel {parallel_seconds:.2}s \
-             (speedup {:.2}x), lowest point {:.3}s, peak {:.1} Gb/s",
-            sequential_seconds / parallel_seconds.max(1e-9),
-            point_seconds.first().copied().unwrap_or(0.0),
-            parallel.result.peak_bandwidth_gbps()
-        );
-        entries.push(Json::obj(vec![
-            ("architecture", Json::str(architecture.name())),
-            ("label", Json::str(architecture.label())),
-            ("sequential_seconds", Json::Num(sequential_seconds)),
-            ("parallel_seconds", Json::Num(parallel_seconds)),
-            (
-                "parallel_speedup",
-                Json::Num(sequential_seconds / parallel_seconds.max(1e-9)),
-            ),
-            (
-                "lowest_load_point_seconds",
-                Json::Num(point_seconds.first().copied().unwrap_or(0.0)),
-            ),
-            (
-                "ladder_point_seconds",
-                Json::Arr(point_seconds.iter().map(|&s| Json::Num(s)).collect()),
-            ),
-            (
-                "peak_bandwidth_gbps",
-                Json::Num(parallel.result.peak_bandwidth_gbps()),
-            ),
-            (
-                "sustainable_bandwidth_gbps",
-                Json::Num(parallel.result.sustainable_bandwidth_gbps()),
-            ),
-            ("sweep_points", Json::Num(loads.len() as f64)),
-        ]));
-    }
-    // Worker-thread scaling curve: the same d-HetPNoC ladder swept in
-    // parallel mode at forced thread counts. Results are asserted bitwise
-    // against the 1-thread run, so the curve doubles as a determinism check.
-    let scaling_scenario = ScenarioSpec::new("d-hetpnoc", kind.name())
-        .with_bandwidth_set(set)
-        .with_effort(effort)
-        .with_ladder(loads.clone())
-        .resolve()
-        .unwrap_or_else(|error| panic!("{error}"));
-    let mut scaling = Vec::new();
-    let mut baseline: Option<(f64, pnoc_sim::scenario::ScenarioResult)> = None;
-    for count in [1usize, 2, 4, 8] {
-        rayon::set_thread_count(count);
-        let run = scaling_scenario.run_with_mode(SweepMode::Parallel);
-        let seconds = run.wall_clock_seconds;
-        let speedup = match &baseline {
-            None => 1.0,
-            Some((one_thread_seconds, reference)) => {
-                assert!(
-                    reference.bitwise_eq(&run),
-                    "thread count {count} changed the sweep results"
-                );
-                one_thread_seconds / seconds.max(1e-9)
-            }
-        };
-        eprintln!("[repro]   scaling: {count} thread(s) {seconds:.2}s ({speedup:.2}x vs 1)");
-        scaling.push(Json::obj(vec![
-            ("threads", Json::Num(count as f64)),
-            ("seconds", Json::Num(seconds)),
-            ("speedup_vs_1_thread", Json::Num(speedup)),
-        ]));
-        if baseline.is_none() {
-            baseline = Some((seconds, run));
-        }
-    }
-    let (executor_persistent_seconds, executor_spawn_seconds) = run_executor_reuse_measurement();
-    rayon::set_thread_count(thread_override);
-    let (cache_cold_seconds, cache_warm_seconds, cache_points) = run_cache_warm_measurement();
-    let doc = Json::obj(vec![
-        ("generated_by", Json::str("repro --bench-sweep")),
-        ("effort", Json::str(effort.label())),
-        ("bandwidth_set", Json::str(set.label())),
-        ("traffic", Json::str(kind.label())),
-        ("threads", Json::Num(threads as f64)),
-        ("pool_startup_seconds", Json::Num(pool_startup_seconds)),
-        ("architectures", Json::Arr(entries)),
-        ("thread_scaling", Json::Arr(scaling)),
-        (
-            "executor_persistent_seconds",
-            Json::Num(executor_persistent_seconds),
-        ),
-        (
-            "executor_spawn_per_call_seconds",
-            Json::Num(executor_spawn_seconds),
-        ),
-        (
-            "executor_reuse_speedup",
-            Json::Num(executor_spawn_seconds / executor_persistent_seconds.max(1e-9)),
-        ),
-        ("cache_cold_seconds", Json::Num(cache_cold_seconds)),
-        ("cache_warm_seconds", Json::Num(cache_warm_seconds)),
-        (
-            "cache_warm_speedup",
-            Json::Num(cache_cold_seconds / cache_warm_seconds.max(1e-9)),
-        ),
-        ("cache_points", Json::Num(cache_points as f64)),
-    ]);
-    write_file(path, &(doc.render() + "\n"));
-    eprintln!("[repro] wrote {path}");
-}
-
 /// The scenario batch of `--cross-engine-check`: every registered
 /// architecture on an open-loop ladder, plus closed-loop collective
 /// workloads, so both `run_to_completion_with` and `run_until_with` paths
@@ -868,45 +567,38 @@ fn run_cross_engine_check(effort: EffortLevel, path: &str) {
     );
 }
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut effort = EffortLevel::Paper;
-    let mut names: Vec<String> = Vec::new();
-    let mut json_path: Option<String> = None;
-    let mut bench_sweep_path: Option<String> = None;
-    let mut cross_engine_path: Option<String> = None;
-    let mut thread_override: usize = 0;
-    let mut matrix_path: Option<String> = None;
-    let mut dump_path: Option<String> = None;
-    let mut batch_json_path: Option<String> = None;
-    let mut scenario_args: Vec<String> = Vec::new();
-    let mut workload_args: Vec<String> = Vec::new();
-    let mut describe_args: Vec<String> = Vec::new();
-    let mut arch_args: Vec<String> = Vec::new();
-    let mut param_axes: Vec<(String, Vec<String>)> = Vec::new();
-    let mut fault_args: Vec<String> = Vec::new();
-    let mut from_paths: Vec<String> = Vec::new();
-    let mut metrics_path: Option<String> = None;
-    let mut metrics_format = MetricsFormat::Jsonl;
-    let mut percentiles = false;
-    let mut cache_dir: Option<String> = None;
-    let mut no_cache = false;
-    let mut cache_max_bytes: Option<u64> = None;
-    let mut cache_compact = false;
-    let mut serve_addr: Option<String> = None;
-    let mut serve_requests: Option<u64> = None;
-    let mut iter = args.into_iter();
-    while let Some(arg) = iter.next() {
-        match arg.as_str() {
-            "--quick" => effort = EffortLevel::Quick,
-            "--paper" => effort = EffortLevel::Paper,
-            "--list" => {
+/// A catalogue flag: print one listing and exit without running anything.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Listing {
+    Experiments,
+    Architectures,
+    Faults,
+    Traffic,
+    Workloads,
+    Help,
+}
+
+impl Listing {
+    fn from_flag(arg: &str) -> Option<Self> {
+        match arg {
+            "--list" => Some(Listing::Experiments),
+            "--list-architectures" => Some(Listing::Architectures),
+            "--list-faults" => Some(Listing::Faults),
+            "--list-traffic" => Some(Listing::Traffic),
+            "--list-workloads" => Some(Listing::Workloads),
+            "--help" | "-h" => Some(Listing::Help),
+            _ => None,
+        }
+    }
+
+    fn print(self) {
+        match self {
+            Listing::Experiments => {
                 for name in ALL_EXPERIMENTS {
                     println!("{name}");
                 }
-                return;
             }
-            "--list-architectures" => {
+            Listing::Architectures => {
                 ensure_registered();
                 for name in pnoc_sim::registry::registered_architectures() {
                     let params = pnoc_sim::registry::lookup_architecture(&name)
@@ -915,274 +607,247 @@ fn main() {
                     let plural = if params == 1 { "" } else { "s" };
                     println!("{name} ({params} parameter{plural})");
                 }
-                return;
             }
-            "--describe-arch" => match iter.next() {
-                Some(name) => describe_args.push(name),
-                None => {
-                    eprintln!("--describe-arch requires an architecture name");
-                    std::process::exit(2);
-                }
-            },
-            other if other.starts_with("--describe-arch=") => {
-                describe_args.push(other["--describe-arch=".len()..].to_string());
-            }
-            "--arch" => match iter.next() {
-                Some(spec) => arch_args.push(spec),
-                None => {
-                    eprintln!("--arch requires NAME[{{key=value,...}}]");
-                    std::process::exit(2);
-                }
-            },
-            other if other.starts_with("--arch=") => {
-                arch_args.push(other["--arch=".len()..].to_string());
-            }
-            "--arch-params" => match iter.next().as_deref().map(parse_param_axis) {
-                Some(Ok(axis)) => param_axes.push(axis),
-                Some(Err(message)) => {
-                    eprintln!("{message}");
-                    std::process::exit(2);
-                }
-                None => {
-                    eprintln!("--arch-params requires KEY=V1[,V2,...]");
-                    std::process::exit(2);
-                }
-            },
-            other if other.starts_with("--arch-params=") => {
-                match parse_param_axis(&other["--arch-params=".len()..]) {
-                    Ok(axis) => param_axes.push(axis),
-                    Err(message) => {
-                        eprintln!("{message}");
-                        std::process::exit(2);
-                    }
-                }
-            }
-            "--faults" => match iter.next() {
-                Some(plan) => fault_args.push(plan),
-                None => {
-                    eprintln!("--faults requires a preset name or plan text (try --list-faults)");
-                    std::process::exit(2);
-                }
-            },
-            other if other.starts_with("--faults=") => {
-                fault_args.push(other["--faults=".len()..].to_string());
-            }
-            "--list-faults" => {
-                list_faults();
-                return;
-            }
-            "--list-traffic" => {
+            Listing::Faults => list_faults(),
+            Listing::Traffic => {
                 for name in pnoc_traffic::factory::registered_traffic_patterns() {
                     println!("{name}");
                 }
-                return;
             }
-            "--list-workloads" => {
+            Listing::Workloads => {
                 for name in pnoc_workload::registry::registered_workloads() {
                     println!("{name}");
                 }
-                return;
             }
-            "--json" => {
-                json_path = iter.next();
-                if json_path.is_none() {
-                    eprintln!("--json requires a file path");
-                    std::process::exit(2);
-                }
-            }
-            "--scenario" => match iter.next() {
-                Some(text) => scenario_args.push(text),
-                None => {
-                    eprintln!("--scenario requires ARCH:TRAFFIC[:SET[:EFFORT]]");
-                    std::process::exit(2);
-                }
-            },
-            other if other.starts_with("--scenario=") => {
-                scenario_args.push(other["--scenario=".len()..].to_string());
-            }
-            "--workload" => match iter.next() {
-                Some(text) => workload_args.push(text),
-                None => {
-                    eprintln!("--workload requires NAME[:SIZE] (try --list-workloads)");
-                    std::process::exit(2);
-                }
-            },
-            other if other.starts_with("--workload=") => {
-                workload_args.push(other["--workload=".len()..].to_string());
-            }
-            "--batch-json" => match iter.next() {
-                Some(path) => batch_json_path = Some(path),
-                None => {
-                    eprintln!("--batch-json requires a file path");
-                    std::process::exit(2);
-                }
-            },
-            other if other.starts_with("--batch-json=") => {
-                batch_json_path = Some(other["--batch-json=".len()..].to_string());
-            }
-            "--matrix" => matrix_path = Some("MATRIX_sweep.json".to_string()),
-            other if other.starts_with("--matrix=") => {
-                matrix_path = Some(other["--matrix=".len()..].to_string());
-            }
-            "--dump-scenarios" => match iter.next() {
-                Some(path) => dump_path = Some(path),
-                None => {
-                    eprintln!("--dump-scenarios requires a file path");
-                    std::process::exit(2);
-                }
-            },
-            "--from-scenarios" => match iter.next() {
-                Some(path) => from_paths.push(path),
-                None => {
-                    eprintln!("--from-scenarios requires a file path");
-                    std::process::exit(2);
-                }
-            },
-            "--metrics" => match iter.next() {
-                Some(path) => metrics_path = Some(path),
-                None => {
-                    eprintln!("--metrics requires a file path");
-                    std::process::exit(2);
-                }
-            },
-            other if other.starts_with("--metrics=") => {
-                metrics_path = Some(other["--metrics=".len()..].to_string());
-            }
-            "--metrics-format" => {
-                let format = iter.next().and_then(|f| MetricsFormat::parse(&f));
-                match format {
-                    Some(f) => metrics_format = f,
-                    None => {
-                        eprintln!("--metrics-format requires 'jsonl' or 'csv'");
-                        std::process::exit(2);
-                    }
-                }
-            }
-            other if other.starts_with("--metrics-format=") => {
-                match MetricsFormat::parse(&other["--metrics-format=".len()..]) {
-                    Some(f) => metrics_format = f,
-                    None => {
-                        eprintln!("--metrics-format requires 'jsonl' or 'csv'");
-                        std::process::exit(2);
-                    }
-                }
-            }
-            "--percentiles" => percentiles = true,
-            "--cache-dir" => match iter.next() {
-                Some(dir) => cache_dir = Some(dir),
-                None => {
-                    eprintln!("--cache-dir requires a directory path");
-                    std::process::exit(2);
-                }
-            },
-            other if other.starts_with("--cache-dir=") => {
-                cache_dir = Some(other["--cache-dir=".len()..].to_string());
-            }
-            "--no-cache" => no_cache = true,
-            "--cache-max-bytes" => match iter.next().as_deref().map(parse_byte_budget) {
-                Some(Ok(n)) => cache_max_bytes = Some(n),
-                Some(Err(message)) => {
-                    eprintln!("{message}");
-                    std::process::exit(2);
-                }
-                None => {
-                    eprintln!("--cache-max-bytes requires a byte budget (e.g. 64m)");
-                    std::process::exit(2);
-                }
-            },
-            other if other.starts_with("--cache-max-bytes=") => {
-                match parse_byte_budget(&other["--cache-max-bytes=".len()..]) {
-                    Ok(n) => cache_max_bytes = Some(n),
-                    Err(message) => {
-                        eprintln!("{message}");
-                        std::process::exit(2);
-                    }
-                }
-            }
-            "--cache-compact" => cache_compact = true,
-            "--serve" => match iter.next() {
-                Some(addr) => serve_addr = Some(addr),
-                None => {
-                    eprintln!("--serve requires a listen address (e.g. 127.0.0.1:9119)");
-                    std::process::exit(2);
-                }
-            },
-            other if other.starts_with("--serve=") => {
-                serve_addr = Some(other["--serve=".len()..].to_string());
-            }
-            "--serve-requests" => match iter.next().and_then(|v| v.parse::<u64>().ok()) {
-                Some(n) if n > 0 => serve_requests = Some(n),
-                _ => {
-                    eprintln!("--serve-requests requires a positive request count");
-                    std::process::exit(2);
-                }
-            },
-            other if other.starts_with("--serve-requests=") => {
-                match other["--serve-requests=".len()..].parse::<u64>() {
-                    Ok(n) if n > 0 => serve_requests = Some(n),
-                    _ => {
-                        eprintln!("--serve-requests requires a positive request count");
-                        std::process::exit(2);
-                    }
-                }
-            }
-            "--bench-sweep" => bench_sweep_path = Some("BENCH_sweep.json".to_string()),
-            other if other.starts_with("--bench-sweep=") => {
-                bench_sweep_path = Some(other["--bench-sweep=".len()..].to_string());
-            }
-            "--cross-engine-check" => {
-                cross_engine_path = Some("CROSS_ENGINE_metrics.jsonl".to_string());
-            }
-            other if other.starts_with("--cross-engine-check=") => {
-                cross_engine_path = Some(other["--cross-engine-check=".len()..].to_string());
-            }
-            "--threads" => match iter.next().and_then(|v| v.parse::<usize>().ok()) {
-                Some(n) if n > 0 => thread_override = n,
-                _ => {
-                    eprintln!("--threads requires a positive worker count");
-                    std::process::exit(2);
-                }
-            },
-            other if other.starts_with("--threads=") => {
-                match other["--threads=".len()..].parse::<usize>() {
-                    Ok(n) if n > 0 => thread_override = n,
-                    _ => {
-                        eprintln!("--threads requires a positive worker count");
-                        std::process::exit(2);
-                    }
-                }
-            }
-            "--help" | "-h" => {
-                println!(
-                    "usage: repro [--quick|--paper] [--json FILE] [--bench-sweep[=FILE]]\n\
-                     \x20            [--cross-engine-check[=FILE]] [--threads N]\n\
-                     \x20            [--scenario ARCH[{{k=v,...}}]:TRAFFIC[:SET[:EFFORT]]]...\n\
-                     \x20            [--matrix[=FILE]] [--arch SPEC]... [--arch-params K=V1,V2]...\n\
-                     \x20            [--workload NAME[:SIZE]]... [--batch-json FILE]\n\
-                     \x20            [--faults PLAN]... [--list-faults]\n\
-                     \x20            [--metrics FILE] [--metrics-format jsonl|csv] [--percentiles]\n\
-                     \x20            [--cache-dir DIR] [--no-cache]\n\
-                     \x20            [--cache-max-bytes N[k|m|g]] [--cache-compact]\n\
-                     \x20            [--serve ADDR] [--serve-requests N]\n\
-                     \x20            [--dump-scenarios FILE] [--from-scenarios FILE]\n\
-                     \x20            [--describe-arch NAME] [--list-architectures]\n\
-                     \x20            [--list-traffic] [--list-workloads] [EXPERIMENT ...]\n\
-                     experiments: {}",
-                    ALL_EXPERIMENTS.join(", ")
-                );
-                return;
-            }
-            other if other.starts_with('-') => {
-                eprintln!("unknown flag '{other}', try --help");
-                std::process::exit(2);
-            }
-            other => names.push(other.to_string()),
+            Listing::Help => println!(
+                "usage: repro [--quick|--paper] [--json FILE]\n\
+                 \x20            [--cross-engine-check[=FILE]] [--threads N]\n\
+                 \x20            [--scenario ARCH[{{k=v,...}}]:TRAFFIC[:SET[:EFFORT]]]...\n\
+                 \x20            [--matrix[=FILE]] [--arch SPEC]... [--arch-params K=V1,V2]...\n\
+                 \x20            [--workload NAME[:SIZE]]... [--batch-json FILE]\n\
+                 \x20            [--faults PLAN]... [--list-faults]\n\
+                 \x20            [--metrics FILE] [--metrics-format jsonl|csv] [--percentiles]\n\
+                 \x20            [--cache-dir DIR] [--no-cache]\n\
+                 \x20            [--cache-max-bytes N[k|m|g]] [--cache-compact]\n\
+                 \x20            [--serve ADDR] [--serve-requests N]\n\
+                 \x20            [--dump-scenarios FILE] [--from-scenarios FILE]\n\
+                 \x20            [--describe-arch NAME] [--list-architectures]\n\
+                 \x20            [--list-traffic] [--list-workloads] [EXPERIMENT ...]\n\
+                 experiments: {}",
+                ALL_EXPERIMENTS.join(", ")
+            ),
         }
+    }
+}
+
+/// The parsed command line.
+#[derive(Debug, PartialEq)]
+struct Options {
+    /// Set by the first catalogue flag, which also ends parsing.
+    listing: Option<Listing>,
+    effort: EffortLevel,
+    names: Vec<String>,
+    json_path: Option<String>,
+    cross_engine_path: Option<String>,
+    /// `--threads N`; 0 keeps `RAYON_NUM_THREADS` / the detected parallelism.
+    thread_override: usize,
+    matrix_path: Option<String>,
+    dump_path: Option<String>,
+    batch_json_path: Option<String>,
+    scenario_args: Vec<String>,
+    workload_args: Vec<String>,
+    describe_args: Vec<String>,
+    arch_args: Vec<String>,
+    param_axes: Vec<(String, Vec<String>)>,
+    fault_args: Vec<String>,
+    from_paths: Vec<String>,
+    metrics_path: Option<String>,
+    metrics_format: MetricsFormat,
+    percentiles: bool,
+    cache_dir: Option<String>,
+    no_cache: bool,
+    cache_max_bytes: Option<u64>,
+    cache_compact: bool,
+    serve_addr: Option<String>,
+    serve_requests: Option<u64>,
+}
+
+/// Every flag that takes a value, with the text that completes its
+/// "`FLAG requires ...`" message.
+const VALUE_FLAGS: &[(&str, &str)] = &[
+    ("--describe-arch", "an architecture name"),
+    ("--arch", "NAME[{key=value,...}]"),
+    ("--arch-params", "KEY=V1[,V2,...]"),
+    ("--faults", "a preset name or plan text (try --list-faults)"),
+    ("--json", "a file path"),
+    ("--scenario", "ARCH:TRAFFIC[:SET[:EFFORT]]"),
+    ("--workload", "NAME[:SIZE] (try --list-workloads)"),
+    ("--batch-json", "a file path"),
+    ("--dump-scenarios", "a file path"),
+    ("--from-scenarios", "a file path"),
+    ("--metrics", "a file path"),
+    ("--metrics-format", "'jsonl' or 'csv'"),
+    ("--cache-dir", "a directory path"),
+    ("--cache-max-bytes", "a byte budget (e.g. 64m)"),
+    ("--serve", "a listen address (e.g. 127.0.0.1:9119)"),
+    ("--serve-requests", "a positive request count"),
+    ("--threads", "a positive worker count"),
+];
+
+/// Reads the value of flag `name` when `arg` spells it: `--name=V` carries
+/// it inline, a bare `--name` takes the next argument. `None` means `arg` is
+/// some other flag, `Some(None)` that the value is missing.
+fn flag_value(
+    name: &str,
+    arg: &str,
+    iter: &mut impl Iterator<Item = String>,
+) -> Option<Option<String>> {
+    let rest = arg.strip_prefix(name)?;
+    match rest.strip_prefix('=') {
+        Some(value) => Some(Some(value.to_string())),
+        None if rest.is_empty() => Some(iter.next()),
+        None => None,
+    }
+}
+
+/// Parses the command line (without the program name). Errors are the
+/// message `main` prints before exiting with status 2.
+fn parse_args(args: Vec<String>) -> Result<Options, String> {
+    let mut o = Options {
+        listing: None,
+        effort: EffortLevel::Paper,
+        names: Vec::new(),
+        json_path: None,
+        cross_engine_path: None,
+        thread_override: 0,
+        matrix_path: None,
+        dump_path: None,
+        batch_json_path: None,
+        scenario_args: Vec::new(),
+        workload_args: Vec::new(),
+        describe_args: Vec::new(),
+        arch_args: Vec::new(),
+        param_axes: Vec::new(),
+        fault_args: Vec::new(),
+        from_paths: Vec::new(),
+        metrics_path: None,
+        metrics_format: MetricsFormat::Jsonl,
+        percentiles: false,
+        cache_dir: None,
+        no_cache: false,
+        cache_max_bytes: None,
+        cache_compact: false,
+        serve_addr: None,
+        serve_requests: None,
+    };
+    let mut iter = args.into_iter();
+    while let Some(arg) = iter.next() {
+        let valued = VALUE_FLAGS.iter().find_map(|&(name, requires)| {
+            flag_value(name, &arg, &mut iter).map(|value| (name, requires, value))
+        });
+        if let Some((name, requires, value)) = valued {
+            let invalid = || format!("{name} requires {requires}");
+            let value = value.ok_or_else(invalid)?;
+            let positive = |text: &str| text.parse::<u64>().ok().filter(|&n| n > 0);
+            match name {
+                "--describe-arch" => o.describe_args.push(value),
+                "--arch" => o.arch_args.push(value),
+                "--arch-params" => o.param_axes.push(parse_param_axis(&value)?),
+                "--faults" => o.fault_args.push(value),
+                "--json" => o.json_path = Some(value),
+                "--scenario" => o.scenario_args.push(value),
+                "--workload" => o.workload_args.push(value),
+                "--batch-json" => o.batch_json_path = Some(value),
+                "--dump-scenarios" => o.dump_path = Some(value),
+                "--from-scenarios" => o.from_paths.push(value),
+                "--metrics" => o.metrics_path = Some(value),
+                "--metrics-format" => {
+                    o.metrics_format = MetricsFormat::parse(&value).ok_or_else(invalid)?;
+                }
+                "--cache-dir" => o.cache_dir = Some(value),
+                "--cache-max-bytes" => o.cache_max_bytes = Some(parse_byte_budget(&value)?),
+                "--serve" => o.serve_addr = Some(value),
+                "--serve-requests" => {
+                    o.serve_requests = Some(positive(&value).ok_or_else(invalid)?);
+                }
+                "--threads" => {
+                    o.thread_override = positive(&value)
+                        .and_then(|n| usize::try_from(n).ok())
+                        .ok_or_else(invalid)?;
+                }
+                _ => unreachable!("'{name}' is listed in VALUE_FLAGS"),
+            }
+            continue;
+        }
+        if let Some(listing) = Listing::from_flag(&arg) {
+            o.listing = Some(listing);
+            break;
+        }
+        match arg.as_str() {
+            "--quick" => o.effort = EffortLevel::Quick,
+            "--paper" => o.effort = EffortLevel::Paper,
+            "--percentiles" => o.percentiles = true,
+            "--no-cache" => o.no_cache = true,
+            "--cache-compact" => o.cache_compact = true,
+            "--matrix" => o.matrix_path = Some("MATRIX_sweep.json".to_string()),
+            "--cross-engine-check" => {
+                o.cross_engine_path = Some("CROSS_ENGINE_metrics.jsonl".to_string());
+            }
+            other => {
+                if let Some(path) = other.strip_prefix("--matrix=") {
+                    o.matrix_path = Some(path.to_string());
+                } else if let Some(path) = other.strip_prefix("--cross-engine-check=") {
+                    o.cross_engine_path = Some(path.to_string());
+                } else if other.starts_with('-') {
+                    return Err(format!("unknown flag '{other}', try --help"));
+                } else {
+                    o.names.push(other.to_string());
+                }
+            }
+        }
+    }
+    Ok(o)
+}
+
+fn main() {
+    let Options {
+        listing,
+        effort,
+        mut names,
+        json_path,
+        cross_engine_path,
+        thread_override,
+        matrix_path,
+        dump_path,
+        batch_json_path,
+        scenario_args,
+        workload_args,
+        describe_args,
+        arch_args,
+        param_axes,
+        fault_args,
+        from_paths,
+        metrics_path,
+        metrics_format,
+        percentiles,
+        cache_dir,
+        no_cache,
+        cache_max_bytes,
+        cache_compact,
+        serve_addr,
+        serve_requests,
+    } = parse_args(std::env::args().skip(1).collect()).unwrap_or_else(|message| {
+        eprintln!("{message}");
+        std::process::exit(2);
+    });
+    if let Some(listing) = listing {
+        listing.print();
+        return;
     }
 
     // Apply the worker-count override before any parallel sweep runs; 0
     // (no --threads flag) keeps RAYON_NUM_THREADS / detected parallelism.
-    rayon::set_thread_count(thread_override);
+    pnoc_exec::set_worker_override(thread_override);
 
     if !describe_args.is_empty() {
         for name in &describe_args {
@@ -1263,7 +928,6 @@ fn main() {
             || !from_paths.is_empty()
             || matrix_path.is_some()
             || batch_json_path.is_some()
-            || bench_sweep_path.is_some()
             || cross_engine_path.is_some()
             || serve_addr.is_some();
         if !has_work {
@@ -1410,8 +1074,8 @@ fn main() {
     if let Some(path) = &dump_path {
         // Dump instead of running: write the selected batch (or the default
         // matrix when nothing was selected) and skip the scenario runs.
-        // Other explicitly requested work — --bench-sweep, named experiments,
-        // --json reports — still runs below.
+        // Other explicitly requested work — named experiments, --json
+        // reports — still runs below.
         let dumped = if specs.is_empty() {
             default_matrix(effort, &arch_args, &param_axes, &fault_args).specs()
         } else {
@@ -1419,11 +1083,7 @@ fn main() {
         };
         write_file(path, &render_scenarios(&dumped));
         eprintln!("[repro] wrote {} scenario spec(s) to {path}", dumped.len());
-        if names.is_empty()
-            && json_path.is_none()
-            && bench_sweep_path.is_none()
-            && cross_engine_path.is_none()
-        {
+        if names.is_empty() && json_path.is_none() && cross_engine_path.is_none() {
             return;
         }
     }
@@ -1453,16 +1113,10 @@ fn main() {
     if let Some(path) = &cross_engine_path {
         run_cross_engine_check(effort, path);
     }
-    if let Some(path) = &bench_sweep_path {
-        run_bench_sweep(effort, path, thread_override);
-    }
-    // Scenario batches, --bench-sweep and --cross-engine-check on their own
+    // Scenario batches and --cross-engine-check on their own
     // only run what they name; experiments run too when named explicitly or
     // when a --json report was requested.
-    if (ran_scenarios || bench_sweep_path.is_some() || cross_engine_path.is_some())
-        && names.is_empty()
-        && json_path.is_none()
-    {
+    if (ran_scenarios || cross_engine_path.is_some()) && names.is_empty() && json_path.is_none() {
         return;
     }
 
@@ -1495,5 +1149,81 @@ fn main() {
     if let Some(path) = json_path {
         write_file(&path, &(reports_json(&reports).render() + "\n"));
         eprintln!("[repro] wrote {path}");
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(args: &[&str]) -> Result<Options, String> {
+        parse_args(args.iter().map(|arg| arg.to_string()).collect())
+    }
+
+    #[test]
+    fn every_value_flag_accepts_both_spellings() {
+        for &(name, _) in VALUE_FLAGS {
+            let value = match name {
+                "--arch-params" => "radix=8,32",
+                "--metrics-format" => "csv",
+                "--cache-max-bytes" => "64m",
+                "--serve-requests" | "--threads" => "3",
+                _ => "some-value",
+            };
+            let spaced = parse(&[name, value]).unwrap_or_else(|e| panic!("{name} V: {e}"));
+            let inline =
+                parse(&[&format!("{name}={value}")]).unwrap_or_else(|e| panic!("{name}=V: {e}"));
+            assert_eq!(spaced, inline, "{name}");
+            assert_ne!(spaced, parse(&[]).expect("empty"), "{name} left no trace");
+        }
+        let options = parse(&[
+            "--json=r.json",
+            "--from-scenarios=a",
+            "--from-scenarios",
+            "b",
+        ])
+        .expect("parses");
+        assert_eq!(options.json_path.as_deref(), Some("r.json"));
+        assert_eq!(options.from_paths, ["a", "b"]);
+        assert_eq!(
+            parse(&["--arch-params=pods=1,4"])
+                .expect("parses")
+                .param_axes,
+            [("pods".to_string(), vec!["1".to_string(), "4".to_string()])]
+        );
+    }
+
+    #[test]
+    fn missing_and_invalid_values_name_the_flag() {
+        for &(name, requires) in VALUE_FLAGS {
+            assert_eq!(parse(&[name]), Err(format!("{name} requires {requires}")));
+        }
+        assert_eq!(
+            parse(&["--threads", "0"]),
+            Err("--threads requires a positive worker count".to_string())
+        );
+        assert_eq!(
+            parse(&["--metrics-format=xml"]),
+            Err("--metrics-format requires 'jsonl' or 'csv'".to_string())
+        );
+    }
+
+    #[test]
+    fn unknown_flags_are_rejected_and_listings_end_parsing() {
+        assert_eq!(
+            parse(&["--quick", "--bogus"]),
+            Err("unknown flag '--bogus', try --help".to_string())
+        );
+        assert_eq!(
+            parse(&["--archx=1"]),
+            Err("unknown flag '--archx=1', try --help".to_string())
+        );
+        let options = parse(&["--quick", "fig3_6", "--list", "--bogus"]).expect("parses");
+        assert_eq!(options.listing, Some(Listing::Experiments));
+        assert_eq!(options.effort, EffortLevel::Quick);
+        assert_eq!(options.names, ["fig3_6"]);
+        let options = parse(&["--matrix", "--cross-engine-check=x.jsonl"]).expect("parses");
+        assert_eq!(options.matrix_path.as_deref(), Some("MATRIX_sweep.json"));
+        assert_eq!(options.cross_engine_path.as_deref(), Some("x.jsonl"));
     }
 }

@@ -28,7 +28,7 @@ pub fn rows(effort: EffortLevel) -> Vec<ComparisonRow> {
     )
 }
 
-/// Builds the report from precomputed rows (shared with the Criterion bench).
+/// Builds the report from precomputed rows.
 #[must_use]
 pub fn report_from_rows(rows: &[ComparisonRow]) -> ExperimentReport {
     let mut report = ExperimentReport::new(

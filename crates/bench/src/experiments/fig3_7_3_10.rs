@@ -14,10 +14,9 @@ use pnoc_sim::config::BandwidthSet;
 use pnoc_sim::registry::Provisioning;
 use pnoc_sim::report::{fmt_f, Table};
 use pnoc_sim::scenario::ScenarioMatrix;
-use serde::{Deserialize, Serialize};
 
 /// One scaling-point measurement for one architecture.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ScalingRow {
     /// Architecture label.
     pub architecture: String,
@@ -37,7 +36,7 @@ pub struct ScalingRow {
 
 /// Measures the scaling rows for the given traffic kinds. The whole
 /// (architecture × bandwidth set × traffic) grid runs as one scenario-matrix
-/// batch: every sweep point goes into a single flattened rayon work queue.
+/// batch: every sweep point goes into a single flattened executor work queue.
 #[must_use]
 pub fn rows(effort: EffortLevel, kinds: &[TrafficKind]) -> Vec<ScalingRow> {
     ensure_registered();

@@ -10,11 +10,10 @@ pub mod tables;
 
 use crate::runner::EffortLevel;
 use pnoc_sim::report::Table;
-use serde::{Deserialize, Serialize};
 
 /// The output of one experiment: a set of tables plus free-form notes
 /// comparing the measured shape against the paper's reported shape.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ExperimentReport {
     /// Short identifier ("fig3_3", "tables", ...).
     pub id: String,

@@ -2,9 +2,8 @@
 //!
 //! Every table and figure of the thesis' evaluation chapter has a
 //! corresponding experiment module here; the `repro` binary runs them and
-//! prints the same rows / series the paper reports. The Criterion benches in
-//! `benches/` exercise the same code paths at a reduced scale so that
-//! `cargo bench` stays fast.
+//! prints the same rows / series the paper reports. Performance is measured
+//! by the standalone `benchmark/` package (`BENCHMARK.json`), not here.
 //!
 //! | module | paper artefact |
 //! |--------|----------------|

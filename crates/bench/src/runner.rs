@@ -22,7 +22,6 @@ use pnoc_sim::stats::SimStats;
 use pnoc_sim::sweep::SaturationResult;
 use pnoc_traffic::factory::{lookup_traffic_factory, TrafficSpec};
 use pnoc_traffic::pattern::PacketShape;
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
 /// The simulation effort level, re-exported from the scenario API
@@ -36,7 +35,7 @@ pub fn ensure_registered() {
 }
 
 /// A handle to a registered architecture, resolved by name.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Architecture {
     name: String,
     label: String,
@@ -119,7 +118,7 @@ impl Architecture {
 }
 
 /// A handle to a registered traffic pattern, resolved by name.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TrafficKind {
     name: String,
 }
@@ -288,7 +287,7 @@ pub fn latency_percentiles_at_saturation(result: &ScenarioResult) -> Option<[u64
 }
 
 /// The outcome of comparing two architectures on one scenario.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ComparisonRow {
     /// Bandwidth set of the experiment.
     pub bandwidth_set: String,

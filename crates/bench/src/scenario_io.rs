@@ -1,10 +1,9 @@
 //! Serialization of [`ScenarioSpec`]s and matrix results through the
 //! hand-rolled JSON value model in [`crate::json`].
 //!
-//! The workspace's `serde` is a no-op shim (see `vendor/README.md`), so this
-//! module is the real wire format: `repro --dump-scenarios` writes what
-//! [`render_scenarios`] produces, `repro --from-scenarios` reads it back via
-//! [`parse_scenarios`], and the round trip is the identity
+//! This module is the scenario wire format: `repro --dump-scenarios` writes
+//! what [`render_scenarios`] produces, `repro --from-scenarios` reads it back
+//! via [`parse_scenarios`], and the round trip is the identity
 //! (`parse(render(specs)) == specs`, property-tested in
 //! `tests/scenario_roundtrip.rs`). `repro --matrix` writes the deterministic
 //! [`matrix_json`] document that CI diffs across two runs to prove the batch

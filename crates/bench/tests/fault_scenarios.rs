@@ -59,7 +59,7 @@ fn healthy_spellings_are_identical_to_a_fault_free_run_and_share_points() {
 
 #[test]
 fn faulted_presets_sweep_both_architectures_deterministically() {
-    rayon::set_thread_count(4);
+    pnoc_exec::set_worker_override(4);
     ensure_registered();
     let matrix = ScenarioMatrix::new()
         .architectures(["firefly", "d-hetpnoc"])

@@ -27,7 +27,7 @@ fn render_jsonl(outcome: &MatrixResult) -> Vec<u8> {
 
 #[test]
 fn parallel_matrix_metrics_equal_sequential_metrics_bitwise() {
-    rayon::set_thread_count(4);
+    pnoc_exec::set_worker_override(4);
     let matrix = smoke_matrix();
     let parallel = matrix.run().expect("all names registered");
     let sequential = matrix.run_sequential().expect("all names registered");
@@ -76,7 +76,7 @@ fn parallel_matrix_metrics_equal_sequential_metrics_bitwise() {
 
 #[test]
 fn sink_output_is_byte_identical_across_execution_strategies() {
-    rayon::set_thread_count(4);
+    pnoc_exec::set_worker_override(4);
     let matrix = smoke_matrix();
     let parallel = matrix.run().expect("registered");
     let sequential = matrix.run_sequential().expect("registered");
@@ -108,7 +108,7 @@ fn sink_output_is_byte_identical_across_execution_strategies() {
 
 #[test]
 fn faulted_matrix_metrics_stay_bitwise_deterministic_and_expose_fault_counters() {
-    rayon::set_thread_count(4);
+    pnoc_exec::set_worker_override(4);
     let matrix = smoke_matrix().fault_plans(["none", "single-link", "ring-drift"]);
     let parallel = matrix.run().expect("registered");
     let sequential = matrix.run_sequential().expect("registered");

@@ -19,7 +19,7 @@ fn smoke_matrix() -> ScenarioMatrix {
 
 #[test]
 fn matrix_run_is_bitwise_identical_to_sequential_per_scenario_runs() {
-    rayon::set_thread_count(4);
+    pnoc_exec::set_worker_override(4);
     let matrix = smoke_matrix();
     let batched = matrix.run().expect("all names registered");
     let sequential = matrix.run_sequential().expect("all names registered");
@@ -40,7 +40,7 @@ fn matrix_run_is_bitwise_identical_to_sequential_per_scenario_runs() {
 
 #[test]
 fn param_axis_matrix_is_bitwise_deterministic_on_real_architectures() {
-    rayon::set_thread_count(4);
+    pnoc_exec::set_worker_override(4);
     ensure_registered();
     // A 2-value radix sweep over the Firefly baseline: same flattened queue,
     // same bitwise-determinism contract as every other axis.

@@ -1,4 +1,4 @@
-//! Property test of the scenario serde round trip through the hand-rolled
+//! Property test of the scenario spec round trip through the hand-rolled
 //! JSON emitter/parser: `parse_scenarios(render_scenarios(specs)) == specs`
 //! for arbitrary specs — including registry names full of quotes,
 //! backslashes, control characters and non-ASCII text, seeds that do not fit

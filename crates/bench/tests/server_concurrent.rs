@@ -53,7 +53,7 @@ fn post_run(address: &str, document: &str) -> (String, String) {
 fn parallel_posts_are_byte_identical_to_the_batch_path() {
     // Give the pool real workers so several connections are genuinely in
     // flight at once (this binary owns the process-global override).
-    rayon::set_thread_count(4);
+    pnoc_exec::set_worker_override(4);
 
     let dir = std::env::temp_dir().join(format!("pnoc-server-concurrent-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
@@ -130,6 +130,6 @@ fn parallel_posts_are_byte_identical_to_the_batch_path() {
         reopened.entry_count() > 0,
         "concurrent requests populated the cache"
     );
-    rayon::set_thread_count(0);
+    pnoc_exec::set_worker_override(0);
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -18,13 +18,12 @@ fn smoke_scenario(architecture: &Architecture, traffic: &str) -> Scenario {
 
 #[test]
 fn parallel_scenarios_are_bitwise_identical_for_both_paper_architectures() {
-    // Force real worker threads even on single-core hosts so the parallel
-    // code path is exercised for real (atomic override, not env mutation).
-    rayon::set_thread_count(4);
+    // Forced worker counts (atomic override, not env mutation) exercise the
+    // parallel code path for real even on single-core hosts; every count must
+    // reproduce the sequential sweep.
     for architecture in Architecture::comparison_pair() {
         let scenario = smoke_scenario(&architecture, "skewed-2");
         let sequential = scenario.run_with_mode(SweepMode::Sequential);
-        let parallel = scenario.run_with_mode(SweepMode::Parallel);
         assert!(
             sequential
                 .result
@@ -34,11 +33,16 @@ fn parallel_scenarios_are_bitwise_identical_for_both_paper_architectures() {
             "{}: the sweep delivered nothing, the comparison would be vacuous",
             architecture.name()
         );
-        assert!(
-            sequential.bitwise_eq(&parallel),
-            "{}: parallel scenario run must be bitwise-identical to sequential",
-            architecture.name()
-        );
+        for workers in [1, 2, 4, 8] {
+            pnoc_exec::set_worker_override(workers);
+            let parallel = scenario.run_with_mode(SweepMode::Parallel);
+            assert!(
+                sequential.bitwise_eq(&parallel),
+                "{}: parallel scenario run on {workers} worker(s) must be \
+                 bitwise-identical to sequential",
+                architecture.name()
+            );
+        }
     }
 }
 

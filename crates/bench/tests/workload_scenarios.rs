@@ -74,7 +74,7 @@ fn allreduce_64_drains_on_dhetpnoc_and_reports_fct_and_makespan() {
 #[test]
 fn workload_matrix_parallel_execution_is_bitwise_identical_to_sequential() {
     ensure_registered();
-    rayon::set_thread_count(4);
+    pnoc_exec::set_worker_override(4);
     // Mixed batch: open-loop scenarios and closed-loop workloads share the
     // flattened queue across two architectures.
     let matrix = ScenarioMatrix::new()

@@ -22,10 +22,9 @@
 use crate::tables::{CurrentTable, RequestTable};
 use crate::token::{Token, TokenRing};
 use pnoc_noc::ids::ClusterId;
-use serde::{Deserialize, Serialize};
 
 /// How a cluster's wavelength target is derived from the demand information.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum AllocationPolicy {
     /// Wavelength pools sized in proportion to each cluster's traffic
     /// requirement (Section 3.1: "a variable number of wavelengths are
@@ -40,7 +39,7 @@ pub enum AllocationPolicy {
 }
 
 /// Per-cluster allocation state.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 struct ClusterAllocation {
     request: RequestTable,
     current: CurrentTable,
@@ -48,7 +47,7 @@ struct ClusterAllocation {
 }
 
 /// The chip-wide DBA state machine.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DbaController {
     token: Token,
     ring: TokenRing,

@@ -18,10 +18,9 @@ use pnoc_noc::packet::BandwidthClass;
 use pnoc_photonics::dwdm::WavelengthGrid;
 use pnoc_sim::clock::Clock;
 use pnoc_sim::config::{BandwidthSet, SimConfig};
-use serde::{Deserialize, Serialize};
 
 /// Timing of the d-HetPNoC reservation broadcast.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ReservationTiming {
     /// Bits per wavelength identifier (wavelength number + waveguide number).
     pub identifier_bits: u32,

@@ -10,10 +10,9 @@
 //! wavelengths on later token visits if its requests could not be satisfied.
 
 use pnoc_noc::ids::ClusterId;
-use serde::{Deserialize, Serialize};
 
 /// Wavelength demand of one core toward every cluster.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DemandTable {
     entries: Vec<usize>,
 }
@@ -52,7 +51,7 @@ impl DemandTable {
 }
 
 /// The request table: element-wise maximum over the cluster's demand tables.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RequestTable {
     entries: Vec<usize>,
 }
@@ -107,7 +106,7 @@ impl RequestTable {
 
 /// The current table: wavelengths currently allocated toward each cluster,
 /// plus the identifiers of the acquired wavelengths.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CurrentTable {
     entries: Vec<usize>,
     /// Identifiers (flat indices into the dynamic wavelength space) of the

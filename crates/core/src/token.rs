@@ -17,7 +17,6 @@
 
 use pnoc_noc::ids::ClusterId;
 use pnoc_sim::clock::Clock;
-use serde::{Deserialize, Serialize};
 
 /// Size of the token in bits (eq. 1).
 ///
@@ -53,7 +52,7 @@ pub fn token_hop_cycles(
 
 /// The token: one status bit per dynamically allocatable wavelength
 /// (`true` = currently allocated to some cluster).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Token {
     status: Vec<bool>,
 }
@@ -124,7 +123,7 @@ impl Token {
 }
 
 /// The circulation of the token between the photonic routers.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TokenRing {
     num_routers: usize,
     hop_cycles: u64,

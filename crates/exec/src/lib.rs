@@ -33,7 +33,7 @@ where
 
 /// Ensure the global pool has spawned its workers and return the cumulative
 /// time (seconds) spent spawning them. Useful to front-load worker startup
-/// before timing-sensitive work and to report `pool_startup_seconds`.
+/// before timing-sensitive work and to report `exec.pool_startup_s`.
 pub fn warm_up() -> f64 {
     let pool = global();
     pool.ensure_workers(resolve_worker_limit(usize::MAX));

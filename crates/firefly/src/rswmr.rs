@@ -14,10 +14,9 @@
 //! efficient compared to an always-on SWMR crossbar.
 
 use pnoc_noc::ids::{ClusterId, PacketId};
-use serde::{Deserialize, Serialize};
 
 /// The reservation flit broadcast on a cluster's reservation channel.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ReservationFlit {
     /// Source cluster (owner of the write channel being reserved).
     pub src: ClusterId,
@@ -44,7 +43,7 @@ impl ReservationFlit {
 }
 
 /// State of one source cluster's R-SWMR write channel.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RswmrChannel {
     /// The cluster that owns (writes) this channel.
     pub owner: ClusterId,

@@ -19,7 +19,7 @@ use pnoc_sim::metrics::{
     Counter, EventSink, Family, MetricReport, MetricValue, NullSink, QuantileSketch, SimEvent,
 };
 use pnoc_sim::registry::ArchitectureBuilder;
-use pnoc_sim::stats::{LatencyHistogram, SimStats};
+use pnoc_sim::stats::SimStats;
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::{Arc, Mutex};
 
@@ -161,7 +161,6 @@ struct SpineAccount {
     photonic_bits: u64,
     total_latency: u64,
     max_latency: u64,
-    latency_histogram: LatencyHistogram,
     latency_sketch: QuantileSketch,
     pod_pair_packets: BTreeMap<String, u64>,
 }
@@ -178,8 +177,6 @@ impl SpineAccount {
             photonic_bits: 0,
             total_latency: 0,
             max_latency: 0,
-            // Same geometry as SimStats so the merged histogram stays valid.
-            latency_histogram: LatencyHistogram::new(16, 256),
             latency_sketch: QuantileSketch::new(),
             pod_pair_packets: BTreeMap::new(),
         }
@@ -201,7 +198,6 @@ impl SpineAccount {
                 self.delivered_packets += 1;
                 self.total_latency += latency;
                 self.max_latency = self.max_latency.max(latency);
-                self.latency_histogram.record(latency);
                 self.latency_sketch.record(latency);
                 let label = pod_pair_label(src.0 / leaf_cores, dst.0 / leaf_cores);
                 *self.pod_pair_packets.entry(label).or_insert(0) += 1;
@@ -476,10 +472,6 @@ impl CycleNetwork for HierarchicalSystem {
             merged.delivered_photonic_bits += stats.delivered_photonic_bits;
             merged.total_packet_latency += stats.total_packet_latency;
             merged.max_packet_latency = merged.max_packet_latency.max(stats.max_packet_latency);
-            merged
-                .latency_histogram
-                .merge(&stats.latency_histogram)
-                .expect("pod histograms share the default geometry");
             merged.energy = merged.energy.combined(&stats.energy);
         }
         let spine = &self.account;
@@ -492,10 +484,6 @@ impl CycleNetwork for HierarchicalSystem {
         merged.delivered_photonic_bits += spine.photonic_bits;
         merged.total_packet_latency += spine.total_latency;
         merged.max_packet_latency = merged.max_packet_latency.max(spine.max_latency);
-        merged
-            .latency_histogram
-            .merge(&spine.latency_histogram)
-            .expect("spine histogram shares the default geometry");
         merged.measured_cycles = self.measured_cycles;
         merged
     }

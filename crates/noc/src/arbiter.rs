@@ -10,8 +10,6 @@
 //! * [`MatrixArbiter`] — least-recently-served arbiter maintaining a full
 //!   priority matrix; gives strong fairness at slightly higher cost.
 
-use serde::{Deserialize, Serialize};
-
 /// A combinational arbiter granting one of `n` requesters per invocation.
 pub trait Arbiter {
     /// Number of requesters this arbiter was built for.
@@ -32,7 +30,7 @@ pub trait Arbiter {
 }
 
 /// Rotating-priority (round-robin) arbiter.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct RoundRobinArbiter {
     n: usize,
     /// Index with the highest priority in the next arbitration round.
@@ -84,7 +82,7 @@ impl Arbiter for RoundRobinArbiter {
 ///
 /// Maintains a boolean priority matrix `m[i][j]` meaning "i has priority over
 /// j". On a grant to `w`, `w` loses priority against everyone else.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct MatrixArbiter {
     n: usize,
     matrix: Vec<bool>,

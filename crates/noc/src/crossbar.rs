@@ -6,10 +6,9 @@
 //! output per cycle, and an output is driven by at most one input per cycle.
 
 use crate::ids::PortId;
-use serde::{Deserialize, Serialize};
 
 /// A single input→output connection established for one cycle.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CrossbarGrant {
     /// Input port driving the connection.
     pub input: PortId,

@@ -8,10 +8,9 @@
 
 use crate::ids::{CoreId, PacketId, VcId};
 use crate::packet::BandwidthClass;
-use serde::{Deserialize, Serialize};
 
 /// The position of a flit within its packet.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FlitKind {
     /// First flit of a multi-flit packet; carries routing information.
     Head,
@@ -40,7 +39,7 @@ impl FlitKind {
 /// Optional payload classification. Data flits carry application payload;
 /// control flits are used for reservation / token traffic by the photonic
 /// layers built on top of this crate.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FlitPayload {
     /// Ordinary application data.
     Data,
@@ -52,7 +51,7 @@ pub enum FlitPayload {
 ///
 /// Flits are intentionally small `Copy`-able values: the cycle-accurate inner
 /// loop moves millions of them.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Flit {
     /// Packet this flit belongs to.
     pub packet: PacketId,

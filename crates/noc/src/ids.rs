@@ -6,32 +6,31 @@
 //! cluster owns one photonic router. The identifier types in this module make
 //! the core ↔ cluster arithmetic explicit and hard to get wrong.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Identifier of a processing core (0-based, global across the chip).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct CoreId(pub usize);
 
 /// Identifier of a cluster of cores (0-based). Each cluster owns exactly one
 /// photonic router in both the Firefly baseline and d-HetPNoC.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ClusterId(pub usize);
 
 /// Identifier of a router (electrical core switch or photonic router).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct RouterId(pub usize);
 
 /// Identifier of a port on a router.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct PortId(pub usize);
 
 /// Identifier of a virtual channel within a port.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct VcId(pub usize);
 
 /// Globally unique packet identifier, assigned at injection time.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct PacketId(pub u64);
 
 macro_rules! impl_display_and_from {
@@ -122,7 +121,7 @@ impl PacketId {
 }
 
 /// Monotonically increasing allocator of [`PacketId`]s.
-#[derive(Debug, Default, Clone, Serialize, Deserialize)]
+#[derive(Debug, Default, Clone)]
 pub struct PacketIdAllocator {
     next: u64,
 }

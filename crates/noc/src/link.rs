@@ -8,11 +8,10 @@
 
 use crate::flit::Flit;
 use crate::ids::VcId;
-use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 
 /// Static description of a link.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LinkSpec {
     /// Traversal latency in cycles (≥ 1).
     pub latency: u64,

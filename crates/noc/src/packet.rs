@@ -10,7 +10,6 @@
 
 use crate::flit::{Flit, FlitKind, FlitPayload};
 use crate::ids::{CoreId, PacketId, VcId};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Relative bandwidth requirement of an application flow.
@@ -18,9 +17,7 @@ use std::fmt;
 /// The four classes correspond to the four per-application bandwidths of
 /// Table 3-1 of the thesis, in increasing order. The relative wavelength
 /// requirement doubles from one class to the next.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub enum BandwidthClass {
     /// Lowest bandwidth application (12.5 Gbps in BW set 1).
     #[default]
@@ -88,7 +85,7 @@ impl fmt::Display for BandwidthClass {
 
 /// A request for a packet transfer, produced by a traffic model before the
 /// packet is admitted into the network.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PacketDescriptor {
     /// Source core.
     pub src: CoreId,
@@ -113,7 +110,7 @@ impl PacketDescriptor {
 }
 
 /// A packet admitted into the network, with an assigned id.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Packet {
     /// Unique identifier.
     pub id: PacketId,

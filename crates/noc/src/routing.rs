@@ -7,10 +7,9 @@
 
 use crate::ids::{CoreId, PortId};
 use crate::topology::ClusterTopology;
-use serde::{Deserialize, Serialize};
 
 /// Outcome of a routing decision at a core switch.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RouteDecision {
     /// Deliver to the locally attached core (ejection).
     Local,
@@ -32,7 +31,7 @@ impl RouteDecision {
 }
 
 /// Per-switch routing table for the hierarchical cluster topology.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ClusterRoutingTable {
     topology: ClusterTopology,
     own_core: CoreId,
@@ -74,7 +73,7 @@ impl ClusterRoutingTable {
 /// Routing table of the electrical (ejection) side of a photonic router:
 /// incoming photonic flits are forwarded to the core switch of the
 /// destination core's local index.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PhotonicEjectionRouting {
     topology: ClusterTopology,
 }

@@ -21,10 +21,9 @@
 //! connects to the core switch of local core `i`.
 
 use crate::ids::{ClusterId, CoreId, PortId};
-use serde::{Deserialize, Serialize};
 
 /// The hierarchical cluster topology of the photonic NoC.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ClusterTopology {
     num_clusters: usize,
     cores_per_cluster: usize,

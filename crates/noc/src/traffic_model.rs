@@ -10,11 +10,10 @@
 
 use crate::ids::{ClusterId, CoreId};
 use crate::packet::{BandwidthClass, PacketDescriptor};
-use serde::{Deserialize, Serialize};
 
 /// Offered load, expressed as the probability that a core injects a new
 /// packet in a given cycle (packets / core / cycle).
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd)]
 pub struct OfferedLoad(pub f64);
 
 impl OfferedLoad {

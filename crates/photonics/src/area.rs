@@ -13,7 +13,6 @@
 //! 1.608 mm² for d-HetPNoC and 1.367 mm² for Firefly.
 
 use crate::mrr::MicroRingResonator;
-use serde::{Deserialize, Serialize};
 
 /// Number of wavelengths the control waveguide carries (the thesis fixes the
 /// token/control waveguide at maximum DWDM, i.e. 64 wavelengths — equation 17
@@ -21,7 +20,7 @@ use serde::{Deserialize, Serialize};
 pub const CONTROL_WAVEGUIDE_WAVELENGTHS: usize = 64;
 
 /// Counts of electro-optic ring devices (modulators and detectors).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RingCounts {
     /// Modulators on data waveguides.
     pub data_modulators: usize,
@@ -58,7 +57,7 @@ impl RingCounts {
 }
 
 /// Area report for one architecture at one design point.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AreaReport {
     /// The ring counts behind the area figure.
     pub rings: RingCounts,
@@ -69,7 +68,7 @@ pub struct AreaReport {
 }
 
 /// The area model of Section 3.4.3.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AreaModel {
     /// Number of photonic routers, `N_PR` (16 for the 64-core chip).
     pub num_photonic_routers: usize,

@@ -13,10 +13,9 @@
 
 use crate::mrr::MicroRingResonator;
 use crate::units::fj_to_pj;
-use serde::{Deserialize, Serialize};
 
 /// A wavelength-selective germanium photo-detector (filter ring + Ge p-i-n).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PhotoDetector {
     /// The drop-filter ring in front of the detector.
     pub ring: MicroRingResonator,

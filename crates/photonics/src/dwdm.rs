@@ -8,13 +8,11 @@
 //! numbers plus, when several data waveguides exist, `log2(N_W)`-bit
 //! waveguide numbers (Section 3.4.1.1).
 
-use serde::{Deserialize, Serialize};
-
 /// Maximum number of DWDM wavelengths per waveguide used throughout the paper.
 pub const PAPER_WAVELENGTHS_PER_WAVEGUIDE: usize = 64;
 
 /// Identifier of one DWDM wavelength within the data-waveguide bundle.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct WavelengthId {
     /// Which data waveguide the wavelength lives in.
     pub waveguide: usize,
@@ -31,7 +29,7 @@ impl WavelengthId {
 }
 
 /// A grid of `num_waveguides × wavelengths_per_waveguide` DWDM wavelengths.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WavelengthGrid {
     num_waveguides: usize,
     wavelengths_per_waveguide: usize,

@@ -23,10 +23,8 @@
 //! "flits occupy the buffers in routers for a shorter duration"). The router
 //! component is charged per bit per electrical-router traversal.
 
-use serde::{Deserialize, Serialize};
-
 /// Per-bit energy coefficients of the photonic NoC (Table 3-5).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PhotonicEnergyModel {
     /// Modulation / demodulation energy, pJ per bit.
     pub modulation_pj_per_bit: f64,
@@ -106,7 +104,7 @@ impl Default for PhotonicEnergyModel {
 
 /// Energy totals accumulated during a simulation, split by component
 /// (the terms of equations 3 and 4).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct EnergyBreakdown {
     /// Laser launch energy, pJ.
     pub launch_pj: f64,
@@ -148,7 +146,7 @@ impl EnergyBreakdown {
 
 /// Streaming accumulator of simulation energy, driven by the cycle-accurate
 /// engine.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct EnergyAccumulator {
     model: PhotonicEnergyModel,
     breakdown: EnergyBreakdown,

@@ -8,10 +8,9 @@
 //! that optical power plus coupling overheads at the 12.5 Gb/s line rate.
 
 use crate::units::{gbps_to_bps, mw_to_w, power_to_energy_per_bit_pj};
-use serde::{Deserialize, Serialize};
 
 /// Placement of the laser source.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LaserPlacement {
     /// Off-chip comb laser coupled through fibre.
     OffChip,
@@ -20,7 +19,7 @@ pub enum LaserPlacement {
 }
 
 /// A multi-wavelength laser source feeding the photonic fabric.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LaserSource {
     /// Where the laser lives.
     pub placement: LaserPlacement,

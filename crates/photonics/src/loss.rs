@@ -9,10 +9,9 @@
 //! of Section 2.2 / Chapter 3.
 
 use crate::units::{db_to_linear, linear_to_db};
-use serde::{Deserialize, Serialize};
 
 /// A named loss contribution, in dB.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LossItem {
     /// Human-readable source of the loss ("coupler", "propagation", ...).
     pub name: String,
@@ -21,7 +20,7 @@ pub struct LossItem {
 }
 
 /// An additive optical loss budget along one source→destination light path.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct LossBudget {
     items: Vec<LossItem>,
 }

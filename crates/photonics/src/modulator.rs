@@ -8,10 +8,9 @@
 
 use crate::mrr::MicroRingResonator;
 use crate::units::fj_to_pj;
-use serde::{Deserialize, Serialize};
 
 /// An electro-optic micro-ring modulator.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Modulator {
     /// The ring the modulator is built around.
     pub ring: MicroRingResonator,

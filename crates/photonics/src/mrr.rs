@@ -7,11 +7,10 @@
 //! assumes 5 µm-radius rings [28] for the area estimate of Section 3.4.3.
 
 use crate::units::{um2_to_mm2, um_to_m, SILICON_GROUP_INDEX, SPEED_OF_LIGHT_M_PER_S};
-use serde::{Deserialize, Serialize};
 use std::f64::consts::PI;
 
 /// A silicon micro-ring resonator.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MicroRingResonator {
     /// Ring radius in micro-metres.
     pub radius_um: f64,

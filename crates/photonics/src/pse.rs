@@ -9,10 +9,9 @@
 //! and crosstalk, which is why the thesis prefers a blocking, compact switch).
 
 use crate::mrr::MicroRingResonator;
-use serde::{Deserialize, Serialize};
 
 /// State of a photonic switching element.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PseState {
     /// Ring off-resonance: light passes straight through.
     Off,
@@ -21,7 +20,7 @@ pub enum PseState {
 }
 
 /// Direction taken by light through a PSE.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PsePath {
     /// Straight through (ring off or wavelength mismatch).
     Through,
@@ -30,7 +29,7 @@ pub enum PsePath {
 }
 
 /// An MRR-based photonic switching element.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PhotonicSwitchingElement {
     /// The ring implementing the switch.
     pub ring: MicroRingResonator,

@@ -9,10 +9,9 @@
 //! Table 3-5 (corresponding to a 1.25 nm average shift).
 
 use crate::units::{gbps_to_bps, mw_to_w, power_to_energy_per_bit_pj};
-use serde::{Deserialize, Serialize};
 
 /// Thermal tuner (heater) attached to one micro-ring.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ThermalTuner {
     /// Heater efficiency: milli-watts per nano-metre of resonance shift
     /// (2.4 mW/nm in the paper).

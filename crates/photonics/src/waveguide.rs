@@ -8,10 +8,9 @@
 //! waveguide-count arithmetic of the area model.
 
 use crate::dwdm::PAPER_WAVELENGTHS_PER_WAVEGUIDE;
-use serde::{Deserialize, Serialize};
 
 /// Role a waveguide plays in the photonic fabric.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum WaveguideRole {
     /// Carries data packets between photonic routers.
     Data,
@@ -22,7 +21,7 @@ pub enum WaveguideRole {
 }
 
 /// An on-chip optical waveguide.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Waveguide {
     /// What the waveguide is used for.
     pub role: WaveguideRole,

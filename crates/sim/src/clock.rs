@@ -5,10 +5,8 @@
 //! single wavelength carries exactly 5 bits per clock cycle — the conversion
 //! factor at the heart of the cycle-accurate photonic transfer model.
 
-use serde::{Deserialize, Serialize};
-
 /// The global clock of the simulated chip.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Clock {
     /// Clock frequency in GHz.
     pub frequency_ghz: f64,

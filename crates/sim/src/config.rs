@@ -4,10 +4,9 @@ use crate::clock::Clock;
 use pnoc_noc::packet::BandwidthClass;
 use pnoc_noc::router::RouterSpec;
 use pnoc_noc::topology::ClusterTopology;
-use serde::{Deserialize, Serialize};
 
 /// The three aggregate-bandwidth design points of Table 3-1 / Table 3-3.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum BandwidthSet {
     /// 64 total data wavelengths; application bandwidths 12.5–100 Gbps;
     /// 64-flit packets of 32-bit flits.
@@ -58,42 +57,6 @@ impl BandwidthSet {
     #[must_use]
     pub fn packet_bits(self) -> u64 {
         u64::from(self.packet_flits()) * u64::from(self.flit_bits())
-    }
-
-    /// Wavelengths of each Firefly write channel (uniform static allocation:
-    /// `total / 16`, Table 3-3).
-    ///
-    /// Deprecated: this architecture-specific knob now lives in the Firefly
-    /// builder's parameter schema (`firefly{radix=...}`; the default radix
-    /// of 16 reproduces this value). Architecture-agnostic callers want
-    /// [`BandwidthSet::class_wavelengths`] with
-    /// [`BandwidthClass::MediumHigh`], which this forwards to.
-    #[deprecated(
-        since = "0.6.0",
-        note = "use the firefly builder's `radix` parameter (pnoc-firefly) or \
-                `class_wavelengths(BandwidthClass::MediumHigh)`"
-    )]
-    #[must_use]
-    pub fn firefly_wavelengths_per_channel(self) -> usize {
-        self.class_wavelengths(BandwidthClass::MediumHigh)
-    }
-
-    /// Maximum wavelengths a d-HetPNoC cluster may hold (Table 3-3:
-    /// "maximum channel bandwidth of 8 / 32 / 64 channels").
-    ///
-    /// Deprecated: this architecture-specific knob now lives in the
-    /// d-HetPNoC builder's parameter schema (`d-hetpnoc{max_wavelengths=...}`;
-    /// the default of 0 = auto reproduces this value). Architecture-agnostic
-    /// callers want [`BandwidthSet::class_wavelengths`] with
-    /// [`BandwidthClass::High`], which this forwards to.
-    #[deprecated(
-        since = "0.6.0",
-        note = "use the d-hetpnoc builder's `max_wavelengths` parameter \
-                (pnoc-dhetpnoc) or `class_wavelengths(BandwidthClass::High)`"
-    )]
-    #[must_use]
-    pub fn dhet_max_channel_wavelengths(self) -> usize {
-        self.class_wavelengths(BandwidthClass::High)
     }
 
     /// Wavelengths needed by the *lowest* application bandwidth of the set
@@ -151,7 +114,7 @@ impl BandwidthSet {
 }
 
 /// Full simulation configuration (Table 3-3).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SimConfig {
     /// Cluster topology (16 clusters of 4 cores in the paper).
     pub topology: ClusterTopology,
@@ -295,14 +258,12 @@ mod tests {
     }
 
     #[test]
-    #[allow(deprecated)] // pins the deprecated forwards to the param defaults
     fn firefly_and_dhet_channel_widths() {
-        assert_eq!(BandwidthSet::Set1.firefly_wavelengths_per_channel(), 4);
-        assert_eq!(BandwidthSet::Set2.firefly_wavelengths_per_channel(), 16);
-        assert_eq!(BandwidthSet::Set3.firefly_wavelengths_per_channel(), 32);
-        assert_eq!(BandwidthSet::Set1.dhet_max_channel_wavelengths(), 8);
-        assert_eq!(BandwidthSet::Set2.dhet_max_channel_wavelengths(), 32);
-        assert_eq!(BandwidthSet::Set3.dhet_max_channel_wavelengths(), 64);
+        // Table 3-3: the Firefly channel width is the medium-high class, the
+        // d-HetPNoC per-cluster maximum the high class (the builders' defaults).
+        let widths = |class| BandwidthSet::ALL.map(|set| set.class_wavelengths(class));
+        assert_eq!(widths(BandwidthClass::MediumHigh), [4, 16, 32]);
+        assert_eq!(widths(BandwidthClass::High), [8, 32, 64]);
     }
 
     #[test]
@@ -323,18 +284,8 @@ mod tests {
     }
 
     #[test]
-    #[allow(deprecated)] // the forwards must agree with the class widths
-    fn highest_class_fits_dhet_max_channel() {
+    fn firefly_channel_width_is_the_table_3_3_formula() {
         for set in BandwidthSet::ALL {
-            assert_eq!(
-                set.class_wavelengths(BandwidthClass::High),
-                set.dhet_max_channel_wavelengths()
-            );
-            assert_eq!(
-                set.class_wavelengths(BandwidthClass::MediumHigh),
-                set.firefly_wavelengths_per_channel()
-            );
-            // The paper's literal Table 3-3 formula for the Firefly width.
             assert_eq!(
                 set.class_wavelengths(BandwidthClass::MediumHigh),
                 set.total_wavelengths() / 16

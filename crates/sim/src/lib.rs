@@ -75,7 +75,7 @@ pub mod prelude {
     };
     pub use crate::metrics::{
         Counter, CsvSink, EventSink, Family, Gauge, JsonlSink, MemorySink, MetricReport, MetricRow,
-        MetricSink, MetricValue, MetricsProbe, Probe, QuantileSketch, SimEvent, SimStatsProbe,
+        MetricSink, MetricValue, MetricsProbe, Probe, QuantileSketch, SimEvent,
     };
     pub use crate::params::{
         ArchParamError, ArchParams, ParamKind, ParamSchema, ParamSpec, ParamValue, ResolvedParams,

@@ -2,7 +2,6 @@
 
 use crate::stats::SimStats;
 use pnoc_noc::ids::{ClusterId, CoreId};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::io;
@@ -12,7 +11,7 @@ use std::io;
 // ---------------------------------------------------------------------------
 
 /// A monotonically increasing event count.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Counter(u64);
 
 impl Counter {
@@ -46,7 +45,7 @@ impl Counter {
 
 /// A last-written scalar observation. Merging keeps the **maximum**, so a
 /// merged gauge reports the peak observation across the merged runs.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct Gauge(f64);
 
 impl Gauge {
@@ -102,7 +101,7 @@ const SUB_BUCKETS: u64 = 1 << SUB_BITS;
 /// sketches gives bitwise the same result in any merge order. This is what
 /// lets the parallel matrix engine produce metric reports identical to a
 /// sequential run.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct QuantileSketch {
     /// Bucket counts, indexed by [`bucket_index`]. Never has trailing zero
     /// entries, so structural equality equals logical equality.
@@ -321,7 +320,7 @@ impl QuantileSketch {
 
 /// A labelled family of metrics: one metric instance per label, stored in
 /// label order (deterministic iteration and serialization).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Family<M> {
     members: BTreeMap<String, M>,
 }
@@ -413,7 +412,7 @@ pub fn window_label(index: usize) -> String {
 
 /// One metric in a [`MetricReport`]: the snapshot counterpart of the typed
 /// primitives, closed under [`MetricValue::merge`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum MetricValue {
     /// A summed event count.
     Counter(u64),
@@ -505,7 +504,7 @@ impl std::error::Error for MetricMergeError {}
 ///
 /// Entries are kept in name order, so serialization (and therefore the JSONL
 /// / CSV sink output) is deterministic.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct MetricReport {
     entries: BTreeMap<String, MetricValue>,
 }
@@ -614,7 +613,7 @@ impl MetricReport {
 }
 
 // ---------------------------------------------------------------------------
-// Compact deterministic JSON rendering (no serde_json offline)
+// Compact deterministic JSON rendering
 // ---------------------------------------------------------------------------
 
 fn write_json_string(out: &mut String, s: &str) {
@@ -800,9 +799,8 @@ impl EventSink for NullSink {
 /// measurement boundary, forwards every [`SimEvent`] of the measurement
 /// window to [`Probe::on_event`], marks each cycle boundary with
 /// [`Probe::on_cycle_end`], and finishes with [`Probe::finish`] (handing the
-/// probe the network's final [`SimStats`] so compatibility probes can wrap
-/// the legacy snapshot). [`Probe::report`] then yields the collected
-/// [`MetricReport`].
+/// probe the network's final [`SimStats`]). [`Probe::report`] then yields the
+/// collected [`MetricReport`].
 pub trait Probe {
     /// The measurement window starts at `cycle` (warm-up state has been
     /// discarded).
@@ -818,7 +816,7 @@ pub trait Probe {
         let _ = cycle;
     }
 
-    /// The run is over; `stats` is the network's final legacy snapshot.
+    /// The run is over; `stats` is the network's final counter snapshot.
     fn finish(&mut self, stats: &SimStats) {
         let _ = stats;
     }
@@ -1047,65 +1045,6 @@ impl Probe for MetricsProbe {
             windows.with_label(window_label(index)).add(count);
         }
         report.insert("delivered_bits_by_window", windows.to_value());
-        report
-    }
-}
-
-/// The compatibility probe: ignores the event stream and reproduces the
-/// headline numbers of the legacy pull-only [`SimStats`] snapshot as a
-/// [`MetricReport`]. Exists so callers migrating from
-/// `run_to_completion(...).stats` to the probe pipeline can do it one metric
-/// at a time; new code should use [`MetricsProbe`] (richer, streaming,
-/// mergeable) instead.
-#[derive(Debug, Clone, Default)]
-pub struct SimStatsProbe {
-    snapshot: Option<SimStats>,
-}
-
-impl SimStatsProbe {
-    /// Creates the probe.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// The final snapshot, once the run has finished.
-    #[must_use]
-    pub fn stats(&self) -> Option<&SimStats> {
-        self.snapshot.as_ref()
-    }
-}
-
-impl Probe for SimStatsProbe {
-    fn on_event(&mut self, _cycle: u64, _event: &SimEvent) {}
-
-    fn finish(&mut self, stats: &SimStats) {
-        self.snapshot = Some(stats.clone());
-    }
-
-    fn report(&self) -> MetricReport {
-        let mut report = MetricReport::new();
-        let Some(stats) = &self.snapshot else {
-            return report;
-        };
-        for (name, value) in [
-            ("generated_packets", stats.generated_packets),
-            ("dropped_packets", stats.dropped_packets),
-            ("injected_packets", stats.injected_packets),
-            ("delivered_packets", stats.delivered_packets),
-            ("delivered_bits", stats.delivered_bits),
-            ("measured_cycles", stats.measured_cycles),
-        ] {
-            report.insert(name, MetricValue::Counter(value));
-        }
-        report.insert(
-            "accepted_bandwidth_gbps",
-            MetricValue::Gauge(stats.accepted_bandwidth_gbps()),
-        );
-        report.insert(
-            "packet_energy_pj",
-            MetricValue::Gauge(stats.packet_energy_pj()),
-        );
         report
     }
 }

@@ -1,12 +1,11 @@
 #![doc = include_str!("architecture.md")]
 
 use pnoc_noc::suggest::nearest_name;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// A typed architecture-parameter value: what a validated parameter resolves
 /// to, and what a [`ParamSpec`] declares as its default.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum ParamValue {
     /// An integer parameter (radix, wavelength counts, cycle counts, ...).
     Int(i64),
@@ -29,7 +28,7 @@ impl std::fmt::Display for ParamValue {
 }
 
 /// The kind (type + admissible range) of one declared parameter.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum ParamKind {
     /// An integer in `min..=max`.
     Int {
@@ -77,7 +76,7 @@ impl ParamKind {
 
 /// One declared parameter of an architecture: name, kind (with bounds),
 /// default value and a one-line doc string.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ParamSpec {
     /// Parameter name, the key in `name{key=value,...}` specs.
     pub name: String,
@@ -102,7 +101,7 @@ pub struct ParamSpec {
 /// assert_eq!(schema.len(), 2);
 /// assert_eq!(schema.names(), vec!["policy".to_string(), "radix".to_string()]);
 /// ```
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct ParamSchema {
     params: Vec<ParamSpec>,
 }
@@ -342,7 +341,7 @@ fn render_braced<K: std::fmt::Display, V: std::fmt::Display>(
 ///
 /// The canonical text form is `{key=value,...}` with keys in sorted order;
 /// [`ArchParams::parse`] and [`ArchParams::render`] are inverses.
-#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct ArchParams {
     entries: BTreeMap<String, String>,
 }
@@ -484,7 +483,7 @@ impl std::fmt::Display for ArchParams {
 /// architecture declares, either at its override or its default value.
 /// Produced by [`ParamSchema::validate`]; consumed by
 /// [`ArchitectureBuilder::build`](crate::registry::ArchitectureBuilder::build).
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct ResolvedParams {
     values: BTreeMap<String, ParamValue>,
 }

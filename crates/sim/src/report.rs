@@ -4,11 +4,10 @@
 //! plain-text tables on stdout (and as serialisable rows). This module holds
 //! the small formatting helper shared by all experiments.
 
-use serde::{Deserialize, Serialize};
 use std::fmt::Write as _;
 
 /// A simple column-aligned text table.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Table {
     title: String,
     header: Vec<String>,

@@ -18,7 +18,6 @@ use pnoc_traffic::factory::{
 use pnoc_traffic::pattern::PacketShape;
 use pnoc_workload::dag::Workload;
 use pnoc_workload::registry::{UnknownWorkloadError, WorkloadRef, WorkloadSpec};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::Instant;
@@ -28,14 +27,14 @@ use std::time::Instant;
 pub const DEFAULT_SEED: u64 = 0x2014_50CC;
 
 /// How much simulation effort a scenario spends: the paper's full
-/// methodology, a reduced configuration for smoke runs and Criterion
-/// benches, or a minimal configuration for unit tests.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+/// methodology, a reduced configuration for smoke runs and the benchmark,
+/// or a minimal configuration for unit tests.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Effort {
     /// Full paper methodology: 10 000 measured cycles, 16 VCs, the 8-point
     /// load ladder.
     Paper,
-    /// Reduced runs for `repro --quick` and Criterion benches: 1 200 measured
+    /// Reduced runs for `repro --quick` and `benchmark/`: 1 200 measured
     /// cycles, a 3-point ladder.
     Quick,
     /// Minimal runs for unit and integration tests: 600 measured cycles, a
@@ -101,7 +100,7 @@ impl Effort {
 ///
 /// Specs are plain data. Resolution against the registries — and therefore
 /// name validation — happens in [`ScenarioSpec::resolve`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ScenarioSpec {
     /// Registry name of the architecture (`"firefly"`, `"d-hetpnoc"`, ...).
     /// A full `name{key=value,...}` spec is also accepted; embedded
@@ -731,7 +730,7 @@ impl Scenario {
     }
 
     /// Runs the scenario with an explicit execution mode (used by
-    /// determinism tests and the `repro --bench-sweep` harness). Open-loop
+    /// determinism tests and the `benchmark/` ladder workload). Open-loop
     /// scenarios sweep their ladder; closed-loop scenarios run their single
     /// DAG-drain point (for which both modes are the same single
     /// simulation).
@@ -795,7 +794,7 @@ fn build_traffic(
 
 /// The outcome of running one scenario: the spec it came from, the measured
 /// saturation sweep, the derived per-point seeds, and how long it took.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ScenarioResult {
     /// The spec that produced this result.
     pub spec: ScenarioSpec,
@@ -1603,7 +1602,7 @@ mod tests {
 
     #[test]
     fn scenario_parallel_run_is_bitwise_identical_to_sequential() {
-        rayon::set_thread_count(4);
+        pnoc_exec::set_worker_override(4);
         let scenario = smoke_spec().resolve().expect("registered");
         let parallel = scenario.run_with_mode(SweepMode::Parallel);
         let sequential = scenario.run_with_mode(SweepMode::Sequential);
@@ -1625,7 +1624,7 @@ mod tests {
 
     #[test]
     fn matrix_run_is_bitwise_identical_to_sequential_per_scenario_runs() {
-        rayon::set_thread_count(4);
+        pnoc_exec::set_worker_override(4);
         let matrix = ScenarioMatrix::new()
             .architectures(["uniform-fabric"])
             .traffics(["tornado", "uniform-random"])
@@ -1775,7 +1774,7 @@ mod tests {
 
     #[test]
     fn matrix_workload_axis_runs_in_the_flattened_queue_deterministically() {
-        rayon::set_thread_count(4);
+        pnoc_exec::set_worker_override(4);
         let matrix = ScenarioMatrix::new()
             .architectures(["uniform-fabric"])
             .traffics(["tornado"])
@@ -1898,7 +1897,7 @@ mod tests {
 
     #[test]
     fn parameterized_scenario_changes_results_and_stays_deterministic() {
-        rayon::set_thread_count(4);
+        pnoc_exec::set_worker_override(4);
         let narrow = ScenarioSpec::new("uniform-fabric", "uniform-random")
             .with_effort(Effort::Smoke)
             .with_arch_param("wavelengths", 16)
@@ -1932,7 +1931,7 @@ mod tests {
             .iter()
             .all(|s| s.arch_params.get("wavelengths").is_some()));
 
-        rayon::set_thread_count(4);
+        pnoc_exec::set_worker_override(4);
         let batched = matrix.run().expect("all names and params valid");
         let sequential = matrix.run_sequential().expect("all names and params valid");
         assert!(
@@ -2076,7 +2075,7 @@ mod tests {
 
     #[test]
     fn matrix_fault_axis_crosses_every_scenario_and_stays_deterministic() {
-        rayon::set_thread_count(4);
+        pnoc_exec::set_worker_override(4);
         let matrix = ScenarioMatrix::new()
             .architectures(["uniform-fabric"])
             .traffics(["tornado"])

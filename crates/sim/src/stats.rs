@@ -13,161 +13,9 @@
 
 use crate::clock::Clock;
 use pnoc_photonics::energy::EnergyBreakdown;
-use serde::{Deserialize, Serialize};
-
-/// A latency histogram with fixed-width bins (in cycles).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct LatencyHistogram {
-    bin_width: u64,
-    bins: Vec<u64>,
-    overflow: u64,
-}
-
-impl LatencyHistogram {
-    /// Creates a histogram of `num_bins` bins of `bin_width` cycles each.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either argument is zero.
-    #[must_use]
-    pub fn new(bin_width: u64, num_bins: usize) -> Self {
-        assert!(bin_width > 0 && num_bins > 0);
-        Self {
-            bin_width,
-            bins: vec![0; num_bins],
-            overflow: 0,
-        }
-    }
-
-    /// Records one latency sample.
-    pub fn record(&mut self, latency: u64) {
-        let idx = (latency / self.bin_width) as usize;
-        if idx < self.bins.len() {
-            self.bins[idx] += 1;
-        } else {
-            self.overflow += 1;
-        }
-    }
-
-    /// Total number of recorded samples.
-    #[must_use]
-    pub fn samples(&self) -> u64 {
-        self.bins.iter().sum::<u64>() + self.overflow
-    }
-
-    /// Number of samples above the last bin.
-    #[must_use]
-    pub fn overflow(&self) -> u64 {
-        self.overflow
-    }
-
-    /// The raw bins.
-    #[must_use]
-    pub fn bins(&self) -> &[u64] {
-        &self.bins
-    }
-
-    /// The bin width in cycles.
-    #[must_use]
-    pub fn bin_width(&self) -> u64 {
-        self.bin_width
-    }
-
-    /// Reassembles a histogram from its serialized parts (the inverse of
-    /// reading [`LatencyHistogram::bin_width`], [`LatencyHistogram::bins`]
-    /// and [`LatencyHistogram::overflow`]). Returns `None` when the parts
-    /// violate the constructor invariants (zero bin width or no bins), so a
-    /// decoder can reject a tampered document instead of panicking.
-    #[must_use]
-    pub fn from_parts(bin_width: u64, bins: Vec<u64>, overflow: u64) -> Option<Self> {
-        (bin_width > 0 && !bins.is_empty()).then_some(Self {
-            bin_width,
-            bins,
-            overflow,
-        })
-    }
-
-    /// Approximate latency below which percentile `p` (0..=100) of samples
-    /// fall (`percentile(95.0) == quantile(0.95)`). Returns `None` when the
-    /// histogram is empty.
-    #[must_use]
-    pub fn percentile(&self, p: f64) -> Option<u64> {
-        self.quantile(p / 100.0)
-    }
-
-    /// Merges another histogram into this one, bin by bin.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`HistogramMergeError`] — naming both geometries — when the
-    /// two histograms disagree on bin width or bin count; `self` is left
-    /// untouched in that case. (Histograms built by [`SimStats`] always
-    /// share the default geometry and merge cleanly.)
-    pub fn merge(&mut self, other: &LatencyHistogram) -> Result<(), HistogramMergeError> {
-        if self.bin_width != other.bin_width || self.bins.len() != other.bins.len() {
-            return Err(HistogramMergeError {
-                left_bin_width: self.bin_width,
-                left_num_bins: self.bins.len(),
-                right_bin_width: other.bin_width,
-                right_num_bins: other.bins.len(),
-            });
-        }
-        for (bin, &extra) in self.bins.iter_mut().zip(&other.bins) {
-            *bin += extra;
-        }
-        self.overflow += other.overflow;
-        Ok(())
-    }
-
-    /// Approximate latency below which `quantile` (0..=1) of samples fall,
-    /// using bin upper edges. Returns `None` when the histogram is empty.
-    #[must_use]
-    pub fn quantile(&self, quantile: f64) -> Option<u64> {
-        let total = self.samples();
-        if total == 0 {
-            return None;
-        }
-        let target = (quantile.clamp(0.0, 1.0) * total as f64).ceil() as u64;
-        let mut acc = 0;
-        for (i, &count) in self.bins.iter().enumerate() {
-            acc += count;
-            if acc >= target {
-                return Some((i as u64 + 1) * self.bin_width);
-            }
-        }
-        Some(self.bins.len() as u64 * self.bin_width)
-    }
-}
-
-/// Why two [`LatencyHistogram`]s could not be merged: their bin geometries
-/// differ, so bin-wise addition would silently misattribute samples.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct HistogramMergeError {
-    /// Bin width (cycles) of the receiving histogram.
-    pub left_bin_width: u64,
-    /// Bin count of the receiving histogram.
-    pub left_num_bins: usize,
-    /// Bin width (cycles) of the incoming histogram.
-    pub right_bin_width: u64,
-    /// Bin count of the incoming histogram.
-    pub right_num_bins: usize,
-}
-
-impl std::fmt::Display for HistogramMergeError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "cannot merge latency histograms with different geometries: \
-             {} bins of {} cycles vs {} bins of {} cycles",
-            self.left_num_bins, self.left_bin_width, self.right_num_bins, self.right_bin_width
-        )
-    }
-}
-
-impl std::error::Error for HistogramMergeError {}
 
 /// Statistics of one simulation run (measurement window only).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SimStats {
     /// Name of the architecture that produced the run.
     pub architecture: String,
@@ -198,8 +46,6 @@ pub struct SimStats {
     pub total_packet_latency: u64,
     /// Maximum packet latency observed, cycles.
     pub max_packet_latency: u64,
-    /// Latency histogram (16-cycle bins).
-    pub latency_histogram: LatencyHistogram,
     /// Accumulated energy, split by component.
     pub energy: EnergyBreakdown,
     /// Clock used by the run (needed to convert cycles to seconds).
@@ -225,7 +71,6 @@ impl SimStats {
             delivered_photonic_bits: 0,
             total_packet_latency: 0,
             max_packet_latency: 0,
-            latency_histogram: LatencyHistogram::new(16, 256),
             energy: EnergyBreakdown::default(),
             clock,
         }
@@ -236,7 +81,6 @@ impl SimStats {
         self.delivered_packets += 1;
         self.total_packet_latency += latency;
         self.max_packet_latency = self.max_packet_latency.max(latency);
-        self.latency_histogram.record(latency);
     }
 
     /// Aggregate accepted bandwidth (all cores) in Gb/s — the paper's
@@ -313,51 +157,6 @@ mod tests {
 
     fn stats() -> SimStats {
         SimStats::new("test-arch", "uniform", 0.01, Clock::paper_default())
-    }
-
-    #[test]
-    fn histogram_quantiles() {
-        let mut h = LatencyHistogram::new(10, 10);
-        for lat in [5, 15, 25, 95, 1000] {
-            h.record(lat);
-        }
-        assert_eq!(h.samples(), 5);
-        assert_eq!(h.overflow(), 1);
-        assert_eq!(h.quantile(0.2), Some(10));
-        assert_eq!(h.quantile(0.6), Some(30));
-        assert!(h.quantile(1.0).unwrap() >= 100);
-        assert_eq!(LatencyHistogram::new(10, 10).quantile(0.5), None);
-        assert_eq!(h.percentile(20.0), h.quantile(0.2));
-        assert_eq!(h.percentile(60.0), Some(30));
-    }
-
-    #[test]
-    fn histogram_merge_adds_bins_and_rejects_mismatched_geometries() {
-        let mut a = LatencyHistogram::new(10, 10);
-        let mut b = LatencyHistogram::new(10, 10);
-        for lat in [5, 15] {
-            a.record(lat);
-        }
-        for lat in [15, 2000] {
-            b.record(lat);
-        }
-        a.merge(&b).expect("same geometry");
-        assert_eq!(a.samples(), 4);
-        assert_eq!(a.overflow(), 1);
-        assert_eq!(a.bins()[1], 2);
-
-        let untouched = a.clone();
-        let narrow = LatencyHistogram::new(5, 10);
-        let error = a.merge(&narrow).expect_err("different bin width");
-        assert_eq!(error.left_bin_width, 10);
-        assert_eq!(error.right_bin_width, 5);
-        assert!(error.to_string().contains("different geometries"));
-        assert_eq!(a, untouched, "failed merge must not mutate");
-
-        let short = LatencyHistogram::new(10, 4);
-        let error = a.merge(&short).expect_err("different bin count");
-        assert_eq!(error.left_num_bins, 10);
-        assert_eq!(error.right_num_bins, 4);
     }
 
     #[test]

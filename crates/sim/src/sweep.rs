@@ -13,23 +13,21 @@
 //! the [registry](crate::registry)), a traffic factory closure, a base
 //! configuration and a load ladder, and simulates one independent network per
 //! ladder point. With [`SweepMode::Parallel`] the points run on the
-//! persistent `pnoc-exec` pool; because each point is a fully independent deterministic
-//! simulation, the parallel result is **bitwise-identical** to the
-//! sequential one.
+//! persistent `pnoc-exec` pool; because each point is a fully independent
+//! deterministic simulation, the parallel result is **bitwise-identical** to
+//! the sequential one.
 //!
 //! The supported entry point is the typed scenario API in
 //! [`crate::scenario`]: a [`Scenario`](crate::scenario::Scenario) resolves
 //! the architecture and traffic registries by name and drives this module
 //! internally, and a [`ScenarioMatrix`](crate::scenario::ScenarioMatrix)
 //! batches whole cross-products of scenarios into one flattened work queue.
-//! (The raw closure-based `run_saturation_sweep` shim deprecated in 0.3.0
-//! has been removed — build a `Scenario` instead.)
 //!
 //! Every point simulated by the driver carries a
 //! [`MetricReport`](crate::metrics::MetricReport) collected by a
 //! [`MetricsProbe`](crate::metrics::MetricsProbe) — latency quantiles,
 //! per-node and per-cluster-pair breakdowns, windowed throughput — next to
-//! the legacy [`SimStats`] snapshot.
+//! the [`SimStats`] counter snapshot.
 //!
 //! # Per-point seed derivation
 //!
@@ -55,10 +53,9 @@ use crate::registry::ArchitectureBuilder;
 use crate::stats::SimStats;
 use pnoc_faults::{FaultController, FaultPlan};
 use pnoc_noc::traffic_model::{OfferedLoad, TrafficModel};
-use serde::{Deserialize, Serialize};
 
 /// One point of an offered-load sweep.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SweepPoint {
     /// Offered load in packets per core per cycle.
     pub offered_load: f64,
@@ -71,7 +68,7 @@ pub struct SweepPoint {
 }
 
 /// The outcome of a saturation sweep.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SaturationResult {
     /// All swept points, in increasing offered-load order.
     pub points: Vec<SweepPoint>,
@@ -203,7 +200,7 @@ where
 }
 
 /// Execution strategy of the generic sweep driver.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SweepMode {
     /// Run the ladder points one after another on the calling thread.
     Sequential,
@@ -217,7 +214,7 @@ pub enum SweepMode {
 /// Everything that identifies one point of a sweep: its index in the ladder,
 /// its offered load, its derived seed, and the per-point configuration
 /// (the base configuration with `seed` replaced by the derived seed).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SweepPointSpec {
     /// Position of the point in the load ladder.
     pub index: usize,
@@ -305,7 +302,7 @@ pub(crate) fn attach_fault_gauges(report: &mut MetricReport, network: &dyn Cycle
 }
 
 /// Builds and runs the network of one sweep point, collecting the standard
-/// [`MetricsProbe`] instrumentation alongside the legacy snapshot.
+/// [`MetricsProbe`] instrumentation alongside the counter snapshot.
 pub(crate) fn run_point(
     architecture: &dyn ArchitectureBuilder,
     params: &ResolvedParams,
@@ -515,9 +512,9 @@ mod tests {
     fn parallel_sweep_is_bitwise_identical_to_sequential() {
         // Force real worker threads even on single-core CI hosts, so the
         // parallel code path (and not a degenerate 1-thread fallback) is
-        // exercised. Uses the shim's atomic override rather than mutating
+        // exercised. Uses the executor's atomic override rather than mutating
         // the environment, which would race with concurrent getenv calls.
-        rayon::set_thread_count(4);
+        pnoc_exec::set_worker_override(4);
         let config = sweep_config();
         let loads = [1.0 / 400.0, 1.0 / 200.0, 1.0 / 100.0, 1.0 / 50.0];
         let architecture = UniformFabricArchitecture;

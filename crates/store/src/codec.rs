@@ -21,7 +21,7 @@ use crate::json::Json;
 use pnoc_photonics::energy::EnergyBreakdown;
 use pnoc_sim::clock::Clock;
 use pnoc_sim::metrics::{MetricReport, MetricValue, QuantileSketch};
-use pnoc_sim::stats::{LatencyHistogram, SimStats};
+use pnoc_sim::stats::SimStats;
 use pnoc_sim::sweep::SweepPoint;
 use std::collections::BTreeMap;
 
@@ -138,10 +138,6 @@ fn stats_json(stats: &SimStats) -> Json {
         ),
         ("total_packet_latency", uint(stats.total_packet_latency)),
         ("max_packet_latency", uint(stats.max_packet_latency)),
-        (
-            "latency_histogram",
-            latency_histogram_json(&stats.latency_histogram),
-        ),
         ("energy", energy_json(&stats.energy)),
         (
             "clock",
@@ -167,36 +163,9 @@ fn stats_from_json(value: &Json) -> Result<SimStats, CodecError> {
         delivered_photonic_bits: uint_field(value, "delivered_photonic_bits")?,
         total_packet_latency: uint_field(value, "total_packet_latency")?,
         max_packet_latency: uint_field(value, "max_packet_latency")?,
-        latency_histogram: latency_histogram_from_json(field(value, "latency_histogram")?)?,
         energy: energy_from_json(field(value, "energy")?)?,
         clock: Clock::new(bits_field(clock, "frequency_ghz")?),
     })
-}
-
-fn latency_histogram_json(histogram: &LatencyHistogram) -> Json {
-    Json::obj(vec![
-        ("bin_width", uint(histogram.bin_width())),
-        (
-            "bins",
-            Json::Arr(histogram.bins().iter().map(|&bin| uint(bin)).collect()),
-        ),
-        ("overflow", uint(histogram.overflow())),
-    ])
-}
-
-fn latency_histogram_from_json(value: &Json) -> Result<LatencyHistogram, CodecError> {
-    let bins = field(value, "bins")?
-        .as_array()
-        .ok_or_else(|| CodecError::new("field 'bins' must be an array"))?
-        .iter()
-        .map(|bin| parse_uint(bin, "bins entry"))
-        .collect::<Result<Vec<u64>, CodecError>>()?;
-    LatencyHistogram::from_parts(
-        uint_field(value, "bin_width")?,
-        bins,
-        uint_field(value, "overflow")?,
-    )
-    .ok_or_else(|| CodecError::new("latency histogram parts violate constructor invariants"))
 }
 
 fn energy_json(energy: &EnergyBreakdown) -> Json {
@@ -419,6 +388,34 @@ mod tests {
         let text = point_json(&point).render();
         let reparsed = Json::parse(&text).expect("own output parses");
         assert_eq!(point_from_json(&reparsed).expect("decodes"), point);
+    }
+
+    #[test]
+    fn entries_carry_no_latency_histogram_and_tolerate_an_old_one() {
+        let point = sample_point();
+        let mut doc = point_json(&point);
+        assert!(!doc.render().contains("latency_histogram"));
+        // A 0.10-shaped entry carried a fixed-bin histogram inside `stats`;
+        // the decoder reads fields by name, so the extra key is ignored.
+        let Json::Obj(fields) = &mut doc else {
+            panic!("point documents are objects");
+        };
+        let stats = fields
+            .iter_mut()
+            .find_map(|(key, value)| (key == "stats").then_some(value))
+            .expect("stats field");
+        let Json::Obj(stats_fields) = stats else {
+            panic!("stats is an object");
+        };
+        stats_fields.push((
+            "latency_histogram".to_string(),
+            Json::obj(vec![
+                ("bin_width", uint(16)),
+                ("bins", Json::Arr(vec![uint(1), uint(0)])),
+                ("overflow", uint(1)),
+            ]),
+        ));
+        assert_eq!(point_from_json(&doc).expect("old shape decodes"), point);
     }
 
     #[test]

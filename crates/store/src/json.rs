@@ -1,10 +1,9 @@
 //! Hand-rolled JSON value model: rendering **and parsing**.
 //!
-//! The workspace builds offline against a no-op `serde` shim (see
-//! `vendor/README.md`), so every JSON document the workspace reads or writes
-//! — cache entries, serialized scenario specs, `repro --json` reports, the
-//! `BENCH_sweep.json` performance log — goes through this small,
-//! dependency-free value model instead. It lives in `pnoc-store` because the
+//! The workspace builds offline with no serialization framework, so every
+//! JSON document the workspace reads or writes — cache entries, serialized
+//! scenario specs, `repro --json` reports, matrix documents — goes through
+//! this small, dependency-free value model. It lives in `pnoc-store` because the
 //! result store is the lowest layer that needs both directions; `pnoc-bench`
 //! re-exports it unchanged.
 

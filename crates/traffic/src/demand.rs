@@ -10,10 +10,9 @@
 use pnoc_noc::ids::ClusterId;
 use pnoc_noc::packet::BandwidthClass;
 use pnoc_noc::traffic_model::TrafficModel;
-use serde::{Deserialize, Serialize};
 
 /// Chip-wide bandwidth demand description.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DemandMatrix {
     num_clusters: usize,
     classes: Vec<BandwidthClass>,

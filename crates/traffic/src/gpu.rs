@@ -27,10 +27,9 @@ use pnoc_noc::topology::ClusterTopology;
 use pnoc_noc::traffic_model::{OfferedLoad, TrafficModel};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// Benchmark suite a GPU benchmark comes from.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum BenchmarkSuite {
     /// NVIDIA CUDA SDK samples (upper-case names in Figure 1-1).
     CudaSdk,
@@ -41,7 +40,7 @@ pub enum BenchmarkSuite {
 }
 
 /// An analytically-modelled GPU benchmark.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GpuBenchmark {
     /// Benchmark name as it appears in the figure.
     pub name: String,
@@ -124,7 +123,7 @@ impl GpuBenchmark {
 
 /// The Figure 1-1 speedup study: a catalog of benchmarks and the flit sizes
 /// to sweep.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GpuSpeedupModel {
     /// The benchmarks included in the study.
     pub benchmarks: Vec<GpuBenchmark>,
@@ -202,7 +201,7 @@ impl GpuSpeedupModel {
 }
 
 /// One application mapped onto clusters in the real-application scenario.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MappedApplication {
     /// The benchmark being run.
     pub benchmark: GpuBenchmark,

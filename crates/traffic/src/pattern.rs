@@ -5,7 +5,6 @@ use pnoc_noc::ids::ClusterId;
 use pnoc_noc::packet::BandwidthClass;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// The three skewed traffic scenarios of Table 3-1 / Table 3-2.
 ///
@@ -20,7 +19,7 @@ use serde::{Deserialize, Serialize};
 ///
 /// (the absolute bandwidths scale with the bandwidth set; the class structure
 /// is identical).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SkewLevel {
     /// 50 / 25 / 12.5 / 12.5 % of traffic on the High / MediumHigh /
     /// MediumLow / Low classes.
@@ -64,7 +63,7 @@ impl SkewLevel {
 }
 
 /// The geometry of generated packets (how many flits, how wide).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PacketShape {
     /// Flits per packet.
     pub num_flits: u32,
@@ -103,7 +102,7 @@ impl PacketShape {
 /// assigned pseudo-randomly with equal probability; the *skew* of the traffic
 /// comes from how often each class is used, not from how many pairs belong to
 /// it.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ClassMatrix {
     num_clusters: usize,
     classes: Vec<BandwidthClass>,

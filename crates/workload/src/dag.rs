@@ -2,7 +2,6 @@
 
 use crate::flow::{Flow, FlowId};
 use pnoc_noc::ids::CoreId;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 
 /// A named DAG of [`Flow`]s — the unit of closed-loop execution.
@@ -12,7 +11,7 @@ use std::collections::BTreeSet;
 /// driver relies on (see [`WorkloadValidationError`]). The generators in
 /// [`crate::collectives`] and the trace loader in [`crate::trace`] only
 /// produce validated workloads.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Workload {
     name: String,
     flows: Vec<Flow>,

@@ -1,14 +1,11 @@
 //! The [`Flow`] primitive: one finite transfer between two cores.
 
 use pnoc_noc::ids::CoreId;
-use serde::{Deserialize, Serialize};
 
 /// Identifier of one flow within a [`Workload`](crate::dag::Workload): the
 /// flow's index in the workload's flow list (checked by
 /// [`Workload::validate`](crate::dag::Workload::validate)).
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
 pub struct FlowId(pub usize);
 
 impl std::fmt::Display for FlowId {
@@ -21,7 +18,7 @@ impl std::fmt::Display for FlowId {
 /// once every flow in `deps` has completed **and** the clock has reached
 /// `release_cycle`. Flows are grouped into named phases by their
 /// `collective` label (per-collective makespans are reported per label).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Flow {
     /// Identifier; must equal the flow's index in its workload.
     pub id: FlowId,

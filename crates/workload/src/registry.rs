@@ -22,7 +22,6 @@
 use crate::collectives;
 use crate::dag::Workload;
 use pnoc_noc::suggest::unknown_name_message;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex, OnceLock};
 
@@ -33,7 +32,7 @@ use std::sync::{Arc, Mutex, OnceLock};
 pub const DEFAULT_BYTES_PER_NODE: u64 = 16 * 1024;
 
 /// Everything a factory needs to instantiate a workload for one run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WorkloadSpec {
     /// Number of participating cores (mapped onto cores `0..size`).
     pub size: usize,
@@ -271,7 +270,7 @@ pub fn registered_workloads() -> Vec<String> {
 /// A `NAME[:SIZE]` workload reference — the spelling accepted by `repro
 /// --workload` and stored in scenario specs. `SIZE` is the participant
 /// count; omitted, the factory's [`WorkloadFactory::default_size`] applies.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WorkloadRef {
     /// Workload name (canonical or alias).
     pub name: String,

@@ -10,9 +10,9 @@
 //! `src`, `dst` and `bytes` are required; `deps` (array of earlier line
 //! numbers, 0-based), `release` (earliest start cycle) and `collective`
 //! (phase label, defaults to `"trace"`) are optional. Blank lines and lines
-//! starting with `#` are skipped. The workspace builds offline with a no-op
-//! `serde` shim, so the parser here is a small hand-rolled one restricted to
-//! exactly this schema; errors carry the 1-based line number.
+//! starting with `#` are skipped. The workspace builds offline with no
+//! serialization framework, so the parser here is a small hand-rolled one
+//! restricted to exactly this schema; errors carry the 1-based line number.
 
 use crate::dag::Workload;
 use crate::flow::{Flow, FlowId};

@@ -39,7 +39,7 @@
 //! assert!(outcome.result.peak_bandwidth_gbps() > 0.0);
 //!
 //! // Whole evaluation grids are one batch: every (scenario, ladder point)
-//! // pair goes into a single flattened, deduplicated rayon work queue.
+//! // pair goes into a single flattened, deduplicated executor work queue.
 //! let matrix = ScenarioMatrix::new()
 //!     .architectures(["firefly", "d-hetpnoc"])
 //!     .traffics(["tornado"])
@@ -49,9 +49,8 @@
 //! ```
 //!
 //! The old per-architecture helpers (`build_firefly_system`,
-//! `build_dhetpnoc_system`) still exist for direct, non-registry use; the
-//! closure-based `run_saturation_sweep` shim has been removed — every sweep
-//! goes through the scenario engine.
+//! `build_dhetpnoc_system`) still exist for direct, non-registry use; every
+//! sweep goes through the scenario engine.
 //!
 //! ## Metrics
 //!

@@ -1,10 +1,9 @@
 //! Property-based tests of the typed metrics layer: the streaming quantile
 //! sketch stays within its rank/relative error bounds against an exact sort,
-//! sketch and histogram merging equal recording the union, and metric
-//! reports merge deterministically.
+//! sketch merging equals recording the union, and metric reports merge
+//! deterministically.
 
 use d_hetpnoc_repro::prelude::*;
-use pnoc_sim::stats::LatencyHistogram;
 use proptest::prelude::*;
 
 /// The exact order statistic the sketch's `quantile(q)` estimates: the
@@ -86,41 +85,4 @@ proptest! {
         prop_assert_eq!(&ab, &union, "merge must equal the union");
         prop_assert_eq!(&ba, &union, "merge order must not matter");
     }
-
-    /// `LatencyHistogram::merge` equals recording the concatenated stream,
-    /// and `percentile(p)` is `quantile(p/100)`.
-    #[test]
-    fn latency_histogram_merge_and_percentile_agree(
-        left in prop::collection::vec(0u64..10_000, 0..80),
-        right in prop::collection::vec(0u64..10_000, 0..80),
-        p_pct in 0u64..=100,
-    ) {
-        let mut a = LatencyHistogram::new(16, 256);
-        let mut union = LatencyHistogram::new(16, 256);
-        for &s in &left {
-            a.record(s);
-            union.record(s);
-        }
-        let mut b = LatencyHistogram::new(16, 256);
-        for &s in &right {
-            b.record(s);
-            union.record(s);
-        }
-        a.merge(&b).expect("same geometry");
-        prop_assert_eq!(&a, &union);
-        let p = p_pct as f64;
-        prop_assert_eq!(a.percentile(p), a.quantile(p / 100.0));
-    }
-}
-
-#[test]
-fn mismatched_histogram_geometries_fail_with_a_rich_error() {
-    let mut wide = LatencyHistogram::new(16, 256);
-    let narrow = LatencyHistogram::new(8, 256);
-    let error = wide.merge(&narrow).expect_err("bin widths differ");
-    assert_eq!(error.left_bin_width, 16);
-    assert_eq!(error.right_bin_width, 8);
-    let message = error.to_string();
-    assert!(message.contains("256 bins of 16 cycles"), "{message}");
-    assert!(message.contains("256 bins of 8 cycles"), "{message}");
 }
