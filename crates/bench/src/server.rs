@@ -178,8 +178,13 @@ pub fn serve(listener: &TcpListener, options: &ServerOptions<'_>) -> io::Result<
                 continue;
             }
             scope.spawn(move || {
+                // A second handle keeps the socket open until the slot is
+                // released: a client that reconnects the moment it sees EOF
+                // must find the slot free, not get a spurious `503`.
+                let open = stream.try_clone();
                 let outcome = handle_connection(stream, options, state_ref);
                 state_ref.in_flight.fetch_sub(1, Ordering::SeqCst);
+                drop(open);
                 if let Err(error) = outcome {
                     if !options.quiet {
                         eprintln!("[serve] connection from {peer} failed: {error}");

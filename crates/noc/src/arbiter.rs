@@ -42,11 +42,39 @@ impl RoundRobinArbiter {
     ///
     /// # Panics
     ///
-    /// Panics if `n` is zero.
+    /// Panics if `n` is zero or exceeds 64 (requests travel as one mask word).
     #[must_use]
     pub fn new(n: usize) -> Self {
-        assert!(n > 0, "arbiter needs at least one requester");
+        assert!(
+            (1..=64).contains(&n),
+            "arbiter needs between 1 and 64 requesters, got {n}"
+        );
         Self { n, next: 0 }
+    }
+
+    /// [`Arbiter::grant`] on a request mask (bit `i` ⇔ requester `i`): the
+    /// first requester at or after the priority pointer wins, wrapping to the
+    /// lowest requester when none is left above it. `requests` must not name
+    /// a requester at or above [`Arbiter::num_requesters`] (checked in debug
+    /// builds only: this is the per-cycle arbitration of every router).
+    pub fn grant_mask(&mut self, requests: u64) -> Option<usize> {
+        debug_assert!(
+            self.n == 64 || requests >> self.n == 0,
+            "request mask {requests:#x} names a requester beyond {}",
+            self.n
+        );
+        if requests == 0 {
+            return None;
+        }
+        let at_or_after = requests & (u64::MAX << self.next);
+        let first = if at_or_after != 0 {
+            at_or_after
+        } else {
+            requests
+        };
+        let idx = first.trailing_zeros() as usize;
+        self.next = if idx + 1 == self.n { 0 } else { idx + 1 };
+        Some(idx)
     }
 }
 
@@ -63,14 +91,11 @@ impl Arbiter for RoundRobinArbiter {
             self.n,
             requests.len()
         );
-        for offset in 0..self.n {
-            let idx = (self.next + offset) % self.n;
-            if requests[idx] {
-                self.next = (idx + 1) % self.n;
-                return Some(idx);
-            }
-        }
-        None
+        let mask = requests
+            .iter()
+            .rev()
+            .fold(0u64, |mask, &r| mask << 1 | u64::from(r));
+        self.grant_mask(mask)
     }
 
     fn reset(&mut self) {

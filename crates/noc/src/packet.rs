@@ -140,34 +140,41 @@ impl PacketFramer {
     /// longer packets produce `Head, Body*, Tail`.
     #[must_use]
     pub fn frame(packet: &Packet, vc: VcId) -> Vec<Flit> {
-        let n = packet.descriptor.num_flits.max(1);
-        (0..n)
-            .map(|seq| {
-                let kind = if n == 1 {
-                    FlitKind::Single
-                } else if seq == 0 {
-                    FlitKind::Head
-                } else if seq == n - 1 {
-                    FlitKind::Tail
-                } else {
-                    FlitKind::Body
-                };
-                Flit {
-                    packet: packet.id,
-                    kind,
-                    payload: FlitPayload::Data,
-                    src: packet.descriptor.src,
-                    dst: packet.descriptor.dst,
-                    seq,
-                    packet_len: n,
-                    bits: packet.descriptor.flit_bits,
-                    class: packet.descriptor.class,
-                    created_cycle: packet.descriptor.created_cycle,
-                    injected_cycle: packet.injected_cycle,
-                    vc,
-                }
-            })
+        (0..packet.descriptor.num_flits.max(1))
+            .map(|seq| Self::flit_at(packet, vc, seq))
             .collect()
+    }
+
+    /// The flit at position `seq` of [`PacketFramer::frame`]'s sequence,
+    /// without materialising the rest (the injection path builds one flit per
+    /// cycle).
+    #[must_use]
+    pub fn flit_at(packet: &Packet, vc: VcId, seq: u32) -> Flit {
+        let n = packet.descriptor.num_flits.max(1);
+        debug_assert!(seq < n, "flit {seq} of a {n}-flit packet");
+        let kind = if n == 1 {
+            FlitKind::Single
+        } else if seq == 0 {
+            FlitKind::Head
+        } else if seq == n - 1 {
+            FlitKind::Tail
+        } else {
+            FlitKind::Body
+        };
+        Flit {
+            packet: packet.id,
+            kind,
+            payload: FlitPayload::Data,
+            src: packet.descriptor.src,
+            dst: packet.descriptor.dst,
+            seq,
+            packet_len: n,
+            bits: packet.descriptor.flit_bits,
+            class: packet.descriptor.class,
+            created_cycle: packet.descriptor.created_cycle,
+            injected_cycle: packet.injected_cycle,
+            vc,
+        }
     }
 }
 
@@ -283,6 +290,18 @@ mod tests {
             assert_eq!(f.seq as usize, i);
             assert_eq!(f.packet_len, 5);
             assert_eq!(f.packet, PacketId(42));
+        }
+    }
+
+    #[test]
+    fn flit_at_matches_frame() {
+        for n in [1, 2, 64] {
+            let p = packet(n);
+            let flits = PacketFramer::frame(&p, VcId(5));
+            assert_eq!(flits.len() as u32, n);
+            for (i, flit) in flits.iter().enumerate() {
+                assert_eq!(PacketFramer::flit_at(&p, VcId(5), i as u32), *flit);
+            }
         }
     }
 

@@ -13,12 +13,12 @@
 //! the router whether the downstream buffer of a given output port / VC can
 //! accept a flit this cycle (credit-based backpressure).
 
-use crate::arbiter::{Arbiter, RoundRobinArbiter};
+use crate::arbiter::RoundRobinArbiter;
 use crate::crossbar::Crossbar;
 use crate::error::{NocError, NocResult};
 use crate::flit::Flit;
 use crate::ids::{CoreId, PortId, RouterId, VcId};
-use crate::vc::VcSet;
+use crate::vc::{set_bits, VcSet};
 use std::fmt;
 
 /// Static configuration of an [`ElectricalRouter`].
@@ -98,11 +98,10 @@ pub struct ElectricalRouter {
     forwarded_flits: u64,
     forwarded_bits: u64,
     /// Per-cycle working storage, kept across cycles so [`Self::step`] never
-    /// allocates: one nomination slot per input port, one request flag per VC
-    /// (stage 1) and one per input port (stage 3).
-    scratch_nominations: Vec<Option<(VcId, PortId)>>,
-    scratch_vc_requests: Vec<bool>,
-    scratch_port_requests: Vec<bool>,
+    /// allocates: the VC each input port nominated in stage 1, and per output
+    /// port the mask of input ports nominating it (the stage-3 requests).
+    scratch_nominated_vc: Vec<VcId>,
+    scratch_output_requests: Vec<u64>,
 }
 
 impl fmt::Debug for ElectricalRouter {
@@ -117,6 +116,11 @@ impl fmt::Debug for ElectricalRouter {
 
 impl ElectricalRouter {
     /// Creates a router with empty buffers and no routing function.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `spec` has more than 64 ports or more than 64 VCs per port:
+    /// the router carries per-port and per-VC state as `u64` masks.
     #[must_use]
     pub fn new(id: RouterId, spec: RouterSpec) -> Self {
         Self {
@@ -135,9 +139,8 @@ impl ElectricalRouter {
             route_fn: None,
             forwarded_flits: 0,
             forwarded_bits: 0,
-            scratch_nominations: vec![None; spec.num_ports],
-            scratch_vc_requests: vec![false; spec.num_vcs],
-            scratch_port_requests: vec![false; spec.num_ports],
+            scratch_nominated_vc: vec![VcId(0); spec.num_ports],
+            scratch_output_requests: vec![0; spec.num_ports],
         }
     }
 
@@ -181,9 +184,7 @@ impl ElectricalRouter {
     pub fn can_accept(&self, port: PortId, vc: VcId) -> bool {
         self.inputs
             .get(port.0)
-            .and_then(|set| set.vc(vc).ok())
-            .map(|b| !b.is_full())
-            .unwrap_or(false)
+            .is_some_and(|set| vc.0 < set.num_vcs() && set.full_mask() >> vc.0 & 1 == 0)
     }
 
     /// Finds a free (empty, unassigned) VC on `port` for a new packet.
@@ -204,7 +205,7 @@ impl ElectricalRouter {
             .inputs
             .get_mut(port.0)
             .ok_or(NocError::InvalidPort { port, num_ports })?;
-        set.vc_mut(vc)?.push(flit, cycle).map_err(|e| match e {
+        set.push(vc, flit, cycle).map_err(|e| match e {
             NocError::BufferFull { capacity, .. } => NocError::BufferFull { port, vc, capacity },
             other => other,
         })
@@ -265,10 +266,6 @@ impl ElectricalRouter {
     /// grants to `grants` instead of returning a fresh `Vec`. The buffer is
     /// **not** cleared — the hot loop of `pnoc-sim` reuses one buffer across
     /// all switches of a cycle.
-    // Index-based loops: the bodies index several parallel per-port /
-    // per-VC structures while mutably borrowing `self.inputs`, which
-    // iterator adapters cannot express.
-    #[allow(clippy::needless_range_loop)]
     pub fn step_into<F>(&mut self, cycle: u64, mut can_send: F, grants: &mut Vec<OutputGrant>)
     where
         F: FnMut(PortId, VcId, &Flit) -> bool,
@@ -280,54 +277,55 @@ impl ElectricalRouter {
         // Stage 1+2: input arbitration and route computation.
         // For every input port pick one candidate VC whose head-of-line flit
         // is eligible (pipeline latency satisfied), routed, and whose
-        // downstream buffer can take it.
-        self.scratch_nominations.fill(None);
-        for p in 0..num_ports {
-            // Route any head flit that does not have an output assignment yet.
-            self.scratch_vc_requests.fill(false);
-            for v in 0..self.spec.num_vcs {
-                let set = &mut self.inputs[p];
-                let vc = set.vc_mut(VcId(v)).expect("vc index in range");
-                let Some((flit, entered)) = vc.front().map(|(f, c)| (*f, c)) else {
-                    continue;
-                };
+        // downstream buffer can take it. Only occupied VCs are visited, in
+        // ascending order (the set bits of the port's non-empty mask).
+        self.scratch_output_requests.fill(0);
+        for (p, set) in self.inputs.iter_mut().enumerate() {
+            let mut requests = 0u64;
+            for v in set_bits(set.nonempty_mask()) {
+                let vc = VcId(v);
+                let buffer = set.vc(vc).expect("mask bit names a VC");
+                let (head, entered) = buffer.front().expect("non-empty mask bit");
                 if cycle < entered + latency.saturating_sub(1) {
                     continue; // still traversing the router pipeline
                 }
-                if vc.assigned_output().is_none() {
-                    if flit.is_head() {
+                // Route any head flit that does not have an output assignment yet.
+                let out = match buffer.assigned_output() {
+                    Some(out) => out,
+                    None if head.is_head() => {
                         let route = self
                             .route_fn
                             .as_ref()
                             .expect("routing function must be installed before stepping");
-                        let out = route(flit.dst);
+                        let out = route(head.dst);
                         assert!(
                             out.0 < num_ports,
                             "routing function returned invalid port {out} (router has {num_ports})"
                         );
-                        vc.assign_output(out);
-                    } else {
-                        // A body/tail flit can only be at the head of a VC whose
-                        // wormhole is already established; if the assignment was
-                        // released the framing is broken.
-                        panic!(
-                            "wormhole framing violation at router {:?}: body/tail flit {:?} with no output assignment",
-                            self.id, flit.packet
-                        );
+                        set.assign_output(vc, out);
+                        out
                     }
-                }
-                let out = vc.assigned_output().expect("just assigned");
-                if can_send(out, VcId(v), &flit) && self.crossbar.output_free(out) {
-                    self.scratch_vc_requests[v] = true;
+                    // A body/tail flit can only be at the head of a VC whose
+                    // wormhole is already established; if the assignment was
+                    // released the framing is broken.
+                    None => panic!(
+                        "wormhole framing violation at router {:?}: body/tail flit {:?} with no output assignment",
+                        self.id, head.packet
+                    ),
+                };
+                let (head, _) = set.vc(vc).expect("vc in range").front().expect("non-empty");
+                if can_send(out, vc, head) && self.crossbar.output_free(out) {
+                    requests |= 1 << v;
                 }
             }
-            if let Some(winner) = self.input_arbiters[p].grant(&self.scratch_vc_requests) {
-                let out = self.inputs[p]
+            if let Some(winner) = self.input_arbiters[p].grant_mask(requests) {
+                let out = set
                     .vc(VcId(winner))
                     .expect("vc in range")
                     .assigned_output()
                     .expect("candidate has assignment");
-                self.scratch_nominations[p] = Some((VcId(winner), out));
+                self.scratch_nominated_vc[p] = VcId(winner);
+                self.scratch_output_requests[out.0] |= 1 << p;
             }
         }
 
@@ -335,16 +333,12 @@ impl ElectricalRouter {
         // input port; the crossbar connection is established and the flit
         // leaves the router.
         for out in 0..num_ports {
-            for p in 0..num_ports {
-                self.scratch_port_requests[p] = self.scratch_nominations[p]
-                    .map(|(_, o)| o.0 == out)
-                    .unwrap_or(false);
-            }
-            let Some(winner_port) = self.output_arbiters[out].grant(&self.scratch_port_requests)
+            let Some(winner_port) =
+                self.output_arbiters[out].grant_mask(self.scratch_output_requests[out])
             else {
                 continue;
             };
-            let (vc, _) = self.scratch_nominations[winner_port].expect("winner nominated");
+            let vc = self.scratch_nominated_vc[winner_port];
             if self
                 .crossbar
                 .connect(PortId(winner_port), PortId(out))
@@ -352,10 +346,10 @@ impl ElectricalRouter {
             {
                 continue;
             }
-            let buffer = self.inputs[winner_port].vc_mut(vc).expect("vc in range");
-            let (flit, _entered) = buffer.pop().expect("candidate buffer non-empty");
+            let set = &mut self.inputs[winner_port];
+            let (flit, _entered) = set.pop(vc).expect("candidate buffer non-empty");
             if flit.is_tail() {
-                buffer.release_output();
+                set.release_output(vc);
             }
             self.forwarded_flits += 1;
             self.forwarded_bits += u64::from(flit.bits);
@@ -510,6 +504,12 @@ mod tests {
             }
         ));
         assert!(!r.can_accept(PortId(0), VcId(0)));
+    }
+
+    #[test]
+    #[should_panic(expected = "between 1 and 64")]
+    fn more_than_64_vcs_per_port_is_rejected() {
+        let _ = ElectricalRouter::new(RouterId(0), RouterSpec::new(2, 65, 1));
     }
 
     #[test]

@@ -118,10 +118,30 @@ impl VcBuffer {
     }
 }
 
+/// Iterates over the indices of the set bits of `mask`, lowest first.
+pub fn set_bits(mut mask: u64) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        (mask != 0).then(|| {
+            let bit = mask.trailing_zeros() as usize;
+            mask &= mask - 1;
+            bit
+        })
+    })
+}
+
 /// A set of virtual channels belonging to one router port.
+///
+/// Beside the FIFOs the set keeps three `u64` masks (bit `v` ⇔ VC `v`):
+/// *non-empty*, *full* and *wormhole-assigned*. Every mutation goes through
+/// the set ([`VcSet::push`], [`VcSet::pop`], [`VcSet::assign_output`],
+/// [`VcSet::release_output`]), which updates the masks in place, so the
+/// per-cycle scans of the routers walk set bits instead of probing every FIFO.
 #[derive(Debug, Clone)]
 pub struct VcSet {
     vcs: Vec<VcBuffer>,
+    nonempty: u64,
+    full: u64,
+    assigned: u64,
 }
 
 impl VcSet {
@@ -129,12 +149,19 @@ impl VcSet {
     ///
     /// # Panics
     ///
-    /// Panics if `num_vcs` is zero or `depth` is zero.
+    /// Panics if `num_vcs` is zero or exceeds 64 (one mask word), or if
+    /// `depth` is zero.
     #[must_use]
     pub fn new(num_vcs: usize, depth: usize) -> Self {
-        assert!(num_vcs > 0, "a port needs at least one virtual channel");
+        assert!(
+            (1..=64).contains(&num_vcs),
+            "a port needs between 1 and 64 virtual channels, got {num_vcs}"
+        );
         Self {
             vcs: (0..num_vcs).map(|_| VcBuffer::new(depth)).collect(),
+            nonempty: 0,
+            full: 0,
+            assigned: 0,
         }
     }
 
@@ -156,16 +183,92 @@ impl VcSet {
         })
     }
 
-    /// Mutable access to a VC.
+    /// Pushes a flit into VC `vc`, recording the cycle of arrival.
     ///
     /// # Errors
     ///
-    /// Returns [`NocError::InvalidVc`] if the index is out of range.
-    pub fn vc_mut(&mut self, vc: VcId) -> NocResult<&mut VcBuffer> {
-        let n = self.vcs.len();
-        self.vcs
+    /// Returns [`NocError::InvalidVc`] if the index is out of range and
+    /// [`NocError::BufferFull`] when the VC is at capacity.
+    pub fn push(&mut self, vc: VcId, flit: Flit, cycle: u64) -> NocResult<()> {
+        let num_vcs = self.vcs.len();
+        let buffer = self
+            .vcs
             .get_mut(vc.0)
-            .ok_or(NocError::InvalidVc { vc, num_vcs: n })
+            .ok_or(NocError::InvalidVc { vc, num_vcs })?;
+        buffer.push(flit, cycle)?;
+        self.nonempty |= 1 << vc.0;
+        if buffer.is_full() {
+            self.full |= 1 << vc.0;
+        }
+        Ok(())
+    }
+
+    /// Removes and returns the head-of-line flit of VC `vc` and its arrival
+    /// cycle.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `vc` is out of range.
+    pub fn pop(&mut self, vc: VcId) -> Option<(Flit, u64)> {
+        let buffer = &mut self.vcs[vc.0];
+        let popped = buffer.pop()?;
+        self.full &= !(1 << vc.0);
+        if buffer.is_empty() {
+            self.nonempty &= !(1 << vc.0);
+        }
+        Some(popped)
+    }
+
+    /// Assigns an output port to the wormhole occupying VC `vc`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `vc` is out of range.
+    pub fn assign_output(&mut self, vc: VcId, port: PortId) {
+        self.vcs[vc.0].assign_output(port);
+        self.assigned |= 1 << vc.0;
+    }
+
+    /// Releases the output-port assignment of VC `vc`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `vc` is out of range.
+    pub fn release_output(&mut self, vc: VcId) {
+        self.vcs[vc.0].release_output();
+        self.assigned &= !(1 << vc.0);
+    }
+
+    /// Mask of the VCs holding at least one flit.
+    #[must_use]
+    pub fn nonempty_mask(&self) -> u64 {
+        self.nonempty
+    }
+
+    /// Mask of the VCs at capacity.
+    #[must_use]
+    pub fn full_mask(&self) -> u64 {
+        self.full
+    }
+
+    /// Mask of the VCs with a wormhole output assignment.
+    #[must_use]
+    pub fn assigned_mask(&self) -> u64 {
+        self.assigned
+    }
+
+    /// Whether the three masks equal a recomputation from the buffers (the
+    /// ground truth behind the engine's debug cross-check).
+    #[must_use]
+    pub fn masks_consistent(&self) -> bool {
+        let scan = |pred: fn(&VcBuffer) -> bool| {
+            self.iter()
+                .filter(|(_, b)| pred(b))
+                .fold(0u64, |mask, (vc, _)| mask | 1 << vc.0)
+        };
+        self.nonempty == scan(|b| !b.is_empty())
+            && self.full == scan(VcBuffer::is_full)
+            && self.assigned == scan(|b| b.assigned_output().is_some())
     }
 
     /// Iterates over `(VcId, &VcBuffer)` pairs.
@@ -191,16 +294,15 @@ impl VcSet {
     /// single FIFO.
     #[must_use]
     pub fn free_vc(&self) -> Option<VcId> {
-        self.vcs
-            .iter()
-            .position(|b| b.is_empty() && b.assigned_output().is_none())
-            .map(VcId)
+        let free = !(self.nonempty | self.assigned);
+        let vc = free.trailing_zeros() as usize;
+        (vc < self.vcs.len()).then_some(VcId(vc))
     }
 
     /// True when every VC is completely empty.
     #[must_use]
     pub fn is_idle(&self) -> bool {
-        self.vcs.iter().all(VcBuffer::is_empty)
+        self.nonempty == 0
     }
 }
 
@@ -276,9 +378,9 @@ mod tests {
     fn vcset_free_vc_skips_assigned() {
         let mut set = VcSet::new(2, 2);
         assert_eq!(set.free_vc(), Some(VcId(0)));
-        set.vc_mut(VcId(0)).unwrap().assign_output(PortId(1));
+        set.assign_output(VcId(0), PortId(1));
         assert_eq!(set.free_vc(), Some(VcId(1)));
-        set.vc_mut(VcId(1)).unwrap().push(flit(1), 0).unwrap();
+        set.push(VcId(1), flit(1), 0).unwrap();
         assert_eq!(set.free_vc(), None);
     }
 
@@ -286,7 +388,7 @@ mod tests {
     fn vcset_occupancy_and_idle() {
         let mut set = VcSet::new(3, 4);
         assert!(set.is_idle());
-        set.vc_mut(VcId(2)).unwrap().push(flit(2), 0).unwrap();
+        set.push(VcId(2), flit(2), 0).unwrap();
         assert_eq!(set.total_occupancy(), 1);
         assert!(!set.is_idle());
         assert_eq!(set.buffered_bits(), 32);

@@ -24,7 +24,7 @@ use crate::config::SimConfig;
 use crate::engine::CycleNetwork;
 use crate::metrics::{EventSink, NullSink, SimEvent};
 use crate::stats::SimStats;
-use pnoc_noc::arbiter::{Arbiter, RoundRobinArbiter};
+use pnoc_noc::arbiter::RoundRobinArbiter;
 use pnoc_noc::flit::Flit;
 use pnoc_noc::ids::{ClusterId, CoreId, PacketId, PacketIdAllocator, PortId, RouterId, VcId};
 use pnoc_noc::packet::{Packet, PacketFramer};
@@ -32,7 +32,7 @@ use pnoc_noc::router::ElectricalRouter;
 use pnoc_noc::routing::ClusterRoutingTable;
 use pnoc_noc::topology::ClusterTopology;
 use pnoc_noc::traffic_model::TrafficModel;
-use pnoc_noc::vc::VcSet;
+use pnoc_noc::vc::{set_bits, VcSet};
 use pnoc_photonics::energy::{EnergyAccumulator, PhotonicEnergyModel};
 use std::collections::VecDeque;
 
@@ -198,8 +198,11 @@ struct PhotonicRouter {
     inputs: Vec<VcSet>,
     /// Ejection buffers, one port per local core switch.
     ejection: Vec<VcSet>,
-    /// Which packet reserved each ejection VC (None = free).
-    ejection_reserved: Vec<Vec<Option<PacketId>>>,
+    /// Per ejection port, the mask of VCs reserved by a packet in flight
+    /// (from its reservation until its tail flit drains).
+    ejection_reserved: Vec<u64>,
+    /// Per input port, the mask of VCs feeding an active transmission.
+    active_sources: Vec<u64>,
     /// Round-robin over ejection VCs, one arbiter per ejection port.
     ejection_rr: Vec<RoundRobinArbiter>,
     /// Round-robin over input ports for starting transmissions.
@@ -213,7 +216,8 @@ impl PhotonicRouter {
         Self {
             inputs: (0..ports).map(|_| VcSet::new(vcs, depth)).collect(),
             ejection: (0..ports).map(|_| VcSet::new(vcs, depth)).collect(),
-            ejection_reserved: vec![vec![None; vcs]; ports],
+            ejection_reserved: vec![0; ports],
+            active_sources: vec![0; ports],
             ejection_rr: (0..ports).map(|_| RoundRobinArbiter::new(vcs)).collect(),
             start_rr: RoundRobinArbiter::new(ports),
             active: Vec::new(),
@@ -241,32 +245,23 @@ impl PhotonicRouter {
             .sum()
     }
 
-    fn has_active_on(&self, port: usize, vc: VcId) -> bool {
-        self.active
-            .iter()
-            .any(|t| t.src_port == port && t.src_vc == vc)
-    }
-
-    fn free_ejection_vc(&self, port: usize) -> Option<VcId> {
-        (0..self.ejection[port].num_vcs()).map(VcId).find(|&vc| {
-            self.ejection_reserved[port][vc.0].is_none()
-                && self.ejection[port]
-                    .vc(vc)
-                    .map(|b| b.is_empty())
-                    .unwrap_or(false)
+    /// The head flits on `port` that may start a transmission, lowest VC
+    /// first: the head of line of every occupied VC not already feeding one.
+    fn startable_heads(&self, port: usize) -> impl Iterator<Item = (VcId, Flit)> + '_ {
+        let set = &self.inputs[port];
+        set_bits(set.nonempty_mask() & !self.active_sources[port]).filter_map(move |v| {
+            let buffer = set.vc(VcId(v)).expect("mask bit names a VC");
+            let (flit, _) = buffer.front().expect("non-empty mask bit");
+            flit.is_head().then_some((VcId(v), *flit))
         })
     }
 
-    fn buffered_flits(&self) -> usize {
-        self.inputs
-            .iter()
-            .map(VcSet::total_occupancy)
-            .sum::<usize>()
-            + self
-                .ejection
-                .iter()
-                .map(VcSet::total_occupancy)
-                .sum::<usize>()
+    /// The lowest ejection VC on `port` that is empty and unreserved.
+    fn free_ejection_vc(&self, port: usize) -> Option<VcId> {
+        let set = &self.ejection[port];
+        let free = !(self.ejection_reserved[port] | set.nonempty_mask());
+        let vc = free.trailing_zeros() as usize;
+        (vc < set.num_vcs()).then_some(VcId(vc))
     }
 }
 
@@ -276,9 +271,12 @@ struct CoreState {
     injecting: Option<InjectionProgress>,
 }
 
+/// A packet part-way through injection: its flits are materialised one per
+/// cycle ([`PacketFramer::flit_at`]), never as a whole sequence.
 struct InjectionProgress {
-    flits: Vec<Flit>,
-    next: usize,
+    packet: Packet,
+    vc: VcId,
+    next: u32,
 }
 
 /// A flit handed from a photonic transmission to a destination ejection
@@ -309,10 +307,16 @@ pub struct PhotonicSystem<F: PhotonicFabric, T: TrafficModel> {
     cluster_in_occ: Vec<u32>,
     /// Flits buffered in each cluster's ejection buffers.
     cluster_ej_occ: Vec<u32>,
-    /// Reusable acceptance snapshot, indexed `(core * ports + port) * vcs + vc`.
-    scratch_switch_free: Vec<bool>,
-    /// Reusable acceptance snapshot, indexed `(cluster * cpc + local) * vcs + vc`.
-    scratch_photonic_free: Vec<bool>,
+    /// Running totals behind the O(1) [`Self::is_quiescent`] and
+    /// [`Self::buffered_flits`]: flits buffered anywhere, in-flight photonic
+    /// transmissions, and cores with a queued or part-injected packet.
+    total_buffered: usize,
+    total_active: usize,
+    busy_cores: usize,
+    /// Frozen full masks of the switch inputs, indexed `core * ports + port`.
+    snapshot_switch_full: Vec<u64>,
+    /// Frozen full masks of the photonic inputs, indexed `cluster * cpc + local`.
+    snapshot_photonic_full: Vec<u64>,
     /// Reusable per-cycle grant list (switch index, grant).
     scratch_all_grants: Vec<(usize, pnoc_noc::router::OutputGrant)>,
     /// Reusable per-switch grant buffer handed to `ElectricalRouter::step_into`.
@@ -321,8 +325,6 @@ pub struct PhotonicSystem<F: PhotonicFabric, T: TrafficModel> {
     scratch_deliveries: Vec<PhotonicDelivery>,
     /// Reusable finished-transmission index list.
     scratch_finished: Vec<usize>,
-    /// Reusable arbiter request vector.
-    scratch_requests: Vec<bool>,
     /// Deterministic fault schedule, when one was installed.
     faults: Option<pnoc_faults::FaultController>,
 }
@@ -375,7 +377,6 @@ impl<F: PhotonicFabric, T: TrafficModel> PhotonicSystem<F, T> {
         let num_clusters = topology.num_clusters();
         let cpc = topology.cores_per_cluster();
         let ports = topology.switch_ports();
-        let vcs = config.vcs_per_port;
         Self {
             config,
             topology,
@@ -390,13 +391,15 @@ impl<F: PhotonicFabric, T: TrafficModel> PhotonicSystem<F, T> {
             switch_occ: vec![0; num_cores],
             cluster_in_occ: vec![0; num_clusters],
             cluster_ej_occ: vec![0; num_clusters],
-            scratch_switch_free: vec![false; num_cores * ports * vcs],
-            scratch_photonic_free: vec![false; num_clusters * cpc * vcs],
+            total_buffered: 0,
+            total_active: 0,
+            busy_cores: 0,
+            snapshot_switch_full: vec![0; num_cores * ports],
+            snapshot_photonic_full: vec![0; num_clusters * cpc],
             scratch_all_grants: Vec::new(),
             scratch_router_grants: Vec::new(),
             scratch_deliveries: Vec::new(),
             scratch_finished: Vec::new(),
-            scratch_requests: Vec::new(),
             faults: None,
         }
     }
@@ -414,53 +417,69 @@ impl<F: PhotonicFabric, T: TrafficModel> PhotonicSystem<F, T> {
 
     /// Total flits currently buffered anywhere in the network.
     ///
-    /// Answered from the incrementally maintained occupancy counters (debug
-    /// builds cross-check them against a full buffer scan), so closed-loop
-    /// drain checks can call this every cycle without walking every VC.
+    /// Answered from an incrementally maintained running total (debug builds
+    /// cross-check every counter and occupancy mask against a full buffer
+    /// scan), so closed-loop drain checks can call this every cycle without
+    /// walking every VC.
     #[must_use]
     pub fn buffered_flits(&self) -> usize {
-        let total = self.switch_occ.iter().map(|&o| o as usize).sum::<usize>()
-            + self
-                .cluster_in_occ
-                .iter()
-                .zip(&self.cluster_ej_occ)
-                .map(|(&i, &e)| i as usize + e as usize)
-                .sum::<usize>();
-        debug_assert_eq!(
-            total,
-            self.scan_buffered_flits(),
-            "occupancy counters diverged from buffer contents"
+        debug_assert!(
+            self.counters_match_buffers(),
+            "occupancy counters or masks diverged from buffer contents"
         );
-        total
+        self.total_buffered
     }
 
-    /// Ground-truth buffer scan backing the `buffered_flits` counters.
-    fn scan_buffered_flits(&self) -> usize {
-        let electrical: usize = self
-            .switches
+    /// Ground truth behind the incremental state: recomputes the per-switch
+    /// and per-cluster occupancies, the three running totals, every `VcSet`'s
+    /// masks and the active-source masks from the buffers themselves.
+    fn counters_match_buffers(&self) -> bool {
+        let occupancy = |sets: &[VcSet]| sets.iter().map(VcSet::total_occupancy).sum::<usize>();
+        let switches_ok = self.switches.iter().zip(&self.switch_occ).all(|(s, &occ)| {
+            s.buffered_flits() == occ as usize
+                && (0..s.num_ports()).all(|p| s.input(PortId(p)).is_ok_and(VcSet::masks_consistent))
+        });
+        let clusters_ok = self.photonic.iter().enumerate().all(|(c, r)| {
+            let sources = r
+                .active
+                .iter()
+                .fold(vec![0u64; r.inputs.len()], |mut m, t| {
+                    m[t.src_port] |= 1 << t.src_vc.0;
+                    m
+                });
+            occupancy(&r.inputs) == self.cluster_in_occ[c] as usize
+                && occupancy(&r.ejection) == self.cluster_ej_occ[c] as usize
+                && r.inputs
+                    .iter()
+                    .chain(&r.ejection)
+                    .all(VcSet::masks_consistent)
+                && r.active_sources == sources
+        });
+        let buffered = self
+            .switch_occ
             .iter()
-            .map(ElectricalRouter::buffered_flits)
-            .sum();
-        let photonic: usize = self
-            .photonic
+            .chain(&self.cluster_in_occ)
+            .chain(&self.cluster_ej_occ)
+            .map(|&o| o as usize)
+            .sum::<usize>();
+        let active = self.photonic.iter().map(|r| r.active.len()).sum::<usize>();
+        let busy = self
+            .cores
             .iter()
-            .map(PhotonicRouter::buffered_flits)
-            .sum();
-        electrical + photonic
+            .filter(|c| c.injecting.is_some() || !c.queue.is_empty())
+            .count();
+        switches_ok
+            && clusters_ok
+            && self.total_buffered == buffered
+            && self.total_active == active
+            && self.busy_cores == busy
     }
 
     /// Whether stepping the network (absent new traffic) would be a no-op:
     /// nothing buffered, no core mid-injection or with queued packets, and no
     /// in-flight photonic transmission.
     fn is_quiescent(&self) -> bool {
-        self.switch_occ.iter().all(|&o| o == 0)
-            && self.cluster_in_occ.iter().all(|&o| o == 0)
-            && self.cluster_ej_occ.iter().all(|&o| o == 0)
-            && self.photonic.iter().all(|r| r.active.is_empty())
-            && self
-                .cores
-                .iter()
-                .all(|c| c.injecting.is_none() && c.queue.is_empty())
+        self.total_buffered == 0 && self.total_active == 0 && self.busy_cores == 0
     }
 
     fn generate_traffic(&mut self, cycle: u64, sink: &mut dyn EventSink) {
@@ -480,12 +499,16 @@ impl<F: PhotonicFabric, T: TrafficModel> PhotonicSystem<F, T> {
                     descriptor: desc,
                     injected_cycle: 0,
                 };
+                if state.injecting.is_none() && state.queue.is_empty() {
+                    self.busy_cores += 1;
+                }
                 state.queue.push_back(packet);
             }
         }
     }
 
     fn inject_flits(&mut self, cycle: u64, sink: &mut dyn EventSink) {
+        let local_port = self.topology.local_port();
         for core_idx in 0..self.topology.num_cores() {
             // An idle core (nothing queued, nothing mid-injection) cannot make
             // progress this cycle; the probe below is read-only, so skipping
@@ -495,7 +518,6 @@ impl<F: PhotonicFabric, T: TrafficModel> PhotonicSystem<F, T> {
             }
             // Start a new packet if the previous one finished injecting.
             if self.cores[core_idx].injecting.is_none() {
-                let local_port = self.topology.local_port();
                 let Some(vc) = self.switches[core_idx].free_input_vc(local_port) else {
                     continue;
                 };
@@ -503,7 +525,6 @@ impl<F: PhotonicFabric, T: TrafficModel> PhotonicSystem<F, T> {
                     continue;
                 };
                 packet.injected_cycle = cycle;
-                let flits = PacketFramer::frame(&packet, vc);
                 self.stats.injected_packets += 1;
                 sink.emit(
                     cycle,
@@ -511,35 +532,41 @@ impl<F: PhotonicFabric, T: TrafficModel> PhotonicSystem<F, T> {
                         src: CoreId(core_idx),
                     },
                 );
-                self.cores[core_idx].injecting = Some(InjectionProgress { flits, next: 0 });
+                self.cores[core_idx].injecting = Some(InjectionProgress {
+                    packet,
+                    vc,
+                    next: 0,
+                });
             }
             // Push at most one flit of the in-progress packet per cycle.
-            let mut finished = false;
-            if let Some(progress) = self.cores[core_idx].injecting.as_mut() {
-                let flit = progress.flits[progress.next];
-                let local_port = self.topology.local_port();
-                if self.switches[core_idx].can_accept(local_port, flit.vc) {
-                    self.switches[core_idx]
-                        .accept(local_port, flit.vc, flit, cycle)
-                        .expect("capacity checked");
-                    self.switch_occ[core_idx] += 1;
-                    self.energy.record_buffer_write(u64::from(flit.bits));
-                    self.stats.injected_flits += 1;
-                    sink.emit(
-                        cycle,
-                        SimEvent::FlitInjected {
-                            src: CoreId(core_idx),
-                            bits: flit.bits,
-                        },
-                    );
-                    progress.next += 1;
-                    if progress.next == progress.flits.len() {
-                        finished = true;
-                    }
-                }
+            let state = &mut self.cores[core_idx];
+            let Some(progress) = state.injecting.as_mut() else {
+                continue;
+            };
+            if !self.switches[core_idx].can_accept(local_port, progress.vc) {
+                continue;
             }
-            if finished {
-                self.cores[core_idx].injecting = None;
+            let flit = PacketFramer::flit_at(&progress.packet, progress.vc, progress.next);
+            self.switches[core_idx]
+                .accept(local_port, flit.vc, flit, cycle)
+                .expect("capacity checked");
+            self.switch_occ[core_idx] += 1;
+            self.total_buffered += 1;
+            self.energy.record_buffer_write(u64::from(flit.bits));
+            self.stats.injected_flits += 1;
+            sink.emit(
+                cycle,
+                SimEvent::FlitInjected {
+                    src: CoreId(core_idx),
+                    bits: flit.bits,
+                },
+            );
+            progress.next += 1;
+            if flit.is_tail() {
+                state.injecting = None;
+                if state.queue.is_empty() {
+                    self.busy_cores -= 1;
+                }
             }
         }
     }
@@ -550,12 +577,13 @@ impl<F: PhotonicFabric, T: TrafficModel> PhotonicSystem<F, T> {
         let num_clusters = topology.num_clusters();
         let cpc = topology.cores_per_cluster();
         let ports = topology.switch_ports();
-        let vcs = self.config.vcs_per_port;
         let photonic_port = topology.photonic_port();
 
-        // Snapshot of downstream acceptance (one upstream per input port, so
-        // the snapshot cannot be invalidated within the cycle). The scratch
-        // buffers are refreshed only for clusters with at least one buffered
+        // Snapshot of downstream acceptance: one full-mask word per input
+        // port. Every input port has exactly one upstream and a switch sends
+        // at most one flit per output per cycle, so a VC that is not full in
+        // the snapshot still has room when this cycle's grant lands. The
+        // snapshot is refreshed only for clusters with at least one buffered
         // flit: electrical hops never leave the cluster, so a stale entry of
         // an idle cluster is never read.
         for cluster_idx in 0..num_clusters {
@@ -565,20 +593,13 @@ impl<F: PhotonicFabric, T: TrafficModel> PhotonicSystem<F, T> {
             }
             for c in members {
                 for p in 0..ports {
-                    for v in 0..vcs {
-                        self.scratch_switch_free[(c * ports + p) * vcs + v] =
-                            self.switches[c].can_accept(PortId(p), VcId(v));
-                    }
+                    let input = self.switches[c].input(PortId(p)).expect("port in range");
+                    self.snapshot_switch_full[c * ports + p] = input.full_mask();
                 }
             }
-            for local in 0..cpc {
-                for v in 0..vcs {
-                    self.scratch_photonic_free[(cluster_idx * cpc + local) * vcs + v] =
-                        self.photonic[cluster_idx].inputs[local]
-                            .vc(VcId(v))
-                            .map(|b| !b.is_full())
-                            .unwrap_or(false);
-                }
+            let full = &mut self.snapshot_photonic_full[cluster_idx * cpc..(cluster_idx + 1) * cpc];
+            for (word, set) in full.iter_mut().zip(&self.photonic[cluster_idx].inputs) {
+                *word = set.full_mask();
             }
         }
 
@@ -588,8 +609,8 @@ impl<F: PhotonicFabric, T: TrafficModel> PhotonicSystem<F, T> {
         let mut all_grants = std::mem::take(&mut self.scratch_all_grants);
         all_grants.clear();
         {
-            let switch_free = &self.scratch_switch_free;
-            let photonic_free = &self.scratch_photonic_free;
+            let switch_full = &self.snapshot_switch_full;
+            let photonic_full = &self.snapshot_photonic_full;
             let grants = &mut self.scratch_router_grants;
             for core_idx in 0..num_cores {
                 if self.switch_occ[core_idx] == 0 {
@@ -605,12 +626,12 @@ impl<F: PhotonicFabric, T: TrafficModel> PhotonicSystem<F, T> {
                         if out == topology.local_port() {
                             true
                         } else if out == photonic_port {
-                            photonic_free[(cluster * cpc + local) * vcs + vc.0]
+                            photonic_full[cluster * cpc + local] >> vc.0 & 1 == 0
                         } else {
                             let peer_local = topology.peer_of_port(local, out);
                             let peer_core = ClusterId(cluster).core(peer_local, cpc);
                             let arrival_port = topology.peer_port(peer_core, core);
-                            switch_free[(peer_core.0 * ports + arrival_port.0) * vcs + vc.0]
+                            switch_full[peer_core.0 * ports + arrival_port.0] >> vc.0 & 1 == 0
                         }
                     },
                     grants,
@@ -631,6 +652,7 @@ impl<F: PhotonicFabric, T: TrafficModel> PhotonicSystem<F, T> {
             self.energy.record_router_traversal(u64::from(flit.bits));
             if grant.output == topology.local_port() {
                 debug_assert_eq!(flit.dst, core, "flit ejected at the wrong core");
+                self.total_buffered -= 1;
                 self.stats.delivered_flits += 1;
                 self.stats.delivered_bits += u64::from(flit.bits);
                 let photonic = !topology.same_cluster(flit.src, flit.dst);
@@ -662,9 +684,7 @@ impl<F: PhotonicFabric, T: TrafficModel> PhotonicSystem<F, T> {
                 self.energy.record_buffer_write(u64::from(flit.bits));
                 self.cluster_in_occ[cluster] += 1;
                 self.photonic[cluster].inputs[local]
-                    .vc_mut(grant.vc)
-                    .expect("vc in range")
-                    .push(flit, cycle)
+                    .push(grant.vc, flit, cycle)
                     .expect("photonic input capacity checked via snapshot");
             } else {
                 let peer_local = topology.peer_of_port(local, grant.output);
@@ -718,10 +738,9 @@ impl<F: PhotonicFabric, T: TrafficModel> PhotonicSystem<F, T> {
                     pending_demand = pending_demand.saturating_sub(tx.demand);
                 }
                 tx.credit_bits += tx.wavelengths as f64 * bits_per_wavelength;
+                let source = &mut router.inputs[tx.src_port];
                 loop {
-                    let buffer = router.inputs[tx.src_port]
-                        .vc_mut(tx.src_vc)
-                        .expect("vc in range");
+                    let buffer = source.vc(tx.src_vc).expect("vc in range");
                     let Some((flit, _)) = buffer.front() else {
                         // Source stalled: the wavelength·cycles are lost.
                         tx.credit_bits = 0.0;
@@ -734,7 +753,7 @@ impl<F: PhotonicFabric, T: TrafficModel> PhotonicSystem<F, T> {
                     if tx.credit_bits < f64::from(flit.bits) {
                         break;
                     }
-                    let (mut flit, _) = buffer.pop().expect("front checked");
+                    let (mut flit, _) = source.pop(tx.src_vc).expect("front checked");
                     popped += 1;
                     tx.credit_bits -= f64::from(flit.bits);
                     tx.flits_sent += 1;
@@ -751,8 +770,10 @@ impl<F: PhotonicFabric, T: TrafficModel> PhotonicSystem<F, T> {
                     }
                 }
             }
+            self.total_active -= finished.len();
             for idx in finished.drain(..).rev() {
-                router.active.swap_remove(idx);
+                let tx = router.active.swap_remove(idx);
+                router.active_sources[tx.src_port] &= !(1 << tx.src_vc.0);
             }
             self.cluster_in_occ[cluster_idx] -= popped;
         }
@@ -768,9 +789,7 @@ impl<F: PhotonicFabric, T: TrafficModel> PhotonicSystem<F, T> {
                 .record_buffer_write(u64::from(delivery.flit.bits));
             self.cluster_ej_occ[delivery.dst_cluster] += 1;
             self.photonic[delivery.dst_cluster].ejection[delivery.dst_local]
-                .vc_mut(delivery.dst_vc)
-                .expect("vc in range")
-                .push(delivery.flit, cycle)
+                .push(delivery.dst_vc, delivery.flit, cycle)
                 .expect("ejection VC reserved for the whole packet");
         }
         self.scratch_deliveries = deliveries;
@@ -779,7 +798,6 @@ impl<F: PhotonicFabric, T: TrafficModel> PhotonicSystem<F, T> {
     fn start_transmissions(&mut self) {
         let num_clusters = self.topology.num_clusters();
         let cpc = self.topology.cores_per_cluster();
-        let vcs = self.config.vcs_per_port;
 
         for cluster_idx in 0..num_clusters {
             // With no buffered input flit there is no head flit to start; an
@@ -799,88 +817,59 @@ impl<F: PhotonicFabric, T: TrafficModel> PhotonicSystem<F, T> {
             // wavelengths are fully occupied; the data phase is gated on
             // wavelength availability in `advance_transmissions`.
             // Candidate head flits, visited in round-robin port order.
-            self.scratch_requests.clear();
-            for p in 0..cpc {
-                let request = (0..vcs).any(|v| {
-                    let vc = VcId(v);
-                    if self.photonic[cluster_idx].has_active_on(p, vc) {
-                        return false;
-                    }
-                    self.photonic[cluster_idx].inputs[p]
-                        .vc(vc)
-                        .ok()
-                        .and_then(|b| b.front().map(|(f, _)| f.is_head()))
-                        .unwrap_or(false)
-                });
-                self.scratch_requests.push(request);
-            }
-            let Some(port) = self.photonic[cluster_idx]
-                .start_rr
-                .grant(&self.scratch_requests)
-            else {
+            let router = &mut self.photonic[cluster_idx];
+            let requests = (0..cpc)
+                .filter(|&p| router.startable_heads(p).next().is_some())
+                .fold(0u64, |mask, p| mask | 1 << p);
+            let Some(port) = router.start_rr.grant_mask(requests) else {
                 continue;
             };
             // Pick the first startable VC on the granted port.
-            let mut started = false;
-            for v in 0..vcs {
-                if started {
-                    break;
-                }
-                let vc = VcId(v);
-                if self.photonic[cluster_idx].has_active_on(port, vc) {
-                    continue;
-                }
-                let Some(flit) = self.photonic[cluster_idx].inputs[port]
-                    .vc(vc)
-                    .ok()
-                    .and_then(|b| b.front().map(|(f, _)| *f))
-                else {
-                    continue;
-                };
-                if !flit.is_head() {
-                    continue;
-                }
-                let dst_cluster = self.topology.cluster_of(flit.dst);
-                debug_assert_ne!(
-                    dst_cluster, src_cluster,
-                    "intra-cluster packets must not reach the photonic router"
-                );
-                // A failed destination link cannot accept new reservations.
-                if !self.fabric.link_up(dst_cluster) {
-                    continue;
-                }
-                let demand = self.fabric.wavelengths_for(src_cluster, dst_cluster).max(1);
-                let dst_local = self.topology.local_index(flit.dst);
-                let Some(dst_vc) = self.photonic[dst_cluster.0].free_ejection_vc(dst_local) else {
-                    continue;
-                };
-                self.photonic[dst_cluster.0].ejection_reserved[dst_local][dst_vc.0] =
-                    Some(flit.packet);
-                let reservation = self.fabric.reservation_cycles(src_cluster, dst_cluster);
-                self.photonic[cluster_idx].active.push(Transmission {
-                    packet: flit.packet,
-                    src_port: port,
-                    src_vc: vc,
-                    dst_cluster,
-                    dst_local,
-                    dst_vc,
-                    demand,
-                    wavelengths: 0,
-                    data_started: false,
-                    reservation_remaining: reservation,
-                    credit_bits: 0.0,
-                    flits_sent: 0,
-                    flits_total: flit.packet_len,
+            let (topology, fabric, photonic) = (&self.topology, &self.fabric, &self.photonic);
+            let start = photonic[cluster_idx]
+                .startable_heads(port)
+                .find_map(|(vc, flit)| {
+                    let dst_cluster = topology.cluster_of(flit.dst);
+                    debug_assert_ne!(
+                        dst_cluster, src_cluster,
+                        "intra-cluster packets must not reach the photonic router"
+                    );
+                    // A failed destination link cannot accept new reservations.
+                    if !fabric.link_up(dst_cluster) {
+                        return None;
+                    }
+                    let dst_local = topology.local_index(flit.dst);
+                    let dst_vc = photonic[dst_cluster.0].free_ejection_vc(dst_local)?;
+                    Some((vc, flit, dst_cluster, dst_local, dst_vc))
                 });
-                started = true;
-            }
+            let Some((vc, flit, dst_cluster, dst_local, dst_vc)) = start else {
+                continue;
+            };
+            self.photonic[dst_cluster.0].ejection_reserved[dst_local] |= 1 << dst_vc.0;
+            self.total_active += 1;
+            let router = &mut self.photonic[cluster_idx];
+            router.active_sources[port] |= 1 << vc.0;
+            router.active.push(Transmission {
+                packet: flit.packet,
+                src_port: port,
+                src_vc: vc,
+                dst_cluster,
+                dst_local,
+                dst_vc,
+                demand: fabric.wavelengths_for(src_cluster, dst_cluster).max(1),
+                wavelengths: 0,
+                data_started: false,
+                reservation_remaining: fabric.reservation_cycles(src_cluster, dst_cluster),
+                credit_bits: 0.0,
+                flits_sent: 0,
+                flits_total: flit.packet_len,
+            });
         }
     }
 
     fn drain_ejection(&mut self, cycle: u64) {
         let topology = self.topology;
         let cpc = topology.cores_per_cluster();
-        let vcs = self.config.vcs_per_port;
         let photonic_port = topology.photonic_port();
 
         for cluster_idx in 0..topology.num_clusters() {
@@ -892,30 +881,22 @@ impl<F: PhotonicFabric, T: TrafficModel> PhotonicSystem<F, T> {
             for local in 0..cpc {
                 let core = ClusterId(cluster_idx).core(local, cpc);
                 // Which VCs have a head-of-line flit that the core switch can accept?
-                self.scratch_requests.clear();
-                for v in 0..vcs {
-                    let request = self.photonic[cluster_idx].ejection[local]
-                        .vc(VcId(v))
-                        .ok()
-                        .and_then(|b| b.front())
-                        .map(|_| self.switches[core.0].can_accept(photonic_port, VcId(v)))
-                        .unwrap_or(false);
-                    self.scratch_requests.push(request);
-                }
-                let Some(vc_idx) =
-                    self.photonic[cluster_idx].ejection_rr[local].grant(&self.scratch_requests)
-                else {
+                let router = &mut self.photonic[cluster_idx];
+                let switch_full = self.switches[core.0]
+                    .input(photonic_port)
+                    .expect("port in range")
+                    .full_mask();
+                let requests = router.ejection[local].nonempty_mask() & !switch_full;
+                let Some(vc_idx) = router.ejection_rr[local].grant_mask(requests) else {
                     continue;
                 };
                 let vc = VcId(vc_idx);
-                let (flit, _) = self.photonic[cluster_idx].ejection[local]
-                    .vc_mut(vc)
-                    .expect("vc in range")
-                    .pop()
+                let (flit, _) = router.ejection[local]
+                    .pop(vc)
                     .expect("request implies occupancy");
                 self.cluster_ej_occ[cluster_idx] -= 1;
                 if flit.is_tail() {
-                    self.photonic[cluster_idx].ejection_reserved[local][vc.0] = None;
+                    router.ejection_reserved[local] &= !(1 << vc.0);
                 }
                 // Destination-side photonic router electrical traversal.
                 self.energy.record_router_traversal(u64::from(flit.bits));

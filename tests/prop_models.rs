@@ -97,7 +97,7 @@ proptest! {
     /// Round-robin arbitration never grants an inactive requester and is
     /// starvation-free: a persistent requester is served within `n` grants.
     #[test]
-    fn round_robin_is_fair(n in 1usize..=16, pattern in prop::collection::vec(any::<bool>(), 1..=16)) {
+    fn round_robin_is_fair(n in 1usize..=64, pattern in prop::collection::vec(any::<bool>(), 1..=64)) {
         let mut arb = RoundRobinArbiter::new(n);
         let requests: Vec<bool> = (0..n).map(|i| pattern.get(i).copied().unwrap_or(false)).collect();
         if requests.iter().any(|&r| r) {
@@ -111,6 +111,33 @@ proptest! {
             prop_assert_eq!(seen.len(), active, "every active requester served within n rounds");
         } else {
             prop_assert!(arb.grant(&requests).is_none());
+        }
+    }
+
+    /// `grant_mask` (and `grant`, which packs into it) picks the same winner
+    /// as a rotating-priority offset loop over the request vector, from any
+    /// starting priority and for every arbiter width a mask can carry.
+    #[test]
+    fn grant_mask_matches_the_offset_loop(
+        n in 1usize..=64,
+        start in 0usize..64,
+        rounds in prop::collection::vec(0u64..=u64::MAX, 1..=32),
+    ) {
+        let (mut by_mask, mut by_slice) = (RoundRobinArbiter::new(n), RoundRobinArbiter::new(n));
+        // A grant to `start - 1` moves the priority pointer to `start`.
+        let mut next = start % n;
+        let before = (next + n - 1) % n;
+        prop_assert_eq!(by_mask.grant_mask(1 << before), Some(before));
+        prop_assert_eq!(by_slice.grant_mask(1 << before), Some(before));
+        for round in rounds {
+            let mask = if n == 64 { round } else { round & ((1 << n) - 1) };
+            let requests: Vec<bool> = (0..n).map(|i| mask >> i & 1 == 1).collect();
+            let expected = (0..n).map(|offset| (next + offset) % n).find(|&i| requests[i]);
+            if let Some(winner) = expected {
+                next = (winner + 1) % n;
+            }
+            prop_assert_eq!(by_mask.grant_mask(mask), expected);
+            prop_assert_eq!(by_slice.grant(&requests), expected);
         }
     }
 
