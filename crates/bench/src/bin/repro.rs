@@ -875,7 +875,7 @@ fn main() {
     };
 
     // Cache maintenance runs right after opening, before any lookups:
-    // compaction first (repairs the index), then LRU eviction to budget.
+    // compaction first (drops unverifiable files), then LRU eviction to budget.
     if cache_compact || cache_max_bytes.is_some() {
         let Some(store) = &store else {
             eprintln!(
@@ -887,14 +887,11 @@ fn main() {
             match store.compact() {
                 Ok(report) => {
                     eprintln!(
-                    "[repro] cache compacted: {} live entr{}, {} dangling index entr{} dropped, \
-                     {} stray file(s) removed",
-                    report.live_entries,
-                    if report.live_entries == 1 { "y" } else { "ies" },
-                    report.dropped_index_entries,
-                    if report.dropped_index_entries == 1 { "y" } else { "ies" },
-                    report.removed_files
-                )
+                        "[repro] cache compacted: {} live entr{}, {} stray file(s) removed",
+                        report.live_entries,
+                        if report.live_entries == 1 { "y" } else { "ies" },
+                        report.removed_files
+                    )
                 }
                 Err(error) => {
                     eprintln!("cache compaction failed: {error}");

@@ -10,7 +10,7 @@
 //!   and JSON: `f64`s as exact bit patterns, `u64`s as decimal strings,
 //!   sketches re-validated on decode,
 //! * [`store`] — [`ResultStore`]: content-addressed on-disk cache entries
-//!   with atomic writes, an index file, corruption-tolerant loads and a
+//!   with atomic writes, corruption-tolerant loads, file-mtime LRU and a
 //!   wall-clock sidecar kept out of the cached payload. Implements
 //!   [`pnoc_sim::scenario::PointCache`], so
 //!   `pnoc_sim::scenario::run_specs_with_cache` (and therefore

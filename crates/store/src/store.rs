@@ -4,20 +4,14 @@ use crate::codec;
 use crate::json::Json;
 use pnoc_sim::scenario::PointCache;
 use pnoc_sim::sweep::SweepPoint;
-use std::collections::BTreeMap;
 use std::fs;
 use std::io;
-use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
-use std::time::{Duration, Instant};
+use std::time::SystemTime;
 
 /// Format tag of one cache entry document.
 pub const ENTRY_FORMAT: &str = "d-hetpnoc-store/v1";
-
-/// Format tag of the index document.
-pub const INDEX_FORMAT: &str = "d-hetpnoc-store-index/v1";
 
 /// The 16-hex-digit FNV-1a content address of a cache key. Entry files are
 /// named by this hash; the full key text is stored *inside* each entry and
@@ -46,14 +40,12 @@ pub struct StoreStats {
 
 /// A content-addressed on-disk store of simulated sweep points.
 ///
-/// Layout under the root directory:
-///
-/// * `entries/<hash>.json` — one entry per cache key, named by
-///   [`content_hash`]; holds the format tag, the full key text, a
-///   `sidecar` object (wall-clock timing, **excluded** from the cached
-///   payload) and the losslessly encoded point,
-/// * `index.json` — hash → key map for humans and CI artifacts, rewritten
-///   atomically after every insert.
+/// The only state, on disk or in memory, is `entries/<hash>.json` under the
+/// root directory: one file per cache key, named by [`content_hash`],
+/// holding the format tag, the full key text, a `sidecar` object (wall-clock
+/// timing, **excluded** from the cached payload) and the losslessly encoded
+/// point. An entry's modification time is its last use (written by
+/// [`ResultStore::save`], refreshed by every [`ResultStore::load`] hit).
 ///
 /// All writes are atomic (temp file in the same directory + rename), and all
 /// reads are corruption-tolerant: a truncated, tampered or alien file is a
@@ -63,17 +55,13 @@ pub struct StoreStats {
 pub struct ResultStore {
     root: PathBuf,
     entries_dir: PathBuf,
-    index: Mutex<BTreeMap<String, String>>,
     hits: AtomicU64,
     misses: AtomicU64,
     writes: AtomicU64,
 }
 
 impl ResultStore {
-    /// Opens (creating if needed) a store rooted at `root`. An existing
-    /// index is loaded tolerantly: a corrupt index is treated as empty and
-    /// rebuilt as entries are written (entry files remain the source of
-    /// truth, so cached points stay reachable either way).
+    /// Opens (creating if needed) a store rooted at `root`.
     ///
     /// # Errors
     ///
@@ -82,11 +70,9 @@ impl ResultStore {
         let root = root.into();
         let entries_dir = root.join("entries");
         fs::create_dir_all(&entries_dir)?;
-        let index = load_index(&root.join("index.json"));
         Ok(Self {
             root,
             entries_dir,
-            index: Mutex::new(index),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             writes: AtomicU64::new(0),
@@ -99,16 +85,20 @@ impl ResultStore {
         &self.root
     }
 
+    /// Every file under `entries/` with its metadata — the one directory
+    /// walk behind the counts, eviction and compaction. [`is_entry`] tells
+    /// entry files from whatever else landed there.
+    fn files(&self) -> io::Result<impl Iterator<Item = (PathBuf, fs::Metadata)>> {
+        Ok(fs::read_dir(&self.entries_dir)?
+            .filter_map(Result::ok)
+            .filter_map(|file| Some((file.path(), file.metadata().ok()?))))
+    }
+
     /// Number of entry files currently on disk.
     #[must_use]
     pub fn entry_count(&self) -> usize {
-        fs::read_dir(&self.entries_dir)
-            .map(|dir| {
-                dir.filter_map(Result::ok)
-                    .filter(|e| e.path().extension().is_some_and(|ext| ext == "json"))
-                    .count()
-            })
-            .unwrap_or(0)
+        self.files()
+            .map_or(0, |files| files.filter(is_entry).count())
     }
 
     /// This store's lifetime hit/miss/write counters.
@@ -130,28 +120,30 @@ impl ResultStore {
     /// format tag, key mismatch (hash collision or tampering), codec
     /// rejection — is a miss; the non-trivial ones log a warning to stderr.
     ///
-    /// A hit refreshes the entry's sidecar access time, which is what the
-    /// LRU eviction of [`ResultStore::evict_to_budget`] orders by.
+    /// A hit sets the entry file's modification time to now, which is what
+    /// the LRU eviction of [`ResultStore::evict_to_budget`] orders by; the
+    /// entry's bytes are not rewritten.
     #[must_use]
     pub fn load(&self, key: &str) -> Option<SweepPoint> {
         let path = self.entry_path(key);
-        let text = match fs::read_to_string(&path) {
-            Ok(text) => text,
-            Err(error) => {
-                if error.kind() != io::ErrorKind::NotFound {
-                    eprintln!(
-                        "[pnoc-store] warning: unreadable cache entry {}: {error}",
-                        path.display()
-                    );
-                }
+        let decoded = match fs::read_to_string(&path) {
+            Ok(text) => decode_entry(&text, key),
+            Err(error) if error.kind() == io::ErrorKind::NotFound => {
                 self.misses.fetch_add(1, Ordering::Relaxed);
                 return None;
             }
+            Err(error) => Err(format!("unreadable: {error}")),
         };
-        match decode_entry(&text, key) {
+        match decoded {
             Ok(point) => {
                 self.hits.fetch_add(1, Ordering::Relaxed);
-                touch_entry(&path, &text);
+                // Best effort: a stale mtime (entry evicted under us,
+                // read-only store) costs eviction accuracy, never
+                // correctness.
+                let _ = fs::File::options()
+                    .write(true)
+                    .open(&path)
+                    .and_then(|file| file.set_modified(SystemTime::now()));
                 Some(point)
             }
             Err(reason) => {
@@ -165,10 +157,10 @@ impl ResultStore {
         }
     }
 
-    /// Stores `point` under `key`, atomically (temp file + rename), then
-    /// rewrites the index. `wall_clock_seconds` goes into the entry's
-    /// sidecar object only — the `point` payload stays byte-identical no
-    /// matter how long the simulation took.
+    /// Stores `point` under `key`, atomically (temp file + rename).
+    /// `wall_clock_seconds` goes into the entry's sidecar object only — the
+    /// `point` payload stays byte-identical no matter how long the
+    /// simulation took.
     ///
     /// # Errors
     ///
@@ -180,20 +172,11 @@ impl ResultStore {
             ("key", Json::str(key)),
             (
                 "sidecar",
-                Json::obj(vec![
-                    ("wall_clock_seconds", Json::Num(wall_clock_seconds)),
-                    ("atime_epoch_seconds", Json::Num(now_epoch_seconds())),
-                ]),
+                Json::obj(vec![("wall_clock_seconds", Json::Num(wall_clock_seconds))]),
             ),
             ("point", codec::point_json(point)),
         ]);
-        let path = self.entry_path(key);
-        write_atomically(&path, &(document.render() + "\n"))?;
-        {
-            let mut index = self.index.lock().expect("store index lock");
-            index.insert(content_hash(key), key.to_string());
-            self.rewrite_index(&mut index)?;
-        }
+        write_atomically(&self.entry_path(key), &(document.render() + "\n"))?;
         self.writes.fetch_add(1, Ordering::Relaxed);
         Ok(())
     }
@@ -201,167 +184,77 @@ impl ResultStore {
     /// Total size in bytes of all entry files currently on disk.
     #[must_use]
     pub fn total_bytes(&self) -> u64 {
-        fs::read_dir(&self.entries_dir)
-            .map(|dir| {
-                dir.filter_map(Result::ok)
-                    .filter(|e| e.path().extension().is_some_and(|ext| ext == "json"))
-                    .filter_map(|e| e.metadata().ok())
-                    .map(|meta| meta.len())
-                    .sum()
-            })
-            .unwrap_or(0)
+        self.files().map_or(0, |files| {
+            files.filter(is_entry).map(|(_, meta)| meta.len()).sum()
+        })
     }
 
     /// Evicts least-recently-used entries until the total entry bytes fit
-    /// within `max_bytes`. Recency is the sidecar `atime_epoch_seconds`
-    /// stamped at [`ResultStore::save`] and refreshed on every
-    /// [`ResultStore::load`] hit; entries predating the sidecar access time
-    /// (or unreadable ones) sort oldest. Ties break on the entry hash so the
-    /// eviction order is deterministic. Runs under the advisory index lock
-    /// and rewrites the index with the survivors.
+    /// within `max_bytes`. Recency is the entry file's modification time
+    /// (see [`ResultStore::load`]) at the filesystem's resolution; a file
+    /// whose time cannot be read sorts oldest, and ties break on the entry
+    /// hash so the eviction order is deterministic. No entry is opened.
     ///
     /// # Errors
     ///
     /// Propagates I/O failures other than concurrent deletion of a
     /// candidate (a racing evictor did our work for us).
     pub fn evict_to_budget(&self, max_bytes: u64) -> io::Result<EvictionReport> {
-        let mut index = self.index.lock().expect("store index lock");
-        let _lock = IndexLock::acquire(&self.root);
-        // Oldest-first candidate list: (sidecar atime, entry hash, bytes).
-        let mut candidates = Vec::new();
-        let mut bytes_before = 0u64;
-        for entry in fs::read_dir(&self.entries_dir)?.filter_map(Result::ok) {
-            let path = entry.path();
-            if path.extension().is_none_or(|ext| ext != "json") {
-                continue;
-            }
-            let Ok(meta) = entry.metadata() else { continue };
-            bytes_before += meta.len();
-            let atime = fs::read_to_string(&path)
-                .ok()
-                .and_then(|text| Json::parse(&text).ok())
-                .map(|document| entry_atime(&document))
-                .unwrap_or(0.0);
-            let hash = path
-                .file_stem()
-                .and_then(|stem| stem.to_str())
-                .unwrap_or_default()
-                .to_string();
-            candidates.push((atime, hash, meta.len(), path));
-        }
-        candidates.sort_by(|a, b| a.0.total_cmp(&b.0).then_with(|| a.1.cmp(&b.1)));
-        let scanned = candidates.len();
-        let index_path = self.root.join("index.json");
-        for (hash, key) in load_index(&index_path) {
-            index.entry(hash).or_insert(key);
-        }
+        // Oldest first; entries share one directory, so ordering equal
+        // times by path orders them by hash.
+        let mut candidates: Vec<(SystemTime, PathBuf, u64)> = self
+            .files()?
+            .filter(is_entry)
+            .map(|(path, meta)| {
+                let used = meta.modified().unwrap_or(SystemTime::UNIX_EPOCH);
+                (used, path, meta.len())
+            })
+            .collect();
+        candidates.sort();
+        let bytes_before: u64 = candidates.iter().map(|(_, _, len)| len).sum();
         let mut bytes_after = bytes_before;
         let mut evicted = 0usize;
-        for (_, hash, len, path) in &candidates {
+        for (_, path, len) in &candidates {
             if bytes_after <= max_bytes {
                 break;
             }
-            match fs::remove_file(path) {
-                Ok(()) => {}
-                Err(error) if error.kind() == io::ErrorKind::NotFound => {}
-                Err(error) => return Err(error),
-            }
-            index.remove(hash);
+            remove_if_present(path)?;
             bytes_after -= len;
             evicted += 1;
         }
-        write_atomically(&index_path, &render_index(&index))?;
         Ok(EvictionReport {
-            scanned,
+            scanned: candidates.len(),
             evicted,
             bytes_before,
             bytes_after,
         })
     }
 
-    /// Compacts the store: rebuilds the index from the entry files that
-    /// actually exist and verify (dangling index entries are dropped),
-    /// removes leftover temp files from interrupted atomic writes, and
-    /// removes alien or corrupt entry files whose stored key does not hash
-    /// to their file name. Runs under the advisory index lock; the rewritten
-    /// index survives a reopen because entry files are the source of truth.
+    /// Compacts the store: removes leftover temp files from interrupted
+    /// atomic writes, alien or corrupt entry files whose stored key does not
+    /// hash to their file name, and the two root files (`index.json`,
+    /// `index.lock`) that earlier builds of the store kept next to
+    /// `entries/` and nothing reads.
     ///
     /// # Errors
     ///
     /// Propagates directory-scan and deletion failures.
     pub fn compact(&self) -> io::Result<CompactionReport> {
-        let mut index = self.index.lock().expect("store index lock");
-        let _lock = IndexLock::acquire(&self.root);
-        let index_path = self.root.join("index.json");
-        for (hash, key) in load_index(&index_path) {
-            index.entry(hash).or_insert(key);
-        }
-        let mut fresh = BTreeMap::new();
-        let mut removed_files = 0usize;
-        for entry in fs::read_dir(&self.entries_dir)?.filter_map(Result::ok) {
-            let path = entry.path();
-            let name = path
-                .file_name()
-                .and_then(|name| name.to_str())
-                .unwrap_or_default()
-                .to_string();
-            if !name.ends_with(".json") {
-                // Leftover temp file from an interrupted atomic write.
-                fs::remove_file(&path)?;
-                removed_files += 1;
-                continue;
-            }
-            let hash = name.trim_end_matches(".json").to_string();
-            let key = fs::read_to_string(&path)
-                .ok()
-                .and_then(|text| Json::parse(&text).ok())
-                .and_then(|document| {
-                    document
-                        .get("key")
-                        .and_then(Json::as_str)
-                        .map(str::to_string)
-                })
-                .filter(|key| content_hash(key) == hash);
-            match key {
-                Some(key) => {
-                    fresh.insert(hash, key);
-                }
-                None => {
-                    fs::remove_file(&path)?;
-                    removed_files += 1;
-                }
+        let mut report = CompactionReport::default();
+        for leftover in ["index.json", "index.lock"] {
+            if remove_if_present(&self.root.join(leftover))? {
+                report.removed_files += 1;
             }
         }
-        let dropped_index_entries = index
-            .keys()
-            .filter(|hash| !fresh.contains_key(*hash))
-            .count();
-        *index = fresh;
-        write_atomically(&index_path, &render_index(&index))?;
-        Ok(CompactionReport {
-            live_entries: index.len(),
-            dropped_index_entries,
-            removed_files,
-        })
-    }
-
-    /// Rewrites `index.json` under the advisory file lock, after merging any
-    /// entries another store instance (thread *or* process) published since
-    /// we last read the file. The in-process mutex alone cannot see writers
-    /// in other processes — or other `ResultStore` instances opened on the
-    /// same `--cache-dir` by concurrent server requests — and a wholesale
-    /// rewrite without the read-merge step would silently drop their
-    /// entries.
-    fn rewrite_index(&self, index: &mut BTreeMap<String, String>) -> io::Result<()> {
-        let index_path = self.root.join("index.json");
-        let lock = IndexLock::acquire(&self.root);
-        for (hash, key) in load_index(&index_path) {
-            index.entry(hash).or_insert(key);
+        for file in self.files()? {
+            if is_entry(&file) && stored_key_matches_name(&file.0) {
+                report.live_entries += 1;
+            } else {
+                fs::remove_file(&file.0)?;
+                report.removed_files += 1;
+            }
         }
-        let rendered = render_index(index);
-        let outcome = write_atomically(&index_path, &rendered);
-        drop(lock);
-        outcome
+        Ok(report)
     }
 }
 
@@ -370,7 +263,7 @@ impl ResultStore {
 pub struct EvictionReport {
     /// Entry files considered.
     pub scanned: usize,
-    /// Entry files deleted (oldest sidecar access time first).
+    /// Entry files deleted (least recently used first).
     pub evicted: usize,
     /// Total entry bytes before eviction.
     pub bytes_before: u64,
@@ -382,86 +275,10 @@ pub struct EvictionReport {
 /// Outcome of one [`ResultStore::compact`] pass.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CompactionReport {
-    /// Verified entries the rebuilt index references.
+    /// Entry files whose stored key hashes to their file name.
     pub live_entries: usize,
-    /// Index entries dropped because no verifying entry file backs them.
-    pub dropped_index_entries: usize,
-    /// Temp, alien or corrupt files removed from the entries directory.
+    /// Temp, alien, corrupt or obsolete files removed from the store.
     pub removed_files: usize,
-}
-
-/// Advisory cross-process lock on the store index: a `create_new` lock file
-/// next to `index.json`. Acquisition retries briefly, takes over stale locks
-/// (a holder that died mid-rewrite), and on timeout degrades to proceeding
-/// *without* the lock with a warning — entry files are the source of truth,
-/// so a racy index rewrite costs index completeness, never cached data.
-struct IndexLock {
-    path: PathBuf,
-    held: bool,
-}
-
-/// How long acquisition retries before proceeding unlocked.
-const INDEX_LOCK_TIMEOUT: Duration = Duration::from_secs(2);
-
-/// Age beyond which a lock file is presumed abandoned and removed. Index
-/// rewrites are milliseconds, so ten seconds is orders of magnitude past any
-/// live holder.
-const INDEX_LOCK_STALE: Duration = Duration::from_secs(10);
-
-impl IndexLock {
-    fn acquire(root: &Path) -> Self {
-        let path = root.join("index.lock");
-        let deadline = Instant::now() + INDEX_LOCK_TIMEOUT;
-        loop {
-            match fs::OpenOptions::new()
-                .write(true)
-                .create_new(true)
-                .open(&path)
-            {
-                Ok(mut file) => {
-                    let _ = write!(file, "{}", std::process::id());
-                    return Self { path, held: true };
-                }
-                Err(error) if error.kind() == io::ErrorKind::AlreadyExists => {
-                    let stale = fs::metadata(&path)
-                        .and_then(|meta| meta.modified())
-                        .ok()
-                        .and_then(|modified| modified.elapsed().ok())
-                        .is_some_and(|age| age > INDEX_LOCK_STALE);
-                    if stale {
-                        let _ = fs::remove_file(&path);
-                        continue;
-                    }
-                    if Instant::now() >= deadline {
-                        eprintln!(
-                            "[pnoc-store] warning: index lock {} busy for {:?}, \
-                             rewriting index without it",
-                            path.display(),
-                            INDEX_LOCK_TIMEOUT
-                        );
-                        return Self { path, held: false };
-                    }
-                    std::thread::sleep(Duration::from_millis(2));
-                }
-                Err(error) => {
-                    eprintln!(
-                        "[pnoc-store] warning: cannot create index lock {}: {error}; \
-                         rewriting index without it",
-                        path.display()
-                    );
-                    return Self { path, held: false };
-                }
-            }
-        }
-    }
-}
-
-impl Drop for IndexLock {
-    fn drop(&mut self) {
-        if self.held {
-            let _ = fs::remove_file(&self.path);
-        }
-    }
 }
 
 impl PointCache for ResultStore {
@@ -478,15 +295,53 @@ impl PointCache for ResultStore {
     }
 }
 
+/// Whether a file under `entries/` is named like an entry (`*.json`);
+/// anything else there is a temp file of an interrupted write.
+fn is_entry((path, _): &(PathBuf, fs::Metadata)) -> bool {
+    path.extension().is_some_and(|ext| ext == "json")
+}
+
+/// Whether the entry file at `path` parses and stores a key that hashes to
+/// its file name.
+fn stored_key_matches_name(path: &Path) -> bool {
+    let Ok(text) = fs::read_to_string(path) else {
+        return false;
+    };
+    let Ok(document) = Json::parse(&text) else {
+        return false;
+    };
+    let stem = path.file_stem().and_then(|stem| stem.to_str());
+    document
+        .get("key")
+        .and_then(Json::as_str)
+        .is_some_and(|key| Some(content_hash(key).as_str()) == stem)
+}
+
+/// Removes `path`; `Ok(false)` if it was already gone.
+fn remove_if_present(path: &Path) -> io::Result<bool> {
+    match fs::remove_file(path) {
+        Ok(()) => Ok(true),
+        Err(error) if error.kind() == io::ErrorKind::NotFound => Ok(false),
+        Err(error) => Err(error),
+    }
+}
+
 /// Writes `text` to `path` atomically: a temp file next to the target (same
 /// filesystem, so the rename cannot cross devices) is written fully, then
-/// renamed over the target.
+/// renamed over the target. The temp name carries the process id and a
+/// process-wide sequence number, so neither two processes nor two threads
+/// of one process saving the same key ever share a temp file.
 fn write_atomically(path: &Path, text: &str) -> io::Result<()> {
+    static SEQUENCE: AtomicU64 = AtomicU64::new(0);
     let file_name = path
         .file_name()
         .and_then(|name| name.to_str())
         .unwrap_or("entry");
-    let tmp = path.with_file_name(format!(".{file_name}.tmp{}", std::process::id()));
+    let tmp = path.with_file_name(format!(
+        ".{file_name}.tmp{}.{}",
+        std::process::id(),
+        SEQUENCE.fetch_add(1, Ordering::Relaxed)
+    ));
     fs::write(&tmp, text)?;
     match fs::rename(&tmp, path) {
         Ok(()) => Ok(()),
@@ -495,62 +350,6 @@ fn write_atomically(path: &Path, text: &str) -> io::Result<()> {
             Err(error)
         }
     }
-}
-
-/// Current time as fractional seconds since the Unix epoch (`0.0` if the
-/// clock reads before the epoch).
-fn now_epoch_seconds() -> f64 {
-    std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .map(|elapsed| elapsed.as_secs_f64())
-        .unwrap_or(0.0)
-}
-
-/// Best-effort refresh of an entry's sidecar `atime_epoch_seconds` — the
-/// LRU signal [`ResultStore::evict_to_budget`] orders by. Failures are
-/// swallowed: a stale access time costs eviction accuracy, never
-/// correctness.
-fn touch_entry(path: &Path, text: &str) {
-    let _ = rewrite_entry_atime(path, text, now_epoch_seconds());
-}
-
-fn rewrite_entry_atime(path: &Path, text: &str, atime: f64) -> io::Result<()> {
-    let Ok(mut document) = Json::parse(text) else {
-        return Ok(());
-    };
-    set_sidecar_atime(&mut document, atime);
-    write_atomically(path, &(document.render() + "\n"))
-}
-
-fn set_sidecar_atime(document: &mut Json, atime: f64) {
-    let Json::Obj(fields) = document else { return };
-    let sidecar = match fields.iter_mut().position(|(k, _)| k == "sidecar") {
-        Some(at) => &mut fields[at].1,
-        None => {
-            fields.push(("sidecar".to_string(), Json::Obj(Vec::new())));
-            &mut fields.last_mut().expect("just pushed").1
-        }
-    };
-    let Json::Obj(sidecar_fields) = sidecar else {
-        return;
-    };
-    match sidecar_fields
-        .iter_mut()
-        .find(|(k, _)| k == "atime_epoch_seconds")
-    {
-        Some((_, value)) => *value = Json::Num(atime),
-        None => sidecar_fields.push(("atime_epoch_seconds".to_string(), Json::Num(atime))),
-    }
-}
-
-/// The sidecar access time of a parsed entry document; entries predating
-/// the sidecar atime (or with a malformed one) read as `0.0`, i.e. oldest.
-fn entry_atime(document: &Json) -> f64 {
-    document
-        .get("sidecar")
-        .and_then(|sidecar| sidecar.get("atime_epoch_seconds"))
-        .and_then(Json::as_f64)
-        .unwrap_or(0.0)
 }
 
 fn decode_entry(text: &str, expected_key: &str) -> Result<SweepPoint, String> {
@@ -576,51 +375,12 @@ fn decode_entry(text: &str, expected_key: &str) -> Result<SweepPoint, String> {
     codec::point_from_json(point).map_err(|error| error.to_string())
 }
 
-fn render_index(index: &BTreeMap<String, String>) -> String {
-    Json::obj(vec![
-        ("format", Json::str(INDEX_FORMAT)),
-        ("entry_count", Json::Num(index.len() as f64)),
-        (
-            "entries",
-            Json::Obj(
-                index
-                    .iter()
-                    .map(|(hash, key)| (hash.clone(), Json::str(key)))
-                    .collect(),
-            ),
-        ),
-    ])
-    .render()
-        + "\n"
-}
-
-fn load_index(path: &Path) -> BTreeMap<String, String> {
-    let Ok(text) = fs::read_to_string(path) else {
-        return BTreeMap::new();
-    };
-    let Ok(document) = Json::parse(&text) else {
-        eprintln!(
-            "[pnoc-store] warning: corrupt index {}, rebuilding as entries are written",
-            path.display()
-        );
-        return BTreeMap::new();
-    };
-    let mut index = BTreeMap::new();
-    if let Some(Json::Obj(fields)) = document.get("entries") {
-        for (hash, key) in fields {
-            if let Some(key) = key.as_str() {
-                index.insert(hash.clone(), key.to_string());
-            }
-        }
-    }
-    index
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use pnoc_sim::clock::Clock;
     use pnoc_sim::stats::SimStats;
+    use std::time::Duration;
 
     fn temp_root(tag: &str) -> PathBuf {
         let root =
@@ -651,7 +411,6 @@ mod tests {
         assert_eq!(store.entry_count(), 1);
         let stats = store.stats();
         assert_eq!((stats.hits, stats.misses, stats.writes), (1, 1, 1));
-        // The index survives a reopen.
         let reopened = ResultStore::open(&root).unwrap();
         assert_eq!(reopened.entry_count(), 1);
         let _ = fs::remove_dir_all(&root);
@@ -678,82 +437,109 @@ mod tests {
 
     /// Independent store instances sharing one root (the shape of parallel
     /// server requests populating one `--cache-dir`, or of several
-    /// processes) must not lose each other's index entries: every rewrite
-    /// merges the on-disk index under the advisory file lock before
-    /// publishing.
+    /// processes) share nothing but the entries directory, so none can lose
+    /// another's entries.
     #[test]
-    fn concurrent_instances_do_not_lose_index_entries() {
-        let root = temp_root("concurrent-index");
-        fs::create_dir_all(&root).unwrap();
+    fn concurrent_instances_do_not_lose_entries() {
+        let root = temp_root("concurrent-instances");
         let point = sample_point();
-        let lanes = 8usize;
-        let keys_per_lane = 6usize;
+        let keys: Vec<String> = (0..48).map(|n| format!("key-{n}")).collect();
         std::thread::scope(|scope| {
-            for lane in 0..lanes {
-                let root = &root;
-                let point = &point;
+            // 8 lanes × 6 keys, one store instance per lane.
+            for lane in keys.chunks(6) {
+                let (root, point) = (&root, &point);
                 scope.spawn(move || {
-                    // A *separate* instance per thread: the in-process mutex
-                    // offers no protection here, only the file lock does.
                     let store = ResultStore::open(root).unwrap();
-                    for item in 0..keys_per_lane {
-                        store
-                            .save(&format!("lane-{lane}-key-{item}"), point, 0.01)
-                            .unwrap();
+                    for key in lane {
+                        store.save(key, point, 0.01).unwrap();
                     }
                 });
             }
         });
         let reopened = ResultStore::open(&root).unwrap();
-        let index = reopened.index.lock().unwrap();
-        assert_eq!(
-            index.len(),
-            lanes * keys_per_lane,
-            "index lost entries written by concurrent instances"
-        );
-        for lane in 0..lanes {
-            for item in 0..keys_per_lane {
-                let key = format!("lane-{lane}-key-{item}");
-                assert_eq!(index.get(&content_hash(&key)), Some(&key));
-            }
+        assert_eq!(reopened.entry_count(), keys.len());
+        for key in &keys {
+            assert_eq!(reopened.load(key).as_ref(), Some(&point), "{key}");
         }
-        drop(index);
-        assert!(
-            !root.join("index.lock").exists(),
-            "lock file must be released after the last rewrite"
-        );
         let _ = fs::remove_dir_all(&root);
     }
 
-    /// Pins an entry's sidecar access time to a fixed value so eviction
-    /// order is under test control instead of wall-clock resolution.
-    fn pin_atime(store: &ResultStore, key: &str, atime: f64) {
-        let path = store.entry_path(key);
-        let text = fs::read_to_string(&path).unwrap();
-        rewrite_entry_atime(&path, &text, atime).unwrap();
+    /// Threads of one process saving the *same* key (two concurrent cold
+    /// `POST /run` of one spec) must each write their own temp file: a
+    /// shared one is truncated under the first writer, whose rename then
+    /// publishes a torn entry while the second's fails `NotFound`.
+    #[test]
+    fn concurrent_same_key_saves_never_fail_or_tear() {
+        let root = temp_root("same-key");
+        let store = ResultStore::open(&root).unwrap();
+        let point = sample_point();
+        let lanes = 4usize;
+        let start = std::sync::Barrier::new(lanes);
+        std::thread::scope(|scope| {
+            for _ in 0..lanes {
+                scope.spawn(|| {
+                    start.wait();
+                    for _ in 0..200 {
+                        store.save("key-a", &point, 0.01).unwrap();
+                        assert_eq!(store.load("key-a").as_ref(), Some(&point));
+                    }
+                });
+            }
+        });
+        let left: Vec<PathBuf> = store.files().unwrap().map(|(path, _)| path).collect();
+        assert_eq!(left, [store.entry_path("key-a")], "no temp file is left");
+        let _ = fs::remove_dir_all(&root);
     }
 
-    fn stored_atime(store: &ResultStore, key: &str) -> f64 {
-        let text = fs::read_to_string(store.entry_path(key)).unwrap();
-        entry_atime(&Json::parse(&text).unwrap())
+    /// Pins an entry's modification time to `seconds` past the epoch so
+    /// eviction order is under test control instead of wall-clock
+    /// resolution.
+    fn pin_mtime(store: &ResultStore, key: &str, seconds: u64) {
+        fs::File::options()
+            .write(true)
+            .open(store.entry_path(key))
+            .unwrap()
+            .set_modified(SystemTime::UNIX_EPOCH + Duration::from_secs(seconds))
+            .unwrap();
     }
 
     #[test]
-    fn load_refreshes_the_sidecar_access_time() {
+    fn load_refreshes_the_entry_mtime() {
         let root = temp_root("touch");
         let store = ResultStore::open(&root).unwrap();
         store.save("key-a", &sample_point(), 0.1).unwrap();
-        pin_atime(&store, "key-a", 5.0);
+        pin_mtime(&store, "key-a", 5);
         assert!(store.load("key-a").is_some());
+        let refreshed = fs::metadata(store.entry_path("key-a")).unwrap();
         assert!(
-            stored_atime(&store, "key-a") > 5.0,
+            refreshed.modified().unwrap() > SystemTime::UNIX_EPOCH + Duration::from_secs(5),
             "a cache hit must refresh the LRU access time"
         );
         let _ = fs::remove_dir_all(&root);
     }
 
     #[test]
-    fn eviction_is_lru_by_sidecar_atime_and_survives_reload() {
+    fn a_hit_writes_nothing_into_the_entry() {
+        let root = temp_root("hit");
+        let store = ResultStore::open(&root).unwrap();
+        store.save("key-a", &sample_point(), 0.1).unwrap();
+        let path = store.entry_path("key-a");
+        let (bytes, saved) = (fs::read(&path).unwrap(), fs::metadata(&path).unwrap());
+        assert!(store.load("key-a").is_some());
+        let hit = fs::metadata(&path).unwrap();
+        assert!(fs::read(&path).unwrap() == bytes, "a hit must not rewrite");
+        #[cfg(unix)]
+        assert_eq!(
+            std::os::unix::fs::MetadataExt::ino(&hit),
+            std::os::unix::fs::MetadataExt::ino(&saved),
+            "a hit must not replace the file"
+        );
+        assert!(hit.modified().unwrap() >= saved.modified().unwrap());
+        let _ = fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn eviction_is_lru_by_mtime_and_survives_reload() {
         let root = temp_root("evict");
         let store = ResultStore::open(&root).unwrap();
         let point = sample_point();
@@ -761,9 +547,9 @@ mod tests {
             store.save(key, &point, 0.1).unwrap();
         }
         // key-b is the coldest, key-c the hottest.
-        pin_atime(&store, "key-a", 20.0);
-        pin_atime(&store, "key-b", 10.0);
-        pin_atime(&store, "key-c", 30.0);
+        pin_mtime(&store, "key-a", 20);
+        pin_mtime(&store, "key-b", 10);
+        pin_mtime(&store, "key-c", 30);
         let entry_bytes = fs::metadata(store.entry_path("key-c")).unwrap().len();
         // Budget for exactly one entry: the two coldest must go.
         let report = store.evict_to_budget(entry_bytes).unwrap();
@@ -772,18 +558,15 @@ mod tests {
         assert!(report.bytes_before > report.bytes_after);
         assert!(store.load("key-b").is_none(), "coldest entry evicted");
         assert!(store.load("key-a").is_none(), "second-coldest evicted");
-        assert_eq!(store.load("key-c"), Some(point), "hottest entry survives");
         assert_eq!(store.entry_count(), 1);
-        // The shrunken index survives a reopen and only lists the survivor.
+        // A reopened store sees only the survivor.
         let reopened = ResultStore::open(&root).unwrap();
-        let index = reopened.index.lock().unwrap();
-        assert_eq!(index.len(), 1);
+        assert_eq!(reopened.entry_count(), 1);
         assert_eq!(
-            index.get(&content_hash("key-c")).map(String::as_str),
-            Some("key-c")
+            reopened.load("key-c"),
+            Some(point),
+            "hottest entry survives"
         );
-        drop(index);
-        assert!(!root.join("index.lock").exists(), "lock released");
         let _ = fs::remove_dir_all(&root);
     }
 
@@ -801,29 +584,21 @@ mod tests {
     }
 
     #[test]
-    fn compaction_prunes_dangling_index_entries_and_stray_files() {
+    fn compaction_removes_stray_files_and_survives_reopen() {
         let root = temp_root("compact");
         let store = ResultStore::open(&root).unwrap();
         let point = sample_point();
         store.save("key-a", &point, 0.1).unwrap();
         store.save("key-b", &point, 0.1).unwrap();
-        // Delete one entry behind the store's back: its index entry dangles.
+        // Delete one entry behind the store's back.
         fs::remove_file(store.entry_path("key-b")).unwrap();
         // And litter the entries dir with an interrupted-write temp file.
         fs::write(root.join("entries").join(".stray.json.tmp123"), "junk").unwrap();
         let report = store.compact().unwrap();
         assert_eq!(report.live_entries, 1);
-        assert_eq!(report.dropped_index_entries, 1);
         assert_eq!(report.removed_files, 1);
-        // The compacted index shrinks and survives a reopen.
         let reopened = ResultStore::open(&root).unwrap();
-        let index = reopened.index.lock().unwrap();
-        assert_eq!(index.len(), 1);
-        assert_eq!(
-            index.get(&content_hash("key-a")).map(String::as_str),
-            Some("key-a")
-        );
-        drop(index);
+        assert_eq!(reopened.entry_count(), 1);
         assert_eq!(reopened.load("key-a"), Some(point));
         let _ = fs::remove_dir_all(&root);
     }
