@@ -82,8 +82,7 @@
 //!                            # (smoke tests / CI)
 //!
 //! repro --threads 4          # force the parallel-sweep worker count
-//!                            # (overrides RAYON_NUM_THREADS and the
-//!                            # detected parallelism)
+//!                            # (overrides the detected parallelism)
 //! repro --cross-engine-check # run every registered architecture plus
 //!                            # closed-loop workloads under both the
 //!                            # per-cycle and the event-driven executor,
@@ -649,7 +648,7 @@ struct Options {
     names: Vec<String>,
     json_path: Option<String>,
     cross_engine_path: Option<String>,
-    /// `--threads N`; 0 keeps `RAYON_NUM_THREADS` / the detected parallelism.
+    /// `--threads N`; 0 keeps the detected parallelism.
     thread_override: usize,
     matrix_path: Option<String>,
     dump_path: Option<String>,
@@ -846,7 +845,7 @@ fn main() {
     }
 
     // Apply the worker-count override before any parallel sweep runs; 0
-    // (no --threads flag) keeps RAYON_NUM_THREADS / detected parallelism.
+    // (no --threads flag) keeps the detected parallelism.
     pnoc_exec::set_worker_override(thread_override);
 
     if !describe_args.is_empty() {

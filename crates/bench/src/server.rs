@@ -37,7 +37,8 @@
 //! | `GET /stats` | `200 application/json`: lifetime request/point/cache counters |
 //!
 //! Malformed requests get `400`, unknown paths `404`, other methods `405`,
-//! stalled requests `408`, over-capacity connections `503`; the connection
+//! stalled requests `408`, bodies over [`MAX_BODY_BYTES`] `413`, heads over
+//! [`MAX_HEAD_BYTES`] `431`, over-capacity connections `503`; the connection
 //! is always closed after one response.
 //!
 //! ## Revalidation
@@ -69,6 +70,16 @@ pub const DEFAULT_MAX_IN_FLIGHT: usize = 32;
 /// Per-connection read/write timeout when [`ServerOptions::io_timeout`] is
 /// `None`.
 pub const DEFAULT_IO_TIMEOUT: Duration = Duration::from_secs(30);
+
+/// Largest request body accepted; a larger `Content-Length` gets `413`
+/// before anything is allocated for it. The scenario document of the full
+/// default matrix is ≈ 6 KiB, so this leaves two orders of magnitude of
+/// headroom for hand-written batches.
+pub const MAX_BODY_BYTES: usize = 1 << 20;
+
+/// Largest request head (request line + headers) read; a head that has not
+/// ended by then gets `431`.
+pub const MAX_HEAD_BYTES: u64 = 16 * 1024;
 
 /// How a server instance runs.
 #[derive(Default)]
@@ -478,12 +489,25 @@ impl RequestFailure {
 
 /// Reads one HTTP/1.1 request (request line, headers, `Content-Length`
 /// body). Returns the response status + reason to send on anything
-/// malformed or stalled.
+/// malformed, oversized or stalled.
 fn read_request(reader: &mut BufReader<TcpStream>) -> Result<Request, RequestFailure> {
-    let mut request_line = String::new();
-    reader
-        .read_line(&mut request_line)
-        .map_err(|error| RequestFailure::from_io("reading request line", &error))?;
+    // The head is read through a byte budget, so a line that never ends
+    // cannot grow a buffer without bound.
+    let mut head = reader.by_ref().take(MAX_HEAD_BYTES);
+    let mut read_head_line = |context: &str| -> Result<String, RequestFailure> {
+        let mut line = String::new();
+        head.read_line(&mut line)
+            .map_err(|error| RequestFailure::from_io(context, &error))?;
+        if !line.ends_with('\n') && head.limit() == 0 {
+            return Err(RequestFailure {
+                status: 431,
+                reason: "Request Header Fields Too Large",
+                message: format!("request head exceeds {MAX_HEAD_BYTES} bytes"),
+            });
+        }
+        Ok(line)
+    };
+    let request_line = read_head_line("reading request line")?;
     let mut parts = request_line.split_whitespace();
     let (Some(method), Some(path), Some(version)) = (parts.next(), parts.next(), parts.next())
     else {
@@ -500,10 +524,7 @@ fn read_request(reader: &mut BufReader<TcpStream>) -> Result<Request, RequestFai
     let mut content_length = 0usize;
     let mut if_none_match: Option<String> = None;
     loop {
-        let mut line = String::new();
-        reader
-            .read_line(&mut line)
-            .map_err(|error| RequestFailure::from_io("reading headers", &error))?;
+        let line = read_head_line("reading headers")?;
         let line = line.trim_end();
         if line.is_empty() {
             break;
@@ -517,6 +538,13 @@ fn read_request(reader: &mut BufReader<TcpStream>) -> Result<Request, RequestFai
                 if_none_match = Some(value.trim().to_string());
             }
         }
+    }
+    if content_length > MAX_BODY_BYTES {
+        return Err(RequestFailure {
+            status: 413,
+            reason: "Payload Too Large",
+            message: format!("{content_length}-byte body exceeds the {MAX_BODY_BYTES}-byte limit"),
+        });
     }
     let mut body = vec![0u8; content_length];
     reader.read_exact(&mut body).map_err(|error| {

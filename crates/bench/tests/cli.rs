@@ -1,0 +1,87 @@
+//! The `repro` binary's command-line contracts that only a real process can
+//! show: the listing flags, the cache-maintenance flags against an on-disk
+//! store, and the exit code + message of an unknown registry name.
+
+use std::path::{Path, PathBuf};
+use std::process::{Command, Output};
+
+fn repro(args: &[&str]) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_repro"))
+        .args(args)
+        .output()
+        .expect("repro binary runs")
+}
+
+/// `(stdout, stderr)` of an invocation that must succeed (`[repro]` notes go
+/// to stderr).
+fn run_ok(args: &[&str]) -> (String, String) {
+    let output = repro(args);
+    assert!(output.status.success(), "repro {args:?} failed: {output:?}");
+    let text = |bytes| String::from_utf8(bytes).expect("output is UTF-8");
+    (text(output.stdout), text(output.stderr))
+}
+
+fn file_names(dir: &Path) -> Vec<String> {
+    let mut names: Vec<String> = std::fs::read_dir(dir)
+        .expect("directory lists")
+        .map(|entry| entry.expect("entry reads").file_name())
+        .map(|name| name.to_string_lossy().into_owned())
+        .collect();
+    names.sort();
+    names
+}
+
+#[test]
+fn listings_render_the_live_catalogues() {
+    assert!(run_ok(&["--describe-arch", "hier"])
+        .0
+        .contains("nested leaf fabrics"));
+    assert!(run_ok(&["--list-architectures"])
+        .0
+        .contains("hier (7 parameters)"));
+    assert!(run_ok(&["--list-faults"]).0.contains("single-link"));
+}
+
+#[test]
+fn unknown_architecture_exits_2_with_a_suggestion() {
+    let output = repro(&["--scenario", "d-hetpnok:uniform"]);
+    assert_eq!(output.status.code(), Some(2));
+    let stderr = String::from_utf8(output.stderr).expect("stderr is UTF-8");
+    assert!(
+        stderr.contains(
+            "unknown architecture 'd-hetpnok'; registered: \
+             [d-hetpnoc, firefly, hier, uniform-fabric] — did you mean 'd-hetpnoc'?"
+        ),
+        "{stderr}"
+    );
+}
+
+#[test]
+fn cache_dir_holds_only_entries_and_maintenance_flags_count_them() {
+    let dir: PathBuf = std::env::temp_dir().join(format!("pnoc-cli-cache-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let dir_arg = dir.to_str().expect("temp path is UTF-8");
+
+    let scenario = "uniform-fabric:uniform";
+    run_ok(&["--quick", "--scenario", scenario, "--cache-dir", dir_arg]);
+    // The entry files are the whole store: nothing else may appear.
+    assert_eq!(file_names(&dir), ["entries"]);
+    let entries = file_names(&dir.join("entries"));
+    assert!(entries.len() > 1, "a quick ladder has several points");
+
+    // One entry deleted behind the store's back: compaction counts the rest.
+    std::fs::remove_file(dir.join("entries").join(&entries[0])).expect("entry deletes");
+    let live = entries.len() - 1;
+    let (_, compacted) = run_ok(&["--cache-dir", dir_arg, "--cache-compact"]);
+    assert!(
+        compacted.contains(&format!("cache compacted: {live} live entr")),
+        "{compacted}"
+    );
+    assert_eq!(file_names(&dir.join("entries")).len(), live);
+
+    // LRU eviction to a 1-byte budget clears every entry.
+    run_ok(&["--cache-dir", dir_arg, "--cache-max-bytes", "1"]);
+    assert_eq!(file_names(&dir), ["entries"]);
+    assert!(file_names(&dir.join("entries")).is_empty());
+    let _ = std::fs::remove_dir_all(&dir);
+}

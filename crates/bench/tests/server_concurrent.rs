@@ -123,8 +123,8 @@ fn parallel_posts_are_byte_identical_to_the_batch_path() {
     assert_eq!(report.runs, total as u64);
     assert_eq!(report.rejected, 0, "default backlog admits all six");
 
-    // The shared cache dir was populated concurrently; the advisory index
-    // lock must have kept every entry reachable on reopen.
+    // The shared cache dir was populated concurrently; each entry is one
+    // atomically renamed file, so a reopened store sees them all.
     let reopened = ResultStore::open(&dir).expect("store reopens");
     assert!(
         reopened.entry_count() > 0,

@@ -5,7 +5,7 @@
 //! asserted via the hit counters), and the small endpoints behave.
 
 use pnoc_bench::scenario_io::render_scenarios;
-use pnoc_bench::server::{serve, ServerOptions, ServerReport};
+use pnoc_bench::server::{serve, ServerOptions, ServerReport, MAX_HEAD_BYTES};
 use pnoc_sim::metrics::JsonlSink;
 use pnoc_sim::scenario::{run_specs_with_cache, Effort, ScenarioSpec};
 use pnoc_store::ResultStore;
@@ -58,6 +58,17 @@ fn request(address: &str, method: &str, path: &str, body: &str) -> (String, Stri
         .expect("response has a header/body separator");
     let status = head.lines().next().expect("status line").to_string();
     (status, payload.to_string())
+}
+
+/// Sends `head` verbatim (no body) and returns the response's status line.
+fn raw_request(address: &str, head: &str) -> String {
+    let mut stream = TcpStream::connect(address).expect("server accepts");
+    stream.write_all(head.as_bytes()).expect("request writes");
+    let mut response = String::new();
+    stream
+        .read_to_string(&mut response)
+        .expect("response reads");
+    response.lines().next().expect("status line").to_string()
 }
 
 /// Splits an ndjson `/run` response into the summary line and the rows.
@@ -294,7 +305,7 @@ fn over_capacity_connections_get_503() {
 fn malformed_requests_get_errors_not_crashes() {
     let dir = std::env::temp_dir().join(format!("pnoc-server-errors-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    let (address, handle) = start_server(ResultStore::open(&dir).expect("store opens"), 3);
+    let (address, handle) = start_server(ResultStore::open(&dir).expect("store opens"), 7);
 
     let (status, body) = request(&address, "POST", "/run", "this is not json");
     assert_eq!(status, "HTTP/1.1 400 Bad Request", "{body}");
@@ -305,8 +316,28 @@ fn malformed_requests_get_errors_not_crashes() {
     let (status, _) = request(&address, "DELETE", "/run", "");
     assert_eq!(status, "HTTP/1.1 405 Method Not Allowed");
 
+    // A declared body length is bounded before anything is allocated for it
+    // (the second value overflows a `Vec`'s capacity outright).
+    for length in ["999999999999", "18446744073709551615"] {
+        let status = raw_request(
+            &address,
+            &format!("POST /run HTTP/1.1\r\nContent-Length: {length}\r\n\r\n"),
+        );
+        assert_eq!(status, "HTTP/1.1 413 Payload Too Large");
+    }
+
+    // A request line that never ends is cut off at the head budget.
+    let endless = format!("GET /{}", "a".repeat(MAX_HEAD_BYTES as usize - 5));
+    assert_eq!(
+        raw_request(&address, &endless),
+        "HTTP/1.1 431 Request Header Fields Too Large"
+    );
+
+    let (status, _) = request(&address, "GET", "/health", "");
+    assert_eq!(status, "HTTP/1.1 200 OK", "the server must still answer");
+
     let report = handle.join().expect("server thread joins");
-    assert_eq!(report.requests, 3);
+    assert_eq!(report.requests, 7);
     assert_eq!(report.runs, 0, "no malformed request may reach the engine");
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -22,7 +22,7 @@ const IDLE_PARK: Duration = Duration::from_millis(200);
 type Job = Box<dyn FnOnce() + Send + 'static>;
 
 /// Explicit worker-count override (0 = unset). Takes precedence over the
-/// `RAYON_NUM_THREADS` environment variable and detected parallelism.
+/// detected parallelism.
 static WORKER_OVERRIDE: AtomicUsize = AtomicUsize::new(0);
 
 /// Set an explicit worker-count override for subsequent batch submissions
@@ -40,21 +40,13 @@ pub fn worker_override() -> usize {
 
 /// Resolve the worker limit for a batch of `jobs` items.
 ///
-/// Precedence: explicit [`set_worker_override`] value, then the
-/// `RAYON_NUM_THREADS` environment variable, then detected hardware
-/// parallelism — capped at the job count so tiny batches never pay for spare
-/// workers.
+/// Precedence: explicit [`set_worker_override`] value, then detected
+/// hardware parallelism — capped at the job count so tiny batches never pay
+/// for spare workers.
 pub fn resolve_worker_limit(jobs: usize) -> usize {
     let override_threads = WORKER_OVERRIDE.load(Ordering::SeqCst);
     let configured = if override_threads > 0 {
         override_threads
-    } else if let Ok(value) = std::env::var("RAYON_NUM_THREADS") {
-        value
-            .trim()
-            .parse::<usize>()
-            .ok()
-            .filter(|&n| n > 0)
-            .unwrap_or(1)
     } else {
         std::thread::available_parallelism()
             .map(|n| n.get())

@@ -46,6 +46,7 @@ pub mod flit;
 pub mod ids;
 pub mod link;
 pub mod packet;
+pub mod registry;
 pub mod router;
 pub mod routing;
 pub mod suggest;

@@ -1,11 +1,13 @@
 //! Name-suggestion helpers for the registries.
 //!
-//! Both process-global registries (architectures in `pnoc-sim`, traffic
-//! patterns in `pnoc-traffic`) resolve entries by string name. When a name is
-//! unknown, a bare "not found" is hostile: the caller typed `d-hetpnok` and
-//! has no idea what the catalogue actually contains. This module provides the
-//! shared pieces of a friendly failure: an edit-distance metric and a
-//! "did you mean" picker over the registered names.
+//! The three process-global registries (architectures in `pnoc-sim`, traffic
+//! patterns in `pnoc-traffic`, workloads in `pnoc-workload`) are instances of
+//! the one generic [`crate::registry::Registry`] and resolve entries by string
+//! name. When a name is unknown, a bare "not found" is hostile: the caller
+//! typed `d-hetpnok` and has no idea what the catalogue actually contains.
+//! This module provides the pieces of a friendly failure — an edit-distance
+//! metric and a "did you mean" picker over the registered names — which the
+//! registry's error and the parameter / fault-kind catalogues share.
 
 /// Levenshtein edit distance between two strings (unit costs), computed over
 /// Unicode scalar values with a two-row dynamic program.
@@ -54,7 +56,7 @@ where
     best.map(|(_, name)| name)
 }
 
-/// Renders the standard unknown-name message used by both registries:
+/// Renders the standard unknown-name message used by every catalogue:
 /// the offending name, the sorted catalogue, and a "did you mean" hint when
 /// a registered name is within typo distance.
 #[must_use]

@@ -82,8 +82,8 @@ pub mod prelude {
     };
     pub use crate::registry::{
         lookup_architecture, register_architecture, registered_architectures,
-        resolve_architecture_spec, ArchSpecError, ArchitectureBuilder, ArchitectureRegistry,
-        Provisioning, UniformFabricArchitecture, UnknownArchitectureError,
+        resolve_architecture_spec, ArchSpecError, ArchitectureBuilder, Provisioning,
+        UniformFabricArchitecture,
     };
     pub use crate::report::Table;
     pub use crate::scenario::{

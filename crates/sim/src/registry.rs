@@ -6,7 +6,8 @@
 //! hard-coded a closed two-variant enum. The registry inverts that
 //! dependency: an architecture implements [`ArchitectureBuilder`] — a name
 //! plus a `build(config, traffic) → network` constructor — and registers
-//! itself into the process-global [`ArchitectureRegistry`]. Everything
+//! itself into the process-global catalogue (a [`pnoc_noc::registry::Registry`]
+//! behind [`register_architecture`] / [`lookup_architecture`]). Everything
 //! downstream (the generic sweep driver in [`crate::sweep`], the experiment
 //! harness, the `repro` binary) resolves architectures by name, so adding an
 //! architecture touches only the crate that defines it.
@@ -22,42 +23,9 @@ use crate::config::SimConfig;
 use crate::engine::CycleNetwork;
 use crate::params::{ArchParamError, ArchParams, ParamSchema, ResolvedParams};
 use crate::system::{PhotonicSystem, UniformFabric};
-use pnoc_noc::suggest::unknown_name_message;
+use pnoc_noc::registry::{Registry, UnknownNameError};
 use pnoc_noc::traffic_model::TrafficModel;
-use std::collections::BTreeMap;
-use std::sync::{Arc, Mutex, OnceLock};
-
-/// The failure of resolving an architecture by name: carries the offending
-/// name, the full sorted catalogue of registered architectures, and (when one
-/// is within typo distance) the nearest registered name.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct UnknownArchitectureError {
-    /// The name that failed to resolve.
-    pub name: String,
-    /// Every name registered at the time of the lookup, sorted.
-    pub registered: Vec<String>,
-}
-
-impl UnknownArchitectureError {
-    /// The registered name closest to the unknown one, if any is plausibly a
-    /// typo of it.
-    #[must_use]
-    pub fn suggestion(&self) -> Option<&str> {
-        pnoc_noc::suggest::nearest_name(&self.name, self.registered.iter().map(String::as_str))
-    }
-}
-
-impl std::fmt::Display for UnknownArchitectureError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(&unknown_name_message(
-            "architecture",
-            &self.name,
-            &self.registered,
-        ))
-    }
-}
-
-impl std::error::Error for UnknownArchitectureError {}
+use std::sync::{Arc, LazyLock};
 
 /// How an architecture provisions its photonic resources. Cost models (e.g.
 /// the electro-optic area model) differ between the two styles, so the
@@ -222,96 +190,36 @@ impl ArchitectureBuilder for UniformFabricArchitecture {
     }
 }
 
-/// A name-keyed collection of architecture builders.
-#[derive(Default, Clone)]
-pub struct ArchitectureRegistry {
-    builders: BTreeMap<String, Arc<dyn ArchitectureBuilder>>,
-}
+/// The process-global architecture catalogue; the architecture crates add
+/// themselves through [`register_architecture`].
+static ARCHITECTURES: LazyLock<Registry<dyn ArchitectureBuilder>> = LazyLock::new(|| {
+    let registry: Registry<dyn ArchitectureBuilder> = Registry::new("architecture", &[]);
+    registry.register("uniform-fabric", Arc::new(UniformFabricArchitecture));
+    registry
+});
 
-impl std::fmt::Debug for ArchitectureRegistry {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ArchitectureRegistry")
-            .field("names", &self.names())
-            .finish()
-    }
-}
-
-impl ArchitectureRegistry {
-    /// Creates an empty registry.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Registers a builder under its own name, replacing (and returning) any
-    /// previous builder of the same name.
-    pub fn register(
-        &mut self,
-        builder: Arc<dyn ArchitectureBuilder>,
-    ) -> Option<Arc<dyn ArchitectureBuilder>> {
-        self.builders.insert(builder.name().to_string(), builder)
-    }
-
-    /// Looks up a builder by name.
-    #[must_use]
-    pub fn get(&self, name: &str) -> Option<Arc<dyn ArchitectureBuilder>> {
-        self.builders.get(name).cloned()
-    }
-
-    /// All registered names, sorted.
-    #[must_use]
-    pub fn names(&self) -> Vec<String> {
-        self.builders.keys().cloned().collect()
-    }
-
-    /// Number of registered architectures.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.builders.len()
-    }
-
-    /// Whether the registry is empty.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.builders.is_empty()
-    }
-}
-
-fn global() -> &'static Mutex<ArchitectureRegistry> {
-    static GLOBAL: OnceLock<Mutex<ArchitectureRegistry>> = OnceLock::new();
-    GLOBAL.get_or_init(|| {
-        let mut registry = ArchitectureRegistry::new();
-        registry.register(Arc::new(UniformFabricArchitecture));
-        Mutex::new(registry)
-    })
-}
-
-/// Registers a builder into the process-global registry, replacing (and
-/// returning) any previous builder of the same name.
+/// Registers a builder into the process-global registry under its own name,
+/// replacing (and returning) any previous builder of the same name.
 pub fn register_architecture(
     builder: Arc<dyn ArchitectureBuilder>,
 ) -> Option<Arc<dyn ArchitectureBuilder>> {
-    global()
-        .lock()
-        .expect("architecture registry poisoned")
-        .register(builder)
+    ARCHITECTURES.register(builder.name().to_string(), builder)
 }
 
 /// Looks up a builder in the process-global registry.
 ///
 /// # Errors
 ///
-/// Returns [`UnknownArchitectureError`] — which lists every registered name
-/// and suggests the nearest match — when no builder of that name is
-/// registered.
-pub fn lookup_architecture(
-    name: &str,
-) -> Result<Arc<dyn ArchitectureBuilder>, UnknownArchitectureError> {
-    let registry = global().lock().expect("architecture registry poisoned");
-    registry.get(name).ok_or_else(|| UnknownArchitectureError {
-        name: name.to_string(),
-        registered: registry.names(),
-    })
+/// Returns [`UnknownNameError`] — which lists every registered name and
+/// suggests the nearest match — when no builder of that name is registered.
+pub fn lookup_architecture(name: &str) -> Result<Arc<dyn ArchitectureBuilder>, UnknownNameError> {
+    ARCHITECTURES.lookup(name)
+}
+
+/// Names registered in the process-global registry, sorted.
+#[must_use]
+pub fn registered_architectures() -> Vec<String> {
+    ARCHITECTURES.names()
 }
 
 /// Why a `name{key=value,...}` architecture spec failed to resolve against
@@ -320,7 +228,7 @@ pub fn lookup_architecture(
 pub enum ArchSpecError {
     /// The bare name is not registered (lists the catalogue, suggests the
     /// nearest name).
-    Unknown(UnknownArchitectureError),
+    Unknown(UnknownNameError),
     /// The spec is malformed or its parameters do not validate against the
     /// architecture's declared schema.
     Params(ArchParamError),
@@ -337,8 +245,8 @@ impl std::fmt::Display for ArchSpecError {
 
 impl std::error::Error for ArchSpecError {}
 
-impl From<UnknownArchitectureError> for ArchSpecError {
-    fn from(error: UnknownArchitectureError) -> Self {
+impl From<UnknownNameError> for ArchSpecError {
+    fn from(error: UnknownNameError) -> Self {
         ArchSpecError::Unknown(error)
     }
 }
@@ -379,74 +287,11 @@ pub fn resolve_architecture_spec(
     Ok((builder, params))
 }
 
-/// Names registered in the process-global registry, sorted.
-#[must_use]
-pub fn registered_architectures() -> Vec<String> {
-    global()
-        .lock()
-        .expect("architecture registry poisoned")
-        .names()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::BandwidthSet;
     use crate::engine::run_to_completion;
-    use crate::stats::SimStats;
-
-    struct NullNetwork {
-        config: SimConfig,
-    }
-
-    impl CycleNetwork for NullNetwork {
-        fn step(&mut self, _cycle: u64) {}
-
-        fn begin_measurement(&mut self, _cycle: u64) {}
-
-        fn stats(&self) -> SimStats {
-            SimStats::new("null", "none", 0.0, self.config.clock)
-        }
-
-        fn config(&self) -> &SimConfig {
-            &self.config
-        }
-
-        fn architecture(&self) -> &str {
-            "null"
-        }
-    }
-
-    struct NullArchitecture;
-
-    impl ArchitectureBuilder for NullArchitecture {
-        fn name(&self) -> &str {
-            "null"
-        }
-
-        fn build(
-            &self,
-            config: SimConfig,
-            _params: &ResolvedParams,
-            _traffic: Box<dyn TrafficModel + Send>,
-        ) -> Box<dyn CycleNetwork> {
-            Box::new(NullNetwork { config })
-        }
-    }
-
-    #[test]
-    fn registry_registers_and_resolves_by_name() {
-        let mut registry = ArchitectureRegistry::new();
-        assert!(registry.is_empty());
-        assert!(registry.register(Arc::new(NullArchitecture)).is_none());
-        assert_eq!(registry.len(), 1);
-        assert_eq!(registry.names(), vec!["null".to_string()]);
-        assert!(registry.get("null").is_some());
-        assert!(registry.get("missing").is_none());
-        // Re-registration replaces and hands back the previous builder.
-        let previous = registry.register(Arc::new(NullArchitecture));
-        assert_eq!(previous.expect("was registered").name(), "null");
-    }
 
     #[test]
     fn global_registry_ships_the_uniform_test_fabric() {
@@ -598,7 +443,7 @@ mod tests {
         assert!(error.to_string().contains("did you mean 'uniform-fabric'?"));
 
         // Unknown parameter key: catalogue + nearest-key suggestion,
-        // mirroring the UnknownArchitectureError contract.
+        // mirroring the UnknownNameError contract.
         let Err(error) = resolve_architecture_spec("uniform-fabric{wavelenths=1}") else {
             panic!("misspelled key must not validate");
         };

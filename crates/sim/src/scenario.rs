@@ -3,21 +3,21 @@
 use crate::config::{BandwidthSet, SimConfig};
 use crate::metrics::{MetricMergeError, MetricReport, MetricRow, MetricSink};
 use crate::params::{ArchParamError, ArchParams, ResolvedParams};
-use crate::registry::{lookup_architecture, ArchitectureBuilder, UnknownArchitectureError};
+use crate::registry::{lookup_architecture, ArchitectureBuilder};
 use crate::sweep::{
     default_load_ladder, derive_point_seed, point_spec, run_point, run_sweep, SaturationResult,
     SweepMode, SweepPoint, SweepPointSpec,
 };
 use crate::workload::run_workload_point;
 use pnoc_faults::{FaultError, FaultPlan};
+use pnoc_noc::registry::UnknownNameError;
 use pnoc_noc::traffic_model::TrafficModel;
 use pnoc_traffic::factory::{
     lookup_traffic_factory, registered_traffic_patterns, TrafficFactory, TrafficSpec,
-    UnknownPatternError,
 };
 use pnoc_traffic::pattern::PacketShape;
 use pnoc_workload::dag::Workload;
-use pnoc_workload::registry::{UnknownWorkloadError, WorkloadRef, WorkloadSpec};
+use pnoc_workload::registry::{WorkloadRef, WorkloadSpec};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::Instant;
@@ -361,10 +361,9 @@ impl ScenarioSpec {
     ///
     /// # Errors
     ///
-    /// * [`ScenarioError::UnknownArchitecture`] / [`ScenarioError::UnknownTraffic`]
-    ///   / [`ScenarioError::UnknownWorkload`] when a name is not registered —
-    ///   the error lists the registered catalogue and suggests the nearest
-    ///   name,
+    /// * [`ScenarioError::UnknownName`] when an architecture, traffic-pattern
+    ///   or workload name is not registered — the error says which
+    ///   catalogue, lists it and suggests the nearest name,
     /// * [`ScenarioError::InvalidArchParams`] when the architecture
     ///   parameters are malformed or do not validate against the declared
     ///   schema (unknown key / bad value / out of bounds — the message lists
@@ -502,12 +501,9 @@ impl std::fmt::Display for ScenarioSpec {
 /// Why a [`ScenarioSpec`] could not be resolved or parsed.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ScenarioError {
-    /// The architecture name is not in the architecture registry.
-    UnknownArchitecture(UnknownArchitectureError),
-    /// The traffic-pattern name is not in the traffic registry.
-    UnknownTraffic(UnknownPatternError),
-    /// The workload name is not in the workload registry.
-    UnknownWorkload(UnknownWorkloadError),
+    /// An architecture, traffic-pattern or workload name is not in its
+    /// registry (the error's `kind` says which catalogue).
+    UnknownName(UnknownNameError),
     /// The architecture parameters are malformed or do not validate against
     /// the architecture's declared schema.
     InvalidArchParams(ArchParamError),
@@ -549,9 +545,7 @@ pub enum ScenarioError {
 impl std::fmt::Display for ScenarioError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            ScenarioError::UnknownArchitecture(e) => e.fmt(f),
-            ScenarioError::UnknownTraffic(e) => e.fmt(f),
-            ScenarioError::UnknownWorkload(e) => e.fmt(f),
+            ScenarioError::UnknownName(e) => e.fmt(f),
             ScenarioError::InvalidArchParams(e) => e.fmt(f),
             ScenarioError::WorkloadTooLarge {
                 scenario,
@@ -582,21 +576,9 @@ impl std::fmt::Display for ScenarioError {
 
 impl std::error::Error for ScenarioError {}
 
-impl From<UnknownArchitectureError> for ScenarioError {
-    fn from(error: UnknownArchitectureError) -> Self {
-        ScenarioError::UnknownArchitecture(error)
-    }
-}
-
-impl From<UnknownPatternError> for ScenarioError {
-    fn from(error: UnknownPatternError) -> Self {
-        ScenarioError::UnknownTraffic(error)
-    }
-}
-
-impl From<UnknownWorkloadError> for ScenarioError {
-    fn from(error: UnknownWorkloadError) -> Self {
-        ScenarioError::UnknownWorkload(error)
+impl From<UnknownNameError> for ScenarioError {
+    fn from(error: UnknownNameError) -> Self {
+        ScenarioError::UnknownName(error)
     }
 }
 
@@ -676,7 +658,8 @@ impl Scenario {
     }
 
     /// Runs the scenario's saturation sweep with the ladder points in
-    /// parallel (bitwise-identical to a sequential run).
+    /// parallel (bitwise-identical to a sequential run): a one-scenario
+    /// batch on the same flattened point queue as [`run_specs_with_cache`].
     #[must_use]
     pub fn run(&self) -> ScenarioResult {
         self.run_with_mode(SweepMode::Parallel)
@@ -732,24 +715,29 @@ impl Scenario {
     /// Runs the scenario with an explicit execution mode (used by
     /// determinism tests and the `benchmark/` ladder workload). Open-loop
     /// scenarios sweep their ladder; closed-loop scenarios run their single
-    /// DAG-drain point (for which both modes are the same single
-    /// simulation).
+    /// DAG-drain point. [`SweepMode::Sequential`] is the reference loop on
+    /// the calling thread; [`SweepMode::Parallel`] is a one-scenario batch
+    /// on the matrix engine's point queue.
     #[must_use]
     pub fn run_with_mode(&self, mode: SweepMode) -> ScenarioResult {
+        if mode == SweepMode::Parallel {
+            return run_scenarios(std::slice::from_ref(self), None)
+                .scenarios
+                .pop()
+                .expect("one scenario in, one result out");
+        }
         let config = self.config();
         let loads = self.spec.loads();
         let started = Instant::now();
         let result = match &self.payload {
             ScenarioPayload::Traffic(factory) => {
-                let factory = Arc::clone(factory);
-                let make = move |point: &SweepPointSpec| build_traffic(factory.as_ref(), point);
+                let make = |point: &SweepPointSpec| build_traffic(factory.as_ref(), point);
                 run_sweep(
                     self.architecture.as_ref(),
                     &self.params,
                     &make,
                     &config,
                     &loads,
-                    mode,
                     &self.faults,
                 )
             }
@@ -1275,7 +1263,12 @@ pub fn run_specs_with_cache(
     specs: &[ScenarioSpec],
     cache: Option<&dyn PointCache>,
 ) -> Result<MatrixResult, ScenarioError> {
-    let scenarios = resolve_all(specs)?;
+    Ok(run_scenarios(&resolve_all(specs)?, cache))
+}
+
+/// The one parallel entry point: runs resolved scenarios as one flattened,
+/// deduplicated batch of point jobs on the persistent executor.
+fn run_scenarios(scenarios: &[Scenario], cache: Option<&dyn PointCache>) -> MatrixResult {
     let started = Instant::now();
 
     // Flatten every (scenario, ladder point) pair into one job list,
@@ -1288,7 +1281,7 @@ pub fn run_specs_with_cache(
     let mut index_of: BTreeMap<(String, String, String, String, u64), usize> = BTreeMap::new();
     let mut assignments: Vec<Vec<usize>> = Vec::with_capacity(scenarios.len());
     let fingerprint = cache.is_some().then(engine_fingerprint);
-    for scenario in &scenarios {
+    for scenario in scenarios {
         let config = scenario.config();
         let loads = scenario.spec.loads();
         let canonical_id = fingerprint.is_some().then(|| scenario.canonical_id());
@@ -1401,7 +1394,7 @@ pub fn run_specs_with_cache(
             }
         })
         .collect();
-    Ok(MatrixResult {
+    MatrixResult {
         scenarios: results,
         total_points,
         unique_points,
@@ -1411,7 +1404,7 @@ pub fn run_specs_with_cache(
             misses: miss_indices.len(),
             stored: cache_stored,
         },
-    })
+    }
 }
 
 /// Cross-run cache accounting of one matrix run (all zero when no cache was
@@ -1558,10 +1551,11 @@ mod tests {
             .resolve()
             .expect_err("architecture is misspelled");
         match &unknown_arch {
-            ScenarioError::UnknownArchitecture(e) => {
+            ScenarioError::UnknownName(e) => {
+                assert_eq!(e.kind, "architecture");
                 assert_eq!(e.suggestion(), Some("uniform-fabric"));
             }
-            other => panic!("expected UnknownArchitecture, got {other:?}"),
+            other => panic!("expected UnknownName, got {other:?}"),
         }
         assert!(unknown_arch.to_string().contains("did you mean"));
 
@@ -1570,7 +1564,8 @@ mod tests {
             .expect_err("traffic is misspelled");
         assert!(matches!(
             unknown_traffic,
-            ScenarioError::UnknownTraffic(ref e) if e.suggestion() == Some("tornado")
+            ScenarioError::UnknownName(ref e)
+                if e.kind == "traffic pattern" && e.suggestion() == Some("tornado")
         ));
 
         let bad_load = smoke_spec()
@@ -1683,7 +1678,7 @@ mod tests {
             .effort(Effort::Smoke)
             .run()
             .expect_err("warp-drive is not registered");
-        assert!(matches!(error, ScenarioError::UnknownArchitecture(_)));
+        assert!(matches!(error, ScenarioError::UnknownName(ref e) if e.kind == "architecture"));
     }
 
     #[test]
@@ -1724,10 +1719,11 @@ mod tests {
             .resolve()
             .expect_err("misspelled workload");
         match &unknown {
-            ScenarioError::UnknownWorkload(e) => {
+            ScenarioError::UnknownName(e) => {
+                assert_eq!(e.kind, "workload");
                 assert_eq!(e.suggestion(), Some("ring-allreduce"));
             }
-            other => panic!("expected UnknownWorkload, got {other:?}"),
+            other => panic!("expected UnknownName, got {other:?}"),
         }
         assert!(unknown.to_string().contains("did you mean"));
 

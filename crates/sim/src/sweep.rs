@@ -12,10 +12,12 @@
 //! The sweep driver takes an [`ArchitectureBuilder`] (usually resolved from
 //! the [registry](crate::registry)), a traffic factory closure, a base
 //! configuration and a load ladder, and simulates one independent network per
-//! ladder point. With [`SweepMode::Parallel`] the points run on the
-//! persistent `pnoc-exec` pool; because each point is a fully independent
-//! deterministic simulation, the parallel result is **bitwise-identical** to
-//! the sequential one.
+//! ladder point, one after another on the calling thread. It is the
+//! **sequential reference**: the one parallel path — the flattened point
+//! queue of [`crate::scenario::run_specs_with_cache`], which
+//! [`SweepMode::Parallel`] selects — must be **bitwise-identical** to it,
+//! and is, because each point is a fully independent deterministic
+//! simulation.
 //!
 //! The supported entry point is the typed scenario API in
 //! [`crate::scenario`]: a [`Scenario`](crate::scenario::Scenario) resolves
@@ -43,7 +45,7 @@
 //! per-point copy of the [`SimConfig`] handed to the builder, so a point's
 //! result depends only on `(base seed, point index, load)` — never on which
 //! thread ran it or in which order points completed. This is what makes the
-//! parallel sweep reproducible and bitwise-equal to the sequential sweep.
+//! parallel point queue reproducible and bitwise-equal to the sequential sweep.
 
 use crate::config::SimConfig;
 use crate::engine::{run_to_completion_with, CycleNetwork};
@@ -199,15 +201,16 @@ where
     SaturationResult { points }
 }
 
-/// Execution strategy of the generic sweep driver.
+/// Execution strategy of a scenario run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SweepMode {
     /// Run the ladder points one after another on the calling thread.
     Sequential,
-    /// Run the ladder points on the persistent executor pool. Results are
-    /// bitwise-identical to [`SweepMode::Sequential`] because every point is
-    /// an independent deterministic simulation with a seed derived only from
-    /// the base seed and the point index.
+    /// Run the ladder points as jobs of the flattened matrix queue on the
+    /// persistent executor pool. Results are bitwise-identical to
+    /// [`SweepMode::Sequential`] because every point is an independent
+    /// deterministic simulation with a seed derived only from the base seed
+    /// and the point index.
     Parallel,
 }
 
@@ -327,32 +330,26 @@ pub(crate) fn run_point(
     }
 }
 
-/// The sweep driver behind the scenario engine in [`crate::scenario`]: one
-/// simulation per ladder point, all points through the same architecture
-/// builder.
+/// The sequential reference sweep the parallel point queue in
+/// [`crate::scenario`] is compared against: one simulation per ladder point,
+/// in ladder order on the calling thread, all points through the same
+/// architecture builder.
 pub(crate) fn run_sweep(
     architecture: &dyn ArchitectureBuilder,
     params: &ResolvedParams,
-    make_traffic: &(dyn Fn(&SweepPointSpec) -> Box<dyn TrafficModel + Send> + Sync),
+    make_traffic: &dyn Fn(&SweepPointSpec) -> Box<dyn TrafficModel + Send>,
     config: &SimConfig,
     loads: &[f64],
-    mode: SweepMode,
     faults: &FaultPlan,
 ) -> SaturationResult {
-    let specs: Vec<SweepPointSpec> = loads
+    let points = loads
         .iter()
         .enumerate()
-        .map(|(index, &load)| point_spec(config, index, load))
+        .map(|(index, &load)| {
+            let spec = point_spec(config, index, load);
+            run_point(architecture, params, &spec, make_traffic(&spec), faults)
+        })
         .collect();
-    let points: Vec<SweepPoint> = match mode {
-        SweepMode::Sequential => specs
-            .iter()
-            .map(|spec| run_point(architecture, params, spec, make_traffic(spec), faults))
-            .collect(),
-        SweepMode::Parallel => pnoc_exec::run_batch(&specs, |_, spec| {
-            run_point(architecture, params, spec, make_traffic(spec), faults)
-        }),
-    };
     SaturationResult { points }
 }
 
@@ -444,9 +441,7 @@ mod tests {
     use pnoc_noc::ids::{ClusterId, CoreId};
     use pnoc_noc::packet::{BandwidthClass, PacketDescriptor};
 
-    /// A deterministic traffic model whose stream depends on its seed, so the
-    /// determinism test would notice a wrong per-point seed or a point run
-    /// with another point's spec.
+    /// A deterministic traffic model whose stream depends on its seed.
     struct SeededPeriodic {
         seed: u64,
         period: u64,
@@ -509,46 +504,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_sweep_is_bitwise_identical_to_sequential() {
-        // Force real worker threads even on single-core CI hosts, so the
-        // parallel code path (and not a degenerate 1-thread fallback) is
-        // exercised. Uses the executor's atomic override rather than mutating
-        // the environment, which would race with concurrent getenv calls.
-        pnoc_exec::set_worker_override(4);
-        let config = sweep_config();
-        let loads = [1.0 / 400.0, 1.0 / 200.0, 1.0 / 100.0, 1.0 / 50.0];
-        let architecture = UniformFabricArchitecture;
-        let params = architecture.default_params();
-        let healthy = FaultPlan::empty();
-        let sequential = run_sweep(
-            &architecture,
-            &params,
-            &make_seeded,
-            &config,
-            &loads,
-            SweepMode::Sequential,
-            &healthy,
-        );
-        let parallel = run_sweep(
-            &architecture,
-            &params,
-            &make_seeded,
-            &config,
-            &loads,
-            SweepMode::Parallel,
-            &healthy,
-        );
-        assert!(sequential
-            .points
-            .iter()
-            .any(|p| p.stats.delivered_packets > 0));
-        assert_eq!(
-            sequential, parallel,
-            "parallel sweep must be bitwise-identical to the sequential sweep"
-        );
-    }
-
-    #[test]
     fn points_carry_metric_reports() {
         let config = sweep_config();
         let loads = [1.0 / 200.0, 1.0 / 100.0];
@@ -559,7 +514,6 @@ mod tests {
             &make_seeded,
             &config,
             &loads,
-            SweepMode::Sequential,
             &FaultPlan::empty(),
         );
         for point in &result.points {

@@ -2,7 +2,9 @@
 //!
 //! Mirrors the architecture registry of `pnoc-sim`: a traffic pattern
 //! implements [`TrafficFactory`] — a name plus a `build(spec) → model`
-//! constructor — and registers into the process-global [`TrafficRegistry`].
+//! constructor — and registers into the process-global catalogue (a
+//! [`pnoc_noc::registry::Registry`] behind [`register_traffic_factory`] /
+//! [`lookup_traffic_factory`]).
 //! The benchmark harness resolves workloads by name, so adding a pattern
 //! touches only this crate (or whatever crate defines the new pattern).
 //!
@@ -26,43 +28,10 @@ use crate::permutation::{PermutationKind, PermutationTraffic};
 use crate::skewed::SkewedTraffic;
 use crate::uniform::UniformRandomTraffic;
 use pnoc_noc::ids::CoreId;
-use pnoc_noc::suggest::unknown_name_message;
+use pnoc_noc::registry::{canonical_name, Registry, UnknownNameError};
 use pnoc_noc::topology::ClusterTopology;
 use pnoc_noc::traffic_model::{OfferedLoad, TrafficModel};
-use std::collections::BTreeMap;
-use std::sync::{Arc, Mutex, OnceLock};
-
-/// The failure of resolving a traffic pattern by name: carries the offending
-/// name, the full sorted catalogue of registered patterns, and (when one is
-/// within typo distance) the nearest registered name.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct UnknownPatternError {
-    /// The name that failed to resolve.
-    pub name: String,
-    /// Every name registered at the time of the lookup, sorted.
-    pub registered: Vec<String>,
-}
-
-impl UnknownPatternError {
-    /// The registered name closest to the unknown one, if any is plausibly a
-    /// typo of it.
-    #[must_use]
-    pub fn suggestion(&self) -> Option<&str> {
-        pnoc_noc::suggest::nearest_name(&self.name, self.registered.iter().map(String::as_str))
-    }
-}
-
-impl std::fmt::Display for UnknownPatternError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(&unknown_name_message(
-            "traffic pattern",
-            &self.name,
-            &self.registered,
-        ))
-    }
-}
-
-impl std::error::Error for UnknownPatternError {}
+use std::sync::{Arc, LazyLock};
 
 /// Everything a factory needs to instantiate a traffic model for one run.
 #[derive(Debug, Clone, Copy)]
@@ -157,12 +126,13 @@ fn permutation(spec: &TrafficSpec, kind: PermutationKind) -> Box<dyn TrafficMode
     ))
 }
 
-/// The built-in factories (see the module docs).
-fn builtin_factories() -> Vec<Arc<dyn TrafficFactory>> {
+/// A registry of the built-in factories (see the module docs).
+fn builtin_patterns() -> Registry<dyn TrafficFactory> {
     let f = |name: &'static str,
              construct: fn(&TrafficSpec) -> Box<dyn TrafficModel + Send>|
      -> Arc<dyn TrafficFactory> { Arc::new(FnFactory { name, construct }) };
-    vec![
+    let registry = Registry::new("traffic pattern", &PATTERN_ALIASES);
+    for factory in [
         f("uniform-random", |s| {
             Box::new(UniformRandomTraffic::new(
                 s.topology, s.shape, s.load, s.seed,
@@ -198,84 +168,15 @@ fn builtin_factories() -> Vec<Arc<dyn TrafficFactory>> {
                 s.topology, s.shape, s.load, s.seed,
             ))
         }),
-    ]
-}
-
-/// A name-keyed collection of traffic factories.
-#[derive(Default, Clone)]
-pub struct TrafficRegistry {
-    factories: BTreeMap<String, Arc<dyn TrafficFactory>>,
-}
-
-impl std::fmt::Debug for TrafficRegistry {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("TrafficRegistry")
-            .field("names", &self.names())
-            .finish()
+    ] {
+        registry.register(factory.name().to_string(), factory);
     }
-}
-
-impl TrafficRegistry {
-    /// Creates an empty registry.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Creates a registry pre-populated with every built-in pattern.
-    #[must_use]
-    pub fn with_builtins() -> Self {
-        let mut registry = Self::new();
-        for factory in builtin_factories() {
-            registry.register(factory);
-        }
-        registry
-    }
-
-    /// Registers a factory under its own name, replacing (and returning) any
-    /// previous factory of the same name.
-    pub fn register(
-        &mut self,
-        factory: Arc<dyn TrafficFactory>,
-    ) -> Option<Arc<dyn TrafficFactory>> {
-        self.factories.insert(factory.name().to_string(), factory)
-    }
-
-    /// Looks up a factory by name. Exact registered names always win; when
-    /// nothing is registered under `name`, well-known shorthands fall back
-    /// to their canonical pattern (see [`canonical_pattern_name`]), so a
-    /// factory explicitly registered as `"uniform"` is never shadowed by
-    /// the `uniform → uniform-random` convenience.
-    #[must_use]
-    pub fn get(&self, name: &str) -> Option<Arc<dyn TrafficFactory>> {
-        self.factories
-            .get(name)
-            .or_else(|| self.factories.get(canonical_pattern_name(name)))
-            .cloned()
-    }
-
-    /// All registered names, sorted.
-    #[must_use]
-    pub fn names(&self) -> Vec<String> {
-        self.factories.keys().cloned().collect()
-    }
-
-    /// Number of registered patterns.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.factories.len()
-    }
-
-    /// Whether the registry is empty.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.factories.is_empty()
-    }
+    registry
 }
 
 /// Shorthand pattern names accepted by lookups, mapped to their canonical
 /// registry keys. Only the canonical names appear in
-/// [`TrafficRegistry::names`]; shorthands are a lookup convenience (e.g. the
+/// [`registered_traffic_patterns`]; shorthands are a lookup convenience (e.g. the
 /// `repro --scenario firefly:uniform` CLI spelling).
 pub const PATTERN_ALIASES: [(&str, &str); 2] =
     [("uniform", "uniform-random"), ("bursty", "bursty-uniform")];
@@ -284,46 +185,38 @@ pub const PATTERN_ALIASES: [(&str, &str); 2] =
 /// names that are not shorthands).
 #[must_use]
 pub fn canonical_pattern_name(name: &str) -> &str {
-    PATTERN_ALIASES
-        .iter()
-        .find(|(alias, _)| *alias == name)
-        .map_or(name, |(_, canonical)| canonical)
+    canonical_name(&PATTERN_ALIASES, name)
 }
 
-fn global() -> &'static Mutex<TrafficRegistry> {
-    static GLOBAL: OnceLock<Mutex<TrafficRegistry>> = OnceLock::new();
-    GLOBAL.get_or_init(|| Mutex::new(TrafficRegistry::with_builtins()))
-}
+/// The process-global pattern catalogue, seeded with the built-ins.
+static PATTERNS: LazyLock<Registry<dyn TrafficFactory>> = LazyLock::new(builtin_patterns);
 
-/// Registers a factory into the process-global registry, replacing (and
-/// returning) any previous factory of the same name.
+/// Registers a factory into the process-global registry under its own name,
+/// replacing (and returning) any previous factory of the same name.
 pub fn register_traffic_factory(
     factory: Arc<dyn TrafficFactory>,
 ) -> Option<Arc<dyn TrafficFactory>> {
-    global()
-        .lock()
-        .expect("traffic registry poisoned")
-        .register(factory)
+    PATTERNS.register(factory.name().to_string(), factory)
 }
 
-/// Looks up a factory in the process-global registry.
+/// Looks up a factory in the process-global registry: exact registered names
+/// always win; when nothing is registered under `name`, the
+/// [`PATTERN_ALIASES`] shorthands fall back to their canonical pattern, so a
+/// factory explicitly registered as `"uniform"` is never shadowed by the
+/// `uniform → uniform-random` convenience.
 ///
 /// # Errors
 ///
-/// Returns [`UnknownPatternError`] — which lists every registered name and
+/// Returns [`UnknownNameError`] — which lists every registered name and
 /// suggests the nearest match — when no factory of that name is registered.
-pub fn lookup_traffic_factory(name: &str) -> Result<Arc<dyn TrafficFactory>, UnknownPatternError> {
-    let registry = global().lock().expect("traffic registry poisoned");
-    registry.get(name).ok_or_else(|| UnknownPatternError {
-        name: name.to_string(),
-        registered: registry.names(),
-    })
+pub fn lookup_traffic_factory(name: &str) -> Result<Arc<dyn TrafficFactory>, UnknownNameError> {
+    PATTERNS.lookup(name)
 }
 
 /// Names registered in the process-global registry, sorted.
 #[must_use]
 pub fn registered_traffic_patterns() -> Vec<String> {
-    global().lock().expect("traffic registry poisoned").names()
+    PATTERNS.names()
 }
 
 #[cfg(test)]
@@ -341,7 +234,7 @@ mod tests {
 
     #[test]
     fn registry_covers_the_paper_and_extended_scenarios() {
-        let registry = TrafficRegistry::with_builtins();
+        let registry = builtin_patterns();
         assert!(
             registry.len() >= 7,
             "expected at least 7 built-in patterns, found {}",
@@ -366,7 +259,7 @@ mod tests {
 
     #[test]
     fn factory_names_match_model_names() {
-        let registry = TrafficRegistry::with_builtins();
+        let registry = builtin_patterns();
         for name in registry.names() {
             let factory = registry.get(&name).expect("just listed");
             let model = factory.build(&spec());
@@ -380,7 +273,7 @@ mod tests {
 
     #[test]
     fn built_models_honour_the_spec() {
-        let registry = TrafficRegistry::with_builtins();
+        let registry = builtin_patterns();
         for name in registry.names() {
             let model = registry.get(&name).expect("listed").build(&spec());
             assert!(
@@ -392,7 +285,7 @@ mod tests {
 
     #[test]
     fn builds_are_reproducible_per_seed() {
-        let registry = TrafficRegistry::with_builtins();
+        let registry = builtin_patterns();
         for name in registry.names() {
             let factory = registry.get(&name).expect("listed");
             let mut a = factory.build(&spec());
@@ -458,34 +351,5 @@ mod tests {
         // Aliases are a lookup convenience only: the catalogue stays
         // canonical, so every listed factory still matches its model name.
         assert!(!registered_traffic_patterns().contains(&"uniform".to_string()));
-    }
-
-    #[test]
-    fn exact_registrations_are_never_shadowed_by_aliases() {
-        struct Exact;
-
-        impl TrafficFactory for Exact {
-            fn name(&self) -> &str {
-                "uniform"
-            }
-
-            fn build(&self, spec: &TrafficSpec) -> Box<dyn TrafficModel + Send> {
-                Box::new(UniformRandomTraffic::new(
-                    spec.topology,
-                    spec.shape,
-                    spec.load,
-                    spec.seed,
-                ))
-            }
-        }
-
-        let mut registry = TrafficRegistry::with_builtins();
-        registry.register(Arc::new(Exact));
-        let resolved = registry.get("uniform").expect("registered");
-        assert_eq!(
-            resolved.name(),
-            "uniform",
-            "an exact registration must win over the shorthand fallback"
-        );
     }
 }

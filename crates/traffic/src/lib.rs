@@ -26,8 +26,8 @@
 //! their own seeded RNG (runs are reproducible), and expose the per-cluster
 //! pair bandwidth classes and volume shares that d-HetPNoC's demand tables
 //! are built from. The [`factory`] module registers every pattern into a
-//! process-global [`factory::TrafficRegistry`] so that downstream harnesses
-//! resolve workloads by name instead of hard-coding a closed set.
+//! process-global [`pnoc_noc::registry::Registry`] so that downstream
+//! harnesses resolve workloads by name instead of hard-coding a closed set.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -49,7 +49,7 @@ pub mod prelude {
     pub use crate::demand::DemandMatrix;
     pub use crate::factory::{
         lookup_traffic_factory, register_traffic_factory, registered_traffic_patterns,
-        TrafficFactory, TrafficRegistry, TrafficSpec, UnknownPatternError,
+        TrafficFactory, TrafficSpec,
     };
     pub use crate::gpu::{GpuBenchmark, GpuSpeedupModel, RealApplicationTraffic};
     pub use crate::hotspot::HotspotSkewedTraffic;

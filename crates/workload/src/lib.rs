@@ -17,9 +17,8 @@ pub mod prelude {
     pub use crate::dag::{Workload, WorkloadValidationError};
     pub use crate::flow::{Flow, FlowId};
     pub use crate::registry::{
-        lookup_workload_factory, register_workload_factory, registered_workloads,
-        UnknownWorkloadError, WorkloadFactory, WorkloadRef, WorkloadRegistry, WorkloadSpec,
-        DEFAULT_BYTES_PER_NODE,
+        lookup_workload_factory, register_workload_factory, registered_workloads, WorkloadFactory,
+        WorkloadRef, WorkloadSpec, DEFAULT_BYTES_PER_NODE,
     };
     pub use crate::trace::{parse_trace, TraceError};
 }

@@ -4,10 +4,11 @@
 //!
 //! A workload implements [`WorkloadFactory`] — a name plus a
 //! `build(spec) → Workload` constructor — and registers into the
-//! process-global [`WorkloadRegistry`]. Downstream harnesses resolve
-//! workloads by `NAME[:SIZE]` references ([`WorkloadRef`]); unknown names
-//! fail with the full catalogue and a "did you mean" suggestion, exactly
-//! like the other two registries.
+//! process-global catalogue (a [`pnoc_noc::registry::Registry`] behind
+//! [`register_workload_factory`] / [`lookup_workload_factory`]). Downstream
+//! harnesses resolve workloads by `NAME[:SIZE]` references ([`WorkloadRef`]);
+//! unknown names fail with the full catalogue and a "did you mean"
+//! suggestion, exactly like the other two registries.
 //!
 //! Built-in factories:
 //!
@@ -21,9 +22,8 @@
 
 use crate::collectives;
 use crate::dag::Workload;
-use pnoc_noc::suggest::unknown_name_message;
-use std::collections::BTreeMap;
-use std::sync::{Arc, Mutex, OnceLock};
+use pnoc_noc::registry::{canonical_name, Registry, UnknownNameError};
+use std::sync::{Arc, LazyLock};
 
 /// Default per-node payload of generated workloads: 16 KiB per participant,
 /// i.e. 64 packets of the universal 2048-bit packet — big enough that
@@ -87,11 +87,15 @@ impl WorkloadFactory for FnWorkloadFactory {
     }
 }
 
-fn builtin_factories() -> Vec<Arc<dyn WorkloadFactory>> {
+/// A registry of the built-in factories (see the module docs) — what the
+/// process-global catalogue starts from.
+#[must_use]
+pub fn builtin_workloads() -> Registry<dyn WorkloadFactory> {
     let f = |name: &'static str,
              construct: fn(&WorkloadSpec) -> Workload|
      -> Arc<dyn WorkloadFactory> { Arc::new(FnWorkloadFactory { name, construct }) };
-    vec![
+    let registry = Registry::new("workload", &WORKLOAD_ALIASES);
+    for factory in [
         f("ring-allreduce", |s| {
             collectives::ring_allreduce(s.size, s.bytes_per_node)
         }),
@@ -105,7 +109,10 @@ fn builtin_factories() -> Vec<Arc<dyn WorkloadFactory>> {
             collectives::parameter_server(s.size, s.bytes_per_node)
         }),
         f("incast", |s| collectives::incast(s.size, s.bytes_per_node)),
-    ]
+    ] {
+        registry.register(factory.name().to_string(), factory);
+    }
+    registry
 }
 
 /// Shorthand workload names accepted by lookups, mapped to their canonical
@@ -121,150 +128,36 @@ pub const WORKLOAD_ALIASES: [(&str, &str); 3] = [
 /// for names that are not shorthands).
 #[must_use]
 pub fn canonical_workload_name(name: &str) -> &str {
-    WORKLOAD_ALIASES
-        .iter()
-        .find(|(alias, _)| *alias == name)
-        .map_or(name, |(_, canonical)| canonical)
+    canonical_name(&WORKLOAD_ALIASES, name)
 }
 
-/// The failure of resolving a workload by name: carries the offending name,
-/// the full sorted catalogue, and (when one is within typo distance) the
-/// nearest registered name.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct UnknownWorkloadError {
-    /// The name that failed to resolve.
-    pub name: String,
-    /// Every name registered at the time of the lookup, sorted.
-    pub registered: Vec<String>,
-}
+/// The process-global workload catalogue, seeded with the built-ins.
+static WORKLOADS: LazyLock<Registry<dyn WorkloadFactory>> = LazyLock::new(builtin_workloads);
 
-impl UnknownWorkloadError {
-    /// The registered name closest to the unknown one, if any is plausibly a
-    /// typo of it.
-    #[must_use]
-    pub fn suggestion(&self) -> Option<&str> {
-        pnoc_noc::suggest::nearest_name(&self.name, self.registered.iter().map(String::as_str))
-    }
-}
-
-impl std::fmt::Display for UnknownWorkloadError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(&unknown_name_message(
-            "workload",
-            &self.name,
-            &self.registered,
-        ))
-    }
-}
-
-impl std::error::Error for UnknownWorkloadError {}
-
-/// A name-keyed collection of workload factories.
-#[derive(Default, Clone)]
-pub struct WorkloadRegistry {
-    factories: BTreeMap<String, Arc<dyn WorkloadFactory>>,
-}
-
-impl std::fmt::Debug for WorkloadRegistry {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("WorkloadRegistry")
-            .field("names", &self.names())
-            .finish()
-    }
-}
-
-impl WorkloadRegistry {
-    /// Creates an empty registry.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Creates a registry pre-populated with every built-in workload.
-    #[must_use]
-    pub fn with_builtins() -> Self {
-        let mut registry = Self::new();
-        for factory in builtin_factories() {
-            registry.register(factory);
-        }
-        registry
-    }
-
-    /// Registers a factory under its own name, replacing (and returning) any
-    /// previous factory of the same name.
-    pub fn register(
-        &mut self,
-        factory: Arc<dyn WorkloadFactory>,
-    ) -> Option<Arc<dyn WorkloadFactory>> {
-        self.factories.insert(factory.name().to_string(), factory)
-    }
-
-    /// Looks up a factory by name. Exact registered names always win; when
-    /// nothing is registered under `name`, well-known shorthands fall back
-    /// to their canonical workload (see [`canonical_workload_name`]).
-    #[must_use]
-    pub fn get(&self, name: &str) -> Option<Arc<dyn WorkloadFactory>> {
-        self.factories
-            .get(name)
-            .or_else(|| self.factories.get(canonical_workload_name(name)))
-            .cloned()
-    }
-
-    /// All registered names, sorted.
-    #[must_use]
-    pub fn names(&self) -> Vec<String> {
-        self.factories.keys().cloned().collect()
-    }
-
-    /// Number of registered workloads.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.factories.len()
-    }
-
-    /// Whether the registry is empty.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.factories.is_empty()
-    }
-}
-
-fn global() -> &'static Mutex<WorkloadRegistry> {
-    static GLOBAL: OnceLock<Mutex<WorkloadRegistry>> = OnceLock::new();
-    GLOBAL.get_or_init(|| Mutex::new(WorkloadRegistry::with_builtins()))
-}
-
-/// Registers a factory into the process-global registry, replacing (and
-/// returning) any previous factory of the same name.
+/// Registers a factory into the process-global registry under its own name,
+/// replacing (and returning) any previous factory of the same name.
 pub fn register_workload_factory(
     factory: Arc<dyn WorkloadFactory>,
 ) -> Option<Arc<dyn WorkloadFactory>> {
-    global()
-        .lock()
-        .expect("workload registry poisoned")
-        .register(factory)
+    WORKLOADS.register(factory.name().to_string(), factory)
 }
 
-/// Looks up a factory in the process-global registry.
+/// Looks up a factory in the process-global registry: exact registered names
+/// always win; when nothing is registered under `name`, the
+/// [`WORKLOAD_ALIASES`] shorthands fall back to their canonical workload.
 ///
 /// # Errors
 ///
-/// Returns [`UnknownWorkloadError`] — which lists every registered name and
+/// Returns [`UnknownNameError`] — which lists every registered name and
 /// suggests the nearest match — when no factory of that name is registered.
-pub fn lookup_workload_factory(
-    name: &str,
-) -> Result<Arc<dyn WorkloadFactory>, UnknownWorkloadError> {
-    let registry = global().lock().expect("workload registry poisoned");
-    registry.get(name).ok_or_else(|| UnknownWorkloadError {
-        name: name.to_string(),
-        registered: registry.names(),
-    })
+pub fn lookup_workload_factory(name: &str) -> Result<Arc<dyn WorkloadFactory>, UnknownNameError> {
+    WORKLOADS.lookup(name)
 }
 
 /// Names registered in the process-global registry, sorted.
 #[must_use]
 pub fn registered_workloads() -> Vec<String> {
-    global().lock().expect("workload registry poisoned").names()
+    WORKLOADS.names()
 }
 
 /// A `NAME[:SIZE]` workload reference — the spelling accepted by `repro
@@ -316,8 +209,8 @@ impl WorkloadRef {
     ///
     /// # Errors
     ///
-    /// Returns [`UnknownWorkloadError`] when the name is not registered.
-    pub fn resolve(&self) -> Result<(Arc<dyn WorkloadFactory>, usize), UnknownWorkloadError> {
+    /// Returns [`UnknownNameError`] when the name is not registered.
+    pub fn resolve(&self) -> Result<(Arc<dyn WorkloadFactory>, usize), UnknownNameError> {
         let factory = lookup_workload_factory(&self.name)?;
         let size = self.size.unwrap_or_else(|| factory.default_size());
         Ok((factory, size))
@@ -339,7 +232,7 @@ mod tests {
 
     #[test]
     fn builtins_cover_the_canonical_collectives() {
-        let registry = WorkloadRegistry::with_builtins();
+        let registry = builtin_workloads();
         for name in [
             "ring-allreduce",
             "tree-allreduce",
@@ -355,7 +248,7 @@ mod tests {
 
     #[test]
     fn built_workloads_validate_and_scale_with_the_spec() {
-        let registry = WorkloadRegistry::with_builtins();
+        let registry = builtin_workloads();
         for name in registry.names() {
             let factory = registry.get(&name).expect("just listed");
             for size in [2usize, 5, 16] {

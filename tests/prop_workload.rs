@@ -9,7 +9,7 @@ use d_hetpnoc_repro::workload::collectives::{
     tree_allreduce_total_bytes,
 };
 use d_hetpnoc_repro::workload::dag::Workload;
-use d_hetpnoc_repro::workload::registry::{registered_workloads, WorkloadRegistry, WorkloadSpec};
+use d_hetpnoc_repro::workload::registry::{builtin_workloads, registered_workloads, WorkloadSpec};
 use proptest::prelude::*;
 
 /// Every structural invariant the closed-loop driver relies on, checked in
@@ -91,7 +91,7 @@ proptest! {
         size in 2usize..64,
         bytes in 1u64..100_000,
     ) {
-        let registry = WorkloadRegistry::with_builtins();
+        let registry = builtin_workloads();
         for name in registry.names() {
             let factory = registry.get(&name).expect("just listed");
             let workload = factory.build(&WorkloadSpec { size, bytes_per_node: bytes });
