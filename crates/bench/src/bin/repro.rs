@@ -6,7 +6,10 @@
 //! ```text
 //! repro                      # run everything at paper scale
 //! repro --quick              # run everything at reduced scale (smoke test)
-//! repro fig3_3_3_4 fig3_6    # run selected experiments
+//! repro fig3_3_3_4 fig3_6    # run selected experiments; everything named
+//!                            # (or everything, when nothing is) runs as ONE
+//!                            # deduplicated scenario batch, through the
+//!                            # result cache when --cache-dir is given
 //! repro --list               # list experiment names
 //! repro --json results.json  # additionally dump the reports as JSON
 //!
@@ -91,11 +94,8 @@
 //!                            # CROSS_ENGINE_metrics.jsonl (or =FILE)
 //! ```
 
-use pnoc_bench::experiments::{run_by_name, ExperimentReport, ALL_EXPERIMENTS};
-use pnoc_bench::json::reports_json;
-use pnoc_bench::runner::{
-    ensure_registered, latency_percentiles_at_saturation, Architecture, EffortLevel,
-};
+use pnoc_bench::experiments::{self, reports_json, ALL_EXPERIMENTS};
+use pnoc_bench::runner::{ensure_registered, latency_percentiles_at_saturation};
 use pnoc_bench::scenario_io::{matrix_json, parse_scenarios, render_scenarios};
 use pnoc_bench::server::{serve, ServerOptions};
 use pnoc_sim::config::BandwidthSet;
@@ -103,7 +103,7 @@ use pnoc_sim::metrics::{CsvSink, JsonlSink, MetricValue};
 use pnoc_sim::params::ArchParams;
 use pnoc_sim::report::{fmt_f, Table};
 use pnoc_sim::scenario::{
-    run_specs, run_specs_with_cache, MatrixResult, PointCache, ScenarioMatrix, ScenarioSpec,
+    run_specs, run_specs_with_cache, Effort, MatrixResult, PointCache, ScenarioMatrix, ScenarioSpec,
 };
 use pnoc_store::ResultStore;
 use std::io::Write as _;
@@ -171,7 +171,7 @@ const WORKLOAD_DEFAULT_ARCHITECTURE: &str = "d-hetpnoc";
 /// permutation/bursty workloads × all three bandwidth sets, crossed with
 /// any `--arch-params` axes.
 fn default_matrix(
-    effort: EffortLevel,
+    effort: Effort,
     archs: &[String],
     param_axes: &[(String, Vec<String>)],
     fault_plans: &[String],
@@ -398,6 +398,13 @@ fn run_scenario_batch(
     }
     println!("{table}");
     print_workload_table(&outcome);
+    log_batch(&outcome, cache.is_some());
+    outcome
+}
+
+/// Logs the work-queue (and, when a cache was attached, the cache) accounting
+/// of a finished batch.
+fn log_batch(outcome: &MatrixResult, cached: bool) {
     eprintln!(
         "[repro] batch: {} scenario(s), {} point(s) ({} unique after dedup) in {:.2}s",
         outcome.scenarios.len(),
@@ -405,13 +412,12 @@ fn run_scenario_batch(
         outcome.unique_points,
         outcome.wall_clock_seconds
     );
-    if cache.is_some() {
+    if cached {
         eprintln!(
             "[repro] cache: {} hit(s), {} miss(es), {} stored",
             outcome.cache.hits, outcome.cache.misses, outcome.cache.stored
         );
     }
-    outcome
 }
 
 /// Prints the closed-loop summary for any workload scenarios in the batch:
@@ -492,12 +498,12 @@ fn print_workload_table(outcome: &MatrixResult) {
 /// architecture on an open-loop ladder, plus closed-loop collective
 /// workloads, so both `run_to_completion_with` and `run_until_with` paths
 /// are exercised under both executors.
-fn cross_engine_specs(effort: EffortLevel) -> Vec<ScenarioSpec> {
+fn cross_engine_specs(effort: Effort) -> Vec<ScenarioSpec> {
     ensure_registered();
     let mut specs = Vec::new();
-    for architecture in Architecture::all() {
+    for architecture in pnoc_sim::registry::registered_architectures() {
         specs.push(
-            ScenarioSpec::new(architecture.name(), "skewed-3")
+            ScenarioSpec::new(architecture, "skewed-3")
                 .with_bandwidth_set(BandwidthSet::Set1)
                 .with_effort(effort),
         );
@@ -514,7 +520,7 @@ fn cross_engine_specs(effort: EffortLevel) -> Vec<ScenarioSpec> {
 /// scheduler, asserting bitwise-identical results and byte-identical
 /// rendered metric streams. The event-driven metrics are written to `path`
 /// as the CI artifact.
-fn run_cross_engine_check(effort: EffortLevel, path: &str) {
+fn run_cross_engine_check(effort: Effort, path: &str) {
     let specs = cross_engine_specs(effort);
     eprintln!(
         "[repro] cross-engine check: {} scenario(s) under both executors ...",
@@ -644,7 +650,7 @@ impl Listing {
 struct Options {
     /// Set by the first catalogue flag, which also ends parsing.
     listing: Option<Listing>,
-    effort: EffortLevel,
+    effort: Effort,
     names: Vec<String>,
     json_path: Option<String>,
     cross_engine_path: Option<String>,
@@ -714,7 +720,7 @@ fn flag_value(
 fn parse_args(args: Vec<String>) -> Result<Options, String> {
     let mut o = Options {
         listing: None,
-        effort: EffortLevel::Paper,
+        effort: Effort::Paper,
         names: Vec::new(),
         json_path: None,
         cross_engine_path: None,
@@ -783,8 +789,8 @@ fn parse_args(args: Vec<String>) -> Result<Options, String> {
             break;
         }
         match arg.as_str() {
-            "--quick" => o.effort = EffortLevel::Quick,
-            "--paper" => o.effort = EffortLevel::Paper,
+            "--quick" => o.effort = Effort::Quick,
+            "--paper" => o.effort = Effort::Paper,
             "--percentiles" => o.percentiles = true,
             "--no-cache" => o.no_cache = true,
             "--cache-compact" => o.cache_compact = true,
@@ -1129,17 +1135,16 @@ fn main() {
         }
     }
 
-    let mut reports: Vec<ExperimentReport> = Vec::new();
-    for name in &names {
-        eprintln!("[repro] running {name} ({effort:?}) ...");
-        let started = Instant::now();
-        let report = run_by_name(name, effort);
-        eprintln!(
-            "[repro] {name} finished in {:.1}s",
-            started.elapsed().as_secs_f64()
-        );
+    // One batch for everything named: the figures' cells are unioned and
+    // each distinct one simulates once (or is served from the cache).
+    eprintln!("[repro] running {} ({effort:?}) ...", names.join(", "));
+    let names: Vec<&str> = names.iter().map(String::as_str).collect();
+    let (reports, batch) = experiments::run(&names, effort, cache);
+    if !batch.scenarios.is_empty() {
+        log_batch(&batch, cache.is_some());
+    }
+    for report in &reports {
         println!("{}", report.render());
-        reports.push(report);
     }
 
     if let Some(path) = json_path {
@@ -1216,7 +1221,7 @@ mod tests {
         );
         let options = parse(&["--quick", "fig3_6", "--list", "--bogus"]).expect("parses");
         assert_eq!(options.listing, Some(Listing::Experiments));
-        assert_eq!(options.effort, EffortLevel::Quick);
+        assert_eq!(options.effort, Effort::Quick);
         assert_eq!(options.names, ["fig3_6"]);
         let options = parse(&["--matrix", "--cross-engine-check=x.jsonl"]).expect("parses");
         assert_eq!(options.matrix_path.as_deref(), Some("MATRIX_sweep.json"));

@@ -9,28 +9,32 @@
 //! * with increasing skew, d-HetPNoC's peak bandwidth advantage grows (up to
 //!   ≈ 7 % in the thesis) and its packet energy advantage grows (up to ≈ 5 %).
 
-use crate::experiments::ExperimentReport;
-use crate::runner::{comparison_rows, Architecture, ComparisonRow, EffortLevel, TrafficKind};
+use crate::experiments::{ExperimentReport, COMPARISON_PAIR};
+use crate::runner::{comparison_rows, ComparisonRow};
 use pnoc_sim::config::BandwidthSet;
 use pnoc_sim::report::{fmt_f, Table};
+use pnoc_sim::scenario::{Effort, MatrixResult, ScenarioMatrix, ScenarioSpec};
 
-/// Runs the Figure 3-3 / 3-4 sweeps — the full (bandwidth set × traffic)
-/// grid as **one scenario-matrix batch** — and returns the raw rows.
+/// The traffic scenarios of Figures 3-3 / 3-4 (uniform + three skews).
+pub const TRAFFICS: [&str; 4] = ["uniform-random", "skewed-1", "skewed-2", "skewed-3"];
+
+/// The cells of Figures 3-3 / 3-4: the comparison pair × [`TRAFFICS`] × all
+/// three bandwidth sets.
 #[must_use]
-pub fn rows(effort: EffortLevel) -> Vec<ComparisonRow> {
-    let [firefly, dhet] = Architecture::comparison_pair();
-    comparison_rows(
-        &firefly,
-        &dhet,
-        effort,
-        &BandwidthSet::ALL,
-        &TrafficKind::synthetic(),
-    )
+pub fn specs(effort: Effort) -> Vec<ScenarioSpec> {
+    ScenarioMatrix::new()
+        .architectures(COMPARISON_PAIR)
+        .traffics(TRAFFICS)
+        .all_bandwidth_sets()
+        .effort(effort)
+        .specs()
 }
 
-/// Builds the report from precomputed rows.
+/// Reads the report out of a finished batch that contains [`specs`].
 #[must_use]
-pub fn report_from_rows(rows: &[ComparisonRow]) -> ExperimentReport {
+pub fn report(batch: &MatrixResult) -> ExperimentReport {
+    let [baseline, candidate] = COMPARISON_PAIR;
+    let rows = comparison_rows(batch, baseline, candidate, &BandwidthSet::ALL, &TRAFFICS);
     let mut report = ExperimentReport::new(
         "fig3_3_3_4",
         "Peak bandwidth (Fig 3-3) and packet energy (Fig 3-4), Firefly vs d-HetPNoC",
@@ -55,7 +59,7 @@ pub fn report_from_rows(rows: &[ComparisonRow]) -> ExperimentReport {
             "d-HetPNoC saving",
         ],
     );
-    for row in rows {
+    for row in &rows {
         bw.add_row(&[
             row.bandwidth_set.clone(),
             row.traffic.clone(),
@@ -104,33 +108,4 @@ pub fn report_from_rows(rows: &[ComparisonRow]) -> ExperimentReport {
         avg(&skew3_savings)
     ));
     report
-}
-
-/// Runs the full experiment.
-#[must_use]
-pub fn run(effort: EffortLevel) -> ExperimentReport {
-    report_from_rows(&rows(effort))
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn quick_run_produces_all_rows() {
-        // A single bandwidth set at smoke effort keeps the test fast while
-        // exercising the full matrix-batched pipeline.
-        let [firefly, dhet] = Architecture::comparison_pair();
-        let rows = comparison_rows(
-            &firefly,
-            &dhet,
-            EffortLevel::Smoke,
-            &[BandwidthSet::Set1],
-            &TrafficKind::synthetic(),
-        );
-        let report = report_from_rows(&rows);
-        assert_eq!(report.tables[0].num_rows(), 4);
-        assert_eq!(report.tables[1].num_rows(), 4);
-        assert_eq!(report.notes.len(), 3);
-    }
 }

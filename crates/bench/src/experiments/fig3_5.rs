@@ -6,28 +6,38 @@
 //! d-HetPNoC is better than the Firefly architecture ... The same trend is
 //! observed regardless of the actual percentage traffic with the hotspot."
 
-use crate::experiments::ExperimentReport;
-use crate::runner::{comparison_rows, Architecture, ComparisonRow, EffortLevel, TrafficKind};
+use crate::experiments::{ExperimentReport, COMPARISON_PAIR};
+use crate::runner::comparison_rows;
 use pnoc_sim::config::BandwidthSet;
 use pnoc_sim::report::{fmt_f, Table};
+use pnoc_sim::scenario::{Effort, MatrixResult, ScenarioMatrix, ScenarioSpec};
 
-/// Runs the case-study sweeps (all at bandwidth set 1, as in the thesis) as
-/// one scenario-matrix batch.
+/// The case studies of Figure 3-5 (four hotspot mixes + real application).
+pub const TRAFFICS: [&str; 5] = [
+    "hotspot-10pct-skewed-2",
+    "hotspot-10pct-skewed-3",
+    "hotspot-20pct-skewed-2",
+    "hotspot-20pct-skewed-3",
+    "real-application",
+];
+
+/// The cells of Figure 3-5: the comparison pair × [`TRAFFICS`], all at
+/// bandwidth set 1 as in the thesis.
 #[must_use]
-pub fn rows(effort: EffortLevel) -> Vec<ComparisonRow> {
-    let [firefly, dhet] = Architecture::comparison_pair();
-    comparison_rows(
-        &firefly,
-        &dhet,
-        effort,
-        &[BandwidthSet::Set1],
-        &TrafficKind::case_studies(),
-    )
+pub fn specs(effort: Effort) -> Vec<ScenarioSpec> {
+    ScenarioMatrix::new()
+        .architectures(COMPARISON_PAIR)
+        .traffics(TRAFFICS)
+        .effort(effort)
+        .specs()
 }
 
-/// Builds the report from precomputed rows.
+/// Reads the report out of a finished batch that contains [`specs`].
 #[must_use]
-pub fn report_from_rows(rows: &[ComparisonRow]) -> ExperimentReport {
+pub fn report(batch: &MatrixResult, effort: Effort) -> ExperimentReport {
+    let [baseline, candidate] = COMPARISON_PAIR;
+    let rows = comparison_rows(batch, baseline, candidate, &[BandwidthSet::Set1], &TRAFFICS);
+    let num_cores = effort.config(BandwidthSet::Set1).topology.num_cores() as f64;
     let mut report = ExperimentReport::new(
         "fig3_5",
         "Case studies: hotspot-skewed and real-application traffic (Figure 3-5)",
@@ -44,11 +54,11 @@ pub fn report_from_rows(rows: &[ComparisonRow]) -> ExperimentReport {
             "EPM saving",
         ],
     );
-    for row in rows {
+    for row in &rows {
         table.add_row(&[
             row.traffic.clone(),
-            fmt_f(row.baseline_peak_gbps / 64.0, 2),
-            fmt_f(row.candidate_peak_gbps / 64.0, 2),
+            fmt_f(row.baseline_peak_gbps / num_cores, 2),
+            fmt_f(row.candidate_peak_gbps / num_cores, 2),
             format!("{}%", fmt_f(row.bandwidth_gain_percent(), 2)),
             fmt_f(row.baseline_packet_energy_pj, 1),
             fmt_f(row.candidate_packet_energy_pj, 1),
@@ -66,30 +76,4 @@ pub fn report_from_rows(rows: &[ComparisonRow]) -> ExperimentReport {
         rows.len()
     ));
     report
-}
-
-/// Runs the full experiment.
-#[must_use]
-pub fn run(effort: EffortLevel) -> ExperimentReport {
-    report_from_rows(&rows(effort))
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::runner::{compare_architectures, TrafficKind};
-
-    #[test]
-    fn report_covers_all_case_studies() {
-        // Use a single smoke-effort case study to keep the test cheap, then
-        // check the report structure with synthetic rows for the rest.
-        let one = compare_architectures(
-            EffortLevel::Smoke,
-            BandwidthSet::Set1,
-            &TrafficKind::named("real-application"),
-        );
-        let report = report_from_rows(&[one]);
-        assert_eq!(report.tables[0].num_rows(), 1);
-        assert!(report.notes[0].contains("case studies"));
-    }
 }

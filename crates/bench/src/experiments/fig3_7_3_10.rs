@@ -7,13 +7,13 @@
 //! ≈ 11 % and the d-HetPNoC device area grows by ≈ 70 %; d-HetPNoC stays
 //! ahead of Firefly in bandwidth and below it in energy for skewed traffic.
 
-use crate::experiments::ExperimentReport;
-use crate::runner::{ensure_registered, Architecture, EffortLevel, TrafficKind};
+use crate::experiments::{fig3_3_3_4, ExperimentReport, COMPARISON_PAIR};
+use crate::runner::{architecture, cell};
 use pnoc_photonics::area::AreaModel;
 use pnoc_sim::config::BandwidthSet;
 use pnoc_sim::registry::Provisioning;
 use pnoc_sim::report::{fmt_f, Table};
-use pnoc_sim::scenario::ScenarioMatrix;
+use pnoc_sim::scenario::{Effort, MatrixResult, ScenarioMatrix, ScenarioSpec};
 
 /// One scaling-point measurement for one architecture.
 #[derive(Debug, Clone, PartialEq)]
@@ -34,48 +34,50 @@ pub struct ScalingRow {
     pub area_mm2: f64,
 }
 
-/// Measures the scaling rows for the given traffic kinds. The whole
-/// (architecture × bandwidth set × traffic) grid runs as one scenario-matrix
-/// batch: every sweep point goes into a single flattened executor work queue.
+/// The traffic scenarios of the scaling figures: uniform + skewed as in
+/// Figures 3-3 / 3-4 at paper effort, the two extremes below it.
+fn traffics(effort: Effort) -> &'static [&'static str] {
+    match effort {
+        Effort::Paper => &fig3_3_3_4::TRAFFICS,
+        Effort::Quick | Effort::Smoke => &["uniform-random", "skewed-3"],
+    }
+}
+
+/// The cells of Figures 3-7 … 3-10: the comparison pair × the effort's
+/// traffic scenarios × all three bandwidth sets — a subset of
+/// [`fig3_3_3_4::specs`], so a batch holding both simulates them once.
 #[must_use]
-pub fn rows(effort: EffortLevel, kinds: &[TrafficKind]) -> Vec<ScalingRow> {
-    ensure_registered();
-    let area_model = AreaModel::paper_default();
-    let pair = Architecture::comparison_pair();
-    let outcome = ScenarioMatrix::new()
-        .architectures(pair.iter().map(Architecture::name))
-        .traffics(kinds.iter().map(TrafficKind::name))
+pub fn specs(effort: Effort) -> Vec<ScenarioSpec> {
+    ScenarioMatrix::new()
+        .architectures(COMPARISON_PAIR)
+        .traffics(traffics(effort).iter().copied())
         .all_bandwidth_sets()
         .effort(effort)
-        .run()
-        .unwrap_or_else(|error| panic!("{error}"));
+        .specs()
+}
+
+/// Reads the scaling rows out of a finished batch that contains [`specs`].
+#[must_use]
+pub fn rows(batch: &MatrixResult, effort: Effort) -> Vec<ScalingRow> {
+    let area_model = AreaModel::paper_default();
     let mut out = Vec::new();
-    for architecture in &pair {
+    for name in COMPARISON_PAIR {
+        let builder = architecture(name);
         for set in BandwidthSet::ALL {
             let config = effort.config(set);
-            let area = match architecture.provisioning() {
+            let area = match builder.provisioning() {
                 Provisioning::Static => area_model.firefly_report(set.total_wavelengths()).area_mm2,
                 Provisioning::Dynamic => {
                     area_model.dynamic_report(set.total_wavelengths()).area_mm2
                 }
             };
-            for kind in kinds {
-                let sweep = &outcome
-                    .find(architecture.name(), kind.name(), set)
-                    .unwrap_or_else(|| {
-                        panic!(
-                            "matrix result is missing the ({}, {}, {}) cell",
-                            architecture.name(),
-                            kind.name(),
-                            set.short_name()
-                        )
-                    })
-                    .result;
+            for &traffic in traffics(effort) {
+                let sweep = &cell(batch, name, traffic, set).result;
                 let peak = sweep.sustainable_bandwidth_gbps();
                 out.push(ScalingRow {
-                    architecture: architecture.label().to_string(),
+                    architecture: builder.label(),
                     bandwidth_set: set.label().to_string(),
-                    traffic: kind.label(),
+                    traffic: traffic.to_string(),
                     peak_gbps: peak,
                     peak_core_gbps: peak / config.topology.num_cores() as f64,
                     packet_energy_pj: sweep.packet_energy_at_saturation_pj(),
@@ -154,17 +156,10 @@ pub fn report_from_rows(rows: &[ScalingRow]) -> ExperimentReport {
     report
 }
 
-/// Runs the full experiment (uniform + skewed traffic, as in the figures).
+/// Reads the report out of a finished batch that contains [`specs`].
 #[must_use]
-pub fn run(effort: EffortLevel) -> ExperimentReport {
-    let kinds = match effort {
-        EffortLevel::Paper => TrafficKind::synthetic().to_vec(),
-        EffortLevel::Quick | EffortLevel::Smoke => vec![
-            TrafficKind::named("uniform-random"),
-            TrafficKind::named("skewed-3"),
-        ],
-    };
-    report_from_rows(&rows(effort, &kinds))
+pub fn report(batch: &MatrixResult, effort: Effort) -> ExperimentReport {
+    report_from_rows(&rows(batch, effort))
 }
 
 #[cfg(test)]

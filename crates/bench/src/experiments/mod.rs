@@ -1,4 +1,14 @@
-//! One module per table / figure of the paper's evaluation.
+//! One module per table / figure of the paper's evaluation, and the one
+//! entry point that runs them.
+//!
+//! The simulated figures (3-3 … 3-5, 3-7 … 3-10) are three readings of one
+//! grid — Firefly vs d-HetPNoC × traffic × bandwidth set — so each figure
+//! module only *describes* its cells (`specs(effort)`) and *reads* its report
+//! out of a finished batch (`report(&MatrixResult, effort)`). [`run`] unions
+//! the cells of the named experiments, simulates every distinct cell once in
+//! a single (optionally cached) batch, and renders the views. The analytic
+//! modules (`fig1_1`, `tables`, `fig3_6`, `overheads`) simulate nothing and
+//! keep a plain `run()`.
 
 pub mod fig1_1;
 pub mod fig3_3_3_4;
@@ -8,8 +18,10 @@ pub mod fig3_7_3_10;
 pub mod overheads;
 pub mod tables;
 
-use crate::runner::EffortLevel;
+use crate::runner::ensure_registered;
 use pnoc_sim::report::Table;
+use pnoc_sim::scenario::{run_specs_with_cache, Effort, MatrixResult, PointCache, ScenarioSpec};
+use pnoc_store::Json;
 
 /// The output of one experiment: a set of tables plus free-form notes
 /// comparing the measured shape against the paper's reported shape.
@@ -57,6 +69,38 @@ impl ExperimentReport {
         }
         out
     }
+
+    /// JSON representation of the report.
+    #[must_use]
+    pub fn to_json(&self) -> Json {
+        let strings = |items: &[String]| Json::Arr(items.iter().map(Json::str).collect());
+        let table_json = |table: &Table| {
+            Json::obj(vec![
+                ("title", Json::str(table.title())),
+                ("header", strings(table.header())),
+                (
+                    "rows",
+                    Json::Arr(table.rows().iter().map(|row| strings(row)).collect()),
+                ),
+            ])
+        };
+        Json::obj(vec![
+            ("id", Json::str(&self.id)),
+            ("title", Json::str(&self.title)),
+            (
+                "tables",
+                Json::Arr(self.tables.iter().map(table_json).collect()),
+            ),
+            ("notes", strings(&self.notes)),
+        ])
+    }
+}
+
+/// JSON representation of a batch of experiment reports (what
+/// `repro --json` writes).
+#[must_use]
+pub fn reports_json(reports: &[ExperimentReport]) -> Json {
+    Json::Arr(reports.iter().map(ExperimentReport::to_json).collect())
 }
 
 /// Names of all experiments, in the order they appear in the paper.
@@ -70,23 +114,64 @@ pub const ALL_EXPERIMENTS: [&str; 7] = [
     "overheads",
 ];
 
-/// Runs an experiment by name.
+/// The paper's comparison pair, by registry name: the Firefly baseline
+/// first, d-HetPNoC second.
+pub const COMPARISON_PAIR: [&str; 2] = ["firefly", "d-hetpnoc"];
+
+/// The cells an experiment needs simulated.
+type Cells = fn(Effort) -> Vec<ScenarioSpec>;
+/// The view that reads an experiment's report out of the finished batch.
+type View = fn(&MatrixResult, Effort) -> ExperimentReport;
+
+/// The two halves of one experiment. Analytic experiments have no cells and
+/// a view that ignores the batch.
+fn experiment(name: &str) -> (Cells, View) {
+    let none: Cells = |_| Vec::new();
+    match name {
+        "fig1_1" => (none, |_, _| fig1_1::run()),
+        "tables" => (none, |_, _| tables::run()),
+        "fig3_3_3_4" => (fig3_3_3_4::specs, |batch, _| fig3_3_3_4::report(batch)),
+        "fig3_5" => (fig3_5::specs, fig3_5::report),
+        "fig3_6" => (none, |_, _| fig3_6::run()),
+        "fig3_7_3_10" => (fig3_7_3_10::specs, fig3_7_3_10::report),
+        "overheads" => (none, |_, _| overheads::run()),
+        other => panic!("unknown experiment '{other}'; valid names: {ALL_EXPERIMENTS:?}"),
+    }
+}
+
+/// Runs the named experiments as **one batch**: the scenario cells of every
+/// named figure are unioned (an identical cell is listed once), simulated in
+/// a single deduplicated [`run_specs_with_cache`] call — served from and
+/// stored to `cache` when one is given — and each experiment's report is then
+/// read out of that batch. Reports come back in `names` order, next to the
+/// batch they were read from (empty when only analytic experiments were
+/// named).
 ///
 /// # Panics
 ///
-/// Panics if the name is unknown (the `repro` binary validates names first).
+/// Panics if a name is unknown (the `repro` binary validates names first).
 #[must_use]
-pub fn run_by_name(name: &str, effort: EffortLevel) -> ExperimentReport {
-    match name {
-        "fig1_1" => fig1_1::run(),
-        "tables" => tables::run(),
-        "fig3_3_3_4" => fig3_3_3_4::run(effort),
-        "fig3_5" => fig3_5::run(effort),
-        "fig3_6" => fig3_6::run(),
-        "fig3_7_3_10" => fig3_7_3_10::run(effort),
-        "overheads" => overheads::run(),
-        other => panic!("unknown experiment '{other}'; valid names: {ALL_EXPERIMENTS:?}"),
+pub fn run(
+    names: &[&str],
+    effort: Effort,
+    cache: Option<&dyn PointCache>,
+) -> (Vec<ExperimentReport>, MatrixResult) {
+    ensure_registered();
+    let experiments: Vec<(Cells, View)> = names.iter().map(|name| experiment(name)).collect();
+    let mut specs: Vec<ScenarioSpec> = Vec::new();
+    for (cells, _) in &experiments {
+        for spec in cells(effort) {
+            if !specs.contains(&spec) {
+                specs.push(spec);
+            }
+        }
     }
+    let batch = run_specs_with_cache(&specs, cache).unwrap_or_else(|error| panic!("{error}"));
+    let reports = experiments
+        .iter()
+        .map(|(_, view)| view(&batch, effort))
+        .collect();
+    (reports, batch)
 }
 
 #[cfg(test)]
@@ -107,9 +192,28 @@ mod tests {
     }
 
     #[test]
+    fn report_round_trips_structure() {
+        let mut report = ExperimentReport::new("x", "demo");
+        let mut table = Table::new("t", &["a", "b"]);
+        table.add_row(&["1".to_string(), "2".to_string()]);
+        report.tables.push(table);
+        report.notes.push("note".to_string());
+        let text = reports_json(&[report]).render();
+        assert!(text.contains("\"id\": \"x\""));
+        assert!(text.contains("\"header\": [\n"));
+        assert!(text.contains("\"note\""));
+    }
+
+    #[test]
     fn analytic_experiments_run_by_name() {
-        for name in ["fig1_1", "tables", "fig3_6", "overheads"] {
-            let report = run_by_name(name, EffortLevel::Quick);
+        let names = ["fig1_1", "tables", "fig3_6", "overheads"];
+        let (reports, batch) = run(&names, Effort::Quick, None);
+        assert!(
+            batch.scenarios.is_empty(),
+            "analytic experiments simulate nothing"
+        );
+        assert_eq!(reports.len(), names.len());
+        for (report, name) in reports.iter().zip(names) {
             assert_eq!(report.id, name);
             assert!(!report.tables.is_empty(), "{name} produced no tables");
         }
@@ -118,6 +222,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "unknown experiment")]
     fn unknown_experiment_panics() {
-        let _ = run_by_name("fig9_9", EffortLevel::Quick);
+        let _ = run(&["fig9_9"], Effort::Quick, None);
     }
 }

@@ -2,8 +2,13 @@
 //!
 //! Every table and figure of the thesis' evaluation chapter has a
 //! corresponding experiment module here; the `repro` binary runs them and
-//! prints the same rows / series the paper reports. Performance is measured
-//! by the standalone `benchmark/` package (`BENCHMARK.json`), not here.
+//! prints the same rows / series the paper reports. The simulated figures
+//! are views over **one** scenario batch: each module lists its cells as
+//! plain `ScenarioSpec`s and reads its report out of the finished
+//! `MatrixResult`, and [`experiments::run`] simulates the union of the named
+//! experiments' cells once (through the result cache when one is given).
+//! Performance is measured by the standalone `benchmark/` package
+//! (`BENCHMARK.json`), not here.
 //!
 //! | module | paper artefact |
 //! |--------|----------------|
@@ -20,10 +25,8 @@
 #![warn(rust_2018_idioms)]
 
 pub mod experiments;
-pub mod json;
 pub mod runner;
 pub mod scenario_io;
 pub mod server;
 
 pub use experiments::ExperimentReport;
-pub use runner::{Architecture, ComparisonRow, EffortLevel, TrafficKind};

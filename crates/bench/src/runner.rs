@@ -1,32 +1,19 @@
-//! Shared machinery for the throughput / energy experiments, built entirely
-//! on the **scenario API** (`pnoc_sim::scenario`) over the architecture
-//! registry (`pnoc_sim::registry`) and the traffic registry
-//! (`pnoc_traffic::factory`).
+//! Shared machinery for the throughput / energy experiments: **views** over
+//! a finished scenario batch (`pnoc_sim::scenario::MatrixResult`).
 //!
-//! Nothing in this module names a concrete architecture or traffic type:
-//! [`Architecture`] and [`TrafficKind`] are handles resolved by name, sweeps
-//! are [`Scenario`] runs, and whole experiment grids go through the
-//! [`ScenarioMatrix`] batch engine (one flattened, deduplicated, parallel
-//! work queue instead of per-sweep parallelism). Adding an architecture
-//! (register it with `pnoc_sim::registry::register_architecture`) or a
-//! workload (register it with
-//! `pnoc_traffic::factory::register_traffic_factory`) makes it available to
-//! every experiment without touching this crate.
+//! Nothing here simulates. The experiments describe their cells as plain
+//! `ScenarioSpec`s, `experiments::run` simulates the union once, and the
+//! functions below read comparison rows and latency percentiles back out of
+//! the result. Architectures and traffic patterns are registry *names*
+//! (`pnoc_sim::registry`, `pnoc_traffic::factory`); display labels come from
+//! `ArchitectureBuilder::label`.
 
-use pnoc_noc::traffic_model::{OfferedLoad, TrafficModel};
-use pnoc_sim::config::{BandwidthSet, SimConfig};
-use pnoc_sim::engine::run_to_completion;
-use pnoc_sim::registry::{lookup_architecture, ArchitectureBuilder, Provisioning};
-use pnoc_sim::scenario::{MatrixResult, Scenario, ScenarioMatrix, ScenarioResult, ScenarioSpec};
+use pnoc_sim::config::BandwidthSet;
+use pnoc_sim::registry::{lookup_architecture, ArchitectureBuilder};
+use pnoc_sim::scenario::{MatrixResult, ScenarioResult};
 use pnoc_sim::stats::SimStats;
 use pnoc_sim::sweep::SaturationResult;
-use pnoc_traffic::factory::{lookup_traffic_factory, TrafficSpec};
-use pnoc_traffic::pattern::PacketShape;
 use std::sync::Arc;
-
-/// The simulation effort level, re-exported from the scenario API
-/// (`Paper` scale, `Quick` smoke runs, `Smoke` test runs).
-pub use pnoc_sim::scenario::Effort as EffortLevel;
 
 /// Makes sure the workspace's architectures are registered. Called by every
 /// resolving entry point, so binaries and tests need no explicit setup.
@@ -34,239 +21,27 @@ pub fn ensure_registered() {
     d_hetpnoc_repro::install_architectures();
 }
 
-/// A handle to a registered architecture, resolved by name.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Architecture {
-    name: String,
-    label: String,
+/// The registry builder behind the architecture name of a finished batch's
+/// cell; panics with the registry's did-you-mean message on an unknown name.
+pub(crate) fn architecture(name: &str) -> Arc<dyn ArchitectureBuilder> {
+    lookup_architecture(name).unwrap_or_else(|error| panic!("{error}"))
 }
 
-impl Architecture {
-    /// Resolves a registered architecture by name.
-    ///
-    /// # Panics
-    ///
-    /// Panics if no architecture of that name is registered; the message
-    /// lists the registered names and suggests the nearest match.
-    #[must_use]
-    pub fn named(name: &str) -> Self {
-        let builder = Self::resolve(name);
-        Self {
-            name: builder.name().to_string(),
-            label: builder.label(),
-        }
-    }
-
-    fn resolve(name: &str) -> Arc<dyn ArchitectureBuilder> {
-        ensure_registered();
-        lookup_architecture(name).unwrap_or_else(|error| panic!("{error}"))
-    }
-
-    /// The Firefly baseline.
-    #[must_use]
-    pub fn firefly() -> Self {
-        Self::named("firefly")
-    }
-
-    /// The d-HetPNoC architecture.
-    #[must_use]
-    pub fn dhetpnoc() -> Self {
-        Self::named("d-hetpnoc")
-    }
-
-    /// The paper's comparison pair: the Firefly baseline first, d-HetPNoC
-    /// second.
-    #[must_use]
-    pub fn comparison_pair() -> [Architecture; 2] {
-        [Self::firefly(), Self::dhetpnoc()]
-    }
-
-    /// Every registered architecture, sorted by name.
-    #[must_use]
-    pub fn all() -> Vec<Architecture> {
-        ensure_registered();
-        pnoc_sim::registry::registered_architectures()
-            .iter()
-            .map(|name| Architecture::named(name))
-            .collect()
-    }
-
-    /// Registry name ("firefly", "d-hetpnoc", ...).
-    #[must_use]
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
-    /// Display label ("Firefly", "d-HetPNoC", ...).
-    #[must_use]
-    pub fn label(&self) -> &str {
-        &self.label
-    }
-
-    /// The underlying registry builder.
-    #[must_use]
-    pub fn builder(&self) -> Arc<dyn ArchitectureBuilder> {
-        Self::resolve(&self.name)
-    }
-
-    /// Resource-provisioning style declared by the builder (drives the
-    /// area/cost model selection in the experiments).
-    #[must_use]
-    pub fn provisioning(&self) -> Provisioning {
-        self.builder().provisioning()
-    }
-}
-
-/// A handle to a registered traffic pattern, resolved by name.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TrafficKind {
-    name: String,
-}
-
-impl TrafficKind {
-    /// Resolves a registered traffic pattern by name.
-    ///
-    /// # Panics
-    ///
-    /// Panics if no pattern of that name is registered; the message lists
-    /// the registered names and suggests the nearest match.
-    #[must_use]
-    pub fn named(name: &str) -> Self {
-        if let Err(error) = lookup_traffic_factory(name) {
-            panic!("{error}");
-        }
-        Self {
-            name: name.to_string(),
-        }
-    }
-
-    /// The scenarios of Figures 3-3 / 3-4 (uniform + three skews).
-    #[must_use]
-    pub fn synthetic() -> [TrafficKind; 4] {
-        ["uniform-random", "skewed-1", "skewed-2", "skewed-3"].map(TrafficKind::named)
-    }
-
-    /// The case studies of Figure 3-5 (four hotspot mixes + real
-    /// application).
-    #[must_use]
-    pub fn case_studies() -> Vec<TrafficKind> {
-        [
-            "hotspot-10pct-skewed-2",
-            "hotspot-10pct-skewed-3",
-            "hotspot-20pct-skewed-2",
-            "hotspot-20pct-skewed-3",
-            "real-application",
-        ]
-        .map(TrafficKind::named)
-        .to_vec()
-    }
-
-    /// The extended scenarios added by this reproduction (permutation and
-    /// bursty patterns).
-    #[must_use]
-    pub fn extended() -> Vec<TrafficKind> {
-        ["transpose", "bit-reverse", "tornado", "bursty-uniform"]
-            .map(TrafficKind::named)
-            .to_vec()
-    }
-
-    /// Every registered traffic pattern, sorted by name.
-    #[must_use]
-    pub fn all() -> Vec<TrafficKind> {
-        pnoc_traffic::factory::registered_traffic_patterns()
-            .iter()
-            .map(|name| TrafficKind::named(name))
-            .collect()
-    }
-
-    /// Registry name, also used as the report label.
-    #[must_use]
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
-    /// Human-readable label used in report rows (same as the name).
-    #[must_use]
-    pub fn label(&self) -> String {
-        self.name.clone()
-    }
-
-    /// Builds the traffic model for this pattern at the given load and seed,
-    /// with geometry taken from `config`.
-    #[must_use]
-    pub fn build(
-        &self,
-        config: &SimConfig,
-        load: OfferedLoad,
-        seed: u64,
-    ) -> Box<dyn TrafficModel + Send> {
-        let factory = lookup_traffic_factory(&self.name).unwrap_or_else(|error| panic!("{error}"));
-        let shape = PacketShape::new(
-            config.bandwidth_set.packet_flits(),
-            config.bandwidth_set.flit_bits(),
-        );
-        factory.build(&TrafficSpec::new(config.topology, shape, load, seed))
-    }
-}
-
-/// Builds the [`ScenarioSpec`] of one experiment cell.
-#[must_use]
-pub fn spec_for(
-    architecture: &Architecture,
-    kind: &TrafficKind,
-    effort: EffortLevel,
+/// The result of one *(architecture, traffic, bandwidth set)* cell of a
+/// finished batch; panics when the batch does not contain it (the caller's
+/// `specs` and its view disagree).
+pub(crate) fn cell<'a>(
+    batch: &'a MatrixResult,
+    architecture: &str,
+    traffic: &str,
     set: BandwidthSet,
-) -> ScenarioSpec {
-    ScenarioSpec::new(architecture.name(), kind.name())
-        .with_bandwidth_set(set)
-        .with_effort(effort)
-}
-
-/// Resolves the [`Scenario`] of one experiment cell.
-///
-/// # Panics
-///
-/// Panics when either name is no longer registered (cannot normally happen:
-/// [`Architecture`] and [`TrafficKind`] handles were themselves resolved).
-#[must_use]
-pub fn scenario_for(
-    architecture: &Architecture,
-    kind: &TrafficKind,
-    effort: EffortLevel,
-    set: BandwidthSet,
-) -> Scenario {
-    ensure_registered();
-    spec_for(architecture, kind, effort, set)
-        .resolve()
-        .unwrap_or_else(|error| panic!("{error}"))
-}
-
-/// Runs one simulation of one architecture at one offered load (at the
-/// architecture's default parameters; use the scenario API's `arch_params`
-/// for other design points).
-#[must_use]
-pub fn run_once(
-    architecture: &Architecture,
-    config: SimConfig,
-    kind: &TrafficKind,
-    load: f64,
-) -> SimStats {
-    let traffic = kind.build(&config, OfferedLoad::new(load), config.seed);
-    let builder = architecture.builder();
-    let mut network = builder.build(config, &builder.default_params(), traffic);
-    run_to_completion(&mut *network)
-}
-
-/// Sweeps the offered load for one architecture and traffic scenario through
-/// the scenario engine (ladder points in parallel).
-#[must_use]
-pub fn saturation_sweep(
-    architecture: &Architecture,
-    kind: &TrafficKind,
-    effort: EffortLevel,
-    set: BandwidthSet,
-) -> SaturationResult {
-    scenario_for(architecture, kind, effort, set).run().result
+) -> &'a ScenarioResult {
+    batch.find(architecture, traffic, set).unwrap_or_else(|| {
+        panic!(
+            "batch result is missing the ({architecture}, {traffic}, {}) cell",
+            set.short_name()
+        )
+    })
 }
 
 /// The streamed latency percentiles (p50/p95/p99, in cycles) of one
@@ -337,7 +112,8 @@ impl ComparisonRow {
     }
 }
 
-/// Builds a [`ComparisonRow`] from the two scenario results of one cell.
+/// Builds a [`ComparisonRow`] from the two scenario results of one cell; the
+/// row's architecture labels are the registry builders' display labels.
 ///
 /// Peak bandwidth is each architecture's own sustainable (saturation)
 /// bandwidth. Packet energy and latency are compared at a **common operating
@@ -345,187 +121,109 @@ impl ComparisonRow {
 /// reflects how each architecture handles the same traffic (shorter buffer
 /// residence under d-HetPNoC, Section 3.4.1.2) rather than how far past
 /// saturation each one happens to be driven.
+///
+/// # Panics
+///
+/// Panics when a result's architecture name is not registered.
 #[must_use]
-pub fn comparison_from(
-    baseline: &Architecture,
-    candidate: &Architecture,
-    base: &ScenarioResult,
-    cand: &ScenarioResult,
-) -> ComparisonRow {
+pub fn comparison_from(base: &ScenarioResult, cand: &ScenarioResult) -> ComparisonRow {
     let common_idx = base
         .result
         .saturation_index()
         .unwrap_or(0)
         .min(cand.result.points.len().saturating_sub(1));
-    let energy_at = |sweep: &SaturationResult| {
-        sweep
-            .points
-            .get(common_idx)
-            .map(|p| p.stats.packet_energy_pj())
-            .unwrap_or(0.0)
-    };
-    let latency_at = |sweep: &SaturationResult| {
-        sweep
-            .points
-            .get(common_idx)
-            .map(|p| p.stats.average_packet_latency())
-            .unwrap_or(0.0)
+    let at_common = |sweep: &SaturationResult, read: fn(&SimStats) -> f64| {
+        sweep.points.get(common_idx).map_or(0.0, |p| read(&p.stats))
     };
     ComparisonRow {
         bandwidth_set: base.spec.bandwidth_set.label().to_string(),
         traffic: base.spec.traffic.clone(),
-        baseline: baseline.label().to_string(),
-        candidate: candidate.label().to_string(),
+        baseline: architecture(&base.spec.architecture).label(),
+        candidate: architecture(&cand.spec.architecture).label(),
         baseline_peak_gbps: base.result.sustainable_bandwidth_gbps(),
         candidate_peak_gbps: cand.result.sustainable_bandwidth_gbps(),
-        baseline_packet_energy_pj: energy_at(&base.result),
-        candidate_packet_energy_pj: energy_at(&cand.result),
-        baseline_latency_cycles: latency_at(&base.result),
-        candidate_latency_cycles: latency_at(&cand.result),
+        baseline_packet_energy_pj: at_common(&base.result, SimStats::packet_energy_pj),
+        candidate_packet_energy_pj: at_common(&cand.result, SimStats::packet_energy_pj),
+        baseline_latency_cycles: at_common(&base.result, SimStats::average_packet_latency),
+        candidate_latency_cycles: at_common(&cand.result, SimStats::average_packet_latency),
     }
 }
 
-/// Compares two registered architectures across a whole (bandwidth set ×
-/// traffic) grid in **one matrix run**: every sweep point of every cell goes
-/// into one deduplicated batch on the persistent `pnoc-exec` pool, so short
-/// sweeps no longer idle behind long ones and no threads are spawned per
-/// call. Rows come back in `sets`-major, `kinds`-minor order.
+/// Reads the comparison of two architectures across a (bandwidth set ×
+/// traffic) grid out of a finished batch. Rows come back in `sets`-major,
+/// `traffics`-minor order.
 ///
 /// # Panics
 ///
-/// Panics if the matrix fails to resolve (cannot normally happen: the
-/// handles were themselves resolved against the registries).
+/// Panics when the batch lacks one of the grid's cells.
 #[must_use]
 pub fn comparison_rows(
-    baseline: &Architecture,
-    candidate: &Architecture,
-    effort: EffortLevel,
+    batch: &MatrixResult,
+    baseline: &str,
+    candidate: &str,
     sets: &[BandwidthSet],
-    kinds: &[TrafficKind],
+    traffics: &[&str],
 ) -> Vec<ComparisonRow> {
-    ensure_registered();
-    let matrix = ScenarioMatrix::new()
-        .architectures([baseline.name(), candidate.name()])
-        .traffics(kinds.iter().map(TrafficKind::name))
-        .bandwidth_sets(sets.iter().copied())
-        .effort(effort);
-    let outcome = matrix.run().unwrap_or_else(|error| panic!("{error}"));
-    let cell = |matrix: &MatrixResult, arch: &Architecture, kind: &TrafficKind, set| {
-        matrix
-            .find(arch.name(), kind.name(), set)
-            .unwrap_or_else(|| {
-                panic!(
-                    "matrix result is missing the ({}, {}) cell",
-                    arch.name(),
-                    kind.name()
-                )
-            })
-            .clone()
-    };
-    let mut rows = Vec::with_capacity(sets.len() * kinds.len());
+    let mut rows = Vec::with_capacity(sets.len() * traffics.len());
     for &set in sets {
-        for kind in kinds {
-            let base = cell(&outcome, baseline, kind, set);
-            let cand = cell(&outcome, candidate, kind, set);
-            rows.push(comparison_from(baseline, candidate, &base, &cand));
+        for traffic in traffics {
+            rows.push(comparison_from(
+                cell(batch, baseline, traffic, set),
+                cell(batch, candidate, traffic, set),
+            ));
         }
     }
     rows
 }
 
-/// Compares two registered architectures on one scenario at one bandwidth
-/// set (a 1×1 [`comparison_rows`] grid).
-#[must_use]
-pub fn compare(
-    baseline: &Architecture,
-    candidate: &Architecture,
-    effort: EffortLevel,
-    set: BandwidthSet,
-    kind: &TrafficKind,
-) -> ComparisonRow {
-    comparison_rows(
-        baseline,
-        candidate,
-        effort,
-        &[set],
-        std::slice::from_ref(kind),
-    )
-    .pop()
-    .expect("a 1x1 grid yields exactly one row")
-}
-
-/// Compares the paper's pair (Firefly baseline vs d-HetPNoC) on one
-/// scenario.
-#[must_use]
-pub fn compare_architectures(
-    effort: EffortLevel,
-    set: BandwidthSet,
-    kind: &TrafficKind,
-) -> ComparisonRow {
-    compare(
-        &Architecture::firefly(),
-        &Architecture::dhetpnoc(),
-        effort,
-        set,
-        kind,
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pnoc_sim::registry::registered_architectures;
+    use pnoc_sim::scenario::{Effort, ScenarioMatrix, ScenarioSpec};
 
     #[test]
     fn registry_handles_resolve_and_label() {
-        let all = Architecture::all();
+        ensure_registered();
+        let all = registered_architectures();
         assert!(all.len() >= 3, "expected ≥3 architectures, got {all:?}");
-        let [firefly, dhet] = Architecture::comparison_pair();
-        assert_eq!(firefly.name(), "firefly");
-        assert_eq!(firefly.label(), "Firefly");
-        assert_eq!(dhet.name(), "d-hetpnoc");
-        assert_eq!(dhet.label(), "d-HetPNoC");
+        assert_eq!(architecture("firefly").label(), "Firefly");
+        assert_eq!(architecture("d-hetpnoc").label(), "d-HetPNoC");
     }
 
     #[test]
     #[should_panic(expected = "unknown architecture")]
     fn unknown_architecture_panics_with_the_registered_names() {
-        let _ = Architecture::named("warp-drive");
+        ensure_registered();
+        let _ = architecture("warp-drive");
     }
 
     #[test]
     #[should_panic(expected = "did you mean 'd-hetpnoc'")]
     fn misspelled_architecture_panics_with_a_suggestion() {
-        let _ = Architecture::named("d-hetpnok");
-    }
-
-    #[test]
-    #[should_panic(expected = "unknown traffic pattern")]
-    fn unknown_traffic_pattern_panics() {
-        let _ = TrafficKind::named("smoke-signals");
-    }
-
-    #[test]
-    fn traffic_kinds_have_distinct_labels_and_cover_the_registry() {
-        let mut labels: Vec<String> = TrafficKind::synthetic()
-            .iter()
-            .map(TrafficKind::label)
-            .collect();
-        labels.extend(TrafficKind::case_studies().iter().map(TrafficKind::label));
-        labels.extend(TrafficKind::extended().iter().map(TrafficKind::label));
-        let before = labels.len();
-        labels.sort();
-        labels.dedup();
-        assert_eq!(labels.len(), before, "labels must be unique");
-        assert!(TrafficKind::all().len() >= 7);
+        ensure_registered();
+        let _ = architecture("d-hetpnok");
     }
 
     #[test]
     fn quick_comparison_produces_sane_numbers() {
-        let row = compare_architectures(
-            EffortLevel::Smoke,
-            BandwidthSet::Set1,
-            &TrafficKind::named("skewed-2"),
+        ensure_registered();
+        let batch = ScenarioMatrix::new()
+            .architectures(["firefly", "d-hetpnoc"])
+            .traffics(["skewed-2"])
+            .effort(Effort::Smoke)
+            .run()
+            .expect("registered names");
+        let rows = comparison_rows(
+            &batch,
+            "firefly",
+            "d-hetpnoc",
+            &[BandwidthSet::Set1],
+            &["skewed-2"],
         );
+        let [row] = rows.as_slice() else {
+            panic!("a 1x1 grid yields exactly one row, got {rows:?}");
+        };
         assert_eq!(row.baseline, "Firefly");
         assert_eq!(row.candidate, "d-HetPNoC");
         assert!(row.baseline_peak_gbps > 0.0);
@@ -540,35 +238,13 @@ mod tests {
     }
 
     #[test]
-    fn grid_comparison_matches_the_single_cell_path() {
-        let kind = TrafficKind::named("skewed-3");
-        let [firefly, dhet] = Architecture::comparison_pair();
-        let grid = comparison_rows(
-            &firefly,
-            &dhet,
-            EffortLevel::Smoke,
-            &[BandwidthSet::Set1],
-            std::slice::from_ref(&kind),
-        );
-        let single = compare(
-            &firefly,
-            &dhet,
-            EffortLevel::Smoke,
-            BandwidthSet::Set1,
-            &kind,
-        );
-        assert_eq!(grid, vec![single], "batched grid must equal per-cell runs");
-    }
-
-    #[test]
     fn saturation_latency_percentiles_are_present_and_ordered() {
-        let outcome = scenario_for(
-            &Architecture::named("uniform-fabric"),
-            &TrafficKind::named("uniform-random"),
-            EffortLevel::Smoke,
-            BandwidthSet::Set1,
-        )
-        .run();
+        ensure_registered();
+        let outcome = ScenarioSpec::new("uniform-fabric", "uniform-random")
+            .with_effort(Effort::Smoke)
+            .resolve()
+            .expect("registered names")
+            .run();
         let [p50, p95, p99] =
             latency_percentiles_at_saturation(&outcome).expect("smoke sweep delivers packets");
         assert!(p50 > 0);
@@ -580,31 +256,5 @@ mod tests {
             .and_then(|h| h.max())
             .expect("sketch recorded");
         assert!(p99 <= max);
-    }
-
-    #[test]
-    fn run_once_honours_the_architecture_label() {
-        let config = EffortLevel::Quick.config(BandwidthSet::Set1);
-        let load = config.estimated_saturation_load() * 0.5;
-        let kind = TrafficKind::named("uniform-random");
-        let firefly = run_once(&Architecture::firefly(), config, &kind, load);
-        let dhet = run_once(&Architecture::dhetpnoc(), config, &kind, load);
-        assert_eq!(firefly.architecture, "firefly");
-        assert_eq!(dhet.architecture, "d-hetpnoc");
-    }
-
-    #[test]
-    fn extended_patterns_flow_through_the_uniform_test_fabric() {
-        let config = EffortLevel::Smoke.config(BandwidthSet::Set1);
-        let load = config.estimated_saturation_load() * 0.8;
-        let arch = Architecture::named("uniform-fabric");
-        for kind in TrafficKind::extended() {
-            let stats = run_once(&arch, config, &kind, load);
-            assert!(
-                stats.delivered_packets > 0,
-                "pattern '{}' delivered nothing",
-                kind.name()
-            );
-        }
     }
 }

@@ -1,5 +1,5 @@
 //! Serialization of [`ScenarioSpec`]s and matrix results through the
-//! hand-rolled JSON value model in [`crate::json`].
+//! hand-rolled JSON value model in [`pnoc_store::json`].
 //!
 //! This module is the scenario wire format: `repro --dump-scenarios` writes
 //! what [`render_scenarios`] produces, `repro --from-scenarios` reads it back
@@ -9,12 +9,12 @@
 //! [`matrix_json`] document that CI diffs across two runs to prove the batch
 //! engine reproducible.
 
-use crate::json::{Json, JsonParseError};
 use pnoc_sim::config::BandwidthSet;
 use pnoc_sim::metrics::MetricReport;
 use pnoc_sim::params::ArchParams;
 use pnoc_sim::scenario::{Effort, MatrixResult, ScenarioResult, ScenarioSpec};
 use pnoc_sim::stats::SimStats;
+use pnoc_store::{Json, JsonParseError};
 
 /// JSON representation of one scenario spec.
 ///

@@ -53,11 +53,11 @@
 //! cache run. A changed spec or a new engine version changes the tag and
 //! the request runs normally.
 
-use crate::json::Json;
 use crate::runner::ensure_registered;
 use crate::scenario_io::parse_scenarios;
 use pnoc_sim::metrics::JsonlSink;
 use pnoc_sim::scenario::{engine_fingerprint, run_specs_with_cache, PointCache, ScenarioSpec};
+use pnoc_store::Json;
 use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};

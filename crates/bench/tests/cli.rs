@@ -1,6 +1,7 @@
 //! The `repro` binary's command-line contracts that only a real process can
 //! show: the listing flags, the cache-maintenance flags against an on-disk
-//! store, and the exit code + message of an unknown registry name.
+//! store, the exit code + message of an unknown registry name, and the
+//! experiments running as one (cacheable) batch.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
@@ -83,5 +84,38 @@ fn cache_dir_holds_only_entries_and_maintenance_flags_count_them() {
     run_ok(&["--cache-dir", dir_arg, "--cache-max-bytes", "1"]);
     assert_eq!(file_names(&dir), ["entries"]);
     assert!(file_names(&dir.join("entries")).is_empty());
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn named_figures_share_one_batch() {
+    // Figures 3-7 … 3-10 re-read cells of Figures 3-3/3-4: naming both
+    // simulates the 24-cell grid once.
+    let (_, stderr) = run_ok(&["--quick", "fig3_3_3_4", "fig3_7_3_10"]);
+    assert!(
+        stderr.contains("batch: 24 scenario(s), 72 point(s) (72 unique after dedup)"),
+        "{stderr}"
+    );
+}
+
+#[test]
+fn cache_dir_reaches_the_experiments() {
+    let dir: PathBuf = std::env::temp_dir().join(format!("pnoc-cli-figs-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let dir_arg = dir.to_str().expect("temp path is UTF-8");
+    let args = ["--quick", "fig3_5", "--cache-dir", dir_arg];
+    let (cold_stdout, cold_stderr) = run_ok(&args);
+    assert!(
+        cold_stderr.contains("cache: 0 hit(s), 30 miss(es), 30 stored"),
+        "{cold_stderr}"
+    );
+    // 10 cells × 3 quick ladder points, one entry each.
+    assert_eq!(file_names(&dir.join("entries")).len(), 30);
+    let (warm_stdout, warm_stderr) = run_ok(&args);
+    assert!(
+        warm_stderr.contains("cache: 30 hit(s), 0 miss(es), 0 stored"),
+        "{warm_stderr}"
+    );
+    assert_eq!(warm_stdout, cold_stdout);
     let _ = std::fs::remove_dir_all(&dir);
 }

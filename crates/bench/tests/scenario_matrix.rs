@@ -3,10 +3,10 @@
 //! bitwise-identical to running the same scenarios one by one sequentially,
 //! and the `repro --matrix` JSON artifact must be deterministic.
 
-use pnoc_bench::runner::{ensure_registered, EffortLevel};
+use pnoc_bench::runner::ensure_registered;
 use pnoc_bench::scenario_io::matrix_json;
 use pnoc_sim::config::BandwidthSet;
-use pnoc_sim::scenario::ScenarioMatrix;
+use pnoc_sim::scenario::{Effort, ScenarioMatrix};
 
 fn smoke_matrix() -> ScenarioMatrix {
     ensure_registered();
@@ -14,7 +14,7 @@ fn smoke_matrix() -> ScenarioMatrix {
         .architectures(["firefly", "d-hetpnoc"])
         .traffics(["tornado", "bursty-uniform"])
         .bandwidth_sets([BandwidthSet::Set1])
-        .effort(EffortLevel::Smoke)
+        .effort(Effort::Smoke)
 }
 
 #[test]
@@ -49,7 +49,7 @@ fn param_axis_matrix_is_bitwise_deterministic_on_real_architectures() {
         .arch_params("radix", ["8", "32"])
         .traffics(["tornado"])
         .bandwidth_sets([BandwidthSet::Set1])
-        .effort(EffortLevel::Smoke);
+        .effort(Effort::Smoke);
     let batched = matrix.run().expect("radix is declared by firefly");
     let sequential = matrix.run_sequential().expect("radix is declared");
     assert_eq!(batched.scenarios.len(), 2);
@@ -88,7 +88,7 @@ fn default_effort_grid_expands_all_bandwidth_sets() {
         .all_architectures()
         .traffics(["tornado", "bursty-uniform"])
         .all_bandwidth_sets()
-        .effort(EffortLevel::Quick)
+        .effort(Effort::Quick)
         .specs();
     let architectures = pnoc_sim::registry::registered_architectures().len();
     assert_eq!(specs.len(), architectures * 2 * 3);

@@ -305,10 +305,16 @@ fn over_capacity_connections_get_503() {
 fn malformed_requests_get_errors_not_crashes() {
     let dir = std::env::temp_dir().join(format!("pnoc-server-errors-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    let (address, handle) = start_server(ResultStore::open(&dir).expect("store opens"), 7);
+    let (address, handle) = start_server(ResultStore::open(&dir).expect("store opens"), 8);
 
     let (status, body) = request(&address, "POST", "/run", "this is not json");
     assert_eq!(status, "HTTP/1.1 400 Bad Request", "{body}");
+
+    // The JSON parser recurses per nesting level; a body of 100 000 '[' gets
+    // a parse error, not a stack overflow that takes the process down.
+    let (status, body) = request(&address, "POST", "/run", &"[".repeat(100_000));
+    assert_eq!(status, "HTTP/1.1 400 Bad Request", "{body}");
+    assert!(body.contains("nest deeper than 128 levels"), "{body}");
 
     let (status, _) = request(&address, "GET", "/nope", "");
     assert_eq!(status, "HTTP/1.1 404 Not Found");
@@ -337,7 +343,7 @@ fn malformed_requests_get_errors_not_crashes() {
     assert_eq!(status, "HTTP/1.1 200 OK", "the server must still answer");
 
     let report = handle.join().expect("server thread joins");
-    assert_eq!(report.requests, 7);
+    assert_eq!(report.requests, 8);
     assert_eq!(report.runs, 0, "no malformed request may reach the engine");
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -3,15 +3,17 @@
 //! bitwise-identical to the sequential run, and every registered workload
 //! must drive the network end to end.
 
-use pnoc_bench::runner::{ensure_registered, run_once, Architecture, EffortLevel, TrafficKind};
+use pnoc_bench::experiments::COMPARISON_PAIR;
+use pnoc_bench::runner::ensure_registered;
 use pnoc_sim::config::BandwidthSet;
-use pnoc_sim::scenario::{Scenario, ScenarioSpec};
+use pnoc_sim::scenario::{Effort, Scenario, ScenarioMatrix, ScenarioSpec};
 use pnoc_sim::sweep::{derive_point_seed, SweepMode};
+use pnoc_traffic::factory::registered_traffic_patterns;
 
-fn smoke_scenario(architecture: &Architecture, traffic: &str) -> Scenario {
+fn smoke_scenario(architecture: &str, traffic: &str) -> Scenario {
     ensure_registered();
-    ScenarioSpec::new(architecture.name(), traffic)
-        .with_effort(EffortLevel::Smoke)
+    ScenarioSpec::new(architecture, traffic)
+        .with_effort(Effort::Smoke)
         .resolve()
         .expect("registered names")
 }
@@ -21,8 +23,8 @@ fn parallel_scenarios_are_bitwise_identical_for_both_paper_architectures() {
     // Forced worker counts (atomic override, not env mutation) exercise the
     // parallel code path for real even on single-core hosts; every count must
     // reproduce the sequential sweep.
-    for architecture in Architecture::comparison_pair() {
-        let scenario = smoke_scenario(&architecture, "skewed-2");
+    for architecture in COMPARISON_PAIR {
+        let scenario = smoke_scenario(architecture, "skewed-2");
         let sequential = scenario.run_with_mode(SweepMode::Sequential);
         assert!(
             sequential
@@ -30,17 +32,15 @@ fn parallel_scenarios_are_bitwise_identical_for_both_paper_architectures() {
                 .points
                 .iter()
                 .any(|p| p.stats.delivered_packets > 0),
-            "{}: the sweep delivered nothing, the comparison would be vacuous",
-            architecture.name()
+            "{architecture}: the sweep delivered nothing, the comparison would be vacuous"
         );
         for workers in [1, 2, 4, 8] {
             pnoc_exec::set_worker_override(workers);
             let parallel = scenario.run_with_mode(SweepMode::Parallel);
             assert!(
                 sequential.bitwise_eq(&parallel),
-                "{}: parallel scenario run on {workers} worker(s) must be \
-                 bitwise-identical to sequential",
-                architecture.name()
+                "{architecture}: parallel scenario run on {workers} worker(s) must be \
+                 bitwise-identical to sequential"
             );
         }
     }
@@ -51,8 +51,7 @@ fn scenario_points_use_derived_seeds() {
     // Two runs from the same base seed must reproduce exactly; a different
     // base seed must change the sweep (the per-point seed really is derived
     // from the base seed).
-    let architecture = Architecture::firefly();
-    let scenario = smoke_scenario(&architecture, "uniform-random");
+    let scenario = smoke_scenario("firefly", "uniform-random");
     let a = scenario.run_with_mode(SweepMode::Sequential);
     let b = scenario.run_with_mode(SweepMode::Sequential);
     assert!(a.bitwise_eq(&b), "same base seed must reproduce exactly");
@@ -74,22 +73,43 @@ fn scenario_points_use_derived_seeds() {
 
 #[test]
 fn every_registered_workload_drives_every_paper_architecture() {
-    let config = EffortLevel::Smoke.config(BandwidthSet::Set1);
-    let load = config.estimated_saturation_load() * 0.8;
-    for architecture in Architecture::comparison_pair() {
-        for kind in TrafficKind::all() {
-            let stats = run_once(&architecture, config, &kind, load);
-            assert!(
-                stats.delivered_packets > 0,
-                "pattern '{}' delivered nothing on '{}'",
-                kind.name(),
-                architecture.name()
-            );
-            assert_eq!(
-                stats.traffic,
-                kind.name(),
-                "stats must carry the pattern name"
-            );
-        }
+    // One smoke batch: both paper architectures × every registered pattern,
+    // each at a single load just below the estimated saturation point.
+    ensure_registered();
+    let load = Effort::Smoke
+        .config(BandwidthSet::Set1)
+        .estimated_saturation_load()
+        * 0.8;
+    let batch = ScenarioMatrix::new()
+        .architectures(COMPARISON_PAIR)
+        .all_traffics()
+        .effort(Effort::Smoke)
+        .ladder(vec![load])
+        .run()
+        .expect("registered names");
+    assert_eq!(
+        batch.scenarios.len(),
+        COMPARISON_PAIR.len() * registered_traffic_patterns().len()
+    );
+    for scenario in &batch.scenarios {
+        let [point] = scenario.result.points.as_slice() else {
+            panic!("{}: a one-entry ladder yields one point", scenario.spec);
+        };
+        assert!(
+            point.stats.delivered_packets > 0,
+            "{}: delivered nothing",
+            scenario.spec
+        );
+        assert_eq!(
+            (
+                point.stats.architecture.as_str(),
+                point.stats.traffic.as_str()
+            ),
+            (
+                scenario.spec.architecture.as_str(),
+                scenario.spec.traffic.as_str()
+            ),
+            "stats must carry the registry names"
+        );
     }
 }

@@ -4,13 +4,13 @@
 //! per-collective makespans, stream metric rows, and stay bitwise-identical
 //! between the parallel matrix queue and sequential execution.
 
-use pnoc_bench::runner::{ensure_registered, EffortLevel};
+use pnoc_bench::runner::ensure_registered;
 use pnoc_sim::metrics::{MemorySink, MetricValue};
-use pnoc_sim::scenario::{run_specs, ScenarioMatrix, ScenarioSpec};
+use pnoc_sim::scenario::{run_specs, Effort, ScenarioMatrix, ScenarioSpec};
 
 fn closed(architecture: &str, reference: &str) -> ScenarioSpec {
     ensure_registered();
-    ScenarioSpec::closed_loop(architecture, reference).with_effort(EffortLevel::Smoke)
+    ScenarioSpec::closed_loop(architecture, reference).with_effort(Effort::Smoke)
 }
 
 #[test]
@@ -81,7 +81,7 @@ fn workload_matrix_parallel_execution_is_bitwise_identical_to_sequential() {
         .architectures(["firefly", "d-hetpnoc"])
         .traffics(["uniform-random"])
         .workloads(["incast:4", "parameter-server:4"])
-        .effort(EffortLevel::Smoke);
+        .effort(Effort::Smoke);
     let parallel = matrix.run().expect("all names registered");
     let sequential = matrix.run_sequential().expect("all names registered");
     assert_eq!(parallel.scenarios.len(), 6);
@@ -123,7 +123,7 @@ fn workload_metric_rows_stream_with_flow_metrics() {
 fn workload_specs_dump_and_reload_through_scenario_io() {
     let specs = vec![
         closed("d-hetpnoc", "allreduce:16"),
-        ScenarioSpec::new("firefly", "tornado").with_effort(EffortLevel::Smoke),
+        ScenarioSpec::new("firefly", "tornado").with_effort(Effort::Smoke),
     ];
     let text = pnoc_bench::scenario_io::render_scenarios(&specs);
     let reloaded = pnoc_bench::scenario_io::parse_scenarios(&text).expect("round trip");

@@ -1227,7 +1227,8 @@ pub fn engine_fingerprint() -> String {
     format!("v{}+{stepping}", env!("CARGO_PKG_VERSION"))
 }
 
-/// The full cache key of one *(scenario, ladder point)* pair:
+/// The identity of one *(scenario, ladder point)* simulation — what a batch
+/// deduplicates on and what the cache is addressed by:
 /// `canonical_id|seed=S|load=HEXBITS|fingerprint`, where `canonical_id` is
 /// [`Scenario::canonical_id`], `S` is the derived per-point seed (decimal),
 /// the offered load is rendered as its exact IEEE-754 bit pattern (hex, so
@@ -1272,54 +1273,29 @@ fn run_scenarios(scenarios: &[Scenario], cache: Option<&dyn PointCache>) -> Matr
     let started = Instant::now();
 
     // Flatten every (scenario, ladder point) pair into one job list,
-    // deduplicating jobs that would simulate the exact same network: same
-    // architecture, same payload (traffic pattern, or workload DAG), same
-    // per-point configuration (which includes the derived seed) and same
-    // offered load.
+    // deduplicating on the canonical point key — the same string the cache
+    // is addressed by, so "would simulate the same network" has exactly one
+    // definition. The key is built from the *resolved* scenario
+    // ([`Scenario::canonical_id`]), not the spec spellings: aliases (e.g.
+    // "uniform" vs "uniform-random", or "allreduce:16" vs
+    // "ring-allreduce:16") and a default named explicitly
+    // (`firefly{radix=16}`) share one simulation, while a genuine override,
+    // another fault plan, another derived seed or another load gets its own.
     let mut jobs: Vec<PointJob> = Vec::new();
-    let mut job_keys: Vec<String> = Vec::new();
-    let mut index_of: BTreeMap<(String, String, String, String, u64), usize> = BTreeMap::new();
+    let mut index_of: BTreeMap<String, usize> = BTreeMap::new();
     let mut assignments: Vec<Vec<usize>> = Vec::with_capacity(scenarios.len());
-    let fingerprint = cache.is_some().then(engine_fingerprint);
+    let fingerprint = engine_fingerprint();
     for scenario in scenarios {
         let config = scenario.config();
         let loads = scenario.spec.loads();
-        let canonical_id = fingerprint.is_some().then(|| scenario.canonical_id());
-        // Key on the *resolved* registry names and parameters, not the spec
-        // spellings: alias spellings (e.g. "uniform" vs "uniform-random", or
-        // "allreduce:16" vs "ring-allreduce:16") resolve to the same
-        // factory-built payload and must share one simulation. Generated
-        // workload names encode size and per-node bytes, so two workload
-        // scenarios dedup exactly when their DAGs are identical. The
-        // architecture component includes the canonical rendering of the
-        // *resolved* parameters — defaults filled in — so a spec naming a
-        // default explicitly (`firefly{radix=16}`) dedups onto the bare
-        // name, while a genuine override gets its own simulations.
-        let arch_key = format!(
-            "{}{}",
-            scenario.architecture.name(),
-            scenario.params.canonical()
-        );
-        let payload_key = match &scenario.payload {
-            ScenarioPayload::Traffic(factory) => format!("traffic/{}", factory.name()),
-            ScenarioPayload::Workload(workload) => format!("workload/{}", workload.name()),
-        };
+        let canonical_id = scenario.canonical_id();
         let mut point_jobs = Vec::with_capacity(loads.len());
         for (index, &load) in loads.iter().enumerate() {
             let point = point_spec(&config, index, load);
-            let key = (
-                arch_key.clone(),
-                payload_key.clone(),
-                scenario.faults.render(),
-                format!("{:?}", point.config),
-                load.to_bits(),
-            );
+            let key = point_cache_key(&canonical_id, point.seed, load, &fingerprint);
             let next = jobs.len();
             let job_index = *index_of.entry(key).or_insert(next);
             if job_index == next {
-                if let (Some(id), Some(fp)) = (&canonical_id, &fingerprint) {
-                    job_keys.push(point_cache_key(id, point.seed, load, fp));
-                }
                 jobs.push(PointJob {
                     architecture: Arc::clone(&scenario.architecture),
                     params: scenario.params.clone(),
@@ -1331,6 +1307,11 @@ fn run_scenarios(scenarios: &[Scenario], cache: Option<&dyn PointCache>) -> Matr
             point_jobs.push(job_index);
         }
         assignments.push(point_jobs);
+    }
+    // The keys in job order, for the cache (the map held each key once).
+    let mut job_keys = vec![String::new(); jobs.len()];
+    for (key, job_index) in index_of {
+        job_keys[job_index] = key;
     }
     let total_points: usize = assignments.iter().map(Vec::len).sum();
     let unique_points = jobs.len();

@@ -118,12 +118,12 @@ impl Json {
     ///
     /// # Errors
     ///
-    /// Returns a byte offset + message on malformed input or trailing
-    /// garbage.
+    /// Returns a byte offset + message on malformed input, trailing garbage
+    /// or arrays/objects nested deeper than 128 levels (`MAX_DEPTH`).
     pub fn parse(text: &str) -> Result<Json, JsonParseError> {
         let bytes = text.as_bytes();
         let mut pos = 0usize;
-        let value = parse_value(bytes, &mut pos)?;
+        let value = parse_value(bytes, &mut pos, 0)?;
         skip_whitespace(bytes, &mut pos);
         if pos != bytes.len() {
             return Err(JsonParseError {
@@ -170,6 +170,13 @@ impl Json {
         }
     }
 }
+
+/// How deep arrays and objects may nest in a parsed document. The parser
+/// recurses once per level and documents arrive from outside the process
+/// (request bodies, `--from-scenarios` files, cache entries), so the bound is
+/// what keeps a `[[[[…` body from overflowing the stack. The deepest document
+/// the workspace itself writes nests under 10 levels.
+const MAX_DEPTH: usize = 128;
 
 /// A JSON parse failure: where it happened and what was wrong.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -219,7 +226,8 @@ fn expect_literal(
     }
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, JsonParseError> {
+/// Parses one value; `depth` counts the arrays and objects enclosing it.
+fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, JsonParseError> {
     skip_whitespace(bytes, pos);
     match bytes.get(*pos) {
         None => Err(error(*pos, "unexpected end of input")),
@@ -227,8 +235,12 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, JsonParseError> {
         Some(b't') => expect_literal(bytes, pos, "true", Json::Bool(true)),
         Some(b'f') => expect_literal(bytes, pos, "false", Json::Bool(false)),
         Some(b'"') => parse_string(bytes, pos).map(Json::Str),
-        Some(b'[') => parse_array(bytes, pos),
-        Some(b'{') => parse_object(bytes, pos),
+        Some(b'[' | b'{') if depth >= MAX_DEPTH => Err(error(
+            *pos,
+            format!("arrays and objects nest deeper than {MAX_DEPTH} levels"),
+        )),
+        Some(b'[') => parse_array(bytes, pos, depth + 1),
+        Some(b'{') => parse_object(bytes, pos, depth + 1),
         Some(b'-' | b'0'..=b'9') => parse_number(bytes, pos),
         Some(&c) => Err(error(*pos, format!("unexpected character '{}'", c as char))),
     }
@@ -302,7 +314,7 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, JsonParseError>
     }
 }
 
-fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<Json, JsonParseError> {
+fn parse_array(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, JsonParseError> {
     debug_assert_eq!(bytes[*pos], b'[');
     *pos += 1;
     let mut items = Vec::new();
@@ -312,7 +324,7 @@ fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<Json, JsonParseError> {
         return Ok(Json::Arr(items));
     }
     loop {
-        items.push(parse_value(bytes, pos)?);
+        items.push(parse_value(bytes, pos, depth)?);
         skip_whitespace(bytes, pos);
         match bytes.get(*pos) {
             Some(b',') => *pos += 1,
@@ -325,7 +337,7 @@ fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<Json, JsonParseError> {
     }
 }
 
-fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<Json, JsonParseError> {
+fn parse_object(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, JsonParseError> {
     debug_assert_eq!(bytes[*pos], b'{');
     *pos += 1;
     let mut fields = Vec::new();
@@ -345,7 +357,7 @@ fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<Json, JsonParseError> {
             return Err(error(*pos, "expected ':' after object key"));
         }
         *pos += 1;
-        let value = parse_value(bytes, pos)?;
+        let value = parse_value(bytes, pos, depth)?;
         fields.push((key, value));
         skip_whitespace(bytes, pos);
         match bytes.get(*pos) {
@@ -440,6 +452,17 @@ mod tests {
         ] {
             assert!(Json::parse(bad).is_err(), "'{bad}' should fail to parse");
         }
+        // Nesting is bounded (the parser recurses per level): MAX_DEPTH
+        // levels parse, one more is a typed error — also when it is 100 000
+        // levels of unclosed '[' that would otherwise overflow the stack.
+        let nested = |depth: usize| "[".repeat(depth) + &"]".repeat(depth);
+        assert!(Json::parse(&nested(MAX_DEPTH)).is_ok());
+        let mixed = "{\"a\":".repeat(MAX_DEPTH) + "1" + &"}".repeat(MAX_DEPTH);
+        assert!(Json::parse(&mixed).is_ok());
+        let error = Json::parse(&nested(MAX_DEPTH + 1)).expect_err("one level too deep");
+        assert_eq!(error.offset, MAX_DEPTH);
+        assert!(error.message.contains("deeper than 128"), "{error}");
+        assert!(Json::parse(&"[".repeat(100_000)).is_err());
     }
 
     #[test]

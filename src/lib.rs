@@ -48,6 +48,12 @@
 //! assert_eq!(batch.scenarios.len(), 2);
 //! ```
 //!
+//! The paper's own evaluation runs exactly that way: `pnoc-bench`'s
+//! `experiments::run` unions the cells of the named figures into one such
+//! batch (each distinct cell simulates once, through the result cache when
+//! one is attached) and every figure is a view over the finished
+//! `MatrixResult`.
+//!
 //! The old per-architecture helpers (`build_firefly_system`,
 //! `build_dhetpnoc_system`) still exist for direct, non-registry use; every
 //! sweep goes through the scenario engine.
