@@ -95,10 +95,11 @@
 //! ```
 
 use pnoc_bench::experiments::{self, reports_json, ALL_EXPERIMENTS};
-use pnoc_bench::runner::{ensure_registered, latency_percentiles_at_saturation};
+use pnoc_bench::runner::{
+    cross_engine_specs, ensure_registered, latency_percentiles_at_saturation,
+};
 use pnoc_bench::scenario_io::{matrix_json, parse_scenarios, render_scenarios};
 use pnoc_bench::server::{serve, ServerOptions};
-use pnoc_sim::config::BandwidthSet;
 use pnoc_sim::metrics::{CsvSink, JsonlSink, MetricValue};
 use pnoc_sim::params::ArchParams;
 use pnoc_sim::report::{fmt_f, Table};
@@ -492,27 +493,6 @@ fn print_workload_table(outcome: &MatrixResult) {
             .expect("row built from the header above");
     }
     println!("{table}");
-}
-
-/// The scenario batch of `--cross-engine-check`: every registered
-/// architecture on an open-loop ladder, plus closed-loop collective
-/// workloads, so both `run_to_completion_with` and `run_until_with` paths
-/// are exercised under both executors.
-fn cross_engine_specs(effort: Effort) -> Vec<ScenarioSpec> {
-    ensure_registered();
-    let mut specs = Vec::new();
-    for architecture in pnoc_sim::registry::registered_architectures() {
-        specs.push(
-            ScenarioSpec::new(architecture, "skewed-3")
-                .with_bandwidth_set(BandwidthSet::Set1)
-                .with_effort(effort),
-        );
-    }
-    for workload in ["allreduce:8", "incast:16"] {
-        specs.push(ScenarioSpec::closed_loop("d-hetpnoc", workload).with_effort(effort));
-        specs.push(ScenarioSpec::closed_loop("firefly", workload).with_effort(effort));
-    }
-    specs
 }
 
 /// Runs the cross-engine determinism gate: the full check batch once under

@@ -9,32 +9,10 @@
 //! own integration-test binary (each Rust integration test file is a
 //! separate process; unit tests elsewhere must not toggle the flag).
 
-use pnoc_bench::runner::ensure_registered;
+use pnoc_bench::runner::cross_engine_specs;
 use pnoc_sim::engine::set_event_driven;
 use pnoc_sim::metrics::JsonlSink;
-use pnoc_sim::registry::registered_architectures;
-use pnoc_sim::scenario::{run_specs, Effort, MatrixResult, ScenarioSpec};
-
-fn check_specs() -> Vec<ScenarioSpec> {
-    ensure_registered();
-    let architectures = registered_architectures();
-    assert!(
-        architectures.len() >= 3,
-        "expected the full architecture registry, got {architectures:?}"
-    );
-    let mut specs = Vec::new();
-    // Open-loop ladder on every registered architecture.
-    for name in &architectures {
-        specs.push(ScenarioSpec::new(name, "skewed-3").with_effort(Effort::Smoke));
-    }
-    // Closed-loop workloads: a collective and an incast, on both main
-    // architectures, so the DAG-drain path is covered too.
-    for workload in ["allreduce:8", "incast:16"] {
-        specs.push(ScenarioSpec::closed_loop("d-hetpnoc", workload).with_effort(Effort::Smoke));
-        specs.push(ScenarioSpec::closed_loop("firefly", workload).with_effort(Effort::Smoke));
-    }
-    specs
-}
+use pnoc_sim::scenario::{run_specs, Effort, MatrixResult};
 
 fn rendered_metrics(outcome: &MatrixResult) -> Vec<u8> {
     let mut bytes = Vec::new();
@@ -46,7 +24,12 @@ fn rendered_metrics(outcome: &MatrixResult) -> Vec<u8> {
 
 #[test]
 fn event_driven_engine_is_bitwise_identical_to_per_cycle() {
-    let specs = check_specs();
+    let specs = cross_engine_specs(Effort::Smoke);
+    assert!(
+        specs.len() >= 3 + 4 + 3,
+        "expected the full architecture registry, got {} scenario(s)",
+        specs.len()
+    );
 
     set_event_driven(false);
     let per_cycle = run_specs(&specs);

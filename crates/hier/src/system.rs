@@ -14,7 +14,7 @@ use pnoc_noc::ids::{ClusterId, CoreId};
 use pnoc_noc::packet::{BandwidthClass, PacketDescriptor};
 use pnoc_noc::traffic_model::{OfferedLoad, TrafficModel};
 use pnoc_sim::config::SimConfig;
-use pnoc_sim::engine::CycleNetwork;
+use pnoc_sim::engine::{advance_network, CycleNetwork};
 use pnoc_sim::metrics::{
     Counter, EventSink, Family, MetricReport, MetricValue, NullSink, QuantileSketch, SimEvent,
 };
@@ -82,19 +82,54 @@ impl EventSink for RecordingSink {
 struct PodFeedTraffic {
     feed: Arc<Mutex<Feed>>,
     global: Arc<Mutex<Box<dyn TrafficModel + Send>>>,
+    pod: usize,
     cluster_offset: usize,
     load: OfferedLoad,
     name: String,
 }
 
+impl PodFeedTraffic {
+    /// A feed entry older than the polled cycle was jumped over: the leaf
+    /// skipped a cycle its feed had a packet for. Answering "nothing" would
+    /// lose that packet and block every entry behind it while the run drains
+    /// short with healthy-looking numbers, so this is a panic.
+    fn assert_not_passed(&self, at: u64, core: usize, cycle: u64) {
+        assert!(
+            at >= cycle,
+            "pod {} polled at cycle {cycle} past its feed entry (cycle {at}, core {core}): \
+             the leaf skipped a cycle it had traffic for",
+            self.pod
+        );
+    }
+}
+
 impl TrafficModel for PodFeedTraffic {
     fn next_packet(&mut self, cycle: u64, src: CoreId) -> Option<PacketDescriptor> {
         let mut feed = self.feed.lock().expect("pod feed poisoned");
-        match feed.front() {
-            Some(&(at, core, _)) if at == cycle && core == src.0 => {
-                feed.pop_front().map(|(_, _, desc)| desc)
+        let &(at, core, desc) = feed.front()?;
+        self.assert_not_passed(at, core, cycle);
+        (at == cycle && core == src.0).then(|| {
+            feed.pop_front();
+            desc
+        })
+    }
+
+    /// Pops the feed's head run for `cycle` under one lock: the feed is in
+    /// the `(cycle, core)` order the per-core loop would find it in.
+    fn poll_cycle(
+        &mut self,
+        cycle: u64,
+        _num_cores: usize,
+        emit: &mut dyn FnMut(CoreId, PacketDescriptor),
+    ) {
+        let mut feed = self.feed.lock().expect("pod feed poisoned");
+        while let Some(&(at, core, desc)) = feed.front() {
+            self.assert_not_passed(at, core, cycle);
+            if at != cycle {
+                break;
             }
-            _ => None,
+            feed.pop_front();
+            emit(CoreId(core), desc);
         }
     }
 
@@ -138,9 +173,10 @@ impl TrafficModel for PodFeedTraffic {
     }
 
     fn next_generation_cycle(&self, now: u64) -> Option<u64> {
-        // Only the already-buffered feed counts: the hierarchy consults this
-        // after a window, when the feed holds nothing beyond it, so an empty
-        // feed means "idle until the hierarchy says otherwise".
+        // Only the already-buffered feed counts. The hierarchy fills a whole
+        // window before the pods step, so inside the window the head entry
+        // is the pod's next packet; after it the feed holds nothing beyond,
+        // and an empty feed means "idle until the hierarchy says otherwise".
         let feed = self.feed.lock().expect("pod feed poisoned");
         feed.iter()
             .find(|&&(at, _, _)| at > now)
@@ -296,6 +332,7 @@ impl HierarchicalSystem {
             let proxy = PodFeedTraffic {
                 feed: Arc::clone(&feed),
                 global: Arc::clone(&shared),
+                pod,
                 cluster_offset: pod * leaf_clusters,
                 load: offered_load,
                 name: traffic_name.clone(),
@@ -343,17 +380,15 @@ impl HierarchicalSystem {
                 end = boundary;
             }
         }
-        // Generate: poll the global model for every (cycle, core) of the
-        // window in the monolithic engine's exact order, so the generation
-        // stream is independent of the pod decomposition.
+        // Generate: poll the global model once per cycle of the window, which
+        // yields packets in the monolithic engine's exact (cycle, core)
+        // order, so the generation stream is independent of the pod
+        // decomposition.
         {
             let mut traffic = self.traffic.lock().expect("traffic model poisoned");
             let num_cores = self.config.topology.num_cores();
             for cycle in start..end {
-                for core in 0..num_cores {
-                    let Some(desc) = traffic.next_packet(cycle, CoreId(core)) else {
-                        continue;
-                    };
+                traffic.poll_cycle(cycle, num_cores, &mut |_, desc| {
                     let src_pod = desc.src.0 / self.leaf_cores;
                     let dst_pod = desc.dst.0 / self.leaf_cores;
                     if src_pod == dst_pod {
@@ -370,13 +405,15 @@ impl HierarchicalSystem {
                     } else {
                         self.spine.transmit(cycle, &desc, &mut self.spine_events);
                     }
-                }
+                });
             }
         }
-        // Step pods: one batch job per pod over the whole window. Pods are
-        // independent, results come back in submission order, and each job
-        // records its events locally — bitwise identical however many
-        // workers the executor runs.
+        // Step pods: one batch job per pod over the whole window, advancing
+        // by the engine's own rule — a pod with nothing buffered jumps to its
+        // feed's next entry, or to the window's end. Pods are independent,
+        // results come back in submission order, and each job records its
+        // events locally — bitwise identical however many workers the
+        // executor runs.
         let window = (start, end);
         let batches = pnoc_exec::run_batch(&self.pods, |_, pod| {
             let mut pod = pod.lock().expect("pod shard poisoned");
@@ -384,8 +421,10 @@ impl HierarchicalSystem {
                 core_offset: pod.core_offset,
                 events: Vec::new(),
             };
-            for cycle in window.0..window.1 {
+            let mut cycle = window.0;
+            while cycle < window.1 {
                 pod.network.step_observed(cycle, &mut sink);
+                cycle = advance_network(&mut *pod.network, cycle, window.1);
             }
             sink.events
         });
@@ -603,3 +642,95 @@ pub const HIER_ONLY_METRICS: [&str; 11] = [
     "spine_backlog_cycles",
     "pod_pair_packets",
 ];
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use pnoc_noc::topology::ClusterTopology;
+    use pnoc_traffic::pattern::PacketShape;
+    use pnoc_traffic::uniform::UniformRandomTraffic;
+    use proptest::prelude::*;
+
+    fn packet(core: usize, cycle: u64) -> PacketDescriptor {
+        PacketDescriptor {
+            src: CoreId(core),
+            dst: CoreId(core + 1),
+            num_flits: 4,
+            flit_bits: 32,
+            class: BandwidthClass::Low,
+            created_cycle: cycle,
+        }
+    }
+
+    /// A pod-3 proxy over `entries`, which must be in `(cycle, core)` order.
+    fn pod_feed(entries: &[(u64, usize)]) -> PodFeedTraffic {
+        let global: Box<dyn TrafficModel + Send> = Box::new(UniformRandomTraffic::new(
+            ClusterTopology::paper_default(),
+            PacketShape::new(4, 32),
+            OfferedLoad::ZERO,
+            1,
+        ));
+        let feed = entries
+            .iter()
+            .map(|&(cycle, core)| (cycle, core, packet(core, cycle)))
+            .collect();
+        PodFeedTraffic {
+            feed: Arc::new(Mutex::new(feed)),
+            global: Arc::new(Mutex::new(global)),
+            pod: 3,
+            cluster_offset: 0,
+            load: OfferedLoad::ZERO,
+            name: "feed".to_string(),
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "pod 3 polled at cycle 6 past its feed entry (cycle 5, core 2)")]
+    fn a_per_core_poll_past_a_queued_entry_panics() {
+        let _ = pod_feed(&[(5, 2), (9, 0)]).next_packet(6, CoreId(2));
+    }
+
+    #[test]
+    #[should_panic(expected = "pod 3 polled at cycle 6 past its feed entry (cycle 5, core 2)")]
+    fn a_batched_poll_past_a_queued_entry_panics() {
+        pod_feed(&[(5, 2), (9, 0)]).poll_cycle(6, 64, &mut |_, _| {});
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The feed's batch override is the per-core loop: same packets in
+        /// the same order every cycle, the same entries left queued and the
+        /// same look-ahead answer, over random `(cycle, core)`-sorted feeds.
+        #[test]
+        fn the_batched_feed_poll_equals_the_per_core_loop(
+            cores in 1usize..=64,
+            raw in prop::collection::vec((0u64..40, 0usize..64), 0..60),
+        ) {
+            let mut entries: Vec<(u64, usize)> =
+                raw.into_iter().map(|(cycle, core)| (cycle, core % cores)).collect();
+            entries.sort_unstable();
+            entries.dedup();
+            let (mut batched, mut looped) = (pod_feed(&entries), pod_feed(&entries));
+            for cycle in 0..40 {
+                let mut got = Vec::new();
+                batched.poll_cycle(cycle, cores, &mut |core, packet| got.push((core, packet)));
+                let want: Vec<_> = (0..cores)
+                    .filter_map(|c| looped.next_packet(cycle, CoreId(c)).map(|p| (CoreId(c), p)))
+                    .collect();
+                prop_assert_eq!(&got, &want, "cycle {cycle} of {entries:?} on {cores} cores");
+                prop_assert_eq!(
+                    batched.next_generation_cycle(cycle),
+                    looped.next_generation_cycle(cycle),
+                    "look-ahead after cycle {cycle} of {entries:?} on {cores} cores"
+                );
+                prop_assert_eq!(
+                    &*batched.feed.lock().unwrap(),
+                    &*looped.feed.lock().unwrap(),
+                    "feed left after cycle {cycle} of {entries:?} on {cores} cores"
+                );
+            }
+            prop_assert!(batched.feed.lock().unwrap().is_empty());
+        }
+    }
+}

@@ -1,12 +1,20 @@
 //! The interface between traffic generators and the cycle-accurate engine.
 //!
 //! Traffic models live in the `pnoc-traffic` crate; the simulation engine and
-//! the photonic fabrics only see this trait. A traffic model is queried once
-//! per core per cycle and may produce at most one new packet request; it also
-//! exposes the *per-cluster-pair* bandwidth class and traffic volume share,
-//! which the d-HetPNoC dynamic-bandwidth-allocation logic uses to populate
-//! its demand tables (Section 3.2.1 of the thesis: the cores send demand
-//! tables to their photonic router whenever the task mapping changes).
+//! the photonic fabrics only see this trait. The engines poll a model **once
+//! per cycle** through [`TrafficModel::poll_cycle`], which hands back every
+//! packet created that cycle (at most one per core, ascending core order).
+//! Its provided body asks [`TrafficModel::next_packet`] — the one primitive
+//! every model implements — core by core, which is what a stochastic model
+//! needs: each question consumes RNG state, so none may be left out. A model
+//! that *knows* which cores have something to send (a closed-loop flow
+//! driver, a replay feed) overrides the batch form to visit only those, so
+//! generation costs per packet instead of per core; the override must stay
+//! observably identical to the provided loop. The trait also exposes the
+//! *per-cluster-pair* bandwidth class and traffic volume share, which the
+//! d-HetPNoC dynamic-bandwidth-allocation logic uses to populate its demand
+//! tables (Section 3.2.1 of the thesis: the cores send demand tables to
+//! their photonic router whenever the task mapping changes).
 
 use crate::ids::{ClusterId, CoreId};
 use crate::packet::{BandwidthClass, PacketDescriptor};
@@ -40,6 +48,33 @@ pub trait TrafficModel {
     /// At most one packet per core per cycle is generated; the engine queues
     /// requests that cannot be injected immediately.
     fn next_packet(&mut self, cycle: u64, src: CoreId) -> Option<PacketDescriptor>;
+
+    /// Hands every packet cores `0..num_cores` create at `cycle` to `emit`,
+    /// in ascending core order — the form the engines call, once per cycle.
+    ///
+    /// Contract: observably identical to the provided body — the same
+    /// packets in the same order and the same model state afterwards.
+    /// Overriding is an optimisation only, for models that can enumerate
+    /// their sending cores without asking each one; models whose polls
+    /// consume RNG state keep the provided loop.
+    ///
+    /// `emit` may report the packet's own fate back to whatever shares state
+    /// with the model (an engine tells its probes "generated" and, on a full
+    /// queue, "dropped" from inside it) but nothing about any other core. An
+    /// override may therefore decide the whole cycle before the first call,
+    /// and must not hold a lock across `emit` that such a report takes.
+    fn poll_cycle(
+        &mut self,
+        cycle: u64,
+        num_cores: usize,
+        emit: &mut dyn FnMut(CoreId, PacketDescriptor),
+    ) {
+        for core in (0..num_cores).map(CoreId) {
+            if let Some(descriptor) = self.next_packet(cycle, core) {
+                emit(core, descriptor);
+            }
+        }
+    }
 
     /// The offered load the model is currently configured for.
     fn offered_load(&self) -> OfferedLoad;
@@ -93,6 +128,17 @@ pub trait TrafficModel {
 impl<T: TrafficModel + ?Sized> TrafficModel for Box<T> {
     fn next_packet(&mut self, cycle: u64, src: CoreId) -> Option<PacketDescriptor> {
         (**self).next_packet(cycle, src)
+    }
+
+    // Forwarded explicitly: the provided body would loop over the box's
+    // `next_packet` and never reach the inner model's override.
+    fn poll_cycle(
+        &mut self,
+        cycle: u64,
+        num_cores: usize,
+        emit: &mut dyn FnMut(CoreId, PacketDescriptor),
+    ) {
+        (**self).poll_cycle(cycle, num_cores, emit);
     }
 
     fn offered_load(&self) -> OfferedLoad {
@@ -171,6 +217,83 @@ mod tests {
         fn name(&self) -> String {
             "constant".to_string()
         }
+    }
+
+    /// Overrides the batch form (and says so): one packet from core 2, which
+    /// the per-core primitive would never produce.
+    struct Batched {
+        inner: Constant,
+        batch_polls: u32,
+    }
+
+    impl TrafficModel for Batched {
+        fn next_packet(&mut self, _cycle: u64, _src: CoreId) -> Option<PacketDescriptor> {
+            None
+        }
+
+        fn poll_cycle(
+            &mut self,
+            cycle: u64,
+            _num_cores: usize,
+            emit: &mut dyn FnMut(CoreId, PacketDescriptor),
+        ) {
+            self.batch_polls += 1;
+            let packet = self.inner.next_packet(cycle, CoreId(2)).expect("constant");
+            emit(CoreId(2), packet);
+        }
+
+        fn offered_load(&self) -> OfferedLoad {
+            self.inner.offered_load()
+        }
+
+        fn set_offered_load(&mut self, load: OfferedLoad) {
+            self.inner.set_offered_load(load);
+        }
+
+        fn demand_class(&self, src: ClusterId, dst: ClusterId) -> BandwidthClass {
+            self.inner.demand_class(src, dst)
+        }
+
+        fn volume_share(&self, src: ClusterId, dst: ClusterId) -> f64 {
+            self.inner.volume_share(src, dst)
+        }
+
+        fn name(&self) -> String {
+            format!("batched-{}", self.batch_polls)
+        }
+    }
+
+    fn polled(model: &mut dyn TrafficModel, cycle: u64, cores: usize) -> Vec<(CoreId, CoreId)> {
+        let mut seen = Vec::new();
+        model.poll_cycle(cycle, cores, &mut |core, packet| {
+            assert_eq!(packet.created_cycle, cycle);
+            seen.push((core, packet.dst));
+        });
+        seen
+    }
+
+    #[test]
+    fn the_provided_batch_poll_is_the_per_core_loop() {
+        let mut model = Constant {
+            load: OfferedLoad::ZERO,
+        };
+        let expected: Vec<_> = (0..5).map(|c| (CoreId(c), CoreId(c + 1))).collect();
+        assert_eq!(polled(&mut model, 9, 5), expected);
+        assert!(polled(&mut model, 9, 0).is_empty());
+    }
+
+    #[test]
+    fn a_boxed_model_reaches_its_batch_override() {
+        let mut boxed: Box<Box<dyn TrafficModel>> = Box::new(Box::new(Batched {
+            inner: Constant {
+                load: OfferedLoad::ZERO,
+            },
+            batch_polls: 0,
+        }));
+        // Through two boxes: the provided loop over `next_packet` would
+        // yield nothing and leave the counter at zero.
+        assert_eq!(polled(&mut boxed, 4, 64), vec![(CoreId(2), CoreId(3))]);
+        assert_eq!(boxed.name(), "batched-1");
     }
 
     #[test]

@@ -143,17 +143,13 @@ impl EventSink for ProbeFanout<'_, '_> {
     }
 }
 
-/// After stepping `cycle`, decides how far the clock may jump (never past
-/// `limit`) and performs the fast-forward: the network skips the gap in one
-/// call and, when measuring, every probe sees `on_cycle_end` once per
-/// skipped cycle so windowed metrics close at exactly the same cycles as
-/// under per-cycle execution. Returns the next cycle to step.
-fn advance_clock<N: CycleNetwork + ?Sized>(
-    network: &mut N,
-    fanout: &mut ProbeFanout<'_, '_>,
-    cycle: u64,
-    limit: u64,
-) -> u64 {
+/// The advance rule every executor shares. After stepping `cycle`, decides
+/// how far the clock may jump — the network's own
+/// [`CycleNetwork::next_event_cycle`] under the event-driven executor, the
+/// very next cycle under the per-cycle reference, never past `limit` — has
+/// the network skip the gap in one call, and returns the next cycle to step
+/// (`limit` when nothing is left before it).
+pub fn advance_network<N: CycleNetwork + ?Sized>(network: &mut N, cycle: u64, limit: u64) -> u64 {
     let next = if event_driven_enabled() {
         network.next_event_cycle(cycle)
     } else {
@@ -162,11 +158,25 @@ fn advance_clock<N: CycleNetwork + ?Sized>(
     let target = next.unwrap_or(limit).clamp(cycle + 1, limit);
     if target > cycle + 1 {
         network.skip_cycles(cycle + 1, target);
-        if fanout.measuring {
-            for skipped in cycle + 1..target {
-                for probe in fanout.probes.iter_mut() {
-                    probe.on_cycle_end(skipped);
-                }
+    }
+    target
+}
+
+/// [`advance_network`] for a probed run: when measuring, every probe sees
+/// `on_cycle_end` once per skipped cycle so windowed metrics close at exactly
+/// the same cycles as under per-cycle execution. Returns the next cycle to
+/// step.
+fn advance_clock<N: CycleNetwork + ?Sized>(
+    network: &mut N,
+    fanout: &mut ProbeFanout<'_, '_>,
+    cycle: u64,
+    limit: u64,
+) -> u64 {
+    let target = advance_network(network, cycle, limit);
+    if fanout.measuring {
+        for skipped in cycle + 1..target {
+            for probe in fanout.probes.iter_mut() {
+                probe.on_cycle_end(skipped);
             }
         }
     }

@@ -483,16 +483,16 @@ impl<F: PhotonicFabric, T: TrafficModel> PhotonicSystem<F, T> {
     }
 
     fn generate_traffic(&mut self, cycle: u64, sink: &mut dyn EventSink) {
-        for core_idx in 0..self.topology.num_cores() {
-            let core = CoreId(core_idx);
-            if let Some(desc) = self.traffic.next_packet(cycle, core) {
+        let num_cores = self.topology.num_cores();
+        self.traffic
+            .poll_cycle(cycle, num_cores, &mut |core, desc| {
                 self.stats.generated_packets += 1;
                 sink.emit(cycle, SimEvent::PacketGenerated { src: core });
-                let state = &mut self.cores[core_idx];
+                let state = &mut self.cores[core.0];
                 if state.queue.len() >= self.config.injection_queue_capacity {
                     self.stats.dropped_packets += 1;
                     sink.emit(cycle, SimEvent::PacketDropped { src: core });
-                    continue;
+                    return;
                 }
                 let packet = Packet {
                     id: self.ids.allocate(),
@@ -503,8 +503,7 @@ impl<F: PhotonicFabric, T: TrafficModel> PhotonicSystem<F, T> {
                     self.busy_cores += 1;
                 }
                 state.queue.push_back(packet);
-            }
-        }
+            });
     }
 
     fn inject_flits(&mut self, cycle: u64, sink: &mut dyn EventSink) {

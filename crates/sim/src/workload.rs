@@ -46,6 +46,7 @@ use crate::sweep::{SweepPoint, SweepPointSpec};
 use pnoc_noc::ids::{ClusterId, CoreId};
 use pnoc_noc::packet::{BandwidthClass, PacketDescriptor};
 use pnoc_noc::traffic_model::{OfferedLoad, TrafficModel};
+use pnoc_noc::vc::set_bits;
 use pnoc_workload::dag::Workload;
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap, VecDeque};
@@ -82,6 +83,11 @@ struct FlowState {
     completed_at: Vec<Option<u64>>,
     /// Released-but-not-fully-generated flows, FIFO per source core.
     ready: Vec<VecDeque<usize>>,
+    /// The cores whose `ready` queue is non-empty, one bit per core (core
+    /// `c` is bit `c % 64` of word `c / 64`): what a batched poll walks
+    /// instead of asking every core. Kept by the three places `ready`
+    /// changes: `activate_due`, `generate` and `requeue_dropped`.
+    ready_cores: Vec<u64>,
     /// Released flows awaiting delivery attribution, FIFO per (src, dst).
     open_by_pair: BTreeMap<(usize, usize), VecDeque<usize>>,
     /// Dependency-satisfied flows waiting on their `release_cycle`.
@@ -123,6 +129,7 @@ impl FlowState {
             released_at: vec![None; flows.len()],
             completed_at: vec![None; flows.len()],
             ready: vec![VecDeque::new(); cores],
+            ready_cores: vec![0; cores.div_ceil(64)],
             open_by_pair: BTreeMap::new(),
             timed: BinaryHeap::new(),
             in_queue: vec![0; cores],
@@ -155,6 +162,7 @@ impl FlowState {
             let flow = &workload.flows()[flow_idx];
             self.released_at[flow_idx] = Some(cycle.max(due));
             self.ready[flow.src.0].push_back(flow_idx);
+            self.ready_cores[flow.src.0 / 64] |= 1 << (flow.src.0 % 64);
             self.open_by_pair
                 .entry((flow.src.0, flow.dst.0))
                 .or_default()
@@ -182,6 +190,62 @@ impl FlowState {
             }
         }
         self.dependents[flow_idx] = dependents;
+    }
+
+    /// Generates the next packet of `src`'s frontmost released flow and
+    /// returns that flow, or `None` when nothing is released there or the
+    /// pacing window (`capacity` packets queued at the core) is full.
+    fn generate(&mut self, src: usize, capacity: u64) -> Option<usize> {
+        if self.in_queue[src] >= capacity {
+            return None; // queue full: generating now would drop
+        }
+        let &flow_idx = self.ready[src].front()?;
+        self.packets_generated[flow_idx] += 1;
+        if self.packets_generated[flow_idx] == self.packets_total[flow_idx] {
+            self.ready[src].pop_front();
+            if self.ready[src].is_empty() {
+                self.ready_cores[src / 64] &= !(1 << (src % 64));
+            }
+        }
+        self.in_queue[src] += 1;
+        self.last_generated[src] = Some(flow_idx);
+        Some(flow_idx)
+    }
+
+    /// Takes back `src`'s most recently generated packet after the network
+    /// dropped it: the flow owes one more packet and returns to the front of
+    /// the core's queue if generating that packet had retired it.
+    fn requeue_dropped(&mut self, src: usize) {
+        self.in_queue[src] = self.in_queue[src].saturating_sub(1);
+        let Some(flow_idx) = self.last_generated[src] else {
+            return;
+        };
+        self.packets_generated[flow_idx] = self.packets_generated[flow_idx].saturating_sub(1);
+        self.retransmitted += 1;
+        if self.ready[src].front() != Some(&flow_idx) {
+            self.ready[src].push_front(flow_idx);
+            self.ready_cores[src / 64] |= 1 << (src % 64);
+        }
+    }
+
+    /// Credits one delivered packet to the earliest incomplete flow of the
+    /// (src, dst) `pair`, completing the flow on its last packet.
+    fn credit_delivery(&mut self, pair: (usize, usize), cycle: u64, workload: &Workload) {
+        let Some(flow_idx) = self
+            .open_by_pair
+            .get(&pair)
+            .and_then(|queue| queue.front().copied())
+        else {
+            return;
+        };
+        self.packets_delivered[flow_idx] += 1;
+        if self.packets_delivered[flow_idx] == self.packets_total[flow_idx] {
+            self.open_by_pair
+                .get_mut(&pair)
+                .expect("just present")
+                .pop_front();
+            self.complete(flow_idx, cycle, workload);
+        }
     }
 
     fn drained(&self, total_flows: usize) -> bool {
@@ -296,6 +360,7 @@ impl WorkloadDriver {
                 self.config.bandwidth_set.flit_bits(),
             ),
             capacity: self.config.injection_queue_capacity as u64,
+            batch: Vec::new(),
         })
     }
 
@@ -349,22 +414,17 @@ struct FlowTraffic {
     topology: pnoc_noc::topology::ClusterTopology,
     shape: (u32, u32),
     capacity: u64,
+    /// One cycle's packets between deciding them and emitting them (reused
+    /// by every [`TrafficModel::poll_cycle`], so steady state allocates
+    /// nothing).
+    batch: Vec<(CoreId, PacketDescriptor)>,
 }
 
-impl TrafficModel for FlowTraffic {
-    fn next_packet(&mut self, cycle: u64, src: CoreId) -> Option<PacketDescriptor> {
-        let mut state = self.state.lock().expect("flow state poisoned");
-        state.activate_due(cycle, &self.workload);
-        if state.in_queue[src.0] >= self.capacity {
-            return None; // queue full: generating now would drop
-        }
-        let &flow_idx = state.ready[src.0].front()?;
-        state.packets_generated[flow_idx] += 1;
-        if state.packets_generated[flow_idx] == state.packets_total[flow_idx] {
-            state.ready[src.0].pop_front();
-        }
-        state.in_queue[src.0] += 1;
-        state.last_generated[src.0] = Some(flow_idx);
+impl FlowTraffic {
+    /// The one emission step both poll forms share: `src`'s next packet at
+    /// `cycle`, if a flow is released there and the pacing window admits it.
+    fn generate(&self, state: &mut FlowState, cycle: u64, src: CoreId) -> Option<PacketDescriptor> {
+        let flow_idx = state.generate(src.0, self.capacity)?;
         let flow = &self.workload.flows()[flow_idx];
         Some(PacketDescriptor {
             src,
@@ -377,6 +437,48 @@ impl TrafficModel for FlowTraffic {
             ),
             created_cycle: cycle,
         })
+    }
+}
+
+impl TrafficModel for FlowTraffic {
+    fn next_packet(&mut self, cycle: u64, src: CoreId) -> Option<PacketDescriptor> {
+        let mut state = self.state.lock().expect("flow state poisoned");
+        state.activate_due(cycle, &self.workload);
+        self.generate(&mut state, cycle, src)
+    }
+
+    /// Visits only the cores with a released flow. The whole cycle is decided
+    /// under one lock and emitted after releasing it, because `emit` may
+    /// report a drop to the [`FlowProbe`], which takes the same lock; a drop
+    /// only touches the dropping core's own state, so deciding ahead of the
+    /// feedback changes nothing.
+    fn poll_cycle(
+        &mut self,
+        cycle: u64,
+        num_cores: usize,
+        emit: &mut dyn FnMut(CoreId, PacketDescriptor),
+    ) {
+        let mut batch = std::mem::take(&mut self.batch);
+        {
+            let mut state = self.state.lock().expect("flow state poisoned");
+            state.activate_due(cycle, &self.workload);
+            for word in 0..state.ready_cores.len() {
+                // Walks a copy of the word: a flow's last packet clears its
+                // core's bit underneath.
+                for core in set_bits(state.ready_cores[word])
+                    .map(|bit| CoreId(word * 64 + bit))
+                    .take_while(|core| core.0 < num_cores)
+                {
+                    if let Some(desc) = self.generate(&mut state, cycle, core) {
+                        batch.push((core, desc));
+                    }
+                }
+            }
+        }
+        for (core, desc) in batch.drain(..) {
+            emit(core, desc);
+        }
+        self.batch = batch;
     }
 
     fn offered_load(&self) -> OfferedLoad {
@@ -402,7 +504,7 @@ impl TrafficModel for FlowTraffic {
     fn next_generation_cycle(&self, now: u64) -> Option<u64> {
         let state = self.state.lock().expect("flow state poisoned");
         // A released flow can emit on its very next poll.
-        if state.ready.iter().any(|q| !q.is_empty()) {
+        if state.ready_cores.iter().any(|&word| word != 0) {
             return Some(now + 1);
         }
         // Otherwise the earliest timed release bounds the next emission; the
@@ -427,43 +529,20 @@ pub struct FlowProbe {
 
 impl Probe for FlowProbe {
     fn on_event(&mut self, cycle: u64, event: &SimEvent) {
-        let mut state = self.state.lock().expect("flow state poisoned");
+        // Matched before locking: only the three packet-level events touch
+        // the flow state, and the flit events that make up most of the
+        // stream must not pay for the lock.
+        let state = || self.state.lock().expect("flow state poisoned");
         match *event {
             SimEvent::PacketInjected { src } => {
+                let mut state = state();
                 state.in_queue[src.0] = state.in_queue[src.0].saturating_sub(1);
             }
-            SimEvent::PacketDropped { src } => {
-                // Cannot happen under the pacing window, but if it ever
-                // does, re-credit the packet so the flow still completes.
-                state.in_queue[src.0] = state.in_queue[src.0].saturating_sub(1);
-                if let Some(flow_idx) = state.last_generated[src.0] {
-                    state.packets_generated[flow_idx] =
-                        state.packets_generated[flow_idx].saturating_sub(1);
-                    state.retransmitted += 1;
-                    if state.ready[src.0].front() != Some(&flow_idx) {
-                        state.ready[src.0].push_front(flow_idx);
-                    }
-                }
-            }
+            // Cannot happen under the pacing window, but if it ever does,
+            // re-credit the packet so the flow still completes.
+            SimEvent::PacketDropped { src } => state().requeue_dropped(src.0),
             SimEvent::PacketDelivered { src, dst, .. } => {
-                let pair = (src.0, dst.0);
-                // Credit the earliest incomplete flow of the pair.
-                let Some(flow_idx) = state
-                    .open_by_pair
-                    .get(&pair)
-                    .and_then(|queue| queue.front().copied())
-                else {
-                    return;
-                };
-                state.packets_delivered[flow_idx] += 1;
-                if state.packets_delivered[flow_idx] == state.packets_total[flow_idx] {
-                    state
-                        .open_by_pair
-                        .get_mut(&pair)
-                        .expect("just present")
-                        .pop_front();
-                    state.complete(flow_idx, cycle, &self.workload);
-                }
+                state().credit_delivery((src.0, dst.0), cycle, &self.workload);
             }
             _ => {}
         }
@@ -715,6 +794,81 @@ mod tests {
         assert_eq!(point.metrics.gauge("workload_drained"), Some(1.0));
         // The single flow could not complete before its release cycle.
         assert!(point.stats.measured_cycles > 200);
+    }
+
+    /// The drop path the pacing window keeps cold: a dropped packet goes
+    /// back to its flow, the flow back to the front of its core's queue and
+    /// the core back into the ready index, under either poll form.
+    #[test]
+    fn a_dropped_packet_is_re_credited_and_re_emitted() {
+        use pnoc_workload::flow::{Flow, FlowId};
+        type Poll = fn(&mut dyn TrafficModel, u64) -> Vec<PacketDescriptor>;
+        let per_core: Poll = |traffic, cycle| {
+            (0..64)
+                .filter_map(|core| traffic.next_packet(cycle, CoreId(core)))
+                .collect()
+        };
+        let batched: Poll = |traffic, cycle| {
+            let mut packets = Vec::new();
+            traffic.poll_cycle(cycle, 64, &mut |_, packet| packets.push(packet));
+            packets
+        };
+        for poll in [per_core, batched] {
+            // One-packet flows: two queued at core 0, one alone at core 3.
+            let mut workload = Workload::new("dropped");
+            for (id, src, dst) in [(0, 0, 5), (1, 0, 6), (2, 3, 7)] {
+                workload.add_flow(Flow::new(FlowId(id), CoreId(src), CoreId(dst), 256));
+            }
+            let driver = WorkloadDriver::new(Arc::new(workload), &smoke_config());
+            let (mut traffic, mut probe) = (driver.traffic(), driver.probe());
+            let dsts = |packets: &[PacketDescriptor]| -> Vec<usize> {
+                packets.iter().map(|p| p.dst.0).collect()
+            };
+            let deliver = |probe: &mut FlowProbe, cycle: u64, packet: &PacketDescriptor| {
+                let (src, dst) = (packet.src, packet.dst);
+                probe.on_event(cycle, &SimEvent::PacketInjected { src });
+                let latency = 1;
+                probe.on_event(cycle, &SimEvent::PacketDelivered { src, dst, latency });
+            };
+
+            // Flow 2's only packet retires it: core 3 leaves the index.
+            let first = poll(&mut *traffic, 0);
+            assert_eq!(dsts(&first), [5, 7]);
+            {
+                let state = driver.state.lock().unwrap();
+                assert_eq!(state.ready[0], [1]);
+                assert!(state.ready[3].is_empty());
+                assert_eq!(state.ready_cores, [1 << 0]);
+            }
+            probe.on_event(0, &SimEvent::PacketDropped { src: CoreId(3) });
+            {
+                let state = driver.state.lock().unwrap();
+                assert_eq!(state.ready[3], [2], "flow 2 owes its packet again");
+                assert_eq!(state.ready_cores, [1 << 0 | 1 << 3], "core 3 is back");
+                assert_eq!((state.in_queue[3], state.packets_generated[2]), (0, 0));
+            }
+            assert_eq!(
+                probe.report().counter("flow_retransmitted_packets"),
+                Some(1)
+            );
+            // Flow 0 retired ahead of flow 1: dropped, it goes back in front.
+            probe.on_event(0, &SimEvent::PacketDropped { src: CoreId(0) });
+            assert_eq!(driver.state.lock().unwrap().ready[0], [0, 1]);
+
+            let second = poll(&mut *traffic, 1);
+            assert_eq!(dsts(&second), [5, 7], "both packets are emitted again");
+            deliver(&mut probe, 1, &second[0]);
+            deliver(&mut probe, 1, &second[1]);
+            let third = poll(&mut *traffic, 2);
+            assert_eq!(dsts(&third), [6]);
+            deliver(&mut probe, 2, &third[0]);
+            assert!(poll(&mut *traffic, 3).is_empty());
+            assert!(driver.drained(), "every flow completes despite the drops");
+            let report = probe.report();
+            assert_eq!(report.counter("flow_retransmitted_packets"), Some(2));
+            assert_eq!(report.counter("flows_completed"), Some(3));
+            assert_eq!(driver.state.lock().unwrap().ready_cores, [0]);
+        }
     }
 
     #[test]
