@@ -5,7 +5,7 @@
 //! asserted via the hit counters), and the small endpoints behave.
 
 use pnoc_bench::scenario_io::render_scenarios;
-use pnoc_bench::server::{serve, ServerOptions, ServerReport, MAX_HEAD_BYTES};
+use pnoc_bench::server::{serve, ServerOptions, ServerReport, MAX_BODY_BYTES, MAX_HEAD_BYTES};
 use pnoc_sim::metrics::JsonlSink;
 use pnoc_sim::scenario::{run_specs_with_cache, Effort, ScenarioSpec};
 use pnoc_store::ResultStore;
@@ -305,7 +305,7 @@ fn over_capacity_connections_get_503() {
 fn malformed_requests_get_errors_not_crashes() {
     let dir = std::env::temp_dir().join(format!("pnoc-server-errors-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    let (address, handle) = start_server(ResultStore::open(&dir).expect("store opens"), 8);
+    let (address, handle) = start_server(ResultStore::open(&dir).expect("store opens"), 9);
 
     let (status, body) = request(&address, "POST", "/run", "this is not json");
     assert_eq!(status, "HTTP/1.1 400 Bad Request", "{body}");
@@ -315,6 +315,20 @@ fn malformed_requests_get_errors_not_crashes() {
     let (status, body) = request(&address, "POST", "/run", &"[".repeat(100_000));
     assert_eq!(status, "HTTP/1.1 400 Bad Request", "{body}");
     assert!(body.contains("nest deeper than 128 levels"), "{body}");
+
+    // The body limit bounds CPU as well as memory: the largest body the
+    // server accepts, as one string (valid JSON, but no scenario document),
+    // is answered at once. A parser quadratic in string bytes would hold a
+    // worker for 25 s of release-build time on this request.
+    let one_string = format!("\"{}\"", "a".repeat(MAX_BODY_BYTES - 2));
+    let started = std::time::Instant::now();
+    let (status, body) = request(&address, "POST", "/run", &one_string);
+    let elapsed = started.elapsed();
+    assert_eq!(status, "HTTP/1.1 400 Bad Request", "{body}");
+    assert!(
+        elapsed < std::time::Duration::from_secs(5),
+        "a {MAX_BODY_BYTES}-byte body took {elapsed:?} to reject"
+    );
 
     let (status, _) = request(&address, "GET", "/nope", "");
     assert_eq!(status, "HTTP/1.1 404 Not Found");
@@ -343,7 +357,7 @@ fn malformed_requests_get_errors_not_crashes() {
     assert_eq!(status, "HTTP/1.1 200 OK", "the server must still answer");
 
     let report = handle.join().expect("server thread joins");
-    assert_eq!(report.requests, 8);
+    assert_eq!(report.requests, 9);
     assert_eq!(report.runs, 0, "no malformed request may reach the engine");
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -6,6 +6,14 @@
 //! this small, dependency-free value model. It lives in `pnoc-store` because the
 //! result store is the lowest layer that needs both directions; `pnoc-bench`
 //! re-exports it unchanged.
+//!
+//! **Complexity contract:** [`Json::parse`] and [`Json::render`] are linear
+//! in document bytes — each byte is read a constant number of times, whether
+//! it sits in one long string or in many short ones. Documents arrive from
+//! outside the process (request bodies up to the server's body limit, cache
+//! entries, `--from-scenarios` files), so a size limit on the input is also a
+//! limit on the CPU it can buy; `parse_and_render_are_linear_in_document_bytes`
+//! pins it.
 
 use std::fmt::Write as _;
 
@@ -53,13 +61,9 @@ impl Json {
     }
 
     fn write(&self, out: &mut String, indent: usize) {
-        let pad = "  ".repeat(indent);
-        let pad_inner = "  ".repeat(indent + 1);
         match self {
             Json::Null => out.push_str("null"),
-            Json::Bool(b) => {
-                let _ = write!(out, "{b}");
-            }
+            Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
             Json::Num(n) => {
                 if n.is_finite() {
                     let _ = write!(out, "{n}");
@@ -75,14 +79,14 @@ impl Json {
                 }
                 out.push_str("[\n");
                 for (i, item) in items.iter().enumerate() {
-                    out.push_str(&pad_inner);
+                    write_indent(out, indent + 1);
                     item.write(out, indent + 1);
                     if i + 1 < items.len() {
                         out.push(',');
                     }
                     out.push('\n');
                 }
-                out.push_str(&pad);
+                write_indent(out, indent);
                 out.push(']');
             }
             Json::Obj(fields) => {
@@ -92,7 +96,7 @@ impl Json {
                 }
                 out.push_str("{\n");
                 for (i, (key, value)) in fields.iter().enumerate() {
-                    out.push_str(&pad_inner);
+                    write_indent(out, indent + 1);
                     write_escaped(out, key);
                     out.push_str(": ");
                     value.write(out, indent + 1);
@@ -101,7 +105,7 @@ impl Json {
                     }
                     out.push('\n');
                 }
-                out.push_str(&pad);
+                write_indent(out, indent);
                 out.push('}');
             }
         }
@@ -112,24 +116,25 @@ impl Json {
     /// Parses a JSON document (the inverse of [`Json::render`]).
     ///
     /// Accepts standard JSON: `null`, booleans, finite numbers, strings with
-    /// the usual escapes (including `\uXXXX`), arrays and objects. Duplicate
-    /// object keys are kept in order (the value model stores objects as
-    /// insertion-ordered pairs).
+    /// the usual escapes, arrays and objects. A `\uXXXX` escape takes exactly
+    /// four hex digits; a high surrogate followed by a `\uDC00`–`\uDFFF`
+    /// escape decodes to the one scalar the pair encodes, and a surrogate
+    /// without its partner decodes to U+FFFD. Duplicate object keys are kept
+    /// in order (the value model stores objects as insertion-ordered pairs).
     ///
     /// # Errors
     ///
     /// Returns a byte offset + message on malformed input, trailing garbage
     /// or arrays/objects nested deeper than 128 levels (`MAX_DEPTH`).
     pub fn parse(text: &str) -> Result<Json, JsonParseError> {
-        let bytes = text.as_bytes();
-        let mut pos = 0usize;
-        let value = parse_value(bytes, &mut pos, 0)?;
-        skip_whitespace(bytes, &mut pos);
-        if pos != bytes.len() {
-            return Err(JsonParseError {
-                offset: pos,
-                message: "trailing characters after the JSON value".to_string(),
-            });
+        let mut cursor = Cursor { text, pos: 0 };
+        let value = cursor.value(0)?;
+        cursor.skip_whitespace();
+        if cursor.pos != text.len() {
+            return Err(error(
+                cursor.pos,
+                "trailing characters after the JSON value",
+            ));
         }
         Ok(value)
     }
@@ -206,186 +211,251 @@ fn error(offset: usize, message: impl Into<String>) -> JsonParseError {
     }
 }
 
-fn skip_whitespace(bytes: &[u8], pos: &mut usize) {
-    while *pos < bytes.len() && matches!(bytes[*pos], b' ' | b'\t' | b'\n' | b'\r') {
-        *pos += 1;
-    }
+/// The parser: a position in the source text. Every method leaves `pos` on
+/// a char boundary — it only ever steps over ASCII bytes or over whole runs
+/// that end at an ASCII delimiter — so slicing `text` at `pos` never splits
+/// a scalar and nothing is re-validated.
+struct Cursor<'a> {
+    text: &'a str,
+    pos: usize,
 }
 
-fn expect_literal(
-    bytes: &[u8],
-    pos: &mut usize,
-    literal: &str,
-    value: Json,
-) -> Result<Json, JsonParseError> {
-    if bytes[*pos..].starts_with(literal.as_bytes()) {
-        *pos += literal.len();
-        Ok(value)
-    } else {
-        Err(error(*pos, format!("expected '{literal}'")))
+impl Cursor<'_> {
+    fn peek(&self) -> Option<u8> {
+        self.text.as_bytes().get(self.pos).copied()
     }
-}
 
-/// Parses one value; `depth` counts the arrays and objects enclosing it.
-fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, JsonParseError> {
-    skip_whitespace(bytes, pos);
-    match bytes.get(*pos) {
-        None => Err(error(*pos, "unexpected end of input")),
-        Some(b'n') => expect_literal(bytes, pos, "null", Json::Null),
-        Some(b't') => expect_literal(bytes, pos, "true", Json::Bool(true)),
-        Some(b'f') => expect_literal(bytes, pos, "false", Json::Bool(false)),
-        Some(b'"') => parse_string(bytes, pos).map(Json::Str),
-        Some(b'[' | b'{') if depth >= MAX_DEPTH => Err(error(
-            *pos,
-            format!("arrays and objects nest deeper than {MAX_DEPTH} levels"),
-        )),
-        Some(b'[') => parse_array(bytes, pos, depth + 1),
-        Some(b'{') => parse_object(bytes, pos, depth + 1),
-        Some(b'-' | b'0'..=b'9') => parse_number(bytes, pos),
-        Some(&c) => Err(error(*pos, format!("unexpected character '{}'", c as char))),
+    fn skip_whitespace(&mut self) {
+        while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
+            self.pos += 1;
+        }
     }
-}
 
-fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<Json, JsonParseError> {
-    let start = *pos;
-    if bytes.get(*pos) == Some(&b'-') {
-        *pos += 1;
+    fn literal(&mut self, literal: &str, value: Json) -> Result<Json, JsonParseError> {
+        if self.text.as_bytes()[self.pos..].starts_with(literal.as_bytes()) {
+            self.pos += literal.len();
+            Ok(value)
+        } else {
+            Err(error(self.pos, format!("expected '{literal}'")))
+        }
     }
-    while *pos < bytes.len()
-        && matches!(bytes[*pos], b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-')
-    {
-        *pos += 1;
-    }
-    let text = std::str::from_utf8(&bytes[start..*pos]).expect("digits are ASCII");
-    text.parse::<f64>()
-        .map(Json::Num)
-        .map_err(|_| error(start, format!("invalid number '{text}'")))
-}
 
-fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, JsonParseError> {
-    debug_assert_eq!(bytes[*pos], b'"');
-    *pos += 1;
-    let mut out = String::new();
-    loop {
-        match bytes.get(*pos) {
-            None => return Err(error(*pos, "unterminated string")),
-            Some(b'"') => {
-                *pos += 1;
-                return Ok(out);
-            }
-            Some(b'\\') => {
-                *pos += 1;
-                match bytes.get(*pos) {
-                    Some(b'"') => out.push('"'),
-                    Some(b'\\') => out.push('\\'),
-                    Some(b'/') => out.push('/'),
-                    Some(b'n') => out.push('\n'),
-                    Some(b'r') => out.push('\r'),
-                    Some(b't') => out.push('\t'),
-                    Some(b'b') => out.push('\u{8}'),
-                    Some(b'f') => out.push('\u{c}'),
-                    Some(b'u') => {
-                        let hex = bytes
-                            .get(*pos + 1..*pos + 5)
-                            .ok_or_else(|| error(*pos, "truncated \\u escape"))?;
-                        let hex =
-                            std::str::from_utf8(hex).map_err(|_| error(*pos, "bad \\u escape"))?;
-                        let code = u32::from_str_radix(hex, 16)
-                            .map_err(|_| error(*pos, "bad \\u escape"))?;
-                        // Surrogates never appear in our own output (we only
-                        // escape control characters); map them to U+FFFD.
-                        out.push(char::from_u32(code).unwrap_or('\u{FFFD}'));
-                        *pos += 4;
+    /// Parses one value; `depth` counts the arrays and objects enclosing it.
+    fn value(&mut self, depth: usize) -> Result<Json, JsonParseError> {
+        self.skip_whitespace();
+        match self.peek() {
+            None => Err(error(self.pos, "unexpected end of input")),
+            Some(b'n') => self.literal("null", Json::Null),
+            Some(b't') => self.literal("true", Json::Bool(true)),
+            Some(b'f') => self.literal("false", Json::Bool(false)),
+            Some(b'"') => self.string().map(Json::Str),
+            Some(b'[' | b'{') if depth >= MAX_DEPTH => Err(error(
+                self.pos,
+                format!("arrays and objects nest deeper than {MAX_DEPTH} levels"),
+            )),
+            Some(b'[') => self.array(depth + 1),
+            Some(b'{') => self.object(depth + 1),
+            Some(b'-' | b'0'..=b'9') => self.number(),
+            Some(c) => Err(error(
+                self.pos,
+                format!("unexpected character '{}'", c as char),
+            )),
+        }
+    }
+
+    fn number(&mut self) -> Result<Json, JsonParseError> {
+        let start = self.pos;
+        if self.peek() == Some(b'-') {
+            self.pos += 1;
+        }
+        while matches!(
+            self.peek(),
+            Some(b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-')
+        ) {
+            self.pos += 1;
+        }
+        let text = &self.text[start..self.pos];
+        text.parse::<f64>()
+            .map(Json::Num)
+            .map_err(|_| error(start, format!("invalid number '{text}'")))
+    }
+
+    /// Parses a string — a value or an object key — as runs: everything up
+    /// to the next `"` or `\` is appended by slicing the source (both
+    /// delimiters are ASCII, so every cut is a char boundary), then the
+    /// escape is decoded and the scan resumes behind it.
+    fn string(&mut self) -> Result<String, JsonParseError> {
+        debug_assert_eq!(self.peek(), Some(b'"'));
+        self.pos += 1;
+        let mut out = String::new();
+        loop {
+            let rest = &self.text[self.pos..];
+            let run = rest
+                .bytes()
+                .position(|b| b == b'"' || b == b'\\')
+                .map_or(rest, |end| &rest[..end]);
+            self.pos += run.len();
+            match self.peek() {
+                None => return Err(error(self.pos, "unterminated string")),
+                Some(b'"') => {
+                    self.pos += 1;
+                    // No escape so far (each decodes to at least one char):
+                    // the run is the whole string, copied into an
+                    // allocation of exactly its size.
+                    if out.is_empty() {
+                        return Ok(run.to_owned());
                     }
-                    _ => return Err(error(*pos, "invalid escape")),
+                    out.push_str(run);
+                    return Ok(out);
                 }
-                *pos += 1;
+                Some(_) => {
+                    out.push_str(run);
+                    self.pos += 1;
+                    out.push(self.escape()?);
+                }
             }
-            Some(_) => {
-                // Consume one UTF-8 scalar (the input is a &str, so byte
-                // boundaries are valid).
-                let rest = std::str::from_utf8(&bytes[*pos..])
-                    .map_err(|_| error(*pos, "invalid UTF-8"))?;
-                let c = rest.chars().next().expect("non-empty");
-                out.push(c);
-                *pos += c.len_utf8();
+        }
+    }
+
+    /// Decodes the escape whose backslash was just stepped over.
+    fn escape(&mut self) -> Result<char, JsonParseError> {
+        let c = match self.peek() {
+            Some(b'"') => '"',
+            Some(b'\\') => '\\',
+            Some(b'/') => '/',
+            Some(b'n') => '\n',
+            Some(b'r') => '\r',
+            Some(b't') => '\t',
+            Some(b'b') => '\u{8}',
+            Some(b'f') => '\u{c}',
+            Some(b'u') => return self.unicode_escape(),
+            _ => return Err(error(self.pos, "invalid escape")),
+        };
+        self.pos += 1;
+        Ok(c)
+    }
+
+    /// Decodes `uXXXX` (`pos` is on the `u`), together with the
+    /// `\uDC00`–`\uDFFF` escape behind it when `XXXX` is a high surrogate.
+    fn unicode_escape(&mut self) -> Result<char, JsonParseError> {
+        let bytes = self.text.as_bytes();
+        let digits = bytes
+            .get(self.pos + 1..self.pos + 5)
+            .ok_or_else(|| error(self.pos, "truncated \\u escape"))?;
+        let mut code = hex4(digits).ok_or_else(|| error(self.pos, "bad \\u escape"))?;
+        self.pos += 5;
+        if (0xD800..0xDC00).contains(&code) {
+            let low = bytes
+                .get(self.pos..self.pos + 6)
+                .filter(|next| next.starts_with(b"\\u"))
+                .and_then(|next| hex4(&next[2..]))
+                .filter(|low| (0xDC00..0xE000).contains(low));
+            if let Some(low) = low {
+                self.pos += 6;
+                code = 0x10000 + ((code - 0xD800) << 10) + (low - 0xDC00);
+            }
+        }
+        // What is left outside the scalar range is a surrogate without its
+        // partner.
+        Ok(char::from_u32(code).unwrap_or('\u{FFFD}'))
+    }
+
+    fn array(&mut self, depth: usize) -> Result<Json, JsonParseError> {
+        debug_assert_eq!(self.peek(), Some(b'['));
+        self.pos += 1;
+        let mut items = Vec::new();
+        self.skip_whitespace();
+        if self.peek() == Some(b']') {
+            self.pos += 1;
+            return Ok(Json::Arr(items));
+        }
+        loop {
+            items.push(self.value(depth)?);
+            self.skip_whitespace();
+            match self.peek() {
+                Some(b',') => self.pos += 1,
+                Some(b']') => {
+                    self.pos += 1;
+                    return Ok(Json::Arr(items));
+                }
+                _ => return Err(error(self.pos, "expected ',' or ']' in array")),
+            }
+        }
+    }
+
+    fn object(&mut self, depth: usize) -> Result<Json, JsonParseError> {
+        debug_assert_eq!(self.peek(), Some(b'{'));
+        self.pos += 1;
+        let mut fields = Vec::new();
+        self.skip_whitespace();
+        if self.peek() == Some(b'}') {
+            self.pos += 1;
+            return Ok(Json::Obj(fields));
+        }
+        loop {
+            self.skip_whitespace();
+            if self.peek() != Some(b'"') {
+                return Err(error(self.pos, "expected a string key"));
+            }
+            let key = self.string()?;
+            self.skip_whitespace();
+            if self.peek() != Some(b':') {
+                return Err(error(self.pos, "expected ':' after object key"));
+            }
+            self.pos += 1;
+            let value = self.value(depth)?;
+            fields.push((key, value));
+            self.skip_whitespace();
+            match self.peek() {
+                Some(b',') => self.pos += 1,
+                Some(b'}') => {
+                    self.pos += 1;
+                    return Ok(Json::Obj(fields));
+                }
+                _ => return Err(error(self.pos, "expected ',' or '}' in object")),
             }
         }
     }
 }
 
-fn parse_array(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, JsonParseError> {
-    debug_assert_eq!(bytes[*pos], b'[');
-    *pos += 1;
-    let mut items = Vec::new();
-    skip_whitespace(bytes, pos);
-    if bytes.get(*pos) == Some(&b']') {
-        *pos += 1;
-        return Ok(Json::Arr(items));
-    }
-    loop {
-        items.push(parse_value(bytes, pos, depth)?);
-        skip_whitespace(bytes, pos);
-        match bytes.get(*pos) {
-            Some(b',') => *pos += 1,
-            Some(b']') => {
-                *pos += 1;
-                return Ok(Json::Arr(items));
-            }
-            _ => return Err(error(*pos, "expected ',' or ']' in array")),
-        }
+/// The value of exactly four hex digits; a sign, a space or any other byte
+/// makes it `None`.
+fn hex4(digits: &[u8]) -> Option<u32> {
+    debug_assert_eq!(digits.len(), 4);
+    digits.iter().try_fold(0, |code, &digit| {
+        Some(code << 4 | char::from(digit).to_digit(16)?)
+    })
+}
+
+fn write_indent(out: &mut String, levels: usize) {
+    for _ in 0..levels {
+        out.push_str("  ");
     }
 }
 
-fn parse_object(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, JsonParseError> {
-    debug_assert_eq!(bytes[*pos], b'{');
-    *pos += 1;
-    let mut fields = Vec::new();
-    skip_whitespace(bytes, pos);
-    if bytes.get(*pos) == Some(&b'}') {
-        *pos += 1;
-        return Ok(Json::Obj(fields));
-    }
-    loop {
-        skip_whitespace(bytes, pos);
-        if bytes.get(*pos) != Some(&b'"') {
-            return Err(error(*pos, "expected a string key"));
-        }
-        let key = parse_string(bytes, pos)?;
-        skip_whitespace(bytes, pos);
-        if bytes.get(*pos) != Some(&b':') {
-            return Err(error(*pos, "expected ':' after object key"));
-        }
-        *pos += 1;
-        let value = parse_value(bytes, pos, depth)?;
-        fields.push((key, value));
-        skip_whitespace(bytes, pos);
-        match bytes.get(*pos) {
-            Some(b',') => *pos += 1,
-            Some(b'}') => {
-                *pos += 1;
-                return Ok(Json::Obj(fields));
-            }
-            _ => return Err(error(*pos, "expected ',' or '}' in object")),
-        }
-    }
-}
-
+/// Writes `s` quoted. Every character that needs an escape is ASCII, so the
+/// runs between them are copied as slices.
 fn write_escaped(out: &mut String, s: &str) {
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
+    let mut run_start = 0;
+    for (i, &byte) in s.as_bytes().iter().enumerate() {
+        if byte >= 0x20 && byte != b'"' && byte != b'\\' {
+            continue;
+        }
+        out.push_str(&s[run_start..i]);
+        run_start = i + 1;
+        match byte {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            _ => {
+                let _ = write!(out, "\\u{byte:04x}");
             }
-            c => out.push(c),
         }
     }
+    out.push_str(&s[run_start..]);
     out.push('"');
 }
 
@@ -472,5 +542,90 @@ mod tests {
         let items = doc.get("a").and_then(Json::as_array).unwrap();
         assert_eq!(items[1].as_f64(), Some(2.5));
         assert_eq!(doc.get("missing"), None);
+    }
+
+    #[test]
+    fn unicode_escapes_take_four_hex_digits_and_pair_surrogates() {
+        let parse_str =
+            |text: &str| Json::parse(text).map(|value| value.as_str().map(String::from));
+        // What `json.dumps("\u{1F600}")` sends: one scalar, not two U+FFFD.
+        assert_eq!(parse_str(r#""\ud83d\ude00""#), Ok(Some("\u{1F600}".into())));
+        assert_eq!(
+            parse_str(r#""a\uD83D\uDE00\u00e9\uDBFF\uDFFFz""#),
+            Ok(Some("a\u{1F600}\u{e9}\u{10FFFF}z".into()))
+        );
+        // A surrogate without its partner is U+FFFD, and what follows a
+        // lone high surrogate is decoded on its own.
+        assert_eq!(parse_str(r#""\ud83d""#), Ok(Some("\u{FFFD}".into())));
+        assert_eq!(parse_str(r#""\ud83dx""#), Ok(Some("\u{FFFD}x".into())));
+        assert_eq!(parse_str(r#""\ud83d\u0041""#), Ok(Some("\u{FFFD}A".into())));
+        assert_eq!(parse_str(r#""\ud83d\n""#), Ok(Some("\u{FFFD}\n".into())));
+        assert_eq!(parse_str(r#""\ude00""#), Ok(Some("\u{FFFD}".into())));
+        assert_eq!(
+            parse_str(r#""\ude00\ud83d""#),
+            Ok(Some("\u{FFFD}\u{FFFD}".into()))
+        );
+        assert_eq!(
+            parse_str(r#""\ud83d\ud83d\ude00""#),
+            Ok(Some("\u{FFFD}\u{1F600}".into()))
+        );
+
+        // Exactly four hex digits: no sign, no space. The offset is the
+        // escape's (the byte behind the backslash), as for any bad escape.
+        for (bad, offset, message) in [
+            (r#""\u+041""#, 2, "bad \\u escape"),
+            (r#""\u 041""#, 2, "bad \\u escape"),
+            (r#""\u-041""#, 2, "bad \\u escape"),
+            (r#""ab\u00g1""#, 4, "bad \\u escape"),
+            (r#""\u00é""#, 2, "bad \\u escape"),
+            (r#""\ud83d\u+e00""#, 8, "bad \\u escape"),
+            (r#""\u004""#, 2, "bad \\u escape"),
+            // Cut off by the end of the input, with and without the quote.
+            (r#""\u00"#, 2, "truncated \\u escape"),
+            (r#""\u00""#, 2, "truncated \\u escape"),
+            (r#""\u"#, 2, "truncated \\u escape"),
+            (r#""\ud83d\ude0"#, 8, "truncated \\u escape"),
+            (r#""\"#, 2, "invalid escape"),
+            (r#""\x41""#, 2, "invalid escape"),
+            (r#""\u0041"#, 7, "unterminated string"),
+        ] {
+            assert_eq!(
+                Json::parse(bad),
+                Err(error(offset, message)),
+                "parsing {bad}"
+            );
+        }
+    }
+
+    /// The module's complexity contract. A parser that does work per string
+    /// byte in proportion to the rest of the document is as quadratic on many
+    /// short strings as on one long one (these took minutes, 12 s and 22 s in
+    /// a release build before strings were consumed as runs), hence the
+    /// three shapes.
+    #[test]
+    fn parse_and_render_are_linear_in_document_bytes() {
+        let one_string = Json::Str("a€".repeat(1 << 20));
+        let short_strings = Json::Arr((0..200_000).map(|_| Json::str("ab")).collect());
+        let many_keys = Json::Obj(
+            (0..100_000)
+                .map(|i| (format!("k{i:05}"), Json::Null))
+                .collect(),
+        );
+        for (name, value) in [
+            ("one 4 MiB string", one_string),
+            ("200 000 two-character strings", short_strings),
+            ("100 000 six-character keys", many_keys),
+        ] {
+            let started = std::time::Instant::now();
+            let text = value.render();
+            let parsed = Json::parse(&text).expect("own output must parse");
+            let elapsed = started.elapsed();
+            assert_eq!(parsed, value, "{name}");
+            assert!(
+                elapsed < std::time::Duration::from_secs(5),
+                "{name}: render + parse of {} bytes took {elapsed:?}",
+                text.len()
+            );
+        }
     }
 }
