@@ -300,6 +300,7 @@ impl PhotonicFabric for DhetFabric {
         "d-hetpnoc"
     }
 
+    #[inline]
     fn pre_cycle(&mut self, _cycle: u64) {
         // Keep the token circulating; with a stable task mapping the
         // allocation is already converged, so visits are cheap no-ops, but
@@ -313,10 +314,12 @@ impl PhotonicFabric for DhetFabric {
         self.controller.skip_cycles(to - from);
     }
 
+    #[inline]
     fn pool_size(&self, src: ClusterId) -> usize {
         self.controller.pool(src)
     }
 
+    #[inline]
     fn wavelengths_for(&self, src: ClusterId, dst: ClusterId) -> usize {
         // A stuck/detuned MRR ring at either endpoint pins the transfer to a
         // single wavelength, regardless of pool or class.
@@ -331,6 +334,7 @@ impl PhotonicFabric for DhetFabric {
         derated.min(self.controller.pool(src)).max(1)
     }
 
+    #[inline]
     fn reservation_cycles(&self, _src: ClusterId, _dst: ClusterId) -> u64 {
         self.reservation.cycles
     }
@@ -363,6 +367,7 @@ impl PhotonicFabric for DhetFabric {
         }
     }
 
+    #[inline]
     fn link_up(&self, cluster: ClusterId) -> bool {
         self.faults.link_up(cluster.0)
     }

@@ -78,16 +78,19 @@ impl PhotonicFabric for FireflyFabric {
         "firefly"
     }
 
+    #[inline]
     fn pre_cycle(&mut self, _cycle: u64) {}
 
     fn skip_cycles(&mut self, _from: u64, _to: u64) {
         // Firefly has no per-cycle control-plane state to advance.
     }
 
+    #[inline]
     fn pool_size(&self, _src: ClusterId) -> usize {
         self.wavelengths_per_channel
     }
 
+    #[inline]
     fn wavelengths_for(&self, src: ClusterId, dst: ClusterId) -> usize {
         // A stuck/detuned MRR ring at either endpoint pins the transfer to a
         // single wavelength.
@@ -101,6 +104,7 @@ impl PhotonicFabric for FireflyFabric {
         (self.wavelengths_per_channel / self.faults.max_divisor() as usize).max(1)
     }
 
+    #[inline]
     fn reservation_cycles(&self, _src: ClusterId, _dst: ClusterId) -> u64 {
         self.reservation_cycles
     }
@@ -121,6 +125,7 @@ impl PhotonicFabric for FireflyFabric {
         self.faults.clear(event);
     }
 
+    #[inline]
     fn link_up(&self, cluster: ClusterId) -> bool {
         self.faults.link_up(cluster.0)
     }

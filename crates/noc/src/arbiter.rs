@@ -57,6 +57,7 @@ impl RoundRobinArbiter {
     /// lowest requester when none is left above it. `requests` must not name
     /// a requester at or above [`Arbiter::num_requesters`] (checked in debug
     /// builds only: this is the per-cycle arbitration of every router).
+    #[inline]
     pub fn grant_mask(&mut self, requests: u64) -> Option<usize> {
         debug_assert!(
             self.n == 64 || requests >> self.n == 0,

@@ -53,6 +53,7 @@ impl Crossbar {
 
     /// Attempts to connect `input` to `output` for this cycle. Returns the
     /// grant on success or `None` when either endpoint is already in use.
+    #[inline]
     pub fn connect(&mut self, input: PortId, output: PortId) -> Option<CrossbarGrant> {
         assert!(input.0 < self.num_ports, "input port out of range");
         assert!(output.0 < self.num_ports, "output port out of range");
@@ -84,6 +85,7 @@ impl Crossbar {
     }
 
     /// Clears every connection (call at the start of each cycle).
+    #[inline]
     pub fn clear(&mut self) {
         self.output_for_input.iter_mut().for_each(|v| *v = None);
         self.input_for_output.iter_mut().for_each(|v| *v = None);

@@ -25,12 +25,14 @@ pub enum FlitKind {
 impl FlitKind {
     /// True for flits that carry routing information (head or single).
     #[must_use]
+    #[inline]
     pub fn is_head(self) -> bool {
         matches!(self, FlitKind::Head | FlitKind::Single)
     }
 
     /// True for flits that terminate a packet (tail or single).
     #[must_use]
+    #[inline]
     pub fn is_tail(self) -> bool {
         matches!(self, FlitKind::Tail | FlitKind::Single)
     }
@@ -49,8 +51,10 @@ pub enum FlitPayload {
 
 /// A single flow-control unit travelling through the network.
 ///
-/// Flits are intentionally small `Copy`-able values: the cycle-accurate inner
-/// loop moves millions of them.
+/// A flit is a 64-byte `Copy` value — one cache line; a VC ring slot is 72
+/// with the arrival cycle — and the cycle-accurate inner loop moves millions
+/// of them, so the assertion below turns a new field into a compile error
+/// rather than into memory traffic.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Flit {
     /// Packet this flit belongs to.
@@ -79,15 +83,19 @@ pub struct Flit {
     pub vc: VcId,
 }
 
+const _: () = assert!(std::mem::size_of::<Flit>() <= 64);
+
 impl Flit {
     /// Returns true if this flit is the head (or single) flit of its packet.
     #[must_use]
+    #[inline]
     pub fn is_head(&self) -> bool {
         self.kind.is_head()
     }
 
     /// Returns true if this flit is the tail (or single) flit of its packet.
     #[must_use]
+    #[inline]
     pub fn is_tail(&self) -> bool {
         self.kind.is_tail()
     }

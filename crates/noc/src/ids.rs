@@ -67,6 +67,7 @@ impl CoreId {
     ///
     /// Panics if `cores_per_cluster` is zero.
     #[must_use]
+    #[inline]
     pub fn cluster(self, cores_per_cluster: usize) -> ClusterId {
         assert!(cores_per_cluster > 0, "cores_per_cluster must be non-zero");
         ClusterId(self.0 / cores_per_cluster)
@@ -78,6 +79,7 @@ impl CoreId {
     ///
     /// Panics if `cores_per_cluster` is zero.
     #[must_use]
+    #[inline]
     pub fn local_index(self, cores_per_cluster: usize) -> usize {
         assert!(cores_per_cluster > 0, "cores_per_cluster must be non-zero");
         self.0 % cores_per_cluster
@@ -93,6 +95,7 @@ impl CoreId {
 impl ClusterId {
     /// Returns the global [`CoreId`] of the `local`-th core of this cluster.
     #[must_use]
+    #[inline]
     pub fn core(self, local: usize, cores_per_cluster: usize) -> CoreId {
         assert!(
             local < cores_per_cluster,
@@ -134,6 +137,7 @@ impl PacketIdAllocator {
     }
 
     /// Returns a fresh, never-before-returned id.
+    #[inline]
     pub fn allocate(&mut self) -> PacketId {
         let id = PacketId(self.next);
         self.next += 1;

@@ -149,6 +149,7 @@ impl PacketFramer {
     /// without materialising the rest (the injection path builds one flit per
     /// cycle).
     #[must_use]
+    #[inline]
     pub fn flit_at(packet: &Packet, vc: VcId, seq: u32) -> Flit {
         let n = packet.descriptor.num_flits.max(1);
         debug_assert!(seq < n, "flit {seq} of a {n}-flit packet");

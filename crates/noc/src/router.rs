@@ -172,6 +172,7 @@ impl ElectricalRouter {
     /// # Errors
     ///
     /// Returns [`NocError::InvalidPort`] if the port index is out of range.
+    #[inline]
     pub fn input(&self, port: PortId) -> NocResult<&VcSet> {
         self.inputs.get(port.0).ok_or(NocError::InvalidPort {
             port,
@@ -181,6 +182,7 @@ impl ElectricalRouter {
 
     /// True when the input buffer `(port, vc)` can accept one more flit.
     #[must_use]
+    #[inline]
     pub fn can_accept(&self, port: PortId, vc: VcId) -> bool {
         self.inputs
             .get(port.0)
@@ -189,6 +191,7 @@ impl ElectricalRouter {
 
     /// Finds a free (empty, unassigned) VC on `port` for a new packet.
     #[must_use]
+    #[inline]
     pub fn free_input_vc(&self, port: PortId) -> Option<VcId> {
         self.inputs.get(port.0).and_then(VcSet::free_vc)
     }
@@ -199,6 +202,7 @@ impl ElectricalRouter {
     ///
     /// Returns [`NocError::InvalidPort`], [`NocError::InvalidVc`] or
     /// [`NocError::BufferFull`] on failure.
+    #[inline]
     pub fn accept(&mut self, port: PortId, vc: VcId, flit: Flit, cycle: u64) -> NocResult<()> {
         let num_ports = self.spec.num_ports;
         let set = self
@@ -278,7 +282,9 @@ impl ElectricalRouter {
         // For every input port pick one candidate VC whose head-of-line flit
         // is eligible (pipeline latency satisfied), routed, and whose
         // downstream buffer can take it. Only occupied VCs are visited, in
-        // ascending order (the set bits of the port's non-empty mask).
+        // ascending order (the set bits of the port's non-empty mask). Two
+        // ports may nominate the same output: the crossbar is still empty
+        // here, and such conflicts are resolved by the stage-3 arbiters.
         self.scratch_output_requests.fill(0);
         for (p, set) in self.inputs.iter_mut().enumerate() {
             let mut requests = 0u64;
@@ -314,7 +320,7 @@ impl ElectricalRouter {
                     ),
                 };
                 let (head, _) = set.vc(vc).expect("vc in range").front().expect("non-empty");
-                if can_send(out, vc, head) && self.crossbar.output_free(out) {
+                if can_send(out, vc, head) {
                     requests |= 1 << v;
                 }
             }

@@ -22,6 +22,7 @@ pub enum RouteDecision {
 impl RouteDecision {
     /// The output port this decision corresponds to.
     #[must_use]
+    #[inline]
     pub fn port(&self, topology: &ClusterTopology) -> PortId {
         match self {
             RouteDecision::Local => topology.local_port(),
@@ -52,6 +53,7 @@ impl ClusterRoutingTable {
 
     /// Routes a packet headed for `dst`.
     #[must_use]
+    #[inline]
     pub fn decide(&self, dst: CoreId) -> RouteDecision {
         if dst == self.own_core {
             RouteDecision::Local
@@ -65,6 +67,7 @@ impl ClusterRoutingTable {
     /// Output port for a packet headed to `dst` (convenience wrapper around
     /// [`ClusterRoutingTable::decide`]).
     #[must_use]
+    #[inline]
     pub fn output_port(&self, dst: CoreId) -> PortId {
         self.decide(dst).port(&self.topology)
     }

@@ -59,36 +59,42 @@ impl ClusterTopology {
 
     /// Number of clusters (= number of photonic routers).
     #[must_use]
+    #[inline]
     pub fn num_clusters(&self) -> usize {
         self.num_clusters
     }
 
     /// Number of cores per cluster.
     #[must_use]
+    #[inline]
     pub fn cores_per_cluster(&self) -> usize {
         self.cores_per_cluster
     }
 
     /// Total number of cores on the chip.
     #[must_use]
+    #[inline]
     pub fn num_cores(&self) -> usize {
         self.num_clusters * self.cores_per_cluster
     }
 
     /// Cluster that owns `core`.
     #[must_use]
+    #[inline]
     pub fn cluster_of(&self, core: CoreId) -> ClusterId {
         core.cluster(self.cores_per_cluster)
     }
 
     /// Local index of `core` within its cluster.
     #[must_use]
+    #[inline]
     pub fn local_index(&self, core: CoreId) -> usize {
         core.local_index(self.cores_per_cluster)
     }
 
     /// True when both cores live in the same cluster.
     #[must_use]
+    #[inline]
     pub fn same_cluster(&self, a: CoreId, b: CoreId) -> bool {
         self.cluster_of(a) == self.cluster_of(b)
     }
@@ -96,18 +102,21 @@ impl ClusterTopology {
     /// Number of ports on each core switch: local core + peers + photonic
     /// router.
     #[must_use]
+    #[inline]
     pub fn switch_ports(&self) -> usize {
         self.cores_per_cluster + 1
     }
 
     /// Port index of the local core on every core switch (always 0).
     #[must_use]
+    #[inline]
     pub fn local_port(&self) -> PortId {
         PortId(0)
     }
 
     /// Port index of the photonic router on every core switch.
     #[must_use]
+    #[inline]
     pub fn photonic_port(&self) -> PortId {
         PortId(self.cores_per_cluster)
     }
@@ -119,6 +128,7 @@ impl ClusterTopology {
     ///
     /// Panics if the cores are not distinct members of the same cluster.
     #[must_use]
+    #[inline]
     pub fn peer_port(&self, from: CoreId, to: CoreId) -> PortId {
         assert!(
             self.same_cluster(from, to),
@@ -144,6 +154,7 @@ impl ClusterTopology {
     ///
     /// Panics if `port` is not a peer port.
     #[must_use]
+    #[inline]
     pub fn peer_of_port(&self, from_local: usize, port: PortId) -> usize {
         assert!(
             port.0 >= 1 && port.0 < self.cores_per_cluster,

@@ -22,7 +22,11 @@ pub struct VcBuffer {
 }
 
 impl VcBuffer {
-    /// Creates an empty buffer with room for `capacity` flits.
+    /// Creates an empty buffer that accepts up to `capacity` flits.
+    ///
+    /// Nothing is allocated here: the ring grows by doubling to the VC's own
+    /// high-water mark, so a leaf's memory follows what it buffers, not
+    /// `ports × VCs × depth`. `capacity` is enforced by [`VcBuffer::push`].
     ///
     /// # Panics
     ///
@@ -31,7 +35,7 @@ impl VcBuffer {
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "VC buffer capacity must be non-zero");
         Self {
-            fifo: VecDeque::with_capacity(capacity.min(64)),
+            fifo: VecDeque::new(),
             capacity,
             assigned_output: None,
         }
@@ -51,12 +55,14 @@ impl VcBuffer {
 
     /// True when no flits are buffered.
     #[must_use]
+    #[inline]
     pub fn is_empty(&self) -> bool {
         self.fifo.is_empty()
     }
 
     /// True when the buffer cannot accept any more flits.
     #[must_use]
+    #[inline]
     pub fn is_full(&self) -> bool {
         self.fifo.len() >= self.capacity
     }
@@ -72,6 +78,7 @@ impl VcBuffer {
     /// # Errors
     ///
     /// Returns [`NocError::BufferFull`] when the buffer is at capacity.
+    #[inline]
     pub fn push(&mut self, flit: Flit, cycle: u64) -> NocResult<()> {
         if self.is_full() {
             return Err(NocError::BufferFull {
@@ -86,27 +93,32 @@ impl VcBuffer {
 
     /// Returns the head-of-line flit (and its arrival cycle) without removing it.
     #[must_use]
+    #[inline]
     pub fn front(&self) -> Option<(&Flit, u64)> {
         self.fifo.front().map(|(f, c)| (f, *c))
     }
 
     /// Removes and returns the head-of-line flit and its arrival cycle.
+    #[inline]
     pub fn pop(&mut self) -> Option<(Flit, u64)> {
         self.fifo.pop_front()
     }
 
     /// Output port currently assigned to the wormhole occupying this VC.
     #[must_use]
+    #[inline]
     pub fn assigned_output(&self) -> Option<PortId> {
         self.assigned_output
     }
 
     /// Assigns an output port (done when the head flit is routed).
+    #[inline]
     pub fn assign_output(&mut self, port: PortId) {
         self.assigned_output = Some(port);
     }
 
     /// Releases the output-port assignment (done when the tail flit departs).
+    #[inline]
     pub fn release_output(&mut self) {
         self.assigned_output = None;
     }
@@ -119,6 +131,7 @@ impl VcBuffer {
 }
 
 /// Iterates over the indices of the set bits of `mask`, lowest first.
+#[inline]
 pub fn set_bits(mut mask: u64) -> impl Iterator<Item = usize> {
     std::iter::from_fn(move || {
         (mask != 0).then(|| {
@@ -167,6 +180,7 @@ impl VcSet {
 
     /// Number of virtual channels in the set.
     #[must_use]
+    #[inline]
     pub fn num_vcs(&self) -> usize {
         self.vcs.len()
     }
@@ -176,6 +190,7 @@ impl VcSet {
     /// # Errors
     ///
     /// Returns [`NocError::InvalidVc`] if the index is out of range.
+    #[inline]
     pub fn vc(&self, vc: VcId) -> NocResult<&VcBuffer> {
         self.vcs.get(vc.0).ok_or(NocError::InvalidVc {
             vc,
@@ -189,6 +204,7 @@ impl VcSet {
     ///
     /// Returns [`NocError::InvalidVc`] if the index is out of range and
     /// [`NocError::BufferFull`] when the VC is at capacity.
+    #[inline]
     pub fn push(&mut self, vc: VcId, flit: Flit, cycle: u64) -> NocResult<()> {
         let num_vcs = self.vcs.len();
         let buffer = self
@@ -209,6 +225,7 @@ impl VcSet {
     /// # Panics
     ///
     /// Panics if `vc` is out of range.
+    #[inline]
     pub fn pop(&mut self, vc: VcId) -> Option<(Flit, u64)> {
         let buffer = &mut self.vcs[vc.0];
         let popped = buffer.pop()?;
@@ -224,6 +241,7 @@ impl VcSet {
     /// # Panics
     ///
     /// Panics if `vc` is out of range.
+    #[inline]
     pub fn assign_output(&mut self, vc: VcId, port: PortId) {
         self.vcs[vc.0].assign_output(port);
         self.assigned |= 1 << vc.0;
@@ -234,6 +252,7 @@ impl VcSet {
     /// # Panics
     ///
     /// Panics if `vc` is out of range.
+    #[inline]
     pub fn release_output(&mut self, vc: VcId) {
         self.vcs[vc.0].release_output();
         self.assigned &= !(1 << vc.0);
@@ -241,12 +260,14 @@ impl VcSet {
 
     /// Mask of the VCs holding at least one flit.
     #[must_use]
+    #[inline]
     pub fn nonempty_mask(&self) -> u64 {
         self.nonempty
     }
 
     /// Mask of the VCs at capacity.
     #[must_use]
+    #[inline]
     pub fn full_mask(&self) -> u64 {
         self.full
     }
@@ -293,6 +314,7 @@ impl VcSet {
     /// empty VC so that flits of different packets never interleave within a
     /// single FIFO.
     #[must_use]
+    #[inline]
     pub fn free_vc(&self) -> Option<VcId> {
         let free = !(self.nonempty | self.assigned);
         let vc = free.trailing_zeros() as usize;
@@ -407,5 +429,90 @@ mod tests {
     #[should_panic(expected = "non-zero")]
     fn zero_capacity_panics() {
         let _ = VcBuffer::new(0);
+    }
+
+    #[test]
+    fn fresh_buffers_own_no_ring() {
+        assert_eq!(VcBuffer::new(64).fifo.capacity(), 0);
+        let set = VcSet::new(16, 256);
+        assert!(set.vcs.iter().all(|b| b.fifo.capacity() == 0));
+    }
+
+    /// Random `push`/`pop`/`assign_output`/`release_output` against a plain
+    /// `VecDeque` model: the ring grows by doubling under the configured
+    /// capacity, so FIFO order and arrival cycles must survive every
+    /// reallocation and wrap-around, and `BufferFull` must come at exactly
+    /// `capacity`, never at the ring's power-of-two size.
+    #[test]
+    fn ring_growth_matches_a_vecdeque_model() {
+        for capacity in [1usize, 3, 4, 5, 63, 64, 65, 100] {
+            let mut set = VcSet::new(2, capacity);
+            let mut model: [VecDeque<(u32, u64)>; 2] = [VecDeque::new(), VecDeque::new()];
+            let mut assigned = [None; 2];
+            let mut rng = 0x9e37_79b9_7f4a_7c15 ^ capacity as u64;
+            let mut refused = 0usize;
+            let mut reallocations = 0usize;
+            let phase = 8 * capacity as u64 + 16;
+            for step in 0..6 * phase {
+                // xorshift64: the test's own deterministic random stream.
+                rng ^= rng << 13;
+                rng ^= rng >> 7;
+                rng ^= rng << 17;
+                let v = (rng >> 8) as usize % 2;
+                let vc = VcId(v);
+                let ring_before = set.vcs[v].fifo.capacity();
+                // Alternating phases of mostly-push and mostly-pop, so each
+                // ring fills to capacity, drains and wraps; a sprinkle of the
+                // other two operations.
+                let filling = (step / phase).is_multiple_of(2);
+                match rng % 16 {
+                    0 => {
+                        set.assign_output(vc, PortId(step as usize % 5));
+                        assigned[v] = Some(PortId(step as usize % 5));
+                    }
+                    1 => {
+                        set.release_output(vc);
+                        assigned[v] = None;
+                    }
+                    r if (r < 13) == filling => {
+                        let mut f = flit(v);
+                        f.seq = step as u32;
+                        match set.push(vc, f, step) {
+                            Ok(()) => {
+                                assert!(model[v].len() < capacity);
+                                model[v].push_back((f.seq, step));
+                            }
+                            Err(NocError::BufferFull { capacity: c, .. }) => {
+                                assert_eq!(model[v].len(), capacity);
+                                assert_eq!(c, capacity);
+                                refused += 1;
+                            }
+                            Err(other) => panic!("unexpected error {other:?}"),
+                        }
+                    }
+                    _ => {
+                        let popped = set.pop(vc).map(|(f, cycle)| (f.seq, cycle));
+                        assert_eq!(popped, model[v].pop_front());
+                    }
+                }
+                reallocations += usize::from(set.vcs[v].fifo.capacity() != ring_before);
+                assert!(set.masks_consistent());
+                let buffer = set.vc(vc).unwrap();
+                assert_eq!(buffer.occupancy(), model[v].len());
+                assert_eq!(buffer.is_full(), model[v].len() == capacity);
+                assert_eq!(buffer.assigned_output(), assigned[v]);
+                assert_eq!(
+                    buffer.front().map(|(f, cycle)| (f.seq, cycle)),
+                    model[v].front().copied()
+                );
+            }
+            assert!(refused > 0, "capacity {capacity} was never reached");
+            // Doubling to the high-water mark: a handful of reallocations per
+            // VC over the whole run, not one per refill.
+            assert!(
+                reallocations <= 2 * 6,
+                "capacity {capacity}: {reallocations} ring reallocations"
+            );
+        }
     }
 }

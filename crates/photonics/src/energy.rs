@@ -170,6 +170,7 @@ impl EnergyAccumulator {
 
     /// Records `bits` bits crossing a photonic channel (launch + modulation +
     /// tuning are charged).
+    #[inline]
     pub fn record_photonic_transfer(&mut self, bits: u64) {
         let b = bits as f64;
         self.breakdown.launch_pj += self.model.launch_pj_per_bit * b;
@@ -178,17 +179,20 @@ impl EnergyAccumulator {
     }
 
     /// Records `bits` bits being written into a router buffer.
+    #[inline]
     pub fn record_buffer_write(&mut self, bits: u64) {
         self.breakdown.buffer_pj += self.model.buffering_pj(bits);
     }
 
     /// Records `bits` bits sitting in router buffers for one cycle
     /// (retention energy).
+    #[inline]
     pub fn record_buffer_occupancy(&mut self, bits: u64) {
         self.breakdown.buffer_pj += self.model.buffer_retention_pj(bits);
     }
 
     /// Records `bits` bits traversing an electrical router.
+    #[inline]
     pub fn record_router_traversal(&mut self, bits: u64) {
         self.breakdown.electrical_pj += self.model.router_traversal_pj(bits);
     }

@@ -1,0 +1,189 @@
+//! Memory footprint of a leaf, measured with a counting allocator: a leaf
+//! holds what it buffers, not `ports × VCs × depth`.
+//!
+//! VC rings start empty and grow by doubling to each VC's own high-water
+//! mark, so (a) a freshly built system costs the same whatever the
+//! configured depth, (b) a saturated run stays far below the full
+//! reservation, and (c) a hierarchy pays per pod what that pod buffers.
+//!
+//! The counters are process-wide, so the whole file is **one** test: a second
+//! test running beside it would allocate into the same figures.
+
+use d_hetpnoc_repro::prelude::*;
+use pnoc_sim::engine::{run_cycles, CycleNetwork};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicUsize, Ordering};
+
+static LIVE: AtomicUsize = AtomicUsize::new(0);
+static PEAK: AtomicUsize = AtomicUsize::new(0);
+
+/// `System`, counting live and peak-live bytes.
+struct Counting;
+
+impl Counting {
+    fn grew(bytes: usize) {
+        let live = LIVE.fetch_add(bytes, Ordering::Relaxed) + bytes;
+        PEAK.fetch_max(live, Ordering::Relaxed);
+    }
+}
+
+// SAFETY: every call forwards to `System` with the caller's own arguments and
+// returns its result unchanged; the counters are plain statistics.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        // SAFETY: the caller upholds `GlobalAlloc::alloc`'s contract.
+        let ptr = unsafe { System.alloc(layout) };
+        if !ptr.is_null() {
+            Self::grew(layout.size());
+        }
+        ptr
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        LIVE.fetch_sub(layout.size(), Ordering::Relaxed);
+        // SAFETY: the caller upholds `GlobalAlloc::dealloc`'s contract.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        // SAFETY: the caller upholds `GlobalAlloc::realloc`'s contract.
+        let new_ptr = unsafe { System.realloc(ptr, layout, new_size) };
+        if !new_ptr.is_null() {
+            LIVE.fetch_sub(layout.size(), Ordering::Relaxed);
+            Self::grew(new_size);
+        }
+        new_ptr
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: Counting = Counting;
+
+/// Runs `f` and returns its value with the bytes it left live and the peak
+/// it reached above the starting level.
+fn measured<R>(f: impl FnOnce() -> R) -> (R, usize, usize) {
+    let before = LIVE.load(Ordering::Relaxed);
+    PEAK.store(before, Ordering::Relaxed);
+    let value = f();
+    let live = LIVE.load(Ordering::Relaxed).saturating_sub(before);
+    let peak = PEAK.load(Ordering::Relaxed) - before;
+    (value, live, peak)
+}
+
+const MIB: usize = 1 << 20;
+/// One ring slot: a 64-byte flit and its arrival cycle.
+const SLOT_BYTES: usize = 72;
+
+fn saturating_skewed3(config: &SimConfig) -> SkewedTraffic {
+    SkewedTraffic::new(
+        config.topology,
+        PacketShape::new(
+            config.bandwidth_set.packet_flits(),
+            config.bandwidth_set.flit_bits(),
+        ),
+        SkewLevel::Skewed3,
+        OfferedLoad::new(config.estimated_saturation_load() * 1.5),
+        config.seed,
+    )
+}
+
+/// What reserving every ring up front costs for this leaf: the core switches'
+/// and the photonic routers' (input + ejection) VCs at full depth.
+fn full_reservation_bytes(config: &SimConfig) -> usize {
+    let topology = config.topology;
+    let switch_vcs = topology.num_cores() * topology.switch_ports() * config.vcs_per_port;
+    let photonic_vcs =
+        topology.num_clusters() * 2 * topology.photonic_router_ports() * config.vcs_per_port;
+    (switch_vcs + photonic_vcs) * config.vc_depth.min(64) * SLOT_BYTES
+}
+
+/// Peak live bytes of building a leaf and stepping it for 2 000 cycles.
+fn saturated_peak<N: CycleNetwork>(build: impl FnOnce() -> N) -> usize {
+    let (stats, _, peak) = measured(|| run_cycles(&mut build(), 0, 2_000));
+    assert!(stats.delivered_packets > 0, "the run delivered nothing");
+    peak
+}
+
+/// Peak live bytes of one closed-loop `allreduce:64` scenario at quick effort.
+fn allreduce_peak(architecture: &str) -> usize {
+    let scenario = ScenarioSpec::closed_loop(architecture, "allreduce:64")
+        .with_effort(Effort::Quick)
+        .resolve()
+        .expect("registered names");
+    let (outcome, _, peak) = measured(|| scenario.run_with_mode(SweepMode::Sequential));
+    assert!(
+        outcome
+            .result
+            .points
+            .iter()
+            .all(|p| p.stats.delivered_packets > 0),
+        "{architecture}: the workload delivered nothing"
+    );
+    peak
+}
+
+#[test]
+fn a_leaf_holds_what_it_buffers() {
+    d_hetpnoc_repro::install_architectures();
+
+    // (a) Building a paper-effort leaf reserves no ring: well under 2 MiB
+    // live, and the same bytes whether VCs are 64 or 256 flits deep.
+    let live_after_new = |depth: usize| {
+        let mut config = SimConfig::paper_default(BandwidthSet::Set1);
+        config.vc_depth = depth;
+        let (dhet, dhet_live, _) =
+            measured(|| build_dhetpnoc_system(config, saturating_skewed3(&config)));
+        let (firefly, firefly_live, _) =
+            measured(|| build_firefly_system(config, saturating_skewed3(&config)));
+        drop((dhet, firefly));
+        (dhet_live, firefly_live)
+    };
+    let (dhet_64, firefly_64) = live_after_new(64);
+    println!("live bytes after new: d-hetpnoc {dhet_64}, firefly {firefly_64}");
+    assert!(dhet_64 < 2 * MIB, "d-hetpnoc holds {dhet_64} B after new");
+    assert!(
+        firefly_64 < 2 * MIB,
+        "firefly holds {firefly_64} B after new"
+    );
+    assert_eq!(
+        live_after_new(256),
+        (dhet_64, firefly_64),
+        "the footprint of a fresh leaf must not depend on vc_depth"
+    );
+
+    // (b) A saturated run grows each ring to its own high-water mark, far
+    // below the ports × VCs × depth reservation.
+    let config = SimConfig::paper_default(BandwidthSet::Set1);
+    let reserved = full_reservation_bytes(&config);
+    for (name, peak) in [
+        (
+            "d-hetpnoc",
+            saturated_peak(|| build_dhetpnoc_system(config, saturating_skewed3(&config))),
+        ),
+        (
+            "firefly",
+            saturated_peak(|| build_firefly_system(config, saturating_skewed3(&config))),
+        ),
+    ] {
+        println!(
+            "{name}: peak {peak} B over a 2 000-cycle saturated skewed-3 run \
+             ({:.1} % of the {reserved} B full reservation)",
+            100.0 * peak as f64 / reserved as f64
+        );
+        assert!(
+            peak < reserved / 2,
+            "{name}: peak {peak} B is not below half of {reserved} B"
+        );
+    }
+
+    // (c) A hierarchy pays per pod what a leaf buffers: three more pods cost
+    // less than three leaves' own peaks with 50 % headroom.
+    let leaf = allreduce_peak("d-hetpnoc");
+    let one_pod = allreduce_peak("hier{pods=1,leaf=d-hetpnoc}");
+    let four_pods = allreduce_peak("hier{pods=4,leaf=d-hetpnoc}");
+    println!("allreduce:64 peak: leaf {leaf} B, pods=1 {one_pod} B, pods=4 {four_pods} B");
+    assert!(
+        four_pods < one_pod + 3 * (leaf + leaf / 2),
+        "pods=4 peaks at {four_pods} B; pods=1 {one_pod} B, bare leaf {leaf} B"
+    );
+}
