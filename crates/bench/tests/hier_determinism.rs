@@ -1,5 +1,5 @@
 //! Integration tests of the `hier` multi-pod architecture through the full
-//! scenario stack, pinning its two core contracts:
+//! scenario stack, pinning its three core contracts:
 //!
 //! * **degeneracy** — a single-pod hierarchy with a zero-latency spine is
 //!   the identity composition: bitwise-identical sweep points to running
@@ -7,13 +7,16 @@
 //!   hierarchy-only metric families, which only a real hierarchy emits);
 //! * **sharding determinism** — the per-pod shards run as `pnoc-exec`
 //!   batch jobs, and the merged result must be bitwise-identical whether
-//!   those jobs run on one worker or many.
+//!   those jobs run on one worker or many;
+//! * **replay order** — the metric rows of a spread of spine shapes are
+//!   pinned against `tests/golden/hier_metrics.jsonl`.
 
 use d_hetpnoc_repro::hier::HIER_ONLY_METRICS;
 use pnoc_bench::runner::ensure_registered;
-use pnoc_sim::metrics::MetricReport;
-use pnoc_sim::scenario::{Effort, Scenario, ScenarioSpec};
+use pnoc_sim::metrics::{render_jsonl_row, MetricReport};
+use pnoc_sim::scenario::{run_specs, Effort, Scenario, ScenarioSpec};
 use pnoc_sim::sweep::{SweepMode, SweepPoint};
+use std::path::Path;
 
 fn resolve(spec: ScenarioSpec) -> Scenario {
     ensure_registered();
@@ -151,4 +154,53 @@ fn multi_pod_runs_report_per_pod_and_cross_pod_families() {
         cross_pod > 0,
         "pod-striped all-reduce placement must cross the spine"
     );
+}
+
+/// The replay order is pinned: the metric rows of three spine shapes — zero
+/// latency with a partial slot shared by two packets, one flit per cycle
+/// behind a deep open-loop backlog, an oversubscribed spine on a short epoch
+/// — under an open-loop and a closed-loop payload must equal the golden,
+/// which was rendered by the eager per-flit spine that
+/// `crates/hier/tests/prop_spine.rs` keeps as its reference model. Not
+/// regenerated by any switch: a deliberate change replaces the file with the
+/// text this test writes out.
+#[test]
+fn hier_metric_rows_match_their_golden() {
+    ensure_registered();
+    let architectures = [
+        "hier{pods=4,spine_latency=0,spine_bandwidth=3}",
+        "hier{pods=16,spine_latency=1,spine_bandwidth=1,leaf=firefly}",
+        "hier{pods=8,spine_oversub=4.0,epoch=16}",
+    ];
+    let specs: Vec<ScenarioSpec> = architectures
+        .iter()
+        .flat_map(|arch| {
+            [
+                ScenarioSpec::new(*arch, "skewed-3"),
+                ScenarioSpec::closed_loop(*arch, "allreduce:16"),
+            ]
+        })
+        .map(|spec| spec.with_effort(Effort::Smoke))
+        .collect();
+    let batch = run_specs(&specs).expect("registered names");
+    let mut actual = String::new();
+    for row in batch.scenarios.iter().flat_map(|s| s.metric_rows()) {
+        actual.push_str(&render_jsonl_row(&row));
+        actual.push('\n');
+    }
+
+    let golden_path = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden/hier_metrics.jsonl");
+    let golden = std::fs::read_to_string(&golden_path)
+        .unwrap_or_else(|error| panic!("{}: {error}", golden_path.display()));
+    if actual != golden {
+        let actual_dir = Path::new(env!("CARGO_TARGET_TMPDIR")).join("hier_determinism");
+        let actual_path = actual_dir.join("hier_metrics.jsonl");
+        std::fs::create_dir_all(&actual_dir).expect("target tmpdir is writable");
+        std::fs::write(&actual_path, actual).expect("actual text writes");
+        panic!(
+            "hier metric rows: expected {} but rendered {}",
+            golden_path.display(),
+            actual_path.display()
+        );
+    }
 }

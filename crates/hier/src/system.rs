@@ -20,7 +20,8 @@ use pnoc_sim::metrics::{
 };
 use pnoc_sim::registry::ArchitectureBuilder;
 use pnoc_sim::stats::SimStats;
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
+use std::iter::Peekable;
 use std::sync::{Arc, Mutex};
 
 /// Buffered generator output for one pod: `(cycle, local core, descriptor)`
@@ -34,6 +35,10 @@ struct PodShard {
     network: Box<dyn CycleNetwork>,
     core_offset: usize,
 }
+
+/// One pod's events over one window, in cycle order, read front to back
+/// during replay.
+type PodLog = Peekable<std::vec::IntoIter<(u64, SimEvent)>>;
 
 /// Captures a pod's events with core ids lifted into the global numbering.
 struct RecordingSink {
@@ -69,6 +74,10 @@ impl EventSink for RecordingSink {
                 structural
             }
         };
+        debug_assert!(
+            self.events.last().is_none_or(|&(at, _)| at <= cycle),
+            "a pod's log is replayed front to back, so it must be in cycle order"
+        );
         self.events.push((cycle, lifted));
     }
 }
@@ -198,11 +207,12 @@ struct SpineAccount {
     total_latency: u64,
     max_latency: u64,
     latency_sketch: QuantileSketch,
-    pod_pair_packets: BTreeMap<String, u64>,
+    /// Delivered packets per (source pod, destination pod), row-major.
+    pod_pair_packets: Vec<u64>,
 }
 
 impl SpineAccount {
-    fn new() -> Self {
+    fn new(pods: usize) -> Self {
         Self {
             generated_packets: 0,
             injected_packets: 0,
@@ -214,11 +224,11 @@ impl SpineAccount {
             total_latency: 0,
             max_latency: 0,
             latency_sketch: QuantileSketch::new(),
-            pod_pair_packets: BTreeMap::new(),
+            pod_pair_packets: vec![0; pods * pods],
         }
     }
 
-    fn observe(&mut self, event: &SimEvent, leaf_cores: usize) {
+    fn observe(&mut self, event: &SimEvent, leaf_cores: usize, pods: usize) {
         match *event {
             SimEvent::PacketGenerated { .. } => self.generated_packets += 1,
             SimEvent::PacketInjected { .. } => self.injected_packets += 1,
@@ -235,8 +245,7 @@ impl SpineAccount {
                 self.total_latency += latency;
                 self.max_latency = self.max_latency.max(latency);
                 self.latency_sketch.record(latency);
-                let label = pod_pair_label(src.0 / leaf_cores, dst.0 / leaf_cores);
-                *self.pod_pair_packets.entry(label).or_insert(0) += 1;
+                self.pod_pair_packets[src.0 / leaf_cores * pods + dst.0 / leaf_cores] += 1;
             }
             SimEvent::PacketDropped { .. }
             | SimEvent::FaultApplied { .. }
@@ -270,10 +279,8 @@ pub struct HierarchicalSystem {
     leaf_cores: usize,
     epoch: u64,
     spine: Spine,
-    /// Pod events awaiting replay, per cycle, pod-index order within a cycle.
-    pod_events: BTreeMap<u64, Vec<SimEvent>>,
-    /// Spine events awaiting replay, per cycle, generation order.
-    spine_events: BTreeMap<u64, Vec<SimEvent>>,
+    /// The current window's events awaiting replay, one log per pod.
+    pod_logs: Vec<PodLog>,
     /// Cycles `[0, simulated_through)` have been simulated in the pods.
     simulated_through: u64,
     /// Whether any pod reported pending work at the last window boundary.
@@ -354,11 +361,10 @@ impl HierarchicalSystem {
             leaf_cores,
             epoch,
             spine,
-            pod_events: BTreeMap::new(),
-            spine_events: BTreeMap::new(),
+            pod_logs: Vec::new(),
             simulated_through: 0,
             pods_active: false,
-            account: SpineAccount::new(),
+            account: SpineAccount::new(pods),
             measured_cycles: 0,
         }
     }
@@ -403,7 +409,7 @@ impl HierarchicalSystem {
                             .expect("pod feed poisoned")
                             .push_back((cycle, local.src.0, local));
                     } else {
-                        self.spine.transmit(cycle, &desc, &mut self.spine_events);
+                        self.spine.transmit(cycle, &desc);
                     }
                 });
             }
@@ -428,13 +434,17 @@ impl HierarchicalSystem {
             }
             sink.events
         });
-        // Exchange: merge in pod-index order so replay order within a cycle
-        // is pods ascending (then spine, kept in its own buffer).
-        for events in batches {
-            for (cycle, event) in events {
-                self.pod_events.entry(cycle).or_default().push(event);
-            }
-        }
+        // Exchange: the logs stay where they were recorded. The window that
+        // just ended is fully replayed — the engine steps every cycle
+        // `next_event_cycle` names — so its logs are spent.
+        debug_assert!(
+            self.pod_logs.iter_mut().all(|log| log.peek().is_none()),
+            "a pod event of the previous window was never replayed"
+        );
+        self.pod_logs = batches
+            .into_iter()
+            .map(|events| events.into_iter().peekable())
+            .collect();
         self.pods_active = self.pods.iter().any(|pod| {
             pod.lock()
                 .expect("pod shard poisoned")
@@ -445,18 +455,19 @@ impl HierarchicalSystem {
         self.simulated_through = end;
     }
 
+    /// Hands `cycle`'s events to the probes: pods in index order, then the
+    /// spine.
     fn replay(&mut self, cycle: u64, sink: &mut dyn EventSink) {
-        if let Some(events) = self.pod_events.remove(&cycle) {
-            for event in events {
+        for log in &mut self.pod_logs {
+            while let Some((_, event)) = log.next_if(|&(at, _)| at == cycle) {
                 sink.emit(cycle, event);
             }
         }
-        if let Some(events) = self.spine_events.remove(&cycle) {
-            for event in events {
-                self.account.observe(&event, self.leaf_cores);
-                sink.emit(cycle, event);
-            }
-        }
+        let (account, leaf_cores, pods) = (&mut self.account, self.leaf_cores, self.pods.len());
+        self.spine.replay(cycle, |event| {
+            account.observe(&event, leaf_cores, pods);
+            sink.emit(cycle, event);
+        });
     }
 }
 
@@ -488,7 +499,7 @@ impl CycleNetwork for HierarchicalSystem {
                 .network
                 .begin_measurement(cycle);
         }
-        self.account = SpineAccount::new();
+        self.account = SpineAccount::new(self.pods.len());
         self.measured_cycles = 0;
     }
 
@@ -540,10 +551,14 @@ impl CycleNetwork for HierarchicalSystem {
         let consider = |candidate: u64, next: &mut Option<u64>| {
             *next = Some(next.map_or(candidate, |n| n.min(candidate)));
         };
-        if let Some((&cycle, _)) = self.pod_events.range(now + 1..).next() {
-            consider(cycle, &mut next);
+        // Everything at or before `now` is replayed, so a log's head is its
+        // earliest pending cycle.
+        for log in &mut self.pod_logs {
+            if let Some(&(cycle, _)) = log.peek() {
+                consider(cycle, &mut next);
+            }
         }
-        if let Some((&cycle, _)) = self.spine_events.range(now + 1..).next() {
+        if let Some(cycle) = self.spine.next_event_after(now) {
             consider(cycle, &mut next);
         }
         if self.pods_active {
@@ -619,8 +634,13 @@ impl CycleNetwork for HierarchicalSystem {
             MetricValue::Gauge(self.spine.peak_backlog() as f64),
         );
         let mut pairs = Family::<Counter>::new();
-        for (label, count) in &self.account.pod_pair_packets {
-            pairs.with_label(label.clone()).add(*count);
+        let pods = self.pods.len();
+        for (index, &count) in self.account.pod_pair_packets.iter().enumerate() {
+            if count > 0 {
+                pairs
+                    .with_label(pod_pair_label(index / pods, index % pods))
+                    .add(count);
+            }
         }
         report.insert("pod_pair_packets", pairs.to_value());
     }

@@ -184,29 +184,30 @@ impl ClassMatrix {
         skew: SkewLevel,
         rng: &mut impl Rng,
     ) -> ClusterId {
-        let weights: Vec<f64> = (0..self.num_clusters)
-            .map(|d| {
-                if d == src.0 {
-                    0.0
-                } else {
-                    skew.frequency(self.class(src, ClusterId(d)))
-                }
-            })
-            .collect();
-        let total: f64 = weights.iter().sum();
+        // The class row is walked twice — the sum, then the draw — in the same
+        // cluster order, so nothing is allocated per packet.
+        let weight = |d: usize| {
+            if d == src.0 {
+                0.0
+            } else {
+                skew.frequency(self.class(src, ClusterId(d)))
+            }
+        };
+        let total: f64 = (0..self.num_clusters).map(weight).sum();
         if total <= 0.0 {
             // Degenerate case: fall back to the next cluster.
             return ClusterId((src.0 + 1) % self.num_clusters);
         }
         let mut draw = rng.gen_range(0.0..total);
-        for (d, w) in weights.iter().enumerate() {
-            if *w <= 0.0 {
+        for d in 0..self.num_clusters {
+            let w = weight(d);
+            if w <= 0.0 {
                 continue;
             }
-            if draw < *w {
+            if draw < w {
                 return ClusterId(d);
             }
-            draw -= *w;
+            draw -= w;
         }
         ClusterId((src.0 + 1) % self.num_clusters)
     }
@@ -306,6 +307,59 @@ mod tests {
                 (measured - expected).abs() < 0.02,
                 "destination {d}: expected {expected:.3}, measured {measured:.3}"
             );
+        }
+    }
+
+    /// `sample_destination` as it was while it collected the row's weights
+    /// into a `Vec` per call.
+    fn sample_from_collected_weights(
+        m: &ClassMatrix,
+        src: ClusterId,
+        skew: SkewLevel,
+        rng: &mut impl Rng,
+    ) -> ClusterId {
+        let weights: Vec<f64> = (0..m.num_clusters)
+            .map(|d| {
+                if d == src.0 {
+                    0.0
+                } else {
+                    skew.frequency(m.class(src, ClusterId(d)))
+                }
+            })
+            .collect();
+        let total: f64 = weights.iter().sum();
+        if total <= 0.0 {
+            return ClusterId((src.0 + 1) % m.num_clusters);
+        }
+        let mut draw = rng.gen_range(0.0..total);
+        for (d, w) in weights.iter().enumerate() {
+            if *w <= 0.0 {
+                continue;
+            }
+            if draw < *w {
+                return ClusterId(d);
+            }
+            draw -= *w;
+        }
+        ClusterId((src.0 + 1) % m.num_clusters)
+    }
+
+    #[test]
+    fn destination_sampling_equals_the_collected_weights_formula() {
+        for seed in [1, 7, 42, 0xDEAD_BEEF] {
+            let m = ClassMatrix::random(64, seed);
+            for skew in SkewLevel::ALL {
+                let mut walked = StdRng::seed_from_u64(seed);
+                let mut collected = StdRng::seed_from_u64(seed);
+                for draw in 0..10_000 {
+                    let src = ClusterId(draw % 64);
+                    assert_eq!(
+                        m.sample_destination(src, skew, &mut walked),
+                        sample_from_collected_weights(&m, src, skew, &mut collected),
+                        "seed {seed}, {skew:?}, draw {draw}"
+                    );
+                }
+            }
         }
     }
 

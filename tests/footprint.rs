@@ -4,11 +4,15 @@
 //! VC rings start empty and grow by doubling to each VC's own high-water
 //! mark, so (a) a freshly built system costs the same whatever the
 //! configured depth, (b) a saturated run stays far below the full
-//! reservation, and (c) a hierarchy pays per pod what that pod buffers.
+//! reservation, and (c) a hierarchy pays per pod what that pod buffers. The
+//! layer above the leaf follows the same rule: (d) the spine holds one record
+//! per queued packet, not events per flit, and (e) an open loop above spine
+//! capacity costs its backlog in packets.
 //!
 //! The counters are process-wide, so the whole file is **one** test: a second
 //! test running beside it would allocate into the same figures.
 
+use d_hetpnoc_repro::hier::Spine;
 use d_hetpnoc_repro::prelude::*;
 use pnoc_sim::engine::{run_cycles, CycleNetwork};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -186,4 +190,59 @@ fn a_leaf_holds_what_it_buffers() {
         four_pods < one_pod + 3 * (leaf + leaf / 2),
         "pods=4 peaks at {four_pods} B; pods=1 {one_pod} B, bare leaf {leaf} B"
     );
+
+    // (d) A queued cross-pod packet is one record whatever its length: 10 000
+    // of them behind a one-flit-per-cycle spine stay under 1 MiB.
+    let queued_live = |flits: u32| {
+        let (spine, live, _) = measured(|| {
+            let mut spine = Spine::new(false, 32, 1);
+            for packet in 0..10_000 {
+                let cycle = packet / 4;
+                spine.transmit(
+                    cycle,
+                    &PacketDescriptor {
+                        src: CoreId(0),
+                        dst: CoreId(64),
+                        num_flits: flits,
+                        flit_bits: 32,
+                        class: BandwidthClass::Low,
+                        created_cycle: cycle,
+                    },
+                );
+            }
+            spine
+        });
+        assert_eq!(spine.queued_packets(), 10_000);
+        live
+    };
+    let (short, long) = (queued_live(4), queued_live(64));
+    println!("live bytes of 10 000 queued spine packets: {short} (4 flits), {long} (64 flits)");
+    assert_eq!(
+        short, long,
+        "a queued packet's cost must not depend on its flits"
+    );
+    assert!(short < MIB, "10 000 queued packets hold {short} B");
+
+    // (e) An open loop far above spine capacity: the backlog is held as
+    // packets, and no event is built before its cycle is replayed.
+    let spec =
+        ScenarioSpec::new("hier{pods=16,leaf=firefly}", "skewed-3").with_effort(Effort::Quick);
+    let top_load = *spec.loads().last().expect("the quick ladder has points");
+    let scenario = spec
+        .with_ladder(vec![top_load])
+        .resolve()
+        .expect("registered names");
+    let (outcome, _, peak) = measured(|| scenario.run_with_mode(SweepMode::Sequential));
+    let backlog = outcome.result.points[0]
+        .metrics
+        .gauge("spine_backlog_cycles");
+    println!(
+        "hier{{pods=16,leaf=firefly}}:skewed-3 at load {top_load}: \
+         peak {peak} B, backlog {backlog:?}"
+    );
+    assert!(
+        backlog.is_some_and(|cycles| cycles > 1_000.0),
+        "the point must overload the spine, backlog {backlog:?}"
+    );
+    assert!(peak < 8 * MIB, "the overloaded point peaks at {peak} B");
 }
