@@ -2,13 +2,9 @@
 //!
 //! The three-stage routers of the thesis perform *input arbitration* (select a
 //! virtual channel per input port) and *output arbitration* (select an input
-//! port per output port) every cycle. This module provides the two classic
-//! arbiter implementations used for those stages:
-//!
-//! * [`RoundRobinArbiter`] — fair rotating-priority arbiter; the winner gets
-//!   lowest priority for the next arbitration round.
-//! * [`MatrixArbiter`] — least-recently-served arbiter maintaining a full
-//!   priority matrix; gives strong fairness at slightly higher cost.
+//! port per output port) every cycle. Both stages use the
+//! [`RoundRobinArbiter`], a fair rotating-priority arbiter: the winner gets
+//! lowest priority for the next arbitration round.
 
 /// A combinational arbiter granting one of `n` requesters per invocation.
 pub trait Arbiter {
@@ -104,89 +100,6 @@ impl Arbiter for RoundRobinArbiter {
     }
 }
 
-/// Least-recently-served matrix arbiter.
-///
-/// Maintains a boolean priority matrix `m[i][j]` meaning "i has priority over
-/// j". On a grant to `w`, `w` loses priority against everyone else.
-#[derive(Debug, Clone)]
-pub struct MatrixArbiter {
-    n: usize,
-    matrix: Vec<bool>,
-}
-
-impl MatrixArbiter {
-    /// Creates an arbiter for `n` requesters with initial priority ordered by
-    /// index (0 has priority over 1, 1 over 2, ...).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n` is zero.
-    #[must_use]
-    pub fn new(n: usize) -> Self {
-        assert!(n > 0, "arbiter needs at least one requester");
-        let mut matrix = vec![false; n * n];
-        for i in 0..n {
-            for j in 0..n {
-                if i < j {
-                    matrix[i * n + j] = true;
-                }
-            }
-        }
-        Self { n, matrix }
-    }
-
-    fn has_priority(&self, i: usize, j: usize) -> bool {
-        self.matrix[i * self.n + j]
-    }
-
-    fn demote(&mut self, w: usize) {
-        for j in 0..self.n {
-            if j != w {
-                self.matrix[w * self.n + j] = false;
-                self.matrix[j * self.n + w] = true;
-            }
-        }
-    }
-}
-
-impl Arbiter for MatrixArbiter {
-    fn num_requesters(&self) -> usize {
-        self.n
-    }
-
-    fn grant(&mut self, requests: &[bool]) -> Option<usize> {
-        assert_eq!(
-            requests.len(),
-            self.n,
-            "request vector length mismatch: expected {}, got {}",
-            self.n,
-            requests.len()
-        );
-        let mut winner: Option<usize> = None;
-        for i in 0..self.n {
-            if !requests[i] {
-                continue;
-            }
-            // i wins if it has priority over every other active requester.
-            let beats_all = (0..self.n)
-                .filter(|&j| j != i && requests[j])
-                .all(|j| self.has_priority(i, j));
-            if beats_all {
-                winner = Some(i);
-                break;
-            }
-        }
-        if let Some(w) = winner {
-            self.demote(w);
-        }
-        winner
-    }
-
-    fn reset(&mut self) {
-        *self = Self::new(self.n);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -232,54 +145,18 @@ mod tests {
     }
 
     #[test]
-    fn matrix_arbiter_least_recently_served() {
-        let mut arb = MatrixArbiter::new(3);
-        let all = [true, true, true];
-        let first = arb.grant(&all).unwrap();
-        let second = arb.grant(&all).unwrap();
-        let third = arb.grant(&all).unwrap();
-        // All three must be served exactly once over three rounds.
-        let mut seen = [first, second, third];
-        seen.sort_unstable();
-        assert_eq!(seen, [0, 1, 2]);
-        // After serving everyone, the first-served is most stale and wins again.
-        assert_eq!(arb.grant(&all), Some(first));
-    }
-
-    #[test]
-    fn matrix_arbiter_only_active_requesters_win() {
-        let mut arb = MatrixArbiter::new(4);
-        for _ in 0..10 {
-            let g = arb.grant(&[false, true, false, true]).unwrap();
-            assert!(g == 1 || g == 3);
-        }
-    }
-
-    #[test]
-    fn matrix_arbiter_no_requests() {
-        let mut arb = MatrixArbiter::new(2);
-        assert_eq!(arb.grant(&[false, false]), None);
-    }
-
-    #[test]
     fn fairness_over_many_rounds() {
         // Under constant full load every requester receives the same number of
-        // grants (+/- 1) for both arbiters.
+        // grants (+/- 1).
         let n = 5;
-        let rounds = 1000;
-        for arb in [
-            Box::new(RoundRobinArbiter::new(n)) as Box<dyn Arbiter>,
-            Box::new(MatrixArbiter::new(n)) as Box<dyn Arbiter>,
-        ] {
-            let mut arb = arb;
-            let mut counts = vec![0usize; n];
-            let all = vec![true; n];
-            for _ in 0..rounds {
-                counts[arb.grant(&all).unwrap()] += 1;
-            }
-            let min = *counts.iter().min().unwrap();
-            let max = *counts.iter().max().unwrap();
-            assert!(max - min <= 1, "unfair grants: {counts:?}");
+        let mut arb = RoundRobinArbiter::new(n);
+        let mut counts = vec![0usize; n];
+        let all = vec![true; n];
+        for _ in 0..1000 {
+            counts[arb.grant(&all).unwrap()] += 1;
         }
+        let min = *counts.iter().min().unwrap();
+        let max = *counts.iter().max().unwrap();
+        assert!(max - min <= 1, "unfair grants: {counts:?}");
     }
 }

@@ -5,11 +5,10 @@
 //!
 //! * flit / packet representations with wormhole framing ([`flit`], [`packet`]),
 //! * virtual-channel buffers with credit-style occupancy tracking ([`vc`]),
-//! * round-robin and matrix arbiters ([`arbiter`]),
+//! * the round-robin arbiter ([`arbiter`]),
 //! * a three-stage (input arbitration → routing/crossbar → output arbitration)
 //!   electrical router ([`router`]) as described in the thesis (Section 3.3.2,
 //!   adopted from Pande et al. [24]),
-//! * pipelined point-to-point links ([`link`]),
 //! * the hierarchical cluster topology used by both Firefly and d-HetPNoC
 //!   (4 cores per cluster, all-to-all electrical links plus a photonic router
 //!   per cluster, [`topology`]),
@@ -40,11 +39,9 @@
 #![warn(rust_2018_idioms)]
 
 pub mod arbiter;
-pub mod crossbar;
 pub mod error;
 pub mod flit;
 pub mod ids;
-pub mod link;
 pub mod packet;
 pub mod registry;
 pub mod router;
@@ -56,12 +53,10 @@ pub mod vc;
 
 /// Convenient re-exports of the most commonly used items.
 pub mod prelude {
-    pub use crate::arbiter::{Arbiter, MatrixArbiter, RoundRobinArbiter};
-    pub use crate::crossbar::{Crossbar, CrossbarGrant};
+    pub use crate::arbiter::{Arbiter, RoundRobinArbiter};
     pub use crate::error::NocError;
     pub use crate::flit::{Flit, FlitKind, FlitPayload};
     pub use crate::ids::{ClusterId, CoreId, PacketId, PortId, RouterId, VcId};
-    pub use crate::link::{Link, LinkSpec};
     pub use crate::packet::{BandwidthClass, Packet, PacketDescriptor, PacketFramer};
     pub use crate::router::{ElectricalRouter, OutputGrant, RouterSpec};
     pub use crate::routing::{ClusterRoutingTable, RouteDecision};

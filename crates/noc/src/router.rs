@@ -8,13 +8,14 @@
 //! flit releases it.
 //!
 //! The router is driven externally by the cycle-accurate engine: the caller
-//! pushes incoming flits with [`ElectricalRouter::accept`] and calls
-//! [`ElectricalRouter::step`] once per cycle, providing a closure that tells
-//! the router whether the downstream buffer of a given output port / VC can
-//! accept a flit this cycle (credit-based backpressure).
+//! pushes incoming flits with [`ElectricalRouter::accept`] and once per cycle
+//! calls [`ElectricalRouter::arbitrate`], providing a closure that tells the
+//! router whether the downstream buffer of a given output port / VC can
+//! accept a flit this cycle (credit-based backpressure), then takes the
+//! granted flits with [`ElectricalRouter::next_grant`]
+//! ([`ElectricalRouter::step`] does both).
 
 use crate::arbiter::RoundRobinArbiter;
-use crate::crossbar::Crossbar;
 use crate::error::{NocError, NocResult};
 use crate::flit::Flit;
 use crate::ids::{CoreId, PortId, RouterId, VcId};
@@ -93,15 +94,15 @@ pub struct ElectricalRouter {
     inputs: Vec<VcSet>,
     input_arbiters: Vec<RoundRobinArbiter>,
     output_arbiters: Vec<RoundRobinArbiter>,
-    crossbar: Crossbar,
     route_fn: Option<RouteFn>,
-    forwarded_flits: u64,
-    forwarded_bits: u64,
-    /// Per-cycle working storage, kept across cycles so [`Self::step`] never
-    /// allocates: the VC each input port nominated in stage 1, and per output
-    /// port the mask of input ports nominating it (the stage-3 requests).
-    scratch_nominated_vc: Vec<VcId>,
-    scratch_output_requests: Vec<u64>,
+    /// Per-cycle state, kept across cycles so arbitration never allocates:
+    /// the VC each input port nominated in stage 1, per output port the mask
+    /// of input ports nominating it (the stage-3 requests) and the input port
+    /// that won it, and the mask of outputs whose grant is not yet taken.
+    nominated_vc: Vec<VcId>,
+    output_requests: Vec<u64>,
+    winner: Vec<usize>,
+    granted: u64,
 }
 
 impl fmt::Debug for ElectricalRouter {
@@ -109,7 +110,6 @@ impl fmt::Debug for ElectricalRouter {
         f.debug_struct("ElectricalRouter")
             .field("id", &self.id)
             .field("spec", &self.spec)
-            .field("forwarded_flits", &self.forwarded_flits)
             .finish_non_exhaustive()
     }
 }
@@ -135,12 +135,11 @@ impl ElectricalRouter {
             output_arbiters: (0..spec.num_ports)
                 .map(|_| RoundRobinArbiter::new(spec.num_ports))
                 .collect(),
-            crossbar: Crossbar::new(spec.num_ports),
             route_fn: None,
-            forwarded_flits: 0,
-            forwarded_bits: 0,
-            scratch_nominated_vc: vec![VcId(0); spec.num_ports],
-            scratch_output_requests: vec![0; spec.num_ports],
+            nominated_vc: vec![VcId(0); spec.num_ports],
+            output_requests: vec![0; spec.num_ports],
+            winner: vec![0; spec.num_ports],
+            granted: 0,
         }
     }
 
@@ -228,25 +227,30 @@ impl ElectricalRouter {
         self.inputs.iter().map(VcSet::buffered_bits).sum()
     }
 
-    /// Flits forwarded through the crossbar over the router's lifetime.
-    #[must_use]
-    pub fn forwarded_flits(&self) -> u64 {
-        self.forwarded_flits
-    }
-
-    /// Bits forwarded through the crossbar over the router's lifetime.
-    #[must_use]
-    pub fn forwarded_bits(&self) -> u64 {
-        self.forwarded_bits
-    }
-
     /// True when every input buffer is empty.
     #[must_use]
     pub fn is_idle(&self) -> bool {
         self.inputs.iter().all(VcSet::is_idle)
     }
 
-    /// Advances the router by one cycle.
+    /// Advances the router by one cycle: [`Self::arbitrate`], then every
+    /// [`Self::next_grant`].
+    ///
+    /// # Panics
+    ///
+    /// As [`Self::arbitrate`].
+    pub fn step<F>(&mut self, cycle: u64, can_send: F) -> Vec<OutputGrant>
+    where
+        F: FnMut(PortId, VcId, &Flit) -> bool,
+    {
+        self.arbitrate(cycle, can_send);
+        std::iter::from_fn(|| self.next_grant()).collect()
+    }
+
+    /// Runs the three arbitration stages of one cycle and records each
+    /// output's winner; no buffer changes until [`Self::next_grant`] takes
+    /// the granted flits, so every occupancy and full mask still reads as
+    /// before the cycle.
     ///
     /// `can_send(output, vc, flit)` must return true when the downstream
     /// buffer attached to `output` can accept the flit on virtual channel `vc`
@@ -257,24 +261,14 @@ impl ElectricalRouter {
     ///
     /// Panics if no routing function has been installed and a head flit needs
     /// routing.
-    pub fn step<F>(&mut self, cycle: u64, can_send: F) -> Vec<OutputGrant>
+    pub fn arbitrate<F>(&mut self, cycle: u64, mut can_send: F)
     where
         F: FnMut(PortId, VcId, &Flit) -> bool,
     {
-        let mut grants = Vec::new();
-        self.step_into(cycle, can_send, &mut grants);
-        grants
-    }
-
-    /// Allocation-free variant of [`Self::step`]: appends this cycle's output
-    /// grants to `grants` instead of returning a fresh `Vec`. The buffer is
-    /// **not** cleared — the hot loop of `pnoc-sim` reuses one buffer across
-    /// all switches of a cycle.
-    pub fn step_into<F>(&mut self, cycle: u64, mut can_send: F, grants: &mut Vec<OutputGrant>)
-    where
-        F: FnMut(PortId, VcId, &Flit) -> bool,
-    {
-        self.crossbar.clear();
+        debug_assert_eq!(
+            self.granted, 0,
+            "arbitrate called before the previous cycle's grants were taken"
+        );
         let num_ports = self.spec.num_ports;
         let latency = self.spec.pipeline_latency;
 
@@ -283,9 +277,9 @@ impl ElectricalRouter {
         // is eligible (pipeline latency satisfied), routed, and whose
         // downstream buffer can take it. Only occupied VCs are visited, in
         // ascending order (the set bits of the port's non-empty mask). Two
-        // ports may nominate the same output: the crossbar is still empty
-        // here, and such conflicts are resolved by the stage-3 arbiters.
-        self.scratch_output_requests.fill(0);
+        // ports may nominate the same output; the stage-3 arbiters resolve
+        // that. Each port nominates one output, so no port wins two.
+        self.output_requests.fill(0);
         for (p, set) in self.inputs.iter_mut().enumerate() {
             let mut requests = 0u64;
             for v in set_bits(set.nonempty_mask()) {
@@ -330,41 +324,42 @@ impl ElectricalRouter {
                     .expect("vc in range")
                     .assigned_output()
                     .expect("candidate has assignment");
-                self.scratch_nominated_vc[p] = VcId(winner);
-                self.scratch_output_requests[out.0] |= 1 << p;
+                self.nominated_vc[p] = VcId(winner);
+                self.output_requests[out.0] |= 1 << p;
             }
         }
 
         // Stage 3: output arbitration — each output port picks one nominating
-        // input port; the crossbar connection is established and the flit
-        // leaves the router.
+        // input port.
         for out in 0..num_ports {
-            let Some(winner_port) =
-                self.output_arbiters[out].grant_mask(self.scratch_output_requests[out])
-            else {
-                continue;
-            };
-            let vc = self.scratch_nominated_vc[winner_port];
-            if self
-                .crossbar
-                .connect(PortId(winner_port), PortId(out))
-                .is_none()
-            {
-                continue;
+            if let Some(port) = self.output_arbiters[out].grant_mask(self.output_requests[out]) {
+                self.winner[out] = port;
+                self.granted |= 1 << out;
             }
-            let set = &mut self.inputs[winner_port];
-            let (flit, _entered) = set.pop(vc).expect("candidate buffer non-empty");
-            if flit.is_tail() {
-                set.release_output(vc);
-            }
-            self.forwarded_flits += 1;
-            self.forwarded_bits += u64::from(flit.bits);
-            grants.push(OutputGrant {
-                output: PortId(out),
-                vc,
-                flit,
-            });
         }
+    }
+
+    /// Takes the next flit granted by [`Self::arbitrate`], in ascending
+    /// output order, and releases the wormhole when it is a tail flit.
+    #[inline]
+    pub fn next_grant(&mut self) -> Option<OutputGrant> {
+        if self.granted == 0 {
+            return None;
+        }
+        let out = self.granted.trailing_zeros() as usize;
+        self.granted &= self.granted - 1;
+        let port = self.winner[out];
+        let vc = self.nominated_vc[port];
+        let set = &mut self.inputs[port];
+        let (flit, _entered) = set.pop(vc).expect("granted buffer non-empty");
+        if flit.is_tail() {
+            set.release_output(vc);
+        }
+        Some(OutputGrant {
+            output: PortId(out),
+            vc,
+            flit,
+        })
     }
 }
 
@@ -410,8 +405,6 @@ mod tests {
         assert_eq!(grants[0].output, PortId(1));
         assert_eq!(grants[0].flit.packet, PacketId(1));
         assert!(r.is_idle());
-        assert_eq!(r.forwarded_flits(), 1);
-        assert_eq!(r.forwarded_bits(), 32);
     }
 
     #[test]
@@ -492,6 +485,47 @@ mod tests {
             .unwrap();
         let grants = r.step(2, |_, _, _| true);
         assert_eq!(grants.len(), 2, "distinct outputs should both fire");
+    }
+
+    #[test]
+    fn each_input_and_output_carries_at_most_one_flit_per_cycle() {
+        // Every input holds a flit for every output (packet id = 10 × input +
+        // output): a cycle still moves at most one flit per input and one per
+        // output, as a physical crossbar connects them.
+        let mut r = ElectricalRouter::new(RouterId(0), RouterSpec::new(3, 3, 4));
+        r.set_route_fn(Box::new(|dst| PortId(dst.0)));
+        for p in 0..3 {
+            for out in 0..3 {
+                let flit = mk_flit((10 * p + out) as u64, FlitKind::Single, 0, 1, out);
+                r.accept(PortId(p), VcId(out), flit, 0).unwrap();
+            }
+        }
+        let mut moved = 0;
+        for c in 2..12 {
+            let grants = r.step(c, |_, _, _| true);
+            let mut inputs: Vec<u64> = grants.iter().map(|g| g.flit.packet.0 / 10).collect();
+            let mut outputs: Vec<usize> = grants.iter().map(|g| g.output.0).collect();
+            inputs.sort_unstable();
+            inputs.dedup();
+            outputs.sort_unstable();
+            outputs.dedup();
+            assert_eq!(inputs.len(), grants.len(), "cycle {c}: {grants:?}");
+            assert_eq!(outputs.len(), grants.len(), "cycle {c}: {grants:?}");
+            moved += grants.len();
+        }
+        assert_eq!(moved, 9);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "grants were taken")]
+    fn arbitrating_over_untaken_grants_panics() {
+        let mut r = ElectricalRouter::new(RouterId(0), RouterSpec::new(2, 1, 4));
+        r.set_route_fn(fixed_route(1));
+        r.accept(PortId(0), VcId(0), mk_flit(1, FlitKind::Single, 0, 1, 9), 0)
+            .unwrap();
+        r.arbitrate(2, |_, _, _| true);
+        r.arbitrate(3, |_, _, _| true);
     }
 
     #[test]

@@ -56,6 +56,20 @@ fn offset_loop_grant(next: &mut usize, requests: &[bool]) -> Option<usize> {
     None
 }
 
+/// What a port's upstream and the engine read of it: the non-empty mask, the
+/// full mask, the occupancy and the free VC.
+type PortState = (u64, u64, usize, Option<VcId>);
+
+fn port_state(router: &ElectricalRouter, port: usize) -> PortState {
+    let set = router.input(PortId(port)).unwrap();
+    (
+        set.nonempty_mask(),
+        set.full_mask(),
+        set.total_occupancy(),
+        router.free_input_vc(PortId(port)),
+    )
+}
+
 struct ReferenceVc {
     fifo: VecDeque<(Flit, u64)>,
     assigned: Option<PortId>,
@@ -96,6 +110,22 @@ impl ReferenceRouter {
             .iter()
             .position(|b| b.fifo.is_empty() && b.assigned.is_none())
             .map(VcId)
+    }
+
+    /// Port `port`'s non-empty mask, full mask, occupancy and free VC.
+    fn port_state(&self, port: usize) -> PortState {
+        let vcs = &self.inputs[port];
+        let mask = |pred: &dyn Fn(&ReferenceVc) -> bool| {
+            (vcs.iter().enumerate())
+                .filter(|(_, b)| pred(b))
+                .fold(0u64, |mask, (v, _)| mask | 1 << v)
+        };
+        (
+            mask(&|b| !b.fifo.is_empty()),
+            mask(&|b| b.fifo.len() >= self.spec.vc_depth),
+            vcs.iter().map(|b| b.fifo.len()).sum(),
+            self.free_input_vc(port),
+        )
     }
 
     fn step(
@@ -213,7 +243,9 @@ proptest! {
 
     /// `ElectricalRouter` and the reference model, fed the same random
     /// wormhole streams under the same random back-pressure, grant the same
-    /// flits on the same outputs and VCs in the same order, every cycle.
+    /// flits on the same outputs and VCs in the same order, every cycle —
+    /// and between `arbitrate` and the `next_grant`s every port still reads
+    /// as it did before the cycle.
     #[test]
     fn router_matches_the_reference_model(
         num_ports in 2usize..=5,
@@ -257,8 +289,15 @@ proptest! {
             let blocked = move |out: PortId, vc: VcId, _: &Flit| {
                 mix(seed ^ cycle << 20 ^ (out.0 as u64) << 8 ^ vc.0 as u64).is_multiple_of(3)
             };
+            let before: Vec<PortState> = (0..num_ports).map(|p| reference.port_state(p)).collect();
             let expected = reference.step(cycle, route, |o, v, f| !blocked(o, v, f));
-            let actual = router.step(cycle, |o, v, f| !blocked(o, v, f));
+            router.arbitrate(cycle, |o, v, f| !blocked(o, v, f));
+            // Arbitration moves no flit: the engine arbitrates every switch
+            // against the live downstream masks before any grant lands.
+            for (p, state) in before.iter().enumerate() {
+                prop_assert_eq!(&port_state(&router, p), state, "arbitrate changed port {p} at cycle {cycle}");
+            }
+            let actual: Vec<OutputGrant> = std::iter::from_fn(|| router.next_grant()).collect();
             prop_assert_eq!(&actual, &expected, "grants diverged at cycle {cycle}");
             granted += actual.len();
             for p in 0..num_ports {

@@ -103,14 +103,6 @@ impl SaturationResult {
             .unwrap_or(0.0)
     }
 
-    /// Peak per-core bandwidth in Gb/s.
-    #[must_use]
-    pub fn peak_core_bandwidth_gbps(&self, num_cores: usize) -> f64 {
-        self.peak()
-            .map(|p| p.stats.accepted_bandwidth_per_core_gbps(num_cores))
-            .unwrap_or(0.0)
-    }
-
     /// Index of the *saturation point*: the sweep point with the highest
     /// accepted bandwidth among those the network absorbs without significant
     /// source-queue overflow (drop rate ≤ 2 %). Beyond this point injected
@@ -408,7 +400,11 @@ mod tests {
     fn per_core_bandwidth_divides_aggregate() {
         let result = sweep_offered_loads(&[0.1], |load| stats_with_bandwidth(load, 640_000));
         let agg = result.peak_bandwidth_gbps();
-        let per_core = result.peak_core_bandwidth_gbps(64);
+        let per_core = result
+            .peak()
+            .unwrap()
+            .stats
+            .accepted_bandwidth_per_core_gbps(64);
         assert!((agg / 64.0 - per_core).abs() < 1e-9);
     }
 

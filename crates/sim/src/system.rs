@@ -279,15 +279,6 @@ struct InjectionProgress {
     next: u32,
 }
 
-/// A flit handed from a photonic transmission to a destination ejection
-/// buffer (two-phase update to satisfy the borrow checker).
-struct PhotonicDelivery {
-    dst_cluster: usize,
-    dst_local: usize,
-    dst_vc: VcId,
-    flit: Flit,
-}
-
 /// The complete simulated chip.
 pub struct PhotonicSystem<F: PhotonicFabric, T: TrafficModel> {
     config: SimConfig,
@@ -313,16 +304,6 @@ pub struct PhotonicSystem<F: PhotonicFabric, T: TrafficModel> {
     total_buffered: usize,
     total_active: usize,
     busy_cores: usize,
-    /// Frozen full masks of the switch inputs, indexed `core * ports + port`.
-    snapshot_switch_full: Vec<u64>,
-    /// Frozen full masks of the photonic inputs, indexed `cluster * cpc + local`.
-    snapshot_photonic_full: Vec<u64>,
-    /// Reusable per-cycle grant list (switch index, grant).
-    scratch_all_grants: Vec<(usize, pnoc_noc::router::OutputGrant)>,
-    /// Reusable per-switch grant buffer handed to `ElectricalRouter::step_into`.
-    scratch_router_grants: Vec<pnoc_noc::router::OutputGrant>,
-    /// Reusable photonic delivery list.
-    scratch_deliveries: Vec<PhotonicDelivery>,
     /// Reusable finished-transmission index list.
     scratch_finished: Vec<usize>,
     /// Deterministic fault schedule, when one was installed.
@@ -375,8 +356,6 @@ impl<F: PhotonicFabric, T: TrafficModel> PhotonicSystem<F, T> {
         );
         let num_cores = topology.num_cores();
         let num_clusters = topology.num_clusters();
-        let cpc = topology.cores_per_cluster();
-        let ports = topology.switch_ports();
         Self {
             config,
             topology,
@@ -394,11 +373,6 @@ impl<F: PhotonicFabric, T: TrafficModel> PhotonicSystem<F, T> {
             total_buffered: 0,
             total_active: 0,
             busy_cores: 0,
-            snapshot_switch_full: vec![0; num_cores * ports],
-            snapshot_photonic_full: vec![0; num_clusters * cpc],
-            scratch_all_grants: Vec::new(),
-            scratch_router_grants: Vec::new(),
-            scratch_deliveries: Vec::new(),
             scratch_finished: Vec::new(),
             faults: None,
         }
@@ -572,136 +546,110 @@ impl<F: PhotonicFabric, T: TrafficModel> PhotonicSystem<F, T> {
 
     fn step_switches(&mut self, cycle: u64, sink: &mut dyn EventSink) {
         let topology = self.topology;
-        let num_cores = topology.num_cores();
-        let num_clusters = topology.num_clusters();
         let cpc = topology.cores_per_cluster();
-        let ports = topology.switch_ports();
+        let local_port = topology.local_port();
         let photonic_port = topology.photonic_port();
 
-        // Snapshot of downstream acceptance: one full-mask word per input
-        // port. Every input port has exactly one upstream and a switch sends
-        // at most one flit per output per cycle, so a VC that is not full in
-        // the snapshot still has room when this cycle's grant lands. The
-        // snapshot is refreshed only for clusters with at least one buffered
-        // flit: electrical hops never leave the cluster, so a stale entry of
-        // an idle cluster is never read.
-        for cluster_idx in 0..num_clusters {
-            let members = cluster_idx * cpc..(cluster_idx + 1) * cpc;
-            if members.clone().all(|c| self.switch_occ[c] == 0) {
+        // Phase 1: every switch holding a flit arbitrates against the live
+        // downstream full masks. Arbitration moves no flit, so every switch
+        // sees the masks as they stood at the start of the cycle; every input
+        // port has exactly one upstream and a switch sends at most one flit
+        // per output per cycle, so a VC that is not full now still has room
+        // when this cycle's grant lands. An empty switch's arbitration is a
+        // pure no-op (its arbiters do not advance without a request), so it
+        // is skipped.
+        for core_idx in 0..topology.num_cores() {
+            if self.switch_occ[core_idx] == 0 {
                 continue;
             }
-            for c in members {
-                for p in 0..ports {
-                    let input = self.switches[c].input(PortId(p)).expect("port in range");
-                    self.snapshot_switch_full[c * ports + p] = input.full_mask();
-                }
-            }
-            let full = &mut self.snapshot_photonic_full[cluster_idx * cpc..(cluster_idx + 1) * cpc];
-            for (word, set) in full.iter_mut().zip(&self.photonic[cluster_idx].inputs) {
-                *word = set.full_mask();
-            }
-        }
-
-        // Step each switch that holds a flit against the frozen snapshots,
-        // gathering its grants. An empty switch's step is a pure no-op (its
-        // arbiters do not advance without a request), so it is skipped.
-        let mut all_grants = std::mem::take(&mut self.scratch_all_grants);
-        all_grants.clear();
-        {
-            let switch_full = &self.snapshot_switch_full;
-            let photonic_full = &self.snapshot_photonic_full;
-            let grants = &mut self.scratch_router_grants;
-            for core_idx in 0..num_cores {
-                if self.switch_occ[core_idx] == 0 {
-                    continue;
-                }
-                let core = CoreId(core_idx);
-                let cluster = topology.cluster_of(core).0;
-                let local = topology.local_index(core);
-                grants.clear();
-                self.switches[core_idx].step_into(
-                    cycle,
-                    |out, vc, _flit| {
-                        if out == topology.local_port() {
-                            true
-                        } else if out == photonic_port {
-                            photonic_full[cluster * cpc + local] >> vc.0 & 1 == 0
-                        } else {
-                            let peer_local = topology.peer_of_port(local, out);
-                            let peer_core = ClusterId(cluster).core(peer_local, cpc);
-                            let arrival_port = topology.peer_port(peer_core, core);
-                            switch_full[peer_core.0 * ports + arrival_port.0] >> vc.0 & 1 == 0
-                        }
-                    },
-                    grants,
-                );
-                for g in grants.drain(..) {
-                    all_grants.push((core_idx, g));
-                }
-            }
-        }
-
-        // Apply the grants.
-        for (core_idx, grant) in all_grants.drain(..) {
             let core = CoreId(core_idx);
-            let cluster = topology.cluster_of(core).0;
+            let cluster = topology.cluster_of(core);
             let local = topology.local_index(core);
-            let flit = grant.flit;
-            self.switch_occ[core_idx] -= 1;
-            self.energy.record_router_traversal(u64::from(flit.bits));
-            if grant.output == topology.local_port() {
-                debug_assert_eq!(flit.dst, core, "flit ejected at the wrong core");
-                self.total_buffered -= 1;
-                self.stats.delivered_flits += 1;
-                self.stats.delivered_bits += u64::from(flit.bits);
-                let photonic = !topology.same_cluster(flit.src, flit.dst);
-                if photonic {
-                    self.stats.delivered_photonic_bits += u64::from(flit.bits);
-                }
-                sink.emit(
-                    cycle,
-                    SimEvent::FlitDelivered {
-                        src: flit.src,
-                        dst: flit.dst,
-                        bits: flit.bits,
-                        photonic,
-                    },
-                );
-                if flit.is_tail() {
-                    let latency = cycle.saturating_sub(flit.created_cycle);
-                    self.stats.record_packet_delivery(latency);
+            let photonic_full = self.photonic[cluster.0].inputs[local].full_mask();
+            let (before, rest) = self.switches.split_at_mut(core_idx);
+            let (switch, after) = rest.split_first_mut().expect("core in range");
+            switch.arbitrate(cycle, |out, vc, _flit| {
+                let full = if out == local_port {
+                    0
+                } else if out == photonic_port {
+                    photonic_full
+                } else {
+                    let peer = cluster.core(topology.peer_of_port(local, out), cpc);
+                    let peer_switch = if peer.0 < core_idx {
+                        &before[peer.0]
+                    } else {
+                        &after[peer.0 - core_idx - 1]
+                    };
+                    let arrival = peer_switch.input(topology.peer_port(peer, core));
+                    arrival.expect("port in range").full_mask()
+                };
+                full >> vc.0 & 1 == 0
+            });
+        }
+
+        // Phase 2: land every granted flit downstream, switch by switch in
+        // output order. A switch empty in phase 1 holds no grant.
+        for core_idx in 0..topology.num_cores() {
+            if self.switch_occ[core_idx] == 0 {
+                continue;
+            }
+            let core = CoreId(core_idx);
+            let cluster = topology.cluster_of(core);
+            let local = topology.local_index(core);
+            while let Some(grant) = self.switches[core_idx].next_grant() {
+                let flit = grant.flit;
+                self.switch_occ[core_idx] -= 1;
+                self.energy.record_router_traversal(u64::from(flit.bits));
+                if grant.output == local_port {
+                    debug_assert_eq!(flit.dst, core, "flit ejected at the wrong core");
+                    self.total_buffered -= 1;
+                    self.stats.delivered_flits += 1;
+                    self.stats.delivered_bits += u64::from(flit.bits);
+                    let photonic = !topology.same_cluster(flit.src, flit.dst);
+                    if photonic {
+                        self.stats.delivered_photonic_bits += u64::from(flit.bits);
+                    }
                     sink.emit(
                         cycle,
-                        SimEvent::PacketDelivered {
+                        SimEvent::FlitDelivered {
                             src: flit.src,
                             dst: flit.dst,
-                            latency,
+                            bits: flit.bits,
+                            photonic,
                         },
                     );
+                    if flit.is_tail() {
+                        let latency = cycle.saturating_sub(flit.created_cycle);
+                        self.stats.record_packet_delivery(latency);
+                        sink.emit(
+                            cycle,
+                            SimEvent::PacketDelivered {
+                                src: flit.src,
+                                dst: flit.dst,
+                                latency,
+                            },
+                        );
+                    }
+                } else if grant.output == photonic_port {
+                    self.energy.record_buffer_write(u64::from(flit.bits));
+                    self.cluster_in_occ[cluster.0] += 1;
+                    self.photonic[cluster.0].inputs[local]
+                        .push(grant.vc, flit, cycle)
+                        .expect("photonic input capacity checked in phase 1");
+                } else {
+                    let peer = cluster.core(topology.peer_of_port(local, grant.output), cpc);
+                    self.energy.record_buffer_write(u64::from(flit.bits));
+                    self.switch_occ[peer.0] += 1;
+                    self.switches[peer.0]
+                        .accept(topology.peer_port(peer, core), grant.vc, flit, cycle)
+                        .expect("peer capacity checked in phase 1");
                 }
-            } else if grant.output == photonic_port {
-                self.energy.record_buffer_write(u64::from(flit.bits));
-                self.cluster_in_occ[cluster] += 1;
-                self.photonic[cluster].inputs[local]
-                    .push(grant.vc, flit, cycle)
-                    .expect("photonic input capacity checked via snapshot");
-            } else {
-                let peer_local = topology.peer_of_port(local, grant.output);
-                let peer_core = ClusterId(cluster).core(peer_local, cpc);
-                let arrival_port = topology.peer_port(peer_core, core);
-                self.energy.record_buffer_write(u64::from(flit.bits));
-                self.switch_occ[peer_core.0] += 1;
-                self.switches[peer_core.0]
-                    .accept(arrival_port, grant.vc, flit, cycle)
-                    .expect("peer capacity checked via snapshot");
             }
         }
-        self.scratch_all_grants = all_grants;
     }
 
     fn advance_transmissions(&mut self, cycle: u64) {
         let bits_per_wavelength = self.config.bits_per_wavelength_per_cycle();
-        let mut deliveries = std::mem::take(&mut self.scratch_deliveries);
 
         for cluster_idx in 0..self.topology.num_clusters() {
             // No active transmission: nothing to advance, nothing to deliver.
@@ -711,11 +659,16 @@ impl<F: PhotonicFabric, T: TrafficModel> PhotonicSystem<F, T> {
             let pool = self.fabric.pool_size(ClusterId(cluster_idx));
             let finished = &mut self.scratch_finished;
             finished.clear();
-            let router = &mut self.photonic[cluster_idx];
-            let mut in_use = router.wavelengths_in_use();
-            let mut pending_demand = router.pending_demand();
+            let mut in_use = self.photonic[cluster_idx].wavelengths_in_use();
+            let mut pending_demand = self.photonic[cluster_idx].pending_demand();
             let mut popped = 0u32;
-            for (tx_idx, tx) in router.active.iter_mut().enumerate() {
+            for tx_idx in 0..self.photonic[cluster_idx].active.len() {
+                let dst_cluster = self.photonic[cluster_idx].active[tx_idx].dst_cluster.0;
+                let [router, dst] = self
+                    .photonic
+                    .get_disjoint_mut([cluster_idx, dst_cluster])
+                    .expect("intra-cluster packets never reach the photonic router");
+                let tx = &mut router.active[tx_idx];
                 if tx.reservation_remaining > 0 {
                     tx.reservation_remaining -= 1;
                     continue;
@@ -757,12 +710,16 @@ impl<F: PhotonicFabric, T: TrafficModel> PhotonicSystem<F, T> {
                     tx.credit_bits -= f64::from(flit.bits);
                     tx.flits_sent += 1;
                     flit.vc = tx.dst_vc;
-                    deliveries.push(PhotonicDelivery {
-                        dst_cluster: tx.dst_cluster.0,
-                        dst_local: tx.dst_local,
-                        dst_vc: tx.dst_vc,
-                        flit,
-                    });
+                    let bits = u64::from(flit.bits);
+                    self.energy.record_photonic_transfer(bits);
+                    // Source-side photonic router electrical traversal and the
+                    // write into the destination's ejection buffer.
+                    self.energy.record_router_traversal(bits);
+                    self.energy.record_buffer_write(bits);
+                    self.cluster_ej_occ[dst_cluster] += 1;
+                    dst.ejection[tx.dst_local]
+                        .push(tx.dst_vc, flit, cycle)
+                        .expect("ejection VC reserved for the whole packet");
                     if tx.flits_sent == tx.flits_total {
                         finished.push(tx_idx);
                         break;
@@ -770,28 +727,13 @@ impl<F: PhotonicFabric, T: TrafficModel> PhotonicSystem<F, T> {
                 }
             }
             self.total_active -= finished.len();
+            let router = &mut self.photonic[cluster_idx];
             for idx in finished.drain(..).rev() {
                 let tx = router.active.swap_remove(idx);
                 router.active_sources[tx.src_port] &= !(1 << tx.src_vc.0);
             }
             self.cluster_in_occ[cluster_idx] -= popped;
         }
-
-        for delivery in deliveries.drain(..) {
-            self.energy
-                .record_photonic_transfer(u64::from(delivery.flit.bits));
-            // Source-side photonic router electrical traversal and the write
-            // into the destination's ejection buffer.
-            self.energy
-                .record_router_traversal(u64::from(delivery.flit.bits));
-            self.energy
-                .record_buffer_write(u64::from(delivery.flit.bits));
-            self.cluster_ej_occ[delivery.dst_cluster] += 1;
-            self.photonic[delivery.dst_cluster].ejection[delivery.dst_local]
-                .push(delivery.dst_vc, delivery.flit, cycle)
-                .expect("ejection VC reserved for the whole packet");
-        }
-        self.scratch_deliveries = deliveries;
     }
 
     fn start_transmissions(&mut self) {

@@ -54,9 +54,10 @@
 //! one is attached) and every figure is a view over the finished
 //! `MatrixResult`.
 //!
-//! The old per-architecture helpers (`build_firefly_system`,
-//! `build_dhetpnoc_system`) still exist for direct, non-registry use; every
-//! sweep goes through the scenario engine.
+//! `build_firefly_system` and `build_dhetpnoc_system` are the direct
+//! constructors of one leaf system, outside the registry; the tests, the
+//! examples and `tests/footprint.rs` use them. Every sweep goes through the
+//! scenario engine.
 //!
 //! ## Metrics
 //!
