@@ -13,7 +13,10 @@
 //! router whether the downstream buffer of a given output port / VC can
 //! accept a flit this cycle (credit-based backpressure), then takes the
 //! granted flits with [`ElectricalRouter::next_grant`]
-//! ([`ElectricalRouter::step`] does both).
+//! ([`ElectricalRouter::step`] does both). When `arbitrate` returns `false`
+//! the router is blocked: calling it again changes nothing until a buffer or
+//! a downstream answer changes, so the caller may stop arbitrating it until
+//! then.
 
 use crate::arbiter::RoundRobinArbiter;
 use crate::error::{NocError, NocResult};
@@ -76,6 +79,8 @@ impl RouterSpec {
 /// A flit leaving the router through an output port in the current cycle.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct OutputGrant {
+    /// Input port the flit was buffered on.
+    pub input: PortId,
     /// Output port the flit leaves through.
     pub output: PortId,
     /// Virtual channel the flit travels on.
@@ -257,11 +262,17 @@ impl ElectricalRouter {
     /// this cycle. At most one flit leaves per output port per cycle; at most
     /// one flit leaves per input port per cycle.
     ///
+    /// Returns `true` when a grant was recorded or an occupied VC's head is
+    /// still inside the pipeline latency. On `false`, every occupied VC was
+    /// routed and refused by `can_send`, so no arbiter moved (`grant_mask(0)`
+    /// is a no-op): a later call with the same buffers and the same
+    /// `can_send` answers is a bitwise no-op too.
+    ///
     /// # Panics
     ///
     /// Panics if no routing function has been installed and a head flit needs
     /// routing.
-    pub fn arbitrate<F>(&mut self, cycle: u64, mut can_send: F)
+    pub fn arbitrate<F>(&mut self, cycle: u64, mut can_send: F) -> bool
     where
         F: FnMut(PortId, VcId, &Flit) -> bool,
     {
@@ -280,6 +291,7 @@ impl ElectricalRouter {
         // ports may nominate the same output; the stage-3 arbiters resolve
         // that. Each port nominates one output, so no port wins two.
         self.output_requests.fill(0);
+        let mut in_pipeline = false;
         for (p, set) in self.inputs.iter_mut().enumerate() {
             let mut requests = 0u64;
             for v in set_bits(set.nonempty_mask()) {
@@ -287,7 +299,8 @@ impl ElectricalRouter {
                 let buffer = set.vc(vc).expect("mask bit names a VC");
                 let (head, entered) = buffer.front().expect("non-empty mask bit");
                 if cycle < entered + latency.saturating_sub(1) {
-                    continue; // still traversing the router pipeline
+                    in_pipeline = true; // still traversing the router pipeline
+                    continue;
                 }
                 // Route any head flit that does not have an output assignment yet.
                 let out = match buffer.assigned_output() {
@@ -337,6 +350,7 @@ impl ElectricalRouter {
                 self.granted |= 1 << out;
             }
         }
+        in_pipeline || self.granted != 0
     }
 
     /// Takes the next flit granted by [`Self::arbitrate`], in ascending
@@ -356,6 +370,7 @@ impl ElectricalRouter {
             set.release_output(vc);
         }
         Some(OutputGrant {
+            input: PortId(port),
             output: PortId(out),
             vc,
             flit,
@@ -418,6 +433,62 @@ mod tests {
         }
         let grants = r.step(5, |_, _, _| true);
         assert_eq!(grants.len(), 1);
+    }
+
+    #[test]
+    fn a_head_inside_the_pipeline_keeps_arbitration_live_without_a_grant() {
+        let mut r = ElectricalRouter::new(RouterId(0), RouterSpec::new(2, 2, 4));
+        r.set_route_fn(fixed_route(1));
+        r.accept(PortId(0), VcId(0), mk_flit(1, FlitKind::Single, 0, 1, 9), 0)
+            .unwrap();
+        assert!(r.arbitrate(1, |_, _, _| true));
+        assert_eq!(r.next_grant(), None);
+    }
+
+    #[test]
+    fn a_router_whose_every_vc_is_refused_reports_blocked() {
+        let mut r = ElectricalRouter::new(RouterId(0), RouterSpec::new(3, 2, 4));
+        r.set_route_fn(fixed_route(2));
+        r.accept(PortId(0), VcId(0), mk_flit(1, FlitKind::Single, 0, 1, 9), 0)
+            .unwrap();
+        r.accept(PortId(1), VcId(1), mk_flit(2, FlitKind::Single, 0, 1, 9), 0)
+            .unwrap();
+        assert!(!r.arbitrate(5, |_, _, _| false));
+        assert_eq!(r.next_grant(), None);
+        // Refusing only one VC leaves the other to nominate.
+        assert!(r.arbitrate(5, |_, vc, _| vc == VcId(1)));
+        assert!(r.next_grant().is_some());
+    }
+
+    #[test]
+    fn a_nomination_reports_live() {
+        let mut r = ElectricalRouter::new(RouterId(0), RouterSpec::new(2, 2, 4));
+        r.set_route_fn(fixed_route(1));
+        r.accept(PortId(0), VcId(0), mk_flit(1, FlitKind::Single, 0, 1, 9), 0)
+            .unwrap();
+        assert!(r.arbitrate(2, |_, _, _| true));
+        assert!(r.next_grant().is_some());
+        // Empty again: nothing to nominate, nothing in the pipeline.
+        assert!(!r.arbitrate(3, |_, _, _| true));
+    }
+
+    #[test]
+    fn next_grant_reports_the_input_port() {
+        let mut r = ElectricalRouter::new(RouterId(0), RouterSpec::new(4, 2, 4));
+        r.set_route_fn(Box::new(|dst| PortId(dst.0)));
+        r.accept(PortId(2), VcId(1), mk_flit(1, FlitKind::Single, 0, 1, 0), 0)
+            .unwrap();
+        r.accept(PortId(3), VcId(0), mk_flit(2, FlitKind::Single, 0, 1, 1), 0)
+            .unwrap();
+        let grants = r.step(2, |_, _, _| true);
+        let routes: Vec<_> = grants.iter().map(|g| (g.input, g.output, g.vc)).collect();
+        assert_eq!(
+            routes,
+            vec![
+                (PortId(2), PortId(0), VcId(1)),
+                (PortId(3), PortId(1), VcId(0))
+            ]
+        );
     }
 
     #[test]
@@ -524,7 +595,7 @@ mod tests {
         r.set_route_fn(fixed_route(1));
         r.accept(PortId(0), VcId(0), mk_flit(1, FlitKind::Single, 0, 1, 9), 0)
             .unwrap();
-        r.arbitrate(2, |_, _, _| true);
+        assert!(r.arbitrate(2, |_, _, _| true));
         r.arbitrate(3, |_, _, _| true);
     }
 

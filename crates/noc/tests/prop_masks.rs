@@ -128,12 +128,14 @@ impl ReferenceRouter {
         )
     }
 
+    /// One cycle's grants, and whether the router was live: some port
+    /// nominated or some occupied VC's head is still inside the pipeline.
     fn step(
         &mut self,
         cycle: u64,
         route: impl Fn(CoreId) -> PortId,
         mut can_send: impl FnMut(PortId, VcId, &Flit) -> bool,
-    ) -> Vec<OutputGrant> {
+    ) -> (Vec<OutputGrant>, bool) {
         let RouterSpec {
             num_ports,
             num_vcs,
@@ -141,6 +143,7 @@ impl ReferenceRouter {
             ..
         } = self.spec;
         let mut nominations: Vec<Option<(VcId, PortId)>> = vec![None; num_ports];
+        let mut in_pipeline = false;
         for (p, nomination) in nominations.iter_mut().enumerate() {
             let mut requests = vec![false; num_vcs];
             for (v, request) in requests.iter_mut().enumerate() {
@@ -149,6 +152,7 @@ impl ReferenceRouter {
                     continue;
                 };
                 if cycle < entered + pipeline_latency.saturating_sub(1) {
+                    in_pipeline = true;
                     continue;
                 }
                 if vc.assigned.is_none() {
@@ -163,6 +167,7 @@ impl ReferenceRouter {
                 *nomination = Some((VcId(winner), out));
             }
         }
+        let live = in_pipeline || nominations.iter().any(Option::is_some);
         let mut grants = Vec::new();
         for out in 0..num_ports {
             let requests: Vec<bool> = nominations
@@ -179,12 +184,13 @@ impl ReferenceRouter {
                 buffer.assigned = None;
             }
             grants.push(OutputGrant {
+                input: PortId(winner),
                 output: PortId(out),
                 vc,
                 flit,
             });
         }
-        grants
+        (grants, live)
     }
 }
 
@@ -243,9 +249,11 @@ proptest! {
 
     /// `ElectricalRouter` and the reference model, fed the same random
     /// wormhole streams under the same random back-pressure, grant the same
-    /// flits on the same outputs and VCs in the same order, every cycle —
-    /// and between `arbitrate` and the `next_grant`s every port still reads
-    /// as it did before the cycle.
+    /// flits from the same inputs on the same outputs and VCs in the same
+    /// order, every cycle, `arbitrate` reports the router live exactly when
+    /// the reference nominated or held a head in the pipeline — and between
+    /// `arbitrate` and the `next_grant`s every port still reads as it did
+    /// before the cycle.
     #[test]
     fn router_matches_the_reference_model(
         num_ports in 2usize..=5,
@@ -290,8 +298,9 @@ proptest! {
                 mix(seed ^ cycle << 20 ^ (out.0 as u64) << 8 ^ vc.0 as u64).is_multiple_of(3)
             };
             let before: Vec<PortState> = (0..num_ports).map(|p| reference.port_state(p)).collect();
-            let expected = reference.step(cycle, route, |o, v, f| !blocked(o, v, f));
-            router.arbitrate(cycle, |o, v, f| !blocked(o, v, f));
+            let (expected, live) = reference.step(cycle, route, |o, v, f| !blocked(o, v, f));
+            let arbitrated = router.arbitrate(cycle, |o, v, f| !blocked(o, v, f));
+            prop_assert_eq!(arbitrated, live, "liveness diverged at cycle {cycle}");
             // Arbitration moves no flit: the engine arbitrates every switch
             // against the live downstream masks before any grant lands.
             for (p, state) in before.iter().enumerate() {

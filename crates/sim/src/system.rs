@@ -279,6 +279,12 @@ struct InjectionProgress {
     next: u32,
 }
 
+/// Sets core switch `switch`'s bit in the wake set.
+#[inline]
+fn wake(awake: &mut [u64], switch: usize) {
+    awake[switch / 64] |= 1 << (switch % 64);
+}
+
 /// The complete simulated chip.
 pub struct PhotonicSystem<F: PhotonicFabric, T: TrafficModel> {
     config: SimConfig,
@@ -294,6 +300,13 @@ pub struct PhotonicSystem<F: PhotonicFabric, T: TrafficModel> {
     /// Flits buffered in each electrical core switch (incremental mirror of
     /// [`ElectricalRouter::buffered_flits`], kept for O(1) idle detection).
     switch_occ: Vec<u32>,
+    /// The wake set, one bit per core switch: clear while the switch is
+    /// empty, or its last arbitration returned `false` and nothing it reads
+    /// has changed since, so arbitrating it again would be a no-op (see
+    /// `step_switches`).
+    awake: Vec<u64>,
+    /// Switches whose arbitration returned `true` this cycle, ascending.
+    granting: Vec<usize>,
     /// Flits buffered in each cluster's photonic input buffers.
     cluster_in_occ: Vec<u32>,
     /// Flits buffered in each cluster's ejection buffers.
@@ -368,6 +381,8 @@ impl<F: PhotonicFabric, T: TrafficModel> PhotonicSystem<F, T> {
             energy: EnergyAccumulator::new(PhotonicEnergyModel::paper_default()),
             stats,
             switch_occ: vec![0; num_cores],
+            awake: vec![0; num_cores.div_ceil(64)],
+            granting: Vec::with_capacity(num_cores),
             cluster_in_occ: vec![0; num_clusters],
             cluster_ej_occ: vec![0; num_clusters],
             total_buffered: 0,
@@ -523,6 +538,7 @@ impl<F: PhotonicFabric, T: TrafficModel> PhotonicSystem<F, T> {
             self.switches[core_idx]
                 .accept(local_port, flit.vc, flit, cycle)
                 .expect("capacity checked");
+            wake(&mut self.awake, core_idx);
             self.switch_occ[core_idx] += 1;
             self.total_buffered += 1;
             self.energy.record_buffer_write(u64::from(flit.bits));
@@ -550,54 +566,60 @@ impl<F: PhotonicFabric, T: TrafficModel> PhotonicSystem<F, T> {
         let local_port = topology.local_port();
         let photonic_port = topology.photonic_port();
 
-        // Phase 1: every switch holding a flit arbitrates against the live
-        // downstream full masks. Arbitration moves no flit, so every switch
-        // sees the masks as they stood at the start of the cycle; every input
-        // port has exactly one upstream and a switch sends at most one flit
-        // per output per cycle, so a VC that is not full now still has room
-        // when this cycle's grant lands. An empty switch's arbitration is a
-        // pure no-op (its arbiters do not advance without a request), so it
-        // is skipped.
+        // Phase 1: every awake switch holding a flit arbitrates against the
+        // live downstream full masks. Arbitration moves no flit, so every
+        // switch sees the masks as they stood at the start of the cycle;
+        // every input port has exactly one upstream and a switch sends at
+        // most one flit per output per cycle, so a VC that is not full now
+        // still has room when this cycle's grant lands.
+        //
+        // A switch sleeps (its wake bit clears) when it is empty or its
+        // arbitration returns `false`: then arbitrating it again is a no-op
+        // until its buffers or a downstream full mask change. Buffers change
+        // only by `accept` (inject, ejection drain, a peer's grant landing)
+        // and a downstream full bit clears only by a pop from that input
+        // (a peer's phase 2, `advance_transmissions`); each of those sets
+        // the bit. A push only sets full bits, so it wakes no upstream. Debug
+        // builds check the rule: every occupied sleeping switch must still be
+        // blocked.
+        #[cfg(debug_assertions)]
         for core_idx in 0..topology.num_cores() {
-            if self.switch_occ[core_idx] == 0 {
-                continue;
+            if self.switch_occ[core_idx] != 0
+                && self.awake[core_idx / 64] >> (core_idx % 64) & 1 == 0
+            {
+                let live = self.arbitrate_switch(core_idx, cycle);
+                debug_assert!(
+                    !live,
+                    "switch {core_idx} slept through a change at cycle {cycle}"
+                );
             }
-            let core = CoreId(core_idx);
-            let cluster = topology.cluster_of(core);
-            let local = topology.local_index(core);
-            let photonic_full = self.photonic[cluster.0].inputs[local].full_mask();
-            let (before, rest) = self.switches.split_at_mut(core_idx);
-            let (switch, after) = rest.split_first_mut().expect("core in range");
-            switch.arbitrate(cycle, |out, vc, _flit| {
-                let full = if out == local_port {
-                    0
-                } else if out == photonic_port {
-                    photonic_full
+        }
+        self.granting.clear();
+        for word in 0..self.awake.len() {
+            for bit in set_bits(self.awake[word]) {
+                let core_idx = word * 64 + bit;
+                if self.switch_occ[core_idx] != 0 && self.arbitrate_switch(core_idx, cycle) {
+                    self.granting.push(core_idx);
                 } else {
-                    let peer = cluster.core(topology.peer_of_port(local, out), cpc);
-                    let peer_switch = if peer.0 < core_idx {
-                        &before[peer.0]
-                    } else {
-                        &after[peer.0 - core_idx - 1]
-                    };
-                    let arrival = peer_switch.input(topology.peer_port(peer, core));
-                    arrival.expect("port in range").full_mask()
-                };
-                full >> vc.0 & 1 == 0
-            });
+                    self.awake[word] &= !(1 << bit);
+                }
+            }
         }
 
         // Phase 2: land every granted flit downstream, switch by switch in
-        // output order. A switch empty in phase 1 holds no grant.
-        for core_idx in 0..topology.num_cores() {
-            if self.switch_occ[core_idx] == 0 {
-                continue;
-            }
+        // output order. Only a switch whose arbitration returned `true` can
+        // hold a grant.
+        for &core_idx in &self.granting {
             let core = CoreId(core_idx);
             let cluster = topology.cluster_of(core);
             let local = topology.local_index(core);
             while let Some(grant) = self.switches[core_idx].next_grant() {
                 let flit = grant.flit;
+                if grant.input != local_port && grant.input != photonic_port {
+                    // The feeding peer's full mask for this port may clear.
+                    let upstream = cluster.core(topology.peer_of_port(local, grant.input), cpc);
+                    wake(&mut self.awake, upstream.0);
+                }
                 self.switch_occ[core_idx] -= 1;
                 self.energy.record_router_traversal(u64::from(flit.bits));
                 if grant.output == local_port {
@@ -643,20 +665,56 @@ impl<F: PhotonicFabric, T: TrafficModel> PhotonicSystem<F, T> {
                     self.switches[peer.0]
                         .accept(topology.peer_port(peer, core), grant.vc, flit, cycle)
                         .expect("peer capacity checked in phase 1");
+                    wake(&mut self.awake, peer.0);
                 }
             }
         }
     }
 
+    /// Phase 1 for one switch: [`ElectricalRouter::arbitrate`] against the
+    /// live full masks of the downstream peer and photonic inputs (the local
+    /// port always accepts).
+    fn arbitrate_switch(&mut self, core_idx: usize, cycle: u64) -> bool {
+        let topology = self.topology;
+        let cpc = topology.cores_per_cluster();
+        let local_port = topology.local_port();
+        let photonic_port = topology.photonic_port();
+        let core = CoreId(core_idx);
+        let cluster = topology.cluster_of(core);
+        let local = topology.local_index(core);
+        let photonic_full = self.photonic[cluster.0].inputs[local].full_mask();
+        let (before, rest) = self.switches.split_at_mut(core_idx);
+        let (switch, after) = rest.split_first_mut().expect("core in range");
+        switch.arbitrate(cycle, |out, vc, _flit| {
+            let full = if out == local_port {
+                0
+            } else if out == photonic_port {
+                photonic_full
+            } else {
+                let peer = cluster.core(topology.peer_of_port(local, out), cpc);
+                let peer_switch = if peer.0 < core_idx {
+                    &before[peer.0]
+                } else {
+                    &after[peer.0 - core_idx - 1]
+                };
+                let arrival = peer_switch.input(topology.peer_port(peer, core));
+                arrival.expect("port in range").full_mask()
+            };
+            full >> vc.0 & 1 == 0
+        })
+    }
+
     fn advance_transmissions(&mut self, cycle: u64) {
         let bits_per_wavelength = self.config.bits_per_wavelength_per_cycle();
+        let cpc = self.topology.cores_per_cluster();
 
         for cluster_idx in 0..self.topology.num_clusters() {
             // No active transmission: nothing to advance, nothing to deliver.
             if self.photonic[cluster_idx].active.is_empty() {
                 continue;
             }
-            let pool = self.fabric.pool_size(ClusterId(cluster_idx));
+            let src_cluster = ClusterId(cluster_idx);
+            let pool = self.fabric.pool_size(src_cluster);
             let finished = &mut self.scratch_finished;
             finished.clear();
             let mut in_use = self.photonic[cluster_idx].wavelengths_in_use();
@@ -706,6 +764,8 @@ impl<F: PhotonicFabric, T: TrafficModel> PhotonicSystem<F, T> {
                         break;
                     }
                     let (mut flit, _) = source.pop(tx.src_vc).expect("front checked");
+                    // The feeding switch's photonic output may have room again.
+                    wake(&mut self.awake, src_cluster.core(tx.src_port, cpc).0);
                     popped += 1;
                     tx.credit_bits -= f64::from(flit.bits);
                     tx.flits_sent += 1;
@@ -846,6 +906,7 @@ impl<F: PhotonicFabric, T: TrafficModel> PhotonicSystem<F, T> {
                 self.switches[core.0]
                     .accept(photonic_port, vc, flit, cycle)
                     .expect("acceptance checked in request vector");
+                wake(&mut self.awake, core.0);
             }
         }
     }
