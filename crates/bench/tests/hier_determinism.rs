@@ -7,13 +7,14 @@
 //!   hierarchy-only metric families, which only a real hierarchy emits);
 //! * **sharding determinism** — the per-pod shards run as `pnoc-exec`
 //!   batch jobs, and the merged result must be bitwise-identical whether
-//!   those jobs run on one worker or many;
+//!   those jobs run on one worker or many; the per-pod families and the
+//!   spine totals partition the run's counters;
 //! * **replay order** — the metric rows of a spread of spine shapes are
 //!   pinned against `tests/golden/hier_metrics.jsonl`.
 
 use d_hetpnoc_repro::hier::HIER_ONLY_METRICS;
 use pnoc_bench::runner::ensure_registered;
-use pnoc_sim::metrics::{render_jsonl_row, MetricReport};
+use pnoc_sim::metrics::{render_jsonl_row, MetricReport, MetricValue};
 use pnoc_sim::scenario::{run_specs, Effort, Scenario, ScenarioSpec};
 use pnoc_sim::sweep::{SweepMode, SweepPoint};
 use std::path::Path;
@@ -85,9 +86,62 @@ fn single_pod_zero_latency_hierarchy_is_bitwise_identical_to_the_bare_leaf() {
     }
 }
 
+/// Every counted event came from exactly one pod or the spine: the per-pod
+/// families (counted in the pod jobs) plus the spine totals (counted in the
+/// replay) add up to the engine's own counters.
+fn assert_pods_partition_the_totals(point: &SweepPoint, id: &str) {
+    let counter = |name: &str| {
+        point
+            .metrics
+            .counter(name)
+            .unwrap_or_else(|| panic!("{id}: counter '{name}' missing"))
+    };
+    let pod_sum = |name: &str| -> u64 {
+        let family = point.metrics.family(name);
+        let family = family.unwrap_or_else(|| panic!("{id}: family '{name}' missing"));
+        family
+            .values()
+            .map(|value| match value {
+                MetricValue::Counter(count) => *count,
+                other => panic!("{id}: '{name}' member is a {}", other.kind()),
+            })
+            .sum()
+    };
+    let stats = &point.stats;
+    for (what, pods, spine, total) in [
+        (
+            "generated packets",
+            pod_sum("pod_generated_packets"),
+            counter("cross_pod_packets"),
+            stats.generated_packets,
+        ),
+        (
+            "delivered packets",
+            pod_sum("pod_delivered_packets"),
+            counter("spine_packets"),
+            stats.delivered_packets,
+        ),
+        (
+            "delivered bits",
+            pod_sum("pod_delivered_bits"),
+            counter("spine_bits"),
+            stats.delivered_bits,
+        ),
+        (
+            "dropped packets",
+            pod_sum("pod_dropped_packets"),
+            0,
+            stats.dropped_packets,
+        ),
+    ] {
+        assert_eq!(pods + spine, total, "{id}: {what}, pods + spine");
+    }
+}
+
 /// Sharded pod execution over a pod × leaf matrix (including a closed-loop
 /// collective that actually crosses the spine) is bitwise-identical whether
-/// the per-pod batch jobs run on one `pnoc-exec` worker or several.
+/// the per-pod batch jobs run on one `pnoc-exec` worker or several, and the
+/// per-pod families partition every point's counters.
 #[test]
 fn sharded_pod_execution_is_bitwise_identical_parallel_vs_sequential() {
     ensure_registered();
@@ -121,6 +175,9 @@ fn sharded_pod_execution_is_bitwise_identical_parallel_vs_sequential() {
             "{}: sharded pod execution must be bitwise-identical parallel vs sequential",
             scenario.canonical_id()
         );
+        for point in &sequential.result.points {
+            assert_pods_partition_the_totals(point, &scenario.canonical_id());
+        }
     }
 }
 

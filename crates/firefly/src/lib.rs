@@ -1,6 +1,6 @@
 //! # pnoc-firefly — the crossbar-based Firefly baseline PNoC
 //!
-//! Firefly (Pan et al., ISCA 2009 [20]) is the baseline architecture of the
+//! Firefly (Pan et al., ISCA 2009 \[20\]) is the baseline architecture of the
 //! thesis: a hybrid, hierarchical photonic NoC in which clusters of cores
 //! communicate electrically inside the cluster and photonically between
 //! clusters over a reservation-assisted Single-Write-Multiple-Read (R-SWMR)

@@ -37,7 +37,7 @@ struct Run {
 /// generation order (cycles ascending, cores ascending) — so the spine is
 /// bitwise reproducible regardless of how the pods themselves execute.
 ///
-/// The spine holds one [`Run`] per queued packet, never an event: the queue
+/// The spine holds one `Run` per queued packet, never an event: the queue
 /// is monotone in generation cycle, first slot and last slot, so
 /// [`Spine::replay`] computes a cycle's events from the runs delivering at
 /// the head, the runs serializing behind `sending` and the runs generated

@@ -13,13 +13,13 @@ use crate::spine::Spine;
 use pnoc_noc::ids::{ClusterId, CoreId};
 use pnoc_noc::packet::{BandwidthClass, PacketDescriptor};
 use pnoc_noc::traffic_model::{OfferedLoad, TrafficModel};
+use pnoc_photonics::energy::EnergyBreakdown;
 use pnoc_sim::config::SimConfig;
 use pnoc_sim::engine::{advance_network, CycleNetwork};
 use pnoc_sim::metrics::{
     Counter, EventSink, Family, MetricReport, MetricValue, NullSink, QuantileSketch, SimEvent,
 };
 use pnoc_sim::registry::ArchitectureBuilder;
-use pnoc_sim::stats::SimStats;
 use std::collections::VecDeque;
 use std::iter::Peekable;
 use std::sync::{Arc, Mutex};
@@ -34,19 +34,24 @@ type Feed = VecDeque<(u64, usize, PacketDescriptor)>;
 struct PodShard {
     network: Box<dyn CycleNetwork>,
     core_offset: usize,
+    /// The pod's own events since measurement began (the per-pod metric
+    /// families), counted by the pod job as it records them.
+    totals: Tally,
 }
 
 /// One pod's events over one window, in cycle order, read front to back
 /// during replay.
 type PodLog = Peekable<std::vec::IntoIter<(u64, SimEvent)>>;
 
-/// Captures a pod's events with core ids lifted into the global numbering.
-struct RecordingSink {
+/// Captures a pod's events with core ids lifted into the global numbering,
+/// counting them into the pod's totals.
+struct RecordingSink<'a> {
     core_offset: usize,
     events: Vec<(u64, SimEvent)>,
+    totals: &'a mut Tally,
 }
 
-impl EventSink for RecordingSink {
+impl EventSink for RecordingSink<'_> {
     fn emit(&mut self, cycle: u64, event: SimEvent) {
         let up = |core: CoreId| CoreId(core.0 + self.core_offset);
         let lifted = match event {
@@ -78,6 +83,7 @@ impl EventSink for RecordingSink {
             self.events.last().is_none_or(|&(at, _)| at <= cycle),
             "a pod's log is replayed front to back, so it must be in cycle order"
         );
+        self.totals.count(&lifted);
         self.events.push((cycle, lifted));
     }
 }
@@ -193,19 +199,38 @@ impl TrafficModel for PodFeedTraffic {
     }
 }
 
-/// Spine-side accounting for the measurement window, driven by replayed
-/// spine events (and therefore reset together with the pods at
-/// `begin_measurement`, exactly like a flat network's statistics).
-struct SpineAccount {
+/// The counts behind the hierarchy-only metrics of one pod or of the
+/// spine. The run's own counters are the engine's; these only say which
+/// part of the hierarchy an event came from.
+#[derive(Debug, Clone, Copy, Default)]
+struct Tally {
     generated_packets: u64,
-    injected_packets: u64,
-    injected_flits: u64,
+    dropped_packets: u64,
     delivered_packets: u64,
     delivered_flits: u64,
     delivered_bits: u64,
-    photonic_bits: u64,
-    total_latency: u64,
-    max_latency: u64,
+}
+
+impl Tally {
+    fn count(&mut self, event: &SimEvent) {
+        match *event {
+            SimEvent::PacketGenerated { .. } => self.generated_packets += 1,
+            SimEvent::PacketDropped { .. } => self.dropped_packets += 1,
+            SimEvent::FlitDelivered { bits, .. } => {
+                self.delivered_flits += 1;
+                self.delivered_bits += u64::from(bits);
+            }
+            SimEvent::PacketDelivered { .. } => self.delivered_packets += 1,
+            _ => {}
+        }
+    }
+}
+
+/// Spine-side accounting for the measurement window, driven by replayed
+/// spine events (and therefore reset together with the pods at
+/// `begin_measurement`).
+struct SpineAccount {
+    totals: Tally,
     latency_sketch: QuantileSketch,
     /// Delivered packets per (source pod, destination pod), row-major.
     pod_pair_packets: Vec<u64>,
@@ -214,42 +239,17 @@ struct SpineAccount {
 impl SpineAccount {
     fn new(pods: usize) -> Self {
         Self {
-            generated_packets: 0,
-            injected_packets: 0,
-            injected_flits: 0,
-            delivered_packets: 0,
-            delivered_flits: 0,
-            delivered_bits: 0,
-            photonic_bits: 0,
-            total_latency: 0,
-            max_latency: 0,
+            totals: Tally::default(),
             latency_sketch: QuantileSketch::new(),
             pod_pair_packets: vec![0; pods * pods],
         }
     }
 
     fn observe(&mut self, event: &SimEvent, leaf_cores: usize, pods: usize) {
-        match *event {
-            SimEvent::PacketGenerated { .. } => self.generated_packets += 1,
-            SimEvent::PacketInjected { .. } => self.injected_packets += 1,
-            SimEvent::FlitInjected { .. } => self.injected_flits += 1,
-            SimEvent::FlitDelivered { bits, photonic, .. } => {
-                self.delivered_flits += 1;
-                self.delivered_bits += u64::from(bits);
-                if photonic {
-                    self.photonic_bits += u64::from(bits);
-                }
-            }
-            SimEvent::PacketDelivered { src, dst, latency } => {
-                self.delivered_packets += 1;
-                self.total_latency += latency;
-                self.max_latency = self.max_latency.max(latency);
-                self.latency_sketch.record(latency);
-                self.pod_pair_packets[src.0 / leaf_cores * pods + dst.0 / leaf_cores] += 1;
-            }
-            SimEvent::PacketDropped { .. }
-            | SimEvent::FaultApplied { .. }
-            | SimEvent::FaultRepaired { .. } => {}
+        self.totals.count(event);
+        if let SimEvent::PacketDelivered { src, dst, latency } = *event {
+            self.latency_sketch.record(latency);
+            self.pod_pair_packets[src.0 / leaf_cores * pods + dst.0 / leaf_cores] += 1;
         }
     }
 }
@@ -286,7 +286,6 @@ pub struct HierarchicalSystem {
     /// Whether any pod reported pending work at the last window boundary.
     pods_active: bool,
     account: SpineAccount,
-    measured_cycles: u64,
 }
 
 impl HierarchicalSystem {
@@ -348,6 +347,7 @@ impl HierarchicalSystem {
             shards.push(Mutex::new(PodShard {
                 network,
                 core_offset: pod * leaf_cores,
+                totals: Tally::default(),
             }));
             feeds.push(feed);
         }
@@ -365,7 +365,6 @@ impl HierarchicalSystem {
             simulated_through: 0,
             pods_active: false,
             account: SpineAccount::new(pods),
-            measured_cycles: 0,
         }
     }
 
@@ -422,10 +421,12 @@ impl HierarchicalSystem {
         // executor runs.
         let window = (start, end);
         let batches = pnoc_exec::run_batch(&self.pods, |_, pod| {
-            let mut pod = pod.lock().expect("pod shard poisoned");
+            let mut guard = pod.lock().expect("pod shard poisoned");
+            let pod = &mut *guard;
             let mut sink = RecordingSink {
                 core_offset: pod.core_offset,
                 events: Vec::new(),
+                totals: &mut pod.totals,
             };
             let mut cycle = window.0;
             while cycle < window.1 {
@@ -485,7 +486,6 @@ impl CycleNetwork for HierarchicalSystem {
             self.simulate_window();
         }
         self.replay(cycle, sink);
-        self.measured_cycles += 1;
     }
 
     fn begin_measurement(&mut self, cycle: u64) {
@@ -494,48 +494,23 @@ impl CycleNetwork for HierarchicalSystem {
             "window clamping must land the pods exactly on the measurement boundary"
         );
         for pod in &self.pods {
-            pod.lock()
-                .expect("pod shard poisoned")
-                .network
-                .begin_measurement(cycle);
+            let mut pod = pod.lock().expect("pod shard poisoned");
+            pod.network.begin_measurement(cycle);
+            pod.totals = Tally::default();
         }
         self.account = SpineAccount::new(self.pods.len());
-        self.measured_cycles = 0;
     }
 
-    fn stats(&self) -> SimStats {
-        let mut merged = SimStats::new(
-            "hier",
-            &self.traffic_name,
-            self.offered_load.value(),
-            self.config.clock,
-        );
-        for pod in &self.pods {
-            let stats = pod.lock().expect("pod shard poisoned").network.stats();
-            merged.generated_packets += stats.generated_packets;
-            merged.dropped_packets += stats.dropped_packets;
-            merged.injected_packets += stats.injected_packets;
-            merged.injected_flits += stats.injected_flits;
-            merged.delivered_packets += stats.delivered_packets;
-            merged.delivered_flits += stats.delivered_flits;
-            merged.delivered_bits += stats.delivered_bits;
-            merged.delivered_photonic_bits += stats.delivered_photonic_bits;
-            merged.total_packet_latency += stats.total_packet_latency;
-            merged.max_packet_latency = merged.max_packet_latency.max(stats.max_packet_latency);
-            merged.energy = merged.energy.combined(&stats.energy);
-        }
-        let spine = &self.account;
-        merged.generated_packets += spine.generated_packets;
-        merged.injected_packets += spine.injected_packets;
-        merged.injected_flits += spine.injected_flits;
-        merged.delivered_packets += spine.delivered_packets;
-        merged.delivered_flits += spine.delivered_flits;
-        merged.delivered_bits += spine.delivered_bits;
-        merged.delivered_photonic_bits += spine.photonic_bits;
-        merged.total_packet_latency += spine.total_latency;
-        merged.max_packet_latency = merged.max_packet_latency.max(spine.max_latency);
-        merged.measured_cycles = self.measured_cycles;
-        merged
+    fn energy(&self) -> EnergyBreakdown {
+        self.pods
+            .iter()
+            .fold(EnergyBreakdown::default(), |energy, pod| {
+                energy.combined(&pod.lock().expect("pod shard poisoned").network.energy())
+            })
+    }
+
+    fn traffic_label(&self) -> (String, f64) {
+        (self.traffic_name.clone(), self.offered_load.value())
     }
 
     fn config(&self) -> &SimConfig {
@@ -575,7 +550,6 @@ impl CycleNetwork for HierarchicalSystem {
     }
 
     fn skip_cycles(&mut self, from: u64, to: u64) {
-        self.measured_cycles += to - from;
         let start = from.max(self.simulated_through);
         if start < to {
             for pod in &self.pods {
@@ -594,37 +568,30 @@ impl CycleNetwork for HierarchicalSystem {
         let mut bits = Family::<Counter>::new();
         let mut dropped = Family::<Counter>::new();
         for (index, pod) in self.pods.iter().enumerate() {
-            let stats = pod.lock().expect("pod shard poisoned").network.stats();
+            let totals = pod.lock().expect("pod shard poisoned").totals;
             let label = pod_label(index);
             generated
                 .with_label(label.clone())
-                .add(stats.generated_packets);
+                .add(totals.generated_packets);
             delivered
                 .with_label(label.clone())
-                .add(stats.delivered_packets);
-            bits.with_label(label.clone()).add(stats.delivered_bits);
-            dropped.with_label(label).add(stats.dropped_packets);
+                .add(totals.delivered_packets);
+            bits.with_label(label.clone()).add(totals.delivered_bits);
+            dropped.with_label(label).add(totals.dropped_packets);
         }
         report.insert("pod_generated_packets", generated.to_value());
         report.insert("pod_delivered_packets", delivered.to_value());
         report.insert("pod_delivered_bits", bits.to_value());
         report.insert("pod_dropped_packets", dropped.to_value());
-        report.insert(
-            "cross_pod_packets",
-            MetricValue::Counter(self.account.generated_packets),
-        );
-        report.insert(
-            "spine_packets",
-            MetricValue::Counter(self.account.delivered_packets),
-        );
-        report.insert(
-            "spine_flits",
-            MetricValue::Counter(self.account.delivered_flits),
-        );
-        report.insert(
-            "spine_bits",
-            MetricValue::Counter(self.account.delivered_bits),
-        );
+        let spine = &self.account.totals;
+        for (name, count) in [
+            ("cross_pod_packets", spine.generated_packets),
+            ("spine_packets", spine.delivered_packets),
+            ("spine_flits", spine.delivered_flits),
+            ("spine_bits", spine.delivered_bits),
+        ] {
+            report.insert(name, MetricValue::Counter(count));
+        }
         report.insert(
             "spine_latency_cycles",
             MetricValue::Histogram(self.account.latency_sketch.clone()),

@@ -8,7 +8,7 @@
 //! * the round-robin arbiter ([`arbiter`]),
 //! * a three-stage (input arbitration → routing/crossbar → output arbitration)
 //!   electrical router ([`router`]) as described in the thesis (Section 3.3.2,
-//!   adopted from Pande et al. [24]),
+//!   adopted from Pande et al. \[24\]),
 //! * the hierarchical cluster topology used by both Firefly and d-HetPNoC
 //!   (4 cores per cluster, all-to-all electrical links plus a photonic router
 //!   per cluster, [`topology`]),

@@ -1,6 +1,6 @@
 //! Three-stage electrical router.
 //!
-//! The thesis adopts the switch architecture of Pande et al. [24]: a
+//! The thesis adopts the switch architecture of Pande et al. \[24\]: a
 //! three-stage pipeline of **input arbitration**, **routing / crossbar
 //! traversal** and **output arbitration** (Section 3.3.2). Each port carries
 //! a set of virtual channels; wormhole switching is used, i.e. the head flit

@@ -4,7 +4,7 @@
 //! an MRR and converts it to a photo-current in a germanium p-i-n detector
 //! (thesis Section 2.1.2). The detector output is amplified and compared to a
 //! threshold to recover the bit. The thesis cites 40 Gb/s waveguide
-//! integrated Ge detectors [13][19] with responsivities up to 1.08 A/W [14].
+//! integrated Ge detectors \[13\]\[19\] with responsivities up to 1.08 A/W \[14\].
 //!
 //! The reservation-assisted SWMR flow control (Section 3.3.1) relies on
 //! detectors being switched on only for the duration of a packet; the
@@ -21,7 +21,7 @@ pub struct PhotoDetector {
     pub ring: MicroRingResonator,
     /// Maximum detection rate in Gb/s.
     pub data_rate_gbps: f64,
-    /// Responsivity in amperes per watt (1.08 A/W in [14], 0.74 A/W in [18]).
+    /// Responsivity in amperes per watt (1.08 A/W in \[14\], 0.74 A/W in \[18\]).
     pub responsivity_a_per_w: f64,
     /// Receiver energy per bit in femto-joules (demodulation side of the
     /// 40 fJ/bit modulator/demodulator figure of Table 3-4).

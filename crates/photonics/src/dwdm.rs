@@ -1,7 +1,7 @@
 //! Dense Wavelength Division Multiplexing (DWDM) wavelength bookkeeping.
 //!
 //! A data waveguide carries up to `λ_W` wavelengths (64 in the paper, as in
-//! Firefly [20]); the whole photonic fabric spreads its `N_λ` data
+//! Firefly \[20\]); the whole photonic fabric spreads its `N_λ` data
 //! wavelengths over `⌈N_λ / λ_W⌉` waveguides. The d-HetPNoC DBA protocol
 //! identifies an allocated wavelength with a *(waveguide number, wavelength
 //! number)* pair; the reservation flit carries `log2(λ_W)`-bit wavelength

@@ -2,9 +2,9 @@
 //!
 //! The PNoC needs a multi-wavelength light source (thesis Section 2.1.4).
 //! The paper assumes heterogeneously-integrated on-chip sources, citing Heck
-//! and Bowers [16] for energy-efficiency and energy-proportionality, and uses
+//! and Bowers \[16\] for energy-efficiency and energy-proportionality, and uses
 //! 1.5 mW of laser power per wavelength (Table 3-4, after Preston et al.
-//! [30]). The launch energy of Table 3-5 (0.15 pJ/bit) is the per-bit cost of
+//! \[30\]). The launch energy of Table 3-5 (0.15 pJ/bit) is the per-bit cost of
 //! that optical power plus coupling overheads at the 12.5 Gb/s line rate.
 
 use crate::units::{gbps_to_bps, mw_to_w, power_to_energy_per_bit_pj};
@@ -30,7 +30,7 @@ pub struct LaserSource {
     /// Line rate each wavelength is modulated at, Gb/s.
     pub line_rate_gbps: f64,
     /// Whether the source is energy-proportional (can gate unused
-    /// wavelengths), as argued for on-chip sources in [16].
+    /// wavelengths), as argued for on-chip sources in \[16\].
     pub energy_proportional: bool,
 }
 

@@ -3,7 +3,7 @@
 //! The transmit side of every photonic channel converts electrical flits into
 //! optical signals by modulating a laser carrier with a micro-ring modulator.
 //! The thesis uses the tunable high-speed silicon microring modulator of Dong
-//! et al. [28]: 12.5 Gb/s per wavelength carrier and 40 fJ/bit modulation
+//! et al. \[28\]: 12.5 Gb/s per wavelength carrier and 40 fJ/bit modulation
 //! energy (Table 3-4).
 
 use crate::mrr::MicroRingResonator;
@@ -23,7 +23,7 @@ pub struct Modulator {
 }
 
 impl Modulator {
-    /// The modulator assumed throughout the paper's evaluation [28].
+    /// The modulator assumed throughout the paper's evaluation \[28\].
     #[must_use]
     pub fn paper_default() -> Self {
         Self {

@@ -3,8 +3,8 @@
 //! MRRs are the workhorse of the photonic NoC (thesis Section 2.1.1): they
 //! act as wavelength-selective filters and, with carrier injection, as
 //! modulators and switches. The thesis cites silicon *adiabatic* micro-rings
-//! of 2 µm radius with a free spectral range (FSR) of 6.92 THz [13] and
-//! assumes 5 µm-radius rings [28] for the area estimate of Section 3.4.3.
+//! of 2 µm radius with a free spectral range (FSR) of 6.92 THz \[13\] and
+//! assumes 5 µm-radius rings \[28\] for the area estimate of Section 3.4.3.
 
 use crate::units::{um2_to_mm2, um_to_m, SILICON_GROUP_INDEX, SPEED_OF_LIGHT_M_PER_S};
 use std::f64::consts::PI;
@@ -23,7 +23,7 @@ pub struct MicroRingResonator {
 }
 
 impl MicroRingResonator {
-    /// The 5 µm ring assumed by the paper's area model [28].
+    /// The 5 µm ring assumed by the paper's area model \[28\].
     #[must_use]
     pub fn paper_area_ring() -> Self {
         Self {
@@ -34,7 +34,7 @@ impl MicroRingResonator {
         }
     }
 
-    /// The 2 µm adiabatic ring of Biberman et al. [13] with 6.92 THz FSR.
+    /// The 2 µm adiabatic ring of Biberman et al. \[13\] with 6.92 THz FSR.
     #[must_use]
     pub fn adiabatic_2um() -> Self {
         Self {

@@ -1,6 +1,6 @@
 //! Photonic switching elements (PSEs).
 //!
-//! Some photonic NoCs (e.g. the 2-D folded torus of Shacham et al. [15])
+//! Some photonic NoCs (e.g. the 2-D folded torus of Shacham et al. \[15\])
 //! steer light through 90° turns with MRR-based photonic switching elements
 //! (thesis Section 2.1.3). The crossbar-based architectures studied in the
 //! thesis do not need PSEs on the data path, but the element is part of the

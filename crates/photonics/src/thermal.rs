@@ -4,7 +4,7 @@
 //! desired DWDM channel (thesis Section 2.1.1: "The resonant frequency of
 //! each MRR can be changed by applying heat to them... We assume a single
 //! heater element per MRR"). The paper budgets 2.4 mW of heater power per
-//! nano-metre of resonance shift (Table 3-4, after Dong et al. [28]); over a
+//! nano-metre of resonance shift (Table 3-4, after Dong et al. \[28\]); over a
 //! 12.5 Gb/s channel this contributes the 0.24 pJ/bit tuning energy of
 //! Table 3-5 (corresponding to a 1.25 nm average shift).
 

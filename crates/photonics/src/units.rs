@@ -12,7 +12,7 @@ pub const SPEED_OF_LIGHT_M_PER_S: f64 = 299_792_458.0;
 
 /// Group index of a silicon strip waveguide around 1550 nm, chosen such that
 /// a 2 µm-radius adiabatic micro-ring has a free spectral range of 6.92 THz
-/// as reported by Biberman et al. [13] (thesis Section 2.1.1).
+/// as reported by Biberman et al. \[13\] (thesis Section 2.1.1).
 pub const SILICON_GROUP_INDEX: f64 = 3.448;
 
 /// Nominal DWDM centre wavelength used by the models, metres (1550 nm).

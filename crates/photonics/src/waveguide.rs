@@ -2,7 +2,7 @@
 //!
 //! Waveguides carry the DWDM optical signals between photonic routers
 //! (thesis Section 2.1.5). They are fabricated in silicon-on-insulator with
-//! deep-UV lithography [17]; light is confined by total internal reflection
+//! deep-UV lithography \[17\]; light is confined by total internal reflection
 //! between the high-index core and the cladding. The models here track the
 //! propagation loss and wavelength capacity used by the loss budget and the
 //! waveguide-count arithmetic of the area model.
@@ -29,7 +29,7 @@ pub struct Waveguide {
     /// crossbar waveguide visiting all 16 clusters is a few centimetres long.
     pub length_mm: f64,
     /// Propagation loss in dB per centimetre (≈ 1.5 dB/cm for SOI strip
-    /// waveguides fabricated with DUV lithography [17]).
+    /// waveguides fabricated with DUV lithography \[17\]).
     pub propagation_loss_db_per_cm: f64,
     /// Maximum number of DWDM wavelengths the waveguide carries.
     pub max_wavelengths: usize,

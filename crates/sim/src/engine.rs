@@ -1,8 +1,9 @@
 #![doc = include_str!("engine.md")]
 
 use crate::config::SimConfig;
-use crate::metrics::{EventSink, NullSink, Probe, SimEvent};
+use crate::metrics::{EventSink, Probe, SimEvent};
 use crate::stats::SimStats;
+use pnoc_photonics::energy::EnergyBreakdown;
 use std::sync::atomic::{AtomicBool, Ordering};
 
 /// Process-wide executor selector: `true` (the default) lets the engine act
@@ -34,28 +35,31 @@ pub trait CycleNetwork: Send {
     fn step(&mut self, cycle: u64);
 
     /// Advances the network by one cycle, reporting observable events
-    /// ([`SimEvent`]) to `sink` as they happen.
+    /// ([`SimEvent`]) to `sink` as they happen. These events are the only
+    /// source of a run's [`SimStats`] counters.
     ///
     /// The default implementation ignores the sink and calls
-    /// [`CycleNetwork::step`]; instrumented networks override this and make
-    /// `step` the [`NullSink`] special case.
+    /// [`CycleNetwork::step`], so the engine counts only the network's
+    /// cycles; instrumented networks override this and make `step` the
+    /// [`NullSink`](crate::metrics::NullSink) special case.
     fn step_observed(&mut self, cycle: u64, sink: &mut dyn EventSink) {
         let _ = sink;
         self.step(cycle);
     }
 
-    /// Marks the beginning of the measurement window: statistics and energy
-    /// accumulated so far (the warm-up) are discarded.
+    /// Marks the beginning of the measurement window: energy accumulated so
+    /// far (the warm-up) is discarded.
     fn begin_measurement(&mut self, cycle: u64);
 
-    /// Snapshot of the statistics collected since measurement began.
-    ///
-    /// This is the legacy pull-only surface; it stays because [`SimStats`]
-    /// remains the workspace's compatibility currency, but new metrics
-    /// should be observed through [`Probe`]s instead of growing this
-    /// snapshot. The engine takes this snapshot exactly once, after the last
-    /// cycle of a run — it is never on the per-cycle hot path.
-    fn stats(&self) -> SimStats;
+    /// Energy accumulated since measurement began: the one [`SimStats`]
+    /// field the event stream cannot carry. The engine reads it once, after
+    /// the last cycle of a run, and counts every other field itself from the
+    /// events and cycles of the measurement window.
+    fn energy(&self) -> EnergyBreakdown;
+
+    /// The name and offered load (packets per core per cycle) of the traffic
+    /// driving the network, for the [`SimStats`] header.
+    fn traffic_label(&self) -> (String, f64);
 
     /// The configuration the network was built with.
     fn config(&self) -> &SimConfig;
@@ -118,11 +122,62 @@ pub trait CycleNetwork: Send {
     }
 }
 
-/// Fans one event stream out to a probe slice, gated on the measurement
-/// window.
+/// The one place a run's events become counters: fans the event stream out
+/// to a probe slice and counts it into the run's [`SimStats`], both gated on
+/// the measurement window.
 struct ProbeFanout<'a, 'b> {
     probes: &'a mut [&'b mut dyn Probe],
     measuring: bool,
+    stats: SimStats,
+}
+
+impl<'a, 'b> ProbeFanout<'a, 'b> {
+    /// An unmeasuring fanout whose statistics carry `network`'s header.
+    fn new<N: CycleNetwork + ?Sized>(network: &N, probes: &'a mut [&'b mut dyn Probe]) -> Self {
+        let (traffic, load) = network.traffic_label();
+        let stats = SimStats::new(
+            network.architecture(),
+            &traffic,
+            load,
+            network.config().clock,
+        );
+        Self {
+            probes,
+            measuring: false,
+            stats,
+        }
+    }
+
+    /// Opens the measurement window at `cycle`, on the network and the
+    /// probes.
+    fn begin<N: CycleNetwork + ?Sized>(&mut self, network: &mut N, cycle: u64) {
+        network.begin_measurement(cycle);
+        self.measuring = true;
+        for probe in self.probes.iter_mut() {
+            probe.on_measurement_begin(cycle);
+        }
+    }
+
+    /// Closes `cycle`, stepped or skipped: inside the measurement window it
+    /// is counted and every probe sees [`Probe::on_cycle_end`].
+    fn cycle_end(&mut self, cycle: u64) {
+        if self.measuring {
+            self.stats.measured_cycles += 1;
+            for probe in self.probes.iter_mut() {
+                probe.on_cycle_end(cycle);
+            }
+        }
+    }
+
+    /// Ends the run: fills in the network's energy and finishes every probe
+    /// with the statistics.
+    fn finish<N: CycleNetwork + ?Sized>(mut self, network: &N) -> SimStats {
+        self.stats.energy = network.energy();
+        for probe in self.probes.iter_mut() {
+            probe.finish(&self.stats);
+        }
+        self.stats
+    }
 }
 
 impl EventSink for ProbeFanout<'_, '_> {
@@ -130,12 +185,13 @@ impl EventSink for ProbeFanout<'_, '_> {
         // Fault transitions are schedule replay, not workload statistics:
         // they pass the warm-up gate so the probes' fault counters reconcile
         // exactly with the controller's whole-run gauges even when an onset
-        // lands inside the warm-up window.
+        // lands inside the warm-up window. They count nothing in `SimStats`.
         let structural = matches!(
             event,
             SimEvent::FaultApplied { .. } | SimEvent::FaultRepaired { .. }
         );
         if self.measuring || structural {
+            self.stats.observe(&event);
             for probe in self.probes.iter_mut() {
                 probe.on_event(cycle, &event);
             }
@@ -162,10 +218,10 @@ pub fn advance_network<N: CycleNetwork + ?Sized>(network: &mut N, cycle: u64, li
     target
 }
 
-/// [`advance_network`] for a probed run: when measuring, every probe sees
-/// `on_cycle_end` once per skipped cycle so windowed metrics close at exactly
-/// the same cycles as under per-cycle execution. Returns the next cycle to
-/// step.
+/// [`advance_network`] for a probed run: every skipped cycle is closed like
+/// a stepped one, so measured cycles count it and windowed metrics close at
+/// exactly the same cycles as under per-cycle execution. Returns the next
+/// cycle to step.
 fn advance_clock<N: CycleNetwork + ?Sized>(
     network: &mut N,
     fanout: &mut ProbeFanout<'_, '_>,
@@ -173,62 +229,42 @@ fn advance_clock<N: CycleNetwork + ?Sized>(
     limit: u64,
 ) -> u64 {
     let target = advance_network(network, cycle, limit);
-    if fanout.measuring {
-        for skipped in cycle + 1..target {
-            for probe in fanout.probes.iter_mut() {
-                probe.on_cycle_end(skipped);
-            }
-        }
+    for skipped in cycle + 1..target {
+        fanout.cycle_end(skipped);
     }
     target
 }
 
 /// Runs a network for its configured warm-up + measurement window while
-/// driving `probes`, and returns the measured legacy statistics.
+/// driving `probes`, and returns the statistics of the measurement window.
 ///
 /// The warm-up runs unobserved, except that fault transitions pass the gate
 /// so fault counters cover the whole run. At the measurement boundary every
-/// probe
-/// gets [`Probe::on_measurement_begin`]; during the window every
-/// [`SimEvent`] is forwarded to every probe and each cycle ends with
-/// [`Probe::on_cycle_end`]; after the last cycle every probe is finished
-/// with the network's final [`SimStats`]. Collect the probes' reports with
-/// [`Probe::report`].
+/// probe gets [`Probe::on_measurement_begin`]; during the window every
+/// [`SimEvent`] is counted into the returned [`SimStats`] and forwarded to
+/// every probe, and each cycle ends with [`Probe::on_cycle_end`]; after the
+/// last cycle every probe is finished with those [`SimStats`]. Collect the
+/// probes' reports with [`Probe::report`].
 pub fn run_to_completion_with<N: CycleNetwork + ?Sized>(
     network: &mut N,
     probes: &mut [&mut dyn Probe],
 ) -> SimStats {
     let warmup = network.config().warmup_cycles;
     let total = network.config().total_cycles();
-    let mut fanout = ProbeFanout {
-        probes,
-        measuring: false,
-    };
+    let mut fanout = ProbeFanout::new(network, probes);
     let mut cycle = 0;
     while cycle < total {
         if cycle == warmup {
-            network.begin_measurement(cycle);
-            fanout.measuring = true;
-            for probe in fanout.probes.iter_mut() {
-                probe.on_measurement_begin(cycle);
-            }
+            fanout.begin(network, cycle);
         }
         network.step_observed(cycle, &mut fanout);
-        if fanout.measuring {
-            for probe in fanout.probes.iter_mut() {
-                probe.on_cycle_end(cycle);
-            }
-        }
+        fanout.cycle_end(cycle);
         // Fast-forwarding must land exactly on the warm-up boundary so
         // `begin_measurement` fires at the configured cycle.
         let limit = if cycle < warmup { warmup } else { total };
         cycle = advance_clock(network, &mut fanout, cycle, limit);
     }
-    let stats = network.stats();
-    for probe in probes.iter_mut() {
-        probe.finish(&stats);
-    }
-    stats
+    fanout.finish(network)
 }
 
 /// Runs a network for its configured warm-up + measurement window and returns
@@ -253,20 +289,12 @@ pub fn run_until_with<N: CycleNetwork + ?Sized>(
     mut drained: impl FnMut(u64) -> bool,
     max_cycles: u64,
 ) -> SimStats {
-    network.begin_measurement(0);
-    let mut fanout = ProbeFanout {
-        probes,
-        measuring: true,
-    };
-    for probe in fanout.probes.iter_mut() {
-        probe.on_measurement_begin(0);
-    }
+    let mut fanout = ProbeFanout::new(network, probes);
+    fanout.begin(network, 0);
     let mut cycle = 0;
     while cycle < max_cycles {
         network.step_observed(cycle, &mut fanout);
-        for probe in fanout.probes.iter_mut() {
-            probe.on_cycle_end(cycle);
-        }
+        fanout.cycle_end(cycle);
         if drained(cycle) {
             break;
         }
@@ -274,36 +302,40 @@ pub fn run_until_with<N: CycleNetwork + ?Sized>(
         // deliveries), so it cannot flip inside a skipped gap.
         cycle = advance_clock(network, &mut fanout, cycle, max_cycles);
     }
-    let stats = network.stats();
-    for probe in probes.iter_mut() {
-        probe.finish(&stats);
-    }
-    stats
+    fanout.finish(network)
 }
 
-/// Runs a network for an explicit number of cycles (no warm-up handling).
-/// Useful for fine-grained tests that want to observe transient behaviour.
+/// Runs a network for an explicit number of cycles (no warm-up handling),
+/// counting every one of them and every event they emit. Useful for
+/// fine-grained tests that want to observe transient behaviour.
 pub fn run_cycles<N: CycleNetwork + ?Sized>(network: &mut N, start: u64, cycles: u64) -> SimStats {
-    let mut sink = NullSink;
+    let mut fanout = ProbeFanout::new(network, &mut []);
+    fanout.measuring = true;
     for cycle in start..start + cycles {
-        network.step_observed(cycle, &mut sink);
+        network.step_observed(cycle, &mut fanout);
+        fanout.cycle_end(cycle);
     }
-    network.stats()
+    fanout.finish(network)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::clock::Clock;
     use crate::config::BandwidthSet;
-    use crate::metrics::{MetricReport, MetricValue};
+    use crate::metrics::{MetricReport, MetricValue, NullSink};
     use pnoc_noc::ids::CoreId;
 
-    /// A fake network that counts steps, records when measurement began, and
-    /// emits one synthetic delivery event per step.
+    /// One synthetic delivery whose latency is its cycle.
+    fn delivery(sink: &mut dyn EventSink, cycle: u64) {
+        let (src, dst) = (CoreId(0), CoreId(1));
+        let latency = cycle;
+        sink.emit(cycle, SimEvent::PacketDelivered { src, dst, latency });
+    }
+
+    /// A fake network that records when measurement began and emits one
+    /// synthetic delivery event per step.
     struct Counter {
         config: SimConfig,
-        steps: u64,
         measured_from: Option<u64>,
     }
 
@@ -313,26 +345,19 @@ mod tests {
         }
 
         fn step_observed(&mut self, cycle: u64, sink: &mut dyn EventSink) {
-            self.steps += 1;
-            sink.emit(
-                cycle,
-                SimEvent::PacketDelivered {
-                    src: CoreId(0),
-                    dst: CoreId(1),
-                    latency: cycle,
-                },
-            );
+            delivery(sink, cycle);
         }
 
         fn begin_measurement(&mut self, cycle: u64) {
             self.measured_from = Some(cycle);
-            self.steps = 0;
         }
 
-        fn stats(&self) -> SimStats {
-            let mut s = SimStats::new("counter", "none", 0.0, Clock::paper_default());
-            s.measured_cycles = self.steps;
-            s
+        fn energy(&self) -> EnergyBreakdown {
+            EnergyBreakdown::default()
+        }
+
+        fn traffic_label(&self) -> (String, f64) {
+            ("none".to_string(), 0.0)
         }
 
         fn config(&self) -> &SimConfig {
@@ -350,7 +375,6 @@ mod tests {
         config.sim_cycles = sim;
         Counter {
             config,
-            steps: 0,
             measured_from: None,
         }
     }
@@ -361,6 +385,10 @@ mod tests {
         let stats = run_to_completion(&mut net);
         assert_eq!(net.measured_from, Some(100));
         assert_eq!(stats.measured_cycles, 400);
+        assert_eq!(
+            (stats.architecture.as_str(), stats.traffic.as_str()),
+            ("counter", "none")
+        );
     }
 
     #[test]
@@ -368,6 +396,7 @@ mod tests {
         let mut net = counter_net(1_000, 5_000);
         let stats = run_cycles(&mut net, 0, 37);
         assert_eq!(stats.measured_cycles, 37);
+        assert_eq!(stats.delivered_packets, 37);
     }
 
     /// A probe that records the engine-driven lifecycle.
@@ -377,7 +406,7 @@ mod tests {
         events: u64,
         first_event_cycle: Option<u64>,
         cycle_ends: u64,
-        finished: bool,
+        finished_with: Option<SimStats>,
     }
 
     impl Probe for LifecycleProbe {
@@ -394,8 +423,8 @@ mod tests {
             self.cycle_ends += 1;
         }
 
-        fn finish(&mut self, _stats: &SimStats) {
-            self.finished = true;
+        fn finish(&mut self, stats: &SimStats) {
+            self.finished_with = Some(stats.clone());
         }
 
         fn report(&self) -> MetricReport {
@@ -416,8 +445,14 @@ mod tests {
         assert_eq!(probe.events, 400);
         assert_eq!(probe.first_event_cycle, Some(100));
         assert_eq!(probe.cycle_ends, 400);
-        assert!(probe.finished);
+        assert_eq!(probe.finished_with.as_ref(), Some(&stats));
         assert_eq!(probe.report().counter("events"), Some(400));
+        // The engine counted exactly the in-window deliveries (cycles
+        // 100..500), none of the warm-up's.
+        assert_eq!(
+            (stats.delivered_packets, stats.total_packet_latency),
+            (400, (100..500).sum())
+        );
     }
 
     #[test]
@@ -429,10 +464,11 @@ mod tests {
         // Measurement began immediately; 7 cycles ran (0..=6 inclusive).
         assert_eq!(net.measured_from, Some(0));
         assert_eq!(stats.measured_cycles, 7);
+        assert_eq!(stats.delivered_packets, 7);
         assert_eq!(probe.measurement_begun_at, Some(0));
         assert_eq!(probe.first_event_cycle, Some(0));
         assert_eq!(probe.events, 7);
-        assert!(probe.finished);
+        assert_eq!(probe.finished_with, Some(stats));
     }
 
     #[test]
@@ -460,7 +496,6 @@ mod tests {
         period: u64,
         steps: u64,
         skips: u64,
-        measured: u64,
         measured_from: Option<u64>,
     }
 
@@ -474,7 +509,6 @@ mod tests {
                 period,
                 steps: 0,
                 skips: 0,
-                measured: 0,
                 measured_from: None,
             }
         }
@@ -487,28 +521,21 @@ mod tests {
 
         fn step_observed(&mut self, cycle: u64, sink: &mut dyn EventSink) {
             self.steps += 1;
-            self.measured += 1;
             if cycle.is_multiple_of(self.period) {
-                sink.emit(
-                    cycle,
-                    SimEvent::PacketDelivered {
-                        src: CoreId(0),
-                        dst: CoreId(1),
-                        latency: cycle,
-                    },
-                );
+                delivery(sink, cycle);
             }
         }
 
         fn begin_measurement(&mut self, cycle: u64) {
             self.measured_from = Some(cycle);
-            self.measured = 0;
         }
 
-        fn stats(&self) -> SimStats {
-            let mut s = SimStats::new("pulsed", "none", 0.0, Clock::paper_default());
-            s.measured_cycles = self.measured;
-            s
+        fn energy(&self) -> EnergyBreakdown {
+            EnergyBreakdown::default()
+        }
+
+        fn traffic_label(&self) -> (String, f64) {
+            ("none".to_string(), 0.0)
         }
 
         fn config(&self) -> &SimConfig {
@@ -523,9 +550,8 @@ mod tests {
             Some(((now / self.period) + 1) * self.period)
         }
 
-        fn skip_cycles(&mut self, from: u64, to: u64) {
+        fn skip_cycles(&mut self, _from: u64, _to: u64) {
             self.skips += 1;
-            self.measured += to - from;
         }
     }
 
@@ -543,6 +569,7 @@ mod tests {
                 probe.cycle_ends,
                 probe.measurement_begun_at,
                 probe.first_event_cycle,
+                stats.delivered_packets,
             )
         };
 
@@ -573,6 +600,10 @@ mod tests {
         assert_eq!(event_obs.2, 400);
         assert_eq!(event_obs.3, Some(100));
         assert_eq!(event_obs.4, Some(100));
+        // The engine's own count: 40 pulses (cycles 100, 110, …, 490), and
+        // 400 measured cycles although the event run stepped fewer than 100
+        // of them — the skipped cycles count too.
+        assert_eq!(event_obs.5, 40);
     }
 
     #[test]
@@ -602,20 +633,17 @@ mod tests {
         struct Dead {
             config: SimConfig,
             steps: u64,
-            measured: u64,
         }
         impl CycleNetwork for Dead {
             fn step(&mut self, _cycle: u64) {
                 self.steps += 1;
-                self.measured += 1;
             }
-            fn begin_measurement(&mut self, _cycle: u64) {
-                self.measured = 0;
+            fn begin_measurement(&mut self, _cycle: u64) {}
+            fn energy(&self) -> EnergyBreakdown {
+                EnergyBreakdown::default()
             }
-            fn stats(&self) -> SimStats {
-                let mut s = SimStats::new("dead", "none", 0.0, Clock::paper_default());
-                s.measured_cycles = self.measured;
-                s
+            fn traffic_label(&self) -> (String, f64) {
+                ("none".to_string(), 0.0)
             }
             fn config(&self) -> &SimConfig {
                 &self.config
@@ -630,18 +658,11 @@ mod tests {
                     None
                 }
             }
-            fn skip_cycles(&mut self, from: u64, to: u64) {
-                self.measured += to - from;
-            }
         }
         let mut config = SimConfig::fast(BandwidthSet::Set1);
         config.warmup_cycles = 0;
         config.sim_cycles = 1_000;
-        let mut net = Dead {
-            config,
-            steps: 0,
-            measured: 0,
-        };
+        let mut net = Dead { config, steps: 0 };
         let stats = run_to_completion(&mut net);
         assert_eq!(stats.measured_cycles, 1_000);
         assert_eq!(net.steps, 4, "cycles 0..=3 step, the rest is one skip");

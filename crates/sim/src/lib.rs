@@ -93,8 +93,7 @@ pub mod prelude {
     };
     pub use crate::stats::SimStats;
     pub use crate::sweep::{
-        derive_point_seed, sweep_offered_loads, SaturationResult, SweepMode, SweepPoint,
-        SweepPointSpec,
+        derive_point_seed, SaturationResult, SweepMode, SweepPoint, SweepPointSpec,
     };
     pub use crate::system::{PhotonicFabric, PhotonicSystem};
     pub use crate::workload::{FlowProbe, WorkloadDriver};

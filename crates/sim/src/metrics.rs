@@ -411,7 +411,7 @@ pub fn window_label(index: usize) -> String {
 }
 
 /// One metric in a [`MetricReport`]: the snapshot counterpart of the typed
-/// primitives, closed under [`MetricValue::merge`].
+/// primitives, closed under merging (see [`MetricReport::merge`]).
 #[derive(Debug, Clone, PartialEq)]
 pub enum MetricValue {
     /// A summed event count.
@@ -799,8 +799,9 @@ impl EventSink for NullSink {
 /// measurement boundary, forwards every [`SimEvent`] of the measurement
 /// window to [`Probe::on_event`], marks each cycle boundary with
 /// [`Probe::on_cycle_end`], and finishes with [`Probe::finish`] (handing the
-/// probe the network's final [`SimStats`]). [`Probe::report`] then yields the
-/// collected [`MetricReport`].
+/// probe the run's [`SimStats`], which the engine counted from the same
+/// events and cycles, plus the network's energy). [`Probe::report`] then
+/// yields the collected [`MetricReport`].
 pub trait Probe {
     /// The measurement window starts at `cycle` (warm-up state has been
     /// discarded).
@@ -816,7 +817,9 @@ pub trait Probe {
         let _ = cycle;
     }
 
-    /// The run is over; `stats` is the network's final counter snapshot.
+    /// The run is over; `stats` holds the measurement window's counters,
+    /// counted by the engine from the events this probe saw, and the
+    /// network's energy.
     fn finish(&mut self, stats: &SimStats) {
         let _ = stats;
     }
@@ -829,6 +832,10 @@ pub trait Probe {
 /// delivery breakdowns, time-windowed throughput, and the headline event
 /// counters. This is what the sweep engine attaches to every ladder point.
 ///
+/// The nine headline counters (`generated_packets` … `measured_cycles`) are
+/// not counted here: [`Probe::finish`] copies them from the engine's
+/// [`SimStats`].
+///
 /// The hot path (one [`Probe::on_event`] call per flit) touches only
 /// integer-indexed accumulators; the labelled [`Family`] representation is
 /// materialised once, in [`Probe::report`].
@@ -838,20 +845,16 @@ pub trait Probe {
 /// clusters: build the probe with [`MetricsProbe::for_config`] (what the
 /// sweep engine does) or chain [`MetricsProbe::with_topology`]. Without a
 /// topology, `photonic_bits_by_cluster_pair` stays empty while the
-/// `delivered_photonic_bits` counter still accumulates.
+/// `delivered_photonic_bits` counter is still reported.
 #[derive(Debug, Clone)]
 pub struct MetricsProbe {
     window_cycles: u64,
-    measured_cycles: u64,
+    /// Cycles closed since the current window opened.
+    window_elapsed: u64,
     window_bits: u64,
-    generated_packets: Counter,
-    dropped_packets: Counter,
-    injected_packets: Counter,
-    injected_flits: Counter,
-    delivered_packets: Counter,
-    delivered_flits: Counter,
-    delivered_bits: Counter,
-    delivered_photonic_bits: Counter,
+    /// The run's statistics, handed over by `finish`: the source of the
+    /// reported headline counters.
+    stats: SimStats,
     latency: QuantileSketch,
     /// Delivered bits per destination core, indexed by core id.
     bits_by_node: Vec<u64>,
@@ -881,16 +884,9 @@ impl MetricsProbe {
         assert!(window_cycles > 0, "window must span at least one cycle");
         Self {
             window_cycles,
-            measured_cycles: 0,
+            window_elapsed: 0,
             window_bits: 0,
-            generated_packets: Counter::new(),
-            dropped_packets: Counter::new(),
-            injected_packets: Counter::new(),
-            injected_flits: Counter::new(),
-            delivered_packets: Counter::new(),
-            delivered_flits: Counter::new(),
-            delivered_bits: Counter::new(),
-            delivered_photonic_bits: Counter::new(),
+            stats: SimStats::default(),
             latency: QuantileSketch::new(),
             bits_by_node: Vec::new(),
             drops_by_node: Vec::new(),
@@ -922,6 +918,7 @@ impl MetricsProbe {
         self.window_series.push(self.window_bits);
         self.max_window_bits.observe_max(self.window_bits as f64);
         self.window_bits = 0;
+        self.window_elapsed = 0;
     }
 }
 
@@ -935,69 +932,59 @@ fn bump(slots: &mut Vec<u64>, index: usize, delta: u64) {
 impl Probe for MetricsProbe {
     fn on_event(&mut self, _cycle: u64, event: &SimEvent) {
         match *event {
-            SimEvent::PacketGenerated { .. } => self.generated_packets.inc(),
-            SimEvent::PacketDropped { src } => {
-                self.dropped_packets.inc();
-                bump(&mut self.drops_by_node, src.0, 1);
-            }
-            SimEvent::PacketInjected { .. } => self.injected_packets.inc(),
-            SimEvent::FlitInjected { .. } => self.injected_flits.inc(),
+            SimEvent::PacketDropped { src } => bump(&mut self.drops_by_node, src.0, 1),
             SimEvent::FlitDelivered {
                 src,
                 dst,
                 bits,
                 photonic,
             } => {
-                self.delivered_flits.inc();
-                self.delivered_bits.add(u64::from(bits));
                 self.window_bits += u64::from(bits);
                 bump(&mut self.bits_by_node, dst.0, u64::from(bits));
                 if photonic {
-                    self.delivered_photonic_bits.add(u64::from(bits));
                     if let Some(topology) = &self.topology {
                         let pair = (topology.cluster_of(src).0, topology.cluster_of(dst).0);
                         *self.photonic_bits_by_pair.entry(pair).or_insert(0) += u64::from(bits);
                     }
                 }
             }
-            SimEvent::PacketDelivered { latency, .. } => {
-                self.delivered_packets.inc();
-                self.latency.record(latency);
-            }
+            SimEvent::PacketDelivered { latency, .. } => self.latency.record(latency),
             SimEvent::FaultApplied { .. } => self.fault_applied_events.inc(),
             SimEvent::FaultRepaired { .. } => self.fault_repaired_events.inc(),
+            SimEvent::PacketGenerated { .. }
+            | SimEvent::PacketInjected { .. }
+            | SimEvent::FlitInjected { .. } => {}
         }
     }
 
     fn on_cycle_end(&mut self, _cycle: u64) {
-        self.measured_cycles += 1;
-        if self.measured_cycles.is_multiple_of(self.window_cycles) {
+        self.window_elapsed += 1;
+        if self.window_elapsed == self.window_cycles {
             self.close_window();
         }
     }
 
-    fn finish(&mut self, _stats: &SimStats) {
+    fn finish(&mut self, stats: &SimStats) {
         // Close the trailing partial window, if any cycles fell into it.
-        if !self.measured_cycles.is_multiple_of(self.window_cycles) {
+        if self.window_elapsed > 0 {
             self.close_window();
         }
+        self.stats.clone_from(stats);
     }
 
     fn report(&self) -> MetricReport {
         let mut report = MetricReport::new();
+        let stats = &self.stats;
         let counters = [
-            ("generated_packets", self.generated_packets.get()),
-            ("dropped_packets", self.dropped_packets.get()),
-            ("injected_packets", self.injected_packets.get()),
-            ("injected_flits", self.injected_flits.get()),
-            ("delivered_packets", self.delivered_packets.get()),
-            ("delivered_flits", self.delivered_flits.get()),
-            ("delivered_bits", self.delivered_bits.get()),
-            (
-                "delivered_photonic_bits",
-                self.delivered_photonic_bits.get(),
-            ),
-            ("measured_cycles", self.measured_cycles),
+            ("generated_packets", stats.generated_packets),
+            ("dropped_packets", stats.dropped_packets),
+            ("injected_packets", stats.injected_packets),
+            ("injected_flits", stats.injected_flits),
+            ("delivered_packets", stats.delivered_packets),
+            ("delivered_flits", stats.delivered_flits),
+            ("delivered_bits", stats.delivered_bits),
+            ("delivered_photonic_bits", stats.delivered_photonic_bits),
+            ("measured_cycles", stats.measured_cycles),
         ];
         for (name, count) in counters {
             report.insert(name, MetricValue::Counter(count));
@@ -1519,14 +1506,21 @@ mod tests {
     #[test]
     fn metrics_probe_aggregates_events_into_a_report() {
         let mut probe = MetricsProbe::new(10);
+        // What the engine does around the probe: count the same events.
+        let mut stats = SimStats::new("t", "t", 0.0, crate::clock::Clock::paper_default());
+        let mut emit = |probe: &mut MetricsProbe, cycle: u64, event: SimEvent| {
+            stats.observe(&event);
+            probe.on_event(cycle, &event);
+        };
         probe.on_measurement_begin(0);
         let src = CoreId(3);
         let dst = CoreId(17);
         for cycle in 0..25u64 {
-            probe.on_event(cycle, &SimEvent::PacketGenerated { src });
-            probe.on_event(
+            emit(&mut probe, cycle, SimEvent::PacketGenerated { src });
+            emit(
+                &mut probe,
                 cycle,
-                &SimEvent::FlitDelivered {
+                SimEvent::FlitDelivered {
                     src,
                     dst,
                     bits: 32,
@@ -1534,9 +1528,10 @@ mod tests {
                 },
             );
             if cycle % 5 == 0 {
-                probe.on_event(
+                emit(
+                    &mut probe,
                     cycle,
-                    &SimEvent::PacketDelivered {
+                    SimEvent::PacketDelivered {
                         src,
                         dst,
                         latency: cycle + 1,
@@ -1545,13 +1540,9 @@ mod tests {
             }
             probe.on_cycle_end(cycle);
         }
-        probe.on_event(24, &SimEvent::PacketDropped { src });
-        probe.finish(&SimStats::new(
-            "t",
-            "t",
-            0.0,
-            crate::clock::Clock::paper_default(),
-        ));
+        emit(&mut probe, 24, SimEvent::PacketDropped { src });
+        stats.measured_cycles = 25;
+        probe.finish(&stats);
         let report = probe.report();
         assert_eq!(report.counter("generated_packets"), Some(25));
         assert_eq!(report.counter("delivered_packets"), Some(5));

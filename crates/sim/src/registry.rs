@@ -12,7 +12,7 @@
 //! harness, the `repro` binary) resolves architectures by name, so adding an
 //! architecture touches only the crate that defines it.
 //!
-//! The [`UniformFabric`](crate::system::UniformFabric) test fabric registers
+//! The [`UniformFabric`] test fabric registers
 //! here out of the box under the name `"uniform-fabric"`; the Firefly
 //! baseline and d-HetPNoC register from their own crates (see
 //! `pnoc_firefly::register_firefly_architecture` and

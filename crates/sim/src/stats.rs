@@ -10,12 +10,17 @@
 //!   transferring one packet completely from source to destination at network
 //!   saturation" (Section 3.4.1.2): the accumulated [`EnergyBreakdown`]
 //!   divided by the number of delivered packets.
+//!
+//! The engine builds a run's [`SimStats`]: it counts every measured
+//! [`SimEvent`] through [`SimStats::observe`] and every measured cycle, then
+//! fills in the network's energy. Networks keep no counters of their own.
 
 use crate::clock::Clock;
+use crate::metrics::SimEvent;
 use pnoc_photonics::energy::EnergyBreakdown;
 
 /// Statistics of one simulation run (measurement window only).
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct SimStats {
     /// Name of the architecture that produced the run.
     pub architecture: String,
@@ -60,27 +65,33 @@ impl SimStats {
             architecture: architecture.to_string(),
             traffic: traffic.to_string(),
             offered_load,
-            measured_cycles: 0,
-            generated_packets: 0,
-            dropped_packets: 0,
-            injected_packets: 0,
-            injected_flits: 0,
-            delivered_packets: 0,
-            delivered_flits: 0,
-            delivered_bits: 0,
-            delivered_photonic_bits: 0,
-            total_packet_latency: 0,
-            max_packet_latency: 0,
-            energy: EnergyBreakdown::default(),
             clock,
+            ..Self::default()
         }
     }
 
-    /// Records a delivered packet.
-    pub fn record_packet_delivery(&mut self, latency: u64) {
-        self.delivered_packets += 1;
-        self.total_packet_latency += latency;
-        self.max_packet_latency = self.max_packet_latency.max(latency);
+    /// Counts one event: the single map from [`SimEvent`]s to counters.
+    /// Fault transitions count nothing.
+    pub fn observe(&mut self, event: &SimEvent) {
+        match *event {
+            SimEvent::PacketGenerated { .. } => self.generated_packets += 1,
+            SimEvent::PacketDropped { .. } => self.dropped_packets += 1,
+            SimEvent::PacketInjected { .. } => self.injected_packets += 1,
+            SimEvent::FlitInjected { .. } => self.injected_flits += 1,
+            SimEvent::FlitDelivered { bits, photonic, .. } => {
+                self.delivered_flits += 1;
+                self.delivered_bits += u64::from(bits);
+                if photonic {
+                    self.delivered_photonic_bits += u64::from(bits);
+                }
+            }
+            SimEvent::PacketDelivered { latency, .. } => {
+                self.delivered_packets += 1;
+                self.total_packet_latency += latency;
+                self.max_packet_latency = self.max_packet_latency.max(latency);
+            }
+            SimEvent::FaultApplied { .. } | SimEvent::FaultRepaired { .. } => {}
+        }
     }
 
     /// Aggregate accepted bandwidth (all cores) in Gb/s — the paper's
@@ -154,9 +165,15 @@ impl SimStats {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pnoc_noc::ids::CoreId;
 
     fn stats() -> SimStats {
         SimStats::new("test-arch", "uniform", 0.01, Clock::paper_default())
+    }
+
+    fn deliver(s: &mut SimStats, latency: u64) {
+        let (src, dst) = (CoreId(0), CoreId(1));
+        s.observe(&SimEvent::PacketDelivered { src, dst, latency });
     }
 
     #[test]
@@ -172,11 +189,61 @@ mod tests {
     #[test]
     fn latency_accounting() {
         let mut s = stats();
-        s.record_packet_delivery(10);
-        s.record_packet_delivery(30);
+        deliver(&mut s, 10);
+        deliver(&mut s, 30);
         assert_eq!(s.delivered_packets, 2);
         assert!((s.average_packet_latency() - 20.0).abs() < 1e-12);
         assert_eq!(s.max_packet_latency, 30);
+    }
+
+    #[test]
+    fn observe_maps_each_event_to_its_counters() {
+        let (src, dst) = (CoreId(0), CoreId(9));
+        let mut s = stats();
+        for event in [
+            SimEvent::PacketGenerated { src },
+            SimEvent::PacketGenerated { src },
+            SimEvent::PacketDropped { src },
+            SimEvent::PacketInjected { src },
+            SimEvent::FlitInjected { src, bits: 32 },
+            SimEvent::FlitDelivered {
+                src,
+                dst,
+                bits: 32,
+                photonic: true,
+            },
+            SimEvent::FlitDelivered {
+                src,
+                dst,
+                bits: 16,
+                photonic: false,
+            },
+            SimEvent::PacketDelivered {
+                src,
+                dst,
+                latency: 7,
+            },
+            SimEvent::FaultApplied { fault: 0 },
+            SimEvent::FaultRepaired { fault: 0 },
+        ] {
+            s.observe(&event);
+        }
+        assert_eq!(
+            [
+                s.generated_packets,
+                s.dropped_packets,
+                s.injected_packets,
+                s.injected_flits,
+                s.delivered_flits,
+                s.delivered_bits,
+                s.delivered_photonic_bits,
+                s.delivered_packets,
+                s.total_packet_latency,
+                s.max_packet_latency,
+                s.measured_cycles,
+            ],
+            [2, 1, 1, 1, 2, 48, 32, 1, 7, 7, 0]
+        );
     }
 
     #[test]
@@ -184,8 +251,8 @@ mod tests {
         let mut s = stats();
         s.energy.launch_pj = 100.0;
         s.energy.electrical_pj = 300.0;
-        s.record_packet_delivery(1);
-        s.record_packet_delivery(1);
+        deliver(&mut s, 1);
+        deliver(&mut s, 1);
         assert!((s.packet_energy_pj() - 200.0).abs() < 1e-12);
     }
 

@@ -25,11 +25,9 @@
 //! internally, and a [`ScenarioMatrix`](crate::scenario::ScenarioMatrix)
 //! batches whole cross-products of scenarios into one flattened work queue.
 //!
-//! Every point simulated by the driver carries a
-//! [`MetricReport`](crate::metrics::MetricReport) collected by a
-//! [`MetricsProbe`](crate::metrics::MetricsProbe) — latency quantiles,
-//! per-node and per-cluster-pair breakdowns, windowed throughput — next to
-//! the [`SimStats`] counter snapshot.
+//! Every point simulated by the driver carries a [`MetricReport`] collected
+//! by a [`MetricsProbe`] — latency quantiles, per-node and per-cluster-pair
+//! breakdowns, windowed throughput — next to the run's [`SimStats`].
 //!
 //! # Per-point seed derivation
 //!
@@ -49,7 +47,7 @@
 
 use crate::config::SimConfig;
 use crate::engine::{run_to_completion_with, CycleNetwork};
-use crate::metrics::{MetricReport, MetricsProbe, Probe as _};
+use crate::metrics::{MetricReport, MetricValue, MetricsProbe, Probe as _};
 use crate::params::ResolvedParams;
 use crate::registry::ArchitectureBuilder;
 use crate::stats::SimStats;
@@ -65,7 +63,7 @@ pub struct SweepPoint {
     pub stats: SimStats,
     /// Streamed metrics of the point (latency quantiles, per-node and
     /// per-cluster-pair breakdowns, windowed throughput). Empty for points
-    /// assembled outside the generic driver (e.g. [`sweep_offered_loads`]).
+    /// assembled outside the generic driver.
     pub metrics: MetricReport,
 }
 
@@ -177,22 +175,6 @@ pub fn default_load_ladder(estimated_saturation_load: f64) -> Vec<f64> {
         .collect()
 }
 
-/// Runs `run_at` for every load in `loads` and collects the results.
-pub fn sweep_offered_loads<R>(loads: &[f64], mut run_at: R) -> SaturationResult
-where
-    R: FnMut(f64) -> SimStats,
-{
-    let points = loads
-        .iter()
-        .map(|&load| SweepPoint {
-            offered_load: load,
-            stats: run_at(load),
-            metrics: MetricReport::new(),
-        })
-        .collect();
-    SaturationResult { points }
-}
-
 /// Execution strategy of a scenario run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SweepMode {
@@ -249,55 +231,72 @@ pub(crate) fn point_spec(config: &SimConfig, index: usize, load: f64) -> SweepPo
     }
 }
 
-/// Adds the photonic static-power gauges to a point's metric report:
-/// `static_power_mw` (laser + thermal tuning, see
-/// [`SimConfig::static_power_mw`]) and `total_energy_pj` (the dynamic
+/// Simulates one point: builds the network on `config`, installs a
+/// non-empty fault plan, runs the network through `drive` — which attaches
+/// the probes and returns the run's statistics with the probes' report — and
+/// completes the report. Open-loop and closed-loop points differ only in
+/// `drive`.
+///
+/// The report gains the photonic static-power gauges: `static_power_mw`
+/// (laser + thermal tuning, see [`SimConfig::static_power_mw`]) and
+/// `total_energy_pj` (the dynamic
 /// [`EnergyBreakdown`](pnoc_photonics::energy::EnergyBreakdown) total plus
-/// the static power integrated over the measured window) — so
-/// energy-per-bit comparisons no longer undercount the always-on laser and
-/// heater budget.
-pub(crate) fn attach_power_gauges(report: &mut MetricReport, config: &SimConfig, stats: &SimStats) {
-    use crate::metrics::MetricValue;
+/// the static power integrated over the measured window), so energy-per-bit
+/// comparisons do not undercount the always-on laser and heater budget. A
+/// faulted point also gains `faults_applied` (onset transitions executed)
+/// and `faults_active` (faults still unrepaired at the end); healthy reports
+/// keep their exact pre-fault shape. Last, the network contributes its own
+/// metrics ([`CycleNetwork::contribute_metrics`]).
+///
+/// # Panics
+///
+/// Panics when `faults` is non-empty and the network declines the schedule:
+/// silently running a faulted scenario on a fault-blind network would report
+/// healthy numbers under a faulted scenario id.
+pub(crate) fn simulate_point(
+    architecture: &dyn ArchitectureBuilder,
+    params: &ResolvedParams,
+    config: SimConfig,
+    traffic: Box<dyn TrafficModel + Send>,
+    faults: &FaultPlan,
+    offered_load: OfferedLoad,
+    drive: impl FnOnce(&mut dyn CycleNetwork) -> (SimStats, MetricReport),
+) -> SweepPoint {
+    let mut network = architecture.build(config, params, traffic);
+    if !faults.is_empty() {
+        let installed = network.install_fault_schedule(FaultController::new(faults));
+        assert!(
+            installed,
+            "architecture '{}' does not support fault injection \
+             (CycleNetwork::install_fault_schedule declined the schedule)",
+            architecture.name()
+        );
+    }
+    let (stats, mut metrics) = drive(&mut *network);
     let static_mw = config.static_power_mw();
     let seconds = config.clock.cycles_to_seconds(stats.measured_cycles);
     // 1 mW·s = 1 mJ = 1e9 pJ.
     let static_pj = static_mw * seconds * 1e9;
-    report.insert("static_power_mw", MetricValue::Gauge(static_mw));
-    report.insert(
+    metrics.insert("static_power_mw", MetricValue::Gauge(static_mw));
+    metrics.insert(
         "total_energy_pj",
         MetricValue::Gauge(stats.energy.total_pj() + static_pj),
     );
-}
-
-/// Installs a non-empty fault plan on a freshly built network, panicking
-/// with a clear message when the network does not support fault injection —
-/// silently running a faulted scenario on a fault-blind network would report
-/// healthy numbers under a faulted scenario id.
-pub(crate) fn install_faults(network: &mut dyn CycleNetwork, faults: &FaultPlan, arch: &str) {
-    if faults.is_empty() {
-        return;
+    if !faults.is_empty() {
+        let (applied, active) = network.fault_counts();
+        metrics.insert("faults_applied", MetricValue::Gauge(applied as f64));
+        metrics.insert("faults_active", MetricValue::Gauge(active as f64));
     }
-    assert!(
-        network.install_fault_schedule(FaultController::new(faults)),
-        "architecture '{arch}' does not support fault injection \
-         (CycleNetwork::install_fault_schedule declined the schedule)"
-    );
+    network.contribute_metrics(&mut metrics);
+    SweepPoint {
+        offered_load: offered_load.value(),
+        stats,
+        metrics,
+    }
 }
 
-/// Adds the fault gauges to a faulted point's metric report:
-/// `faults_applied` (total onset transitions executed) and `faults_active`
-/// (faults still unrepaired when the run ended). Only attached when the
-/// point ran with a non-empty plan, so healthy reports keep their exact
-/// pre-fault shape.
-pub(crate) fn attach_fault_gauges(report: &mut MetricReport, network: &dyn CycleNetwork) {
-    use crate::metrics::MetricValue;
-    let (applied, active) = network.fault_counts();
-    report.insert("faults_applied", MetricValue::Gauge(applied as f64));
-    report.insert("faults_active", MetricValue::Gauge(active as f64));
-}
-
-/// Builds and runs the network of one sweep point, collecting the standard
-/// [`MetricsProbe`] instrumentation alongside the counter snapshot.
+/// Builds and runs the network of one open-loop sweep point with the
+/// standard [`MetricsProbe`] attached.
 pub(crate) fn run_point(
     architecture: &dyn ArchitectureBuilder,
     params: &ResolvedParams,
@@ -305,21 +304,20 @@ pub(crate) fn run_point(
     traffic: Box<dyn TrafficModel + Send>,
     faults: &FaultPlan,
 ) -> SweepPoint {
-    let mut network = architecture.build(spec.config, params, traffic);
-    install_faults(&mut *network, faults, architecture.name());
-    let mut probe = MetricsProbe::for_config(&spec.config);
-    let stats = run_to_completion_with(&mut *network, &mut [&mut probe]);
-    let mut metrics = probe.report();
-    attach_power_gauges(&mut metrics, &spec.config, &stats);
-    if !faults.is_empty() {
-        attach_fault_gauges(&mut metrics, &*network);
-    }
-    network.contribute_metrics(&mut metrics);
-    SweepPoint {
-        offered_load: spec.offered_load.value(),
-        stats,
-        metrics,
-    }
+    let drive = |network: &mut dyn CycleNetwork| {
+        let mut probe = MetricsProbe::for_config(&spec.config);
+        let stats = run_to_completion_with(network, &mut [&mut probe]);
+        (stats, probe.report())
+    };
+    simulate_point(
+        architecture,
+        params,
+        spec.config,
+        traffic,
+        faults,
+        spec.offered_load,
+        drive,
+    )
 }
 
 /// The sequential reference sweep the parallel point queue in
@@ -359,17 +357,28 @@ mod tests {
         s
     }
 
+    /// A sweep of hand-built points, one per `(load, delivered bits)` pair.
+    fn sweep(points: &[(f64, u64)]) -> SaturationResult {
+        let points = points
+            .iter()
+            .map(|&(load, delivered_bits)| SweepPoint {
+                offered_load: load,
+                stats: stats_with_bandwidth(load, delivered_bits),
+                metrics: MetricReport::new(),
+            })
+            .collect();
+        SaturationResult { points }
+    }
+
     #[test]
     fn peak_is_the_maximum_accepted_bandwidth() {
         // Accepted bandwidth rises then falls (post-saturation congestion).
-        let loads = [0.1, 0.2, 0.3, 0.4];
-        let delivered = [1_000_000u64, 2_000_000, 1_800_000, 1_500_000];
-        let mut i = 0;
-        let result = sweep_offered_loads(&loads, |load| {
-            let s = stats_with_bandwidth(load, delivered[i]);
-            i += 1;
-            s
-        });
+        let result = sweep(&[
+            (0.1, 1_000_000),
+            (0.2, 2_000_000),
+            (0.3, 1_800_000),
+            (0.4, 1_500_000),
+        ]);
         assert_eq!(result.points.len(), 4);
         assert_eq!(result.peak_index(), Some(1));
         let peak = result.peak().unwrap();
@@ -380,7 +389,7 @@ mod tests {
 
     #[test]
     fn empty_sweep_is_harmless() {
-        let result = sweep_offered_loads(&[], |_| unreachable!());
+        let result = sweep(&[]);
         assert_eq!(result.peak_index(), None);
         assert_eq!(result.peak_bandwidth_gbps(), 0.0);
         assert_eq!(result.packet_energy_at_saturation_pj(), 0.0);
@@ -398,7 +407,7 @@ mod tests {
 
     #[test]
     fn per_core_bandwidth_divides_aggregate() {
-        let result = sweep_offered_loads(&[0.1], |load| stats_with_bandwidth(load, 640_000));
+        let result = sweep(&[(0.1, 640_000)]);
         let agg = result.peak_bandwidth_gbps();
         let per_core = result
             .peak()

@@ -1,15 +1,15 @@
 //! The closed-loop workload engine: executing a flow-level
-//! [`Workload`](pnoc_workload::dag::Workload) DAG on a simulated network.
+//! [`Workload`] DAG on a simulated network.
 //!
 //! Open-loop sweeps (the [`crate::sweep`] ladder) inject packets at a fixed
 //! rate forever and measure steady state. This module runs the other kind of
 //! experiment: a **finite** set of flows with dependencies is injected
-//! closed-loop, deliveries are observed through the engine's
-//! [`SimEvent`](crate::metrics::SimEvent) stream, dependent flows are
-//! released as their prerequisites complete, and the run terminates when the
-//! DAG drains (see [`crate::engine::run_until_with`]). The metrics that come
-//! out are the ones that matter for closed-loop workloads: per-flow
-//! **flow-completion time** quantiles and per-collective **makespans**.
+//! closed-loop, deliveries are observed through the engine's [`SimEvent`]
+//! stream, dependent flows are released as their prerequisites complete,
+//! and the run terminates when the DAG drains (see
+//! [`crate::engine::run_until_with`]). The metrics that come out are the
+//! ones that matter for closed-loop workloads: per-flow **flow-completion
+//! time** quantiles and per-collective **makespans**.
 //!
 //! # How the loop closes
 //!
@@ -38,11 +38,11 @@
 //! completion cycles are approximations at sub-flow granularity.
 
 use crate::config::SimConfig;
-use crate::engine::run_until_with;
+use crate::engine::{run_until_with, CycleNetwork};
 use crate::metrics::{MetricReport, MetricValue, MetricsProbe, Probe, QuantileSketch, SimEvent};
 use crate::params::ResolvedParams;
 use crate::registry::ArchitectureBuilder;
-use crate::sweep::{SweepPoint, SweepPointSpec};
+use crate::sweep::{simulate_point, SweepPoint, SweepPointSpec};
 use pnoc_noc::ids::{ClusterId, CoreId};
 use pnoc_noc::packet::{BandwidthClass, PacketDescriptor};
 use pnoc_noc::traffic_model::{OfferedLoad, TrafficModel};
@@ -646,31 +646,30 @@ pub fn run_workload_point(
     let mut config = spec.config;
     config.warmup_cycles = 0;
     let driver = WorkloadDriver::new(Arc::clone(workload), &config);
-    let mut network = architecture.build(config, params, driver.traffic());
-    crate::sweep::install_faults(&mut *network, faults, architecture.name());
-    let mut metrics_probe = MetricsProbe::for_config(&config);
-    let mut flow_probe = driver.probe();
-    let max_cycles = driver.max_cycles();
-    let stats = run_until_with(
-        &mut *network,
-        &mut [&mut metrics_probe, &mut flow_probe],
-        |_cycle| driver.drained(),
-        max_cycles,
-    );
-    let mut metrics = metrics_probe.report();
-    metrics
-        .merge(&flow_probe.report())
-        .expect("flow metrics use distinct names");
-    crate::sweep::attach_power_gauges(&mut metrics, &config, &stats);
-    if !faults.is_empty() {
-        crate::sweep::attach_fault_gauges(&mut metrics, &*network);
-    }
-    network.contribute_metrics(&mut metrics);
-    SweepPoint {
-        offered_load: spec.offered_load.value(),
-        stats,
-        metrics,
-    }
+    let drive = |network: &mut dyn CycleNetwork| {
+        let mut metrics_probe = MetricsProbe::for_config(&config);
+        let mut flow_probe = driver.probe();
+        let stats = run_until_with(
+            network,
+            &mut [&mut metrics_probe, &mut flow_probe],
+            |_cycle| driver.drained(),
+            driver.max_cycles(),
+        );
+        let mut metrics = metrics_probe.report();
+        metrics
+            .merge(&flow_probe.report())
+            .expect("flow metrics use distinct names");
+        (stats, metrics)
+    };
+    simulate_point(
+        architecture,
+        params,
+        config,
+        driver.traffic(),
+        faults,
+        spec.offered_load,
+        drive,
+    )
 }
 
 #[cfg(test)]

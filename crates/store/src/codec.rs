@@ -341,8 +341,9 @@ mod tests {
         stats.measured_cycles = 1_200;
         stats.generated_packets = u64::MAX - 3;
         stats.delivered_bits = 123_456_789_012_345;
-        stats.record_packet_delivery(7);
-        stats.record_packet_delivery(5_000);
+        stats.delivered_packets = 2;
+        stats.total_packet_latency = 5_007;
+        stats.max_packet_latency = 5_000;
         stats.energy.launch_pj = 0.1 + 0.2; // deliberately not representable
         stats.energy.electrical_pj = -0.0;
         let mut sketch = QuantileSketch::new();

@@ -392,7 +392,9 @@ mod tests {
     fn sample_point() -> SweepPoint {
         let mut stats = SimStats::new("firefly", "tornado", 0.25, Clock::paper_default());
         stats.measured_cycles = 600;
-        stats.record_packet_delivery(42);
+        stats.delivered_packets = 1;
+        stats.total_packet_latency = 42;
+        stats.max_packet_latency = 42;
         SweepPoint {
             offered_load: 0.25,
             stats,

@@ -34,9 +34,9 @@ fn build_point(
     stats.measured_cycles = counters[0];
     stats.generated_packets = *counters.last().expect("at least one counter");
     stats.delivered_bits = counters[counters.len() / 2];
-    for &latency in latencies {
-        stats.record_packet_delivery(latency);
-    }
+    stats.delivered_packets = latencies.len() as u64;
+    stats.total_packet_latency = latencies.iter().sum();
+    stats.max_packet_latency = latencies.iter().copied().max().unwrap_or(0);
     stats.energy.launch_pj = energies.0;
     stats.energy.tuning_pj = energies.1;
     stats.energy.electrical_pj = energies.2;
