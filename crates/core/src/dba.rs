@@ -138,12 +138,6 @@ impl DbaController {
         self.clusters[cluster.0].target
     }
 
-    /// The cluster's current table (per-destination granted wavelengths).
-    #[must_use]
-    pub fn current_table(&self, cluster: ClusterId) -> &CurrentTable {
-        &self.clusters[cluster.0].current
-    }
-
     /// Total wavelengths currently held across all clusters (reserved +
     /// dynamic).
     #[must_use]

@@ -13,7 +13,7 @@
 //! (`next >= n && active == 0`) is a single load. There is no window in
 //! which a runner holds an index without being visible in the active count,
 //! so the submitter cannot return while any runner can still dereference the
-//! stack. Runner jobs left in pool queues after completion hold only an
+//! stack. Runner jobs left in the pool queue after completion hold only an
 //! `Arc<BatchCore>`; their claims fail immediately and they exit without
 //! touching the (now dangling) data pointer.
 
@@ -23,7 +23,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::time::Duration;
 
-use crate::pool::Pool;
+use crate::pool::POOL;
 
 const LOW_MASK: u64 = 0xffff_ffff;
 const ACTIVE_ONE: u64 = 1 << 32;
@@ -157,7 +157,7 @@ impl BatchCore {
     }
 }
 
-pub(crate) fn run<T, R, F>(pool: &Pool, limit: usize, items: &[T], f: F) -> Vec<R>
+pub(crate) fn run<T, R, F>(limit: usize, items: &[T], f: F) -> Vec<R>
 where
     T: Sync,
     R: Send,
@@ -169,7 +169,7 @@ where
     }
     // The sequential inline path: no pool interaction at all, so a 1-thread
     // run is bitwise-identical to a plain loop by construction.
-    if limit <= 1 || n == 1 || pool.is_shut_down() {
+    if limit <= 1 || n == 1 {
         return items
             .iter()
             .enumerate()
@@ -198,13 +198,13 @@ where
     });
 
     // The submitter participates inline, so `limit` total executors need
-    // `limit - 1` queued runners. Idle workers steal them; busy pools just
+    // `limit - 1` queued runners. Idle workers pop them; busy pools just
     // leave them as cheap no-ops once the batch drains.
     let runners = limit.min(n) - 1;
-    pool.ensure_workers(limit.min(n));
+    POOL.ensure_workers(limit.min(n));
     for _ in 0..runners {
         let core = Arc::clone(&core);
-        pool.inject(Box::new(move || core.run_to_exhaustion()));
+        POOL.inject(Box::new(move || core.run_to_exhaustion()));
     }
     core.run_to_exhaustion();
     core.wait_complete();

@@ -5,13 +5,13 @@ mod batch;
 mod pool;
 mod scope;
 
-pub use pool::{
-    global, resolve_worker_limit, set_worker_override, worker_override, Pool, PoolStats,
-};
+pub use pool::{resolve_worker_limit, set_worker_override, worker_override};
 pub use scope::{scope, Scope};
 
-/// Run `f` over every element of `items` on the global pool and return the
-/// results in submission order.
+use pool::POOL;
+
+/// Run `f` over every element of `items` on the process-wide pool and return
+/// the results in submission order.
 ///
 /// Each job writes its result directly into a dedicated per-index slot, so
 /// results land at their submitted index with no shared collector lock and no
@@ -28,14 +28,23 @@ where
     R: Send,
     F: Fn(usize, &T) -> R + Sync,
 {
-    global().run_batch(items, f)
+    batch::run(resolve_worker_limit(items.len()), items, f)
 }
 
-/// Ensure the global pool has spawned its workers and return the cumulative
-/// time (seconds) spent spawning them. Useful to front-load worker startup
-/// before timing-sensitive work and to report `exec.pool_startup_s`.
+/// [`run_batch`] with an explicit parallelism limit instead of
+/// [`resolve_worker_limit`] (a test hook: it ignores the worker override).
+pub fn run_batch_with_limit<T, R, F>(limit: usize, items: &[T], f: F) -> Vec<R>
+where
+    T: Sync,
+    R: Send,
+    F: Fn(usize, &T) -> R + Sync,
+{
+    batch::run(limit, items, f)
+}
+
+/// Ensure the process-wide pool has spawned its workers and return the
+/// cumulative time (seconds) spent spawning them. Useful to front-load worker
+/// startup before timing-sensitive work and to report `exec.pool_startup_s`.
 pub fn warm_up() -> f64 {
-    let pool = global();
-    pool.ensure_workers(resolve_worker_limit(usize::MAX));
-    pool.startup_seconds()
+    POOL.ensure_workers(resolve_worker_limit(usize::MAX))
 }

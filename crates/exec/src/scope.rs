@@ -16,9 +16,7 @@ use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
-use crate::pool::{global, resolve_worker_limit};
-
-type Job = Box<dyn FnOnce() + Send + 'static>;
+use crate::pool::{resolve_worker_limit, Job, POOL};
 
 struct ScopeState {
     queue: VecDeque<Job>,
@@ -110,21 +108,15 @@ impl<'env> Scope<'env> {
         // job cannot outlive 'env. Box<dyn Trait + 'a> and
         // Box<dyn Trait + 'static> share one layout (fat pointer).
         let job: Job = unsafe { std::mem::transmute(job) };
-        let pool = global();
         self.core
             .state
             .lock()
             .expect("scope state poisoned")
             .queue
             .push_back(job);
-        if pool.is_shut_down() {
-            // Degraded mode: no workers left, run the queue inline now.
-            self.core.drain();
-            return;
-        }
-        pool.ensure_workers(resolve_worker_limit(usize::MAX));
+        POOL.ensure_workers(resolve_worker_limit(usize::MAX));
         let core = Arc::clone(&self.core);
-        pool.inject(Box::new(move || core.drain()));
+        POOL.inject(Box::new(move || core.drain()));
     }
 }
 

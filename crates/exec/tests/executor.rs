@@ -1,12 +1,13 @@
 //! Property and unit tests for the persistent executor: exactly-once
 //! execution, index-correct results, panic propagation, bitwise
-//! 1-thread == sequential, scopes, and shutdown/drain.
+//! 1-thread == sequential, nested batches and scopes — all on the one
+//! process-wide pool, which every test here shares.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Barrier, Mutex};
 
-use pnoc_exec::Pool;
+use pnoc_exec::run_batch_with_limit;
 use proptest::prelude::*;
 
 /// Deterministic per-index payload (splitmix64) so index mix-ups are loud.
@@ -24,10 +25,9 @@ proptest! {
     /// index, for arbitrary batch sizes and parallelism limits.
     #[test]
     fn batch_runs_exactly_once_at_right_index(n in 0usize..150, limit in 1usize..6) {
-        let pool = Pool::new();
         let items: Vec<usize> = (0..n).collect();
         let counters: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(0)).collect();
-        let results = pool.run_batch_with_limit(limit, &items, |index, &item| {
+        let results = run_batch_with_limit(limit, &items, |index, &item| {
             counters[index].fetch_add(1, Ordering::SeqCst);
             assert_eq!(index, item, "job observed the wrong index");
             payload(item)
@@ -37,7 +37,6 @@ proptest! {
             prop_assert_eq!(result, payload(index));
             prop_assert_eq!(counters[index].load(Ordering::SeqCst), 1);
         }
-        pool.shutdown();
     }
 }
 
@@ -45,27 +44,24 @@ proptest! {
 /// the same loop, never touching the pool.
 #[test]
 fn one_thread_batch_is_bitwise_sequential() {
-    let pool = Pool::new();
     let items: Vec<f64> = (0..64).map(|i| 0.1 + i as f64 * 0.37).collect();
     let f = |x: &f64| (x.sin() * 1e6).sqrt() + x.powi(3) / 7.0;
     let sequential: Vec<u64> = items.iter().map(|x| f(x).to_bits()).collect();
-    let pooled: Vec<u64> = pool.run_batch_with_limit(1, &items, |_, x| f(x).to_bits());
+    let pooled: Vec<u64> = run_batch_with_limit(1, &items, |_, x| f(x).to_bits());
     assert_eq!(sequential, pooled);
     // And with real workers the values still match bitwise, because each
     // job is a pure function of its input.
-    let parallel: Vec<u64> = pool.run_batch_with_limit(4, &items, |_, x| f(x).to_bits());
+    let parallel: Vec<u64> = run_batch_with_limit(4, &items, |_, x| f(x).to_bits());
     assert_eq!(sequential, parallel);
-    pool.shutdown();
 }
 
 /// A panicking job surfaces its payload on the submitting thread, and the
 /// pool stays usable afterwards.
 #[test]
 fn batch_panic_propagates_and_pool_survives() {
-    let pool = Pool::new();
     let items: Vec<usize> = (0..40).collect();
     let outcome = catch_unwind(AssertUnwindSafe(|| {
-        pool.run_batch_with_limit(4, &items, |_, &item| {
+        run_batch_with_limit(4, &items, |_, &item| {
             assert!(item != 17, "injected failure at 17");
             item * 2
         })
@@ -81,42 +77,37 @@ fn batch_panic_propagates_and_pool_survives() {
         "unexpected payload: {message}"
     );
     // Pool is still healthy.
-    let results = pool.run_batch_with_limit(4, &items, |_, &item| item + 1);
+    let results = run_batch_with_limit(4, &items, |_, &item| item + 1);
     assert_eq!(results, (1..=40).collect::<Vec<_>>());
-    pool.shutdown();
 }
 
 /// Concurrent batches on one pool don't cross results.
 #[test]
 fn concurrent_batches_do_not_interfere() {
-    let pool = Pool::new();
     let barrier = Barrier::new(4);
     std::thread::scope(|s| {
         for lane in 0u64..4 {
-            let pool = &pool;
             let barrier = &barrier;
             s.spawn(move || {
                 barrier.wait();
                 let items: Vec<u64> = (0..200).map(|i| i + lane * 1000).collect();
-                let results = pool.run_batch_with_limit(3, &items, |_, &x| payload(x as usize));
+                let results = run_batch_with_limit(3, &items, |_, &x| payload(x as usize));
                 for (i, r) in results.into_iter().enumerate() {
                     assert_eq!(r, payload((i as u64 + lane * 1000) as usize));
                 }
             });
         }
     });
-    pool.shutdown();
 }
 
 /// Nested batches (a batch submitted from inside a batch job) complete
 /// without deadlock because submitters participate inline.
 #[test]
 fn nested_batches_complete() {
-    let pool = Pool::new();
     let outer: Vec<usize> = (0..8).collect();
-    let results = pool.run_batch_with_limit(2, &outer, |_, &o| {
+    let results = run_batch_with_limit(2, &outer, |_, &o| {
         let inner: Vec<usize> = (0..16).map(|i| i + o * 100).collect();
-        pool.run_batch_with_limit(2, &inner, |_, &x| payload(x))
+        run_batch_with_limit(2, &inner, |_, &x| payload(x))
             .iter()
             .fold(0u64, |acc, &x| acc.wrapping_add(x))
     });
@@ -126,7 +117,6 @@ fn nested_batches_complete() {
             .fold(0u64, |acc, x| acc.wrapping_add(x));
         assert_eq!(got, want);
     }
-    pool.shutdown();
 }
 
 /// Scope jobs all run before `scope` returns, may borrow the stack, and may
@@ -177,45 +167,46 @@ fn scope_propagates_job_panics() {
     );
 }
 
-/// Shutdown drains queued work, joins workers, and later submissions run
-/// inline (degraded sequential mode) instead of being refused.
+/// A scope job can run a batch while its sibling scope jobs hold pool
+/// workers until that batch has finished — a server connection calling
+/// `run_specs` beside connections that wait. The batch's runners may sit
+/// queued behind the blocked siblings; its submitter still claims every index
+/// inline, and only its results release the barrier the siblings wait on.
 #[test]
-fn shutdown_drains_and_degrades_to_inline() {
-    let pool = Pool::new();
-    let items: Vec<usize> = (0..50).collect();
-    let before = pool.run_batch_with_limit(4, &items, |_, &x| x * 3);
-    assert!(
-        pool.stats().workers >= 1,
-        "batch with limit > 1 spawns workers"
-    );
-    pool.shutdown();
-    assert!(pool.is_shut_down());
-    let after = pool.run_batch_with_limit(4, &items, |_, &x| x * 3);
-    assert_eq!(before, after);
-    assert_eq!(after[49], 147);
-    let ran = std::sync::Arc::new(AtomicUsize::new(0));
-    pool.spawn({
-        let ran = std::sync::Arc::clone(&ran);
-        move || {
-            ran.fetch_add(1, Ordering::SeqCst);
+fn batch_inside_a_scope_job_completes() {
+    const BLOCKERS: usize = 3;
+    let released = Barrier::new(BLOCKERS + 1);
+    let blocked = AtomicUsize::new(0);
+    let mut results = Vec::new();
+    pnoc_exec::scope(|s| {
+        let released = &released;
+        let results = &mut results;
+        // Spawned first, so the first thread to drain the scope runs it and
+        // the siblings cannot take every thread before it starts.
+        s.spawn(move || {
+            let items: Vec<usize> = (0..64).collect();
+            *results = run_batch_with_limit(4, &items, |_, &x| payload(x));
+            released.wait();
+        });
+        for _ in 0..BLOCKERS {
+            let blocked = &blocked;
+            s.spawn(move || {
+                blocked.fetch_add(1, Ordering::SeqCst);
+                released.wait();
+            });
         }
     });
-    assert_eq!(
-        ran.load(Ordering::SeqCst),
-        1,
-        "post-shutdown spawn runs inline"
-    );
+    assert_eq!(blocked.load(Ordering::SeqCst), BLOCKERS);
+    assert_eq!(results, (0..64).map(payload).collect::<Vec<_>>());
 }
 
 /// Empty batches and single-item batches short-circuit correctly.
 #[test]
 fn degenerate_batches() {
-    let pool = Pool::new();
     let empty: Vec<u32> = Vec::new();
-    let out: Vec<u32> = pool.run_batch_with_limit(4, &empty, |_, &x| x);
+    let out: Vec<u32> = run_batch_with_limit(4, &empty, |_, &x| x);
     assert!(out.is_empty());
     let one = [41u32];
-    let out: Vec<u32> = pool.run_batch_with_limit(4, &one, |_, &x| x + 1);
+    let out: Vec<u32> = run_batch_with_limit(4, &one, |_, &x| x + 1);
     assert_eq!(out, vec![42]);
-    pool.shutdown();
 }

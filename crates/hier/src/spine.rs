@@ -86,12 +86,6 @@ impl Spine {
         }
     }
 
-    /// Whether spine flits count as photonic in the delivery events.
-    #[must_use]
-    pub fn is_photonic(&self) -> bool {
-        self.photonic
-    }
-
     /// Queues one cross-pod packet generated at `cycle`; calls must come in
     /// ascending cycle order. Serialization starts no earlier than
     /// `cycle + 1` (generation and first transmission never share a cycle,

@@ -17,7 +17,7 @@ use pnoc_photonics::energy::EnergyBreakdown;
 use pnoc_sim::config::SimConfig;
 use pnoc_sim::engine::{advance_network, CycleNetwork};
 use pnoc_sim::metrics::{
-    Counter, EventSink, Family, MetricReport, MetricValue, NullSink, QuantileSketch, SimEvent,
+    Counter, EventSink, Family, MetricReport, MetricValue, QuantileSketch, SimEvent,
 };
 use pnoc_sim::registry::ArchitectureBuilder;
 use std::collections::VecDeque;
@@ -150,10 +150,6 @@ impl TrafficModel for PodFeedTraffic {
 
     fn offered_load(&self) -> OfferedLoad {
         self.load
-    }
-
-    fn set_offered_load(&mut self, load: OfferedLoad) {
-        self.load = load;
     }
 
     fn demand_class(&self, src: ClusterId, dst: ClusterId) -> BandwidthClass {
@@ -368,12 +364,6 @@ impl HierarchicalSystem {
         }
     }
 
-    /// Number of pods.
-    #[must_use]
-    pub fn num_pods(&self) -> usize {
-        self.pods.len()
-    }
-
     /// Simulates the next window `[simulated_through, end)`, where `end` is
     /// an epoch away clamped to the warm-up and total-cycle boundaries (so
     /// `begin_measurement` always finds the pods exactly at the boundary).
@@ -473,10 +463,6 @@ impl HierarchicalSystem {
 }
 
 impl CycleNetwork for HierarchicalSystem {
-    fn step(&mut self, cycle: u64) {
-        self.step_observed(cycle, &mut NullSink);
-    }
-
     fn step_observed(&mut self, cycle: u64, sink: &mut dyn EventSink) {
         if cycle >= self.simulated_through {
             debug_assert_eq!(

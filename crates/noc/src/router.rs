@@ -67,13 +67,6 @@ impl RouterSpec {
         self.pipeline_latency = latency;
         self
     }
-
-    /// The paper's core-switch configuration: 5 ports (local core, 3 peers,
-    /// photonic router), 16 VCs per port, 64-flit buffers (Table 3-3).
-    #[must_use]
-    pub fn paper_core_switch() -> Self {
-        Self::new(5, 16, 64)
-    }
 }
 
 /// A flit leaving the router through an output port in the current cycle.

@@ -79,9 +79,6 @@ pub trait TrafficModel {
     /// The offered load the model is currently configured for.
     fn offered_load(&self) -> OfferedLoad;
 
-    /// Reconfigures the offered load (used by saturation sweeps).
-    fn set_offered_load(&mut self, load: OfferedLoad);
-
     /// Bandwidth class of the application flow from cluster `src` to cluster
     /// `dst`. This is what the cores advertise in their demand tables.
     fn demand_class(&self, src: ClusterId, dst: ClusterId) -> BandwidthClass;
@@ -145,10 +142,6 @@ impl<T: TrafficModel + ?Sized> TrafficModel for Box<T> {
         (**self).offered_load()
     }
 
-    fn set_offered_load(&mut self, load: OfferedLoad) {
-        (**self).set_offered_load(load);
-    }
-
     fn demand_class(&self, src: ClusterId, dst: ClusterId) -> BandwidthClass {
         (**self).demand_class(src, dst)
     }
@@ -202,10 +195,6 @@ mod tests {
             self.load
         }
 
-        fn set_offered_load(&mut self, load: OfferedLoad) {
-            self.load = load;
-        }
-
         fn demand_class(&self, _src: ClusterId, _dst: ClusterId) -> BandwidthClass {
             BandwidthClass::MediumHigh
         }
@@ -244,10 +233,6 @@ mod tests {
 
         fn offered_load(&self) -> OfferedLoad {
             self.inner.offered_load()
-        }
-
-        fn set_offered_load(&mut self, load: OfferedLoad) {
-            self.inner.set_offered_load(load);
         }
 
         fn demand_class(&self, src: ClusterId, dst: ClusterId) -> BandwidthClass {
@@ -299,10 +284,8 @@ mod tests {
     #[test]
     fn boxed_models_delegate() {
         let mut boxed: Box<dyn TrafficModel> = Box::new(Constant {
-            load: OfferedLoad::new(0.5),
+            load: OfferedLoad::new(0.75),
         });
-        assert_eq!(boxed.offered_load().value(), 0.5);
-        boxed.set_offered_load(OfferedLoad::new(0.75));
         assert_eq!(boxed.offered_load().value(), 0.75);
         let pkt = boxed.next_packet(3, CoreId(1)).unwrap();
         assert_eq!(pkt.dst, CoreId(2));

@@ -192,16 +192,6 @@ impl AreaModel {
             area_mm2: self.area_mm2(&rings),
         }
     }
-
-    /// Area of the data-path devices only (the sum of equations 9 and 18 the
-    /// thesis quotes as the "total modulator/demodulator area ... for data
-    /// waveguides"), mm².
-    #[must_use]
-    pub fn dynamic_data_path_area_mm2(&self, total_data_wavelengths: usize) -> f64 {
-        let rings = self.dynamic_ring_counts(total_data_wavelengths);
-        let data_rings = rings.total_rings();
-        data_rings as f64 * self.ring.footprint_mm2()
-    }
 }
 
 impl Default for AreaModel {

@@ -54,18 +54,6 @@ pub fn bps_to_gbps(bps: f64) -> f64 {
     bps * 1e-9
 }
 
-/// Converts giga-hertz to hertz.
-#[must_use]
-pub fn ghz_to_hz(ghz: f64) -> f64 {
-    ghz * 1e9
-}
-
-/// Converts tera-hertz to hertz.
-#[must_use]
-pub fn thz_to_hz(thz: f64) -> f64 {
-    thz * 1e12
-}
-
 /// Converts micro-metres to metres.
 #[must_use]
 pub fn um_to_m(um: f64) -> f64 {

@@ -31,21 +31,10 @@ pub fn event_driven_enabled() -> bool {
 /// worker: the hierarchical engine shards one simulation into per-pod
 /// networks and steps them as batch jobs.
 pub trait CycleNetwork: Send {
-    /// Advances the network by one cycle.
-    fn step(&mut self, cycle: u64);
-
     /// Advances the network by one cycle, reporting observable events
     /// ([`SimEvent`]) to `sink` as they happen. These events are the only
     /// source of a run's [`SimStats`] counters.
-    ///
-    /// The default implementation ignores the sink and calls
-    /// [`CycleNetwork::step`], so the engine counts only the network's
-    /// cycles; instrumented networks override this and make `step` the
-    /// [`NullSink`](crate::metrics::NullSink) special case.
-    fn step_observed(&mut self, cycle: u64, sink: &mut dyn EventSink) {
-        let _ = sink;
-        self.step(cycle);
-    }
+    fn step_observed(&mut self, cycle: u64, sink: &mut dyn EventSink);
 
     /// Marks the beginning of the measurement window: energy accumulated so
     /// far (the warm-up) is discarded.
@@ -322,7 +311,7 @@ pub fn run_cycles<N: CycleNetwork + ?Sized>(network: &mut N, start: u64, cycles:
 mod tests {
     use super::*;
     use crate::config::BandwidthSet;
-    use crate::metrics::{MetricReport, MetricValue, NullSink};
+    use crate::metrics::{MetricReport, MetricValue};
     use pnoc_noc::ids::CoreId;
 
     /// One synthetic delivery whose latency is its cycle.
@@ -340,10 +329,6 @@ mod tests {
     }
 
     impl CycleNetwork for Counter {
-        fn step(&mut self, cycle: u64) {
-            self.step_observed(cycle, &mut NullSink);
-        }
-
         fn step_observed(&mut self, cycle: u64, sink: &mut dyn EventSink) {
             delivery(sink, cycle);
         }
@@ -515,10 +500,6 @@ mod tests {
     }
 
     impl CycleNetwork for Pulsed {
-        fn step(&mut self, cycle: u64) {
-            self.step_observed(cycle, &mut NullSink);
-        }
-
         fn step_observed(&mut self, cycle: u64, sink: &mut dyn EventSink) {
             self.steps += 1;
             if cycle.is_multiple_of(self.period) {
@@ -635,7 +616,7 @@ mod tests {
             steps: u64,
         }
         impl CycleNetwork for Dead {
-            fn step(&mut self, _cycle: u64) {
+            fn step_observed(&mut self, _cycle: u64, _sink: &mut dyn EventSink) {
                 self.steps += 1;
             }
             fn begin_measurement(&mut self, _cycle: u64) {}

@@ -777,19 +777,10 @@ pub enum SimEvent {
 ///
 /// The engine passes a sink into
 /// [`CycleNetwork::step_observed`](crate::engine::CycleNetwork::step_observed);
-/// networks call [`EventSink::emit`] as things happen. The [`NullSink`] makes
-/// observation free when nobody is listening.
+/// networks call [`EventSink::emit`] as things happen.
 pub trait EventSink {
     /// Reports one event at `cycle`.
     fn emit(&mut self, cycle: u64, event: SimEvent);
-}
-
-/// An [`EventSink`] that discards everything (the unobserved fast path).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct NullSink;
-
-impl EventSink for NullSink {
-    fn emit(&mut self, _cycle: u64, _event: SimEvent) {}
 }
 
 /// An engine-driven observer of one simulation run.

@@ -342,10 +342,6 @@ mod tests {
             self.load
         }
 
-        fn set_offered_load(&mut self, load: pnoc_noc::traffic_model::OfferedLoad) {
-            self.load = load;
-        }
-
         fn demand_class(
             &self,
             _src: pnoc_noc::ids::ClusterId,

@@ -112,14 +112,6 @@ impl SimStats {
         self.accepted_bandwidth_gbps() / num_cores as f64
     }
 
-    /// Offered (generated) bandwidth in Gb/s, assuming each generated packet
-    /// carries `packet_bits` bits.
-    #[must_use]
-    pub fn offered_bandwidth_gbps(&self, packet_bits: u64) -> f64 {
-        self.clock
-            .bandwidth_gbps(self.generated_packets * packet_bits, self.measured_cycles)
-    }
-
     /// Mean packet latency in cycles.
     #[must_use]
     pub fn average_packet_latency(&self) -> f64 {

@@ -471,10 +471,6 @@ mod tests {
             self.load
         }
 
-        fn set_offered_load(&mut self, load: OfferedLoad) {
-            self.load = load;
-        }
-
         fn demand_class(&self, _src: ClusterId, _dst: ClusterId) -> BandwidthClass {
             BandwidthClass::MediumHigh
         }

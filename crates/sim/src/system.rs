@@ -22,7 +22,7 @@
 
 use crate::config::SimConfig;
 use crate::engine::CycleNetwork;
-use crate::metrics::{EventSink, NullSink, SimEvent};
+use crate::metrics::{EventSink, SimEvent};
 use pnoc_noc::arbiter::RoundRobinArbiter;
 use pnoc_noc::flit::Flit;
 use pnoc_noc::ids::{ClusterId, CoreId, PacketId, PacketIdAllocator, PortId, RouterId, VcId};
@@ -936,10 +936,6 @@ impl<F: PhotonicFabric, T: TrafficModel> PhotonicSystem<F, T> {
 }
 
 impl<F: PhotonicFabric + Send, T: TrafficModel + Send> CycleNetwork for PhotonicSystem<F, T> {
-    fn step(&mut self, cycle: u64) {
-        self.step_observed(cycle, &mut NullSink);
-    }
-
     fn step_observed(&mut self, cycle: u64, sink: &mut dyn EventSink) {
         self.apply_fault_transitions(cycle, sink);
         self.fabric.pre_cycle(cycle);
@@ -1022,7 +1018,7 @@ impl<F: PhotonicFabric + Send, T: TrafficModel + Send> CycleNetwork for Photonic
 mod tests {
     use super::*;
     use crate::config::BandwidthSet;
-    use crate::engine::run_to_completion;
+    use crate::engine::{run_cycles, run_to_completion};
     use pnoc_noc::packet::{BandwidthClass, PacketDescriptor};
     use pnoc_noc::traffic_model::OfferedLoad;
 
@@ -1072,11 +1068,6 @@ mod tests {
 
         fn offered_load(&self) -> OfferedLoad {
             self.load
-        }
-
-        fn set_offered_load(&mut self, load: OfferedLoad) {
-            self.load = load;
-            self.period = (1.0 / load.value().max(1e-9)).round().max(1.0) as u64;
         }
 
         fn demand_class(&self, _src: ClusterId, _dst: ClusterId) -> BandwidthClass {
@@ -1279,7 +1270,7 @@ mod tests {
         let mut system = PhotonicSystem::new(config, fabric, traffic);
         let mut cycle = 0u64;
         loop {
-            system.step(cycle);
+            run_cycles(&mut system, cycle, 1);
             match system.next_event_cycle(cycle) {
                 Some(c) if c == cycle + 1 => {
                     cycle += 1;

@@ -487,8 +487,6 @@ impl TrafficModel for FlowTraffic {
         OfferedLoad::ZERO
     }
 
-    fn set_offered_load(&mut self, _load: OfferedLoad) {}
-
     fn demand_class(&self, src: ClusterId, dst: ClusterId) -> BandwidthClass {
         self.demand.class(src, dst)
     }

@@ -152,10 +152,6 @@ impl TrafficModel for BurstyUniformTraffic {
         self.load
     }
 
-    fn set_offered_load(&mut self, load: OfferedLoad) {
-        self.load = load;
-    }
-
     fn demand_class(&self, _src: ClusterId, _dst: ClusterId) -> BandwidthClass {
         BandwidthClass::MediumHigh
     }

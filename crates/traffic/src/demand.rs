@@ -89,24 +89,6 @@ impl DemandMatrix {
         self.intensity[src.0]
     }
 
-    /// The bandwidth requirement of cluster `src` relative to the chip
-    /// average: its traffic intensity times its volume-weighted class
-    /// multiplier, normalised by the chip-wide mean of the same product.
-    /// d-HetPNoC sizes its wavelength pools in proportion to this quantity.
-    #[must_use]
-    pub fn relative_bandwidth_requirement(&self, src: ClusterId) -> f64 {
-        let product = |c: ClusterId| self.intensity(c) * self.weighted_class_multiplier(c);
-        let mean: f64 = (0..self.num_clusters)
-            .map(|c| product(ClusterId(c)))
-            .sum::<f64>()
-            / self.num_clusters as f64;
-        if mean > 0.0 {
-            product(src) / mean
-        } else {
-            1.0
-        }
-    }
-
     /// The highest class multiplier demanded by `src` toward any destination
     /// (the "maximum bandwidth that the cluster will need" of Section 3.2.1).
     #[must_use]

@@ -377,10 +377,6 @@ impl TrafficModel for RealApplicationTraffic {
         self.load
     }
 
-    fn set_offered_load(&mut self, load: OfferedLoad) {
-        self.load = load;
-    }
-
     fn demand_class(&self, src: ClusterId, dst: ClusterId) -> BandwidthClass {
         if self.is_memory_cluster(src) {
             self.app_of_cluster(dst)

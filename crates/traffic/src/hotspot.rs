@@ -153,10 +153,6 @@ impl TrafficModel for HotspotSkewedTraffic {
         self.inner.offered_load()
     }
 
-    fn set_offered_load(&mut self, load: OfferedLoad) {
-        self.inner.set_offered_load(load);
-    }
-
     fn demand_class(&self, src: ClusterId, dst: ClusterId) -> BandwidthClass {
         self.inner.demand_class(src, dst)
     }

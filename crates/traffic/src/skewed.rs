@@ -139,10 +139,6 @@ impl TrafficModel for SkewedTraffic {
         self.load
     }
 
-    fn set_offered_load(&mut self, load: OfferedLoad) {
-        self.load = load;
-    }
-
     fn demand_class(&self, src: ClusterId, dst: ClusterId) -> BandwidthClass {
         self.classes.class(src, dst)
     }

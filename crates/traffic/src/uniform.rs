@@ -74,10 +74,6 @@ impl TrafficModel for UniformRandomTraffic {
         self.load
     }
 
-    fn set_offered_load(&mut self, load: OfferedLoad) {
-        self.load = load;
-    }
-
     fn demand_class(&self, _src: ClusterId, _dst: ClusterId) -> BandwidthClass {
         Self::uniform_class()
     }
@@ -150,10 +146,9 @@ mod tests {
     }
 
     #[test]
-    fn load_can_be_reconfigured() {
-        let mut m = model(0.0);
-        assert!(m.next_packet(0, CoreId(0)).is_none());
-        m.set_offered_load(OfferedLoad::new(1.0));
+    fn the_configured_load_gates_injection() {
+        assert!(model(0.0).next_packet(0, CoreId(0)).is_none());
+        let mut m = model(1.0);
         assert!(m.next_packet(1, CoreId(0)).is_some());
         assert_eq!(m.name(), "uniform-random");
     }

@@ -80,8 +80,6 @@ impl TrafficModel for Bursts {
         OfferedLoad::new(0.75 / self.period as f64)
     }
 
-    fn set_offered_load(&mut self, _load: OfferedLoad) {}
-
     fn demand_class(&self, src: ClusterId, dst: ClusterId) -> BandwidthClass {
         BandwidthClass::ALL[(src.0 + dst.0) % BandwidthClass::ALL.len()]
     }
