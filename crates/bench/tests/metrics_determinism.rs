@@ -5,7 +5,7 @@
 
 use pnoc_bench::runner::ensure_registered;
 use pnoc_sim::config::BandwidthSet;
-use pnoc_sim::metrics::{CsvSink, JsonlSink, MemorySink};
+use pnoc_sim::metrics::{CsvSink, JsonlSink, MetricReport};
 use pnoc_sim::scenario::{Effort, MatrixResult, ScenarioMatrix};
 
 fn smoke_matrix() -> ScenarioMatrix {
@@ -56,13 +56,12 @@ fn parallel_matrix_metrics_equal_sequential_metrics_bitwise() {
         assert_eq!(merged_p.counter("delivered_packets"), Some(sum));
     }
 
-    // The in-memory sink path merges to the same result as the direct
+    // Merging the batch's metric rows gives the same result as the direct
     // per-scenario merge.
-    let mut memory = MemorySink::new();
-    parallel
-        .write_metrics(&mut memory)
-        .expect("in-memory writer");
-    let batch_total = memory.merged().expect("uniform kinds");
+    let mut batch_total = MetricReport::new();
+    for row in parallel.scenarios.iter().flat_map(|s| s.metric_rows()) {
+        batch_total.merge(&row.report).expect("uniform kinds");
+    }
     let mut direct_total = parallel.scenarios[0]
         .merged_metrics()
         .expect("uniform kinds");

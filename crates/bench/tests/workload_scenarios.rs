@@ -5,7 +5,7 @@
 //! between the parallel matrix queue and sequential execution.
 
 use pnoc_bench::runner::ensure_registered;
-use pnoc_sim::metrics::{MemorySink, MetricValue};
+use pnoc_sim::metrics::MetricValue;
 use pnoc_sim::scenario::{run_specs, Effort, ScenarioMatrix, ScenarioSpec};
 
 fn closed(architecture: &str, reference: &str) -> ScenarioSpec {
@@ -104,10 +104,13 @@ fn workload_matrix_parallel_execution_is_bitwise_identical_to_sequential() {
 #[test]
 fn workload_metric_rows_stream_with_flow_metrics() {
     let outcome = run_specs(&[closed("firefly", "shuffle:6")]).expect("resolves");
-    let mut sink = MemorySink::new();
-    outcome.write_metrics(&mut sink).expect("in-memory");
-    assert_eq!(sink.rows.len(), 1);
-    let row = &sink.rows[0];
+    let rows: Vec<_> = outcome
+        .scenarios
+        .iter()
+        .flat_map(|s| s.metric_rows())
+        .collect();
+    assert_eq!(rows.len(), 1);
+    let row = &rows[0];
     assert_eq!(row.scenario, "firefly:shuffle@6:set1:smoke");
     assert_eq!(row.point_index, 0);
     assert!(row.report.histogram("flow_completion_cycles").is_some());

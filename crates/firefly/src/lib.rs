@@ -9,8 +9,6 @@
 //! channel width regardless of the application's actual bandwidth need —
 //! which is exactly the limitation d-HetPNoC removes.
 //!
-//! * [`rswmr`] — the reservation-assisted SWMR channel mechanics (reservation
-//!   flits, detector gating),
 //! * [`fabric`] — the [`pnoc_sim::system::PhotonicFabric`] implementation
 //!   with uniform static wavelength allocation,
 //! * [`network`] — convenience constructors and the `"firefly"` registry
@@ -22,7 +20,6 @@
 
 pub mod fabric;
 pub mod network;
-pub mod rswmr;
 
 /// Convenient re-exports of the most commonly used items.
 pub mod prelude {
@@ -30,7 +27,6 @@ pub mod prelude {
     pub use crate::network::{
         build_firefly_system, register_firefly_architecture, FireflyArchitecture,
     };
-    pub use crate::rswmr::{ReservationFlit, RswmrChannel};
 }
 
 pub use prelude::*;

@@ -73,29 +73,6 @@ impl ClusterRoutingTable {
     }
 }
 
-/// Routing table of the electrical (ejection) side of a photonic router:
-/// incoming photonic flits are forwarded to the core switch of the
-/// destination core's local index.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PhotonicEjectionRouting {
-    topology: ClusterTopology,
-}
-
-impl PhotonicEjectionRouting {
-    /// Creates the ejection routing helper.
-    #[must_use]
-    pub fn new(topology: ClusterTopology) -> Self {
-        Self { topology }
-    }
-
-    /// Electrical output port of the photonic router for `dst`
-    /// (i.e. the local index of `dst` within its cluster).
-    #[must_use]
-    pub fn output_port(&self, dst: CoreId) -> PortId {
-        PortId(self.topology.local_index(dst))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -130,15 +107,6 @@ mod tests {
             RouteDecision::Photonic(p) => assert_eq!(p, PortId(4)),
             other => panic!("expected photonic route, got {other:?}"),
         }
-    }
-
-    #[test]
-    fn ejection_routing_targets_local_index() {
-        let t = ClusterTopology::paper_default();
-        let ej = PhotonicEjectionRouting::new(t);
-        assert_eq!(ej.output_port(CoreId(13)), PortId(1));
-        assert_eq!(ej.output_port(CoreId(16)), PortId(0));
-        assert_eq!(ej.output_port(CoreId(63)), PortId(3));
     }
 
     #[test]

@@ -41,11 +41,9 @@ pub struct PhotonicEnergyModel {
     /// buffers in routers for a shorter duration", Section 3.4.1.2) without
     /// letting it dwarf the link energy.
     pub buffer_leakage_pj_per_bit_cycle: f64,
-    /// Electrical router traversal energy, pJ per bit per hop.
+    /// Electrical router traversal energy, pJ per bit per hop (the thesis
+    /// folds the electrical link into this figure).
     pub router_pj_per_bit: f64,
-    /// Electrical link traversal energy, pJ per bit per hop (folded into the
-    /// router figure by the thesis; kept separate so ablations can vary it).
-    pub link_pj_per_bit: f64,
 }
 
 impl PhotonicEnergyModel {
@@ -59,7 +57,6 @@ impl PhotonicEnergyModel {
             buffer_pj_per_bit: 0.078_125,
             buffer_leakage_pj_per_bit_cycle: 0.078_125 / 64.0,
             router_pj_per_bit: 0.625,
-            link_pj_per_bit: 0.0,
         }
     }
 
@@ -92,7 +89,7 @@ impl PhotonicEnergyModel {
     /// Energy of pushing `bits` bits through one electrical router, pJ.
     #[must_use]
     pub fn router_traversal_pj(&self, bits: u64) -> f64 {
-        (self.router_pj_per_bit + self.link_pj_per_bit) * bits as f64
+        self.router_pj_per_bit * bits as f64
     }
 }
 

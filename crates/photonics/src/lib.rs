@@ -1,58 +1,39 @@
-//! # pnoc-photonics — photonic device and cost models
+//! # pnoc-photonics — photonic energy, area and static-power models
 //!
-//! This crate models the photonic substrate that both the Firefly baseline
-//! and the d-HetPNoC architecture are built on (Chapter 2 of the thesis):
+//! This crate holds the photonic cost models that the evaluation of the
+//! Firefly baseline and the d-HetPNoC architecture reads (Chapters 2–3 of
+//! the thesis):
 //!
-//! * [`mrr`] — silicon micro-ring resonators (the building block of
-//!   modulators, filters and switches),
-//! * [`modulator`] / [`detector`] — electro-optic modulators and germanium
-//!   photo-detectors,
-//! * [`laser`] — multi-wavelength laser sources,
-//! * [`waveguide`] — on-chip silicon waveguides with DWDM,
-//! * [`pse`] — photonic switching elements (MRR-based 90° turns),
-//! * [`dwdm`] — wavelength identifiers and wavelength grids,
-//! * [`thermal`] — thermal tuning of ring resonances,
-//! * [`loss`] — optical power / insertion-loss budgets,
 //! * [`energy`] — the packet-energy model of Section 3.4.1.2
 //!   (Tables 3-4 and 3-5),
 //! * [`area`] — the modulator/detector area model of Section 3.4.3
-//!   (equations 5–24).
-//!
-//! The energy and area models are the parts consumed directly by the
-//! evaluation; the device models document where each constant comes from and
-//! provide physically-grounded defaults for exploring other design points.
+//!   (equations 5–24), with the per-ring footprint from [`mrr`],
+//! * [`laser`] / [`thermal`] — laser and heater power (Table 3-4), which
+//!   `SimConfig::static_power_mw` turns into the static-power gauge,
+//! * [`dwdm`] — wavelength identifiers and wavelength grids,
+//! * [`units`] — the unit conversions the models above share.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
 pub mod area;
-pub mod detector;
 pub mod dwdm;
 pub mod energy;
 pub mod laser;
-pub mod loss;
-pub mod modulator;
 pub mod mrr;
-pub mod pse;
 pub mod thermal;
 pub mod units;
-pub mod waveguide;
 
 /// Convenient re-exports of the most commonly used items.
 pub mod prelude {
     pub use crate::area::{AreaModel, AreaReport, RingCounts};
-    pub use crate::detector::PhotoDetector;
     pub use crate::dwdm::{WavelengthGrid, WavelengthId};
     pub use crate::energy::{EnergyAccumulator, EnergyBreakdown, PhotonicEnergyModel};
     pub use crate::laser::LaserSource;
-    pub use crate::loss::LossBudget;
-    pub use crate::modulator::Modulator;
     pub use crate::mrr::MicroRingResonator;
-    pub use crate::pse::PhotonicSwitchingElement;
     pub use crate::thermal::ThermalTuner;
     pub use crate::units::*;
-    pub use crate::waveguide::Waveguide;
 }
 
 pub use prelude::*;

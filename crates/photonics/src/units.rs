@@ -1,40 +1,10 @@
 //! Physical unit helpers.
 //!
 //! The photonic models mix quantities spanning many orders of magnitude
-//! (femto-joules per bit, milli-watts, tera-hertz, micro-metres). To keep the
-//! arithmetic readable and auditable, this module provides thin conversion
-//! helpers and the physical constants the device models rely on. All
-//! quantities are stored as `f64` in SI base units unless the name says
-//! otherwise.
-
-/// Speed of light in vacuum, metres per second.
-pub const SPEED_OF_LIGHT_M_PER_S: f64 = 299_792_458.0;
-
-/// Group index of a silicon strip waveguide around 1550 nm, chosen such that
-/// a 2 µm-radius adiabatic micro-ring has a free spectral range of 6.92 THz
-/// as reported by Biberman et al. \[13\] (thesis Section 2.1.1).
-pub const SILICON_GROUP_INDEX: f64 = 3.448;
-
-/// Nominal DWDM centre wavelength used by the models, metres (1550 nm).
-pub const CENTER_WAVELENGTH_M: f64 = 1550e-9;
-
-/// Converts pico-joules to joules.
-#[must_use]
-pub fn pj_to_j(pj: f64) -> f64 {
-    pj * 1e-12
-}
-
-/// Converts joules to pico-joules.
-#[must_use]
-pub fn j_to_pj(j: f64) -> f64 {
-    j * 1e12
-}
-
-/// Converts femto-joules to pico-joules.
-#[must_use]
-pub fn fj_to_pj(fj: f64) -> f64 {
-    fj * 1e-3
-}
+//! (pico-joules per bit, milli-watts, giga-bits per second, micro-metres). To
+//! keep the arithmetic readable and auditable, this module provides thin
+//! conversion helpers. All quantities are stored as `f64` in SI base units
+//! unless the name says otherwise.
 
 /// Converts milli-watts to watts.
 #[must_use]
@@ -46,18 +16,6 @@ pub fn mw_to_w(mw: f64) -> f64 {
 #[must_use]
 pub fn gbps_to_bps(gbps: f64) -> f64 {
     gbps * 1e9
-}
-
-/// Converts bits-per-second to giga-bits-per-second.
-#[must_use]
-pub fn bps_to_gbps(bps: f64) -> f64 {
-    bps * 1e-9
-}
-
-/// Converts micro-metres to metres.
-#[must_use]
-pub fn um_to_m(um: f64) -> f64 {
-    um * 1e-6
 }
 
 /// Converts square micro-metres to square milli-metres.
@@ -72,32 +30,7 @@ pub fn um2_to_mm2(um2: f64) -> f64 {
 #[must_use]
 pub fn power_to_energy_per_bit_pj(power_w: f64, bit_rate_bps: f64) -> f64 {
     assert!(bit_rate_bps > 0.0, "bit rate must be positive");
-    j_to_pj(power_w / bit_rate_bps)
-}
-
-/// Converts a dB value to a linear power ratio.
-#[must_use]
-pub fn db_to_linear(db: f64) -> f64 {
-    10f64.powf(db / 10.0)
-}
-
-/// Converts a linear power ratio to dB.
-#[must_use]
-pub fn linear_to_db(ratio: f64) -> f64 {
-    assert!(ratio > 0.0, "ratio must be positive to express in dB");
-    10.0 * ratio.log10()
-}
-
-/// Converts dBm to milli-watts.
-#[must_use]
-pub fn dbm_to_mw(dbm: f64) -> f64 {
-    db_to_linear(dbm)
-}
-
-/// Converts milli-watts to dBm.
-#[must_use]
-pub fn mw_to_dbm(mw: f64) -> f64 {
-    linear_to_db(mw)
+    (power_w / bit_rate_bps) * 1e12
 }
 
 #[cfg(test)]
@@ -110,11 +43,8 @@ mod tests {
 
     #[test]
     fn simple_conversions_roundtrip() {
-        assert!(close(j_to_pj(pj_to_j(3.7)), 3.7, 1e-12));
-        assert!(close(fj_to_pj(40.0), 0.04, 1e-12));
         assert!(close(mw_to_w(1.5), 0.0015, 1e-12));
         assert!(close(gbps_to_bps(12.5), 12.5e9, 1e-12));
-        assert!(close(bps_to_gbps(gbps_to_bps(7.0)), 7.0, 1e-12));
         assert!(close(um2_to_mm2(1e6), 1.0, 1e-12));
     }
 
@@ -127,14 +57,6 @@ mod tests {
         let pj = power_to_energy_per_bit_pj(mw_to_w(1.5), gbps_to_bps(12.5));
         assert!(close(pj, 0.12, 1e-9), "got {pj}");
         assert!(pj < 0.15);
-    }
-
-    #[test]
-    fn db_conversions() {
-        assert!(close(db_to_linear(3.0103), 2.0, 1e-4));
-        assert!(close(linear_to_db(db_to_linear(-7.5)), -7.5, 1e-9));
-        assert!(close(dbm_to_mw(0.0), 1.0, 1e-12));
-        assert!(close(mw_to_dbm(10.0), 10.0, 1e-9));
     }
 
     #[test]

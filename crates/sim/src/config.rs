@@ -329,6 +329,27 @@ mod tests {
     }
 
     #[test]
+    fn device_constants_agree_with_the_simulated_ones() {
+        // The laser and heater models restate the line rate and the tuning
+        // energy; each copy must match the number the simulation uses.
+        use pnoc_photonics::energy::PhotonicEnergyModel;
+        use pnoc_photonics::laser::LaserSource;
+        use pnoc_photonics::thermal::ThermalTuner;
+        let tuner = ThermalTuner::paper_default();
+        for set in BandwidthSet::ALL {
+            let rate = SimConfig::paper_default(set).wavelength_rate_gbps;
+            let laser = LaserSource::paper_default(set.total_wavelengths());
+            assert!((rate - laser.line_rate_gbps).abs() < 1e-12, "{set:?} laser");
+            assert!(
+                (rate - tuner.line_rate_gbps).abs() < 1e-12,
+                "{set:?} heater"
+            );
+        }
+        let tuning = PhotonicEnergyModel::paper_default().tuning_pj_per_bit;
+        assert!((tuner.energy_pj_per_bit() - tuning).abs() < 1e-12);
+    }
+
+    #[test]
     fn fast_config_is_smaller_but_same_architecture() {
         let f = SimConfig::fast(BandwidthSet::Set2);
         let p = SimConfig::paper_default(BandwidthSet::Set2);

@@ -14,7 +14,7 @@
 //! * [`metrics`] — the typed observability surface: counters, gauges,
 //!   mergeable streaming quantile sketches and labelled families, collected
 //!   by engine-driven [`metrics::Probe`]s and streamed through pluggable
-//!   [`metrics::MetricSink`]s (JSONL, CSV, in-memory),
+//!   [`metrics::MetricSink`]s (JSONL, CSV),
 //! * [`system`] — the full cluster system (cores, electrical core switches,
 //!   photonic routers, reservation-assisted photonic transfers) parameterised
 //!   by a [`system::PhotonicFabric`] implementation; Firefly and d-HetPNoC
@@ -74,8 +74,8 @@ pub mod prelude {
         run_to_completion, run_to_completion_with, run_until_with, CycleNetwork,
     };
     pub use crate::metrics::{
-        Counter, CsvSink, EventSink, Family, Gauge, JsonlSink, MemorySink, MetricReport, MetricRow,
-        MetricSink, MetricValue, MetricsProbe, Probe, QuantileSketch, SimEvent,
+        Counter, CsvSink, EventSink, Family, Gauge, JsonlSink, MetricReport, MetricRow, MetricSink,
+        MetricValue, MetricsProbe, Probe, QuantileSketch, SimEvent,
     };
     pub use crate::params::{
         ArchParamError, ArchParams, ParamKind, ParamSchema, ParamSpec, ParamValue, ResolvedParams,

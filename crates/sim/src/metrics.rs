@@ -1237,46 +1237,6 @@ impl<W: io::Write> MetricSink for CsvSink<W> {
     }
 }
 
-/// A [`MetricSink`] that keeps every row in memory — for tests and
-/// in-process consumers that post-process a metric stream (e.g. via
-/// [`MemorySink::merged`]) without touching the filesystem. (The sweep
-/// engine itself attaches a [`MetricsProbe`] per point and stores the
-/// reports on the [`SweepPoint`](crate::sweep::SweepPoint)s directly.)
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct MemorySink {
-    /// The rows received so far, in arrival order.
-    pub rows: Vec<MetricRow>,
-}
-
-impl MemorySink {
-    /// Creates an empty sink.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Merges the reports of every collected row into one (e.g. all ladder
-    /// points of one scenario).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MetricMergeError`] if two rows disagree on a metric's kind.
-    pub fn merged(&self) -> Result<MetricReport, MetricMergeError> {
-        let mut merged = MetricReport::new();
-        for row in &self.rows {
-            merged.merge(&row.report)?;
-        }
-        Ok(merged)
-    }
-}
-
-impl MetricSink for MemorySink {
-    fn write_row(&mut self, row: &MetricRow) -> io::Result<()> {
-        self.rows.push(row.clone());
-        Ok(())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1487,10 +1447,12 @@ mod tests {
         assert!(csv_text.contains("a:b:set1:smoke,0,0.5,9,by_node,n001,counter,32"));
         assert!(csv_text.contains("latency_cycles,p95,histogram,11"));
 
-        let mut memory = MemorySink::new();
-        memory.write_row(&row).unwrap();
-        memory.write_row(&row).unwrap();
-        let merged = memory.merged().expect("same kinds");
+        // In memory, rows merge report by report, as
+        // `ScenarioResult::merged_metrics` merges a scenario's points.
+        let mut merged = MetricReport::new();
+        for _ in 0..2 {
+            merged.merge(&row.report).expect("same kinds");
+        }
         assert_eq!(merged.counter("delivered_bits"), Some(128));
     }
 

@@ -9,8 +9,7 @@ use std::collections::BTreeSet;
 /// Construction is additive ([`Workload::add`] / [`Workload::add_flow`]);
 /// [`Workload::validate`] checks the structural invariants the closed-loop
 /// driver relies on (see [`WorkloadValidationError`]). The generators in
-/// [`crate::collectives`] and the trace loader in [`crate::trace`] only
-/// produce validated workloads.
+/// [`crate::collectives`] only produce validated workloads.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Workload {
     name: String,

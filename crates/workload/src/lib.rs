@@ -7,7 +7,6 @@ pub mod collectives;
 pub mod dag;
 pub mod flow;
 pub mod registry;
-pub mod trace;
 
 /// Convenient re-exports of the most commonly used items.
 pub mod prelude {
@@ -20,7 +19,6 @@ pub mod prelude {
         lookup_workload_factory, register_workload_factory, registered_workloads, WorkloadFactory,
         WorkloadRef, WorkloadSpec, DEFAULT_BYTES_PER_NODE,
     };
-    pub use crate::trace::{parse_trace, TraceError};
 }
 
 pub use prelude::*;

@@ -1,7 +1,6 @@
 //! The analytic cost models of the thesis: the electro-optic device area
 //! model of Section 3.4.3 (equations 5–24) and the packet-energy coefficients
-//! of Tables 3-4 / 3-5, plus the optical link budget that shows the crossbar
-//! closes with the assumed laser power and detector sensitivity.
+//! of Tables 3-4 / 3-5.
 //!
 //! ```bash
 //! cargo run --release --example area_energy_model
@@ -54,29 +53,5 @@ fn main() {
          router traversal\n",
         energy.photonic_transfer_pj(packet_bits),
         energy.router_traversal_pj(packet_bits)
-    );
-
-    // Device-level sanity: the ring geometry, the laser and the loss budget.
-    let ring = MicroRingResonator::adiabatic_2um();
-    println!(
-        "2 µm adiabatic micro-ring: FSR {:.2} THz (reference value 6.92 THz), fits {} channels at 100 GHz spacing",
-        ring.free_spectral_range_hz() / 1e12,
-        ring.max_channels(100e9)
-    );
-    let laser = LaserSource::paper_default(64);
-    let detector = PhotoDetector::paper_default();
-    let budget = LossBudget::paper_crossbar_hop(15 * 64);
-    println!(
-        "crossbar loss budget: {:.1} dB total; link margin with a {:.1} mW/λ laser and a {:.3} mW \
-         detector sensitivity: {:.1} dB ({})",
-        budget.total_db(),
-        laser.power_per_wavelength_mw,
-        detector.sensitivity_mw,
-        budget.margin_db(laser.power_per_wavelength_mw, detector.sensitivity_mw),
-        if budget.link_closes(laser.power_per_wavelength_mw, detector.sensitivity_mw) {
-            "link closes"
-        } else {
-            "link does NOT close"
-        }
     );
 }

@@ -5,7 +5,7 @@
 //! a cycle-accurate photonic NoC simulator, the crossbar-based Firefly
 //! baseline, and the proposed d-HetPNoC architecture with token-based
 //! dynamic bandwidth allocation, together with the traffic generators,
-//! photonic device/energy/area models and the benchmark harness that
+//! photonic energy/area models and the benchmark harness that
 //! regenerates every table and figure of the paper's evaluation.
 //!
 //! This crate re-exports the workspace crates under friendly names, hosts
@@ -66,7 +66,7 @@
 //! quantiles (p50/p95/p99/max), per-node and per-cluster-pair breakdowns,
 //! windowed throughput — collected by an engine-driven
 //! [`MetricsProbe`](sim::metrics::MetricsProbe) and exportable through
-//! pluggable sinks (JSONL, CSV, in-memory); see `pnoc_sim::metrics` and
+//! pluggable sinks (JSONL, CSV); see `pnoc_sim::metrics` and
 //! `repro --metrics`.
 //!
 //! ## Per-point seed derivation
@@ -88,15 +88,15 @@ pub use pnoc_firefly as firefly;
 pub use pnoc_hier as hier;
 /// Electrical NoC substrate (flits, virtual channels, routers, topology).
 pub use pnoc_noc as noc;
-/// Photonic device, energy and area models.
+/// Photonic energy, area and static-power models.
 pub use pnoc_photonics as photonics;
 /// Cycle-accurate simulation engine.
 pub use pnoc_sim as sim;
 /// Traffic generators (uniform, skewed, hotspot, GPU applications,
 /// permutation, bursty) and the traffic registry.
 pub use pnoc_traffic as traffic;
-/// Flow-level workloads: collective DAG generators, trace replay and the
-/// workload registry behind the closed-loop scenario variant.
+/// Flow-level workloads: collective DAG generators and the workload
+/// registry behind the closed-loop scenario variant.
 pub use pnoc_workload as workload;
 
 /// Registers every architecture of this workspace into the process-global
