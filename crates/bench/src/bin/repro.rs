@@ -54,8 +54,7 @@
 //!                            # stream one metric row per ladder point
 //!                            # (latency quantile sketch, per-node delivered
 //!                            # bits, windowed throughput, ...) to a JSONL
-//!                            # file and print p50/p95/p99 latency columns;
-//!                            # --metrics-format csv switches the sink
+//!                            # file and print p50/p95/p99 latency columns
 //! repro --matrix --quick     # run the default evaluation matrix (all
 //!                            # architectures × {tornado, bursty-uniform} ×
 //!                            # all bandwidth sets) through the flattened
@@ -100,7 +99,7 @@ use pnoc_bench::runner::{
 };
 use pnoc_bench::scenario_io::{matrix_json, parse_scenarios, render_scenarios};
 use pnoc_bench::server::{serve, ServerOptions};
-use pnoc_sim::metrics::{CsvSink, JsonlSink, MetricValue};
+use pnoc_sim::metrics::{JsonlSink, MetricValue};
 use pnoc_sim::params::ArchParams;
 use pnoc_sim::report::{fmt_f, Table};
 use pnoc_sim::scenario::{
@@ -110,40 +109,21 @@ use pnoc_store::ResultStore;
 use std::io::Write as _;
 use std::time::Instant;
 
-/// Output format of `--metrics FILE`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum MetricsFormat {
-    Jsonl,
-    Csv,
-}
-
-impl MetricsFormat {
-    fn parse(text: &str) -> Option<Self> {
-        match text {
-            "jsonl" => Some(MetricsFormat::Jsonl),
-            "csv" => Some(MetricsFormat::Csv),
-            _ => None,
-        }
-    }
-}
-
-/// Streams every per-point metric report of the batch to `path` in the
-/// chosen format (deterministic order, so two identical runs produce
-/// byte-identical files — CI asserts this).
-fn write_metrics_file(outcome: &MatrixResult, path: &str, format: MetricsFormat) {
+/// Streams every per-point metric report of the batch to `path` as JSON
+/// lines (deterministic order, so two identical runs produce byte-identical
+/// files — CI asserts this).
+fn write_metrics_file(outcome: &MatrixResult, path: &str) {
     let file = std::fs::File::create(path).unwrap_or_else(|e| {
         eprintln!("cannot create {path}: {e}");
         std::process::exit(1);
     });
     let writer = std::io::BufWriter::new(file);
-    let result = match format {
-        MetricsFormat::Jsonl => outcome.write_metrics(&mut JsonlSink::new(writer)),
-        MetricsFormat::Csv => outcome.write_metrics(&mut CsvSink::new(writer)),
-    };
-    result.unwrap_or_else(|e| {
-        eprintln!("cannot write {path}: {e}");
-        std::process::exit(1);
-    });
+    outcome
+        .write_metrics(&mut JsonlSink::new(writer))
+        .unwrap_or_else(|e| {
+            eprintln!("cannot write {path}: {e}");
+            std::process::exit(1);
+        });
     eprintln!("[repro] wrote {path}");
 }
 
@@ -255,15 +235,13 @@ fn describe_architecture(spec: &str) {
         &["parameter", "kind", "default", "bounds", "description"],
     );
     for param in schema.specs() {
-        table
-            .try_add_row(&[
-                param.name.clone(),
-                param.kind.label().to_string(),
-                param.default.to_string(),
-                param.kind.bounds_label(),
-                param.doc.clone(),
-            ])
-            .expect("row built from the header above");
+        table.add_row(&[
+            param.name.clone(),
+            param.kind.label().to_string(),
+            param.default.to_string(),
+            param.kind.bounds_label(),
+            param.doc.clone(),
+        ]);
     }
     println!("{table}");
     // Composing architectures (the `hier` builder) nest other registered
@@ -393,9 +371,7 @@ fn run_scenario_batch(
                 None => row.extend(["-".to_string(), "-".to_string(), "-".to_string()]),
             }
         }
-        table
-            .try_add_row(&row)
-            .expect("row built from the header above");
+        table.add_row(&row);
     }
     println!("{table}");
     print_workload_table(&outcome);
@@ -488,9 +464,7 @@ fn print_workload_table(outcome: &MatrixResult) {
             percentile(99.0),
             collectives,
         ];
-        table
-            .try_add_row(&row)
-            .expect("row built from the header above");
+        table.add_row(&row);
     }
     println!("{table}");
 }
@@ -611,7 +585,7 @@ impl Listing {
                  \x20            [--matrix[=FILE]] [--arch SPEC]... [--arch-params K=V1,V2]...\n\
                  \x20            [--workload NAME[:SIZE]]... [--batch-json FILE]\n\
                  \x20            [--faults PLAN]... [--list-faults]\n\
-                 \x20            [--metrics FILE] [--metrics-format jsonl|csv] [--percentiles]\n\
+                 \x20            [--metrics FILE] [--percentiles]\n\
                  \x20            [--cache-dir DIR] [--no-cache]\n\
                  \x20            [--cache-max-bytes N[k|m|g]] [--cache-compact]\n\
                  \x20            [--serve ADDR] [--serve-requests N]\n\
@@ -647,7 +621,6 @@ struct Options {
     fault_args: Vec<String>,
     from_paths: Vec<String>,
     metrics_path: Option<String>,
-    metrics_format: MetricsFormat,
     percentiles: bool,
     cache_dir: Option<String>,
     no_cache: bool,
@@ -671,7 +644,6 @@ const VALUE_FLAGS: &[(&str, &str)] = &[
     ("--dump-scenarios", "a file path"),
     ("--from-scenarios", "a file path"),
     ("--metrics", "a file path"),
-    ("--metrics-format", "'jsonl' or 'csv'"),
     ("--cache-dir", "a directory path"),
     ("--cache-max-bytes", "a byte budget (e.g. 64m)"),
     ("--serve", "a listen address (e.g. 127.0.0.1:9119)"),
@@ -716,7 +688,6 @@ fn parse_args(args: Vec<String>) -> Result<Options, String> {
         fault_args: Vec::new(),
         from_paths: Vec::new(),
         metrics_path: None,
-        metrics_format: MetricsFormat::Jsonl,
         percentiles: false,
         cache_dir: None,
         no_cache: false,
@@ -746,9 +717,6 @@ fn parse_args(args: Vec<String>) -> Result<Options, String> {
                 "--dump-scenarios" => o.dump_path = Some(value),
                 "--from-scenarios" => o.from_paths.push(value),
                 "--metrics" => o.metrics_path = Some(value),
-                "--metrics-format" => {
-                    o.metrics_format = MetricsFormat::parse(&value).ok_or_else(invalid)?;
-                }
                 "--cache-dir" => o.cache_dir = Some(value),
                 "--cache-max-bytes" => o.cache_max_bytes = Some(parse_byte_budget(&value)?),
                 "--serve" => o.serve_addr = Some(value),
@@ -813,7 +781,6 @@ fn main() {
         fault_args,
         from_paths,
         metrics_path,
-        metrics_format,
         percentiles,
         cache_dir,
         no_cache,
@@ -1087,7 +1054,7 @@ fn main() {
             eprintln!("[repro] wrote {path}");
         }
         if let Some(path) = &metrics_path {
-            write_metrics_file(&outcome, path, metrics_format);
+            write_metrics_file(&outcome, path);
         }
         true
     };
@@ -1146,7 +1113,6 @@ mod tests {
         for &(name, _) in VALUE_FLAGS {
             let value = match name {
                 "--arch-params" => "radix=8,32",
-                "--metrics-format" => "csv",
                 "--cache-max-bytes" => "64m",
                 "--serve-requests" | "--threads" => "3",
                 _ => "some-value",
@@ -1182,10 +1148,6 @@ mod tests {
         assert_eq!(
             parse(&["--threads", "0"]),
             Err("--threads requires a positive worker count".to_string())
-        );
-        assert_eq!(
-            parse(&["--metrics-format=xml"]),
-            Err("--metrics-format requires 'jsonl' or 'csv'".to_string())
         );
     }
 

@@ -10,7 +10,7 @@ use pnoc_photonics::area::AreaModel;
 use pnoc_sim::report::{fmt_f, Table};
 
 /// Wavelength counts swept by the figure.
-pub const WAVELENGTH_SWEEP: [usize; 5] = [64, 128, 256, 384, 512];
+pub(crate) const WAVELENGTH_SWEEP: [usize; 5] = [64, 128, 256, 384, 512];
 
 /// Regenerates the Figure 3-6 series.
 #[must_use]

@@ -17,7 +17,7 @@ use pnoc_sim::scenario::{Effort, MatrixResult, ScenarioMatrix, ScenarioSpec};
 
 /// One scaling-point measurement for one architecture.
 #[derive(Debug, Clone, PartialEq)]
-pub struct ScalingRow {
+pub(crate) struct ScalingRow {
     /// Architecture label.
     pub architecture: String,
     /// Bandwidth set label.
@@ -58,7 +58,7 @@ pub fn specs(effort: Effort) -> Vec<ScenarioSpec> {
 
 /// Reads the scaling rows out of a finished batch that contains [`specs`].
 #[must_use]
-pub fn rows(batch: &MatrixResult, effort: Effort) -> Vec<ScalingRow> {
+pub(crate) fn rows(batch: &MatrixResult, effort: Effort) -> Vec<ScalingRow> {
     let area_model = AreaModel::paper_default();
     let mut out = Vec::new();
     for name in COMPARISON_PAIR {
@@ -91,7 +91,7 @@ pub fn rows(batch: &MatrixResult, effort: Effort) -> Vec<ScalingRow> {
 
 /// Builds the report from precomputed rows.
 #[must_use]
-pub fn report_from_rows(rows: &[ScalingRow]) -> ExperimentReport {
+pub(crate) fn report_from_rows(rows: &[ScalingRow]) -> ExperimentReport {
     let mut report = ExperimentReport::new(
         "fig3_7_3_10",
         "Scaling with total wavelengths: Figures 3-7 (d-HetPNoC), 3-8/3-9 (bandwidth & energy vs area) and 3-10 (Firefly)",

@@ -28,5 +28,3 @@ pub mod experiments;
 pub mod runner;
 pub mod scenario_io;
 pub mod server;
-
-pub use experiments::ExperimentReport;

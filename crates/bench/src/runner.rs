@@ -96,7 +96,7 @@ pub fn latency_percentiles_at_saturation(result: &ScenarioResult) -> Option<[u64
 
 /// The outcome of comparing two architectures on one scenario.
 #[derive(Debug, Clone, PartialEq)]
-pub struct ComparisonRow {
+pub(crate) struct ComparisonRow {
     /// Bandwidth set of the experiment.
     pub bandwidth_set: String,
     /// Traffic scenario label.
@@ -123,7 +123,7 @@ impl ComparisonRow {
     /// Peak-bandwidth improvement of the candidate over the baseline,
     /// percent.
     #[must_use]
-    pub fn bandwidth_gain_percent(&self) -> f64 {
+    pub(crate) fn bandwidth_gain_percent(&self) -> f64 {
         if self.baseline_peak_gbps == 0.0 {
             0.0
         } else {
@@ -134,7 +134,7 @@ impl ComparisonRow {
     /// Packet-energy reduction of the candidate relative to the baseline,
     /// percent (positive = candidate dissipates less).
     #[must_use]
-    pub fn energy_saving_percent(&self) -> f64 {
+    pub(crate) fn energy_saving_percent(&self) -> f64 {
         if self.baseline_packet_energy_pj == 0.0 {
             0.0
         } else {
@@ -159,7 +159,7 @@ impl ComparisonRow {
 ///
 /// Panics when a result's architecture name is not registered.
 #[must_use]
-pub fn comparison_from(base: &ScenarioResult, cand: &ScenarioResult) -> ComparisonRow {
+pub(crate) fn comparison_from(base: &ScenarioResult, cand: &ScenarioResult) -> ComparisonRow {
     let common_idx = base
         .result
         .saturation_index()
@@ -190,7 +190,7 @@ pub fn comparison_from(base: &ScenarioResult, cand: &ScenarioResult) -> Comparis
 ///
 /// Panics when the batch lacks one of the grid's cells.
 #[must_use]
-pub fn comparison_rows(
+pub(crate) fn comparison_rows(
     batch: &MatrixResult,
     baseline: &str,
     candidate: &str,

@@ -24,7 +24,7 @@ use pnoc_store::{Json, JsonParseError};
 /// overrides serialize as a string→string object (values are raw spec
 /// strings; typing happens against the schema at resolve time).
 #[must_use]
-pub fn spec_json(spec: &ScenarioSpec) -> Json {
+pub(crate) fn spec_json(spec: &ScenarioSpec) -> Json {
     Json::obj(vec![
         ("architecture", Json::str(&spec.architecture)),
         (
@@ -77,7 +77,7 @@ fn string_field(value: &Json, key: &str) -> Result<String, String> {
 ///
 /// Returns a human-readable message on missing fields, wrong types, unknown
 /// bandwidth-set / effort labels, or an unparsable seed.
-pub fn spec_from_json(value: &Json) -> Result<ScenarioSpec, String> {
+pub(crate) fn spec_from_json(value: &Json) -> Result<ScenarioSpec, String> {
     let architecture = string_field(value, "architecture")?;
     let traffic = string_field(value, "traffic")?;
     let set_name = string_field(value, "bandwidth_set")?;
@@ -155,7 +155,7 @@ pub fn spec_from_json(value: &Json) -> Result<ScenarioSpec, String> {
 /// JSON document for a batch of scenario specs (what `repro
 /// --dump-scenarios` writes).
 #[must_use]
-pub fn scenarios_json(specs: &[ScenarioSpec]) -> Json {
+pub(crate) fn scenarios_json(specs: &[ScenarioSpec]) -> Json {
     Json::obj(vec![
         ("format", Json::str("d-hetpnoc-scenarios/v1")),
         (
@@ -218,7 +218,7 @@ fn stats_json(stats: &SimStats) -> Json {
 /// p50/p95/p99/max summary of the `latency_cycles` quantile sketch, or
 /// `null` when the point carries no metrics.
 #[must_use]
-pub fn latency_percentiles_json(metrics: &MetricReport) -> Json {
+pub(crate) fn latency_percentiles_json(metrics: &MetricReport) -> Json {
     let Some(sketch) = metrics.histogram("latency_cycles") else {
         return Json::Null;
     };
@@ -244,7 +244,7 @@ pub fn latency_percentiles_json(metrics: &MetricReport) -> Json {
 /// latency percentiles) and the headline metrics. Deliberately excludes
 /// wall-clock time so the document is deterministic.
 #[must_use]
-pub fn scenario_result_json(result: &ScenarioResult) -> Json {
+pub(crate) fn scenario_result_json(result: &ScenarioResult) -> Json {
     Json::obj(vec![
         ("spec", spec_json(&result.spec)),
         ("id", Json::str(result.spec.id())),

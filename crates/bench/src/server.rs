@@ -65,11 +65,11 @@ use std::time::Duration;
 
 /// Concurrent connections admitted when [`ServerOptions::max_in_flight`] is
 /// left at 0.
-pub const DEFAULT_MAX_IN_FLIGHT: usize = 32;
+pub(crate) const DEFAULT_MAX_IN_FLIGHT: usize = 32;
 
 /// Per-connection read/write timeout when [`ServerOptions::io_timeout`] is
 /// `None`.
-pub const DEFAULT_IO_TIMEOUT: Duration = Duration::from_secs(30);
+pub(crate) const DEFAULT_IO_TIMEOUT: Duration = Duration::from_secs(30);
 
 /// Largest request body accepted; a larger `Content-Length` gets `413`
 /// before anything is allocated for it. The scenario document of the full
@@ -93,11 +93,11 @@ pub struct ServerOptions<'a> {
     /// Suppress per-request stderr logging.
     pub quiet: bool,
     /// Bound on concurrently handled connections; connections beyond it are
-    /// rejected immediately with `503` + a JSON body. 0 means
-    /// [`DEFAULT_MAX_IN_FLIGHT`].
+    /// rejected immediately with `503` + a JSON body. 0 means the default of
+    /// 32 connections.
     pub max_in_flight: usize,
-    /// Per-connection read/write timeout; `None` means
-    /// [`DEFAULT_IO_TIMEOUT`]. A read that times out gets `408`.
+    /// Per-connection read/write timeout; `None` means the default of 30 s.
+    /// A read that times out gets `408`.
     pub io_timeout: Option<Duration>,
 }
 

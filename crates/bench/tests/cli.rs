@@ -58,6 +58,39 @@ fn unknown_architecture_exits_2_with_a_suggestion() {
 }
 
 #[test]
+fn declined_hier_specs_exit_2_before_simulating() {
+    for (args, expected) in [
+        (
+            &[
+                "--quick",
+                "--arch",
+                "hier{pods=2}",
+                "--workload",
+                "allreduce:8",
+                "--faults",
+                "single-link",
+            ][..],
+            "architecture 'hier' does not support fault injection",
+        ),
+        (
+            &[
+                "--quick",
+                "--arch",
+                "hier{leaf=firefly{radix=8}}",
+                "--workload",
+                "allreduce:8",
+            ][..],
+            "nested braces",
+        ),
+    ] {
+        let output = repro(args);
+        assert_eq!(output.status.code(), Some(2), "repro {args:?}: {output:?}");
+        let stderr = String::from_utf8(output.stderr).expect("stderr is UTF-8");
+        assert!(stderr.contains(expected), "repro {args:?}: {stderr}");
+    }
+}
+
+#[test]
 fn cache_dir_holds_only_entries_and_maintenance_flags_count_them() {
     let dir: PathBuf = std::env::temp_dir().join(format!("pnoc-cli-cache-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);

@@ -5,7 +5,7 @@
 
 use pnoc_bench::runner::ensure_registered;
 use pnoc_sim::config::BandwidthSet;
-use pnoc_sim::metrics::{CsvSink, JsonlSink, MetricReport};
+use pnoc_sim::metrics::{JsonlSink, MetricReport};
 use pnoc_sim::scenario::{Effort, MatrixResult, ScenarioMatrix};
 
 fn smoke_matrix() -> ScenarioMatrix {
@@ -95,14 +95,6 @@ fn sink_output_is_byte_identical_across_execution_strategies() {
     // (what CI's double-run `repro --metrics` gate asserts end to end).
     let rerun = matrix.run().expect("registered");
     assert_eq!(jsonl_parallel, render_jsonl(&rerun));
-
-    let mut csv = CsvSink::new(Vec::new());
-    parallel.write_metrics(&mut csv).expect("in-memory writer");
-    let mut csv_rerun = CsvSink::new(Vec::new());
-    rerun
-        .write_metrics(&mut csv_rerun)
-        .expect("in-memory writer");
-    assert_eq!(csv.into_inner(), csv_rerun.into_inner());
 }
 
 #[test]

@@ -305,7 +305,7 @@ fn over_capacity_connections_get_503() {
 fn malformed_requests_get_errors_not_crashes() {
     let dir = std::env::temp_dir().join(format!("pnoc-server-errors-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    let (address, handle) = start_server(ResultStore::open(&dir).expect("store opens"), 9);
+    let (address, handle) = start_server(ResultStore::open(&dir).expect("store opens"), 11);
 
     let (status, body) = request(&address, "POST", "/run", "this is not json");
     assert_eq!(status, "HTTP/1.1 400 Bad Request", "{body}");
@@ -356,8 +356,21 @@ fn malformed_requests_get_errors_not_crashes() {
     let (status, _) = request(&address, "GET", "/health", "");
     assert_eq!(status, "HTTP/1.1 200 OK", "the server must still answer");
 
+    // The hierarchy declines fault schedules: a `hier` document with a fault
+    // plan is a resolve error (`400`), not a panic in a simulation job that
+    // would close the connection unanswered and take the server down.
+    let faulted_hier =
+        render_scenarios(&[ScenarioSpec::closed_loop("hier{pods=2}", "allreduce:8")
+            .with_faults("single-link")
+            .with_effort(Effort::Quick)]);
+    let (status, body) = request(&address, "POST", "/run", &faulted_hier);
+    assert_eq!(status, "HTTP/1.1 400 Bad Request", "{body}");
+    assert!(body.contains("architecture 'hier'"), "{body}");
+    let (status, _) = request(&address, "GET", "/health", "");
+    assert_eq!(status, "HTTP/1.1 200 OK", "the server must keep answering");
+
     let report = handle.join().expect("server thread joins");
-    assert_eq!(report.requests, 9);
+    assert_eq!(report.requests, 11);
     assert_eq!(report.runs, 0, "no malformed request may reach the engine");
     let _ = std::fs::remove_dir_all(&dir);
 }

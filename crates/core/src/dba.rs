@@ -25,7 +25,7 @@ use pnoc_noc::ids::ClusterId;
 
 /// How a cluster's wavelength target is derived from the demand information.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum AllocationPolicy {
+pub(crate) enum AllocationPolicy {
     /// Wavelength pools sized in proportion to each cluster's traffic
     /// requirement (Section 3.1: "a variable number of wavelengths are
     /// allocated to the channel in proportion to the traffic requirement").
@@ -122,7 +122,7 @@ impl DbaController {
 
     /// Installs a cluster's request table (per-destination wavelength
     /// requests, the element-wise max of its cores' demand tables).
-    pub fn set_request_table(&mut self, cluster: ClusterId, request: RequestTable) {
+    pub(crate) fn set_request_table(&mut self, cluster: ClusterId, request: RequestTable) {
         self.clusters[cluster.0].request = request;
     }
 
@@ -145,21 +145,9 @@ impl DbaController {
         self.clusters.iter().map(|c| c.current.total_held()).sum()
     }
 
-    /// Free (unallocated) dynamic wavelengths.
-    #[must_use]
-    pub fn free_dynamic_wavelengths(&self) -> usize {
-        self.token.free_count()
-    }
-
-    /// Token visits processed so far.
-    #[must_use]
-    pub fn token_visits(&self) -> u64 {
-        self.token_visits
-    }
-
     /// Processes a token visit at `cluster`: release excess wavelengths, or
     /// acquire up to `acquisition_chunk` missing ones.
-    pub fn on_token(&mut self, cluster: ClusterId) {
+    pub(crate) fn on_token(&mut self, cluster: ClusterId) {
         self.token_visits += 1;
         let state = &mut self.clusters[cluster.0];
         let held = state.current.total_held();
@@ -183,19 +171,11 @@ impl DbaController {
         Some(arrived)
     }
 
-    /// The next cycle (`> now`) at which a token arrival — the only event
-    /// that can change the allocation — fires, assuming `now` is the cycle
-    /// of the most recent [`DbaController::tick`].
-    #[must_use]
-    pub fn next_token_cycle(&self, now: u64) -> u64 {
-        now + self.ring.cycles_until_arrival()
-    }
-
     /// Fast-forwards `span` cycles, equivalent to calling
     /// [`DbaController::tick`] `span` times: every token arrival inside the
-    /// span is processed in order, so the allocation state (and
-    /// [`DbaController::token_visits`]) ends up exactly as if the controller
-    /// had been ticked cycle by cycle.
+    /// span is processed in order, so the allocation state (and the token
+    /// visit count) ends up exactly as if the controller had been ticked
+    /// cycle by cycle.
     pub fn skip_cycles(&mut self, mut span: u64) {
         while span > 0 {
             let until_arrival = self.ring.cycles_until_arrival();
@@ -289,7 +269,7 @@ mod tests {
     fn initial_state_has_only_reserved_wavelengths() {
         let c = controller();
         assert_eq!(c.total_held(), 16);
-        assert_eq!(c.free_dynamic_wavelengths(), 48);
+        assert_eq!(c.token.free_count(), 48);
         assert!(c.check_invariants().is_ok());
     }
 
@@ -301,7 +281,7 @@ mod tests {
         let alloc = c.allocation_snapshot();
         assert!(alloc.iter().all(|&p| p == 4), "allocation {alloc:?}");
         assert_eq!(c.total_held(), 64);
-        assert_eq!(c.free_dynamic_wavelengths(), 0);
+        assert_eq!(c.token.free_count(), 0);
         assert!(c.check_invariants().is_ok());
     }
 
@@ -331,7 +311,7 @@ mod tests {
         c.converge(64);
         let alloc = c.allocation_snapshot();
         assert!(c.check_invariants().is_ok());
-        assert_eq!(c.free_dynamic_wavelengths(), 0, "budget fully used");
+        assert_eq!(c.token.free_count(), 0, "budget fully used");
         let min = *alloc.iter().min().unwrap();
         let max = *alloc.iter().max().unwrap();
         assert!(min >= 1, "no cluster may starve");
@@ -354,7 +334,7 @@ mod tests {
         assert_eq!(c.pool(ClusterId(0)), 1);
         assert!(c.check_invariants().is_ok());
         // The released wavelengths were picked up by the others.
-        assert_eq!(c.free_dynamic_wavelengths(), 0);
+        assert_eq!(c.token.free_count(), 0);
     }
 
     #[test]
@@ -377,7 +357,7 @@ mod tests {
             }
         }
         assert_eq!(visits, 64, "hop latency 1 means one visit per cycle");
-        assert!(c.token_visits() >= 64);
+        assert!(c.token_visits >= 64);
         assert!(
             c.total_held() > 16,
             "some wavelengths must have been acquired"
@@ -406,7 +386,7 @@ mod tests {
     fn next_token_cycle_predicts_the_next_arrival() {
         let mut c = DbaController::new(4, 8, 1, 4, 3);
         let mut now = 0u64;
-        let predicted = c.next_token_cycle(now);
+        let predicted = now + c.ring.cycles_until_arrival();
         loop {
             now += 1;
             if c.tick().is_some() {

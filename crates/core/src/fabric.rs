@@ -55,7 +55,11 @@ impl DhetFabric {
     /// Builds the fabric with an explicit allocation policy at the paper's
     /// maximum channel width.
     #[must_use]
-    pub fn with_policy(config: &SimConfig, demand: DemandMatrix, policy: AllocationPolicy) -> Self {
+    pub(crate) fn with_policy(
+        config: &SimConfig,
+        demand: DemandMatrix,
+        policy: AllocationPolicy,
+    ) -> Self {
         Self::with_options(
             config,
             demand,
@@ -75,7 +79,7 @@ impl DhetFabric {
     /// Panics if `max_channel_wavelengths` is zero or the demand matrix does
     /// not match the topology.
     #[must_use]
-    pub fn with_options(
+    pub(crate) fn with_options(
         config: &SimConfig,
         demand: DemandMatrix,
         policy: AllocationPolicy,
@@ -253,45 +257,16 @@ impl DhetFabric {
         }
     }
 
-    /// The allocation policy in use.
-    #[must_use]
-    pub fn policy(&self) -> AllocationPolicy {
-        self.policy
-    }
-
-    /// The maximum wavelengths a single cluster channel may hold.
-    #[must_use]
-    pub fn max_channel_wavelengths(&self) -> usize {
-        self.max_channel_wavelengths
-    }
-
     /// Access to the DBA controller (allocation snapshots, invariants).
     #[must_use]
     pub fn controller(&self) -> &DbaController {
         &self.controller
     }
 
-    /// The reservation timing used by this fabric.
-    #[must_use]
-    pub fn reservation_timing(&self) -> ReservationTiming {
-        self.reservation
-    }
-
     /// The demand matrix the fabric was configured with.
     #[must_use]
     pub fn demand(&self) -> &DemandMatrix {
         &self.demand
-    }
-
-    /// Re-runs target computation and allocation convergence for a new demand
-    /// matrix (a task-mapping change: "this bandwidth allocation happens
-    /// whenever there is a change in the task mapping on the chip").
-    pub fn remap(&mut self, demand: DemandMatrix) {
-        self.demand = demand;
-        // Rebuilding requests and targets through the fault-aware path keeps
-        // a remap under an active degradation honest; on a healthy surface it
-        // reproduces the original tables and targets exactly.
-        self.reconverge_with_faults();
     }
 }
 
@@ -516,7 +491,7 @@ mod tests {
         let cfg = config(BandwidthSet::Set1);
         let demand = skewed_demand(BandwidthSet::Set1, SkewLevel::Skewed1, 3);
         let fabric = DhetFabric::with_policy(&cfg, demand, AllocationPolicy::PaperMax);
-        assert_eq!(fabric.policy(), AllocationPolicy::PaperMax);
+        assert_eq!(fabric.policy, AllocationPolicy::PaperMax);
         // With nearly every cluster having at least one high-class flow, the
         // targets are all 8 and the budget-constrained allocation stays fair.
         let alloc = fabric.allocation_snapshot();
@@ -530,7 +505,7 @@ mod tests {
         let demand = skewed_demand(BandwidthSet::Set1, SkewLevel::Skewed3, 11);
         let capped =
             DhetFabric::with_options(&cfg, demand.clone(), AllocationPolicy::Proportional, 4);
-        assert_eq!(capped.max_channel_wavelengths(), 4);
+        assert_eq!(capped.max_channel_wavelengths, 4);
         assert!(
             capped.allocation_snapshot().iter().all(|&p| p <= 4),
             "{:?}",
@@ -544,8 +519,8 @@ mod tests {
             "set 1 default"
         );
         assert!(
-            capped.reservation_timing().identifier_payload_bits
-                < default.reservation_timing().identifier_payload_bits
+            capped.reservation.identifier_payload_bits
+                < default.reservation.identifier_payload_bits
         );
         capped.controller().check_invariants().unwrap();
     }
@@ -633,7 +608,10 @@ mod tests {
             skewed_demand(BandwidthSet::Set1, SkewLevel::Skewed3, 1),
         );
         let before = fabric.allocation_snapshot();
-        fabric.remap(uniform_demand(BandwidthSet::Set1));
+        // A task-mapping change installs a new demand matrix and re-runs
+        // target computation and allocation convergence.
+        fabric.demand = uniform_demand(BandwidthSet::Set1);
+        fabric.reconverge_with_faults();
         let after = fabric.allocation_snapshot();
         assert_ne!(before, after, "remapping must change a skewed allocation");
         assert!(after.iter().all(|&p| p == 4));

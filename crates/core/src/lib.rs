@@ -34,14 +34,12 @@ pub mod token;
 
 /// Convenient re-exports of the most commonly used items.
 pub mod prelude {
-    pub use crate::dba::{AllocationPolicy, DbaController};
+    pub use crate::dba::DbaController;
     pub use crate::fabric::DhetFabric;
-    pub use crate::network::{
-        build_dhetpnoc_system, register_dhetpnoc_architecture, DhetPnocArchitecture,
-    };
+    pub use crate::network::{build_dhetpnoc_system, register_dhetpnoc_architecture};
     pub use crate::reservation::ReservationTiming;
-    pub use crate::tables::{CurrentTable, DemandTable, RequestTable};
-    pub use crate::token::{token_hop_cycles, token_size_bits, Token, TokenRing};
+    pub use crate::tables::{DemandTable, RequestTable};
+    pub use crate::token::{token_hop_cycles, token_size_bits, Token};
 }
 
 pub use prelude::*;

@@ -39,7 +39,7 @@ pub fn build_dhetpnoc_system<T: TrafficModel>(
 ///   how per-cluster wavelength targets are derived from the demand matrix
 ///   (see [`AllocationPolicy`]).
 #[derive(Debug, Clone, Copy, Default)]
-pub struct DhetPnocArchitecture;
+pub(crate) struct DhetPnocArchitecture;
 
 impl ArchitectureBuilder for DhetPnocArchitecture {
     fn name(&self) -> &str {

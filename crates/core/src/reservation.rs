@@ -42,7 +42,7 @@ impl ReservationTiming {
     /// the wavelength demand of the set's highest application class), the
     /// default worst-case identifier count of a reservation.
     #[must_use]
-    pub fn default_max_identifiers(set: BandwidthSet) -> usize {
+    pub(crate) fn default_max_identifiers(set: BandwidthSet) -> usize {
         set.class_wavelengths(BandwidthClass::High)
     }
 
@@ -81,7 +81,7 @@ impl ReservationTiming {
     /// feeds: a wider maximum channel piggybacks more identifiers and may
     /// need an extra reservation cycle).
     #[must_use]
-    pub fn with_max_identifiers(
+    pub(crate) fn with_max_identifiers(
         set: BandwidthSet,
         wavelengths_per_waveguide: usize,
         wavelength_rate_gbps: f64,
@@ -102,12 +102,6 @@ impl ReservationTiming {
             payload_time_ps,
             cycles,
         }
-    }
-
-    /// Extra cycles relative to Firefly's single-cycle reservation.
-    #[must_use]
-    pub fn extra_cycles_vs_firefly(&self) -> u64 {
-        self.cycles.saturating_sub(1)
     }
 }
 
@@ -134,7 +128,6 @@ mod tests {
             t.payload_time_ps
         );
         assert_eq!(t.cycles, 1);
-        assert_eq!(t.extra_cycles_vs_firefly(), 0);
     }
 
     #[test]
@@ -152,7 +145,6 @@ mod tests {
             t.payload_time_ps
         );
         assert_eq!(t.cycles, 2);
-        assert_eq!(t.extra_cycles_vs_firefly(), 1);
     }
 
     #[test]

@@ -107,7 +107,7 @@ impl RequestTable {
 /// The current table: wavelengths currently allocated toward each cluster,
 /// plus the identifiers of the acquired wavelengths.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CurrentTable {
+pub(crate) struct CurrentTable {
     entries: Vec<usize>,
     /// Identifiers (flat indices into the dynamic wavelength space) of the
     /// wavelengths this cluster has acquired.
@@ -142,7 +142,7 @@ impl CurrentTable {
 
     /// Identifiers of dynamically acquired wavelengths.
     #[must_use]
-    pub fn acquired(&self) -> &[usize] {
+    pub(crate) fn acquired(&self) -> &[usize] {
         &self.acquired
     }
 
@@ -165,12 +165,6 @@ impl CurrentTable {
         for dst in 0..self.entries.len() {
             self.entries[dst] = requests.get(ClusterId(dst)).min(held);
         }
-    }
-
-    /// Wavelengths available for a transmission toward `dst`.
-    #[must_use]
-    pub fn get(&self, dst: ClusterId) -> usize {
-        self.entries[dst.0]
     }
 }
 
@@ -235,8 +229,10 @@ mod tests {
         let mut c = CurrentTable::new(3, 1);
         c.acquire(&[0, 1, 2]); // 4 held in total
         c.refresh(&r);
-        assert_eq!(c.get(ClusterId(0)), 4, "request 8 capped at 4 held");
-        assert_eq!(c.get(ClusterId(1)), 2, "request 2 fully granted");
-        assert_eq!(c.get(ClusterId(2)), 0);
+        assert_eq!(
+            c.entries,
+            [4, 2, 0],
+            "request 8 capped at 4 held, 2 granted"
+        );
     }
 }

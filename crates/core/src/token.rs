@@ -66,12 +66,6 @@ impl Token {
         }
     }
 
-    /// Size of the token in bits.
-    #[must_use]
-    pub fn size_bits(&self) -> usize {
-        self.status.len()
-    }
-
     /// Number of currently unallocated wavelengths.
     #[must_use]
     pub fn free_count(&self) -> usize {
@@ -86,7 +80,7 @@ impl Token {
 
     /// Whether a specific wavelength is allocated.
     #[must_use]
-    pub fn is_allocated(&self, index: usize) -> bool {
+    pub(crate) fn is_allocated(&self, index: usize) -> bool {
         self.status[index]
     }
 
@@ -124,7 +118,7 @@ impl Token {
 
 /// The circulation of the token between the photonic routers.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TokenRing {
+pub(crate) struct TokenRing {
     num_routers: usize,
     hop_cycles: u64,
     holder: usize,
@@ -153,25 +147,6 @@ impl TokenRing {
         }
     }
 
-    /// The router currently holding the token.
-    #[must_use]
-    pub fn holder(&self) -> ClusterId {
-        ClusterId(self.holder)
-    }
-
-    /// Cycles for one hop of the token.
-    #[must_use]
-    pub fn hop_cycles(&self) -> u64 {
-        self.hop_cycles
-    }
-
-    /// Worst-case cycles for a router to repossess the token
-    /// (`T_L · N_PR`, Section 3.2.1).
-    #[must_use]
-    pub fn worst_case_repossession_cycles(&self) -> u64 {
-        self.hop_cycles * self.num_routers as u64
-    }
-
     /// Advances one cycle. Returns `Some(cluster)` when the token arrives at
     /// a new router this cycle (that router may then allocate wavelengths).
     pub fn tick(&mut self) -> Option<ClusterId> {
@@ -189,7 +164,7 @@ impl TokenRing {
     /// of [`TokenRing::tick`] calls after which the next arrival fires. This
     /// is the ring's next-deadline accessor for the event-driven engine.
     #[must_use]
-    pub fn cycles_until_arrival(&self) -> u64 {
+    pub(crate) fn cycles_until_arrival(&self) -> u64 {
         self.cycles_until_next_hop
     }
 
@@ -262,7 +237,7 @@ mod tests {
     #[test]
     fn ring_visits_every_router_in_order() {
         let mut ring = TokenRing::new(4, 2);
-        assert_eq!(ring.holder(), ClusterId(0));
+        assert_eq!(ring.holder, 0);
         let mut arrivals = Vec::new();
         for _ in 0..16 {
             if let Some(c) = ring.tick() {
@@ -270,7 +245,6 @@ mod tests {
             }
         }
         assert_eq!(arrivals, vec![1, 2, 3, 0, 1, 2, 3, 0]);
-        assert_eq!(ring.worst_case_repossession_cycles(), 8);
     }
 
     #[test]

@@ -28,7 +28,7 @@ impl FireflyFabric {
     /// each write channel gets `total wavelengths / 16` wavelengths
     /// (Table 3-3). This is the default of the `radix` parameter declared by
     /// the `"firefly"` registry entry.
-    pub const DEFAULT_RADIX: usize = 16;
+    pub(crate) const DEFAULT_RADIX: usize = 16;
 
     /// Builds the fabric for a simulation configuration at the paper's
     /// defaults (radix 16, single-cycle reservation).
@@ -46,7 +46,7 @@ impl FireflyFabric {
     ///
     /// Panics if `radix` or `reservation_cycles` is zero.
     #[must_use]
-    pub fn with_params(config: &SimConfig, radix: usize, reservation_cycles: u64) -> Self {
+    pub(crate) fn with_params(config: &SimConfig, radix: usize, reservation_cycles: u64) -> Self {
         assert!(radix > 0, "radix must be positive");
         assert!(reservation_cycles > 0, "reservation takes at least a cycle");
         let total_wavelengths = config.bandwidth_set.total_wavelengths();

@@ -23,10 +23,7 @@ pub mod network;
 
 /// Convenient re-exports of the most commonly used items.
 pub mod prelude {
-    pub use crate::fabric::FireflyFabric;
-    pub use crate::network::{
-        build_firefly_system, register_firefly_architecture, FireflyArchitecture,
-    };
+    pub use crate::network::{build_firefly_system, register_firefly_architecture};
 }
 
 pub use prelude::*;

@@ -11,8 +11,7 @@ use std::sync::Arc;
 
 /// Builds a ready-to-run Firefly system for the given traffic model at the
 /// paper's defaults (radix 16, single-cycle reservation). For other design
-/// points use the registry entry's parameters (`firefly{radix=...}`) or
-/// [`FireflyFabric::with_params`] directly.
+/// points use the registry entry's parameters (`firefly{radix=...}`).
 pub fn build_firefly_system<T: TrafficModel>(
     config: SimConfig,
     traffic: T,
@@ -32,7 +31,7 @@ pub fn build_firefly_system<T: TrafficModel>(
 /// * `reservation_cycles` (int, default 1) — latency of the reservation
 ///   broadcast preceding every photonic transfer.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct FireflyArchitecture;
+pub(crate) struct FireflyArchitecture;
 
 impl ArchitectureBuilder for FireflyArchitecture {
     fn name(&self) -> &str {

@@ -4,8 +4,9 @@ pub mod spine;
 pub mod system;
 
 pub use spine::Spine;
-pub use system::{pod_label, pod_pair_label, HierarchicalSystem, HIER_ONLY_METRICS};
+pub use system::HIER_ONLY_METRICS;
 
+use crate::system::HierarchicalSystem;
 use pnoc_noc::topology::ClusterTopology;
 use pnoc_noc::traffic_model::TrafficModel;
 use pnoc_sim::config::SimConfig;
@@ -19,19 +20,19 @@ use std::sync::Arc;
 /// Leaf fabrics a pod can run. The choice set is closed because
 /// architecture-parameter specs are flat (no nested braces) — each entry
 /// names a registered architecture that runs at its default parameters.
-pub const LEAF_ARCHITECTURES: [&str; 3] = ["d-hetpnoc", "firefly", "uniform-fabric"];
+pub(crate) const LEAF_ARCHITECTURES: [&str; 3] = ["d-hetpnoc", "firefly", "uniform-fabric"];
 
 /// The registered `hier` architecture: `pods` replicas of a registered leaf
 /// fabric composed under an electrical or photonic spine. See the crate
 /// docs for the spec grammar and execution model.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct HierArchitecture;
+pub(crate) struct HierArchitecture;
 
 impl HierArchitecture {
     /// Resolves the `epoch` parameter: `0` means auto — one cycle for a
     /// single pod (exact degeneracy to the bare leaf), 64 otherwise.
     #[must_use]
-    pub fn resolve_epoch(epoch: i64, pods: usize) -> u64 {
+    pub(crate) fn resolve_epoch(epoch: i64, pods: usize) -> u64 {
         match epoch {
             0 if pods == 1 => 1,
             0 => 64,
@@ -51,6 +52,12 @@ impl ArchitectureBuilder for HierArchitecture {
 
     fn provisioning(&self) -> Provisioning {
         Provisioning::Dynamic
+    }
+
+    /// Faults target a single photonic fabric; pod-addressed fault targets
+    /// do not exist, so the hierarchy declines fault schedules.
+    fn accepts_fault_schedules(&self) -> bool {
+        false
     }
 
     fn param_schema(&self) -> ParamSchema {

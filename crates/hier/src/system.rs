@@ -16,11 +16,9 @@ use pnoc_noc::traffic_model::{OfferedLoad, TrafficModel};
 use pnoc_photonics::energy::EnergyBreakdown;
 use pnoc_sim::config::SimConfig;
 use pnoc_sim::engine::{advance_network, CycleNetwork};
-use pnoc_sim::metrics::{
-    Counter, EventSink, Family, MetricReport, MetricValue, QuantileSketch, SimEvent,
-};
+use pnoc_sim::metrics::{EventSink, MetricReport, MetricValue, QuantileSketch, SimEvent};
 use pnoc_sim::registry::ArchitectureBuilder;
-use std::collections::VecDeque;
+use std::collections::{BTreeMap, VecDeque};
 use std::iter::Peekable;
 use std::sync::{Arc, Mutex};
 
@@ -252,20 +250,20 @@ impl SpineAccount {
 
 /// Label for one pod in the per-pod metric families (`p00`, `p01`, ...).
 #[must_use]
-pub fn pod_label(pod: usize) -> String {
+pub(crate) fn pod_label(pod: usize) -> String {
     format!("p{pod:02}")
 }
 
 /// Label for a cross-pod pair in the spine traffic matrix (`p00->p01`).
 #[must_use]
-pub fn pod_pair_label(src: usize, dst: usize) -> String {
+pub(crate) fn pod_pair_label(src: usize, dst: usize) -> String {
     format!("p{src:02}->p{dst:02}")
 }
 
 /// A hierarchy of leaf networks behind one [`CycleNetwork`] face.
 ///
 /// Built by [`crate::HierArchitecture`]; construct directly only in tests.
-pub struct HierarchicalSystem {
+pub(crate) struct HierarchicalSystem {
     config: SimConfig,
     pods: Vec<Mutex<PodShard>>,
     feeds: Vec<Arc<Mutex<Feed>>>,
@@ -549,26 +547,26 @@ impl CycleNetwork for HierarchicalSystem {
     }
 
     fn contribute_metrics(&self, report: &mut MetricReport) {
-        let mut generated = Family::<Counter>::new();
-        let mut delivered = Family::<Counter>::new();
-        let mut bits = Family::<Counter>::new();
-        let mut dropped = Family::<Counter>::new();
+        let mut generated = BTreeMap::new();
+        let mut delivered = BTreeMap::new();
+        let mut bits = BTreeMap::new();
+        let mut dropped = BTreeMap::new();
         for (index, pod) in self.pods.iter().enumerate() {
             let totals = pod.lock().expect("pod shard poisoned").totals;
             let label = pod_label(index);
-            generated
-                .with_label(label.clone())
-                .add(totals.generated_packets);
-            delivered
-                .with_label(label.clone())
-                .add(totals.delivered_packets);
-            bits.with_label(label.clone()).add(totals.delivered_bits);
-            dropped.with_label(label).add(totals.dropped_packets);
+            for (family, count) in [
+                (&mut generated, totals.generated_packets),
+                (&mut delivered, totals.delivered_packets),
+                (&mut bits, totals.delivered_bits),
+                (&mut dropped, totals.dropped_packets),
+            ] {
+                family.insert(label.clone(), MetricValue::Counter(count));
+            }
         }
-        report.insert("pod_generated_packets", generated.to_value());
-        report.insert("pod_delivered_packets", delivered.to_value());
-        report.insert("pod_delivered_bits", bits.to_value());
-        report.insert("pod_dropped_packets", dropped.to_value());
+        report.insert("pod_generated_packets", MetricValue::Family(generated));
+        report.insert("pod_delivered_packets", MetricValue::Family(delivered));
+        report.insert("pod_delivered_bits", MetricValue::Family(bits));
+        report.insert("pod_dropped_packets", MetricValue::Family(dropped));
         let spine = &self.account.totals;
         for (name, count) in [
             ("cross_pod_packets", spine.generated_packets),
@@ -586,16 +584,21 @@ impl CycleNetwork for HierarchicalSystem {
             "spine_backlog_cycles",
             MetricValue::Gauge(self.spine.peak_backlog() as f64),
         );
-        let mut pairs = Family::<Counter>::new();
         let pods = self.pods.len();
-        for (index, &count) in self.account.pod_pair_packets.iter().enumerate() {
-            if count > 0 {
-                pairs
-                    .with_label(pod_pair_label(index / pods, index % pods))
-                    .add(count);
-            }
-        }
-        report.insert("pod_pair_packets", pairs.to_value());
+        let pairs = self
+            .account
+            .pod_pair_packets
+            .iter()
+            .enumerate()
+            .filter(|(_, &count)| count > 0)
+            .map(|(index, &count)| {
+                (
+                    pod_pair_label(index / pods, index % pods),
+                    MetricValue::Counter(count),
+                )
+            })
+            .collect();
+        report.insert("pod_pair_packets", MetricValue::Family(pairs));
     }
 }
 

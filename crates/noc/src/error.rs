@@ -77,7 +77,7 @@ impl fmt::Display for NocError {
 impl Error for NocError {}
 
 /// Convenience result alias used across the crate.
-pub type NocResult<T> = Result<T, NocError>;
+pub(crate) type NocResult<T> = Result<T, NocError>;
 
 #[cfg(test)]
 mod tests {

@@ -99,18 +99,6 @@ impl Flit {
     pub fn is_tail(&self) -> bool {
         self.kind.is_tail()
     }
-
-    /// Network latency of this flit, measured from packet creation to `now`.
-    #[must_use]
-    pub fn latency_from_creation(&self, now: u64) -> u64 {
-        now.saturating_sub(self.created_cycle)
-    }
-
-    /// Network latency of this flit, measured from injection to `now`.
-    #[must_use]
-    pub fn latency_from_injection(&self, now: u64) -> u64 {
-        now.saturating_sub(self.injected_cycle)
-    }
 }
 
 #[cfg(test)]
@@ -145,14 +133,5 @@ mod tests {
         assert!(flit(FlitKind::Single).is_tail());
         assert!(!flit(FlitKind::Body).is_head());
         assert!(!flit(FlitKind::Body).is_tail());
-    }
-
-    #[test]
-    fn latency_accessors() {
-        let f = flit(FlitKind::Head);
-        assert_eq!(f.latency_from_creation(30), 20);
-        assert_eq!(f.latency_from_injection(30), 18);
-        // Saturating behaviour: never negative.
-        assert_eq!(f.latency_from_creation(5), 0);
     }
 }

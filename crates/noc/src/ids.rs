@@ -117,12 +117,6 @@ impl ClusterId {
     }
 }
 
-impl PacketId {
-    /// A sentinel id used for uninitialised slots in buffers; never assigned
-    /// to a real packet by [`PacketIdAllocator`].
-    pub const INVALID: PacketId = PacketId(u64::MAX);
-}
-
 /// Monotonically increasing allocator of [`PacketId`]s.
 #[derive(Debug, Default, Clone)]
 pub struct PacketIdAllocator {
@@ -201,7 +195,6 @@ mod tests {
         let c = alloc.allocate();
         assert!(a < b && b < c);
         assert_eq!(alloc.allocated(), 3);
-        assert_ne!(a, PacketId::INVALID);
     }
 
     #[test]

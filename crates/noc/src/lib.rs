@@ -59,7 +59,7 @@ pub mod prelude {
     pub use crate::ids::{ClusterId, CoreId, PacketId, PortId, RouterId, VcId};
     pub use crate::packet::{BandwidthClass, Packet, PacketDescriptor, PacketFramer};
     pub use crate::router::{ElectricalRouter, OutputGrant, RouterSpec};
-    pub use crate::routing::{ClusterRoutingTable, RouteDecision};
+    pub use crate::routing::ClusterRoutingTable;
     pub use crate::topology::ClusterTopology;
     pub use crate::traffic_model::{OfferedLoad, TrafficModel};
     pub use crate::vc::{VcBuffer, VcSet};

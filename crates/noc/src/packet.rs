@@ -59,16 +59,6 @@ impl BandwidthClass {
     pub fn multiplier(self) -> usize {
         1 << self.index()
     }
-
-    /// Builds a class from its index.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `idx > 3`.
-    #[must_use]
-    pub fn from_index(idx: usize) -> Self {
-        Self::ALL[idx]
-    }
 }
 
 impl fmt::Display for BandwidthClass {
@@ -260,7 +250,7 @@ mod tests {
     #[test]
     fn class_from_index_roundtrip() {
         for c in BandwidthClass::ALL {
-            assert_eq!(BandwidthClass::from_index(c.index()), c);
+            assert_eq!(BandwidthClass::ALL[c.index()], c);
         }
     }
 

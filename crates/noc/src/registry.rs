@@ -21,12 +21,12 @@ use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex, MutexGuard};
 
 /// Shorthand names accepted by lookups, as `(alias, canonical)` pairs.
-pub type AliasTable = &'static [(&'static str, &'static str)];
+pub(crate) type AliasTable = &'static [(&'static str, &'static str)];
 
 /// Resolves a shorthand to its canonical name through an alias table
 /// (identity for names that are not shorthands).
 #[must_use]
-pub fn canonical_name<'a>(aliases: &[(&'a str, &'a str)], name: &'a str) -> &'a str {
+pub(crate) fn canonical_name<'a>(aliases: &[(&'a str, &'a str)], name: &'a str) -> &'a str {
     aliases
         .iter()
         .find(|(alias, _)| *alias == name)

@@ -83,7 +83,7 @@ pub struct OutputGrant {
 }
 
 /// Route-computation function: maps a destination core to an output port.
-pub type RouteFn = Box<dyn Fn(CoreId) -> PortId + Send + Sync>;
+pub(crate) type RouteFn = Box<dyn Fn(CoreId) -> PortId + Send + Sync>;
 
 /// The three-stage electrical router.
 pub struct ElectricalRouter {
@@ -216,13 +216,6 @@ impl ElectricalRouter {
     #[must_use]
     pub fn buffered_flits(&self) -> usize {
         self.inputs.iter().map(VcSet::total_occupancy).sum()
-    }
-
-    /// Total number of bits buffered in the router (for buffer-energy
-    /// accounting).
-    #[must_use]
-    pub fn buffered_bits(&self) -> u64 {
-        self.inputs.iter().map(VcSet::buffered_bits).sum()
     }
 
     /// True when every input buffer is empty.
@@ -629,7 +622,7 @@ mod tests {
     }
 
     #[test]
-    fn buffered_bits_tracks_occupancy() {
+    fn buffered_flits_tracks_occupancy() {
         let mut r = ElectricalRouter::new(RouterId(0), RouterSpec::new(2, 2, 4));
         r.set_route_fn(fixed_route(1));
         r.accept(PortId(0), VcId(0), mk_flit(1, FlitKind::Head, 0, 2, 9), 0)
@@ -637,6 +630,5 @@ mod tests {
         r.accept(PortId(0), VcId(0), mk_flit(1, FlitKind::Tail, 1, 2, 9), 0)
             .unwrap();
         assert_eq!(r.buffered_flits(), 2);
-        assert_eq!(r.buffered_bits(), 64);
     }
 }

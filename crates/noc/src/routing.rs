@@ -10,7 +10,7 @@ use crate::topology::ClusterTopology;
 
 /// Outcome of a routing decision at a core switch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RouteDecision {
+pub(crate) enum RouteDecision {
     /// Deliver to the locally attached core (ejection).
     Local,
     /// Forward to a peer core switch inside the cluster through `PortId`.
@@ -45,16 +45,10 @@ impl ClusterRoutingTable {
         Self { topology, own_core }
     }
 
-    /// The core whose switch this table belongs to.
-    #[must_use]
-    pub fn own_core(&self) -> CoreId {
-        self.own_core
-    }
-
     /// Routes a packet headed for `dst`.
     #[must_use]
     #[inline]
-    pub fn decide(&self, dst: CoreId) -> RouteDecision {
+    pub(crate) fn decide(&self, dst: CoreId) -> RouteDecision {
         if dst == self.own_core {
             RouteDecision::Local
         } else if self.topology.same_cluster(self.own_core, dst) {
@@ -64,8 +58,7 @@ impl ClusterRoutingTable {
         }
     }
 
-    /// Output port for a packet headed to `dst` (convenience wrapper around
-    /// [`ClusterRoutingTable::decide`]).
+    /// Output port for a packet headed to `dst`.
     #[must_use]
     #[inline]
     pub fn output_port(&self, dst: CoreId) -> PortId {

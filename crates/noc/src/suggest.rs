@@ -12,7 +12,7 @@
 /// Levenshtein edit distance between two strings (unit costs), computed over
 /// Unicode scalar values with a two-row dynamic program.
 #[must_use]
-pub fn edit_distance(a: &str, b: &str) -> usize {
+pub(crate) fn edit_distance(a: &str, b: &str) -> usize {
     let a: Vec<char> = a.chars().collect();
     let b: Vec<char> = b.chars().collect();
     if a.is_empty() {
@@ -60,7 +60,7 @@ where
 /// the offending name, the sorted catalogue, and a "did you mean" hint when
 /// a registered name is within typo distance.
 #[must_use]
-pub fn unknown_name_message(kind: &str, name: &str, registered: &[String]) -> String {
+pub(crate) fn unknown_name_message(kind: &str, name: &str, registered: &[String]) -> String {
     let mut message = format!(
         "unknown {kind} '{name}'; registered: [{}]",
         registered.join(", ")

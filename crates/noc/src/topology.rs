@@ -175,16 +175,6 @@ impl ClusterTopology {
         self.cores_per_cluster
     }
 
-    /// Number of unidirectional electrical links in the whole chip:
-    /// all-to-all between cluster cores (both directions) plus two per
-    /// core ↔ photonic-router connection.
-    #[must_use]
-    pub fn num_electrical_links(&self) -> usize {
-        let per_cluster =
-            self.cores_per_cluster * (self.cores_per_cluster - 1) + 2 * self.cores_per_cluster;
-        per_cluster * self.num_clusters
-    }
-
     /// Iterator over all cluster ids.
     pub fn clusters(&self) -> impl Iterator<Item = ClusterId> {
         (0..self.num_clusters).map(ClusterId)
@@ -252,13 +242,6 @@ mod tests {
     fn peer_port_rejects_cross_cluster() {
         let t = ClusterTopology::paper_default();
         let _ = t.peer_port(CoreId(0), CoreId(10));
-    }
-
-    #[test]
-    fn electrical_link_count() {
-        let t = ClusterTopology::paper_default();
-        // Per cluster: 4*3 = 12 core-to-core + 8 core<->photonic = 20; 16 clusters.
-        assert_eq!(t.num_electrical_links(), 320);
     }
 
     #[test]

@@ -67,12 +67,6 @@ impl VcBuffer {
         self.fifo.len() >= self.capacity
     }
 
-    /// Number of free flit slots.
-    #[must_use]
-    pub fn free_slots(&self) -> usize {
-        self.capacity - self.fifo.len()
-    }
-
     /// Pushes a flit into the buffer, recording the cycle of arrival.
     ///
     /// # Errors
@@ -121,12 +115,6 @@ impl VcBuffer {
     #[inline]
     pub fn release_output(&mut self) {
         self.assigned_output = None;
-    }
-
-    /// Sum of bits of all buffered flits (used for buffer-energy accounting).
-    #[must_use]
-    pub fn buffered_bits(&self) -> u64 {
-        self.fifo.iter().map(|(f, _)| u64::from(f.bits)).sum()
     }
 }
 
@@ -303,12 +291,6 @@ impl VcSet {
         self.vcs.iter().map(VcBuffer::occupancy).sum()
     }
 
-    /// Total buffered bits across all VCs.
-    #[must_use]
-    pub fn buffered_bits(&self) -> u64 {
-        self.vcs.iter().map(VcBuffer::buffered_bits).sum()
-    }
-
     /// Returns the id of a VC that could accept a new packet's head flit:
     /// an empty VC with no wormhole assignment. Packets always start in an
     /// empty VC so that flits of different packets never interleave within a
@@ -361,7 +343,6 @@ mod tests {
             b.push(f, u64::from(i)).unwrap();
         }
         assert!(b.is_full());
-        assert_eq!(b.free_slots(), 0);
         for i in 0..4 {
             let (f, cycle) = b.pop().unwrap();
             assert_eq!(f.seq, i);
@@ -376,14 +357,6 @@ mod tests {
         b.push(flit(0), 0).unwrap();
         let err = b.push(flit(0), 1).unwrap_err();
         assert!(matches!(err, NocError::BufferFull { .. }));
-    }
-
-    #[test]
-    fn buffer_tracks_bits() {
-        let mut b = VcBuffer::new(8);
-        b.push(flit(0), 0).unwrap();
-        b.push(flit(0), 0).unwrap();
-        assert_eq!(b.buffered_bits(), 64);
     }
 
     #[test]
@@ -413,7 +386,6 @@ mod tests {
         set.push(VcId(2), flit(2), 0).unwrap();
         assert_eq!(set.total_occupancy(), 1);
         assert!(!set.is_idle());
-        assert_eq!(set.buffered_bits(), 32);
     }
 
     #[test]

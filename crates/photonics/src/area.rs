@@ -17,7 +17,7 @@ use crate::mrr::MicroRingResonator;
 /// Number of wavelengths the control waveguide carries (the thesis fixes the
 /// token/control waveguide at maximum DWDM, i.e. 64 wavelengths — equation 17
 /// uses the literal constant 64).
-pub const CONTROL_WAVEGUIDE_WAVELENGTHS: usize = 64;
+pub(crate) const CONTROL_WAVEGUIDE_WAVELENGTHS: usize = 64;
 
 /// Counts of electro-optic ring devices (modulators and detectors).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -109,14 +109,14 @@ impl AreaModel {
     /// Number of data waveguides needed for `total_data_wavelengths`
     /// (`N_WD = ⌈N_λ / λ_W⌉`).
     #[must_use]
-    pub fn data_waveguides_dynamic(&self, total_data_wavelengths: usize) -> usize {
+    pub(crate) fn data_waveguides_dynamic(&self, total_data_wavelengths: usize) -> usize {
         total_data_wavelengths.div_ceil(self.wavelengths_per_waveguide)
     }
 
     /// Ring counts for the d-HetPNoC (dynamic) architecture, equations 5–9
     /// and 14–18.
     #[must_use]
-    pub fn dynamic_ring_counts(&self, total_data_wavelengths: usize) -> RingCounts {
+    pub(crate) fn dynamic_ring_counts(&self, total_data_wavelengths: usize) -> RingCounts {
         let n_pr = self.num_photonic_routers;
         let lambda_w = self.wavelengths_per_waveguide;
         let n_wd = self.data_waveguides_dynamic(total_data_wavelengths);
@@ -139,13 +139,13 @@ impl AreaModel {
     /// Wavelengths per data waveguide in the Firefly baseline
     /// (`N_Fλ = ⌈N_λ / N_WF⌉` with `N_WF = N_PR`).
     #[must_use]
-    pub fn firefly_wavelengths_per_channel(&self, total_data_wavelengths: usize) -> usize {
+    pub(crate) fn firefly_wavelengths_per_channel(&self, total_data_wavelengths: usize) -> usize {
         total_data_wavelengths.div_ceil(self.num_photonic_routers)
     }
 
     /// Ring counts for the Firefly baseline, equations 10–13 and 19–22.
     #[must_use]
-    pub fn firefly_ring_counts(&self, total_data_wavelengths: usize) -> RingCounts {
+    pub(crate) fn firefly_ring_counts(&self, total_data_wavelengths: usize) -> RingCounts {
         let n_pr = self.num_photonic_routers;
         let lambda_w = self.wavelengths_per_waveguide;
         let n_f = self.firefly_wavelengths_per_channel(total_data_wavelengths);

@@ -8,9 +8,6 @@
 //! numbers plus, when several data waveguides exist, `log2(N_W)`-bit
 //! waveguide numbers (Section 3.4.1.1).
 
-/// Maximum number of DWDM wavelengths per waveguide used throughout the paper.
-pub const PAPER_WAVELENGTHS_PER_WAVEGUIDE: usize = 64;
-
 /// Identifier of one DWDM wavelength within the data-waveguide bundle.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct WavelengthId {
@@ -147,7 +144,7 @@ impl WavelengthGrid {
 
 /// Number of bits needed to represent values `0..n` (`⌈log2 n⌉`, minimum 1).
 #[must_use]
-pub fn bits_for(n: usize) -> u32 {
+pub(crate) fn bits_for(n: usize) -> u32 {
     assert!(n > 0, "cannot encode an empty range");
     if n == 1 {
         1
@@ -163,7 +160,7 @@ mod tests {
     #[test]
     fn grid_for_paper_bandwidth_sets() {
         // BW set 1: 64 wavelengths -> 1 waveguide.
-        let g1 = WavelengthGrid::for_total(64, PAPER_WAVELENGTHS_PER_WAVEGUIDE);
+        let g1 = WavelengthGrid::for_total(64, 64);
         assert_eq!(g1.num_waveguides(), 1);
         assert_eq!(g1.capacity(), 64);
         // BW set 2: 256 wavelengths -> 4 waveguides.

@@ -76,13 +76,13 @@ impl PhotonicEnergyModel {
 
     /// Energy of writing `bits` bits into a buffer, pJ.
     #[must_use]
-    pub fn buffering_pj(&self, bits: u64) -> f64 {
+    pub(crate) fn buffering_pj(&self, bits: u64) -> f64 {
         self.buffer_pj_per_bit * bits as f64
     }
 
     /// Energy of holding `bits` bits buffered for one cycle, pJ.
     #[must_use]
-    pub fn buffer_retention_pj(&self, bits: u64) -> f64 {
+    pub(crate) fn buffer_retention_pj(&self, bits: u64) -> f64 {
         self.buffer_leakage_pj_per_bit_cycle * bits as f64
     }
 

@@ -9,20 +9,9 @@
 
 use crate::units::{gbps_to_bps, mw_to_w, power_to_energy_per_bit_pj};
 
-/// Placement of the laser source.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum LaserPlacement {
-    /// Off-chip comb laser coupled through fibre.
-    OffChip,
-    /// On-chip distributed-feedback laser array (the paper's assumption).
-    OnChip,
-}
-
 /// A multi-wavelength laser source feeding the photonic fabric.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LaserSource {
-    /// Where the laser lives.
-    pub placement: LaserPlacement,
     /// Number of wavelengths generated.
     pub num_wavelengths: usize,
     /// Electrical power per wavelength in milli-watts (1.5 in the paper).
@@ -39,7 +28,6 @@ impl LaserSource {
     #[must_use]
     pub fn paper_default(num_wavelengths: usize) -> Self {
         Self {
-            placement: LaserPlacement::OnChip,
             num_wavelengths,
             power_per_wavelength_mw: 1.5,
             line_rate_gbps: 12.5,
@@ -67,12 +55,6 @@ impl LaserSource {
             mw_to_w(self.power_per_wavelength_mw),
             gbps_to_bps(self.line_rate_gbps),
         )
-    }
-
-    /// Aggregate optical bandwidth of the source in Gb/s.
-    #[must_use]
-    pub fn aggregate_bandwidth_gbps(&self) -> f64 {
-        self.num_wavelengths as f64 * self.line_rate_gbps
     }
 }
 
@@ -104,11 +86,5 @@ mod tests {
         let e = laser.energy_pj_per_bit();
         assert!((e - 0.12).abs() < 1e-9);
         assert!(e <= 0.15);
-    }
-
-    #[test]
-    fn aggregate_bandwidth_of_paper_sets() {
-        assert!((LaserSource::paper_default(64).aggregate_bandwidth_gbps() - 800.0).abs() < 1e-9);
-        assert!((LaserSource::paper_default(512).aggregate_bandwidth_gbps() - 6400.0).abs() < 1e-9);
     }
 }

@@ -26,7 +26,7 @@ impl MicroRingResonator {
     /// Footprint of the ring, `π r²`, in square micro-metres. This is the
     /// per-ring area used in equations 23 and 24 of the thesis.
     #[must_use]
-    pub fn footprint_um2(&self) -> f64 {
+    pub(crate) fn footprint_um2(&self) -> f64 {
         PI * self.radius_um * self.radius_um
     }
 

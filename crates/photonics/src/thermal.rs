@@ -35,20 +35,6 @@ impl ThermalTuner {
         }
     }
 
-    /// Creates a tuner holding a given shift.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the shift is negative.
-    #[must_use]
-    pub fn with_shift_nm(shift_nm: f64) -> Self {
-        assert!(shift_nm >= 0.0, "resonance shift cannot be negative");
-        Self {
-            shift_nm,
-            ..Self::paper_default()
-        }
-    }
-
     /// Heater power needed to hold the current shift, in milli-watts.
     #[must_use]
     pub fn power_mw(&self) -> f64 {
@@ -60,15 +46,6 @@ impl ThermalTuner {
     #[must_use]
     pub fn energy_pj_per_bit(&self) -> f64 {
         power_to_energy_per_bit_pj(mw_to_w(self.power_mw()), gbps_to_bps(self.line_rate_gbps))
-    }
-
-    /// Re-targets the tuner to a new shift, returning the change in steady
-    /// heater power (mW, positive when more power is now needed).
-    pub fn retune_nm(&mut self, new_shift_nm: f64) -> f64 {
-        assert!(new_shift_nm >= 0.0, "resonance shift cannot be negative");
-        let before = self.power_mw();
-        self.shift_nm = new_shift_nm;
-        self.power_mw() - before
     }
 }
 
@@ -86,23 +63,10 @@ mod tests {
 
     #[test]
     fn power_scales_with_shift() {
-        let t = ThermalTuner::with_shift_nm(2.5);
+        let t = ThermalTuner {
+            shift_nm: 2.5,
+            ..ThermalTuner::paper_default()
+        };
         assert!((t.power_mw() - 6.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn retune_reports_power_delta() {
-        let mut t = ThermalTuner::paper_default();
-        let delta = t.retune_nm(2.0);
-        assert!((delta - (4.8 - 3.0)).abs() < 1e-12);
-        let delta_down = t.retune_nm(0.0);
-        assert!((delta_down + 4.8).abs() < 1e-12);
-        assert_eq!(t.power_mw(), 0.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "cannot be negative")]
-    fn negative_shift_rejected() {
-        let _ = ThermalTuner::with_shift_nm(-1.0);
     }
 }

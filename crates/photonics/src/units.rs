@@ -8,19 +8,19 @@
 
 /// Converts milli-watts to watts.
 #[must_use]
-pub fn mw_to_w(mw: f64) -> f64 {
+pub(crate) fn mw_to_w(mw: f64) -> f64 {
     mw * 1e-3
 }
 
 /// Converts giga-bits-per-second to bits-per-second.
 #[must_use]
-pub fn gbps_to_bps(gbps: f64) -> f64 {
+pub(crate) fn gbps_to_bps(gbps: f64) -> f64 {
     gbps * 1e9
 }
 
 /// Converts square micro-metres to square milli-metres.
 #[must_use]
-pub fn um2_to_mm2(um2: f64) -> f64 {
+pub(crate) fn um2_to_mm2(um2: f64) -> f64 {
     um2 * 1e-6
 }
 
@@ -28,7 +28,7 @@ pub fn um2_to_mm2(um2: f64) -> f64 {
 /// the equivalent per-bit energy in pico-joules. This is how the laser and
 /// tuning *powers* of Table 3-4 become the per-bit *energies* of Table 3-5.
 #[must_use]
-pub fn power_to_energy_per_bit_pj(power_w: f64, bit_rate_bps: f64) -> f64 {
+pub(crate) fn power_to_energy_per_bit_pj(power_w: f64, bit_rate_bps: f64) -> f64 {
     assert!(bit_rate_bps > 0.0, "bit rate must be positive");
     (power_w / bit_rate_bps) * 1e12
 }

@@ -30,27 +30,21 @@ impl Clock {
         Self { frequency_ghz }
     }
 
-    /// Cycle time in pico-seconds (400 ps at 2.5 GHz).
-    #[must_use]
-    pub fn cycle_time_ps(&self) -> f64 {
-        1e3 / self.frequency_ghz
-    }
-
     /// Cycle time in seconds.
     #[must_use]
-    pub fn cycle_time_s(&self) -> f64 {
+    pub(crate) fn cycle_time_s(&self) -> f64 {
         1e-9 / self.frequency_ghz
     }
 
     /// Converts a cycle count into seconds.
     #[must_use]
-    pub fn cycles_to_seconds(&self, cycles: u64) -> f64 {
+    pub(crate) fn cycles_to_seconds(&self, cycles: u64) -> f64 {
         cycles as f64 * self.cycle_time_s()
     }
 
     /// Bits carried per cycle by one wavelength running at `line_rate_gbps`.
     #[must_use]
-    pub fn bits_per_wavelength_per_cycle(&self, line_rate_gbps: f64) -> f64 {
+    pub(crate) fn bits_per_wavelength_per_cycle(&self, line_rate_gbps: f64) -> f64 {
         line_rate_gbps / self.frequency_ghz
     }
 
@@ -66,7 +60,7 @@ impl Clock {
     /// Converts an aggregate number of bits delivered over `cycles` cycles
     /// into a bandwidth in Gb/s.
     #[must_use]
-    pub fn bandwidth_gbps(&self, bits: u64, cycles: u64) -> f64 {
+    pub(crate) fn bandwidth_gbps(&self, bits: u64, cycles: u64) -> f64 {
         if cycles == 0 {
             return 0.0;
         }
@@ -87,7 +81,6 @@ mod tests {
     #[test]
     fn paper_clock_cycle_time() {
         let c = Clock::paper_default();
-        assert!((c.cycle_time_ps() - 400.0).abs() < 1e-9);
         assert!((c.cycle_time_s() - 400e-12).abs() < 1e-21);
     }
 

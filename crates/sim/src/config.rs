@@ -183,25 +183,19 @@ impl SimConfig {
 
     /// Bits carried per wavelength per clock cycle (5 with the paper numbers).
     #[must_use]
-    pub fn bits_per_wavelength_per_cycle(&self) -> f64 {
+    pub(crate) fn bits_per_wavelength_per_cycle(&self) -> f64 {
         self.clock
             .bits_per_wavelength_per_cycle(self.wavelength_rate_gbps)
     }
 
     /// Router specification of the electrical core switches.
     #[must_use]
-    pub fn core_switch_spec(&self) -> RouterSpec {
+    pub(crate) fn core_switch_spec(&self) -> RouterSpec {
         RouterSpec::new(
             self.topology.switch_ports(),
             self.vcs_per_port,
             self.vc_depth,
         )
-    }
-
-    /// Aggregate photonic data bandwidth of the whole fabric, Gb/s.
-    #[must_use]
-    pub fn aggregate_photonic_bandwidth_gbps(&self) -> f64 {
-        self.bandwidth_set.total_wavelengths() as f64 * self.wavelength_rate_gbps
     }
 
     /// Static electrical power of the photonic fabric in milli-watts: the
@@ -303,7 +297,6 @@ mod tests {
         assert_eq!(c.vcs_per_port, 16);
         assert_eq!(c.vc_depth, 64);
         assert!((c.bits_per_wavelength_per_cycle() - 5.0).abs() < 1e-12);
-        assert!((c.aggregate_photonic_bandwidth_gbps() - 800.0).abs() < 1e-9);
     }
 
     #[test]

@@ -11,10 +11,10 @@
 //!   sets of Table 3-1,
 //! * [`stats`] — throughput, latency, drop and energy accounting, from which
 //!   *peak bandwidth* and *packet energy* are derived,
-//! * [`metrics`] — the typed observability surface: counters, gauges,
-//!   mergeable streaming quantile sketches and labelled families, collected
-//!   by engine-driven [`metrics::Probe`]s and streamed through pluggable
-//!   [`metrics::MetricSink`]s (JSONL, CSV),
+//! * [`metrics`] — the observability surface: counters, gauges, mergeable
+//!   streaming quantile sketches and labelled families, collected by
+//!   engine-driven [`metrics::Probe`]s and streamed as JSON lines through
+//!   the [`metrics::JsonlSink`],
 //! * [`system`] — the full cluster system (cores, electrical core switches,
 //!   photonic routers, reservation-assisted photonic transfers) parameterised
 //!   by a [`system::PhotonicFabric`] implementation; Firefly and d-HetPNoC
@@ -74,16 +74,13 @@ pub mod prelude {
         run_to_completion, run_to_completion_with, run_until_with, CycleNetwork,
     };
     pub use crate::metrics::{
-        Counter, CsvSink, EventSink, Family, Gauge, JsonlSink, MetricReport, MetricRow, MetricSink,
-        MetricValue, MetricsProbe, Probe, QuantileSketch, SimEvent,
+        EventSink, JsonlSink, MetricReport, MetricRow, MetricValue, MetricsProbe, Probe,
+        QuantileSketch, SimEvent,
     };
-    pub use crate::params::{
-        ArchParamError, ArchParams, ParamKind, ParamSchema, ParamSpec, ParamValue, ResolvedParams,
-    };
+    pub use crate::params::{ArchParamError, ArchParams, ParamKind, ParamSchema, ResolvedParams};
     pub use crate::registry::{
         lookup_architecture, register_architecture, registered_architectures,
-        resolve_architecture_spec, ArchSpecError, ArchitectureBuilder, Provisioning,
-        UniformFabricArchitecture,
+        resolve_architecture_spec, ArchitectureBuilder, Provisioning,
     };
     pub use crate::report::Table;
     pub use crate::scenario::{
@@ -92,9 +89,7 @@ pub mod prelude {
         ScenarioSpec,
     };
     pub use crate::stats::SimStats;
-    pub use crate::sweep::{
-        derive_point_seed, SaturationResult, SweepMode, SweepPoint, SweepPointSpec,
-    };
+    pub use crate::sweep::{derive_point_seed, SaturationResult, SweepMode, SweepPoint};
     pub use crate::system::{PhotonicFabric, PhotonicSystem};
     pub use crate::workload::{FlowProbe, WorkloadDriver};
     pub use pnoc_faults::{

@@ -7,77 +7,8 @@ use std::fmt::Write as _;
 use std::io;
 
 // ---------------------------------------------------------------------------
-// Typed metric primitives
+// Quantile sketch
 // ---------------------------------------------------------------------------
-
-/// A monotonically increasing event count.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct Counter(u64);
-
-impl Counter {
-    /// Creates a zeroed counter.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Increments the counter by one.
-    pub fn inc(&mut self) {
-        self.0 += 1;
-    }
-
-    /// Adds `delta` to the counter.
-    pub fn add(&mut self, delta: u64) {
-        self.0 += delta;
-    }
-
-    /// Current count.
-    #[must_use]
-    pub fn get(self) -> u64 {
-        self.0
-    }
-
-    /// Merges another counter into this one (counts add).
-    pub fn merge(&mut self, other: &Counter) {
-        self.0 += other.0;
-    }
-}
-
-/// A last-written scalar observation. Merging keeps the **maximum**, so a
-/// merged gauge reports the peak observation across the merged runs.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct Gauge(f64);
-
-impl Gauge {
-    /// Creates a zeroed gauge.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Sets the gauge.
-    pub fn set(&mut self, value: f64) {
-        self.0 = value;
-    }
-
-    /// Raises the gauge to `value` if it is larger than the current reading.
-    pub fn observe_max(&mut self, value: f64) {
-        if value > self.0 {
-            self.0 = value;
-        }
-    }
-
-    /// Current reading.
-    #[must_use]
-    pub fn get(self) -> f64 {
-        self.0
-    }
-
-    /// Merges another gauge into this one (keeps the maximum).
-    pub fn merge(&mut self, other: &Gauge) {
-        self.observe_max(other.0);
-    }
-}
 
 /// Sub-bucket resolution of the [`QuantileSketch`]: `2^SUB_BITS` log-linear
 /// buckets per power of two, i.e. a worst-case relative value error of
@@ -315,72 +246,8 @@ impl QuantileSketch {
 }
 
 // ---------------------------------------------------------------------------
-// Labelled families and the report
+// Labels, values and the report
 // ---------------------------------------------------------------------------
-
-/// A labelled family of metrics: one metric instance per label, stored in
-/// label order (deterministic iteration and serialization).
-#[derive(Debug, Clone, PartialEq)]
-pub struct Family<M> {
-    members: BTreeMap<String, M>,
-}
-
-impl<M> Default for Family<M> {
-    fn default() -> Self {
-        Self {
-            members: BTreeMap::new(),
-        }
-    }
-}
-
-impl<M: Default> Family<M> {
-    /// Creates an empty family.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// The member for `label`, created (default) on first use.
-    pub fn with_label(&mut self, label: impl Into<String>) -> &mut M {
-        self.members.entry(label.into()).or_default()
-    }
-
-    /// The member for `label`, if it exists.
-    #[must_use]
-    pub fn get(&self, label: &str) -> Option<&M> {
-        self.members.get(label)
-    }
-
-    /// Number of labels in the family.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.members.len()
-    }
-
-    /// Whether the family has no labels.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.members.is_empty()
-    }
-
-    /// Iterates `(label, member)` pairs in label order.
-    pub fn iter(&self) -> impl Iterator<Item = (&str, &M)> {
-        self.members.iter().map(|(k, v)| (k.as_str(), v))
-    }
-}
-
-impl Family<Counter> {
-    /// Snapshots a counter family as a [`MetricValue::Family`] — how probes
-    /// materialise their labelled breakdowns into a [`MetricReport`].
-    #[must_use]
-    pub fn to_value(&self) -> MetricValue {
-        MetricValue::Family(
-            self.iter()
-                .map(|(label, counter)| (label.to_string(), MetricValue::Counter(counter.get())))
-                .collect(),
-        )
-    }
-}
 
 /// The label used for per-node (per-core) family members: zero-padded so the
 /// lexicographic label order equals the numeric node order for up to 1000
@@ -389,7 +256,7 @@ impl Family<Counter> {
 /// than derived from the topology so that labels, and therefore report
 /// merges, are stable across differently sized runs.
 #[must_use]
-pub fn node_label(core: CoreId) -> String {
+pub(crate) fn node_label(core: CoreId) -> String {
     format!("n{:03}", core.0)
 }
 
@@ -398,7 +265,7 @@ pub fn node_label(core: CoreId) -> String {
 /// paper topology has 16); fixed-width for the same merge-stability reason
 /// as [`node_label`].
 #[must_use]
-pub fn cluster_pair_label(src: ClusterId, dst: ClusterId) -> String {
+pub(crate) fn cluster_pair_label(src: ClusterId, dst: ClusterId) -> String {
     format!("c{:02}->c{:02}", src.0, dst.0)
 }
 
@@ -406,12 +273,12 @@ pub fn cluster_pair_label(src: ClusterId, dst: ClusterId) -> String {
 /// to 10 000 windows per run (a [`MetricsProbe`] windows a measurement into
 /// at most a few dozen).
 #[must_use]
-pub fn window_label(index: usize) -> String {
+pub(crate) fn window_label(index: usize) -> String {
     format!("w{index:04}")
 }
 
-/// One metric in a [`MetricReport`]: the snapshot counterpart of the typed
-/// primitives, closed under merging (see [`MetricReport::merge`]).
+/// One metric in a [`MetricReport`], closed under merging (see
+/// [`MetricReport::merge`]).
 #[derive(Debug, Clone, PartialEq)]
 pub enum MetricValue {
     /// A summed event count.
@@ -425,8 +292,7 @@ pub enum MetricValue {
 }
 
 impl MetricValue {
-    /// The metric kind name used in error messages and the CSV `kind`
-    /// column.
+    /// The metric kind name used in error messages.
     #[must_use]
     pub fn kind(&self) -> &'static str {
         match self {
@@ -500,10 +366,10 @@ impl std::fmt::Display for MetricMergeError {
 impl std::error::Error for MetricMergeError {}
 
 /// A named, ordered snapshot of metrics — what a [`Probe`] produces and what
-/// [`MetricSink`]s consume.
+/// the [`JsonlSink`] writes.
 ///
 /// Entries are kept in name order, so serialization (and therefore the JSONL
-/// / CSV sink output) is deterministic.
+/// sink output) is deterministic.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct MetricReport {
     entries: BTreeMap<String, MetricValue>,
@@ -828,14 +694,14 @@ pub trait Probe {
 /// [`SimStats`].
 ///
 /// The hot path (one [`Probe::on_event`] call per flit) touches only
-/// integer-indexed accumulators; the labelled [`Family`] representation is
-/// materialised once, in [`Probe::report`].
+/// integer-indexed accumulators; the labelled [`MetricValue::Family`]
+/// representation is materialised once, in [`Probe::report`].
 ///
 /// The per-cluster-pair photonic breakdown needs the
 /// [`ClusterTopology`](pnoc_noc::topology::ClusterTopology) to map cores to
 /// clusters: build the probe with [`MetricsProbe::for_config`] (what the
-/// sweep engine does) or chain [`MetricsProbe::with_topology`]. Without a
-/// topology, `photonic_bits_by_cluster_pair` stays empty while the
+/// sweep engine does). A probe built with [`MetricsProbe::new`] has no
+/// topology: its `photonic_bits_by_cluster_pair` stays empty while the
 /// `delivered_photonic_bits` counter is still reported.
 #[derive(Debug, Clone)]
 pub struct MetricsProbe {
@@ -855,17 +721,19 @@ pub struct MetricsProbe {
     photonic_bits_by_pair: BTreeMap<(usize, usize), u64>,
     /// Delivered bits of every closed window, in window order.
     window_series: Vec<u64>,
-    max_window_bits: Gauge,
-    fault_applied_events: Counter,
-    fault_repaired_events: Counter,
+    /// The largest closed window's delivered bits (starts at 0.0 and only
+    /// ever rises).
+    max_window_bits: f64,
+    fault_applied_events: u64,
+    fault_repaired_events: u64,
     topology: Option<pnoc_noc::topology::ClusterTopology>,
 }
 
 impl MetricsProbe {
     /// Creates a probe that closes a throughput window every `window_cycles`
-    /// measured cycles. The probe has no topology yet — chain
-    /// [`MetricsProbe::with_topology`] (or use [`MetricsProbe::for_config`])
-    /// to enable the per-cluster-pair photonic breakdown.
+    /// measured cycles. The probe has no topology — use
+    /// [`MetricsProbe::for_config`] to enable the per-cluster-pair photonic
+    /// breakdown.
     ///
     /// # Panics
     ///
@@ -883,16 +751,16 @@ impl MetricsProbe {
             drops_by_node: Vec::new(),
             photonic_bits_by_pair: BTreeMap::new(),
             window_series: Vec::new(),
-            max_window_bits: Gauge::new(),
-            fault_applied_events: Counter::new(),
-            fault_repaired_events: Counter::new(),
+            max_window_bits: 0.0,
+            fault_applied_events: 0,
+            fault_repaired_events: 0,
             topology: None,
         }
     }
 
     /// Sets the topology used to attribute photonic bits to cluster pairs.
     #[must_use]
-    pub fn with_topology(mut self, topology: pnoc_noc::topology::ClusterTopology) -> Self {
+    pub(crate) fn with_topology(mut self, topology: pnoc_noc::topology::ClusterTopology) -> Self {
         self.topology = Some(topology);
         self
     }
@@ -907,10 +775,22 @@ impl MetricsProbe {
 
     fn close_window(&mut self) {
         self.window_series.push(self.window_bits);
-        self.max_window_bits.observe_max(self.window_bits as f64);
+        let bits = self.window_bits as f64;
+        if bits > self.max_window_bits {
+            self.max_window_bits = bits;
+        }
         self.window_bits = 0;
         self.window_elapsed = 0;
     }
+}
+
+/// A family of counters, one per `(label, count)` pair.
+fn counter_family(members: impl Iterator<Item = (String, u64)>) -> MetricValue {
+    MetricValue::Family(
+        members
+            .map(|(label, count)| (label, MetricValue::Counter(count)))
+            .collect(),
+    )
 }
 
 fn bump(slots: &mut Vec<u64>, index: usize, delta: u64) {
@@ -940,8 +820,8 @@ impl Probe for MetricsProbe {
                 }
             }
             SimEvent::PacketDelivered { latency, .. } => self.latency.record(latency),
-            SimEvent::FaultApplied { .. } => self.fault_applied_events.inc(),
-            SimEvent::FaultRepaired { .. } => self.fault_repaired_events.inc(),
+            SimEvent::FaultApplied { .. } => self.fault_applied_events += 1,
+            SimEvent::FaultRepaired { .. } => self.fault_repaired_events += 1,
             SimEvent::PacketGenerated { .. }
             | SimEvent::PacketInjected { .. }
             | SimEvent::FlitInjected { .. } => {}
@@ -982,14 +862,14 @@ impl Probe for MetricsProbe {
         }
         // Fault counters appear only when a fault transition was observed:
         // healthy runs keep the exact pre-fault report shape (and bytes).
-        if self.fault_applied_events.get() + self.fault_repaired_events.get() > 0 {
+        if self.fault_applied_events + self.fault_repaired_events > 0 {
             report.insert(
                 "fault_applied_events",
-                MetricValue::Counter(self.fault_applied_events.get()),
+                MetricValue::Counter(self.fault_applied_events),
             );
             report.insert(
                 "fault_repaired_events",
-                MetricValue::Counter(self.fault_repaired_events.get()),
+                MetricValue::Counter(self.fault_repaired_events),
             );
         }
         report.insert(
@@ -998,31 +878,40 @@ impl Probe for MetricsProbe {
         );
         report.insert(
             "max_window_delivered_bits",
-            MetricValue::Gauge(self.max_window_bits.get()),
+            MetricValue::Gauge(self.max_window_bits),
         );
         // Materialise the labelled families (touched members only — the
         // integer accumulators keep the per-event path allocation-free).
         let node_family = |slots: &[u64]| {
-            let mut family: Family<Counter> = Family::new();
-            for (core, &count) in slots.iter().enumerate().filter(|(_, &count)| count > 0) {
-                family.with_label(node_label(CoreId(core))).add(count);
-            }
-            family.to_value()
+            counter_family(
+                slots
+                    .iter()
+                    .enumerate()
+                    .filter(|(_, &count)| count > 0)
+                    .map(|(core, &count)| (node_label(CoreId(core)), count)),
+            )
         };
         report.insert("delivered_bits_by_node", node_family(&self.bits_by_node));
         report.insert("dropped_packets_by_node", node_family(&self.drops_by_node));
-        let mut pairs: Family<Counter> = Family::new();
-        for (&(src, dst), &count) in &self.photonic_bits_by_pair {
-            pairs
-                .with_label(cluster_pair_label(ClusterId(src), ClusterId(dst)))
-                .add(count);
-        }
-        report.insert("photonic_bits_by_cluster_pair", pairs.to_value());
-        let mut windows: Family<Counter> = Family::new();
-        for (index, &count) in self.window_series.iter().enumerate() {
-            windows.with_label(window_label(index)).add(count);
-        }
-        report.insert("delivered_bits_by_window", windows.to_value());
+        report.insert(
+            "photonic_bits_by_cluster_pair",
+            counter_family(
+                self.photonic_bits_by_pair
+                    .iter()
+                    .map(|(&(src, dst), &count)| {
+                        (cluster_pair_label(ClusterId(src), ClusterId(dst)), count)
+                    }),
+            ),
+        );
+        report.insert(
+            "delivered_bits_by_window",
+            counter_family(
+                self.window_series
+                    .iter()
+                    .enumerate()
+                    .map(|(index, &count)| (window_label(index), count)),
+            ),
+        );
         report
     }
 }
@@ -1047,30 +936,6 @@ pub struct MetricRow {
     pub report: MetricReport,
 }
 
-/// A streaming consumer of [`MetricRow`]s.
-///
-/// Sinks receive rows in deterministic order (scenarios in batch order,
-/// points in ladder order) and must not reorder them; the JSONL and CSV
-/// implementations write each row as it arrives, so exporting a large matrix
-/// never holds more than one row's rendering in memory.
-pub trait MetricSink {
-    /// Consumes one row.
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O failures of the underlying writer.
-    fn write_row(&mut self, row: &MetricRow) -> io::Result<()>;
-
-    /// Flushes any buffered output (called once after the last row).
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O failures of the underlying writer.
-    fn finish(&mut self) -> io::Result<()> {
-        Ok(())
-    }
-}
-
 /// Renders one row as its JSONL line (without the trailing newline).
 #[must_use]
 pub fn render_jsonl_row(row: &MetricRow) -> String {
@@ -1088,7 +953,10 @@ pub fn render_jsonl_row(row: &MetricRow) -> String {
     line
 }
 
-/// A [`MetricSink`] writing one compact JSON object per line.
+/// The metric sink: writes each [`MetricRow`] as one compact JSON object
+/// per line, as it arrives, so exporting a large matrix never holds more
+/// than one row's rendering in memory. Rows arrive in deterministic order
+/// (scenarios in batch order, points in ladder order).
 #[derive(Debug)]
 pub struct JsonlSink<W: io::Write> {
     out: W,
@@ -1100,140 +968,28 @@ impl<W: io::Write> JsonlSink<W> {
         Self { out }
     }
 
-    /// Unwraps the inner writer.
-    pub fn into_inner(self) -> W {
-        self.out
-    }
-}
-
-impl<W: io::Write> MetricSink for JsonlSink<W> {
-    fn write_row(&mut self, row: &MetricRow) -> io::Result<()> {
+    /// Writes one row as one line.
+    ///
+    /// # Errors
+    ///
+    /// Propagates I/O failures of the underlying writer.
+    pub fn write_row(&mut self, row: &MetricRow) -> io::Result<()> {
         self.out.write_all(render_jsonl_row(row).as_bytes())?;
         self.out.write_all(b"\n")
     }
 
-    fn finish(&mut self) -> io::Result<()> {
+    /// Flushes the writer (called once after the last row).
+    ///
+    /// # Errors
+    ///
+    /// Propagates I/O failures of the underlying writer.
+    pub fn finish(&mut self) -> io::Result<()> {
         self.out.flush()
-    }
-}
-
-/// The CSV column header written by [`CsvSink`].
-pub const CSV_HEADER: &str = "scenario,point,offered_load,seed,metric,label,kind,value";
-
-fn csv_field(text: &str) -> String {
-    if text.contains([',', '"', '\n']) {
-        format!("\"{}\"", text.replace('"', "\"\""))
-    } else {
-        text.to_string()
-    }
-}
-
-/// A [`MetricSink`] writing long-format CSV: one line per scalar metric, and
-/// per histogram summary statistic (`count`/`sum`/`min`/`max`/`mean`/
-/// `p50`/`p95`/`p99`). Raw histogram bins are JSONL-only — spreadsheets want
-/// the summary, not the sketch.
-#[derive(Debug)]
-pub struct CsvSink<W: io::Write> {
-    out: W,
-    wrote_header: bool,
-}
-
-impl<W: io::Write> CsvSink<W> {
-    /// Wraps a writer; the header line is written before the first row.
-    pub fn new(out: W) -> Self {
-        Self {
-            out,
-            wrote_header: false,
-        }
     }
 
     /// Unwraps the inner writer.
     pub fn into_inner(self) -> W {
         self.out
-    }
-
-    fn write_line(
-        &mut self,
-        row: &MetricRow,
-        metric: &str,
-        label: &str,
-        kind: &str,
-        value: &str,
-    ) -> io::Result<()> {
-        writeln!(
-            self.out,
-            "{},{},{},{},{},{},{},{}",
-            csv_field(&row.scenario),
-            row.point_index,
-            row.offered_load,
-            row.seed,
-            csv_field(metric),
-            csv_field(label),
-            kind,
-            value
-        )
-    }
-
-    fn write_value(
-        &mut self,
-        row: &MetricRow,
-        metric: &str,
-        label: &str,
-        value: &MetricValue,
-    ) -> io::Result<()> {
-        match value {
-            MetricValue::Counter(v) => {
-                self.write_line(row, metric, label, "counter", &v.to_string())
-            }
-            MetricValue::Gauge(v) => self.write_line(row, metric, label, "gauge", &v.to_string()),
-            MetricValue::Histogram(h) => {
-                let stats: [(&str, Option<u64>); 5] = [
-                    ("count", Some(h.count())),
-                    ("sum", Some(h.sum())),
-                    ("min", h.min()),
-                    ("max", h.max()),
-                    ("p50", h.percentile(50.0)),
-                ];
-                for (stat, value) in stats {
-                    let rendered = value.map_or_else(String::new, |v| v.to_string());
-                    self.write_line(row, metric, stat, "histogram", &rendered)?;
-                }
-                for (stat, p) in [("p95", 95.0), ("p99", 99.0)] {
-                    let rendered = h.percentile(p).map_or_else(String::new, |v| v.to_string());
-                    self.write_line(row, metric, stat, "histogram", &rendered)?;
-                }
-                let mean = h.mean().map_or_else(String::new, |m| m.to_string());
-                self.write_line(row, metric, "mean", "histogram", &mean)
-            }
-            MetricValue::Family(members) => {
-                for (member_label, member) in members {
-                    let nested = if label.is_empty() {
-                        member_label.clone()
-                    } else {
-                        format!("{label}/{member_label}")
-                    };
-                    self.write_value(row, metric, &nested, member)?;
-                }
-                Ok(())
-            }
-        }
-    }
-}
-
-impl<W: io::Write> MetricSink for CsvSink<W> {
-    fn write_row(&mut self, row: &MetricRow) -> io::Result<()> {
-        if !self.wrote_header {
-            writeln!(self.out, "{CSV_HEADER}")?;
-            self.wrote_header = true;
-        }
-        for (name, value) in row.report.iter() {
-            self.write_value(row, name, "", value)?;
-        }
-        Ok(())
-    }
-
-    fn finish(&mut self) -> io::Result<()> {
-        self.out.flush()
     }
 }
 
@@ -1243,22 +999,19 @@ mod tests {
 
     #[test]
     fn counter_and_gauge_merge_semantics() {
-        let mut a = Counter::new();
-        a.inc();
-        a.add(4);
-        let mut b = Counter::new();
-        b.add(10);
-        a.merge(&b);
-        assert_eq!(a.get(), 15);
-
-        let mut g = Gauge::new();
-        g.set(3.0);
-        g.observe_max(2.0);
-        assert_eq!(g.get(), 3.0);
-        let mut h = Gauge::new();
-        h.set(7.5);
-        g.merge(&h);
-        assert_eq!(g.get(), 7.5);
+        let mut a = MetricReport::new();
+        a.insert("count", MetricValue::Counter(5));
+        a.insert("peak", MetricValue::Gauge(3.0));
+        let mut b = MetricReport::new();
+        b.insert("count", MetricValue::Counter(10));
+        b.insert("peak", MetricValue::Gauge(2.0));
+        a.merge(&b).expect("kinds line up");
+        assert_eq!(a.counter("count"), Some(15), "counters add");
+        assert_eq!(a.gauge("peak"), Some(3.0), "a lower gauge does not win");
+        let mut c = MetricReport::new();
+        c.insert("peak", MetricValue::Gauge(7.5));
+        a.merge(&c).expect("kinds line up");
+        assert_eq!(a.gauge("peak"), Some(7.5), "gauges keep the maximum");
     }
 
     #[test]
@@ -1325,14 +1078,23 @@ mod tests {
 
     #[test]
     fn families_keep_label_order_and_merge() {
-        let mut f: Family<Counter> = Family::new();
-        f.with_label("n002").add(5);
-        f.with_label("n000").inc();
-        let labels: Vec<&str> = f.iter().map(|(l, _)| l).collect();
-        assert_eq!(labels, vec!["n000", "n002"]);
-        assert_eq!(f.get("n002").unwrap().get(), 5);
-        assert_eq!(f.len(), 2);
-        assert!(!f.is_empty());
+        let family = |members: &[(&str, u64)]| {
+            counter_family(
+                members
+                    .iter()
+                    .map(|&(label, count)| (label.to_string(), count)),
+            )
+        };
+        let mut a = MetricReport::new();
+        a.insert("by_node", family(&[("n002", 5), ("n000", 1)]));
+        let mut b = MetricReport::new();
+        b.insert("by_node", family(&[("n001", 2), ("n002", 1)]));
+        a.merge(&b).expect("kinds line up");
+        let merged = a.family("by_node").unwrap();
+        let labels: Vec<&str> = merged.keys().map(String::as_str).collect();
+        assert_eq!(labels, vec!["n000", "n001", "n002"]);
+        assert_eq!(merged.get("n002"), Some(&MetricValue::Counter(6)));
+        assert_eq!(a.to_json(), r#"{"by_node":{"n000":1,"n001":2,"n002":6}}"#);
     }
 
     #[test]
@@ -1410,7 +1172,7 @@ mod tests {
     }
 
     #[test]
-    fn sinks_write_jsonl_csv_and_memory() {
+    fn jsonl_sink_writes_one_line_per_row() {
         let mut report = MetricReport::new();
         report.insert("delivered_bits", MetricValue::Counter(64));
         report.insert(
@@ -1433,19 +1195,11 @@ mod tests {
 
         let mut jsonl = JsonlSink::new(Vec::new());
         jsonl.write_row(&row).unwrap();
+        jsonl.write_row(&row).unwrap();
         jsonl.finish().unwrap();
         let text = String::from_utf8(jsonl.into_inner()).unwrap();
-        assert!(text.ends_with('}') || text.ends_with('\n'));
-        assert_eq!(text.lines().count(), 1);
-
-        let mut csv = CsvSink::new(Vec::new());
-        csv.write_row(&row).unwrap();
-        csv.finish().unwrap();
-        let csv_text = String::from_utf8(csv.into_inner()).unwrap();
-        let mut lines = csv_text.lines();
-        assert_eq!(lines.next(), Some(CSV_HEADER));
-        assert!(csv_text.contains("a:b:set1:smoke,0,0.5,9,by_node,n001,counter,32"));
-        assert!(csv_text.contains("latency_cycles,p95,histogram,11"));
+        let line = render_jsonl_row(&row);
+        assert_eq!(text, format!("{line}\n{line}\n"));
 
         // In memory, rows merge report by report, as
         // `ScenarioResult::merged_metrics` merges a scenario's points.

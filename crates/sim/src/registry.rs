@@ -12,7 +12,7 @@
 //! harness, the `repro` binary) resolves architectures by name, so adding an
 //! architecture touches only the crate that defines it.
 //!
-//! The [`UniformFabric`] test fabric registers
+//! The `UniformFabric` test fabric registers
 //! here out of the box under the name `"uniform-fabric"`; the Firefly
 //! baseline and d-HetPNoC register from their own crates (see
 //! `pnoc_firefly::register_firefly_architecture` and
@@ -111,6 +111,16 @@ pub trait ArchitectureBuilder: Send + Sync {
         config
     }
 
+    /// Whether the networks this architecture builds take a fault schedule
+    /// ([`CycleNetwork::install_fault_schedule`]). Defaults to `true`; an
+    /// architecture that declines one returns `false`, so a scenario pairing
+    /// it with a non-empty fault plan fails at
+    /// [`ScenarioSpec::resolve`](crate::scenario::ScenarioSpec::resolve)
+    /// with a typed error instead of inside the simulation.
+    fn accepts_fault_schedules(&self) -> bool {
+        true
+    }
+
     /// An optional placement map for closed-loop workloads: `map[rank]` is
     /// the core that workload participant `rank` runs on, for a workload of
     /// `ranks` participants on this architecture's effective topology
@@ -145,7 +155,7 @@ pub trait ArchitectureBuilder: Send + Sync {
 /// bandwidth set's budget". Mostly useful for exercising the parameter
 /// machinery without pulling in the architecture crates.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct UniformFabricArchitecture;
+pub(crate) struct UniformFabricArchitecture;
 
 impl ArchitectureBuilder for UniformFabricArchitecture {
     fn name(&self) -> &str {

@@ -27,41 +27,22 @@ impl Table {
 
     /// Adds a row, padding rows shorter than the header with empty cells.
     ///
-    /// # Errors
+    /// # Panics
     ///
-    /// Returns [`RowLengthError`] — without mutating the table — when the
-    /// row has more cells than the header: a too-long row is a bug in the
-    /// caller (a column was added to the data but not the header), and
-    /// silently dropping the extra cells would hide it.
-    pub fn try_add_row(&mut self, cells: &[String]) -> Result<(), RowLengthError> {
-        if cells.len() > self.header.len() {
-            return Err(RowLengthError {
-                table: self.title.clone(),
-                expected: self.header.len(),
-                got: cells.len(),
-            });
-        }
-        let mut row: Vec<String> = cells.to_vec();
+    /// Panics when the row has more cells than the header: a too-long row is
+    /// a bug in the caller (a column was added to the data but not the
+    /// header), and silently dropping the extra cells would hide it.
+    pub fn add_row(&mut self, cells: &[String]) {
+        assert!(
+            cells.len() <= self.header.len(),
+            "row with {} cells does not fit table '{}' with {} columns",
+            cells.len(),
+            self.title,
+            self.header.len()
+        );
+        let mut row = cells.to_vec();
         row.resize(self.header.len(), String::new());
         self.rows.push(row);
-        Ok(())
-    }
-
-    /// Adds a row. Rows shorter than the header are padded with empty cells.
-    /// Over-long rows are kept **in full** — every cell is rendered under an
-    /// unnamed column — and the mismatch is logged to stderr; use
-    /// [`Table::try_add_row`] to handle the mismatch instead.
-    pub fn add_row(&mut self, cells: &[String]) {
-        if let Err(error) = self.try_add_row(cells) {
-            eprintln!("[table] warning: {error}; keeping all cells");
-            self.rows.push(cells.to_vec());
-        }
-    }
-
-    /// Convenience helper adding a row of displayable values.
-    pub fn add_display_row(&mut self, cells: &[&dyn std::fmt::Display]) {
-        let row: Vec<String> = cells.iter().map(|c| c.to_string()).collect();
-        self.add_row(&row);
     }
 
     /// Number of data rows.
@@ -88,74 +69,37 @@ impl Table {
         &self.rows
     }
 
-    /// Renders the table as column-aligned text. Rows wider than the header
-    /// (kept by [`Table::add_row`] after a logged length mismatch) render
-    /// their extra cells under empty-named columns.
+    /// Renders the table as column-aligned text.
     #[must_use]
     pub fn render(&self) -> String {
-        let ncols = self
-            .rows
-            .iter()
-            .map(Vec::len)
-            .chain([self.header.len()])
-            .max()
-            .unwrap_or(0);
-        let mut widths: Vec<usize> = vec![0; ncols];
-        for (i, head) in self.header.iter().enumerate() {
-            widths[i] = head.len();
-        }
+        let mut widths: Vec<usize> = self.header.iter().map(String::len).collect();
         for row in &self.rows {
-            for (i, cell) in row.iter().enumerate() {
-                widths[i] = widths[i].max(cell.len());
+            for (width, cell) in widths.iter_mut().zip(row) {
+                *width = (*width).max(cell.len());
             }
         }
         let mut out = String::new();
         if !self.title.is_empty() {
             let _ = writeln!(out, "== {} ==", self.title);
         }
-        let render_row = |cells: &[String], widths: &[usize]| -> String {
+        let render_row = |cells: &[String]| -> String {
             let mut line = String::new();
-            for (i, &width) in widths.iter().enumerate().take(ncols) {
-                let cell = cells.get(i).map(String::as_str).unwrap_or("");
+            for (cell, &width) in cells.iter().zip(&widths) {
                 let _ = write!(line, "| {cell:width$} ");
             }
             line.push('|');
             line
         };
-        let header_line = render_row(&self.header, &widths);
+        let header_line = render_row(&self.header);
         let sep: String = "-".repeat(header_line.len());
         let _ = writeln!(out, "{header_line}");
         let _ = writeln!(out, "{sep}");
         for row in &self.rows {
-            let _ = writeln!(out, "{}", render_row(row, &widths));
+            let _ = writeln!(out, "{}", render_row(row));
         }
         out
     }
 }
-
-/// A row handed to [`Table::try_add_row`] had more cells than the header has
-/// columns.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RowLengthError {
-    /// Title of the table the row was destined for.
-    pub table: String,
-    /// Number of header columns.
-    pub expected: usize,
-    /// Number of cells in the offending row.
-    pub got: usize,
-}
-
-impl std::fmt::Display for RowLengthError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "row with {} cells does not fit table '{}' with {} columns",
-            self.got, self.table, self.expected
-        )
-    }
-}
-
-impl std::error::Error for RowLengthError {}
 
 impl std::fmt::Display for Table {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -167,16 +111,6 @@ impl std::fmt::Display for Table {
 #[must_use]
 pub fn fmt_f(value: f64, decimals: usize) -> String {
     format!("{value:.decimals$}")
-}
-
-/// Formats a percentage difference between `new` and `baseline`
-/// (positive = `new` is larger).
-#[must_use]
-pub fn fmt_pct_change(new: f64, baseline: f64) -> String {
-    if baseline == 0.0 {
-        return "n/a".to_string();
-    }
-    format!("{:+.2}%", (new - baseline) / baseline * 100.0)
 }
 
 #[cfg(test)]
@@ -197,47 +131,30 @@ mod tests {
     }
 
     #[test]
-    fn short_rows_are_padded_and_long_rows_keep_every_cell() {
+    fn short_rows_are_padded() {
         let mut t = Table::new("demo", &["a", "b", "c"]);
         t.add_row(&["1".to_string()]);
-        // An over-long row is a caller bug: logged, but no cell is dropped.
-        t.add_row(&[
-            "1".to_string(),
-            "2".to_string(),
-            "3".to_string(),
-            "4".to_string(),
-        ]);
-        assert_eq!(t.rows()[0].len(), 3);
-        assert_eq!(t.rows()[1].len(), 4, "no cells may be dropped");
-        assert!(t.render().contains('4'), "extra cells must render");
+        assert_eq!(t.rows()[0], vec!["1", "", ""]);
+        assert!(t.render().contains("| 1 |   |   |"));
     }
 
     #[test]
-    fn try_add_row_rejects_over_long_rows_without_mutating() {
+    #[should_panic(expected = "does not fit table 'demo' with 2 columns")]
+    fn over_long_rows_are_a_caller_bug() {
         let mut t = Table::new("demo", &["a", "b"]);
-        t.try_add_row(&["1".to_string()]).expect("short rows pad");
-        let error = t
-            .try_add_row(&["1".to_string(), "2".to_string(), "3".to_string()])
-            .expect_err("three cells into two columns");
-        assert_eq!(error.expected, 2);
-        assert_eq!(error.got, 3);
-        assert_eq!(error.table, "demo");
-        assert!(error.to_string().contains("does not fit"));
-        assert_eq!(t.num_rows(), 1, "failed insert must not add a row");
+        t.add_row(&["1".to_string(), "2".to_string(), "3".to_string()]);
     }
 
     #[test]
-    fn percent_change_formatting() {
-        assert_eq!(fmt_pct_change(110.0, 100.0), "+10.00%");
-        assert_eq!(fmt_pct_change(95.0, 100.0), "-5.00%");
-        assert_eq!(fmt_pct_change(1.0, 0.0), "n/a");
+    fn fixed_decimal_formatting() {
         assert_eq!(fmt_f(1.23456, 2), "1.23");
+        assert_eq!(fmt_f(2.0, 0), "2");
     }
 
     #[test]
     fn display_matches_render() {
         let mut t = Table::new("X", &["c"]);
-        t.add_display_row(&[&42]);
+        t.add_row(&[42.to_string()]);
         assert_eq!(format!("{t}"), t.render());
     }
 }

@@ -1,7 +1,7 @@
 #![doc = include_str!("scenario.md")]
 
 use crate::config::{BandwidthSet, SimConfig};
-use crate::metrics::{MetricMergeError, MetricReport, MetricRow, MetricSink};
+use crate::metrics::{JsonlSink, MetricMergeError, MetricReport, MetricRow};
 use crate::params::{ArchParamError, ArchParams, ResolvedParams};
 use crate::registry::{lookup_architecture, ArchitectureBuilder};
 use crate::sweep::{
@@ -169,7 +169,7 @@ impl ScenarioSpec {
 
     /// Sets (or clears) the closed-loop workload reference.
     #[must_use]
-    pub fn with_workload(mut self, workload_ref: impl Into<String>) -> Self {
+    pub(crate) fn with_workload(mut self, workload_ref: impl Into<String>) -> Self {
         let workload_ref = workload_ref.into();
         self.workload = (!workload_ref.is_empty()).then_some(workload_ref);
         self
@@ -373,7 +373,11 @@ impl ScenarioSpec {
     /// * [`ScenarioError::WorkloadTooLarge`] when a workload's participant
     ///   count does not fit the topology,
     /// * [`ScenarioError::InvalidLoad`] when an explicit ladder entry is not
-    ///   a positive finite load.
+    ///   a positive finite load,
+    /// * [`ScenarioError::InvalidFaults`] when the fault plan does not parse
+    ///   or validate,
+    /// * [`ScenarioError::FaultsUnsupported`] when the plan is not empty but
+    ///   the architecture does not take fault schedules.
     pub fn resolve(&self) -> Result<Scenario, ScenarioError> {
         // The architecture field may itself be a `name{key=value,...}` spec
         // (hand-built specs, matrix axis entries); embedded overrides merge
@@ -478,6 +482,12 @@ impl ScenarioSpec {
                 let plan = FaultPlan::resolve(text).map_err(invalid)?;
                 plan.validate(effective.topology.num_clusters())
                     .map_err(invalid)?;
+                if !plan.is_empty() && !architecture.accepts_fault_schedules() {
+                    return Err(ScenarioError::FaultsUnsupported {
+                        scenario: self.id(),
+                        architecture: arch_name,
+                    });
+                }
                 plan
             }
             None => FaultPlan::empty(),
@@ -533,6 +543,14 @@ pub enum ScenarioError {
         /// catalogue and a nearest-name suggestion where applicable).
         error: FaultError,
     },
+    /// The fault plan is not empty, but the architecture does not take fault
+    /// schedules ([`ArchitectureBuilder::accepts_fault_schedules`]).
+    FaultsUnsupported {
+        /// Identifier of the offending scenario.
+        scenario: String,
+        /// Registry name of the architecture.
+        architecture: String,
+    },
     /// A `--scenario` shorthand or serialized spec could not be parsed.
     Malformed {
         /// The input that failed to parse.
@@ -567,6 +585,14 @@ impl std::fmt::Display for ScenarioError {
                     "scenario '{scenario}' has an invalid fault plan: {error}"
                 )
             }
+            ScenarioError::FaultsUnsupported {
+                scenario,
+                architecture,
+            } => write!(
+                f,
+                "scenario '{scenario}' has a fault plan, but architecture \
+                 '{architecture}' does not support fault injection"
+            ),
             ScenarioError::Malformed { input, reason } => {
                 write!(f, "cannot parse scenario '{input}': {reason}")
             }
@@ -1465,7 +1491,7 @@ impl MatrixResult {
     /// # Errors
     ///
     /// Propagates the sink's I/O errors.
-    pub fn write_metrics(&self, sink: &mut dyn MetricSink) -> std::io::Result<()> {
+    pub fn write_metrics<W: std::io::Write>(&self, sink: &mut JsonlSink<W>) -> std::io::Result<()> {
         for scenario in &self.scenarios {
             let id = scenario.spec.id();
             // One row at a time instead of materialising a per-scenario Vec:

@@ -142,16 +142,6 @@ impl SimStats {
             self.dropped_packets as f64 / self.generated_packets as f64
         }
     }
-
-    /// Fraction of injected packets that have been delivered.
-    #[must_use]
-    pub fn delivery_ratio(&self) -> f64 {
-        if self.injected_packets == 0 {
-            0.0
-        } else {
-            self.delivered_packets as f64 / self.injected_packets as f64
-        }
-    }
 }
 
 #[cfg(test)]
@@ -255,7 +245,6 @@ mod tests {
         assert_eq!(s.average_packet_latency(), 0.0);
         assert_eq!(s.packet_energy_pj(), 0.0);
         assert_eq!(s.drop_rate(), 0.0);
-        assert_eq!(s.delivery_ratio(), 0.0);
     }
 
     #[test]
@@ -266,6 +255,5 @@ mod tests {
         s.injected_packets = 8;
         s.delivered_packets = 4;
         assert!((s.drop_rate() - 0.2).abs() < 1e-12);
-        assert!((s.delivery_ratio() - 0.5).abs() < 1e-12);
     }
 }

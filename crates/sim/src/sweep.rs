@@ -39,7 +39,7 @@
 //! ```
 //!
 //! (golden-ratio increment, SplitMix64 finalizer — see [`derive_point_seed`]).
-//! The derived seed is stored in the per-point [`SweepPointSpec`] and in the
+//! The derived seed is stored in the per-point `SweepPointSpec` and in the
 //! per-point copy of the [`SimConfig`] handed to the builder, so a point's
 //! result depends only on `(base seed, point index, load)` — never on which
 //! thread ran it or in which order points completed. This is what makes the
@@ -77,7 +77,7 @@ pub struct SaturationResult {
 impl SaturationResult {
     /// Index of the point with the highest accepted bandwidth.
     #[must_use]
-    pub fn peak_index(&self) -> Option<usize> {
+    pub(crate) fn peak_index(&self) -> Option<usize> {
         (0..self.points.len()).max_by(|&a, &b| {
             self.points[a]
                 .stats
@@ -155,7 +155,7 @@ impl SaturationResult {
 
 /// The default ladder of offered loads used by the experiments, expressed as
 /// multiples of the analytically estimated saturation load.
-pub const DEFAULT_LOAD_FRACTIONS: [f64; 8] = [0.25, 0.5, 0.75, 1.0, 1.25, 1.5, 2.0, 3.0];
+pub(crate) const DEFAULT_LOAD_FRACTIONS: [f64; 8] = [0.25, 0.5, 0.75, 1.0, 1.25, 1.5, 2.0, 3.0];
 
 /// Builds the ladder of absolute offered loads from an estimated saturation
 /// load.
@@ -164,7 +164,7 @@ pub const DEFAULT_LOAD_FRACTIONS: [f64; 8] = [0.25, 0.5, 0.75, 1.0, 1.25, 1.5, 2
 ///
 /// Panics if `estimated_saturation_load` is not positive.
 #[must_use]
-pub fn default_load_ladder(estimated_saturation_load: f64) -> Vec<f64> {
+pub(crate) fn default_load_ladder(estimated_saturation_load: f64) -> Vec<f64> {
     assert!(
         estimated_saturation_load > 0.0,
         "saturation estimate must be positive"
@@ -192,7 +192,7 @@ pub enum SweepMode {
 /// its offered load, its derived seed, and the per-point configuration
 /// (the base configuration with `seed` replaced by the derived seed).
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SweepPointSpec {
+pub(crate) struct SweepPointSpec {
     /// Position of the point in the load ladder.
     pub index: usize,
     /// Offered load of the point.

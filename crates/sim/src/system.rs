@@ -111,7 +111,7 @@ pub trait PhotonicFabric {
 /// wavelengths and every transmission uses all of them. Used for tests and as
 /// the simplest possible baseline.
 #[derive(Debug, Clone)]
-pub struct UniformFabric {
+pub(crate) struct UniformFabric {
     /// Name reported in statistics.
     pub name: String,
     /// Wavelengths per cluster write channel.

@@ -56,14 +56,14 @@ use std::sync::{Arc, Mutex};
 /// declared stuck, expressed as a multiple of the configuration's
 /// (open-loop) measurement window. Generous: a drained DAG ends the run
 /// long before the cap; the cap only bounds a genuinely wedged workload.
-pub const DRAIN_CYCLE_CAP_FACTOR: u64 = 100;
+pub(crate) const DRAIN_CYCLE_CAP_FACTOR: u64 = 100;
 
 /// The per-packet term of the drain cap: a workload whose flows all funnel
 /// through one core (incast, parameter-server fan-in) is limited by that
 /// core's one-flit-per-cycle ejection port, so the cap must grow with
 /// `total packets × flits per packet`. The factor leaves an order of
 /// magnitude of slack for reservation overhead and dependency serialization.
-pub const DRAIN_CYCLE_CAP_PACKET_FACTOR: u64 = 8;
+pub(crate) const DRAIN_CYCLE_CAP_PACKET_FACTOR: u64 = 8;
 
 /// The shared, mutex-guarded state of one closed-loop run.
 struct FlowState {
@@ -388,7 +388,7 @@ impl WorkloadDriver {
     /// [`DRAIN_CYCLE_CAP_PACKET_FACTOR`] × the workload's total flit count
     /// (the serial-ejection lower bound of fan-in workloads).
     #[must_use]
-    pub fn max_cycles(&self) -> u64 {
+    pub(crate) fn max_cycles(&self) -> u64 {
         let effort_cap = self
             .config
             .sim_cycles
@@ -634,7 +634,7 @@ impl Probe for FlowProbe {
 /// Panics if `faults` is non-empty and the built network does not support
 /// fault injection.
 #[must_use]
-pub fn run_workload_point(
+pub(crate) fn run_workload_point(
     architecture: &dyn ArchitectureBuilder,
     params: &ResolvedParams,
     spec: &SweepPointSpec,

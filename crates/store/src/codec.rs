@@ -191,7 +191,7 @@ fn energy_from_json(value: &Json) -> Result<EnergyBreakdown, CodecError> {
 /// Serializes a metric report losslessly (names in report order, which is
 /// already deterministic name order).
 #[must_use]
-pub fn report_json(report: &MetricReport) -> Json {
+pub(crate) fn report_json(report: &MetricReport) -> Json {
     Json::Obj(
         report
             .iter()
@@ -206,7 +206,7 @@ pub fn report_json(report: &MetricReport) -> Json {
 ///
 /// Returns a [`CodecError`] naming the offending metric on any malformed
 /// shape.
-pub fn report_from_json(value: &Json) -> Result<MetricReport, CodecError> {
+pub(crate) fn report_from_json(value: &Json) -> Result<MetricReport, CodecError> {
     let Json::Obj(fields) = value else {
         return Err(CodecError::new("metric report must be an object"));
     };

@@ -28,6 +28,6 @@ pub mod codec;
 pub mod json;
 pub mod store;
 
-pub use codec::{point_from_json, point_json, CodecError};
+pub use codec::{point_from_json, point_json};
 pub use json::{Json, JsonParseError};
-pub use store::{content_hash, CompactionReport, EvictionReport, ResultStore, StoreStats};
+pub use store::{content_hash, ResultStore};

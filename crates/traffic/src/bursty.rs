@@ -23,14 +23,14 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 /// Default fraction of time each core spends in the ON state.
-pub const DEFAULT_DUTY: f64 = 0.25;
+pub(crate) const DEFAULT_DUTY: f64 = 0.25;
 
 /// Default mean burst (ON-phase) length in cycles.
-pub const DEFAULT_BURST_LEN: f64 = 64.0;
+pub(crate) const DEFAULT_BURST_LEN: f64 = 64.0;
 
 /// Markov-modulated on-off uniform traffic (see the module docs).
 #[derive(Debug, Clone)]
-pub struct BurstyUniformTraffic {
+pub(crate) struct BurstyUniformTraffic {
     topology: ClusterTopology,
     shape: PacketShape,
     load: OfferedLoad,
@@ -48,7 +48,7 @@ impl BurstyUniformTraffic {
     ///
     /// Panics if `duty` is outside `(0, 1]` or `burst_len < 1`.
     #[must_use]
-    pub fn with_burstiness(
+    pub(crate) fn with_burstiness(
         topology: ClusterTopology,
         shape: PacketShape,
         load: OfferedLoad,
@@ -87,16 +87,10 @@ impl BurstyUniformTraffic {
         Self::with_burstiness(topology, shape, load, DEFAULT_DUTY, DEFAULT_BURST_LEN, seed)
     }
 
-    /// Fraction of time a core spends ON.
-    #[must_use]
-    pub fn duty(&self) -> f64 {
-        self.duty
-    }
-
     /// Injection probability while a core is ON (the mean load amplified by
     /// `1 / duty`, clamped to 1).
     #[must_use]
-    pub fn on_load(&self) -> f64 {
+    pub(crate) fn on_load(&self) -> f64 {
         (self.load.value() / self.duty).min(1.0)
     }
 

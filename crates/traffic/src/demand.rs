@@ -99,28 +99,6 @@ impl DemandMatrix {
             .max()
             .unwrap_or(1)
     }
-
-    /// Volume-weighted average class multiplier of `src`
-    /// (the "bandwidth ... in proportion to the traffic requirement" of
-    /// Section 3.1). Between 1 and 8.
-    #[must_use]
-    pub fn weighted_class_multiplier(&self, src: ClusterId) -> f64 {
-        let mut weighted = 0.0;
-        let mut total_share = 0.0;
-        for d in 0..self.num_clusters {
-            if d == src.0 {
-                continue;
-            }
-            let dst = ClusterId(d);
-            weighted += self.share(src, dst) * self.class(src, dst).multiplier() as f64;
-            total_share += self.share(src, dst);
-        }
-        if total_share <= 0.0 {
-            1.0
-        } else {
-            weighted / total_share
-        }
-    }
 }
 
 #[cfg(test)]
@@ -132,6 +110,21 @@ mod tests {
     use pnoc_noc::topology::ClusterTopology;
     use pnoc_noc::traffic_model::OfferedLoad;
 
+    /// Volume-weighted average class multiplier of `src` (between 1 and 8).
+    fn weighted_class_multiplier(m: &DemandMatrix, src: ClusterId) -> f64 {
+        let (weighted, total) = (0..m.num_clusters)
+            .filter(|&d| d != src.0)
+            .map(|d| (m.share(src, ClusterId(d)), m.class(src, ClusterId(d))))
+            .fold((0.0, 0.0), |(w, t), (share, class)| {
+                (w + share * class.multiplier() as f64, t + share)
+            });
+        if total <= 0.0 {
+            1.0
+        } else {
+            weighted / total
+        }
+    }
+
     #[test]
     fn uniform_matrix_has_equal_shares_and_single_class() {
         let m = DemandMatrix::uniform(16, BandwidthClass::MediumHigh);
@@ -142,7 +135,7 @@ mod tests {
         assert!((m.share(ClusterId(0), ClusterId(5)) - 1.0 / 15.0).abs() < 1e-12);
         assert_eq!(m.share(ClusterId(3), ClusterId(3)), 0.0);
         assert_eq!(m.max_class_multiplier(ClusterId(0)), 4);
-        assert!((m.weighted_class_multiplier(ClusterId(0)) - 4.0).abs() < 1e-12);
+        assert!((weighted_class_multiplier(&m, ClusterId(0)) - 4.0).abs() < 1e-12);
     }
 
     #[test]
@@ -186,11 +179,11 @@ mod tests {
         let mu = DemandMatrix::from_model(&uniform, 16);
         let ms = DemandMatrix::from_model(&skewed, 16);
         let avg_uniform: f64 = (0..16)
-            .map(|s| mu.weighted_class_multiplier(ClusterId(s)))
+            .map(|s| weighted_class_multiplier(&mu, ClusterId(s)))
             .sum::<f64>()
             / 16.0;
         let avg_skewed: f64 = (0..16)
-            .map(|s| ms.weighted_class_multiplier(ClusterId(s)))
+            .map(|s| weighted_class_multiplier(&ms, ClusterId(s)))
             .sum::<f64>()
             / 16.0;
         assert!(
@@ -211,8 +204,10 @@ mod tests {
         let m = DemandMatrix::from_model(&traffic, 16);
         for s in 0..16 {
             let src = ClusterId(s);
-            assert!(m.weighted_class_multiplier(src) <= m.max_class_multiplier(src) as f64 + 1e-9);
-            assert!(m.weighted_class_multiplier(src) >= 1.0);
+            assert!(
+                weighted_class_multiplier(&m, src) <= m.max_class_multiplier(src) as f64 + 1e-9
+            );
+            assert!(weighted_class_multiplier(&m, src) >= 1.0);
         }
     }
 }

@@ -17,8 +17,8 @@
 //! | `skewed-1` / `skewed-2` / `skewed-3` | [`SkewedTraffic`] |
 //! | `hotspot-{10,20}pct-skewed-{2,3}` | [`HotspotSkewedTraffic`] |
 //! | `real-application` | [`RealApplicationTraffic`] |
-//! | `transpose`, `bit-reverse`, `tornado` | [`PermutationTraffic`] |
-//! | `bursty-uniform` | [`BurstyUniformTraffic`] |
+//! | `transpose`, `bit-reverse`, `tornado` | `PermutationTraffic` |
+//! | `bursty-uniform` | `BurstyUniformTraffic` |
 
 use crate::bursty::BurstyUniformTraffic;
 use crate::gpu::RealApplicationTraffic;
@@ -28,7 +28,7 @@ use crate::permutation::{PermutationKind, PermutationTraffic};
 use crate::skewed::SkewedTraffic;
 use crate::uniform::UniformRandomTraffic;
 use pnoc_noc::ids::CoreId;
-use pnoc_noc::registry::{canonical_name, Registry, UnknownNameError};
+use pnoc_noc::registry::{Registry, UnknownNameError};
 use pnoc_noc::topology::ClusterTopology;
 use pnoc_noc::traffic_model::{OfferedLoad, TrafficModel};
 use std::sync::{Arc, LazyLock};
@@ -178,15 +178,8 @@ fn builtin_patterns() -> Registry<dyn TrafficFactory> {
 /// registry keys. Only the canonical names appear in
 /// [`registered_traffic_patterns`]; shorthands are a lookup convenience (e.g. the
 /// `repro --scenario firefly:uniform` CLI spelling).
-pub const PATTERN_ALIASES: [(&str, &str); 2] =
+pub(crate) const PATTERN_ALIASES: [(&str, &str); 2] =
     [("uniform", "uniform-random"), ("bursty", "bursty-uniform")];
-
-/// Resolves a pattern shorthand to its canonical registry name (identity for
-/// names that are not shorthands).
-#[must_use]
-pub fn canonical_pattern_name(name: &str) -> &str {
-    canonical_name(&PATTERN_ALIASES, name)
-}
 
 /// The process-global pattern catalogue, seeded with the built-ins.
 static PATTERNS: LazyLock<Registry<dyn TrafficFactory>> = LazyLock::new(builtin_patterns);
@@ -201,7 +194,7 @@ pub fn register_traffic_factory(
 
 /// Looks up a factory in the process-global registry: exact registered names
 /// always win; when nothing is registered under `name`, the
-/// [`PATTERN_ALIASES`] shorthands fall back to their canonical pattern, so a
+/// shorthands (`uniform`, `bursty`) fall back to their canonical pattern, so a
 /// factory explicitly registered as `"uniform"` is never shadowed by the
 /// `uniform → uniform-random` convenience.
 ///
@@ -343,11 +336,14 @@ mod tests {
 
     #[test]
     fn shorthand_aliases_resolve_to_their_canonical_pattern() {
-        assert_eq!(canonical_pattern_name("uniform"), "uniform-random");
-        assert_eq!(canonical_pattern_name("bursty"), "bursty-uniform");
-        assert_eq!(canonical_pattern_name("tornado"), "tornado");
-        let via_alias = lookup_traffic_factory("uniform").expect("alias resolves");
-        assert_eq!(via_alias.name(), "uniform-random");
+        for (name, canonical) in [
+            ("uniform", "uniform-random"),
+            ("bursty", "bursty-uniform"),
+            ("tornado", "tornado"),
+        ] {
+            let factory = lookup_traffic_factory(name).expect("alias resolves");
+            assert_eq!(factory.name(), canonical);
+        }
         // Aliases are a lookup convenience only: the catalogue stays
         // canonical, so every listed factory still matches its model name.
         assert!(!registered_traffic_patterns().contains(&"uniform".to_string()));

@@ -84,7 +84,7 @@ impl GpuBenchmark {
     /// Relative memory time when the flit size is `flit_bytes` (1.0 at the
     /// 32 B baseline, approaching `residual` for very large flits).
     #[must_use]
-    pub fn memory_time_scale(&self, flit_bytes: u32) -> f64 {
+    pub(crate) fn memory_time_scale(&self, flit_bytes: u32) -> f64 {
         assert!(flit_bytes >= 32, "baseline flit size is 32 B");
         let amortisation = 32.0 / f64::from(flit_bytes);
         self.residual + (1.0 - self.residual) * amortisation
@@ -287,12 +287,6 @@ impl RealApplicationTraffic {
     #[must_use]
     pub fn applications(&self) -> &[MappedApplication] {
         &self.apps
-    }
-
-    /// The memory clusters.
-    #[must_use]
-    pub fn memory_clusters(&self) -> &[ClusterId] {
-        &self.memory_clusters
     }
 
     fn is_memory_cluster(&self, cluster: ClusterId) -> bool {
@@ -499,7 +493,7 @@ mod tests {
     #[test]
     fn paper_mapping_covers_12_gpu_and_4_memory_clusters() {
         let t = real_app();
-        assert_eq!(t.memory_clusters().len(), 4);
+        assert_eq!(t.memory_clusters.len(), 4);
         let gpu_clusters: usize = t.applications().iter().map(|a| a.clusters.len()).sum();
         assert_eq!(gpu_clusters, 12);
         // MUM occupies 5 clusters (20 cores), LPS 4 clusters (16 cores).

@@ -4,8 +4,7 @@
 //! percentage of all traffic to the hotspot. The rest of the traffic is
 //! distributed following the skewed traffic types". The paper's four case
 //! studies are 10 % and 20 % hotspot fractions combined with the Skewed2 and
-//! Skewed3 patterns; [`HotspotSkewedTraffic::paper_case_studies`] builds all
-//! four.
+//! Skewed3 patterns, registered as `hotspot-{10,20}pct-skewed-{2,3}`.
 
 use crate::pattern::{PacketShape, SkewLevel};
 use crate::skewed::SkewedTraffic;
@@ -63,67 +62,10 @@ impl HotspotSkewedTraffic {
         }
     }
 
-    /// The four synthetic case studies of Figure 3-5:
-    /// skewed-hotspot1 (10 % + Skewed2), skewed-hotspot2 (10 % + Skewed3),
-    /// skewed-hotspot3 (20 % + Skewed2), skewed-hotspot4 (20 % + Skewed3).
-    #[must_use]
-    pub fn paper_case_studies(
-        topology: ClusterTopology,
-        shape: PacketShape,
-        load: OfferedLoad,
-        seed: u64,
-    ) -> Vec<HotspotSkewedTraffic> {
-        let hotspot = CoreId(0);
-        vec![
-            Self::new(
-                topology,
-                shape,
-                SkewLevel::Skewed2,
-                hotspot,
-                0.10,
-                load,
-                seed,
-            ),
-            Self::new(
-                topology,
-                shape,
-                SkewLevel::Skewed3,
-                hotspot,
-                0.10,
-                load,
-                seed,
-            ),
-            Self::new(
-                topology,
-                shape,
-                SkewLevel::Skewed2,
-                hotspot,
-                0.20,
-                load,
-                seed,
-            ),
-            Self::new(
-                topology,
-                shape,
-                SkewLevel::Skewed3,
-                hotspot,
-                0.20,
-                load,
-                seed,
-            ),
-        ]
-    }
-
     /// The hotspot core.
     #[must_use]
     pub fn hotspot(&self) -> CoreId {
         self.hotspot
-    }
-
-    /// Fraction of traffic sent to the hotspot.
-    #[must_use]
-    pub fn hotspot_fraction(&self) -> f64 {
-        self.hotspot_fraction
     }
 }
 
@@ -233,24 +175,9 @@ mod tests {
         // of its skewed share.
         let hot_share = m.volume_share(ClusterId(5), ClusterId(0));
         assert!(
-            hot_share >= m.hotspot_fraction(),
+            hot_share >= m.hotspot_fraction,
             "hotspot share {hot_share} below redirected fraction"
         );
-    }
-
-    #[test]
-    fn paper_case_studies_have_expected_parameters() {
-        let studies = HotspotSkewedTraffic::paper_case_studies(
-            ClusterTopology::paper_default(),
-            PacketShape::new(64, 32),
-            OfferedLoad::new(0.01),
-            3,
-        );
-        assert_eq!(studies.len(), 4);
-        assert!((studies[0].hotspot_fraction() - 0.10).abs() < 1e-12);
-        assert!((studies[3].hotspot_fraction() - 0.20).abs() < 1e-12);
-        assert_eq!(studies[0].name(), "hotspot-10pct-skewed-2");
-        assert_eq!(studies[3].name(), "hotspot-20pct-skewed-3");
     }
 
     #[test]

@@ -19,8 +19,8 @@
 //! Two extended scenario families grow the evaluation beyond the paper:
 //!
 //! * **permutation** — transpose, bit-reverse and tornado, the classic
-//!   adversarial fixed-destination patterns ([`permutation`]),
-//! * **bursty** — Markov-modulated on-off uniform traffic ([`bursty`]).
+//!   adversarial fixed-destination patterns (`permutation`),
+//! * **bursty** — Markov-modulated on-off uniform traffic (`bursty`).
 //!
 //! All generators implement [`pnoc_noc::traffic_model::TrafficModel`], carry
 //! their own seeded RNG (runs are reproducible), and expose the per-cluster
@@ -33,28 +33,25 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-pub mod bursty;
+mod bursty;
 pub mod demand;
 pub mod factory;
 pub mod gpu;
 pub mod hotspot;
 pub mod pattern;
-pub mod permutation;
+mod permutation;
 pub mod skewed;
 pub mod uniform;
 
 /// Convenient re-exports of the most commonly used items.
 pub mod prelude {
-    pub use crate::bursty::BurstyUniformTraffic;
     pub use crate::demand::DemandMatrix;
     pub use crate::factory::{
-        lookup_traffic_factory, register_traffic_factory, registered_traffic_patterns,
-        TrafficFactory, TrafficSpec,
+        lookup_traffic_factory, registered_traffic_patterns, TrafficFactory, TrafficSpec,
     };
     pub use crate::gpu::{GpuBenchmark, GpuSpeedupModel, RealApplicationTraffic};
     pub use crate::hotspot::HotspotSkewedTraffic;
-    pub use crate::pattern::{ClassMatrix, PacketShape, SkewLevel};
-    pub use crate::permutation::{PermutationKind, PermutationTraffic};
+    pub use crate::pattern::{PacketShape, SkewLevel};
     pub use crate::skewed::SkewedTraffic;
     pub use crate::uniform::UniformRandomTraffic;
 }

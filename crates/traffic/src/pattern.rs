@@ -37,7 +37,7 @@ impl SkewLevel {
     /// Fraction of communication for each bandwidth class, indexed by
     /// [`BandwidthClass::index`] (Low first). Sums to 1.
     #[must_use]
-    pub fn class_frequencies(self) -> [f64; 4] {
+    pub(crate) fn class_frequencies(self) -> [f64; 4] {
         match self {
             SkewLevel::Skewed1 => [0.125, 0.125, 0.25, 0.50],
             SkewLevel::Skewed2 => [0.0625, 0.0625, 0.125, 0.75],
@@ -103,21 +103,12 @@ impl PacketShape {
 /// comes from how often each class is used, not from how many pairs belong to
 /// it.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ClassMatrix {
+pub(crate) struct ClassMatrix {
     num_clusters: usize,
     classes: Vec<BandwidthClass>,
 }
 
 impl ClassMatrix {
-    /// Builds a matrix where every pair has the same class (uniform traffic).
-    #[must_use]
-    pub fn homogeneous(num_clusters: usize, class: BandwidthClass) -> Self {
-        Self {
-            num_clusters,
-            classes: vec![class; num_clusters * num_clusters],
-        }
-    }
-
     /// Builds a matrix with classes drawn uniformly at random per pair, using
     /// `seed` for reproducibility.
     #[must_use]
@@ -125,20 +116,6 @@ impl ClassMatrix {
         let mut rng = StdRng::seed_from_u64(seed);
         let classes = (0..num_clusters * num_clusters)
             .map(|_| BandwidthClass::ALL[rng.gen_range(0..BandwidthClass::ALL.len())])
-            .collect();
-        Self {
-            num_clusters,
-            classes,
-        }
-    }
-
-    /// Builds a matrix from an explicit assignment function.
-    pub fn from_fn(
-        num_clusters: usize,
-        mut f: impl FnMut(ClusterId, ClusterId) -> BandwidthClass,
-    ) -> Self {
-        let classes = (0..num_clusters * num_clusters)
-            .map(|i| f(ClusterId(i / num_clusters), ClusterId(i % num_clusters)))
             .collect();
         Self {
             num_clusters,
@@ -178,7 +155,7 @@ impl ClassMatrix {
 
     /// Draws a destination cluster for a packet leaving `src`, following the
     /// volume shares of the skew level.
-    pub fn sample_destination(
+    pub(crate) fn sample_destination(
         &self,
         src: ClusterId,
         skew: SkewLevel,
@@ -365,7 +342,10 @@ mod tests {
 
     #[test]
     fn homogeneous_matrix_gives_equal_shares() {
-        let m = ClassMatrix::homogeneous(16, BandwidthClass::MediumHigh);
+        let m = ClassMatrix {
+            num_clusters: 16,
+            classes: vec![BandwidthClass::MediumHigh; 16 * 16],
+        };
         let share = m.volume_share(ClusterId(0), ClusterId(5), SkewLevel::Skewed1);
         assert!((share - 1.0 / 15.0).abs() < 1e-12);
     }

@@ -28,7 +28,7 @@ use rand::{Rng, SeedableRng};
 
 /// The supported core-index permutations.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum PermutationKind {
+pub(crate) enum PermutationKind {
     /// Matrix transpose on the √n × √n core grid.
     Transpose,
     /// Bit reversal of the core index.
@@ -38,13 +38,6 @@ pub enum PermutationKind {
 }
 
 impl PermutationKind {
-    /// All supported permutations.
-    pub const ALL: [PermutationKind; 3] = [
-        PermutationKind::Transpose,
-        PermutationKind::BitReverse,
-        PermutationKind::Tornado,
-    ];
-
     /// Registry / report name ("transpose", "bit-reverse", "tornado").
     #[must_use]
     pub fn label(self) -> &'static str {
@@ -90,7 +83,7 @@ impl PermutationKind {
 
 /// Permutation traffic over all cores (see the module docs).
 #[derive(Debug, Clone)]
-pub struct PermutationTraffic {
+pub(crate) struct PermutationTraffic {
     topology: ClusterTopology,
     shape: PacketShape,
     kind: PermutationKind,
@@ -177,18 +170,6 @@ impl PermutationTraffic {
             rng: StdRng::seed_from_u64(seed ^ 0x5045_524d),
         }
     }
-
-    /// The permutation of this generator.
-    #[must_use]
-    pub fn kind(&self) -> PermutationKind {
-        self.kind
-    }
-
-    /// The fixed destination of a source core (`None` for silent cores).
-    #[must_use]
-    pub fn destination_of(&self, src: CoreId) -> Option<CoreId> {
-        self.mapping[src.0]
-    }
 }
 
 impl TrafficModel for PermutationTraffic {
@@ -235,6 +216,12 @@ impl TrafficModel for PermutationTraffic {
 mod tests {
     use super::*;
 
+    const ALL_KINDS: [PermutationKind; 3] = [
+        PermutationKind::Transpose,
+        PermutationKind::BitReverse,
+        PermutationKind::Tornado,
+    ];
+
     fn model(kind: PermutationKind, load: f64) -> PermutationTraffic {
         PermutationTraffic::new(
             ClusterTopology::paper_default(),
@@ -249,13 +236,13 @@ mod tests {
     fn transpose_maps_the_8x8_grid() {
         let m = model(PermutationKind::Transpose, 1.0);
         // (r=1, c=2) = core 10 → (r=2, c=1) = core 17.
-        assert_eq!(m.destination_of(CoreId(10)), Some(CoreId(17)));
+        assert_eq!(m.mapping[10], Some(CoreId(17)));
         // Diagonal core (r=c=1) = core 9 is silent.
-        assert_eq!(m.destination_of(CoreId(9)), None);
+        assert_eq!(m.mapping[9], None);
         // Transpose is an involution on the non-diagonal cores.
         for src in 0..64 {
-            if let Some(dst) = m.destination_of(CoreId(src)) {
-                assert_eq!(m.destination_of(dst), Some(CoreId(src)));
+            if let Some(dst) = m.mapping[src] {
+                assert_eq!(m.mapping[dst.0], Some(CoreId(src)));
             }
         }
     }
@@ -264,11 +251,11 @@ mod tests {
     fn bit_reverse_maps_the_6_bit_indices() {
         let m = model(PermutationKind::BitReverse, 1.0);
         // 000001 → 100000.
-        assert_eq!(m.destination_of(CoreId(1)), Some(CoreId(32)));
+        assert_eq!(m.mapping[1], Some(CoreId(32)));
         // 000110 → 011000.
-        assert_eq!(m.destination_of(CoreId(6)), Some(CoreId(24)));
+        assert_eq!(m.mapping[6], Some(CoreId(24)));
         // Palindromic index 100001 → itself → silent.
-        assert_eq!(m.destination_of(CoreId(33)), None);
+        assert_eq!(m.mapping[33], None);
     }
 
     #[test]
@@ -276,7 +263,7 @@ mod tests {
         let m = model(PermutationKind::Tornado, 1.0);
         for src in 0..64usize {
             assert_eq!(
-                m.destination_of(CoreId(src)),
+                m.mapping[src],
                 Some(CoreId((src + 31) % 64)),
                 "tornado destination of core {src}"
             );
@@ -285,11 +272,11 @@ mod tests {
 
     #[test]
     fn all_packets_follow_the_fixed_mapping() {
-        for kind in PermutationKind::ALL {
+        for kind in ALL_KINDS {
             let mut m = model(kind, 1.0);
             for cycle in 0..500 {
                 let src = CoreId((cycle as usize * 7) % 64);
-                let expected = m.destination_of(src);
+                let expected = m.mapping[src.0];
                 match (m.next_packet(cycle, src), expected) {
                     (Some(p), Some(dst)) => {
                         assert_eq!(p.dst, dst, "{kind:?}: wrong destination");
@@ -317,7 +304,7 @@ mod tests {
 
     #[test]
     fn volume_shares_normalise_for_active_sources() {
-        for kind in PermutationKind::ALL {
+        for kind in ALL_KINDS {
             let m = model(kind, 0.5);
             for s in 0..16 {
                 let total: f64 = (0..16)

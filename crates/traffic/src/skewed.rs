@@ -74,7 +74,7 @@ impl SkewedTraffic {
     /// Creates a generator with an explicit class matrix (used by the
     /// hotspot and real-application generators and by tests).
     #[must_use]
-    pub fn with_classes(
+    pub(crate) fn with_classes(
         topology: ClusterTopology,
         shape: PacketShape,
         skew: SkewLevel,
@@ -98,12 +98,6 @@ impl SkewedTraffic {
     #[must_use]
     pub fn skew(&self) -> SkewLevel {
         self.skew
-    }
-
-    /// The per-pair class assignment.
-    #[must_use]
-    pub fn classes(&self) -> &ClassMatrix {
-        &self.classes
     }
 
     /// Draws one destination core in cluster `dst_cluster` (uniformly over

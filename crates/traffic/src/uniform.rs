@@ -45,7 +45,7 @@ impl UniformRandomTraffic {
     /// The bandwidth class every flow uses (medium-high: the class whose
     /// wavelength requirement equals the uniform Firefly channel width).
     #[must_use]
-    pub fn uniform_class() -> BandwidthClass {
+    pub(crate) fn uniform_class() -> BandwidthClass {
         BandwidthClass::MediumHigh
     }
 }

@@ -27,7 +27,7 @@ fn assert_nodes(kind: &str, nodes: usize, bytes_per_node: u64) {
 /// The chunk size a ring all-reduce circulates: the per-node payload split
 /// over `nodes` ring slots, rounded up.
 #[must_use]
-pub fn ring_chunk_bytes(nodes: usize, bytes_per_node: u64) -> u64 {
+pub(crate) fn ring_chunk_bytes(nodes: usize, bytes_per_node: u64) -> u64 {
     bytes_per_node.div_ceil(nodes as u64).max(1)
 }
 

@@ -68,7 +68,7 @@ impl Flow {
 
     /// Sets the collective label.
     #[must_use]
-    pub fn in_collective(mut self, label: impl Into<String>) -> Self {
+    pub(crate) fn in_collective(mut self, label: impl Into<String>) -> Self {
         self.collective = label.into();
         self
     }

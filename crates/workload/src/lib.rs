@@ -13,11 +13,10 @@ pub mod prelude {
     pub use crate::collectives::{
         all_to_all, incast, parameter_server, ring_allreduce, tree_allreduce,
     };
-    pub use crate::dag::{Workload, WorkloadValidationError};
+    pub use crate::dag::Workload;
     pub use crate::flow::{Flow, FlowId};
     pub use crate::registry::{
-        lookup_workload_factory, register_workload_factory, registered_workloads, WorkloadFactory,
-        WorkloadRef, WorkloadSpec, DEFAULT_BYTES_PER_NODE,
+        lookup_workload_factory, registered_workloads, WorkloadFactory, WorkloadRef, WorkloadSpec,
     };
 }
 

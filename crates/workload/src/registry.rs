@@ -22,14 +22,14 @@
 
 use crate::collectives;
 use crate::dag::Workload;
-use pnoc_noc::registry::{canonical_name, Registry, UnknownNameError};
+use pnoc_noc::registry::{Registry, UnknownNameError};
 use std::sync::{Arc, LazyLock};
 
 /// Default per-node payload of generated workloads: 16 KiB per participant,
 /// i.e. 64 packets of the universal 2048-bit packet — big enough that
 /// bandwidth matters, small enough that smoke runs drain in tens of
 /// thousands of cycles.
-pub const DEFAULT_BYTES_PER_NODE: u64 = 16 * 1024;
+pub(crate) const DEFAULT_BYTES_PER_NODE: u64 = 16 * 1024;
 
 /// Everything a factory needs to instantiate a workload for one run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -41,7 +41,7 @@ pub struct WorkloadSpec {
 }
 
 impl WorkloadSpec {
-    /// Creates a spec with the [`DEFAULT_BYTES_PER_NODE`] payload.
+    /// Creates a spec with the default payload of 16 KiB per node.
     #[must_use]
     pub fn new(size: usize) -> Self {
         Self {
@@ -118,18 +118,11 @@ pub fn builtin_workloads() -> Registry<dyn WorkloadFactory> {
 /// Shorthand workload names accepted by lookups, mapped to their canonical
 /// registry keys (the same convention as `pnoc-traffic`'s pattern aliases:
 /// only canonical names appear in the catalogue).
-pub const WORKLOAD_ALIASES: [(&str, &str); 3] = [
+pub(crate) const WORKLOAD_ALIASES: [(&str, &str); 3] = [
     ("allreduce", "ring-allreduce"),
     ("shuffle", "all-to-all"),
     ("ps", "parameter-server"),
 ];
-
-/// Resolves a workload shorthand to its canonical registry name (identity
-/// for names that are not shorthands).
-#[must_use]
-pub fn canonical_workload_name(name: &str) -> &str {
-    canonical_name(&WORKLOAD_ALIASES, name)
-}
 
 /// The process-global workload catalogue, seeded with the built-ins.
 static WORKLOADS: LazyLock<Registry<dyn WorkloadFactory>> = LazyLock::new(builtin_workloads);
@@ -144,7 +137,8 @@ pub fn register_workload_factory(
 
 /// Looks up a factory in the process-global registry: exact registered names
 /// always win; when nothing is registered under `name`, the
-/// [`WORKLOAD_ALIASES`] shorthands fall back to their canonical workload.
+/// shorthands (`allreduce`, `shuffle`, `ps`) fall back to their canonical
+/// workload.
 ///
 /// # Errors
 ///
@@ -270,11 +264,14 @@ mod tests {
 
     #[test]
     fn aliases_resolve_but_do_not_appear_in_the_catalogue() {
-        assert_eq!(canonical_workload_name("allreduce"), "ring-allreduce");
-        assert_eq!(canonical_workload_name("shuffle"), "all-to-all");
-        assert_eq!(canonical_workload_name("incast"), "incast");
-        let via_alias = lookup_workload_factory("allreduce").expect("alias resolves");
-        assert_eq!(via_alias.name(), "ring-allreduce");
+        for (name, canonical) in [
+            ("allreduce", "ring-allreduce"),
+            ("shuffle", "all-to-all"),
+            ("incast", "incast"),
+        ] {
+            let factory = lookup_workload_factory(name).expect("alias resolves");
+            assert_eq!(factory.name(), canonical);
+        }
         assert!(!registered_workloads().contains(&"allreduce".to_string()));
     }
 

@@ -65,9 +65,9 @@
 //! [`MetricReport`](sim::metrics::MetricReport) — streaming latency
 //! quantiles (p50/p95/p99/max), per-node and per-cluster-pair breakdowns,
 //! windowed throughput — collected by an engine-driven
-//! [`MetricsProbe`](sim::metrics::MetricsProbe) and exportable through
-//! pluggable sinks (JSONL, CSV); see `pnoc_sim::metrics` and
-//! `repro --metrics`.
+//! [`MetricsProbe`](sim::metrics::MetricsProbe) and exported as JSON lines
+//! through [`JsonlSink`](sim::metrics::JsonlSink); see `pnoc_sim::metrics`
+//! and `repro --metrics`.
 //!
 //! ## Per-point seed derivation
 //!
