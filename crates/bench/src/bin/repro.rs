@@ -85,29 +85,20 @@
 //!
 //! repro --threads 4          # force the parallel-sweep worker count
 //!                            # (overrides the detected parallelism)
-//! repro --cross-engine-check # run every registered architecture plus
-//!                            # closed-loop workloads under both the
-//!                            # per-cycle and the event-driven executor,
-//!                            # assert bitwise-identical results, and write
-//!                            # the metric stream to
-//!                            # CROSS_ENGINE_metrics.jsonl (or =FILE)
 //! ```
 
 use pnoc_bench::experiments::{self, reports_json, ALL_EXPERIMENTS};
-use pnoc_bench::runner::{
-    cross_engine_specs, ensure_registered, latency_percentiles_at_saturation,
-};
+use pnoc_bench::runner::{ensure_registered, latency_percentiles_at_saturation};
 use pnoc_bench::scenario_io::{matrix_json, parse_scenarios, render_scenarios};
 use pnoc_bench::server::{serve, ServerOptions};
 use pnoc_sim::metrics::{JsonlSink, MetricValue};
 use pnoc_sim::params::ArchParams;
 use pnoc_sim::report::{fmt_f, Table};
 use pnoc_sim::scenario::{
-    run_specs, run_specs_with_cache, Effort, MatrixResult, PointCache, ScenarioMatrix, ScenarioSpec,
+    run_specs_with_cache, Effort, MatrixResult, PointCache, ScenarioMatrix, ScenarioSpec,
 };
 use pnoc_store::ResultStore;
 use std::io::Write as _;
-use std::time::Instant;
 
 /// Streams every per-point metric report of the batch to `path` as JSON
 /// lines (deterministic order, so two identical runs produce byte-identical
@@ -469,63 +460,6 @@ fn print_workload_table(outcome: &MatrixResult) {
     println!("{table}");
 }
 
-/// Runs the cross-engine determinism gate: the full check batch once under
-/// the per-cycle reference executor and once under the event-driven
-/// scheduler, asserting bitwise-identical results and byte-identical
-/// rendered metric streams. The event-driven metrics are written to `path`
-/// as the CI artifact.
-fn run_cross_engine_check(effort: Effort, path: &str) {
-    let specs = cross_engine_specs(effort);
-    eprintln!(
-        "[repro] cross-engine check: {} scenario(s) under both executors ...",
-        specs.len()
-    );
-    pnoc_sim::engine::set_event_driven(false);
-    let started = Instant::now();
-    let per_cycle = run_specs(&specs).unwrap_or_else(|error| {
-        pnoc_sim::engine::set_event_driven(true);
-        eprintln!("{error}");
-        std::process::exit(2);
-    });
-    let per_cycle_seconds = started.elapsed().as_secs_f64();
-    pnoc_sim::engine::set_event_driven(true);
-    let started = Instant::now();
-    let event = run_specs(&specs).unwrap_or_else(|error| {
-        eprintln!("{error}");
-        std::process::exit(2);
-    });
-    let event_seconds = started.elapsed().as_secs_f64();
-    if !per_cycle.bitwise_eq(&event) {
-        eprintln!("::error::event-driven engine diverged from the per-cycle reference executor");
-        std::process::exit(1);
-    }
-    let render = |outcome: &MatrixResult| -> Vec<u8> {
-        let mut bytes = Vec::new();
-        outcome
-            .write_metrics(&mut JsonlSink::new(&mut bytes))
-            .unwrap_or_else(|e| {
-                eprintln!("cannot render metrics: {e}");
-                std::process::exit(1);
-            });
-        bytes
-    };
-    let per_cycle_bytes = render(&per_cycle);
-    let event_bytes = render(&event);
-    if per_cycle_bytes != event_bytes {
-        eprintln!("::error::metric streams differ between executors (results matched)");
-        std::process::exit(1);
-    }
-    std::fs::write(path, &event_bytes).unwrap_or_else(|e| {
-        eprintln!("cannot write {path}: {e}");
-        std::process::exit(1);
-    });
-    eprintln!(
-        "[repro] cross-engine check passed: {} scenario(s) byte-identical \
-         (per-cycle {per_cycle_seconds:.2}s, event-driven {event_seconds:.2}s); wrote {path}",
-        specs.len()
-    );
-}
-
 /// A catalogue flag: print one listing and exit without running anything.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Listing {
@@ -579,8 +513,7 @@ impl Listing {
                 }
             }
             Listing::Help => println!(
-                "usage: repro [--quick|--paper] [--json FILE]\n\
-                 \x20            [--cross-engine-check[=FILE]] [--threads N]\n\
+                "usage: repro [--quick|--paper] [--json FILE] [--threads N]\n\
                  \x20            [--scenario ARCH[{{k=v,...}}]:TRAFFIC[:SET[:EFFORT]]]...\n\
                  \x20            [--matrix[=FILE]] [--arch SPEC]... [--arch-params K=V1,V2]...\n\
                  \x20            [--workload NAME[:SIZE]]... [--batch-json FILE]\n\
@@ -607,7 +540,6 @@ struct Options {
     effort: Effort,
     names: Vec<String>,
     json_path: Option<String>,
-    cross_engine_path: Option<String>,
     /// `--threads N`; 0 keeps the detected parallelism.
     thread_override: usize,
     matrix_path: Option<String>,
@@ -675,7 +607,6 @@ fn parse_args(args: Vec<String>) -> Result<Options, String> {
         effort: Effort::Paper,
         names: Vec::new(),
         json_path: None,
-        cross_engine_path: None,
         thread_override: 0,
         matrix_path: None,
         dump_path: None,
@@ -743,14 +674,9 @@ fn parse_args(args: Vec<String>) -> Result<Options, String> {
             "--no-cache" => o.no_cache = true,
             "--cache-compact" => o.cache_compact = true,
             "--matrix" => o.matrix_path = Some("MATRIX_sweep.json".to_string()),
-            "--cross-engine-check" => {
-                o.cross_engine_path = Some("CROSS_ENGINE_metrics.jsonl".to_string());
-            }
             other => {
                 if let Some(path) = other.strip_prefix("--matrix=") {
                     o.matrix_path = Some(path.to_string());
-                } else if let Some(path) = other.strip_prefix("--cross-engine-check=") {
-                    o.cross_engine_path = Some(path.to_string());
                 } else if other.starts_with('-') {
                     return Err(format!("unknown flag '{other}', try --help"));
                 } else {
@@ -762,13 +688,40 @@ fn parse_args(args: Vec<String>) -> Result<Options, String> {
     Ok(o)
 }
 
+impl Options {
+    /// Whether the experiments were asked for by name or through their
+    /// `--json` report (other work on its own runs only what it names).
+    fn names_experiments(&self) -> bool {
+        !self.names.is_empty() || self.json_path.is_some()
+    }
+
+    /// Whether anything besides cache maintenance was asked for: the
+    /// experiments, a scenario batch or its dumped specs, or the server.
+    fn requests_work(&self) -> bool {
+        self.names_experiments()
+            || !self.scenario_args.is_empty()
+            || !self.workload_args.is_empty()
+            || !self.arch_args.is_empty()
+            || !self.from_paths.is_empty()
+            || self.matrix_path.is_some()
+            || self.batch_json_path.is_some()
+            || self.dump_path.is_some()
+            || self.serve_addr.is_some()
+    }
+}
+
 fn main() {
+    let options = parse_args(std::env::args().skip(1).collect()).unwrap_or_else(|message| {
+        eprintln!("{message}");
+        std::process::exit(2);
+    });
+    let names_experiments = options.names_experiments();
+    let requests_work = options.requests_work();
     let Options {
         listing,
         effort,
         mut names,
         json_path,
-        cross_engine_path,
         thread_override,
         matrix_path,
         dump_path,
@@ -788,10 +741,7 @@ fn main() {
         cache_compact,
         serve_addr,
         serve_requests,
-    } = parse_args(std::env::args().skip(1).collect()).unwrap_or_else(|message| {
-        eprintln!("{message}");
-        std::process::exit(2);
-    });
+    } = options;
     if let Some(listing) = listing {
         listing.print();
         return;
@@ -870,16 +820,7 @@ fn main() {
         }
         // Maintenance-only invocations stop here instead of falling through
         // to the full experiment suite.
-        let has_work = !names.is_empty()
-            || !scenario_args.is_empty()
-            || !workload_args.is_empty()
-            || !arch_args.is_empty()
-            || !from_paths.is_empty()
-            || matrix_path.is_some()
-            || batch_json_path.is_some()
-            || cross_engine_path.is_some()
-            || serve_addr.is_some();
-        if !has_work {
+        if !requests_work {
             return;
         }
     }
@@ -977,8 +918,10 @@ fn main() {
             std::process::exit(2);
         });
         // The shorthand's effort defaults to the CLI-wide flag unless the
-        // 4th `:`-separated part pinned it explicitly.
-        if text.split(':').count() < 4 {
+        // 4th `:`-separated part pinned it explicitly (a `#faults=` plan's
+        // own `:`s do not count).
+        let head = text.split_once('#').map_or(text.as_str(), |(head, _)| head);
+        if head.split(':').count() < 4 {
             spec = spec.with_effort(effort);
         }
         cross_faults(&mut specs, spec);
@@ -1032,7 +975,7 @@ fn main() {
         };
         write_file(path, &render_scenarios(&dumped));
         eprintln!("[repro] wrote {} scenario spec(s) to {path}", dumped.len());
-        if names.is_empty() && json_path.is_none() && cross_engine_path.is_none() {
+        if !names_experiments {
             return;
         }
     }
@@ -1059,13 +1002,9 @@ fn main() {
         true
     };
 
-    if let Some(path) = &cross_engine_path {
-        run_cross_engine_check(effort, path);
-    }
-    // Scenario batches and --cross-engine-check on their own
-    // only run what they name; experiments run too when named explicitly or
-    // when a --json report was requested.
-    if (ran_scenarios || cross_engine_path.is_some()) && names.is_empty() && json_path.is_none() {
+    // A scenario batch on its own runs only what it names; experiments run
+    // too when named explicitly or when a --json report was requested.
+    if ran_scenarios && !names_experiments {
         return;
     }
 
@@ -1165,8 +1104,7 @@ mod tests {
         assert_eq!(options.listing, Some(Listing::Experiments));
         assert_eq!(options.effort, Effort::Quick);
         assert_eq!(options.names, ["fig3_6"]);
-        let options = parse(&["--matrix", "--cross-engine-check=x.jsonl"]).expect("parses");
+        let options = parse(&["--matrix"]).expect("parses");
         assert_eq!(options.matrix_path.as_deref(), Some("MATRIX_sweep.json"));
-        assert_eq!(options.cross_engine_path.as_deref(), Some("x.jsonl"));
     }
 }

@@ -10,7 +10,7 @@
 
 use pnoc_sim::config::BandwidthSet;
 use pnoc_sim::registry::{lookup_architecture, ArchitectureBuilder};
-use pnoc_sim::scenario::{Effort, MatrixResult, ScenarioResult, ScenarioSpec};
+use pnoc_sim::scenario::{MatrixResult, ScenarioResult};
 use pnoc_sim::stats::SimStats;
 use pnoc_sim::sweep::SaturationResult;
 use std::sync::Arc;
@@ -19,39 +19,6 @@ use std::sync::Arc;
 /// resolving entry point, so binaries and tests need no explicit setup.
 pub fn ensure_registered() {
     d_hetpnoc_repro::install_architectures();
-}
-
-/// The scenario batch both cross-engine gates run under the per-cycle and the
-/// event-driven executor (`repro --cross-engine-check` and
-/// `tests/cross_engine.rs`): an open-loop ladder on every registered
-/// architecture (`run_to_completion_with`), closed-loop collectives on both
-/// flat architectures (`run_until_with`), and closed-loop hierarchies, whose
-/// pods apply the same advance rule inside each epoch.
-#[must_use]
-pub fn cross_engine_specs(effort: Effort) -> Vec<ScenarioSpec> {
-    ensure_registered();
-    let mut specs = Vec::new();
-    for architecture in pnoc_sim::registry::registered_architectures() {
-        specs.push(ScenarioSpec::new(architecture, "skewed-3"));
-    }
-    for workload in ["allreduce:8", "incast:16"] {
-        specs.push(ScenarioSpec::closed_loop("d-hetpnoc", workload));
-        specs.push(ScenarioSpec::closed_loop("firefly", workload));
-    }
-    for (architecture, workload) in [
-        // Every hop of the ring crosses pods: all four pods stay idle.
-        ("hier{pods=4,leaf=d-hetpnoc}", "allreduce:8"),
-        // Three of the flows are pod-local: feed entries interleave with skips.
-        ("hier{pods=4,leaf=d-hetpnoc}", "incast:16"),
-        // Window edges that are multiples of nothing else in the system.
-        ("hier{pods=2,leaf=firefly,epoch=7}", "incast:16"),
-    ] {
-        specs.push(ScenarioSpec::closed_loop(architecture, workload));
-    }
-    specs
-        .into_iter()
-        .map(|spec| spec.with_effort(effort))
-        .collect()
 }
 
 /// The registry builder behind the architecture name of a finished batch's

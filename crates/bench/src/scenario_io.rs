@@ -241,8 +241,7 @@ pub(crate) fn latency_percentiles_json(metrics: &MetricReport) -> Json {
 
 /// JSON representation of one scenario result: the spec, the derived
 /// per-point seeds, a per-point stats digest (including the streamed
-/// latency percentiles) and the headline metrics. Deliberately excludes
-/// wall-clock time so the document is deterministic.
+/// latency percentiles) and the headline metrics.
 #[must_use]
 pub(crate) fn scenario_result_json(result: &ScenarioResult) -> Json {
     Json::obj(vec![
@@ -252,7 +251,7 @@ pub(crate) fn scenario_result_json(result: &ScenarioResult) -> Json {
             "point_seeds",
             Json::Arr(
                 result
-                    .point_seeds
+                    .point_seeds()
                     .iter()
                     .map(|s| Json::str(s.to_string()))
                     .collect(),

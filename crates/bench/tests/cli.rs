@@ -3,6 +3,8 @@
 //! store, the exit code + message of an unknown registry name, and the
 //! experiments running as one (cacheable) batch.
 
+use pnoc_bench::scenario_io::parse_scenarios;
+use pnoc_sim::scenario::{Effort, ScenarioSpec};
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
 
@@ -117,6 +119,58 @@ fn cache_dir_holds_only_entries_and_maintenance_flags_count_them() {
     run_ok(&["--cache-dir", dir_arg, "--cache-max-bytes", "1"]);
     assert_eq!(file_names(&dir), ["entries"]);
     assert!(file_names(&dir.join("entries")).is_empty());
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A fresh scratch directory under the system temp dir, named per test.
+fn scratch_dir(name: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("pnoc-cli-{name}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("scratch directory creates");
+    dir
+}
+
+/// Runs `repro ARGS --dump-scenarios FILE` and returns the specs it wrote.
+fn dump(args: &[&str], file: &Path) -> Vec<ScenarioSpec> {
+    run_ok(&[args, &["--dump-scenarios", file.to_str().expect("UTF-8")]].concat());
+    let text = std::fs::read_to_string(file).expect("the dump was written");
+    parse_scenarios(&text).expect("the dump parses")
+}
+
+#[test]
+fn cache_maintenance_still_writes_the_requested_files() {
+    let dir = scratch_dir("maintenance");
+    let cache = dir.join("cache");
+    let maintain = [
+        "--quick",
+        "--cache-dir",
+        cache.to_str().expect("UTF-8"),
+        "--cache-compact",
+    ];
+    assert_eq!(
+        dump(&maintain, &dir.join("d.json")).len(),
+        24,
+        "the default matrix"
+    );
+    let report = dir.join("r.json");
+    run_ok(&[&maintain[..], &["--json", report.to_str().expect("UTF-8")]].concat());
+    let text = std::fs::read_to_string(&report).expect("the report was written");
+    assert!(text.contains("\"fig3_3_3_4\""), "{text}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn the_effort_flag_reaches_a_shorthand_whose_fault_plan_has_colons() {
+    let dir = scratch_dir("effort");
+    for plan in [
+        "link-fail@c150:sw1",
+        "link-fail@c150:sw1,laser-dim@c200:fabric/2",
+    ] {
+        let scenario = format!("firefly:tornado#faults={plan}");
+        let specs = dump(&["--paper", "--scenario", &scenario], &dir.join("a.json"));
+        assert_eq!(specs.len(), 1);
+        assert_eq!(specs[0].effort, Effort::Paper, "{scenario}");
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
 

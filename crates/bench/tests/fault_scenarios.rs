@@ -34,8 +34,8 @@ fn healthy_spellings_are_identical_to_a_fault_free_run_and_share_points() {
     // ...and produce the same results as running the fault-free spec alone
     // (the pre-fault behaviour).
     let alone = run_specs(&[base]).expect("resolves");
-    assert!(
-        outcome.scenarios[0].bitwise_eq(&alone.scenarios[0]),
+    assert_eq!(
+        outcome.scenarios[0], alone.scenarios[0],
         "a fault-free run must be bitwise-identical to pre-fault behaviour"
     );
     // The 'none' spec echoes its spelling, but its simulated points and
@@ -46,8 +46,8 @@ fn healthy_spellings_are_identical_to_a_fault_free_run_and_share_points() {
         "faults='none' must reuse the exact healthy simulation"
     );
     assert_eq!(
-        outcome.scenarios[1].point_seeds,
-        alone.scenarios[0].point_seeds
+        outcome.scenarios[1].point_seeds(),
+        alone.scenarios[0].point_seeds()
     );
     // Healthy reports carry no fault metrics at all — the exact pre-fault
     // bytes.
@@ -133,8 +133,8 @@ fn the_cache_never_serves_healthy_points_for_faulted_scenarios() {
         "a faulted scenario must never be served a cached healthy point"
     );
     assert_eq!(fault_run.cache.stored, fault_run.unique_points);
-    assert!(
-        !cold.scenarios[0].bitwise_eq(&fault_run.scenarios[0]),
+    assert_ne!(
+        cold.scenarios[0].result, fault_run.scenarios[0].result,
         "the faulted sweep must actually differ from the healthy one"
     );
 

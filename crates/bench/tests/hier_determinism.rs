@@ -170,8 +170,9 @@ fn sharded_pod_execution_is_bitwise_identical_parallel_vs_sequential() {
             "{}: the sweep delivered nothing, the comparison would be vacuous",
             scenario.canonical_id()
         );
-        assert!(
-            sequential.bitwise_eq(&parallel),
+        assert_eq!(
+            sequential,
+            parallel,
             "{}: sharded pod execution must be bitwise-identical parallel vs sequential",
             scenario.canonical_id()
         );

@@ -37,8 +37,8 @@ fn parallel_scenarios_are_bitwise_identical_for_both_paper_architectures() {
         for workers in [1, 2, 4, 8] {
             pnoc_exec::set_worker_override(workers);
             let parallel = scenario.run_with_mode(SweepMode::Parallel);
-            assert!(
-                sequential.bitwise_eq(&parallel),
+            assert_eq!(
+                sequential, parallel,
                 "{architecture}: parallel scenario run on {workers} worker(s) must be \
                  bitwise-identical to sequential"
             );
@@ -54,7 +54,7 @@ fn scenario_points_use_derived_seeds() {
     let scenario = smoke_scenario("firefly", "uniform-random");
     let a = scenario.run_with_mode(SweepMode::Sequential);
     let b = scenario.run_with_mode(SweepMode::Sequential);
-    assert!(a.bitwise_eq(&b), "same base seed must reproduce exactly");
+    assert_eq!(a, b, "same base seed must reproduce exactly");
 
     let reseeded = scenario
         .spec()
@@ -67,8 +67,11 @@ fn scenario_points_use_derived_seeds() {
         a.result, c.result,
         "a different base seed must change the sweep"
     );
-    assert_ne!(a.point_seeds, c.point_seeds);
-    assert_eq!(a.point_seeds[0], derive_point_seed(scenario.spec().seed, 0));
+    assert_ne!(a.point_seeds(), c.point_seeds());
+    assert_eq!(
+        a.point_seeds()[0],
+        derive_point_seed(scenario.spec().seed, 0)
+    );
 }
 
 #[test]

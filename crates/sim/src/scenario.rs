@@ -5,13 +5,13 @@ use crate::metrics::{JsonlSink, MetricMergeError, MetricReport, MetricRow};
 use crate::params::{ArchParamError, ArchParams, ResolvedParams};
 use crate::registry::{lookup_architecture, ArchitectureBuilder};
 use crate::sweep::{
-    default_load_ladder, derive_point_seed, point_spec, run_point, run_sweep, SaturationResult,
-    SweepMode, SweepPoint, SweepPointSpec,
+    default_load_ladder, derive_point_seed, point_spec, run_point, SaturationResult, SweepMode,
+    SweepPoint, SweepPointSpec,
 };
 use crate::workload::run_workload_point;
 use pnoc_faults::{FaultError, FaultPlan};
 use pnoc_noc::registry::UnknownNameError;
-use pnoc_noc::traffic_model::TrafficModel;
+use pnoc_noc::traffic_model::OfferedLoad;
 use pnoc_traffic::factory::{
     lookup_traffic_factory, registered_traffic_patterns, TrafficFactory, TrafficSpec,
 };
@@ -741,98 +741,87 @@ impl Scenario {
     /// Runs the scenario with an explicit execution mode (used by
     /// determinism tests and the `benchmark/` ladder workload). Open-loop
     /// scenarios sweep their ladder; closed-loop scenarios run their single
-    /// DAG-drain point. [`SweepMode::Sequential`] is the reference loop on
-    /// the calling thread; [`SweepMode::Parallel`] is a one-scenario batch
-    /// on the matrix engine's point queue.
+    /// DAG-drain point. [`SweepMode::Sequential`] is the reference: the
+    /// points in ladder order on the calling thread. [`SweepMode::Parallel`]
+    /// is a one-scenario batch on the matrix engine's point queue.
     #[must_use]
     pub fn run_with_mode(&self, mode: SweepMode) -> ScenarioResult {
-        if mode == SweepMode::Parallel {
-            return run_scenarios(std::slice::from_ref(self), None)
+        match mode {
+            SweepMode::Sequential => {
+                self.result(self.points().iter().map(|p| self.simulate(p)).collect())
+            }
+            SweepMode::Parallel => run_scenarios(std::slice::from_ref(self), None)
                 .scenarios
                 .pop()
-                .expect("one scenario in, one result out");
+                .expect("one scenario in, one result out"),
         }
+    }
+
+    /// The scenario's sweep points, in ladder order: one per ladder load,
+    /// each on the effective configuration with the seed
+    /// `derive_point_seed(spec.seed, index)`.
+    pub(crate) fn points(&self) -> Vec<SweepPointSpec> {
         let config = self.config();
-        let loads = self.spec.loads();
-        let started = Instant::now();
-        let result = match &self.payload {
+        // `ScenarioResult::point_seeds` derives from the spec's seed.
+        debug_assert_eq!(config.seed, self.spec.seed, "seed rewritten");
+        self.spec
+            .loads()
+            .into_iter()
+            .enumerate()
+            .map(|(index, load)| point_spec(&config, index, load))
+            .collect()
+    }
+
+    /// Simulates one of this scenario's points: an open-loop ladder point,
+    /// its traffic model built from the point's configuration (geometry,
+    /// topology, derived seed, offered load), or the closed-loop DAG-drain
+    /// run.
+    pub(crate) fn simulate(&self, point: &SweepPointSpec) -> SweepPoint {
+        let (architecture, params, faults) =
+            (self.architecture.as_ref(), &self.params, &self.faults);
+        match &self.payload {
             ScenarioPayload::Traffic(factory) => {
-                let make = |point: &SweepPointSpec| build_traffic(factory.as_ref(), point);
-                run_sweep(
-                    self.architecture.as_ref(),
-                    &self.params,
-                    &make,
-                    &config,
-                    &loads,
-                    &self.faults,
-                )
+                let config = &point.config;
+                let set = config.bandwidth_set;
+                let shape = PacketShape::new(set.packet_flits(), set.flit_bits());
+                let load = OfferedLoad::new(point.offered_load);
+                let spec = TrafficSpec::new(config.topology, shape, load, config.seed);
+                run_point(architecture, params, point, factory.build(&spec), faults)
             }
-            ScenarioPayload::Workload(workload) => SaturationResult {
-                points: vec![run_workload_point(
-                    self.architecture.as_ref(),
-                    &self.params,
-                    &point_spec(&config, 0, loads[0]),
-                    workload,
-                    &self.faults,
-                )],
-            },
-        };
+            ScenarioPayload::Workload(workload) => {
+                run_workload_point(architecture, params, point, workload, faults)
+            }
+        }
+    }
+
+    /// This scenario's result from its simulated points, in ladder order.
+    fn result(&self, points: Vec<SweepPoint>) -> ScenarioResult {
         ScenarioResult {
             spec: self.spec.clone(),
-            point_seeds: (0..loads.len())
-                .map(|i| derive_point_seed(config.seed, i))
-                .collect(),
-            result,
-            wall_clock_seconds: started.elapsed().as_secs_f64(),
+            result: SaturationResult { points },
         }
     }
 }
 
-/// Builds the traffic model of one sweep point from the point's
-/// configuration (geometry, topology, derived seed, offered load).
-fn build_traffic(
-    factory: &dyn TrafficFactory,
-    point: &SweepPointSpec,
-) -> Box<dyn TrafficModel + Send> {
-    let shape = PacketShape::new(
-        point.config.bandwidth_set.packet_flits(),
-        point.config.bandwidth_set.flit_bits(),
-    );
-    factory.build(&TrafficSpec::new(
-        point.config.topology,
-        shape,
-        point.offered_load,
-        point.seed,
-    ))
-}
-
-/// The outcome of running one scenario: the spec it came from, the measured
-/// saturation sweep, the derived per-point seeds, and how long it took.
+/// The outcome of running one scenario: the spec it came from and the
+/// measured saturation sweep. Everything in it is what the simulation
+/// determines, so `==` is the determinism comparison.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ScenarioResult {
     /// The spec that produced this result.
     pub spec: ScenarioSpec,
     /// The measured sweep, one point per ladder entry (in ladder order).
     pub result: SaturationResult,
-    /// The seed each ladder point simulated with
-    /// (`derive_point_seed(spec.seed, index)`).
-    pub point_seeds: Vec<u64>,
-    /// Wall-clock seconds of the run that produced this result. For matrix
-    /// runs this is the elapsed time of the whole batch, since the flattened
-    /// work queue shares workers across scenarios.
-    pub wall_clock_seconds: f64,
 }
 
 impl ScenarioResult {
-    /// Whether two results are bitwise-identical in everything the
-    /// simulation determines — spec, per-point seeds, the full sweep and
-    /// every per-point metric report — ignoring only the wall-clock
-    /// measurement.
+    /// The seed each ladder point simulated with:
+    /// `derive_point_seed(spec.seed, index)`, in ladder order.
     #[must_use]
-    pub fn bitwise_eq(&self, other: &ScenarioResult) -> bool {
-        self.spec == other.spec
-            && self.point_seeds == other.point_seeds
-            && self.result == other.result
+    pub fn point_seeds(&self) -> Vec<u64> {
+        (0..self.result.points.len())
+            .map(|index| derive_point_seed(self.spec.seed, index))
+            .collect()
     }
 
     /// The exportable [`MetricRow`] of ladder point `index` (`id` is the
@@ -844,7 +833,7 @@ impl ScenarioResult {
             scenario: id.to_string(),
             point_index: index,
             offered_load: point.offered_load,
-            seed: self.point_seeds.get(index).copied().unwrap_or(0),
+            seed: derive_point_seed(self.spec.seed, index),
             report: point.metrics.clone(),
         }
     }
@@ -1158,15 +1147,14 @@ impl ScenarioMatrix {
     ///
     /// Fails fast if any expanded spec does not resolve.
     pub fn run_sequential(&self) -> Result<MatrixResult, ScenarioError> {
-        let scenarios = resolve_all(&self.specs())?;
         let started = Instant::now();
-        let results: Vec<ScenarioResult> = scenarios
+        let scenarios: Vec<ScenarioResult> = resolve_all(&self.specs())?
             .iter()
             .map(|s| s.run_with_mode(SweepMode::Sequential))
             .collect();
-        let total_points: usize = results.iter().map(|r| r.result.points.len()).sum();
+        let total_points = scenarios.iter().map(|r| r.result.points.len()).sum();
         Ok(MatrixResult {
-            scenarios: results,
+            scenarios,
             total_points,
             unique_points: total_points,
             wall_clock_seconds: started.elapsed().as_secs_f64(),
@@ -1177,37 +1165,6 @@ impl ScenarioMatrix {
 
 fn resolve_all(specs: &[ScenarioSpec]) -> Result<Vec<Scenario>, ScenarioError> {
     specs.iter().map(ScenarioSpec::resolve).collect()
-}
-
-/// One flattened unit of matrix work: a single sweep point of a single
-/// scenario — an open-loop ladder point or a closed-loop DAG-drain run.
-struct PointJob {
-    architecture: Arc<dyn ArchitectureBuilder>,
-    params: ResolvedParams,
-    payload: ScenarioPayload,
-    point: SweepPointSpec,
-    faults: FaultPlan,
-}
-
-impl PointJob {
-    fn run(&self) -> SweepPoint {
-        match &self.payload {
-            ScenarioPayload::Traffic(factory) => run_point(
-                self.architecture.as_ref(),
-                &self.params,
-                &self.point,
-                build_traffic(factory.as_ref(), &self.point),
-                &self.faults,
-            ),
-            ScenarioPayload::Workload(workload) => run_workload_point(
-                self.architecture.as_ref(),
-                &self.params,
-                &self.point,
-                workload,
-                &self.faults,
-            ),
-        }
-    }
 }
 
 /// A pluggable cross-run cache of simulated sweep points, keyed by
@@ -1241,8 +1198,9 @@ pub trait PointCache: Sync {
 ///
 /// Both components change the bytes a simulation *could* produce — a version
 /// bump may change the engine, and the two stepping modes are only believed
-/// bitwise-identical because CI checks it — so either change invalidates
-/// every previously stored entry rather than risking a stale hit.
+/// bitwise-identical because `crates/bench/tests/cross_engine.rs` checks it —
+/// so either change invalidates every previously stored entry rather than
+/// risking a stale hit.
 #[must_use]
 pub fn engine_fingerprint() -> String {
     let stepping = if crate::engine::event_driven_enabled() {
@@ -1307,37 +1265,30 @@ fn run_scenarios(scenarios: &[Scenario], cache: Option<&dyn PointCache>) -> Matr
     // "ring-allreduce:16") and a default named explicitly
     // (`firefly{radix=16}`) share one simulation, while a genuine override,
     // another fault plan, another derived seed or another load gets its own.
-    let mut jobs: Vec<PointJob> = Vec::new();
+    let mut jobs: Vec<(usize, SweepPointSpec)> = Vec::new();
+    let mut job_keys: Vec<String> = Vec::new();
     let mut index_of: BTreeMap<String, usize> = BTreeMap::new();
     let mut assignments: Vec<Vec<usize>> = Vec::with_capacity(scenarios.len());
     let fingerprint = engine_fingerprint();
-    for scenario in scenarios {
-        let config = scenario.config();
-        let loads = scenario.spec.loads();
+    for (scenario_index, scenario) in scenarios.iter().enumerate() {
         let canonical_id = scenario.canonical_id();
-        let mut point_jobs = Vec::with_capacity(loads.len());
-        for (index, &load) in loads.iter().enumerate() {
-            let point = point_spec(&config, index, load);
-            let key = point_cache_key(&canonical_id, point.seed, load, &fingerprint);
-            let next = jobs.len();
-            let job_index = *index_of.entry(key).or_insert(next);
-            if job_index == next {
-                jobs.push(PointJob {
-                    architecture: Arc::clone(&scenario.architecture),
-                    params: scenario.params.clone(),
-                    payload: scenario.payload.clone(),
-                    point,
-                    faults: scenario.faults.clone(),
-                });
-            }
+        let points = scenario.points();
+        let mut point_jobs = Vec::with_capacity(points.len());
+        for point in points {
+            let key = point_cache_key(
+                &canonical_id,
+                point.config.seed,
+                point.offered_load,
+                &fingerprint,
+            );
+            let job_index = *index_of.entry(key).or_insert_with_key(|key| {
+                jobs.push((scenario_index, point));
+                job_keys.push(key.clone());
+                jobs.len() - 1
+            });
             point_jobs.push(job_index);
         }
         assignments.push(point_jobs);
-    }
-    // The keys in job order, for the cache (the map held each key once).
-    let mut job_keys = vec![String::new(); jobs.len()];
-    for (key, job_index) in index_of {
-        job_keys[job_index] = key;
     }
     let total_points: usize = assignments.iter().map(Vec::len).sum();
     let unique_points = jobs.len();
@@ -1345,19 +1296,11 @@ fn run_scenarios(scenarios: &[Scenario], cache: Option<&dyn PointCache>) -> Matr
     // Consult the cache once per deduplicated job; hits never reach the
     // work queue. Lookups and stores stay on this thread — the cache sees
     // strictly sequential, deterministic-order access.
-    let mut points: Vec<Option<SweepPoint>> = vec![None; jobs.len()];
-    if let Some(cache) = cache {
-        for (slot, key) in points.iter_mut().zip(&job_keys) {
-            *slot = cache.lookup(key);
-        }
-    }
-    let cache_hits = points.iter().filter(|point| point.is_some()).count();
-    let miss_indices: Vec<usize> = points
+    let mut points: Vec<Option<SweepPoint>> = job_keys
         .iter()
-        .enumerate()
-        .filter(|(_, point)| point.is_none())
-        .map(|(index, _)| index)
+        .map(|key| cache.and_then(|cache| cache.lookup(key)))
         .collect();
+    let miss_indices: Vec<usize> = (0..points.len()).filter(|&i| points[i].is_none()).collect();
 
     // One flat batch across every scenario, submitted directly to the
     // persistent pnoc-exec pool: workers stay busy across scenario
@@ -1366,50 +1309,40 @@ fn run_scenarios(scenarios: &[Scenario], cache: Option<&dyn PointCache>) -> Matr
     // carries its own wall-clock so the cache can keep timing as sidecar
     // metadata next to the (timing-free) point payload.
     let fresh: Vec<(SweepPoint, f64)> = pnoc_exec::run_batch(&miss_indices, |_, &index| {
+        let (scenario, point) = &jobs[index];
         let point_started = Instant::now();
-        let point = jobs[index].run();
+        let point = scenarios[*scenario].simulate(point);
         (point, point_started.elapsed().as_secs_f64())
     });
 
-    let mut cache_stored = 0usize;
     for (&index, (point, point_seconds)) in miss_indices.iter().zip(fresh) {
         if let Some(cache) = cache {
             cache.store(&job_keys[index], &point, point_seconds);
-            cache_stored += 1;
         }
         points[index] = Some(point);
     }
 
-    let wall_clock_seconds = started.elapsed().as_secs_f64();
-    let results: Vec<ScenarioResult> = scenarios
-        .iter()
-        .zip(&assignments)
-        .map(|(scenario, point_jobs)| {
-            let config = scenario.config();
-            ScenarioResult {
-                spec: scenario.spec.clone(),
-                result: SaturationResult {
-                    points: point_jobs
+    let misses = miss_indices.len();
+    MatrixResult {
+        wall_clock_seconds: started.elapsed().as_secs_f64(),
+        scenarios: scenarios
+            .iter()
+            .zip(&assignments)
+            .map(|(scenario, point_jobs)| {
+                scenario.result(
+                    point_jobs
                         .iter()
                         .map(|&i| points[i].clone().expect("every job resolved"))
                         .collect(),
-                },
-                point_seeds: (0..point_jobs.len())
-                    .map(|i| derive_point_seed(config.seed, i))
-                    .collect(),
-                wall_clock_seconds,
-            }
-        })
-        .collect();
-    MatrixResult {
-        scenarios: results,
+                )
+            })
+            .collect(),
         total_points,
         unique_points,
-        wall_clock_seconds,
         cache: CacheStats {
-            hits: cache_hits,
-            misses: miss_indices.len(),
-            stored: cache_stored,
+            hits: unique_points - misses,
+            misses,
+            stored: if cache.is_some() { misses } else { 0 },
         },
     }
 }
@@ -1475,12 +1408,7 @@ impl MatrixResult {
     /// bookkeeping.
     #[must_use]
     pub fn bitwise_eq(&self, other: &MatrixResult) -> bool {
-        self.scenarios.len() == other.scenarios.len()
-            && self
-                .scenarios
-                .iter()
-                .zip(&other.scenarios)
-                .all(|(a, b)| a.bitwise_eq(b))
+        self.scenarios == other.scenarios
     }
 
     /// Streams every per-point metric report of the batch into `sink`, in
@@ -1590,16 +1518,21 @@ mod tests {
         let loads = spec.loads();
         assert_eq!(outcome.spec, spec);
         assert_eq!(outcome.result.points.len(), loads.len());
-        assert_eq!(outcome.point_seeds.len(), loads.len());
-        for (i, &seed) in outcome.point_seeds.iter().enumerate() {
+        let seeds = outcome.point_seeds();
+        assert_eq!(seeds.len(), loads.len());
+        for (i, (&seed, point)) in seeds.iter().zip(scenario.points()).enumerate() {
             assert_eq!(seed, derive_point_seed(spec.seed, i));
+            assert_eq!(
+                point.config.seed, seed,
+                "the reported seed is the simulated one"
+            );
+            assert_eq!(point.offered_load, loads[i]);
         }
         assert!(outcome
             .result
             .points
             .iter()
             .any(|p| p.stats.delivered_packets > 0));
-        assert!(outcome.wall_clock_seconds >= 0.0);
     }
 
     #[test]
@@ -1608,7 +1541,7 @@ mod tests {
         let scenario = smoke_spec().resolve().expect("registered");
         let parallel = scenario.run_with_mode(SweepMode::Parallel);
         let sequential = scenario.run_with_mode(SweepMode::Sequential);
-        assert!(parallel.bitwise_eq(&sequential));
+        assert_eq!(parallel, sequential);
     }
 
     #[test]
@@ -1908,8 +1841,8 @@ mod tests {
             .expect("valid");
         let parallel = narrow.run_with_mode(SweepMode::Parallel);
         let sequential = narrow.run_with_mode(SweepMode::Sequential);
-        assert!(
-            parallel.bitwise_eq(&sequential),
+        assert_eq!(
+            parallel, sequential,
             "parameterized sweeps must stay bitwise-deterministic"
         );
         // A quarter of the wavelength budget must change the measured sweep.

@@ -3,31 +3,26 @@
 //! "Peak bandwidth" and "packet energy at saturation" are properties of the
 //! saturated network: the evaluation sweeps the offered load upward until the
 //! accepted bandwidth stops improving and reports the maximum. This module
-//! provides the load ladder, the **generic sweep driver** shared by every
+//! provides the load ladder, the simulation of one sweep point shared by every
 //! architecture, and the result container used by every throughput/energy
 //! experiment.
 //!
-//! # The generic driver
+//! # One point at a time
 //!
-//! The sweep driver takes an [`ArchitectureBuilder`] (usually resolved from
-//! the [registry](crate::registry)), a traffic factory closure, a base
-//! configuration and a load ladder, and simulates one independent network per
-//! ladder point, one after another on the calling thread. It is the
-//! **sequential reference**: the one parallel path — the flattened point
-//! queue of [`crate::scenario::run_specs_with_cache`], which
-//! [`SweepMode::Parallel`] selects — must be **bitwise-identical** to it,
-//! and is, because each point is a fully independent deterministic
-//! simulation.
+//! Every sweep point is an independent network: the architecture builds it on
+//! the point's configuration, the engine runs it with a [`MetricsProbe`]
+//! attached, and the point comes back as a [`SweepPoint`] carrying the run's
+//! [`SimStats`] and [`MetricReport`] (latency quantiles, per-node and
+//! per-cluster-pair breakdowns, windowed throughput).
 //!
-//! The supported entry point is the typed scenario API in
-//! [`crate::scenario`]: a [`Scenario`](crate::scenario::Scenario) resolves
-//! the architecture and traffic registries by name and drives this module
-//! internally, and a [`ScenarioMatrix`](crate::scenario::ScenarioMatrix)
-//! batches whole cross-products of scenarios into one flattened work queue.
-//!
-//! Every point simulated by the driver carries a [`MetricReport`] collected
-//! by a [`MetricsProbe`] — latency quantiles, per-node and per-cluster-pair
-//! breakdowns, windowed throughput — next to the run's [`SimStats`].
+//! A [`Scenario`](crate::scenario::Scenario) expands its ladder into points
+//! and simulates each one; [`SweepMode`] only chooses where. The **sequential
+//! reference** is [`Scenario::run_with_mode`](crate::scenario::Scenario::run_with_mode)
+//! with [`SweepMode::Sequential`]: the points in ladder order on the calling
+//! thread. The one parallel path — the flattened, deduplicated point queue of
+//! [`crate::scenario::run_specs_with_cache`], which [`SweepMode::Parallel`]
+//! selects — must be **bitwise-identical** to it, and is, because each point
+//! is a fully independent deterministic simulation.
 //!
 //! # Per-point seed derivation
 //!
@@ -39,11 +34,11 @@
 //! ```
 //!
 //! (golden-ratio increment, SplitMix64 finalizer — see [`derive_point_seed`]).
-//! The derived seed is stored in the per-point `SweepPointSpec` and in the
-//! per-point copy of the [`SimConfig`] handed to the builder, so a point's
-//! result depends only on `(base seed, point index, load)` — never on which
-//! thread ran it or in which order points completed. This is what makes the
-//! parallel point queue reproducible and bitwise-equal to the sequential sweep.
+//! The derived seed replaces the seed of the point's copy of the
+//! [`SimConfig`] handed to the builder, so a point's result depends only on
+//! `(base seed, point index, load)` — never on which thread ran it or in
+//! which order points completed. This is what makes the parallel point queue
+//! reproducible and bitwise-equal to the sequential sweep.
 
 use crate::config::SimConfig;
 use crate::engine::{run_to_completion_with, CycleNetwork};
@@ -188,20 +183,16 @@ pub enum SweepMode {
     Parallel,
 }
 
-/// Everything that identifies one point of a sweep: its index in the ladder,
-/// its offered load, its derived seed, and the per-point configuration
-/// (the base configuration with `seed` replaced by the derived seed).
+/// One point of a sweep: its offered load as the ladder gives it, and the
+/// per-point configuration (the scenario's configuration with `seed`
+/// replaced by the point's derived seed, see [`derive_point_seed`]).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub(crate) struct SweepPointSpec {
-    /// Position of the point in the load ladder.
-    pub index: usize,
-    /// Offered load of the point.
-    pub offered_load: OfferedLoad,
-    /// Seed derived from the base configuration seed and `index`
-    /// (see [`derive_point_seed`]).
-    pub seed: u64,
-    /// The base configuration with [`SimConfig::seed`] set to
-    /// [`SweepPointSpec::seed`].
+    /// Offered load of the point, unclamped: the cache key renders these
+    /// exact bits, and the simulation clamps it to `[0, 1]`.
+    pub offered_load: f64,
+    /// The scenario's configuration with [`SimConfig::seed`] set to the
+    /// point's derived seed.
     pub config: SimConfig,
 }
 
@@ -220,22 +211,19 @@ pub fn derive_point_seed(base_seed: u64, index: usize) -> u64 {
 }
 
 pub(crate) fn point_spec(config: &SimConfig, index: usize, load: f64) -> SweepPointSpec {
-    let seed = derive_point_seed(config.seed, index);
     let mut point_config = *config;
-    point_config.seed = seed;
+    point_config.seed = derive_point_seed(config.seed, index);
     SweepPointSpec {
-        index,
-        offered_load: OfferedLoad::new(load),
-        seed,
+        offered_load: load,
         config: point_config,
     }
 }
 
-/// Simulates one point: builds the network on `config`, installs a
-/// non-empty fault plan, runs the network through `drive` — which attaches
-/// the probes and returns the run's statistics with the probes' report — and
-/// completes the report. Open-loop and closed-loop points differ only in
-/// `drive`.
+/// Simulates one point: builds the network on the point's configuration,
+/// installs a non-empty fault plan, runs the network through `drive` — which
+/// attaches the probes and returns the run's statistics with the probes'
+/// report — and completes the report. Open-loop and closed-loop points
+/// differ only in `drive`.
 ///
 /// The report gains the photonic static-power gauges: `static_power_mw`
 /// (laser + thermal tuning, see [`SimConfig::static_power_mw`]) and
@@ -256,12 +244,12 @@ pub(crate) fn point_spec(config: &SimConfig, index: usize, load: f64) -> SweepPo
 pub(crate) fn simulate_point(
     architecture: &dyn ArchitectureBuilder,
     params: &ResolvedParams,
-    config: SimConfig,
+    point: &SweepPointSpec,
     traffic: Box<dyn TrafficModel + Send>,
     faults: &FaultPlan,
-    offered_load: OfferedLoad,
     drive: impl FnOnce(&mut dyn CycleNetwork) -> (SimStats, MetricReport),
 ) -> SweepPoint {
+    let config = point.config;
     let mut network = architecture.build(config, params, traffic);
     if !faults.is_empty() {
         let installed = network.install_fault_schedule(FaultController::new(faults));
@@ -289,7 +277,7 @@ pub(crate) fn simulate_point(
     }
     network.contribute_metrics(&mut metrics);
     SweepPoint {
-        offered_load: offered_load.value(),
+        offered_load: OfferedLoad::new(point.offered_load).value(),
         stats,
         metrics,
     }
@@ -309,38 +297,7 @@ pub(crate) fn run_point(
         let stats = run_to_completion_with(network, &mut [&mut probe]);
         (stats, probe.report())
     };
-    simulate_point(
-        architecture,
-        params,
-        spec.config,
-        traffic,
-        faults,
-        spec.offered_load,
-        drive,
-    )
-}
-
-/// The sequential reference sweep the parallel point queue in
-/// [`crate::scenario`] is compared against: one simulation per ladder point,
-/// in ladder order on the calling thread, all points through the same
-/// architecture builder.
-pub(crate) fn run_sweep(
-    architecture: &dyn ArchitectureBuilder,
-    params: &ResolvedParams,
-    make_traffic: &dyn Fn(&SweepPointSpec) -> Box<dyn TrafficModel + Send>,
-    config: &SimConfig,
-    loads: &[f64],
-    faults: &FaultPlan,
-) -> SaturationResult {
-    let points = loads
-        .iter()
-        .enumerate()
-        .map(|(index, &load)| {
-            let spec = point_spec(config, index, load);
-            run_point(architecture, params, &spec, make_traffic(&spec), faults)
-        })
-        .collect();
-    SaturationResult { points }
+    simulate_point(architecture, params, spec, traffic, faults, drive)
 }
 
 #[cfg(test)]
@@ -492,11 +449,11 @@ mod tests {
     }
 
     fn make_seeded(spec: &SweepPointSpec) -> Box<dyn TrafficModel + Send> {
-        let period = (1.0 / spec.offered_load.value().max(1e-6)).round().max(1.0) as u64;
+        let period = (1.0 / spec.offered_load.max(1e-6)).round().max(1.0) as u64;
         Box::new(SeededPeriodic {
-            seed: spec.seed,
+            seed: spec.config.seed,
             period,
-            load: spec.offered_load,
+            load: OfferedLoad::new(spec.offered_load),
             shape: (
                 spec.config.bandwidth_set.packet_flits(),
                 spec.config.bandwidth_set.flit_bits(),
@@ -509,15 +466,15 @@ mod tests {
         let config = sweep_config();
         let loads = [1.0 / 200.0, 1.0 / 100.0];
         let architecture = UniformFabricArchitecture;
-        let result = run_sweep(
-            &architecture,
-            &architecture.default_params(),
-            &make_seeded,
-            &config,
-            &loads,
-            &FaultPlan::empty(),
-        );
-        for point in &result.points {
+        for (index, &load) in loads.iter().enumerate() {
+            let spec = point_spec(&config, index, load);
+            let point = run_point(
+                &architecture,
+                &architecture.default_params(),
+                &spec,
+                make_seeded(&spec),
+                &FaultPlan::empty(),
+            );
             assert_eq!(
                 point.metrics.counter("delivered_packets"),
                 Some(point.stats.delivered_packets),

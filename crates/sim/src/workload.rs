@@ -624,9 +624,9 @@ impl Probe for FlowProbe {
 /// [`FlowProbe`] attached, and returns the sweep point carrying both metric
 /// sets merged.
 ///
-/// The spec's configuration is used with its warm-up zeroed (closed-loop
+/// The point's configuration is used with its warm-up zeroed (closed-loop
 /// runs measure from cycle 0). Deterministic: depends only on the
-/// architecture, the spec, the workload and the fault plan (pass
+/// architecture, the point, the workload and the fault plan (pass
 /// [`FaultPlan::empty`](pnoc_faults::FaultPlan::empty) for a healthy run).
 ///
 /// # Panics
@@ -637,15 +637,15 @@ impl Probe for FlowProbe {
 pub(crate) fn run_workload_point(
     architecture: &dyn ArchitectureBuilder,
     params: &ResolvedParams,
-    spec: &SweepPointSpec,
+    point: &SweepPointSpec,
     workload: &Arc<Workload>,
     faults: &pnoc_faults::FaultPlan,
 ) -> SweepPoint {
-    let mut config = spec.config;
-    config.warmup_cycles = 0;
-    let driver = WorkloadDriver::new(Arc::clone(workload), &config);
+    let mut point = *point;
+    point.config.warmup_cycles = 0;
+    let driver = WorkloadDriver::new(Arc::clone(workload), &point.config);
     let drive = |network: &mut dyn CycleNetwork| {
-        let mut metrics_probe = MetricsProbe::for_config(&config);
+        let mut metrics_probe = MetricsProbe::for_config(&point.config);
         let mut flow_probe = driver.probe();
         let stats = run_until_with(
             network,
@@ -662,10 +662,9 @@ pub(crate) fn run_workload_point(
     simulate_point(
         architecture,
         params,
-        config,
+        &point,
         driver.traffic(),
         faults,
-        spec.offered_load,
         drive,
     )
 }
@@ -675,7 +674,7 @@ mod tests {
     use super::*;
     use crate::config::BandwidthSet;
     use crate::registry::UniformFabricArchitecture;
-    use crate::sweep::derive_point_seed;
+    use crate::sweep::point_spec;
     use pnoc_workload::collectives::{incast, parameter_server, ring_allreduce};
 
     fn smoke_config() -> SimConfig {
@@ -685,21 +684,12 @@ mod tests {
         config
     }
 
-    fn point_spec_for(config: &SimConfig) -> SweepPointSpec {
-        SweepPointSpec {
-            index: 0,
-            offered_load: OfferedLoad::ZERO,
-            seed: derive_point_seed(config.seed, 0),
-            config: *config,
-        }
-    }
-
     fn run(workload: Workload) -> SweepPoint {
         let config = smoke_config();
         run_workload_point(
             &UniformFabricArchitecture,
             &UniformFabricArchitecture.default_params(),
-            &point_spec_for(&config),
+            &point_spec(&config, 0, 0.0),
             &Arc::new(workload),
             &pnoc_faults::FaultPlan::empty(),
         )

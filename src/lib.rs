@@ -35,7 +35,7 @@
 //!     .resolve()
 //!     .expect("both names are registered")
 //!     .run();
-//! assert_eq!(outcome.result.points.len(), outcome.point_seeds.len());
+//! assert_eq!(outcome.result.points.len(), outcome.point_seeds().len());
 //! assert!(outcome.result.peak_bandwidth_gbps() > 0.0);
 //!
 //! // Whole evaluation grids are one batch: every (scenario, ladder point)
