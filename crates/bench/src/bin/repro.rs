@@ -54,7 +54,11 @@
 //!                            # stream one metric row per ladder point
 //!                            # (latency quantile sketch, per-node delivered
 //!                            # bits, windowed throughput, ...) to a JSONL
-//!                            # file and print p50/p95/p99 latency columns
+//!                            # file and print p50/p95/p99 latency columns.
+//!                            # --metrics, --percentiles and --batch-json
+//!                            # need a scenario batch that runs (--scenario,
+//!                            # --workload, --from-scenarios or --matrix, and
+//!                            # no --dump-scenarios); otherwise exit 2
 //! repro --matrix --quick     # run the default evaluation matrix (all
 //!                            # architectures × {tornado, bursty-uniform} ×
 //!                            # all bandwidth sets) through the flattened
@@ -72,7 +76,6 @@
 //!                            # is already in cache/ are served without
 //!                            # simulating; misses are simulated and stored.
 //!                            # Caching is OFF unless --cache-dir is given.
-//! repro --no-cache           # force caching off (overrides --cache-dir)
 //! repro --serve 127.0.0.1:9119 --cache-dir cache/
 //!                            # simulation-as-a-service: POST a scenario
 //!                            # document (--dump-scenarios format) to /run and
@@ -81,7 +84,7 @@
 //!                            # answer. Cached points are answered without
 //!                            # invoking the simulation engine.
 //! repro --serve-requests N   # with --serve: exit after N connections
-//!                            # (smoke tests / CI)
+//!                            # (smoke tests / CI); an error without --serve
 //!
 //! repro --threads 4          # force the parallel-sweep worker count
 //!                            # (overrides the detected parallelism)
@@ -206,11 +209,17 @@ fn list_faults() {
 /// one row per declared parameter with its kind, default, bounds and doc.
 fn describe_architecture(spec: &str) {
     ensure_registered();
-    let (builder, _) = pnoc_sim::registry::resolve_architecture_spec(spec).unwrap_or_else(|e| {
-        eprintln!("{e}");
+    let exit_2 = |message: String| -> ! {
+        eprintln!("{message}");
         std::process::exit(2);
-    });
+    };
+    let (name, overrides) = ArchParams::split_spec(spec).unwrap_or_else(|e| exit_2(e.to_string()));
+    let builder =
+        pnoc_sim::registry::lookup_architecture(&name).unwrap_or_else(|e| exit_2(e.to_string()));
     let schema = builder.param_schema();
+    if let Err(e) = schema.validate(&name, &overrides) {
+        exit_2(e.to_string());
+    }
     println!(
         "architecture '{}' ({}), {} parameter(s)",
         builder.name(),
@@ -519,7 +528,7 @@ impl Listing {
                  \x20            [--workload NAME[:SIZE]]... [--batch-json FILE]\n\
                  \x20            [--faults PLAN]... [--list-faults]\n\
                  \x20            [--metrics FILE] [--percentiles]\n\
-                 \x20            [--cache-dir DIR] [--no-cache]\n\
+                 \x20            [--cache-dir DIR]\n\
                  \x20            [--cache-max-bytes N[k|m|g]] [--cache-compact]\n\
                  \x20            [--serve ADDR] [--serve-requests N]\n\
                  \x20            [--dump-scenarios FILE] [--from-scenarios FILE]\n\
@@ -555,7 +564,6 @@ struct Options {
     metrics_path: Option<String>,
     percentiles: bool,
     cache_dir: Option<String>,
-    no_cache: bool,
     cache_max_bytes: Option<u64>,
     cache_compact: bool,
     serve_addr: Option<String>,
@@ -621,7 +629,6 @@ fn parse_args(args: Vec<String>) -> Result<Options, String> {
         metrics_path: None,
         percentiles: false,
         cache_dir: None,
-        no_cache: false,
         cache_max_bytes: None,
         cache_compact: false,
         serve_addr: None,
@@ -671,7 +678,6 @@ fn parse_args(args: Vec<String>) -> Result<Options, String> {
             "--quick" => o.effort = Effort::Quick,
             "--paper" => o.effort = Effort::Paper,
             "--percentiles" => o.percentiles = true,
-            "--no-cache" => o.no_cache = true,
             "--cache-compact" => o.cache_compact = true,
             "--matrix" => o.matrix_path = Some("MATRIX_sweep.json".to_string()),
             other => {
@@ -708,6 +714,32 @@ impl Options {
             || self.dump_path.is_some()
             || self.serve_addr.is_some()
     }
+
+    /// Rejects a flag whose work would never run: `--metrics`,
+    /// `--batch-json` and `--percentiles` need a scenario batch that runs,
+    /// and `--serve-requests` needs `--serve`.
+    fn check_flags_take_effect(&self) -> Result<(), String> {
+        let runs_batch = (!self.scenario_args.is_empty()
+            || !self.workload_args.is_empty()
+            || !self.from_paths.is_empty()
+            || self.matrix_path.is_some())
+            && self.dump_path.is_none();
+        let batch_flags = [
+            ("--metrics", self.metrics_path.is_some()),
+            ("--batch-json", self.batch_json_path.is_some()),
+            ("--percentiles", self.percentiles),
+        ];
+        if let Some((flag, _)) = batch_flags.iter().find(|&&(_, given)| given && !runs_batch) {
+            return Err(format!(
+                "{flag} needs a scenario batch that runs (--scenario, --workload, \
+                 --from-scenarios or --matrix, without --dump-scenarios)"
+            ));
+        }
+        if self.serve_requests.is_some() && self.serve_addr.is_none() {
+            return Err("--serve-requests needs --serve".to_string());
+        }
+        Ok(())
+    }
 }
 
 fn main() {
@@ -717,6 +749,7 @@ fn main() {
     });
     let names_experiments = options.names_experiments();
     let requests_work = options.requests_work();
+    let flags_take_effect = options.check_flags_take_effect();
     let Options {
         listing,
         effort,
@@ -736,7 +769,6 @@ fn main() {
         metrics_path,
         percentiles,
         cache_dir,
-        no_cache,
         cache_max_bytes,
         cache_compact,
         serve_addr,
@@ -745,6 +777,10 @@ fn main() {
     if let Some(listing) = listing {
         listing.print();
         return;
+    }
+    if let Err(message) = flags_take_effect {
+        eprintln!("{message}");
+        std::process::exit(2);
     }
 
     // Apply the worker-count override before any parallel sweep runs; 0
@@ -758,31 +794,26 @@ fn main() {
         return;
     }
 
-    // The result cache is strictly opt-in: no --cache-dir (or an explicit
-    // --no-cache) means every point simulates, exactly as before PR 7.
-    let store: Option<ResultStore> = match (&cache_dir, no_cache) {
-        (Some(dir), false) => {
-            let store = ResultStore::open(dir).unwrap_or_else(|error| {
-                eprintln!("cannot open cache directory {dir}: {error}");
-                std::process::exit(1);
-            });
-            eprintln!(
-                "[repro] result cache at {dir} ({} entr{})",
-                store.entry_count(),
-                if store.entry_count() == 1 { "y" } else { "ies" }
-            );
-            Some(store)
-        }
-        _ => None,
-    };
+    // The result cache is strictly opt-in: without --cache-dir every point
+    // simulates.
+    let store: Option<ResultStore> = cache_dir.as_ref().map(|dir| {
+        let store = ResultStore::open(dir).unwrap_or_else(|error| {
+            eprintln!("cannot open cache directory {dir}: {error}");
+            std::process::exit(1);
+        });
+        eprintln!(
+            "[repro] result cache at {dir} ({} entr{})",
+            store.entry_count(),
+            if store.entry_count() == 1 { "y" } else { "ies" }
+        );
+        store
+    });
 
     // Cache maintenance runs right after opening, before any lookups:
     // compaction first (drops unverifiable files), then LRU eviction to budget.
     if cache_compact || cache_max_bytes.is_some() {
         let Some(store) = &store else {
-            eprintln!(
-                "--cache-compact / --cache-max-bytes require --cache-dir (and no --no-cache)"
-            );
+            eprintln!("--cache-compact / --cache-max-bytes require --cache-dir");
             std::process::exit(2);
         };
         if cache_compact {
@@ -952,6 +983,10 @@ fn main() {
             eprintln!("{path}: {error}");
             std::process::exit(2);
         });
+        if loaded.is_empty() {
+            eprintln!("{path}: the document holds no scenarios");
+            std::process::exit(2);
+        }
         eprintln!("[repro] loaded {} scenario(s) from {path}", loaded.len());
         specs.extend(loaded);
     }
@@ -959,10 +994,6 @@ fn main() {
         specs.extend(default_matrix(effort, &arch_args, &param_axes, &fault_args).specs());
     }
 
-    if dump_path.is_some() && metrics_path.is_some() {
-        eprintln!("--metrics cannot be combined with --dump-scenarios (dumping runs nothing)");
-        std::process::exit(2);
-    }
     if let Some(path) = &dump_path {
         // Dump instead of running: write the selected batch (or the default
         // matrix when nothing was selected) and skip the scenario runs.
@@ -980,10 +1011,6 @@ fn main() {
         }
     }
 
-    if metrics_path.is_some() && specs.is_empty() {
-        eprintln!("--metrics needs a scenario batch (--scenario, --matrix or --from-scenarios)");
-        std::process::exit(2);
-    }
     let ran_scenarios = if specs.is_empty() {
         false
     } else {

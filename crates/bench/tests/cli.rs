@@ -1,7 +1,8 @@
 //! The `repro` binary's command-line contracts that only a real process can
 //! show: the listing flags, the cache-maintenance flags against an on-disk
-//! store, the exit code + message of an unknown registry name, and the
-//! experiments running as one (cacheable) batch.
+//! store, the exit code + message of an unknown registry name or of a flag
+//! whose work would never run, and the experiments running as one
+//! (cacheable) batch.
 
 use pnoc_bench::scenario_io::parse_scenarios;
 use pnoc_sim::scenario::{Effort, ScenarioSpec};
@@ -45,51 +46,99 @@ fn listings_render_the_live_catalogues() {
     assert!(run_ok(&["--list-faults"]).0.contains("single-link"));
 }
 
+/// `repro ARGS` must exit 2 before doing any work, naming `expected` on
+/// stderr.
+fn assert_rejected(args: &[&str], expected: &str) {
+    let output = repro(args);
+    assert_eq!(output.status.code(), Some(2), "repro {args:?}: {output:?}");
+    let stderr = String::from_utf8(output.stderr).expect("stderr is UTF-8");
+    assert!(stderr.contains(expected), "repro {args:?}: {stderr}");
+}
+
 #[test]
 fn unknown_architecture_exits_2_with_a_suggestion() {
-    let output = repro(&["--scenario", "d-hetpnok:uniform"]);
-    assert_eq!(output.status.code(), Some(2));
-    let stderr = String::from_utf8(output.stderr).expect("stderr is UTF-8");
-    assert!(
-        stderr.contains(
-            "unknown architecture 'd-hetpnok'; registered: \
-             [d-hetpnoc, firefly, hier, uniform-fabric] — did you mean 'd-hetpnoc'?"
-        ),
-        "{stderr}"
+    assert_rejected(
+        &["--scenario", "d-hetpnok:uniform"],
+        "unknown architecture 'd-hetpnok'; registered: \
+         [d-hetpnoc, firefly, hier, uniform-fabric] — did you mean 'd-hetpnoc'?",
     );
 }
 
 #[test]
+fn describe_arch_errors_exit_2_with_the_registry_message() {
+    assert_rejected(
+        &["--describe-arch", "uniform-fabric{wavelengths=100000}"],
+        "0..=4096",
+    );
+    assert_rejected(&["--describe-arch", "nope"], "unknown architecture 'nope'");
+}
+
+#[test]
 fn declined_hier_specs_exit_2_before_simulating() {
-    for (args, expected) in [
-        (
-            &[
-                "--quick",
-                "--arch",
-                "hier{pods=2}",
-                "--workload",
-                "allreduce:8",
-                "--faults",
-                "single-link",
-            ][..],
-            "architecture 'hier' does not support fault injection",
-        ),
-        (
-            &[
-                "--quick",
-                "--arch",
-                "hier{leaf=firefly{radix=8}}",
-                "--workload",
-                "allreduce:8",
-            ][..],
-            "nested braces",
-        ),
-    ] {
-        let output = repro(args);
-        assert_eq!(output.status.code(), Some(2), "repro {args:?}: {output:?}");
-        let stderr = String::from_utf8(output.stderr).expect("stderr is UTF-8");
-        assert!(stderr.contains(expected), "repro {args:?}: {stderr}");
-    }
+    assert_rejected(
+        &[
+            "--quick",
+            "--arch",
+            "hier{pods=2}",
+            "--workload",
+            "allreduce:8",
+            "--faults",
+            "single-link",
+        ],
+        "architecture 'hier' does not support fault injection",
+    );
+    assert_rejected(
+        &[
+            "--quick",
+            "--arch",
+            "hier{leaf=firefly{radix=8}}",
+            "--workload",
+            "allreduce:8",
+        ],
+        "nested braces",
+    );
+}
+
+#[test]
+fn batch_output_flags_need_a_scenario_batch_that_runs() {
+    let dir = scratch_dir("batch-flags");
+    let file = |name: &str| dir.join(name).to_str().expect("UTF-8").to_string();
+    assert_rejected(
+        &["--quick", "--batch-json", &file("bj.json"), "fig3_6"],
+        "--batch-json needs a scenario batch",
+    );
+    assert!(!dir.join("bj.json").exists(), "nothing ran");
+    assert_rejected(
+        &["--quick", "--percentiles", "fig3_6"],
+        "--percentiles needs a scenario batch",
+    );
+    // Dumping the batch runs nothing either.
+    assert_rejected(
+        &[
+            "--scenario",
+            "uniform-fabric:uniform",
+            "--metrics",
+            &file("m.jsonl"),
+            "--dump-scenarios",
+            &file("d.json"),
+        ],
+        "--metrics needs a scenario batch",
+    );
+    // Nor does a scenario file that holds no scenarios.
+    std::fs::write(dir.join("empty.json"), "[]").expect("scratch file writes");
+    assert_rejected(
+        &["--quick", "--from-scenarios", &file("empty.json")],
+        "holds no scenarios",
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn serve_requests_needs_serve() {
+    assert_rejected(
+        &["--quick", "--serve-requests", "1", "fig3_6"],
+        "--serve-requests needs --serve",
+    );
 }
 
 #[test]

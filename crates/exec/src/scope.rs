@@ -1,8 +1,9 @@
-//! Scoped jobs on the persistent pool.
+//! Scoped jobs on the persistent pool — the crate's one join protocol.
 //!
 //! [`scope`] lets jobs borrow from the caller's stack (lifetime `'env`)
-//! while running on long-lived pool workers. Soundness rests on the join
-//! protocol: `scope` does not return — not even by unwinding — until the
+//! while running on long-lived pool workers, and every batch is a claim loop
+//! run inside the same join (see `run_batch_with_limit`). Soundness rests on
+//! one rule: `join` does not return — not even by unwinding — until the
 //! scope's queue is empty **and** no spawned job is still executing. Jobs
 //! are queued under one mutex together with the active count, so the exit
 //! predicate (`queue empty && active == 0`) is checked against a consistent
@@ -14,33 +15,24 @@ use std::collections::VecDeque;
 use std::marker::PhantomData;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Condvar, Mutex};
-use std::time::Duration;
 
 use crate::pool::{resolve_worker_limit, Job, POOL};
 
+#[derive(Default)]
 struct ScopeState {
     queue: VecDeque<Job>,
     active: usize,
 }
 
+#[derive(Default)]
 struct ScopeCore {
     state: Mutex<ScopeState>,
     idle: Condvar,
+    /// The first panic of a spawned job, re-raised by `join`.
     panic: Mutex<Option<Box<dyn Any + Send>>>,
 }
 
 impl ScopeCore {
-    fn new() -> Self {
-        ScopeCore {
-            state: Mutex::new(ScopeState {
-                queue: VecDeque::new(),
-                active: 0,
-            }),
-            idle: Condvar::new(),
-            panic: Mutex::new(None),
-        }
-    }
-
     /// Pop-and-run scope jobs until the queue is empty. Popping and entering
     /// the active count happen under one lock acquisition, so the exit
     /// predicate can never observe a claimed-but-uncounted job.
@@ -56,12 +48,9 @@ impl ScopeCore {
                     None => break,
                 }
             };
-            let outcome = catch_unwind(AssertUnwindSafe(job));
-            if let Err(payload) = outcome {
-                let mut slot = self.panic.lock().expect("scope panic slot poisoned");
-                if slot.is_none() {
-                    *slot = Some(payload);
-                }
+            if let Err(payload) = catch_unwind(AssertUnwindSafe(job)) {
+                let mut first = self.panic.lock().expect("scope panic slot poisoned");
+                first.get_or_insert(payload);
             }
             let now_idle = {
                 let mut state = self.state.lock().expect("scope state poisoned");
@@ -74,15 +63,15 @@ impl ScopeCore {
         }
     }
 
+    /// Block until no job is queued or running. The predicate is checked
+    /// under the mutex `drain` updates it under, so the last job's notify
+    /// cannot slip between the check and the wait.
     fn wait_idle(&self) {
-        let mut state = self.state.lock().expect("scope state poisoned");
-        while state.active != 0 || !state.queue.is_empty() {
-            let (next_state, _) = self
-                .idle
-                .wait_timeout(state, Duration::from_millis(100))
-                .expect("scope state poisoned");
-            state = next_state;
-        }
+        let state = self.state.lock().expect("scope state poisoned");
+        let _idle = self
+            .idle
+            .wait_while(state, |state| state.active != 0 || !state.queue.is_empty())
+            .expect("scope state poisoned");
     }
 }
 
@@ -90,6 +79,8 @@ impl ScopeCore {
 /// anything outliving the scope.
 pub struct Scope<'env> {
     core: Arc<ScopeCore>,
+    /// Pool size a spawn grows the pool to.
+    workers: usize,
     // Invariant over 'env so the borrow checker cannot shrink borrows handed
     // to spawned jobs.
     _env: PhantomData<&'env mut &'env ()>,
@@ -103,7 +94,7 @@ impl<'env> Scope<'env> {
         F: FnOnce() + Send + 'env,
     {
         let job: Box<dyn FnOnce() + Send + 'env> = Box::new(f);
-        // SAFETY: lifetime erasure only. `scope` joins every spawned job
+        // SAFETY: lifetime erasure only. `join` joins every spawned job
         // (queue empty + active == 0) before returning or unwinding, so the
         // job cannot outlive 'env. Box<dyn Trait + 'a> and
         // Box<dyn Trait + 'static> share one layout (fat pointer).
@@ -114,7 +105,7 @@ impl<'env> Scope<'env> {
             .expect("scope state poisoned")
             .queue
             .push_back(job);
-        POOL.ensure_workers(resolve_worker_limit(usize::MAX));
+        POOL.ensure_workers(self.workers);
         let core = Arc::clone(&self.core);
         POOL.inject(Box::new(move || core.drain()));
     }
@@ -125,27 +116,28 @@ impl<'env> Scope<'env> {
 /// spawned job — or from `f` itself — is re-raised afterwards, matching
 /// `std::thread::scope` semantics.
 pub fn scope<'env, T>(f: impl FnOnce(&Scope<'env>) -> T) -> T {
+    join(resolve_worker_limit(usize::MAX), f)
+}
+
+/// [`scope`] whose spawns grow the pool to `workers` threads.
+pub(crate) fn join<'env, T>(workers: usize, f: impl FnOnce(&Scope<'env>) -> T) -> T {
     let handle = Scope {
-        core: Arc::new(ScopeCore::new()),
+        core: Arc::default(),
+        workers,
         _env: PhantomData,
     };
     let result = catch_unwind(AssertUnwindSafe(|| f(&handle)));
     // Join before unwinding in every case: spawned jobs borrow 'env.
     handle.core.drain();
     handle.core.wait_idle();
-    match result {
-        Ok(value) => {
-            if let Some(payload) = handle
-                .core
-                .panic
-                .lock()
-                .expect("scope panic slot poisoned")
-                .take()
-            {
-                resume_unwind(payload);
-            }
-            value
-        }
-        Err(payload) => resume_unwind(payload),
+    let job_panic = handle
+        .core
+        .panic
+        .lock()
+        .expect("scope panic slot poisoned")
+        .take();
+    match (result, job_panic) {
+        (Err(payload), _) | (Ok(_), Some(payload)) => resume_unwind(payload),
+        (Ok(value), None) => value,
     }
 }

@@ -3,7 +3,7 @@
 //! 1-thread == sequential, nested batches and scopes — all on the one
 //! process-wide pool, which every test here shares.
 
-use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Barrier, Mutex};
 
@@ -79,6 +79,31 @@ fn batch_panic_propagates_and_pool_survives() {
     // Pool is still healthy.
     let results = run_batch_with_limit(4, &items, |_, &item| item + 1);
     assert_eq!(results, (1..=40).collect::<Vec<_>>());
+}
+
+/// The first panic closes the batch: no new index starts, so the other
+/// runner does not drain the remaining items before the panic is re-raised.
+#[test]
+fn a_panicking_job_stops_new_claims() {
+    let items: Vec<usize> = (0..200).collect();
+    let ran = AtomicUsize::new(0);
+    let outcome = catch_unwind(AssertUnwindSafe(|| {
+        run_batch_with_limit(2, &items, |_, &item| {
+            ran.fetch_add(1, Ordering::SeqCst);
+            if item == 0 {
+                // Unwind without the panic hook: with RUST_BACKTRACE set, a
+                // debug build's backtrace print outlasts many 2 ms jobs.
+                resume_unwind(Box::new("injected failure at 0"));
+            }
+            std::thread::sleep(std::time::Duration::from_millis(2));
+        })
+    }));
+    assert!(
+        outcome.is_err(),
+        "the panic must propagate to the submitter"
+    );
+    let ran = ran.load(Ordering::SeqCst);
+    assert!(ran < 10, "{ran} jobs ran after the batch was closed");
 }
 
 /// Concurrent batches on one pool don't cross results.

@@ -79,8 +79,8 @@ pub mod prelude {
     };
     pub use crate::params::{ArchParamError, ArchParams, ParamKind, ParamSchema, ResolvedParams};
     pub use crate::registry::{
-        lookup_architecture, register_architecture, registered_architectures,
-        resolve_architecture_spec, ArchitectureBuilder, Provisioning,
+        lookup_architecture, register_architecture, registered_architectures, ArchitectureBuilder,
+        Provisioning,
     };
     pub use crate::report::Table;
     pub use crate::scenario::{

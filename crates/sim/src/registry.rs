@@ -21,7 +21,7 @@
 
 use crate::config::SimConfig;
 use crate::engine::CycleNetwork;
-use crate::params::{ArchParamError, ArchParams, ParamSchema, ResolvedParams};
+use crate::params::{ArchParams, ParamSchema, ResolvedParams};
 use crate::system::{PhotonicSystem, UniformFabric};
 use pnoc_noc::registry::{Registry, UnknownNameError};
 use pnoc_noc::traffic_model::TrafficModel;
@@ -232,71 +232,6 @@ pub fn registered_architectures() -> Vec<String> {
     ARCHITECTURES.names()
 }
 
-/// Why a `name{key=value,...}` architecture spec failed to resolve against
-/// the process-global registry.
-#[derive(Debug, Clone, PartialEq)]
-pub enum ArchSpecError {
-    /// The bare name is not registered (lists the catalogue, suggests the
-    /// nearest name).
-    Unknown(UnknownNameError),
-    /// The spec is malformed or its parameters do not validate against the
-    /// architecture's declared schema.
-    Params(ArchParamError),
-}
-
-impl std::fmt::Display for ArchSpecError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            ArchSpecError::Unknown(e) => e.fmt(f),
-            ArchSpecError::Params(e) => e.fmt(f),
-        }
-    }
-}
-
-impl std::error::Error for ArchSpecError {}
-
-impl From<UnknownNameError> for ArchSpecError {
-    fn from(error: UnknownNameError) -> Self {
-        ArchSpecError::Unknown(error)
-    }
-}
-
-impl From<ArchParamError> for ArchSpecError {
-    fn from(error: ArchParamError) -> Self {
-        ArchSpecError::Params(error)
-    }
-}
-
-/// Resolves a full `name{key=value,...}` architecture spec against the
-/// process-global registry: parses the spec, looks the name up, and
-/// validates the parameter overrides against the builder's declared schema.
-/// Returns the builder together with the fully resolved parameter set
-/// (overrides applied, defaults filled in).
-///
-/// ```
-/// use pnoc_sim::registry::resolve_architecture_spec;
-///
-/// let (builder, params) =
-///     resolve_architecture_spec("uniform-fabric{wavelengths=32}").unwrap();
-/// assert_eq!(builder.name(), "uniform-fabric");
-/// assert_eq!(params.int("wavelengths"), 32);
-/// ```
-///
-/// # Errors
-///
-/// * [`ArchSpecError::Params`] on a malformed spec or parameters that do
-///   not validate (unknown key / bad value / out of bounds — each message
-///   lists the declared catalogue and suggests the nearest key),
-/// * [`ArchSpecError::Unknown`] when the bare name is not registered.
-pub fn resolve_architecture_spec(
-    spec: &str,
-) -> Result<(Arc<dyn ArchitectureBuilder>, ResolvedParams), ArchSpecError> {
-    let (name, overrides) = ArchParams::split_spec(spec)?;
-    let builder = lookup_architecture(&name)?;
-    let params = builder.param_schema().validate(&name, &overrides)?;
-    Ok((builder, params))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -425,59 +360,5 @@ mod tests {
             narrow_stats.average_packet_latency(),
             wide_stats.average_packet_latency()
         );
-    }
-
-    #[test]
-    fn architecture_specs_resolve_with_overrides_and_defaults() {
-        let (builder, params) =
-            resolve_architecture_spec("uniform-fabric{wavelengths=32}").expect("valid spec");
-        assert_eq!(builder.name(), "uniform-fabric");
-        assert_eq!(params.int("wavelengths"), 32);
-        assert_eq!(params.canonical(), "{wavelengths=32}");
-
-        let (_, defaults) = resolve_architecture_spec("uniform-fabric").expect("bare name");
-        assert_eq!(defaults.int("wavelengths"), 0);
-    }
-
-    #[test]
-    fn architecture_spec_errors_display_catalogue_and_suggestions() {
-        // Unknown architecture name: same rich error as lookup_architecture.
-        let Err(error) = resolve_architecture_spec("uniform-fabrik{wavelengths=1}") else {
-            panic!("misspelled name must not resolve");
-        };
-        assert!(matches!(error, ArchSpecError::Unknown(_)));
-        assert!(error.to_string().contains("did you mean 'uniform-fabric'?"));
-
-        // Unknown parameter key: catalogue + nearest-key suggestion,
-        // mirroring the UnknownNameError contract.
-        let Err(error) = resolve_architecture_spec("uniform-fabric{wavelenths=1}") else {
-            panic!("misspelled key must not validate");
-        };
-        let message = error.to_string();
-        assert!(
-            message.contains("unknown parameter 'wavelenths' for architecture 'uniform-fabric'"),
-            "{message}"
-        );
-        assert!(message.contains("[wavelengths]"), "{message}");
-        assert!(message.contains("did you mean 'wavelengths'?"), "{message}");
-
-        // Out of bounds: the admissible range is rendered.
-        let Err(error) = resolve_architecture_spec("uniform-fabric{wavelengths=100000}") else {
-            panic!("100000 is outside 0..=4096");
-        };
-        assert!(matches!(
-            error,
-            ArchSpecError::Params(ArchParamError::OutOfBounds { .. })
-        ));
-        assert!(error.to_string().contains("0..=4096"), "{error}");
-
-        // Malformed spec text.
-        let Err(error) = resolve_architecture_spec("uniform-fabric{wavelengths") else {
-            panic!("unbalanced brace must not parse");
-        };
-        assert!(matches!(
-            error,
-            ArchSpecError::Params(ArchParamError::Malformed { .. })
-        ));
     }
 }
