@@ -1004,6 +1004,15 @@ fn main() {
         } else {
             std::mem::take(&mut specs)
         };
+        // Every dumped spec must run from the file: one that does not
+        // resolve fails here, and nothing is written.
+        ensure_registered();
+        for spec in &dumped {
+            if let Err(error) = spec.resolve() {
+                eprintln!("{error}");
+                std::process::exit(2);
+            }
+        }
         write_file(path, &render_scenarios(&dumped));
         eprintln!("[repro] wrote {} scenario spec(s) to {path}", dumped.len());
         if !names_experiments {

@@ -208,6 +208,35 @@ fn cache_maintenance_still_writes_the_requested_files() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// `repro ARGS --dump-scenarios FILE` must exit 2 naming `expected`, and
+/// write no file.
+fn assert_not_dumped(name: &str, args: &[&str], expected: &str) {
+    let dir = scratch_dir(name);
+    let file = dir.join("d.json");
+    let dump = ["--dump-scenarios", file.to_str().expect("UTF-8")];
+    assert_rejected(&[args, &dump].concat(), expected);
+    assert!(!file.exists(), "repro {args:?} wrote {file:?}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn an_unknown_architecture_is_not_dumped() {
+    assert_not_dumped(
+        "dump-arch",
+        &["--scenario", "nope:skewed-3"],
+        "unknown architecture 'nope'",
+    );
+}
+
+#[test]
+fn an_empty_workload_is_not_dumped() {
+    assert_not_dumped(
+        "dump-workload",
+        &["--workload", "incast:0"],
+        "workload size in 'incast:0' must be positive",
+    );
+}
+
 #[test]
 fn the_effort_flag_reaches_a_shorthand_whose_fault_plan_has_colons() {
     let dir = scratch_dir("effort");

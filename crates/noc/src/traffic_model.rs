@@ -55,8 +55,9 @@ pub trait TrafficModel {
     /// Contract: observably identical to the provided body — the same
     /// packets in the same order and the same model state afterwards.
     /// Overriding is an optimisation only, for models that can enumerate
-    /// their sending cores without asking each one; models whose polls
-    /// consume RNG state keep the provided loop.
+    /// their sending cores without asking each one, or that hoist per-core
+    /// work out of the loop; a model whose polls consume RNG state still
+    /// asks every core, in order.
     ///
     /// `emit` may report the packet's own fate back to whatever shares state
     /// with the model (an engine tells its probes "generated" and, on a full

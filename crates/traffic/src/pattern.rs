@@ -123,12 +123,6 @@ impl ClassMatrix {
         }
     }
 
-    /// Number of clusters the matrix covers.
-    #[must_use]
-    pub fn num_clusters(&self) -> usize {
-        self.num_clusters
-    }
-
     /// Class of the application serving the `src → dst` pair.
     #[must_use]
     pub fn class(&self, src: ClusterId, dst: ClusterId) -> BandwidthClass {
@@ -137,9 +131,10 @@ impl ClassMatrix {
 
     /// Fraction of `src`'s traffic volume that goes to `dst`, when the volume
     /// of a pair is weighted by `skew.frequency(class)` and normalised over
-    /// all destinations other than `src`.
-    #[must_use]
-    pub fn volume_share(&self, src: ClusterId, dst: ClusterId, skew: SkewLevel) -> f64 {
+    /// all destinations other than `src`. Re-sums the row on every call;
+    /// `SkewedTraffic` caches the sums.
+    #[cfg(test)]
+    pub(crate) fn volume_share(&self, src: ClusterId, dst: ClusterId, skew: SkewLevel) -> f64 {
         if src == dst {
             return 0.0;
         }
@@ -153,31 +148,49 @@ impl ClassMatrix {
         skew.frequency(self.class(src, dst)) / total
     }
 
-    /// Draws a destination cluster for a packet leaving `src`, following the
-    /// volume shares of the skew level.
+    /// `src`'s row of pair weights in cluster order: `frequencies[class]`
+    /// of each pair, and 0.0 for `src` itself.
+    fn weights<'a>(
+        &'a self,
+        src: ClusterId,
+        frequencies: &'a [f64; 4],
+    ) -> impl Iterator<Item = f64> + 'a {
+        let n = self.num_clusters;
+        self.classes[src.0 * n..(src.0 + 1) * n]
+            .iter()
+            .enumerate()
+            .map(move |(d, class)| {
+                if d == src.0 {
+                    0.0
+                } else {
+                    frequencies[class.index()]
+                }
+            })
+    }
+
+    /// The sum of `src`'s row of weights, in cluster order: the `total`
+    /// [`Self::sample_destination`] draws against.
+    pub(crate) fn row_total(&self, src: ClusterId, frequencies: &[f64; 4]) -> f64 {
+        self.weights(src, frequencies).sum()
+    }
+
+    /// Draws a destination cluster for a packet leaving `src`, each
+    /// destination weighted by the `frequencies` entry of its pair's class.
+    /// `total` must be `self.row_total(src, frequencies)`, which callers
+    /// compute once per source, so a draw walks the row once.
     pub(crate) fn sample_destination(
         &self,
         src: ClusterId,
-        skew: SkewLevel,
+        frequencies: &[f64; 4],
+        total: f64,
         rng: &mut impl Rng,
     ) -> ClusterId {
-        // The class row is walked twice — the sum, then the draw — in the same
-        // cluster order, so nothing is allocated per packet.
-        let weight = |d: usize| {
-            if d == src.0 {
-                0.0
-            } else {
-                skew.frequency(self.class(src, ClusterId(d)))
-            }
-        };
-        let total: f64 = (0..self.num_clusters).map(weight).sum();
         if total <= 0.0 {
             // Degenerate case: fall back to the next cluster.
             return ClusterId((src.0 + 1) % self.num_clusters);
         }
         let mut draw = rng.gen_range(0.0..total);
-        for d in 0..self.num_clusters {
-            let w = weight(d);
+        for (d, w) in self.weights(src, frequencies).enumerate() {
             if w <= 0.0 {
                 continue;
             }
@@ -268,10 +281,12 @@ mod tests {
         let m = ClassMatrix::random(16, 11);
         let mut rng = StdRng::seed_from_u64(5);
         let src = ClusterId(2);
+        let frequencies = SkewLevel::Skewed3.class_frequencies();
+        let total = m.row_total(src, &frequencies);
         let samples = 40_000;
         let mut counts = [0usize; 16];
         for _ in 0..samples {
-            counts[m.sample_destination(src, SkewLevel::Skewed3, &mut rng).0] += 1;
+            counts[m.sample_destination(src, &frequencies, total, &mut rng).0] += 1;
         }
         assert_eq!(counts[src.0], 0, "never send to self");
         for (d, &count) in counts.iter().enumerate() {
@@ -326,12 +341,14 @@ mod tests {
         for seed in [1, 7, 42, 0xDEAD_BEEF] {
             let m = ClassMatrix::random(64, seed);
             for skew in SkewLevel::ALL {
+                let frequencies = skew.class_frequencies();
                 let mut walked = StdRng::seed_from_u64(seed);
                 let mut collected = StdRng::seed_from_u64(seed);
                 for draw in 0..10_000 {
                     let src = ClusterId(draw % 64);
+                    let total = m.row_total(src, &frequencies);
                     assert_eq!(
-                        m.sample_destination(src, skew, &mut walked),
+                        m.sample_destination(src, &frequencies, total, &mut walked),
                         sample_from_collected_weights(&m, src, skew, &mut collected),
                         "seed {seed}, {skew:?}, draw {draw}"
                     );
