@@ -214,10 +214,12 @@ fn multi_pod_runs_report_per_pod_and_cross_pod_families() {
     );
 }
 
-/// The replay order is pinned: the metric rows of three spine shapes — zero
+/// The replay order is pinned: the metric rows of four spine shapes — zero
 /// latency with a partial slot shared by two packets, one flit per cycle
-/// behind a deep open-loop backlog, an oversubscribed spine on a short epoch
-/// — under an open-loop and a closed-loop payload must equal the golden,
+/// behind a deep open-loop backlog, an oversubscribed spine on a short epoch,
+/// and the zero-latency partial-slot spine made photonic (so the golden pins
+/// `delivered_photonic_bits` and `photonic_bits_by_cluster_pair` from spine
+/// flits) — under an open-loop and a closed-loop payload must equal the golden,
 /// which was rendered by the eager per-flit spine that
 /// `crates/hier/tests/prop_spine.rs` keeps as its reference model. Not
 /// regenerated by any switch: a deliberate change replaces the file with the
@@ -229,6 +231,7 @@ fn hier_metric_rows_match_their_golden() {
         "hier{pods=4,spine_latency=0,spine_bandwidth=3}",
         "hier{pods=16,spine_latency=1,spine_bandwidth=1,leaf=firefly}",
         "hier{pods=8,spine_oversub=4.0,epoch=16}",
+        "hier{pods=4,spine=photonic,spine_latency=0,spine_bandwidth=3}",
     ];
     let specs: Vec<ScenarioSpec> = architectures
         .iter()
