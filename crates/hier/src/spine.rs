@@ -126,10 +126,13 @@ impl Spine {
 
     /// Emits the events visible at `cycle`, in a fixed order the probes rely
     /// on (deliveries are attributed per pair first-in first-out): runs in
-    /// transmit order; within a run `PacketGenerated`, then its flits in
-    /// index order — `FlitDelivered` for a flit that serialized `latency`
-    /// cycles ago, `PacketInjected` (before flit 0) and `FlitInjected` for one
-    /// serializing now — then `PacketDelivered` with the tail flit.
+    /// transmit order; within a run `PacketGenerated`, then one
+    /// `FlitDelivered` for its flits that serialized `latency` cycles ago,
+    /// `PacketInjected` if flit 0 serializes now and one `FlitInjected` for
+    /// the flits serializing now (delivered right after it, without a
+    /// latency), then `PacketDelivered` with the tail flit. A flit event
+    /// carries the run's flit count, so a packet costs one event per slot,
+    /// not one per flit.
     ///
     /// Every cycle [`Spine::next_event_after`] names must be replayed, in
     /// ascending order; a cycle costs its events plus a constant.
@@ -177,29 +180,33 @@ impl Spine {
 
     /// The injection and delivery events of `run` visible at `cycle`.
     fn emit_flits(&self, run: &Run, cycle: u64, emit: &mut impl FnMut(SimEvent)) {
-        let delivered = SimEvent::FlitDelivered {
+        let delivered = |flits: u32| SimEvent::FlitDelivered {
             src: run.src,
             dst: run.dst,
             bits: run.flit_bits,
+            flits,
             photonic: self.photonic,
         };
-        // With a latency the flits arriving now all precede the ones
-        // serializing now; without one each flit is injected, then delivered.
+        // With a latency the flits arriving now precede the ones serializing
+        // now; without one they are the same flits, injected then delivered.
         if self.latency > 0 {
-            for _ in self.flits_at(run, cycle, self.latency) {
-                emit(delivered);
+            if let Some(arriving) = run_length(self.flits_at(run, cycle, self.latency)) {
+                emit(delivered(arriving));
             }
         }
-        for flit in self.flits_at(run, cycle, 0) {
-            if flit == 0 {
+        let sending = self.flits_at(run, cycle, 0);
+        let holds_head = sending.start == 0;
+        if let Some(flits) = run_length(sending) {
+            if holds_head {
                 emit(SimEvent::PacketInjected { src: run.src });
             }
             emit(SimEvent::FlitInjected {
                 src: run.src,
                 bits: run.flit_bits,
+                flits,
             });
             if self.latency == 0 {
-                emit(delivered);
+                emit(delivered(flits));
             }
         }
         if cycle == self.last_slot(run) + self.latency {
@@ -267,6 +274,12 @@ impl Spine {
     }
 }
 
+/// The flit count of a run of flit indices, `None` when it is empty. A run
+/// lies within one packet, whose flit count is a `u32`.
+fn run_length(flits: Range<u64>) -> Option<u32> {
+    (!flits.is_empty()).then(|| u32::try_from(flits.end - flits.start).expect("within one packet"))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -314,17 +327,45 @@ mod tests {
         assert_eq!(spine.queued_packets(), 1);
         let events = drain(&mut spine);
         assert_eq!(delivered_latency(&events), vec![12]);
-        let flit_cycles = |wanted: fn(&SimEvent) -> bool| -> Vec<u64> {
-            let of_kind = events.iter().filter(|(_, event)| wanted(event));
-            of_kind.map(|&(cycle, _)| cycle).collect()
+        // One cycle entry per flit, each run expanded to its flit count.
+        let flit_cycles = |delivered: bool| -> Vec<u64> {
+            let runs = events.iter().filter_map(|&(cycle, event)| match event {
+                SimEvent::FlitInjected { flits, .. } if !delivered => Some((cycle, flits)),
+                SimEvent::FlitDelivered { flits, .. } if delivered => Some((cycle, flits)),
+                _ => None,
+            });
+            runs.flat_map(|(cycle, flits)| std::iter::repeat_n(cycle, flits as usize))
+                .collect()
         };
+        assert_eq!(flit_cycles(false), [1, 1, 1, 1, 2, 2, 2, 2]);
+        assert_eq!(flit_cycles(true), [11, 11, 11, 11, 12, 12, 12, 12]);
+    }
+
+    #[test]
+    fn an_aligned_packet_on_a_one_packet_spine_makes_five_events() {
+        let mut spine = Spine::new(true, 32, 64);
+        spine.transmit(0, &packet(0, 64, 64, 0));
+        let events: Vec<SimEvent> = drain(&mut spine).into_iter().map(|(_, e)| e).collect();
+        let (src, dst, bits, flits) = (CoreId(0), CoreId(64), 32, 64);
         assert_eq!(
-            flit_cycles(|e| matches!(e, SimEvent::FlitInjected { .. })),
-            [1, 1, 1, 1, 2, 2, 2, 2]
-        );
-        assert_eq!(
-            flit_cycles(|e| matches!(e, SimEvent::FlitDelivered { .. })),
-            [11, 11, 11, 11, 12, 12, 12, 12]
+            events,
+            [
+                SimEvent::PacketGenerated { src },
+                SimEvent::PacketInjected { src },
+                SimEvent::FlitInjected { src, bits, flits },
+                SimEvent::FlitDelivered {
+                    src,
+                    dst,
+                    bits,
+                    flits,
+                    photonic: true,
+                },
+                SimEvent::PacketDelivered {
+                    src,
+                    dst,
+                    latency: 33,
+                },
+            ]
         );
     }
 
@@ -356,7 +397,9 @@ mod tests {
             drain(&mut spine)
         };
         let events = run();
-        assert_eq!(events.len(), 11 * (1 + 1 + 4 + 4 + 1));
+        // Per packet: generated, injected, a two-flit run in each of two
+        // slots for injection and for delivery, delivered.
+        assert_eq!(events.len(), 11 * (1 + 1 + 2 + 2 + 1));
         assert_eq!(events, run());
     }
 }

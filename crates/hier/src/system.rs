@@ -19,7 +19,6 @@ use pnoc_sim::engine::{advance_network, CycleNetwork};
 use pnoc_sim::metrics::{EventSink, MetricReport, MetricValue, QuantileSketch, SimEvent};
 use pnoc_sim::registry::ArchitectureBuilder;
 use std::collections::{BTreeMap, VecDeque};
-use std::iter::Peekable;
 use std::sync::{Arc, Mutex};
 
 /// Buffered generator output for one pod: `(cycle, local core, descriptor)`
@@ -35,11 +34,26 @@ struct PodShard {
     /// The pod's own events since measurement began (the per-pod metric
     /// families), counted by the pod job as it records them.
     totals: Tally,
+    /// The buffer the next window's events are recorded into: the spent log
+    /// of the window before, cleared, so its capacity carries over.
+    log: Vec<(u64, SimEvent)>,
 }
 
 /// One pod's events over one window, in cycle order, read front to back
 /// during replay.
-type PodLog = Peekable<std::vec::IntoIter<(u64, SimEvent)>>;
+#[derive(Default)]
+struct PodLog {
+    events: Vec<(u64, SimEvent)>,
+    /// Index of the first event not replayed yet.
+    next: usize,
+}
+
+impl PodLog {
+    /// The earliest event not replayed yet.
+    fn head(&self) -> Option<&(u64, SimEvent)> {
+        self.events.get(self.next)
+    }
+}
 
 /// Captures a pod's events with core ids lifted into the global numbering,
 /// counting them into the pod's totals.
@@ -56,16 +70,22 @@ impl EventSink for RecordingSink<'_> {
             SimEvent::PacketGenerated { src } => SimEvent::PacketGenerated { src: up(src) },
             SimEvent::PacketDropped { src } => SimEvent::PacketDropped { src: up(src) },
             SimEvent::PacketInjected { src } => SimEvent::PacketInjected { src: up(src) },
-            SimEvent::FlitInjected { src, bits } => SimEvent::FlitInjected { src: up(src), bits },
+            SimEvent::FlitInjected { src, bits, flits } => SimEvent::FlitInjected {
+                src: up(src),
+                bits,
+                flits,
+            },
             SimEvent::FlitDelivered {
                 src,
                 dst,
                 bits,
+                flits,
                 photonic,
             } => SimEvent::FlitDelivered {
                 src: up(src),
                 dst: up(dst),
                 bits,
+                flits,
                 photonic,
             },
             SimEvent::PacketDelivered { src, dst, latency } => SimEvent::PacketDelivered {
@@ -196,7 +216,7 @@ impl TrafficModel for PodFeedTraffic {
 /// The counts behind the hierarchy-only metrics of one pod or of the
 /// spine. The run's own counters are the engine's; these only say which
 /// part of the hierarchy an event came from.
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 struct Tally {
     generated_packets: u64,
     dropped_packets: u64,
@@ -210,9 +230,9 @@ impl Tally {
         match *event {
             SimEvent::PacketGenerated { .. } => self.generated_packets += 1,
             SimEvent::PacketDropped { .. } => self.dropped_packets += 1,
-            SimEvent::FlitDelivered { bits, .. } => {
-                self.delivered_flits += 1;
-                self.delivered_bits += u64::from(bits);
+            SimEvent::FlitDelivered { bits, flits, .. } => {
+                self.delivered_flits += u64::from(flits);
+                self.delivered_bits += u64::from(flits) * u64::from(bits);
             }
             SimEvent::PacketDelivered { .. } => self.delivered_packets += 1,
             _ => {}
@@ -342,6 +362,7 @@ impl HierarchicalSystem {
                 network,
                 core_offset: pod * leaf_cores,
                 totals: Tally::default(),
+                log: Vec::new(),
             }));
             feeds.push(feed);
         }
@@ -355,7 +376,7 @@ impl HierarchicalSystem {
             leaf_cores,
             epoch,
             spine,
-            pod_logs: Vec::new(),
+            pod_logs: (0..pods).map(|_| PodLog::default()).collect(),
             simulated_through: 0,
             pods_active: false,
             account: SpineAccount::new(pods),
@@ -401,6 +422,18 @@ impl HierarchicalSystem {
                 });
             }
         }
+        // The window that just ended is fully replayed — the engine steps
+        // every cycle `next_event_cycle` names — so its logs are spent: each
+        // goes back to its pod, emptied, to record the next window into.
+        debug_assert!(
+            self.pod_logs.iter().all(|log| log.next == log.events.len()),
+            "a pod event of the previous window was never replayed"
+        );
+        for (log, pod) in self.pod_logs.iter_mut().zip(&self.pods) {
+            let mut events = std::mem::take(&mut log.events);
+            events.clear();
+            pod.lock().expect("pod shard poisoned").log = events;
+        }
         // Step pods: one batch job per pod over the whole window, advancing
         // by the engine's own rule — a pod with nothing buffered jumps to its
         // feed's next entry, or to the window's end. Pods are independent,
@@ -413,7 +446,7 @@ impl HierarchicalSystem {
             let pod = &mut *guard;
             let mut sink = RecordingSink {
                 core_offset: pod.core_offset,
-                events: Vec::new(),
+                events: std::mem::take(&mut pod.log),
                 totals: &mut pod.totals,
             };
             let mut cycle = window.0;
@@ -423,17 +456,10 @@ impl HierarchicalSystem {
             }
             sink.events
         });
-        // Exchange: the logs stay where they were recorded. The window that
-        // just ended is fully replayed — the engine steps every cycle
-        // `next_event_cycle` names — so its logs are spent.
-        debug_assert!(
-            self.pod_logs.iter_mut().all(|log| log.peek().is_none()),
-            "a pod event of the previous window was never replayed"
-        );
-        self.pod_logs = batches
-            .into_iter()
-            .map(|events| events.into_iter().peekable())
-            .collect();
+        // Exchange: the logs stay where they were recorded.
+        for (log, events) in self.pod_logs.iter_mut().zip(batches) {
+            *log = PodLog { events, next: 0 };
+        }
         self.pods_active = self.pods.iter().any(|pod| {
             pod.lock()
                 .expect("pod shard poisoned")
@@ -448,8 +474,9 @@ impl HierarchicalSystem {
     /// spine.
     fn replay(&mut self, cycle: u64, sink: &mut dyn EventSink) {
         for log in &mut self.pod_logs {
-            while let Some((_, event)) = log.next_if(|&(at, _)| at == cycle) {
+            while let Some(&(_, event)) = log.head().filter(|&&(at, _)| at == cycle) {
                 sink.emit(cycle, event);
+                log.next += 1;
             }
         }
         let (account, leaf_cores, pods) = (&mut self.account, self.leaf_cores, self.pods.len());
@@ -512,8 +539,8 @@ impl CycleNetwork for HierarchicalSystem {
         };
         // Everything at or before `now` is replayed, so a log's head is its
         // earliest pending cycle.
-        for log in &mut self.pod_logs {
-            if let Some(&(cycle, _)) = log.peek() {
+        for log in &self.pod_logs {
+            if let Some(&(cycle, _)) = log.head() {
                 consider(cycle, &mut next);
             }
         }
@@ -657,6 +684,35 @@ mod tests {
             cluster_offset: 0,
             load: OfferedLoad::ZERO,
             name: "feed".to_string(),
+        }
+    }
+
+    #[test]
+    fn a_flit_run_tallies_as_its_flits_one_by_one() {
+        let (src, dst) = (CoreId(1), CoreId(70));
+        let delivered = |bits, flits| SimEvent::FlitDelivered {
+            src,
+            dst,
+            bits,
+            flits,
+            photonic: true,
+        };
+        for bits in [1, 32, u32::MAX] {
+            for flits in [1, 2, 7, 64] {
+                let (mut runs, mut one_by_one) = (Tally::default(), Tally::default());
+                runs.count(&delivered(bits, flits));
+                runs.count(&SimEvent::FlitInjected { src, bits, flits });
+                for _ in 0..flits {
+                    one_by_one.count(&delivered(bits, 1));
+                    one_by_one.count(&SimEvent::FlitInjected {
+                        src,
+                        bits,
+                        flits: 1,
+                    });
+                }
+                assert_eq!(runs, one_by_one, "{flits} flits of {bits} bits");
+                assert_eq!(runs.delivered_flits, u64::from(flits));
+            }
         }
     }
 

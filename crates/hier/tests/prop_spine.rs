@@ -1,6 +1,7 @@
 //! Property test of the run-queue [`Spine`] against the eager spine it
 //! replaced, kept here as the reference: that one turned every packet, at
-//! enqueue, into all the events of its lifetime, stored per cycle. Over random
+//! enqueue, into all the events of its lifetime, stored per cycle — one
+//! injection and one delivery flit run per serialization slot. Over random
 //! schedules the two must agree on every cycle's event vector (order
 //! included), on the next event cycle and on the peak backlog, whether the
 //! spine is replayed every cycle or only at the cycles it names.
@@ -45,21 +46,28 @@ impl EagerSpine {
             self.cursor = cycle + 1;
             self.used = 0;
         }
-        let mut last_slot = self.cursor;
-        for flit in 0..desc.num_flits {
+        // The packet's flits counted per serialization slot, in slot order.
+        let mut slots: Vec<(u64, u32)> = Vec::new();
+        for _ in 0..desc.num_flits {
             if self.used >= self.flits_per_cycle {
                 self.cursor += 1;
                 self.used = 0;
             }
-            let slot = self.cursor;
             self.used += 1;
+            match slots.last_mut() {
+                Some((slot, flits)) if *slot == self.cursor => *flits += 1,
+                _ => slots.push((self.cursor, 1)),
+            }
+        }
+        for (index, &(slot, flits)) in slots.iter().enumerate() {
             let at = events.entry(slot).or_default();
-            if flit == 0 {
+            if index == 0 {
                 at.push(SimEvent::PacketInjected { src: desc.src });
             }
             at.push(SimEvent::FlitInjected {
                 src: desc.src,
                 bits: desc.flit_bits,
+                flits,
             });
             events
                 .entry(slot + self.latency)
@@ -68,10 +76,11 @@ impl EagerSpine {
                     src: desc.src,
                     dst: desc.dst,
                     bits: desc.flit_bits,
+                    flits,
                     photonic: true,
                 });
-            last_slot = slot;
         }
+        let last_slot = slots.last().map_or(self.cursor, |&(slot, _)| slot);
         let delivered_at = last_slot + self.latency;
         events
             .entry(delivered_at)

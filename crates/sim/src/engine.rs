@@ -171,6 +171,13 @@ impl<'a, 'b> ProbeFanout<'a, 'b> {
 
 impl EventSink for ProbeFanout<'_, '_> {
     fn emit(&mut self, cycle: u64, event: SimEvent) {
+        debug_assert!(
+            !matches!(
+                event,
+                SimEvent::FlitInjected { flits: 0, .. } | SimEvent::FlitDelivered { flits: 0, .. }
+            ),
+            "a flit event carries at least one flit"
+        );
         // Fault transitions are schedule replay, not workload statistics:
         // they pass the warm-up gate so the probes' fault counters reconcile
         // exactly with the controller's whole-run gauges even when an onset

@@ -583,6 +583,16 @@ fn write_report_json(out: &mut String, report: &MetricReport) {
 // ---------------------------------------------------------------------------
 
 /// One observable simulation event, emitted by a network while it steps.
+///
+/// The two flit events carry a *run*: `flits ≥ 1` flits of `bits` bits each,
+/// all visible at the event's cycle, between the same pair of cores. A
+/// consumer counts a run exactly as `flits` one-flit events — every flit
+/// consumer is an integer sum keyed by cycle, core or cluster pair, so the
+/// split of a cycle's flits into runs and their order inside the cycle carry
+/// no meaning. A flat network moves at most one flit per core per cycle and
+/// emits `flits: 1`; the hierarchy's spine emits one run per packet per
+/// serialization slot. The packet-level events are never batched and keep
+/// their order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SimEvent {
     /// A traffic generator created a packet at `src`.
@@ -600,22 +610,26 @@ pub enum SimEvent {
         /// Injecting core.
         src: CoreId,
     },
-    /// A flit entered the network at `src`.
+    /// A run of flits entered the network at `src`.
     FlitInjected {
         /// Injecting core.
         src: CoreId,
-        /// Payload bits of the flit.
+        /// Payload bits of each flit.
         bits: u32,
+        /// Flits in the run (at least one).
+        flits: u32,
     },
-    /// A flit was delivered to its destination core.
+    /// A run of flits was delivered to its destination core.
     FlitDelivered {
-        /// Source core of the flit.
+        /// Source core of the flits.
         src: CoreId,
-        /// Destination core (where it was ejected).
+        /// Destination core (where they were ejected).
         dst: CoreId,
-        /// Payload bits of the flit.
+        /// Payload bits of each flit.
         bits: u32,
-        /// Whether the flit crossed the photonic fabric (inter-cluster).
+        /// Flits in the run (at least one).
+        flits: u32,
+        /// Whether the flits crossed the photonic fabric (inter-cluster).
         photonic: bool,
     },
     /// A packet's tail flit arrived: the whole packet is delivered.
@@ -638,6 +652,10 @@ pub enum SimEvent {
         fault: u32,
     },
 }
+
+// `PacketDelivered` is the largest variant. The hierarchy buffers a window of
+// `(u64, SimEvent)` per pod, so a growth here is a growth of its footprint.
+const _: () = assert!(std::mem::size_of::<SimEvent>() == 32);
 
 /// Where a stepping network reports its [`SimEvent`]s.
 ///
@@ -808,14 +826,16 @@ impl Probe for MetricsProbe {
                 src,
                 dst,
                 bits,
+                flits,
                 photonic,
             } => {
-                self.window_bits += u64::from(bits);
-                bump(&mut self.bits_by_node, dst.0, u64::from(bits));
+                let bits = u64::from(flits) * u64::from(bits);
+                self.window_bits += bits;
+                bump(&mut self.bits_by_node, dst.0, bits);
                 if photonic {
                     if let Some(topology) = &self.topology {
                         let pair = (topology.cluster_of(src).0, topology.cluster_of(dst).0);
-                        *self.photonic_bits_by_pair.entry(pair).or_insert(0) += u64::from(bits);
+                        *self.photonic_bits_by_pair.entry(pair).or_insert(0) += bits;
                     }
                 }
             }
@@ -1231,6 +1251,7 @@ mod tests {
                     src,
                     dst,
                     bits: 32,
+                    flits: 1,
                     photonic: false,
                 },
             );

@@ -70,19 +70,25 @@ impl SimStats {
         }
     }
 
-    /// Counts one event: the single map from [`SimEvent`]s to counters.
-    /// Fault transitions count nothing.
+    /// Counts one event: the single map from [`SimEvent`]s to counters. A
+    /// flit run counts as its `flits` flits. Fault transitions count nothing.
     pub fn observe(&mut self, event: &SimEvent) {
         match *event {
             SimEvent::PacketGenerated { .. } => self.generated_packets += 1,
             SimEvent::PacketDropped { .. } => self.dropped_packets += 1,
             SimEvent::PacketInjected { .. } => self.injected_packets += 1,
-            SimEvent::FlitInjected { .. } => self.injected_flits += 1,
-            SimEvent::FlitDelivered { bits, photonic, .. } => {
-                self.delivered_flits += 1;
-                self.delivered_bits += u64::from(bits);
+            SimEvent::FlitInjected { flits, .. } => self.injected_flits += u64::from(flits),
+            SimEvent::FlitDelivered {
+                bits,
+                flits,
+                photonic,
+                ..
+            } => {
+                let bits = u64::from(flits) * u64::from(bits);
+                self.delivered_flits += u64::from(flits);
+                self.delivered_bits += bits;
                 if photonic {
-                    self.delivered_photonic_bits += u64::from(bits);
+                    self.delivered_photonic_bits += bits;
                 }
             }
             SimEvent::PacketDelivered { latency, .. } => {
@@ -187,17 +193,23 @@ mod tests {
             SimEvent::PacketGenerated { src },
             SimEvent::PacketDropped { src },
             SimEvent::PacketInjected { src },
-            SimEvent::FlitInjected { src, bits: 32 },
+            SimEvent::FlitInjected {
+                src,
+                bits: 32,
+                flits: 1,
+            },
             SimEvent::FlitDelivered {
                 src,
                 dst,
                 bits: 32,
+                flits: 1,
                 photonic: true,
             },
             SimEvent::FlitDelivered {
                 src,
                 dst,
                 bits: 16,
+                flits: 1,
                 photonic: false,
             },
             SimEvent::PacketDelivered {

@@ -535,6 +535,7 @@ impl<F: PhotonicFabric, T: TrafficModel> PhotonicSystem<F, T> {
                 SimEvent::FlitInjected {
                     src: CoreId(core_idx),
                     bits: flit.bits,
+                    flits: 1,
                 },
             );
             progress.next += 1;
@@ -619,6 +620,7 @@ impl<F: PhotonicFabric, T: TrafficModel> PhotonicSystem<F, T> {
                             src: flit.src,
                             dst: flit.dst,
                             bits: flit.bits,
+                            flits: 1,
                             photonic,
                         },
                     );

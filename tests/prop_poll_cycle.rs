@@ -131,7 +131,11 @@ fn lock_step(workload: Workload, polled: usize, seed: u64) -> Result<(), String>
             let inject = settling || stream.one_in(2);
             if inject {
                 events.push(SimEvent::PacketInjected { src });
-                events.push(SimEvent::FlitInjected { src, bits: 32 });
+                events.push(SimEvent::FlitInjected {
+                    src,
+                    bits: 32,
+                    flits: 1,
+                });
                 in_flight.push((src, dst));
             }
             !inject
