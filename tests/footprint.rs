@@ -66,12 +66,29 @@ static ALLOCATOR: Counting = Counting;
 /// Runs `f` and returns its value with the bytes it left live and the peak
 /// it reached above the starting level.
 fn measured<R>(f: impl FnOnce() -> R) -> (R, usize, usize) {
+    settle();
     let before = LIVE.load(Ordering::Relaxed);
     PEAK.store(before, Ordering::Relaxed);
     let value = f();
     let live = LIVE.load(Ordering::Relaxed).saturating_sub(before);
     let peak = PEAK.load(Ordering::Relaxed) - before;
     (value, live, peak)
+}
+
+/// Waits until the live byte count has held still for 20 ms. Other threads
+/// allocate and free at their own pace — the harness's main thread does its
+/// bookkeeping for this test (≈ 900 bytes) just after spawning it, and pool
+/// workers release theirs after a batch returns — so a measurement that
+/// starts before they are done counts their bytes in one run and not in the
+/// next.
+fn settle() {
+    let (mut last, mut quiet) = (LIVE.load(Ordering::Relaxed), 0);
+    while quiet < 20 {
+        std::thread::sleep(std::time::Duration::from_millis(1));
+        let now = LIVE.load(Ordering::Relaxed);
+        quiet = if now == last { quiet + 1 } else { 0 };
+        last = now;
+    }
 }
 
 const MIB: usize = 1 << 20;
