@@ -18,6 +18,31 @@
 //!    clusters consume all the data bandwidth"),
 //! 3. no cluster ever holds more than the per-channel maximum of the
 //!    bandwidth set.
+//!
+//! # Settled controllers skip in O(1)
+//!
+//! The protocol only re-allocates when the task mapping changes; under a
+//! stable mapping every token visit after convergence is a no-op. A visit
+//! *changes nothing* when it acquires nothing, releases nothing and its
+//! `refresh` leaves every current-table entry as it was. After as many
+//! consecutive no-change visits as there are clusters, the controller is
+//! *settled*: a visit then only counts `token_visits`, and
+//! [`DbaController::skip_cycles`] jumps every arrival of a span at once.
+//! [`DbaController::set_targets`] and `set_request_table` clear the settled
+//! state, and every reconvergence (a remap, a fault transition) goes through
+//! them.
+//!
+//! This is exact. The ring visits the clusters in cyclic order, so a run of
+//! `num_clusters` no-change ring visits has visited every cluster once, each
+//! against the same unchanged state. A visit that releases nothing has
+//! `held <= target` (with `held > target` the excess is at least one
+//! acquired wavelength). A visit that acquires nothing has `held == target`,
+//! or `held < target` with no free wavelength in the token. `refresh` is a
+//! function of `held` and the request table, so a second application changes
+//! nothing. Nothing else mutates the controller between the setters, so every
+//! later visit finds the same state and changes nothing either.
+//! [`DbaController::converge`] visits the clusters in its own order, so a
+//! streak never runs across the boundary between it and the ring.
 
 use crate::tables::{CurrentTable, RequestTable};
 use crate::token::{Token, TokenRing};
@@ -55,8 +80,11 @@ pub struct DbaController {
     max_channel_wavelengths: usize,
     /// Maximum wavelengths acquired per token visit.
     acquisition_chunk: usize,
-    /// Total token visits processed (diagnostic).
+    /// Token arrivals the ring delivered (diagnostic).
     token_visits: u64,
+    /// Consecutive visits that changed nothing, up to `clusters.len()`: at
+    /// that cap the controller is settled (see the module docs).
+    quiet_visits: usize,
 }
 
 impl DbaController {
@@ -100,6 +128,7 @@ impl DbaController {
             max_channel_wavelengths,
             acquisition_chunk: 1,
             token_visits: 0,
+            quiet_visits: 0,
         }
     }
 
@@ -113,6 +142,7 @@ impl DbaController {
     /// `[reserved, max_channel]`).
     pub fn set_targets(&mut self, targets: &[usize]) {
         assert_eq!(targets.len(), self.clusters.len());
+        self.quiet_visits = 0;
         for (cluster, &target) in self.clusters.iter_mut().zip(targets) {
             cluster.target = target
                 .max(cluster.current.reserved())
@@ -122,8 +152,15 @@ impl DbaController {
 
     /// Installs a cluster's request table (per-destination wavelength
     /// requests, the element-wise max of its cores' demand tables).
-    pub(crate) fn set_request_table(&mut self, cluster: ClusterId, request: RequestTable) {
+    pub fn set_request_table(&mut self, cluster: ClusterId, request: RequestTable) {
+        self.quiet_visits = 0;
         self.clusters[cluster.0].request = request;
+    }
+
+    /// Whether the allocation is at its fixed point: every visit until the
+    /// next setter call changes nothing.
+    fn settled(&self) -> bool {
+        self.quiet_visits == self.clusters.len()
     }
 
     /// Current pool (reserved + acquired wavelengths) of a cluster.
@@ -146,20 +183,27 @@ impl DbaController {
     }
 
     /// Processes a token visit at `cluster`: release excess wavelengths, or
-    /// acquire up to `acquisition_chunk` missing ones.
-    pub(crate) fn on_token(&mut self, cluster: ClusterId) {
-        self.token_visits += 1;
+    /// acquire up to `acquisition_chunk` missing ones. A settled controller
+    /// skips the step, which would change nothing.
+    fn on_token(&mut self, cluster: ClusterId) {
+        if self.settled() {
+            return;
+        }
         let state = &mut self.clusters[cluster.0];
         let held = state.current.total_held();
+        let mut changed = false;
         if held > state.target {
             let released = state.current.release(held - state.target);
             self.token.release(&released);
+            changed = !released.is_empty();
         } else if held < state.target {
             let want = (state.target - held).min(self.acquisition_chunk);
             let acquired = self.token.allocate(want);
             state.current.acquire(&acquired);
+            changed = !acquired.is_empty();
         }
-        state.current.refresh(&state.request);
+        changed |= state.current.refresh(&state.request);
+        self.quiet_visits = if changed { 0 } else { self.quiet_visits + 1 };
     }
 
     /// Advances one cycle of token circulation; when the token arrives at a
@@ -167,6 +211,7 @@ impl DbaController {
     /// processed the token this cycle, if any.
     pub fn tick(&mut self) -> Option<ClusterId> {
         let arrived = self.ring.tick()?;
+        self.token_visits += 1;
         self.on_token(arrived);
         Some(arrived)
     }
@@ -175,26 +220,36 @@ impl DbaController {
     /// [`DbaController::tick`] `span` times: every token arrival inside the
     /// span is processed in order, so the allocation state (and the token
     /// visit count) ends up exactly as if the controller had been ticked
-    /// cycle by cycle.
+    /// cycle by cycle. Once the controller is settled, the rest of the span
+    /// is one jump of the ring.
     pub fn skip_cycles(&mut self, mut span: u64) {
-        while span > 0 {
+        while !self.settled() {
             let until_arrival = self.ring.cycles_until_arrival();
             if span < until_arrival {
-                self.ring.skip(span);
-                return;
+                break;
             }
             span -= until_arrival;
-            self.ring.skip(until_arrival - 1);
+            self.ring.advance(until_arrival - 1);
             let arrived = self.ring.tick().expect("token arrival is due this cycle");
+            self.token_visits += 1;
             self.on_token(arrived);
         }
+        self.token_visits += self.ring.advance(span);
     }
 
-    /// Circulates the token for up to `max_rotations` full rotations or until
-    /// the allocation stops changing, whichever comes first. Used when the
-    /// task mapping changes (and at construction) so that measurements see
-    /// the converged allocation.
+    /// Visits every cluster in index order for up to `max_rotations`
+    /// rotations or until the allocation stops changing, whichever comes
+    /// first. Used when the task mapping changes (and at construction) so
+    /// that measurements see the converged allocation. It models the
+    /// allocation, not the ring: the token does not move and
+    /// `token_visits` does not count these visits.
     pub fn converge(&mut self, max_rotations: usize) {
+        // A quiet streak proves the fixed point only if it covers every
+        // cluster, and this loop's order is not the ring's: no streak runs
+        // across the boundary (see the module docs).
+        if !self.settled() {
+            self.quiet_visits = 0;
+        }
         for _ in 0..max_rotations {
             let before: Vec<usize> = (0..self.num_clusters())
                 .map(|c| self.pool(ClusterId(c)))
@@ -208,6 +263,9 @@ impl DbaController {
             if before == after {
                 break;
             }
+        }
+        if !self.settled() {
+            self.quiet_visits = 0;
         }
     }
 
@@ -357,7 +415,7 @@ mod tests {
             }
         }
         assert_eq!(visits, 64, "hop latency 1 means one visit per cycle");
-        assert!(c.token_visits >= 64);
+        assert_eq!(c.token_visits, 64);
         assert!(
             c.total_held() > 16,
             "some wavelengths must have been acquired"
@@ -380,6 +438,30 @@ mod tests {
             assert_eq!(ticked, skipped, "span {span}");
             assert!(skipped.check_invariants().is_ok());
         }
+    }
+
+    #[test]
+    fn a_settled_controller_skips_in_one_jump_and_setters_wake_it() {
+        let mut c = DbaController::new(16, 48, 1, 8, 3);
+        c.set_targets(&[8; 16]);
+        c.converge(64);
+        assert!(c.settled(), "an oversubscribed budget settles");
+        let mut ticked = c.clone();
+        for _ in 0..1_000 {
+            let _ = ticked.tick();
+        }
+        c.skip_cycles(1_000);
+        assert_eq!(c, ticked);
+        assert_eq!(c.token_visits, 1_000 / 3);
+        // A re-target wakes the controller; the next visits move wavelengths.
+        let mut targets = vec![8usize; 16];
+        targets[0] = 1;
+        c.set_targets(&targets);
+        assert!(!c.settled());
+        c.converge(64);
+        assert!(c.settled());
+        assert_eq!(c.pool(ClusterId(0)), 1);
+        assert!(c.check_invariants().is_ok());
     }
 
     #[test]

@@ -159,12 +159,16 @@ impl CurrentTable {
 
     /// Updates the per-destination allocation given a request table: every
     /// destination is granted the minimum of its request and the total
-    /// wavelengths held.
-    pub fn refresh(&mut self, requests: &RequestTable) {
+    /// wavelengths held. Returns whether any entry changed.
+    pub fn refresh(&mut self, requests: &RequestTable) -> bool {
         let held = self.total_held();
+        let mut changed = false;
         for dst in 0..self.entries.len() {
-            self.entries[dst] = requests.get(ClusterId(dst)).min(held);
+            let granted = requests.get(ClusterId(dst)).min(held);
+            changed |= self.entries[dst] != granted;
+            self.entries[dst] = granted;
         }
+        changed
     }
 }
 
@@ -228,11 +232,12 @@ mod tests {
         r.rebuild(&[d]);
         let mut c = CurrentTable::new(3, 1);
         c.acquire(&[0, 1, 2]); // 4 held in total
-        c.refresh(&r);
+        assert!(c.refresh(&r));
         assert_eq!(
             c.entries,
             [4, 2, 0],
             "request 8 capped at 4 held, 2 granted"
         );
+        assert!(!c.refresh(&r), "a second refresh changes nothing");
     }
 }

@@ -168,22 +168,20 @@ impl TokenRing {
         self.cycles_until_next_hop
     }
 
-    /// Fast-forwards `cycles` ticks **strictly within** the current hop:
-    /// equivalent to calling [`TokenRing::tick`] `cycles` times, all of
-    /// which would have returned `None`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the skip would reach or cross the next arrival
-    /// (`cycles >= cycles_until_arrival()`); arrivals must go through
-    /// [`TokenRing::tick`] so the holder rotation is observed.
-    pub fn skip(&mut self, cycles: u64) {
-        assert!(
-            cycles < self.cycles_until_next_hop,
-            "skip of {cycles} cycles would cross the token arrival due in {}",
-            self.cycles_until_next_hop
-        );
-        self.cycles_until_next_hop -= cycles;
+    /// Fast-forwards `cycles` ticks in O(1): equivalent to calling
+    /// [`TokenRing::tick`] `cycles` times. Returns how many of those ticks
+    /// were arrivals.
+    pub fn advance(&mut self, cycles: u64) -> u64 {
+        let Some(past_first) = cycles.checked_sub(self.cycles_until_next_hop) else {
+            self.cycles_until_next_hop -= cycles;
+            return 0;
+        };
+        let arrivals = 1 + past_first / self.hop_cycles;
+        self.cycles_until_next_hop = self.hop_cycles - past_first % self.hop_cycles;
+        // `holder < num_routers`, so only the arrivals need reducing.
+        let hops = (arrivals % self.num_routers as u64) as usize;
+        self.holder = (self.holder + hops) % self.num_routers;
+        arrivals
     }
 }
 
@@ -248,23 +246,24 @@ mod tests {
     }
 
     #[test]
-    fn skip_matches_repeated_idle_ticks() {
-        let mut ticked = TokenRing::new(4, 5);
-        let mut skipped = ticked.clone();
-        assert_eq!(ticked.cycles_until_arrival(), 5);
-        for _ in 0..4 {
-            assert_eq!(ticked.tick(), None);
+    fn advance_matches_repeated_ticks() {
+        // Spans inside a hop, ending on an arrival, and across whole
+        // rotations, from every phase of a hop.
+        for hop in 1..=4 {
+            for offset in 0..hop {
+                for cycles in 0..40 {
+                    let mut ticked = TokenRing::new(3, hop);
+                    ticked.advance(offset);
+                    let mut advanced = ticked.clone();
+                    let arrivals = (0..cycles).filter(|_| ticked.tick().is_some()).count();
+                    assert_eq!(advanced.advance(cycles), arrivals as u64);
+                    assert_eq!(ticked, advanced, "hop {hop}, offset {offset}, {cycles}");
+                }
+            }
         }
-        skipped.skip(4);
-        assert_eq!(ticked, skipped);
-        assert_eq!(skipped.cycles_until_arrival(), 1);
-        assert_eq!(skipped.tick(), Some(ClusterId(1)));
-    }
-
-    #[test]
-    #[should_panic(expected = "cross the token arrival")]
-    fn skip_across_an_arrival_is_rejected() {
-        let mut ring = TokenRing::new(4, 3);
-        ring.skip(3);
+        let mut ring = TokenRing::new(4, 5);
+        assert_eq!(ring.advance(4), 0);
+        assert_eq!(ring.cycles_until_arrival(), 1);
+        assert_eq!(ring.tick(), Some(ClusterId(1)));
     }
 }

@@ -427,12 +427,6 @@ impl ScenarioSpec {
                     });
                 }
                 let workload = factory.build(&WorkloadSpec::new(size));
-                workload.validate().unwrap_or_else(|error| {
-                    panic!(
-                        "registered workload factory '{}' built an invalid workload: {error}",
-                        factory.name()
-                    )
-                });
                 // Architecture-aware placement: the generators emit a dense
                 // rank-on-core-`i` workload; an architecture may spread the
                 // ranks over its effective topology (the hierarchy layer
@@ -448,15 +442,27 @@ impl ScenarioSpec {
                              expected {size}",
                             map.len()
                         );
-                        let mut seen = vec![false; num_cores];
-                        for &core in &map {
-                            assert!(
-                                core < num_cores && !std::mem::replace(&mut seen[core], true),
+                        if let Some(core) = map.iter().find(|&&core| core >= num_cores) {
+                            panic!(
                                 "architecture '{arch_name}' produced an invalid placement map: \
-                                 core {core} is out of range or assigned twice"
+                                 core {core} is out of range"
                             );
                         }
-                        workload.remap_cores(&map)
+                        workload.remap_cores(&map).unwrap_or_else(|error| {
+                            panic!(
+                                "architecture '{arch_name}' produced an invalid placement map: \
+                                 {error}"
+                            )
+                        })
+                    }
+                    // A factory may ignore the requested size, and the
+                    // driver only debug-checks the range.
+                    None if workload.max_core() >= num_cores => {
+                        return Err(ScenarioError::WorkloadTooLarge {
+                            scenario: self.id(),
+                            size: workload.max_core() + 1,
+                            num_cores,
+                        });
                     }
                     None => workload,
                 };

@@ -48,6 +48,7 @@ use pnoc_noc::packet::{BandwidthClass, PacketDescriptor};
 use pnoc_noc::traffic_model::{OfferedLoad, TrafficModel};
 use pnoc_noc::vc::set_bits;
 use pnoc_workload::dag::Workload;
+use pnoc_workload::flow::FlowId;
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap, VecDeque};
 use std::sync::{Arc, Mutex};
@@ -69,8 +70,6 @@ pub(crate) const DRAIN_CYCLE_CAP_PACKET_FACTOR: u64 = 8;
 struct FlowState {
     /// Remaining unmet dependencies per flow.
     remaining_deps: Vec<usize>,
-    /// Flows waiting on each flow's completion.
-    dependents: Vec<Vec<usize>>,
     /// Packets each flow occupies on the wire.
     packets_total: Vec<u64>,
     /// Packets generated so far per flow (drops are re-credited).
@@ -113,25 +112,22 @@ impl FlowState {
     fn new(workload: &Workload, config: &SimConfig) -> Self {
         let cores = config.topology.num_cores();
         let packet_bits = config.bandwidth_set.packet_bits();
-        let flows = workload.flows();
-        let mut dependents = vec![Vec::new(); flows.len()];
-        for flow in flows {
-            for &dep in &flow.deps {
-                dependents[dep.0].push(flow.id.0);
-            }
-        }
+        let flows = workload.len();
+        let roots = || workload.ids().filter(|&f| workload.deps(f).is_empty());
         let mut state = Self {
-            remaining_deps: flows.iter().map(|f| f.deps.len()).collect(),
-            dependents,
-            packets_total: flows.iter().map(|f| f.packets(packet_bits)).collect(),
-            packets_generated: vec![0; flows.len()],
-            packets_delivered: vec![0; flows.len()],
-            released_at: vec![None; flows.len()],
-            completed_at: vec![None; flows.len()],
+            remaining_deps: workload.ids().map(|f| workload.deps(f).len()).collect(),
+            packets_total: workload
+                .ids()
+                .map(|f| workload.packets(f, packet_bits))
+                .collect(),
+            packets_generated: vec![0; flows],
+            packets_delivered: vec![0; flows],
+            released_at: vec![None; flows],
+            completed_at: vec![None; flows],
             ready: vec![VecDeque::new(); cores],
             ready_cores: vec![0; cores.div_ceil(64)],
             open_by_pair: BTreeMap::new(),
-            timed: BinaryHeap::new(),
+            timed: BinaryHeap::with_capacity(roots().count()),
             in_queue: vec![0; cores],
             last_generated: vec![None; cores],
             completed: 0,
@@ -139,10 +135,10 @@ impl FlowState {
             fct: QuantileSketch::new(),
             activated_through: 0,
         };
-        for flow in flows {
-            if flow.deps.is_empty() {
-                state.timed.push(Reverse((flow.release_cycle, flow.id.0)));
-            }
+        for flow in roots() {
+            state
+                .timed
+                .push(Reverse((workload.release_cycle(flow), flow.0)));
         }
         state
     }
@@ -159,12 +155,13 @@ impl FlowState {
                 break;
             }
             self.timed.pop();
-            let flow = &workload.flows()[flow_idx];
+            let flow = FlowId(flow_idx);
+            let (src, dst) = (workload.src(flow).0, workload.dst(flow).0);
             self.released_at[flow_idx] = Some(cycle.max(due));
-            self.ready[flow.src.0].push_back(flow_idx);
-            self.ready_cores[flow.src.0 / 64] |= 1 << (flow.src.0 % 64);
+            self.ready[src].push_back(flow_idx);
+            self.ready_cores[src / 64] |= 1 << (src % 64);
             self.open_by_pair
-                .entry((flow.src.0, flow.dst.0))
+                .entry((src, dst))
                 .or_default()
                 .push_back(flow_idx);
         }
@@ -178,18 +175,16 @@ impl FlowState {
         self.completed += 1;
         let released = self.released_at[flow_idx].unwrap_or(0);
         self.fct.record(cycle.saturating_sub(released));
-        let dependents = std::mem::take(&mut self.dependents[flow_idx]);
-        for &dependent in &dependents {
-            self.remaining_deps[dependent] -= 1;
-            if self.remaining_deps[dependent] == 0 {
-                let release = workload.flows()[dependent].release_cycle.max(cycle + 1);
-                self.timed.push(Reverse((release, dependent)));
+        for &dependent in workload.dependents(FlowId(flow_idx)) {
+            self.remaining_deps[dependent.0] -= 1;
+            if self.remaining_deps[dependent.0] == 0 {
+                let release = workload.release_cycle(dependent).max(cycle + 1);
+                self.timed.push(Reverse((release, dependent.0)));
                 // The dependent may be due before `activated_through` if its
                 // prerequisite completed this very cycle; re-open activation.
                 self.activated_through = self.activated_through.min(release);
             }
         }
-        self.dependents[flow_idx] = dependents;
     }
 
     /// Generates the next packet of `src`'s frontmost released flow and
@@ -268,12 +263,12 @@ impl PairDemand {
         let clusters = config.topology.num_clusters();
         let mut volume = vec![vec![0u64; clusters]; clusters];
         let mut outbound = vec![0u64; clusters];
-        for flow in workload.flows() {
-            let src = config.topology.cluster_of(flow.src).0;
-            let dst = config.topology.cluster_of(flow.dst).0;
+        for flow in workload.ids() {
+            let src = config.topology.cluster_of(workload.src(flow)).0;
+            let dst = config.topology.cluster_of(workload.dst(flow)).0;
             if src != dst {
-                volume[src][dst] += flow.bytes;
-                outbound[src] += flow.bytes;
+                volume[src][dst] += workload.bytes(flow);
+                outbound[src] += workload.bytes(flow);
             }
         }
         Self {
@@ -316,28 +311,25 @@ pub struct WorkloadDriver {
 }
 
 impl WorkloadDriver {
-    /// Creates a driver for one run of `workload` under `config`.
+    /// Creates a driver for one run of `workload` under `config`. The
+    /// workload is a valid DAG by construction; that it fits the topology is
+    /// checked by scenario resolution
+    /// ([`crate::scenario::ScenarioSpec::resolve`]), which returns a typed
+    /// error instead.
     ///
     /// # Panics
     ///
-    /// Panics if the workload is empty, touches cores outside the
-    /// configured topology, or fails
-    /// [`Workload::validate`](pnoc_workload::dag::Workload::validate) —
-    /// scenario resolution ([`crate::scenario::ScenarioSpec::resolve`])
-    /// checks these upfront and returns typed errors instead.
+    /// Debug builds panic if the workload touches cores outside the
+    /// configured topology.
     #[must_use]
     pub fn new(workload: Arc<Workload>, config: &SimConfig) -> Self {
-        assert!(!workload.is_empty(), "cannot drive an empty workload");
-        let max_core = workload.max_core().expect("non-empty");
-        assert!(
-            max_core < config.topology.num_cores(),
-            "workload '{}' touches core {max_core}, topology has {} cores",
+        debug_assert!(
+            workload.max_core() < config.topology.num_cores(),
+            "workload '{}' touches core {}, topology has {} cores",
             workload.name(),
+            workload.max_core(),
             config.topology.num_cores()
         );
-        workload
-            .validate()
-            .unwrap_or_else(|error| panic!("workload '{}' invalid: {error}", workload.name()));
         let state = Arc::new(Mutex::new(FlowState::new(&workload, config)));
         Self {
             workload,
@@ -425,16 +417,15 @@ impl FlowTraffic {
     /// `cycle`, if a flow is released there and the pacing window admits it.
     fn generate(&self, state: &mut FlowState, cycle: u64, src: CoreId) -> Option<PacketDescriptor> {
         let flow_idx = state.generate(src.0, self.capacity)?;
-        let flow = &self.workload.flows()[flow_idx];
+        let dst = self.workload.dst(FlowId(flow_idx));
         Some(PacketDescriptor {
             src,
-            dst: flow.dst,
+            dst,
             num_flits: self.shape.0,
             flit_bits: self.shape.1,
-            class: self.demand.class(
-                self.topology.cluster_of(src),
-                self.topology.cluster_of(flow.dst),
-            ),
+            class: self
+                .demand
+                .class(self.topology.cluster_of(src), self.topology.cluster_of(dst)),
             created_cycle: cycle,
         })
     }
@@ -592,14 +583,14 @@ impl Probe for FlowProbe {
         // Per-collective makespans, one gauge per label (first release of
         // the phase to its last completion).
         let mut spans: BTreeMap<&str, (u64, u64)> = BTreeMap::new();
-        for flow in self.workload.flows() {
+        for flow in self.workload.ids() {
             let (Some(released), Some(completed)) =
-                (state.released_at[flow.id.0], state.completed_at[flow.id.0])
+                (state.released_at[flow.0], state.completed_at[flow.0])
             else {
                 continue;
             };
             let span = spans
-                .entry(flow.collective.as_str())
+                .entry(self.workload.collective(flow))
                 .or_insert((released, completed));
             span.0 = span.0.min(released);
             span.1 = span.1.max(completed);
@@ -767,17 +758,10 @@ mod tests {
 
     #[test]
     fn timed_releases_hold_flows_back() {
-        let mut workload = Workload::new("timed");
-        workload.add_flow(
-            pnoc_workload::flow::Flow::new(
-                pnoc_workload::flow::FlowId(0),
-                CoreId(0),
-                CoreId(5),
-                256,
-            )
-            .released_at(200),
-        );
-        let point = run(workload);
+        let mut dag = Workload::builder("timed");
+        dag.push(CoreId(0), CoreId(5), 256);
+        dag.released_at(200);
+        let point = run(dag.finish().expect("valid"));
         assert_eq!(point.metrics.gauge("workload_drained"), Some(1.0));
         // The single flow could not complete before its release cycle.
         assert!(point.stats.measured_cycles > 200);
@@ -788,7 +772,6 @@ mod tests {
     /// the core back into the ready index, under either poll form.
     #[test]
     fn a_dropped_packet_is_re_credited_and_re_emitted() {
-        use pnoc_workload::flow::{Flow, FlowId};
         type Poll = fn(&mut dyn TrafficModel, u64) -> Vec<PacketDescriptor>;
         let per_core: Poll = |traffic, cycle| {
             (0..64)
@@ -802,10 +785,11 @@ mod tests {
         };
         for poll in [per_core, batched] {
             // One-packet flows: two queued at core 0, one alone at core 3.
-            let mut workload = Workload::new("dropped");
-            for (id, src, dst) in [(0, 0, 5), (1, 0, 6), (2, 3, 7)] {
-                workload.add_flow(Flow::new(FlowId(id), CoreId(src), CoreId(dst), 256));
+            let mut dag = Workload::builder("dropped");
+            for (src, dst) in [(0, 5), (0, 6), (3, 7)] {
+                dag.push(CoreId(src), CoreId(dst), 256);
             }
+            let workload = dag.finish().expect("valid");
             let driver = WorkloadDriver::new(Arc::new(workload), &smoke_config());
             let (mut traffic, mut probe) = (driver.traffic(), driver.probe());
             let dsts = |packets: &[PacketDescriptor]| -> Vec<usize> {
@@ -858,7 +842,10 @@ mod tests {
         }
     }
 
+    /// The range check is a debug assertion: release builds rely on
+    /// scenario resolution's typed error.
     #[test]
+    #[cfg(debug_assertions)]
     #[should_panic(expected = "touches core")]
     fn oversized_workloads_are_rejected() {
         let config = smoke_config();

@@ -186,7 +186,10 @@ impl TrafficModel for SkewedTraffic {
     }
 
     /// The provided per-core loop, walked cluster by cluster so no core's
-    /// cluster is computed by a division.
+    /// cluster is computed by a division. The generator lives in a local
+    /// across the walk, with the cluster's threshold hoisted, and goes back
+    /// into `self` only around a hit's `packet`: the same words in
+    /// the same order as `draw` per core.
     fn poll_cycle(
         &mut self,
         cycle: u64,
@@ -194,13 +197,19 @@ impl TrafficModel for SkewedTraffic {
         emit: &mut dyn FnMut(CoreId, PacketDescriptor),
     ) {
         let per_cluster = self.topology.cores_per_cluster();
+        let mut rng = self.rng.clone();
         for (cluster, first) in (0..num_cores).step_by(per_cluster).enumerate() {
+            let threshold = self.threshold[cluster];
             for core in (first..num_cores.min(first + per_cluster)).map(CoreId) {
-                if let Some(descriptor) = self.draw(cycle, core, ClusterId(cluster)) {
+                if rng.next_u64() >> 11 < threshold {
+                    self.rng = rng;
+                    let descriptor = self.packet(cycle, core, ClusterId(cluster));
+                    rng = self.rng.clone();
                     emit(core, descriptor);
                 }
             }
         }
+        self.rng = rng;
     }
 
     fn offered_load(&self) -> OfferedLoad {

@@ -16,7 +16,7 @@
 //! | [`incast`] | none — everyone targets core 0 |
 
 use crate::dag::Workload;
-use crate::flow::{Flow, FlowId};
+use crate::flow::FlowId;
 use pnoc_noc::ids::CoreId;
 
 fn assert_nodes(kind: &str, nodes: usize, bytes_per_node: u64) {
@@ -52,32 +52,29 @@ pub fn ring_allreduce_total_bytes(nodes: usize, bytes_per_node: u64) -> u64 {
 pub fn ring_allreduce(nodes: usize, bytes_per_node: u64) -> Workload {
     assert_nodes("ring all-reduce", nodes, bytes_per_node);
     let chunk = ring_chunk_bytes(nodes, bytes_per_node);
-    let mut workload = Workload::new(format!("ring-allreduce:{nodes}x{bytes_per_node}B"));
+    let mut dag = Workload::builder(format!("ring-allreduce:{nodes}x{bytes_per_node}B"));
     let steps = 2 * (nodes - 1);
     for step in 0..steps {
-        let phase = if step < nodes - 1 {
+        dag.collective(if step < nodes - 1 {
             "reduce-scatter"
         } else {
             "all-gather"
-        };
+        });
         for node in 0..nodes {
-            let successor = (node + 1) % nodes;
-            let mut flow =
-                Flow::new(FlowId(0), CoreId(node), CoreId(successor), chunk).in_collective(phase);
+            dag.push(CoreId(node), CoreId((node + 1) % nodes), chunk);
             if step > 0 {
                 // The chunk forwarded now arrived from the ring predecessor
                 // in the previous step: flow (step−1, node−1).
                 let predecessor = (node + nodes - 1) % nodes;
-                flow = flow.after(FlowId((step - 1) * nodes + predecessor));
+                dag.after(FlowId((step - 1) * nodes + predecessor));
             }
-            workload.add_flow(flow);
         }
     }
+    let workload = dag.finish().expect("a ring all-reduce is a DAG");
     debug_assert_eq!(
         workload.total_bytes(),
         ring_allreduce_total_bytes(nodes, bytes_per_node)
     );
-    debug_assert!(workload.validate().is_ok());
     workload
 }
 
@@ -100,42 +97,40 @@ pub fn tree_allreduce_total_bytes(nodes: usize, bytes_per_node: u64) -> u64 {
 #[must_use]
 pub fn tree_allreduce(nodes: usize, bytes_per_node: u64) -> Workload {
     assert_nodes("tree all-reduce", nodes, bytes_per_node);
-    let mut workload = Workload::new(format!("tree-allreduce:{nodes}x{bytes_per_node}B"));
+    let mut dag = Workload::builder(format!("tree-allreduce:{nodes}x{bytes_per_node}B"));
     // Reduce flows: flow id i−1 carries node i's contribution to its parent.
+    dag.collective("reduce");
     for node in 1..nodes {
         let parent = (node - 1) / 2;
-        let mut flow = Flow::new(FlowId(0), CoreId(node), CoreId(parent), bytes_per_node)
-            .in_collective("reduce");
+        dag.push(CoreId(node), CoreId(parent), bytes_per_node);
         for child in [2 * node + 1, 2 * node + 2] {
             if child < nodes {
-                flow = flow.after(FlowId(child - 1));
+                dag.after(FlowId(child - 1));
             }
         }
-        workload.add_flow(flow);
     }
     // Broadcast flows: flow id (n−1) + (i−1) returns the result to node i.
+    dag.collective("broadcast");
     for node in 1..nodes {
         let parent = (node - 1) / 2;
-        let mut flow = Flow::new(FlowId(0), CoreId(parent), CoreId(node), bytes_per_node)
-            .in_collective("broadcast");
+        dag.push(CoreId(parent), CoreId(node), bytes_per_node);
         if parent == 0 {
             // The root may only broadcast after its direct children reduced
             // into it.
             for child in [1usize, 2] {
                 if child < nodes {
-                    flow = flow.after(FlowId(child - 1));
+                    dag.after(FlowId(child - 1));
                 }
             }
         } else {
-            flow = flow.after(FlowId(nodes - 1 + parent - 1));
+            dag.after(FlowId(nodes - 1 + parent - 1));
         }
-        workload.add_flow(flow);
     }
+    let workload = dag.finish().expect("a tree all-reduce is a DAG");
     debug_assert_eq!(
         workload.total_bytes(),
         tree_allreduce_total_bytes(nodes, bytes_per_node)
     );
-    debug_assert!(workload.validate().is_ok());
     workload
 }
 
@@ -157,17 +152,16 @@ pub fn all_to_all_total_bytes(nodes: usize, bytes_per_node: u64) -> u64 {
 #[must_use]
 pub fn all_to_all(nodes: usize, bytes_per_node: u64) -> Workload {
     assert_nodes("all-to-all", nodes, bytes_per_node);
-    let mut workload = Workload::new(format!("all-to-all:{nodes}x{bytes_per_node}B"));
+    let mut dag = Workload::builder(format!("all-to-all:{nodes}x{bytes_per_node}B"));
+    dag.collective("shuffle");
     for src in 0..nodes {
         for dst in 0..nodes {
             if src != dst {
-                workload.add_flow(
-                    Flow::new(FlowId(0), CoreId(src), CoreId(dst), bytes_per_node)
-                        .in_collective("shuffle"),
-                );
+                dag.push(CoreId(src), CoreId(dst), bytes_per_node);
             }
         }
     }
+    let workload = dag.finish().expect("a shuffle has no dependencies");
     debug_assert_eq!(
         workload.total_bytes(),
         all_to_all_total_bytes(nodes, bytes_per_node)
@@ -194,20 +188,19 @@ pub fn parameter_server_total_bytes(nodes: usize, bytes_per_node: u64) -> u64 {
 #[must_use]
 pub fn parameter_server(nodes: usize, bytes_per_node: u64) -> Workload {
     assert_nodes("parameter server", nodes, bytes_per_node);
-    let mut workload = Workload::new(format!("parameter-server:{nodes}x{bytes_per_node}B"));
+    let mut dag = Workload::builder(format!("parameter-server:{nodes}x{bytes_per_node}B"));
+    dag.collective("push");
     for worker in 1..nodes {
-        workload.add_flow(
-            Flow::new(FlowId(0), CoreId(worker), CoreId(0), bytes_per_node).in_collective("push"),
-        );
+        dag.push(CoreId(worker), CoreId(0), bytes_per_node);
     }
+    dag.collective("pull");
     for worker in 1..nodes {
-        let mut flow =
-            Flow::new(FlowId(0), CoreId(0), CoreId(worker), bytes_per_node).in_collective("pull");
+        dag.push(CoreId(0), CoreId(worker), bytes_per_node);
         for push in 0..nodes - 1 {
-            flow = flow.after(FlowId(push));
+            dag.after(FlowId(push));
         }
-        workload.add_flow(flow);
     }
+    let workload = dag.finish().expect("pulls only wait on pushes");
     debug_assert_eq!(
         workload.total_bytes(),
         parameter_server_total_bytes(nodes, bytes_per_node)
@@ -231,12 +224,12 @@ pub fn incast_total_bytes(nodes: usize, bytes_per_node: u64) -> u64 {
 #[must_use]
 pub fn incast(nodes: usize, bytes_per_node: u64) -> Workload {
     assert_nodes("incast", nodes, bytes_per_node);
-    let mut workload = Workload::new(format!("incast:{nodes}x{bytes_per_node}B"));
+    let mut dag = Workload::builder(format!("incast:{nodes}x{bytes_per_node}B"));
+    dag.collective("incast");
     for src in 1..nodes {
-        workload.add_flow(
-            Flow::new(FlowId(0), CoreId(src), CoreId(0), bytes_per_node).in_collective("incast"),
-        );
+        dag.push(CoreId(src), CoreId(0), bytes_per_node);
     }
+    let workload = dag.finish().expect("an incast has no dependencies");
     debug_assert_eq!(
         workload.total_bytes(),
         incast_total_bytes(nodes, bytes_per_node)
@@ -251,7 +244,6 @@ mod tests {
     #[test]
     fn ring_allreduce_shape_and_dependencies() {
         let w = ring_allreduce(4, 1024);
-        w.validate().expect("valid");
         // 2·(4−1) steps × 4 nodes.
         assert_eq!(w.len(), 24);
         assert_eq!(w.total_bytes(), ring_allreduce_total_bytes(4, 1024));
@@ -261,16 +253,16 @@ mod tests {
         );
         // Step-0 flows are roots; every later flow depends on exactly one
         // predecessor flow of the previous step.
-        for flow in w.flows() {
-            let step = flow.id.0 / 4;
+        for flow in w.ids() {
+            let step = flow.0 / 4;
             if step == 0 {
-                assert!(flow.deps.is_empty());
+                assert!(w.deps(flow).is_empty());
             } else {
-                assert_eq!(flow.deps.len(), 1);
-                assert_eq!(flow.deps[0].0 / 4, step - 1);
+                assert_eq!(w.deps(flow).len(), 1);
+                assert_eq!(w.deps(flow)[0].0 / 4, step - 1);
             }
         }
-        assert_eq!(w.max_core(), Some(3));
+        assert_eq!(w.max_core(), 3);
     }
 
     #[test]
@@ -283,44 +275,40 @@ mod tests {
     #[test]
     fn tree_allreduce_reduces_up_and_broadcasts_down() {
         let w = tree_allreduce(7, 512);
-        w.validate().expect("valid");
         assert_eq!(w.len(), 12); // 6 reduce + 6 broadcast flows.
         assert_eq!(w.total_bytes(), tree_allreduce_total_bytes(7, 512));
         // Leaves (3..7) reduce with no dependencies; internal nodes wait for
         // their children.
-        assert!(w.flows()[3 - 1].deps.is_empty(), "node 3 is a leaf");
-        assert_eq!(w.flows()[1 - 1].deps.len(), 2, "node 1 has two children");
+        assert!(w.deps(FlowId(3 - 1)).is_empty(), "node 3 is a leaf");
+        assert_eq!(w.deps(FlowId(1 - 1)).len(), 2, "node 1 has two children");
         // Every broadcast depends on something.
-        for flow in &w.flows()[6..] {
-            assert!(!flow.deps.is_empty());
-            assert_eq!(flow.collective, "broadcast");
+        for flow in w.ids().skip(6) {
+            assert!(!w.deps(flow).is_empty());
+            assert_eq!(w.collective(flow), "broadcast");
         }
     }
 
     #[test]
     fn all_to_all_and_incast_are_dependency_free() {
         let shuffle = all_to_all(5, 64);
-        shuffle.validate().expect("valid");
         assert_eq!(shuffle.len(), 20);
-        assert!(shuffle.flows().iter().all(|f| f.deps.is_empty()));
+        assert!(shuffle.ids().all(|f| shuffle.deps(f).is_empty()));
         assert_eq!(shuffle.total_bytes(), all_to_all_total_bytes(5, 64));
 
         let fanin = incast(9, 64);
-        fanin.validate().expect("valid");
         assert_eq!(fanin.len(), 8);
-        assert!(fanin.flows().iter().all(|f| f.dst == CoreId(0)));
+        assert!(fanin.ids().all(|f| fanin.dst(f) == CoreId(0)));
         assert_eq!(fanin.total_bytes(), incast_total_bytes(9, 64));
     }
 
     #[test]
     fn parameter_server_pulls_barrier_on_all_pushes() {
         let w = parameter_server(5, 256);
-        w.validate().expect("valid");
         assert_eq!(w.len(), 8); // 4 pushes + 4 pulls.
         assert_eq!(w.total_bytes(), parameter_server_total_bytes(5, 256));
-        for pull in &w.flows()[4..] {
-            assert_eq!(pull.src, CoreId(0));
-            assert_eq!(pull.deps.len(), 4, "each pull waits for every push");
+        for pull in w.ids().skip(4) {
+            assert_eq!(w.src(pull), CoreId(0));
+            assert_eq!(w.deps(pull).len(), 4, "each pull waits for every push");
         }
     }
 

@@ -14,7 +14,7 @@ pub mod prelude {
         all_to_all, incast, parameter_server, ring_allreduce, tree_allreduce,
     };
     pub use crate::dag::Workload;
-    pub use crate::flow::{Flow, FlowId};
+    pub use crate::flow::FlowId;
     pub use crate::registry::{
         lookup_workload_factory, registered_workloads, WorkloadFactory, WorkloadRef, WorkloadSpec,
     };

@@ -7,7 +7,9 @@
 //! reservation, and (c) a hierarchy pays per pod what that pod buffers. The
 //! layer above the leaf follows the same rule: (d) the spine holds one record
 //! per queued packet, not events per flit, and (e) an open loop above spine
-//! capacity costs its backlog in packets.
+//! capacity costs its backlog in packets. (f) A workload DAG costs
+//! allocation *calls* that grow with Vec doublings, not with flows, and so
+//! does a closed-loop run of it.
 //!
 //! The counters are process-wide, so the whole file is **one** test: a second
 //! test running beside it would allocate into the same figures.
@@ -15,17 +17,22 @@
 use d_hetpnoc_repro::hier::Spine;
 use d_hetpnoc_repro::prelude::*;
 use pnoc_sim::engine::{run_cycles, CycleNetwork};
+use pnoc_workload::registry::{lookup_workload_factory, WorkloadSpec};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 
 static LIVE: AtomicUsize = AtomicUsize::new(0);
 static PEAK: AtomicUsize = AtomicUsize::new(0);
+/// `alloc` and `realloc` calls so far.
+static CALLS: AtomicUsize = AtomicUsize::new(0);
 
-/// `System`, counting live and peak-live bytes.
+/// `System`, counting live and peak-live bytes and allocation calls.
 struct Counting;
 
 impl Counting {
     fn grew(bytes: usize) {
+        CALLS.fetch_add(1, Ordering::Relaxed);
         let live = LIVE.fetch_add(bytes, Ordering::Relaxed) + bytes;
         PEAK.fetch_max(live, Ordering::Relaxed);
     }
@@ -73,6 +80,14 @@ fn measured<R>(f: impl FnOnce() -> R) -> (R, usize, usize) {
     let live = LIVE.load(Ordering::Relaxed).saturating_sub(before);
     let peak = PEAK.load(Ordering::Relaxed) - before;
     (value, live, peak)
+}
+
+/// Runs `f` and returns its value with the allocation calls it made.
+fn calls_of<R>(f: impl FnOnce() -> R) -> (R, usize) {
+    settle();
+    let before = CALLS.load(Ordering::Relaxed);
+    let value = f();
+    (value, CALLS.load(Ordering::Relaxed) - before)
 }
 
 /// Waits until the live byte count has held still for 20 ms. Other threads
@@ -262,4 +277,59 @@ fn a_leaf_holds_what_it_buffers() {
         "the point must overload the spine, backlog {backlog:?}"
     );
     assert!(peak < 8 * MIB, "the overloaded point peaks at {peak} B");
+
+    // (f) Allocation calls at two DAG sizes, 480 and 8 064 flows. Building,
+    // validating and placing a workload grows a fixed set of columns, so its
+    // calls may rise by a few Vec doublings (log₂ 16.8 ≈ 4 per column), never
+    // once per flow; a driver allocates FlowState's fixed columns whatever
+    // the flow count; a whole closed-loop run stays far below a call per
+    // flow. The run's bound is the shipped profile's: debug assertions in
+    // the network allocate per packet, and 8 064 one-packet flows are four
+    // times the packets of 480 four-packet ones.
+    let allreduce = lookup_workload_factory("allreduce").expect("built in");
+    let config = SimConfig::paper_default(BandwidthSet::Set1);
+    let calls_at = |size: usize| {
+        let reversed: Vec<usize> = (0..size).rev().collect();
+        let (workload, built) = calls_of(|| {
+            allreduce
+                .build(&WorkloadSpec::new(size))
+                .remap_cores(&reversed)
+                .expect("a permutation")
+        });
+        let workload = Arc::new(workload);
+        let (driver, driven) = calls_of(|| {
+            let driver = WorkloadDriver::new(Arc::clone(&workload), &config);
+            (driver.traffic(), driver.probe(), driver)
+        });
+        drop(driver);
+        let scenario = ScenarioSpec::closed_loop("d-hetpnoc", format!("allreduce:{size}"))
+            .with_effort(Effort::Quick)
+            .resolve()
+            .expect("registered names");
+        let (outcome, run) = calls_of(|| scenario.run_with_mode(SweepMode::Sequential));
+        let point = &outcome.result.points[0];
+        assert_eq!(point.metrics.gauge("workload_drained"), Some(1.0));
+        (workload.len(), built, driven, run)
+    };
+    let (small, large) = (calls_at(16), calls_at(64));
+    println!("allocation calls (flows, build + place, driver, quick run): {small:?} → {large:?}");
+    assert_eq!((small.0, large.0), (480, 8_064));
+    assert!(
+        large.1 <= small.1 + 64,
+        "building 8 064 flows takes {} calls, 480 flows {}",
+        large.1,
+        small.1
+    );
+    assert_eq!(
+        large.2, small.2,
+        "a driver's calls must not depend on flows"
+    );
+    if !cfg!(debug_assertions) {
+        assert!(
+            large.3 - small.3 < (large.0 - small.0) / 8,
+            "a run of 8 064 flows takes {} calls, of 480 flows {}",
+            large.3,
+            small.3
+        );
+    }
 }

@@ -56,6 +56,71 @@ proptest! {
         }
     }
 
+    /// Skipping is ticking, and a settled controller is a fixed point: over
+    /// random shapes, hop latencies, targets, request tables and spans, with
+    /// re-targets between skips, `skip_cycles(span)` leaves the whole
+    /// controller (`token_visits` included) equal to `span` ticks; after
+    /// enough cycles every cluster is at its target or the budget is spent;
+    /// and one more `converge(1)` then changes nothing.
+    #[test]
+    fn skipping_equals_ticking_and_settled_controllers_stay_put(
+        clusters in 2usize..=20,
+        hop in 1u64..=4,
+        reserved in 1usize..=2,
+        headroom in 0usize..=6,
+        dynamic_per_cluster in 0usize..=4,
+        rounds in prop::collection::vec(
+            (
+                prop::collection::vec(0usize..=10, 20),
+                prop::collection::vec(0usize..=10, 20),
+                any::<bool>(),
+                0u64..300,
+            ),
+            1..6
+        ),
+    ) {
+        let cap = reserved + headroom;
+        let dynamic = clusters * dynamic_per_cluster;
+        let mut controller = DbaController::new(clusters, dynamic, reserved, cap, hop);
+        for (targets, demands, new_requests, span) in rounds {
+            controller.set_targets(&targets[..clusters]);
+            if new_requests {
+                for src in 0..clusters {
+                    let mut demand = DemandTable::new(clusters);
+                    for dst in (0..clusters).filter(|&dst| dst != src) {
+                        demand.set(ClusterId(dst), demands[(src + dst) % 20]);
+                    }
+                    let mut request = RequestTable::new(clusters);
+                    request.rebuild(std::slice::from_ref(&demand));
+                    controller.set_request_table(ClusterId(src), request);
+                }
+            }
+            // Acquisition takes at most one wavelength per visit, so `cap`
+            // rotations reach every reachable target and one more refreshes.
+            let settle = (cap as u64 + 2) * clusters as u64 * hop;
+            for span in [span, settle] {
+                let mut ticked = controller.clone();
+                for _ in 0..span {
+                    ticked.tick();
+                    prop_assert!(ticked.check_invariants().is_ok());
+                }
+                controller.skip_cycles(span);
+                prop_assert_eq!(&controller, &ticked, "span {}", span);
+            }
+            let free = dynamic + clusters * reserved - controller.total_held();
+            for c in (0..clusters).map(ClusterId) {
+                let (pool, target) = (controller.pool(c), controller.target(c));
+                prop_assert!(
+                    pool == target || (pool < target && free == 0),
+                    "cluster {} holds {} for target {} with {} free", c.0, pool, target, free
+                );
+            }
+            let mut again = controller.clone();
+            again.converge(1);
+            prop_assert_eq!(&again, &controller, "converge(1) moved a settled controller");
+        }
+    }
+
     /// The token never hands out more wavelengths than it has, and releasing
     /// what was allocated always restores the free count.
     #[test]

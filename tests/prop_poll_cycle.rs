@@ -21,7 +21,7 @@ use d_hetpnoc_repro::traffic::factory::{
 };
 use d_hetpnoc_repro::traffic::pattern::PacketShape;
 use d_hetpnoc_repro::workload::dag::Workload;
-use d_hetpnoc_repro::workload::flow::{Flow, FlowId};
+use d_hetpnoc_repro::workload::flow::FlowId;
 use d_hetpnoc_repro::workload::registry::{builtin_workloads, WorkloadSpec};
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -83,7 +83,7 @@ fn lock_step(workload: Workload, polled: usize, seed: u64) -> Result<(), String>
     let config = SimConfig::fast(BandwidthSet::Set1);
     let context = format!("seed {seed}, '{}', {polled} cores", workload.name());
     let total_packets = workload.total_packets(config.bandwidth_set.packet_bits());
-    let spans_every_source = workload.max_core().expect("non-empty") < polled;
+    let spans_every_source = workload.max_core() < polled;
     let workload = Arc::new(workload);
     let mut batched = Side::new(&workload, &config);
     let mut looped = Side::new(&workload, &config);
@@ -192,21 +192,26 @@ fn lock_step(workload: Workload, polled: usize, seed: u64) -> Result<(), String>
 /// flows on each of two (src, dst) pairs, so delivery attribution queues
 /// more than one open flow.
 fn hand_made_dag() -> Workload {
-    let flow = |id, src, dst, bytes| Flow::new(FlowId(id), CoreId(src), CoreId(dst), bytes);
-    let mut dag = Workload::new("hand-made");
-    for flow in [
-        flow(0, 0, 5, 700),
-        flow(1, 0, 5, 256),
-        flow(2, 3, 9, 300).released_at(17),
-        flow(3, 3, 9, 256).after(FlowId(0)).released_at(40),
-        flow(4, 5, 0, 1_000).after(FlowId(1)).after(FlowId(2)),
-        flow(5, 63, 1, 256).released_at(5),
-        flow(6, 9, 3, 2_000).after(FlowId(3)).released_at(400),
-        flow(7, 0, 12, 256).after(FlowId(5)),
-    ] {
-        dag.add_flow(flow);
+    let mut dag = Workload::builder("hand-made");
+    // (src, dst, bytes, deps, release cycle), in flow id order.
+    let flows: [(usize, usize, u64, &[usize], u64); 8] = [
+        (0, 5, 700, &[], 0),
+        (0, 5, 256, &[], 0),
+        (3, 9, 300, &[], 17),
+        (3, 9, 256, &[0], 40),
+        (5, 0, 1_000, &[1, 2], 0),
+        (63, 1, 256, &[], 5),
+        (9, 3, 2_000, &[3], 400),
+        (0, 12, 256, &[5], 0),
+    ];
+    for (src, dst, bytes, deps, release) in flows {
+        dag.push(CoreId(src), CoreId(dst), bytes);
+        for &dep in deps {
+            dag.after(FlowId(dep));
+        }
+        dag.released_at(release);
     }
-    dag
+    dag.finish().expect("a DAG")
 }
 
 proptest! {

@@ -9,16 +9,51 @@ use d_hetpnoc_repro::workload::collectives::{
     tree_allreduce_total_bytes,
 };
 use d_hetpnoc_repro::workload::dag::Workload;
+use d_hetpnoc_repro::workload::flow::FlowId;
 use d_hetpnoc_repro::workload::registry::{builtin_workloads, registered_workloads, WorkloadSpec};
 use proptest::prelude::*;
 
-/// Every structural invariant the closed-loop driver relies on, checked in
-/// one place so each generator property asserts the same contract.
+/// Every structural invariant the closed-loop driver relies on, re-checked
+/// through the public columns in one place so each generator property
+/// asserts the same contract: non-empty transfers, no self-loops,
+/// dependencies in range, `dependents` the exact transpose of `deps`, and a
+/// topological order covering every flow.
 fn assert_valid_dag(workload: &Workload, nodes: usize) {
-    workload
-        .validate()
-        .unwrap_or_else(|error| panic!("workload '{}' invalid: {error}", workload.name()));
-    let max_core = workload.max_core().expect("generators never emit empty");
+    let name = workload.name();
+    let mut indegree = Vec::new();
+    for flow in workload.ids() {
+        assert!(workload.bytes(flow) > 0, "'{name}': {flow} is empty");
+        assert_ne!(workload.src(flow), workload.dst(flow), "'{name}': {flow}");
+        for &dep in workload.deps(flow) {
+            assert!(
+                dep.0 < workload.len() && dep != flow,
+                "'{name}': {flow} on {dep}"
+            );
+            let listed = workload.dependents(dep).iter().filter(|&&d| d == flow);
+            let needed = workload.deps(flow).iter().filter(|&&d| d == dep);
+            assert_eq!(listed.count(), needed.count(), "'{name}': {dep} → {flow}");
+        }
+        indegree.push(workload.deps(flow).len());
+    }
+    let edges: usize = workload.ids().map(|f| workload.dependents(f).len()).sum();
+    assert_eq!(
+        edges,
+        indegree.iter().sum::<usize>(),
+        "'{name}': dependents"
+    );
+    let mut frontier: Vec<FlowId> = workload.ids().filter(|f| indegree[f.0] == 0).collect();
+    let mut ordered = 0;
+    while let Some(flow) = frontier.pop() {
+        ordered += 1;
+        for &next in workload.dependents(flow) {
+            indegree[next.0] -= 1;
+            if indegree[next.0] == 0 {
+                frontier.push(next);
+            }
+        }
+    }
+    assert_eq!(ordered, workload.len(), "'{name}' has a cycle");
+    let max_core = workload.max_core();
     assert!(
         max_core < nodes,
         "workload '{}' touches core {max_core} with only {nodes} participants",
