@@ -2,7 +2,7 @@
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Condvar, Mutex};
+use std::sync::{Condvar, Mutex, OnceLock};
 use std::time::Instant;
 
 /// Upper bound on spawned workers, far above any realistic `--threads` value.
@@ -27,19 +27,29 @@ pub fn worker_override() -> usize {
     WORKER_OVERRIDE.load(Ordering::SeqCst)
 }
 
+/// Hardware parallelism, detected once per process: std re-reads the cgroup
+/// quota files on every `available_parallelism` call, and `hier` resolves a
+/// limit per epoch.
+fn detected_parallelism() -> usize {
+    static DETECTED: OnceLock<usize> = OnceLock::new();
+    *DETECTED.get_or_init(|| {
+        std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(1)
+    })
+}
+
 /// Resolve the worker limit for a batch of `jobs` items.
 ///
-/// Precedence: explicit [`set_worker_override`] value, then detected
-/// hardware parallelism — capped at the job count so tiny batches never pay
-/// for spare workers.
+/// Precedence: explicit [`set_worker_override`] value, then hardware
+/// parallelism (detected once per process) — capped at the job count so tiny
+/// batches never pay for spare workers.
 pub fn resolve_worker_limit(jobs: usize) -> usize {
     let override_threads = WORKER_OVERRIDE.load(Ordering::SeqCst);
     let configured = if override_threads > 0 {
         override_threads
     } else {
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
+        detected_parallelism()
     };
     configured.min(jobs.max(1)).min(MAX_WORKERS)
 }

@@ -26,7 +26,7 @@ pub trait Arbiter {
 }
 
 /// Rotating-priority (round-robin) arbiter.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RoundRobinArbiter {
     n: usize,
     /// Index with the highest priority in the next arbitration round.
@@ -72,6 +72,22 @@ impl RoundRobinArbiter {
         let idx = first.trailing_zeros() as usize;
         self.next = if idx + 1 == self.n { 0 } else { idx + 1 };
         Some(idx)
+    }
+
+    /// Moves the priority pointer exactly as `count` calls of
+    /// [`Self::grant_mask`]`(requests)` would, in at most `popcount(requests)`
+    /// grants: after the first grant the pointer cycles through the
+    /// requesters with that period, so `count ≥ 1` grants leave it where
+    /// `((count − 1) mod popcount) + 1` do. An empty mask never moves it.
+    #[inline]
+    pub fn replay_grants(&mut self, requests: u64, count: u64) {
+        let period = u64::from(requests.count_ones());
+        if period == 0 || count == 0 {
+            return;
+        }
+        for _ in 0..=(count - 1) % period {
+            self.grant_mask(requests);
+        }
     }
 }
 

@@ -1,8 +1,10 @@
 //! Property tests of the occupancy-mask kernel: the `VcSet` masks against a
-//! recomputation from the buffers, and `ElectricalRouter` against a reference
+//! recomputation from the buffers, `ElectricalRouter` against a reference
 //! model of the three-stage algorithm that probes every VC with `Vec<bool>`
-//! request vectors (the implementation the masks replaced).
+//! request vectors (the implementation the masks replaced), and
+//! `RoundRobinArbiter::replay_grants` against the grants it stands for.
 
+use pnoc_noc::arbiter::RoundRobinArbiter;
 use pnoc_noc::error::NocError;
 use pnoc_noc::flit::{Flit, FlitKind, FlitPayload};
 use pnoc_noc::ids::{CoreId, PacketId, PortId, RouterId, VcId};
@@ -314,5 +316,37 @@ proptest! {
             }
         }
         prop_assert!(granted > 0, "the streams never produced a grant");
+    }
+
+    /// Replaying `k` grants of a mask leaves the pointer where `k` calls of
+    /// `grant_mask` leave it, for every arbiter width, from any pointer, for
+    /// `k` of 0, 1, the mask's period, one past it, a large count and a
+    /// random one.
+    #[test]
+    fn replayed_grants_equal_repeated_grants(seed in 0u64..u64::MAX) {
+        for n in 1..=64usize {
+            let all = if n == 64 { u64::MAX } else { (1u64 << n) - 1 };
+            let rng = mix(seed ^ n as u64);
+            // Sparse and dense masks, the empty mask now and then.
+            let requests = match rng % 4 {
+                0 => 0,
+                1 => mix(rng) & mix(rng ^ 1) & all,
+                _ => mix(rng) & all,
+            };
+            let mut start = RoundRobinArbiter::new(n);
+            // Granting a lone requester leaves the pointer just after it.
+            start.grant_mask(1 << (mix(rng ^ 2) % n as u64));
+            let period = u64::from(requests.count_ones());
+            let large = 1000 + mix(rng ^ 3) % 1000;
+            for k in [0, 1, period, period + 1, large, mix(rng ^ 4) % 200] {
+                let mut replayed = start.clone();
+                replayed.replay_grants(requests, k);
+                let mut repeated = start.clone();
+                for _ in 0..k {
+                    repeated.grant_mask(requests);
+                }
+                prop_assert_eq!(replayed, repeated, "n {}, mask {:#x}, k {}", n, requests, k);
+            }
+        }
     }
 }

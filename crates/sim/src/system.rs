@@ -206,8 +206,30 @@ struct PhotonicRouter {
     ejection_rr: Vec<RoundRobinArbiter>,
     /// Round-robin over input ports for starting transmissions.
     start_rr: RoundRobinArbiter,
+    /// Set while the start phase sleeps (see `start_transmissions`).
+    start_sleep: Option<StartSleep>,
     /// Active outgoing transmissions.
     active: Vec<Transmission>,
+    /// Wavelengths held by transmissions in their data phase.
+    in_use: usize,
+    /// Wavelengths demanded by transmissions not yet in their data phase.
+    pending: usize,
+    /// One bit per `active` index, set while that transmission waits for
+    /// wavelengths: reservation done, data phase not started. A transmission
+    /// holds one source VC, so `ports × vcs` bits bound the set.
+    waiting: Vec<u64>,
+}
+
+/// A start phase asleep since the attempt at cycle `since`, in which every
+/// port of `requests` held a head that could not start.
+#[derive(Debug, Clone)]
+struct StartSleep {
+    since: u64,
+    requests: u64,
+    /// Debug builds grant `requests` on this copy of the arbiter in every
+    /// slept cycle, and check that the replay on waking lands on it.
+    #[cfg(debug_assertions)]
+    stepped: RoundRobinArbiter,
 }
 
 impl PhotonicRouter {
@@ -219,13 +241,17 @@ impl PhotonicRouter {
             active_sources: vec![0; ports],
             ejection_rr: (0..ports).map(|_| RoundRobinArbiter::new(vcs)).collect(),
             start_rr: RoundRobinArbiter::new(ports),
+            start_sleep: None,
             active: Vec::new(),
+            in_use: 0,
+            pending: 0,
+            waiting: vec![0; (ports * vcs).div_ceil(64)],
         }
     }
 
-    /// Wavelengths occupied by transmissions in their data phase. Reservation
-    /// broadcasts travel on the separate reservation channel and do not hold
-    /// data wavelengths.
+    /// Ground truth behind `in_use`: the wavelengths of every transmission in
+    /// its data phase. Reservation broadcasts travel on the separate
+    /// reservation channel and do not hold data wavelengths.
     fn wavelengths_in_use(&self) -> usize {
         self.active
             .iter()
@@ -234,14 +260,55 @@ impl PhotonicRouter {
             .sum()
     }
 
-    /// Total wavelengths demanded by transmissions that have not started
-    /// their data phase yet (used for work-conserving wavelength assignment).
+    /// Ground truth behind `pending`: the demand of every transmission that
+    /// has not started its data phase.
     fn pending_demand(&self) -> usize {
         self.active
             .iter()
             .filter(|t| !t.data_started)
             .map(|t| t.demand)
             .sum()
+    }
+
+    /// Whether transmission `idx` is in the waiting set.
+    fn is_waiting(&self, idx: usize) -> bool {
+        self.waiting[idx / 64] >> (idx % 64) & 1 == 1
+    }
+
+    /// Removes finished transmission `idx` as `swap_remove` does: its
+    /// wavelengths go back to the pool, its source VC is free, and the last
+    /// transmission moves into `idx` with its waiting bit.
+    fn remove_finished(&mut self, idx: usize) {
+        let tx = self.active.swap_remove(idx);
+        self.in_use -= tx.wavelengths;
+        self.active_sources[tx.src_port] &= !(1 << tx.src_vc.0);
+        let last = self.active.len();
+        if self.is_waiting(last) {
+            self.waiting[last / 64] &= !(1 << (last % 64));
+            self.waiting[idx / 64] |= 1 << (idx % 64);
+        }
+    }
+
+    /// The ports holding a head flit that may start a transmission.
+    fn start_requests(&self) -> u64 {
+        (0..self.inputs.len())
+            .filter(|&p| self.startable_heads(p).next().is_some())
+            .fold(0u64, |mask, p| mask | 1 << p)
+    }
+
+    /// Wakes a sleeping start phase before the attempt at `cycle`. Each
+    /// cycle it slept through would have granted the same requests and
+    /// failed, so the round-robin pointer replays those grants.
+    fn wake_starts(&mut self, cycle: u64) {
+        if let Some(sleep) = self.start_sleep.take() {
+            self.start_rr
+                .replay_grants(sleep.requests, cycle - sleep.since - 1);
+            #[cfg(debug_assertions)]
+            debug_assert_eq!(
+                self.start_rr, sleep.stepped,
+                "start pointer replay diverged at cycle {cycle}"
+            );
+        }
     }
 
     /// The head flits on `port` that may start a transmission, lowest VC
@@ -412,7 +479,8 @@ impl<F: PhotonicFabric, T: TrafficModel> PhotonicSystem<F, T> {
 
     /// Ground truth behind the incremental state: recomputes the per-switch
     /// and per-cluster occupancies, the three running totals, every `VcSet`'s
-    /// masks and the active-source masks from the buffers themselves.
+    /// masks, the active-source masks and each photonic router's wavelength
+    /// counters and waiting set from the buffers and transmissions themselves.
     fn counters_match_buffers(&self) -> bool {
         let occupancy = |sets: &[VcSet]| sets.iter().map(VcSet::total_occupancy).sum::<usize>();
         let switches_ok = self.switches.iter().zip(&self.switch_occ).all(|(s, &occ)| {
@@ -427,8 +495,17 @@ impl<F: PhotonicFabric, T: TrafficModel> PhotonicSystem<F, T> {
                     m[t.src_port] |= 1 << t.src_vc.0;
                     m
                 });
+            let waiting_ok = (0..r.waiting.len() * 64).all(|i| {
+                r.is_waiting(i)
+                    == r.active
+                        .get(i)
+                        .is_some_and(|t| t.reservation_remaining == 0 && !t.data_started)
+            });
             occupancy(&r.inputs) == self.cluster_in_occ[c] as usize
                 && occupancy(&r.ejection) == self.cluster_ej_occ[c] as usize
+                && r.in_use == r.wavelengths_in_use()
+                && r.pending == r.pending_demand()
+                && waiting_ok
                 && r.inputs
                     .iter()
                     .chain(&r.ejection)
@@ -638,7 +715,13 @@ impl<F: PhotonicFabric, T: TrafficModel> PhotonicSystem<F, T> {
                 } else if grant.output == photonic_port {
                     self.energy.record_buffer_write(u64::from(flit.bits));
                     self.cluster_in_occ[cluster.0] += 1;
-                    self.photonic[cluster.0].inputs[local]
+                    let router = &mut self.photonic[cluster.0];
+                    if router.inputs[local].nonempty_mask() >> grant.vc.0 & 1 == 0 {
+                        // A flit entering an empty input VC may be a head
+                        // its cluster's start phase has not seen.
+                        router.wake_starts(cycle);
+                    }
+                    router.inputs[local]
                         .push(grant.vc, flit, cycle)
                         .expect("photonic input capacity checked in phase 1");
                 } else {
@@ -693,100 +776,128 @@ impl<F: PhotonicFabric, T: TrafficModel> PhotonicSystem<F, T> {
 
         for cluster_idx in 0..self.topology.num_clusters() {
             // No active transmission: nothing to advance, nothing to deliver.
-            if self.photonic[cluster_idx].active.is_empty() {
+            let len = self.photonic[cluster_idx].active.len();
+            if len == 0 {
                 continue;
             }
             let src_cluster = ClusterId(cluster_idx);
             let pool = self.fabric.pool_size(src_cluster);
+            // With the pool exhausted now, no waiting transmission can enter
+            // its data phase this cycle: `in_use` only grows in this loop, and
+            // finished transmissions give their wavelengths back after it. So
+            // the loop visits only the data-phase and still-reserving ones,
+            // in the same ascending order.
+            let starved = pool.saturating_sub(self.photonic[cluster_idx].in_use) == 0;
             let finished = &mut self.scratch_finished;
             finished.clear();
-            let mut in_use = self.photonic[cluster_idx].wavelengths_in_use();
-            let mut pending_demand = self.photonic[cluster_idx].pending_demand();
             let mut popped = 0u32;
-            for tx_idx in 0..self.photonic[cluster_idx].active.len() {
-                let dst_cluster = self.photonic[cluster_idx].active[tx_idx].dst_cluster.0;
-                let [router, dst] = self
-                    .photonic
-                    .get_disjoint_mut([cluster_idx, dst_cluster])
-                    .expect("intra-cluster packets never reach the photonic router");
-                let tx = &mut router.active[tx_idx];
-                if tx.reservation_remaining > 0 {
-                    tx.reservation_remaining -= 1;
-                    continue;
-                }
-                if !tx.data_started {
-                    // Assign wavelengths: at least the flow's demand (bounded
-                    // by what is free), plus idle pool wavelengths that no
-                    // other pending transfer is asking for.
-                    let available = pool.saturating_sub(in_use);
-                    if available == 0 {
+            for word in 0..len.div_ceil(64) {
+                let live = if starved {
+                    !self.photonic[cluster_idx].waiting[word]
+                } else {
+                    u64::MAX
+                };
+                let in_range = u64::MAX >> (64 - (len - word * 64).min(64));
+                for bit in set_bits(live & in_range) {
+                    let tx_idx = word * 64 + bit;
+                    let dst_cluster = self.photonic[cluster_idx].active[tx_idx].dst_cluster.0;
+                    let [router, dst] = self
+                        .photonic
+                        .get_disjoint_mut([cluster_idx, dst_cluster])
+                        .expect("intra-cluster packets never reach the photonic router");
+                    let tx = &mut router.active[tx_idx];
+                    if tx.reservation_remaining > 0 {
+                        tx.reservation_remaining -= 1;
+                        if tx.reservation_remaining == 0 {
+                            router.waiting[word] |= 1 << bit;
+                        }
                         continue;
                     }
-                    let others_demand = pending_demand.saturating_sub(tx.demand);
-                    let spare = available.saturating_sub(others_demand);
-                    let wavelengths = tx.demand.max(spare).min(available);
-                    tx.wavelengths = wavelengths.max(1);
-                    tx.data_started = true;
-                    in_use += tx.wavelengths;
-                    pending_demand = pending_demand.saturating_sub(tx.demand);
-                }
-                tx.credit_bits += tx.wavelengths as f64 * bits_per_wavelength;
-                let source = &mut router.inputs[tx.src_port];
-                loop {
-                    let buffer = source.vc(tx.src_vc).expect("vc in range");
-                    let Some((flit, _)) = buffer.front() else {
-                        // Source stalled: the wavelength·cycles are lost.
-                        tx.credit_bits = 0.0;
-                        break;
-                    };
-                    if flit.packet != tx.packet {
-                        tx.credit_bits = 0.0;
-                        break;
+                    if !tx.data_started {
+                        // Assign wavelengths: at least the flow's demand
+                        // (bounded by what is free), plus idle pool
+                        // wavelengths that no other pending transfer is
+                        // asking for.
+                        let available = pool.saturating_sub(router.in_use);
+                        if available == 0 {
+                            continue;
+                        }
+                        let others_demand = router.pending - tx.demand;
+                        let spare = available.saturating_sub(others_demand);
+                        let wavelengths = tx.demand.max(spare).min(available);
+                        tx.wavelengths = wavelengths.max(1);
+                        tx.data_started = true;
+                        router.waiting[word] &= !(1 << bit);
+                        router.in_use += tx.wavelengths;
+                        router.pending -= tx.demand;
                     }
-                    if tx.credit_bits < f64::from(flit.bits) {
-                        break;
-                    }
-                    let (mut flit, _) = source.pop(tx.src_vc).expect("front checked");
-                    // The feeding switch's photonic output may have room again.
-                    wake(&mut self.awake, src_cluster.core(tx.src_port, cpc).0);
-                    popped += 1;
-                    tx.credit_bits -= f64::from(flit.bits);
-                    tx.flits_sent += 1;
-                    flit.vc = tx.dst_vc;
-                    let bits = u64::from(flit.bits);
-                    self.energy.record_photonic_transfer(bits);
-                    // Source-side photonic router electrical traversal and the
-                    // write into the destination's ejection buffer.
-                    self.energy.record_router_traversal(bits);
-                    self.energy.record_buffer_write(bits);
-                    self.cluster_ej_occ[dst_cluster] += 1;
-                    dst.ejection[tx.dst_local]
-                        .push(tx.dst_vc, flit, cycle)
-                        .expect("ejection VC reserved for the whole packet");
-                    if tx.flits_sent == tx.flits_total {
-                        finished.push(tx_idx);
-                        break;
+                    tx.credit_bits += tx.wavelengths as f64 * bits_per_wavelength;
+                    let source = &mut router.inputs[tx.src_port];
+                    loop {
+                        let buffer = source.vc(tx.src_vc).expect("vc in range");
+                        let Some((flit, _)) = buffer.front() else {
+                            // Source stalled: the wavelength·cycles are lost.
+                            tx.credit_bits = 0.0;
+                            break;
+                        };
+                        if flit.packet != tx.packet {
+                            tx.credit_bits = 0.0;
+                            break;
+                        }
+                        if tx.credit_bits < f64::from(flit.bits) {
+                            break;
+                        }
+                        let (mut flit, _) = source.pop(tx.src_vc).expect("front checked");
+                        // The feeding switch's photonic output may have room again.
+                        wake(&mut self.awake, src_cluster.core(tx.src_port, cpc).0);
+                        popped += 1;
+                        tx.credit_bits -= f64::from(flit.bits);
+                        tx.flits_sent += 1;
+                        flit.vc = tx.dst_vc;
+                        let bits = u64::from(flit.bits);
+                        self.energy.record_photonic_transfer(bits);
+                        // Source-side photonic router electrical traversal and
+                        // the write into the destination's ejection buffer.
+                        self.energy.record_router_traversal(bits);
+                        self.energy.record_buffer_write(bits);
+                        self.cluster_ej_occ[dst_cluster] += 1;
+                        dst.ejection[tx.dst_local]
+                            .push(tx.dst_vc, flit, cycle)
+                            .expect("ejection VC reserved for the whole packet");
+                        if tx.flits_sent == tx.flits_total {
+                            finished.push(tx_idx);
+                            break;
+                        }
                     }
                 }
             }
             self.total_active -= finished.len();
             let router = &mut self.photonic[cluster_idx];
+            if !finished.is_empty() {
+                // A finished transmission frees its source VC, whose next
+                // packet's head may start.
+                router.wake_starts(cycle);
+            }
             for idx in finished.drain(..).rev() {
-                let tx = router.active.swap_remove(idx);
-                router.active_sources[tx.src_port] &= !(1 << tx.src_vc.0);
+                router.remove_finished(idx);
             }
             self.cluster_in_occ[cluster_idx] -= popped;
         }
     }
 
-    fn start_transmissions(&mut self) {
-        let num_clusters = self.topology.num_clusters();
-        let cpc = self.topology.cores_per_cluster();
-
-        for cluster_idx in 0..num_clusters {
+    fn start_transmissions(&mut self, cycle: u64) {
+        for cluster_idx in 0..self.topology.num_clusters() {
             // With no buffered input flit there is no head flit to start; an
             // all-false request vector never advances the round-robin state.
             if self.cluster_in_occ[cluster_idx] == 0 {
+                continue;
+            }
+            // A sleeping start phase would only grant the requests it slept
+            // on and fail; `wake_starts` replays those grants when something
+            // it reads changes.
+            if self.photonic[cluster_idx].start_sleep.is_some() {
+                #[cfg(debug_assertions)]
+                self.assert_starts_blocked(cluster_idx, cycle);
                 continue;
             }
             let src_cluster = ClusterId(cluster_idx);
@@ -802,37 +913,39 @@ impl<F: PhotonicFabric, T: TrafficModel> PhotonicSystem<F, T> {
             // wavelength availability in `advance_transmissions`.
             // Candidate head flits, visited in round-robin port order.
             let router = &mut self.photonic[cluster_idx];
-            let requests = (0..cpc)
-                .filter(|&p| router.startable_heads(p).next().is_some())
-                .fold(0u64, |mask, p| mask | 1 << p);
-            let Some(port) = router.start_rr.grant_mask(requests) else {
-                continue;
-            };
-            // Pick the first startable VC on the granted port.
-            let (topology, fabric, photonic) = (&self.topology, &self.fabric, &self.photonic);
-            let start = photonic[cluster_idx]
-                .startable_heads(port)
-                .find_map(|(vc, flit)| {
-                    let dst_cluster = topology.cluster_of(flit.dst);
-                    debug_assert_ne!(
-                        dst_cluster, src_cluster,
-                        "intra-cluster packets must not reach the photonic router"
-                    );
-                    // A failed destination link cannot accept new reservations.
-                    if !fabric.link_up(dst_cluster) {
-                        return None;
-                    }
-                    let dst_local = topology.local_index(flit.dst);
-                    let dst_vc = photonic[dst_cluster.0].free_ejection_vc(dst_local)?;
-                    Some((vc, flit, dst_cluster, dst_local, dst_vc))
-                });
-            let Some((vc, flit, dst_cluster, dst_local, dst_vc)) = start else {
+            let requests = router.start_requests();
+            let granted = router.start_rr.grant_mask(requests);
+            let Some((port, (vc, flit, dst_cluster, dst_local, dst_vc))) =
+                granted.and_then(|port| Some((port, self.find_start(cluster_idx, port)?)))
+            else {
+                // The start phase sleeps once no requesting port can start
+                // (vacuously when none requests): until a head arrives in an
+                // empty input VC, a transmission of this cluster finishes, an
+                // ejection VC frees up or a fault transition lands, every
+                // attempt would grant the same requests and fail.
+                let others = requests & !granted.map_or(0, |port| 1 << port);
+                if set_bits(others).all(|p| self.find_start(cluster_idx, p).is_none()) {
+                    let router = &mut self.photonic[cluster_idx];
+                    router.start_sleep = Some(StartSleep {
+                        since: cycle,
+                        requests,
+                        #[cfg(debug_assertions)]
+                        stepped: router.start_rr.clone(),
+                    });
+                }
                 continue;
             };
             self.photonic[dst_cluster.0].ejection_reserved[dst_local] |= 1 << dst_vc.0;
             self.total_active += 1;
+            let demand = self.fabric.wavelengths_for(src_cluster, dst_cluster).max(1);
+            let reservation = self.fabric.reservation_cycles(src_cluster, dst_cluster);
             let router = &mut self.photonic[cluster_idx];
             router.active_sources[port] |= 1 << vc.0;
+            let idx = router.active.len();
+            if reservation == 0 {
+                router.waiting[idx / 64] |= 1 << (idx % 64);
+            }
+            router.pending += demand;
             router.active.push(Transmission {
                 packet: flit.packet,
                 src_port: port,
@@ -840,14 +953,69 @@ impl<F: PhotonicFabric, T: TrafficModel> PhotonicSystem<F, T> {
                 dst_cluster,
                 dst_local,
                 dst_vc,
-                demand: fabric.wavelengths_for(src_cluster, dst_cluster).max(1),
+                demand,
                 wavelengths: 0,
                 data_started: false,
-                reservation_remaining: fabric.reservation_cycles(src_cluster, dst_cluster),
+                reservation_remaining: reservation,
                 credit_bits: 0.0,
                 flits_sent: 0,
                 flits_total: flit.packet_len,
             });
+        }
+    }
+
+    /// The first head on input `port` of `cluster_idx` that can start a
+    /// transmission now: its destination link is up and the destination port
+    /// has a free ejection VC. Returns the source VC, the head, and the
+    /// destination cluster, port and VC.
+    fn find_start(
+        &self,
+        cluster_idx: usize,
+        port: usize,
+    ) -> Option<(VcId, Flit, ClusterId, usize, VcId)> {
+        let topology = &self.topology;
+        self.photonic[cluster_idx]
+            .startable_heads(port)
+            .find_map(|(vc, flit)| {
+                let dst_cluster = topology.cluster_of(flit.dst);
+                debug_assert_ne!(
+                    dst_cluster.0, cluster_idx,
+                    "intra-cluster packets must not reach the photonic router"
+                );
+                // A failed destination link cannot accept new reservations.
+                if !self.fabric.link_up(dst_cluster) {
+                    return None;
+                }
+                let dst_local = topology.local_index(flit.dst);
+                let dst_vc = self.photonic[dst_cluster.0].free_ejection_vc(dst_local)?;
+                Some((vc, flit, dst_cluster, dst_local, dst_vc))
+            })
+    }
+
+    /// Debug check of the start-phase sleep, mirroring the switches' one:
+    /// this cycle's attempt, made on the arbiter copy that took every slept
+    /// cycle's grant, must still see the source link up, the requests the
+    /// cluster slept on, and no requesting port able to start.
+    #[cfg(debug_assertions)]
+    fn assert_starts_blocked(&mut self, cluster_idx: usize, cycle: u64) {
+        let router = &mut self.photonic[cluster_idx];
+        let requests = router.start_requests();
+        let sleep = router.start_sleep.as_mut().expect("cluster sleeps");
+        let slept_on = sleep.requests;
+        sleep.stepped.grant_mask(slept_on);
+        let live = !self.fabric.link_up(ClusterId(cluster_idx))
+            || requests != slept_on
+            || set_bits(requests).any(|port| self.find_start(cluster_idx, port).is_some());
+        debug_assert!(
+            !live,
+            "cluster {cluster_idx}'s start phase slept through a change at cycle {cycle}"
+        );
+    }
+
+    /// Wakes every sleeping start phase (see `PhotonicRouter::wake_starts`).
+    fn wake_all_starts(&mut self, cycle: u64) {
+        for router in &mut self.photonic {
+            router.wake_starts(cycle);
         }
     }
 
@@ -856,6 +1024,7 @@ impl<F: PhotonicFabric, T: TrafficModel> PhotonicSystem<F, T> {
         let cpc = topology.cores_per_cluster();
         let photonic_port = topology.photonic_port();
 
+        let mut freed = false;
         for cluster_idx in 0..topology.num_clusters() {
             // Empty ejection buffers yield all-false request vectors, which
             // leave every round-robin arbiter untouched — skip the cluster.
@@ -863,14 +1032,20 @@ impl<F: PhotonicFabric, T: TrafficModel> PhotonicSystem<F, T> {
                 continue;
             }
             for local in 0..cpc {
-                let core = ClusterId(cluster_idx).core(local, cpc);
-                // Which VCs have a head-of-line flit that the core switch can accept?
+                // An empty port requests nothing, and `grant_mask(0)` leaves
+                // its arbiter untouched.
                 let router = &mut self.photonic[cluster_idx];
+                let occupied = router.ejection[local].nonempty_mask();
+                if occupied == 0 {
+                    continue;
+                }
+                // Which VCs have a head-of-line flit that the core switch can accept?
+                let core = ClusterId(cluster_idx).core(local, cpc);
                 let switch_full = self.switches[core.0]
                     .input(photonic_port)
                     .expect("port in range")
                     .full_mask();
-                let requests = router.ejection[local].nonempty_mask() & !switch_full;
+                let requests = occupied & !switch_full;
                 let Some(vc_idx) = router.ejection_rr[local].grant_mask(requests) else {
                     continue;
                 };
@@ -881,6 +1056,7 @@ impl<F: PhotonicFabric, T: TrafficModel> PhotonicSystem<F, T> {
                 self.cluster_ej_occ[cluster_idx] -= 1;
                 if flit.is_tail() {
                     router.ejection_reserved[local] &= !(1 << vc.0);
+                    freed = true;
                 }
                 // Destination-side photonic router electrical traversal.
                 self.energy.record_router_traversal(u64::from(flit.bits));
@@ -892,6 +1068,10 @@ impl<F: PhotonicFabric, T: TrafficModel> PhotonicSystem<F, T> {
                 wake(&mut self.awake, core.0);
             }
         }
+        if freed {
+            // A freed ejection VC may let a sleeping cluster's head start.
+            self.wake_all_starts(cycle);
+        }
     }
 
     /// Applies every fault transition due at `cycle` — repairs before applies,
@@ -900,6 +1080,8 @@ impl<F: PhotonicFabric, T: TrafficModel> PhotonicSystem<F, T> {
     /// control plane already sees the post-transition data plane.
     fn apply_fault_transitions(&mut self, cycle: u64, sink: &mut dyn EventSink) {
         while let Some((action, index)) = self.faults.as_mut().and_then(|c| c.pop_due(cycle)) {
+            // A link going down or up changes what every start phase reads.
+            self.wake_all_starts(cycle);
             let event = self
                 .faults
                 .as_ref()
@@ -946,7 +1128,7 @@ impl<F: PhotonicFabric + Send, T: TrafficModel + Send> CycleNetwork for Photonic
         self.drain_ejection(cycle);
         self.step_switches(cycle, sink);
         self.advance_transmissions(cycle);
-        self.start_transmissions();
+        self.start_transmissions(cycle);
         self.account_buffer_energy();
     }
 
@@ -978,6 +1160,10 @@ impl<F: PhotonicFabric + Send, T: TrafficModel + Send> CycleNetwork for Photonic
     fn skip_cycles(&mut self, from: u64, to: u64) {
         debug_assert!(from < to, "skip span must be non-empty");
         debug_assert!(self.is_quiescent(), "skipping cycles on an active network");
+        debug_assert!(
+            self.photonic.iter().all(|r| r.start_sleep.is_none()),
+            "skipping cycles past a sleeping start phase"
+        );
         // Each skipped cycle would have circulated the fabric's control
         // plane; buffer-energy accounting at zero occupancy adds exactly 0.0
         // and every other phase is a no-op on a quiescent network.

@@ -1,16 +1,22 @@
-//! The switch wake set against random small systems.
+//! The switch wake set and the photonic router's sleeping phases against
+//! random small systems.
 //!
 //! `PhotonicSystem::step_switches` arbitrates only the switches whose wake
 //! bit is set; a switch sleeps once its arbitration returns `false` and
-//! wakes when a flit enters it or leaves one of the inputs it sends into. In
-//! debug builds every stepped cycle also arbitrates each occupied sleeping
-//! switch and asserts the call changes nothing, so a missing wake rule fails
-//! here at the cycle it first matters. The systems are d-HetPNoC chips of
-//! 2–4 clusters of 2–4 cores with 1–4 VCs and one-packet-deep buffers, under
-//! fixed-offset or hotspot bursts, with and without a fault preset; each runs
-//! under the per-cycle and the event-driven executor, which must agree on
-//! every statistic and metric. The vendored `proptest` does not shrink, so
-//! every failure message carries the case.
+//! wakes when a flit enters it or leaves one of the inputs it sends into. A
+//! cluster's start phase sleeps once no requesting port can start a
+//! transmission, and replays its round-robin pointer when a head enters an
+//! empty input VC, one of its transmissions finishes, an ejection VC frees
+//! up or a fault transition lands. Transmissions waiting for wavelengths are
+//! not visited while their pool is exhausted. In debug builds every stepped
+//! cycle also arbitrates each occupied sleeping switch, re-attempts each
+//! sleeping start phase on a replayed copy of its arbiter, and checks the
+//! wavelength counters and waiting sets against a scan, so a missing wake
+//! rule fails here at the cycle it first matters. The systems are d-HetPNoC
+//! chips under fixed-offset, hotspot or incast bursts, with and without a
+//! fault preset; each runs under the per-cycle and the event-driven
+//! executor, which must agree on every statistic and metric. The vendored
+//! `proptest` does not shrink, so every failure message carries the case.
 
 use d_hetpnoc_repro::dhetpnoc::network::build_dhetpnoc_system;
 use d_hetpnoc_repro::noc::ids::{ClusterId, CoreId};
@@ -39,6 +45,8 @@ enum Pattern {
     Offset(usize),
     /// Every core to one hot core (which sends to its successor).
     Hotspot(CoreId),
+    /// Every other core to one core, which sends nothing.
+    Incast(CoreId),
 }
 
 /// Every `period` cycles about three cores in four send one packet. Whether
@@ -64,7 +72,8 @@ impl TrafficModel for Bursts {
         let dst = match self.pattern {
             Pattern::Offset(offset) => CoreId((src.0 + offset) % n),
             Pattern::Hotspot(hot) if hot == src => CoreId((src.0 + 1) % n),
-            Pattern::Hotspot(hot) => hot,
+            Pattern::Incast(hot) if hot == src => return None,
+            Pattern::Hotspot(hot) | Pattern::Incast(hot) => hot,
         };
         Some(PacketDescriptor {
             src,
@@ -120,6 +129,52 @@ fn run(
     (stats, probe.report())
 }
 
+/// A chip of `clusters` × `cores_per_cluster` cores with `vcs` VCs per port
+/// and one-packet-deep buffers.
+fn small_config(
+    set: BandwidthSet,
+    clusters: usize,
+    cores_per_cluster: usize,
+    vcs: usize,
+) -> SimConfig {
+    let mut config = SimConfig::fast(set);
+    config.topology = ClusterTopology::new(clusters, cores_per_cluster);
+    config.vcs_per_port = vcs;
+    config.vc_depth = set.packet_flits() as usize;
+    config.warmup_cycles = 100;
+    config.sim_cycles = 600;
+    config
+}
+
+/// Runs `traffic` on `config` under fault preset `preset` with both
+/// executors and checks that they agree and delivered something.
+fn check_engines_agree(
+    config: SimConfig,
+    traffic: &Bursts,
+    preset: &str,
+    seed: u64,
+) -> Result<(), String> {
+    let faults = FaultPlan::resolve(preset).expect("a registered preset");
+    let topology = config.topology;
+    let context = format!(
+        "{}×{} cores, {} VC(s), {:?} every {}, faults '{preset}', seed {seed}",
+        topology.num_clusters(),
+        topology.cores_per_cluster(),
+        config.vcs_per_port,
+        traffic.pattern,
+        traffic.period,
+    );
+    let stepped = run(config, traffic, &faults, false);
+    let skipped = run(config, traffic, &faults, true);
+    prop_assert!(
+        stepped.0.delivered_packets > 0,
+        "{context}: nothing delivered"
+    );
+    prop_assert_eq!(&stepped.0, &skipped.0, "{context}: statistics");
+    prop_assert_eq!(&stepped.1, &skipped.1, "{context}: metrics");
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(40))]
 
@@ -138,12 +193,7 @@ proptest! {
         seed in 0u64..u64::MAX,
     ) {
         let set = BandwidthSet::Set3;
-        let mut config = SimConfig::fast(set);
-        config.topology = ClusterTopology::new(clusters, cores_per_cluster);
-        config.vcs_per_port = vcs;
-        config.vc_depth = set.packet_flits() as usize;
-        config.warmup_cycles = 100;
-        config.sim_cycles = 600;
+        let config = small_config(set, clusters, cores_per_cluster, vcs);
         let num_cores = config.topology.num_cores();
         let pattern = if hotspot {
             Pattern::Hotspot(CoreId(target % num_cores))
@@ -151,16 +201,54 @@ proptest! {
             Pattern::Offset(1 + target % (num_cores - 1))
         };
         let traffic = Bursts { pattern, period, num_cores, set, seed };
-        let preset = PRESETS[preset];
-        let faults = FaultPlan::resolve(preset).expect("a registered preset");
-        let context = format!(
-            "{clusters}×{cores_per_cluster} cores, {vcs} VC(s), {pattern:?} every {period}, \
-             faults '{preset}', seed {seed}"
-        );
-        let stepped = run(config, &traffic, &faults, false);
-        let skipped = run(config, &traffic, &faults, true);
-        prop_assert!(stepped.0.delivered_packets > 0, "{context}: nothing delivered");
-        prop_assert_eq!(&stepped.0, &skipped.0, "{context}: statistics");
-        prop_assert_eq!(&stepped.1, &skipped.1, "{context}: metrics");
+        check_engines_agree(config, &traffic, PRESETS[preset], seed)?;
+    }
+
+    /// Incast and hotspot bursts into one or two ejection VCs keep most
+    /// clusters' start phases asleep for long spans, and the link presets
+    /// take a source or destination link down and up again mid-sleep. The
+    /// debug build re-attempts every sleeping start phase each cycle.
+    #[test]
+    fn sleeping_starts_never_miss_a_change(
+        clusters in 2usize..=4,
+        cores_per_cluster in 2usize..=4,
+        vcs in 1usize..=2,
+        incast in any::<bool>(),
+        target in 0usize..64,
+        period in 1u64..=12,
+        preset in 0usize..3,
+        seed in 0u64..u64::MAX,
+    ) {
+        let set = BandwidthSet::Set3;
+        let config = small_config(set, clusters, cores_per_cluster, vcs);
+        let num_cores = config.topology.num_cores();
+        let hot = CoreId(target % num_cores);
+        let pattern = if incast { Pattern::Incast(hot) } else { Pattern::Hotspot(hot) };
+        let traffic = Bursts { pattern, period, num_cores, set, seed };
+        check_engines_agree(config, &traffic, PRESETS[preset], seed)?;
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(8))]
+
+    /// Eight-core clusters that each send every packet to the other
+    /// cluster, in dense bursts on the smallest wavelength budget, hold ≈ 88
+    /// transmissions per cluster, most of them waiting for wavelengths: the
+    /// waiting set spans two words and `swap_remove` moves bits across them.
+    #[test]
+    fn waiting_sets_span_several_words(
+        vcs in 16usize..=24,
+        preset in 0usize..3,
+        seed in 0u64..u64::MAX,
+    ) {
+        let set = BandwidthSet::Set1;
+        let cores_per_cluster = 8;
+        let mut config = small_config(set, 2, cores_per_cluster, vcs);
+        config.sim_cycles = 1_500;
+        let num_cores = config.topology.num_cores();
+        let pattern = Pattern::Offset(cores_per_cluster);
+        let traffic = Bursts { pattern, period: 1, num_cores, set, seed };
+        check_engines_agree(config, &traffic, PRESETS[preset], seed)?;
     }
 }
