@@ -1,13 +1,15 @@
 //! End-to-end tests of the fault-injection subsystem under the batch
 //! engine: fault-free runs are bitwise-identical to pre-fault behaviour
 //! (absent plan, `"none"` and the empty string all collapse onto the same
-//! simulation), faulted sweeps stay bitwise-deterministic across both real
-//! architectures in parallel and sequential mode, injected faults measurably
-//! degrade closed-loop completion times on the same seed, and the result
-//! cache never serves a healthy point for a faulted scenario (or vice
-//! versa).
+//! simulation), faulted sweeps stay bitwise-deterministic in parallel and
+//! sequential mode and differ from the healthy run on every architecture
+//! that accepts a plan, `uniform-fabric` at the paper point reports exactly
+//! Firefly's rows healthy and faulted, injected faults measurably degrade
+//! closed-loop completion times on the same seed, and the result cache
+//! never serves a healthy point for a faulted scenario (or vice versa).
 
 use pnoc_bench::runner::ensure_registered;
+use pnoc_sim::metrics::render_jsonl_row;
 use pnoc_sim::scenario::{run_specs, run_specs_with_cache, Effort, ScenarioMatrix, ScenarioSpec};
 use pnoc_store::ResultStore;
 use std::path::PathBuf;
@@ -61,27 +63,86 @@ fn healthy_spellings_are_identical_to_a_fault_free_run_and_share_points() {
 fn faulted_presets_sweep_both_architectures_deterministically() {
     pnoc_exec::set_worker_override(4);
     ensure_registered();
-    let matrix = ScenarioMatrix::new()
-        .architectures(["firefly", "d-hetpnoc"])
+    let healthy = ScenarioMatrix::new()
+        .architectures(["firefly", "d-hetpnoc", "uniform-fabric"])
         .traffics(["tornado"])
-        .fault_plans(["single-link", "ring-drift"])
         .effort(Effort::Smoke);
-    assert_eq!(matrix.specs().len(), 4, "2 architectures × 2 presets");
+    let matrix = healthy.clone().fault_plans(["single-link", "ring-drift"]);
+    assert_eq!(matrix.specs().len(), 6, "3 architectures × 2 presets");
     let parallel = matrix.run().expect("registered");
     let sequential = matrix.run_sequential().expect("registered");
     assert!(
         parallel.bitwise_eq(&sequential),
         "faulted sweeps must be bitwise-identical in parallel and sequential mode"
     );
+    let healthy = healthy.run().expect("registered");
     for scenario in &parallel.scenarios {
+        let id = scenario.spec.id();
         for point in &scenario.result.points {
             assert!(
                 point.metrics.gauge("faults_applied").unwrap() >= 1.0,
-                "{}: the plan must actually fire",
-                scenario.spec.id()
+                "{id}: the plan must actually fire"
             );
         }
+        // Firing is not enough: a fabric that ignored the plan would still
+        // count its transitions, so the simulated statistics must move.
+        let baseline = healthy
+            .scenarios
+            .iter()
+            .find(|h| h.spec.architecture == scenario.spec.architecture)
+            .expect("every architecture ran healthy");
+        let stats = |result: &pnoc_sim::sweep::SaturationResult| {
+            result
+                .points
+                .iter()
+                .map(|p| p.stats.clone())
+                .collect::<Vec<_>>()
+        };
+        assert_ne!(
+            stats(&scenario.result),
+            stats(&baseline.result),
+            "{id}: a faulted sweep must simulate differently from the healthy one"
+        );
     }
+}
+
+/// `uniform-fabric` at its default budget is Firefly's allocation at the
+/// paper point (16 clusters, radix 16, one-cycle reservation), so the two
+/// names must agree on every metric row but its `scenario` label — healthy
+/// and under every non-empty preset, open and closed loop.
+#[test]
+fn uniform_fabric_rows_equal_firefly_rows_healthy_and_under_every_preset() {
+    ensure_registered();
+    let rows = |architecture: &str| {
+        // `with_faults("")` is the healthy run.
+        let specs: Vec<ScenarioSpec> = ["", "single-link", "rolling-links", "ring-drift"]
+            .into_iter()
+            .flat_map(|plan| {
+                [
+                    ScenarioSpec::new(architecture, "tornado"),
+                    ScenarioSpec::closed_loop(architecture, "incast:8"),
+                ]
+                .map(|spec| spec.with_effort(Effort::Smoke).with_faults(plan))
+            })
+            .collect();
+        let batch = run_specs(&specs).expect("registered names");
+        let rows = batch.scenarios.iter().flat_map(|s| s.metric_rows());
+        rows.map(|mut row| {
+            row.scenario.clear();
+            render_jsonl_row(&row)
+        })
+        .collect::<Vec<_>>()
+    };
+    let (firefly, uniform) = (rows("firefly"), rows("uniform-fabric"));
+    assert_eq!(
+        firefly.len(),
+        4 * (3 + 1),
+        "4 plans × (3 ladder points + 1 workload row)"
+    );
+    for (f, u) in firefly.iter().zip(&uniform) {
+        assert_eq!(f, u, "uniform-fabric must report Firefly's row");
+    }
+    assert_eq!(firefly.len(), uniform.len());
 }
 
 #[test]

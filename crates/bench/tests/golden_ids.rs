@@ -118,12 +118,12 @@ fn fault_plans_render_as_a_pinned_canonical_suffix() {
 #[test]
 fn the_engine_fingerprint_is_pinned_and_keys_stale_caches_out() {
     // The fingerprint is the other half of every cache key: bumping the
-    // workspace version (0.10.0 → 0.11.0 when the stored entry lost its
-    // fixed-bin latency histogram) must retire every older cache entry, so a
-    // store written by a previous engine can never satisfy a lookup.
+    // workspace version (0.11.0 → 0.12.0 when faulted `uniform-fabric`
+    // points stopped reading healthy) must retire every older cache entry,
+    // so a store written by a previous engine can never satisfy a lookup.
     assert_eq!(
         pnoc_sim::scenario::engine_fingerprint(),
-        "v0.11.0+event",
+        "v0.12.0+event",
         "fingerprint changed — deliberate cache invalidation only"
     );
 }

@@ -32,7 +32,6 @@ pub struct DhetFabric {
     reservation: ReservationTiming,
     policy: AllocationPolicy,
     max_channel_wavelengths: usize,
-    faults: FaultSurface,
 }
 
 impl DhetFabric {
@@ -46,26 +45,12 @@ impl DhetFabric {
     }
 
     /// Builds the fabric with the default (proportional) allocation policy
-    /// and converges the initial allocation.
+    /// at the paper's maximum channel width and converges the initial
+    /// allocation.
     #[must_use]
     pub fn new(config: &SimConfig, demand: DemandMatrix) -> Self {
-        Self::with_policy(config, demand, AllocationPolicy::Proportional)
-    }
-
-    /// Builds the fabric with an explicit allocation policy at the paper's
-    /// maximum channel width.
-    #[must_use]
-    pub(crate) fn with_policy(
-        config: &SimConfig,
-        demand: DemandMatrix,
-        policy: AllocationPolicy,
-    ) -> Self {
-        Self::with_options(
-            config,
-            demand,
-            policy,
-            Self::default_max_channel_wavelengths(config),
-        )
+        let max = Self::default_max_channel_wavelengths(config);
+        Self::with_options(config, demand, AllocationPolicy::Proportional, max)
     }
 
     /// Builds the fabric with an explicit allocation policy and maximum
@@ -153,17 +138,17 @@ impl DhetFabric {
             reservation,
             policy,
             max_channel_wavelengths,
-            faults: FaultSurface::new(num_clusters),
         }
     }
 
     /// Re-derives the controller's request tables and targets from the
-    /// current demand matrix *and* fault surface, then re-converges the
-    /// allocation. Degraded wavelength classes shrink what each cluster
-    /// requests for affected flows; laser dimming derates every pool target
-    /// globally. Called on every degradation transition (apply and repair),
-    /// so a repaired fabric converges back to exactly the healthy requests.
-    fn reconverge_with_faults(&mut self) {
+    /// current demand matrix *and* the system's fault surface `faults`, then
+    /// re-converges the allocation. Degraded wavelength classes shrink what
+    /// each cluster requests for affected flows; laser dimming derates every
+    /// pool target globally. Called on every degradation transition (apply
+    /// and repair), so a repaired fabric converges back to exactly the
+    /// healthy requests.
+    fn reconverge_with_faults(&mut self, faults: &FaultSurface) {
         let set = self.config.bandwidth_set;
         let num_clusters = self.config.topology.num_clusters();
         for src in 0..num_clusters {
@@ -174,7 +159,7 @@ impl DhetFabric {
                 }
                 let class = self.demand.class(ClusterId(src), ClusterId(dst));
                 let healthy = set.class_wavelengths(class);
-                let derated = (healthy / self.faults.class_divisor(class) as usize).max(1);
+                let derated = (healthy / faults.class_divisor(class) as usize).max(1);
                 table.set(ClusterId(dst), derated);
             }
             let mut request = RequestTable::new(num_clusters);
@@ -187,7 +172,7 @@ impl DhetFabric {
             self.policy,
             self.max_channel_wavelengths,
         );
-        let laser = self.faults.laser_divisor() as usize;
+        let laser = faults.laser_divisor() as usize;
         if laser > 1 {
             for target in &mut targets {
                 *target = (*target / laser).max(1);
@@ -295,17 +280,12 @@ impl PhotonicFabric for DhetFabric {
     }
 
     #[inline]
-    fn wavelengths_for(&self, src: ClusterId, dst: ClusterId) -> usize {
-        // A stuck/detuned MRR ring at either endpoint pins the transfer to a
-        // single wavelength, regardless of pool or class.
-        if self.faults.ring_stuck(src.0) || self.faults.ring_stuck(dst.0) {
-            return 1;
-        }
+    fn wavelengths_for(&self, src: ClusterId, dst: ClusterId, faults: &FaultSurface) -> usize {
         let class = self.demand.class(src, dst);
         let demanded = self.config.bandwidth_set.class_wavelengths(class);
         // Unlike Firefly, only the degraded class's transfers shrink: the
         // DBA keeps steering healthy classes onto their full demand.
-        let derated = (demanded / self.faults.class_divisor(class) as usize).max(1);
+        let derated = (demanded / faults.class_divisor(class) as usize).max(1);
         derated.min(self.controller.pool(src)).max(1)
     }
 
@@ -314,37 +294,15 @@ impl PhotonicFabric for DhetFabric {
         self.reservation.cycles
     }
 
-    fn total_data_wavelengths(&self) -> usize {
-        self.config.bandwidth_set.total_wavelengths()
-    }
-
-    fn allocation_snapshot(&self) -> Vec<usize> {
-        self.controller.allocation_snapshot()
-    }
-
-    fn apply_fault(&mut self, event: &FaultEvent) {
-        self.faults.apply(event);
+    fn faults_changed(&mut self, event: &FaultEvent, faults: &FaultSurface) {
+        // Only the derating reaches the DBA's requests and targets; a link
+        // or ring transition leaves the allocation where it is.
         if matches!(
             event.kind,
             FaultKind::WavelengthDegrade | FaultKind::LaserDim
         ) {
-            self.reconverge_with_faults();
+            self.reconverge_with_faults(faults);
         }
-    }
-
-    fn clear_fault(&mut self, event: &FaultEvent) {
-        self.faults.clear(event);
-        if matches!(
-            event.kind,
-            FaultKind::WavelengthDegrade | FaultKind::LaserDim
-        ) {
-            self.reconverge_with_faults();
-        }
-    }
-
-    #[inline]
-    fn link_up(&self, cluster: ClusterId) -> bool {
-        self.faults.link_up(cluster.0)
     }
 }
 
@@ -391,14 +349,14 @@ mod tests {
         for set in BandwidthSet::ALL {
             let cfg = config(set);
             let fabric = DhetFabric::new(&cfg, uniform_demand(set));
-            let alloc = fabric.allocation_snapshot();
+            let alloc = fabric.controller().allocation_snapshot();
             let firefly_width = set.class_wavelengths(pnoc_noc::packet::BandwidthClass::MediumHigh);
             assert!(
                 alloc.iter().all(|&p| p == firefly_width),
                 "{set:?}: allocation {alloc:?} != uniform {firefly_width}"
             );
             assert_eq!(
-                fabric.wavelengths_for(ClusterId(0), ClusterId(5)),
+                fabric.wavelengths_for(ClusterId(0), ClusterId(5), &FaultSurface::new(16)),
                 firefly_width
             );
         }
@@ -411,7 +369,7 @@ mod tests {
             &cfg,
             skewed_demand(BandwidthSet::Set1, SkewLevel::Skewed3, 11),
         );
-        let alloc = fabric.allocation_snapshot();
+        let alloc = fabric.controller().allocation_snapshot();
         let total: usize = alloc.iter().sum();
         assert!(total <= 64, "allocation {alloc:?} exceeds the budget");
         assert!(alloc.iter().all(|&p| (1..=8).contains(&p)), "{alloc:?}");
@@ -464,7 +422,7 @@ mod tests {
                     continue;
                 }
                 let (src, dst) = (ClusterId(s), ClusterId(d));
-                let w = fabric.wavelengths_for(src, dst);
+                let w = fabric.wavelengths_for(src, dst, &FaultSurface::new(16));
                 assert!(w >= 1);
                 assert!(w <= fabric.pool_size(src));
                 assert!(w <= cfg.bandwidth_set.class_wavelengths(demand.class(src, dst)));
@@ -490,11 +448,12 @@ mod tests {
     fn paper_max_policy_requests_the_maximum_class() {
         let cfg = config(BandwidthSet::Set1);
         let demand = skewed_demand(BandwidthSet::Set1, SkewLevel::Skewed1, 3);
-        let fabric = DhetFabric::with_policy(&cfg, demand, AllocationPolicy::PaperMax);
+        let max = DhetFabric::default_max_channel_wavelengths(&cfg);
+        let fabric = DhetFabric::with_options(&cfg, demand, AllocationPolicy::PaperMax, max);
         assert_eq!(fabric.policy, AllocationPolicy::PaperMax);
         // With nearly every cluster having at least one high-class flow, the
         // targets are all 8 and the budget-constrained allocation stays fair.
-        let alloc = fabric.allocation_snapshot();
+        let alloc = fabric.controller().allocation_snapshot();
         assert!(alloc.iter().sum::<usize>() <= 64);
         fabric.controller().check_invariants().unwrap();
     }
@@ -506,11 +465,8 @@ mod tests {
         let capped =
             DhetFabric::with_options(&cfg, demand.clone(), AllocationPolicy::Proportional, 4);
         assert_eq!(capped.max_channel_wavelengths, 4);
-        assert!(
-            capped.allocation_snapshot().iter().all(|&p| p <= 4),
-            "{:?}",
-            capped.allocation_snapshot()
-        );
+        let alloc = capped.controller().allocation_snapshot();
+        assert!(alloc.iter().all(|&p| p <= 4), "{alloc:?}");
         // A narrower maximum channel shrinks the reservation payload too.
         let default = DhetFabric::new(&cfg, demand);
         assert_eq!(
@@ -530,7 +486,7 @@ mod tests {
         let cfg = config(BandwidthSet::Set1);
         let demand = skewed_demand(BandwidthSet::Set1, SkewLevel::Skewed2, 9);
         let mut fabric = DhetFabric::new(&cfg, demand.clone());
-        let healthy_alloc = fabric.allocation_snapshot();
+        let healthy_alloc = fabric.controller().allocation_snapshot();
         // Find one high-class and one low-class pair to compare.
         let mut high_pair = None;
         let mut low_pair = None;
@@ -552,52 +508,47 @@ mod tests {
             }
         }
         let (hs, hd) = high_pair.expect("skewed demand has a high-class flow");
-        let healthy_high = fabric.wavelengths_for(hs, hd);
+        let mut faults = FaultSurface::new(16);
+        let healthy_high = fabric.wavelengths_for(hs, hd, &faults);
         let event = pnoc_faults::FaultPlan::parse("wavelength-degrade@c10-20:class-high/2")
             .unwrap()
             .events()[0];
-        fabric.apply_fault(&event);
+        faults.apply(&event);
+        fabric.faults_changed(&event, &faults);
         // The degraded class's transfers shrink; a healthy class is untouched
         // (the DBA keeps steering it onto its full demand).
-        assert!(fabric.wavelengths_for(hs, hd) < healthy_high);
+        assert!(fabric.wavelengths_for(hs, hd, &faults) < healthy_high);
         if let Some((ls, ld)) = low_pair {
-            let w = fabric.wavelengths_for(ls, ld);
+            let w = fabric.wavelengths_for(ls, ld, &faults);
             assert!(w >= 1);
             assert!(w <= cfg.bandwidth_set.class_wavelengths(demand.class(ls, ld)));
         }
         fabric.controller().check_invariants().unwrap();
-        fabric.clear_fault(&event);
-        assert_eq!(fabric.wavelengths_for(hs, hd), healthy_high);
-        assert_eq!(fabric.allocation_snapshot(), healthy_alloc);
+        faults.clear(&event);
+        fabric.faults_changed(&event, &faults);
+        assert_eq!(fabric.wavelengths_for(hs, hd, &faults), healthy_high);
+        assert_eq!(fabric.controller().allocation_snapshot(), healthy_alloc);
 
         // Laser dimming derates every pool target globally.
         let dim = pnoc_faults::FaultPlan::parse("laser-dim@c10-20:fabric/2")
             .unwrap()
             .events()[0];
-        fabric.apply_fault(&dim);
-        let dimmed = fabric.allocation_snapshot();
+        faults.apply(&dim);
+        fabric.faults_changed(&dim, &faults);
+        let dimmed = fabric.controller().allocation_snapshot();
         assert!(dimmed.iter().sum::<usize>() < healthy_alloc.iter().sum::<usize>());
-        fabric.clear_fault(&dim);
-        assert_eq!(fabric.allocation_snapshot(), healthy_alloc);
+        faults.clear(&dim);
+        fabric.faults_changed(&dim, &faults);
+        assert_eq!(fabric.controller().allocation_snapshot(), healthy_alloc);
 
-        // A stuck ring pins transfers touching the switch to one wavelength.
-        let stuck = pnoc_faults::FaultPlan::parse("ring-stuck@c10-20:sw2")
-            .unwrap()
-            .events()[0];
-        fabric.apply_fault(&stuck);
-        assert_eq!(fabric.wavelengths_for(ClusterId(2), ClusterId(9)), 1);
-        assert_eq!(fabric.wavelengths_for(ClusterId(9), ClusterId(2)), 1);
-        fabric.clear_fault(&stuck);
-
-        // Link failure is reported through `link_up` for the system to gate.
-        let fail = pnoc_faults::FaultPlan::parse("link-fail@c10-20:sw4")
-            .unwrap()
-            .events()[0];
-        fabric.apply_fault(&fail);
-        assert!(!fabric.link_up(ClusterId(4)));
-        assert!(fabric.link_up(ClusterId(5)));
-        fabric.clear_fault(&fail);
-        assert!(fabric.link_up(ClusterId(4)));
+        // A link or ring transition does not move the allocation.
+        let fail =
+            pnoc_faults::FaultPlan::parse("link-fail@c10-20:sw4,ring-stuck@c10-20:sw2").unwrap();
+        for event in fail.events() {
+            faults.apply(event);
+            fabric.faults_changed(event, &faults);
+        }
+        assert_eq!(fabric.controller().allocation_snapshot(), healthy_alloc);
     }
 
     #[test]
@@ -607,12 +558,12 @@ mod tests {
             &cfg,
             skewed_demand(BandwidthSet::Set1, SkewLevel::Skewed3, 1),
         );
-        let before = fabric.allocation_snapshot();
+        let before = fabric.controller().allocation_snapshot();
         // A task-mapping change installs a new demand matrix and re-runs
         // target computation and allocation convergence.
         fabric.demand = uniform_demand(BandwidthSet::Set1);
-        fabric.reconverge_with_faults();
-        let after = fabric.allocation_snapshot();
+        fabric.reconverge_with_faults(&FaultSurface::new(16));
+        let after = fabric.controller().allocation_snapshot();
         assert_ne!(before, after, "remapping must change a skewed allocation");
         assert!(after.iter().all(|&p| p == 4));
         assert_eq!(fabric.architecture_name(), "d-hetpnoc");

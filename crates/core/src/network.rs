@@ -108,7 +108,6 @@ mod tests {
     use pnoc_noc::traffic_model::OfferedLoad;
     use pnoc_sim::config::BandwidthSet;
     use pnoc_sim::engine::run_to_completion;
-    use pnoc_sim::system::PhotonicFabric;
     use pnoc_traffic::pattern::{PacketShape, SkewLevel};
     use pnoc_traffic::skewed::SkewedTraffic;
     use pnoc_traffic::uniform::UniformRandomTraffic;
@@ -144,7 +143,7 @@ mod tests {
             config.seed,
         );
         let system = build_dhetpnoc_system(config, traffic);
-        let alloc = system.fabric().allocation_snapshot();
+        let alloc = system.fabric().controller().allocation_snapshot();
         let firefly_width =
             BandwidthSet::Set2.class_wavelengths(pnoc_noc::packet::BandwidthClass::MediumHigh);
         assert!(alloc.iter().all(|&p| p == firefly_width));

@@ -1,16 +1,15 @@
-//! Shared data-plane fault bookkeeping for fabric implementations.
+//! The data-plane fault state of one photonic system.
 //!
-//! Every photonic fabric that honours faults tracks the same small state:
-//! which cluster links are down, which MRR rings are stuck, and by how much
-//! each bandwidth class (and the shared laser) is derated. [`FaultSurface`]
-//! centralises that state so each fabric only decides *how* the derating
-//! maps onto its wavelength arithmetic, not how to book-keep overlapping
-//! transient windows.
+//! Which cluster links are down, which MRR rings are stuck, and by how much
+//! each bandwidth class (and the shared laser) is derated. The system owns
+//! the one [`FaultSurface`] and applies every scheduled transition to it;
+//! fabrics only read it, to decide *how* the derating maps onto their
+//! wavelength arithmetic, never to book-keep overlapping transient windows.
 
 use crate::plan::{FaultEvent, FaultKind, FaultTarget};
 use pnoc_noc::packet::BandwidthClass;
 
-/// Data-plane fault state shared by fabric implementations.
+/// Data-plane fault state, owned by the system and read by its fabric.
 ///
 /// Overlapping faults compose multiplicatively: two concurrent
 /// `wavelength-degrade …/2` windows on the same class derate it by 4 until
@@ -88,6 +87,7 @@ impl FaultSurface {
     }
 
     /// Whether the photonic link of switch `n` is operational.
+    #[inline]
     #[must_use]
     pub fn link_up(&self, n: usize) -> bool {
         !self.failed_links.get(n).copied().unwrap_or(false)
@@ -95,6 +95,7 @@ impl FaultSurface {
 
     /// Whether switch `n` has a stuck/detuned MRR ring (its transmissions
     /// are pinned to a single wavelength).
+    #[inline]
     #[must_use]
     pub fn ring_stuck(&self, n: usize) -> bool {
         self.stuck_rings.get(n).copied().unwrap_or(false)
@@ -102,6 +103,7 @@ impl FaultSurface {
 
     /// The combined derating divisor for transfers of `class`: the class's
     /// own degradation times the global laser dimming.
+    #[inline]
     #[must_use]
     pub fn class_divisor(&self, class: BandwidthClass) -> u32 {
         self.class_divisors[class.index()].saturating_mul(self.laser_divisor)
@@ -117,6 +119,7 @@ impl FaultSurface {
     /// The worst derating divisor across all classes (what a class-blind
     /// fabric like Firefly, which switches every modulator for every
     /// transfer, must assume for its whole channel).
+    #[inline]
     #[must_use]
     pub fn max_divisor(&self) -> u32 {
         self.class_divisors

@@ -9,16 +9,18 @@
 //! channel width regardless of the application's actual bandwidth need —
 //! which is exactly the limitation d-HetPNoC removes.
 //!
-//! * [`fabric`] — the [`pnoc_sim::system::PhotonicFabric`] implementation
-//!   with uniform static wavelength allocation,
-//! * [`network`] — convenience constructors and the `"firefly"` registry
-//!   entry used by the scenario-based experiments.
+//! That static allocation is [`pnoc_sim::system::UniformFabric`], the one
+//! static fabric (the `uniform-fabric` architecture is the same fabric with
+//! a wavelength-budget knob), so this crate has no fabric of its own:
+//!
+//! * [`network`] — the Firefly constructors (channel width `total
+//!   wavelengths / radix`) and the `"firefly"` registry entry used by the
+//!   scenario-based experiments.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-pub mod fabric;
 pub mod network;
 
 /// Convenient re-exports of the most commonly used items.

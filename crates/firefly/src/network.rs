@@ -1,13 +1,29 @@
 //! Convenience constructors and the registry entry for Firefly simulations.
+//!
+//! Every cluster's write channel carries `total wavelengths / radix` DWDM
+//! wavelengths — 4, 16 or 32 for the three bandwidth sets at the paper's
+//! radix 16 (Table 3-3) — and every transmission uses the full channel, so
+//! a source drives one packet at a time and a high-bandwidth application
+//! receives no more bandwidth than a low-bandwidth one.
 
-use crate::fabric::FireflyFabric;
 use pnoc_noc::traffic_model::TrafficModel;
 use pnoc_sim::config::SimConfig;
 use pnoc_sim::engine::CycleNetwork;
 use pnoc_sim::params::{ParamSchema, ResolvedParams};
 use pnoc_sim::registry::{register_architecture, ArchitectureBuilder, Provisioning};
-use pnoc_sim::system::PhotonicSystem;
+use pnoc_sim::system::{PhotonicSystem, UniformFabric};
 use std::sync::Arc;
+
+/// The paper's crossbar radix: 16 clusters share the R-SWMR crossbar
+/// (Table 3-3). The default of the registry entry's `radix` parameter.
+const DEFAULT_RADIX: usize = 16;
+
+/// Firefly's fabric: the static allocation with `total wavelengths / radix`
+/// wavelengths (at least 1) per write channel.
+fn firefly_fabric(config: &SimConfig, radix: usize, reservation_cycles: u64) -> UniformFabric {
+    let per_channel = (config.bandwidth_set.total_wavelengths() / radix).max(1);
+    UniformFabric::new("firefly", per_channel, reservation_cycles)
+}
 
 /// Builds a ready-to-run Firefly system for the given traffic model at the
 /// paper's defaults (radix 16, single-cycle reservation). For other design
@@ -15,8 +31,8 @@ use std::sync::Arc;
 pub fn build_firefly_system<T: TrafficModel>(
     config: SimConfig,
     traffic: T,
-) -> PhotonicSystem<FireflyFabric, T> {
-    let fabric = FireflyFabric::new(&config);
+) -> PhotonicSystem<UniformFabric, T> {
+    let fabric = firefly_fabric(&config, DEFAULT_RADIX, 1);
     PhotonicSystem::new(config, fabric, traffic)
 }
 
@@ -50,7 +66,7 @@ impl ArchitectureBuilder for FireflyArchitecture {
         ParamSchema::new()
             .int(
                 "radix",
-                FireflyFabric::DEFAULT_RADIX as i64,
+                DEFAULT_RADIX as i64,
                 2,
                 512,
                 "clusters sharing the R-SWMR crossbar; each write channel \
@@ -72,7 +88,7 @@ impl ArchitectureBuilder for FireflyArchitecture {
         params: &ResolvedParams,
         traffic: Box<dyn TrafficModel + Send>,
     ) -> Box<dyn CycleNetwork> {
-        let fabric = FireflyFabric::with_params(
+        let fabric = firefly_fabric(
             &config,
             params.int("radix") as usize,
             params.int("reservation_cycles") as u64,
@@ -95,14 +111,88 @@ pub fn register_firefly_architecture() {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pnoc_faults::FaultSurface;
+    use pnoc_noc::ids::ClusterId;
     use pnoc_noc::topology::ClusterTopology;
     use pnoc_sim::config::BandwidthSet;
     use pnoc_sim::engine::run_to_completion;
+    use pnoc_sim::system::PhotonicFabric;
     use pnoc_traffic::pattern::PacketShape;
     use pnoc_traffic::uniform::UniformRandomTraffic;
 
     fn shape(set: BandwidthSet) -> PacketShape {
         PacketShape::new(set.packet_flits(), set.flit_bits())
+    }
+
+    #[test]
+    fn channel_widths_match_table_3_3() {
+        for (set, expected) in [
+            (BandwidthSet::Set1, 4),
+            (BandwidthSet::Set2, 16),
+            (BandwidthSet::Set3, 32),
+        ] {
+            let fabric = firefly_fabric(&SimConfig::paper_default(set), DEFAULT_RADIX, 1);
+            assert_eq!(fabric.pool_size(ClusterId(0)), expected);
+            let healthy = FaultSurface::new(16);
+            assert_eq!(
+                fabric.wavelengths_for(ClusterId(0), ClusterId(5), &healthy),
+                expected
+            );
+        }
+    }
+
+    #[test]
+    fn allocation_is_uniform_across_clusters() {
+        let fabric = firefly_fabric(&SimConfig::paper_default(BandwidthSet::Set1), 16, 1);
+        let pools: Vec<usize> = (0..16).map(|c| fabric.pool_size(ClusterId(c))).collect();
+        // The whole aggregate bandwidth budget (64 λ) is used, evenly.
+        assert_eq!(pools, vec![4; 16]);
+    }
+
+    #[test]
+    fn reservation_takes_one_cycle() {
+        let config = SimConfig::paper_default(BandwidthSet::Set3);
+        let traffic = UniformRandomTraffic::new(
+            ClusterTopology::paper_default(),
+            shape(BandwidthSet::Set3),
+            pnoc_noc::traffic_model::OfferedLoad::ZERO,
+            1,
+        );
+        let system = build_firefly_system(config, traffic);
+        assert_eq!(
+            system
+                .fabric()
+                .reservation_cycles(ClusterId(1), ClusterId(2)),
+            1
+        );
+        assert_eq!(system.fabric().architecture_name(), "firefly");
+    }
+
+    #[test]
+    fn radix_parameter_scales_the_channel_width() {
+        let config = SimConfig::paper_default(BandwidthSet::Set1);
+        // Halving the radix doubles each channel's wavelength share.
+        assert_eq!(firefly_fabric(&config, 8, 1).pool_size(ClusterId(0)), 8);
+        // A radix beyond the wavelength budget still leaves one wavelength.
+        let starved = firefly_fabric(&config, 128, 2);
+        assert_eq!(starved.pool_size(ClusterId(0)), 1);
+        assert_eq!(starved.reservation_cycles(ClusterId(0), ClusterId(1)), 2);
+    }
+
+    #[test]
+    fn faults_derate_the_channel_and_repairs_restore_it() {
+        let fabric = firefly_fabric(&SimConfig::paper_default(BandwidthSet::Set2), 16, 1);
+        let (src, dst) = (ClusterId(0), ClusterId(5));
+        let mut faults = FaultSurface::new(16);
+        assert_eq!(fabric.wavelengths_for(src, dst, &faults), 16);
+        let plan = "wavelength-degrade@c10-20:class-high/2,laser-dim@c10-20:fabric/2";
+        let plan = pnoc_faults::FaultPlan::parse(plan).unwrap();
+        plan.events().iter().for_each(|event| faults.apply(event));
+        // Class-blind Firefly derates the whole channel by the worst class
+        // times the laser dimming, whatever the pair's class.
+        assert_eq!(fabric.wavelengths_for(src, dst, &faults), 4);
+        plan.events().iter().for_each(|event| faults.clear(event));
+        assert_eq!(fabric.wavelengths_for(src, dst, &faults), 16);
     }
 
     #[test]

@@ -18,6 +18,7 @@ use pnoc_sim::config::SimConfig;
 use pnoc_sim::engine::{advance_network, CycleNetwork};
 use pnoc_sim::metrics::{EventSink, MetricReport, MetricValue, QuantileSketch, SimEvent};
 use pnoc_sim::registry::ArchitectureBuilder;
+use pnoc_sim::stats::SimStats;
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::{Arc, Mutex};
 
@@ -33,7 +34,7 @@ struct PodShard {
     core_offset: usize,
     /// The pod's own events since measurement began (the per-pod metric
     /// families), counted by the pod job as it records them.
-    totals: Tally,
+    totals: SimStats,
     /// The buffer the next window's events are recorded into: the spent log
     /// of the window before, cleared, so its capacity carries over.
     log: Vec<(u64, SimEvent)>,
@@ -60,7 +61,7 @@ impl PodLog {
 struct RecordingSink<'a> {
     core_offset: usize,
     events: Vec<(u64, SimEvent)>,
-    totals: &'a mut Tally,
+    totals: &'a mut SimStats,
 }
 
 impl EventSink for RecordingSink<'_> {
@@ -101,7 +102,7 @@ impl EventSink for RecordingSink<'_> {
             self.events.last().is_none_or(|&(at, _)| at <= cycle),
             "a pod's log is replayed front to back, so it must be in cycle order"
         );
-        self.totals.count(&lifted);
+        self.totals.observe(&lifted);
         self.events.push((cycle, lifted));
     }
 }
@@ -213,38 +214,12 @@ impl TrafficModel for PodFeedTraffic {
     }
 }
 
-/// The counts behind the hierarchy-only metrics of one pod or of the
-/// spine. The run's own counters are the engine's; these only say which
-/// part of the hierarchy an event came from.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-struct Tally {
-    generated_packets: u64,
-    dropped_packets: u64,
-    delivered_packets: u64,
-    delivered_flits: u64,
-    delivered_bits: u64,
-}
-
-impl Tally {
-    fn count(&mut self, event: &SimEvent) {
-        match *event {
-            SimEvent::PacketGenerated { .. } => self.generated_packets += 1,
-            SimEvent::PacketDropped { .. } => self.dropped_packets += 1,
-            SimEvent::FlitDelivered { bits, flits, .. } => {
-                self.delivered_flits += u64::from(flits);
-                self.delivered_bits += u64::from(flits) * u64::from(bits);
-            }
-            SimEvent::PacketDelivered { .. } => self.delivered_packets += 1,
-            _ => {}
-        }
-    }
-}
-
 /// Spine-side accounting for the measurement window, driven by replayed
 /// spine events (and therefore reset together with the pods at
 /// `begin_measurement`).
 struct SpineAccount {
-    totals: Tally,
+    /// The spine's own events; only the packet and flit counters are read.
+    totals: SimStats,
     latency_sketch: QuantileSketch,
     /// Delivered packets per (source pod, destination pod), row-major.
     pod_pair_packets: Vec<u64>,
@@ -253,14 +228,14 @@ struct SpineAccount {
 impl SpineAccount {
     fn new(pods: usize) -> Self {
         Self {
-            totals: Tally::default(),
+            totals: SimStats::default(),
             latency_sketch: QuantileSketch::new(),
             pod_pair_packets: vec![0; pods * pods],
         }
     }
 
     fn observe(&mut self, event: &SimEvent, leaf_cores: usize, pods: usize) {
-        self.totals.count(event);
+        self.totals.observe(event);
         if let SimEvent::PacketDelivered { src, dst, latency } = *event {
             self.latency_sketch.record(latency);
             self.pod_pair_packets[src.0 / leaf_cores * pods + dst.0 / leaf_cores] += 1;
@@ -361,7 +336,7 @@ impl HierarchicalSystem {
             shards.push(Mutex::new(PodShard {
                 network,
                 core_offset: pod * leaf_cores,
-                totals: Tally::default(),
+                totals: SimStats::default(),
                 log: Vec::new(),
             }));
             feeds.push(feed);
@@ -507,7 +482,7 @@ impl CycleNetwork for HierarchicalSystem {
         for pod in &self.pods {
             let mut pod = pod.lock().expect("pod shard poisoned");
             pod.network.begin_measurement(cycle);
-            pod.totals = Tally::default();
+            pod.totals = SimStats::default();
         }
         self.account = SpineAccount::new(self.pods.len());
     }
@@ -579,7 +554,8 @@ impl CycleNetwork for HierarchicalSystem {
         let mut bits = BTreeMap::new();
         let mut dropped = BTreeMap::new();
         for (index, pod) in self.pods.iter().enumerate() {
-            let totals = pod.lock().expect("pod shard poisoned").totals;
+            let pod = pod.lock().expect("pod shard poisoned");
+            let totals = &pod.totals;
             let label = pod_label(index);
             for (family, count) in [
                 (&mut generated, totals.generated_packets),
@@ -699,12 +675,12 @@ mod tests {
         };
         for bits in [1, 32, u32::MAX] {
             for flits in [1, 2, 7, 64] {
-                let (mut runs, mut one_by_one) = (Tally::default(), Tally::default());
-                runs.count(&delivered(bits, flits));
-                runs.count(&SimEvent::FlitInjected { src, bits, flits });
+                let (mut runs, mut one_by_one) = (SimStats::default(), SimStats::default());
+                runs.observe(&delivered(bits, flits));
+                runs.observe(&SimEvent::FlitInjected { src, bits, flits });
                 for _ in 0..flits {
-                    one_by_one.count(&delivered(bits, 1));
-                    one_by_one.count(&SimEvent::FlitInjected {
+                    one_by_one.observe(&delivered(bits, 1));
+                    one_by_one.observe(&SimEvent::FlitInjected {
                         src,
                         bits,
                         flits: 1,

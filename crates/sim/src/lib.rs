@@ -17,12 +17,13 @@
 //!   the [`metrics::JsonlSink`],
 //! * [`system`] — the full cluster system (cores, electrical core switches,
 //!   photonic routers, reservation-assisted photonic transfers) parameterised
-//!   by a [`system::PhotonicFabric`] implementation; Firefly and d-HetPNoC
-//!   plug in their own wavelength-allocation behaviour,
+//!   by a [`system::PhotonicFabric`] implementation: the static
+//!   [`system::UniformFabric`] (Firefly, `uniform-fabric`) or d-HetPNoC's
+//!   dynamic allocation,
 //! * [`engine`] — warm-up / measurement driver,
 //! * [`registry`] — the open-ended architecture registry
-//!   ([`registry::ArchitectureBuilder`]) that Firefly, d-HetPNoC and the
-//!   uniform test fabric plug into,
+//!   ([`registry::ArchitectureBuilder`]) that Firefly, d-HetPNoC and
+//!   `uniform-fabric` plug into,
 //! * [`params`] — the typed architecture-parameter system: every builder
 //!   declares a [`params::ParamSchema`] (kind, default, bounds, doc per
 //!   knob), `name{key=value,...}` specs parse into validated parameter
@@ -45,9 +46,9 @@
 //! Deterministic fault injection lives in the `pnoc-faults` crate: a
 //! validated [`pnoc_faults::FaultPlan`] attaches to any scenario (the
 //! `#faults=` shorthand suffix, [`scenario::ScenarioSpec::with_faults`], or
-//! the [`scenario::ScenarioMatrix::fault_plans`] axis) and the engine applies
-//! and repairs each fault at its exact onset cycle through the
-//! [`system::PhotonicFabric`] fault hooks.
+//! the [`scenario::ScenarioMatrix::fault_plans`] axis) and the
+//! [`system::PhotonicSystem`] applies and repairs each fault at its exact
+//! onset cycle on the one [`pnoc_faults::FaultSurface`] it owns.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -93,7 +94,7 @@ pub mod prelude {
     pub use crate::system::{PhotonicFabric, PhotonicSystem};
     pub use crate::workload::{FlowProbe, WorkloadDriver};
     pub use pnoc_faults::{
-        FaultController, FaultError, FaultEvent, FaultKind, FaultPlan, FaultTarget,
+        FaultController, FaultError, FaultEvent, FaultKind, FaultPlan, FaultSurface, FaultTarget,
     };
 }
 

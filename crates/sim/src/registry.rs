@@ -12,8 +12,9 @@
 //! harness, the `repro` binary) resolves architectures by name, so adding an
 //! architecture touches only the crate that defines it.
 //!
-//! The `UniformFabric` test fabric registers
-//! here out of the box under the name `"uniform-fabric"`; the Firefly
+//! The static [`UniformFabric`] registers here out of the box under the
+//! name `"uniform-fabric"` (Firefly's allocation with a wavelength-budget
+//! knob); the Firefly
 //! baseline and d-HetPNoC register from their own crates (see
 //! `pnoc_firefly::register_firefly_architecture` and
 //! `pnoc_dhetpnoc::register_dhetpnoc_architecture`, both invoked by the
@@ -146,14 +147,15 @@ pub trait ArchitectureBuilder: Send + Sync {
     }
 }
 
-/// Builder for the trivially uniform test fabric
-/// ([`UniformFabric`]): every cluster statically owns
-/// `total wavelengths / clusters` wavelengths.
+/// Builder for the static [`UniformFabric`] under its own name: every
+/// cluster statically owns `total wavelengths / clusters` wavelengths (at
+/// least 1) — Firefly's allocation, whose paper point has 16 clusters and
+/// radix 16, with the wavelength budget as the knob.
 ///
 /// Declares one parameter, `wavelengths`: the total data-wavelength budget
 /// split evenly over the clusters, with `0` (the default) meaning "use the
-/// bandwidth set's budget". Mostly useful for exercising the parameter
-/// machinery without pulling in the architecture crates.
+/// bandwidth set's budget". Needs none of the architecture crates, so
+/// `pnoc-sim`'s own tests run on it.
 #[derive(Debug, Clone, Copy, Default)]
 pub(crate) struct UniformFabricArchitecture;
 
@@ -191,11 +193,8 @@ impl ArchitectureBuilder for UniformFabricArchitecture {
             0 => config.bandwidth_set.total_wavelengths(),
             n => n as usize,
         };
-        let fabric = UniformFabric::new(
-            "uniform-fabric",
-            wavelengths,
-            config.topology.num_clusters(),
-        );
+        let per_channel = (wavelengths / config.topology.num_clusters()).max(1);
+        let fabric = UniformFabric::new("uniform-fabric", per_channel, 1);
         Box::new(PhotonicSystem::new(config, fabric, traffic))
     }
 }

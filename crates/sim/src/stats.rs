@@ -72,6 +72,7 @@ impl SimStats {
 
     /// Counts one event: the single map from [`SimEvent`]s to counters. A
     /// flit run counts as its `flits` flits. Fault transitions count nothing.
+    #[inline]
     pub fn observe(&mut self, event: &SimEvent) {
         match *event {
             SimEvent::PacketGenerated { .. } => self.generated_packets += 1,

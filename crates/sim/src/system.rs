@@ -11,8 +11,14 @@
 //!   packets over the photonic crossbar after broadcasting a reservation, and
 //!   buffers incoming flits per destination switch (ejection),
 //! * a [`PhotonicFabric`] implementation decides how many wavelengths each
-//!   transmission may use — this is the only place where Firefly and
-//!   d-HetPNoC differ.
+//!   cluster's channel holds and each transmission may use, and how long
+//!   its reservation takes — this is the only place where Firefly and
+//!   d-HetPNoC differ. Both static architectures (Firefly and
+//!   `uniform-fabric`) are the one [`UniformFabric`],
+//! * the system owns the fault state: it applies each scheduled transition
+//!   to its [`FaultSurface`], refuses new transfers over a failed link, pins
+//!   transfers touching a stuck ring to one wavelength, and tells the fabric
+//!   that the surface changed.
 //!
 //! The simulation is flit-level and cycle-accurate: electrical routers follow
 //! the three-stage pipeline of `pnoc-noc`, photonic transfers accumulate
@@ -23,6 +29,7 @@
 use crate::config::SimConfig;
 use crate::engine::CycleNetwork;
 use crate::metrics::{EventSink, SimEvent};
+use pnoc_faults::{FaultAction, FaultController, FaultEvent, FaultSurface};
 use pnoc_noc::arbiter::RoundRobinArbiter;
 use pnoc_noc::flit::Flit;
 use pnoc_noc::ids::{ClusterId, CoreId, PacketId, PacketIdAllocator, PortId, RouterId, VcId};
@@ -39,9 +46,15 @@ use std::collections::VecDeque;
 ///
 /// The generic [`PhotonicSystem`] asks the fabric, every time a cluster wants
 /// to start an inter-cluster packet transfer, how many wavelengths that
-/// transfer may use and how long the reservation broadcast takes. The Firefly
-/// baseline answers with its fixed per-channel width; d-HetPNoC answers from
-/// its dynamically allocated wavelength pool and per-destination demand.
+/// transfer may use and how long the reservation broadcast takes. The static
+/// [`UniformFabric`] (Firefly, `uniform-fabric`) answers with its fixed
+/// per-channel width; d-HetPNoC answers from its dynamically allocated
+/// wavelength pool and per-destination demand.
+///
+/// Fault state is not the fabric's: the system keeps the one
+/// [`FaultSurface`], refuses transfers over a failed link and pins transfers
+/// touching a stuck ring to one wavelength itself, and hands the fabric the
+/// surface only where the derating depends on how it allocates.
 pub trait PhotonicFabric {
     /// Architecture name used in reports ("firefly", "d-hetpnoc", ...).
     fn architecture_name(&self) -> &str;
@@ -66,99 +79,85 @@ pub trait PhotonicFabric {
     fn pool_size(&self, src: ClusterId) -> usize;
 
     /// Number of wavelengths a single transmission from `src` to `dst` uses
-    /// (before being limited by the currently free part of the pool).
-    fn wavelengths_for(&self, src: ClusterId, dst: ClusterId) -> usize;
+    /// under the class and laser derating of `faults` (before being limited
+    /// by the currently free part of the pool). Not asked for a transfer
+    /// that a stuck ring pins to one wavelength.
+    fn wavelengths_for(&self, src: ClusterId, dst: ClusterId, faults: &FaultSurface) -> usize;
 
     /// Cycles taken by the reservation broadcast for a `src` → `dst` packet
     /// (1 for Firefly; 1–2 for d-HetPNoC depending on how many wavelength
     /// identifiers must be piggybacked, Section 3.4.1.1).
     fn reservation_cycles(&self, src: ClusterId, dst: ClusterId) -> u64;
 
-    /// Total data wavelengths in the fabric.
-    fn total_data_wavelengths(&self) -> usize;
-
-    /// Current per-cluster wavelength allocation (diagnostic).
-    fn allocation_snapshot(&self) -> Vec<usize> {
-        Vec::new()
-    }
-
-    /// Applies a fault to the fabric's data plane. The default ignores the
-    /// event, so fabrics only model the degradations they understand; the
-    /// system-level effects every fabric shares (a failed link refusing new
-    /// transmissions) are handled by [`PhotonicSystem`] via
-    /// [`PhotonicFabric::link_up`].
-    fn apply_fault(&mut self, event: &pnoc_faults::FaultEvent) {
-        let _ = event;
-    }
-
-    /// Reverses a previously applied fault (called at the event's repair
-    /// cycle). Must restore exactly the state `apply_fault` disturbed.
-    fn clear_fault(&mut self, event: &pnoc_faults::FaultEvent) {
-        let _ = event;
-    }
-
-    /// Whether the photonic link of `cluster` is currently operational. A
-    /// down link stops *new* transmissions from starting at or terminating on
-    /// the cluster; in-flight transfers complete (photons already committed
-    /// to the waveguide are not retracted).
-    fn link_up(&self, cluster: ClusterId) -> bool {
-        let _ = cluster;
-        true
+    /// Called after the system applied or repaired `event` on `faults`, so a
+    /// fabric whose control plane depends on the derating can react. The
+    /// default ignores it: a fabric that reads `faults` only in
+    /// [`PhotonicFabric::wavelengths_for`] has nothing to update.
+    fn faults_changed(&mut self, event: &FaultEvent, faults: &FaultSurface) {
+        let _ = (event, faults);
     }
 }
 
-/// A trivially uniform fabric: every cluster always owns `wavelengths_per_channel`
-/// wavelengths and every transmission uses all of them. Used for tests and as
-/// the simplest possible baseline.
+/// Static wavelength allocation: every cluster's write channel always owns
+/// `wavelengths_per_channel` wavelengths and every transmission drives all
+/// of them — "all the modulators and demodulators are on for any
+/// communication ... irrespective of the required data rate" (Sections 2.2.1
+/// and 3.3.1). Being class-blind, it cannot steer transfers away from damaged
+/// wavelengths, so a degraded class or a dimmed laser derates the whole
+/// channel by the worst divisor.
+///
+/// Firefly builds it with `total wavelengths / radix` per channel, the
+/// `uniform-fabric` architecture with a wavelength budget split over the
+/// clusters.
 #[derive(Debug, Clone)]
-pub(crate) struct UniformFabric {
-    /// Name reported in statistics.
-    pub name: String,
-    /// Wavelengths per cluster write channel.
-    pub wavelengths_per_channel: usize,
-    /// Total data wavelengths.
-    pub total_wavelengths: usize,
-    /// Reservation latency in cycles.
-    pub reservation_cycles: u64,
+pub struct UniformFabric {
+    name: &'static str,
+    wavelengths_per_channel: usize,
+    reservation_cycles: u64,
 }
 
 impl UniformFabric {
-    /// Creates a uniform fabric with `total` wavelengths split evenly over
-    /// `clusters` clusters.
+    /// A fabric reported as `name`, with `wavelengths_per_channel`
+    /// wavelengths (never zero) per write channel and a
+    /// `reservation_cycles`-cycle reservation broadcast.
     #[must_use]
-    pub fn new(name: &str, total: usize, clusters: usize) -> Self {
+    pub fn new(
+        name: &'static str,
+        wavelengths_per_channel: usize,
+        reservation_cycles: u64,
+    ) -> Self {
         Self {
-            name: name.to_string(),
-            wavelengths_per_channel: (total / clusters).max(1),
-            total_wavelengths: total,
-            reservation_cycles: 1,
+            name,
+            wavelengths_per_channel,
+            reservation_cycles,
         }
     }
 }
 
 impl PhotonicFabric for UniformFabric {
     fn architecture_name(&self) -> &str {
-        &self.name
+        self.name
     }
 
+    #[inline]
     fn pre_cycle(&mut self, _cycle: u64) {}
 
+    #[inline]
     fn skip_cycles(&mut self, _from: u64, _to: u64) {}
 
+    #[inline]
     fn pool_size(&self, _src: ClusterId) -> usize {
         self.wavelengths_per_channel
     }
 
-    fn wavelengths_for(&self, _src: ClusterId, _dst: ClusterId) -> usize {
-        self.wavelengths_per_channel
+    #[inline]
+    fn wavelengths_for(&self, _src: ClusterId, _dst: ClusterId, faults: &FaultSurface) -> usize {
+        (self.wavelengths_per_channel / faults.max_divisor() as usize).max(1)
     }
 
+    #[inline]
     fn reservation_cycles(&self, _src: ClusterId, _dst: ClusterId) -> u64 {
         self.reservation_cycles
-    }
-
-    fn total_data_wavelengths(&self) -> usize {
-        self.total_wavelengths
     }
 }
 
@@ -385,7 +384,10 @@ pub struct PhotonicSystem<F: PhotonicFabric, T: TrafficModel> {
     /// Reusable finished-transmission index list.
     scratch_finished: Vec<usize>,
     /// Deterministic fault schedule, when one was installed.
-    faults: Option<pnoc_faults::FaultController>,
+    faults: Option<FaultController>,
+    /// The data-plane fault state the schedule's transitions have built up
+    /// (healthy until the first one lands).
+    fault_surface: FaultSurface,
 }
 
 impl<F: PhotonicFabric, T: TrafficModel> PhotonicSystem<F, T> {
@@ -448,6 +450,7 @@ impl<F: PhotonicFabric, T: TrafficModel> PhotonicSystem<F, T> {
             busy_cores: 0,
             scratch_finished: Vec::new(),
             faults: None,
+            fault_surface: FaultSurface::new(num_clusters),
         }
     }
 
@@ -904,7 +907,7 @@ impl<F: PhotonicFabric, T: TrafficModel> PhotonicSystem<F, T> {
             // A failed source link refuses new transmissions outright;
             // buffered flits wait for the repair. In-flight transfers keep
             // advancing — photons already on the waveguide are not retracted.
-            if !self.fabric.link_up(src_cluster) {
+            if !self.fault_surface.link_up(cluster_idx) {
                 continue;
             }
             // Reservations are broadcast on the reservation channel, so a new
@@ -937,7 +940,7 @@ impl<F: PhotonicFabric, T: TrafficModel> PhotonicSystem<F, T> {
             };
             self.photonic[dst_cluster.0].ejection_reserved[dst_local] |= 1 << dst_vc.0;
             self.total_active += 1;
-            let demand = self.fabric.wavelengths_for(src_cluster, dst_cluster).max(1);
+            let demand = self.transfer_wavelengths(src_cluster, dst_cluster).max(1);
             let reservation = self.fabric.reservation_cycles(src_cluster, dst_cluster);
             let router = &mut self.photonic[cluster_idx];
             router.active_sources[port] |= 1 << vc.0;
@@ -983,7 +986,7 @@ impl<F: PhotonicFabric, T: TrafficModel> PhotonicSystem<F, T> {
                     "intra-cluster packets must not reach the photonic router"
                 );
                 // A failed destination link cannot accept new reservations.
-                if !self.fabric.link_up(dst_cluster) {
+                if !self.fault_surface.link_up(dst_cluster.0) {
                     return None;
                 }
                 let dst_local = topology.local_index(flit.dst);
@@ -1003,7 +1006,7 @@ impl<F: PhotonicFabric, T: TrafficModel> PhotonicSystem<F, T> {
         let sleep = router.start_sleep.as_mut().expect("cluster sleeps");
         let slept_on = sleep.requests;
         sleep.stepped.grant_mask(slept_on);
-        let live = !self.fabric.link_up(ClusterId(cluster_idx))
+        let live = !self.fault_surface.link_up(cluster_idx)
             || requests != slept_on
             || set_bits(requests).any(|port| self.find_start(cluster_idx, port).is_some());
         debug_assert!(
@@ -1074,10 +1077,23 @@ impl<F: PhotonicFabric, T: TrafficModel> PhotonicSystem<F, T> {
         }
     }
 
+    /// Wavelengths a new `src` → `dst` transmission demands: one when a
+    /// stuck ring at either endpoint pins it, else the fabric's answer under
+    /// the current fault surface.
+    #[inline]
+    fn transfer_wavelengths(&self, src: ClusterId, dst: ClusterId) -> usize {
+        let faults = &self.fault_surface;
+        if faults.ring_stuck(src.0) || faults.ring_stuck(dst.0) {
+            return 1;
+        }
+        self.fabric.wavelengths_for(src, dst, faults)
+    }
+
     /// Applies every fault transition due at `cycle` — repairs before applies,
-    /// plan order within each group — mutating the fabric and reporting each
-    /// transition to the probes. Runs before `pre_cycle`, so the fabric's
-    /// control plane already sees the post-transition data plane.
+    /// plan order within each group — to the fault surface, notifying the
+    /// fabric and reporting each transition to the probes. Runs before
+    /// `pre_cycle`, so the fabric's control plane already sees the
+    /// post-transition data plane.
     fn apply_fault_transitions(&mut self, cycle: u64, sink: &mut dyn EventSink) {
         while let Some((action, index)) = self.faults.as_mut().and_then(|c| c.pop_due(cycle)) {
             // A link going down or up changes what every start phase reads.
@@ -1087,26 +1103,19 @@ impl<F: PhotonicFabric, T: TrafficModel> PhotonicSystem<F, T> {
                 .as_ref()
                 .expect("pop_due implies a controller")
                 .event(index);
-            match action {
-                pnoc_faults::FaultAction::Apply => {
-                    self.fabric.apply_fault(&event);
-                    sink.emit(
-                        cycle,
-                        SimEvent::FaultApplied {
-                            fault: index as u32,
-                        },
-                    );
+            let fault = index as u32;
+            let transition = match action {
+                FaultAction::Apply => {
+                    self.fault_surface.apply(&event);
+                    SimEvent::FaultApplied { fault }
                 }
-                pnoc_faults::FaultAction::Repair => {
-                    self.fabric.clear_fault(&event);
-                    sink.emit(
-                        cycle,
-                        SimEvent::FaultRepaired {
-                            fault: index as u32,
-                        },
-                    );
+                FaultAction::Repair => {
+                    self.fault_surface.clear(&event);
+                    SimEvent::FaultRepaired { fault }
                 }
-            }
+            };
+            self.fabric.faults_changed(&event, &self.fault_surface);
+            sink.emit(cycle, transition);
         }
     }
 
@@ -1190,7 +1199,7 @@ impl<F: PhotonicFabric + Send, T: TrafficModel + Send> CycleNetwork for Photonic
         self.fabric.architecture_name()
     }
 
-    fn install_fault_schedule(&mut self, controller: pnoc_faults::FaultController) -> bool {
+    fn install_fault_schedule(&mut self, controller: FaultController) -> bool {
         self.faults = Some(controller);
         true
     }
@@ -1291,7 +1300,7 @@ mod tests {
         // Offset 1 stays within the cluster for 3 of 4 cores; offset 2 also
         // mixes. Use offset 1: cores 0->1, 1->2, 2->3 intra; 3->4 inter.
         let config = small_config(BandwidthSet::Set1);
-        let fabric = UniformFabric::new("uniform-test", 64, 16);
+        let fabric = UniformFabric::new("uniform-test", 4, 1);
         let traffic = FixedOffsetTraffic::new(400, 1, BandwidthSet::Set1);
         let mut system = PhotonicSystem::new(config, fabric, traffic);
         let stats = run_to_completion(&mut system);
@@ -1306,7 +1315,7 @@ mod tests {
     #[test]
     fn inter_cluster_packets_cross_the_photonic_fabric() {
         let config = small_config(BandwidthSet::Set1);
-        let fabric = UniformFabric::new("uniform-test", 64, 16);
+        let fabric = UniformFabric::new("uniform-test", 4, 1);
         // Offset 4 = always the next cluster, never intra-cluster.
         let traffic = FixedOffsetTraffic::new(400, 4, BandwidthSet::Set1);
         let mut system = PhotonicSystem::new(config, fabric, traffic);
@@ -1324,7 +1333,7 @@ mod tests {
     #[test]
     fn packets_are_conserved_when_below_saturation() {
         let config = small_config(BandwidthSet::Set1);
-        let fabric = UniformFabric::new("uniform-test", 64, 16);
+        let fabric = UniformFabric::new("uniform-test", 4, 1);
         let traffic = FixedOffsetTraffic::new(500, 8, BandwidthSet::Set1);
         let mut system = PhotonicSystem::new(config, fabric, traffic);
         let stats = run_to_completion(&mut system);
@@ -1340,7 +1349,7 @@ mod tests {
         // not the 8-wavelength one.
         let run = |per_cluster: usize| {
             let config = small_config(BandwidthSet::Set1);
-            let fabric = UniformFabric::new("uniform-test", per_cluster * 16, 16);
+            let fabric = UniformFabric::new("uniform-test", per_cluster, 1);
             let traffic = FixedOffsetTraffic::new(120, 16, BandwidthSet::Set1);
             let mut system = PhotonicSystem::new(config, fabric, traffic);
             run_to_completion(&mut system).accepted_bandwidth_gbps()
@@ -1356,7 +1365,7 @@ mod tests {
     #[test]
     fn energy_breakdown_components_are_all_positive_under_load() {
         let config = small_config(BandwidthSet::Set2);
-        let fabric = UniformFabric::new("uniform-test", 256, 16);
+        let fabric = UniformFabric::new("uniform-test", 16, 1);
         let traffic = FixedOffsetTraffic::new(200, 20, BandwidthSet::Set2);
         let mut system = PhotonicSystem::new(config, fabric, traffic);
         let stats = run_to_completion(&mut system);
@@ -1374,7 +1383,7 @@ mod tests {
         use crate::engine::run_to_completion_with;
         use crate::metrics::{MetricValue, MetricsProbe, Probe};
         let config = small_config(BandwidthSet::Set1);
-        let fabric = UniformFabric::new("uniform-test", 64, 16);
+        let fabric = UniformFabric::new("uniform-test", 4, 1);
         let traffic = FixedOffsetTraffic::new(150, 4, BandwidthSet::Set1);
         let mut system = PhotonicSystem::new(config, fabric, traffic);
         let mut probe = MetricsProbe::for_config(&config);
@@ -1434,7 +1443,7 @@ mod tests {
         // including energy and measured cycles.
         let run = |lookahead: bool| {
             let config = small_config(BandwidthSet::Set1);
-            let fabric = UniformFabric::new("uniform-test", 64, 16);
+            let fabric = UniformFabric::new("uniform-test", 4, 1);
             // Offset 1: mostly intra-cluster plus one inter-cluster packet
             // per cluster, so each burst drains well within the period and
             // the lookahead run actually fast-forwards the idle tails.
@@ -1452,7 +1461,7 @@ mod tests {
     #[test]
     fn next_event_cycle_reports_quiescence_only_when_drained() {
         let config = small_config(BandwidthSet::Set1);
-        let fabric = UniformFabric::new("uniform-test", 64, 16);
+        let fabric = UniformFabric::new("uniform-test", 4, 1);
         let mut traffic = FixedOffsetTraffic::new(400, 1, BandwidthSet::Set1);
         traffic.lookahead = true;
         let mut system = PhotonicSystem::new(config, fabric, traffic);
@@ -1480,11 +1489,52 @@ mod tests {
     }
 
     #[test]
+    fn the_system_applies_faults_for_every_fabric_and_repairs_restore_them() {
+        let config = small_config(BandwidthSet::Set2);
+        let fabric = UniformFabric::new("uniform-test", 16, 1);
+        // Offset 4: every packet crosses to the next cluster.
+        let traffic = FixedOffsetTraffic::new(1000, 4, BandwidthSet::Set2);
+        let mut system = PhotonicSystem::new(config, fabric, traffic);
+        let plan = pnoc_faults::FaultPlan::parse(
+            "wavelength-degrade@c1-300:class-high/2,ring-stuck@c1-300:sw3,link-fail@c1-300:sw7",
+        )
+        .unwrap();
+        assert!(system.install_fault_schedule(FaultController::new(&plan)));
+        let (a, b) = (ClusterId(0), ClusterId(5));
+        assert_eq!(system.transfer_wavelengths(a, b), 16);
+        let faulted = run_cycles(&mut system, 0, 300);
+        assert_eq!(system.fault_counts(), (3, 3));
+        // The class-blind static fabric derates its whole channel by the
+        // worst class; a stuck ring at either endpoint pins to one.
+        assert_eq!(system.transfer_wavelengths(a, b), 8);
+        assert_eq!(system.transfer_wavelengths(ClusterId(3), b), 1);
+        assert_eq!(system.transfer_wavelengths(a, ClusterId(3)), 1);
+        // The failed link started nothing, from or towards cluster 7, while
+        // its flits wait in the photonic input buffers.
+        assert!(faulted.delivered_packets > 0);
+        assert!(system.photonic[7].active.is_empty());
+        assert!(system.photonic[6]
+            .active
+            .iter()
+            .all(|t| t.dst_cluster != ClusterId(7)));
+        assert!(system.cluster_in_occ[7] > 0 && system.cluster_in_occ[6] > 0);
+        let repaired = run_cycles(&mut system, 300, 700);
+        assert_eq!(system.fault_counts(), (3, 0));
+        assert_eq!(system.fault_surface, FaultSurface::new(16));
+        assert_eq!(system.transfer_wavelengths(a, b), 16);
+        assert_eq!(
+            faulted.delivered_packets + repaired.delivered_packets,
+            64,
+            "after the repair the held packets drain"
+        );
+    }
+
+    #[test]
     #[should_panic(expected = "VC depth")]
     fn shallow_vc_depth_is_rejected() {
         let mut config = small_config(BandwidthSet::Set1);
         config.vc_depth = 8; // packet is 64 flits
-        let fabric = UniformFabric::new("uniform-test", 64, 16);
+        let fabric = UniformFabric::new("uniform-test", 4, 1);
         let traffic = FixedOffsetTraffic::new(100, 4, BandwidthSet::Set1);
         let _ = PhotonicSystem::new(config, fabric, traffic);
     }

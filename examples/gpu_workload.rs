@@ -8,7 +8,6 @@
 //! ```
 
 use d_hetpnoc_repro::prelude::*;
-use d_hetpnoc_repro::sim::system::PhotonicFabric;
 
 fn main() {
     // Part 1: Figure 1-1 — why heterogeneous bandwidth matters.
@@ -77,7 +76,7 @@ fn main() {
 
     println!(
         "d-HetPNoC wavelength pools (clusters 0-11 are GPUs, 12-15 memory): {:?}\n",
-        dhet.fabric().allocation_snapshot()
+        dhet.fabric().controller().allocation_snapshot()
     );
 
     let mut result = Table::new(

@@ -101,8 +101,9 @@ pub use pnoc_workload as workload;
 
 /// Registers every architecture of this workspace into the process-global
 /// architecture registry: `"firefly"`, `"d-hetpnoc"`, the hierarchical
-/// composition `"hier"`, and (built into `pnoc-sim` itself) the
-/// `"uniform-fabric"` test fabric.
+/// composition `"hier"`, and (built into `pnoc-sim` itself)
+/// `"uniform-fabric"`, Firefly's static allocation with a wavelength-budget
+/// knob.
 ///
 /// Idempotent and cheap; call it before resolving architectures by name.
 /// Crates defining additional architectures register themselves with

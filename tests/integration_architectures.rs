@@ -57,7 +57,7 @@ fn dhetpnoc_allocation_matches_firefly_under_uniform_demand() {
     let traffic =
         UniformRandomTraffic::new(ClusterTopology::paper_default(), shape(&config), load, 1);
     let system = build_dhetpnoc_system(config, traffic);
-    let allocation = system.fabric().allocation_snapshot();
+    let allocation = system.fabric().controller().allocation_snapshot();
     assert_eq!(
         allocation,
         vec![4; 16],
@@ -111,7 +111,7 @@ fn dba_invariants_hold_after_a_full_simulation() {
         .check_invariants()
         .expect("DBA invariants must hold after simulation");
     // Pools stay within [1, 8] for bandwidth set 1 and never exceed the budget.
-    let allocation = system.fabric().allocation_snapshot();
+    let allocation = system.fabric().controller().allocation_snapshot();
     assert!(allocation.iter().all(|&p| (1..=8).contains(&p)));
     assert!(allocation.iter().sum::<usize>() <= 64);
 }
@@ -233,7 +233,7 @@ fn hotspot_and_real_application_traffic_run_end_to_end() {
     );
     // Memory clusters (12-15) should hold at least as much bandwidth on
     // average as the compute clusters running mostly low-bandwidth kernels.
-    let allocation = system.fabric().allocation_snapshot();
+    let allocation = system.fabric().controller().allocation_snapshot();
     let memory_avg: f64 = allocation[12..16].iter().sum::<usize>() as f64 / 4.0;
     let lps_avg: f64 = allocation[8..12].iter().sum::<usize>() as f64 / 4.0;
     assert!(
@@ -254,6 +254,7 @@ fn demand_matrix_round_trips_through_the_fabric() {
     );
     let matrix = DemandMatrix::from_model(&traffic, 16);
     let fabric = DhetFabric::new(&config, matrix.clone());
+    let healthy = FaultSurface::new(16);
     for s in 0..16 {
         for d in 0..16 {
             if s == d {
@@ -261,7 +262,7 @@ fn demand_matrix_round_trips_through_the_fabric() {
             }
             let (src, dst) = (ClusterId(s), ClusterId(d));
             assert_eq!(fabric.demand().class(src, dst), matrix.class(src, dst));
-            let w = fabric.wavelengths_for(src, dst);
+            let w = fabric.wavelengths_for(src, dst, &healthy);
             assert!(w >= 1 && w <= DhetFabric::default_max_channel_wavelengths(&config));
         }
     }

@@ -78,7 +78,7 @@ proptest! {
     }
 }
 
-/// A parameter-swept matrix — two values of the uniform test fabric's
+/// A parameter-swept matrix — two values of `uniform-fabric`'s
 /// `wavelengths` knob crossed with two traffic patterns — produces
 /// bitwise-identical results run after run, and the parallel batch equals
 /// the per-scenario sequential reference.
