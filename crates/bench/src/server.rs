@@ -377,19 +377,27 @@ fn handle_connection(
 }
 
 /// The deterministic entity tag of a scenario batch: the [`content_hash`]
-/// of every resolved scenario's canonical id plus the engine fingerprint —
-/// exactly the material every point cache key is derived from, so the tag
-/// changes iff the response's metric rows could. Quoted per HTTP syntax.
-/// Resolution failures (unknown names, bad parameters) are reported the
-/// same way running the batch would report them.
+/// of every spec's id as written (the rows echo it as their `scenario`
+/// label) and every point key of its resolved scenario
+/// ([`Scenario::point_keys`]: canonical id, derived seed, load and engine
+/// fingerprint) — exactly the inputs the metric rows are a pure function
+/// of, so the tag changes iff the response's rows could. Quoted per HTTP
+/// syntax. Resolution failures (unknown names, bad parameters) are
+/// reported the same way running the batch would report them.
 ///
 /// [`content_hash`]: pnoc_store::content_hash
+/// [`Scenario::point_keys`]: pnoc_sim::scenario::Scenario::point_keys
 fn batch_etag(specs: &[ScenarioSpec]) -> Result<String, String> {
-    let mut material = engine_fingerprint();
+    let fingerprint = engine_fingerprint();
+    let mut material = String::new();
     for spec in specs {
         let scenario = spec.resolve().map_err(|error| error.to_string())?;
+        material.push_str(&spec.id());
+        for key in scenario.point_keys(&fingerprint) {
+            material.push('\n');
+            material.push_str(&key);
+        }
         material.push('\n');
-        material.push_str(&scenario.canonical_id());
     }
     Ok(format!("\"{}\"", pnoc_store::content_hash(&material)))
 }

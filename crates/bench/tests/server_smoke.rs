@@ -114,22 +114,24 @@ fn etag_of(head: &str) -> Option<String> {
 
 /// `POST /run` carries a deterministic `ETag`; replaying the document with
 /// `If-None-Match` gets `304 Not Modified` with an empty body and without
-/// the engine running at all, while a stale tag runs normally.
+/// the engine running at all, while a stale tag runs normally — and so does
+/// a document whose rows differ only by seed or by the scenario label it
+/// echoes.
 #[test]
 fn run_responses_revalidate_via_etag() {
     let dir = std::env::temp_dir().join(format!("pnoc-server-etag-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let document = render_scenarios(&specs());
-    let (address, handle) = start_server(ResultStore::open(&dir).expect("store opens"), 3);
+    let (address, handle) = start_server(ResultStore::open(&dir).expect("store opens"), 5);
 
-    let (head, body) = request_with_header(&address, "POST", "/run", "", &document);
+    let (head, first_body) = request_with_header(&address, "POST", "/run", "", &document);
     assert!(head.starts_with("HTTP/1.1 200 OK"), "{head}");
     let etag = etag_of(&head).expect("200 /run response carries an ETag");
     assert!(
         etag.starts_with('"') && etag.ends_with('"'),
         "ETag must be quoted, got {etag}"
     );
-    assert!(!body.is_empty());
+    assert!(!first_body.is_empty());
 
     // Same document + matching tag: 304, empty body, same tag echoed.
     let revalidate = format!("If-None-Match: {etag}\r\n");
@@ -144,10 +146,38 @@ fn run_responses_revalidate_via_etag() {
     assert!(head.starts_with("HTTP/1.1 200 OK"), "{head}");
     assert!(!body.is_empty());
 
+    // Another seed (other rows) and an alias spelling (the same simulation,
+    // rows labelled as written) are other entities: the first tag must not
+    // revalidate either.
+    let reseeded = vec![ScenarioSpec::new("uniform-fabric", "uniform-random")
+        .with_effort(Effort::Smoke)
+        .with_seed(7)];
+    let aliased = vec![ScenarioSpec::new("uniform-fabric", "uniform").with_effort(Effort::Smoke)];
+    let mut tags = vec![etag.clone()];
+    for other in [reseeded, aliased] {
+        let (head, body) = request_with_header(
+            &address,
+            "POST",
+            "/run",
+            &revalidate,
+            &render_scenarios(&other),
+        );
+        assert!(
+            head.starts_with("HTTP/1.1 200 OK"),
+            "{}: {head}",
+            other[0].id()
+        );
+        assert!(!body.is_empty());
+        assert_ne!(body, first_body, "{}: rows must differ", other[0].id());
+        let tag = etag_of(&head).expect("200 /run response carries an ETag");
+        assert!(!tags.contains(&tag), "{}: tag {tag} reused", other[0].id());
+        tags.push(tag);
+    }
+
     let report = handle.join().expect("server thread joins");
-    assert_eq!(report.requests, 3);
+    assert_eq!(report.requests, 5);
     assert_eq!(
-        report.runs, 2,
+        report.runs, 4,
         "the revalidated request must not reach the engine"
     );
     let _ = std::fs::remove_dir_all(&dir);

@@ -95,35 +95,13 @@ impl DhetFabric {
             config.wavelength_rate_gbps,
             config.clock,
         );
-        let mut controller = DbaController::new(
+        let controller = DbaController::new(
             num_clusters,
             dynamic,
             reserved_per_cluster,
             max_channel_wavelengths,
             hop,
         );
-        // Install the request tables (element-wise max over the cores of a
-        // cluster; in this traffic model every core of a cluster shares the
-        // cluster's application mix, so one demand table per cluster suffices).
-        for src in 0..num_clusters {
-            let mut table = DemandTable::new(num_clusters);
-            for dst in 0..num_clusters {
-                if src == dst {
-                    continue;
-                }
-                let class = demand.class(ClusterId(src), ClusterId(dst));
-                table.set(ClusterId(dst), set.class_wavelengths(class));
-            }
-            let mut request = RequestTable::new(num_clusters);
-            request.rebuild(std::slice::from_ref(&table));
-            controller.set_request_table(ClusterId(src), request);
-        }
-        let targets = Self::compute_targets(config, &demand, policy, max_channel_wavelengths);
-        controller.set_targets(&targets);
-        // The initial task mapping is known before the simulation starts, so
-        // the allocation is converged up front (the token keeps circulating
-        // during the run to model the protocol's steady-state behaviour).
-        controller.converge(4 * num_clusters);
         let reservation = ReservationTiming::with_max_identifiers(
             set,
             config.wavelengths_per_waveguide,
@@ -131,24 +109,33 @@ impl DhetFabric {
             config.clock,
             max_channel_wavelengths,
         );
-        Self {
+        let mut fabric = Self {
             config: *config,
             demand,
             controller,
             reservation,
             policy,
             max_channel_wavelengths,
-        }
+        };
+        // The initial task mapping is known before the simulation starts, so
+        // the allocation is converged up front (the token keeps circulating
+        // during the run to model the protocol's steady-state behaviour). A
+        // healthy surface derates nothing.
+        fabric.allocate(&FaultSurface::new(num_clusters));
+        fabric
     }
 
-    /// Re-derives the controller's request tables and targets from the
-    /// current demand matrix *and* the system's fault surface `faults`, then
-    /// re-converges the allocation. Degraded wavelength classes shrink what
-    /// each cluster requests for affected flows; laser dimming derates every
-    /// pool target globally. Called on every degradation transition (apply
-    /// and repair), so a repaired fabric converges back to exactly the
-    /// healthy requests.
-    fn reconverge_with_faults(&mut self, faults: &FaultSurface) {
+    /// Writes the controller's request tables and targets from the demand
+    /// matrix, derated by the fault surface `faults`, then converges the
+    /// allocation. The request tables take the element-wise max over the
+    /// cores of a cluster; in this traffic model every core of a cluster
+    /// shares the cluster's application mix, so one demand table per cluster
+    /// suffices. Degraded wavelength classes shrink what each cluster
+    /// requests for affected flows; laser dimming derates every pool target
+    /// globally. Construction calls it with a healthy surface and every
+    /// degradation transition (apply and repair) calls it again, so a
+    /// repaired fabric converges back to exactly the healthy requests.
+    fn allocate(&mut self, faults: &FaultSurface) {
         let set = self.config.bandwidth_set;
         let num_clusters = self.config.topology.num_clusters();
         for src in 0..num_clusters {
@@ -301,7 +288,7 @@ impl PhotonicFabric for DhetFabric {
             event.kind,
             FaultKind::WavelengthDegrade | FaultKind::LaserDim
         ) {
-            self.reconverge_with_faults(faults);
+            self.allocate(faults);
         }
     }
 }
@@ -562,7 +549,7 @@ mod tests {
         // A task-mapping change installs a new demand matrix and re-runs
         // target computation and allocation convergence.
         fabric.demand = uniform_demand(BandwidthSet::Set1);
-        fabric.reconverge_with_faults(&FaultSurface::new(16));
+        fabric.allocate(&FaultSurface::new(16));
         let after = fabric.controller().allocation_snapshot();
         assert_ne!(before, after, "remapping must change a skewed allocation");
         assert!(after.iter().all(|&p| p == 4));

@@ -110,19 +110,54 @@ impl EventSink for RecordingSink<'_> {
 /// The traffic model a pod sees: an exact replay of the global generator's
 /// decisions for this pod's cores, served from the feed the hierarchy fills
 /// during the generate phase. Demand-table queries (`demand_class`,
-/// `volume_share`, `source_intensity`) delegate to the global model with the
-/// pod's cluster offset applied, so a leaf that samples its demand matrix
-/// sees exactly its block of the global pattern.
+/// `source_intensity`) answer from a snapshot of the pod's block of the
+/// global model, taken when the pod is built — the only time a leaf reads
+/// its demand — so a leaf that samples its demand matrix sees exactly its
+/// block of the global pattern.
 struct PodFeedTraffic {
     feed: Arc<Mutex<Feed>>,
-    global: Arc<Mutex<Box<dyn TrafficModel + Send>>>,
     pod: usize,
-    cluster_offset: usize,
+    /// The pod's block of the global `demand_class`, row-major over its
+    /// clusters.
+    classes: Vec<BandwidthClass>,
+    /// The pod's clusters' global `source_intensity`.
+    intensity: Vec<f64>,
     load: OfferedLoad,
     name: String,
 }
 
 impl PodFeedTraffic {
+    /// A pod's proxy over `feed`, snapshotting the demand of the
+    /// `clusters` clusters from `first_cluster` on in `global`.
+    fn new(
+        feed: Arc<Mutex<Feed>>,
+        pod: usize,
+        global: &dyn TrafficModel,
+        first_cluster: usize,
+        clusters: usize,
+    ) -> Self {
+        let block = first_cluster..first_cluster + clusters;
+        let classes = block
+            .clone()
+            .flat_map(|src| {
+                block
+                    .clone()
+                    .map(move |dst| global.demand_class(ClusterId(src), ClusterId(dst)))
+            })
+            .collect();
+        let intensity = block
+            .map(|src| global.source_intensity(ClusterId(src)))
+            .collect();
+        Self {
+            feed,
+            pod,
+            classes,
+            intensity,
+            load: global.offered_load(),
+            name: global.name(),
+        }
+    }
+
     /// A feed entry older than the polled cycle was jumped over: the leaf
     /// skipped a cycle its feed had a packet for. Answering "nothing" would
     /// lose that packet and block every entry behind it while the run drains
@@ -172,30 +207,11 @@ impl TrafficModel for PodFeedTraffic {
     }
 
     fn demand_class(&self, src: ClusterId, dst: ClusterId) -> BandwidthClass {
-        self.global
-            .lock()
-            .expect("traffic model poisoned")
-            .demand_class(
-                ClusterId(src.0 + self.cluster_offset),
-                ClusterId(dst.0 + self.cluster_offset),
-            )
-    }
-
-    fn volume_share(&self, src: ClusterId, dst: ClusterId) -> f64 {
-        self.global
-            .lock()
-            .expect("traffic model poisoned")
-            .volume_share(
-                ClusterId(src.0 + self.cluster_offset),
-                ClusterId(dst.0 + self.cluster_offset),
-            )
+        self.classes[src.0 * self.intensity.len() + dst.0]
     }
 
     fn source_intensity(&self, src: ClusterId) -> f64 {
-        self.global
-            .lock()
-            .expect("traffic model poisoned")
-            .source_intensity(ClusterId(src.0 + self.cluster_offset))
+        self.intensity[src.0]
     }
 
     fn name(&self) -> String {
@@ -262,9 +278,7 @@ pub(crate) struct HierarchicalSystem {
     config: SimConfig,
     pods: Vec<Mutex<PodShard>>,
     feeds: Vec<Arc<Mutex<Feed>>>,
-    traffic: Arc<Mutex<Box<dyn TrafficModel + Send>>>,
-    traffic_name: String,
-    offered_load: OfferedLoad,
+    traffic: Box<dyn TrafficModel + Send>,
     leaf_cores: usize,
     epoch: u64,
     spine: Spine,
@@ -279,7 +293,7 @@ pub(crate) struct HierarchicalSystem {
 
 impl HierarchicalSystem {
     /// Builds `pods` replicas of `leaf` (at its default parameters) under a
-    /// spine, sharing one global traffic model.
+    /// spine, fed from one global traffic model.
     ///
     /// `config` is the **effective** configuration: its topology must be the
     /// leaf topology scaled by `pods` (see
@@ -316,22 +330,18 @@ impl HierarchicalSystem {
         );
         let leaf_cores = leaf_config.topology.num_cores();
         let leaf_clusters = leaf_config.topology.num_clusters();
-        let traffic_name = traffic.name();
-        let offered_load = traffic.offered_load();
-        let shared = Arc::new(Mutex::new(traffic));
         let leaf_params = leaf.default_params();
         let mut shards = Vec::with_capacity(pods);
         let mut feeds = Vec::with_capacity(pods);
         for pod in 0..pods {
             let feed: Arc<Mutex<Feed>> = Arc::new(Mutex::new(VecDeque::new()));
-            let proxy = PodFeedTraffic {
-                feed: Arc::clone(&feed),
-                global: Arc::clone(&shared),
+            let proxy = PodFeedTraffic::new(
+                Arc::clone(&feed),
                 pod,
-                cluster_offset: pod * leaf_clusters,
-                load: offered_load,
-                name: traffic_name.clone(),
-            };
+                &*traffic,
+                pod * leaf_clusters,
+                leaf_clusters,
+            );
             let network = leaf.build(leaf_config, &leaf_params, Box::new(proxy));
             shards.push(Mutex::new(PodShard {
                 network,
@@ -345,9 +355,7 @@ impl HierarchicalSystem {
             config,
             pods: shards,
             feeds,
-            traffic: shared,
-            traffic_name,
-            offered_load,
+            traffic,
             leaf_cores,
             epoch,
             spine,
@@ -373,29 +381,26 @@ impl HierarchicalSystem {
         // yields packets in the monolithic engine's exact (cycle, core)
         // order, so the generation stream is independent of the pod
         // decomposition.
-        {
-            let mut traffic = self.traffic.lock().expect("traffic model poisoned");
-            let num_cores = self.config.topology.num_cores();
-            for cycle in start..end {
-                traffic.poll_cycle(cycle, num_cores, &mut |_, desc| {
-                    let src_pod = desc.src.0 / self.leaf_cores;
-                    let dst_pod = desc.dst.0 / self.leaf_cores;
-                    if src_pod == dst_pod {
-                        let offset = src_pod * self.leaf_cores;
-                        let local = PacketDescriptor {
-                            src: CoreId(desc.src.0 - offset),
-                            dst: CoreId(desc.dst.0 - offset),
-                            ..desc
-                        };
-                        self.feeds[src_pod]
-                            .lock()
-                            .expect("pod feed poisoned")
-                            .push_back((cycle, local.src.0, local));
-                    } else {
-                        self.spine.transmit(cycle, &desc);
-                    }
-                });
-            }
+        let num_cores = self.config.topology.num_cores();
+        for cycle in start..end {
+            self.traffic.poll_cycle(cycle, num_cores, &mut |_, desc| {
+                let src_pod = desc.src.0 / self.leaf_cores;
+                let dst_pod = desc.dst.0 / self.leaf_cores;
+                if src_pod == dst_pod {
+                    let offset = src_pod * self.leaf_cores;
+                    let local = PacketDescriptor {
+                        src: CoreId(desc.src.0 - offset),
+                        dst: CoreId(desc.dst.0 - offset),
+                        ..desc
+                    };
+                    self.feeds[src_pod]
+                        .lock()
+                        .expect("pod feed poisoned")
+                        .push_back((cycle, local.src.0, local));
+                } else {
+                    self.spine.transmit(cycle, &desc);
+                }
+            });
         }
         // The window that just ended is fully replayed — the engine steps
         // every cycle `next_event_cycle` names — so its logs are spent: each
@@ -496,7 +501,7 @@ impl CycleNetwork for HierarchicalSystem {
     }
 
     fn traffic_label(&self) -> (String, f64) {
-        (self.traffic_name.clone(), self.offered_load.value())
+        (self.traffic.name(), self.traffic.offered_load().value())
     }
 
     fn config(&self) -> &SimConfig {
@@ -524,12 +529,7 @@ impl CycleNetwork for HierarchicalSystem {
         }
         if self.pods_active {
             consider(self.simulated_through.max(now + 1), &mut next);
-        } else if let Some(generation) = self
-            .traffic
-            .lock()
-            .expect("traffic model poisoned")
-            .next_generation_cycle(now)
-        {
+        } else if let Some(generation) = self.traffic.next_generation_cycle(now) {
             consider(generation.max(now + 1), &mut next);
         }
         next
@@ -625,9 +625,6 @@ pub const HIER_ONLY_METRICS: [&str; 11] = [
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pnoc_noc::topology::ClusterTopology;
-    use pnoc_traffic::pattern::PacketShape;
-    use pnoc_traffic::uniform::UniformRandomTraffic;
     use proptest::prelude::*;
 
     fn packet(core: usize, cycle: u64) -> PacketDescriptor {
@@ -643,21 +640,15 @@ mod tests {
 
     /// A pod-3 proxy over `entries`, which must be in `(cycle, core)` order.
     fn pod_feed(entries: &[(u64, usize)]) -> PodFeedTraffic {
-        let global: Box<dyn TrafficModel + Send> = Box::new(UniformRandomTraffic::new(
-            ClusterTopology::paper_default(),
-            PacketShape::new(4, 32),
-            OfferedLoad::ZERO,
-            1,
-        ));
         let feed = entries
             .iter()
             .map(|&(cycle, core)| (cycle, core, packet(core, cycle)))
             .collect();
         PodFeedTraffic {
             feed: Arc::new(Mutex::new(feed)),
-            global: Arc::new(Mutex::new(global)),
             pod: 3,
-            cluster_offset: 0,
+            classes: Vec::new(),
+            intensity: Vec::new(),
             load: OfferedLoad::ZERO,
             name: "feed".to_string(),
         }

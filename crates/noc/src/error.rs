@@ -33,23 +33,6 @@ pub enum NocError {
         /// Number of virtual channels per port.
         num_vcs: usize,
     },
-    /// A body or tail flit arrived on a virtual channel whose head flit was
-    /// never seen (wormhole framing violation).
-    WormholeViolation {
-        /// Human readable description of the violation.
-        detail: String,
-    },
-    /// A routing decision could not be made (e.g. destination outside the
-    /// topology).
-    Unroutable {
-        /// Human readable description.
-        detail: String,
-    },
-    /// A configuration parameter was invalid (zero buffers, zero ports, ...).
-    InvalidConfig {
-        /// Human readable description.
-        detail: String,
-    },
 }
 
 impl fmt::Display for NocError {
@@ -65,11 +48,6 @@ impl fmt::Display for NocError {
             NocError::InvalidVc { vc, num_vcs } => {
                 write!(f, "invalid virtual channel {vc} (port has {num_vcs} VCs)")
             }
-            NocError::WormholeViolation { detail } => {
-                write!(f, "wormhole framing violation: {detail}")
-            }
-            NocError::Unroutable { detail } => write!(f, "unroutable packet: {detail}"),
-            NocError::InvalidConfig { detail } => write!(f, "invalid configuration: {detail}"),
         }
     }
 }
@@ -101,17 +79,21 @@ mod tests {
         };
         assert!(e.to_string().contains("9"));
 
-        let e = NocError::Unroutable {
-            detail: "destination 200 outside 64-core system".to_string(),
+        let e = NocError::InvalidVc {
+            vc: VcId(7),
+            num_vcs: 4,
         };
-        assert!(e.to_string().contains("destination 200"));
+        let msg = e.to_string();
+        assert!(msg.contains("virtual channel 7"));
+        assert!(msg.contains("4 VCs"));
     }
 
     #[test]
     fn error_is_std_error() {
         fn assert_err<E: Error>(_e: &E) {}
-        let e = NocError::InvalidConfig {
-            detail: "zero ports".into(),
+        let e = NocError::InvalidPort {
+            port: PortId(0),
+            num_ports: 0,
         };
         assert_err(&e);
     }

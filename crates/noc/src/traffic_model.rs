@@ -10,11 +10,15 @@
 //! that *knows* which cores have something to send (a closed-loop flow
 //! driver, a replay feed) overrides the batch form to visit only those, so
 //! generation costs per packet instead of per core; the override must stay
-//! observably identical to the provided loop. The trait also exposes the
-//! *per-cluster-pair* bandwidth class and traffic volume share, which the
-//! d-HetPNoC dynamic-bandwidth-allocation logic uses to populate its demand
-//! tables (Section 3.2.1 of the thesis: the cores send demand tables to
-//! their photonic router whenever the task mapping changes).
+//! observably identical to the provided loop.
+//!
+//! The trait's demand interface is two answers, which d-HetPNoC reads once,
+//! when it builds its demand tables (Section 3.2.1 of the thesis: the cores
+//! send demand tables to their photonic router whenever the task mapping
+//! changes): [`TrafficModel::demand_class`] fills each cluster's request
+//! table, so it decides how many wavelengths a transfer to each destination
+//! asks for, and [`TrafficModel::source_intensity`] weighs the per-cluster
+//! wavelength targets the allocation converges to.
 
 use crate::ids::{ClusterId, CoreId};
 use crate::packet::{BandwidthClass, PacketDescriptor};
@@ -81,21 +85,19 @@ pub trait TrafficModel {
     fn offered_load(&self) -> OfferedLoad;
 
     /// Bandwidth class of the application flow from cluster `src` to cluster
-    /// `dst`. This is what the cores advertise in their demand tables.
+    /// `dst`. This is what the cores advertise in their demand tables:
+    /// d-HetPNoC requests the class's wavelengths for every transfer of the
+    /// pair (and the `paper-max` policy sizes a cluster's target by its
+    /// highest class).
     fn demand_class(&self, src: ClusterId, dst: ClusterId) -> BandwidthClass;
-
-    /// Fraction of the traffic volume leaving cluster `src` that is destined
-    /// to cluster `dst` (0..=1; the values for all `dst != src` sum to ≈ 1).
-    /// d-HetPNoC uses this to weight its wavelength requests in proportion to
-    /// the traffic requirement (Section 3.1).
-    fn volume_share(&self, src: ClusterId, dst: ClusterId) -> f64;
 
     /// Relative traffic intensity of cluster `src` compared to the chip
     /// average (mean ≈ 1.0 across clusters). Clusters running high-bandwidth
     /// applications communicate more frequently ("Traffic patterns with
     /// increasing skew demands a higher frequency of communication for high
     /// bandwidth applications", Section 3.4.1); this is the quantity the
-    /// dynamic bandwidth allocation responds to.
+    /// dynamic bandwidth allocation responds to: the proportional policy
+    /// splits the wavelength budget across clusters by this weight.
     fn source_intensity(&self, _src: ClusterId) -> f64 {
         1.0
     }
@@ -147,10 +149,6 @@ impl<T: TrafficModel + ?Sized> TrafficModel for Box<T> {
         (**self).demand_class(src, dst)
     }
 
-    fn volume_share(&self, src: ClusterId, dst: ClusterId) -> f64 {
-        (**self).volume_share(src, dst)
-    }
-
     fn source_intensity(&self, src: ClusterId) -> f64 {
         (**self).source_intensity(src)
     }
@@ -200,10 +198,6 @@ mod tests {
             BandwidthClass::MediumHigh
         }
 
-        fn volume_share(&self, _src: ClusterId, _dst: ClusterId) -> f64 {
-            1.0 / 15.0
-        }
-
         fn name(&self) -> String {
             "constant".to_string()
         }
@@ -238,10 +232,6 @@ mod tests {
 
         fn demand_class(&self, src: ClusterId, dst: ClusterId) -> BandwidthClass {
             self.inner.demand_class(src, dst)
-        }
-
-        fn volume_share(&self, src: ClusterId, dst: ClusterId) -> f64 {
-            self.inner.volume_share(src, dst)
         }
 
         fn name(&self) -> String {

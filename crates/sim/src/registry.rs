@@ -294,14 +294,6 @@ mod tests {
             pnoc_noc::packet::BandwidthClass::MediumHigh
         }
 
-        fn volume_share(
-            &self,
-            _src: pnoc_noc::ids::ClusterId,
-            _dst: pnoc_noc::ids::ClusterId,
-        ) -> f64 {
-            1.0 / 15.0
-        }
-
         fn name(&self) -> String {
             "single-flow".to_string()
         }

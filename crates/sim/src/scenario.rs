@@ -778,6 +778,27 @@ impl Scenario {
             .collect()
     }
 
+    /// The [`point_cache_key`] of each of this scenario's points, in ladder
+    /// order: its canonical id with each point's derived seed and load under
+    /// `fingerprint` (normally [`engine_fingerprint`]). Two scenarios with
+    /// equal keys simulate the same networks; batches deduplicate on these
+    /// keys and the cache is addressed by them.
+    #[must_use]
+    pub fn point_keys(&self, fingerprint: &str) -> Vec<String> {
+        let canonical_id = self.canonical_id();
+        self.points()
+            .iter()
+            .map(|point| {
+                point_cache_key(
+                    &canonical_id,
+                    point.config.seed,
+                    point.offered_load,
+                    fingerprint,
+                )
+            })
+            .collect()
+    }
+
     /// Simulates one of this scenario's points: an open-loop ladder point,
     /// its traffic model built from the point's configuration (geometry,
     /// topology, derived seed, offered load), or the closed-loop DAG-drain
@@ -1277,16 +1298,9 @@ fn run_scenarios(scenarios: &[Scenario], cache: Option<&dyn PointCache>) -> Matr
     let mut assignments: Vec<Vec<usize>> = Vec::with_capacity(scenarios.len());
     let fingerprint = engine_fingerprint();
     for (scenario_index, scenario) in scenarios.iter().enumerate() {
-        let canonical_id = scenario.canonical_id();
         let points = scenario.points();
         let mut point_jobs = Vec::with_capacity(points.len());
-        for point in points {
-            let key = point_cache_key(
-                &canonical_id,
-                point.config.seed,
-                point.offered_load,
-                &fingerprint,
-            );
+        for (point, key) in points.into_iter().zip(scenario.point_keys(&fingerprint)) {
             let job_index = *index_of.entry(key).or_insert_with_key(|key| {
                 jobs.push((scenario_index, point));
                 job_keys.push(key.clone());

@@ -432,10 +432,6 @@ mod tests {
             BandwidthClass::MediumHigh
         }
 
-        fn volume_share(&self, _src: ClusterId, _dst: ClusterId) -> f64 {
-            1.0 / 15.0
-        }
-
         fn name(&self) -> String {
             "seeded-periodic".to_string()
         }

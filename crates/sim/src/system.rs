@@ -1271,10 +1271,6 @@ mod tests {
             BandwidthClass::MediumHigh
         }
 
-        fn volume_share(&self, _src: ClusterId, _dst: ClusterId) -> f64 {
-            1.0 / 15.0
-        }
-
         fn name(&self) -> String {
             format!("fixed-offset-{}", self.offset)
         }

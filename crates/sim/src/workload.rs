@@ -482,10 +482,6 @@ impl TrafficModel for FlowTraffic {
         self.demand.class(src, dst)
     }
 
-    fn volume_share(&self, src: ClusterId, dst: ClusterId) -> f64 {
-        self.demand.share(src, dst)
-    }
-
     fn name(&self) -> String {
         format!("workload:{}", self.workload.name())
     }

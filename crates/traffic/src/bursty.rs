@@ -150,14 +150,6 @@ impl TrafficModel for BurstyUniformTraffic {
         BandwidthClass::MediumHigh
     }
 
-    fn volume_share(&self, src: ClusterId, dst: ClusterId) -> f64 {
-        if src == dst {
-            0.0
-        } else {
-            1.0 / (self.topology.num_clusters() - 1) as f64
-        }
-    }
-
     fn name(&self) -> String {
         "bursty-uniform".to_string()
     }
@@ -243,10 +235,32 @@ mod tests {
 
     #[test]
     fn volume_shares_are_uniform() {
-        let m = model(0.5);
-        let share = m.volume_share(ClusterId(0), ClusterId(9));
-        assert!((share - 1.0 / 15.0).abs() < 1e-12);
-        assert_eq!(m.volume_share(ClusterId(4), ClusterId(4)), 0.0);
+        // Bursts change when a core sends, not where: each other cluster
+        // receives 4/63 of a source's packets, its own cluster 3/63.
+        let topology = ClusterTopology::paper_default();
+        let mut m = model(0.5);
+        let src = CoreId(9);
+        let packets = 63_000;
+        let mut per_cluster = [0usize; 16];
+        let mut cycle = 0;
+        while per_cluster.iter().sum::<usize>() < packets {
+            if let Some(p) = m.next_packet(cycle, src) {
+                per_cluster[topology.cluster_of(p.dst).0] += 1;
+            }
+            cycle += 1;
+        }
+        for (cluster, &count) in per_cluster.iter().enumerate() {
+            let cores = if cluster == topology.cluster_of(src).0 {
+                3.0
+            } else {
+                4.0
+            };
+            let share = count as f64 / packets as f64;
+            assert!(
+                (share - cores / 63.0).abs() < 0.01,
+                "cluster {cluster}: share {share}"
+            );
+        }
     }
 
     #[test]

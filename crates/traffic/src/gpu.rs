@@ -409,27 +409,6 @@ impl TrafficModel for RealApplicationTraffic {
         }
     }
 
-    fn volume_share(&self, src: ClusterId, dst: ClusterId) -> f64 {
-        if src == dst {
-            return 0.0;
-        }
-        if self.is_memory_cluster(src) {
-            // Replies are spread over GPU clusters by intensity.
-            let total: f64 = (0..self.topology.num_clusters())
-                .map(|c| self.cluster_intensity(ClusterId(c)))
-                .sum();
-            if total == 0.0 {
-                0.0
-            } else {
-                self.cluster_intensity(dst) / total
-            }
-        } else if self.is_memory_cluster(dst) {
-            1.0 / self.memory_clusters.len() as f64
-        } else {
-            0.0
-        }
-    }
-
     fn name(&self) -> String {
         "real-application".to_string()
     }
@@ -552,20 +531,5 @@ mod tests {
             mum_packets > cp_packets * 2,
             "MUM ({mum_packets}) must generate clearly more traffic than CP ({cp_packets})"
         );
-    }
-
-    #[test]
-    fn volume_shares_normalise() {
-        let t = real_app();
-        // A GPU cluster splits its volume over the 4 memory clusters.
-        let total: f64 = (0..16)
-            .map(|d| t.volume_share(ClusterId(0), ClusterId(d)))
-            .sum();
-        assert!((total - 1.0).abs() < 1e-9);
-        // A memory cluster splits its volume over the GPU clusters.
-        let total: f64 = (0..16)
-            .map(|d| t.volume_share(ClusterId(13), ClusterId(d)))
-            .sum();
-        assert!((total - 1.0).abs() < 1e-9);
     }
 }

@@ -103,20 +103,6 @@ impl TrafficModel for HotspotSkewedTraffic {
         self.inner.source_intensity(src)
     }
 
-    fn volume_share(&self, src: ClusterId, dst: ClusterId) -> f64 {
-        // Blend the skewed share with the hotspot redirection.
-        let hot_cluster = self.topology.cluster_of(self.hotspot);
-        if src == dst {
-            return 0.0;
-        }
-        let base = self.inner.volume_share(src, dst) * (1.0 - self.hotspot_fraction);
-        if dst == hot_cluster && src != hot_cluster {
-            base + self.hotspot_fraction
-        } else {
-            base
-        }
-    }
-
     fn name(&self) -> String {
         self.label.clone()
     }
@@ -159,24 +145,6 @@ mod tests {
         assert!(
             fraction > 0.18 && fraction < 0.30,
             "hotspot fraction {fraction}"
-        );
-    }
-
-    #[test]
-    fn volume_shares_still_normalise() {
-        let m = model(0.1);
-        for s in 1..16 {
-            let total: f64 = (0..16)
-                .map(|d| m.volume_share(ClusterId(s), ClusterId(d)))
-                .sum();
-            assert!((total - 1.0).abs() < 1e-9, "source {s}: {total}");
-        }
-        // The hotspot cluster receives at least the redirected fraction on top
-        // of its skewed share.
-        let hot_share = m.volume_share(ClusterId(5), ClusterId(0));
-        assert!(
-            hot_share >= m.hotspot_fraction,
-            "hotspot share {hot_share} below redirected fraction"
         );
     }
 

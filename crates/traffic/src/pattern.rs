@@ -131,8 +131,8 @@ impl ClassMatrix {
 
     /// Fraction of `src`'s traffic volume that goes to `dst`, when the volume
     /// of a pair is weighted by `skew.frequency(class)` and normalised over
-    /// all destinations other than `src`. Re-sums the row on every call;
-    /// `SkewedTraffic` caches the sums.
+    /// all destinations other than `src`: the reference the destination
+    /// sampling is tested against.
     #[cfg(test)]
     pub(crate) fn volume_share(&self, src: ClusterId, dst: ClusterId, skew: SkewLevel) -> f64 {
         if src == dst {

@@ -84,14 +84,11 @@ impl PermutationKind {
 /// Permutation traffic over all cores (see the module docs).
 #[derive(Debug, Clone)]
 pub(crate) struct PermutationTraffic {
-    topology: ClusterTopology,
     shape: PacketShape,
     kind: PermutationKind,
     load: OfferedLoad,
     /// `mapping[src] = Some(dst)`, or `None` for silent (self-mapped) cores.
     mapping: Vec<Option<CoreId>>,
-    /// Cluster-level volume shares, row-major over (src, dst) cluster pairs.
-    shares: Vec<f64>,
     /// Per-cluster injection intensity relative to the chip mean.
     intensity: Vec<f64>,
     rng: StdRng,
@@ -117,32 +114,6 @@ impl PermutationTraffic {
             .map(|src| kind.destination(src, n).map(CoreId))
             .collect();
         let clusters = topology.num_clusters();
-        // Count inter-cluster flows per (src cluster, dst cluster) pair and
-        // normalise each row over destinations ≠ source cluster.
-        let mut counts = vec![0.0f64; clusters * clusters];
-        for (src, dst) in mapping.iter().enumerate() {
-            if let Some(dst) = dst {
-                let sc = topology.cluster_of(CoreId(src)).0;
-                let dc = topology.cluster_of(*dst).0;
-                if sc != dc {
-                    counts[sc * clusters + dc] += 1.0;
-                }
-            }
-        }
-        let shares: Vec<f64> = (0..clusters)
-            .flat_map(|sc| {
-                let total: f64 = counts[sc * clusters..(sc + 1) * clusters].iter().sum();
-                (0..clusters)
-                    .map(|dc| {
-                        if total > 0.0 {
-                            counts[sc * clusters + dc] / total
-                        } else {
-                            0.0
-                        }
-                    })
-                    .collect::<Vec<f64>>()
-            })
-            .collect();
         // Injection intensity: clusters with silent cores inject less.
         let cpc = topology.cores_per_cluster();
         let mut intensity: Vec<f64> = (0..clusters)
@@ -160,12 +131,10 @@ impl PermutationTraffic {
             }
         }
         Self {
-            topology,
             shape,
             kind,
             load,
             mapping,
-            shares,
             intensity,
             rng: StdRng::seed_from_u64(seed ^ 0x5045_524d),
         }
@@ -194,13 +163,6 @@ impl TrafficModel for PermutationTraffic {
 
     fn demand_class(&self, _src: ClusterId, _dst: ClusterId) -> BandwidthClass {
         BandwidthClass::MediumHigh
-    }
-
-    fn volume_share(&self, src: ClusterId, dst: ClusterId) -> f64 {
-        if src == dst {
-            return 0.0;
-        }
-        self.shares[src.0 * self.topology.num_clusters() + dst.0]
     }
 
     fn source_intensity(&self, src: ClusterId) -> f64 {
@@ -300,33 +262,6 @@ mod tests {
             .count();
         let rate = generated as f64 / cycles as f64;
         assert!((rate - 0.2).abs() < 0.02, "rate {rate}");
-    }
-
-    #[test]
-    fn volume_shares_normalise_for_active_sources() {
-        for kind in ALL_KINDS {
-            let m = model(kind, 0.5);
-            for s in 0..16 {
-                let total: f64 = (0..16)
-                    .map(|d| m.volume_share(ClusterId(s), ClusterId(d)))
-                    .sum();
-                assert!(
-                    (total - 1.0).abs() < 1e-9 || total == 0.0,
-                    "{kind:?}: source cluster {s} shares sum to {total}"
-                );
-                assert_eq!(m.volume_share(ClusterId(s), ClusterId(s)), 0.0);
-            }
-        }
-    }
-
-    #[test]
-    fn tornado_shares_point_at_the_opposite_clusters() {
-        let m = model(PermutationKind::Tornado, 0.5);
-        // Cores 0..3 (cluster 0) → cores 31..34, i.e. clusters 7 and 8.
-        let c7 = m.volume_share(ClusterId(0), ClusterId(7));
-        let c8 = m.volume_share(ClusterId(0), ClusterId(8));
-        assert!((c7 + c8 - 1.0).abs() < 1e-9, "c7 {c7} + c8 {c8}");
-        assert!(c7 > 0.0 && c8 > 0.0);
     }
 
     #[test]

@@ -31,10 +31,10 @@
 //! * A row's total is the same expression the walk summed per packet —
 //!   every weight in cluster order, the source's own entry as `0.0` — so
 //!   `gen_range(0.0..total)` sees the same bits.
-//! * `volume_share` divides by that total instead of re-summing the row
-//!   without the source's entry. Every class weight is positive, so the
+//! * `cluster_intensities` reads the same totals instead of re-summing each
+//!   row without the source's entry. Every class weight is positive, so the
 //!   partial sums are positive (or a leading zero) and adding `+0.0` leaves
-//!   their bits unchanged; `cluster_intensities` reads the same totals.
+//!   their bits unchanged.
 
 use crate::pattern::{ClassMatrix, PacketShape, SkewLevel};
 use pnoc_noc::ids::{ClusterId, CoreId};
@@ -220,13 +220,6 @@ impl TrafficModel for SkewedTraffic {
         self.classes.class(src, dst)
     }
 
-    fn volume_share(&self, src: ClusterId, dst: ClusterId) -> f64 {
-        if src == dst {
-            return 0.0;
-        }
-        self.frequencies[self.classes.class(src, dst).index()] / self.row_total[src.0]
-    }
-
     fn source_intensity(&self, src: ClusterId) -> f64 {
         self.intensity[src.0]
     }
@@ -343,26 +336,36 @@ mod tests {
 
     #[test]
     fn volume_shares_are_consistent_with_demand_classes() {
-        let m = model(SkewLevel::Skewed3);
-        // High-class destinations receive strictly more volume than low-class
-        // ones for the same source.
+        // High-class destinations receive strictly more of a source's
+        // packets, per destination, than low-class ones.
+        let topology = ClusterTopology::paper_default();
+        let mut m = model(SkewLevel::Skewed3);
         let src = ClusterId(0);
-        let mut high_share = None;
-        let mut low_share = None;
-        for d in 1..16 {
-            let dst = ClusterId(d);
-            match m.demand_class(src, dst) {
-                BandwidthClass::High => high_share = Some(m.volume_share(src, dst)),
-                BandwidthClass::Low => low_share = Some(m.volume_share(src, dst)),
-                _ => {}
+        let mut per_cluster = [0usize; 16];
+        for cycle in 0..20_000 {
+            for local in 0..topology.cores_per_cluster() {
+                let core = src.core(local, topology.cores_per_cluster());
+                if let Some(p) = m.next_packet(cycle, core) {
+                    per_cluster[topology.cluster_of(p.dst).0] += 1;
+                }
             }
         }
-        if let (Some(h), Some(l)) = (high_share, low_share) {
-            assert!(
-                h > l,
-                "high-class share {h} must exceed low-class share {l}"
-            );
-        }
+        let mean_to = |class: BandwidthClass| {
+            let counts: Vec<usize> = topology
+                .clusters()
+                .filter(|&d| d != src && m.demand_class(src, d) == class)
+                .map(|d| per_cluster[d.0])
+                .collect();
+            (!counts.is_empty()).then(|| counts.iter().sum::<usize>() as f64 / counts.len() as f64)
+        };
+        let (high, low) = (mean_to(BandwidthClass::High), mean_to(BandwidthClass::Low));
+        let (Some(high), Some(low)) = (high, low) else {
+            panic!("source {src:?} lacks a high- or low-class destination");
+        };
+        assert!(
+            high > low,
+            "high-class destinations got {high} packets each, low-class {low}"
+        );
     }
 
     /// Always yields one fixed word.
@@ -474,7 +477,7 @@ mod tests {
     }
 
     #[test]
-    fn cached_volume_shares_equal_the_row_sums() {
+    fn cached_row_totals_equal_the_row_sums() {
         for clusters in [16, 256] {
             let topology = ClusterTopology::new(clusters, 4);
             for seed in [1, 7, 42, 0xDEAD_BEEF] {
@@ -487,25 +490,21 @@ mod tests {
                         seed,
                     );
                     for src in topology.clusters() {
-                        // The sum `volume_share` redid per call: every other
-                        // destination's weight, in cluster order.
-                        let row_sum: f64 = topology
+                        let weight = |d| skew.frequency(m.classes.class(src, d));
+                        // The sum the destination walk redid per packet:
+                        // every weight in cluster order, the source's own
+                        // entry as 0.0 ...
+                        let walked: f64 = topology
                             .clusters()
-                            .filter(|&d| d != src)
-                            .map(|d| skew.frequency(m.classes.class(src, d)))
+                            .map(|d| if d == src { 0.0 } else { weight(d) })
                             .sum();
-                        for dst in topology.clusters() {
-                            let expected = if dst == src {
-                                0.0
-                            } else {
-                                skew.frequency(m.classes.class(src, dst)) / row_sum
-                            };
-                            assert_eq!(
-                                m.volume_share(src, dst).to_bits(),
-                                expected.to_bits(),
-                                "{clusters} clusters, seed {seed}, {skew:?}, {src:?} -> {dst:?}"
-                            );
-                        }
+                        // ... and the row without the source's entry.
+                        let others: f64 =
+                            topology.clusters().filter(|&d| d != src).map(weight).sum();
+                        let context =
+                            format!("{clusters} clusters, seed {seed}, {skew:?}, {src:?}");
+                        assert_eq!(m.row_total[src.0].to_bits(), walked.to_bits(), "{context}");
+                        assert_eq!(m.row_total[src.0].to_bits(), others.to_bits(), "{context}");
                     }
                 }
             }

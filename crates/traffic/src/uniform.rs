@@ -78,14 +78,6 @@ impl TrafficModel for UniformRandomTraffic {
         Self::uniform_class()
     }
 
-    fn volume_share(&self, src: ClusterId, dst: ClusterId) -> f64 {
-        if src == dst {
-            0.0
-        } else {
-            1.0 / (self.topology.num_clusters() - 1) as f64
-        }
-    }
-
     fn name(&self) -> String {
         "uniform-random".to_string()
     }
@@ -135,14 +127,29 @@ mod tests {
 
     #[test]
     fn volume_shares_are_equal_across_destinations() {
-        let m = model(0.5);
-        let share = m.volume_share(ClusterId(0), ClusterId(9));
-        assert!((share - 1.0 / 15.0).abs() < 1e-12);
-        assert_eq!(m.volume_share(ClusterId(4), ClusterId(4)), 0.0);
-        let total: f64 = (0..16)
-            .map(|d| m.volume_share(ClusterId(2), ClusterId(d)))
-            .sum();
-        assert!((total - 1.0).abs() < 1e-12);
+        // Every other core is equally likely: each other cluster receives
+        // 4/63 of a source's packets, the source's own cluster 3/63.
+        let topology = ClusterTopology::paper_default();
+        let mut m = model(1.0);
+        let src = CoreId(9);
+        let packets = 63_000;
+        let mut per_cluster = [0usize; 16];
+        for cycle in 0..packets {
+            let p = m.next_packet(cycle, src).expect("load 1 always injects");
+            per_cluster[topology.cluster_of(p.dst).0] += 1;
+        }
+        for (cluster, &count) in per_cluster.iter().enumerate() {
+            let cores = if cluster == topology.cluster_of(src).0 {
+                3.0
+            } else {
+                4.0
+            };
+            let share = count as f64 / packets as f64;
+            assert!(
+                (share - cores / 63.0).abs() < 0.01,
+                "cluster {cluster}: share {share}"
+            );
+        }
     }
 
     #[test]

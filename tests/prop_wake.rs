@@ -93,10 +93,6 @@ impl TrafficModel for Bursts {
         BandwidthClass::ALL[(src.0 + dst.0) % BandwidthClass::ALL.len()]
     }
 
-    fn volume_share(&self, _src: ClusterId, _dst: ClusterId) -> f64 {
-        0.5
-    }
-
     fn name(&self) -> String {
         format!("bursts-{:?}", self.pattern)
     }
