@@ -100,6 +100,15 @@ fn declined_hier_specs_exit_2_before_simulating() {
 }
 
 #[test]
+fn real_application_on_a_multi_pod_hierarchy_exits_2() {
+    // The paper's mapping fits 16 clusters; four pods simulate 64.
+    assert_rejected(
+        &["--scenario", "hier{pods=4}:real-application:1:smoke"],
+        "cannot run traffic pattern 'real-application' on its topology",
+    );
+}
+
+#[test]
 fn batch_output_flags_need_a_scenario_batch_that_runs() {
     let dir = scratch_dir("batch-flags");
     let file = |name: &str| dir.join(name).to_str().expect("UTF-8").to_string();

@@ -335,7 +335,7 @@ fn over_capacity_connections_get_503() {
 fn malformed_requests_get_errors_not_crashes() {
     let dir = std::env::temp_dir().join(format!("pnoc-server-errors-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    let (address, handle) = start_server(ResultStore::open(&dir).expect("store opens"), 11);
+    let (address, handle) = start_server(ResultStore::open(&dir).expect("store opens"), 13);
 
     let (status, body) = request(&address, "POST", "/run", "this is not json");
     assert_eq!(status, "HTTP/1.1 400 Bad Request", "{body}");
@@ -399,8 +399,20 @@ fn malformed_requests_get_errors_not_crashes() {
     let (status, _) = request(&address, "GET", "/health", "");
     assert_eq!(status, "HTTP/1.1 200 OK", "the server must keep answering");
 
+    // A traffic pattern that does not fit the effective topology (the
+    // paper's real-application mapping on two pods of 16 clusters) is a
+    // resolve error as well.
+    let misfit = render_scenarios(&[
+        ScenarioSpec::new("hier{pods=2}", "real-application").with_effort(Effort::Smoke)
+    ]);
+    let (status, body) = request(&address, "POST", "/run", &misfit);
+    assert_eq!(status, "HTTP/1.1 400 Bad Request", "{body}");
+    assert!(body.contains("'real-application'"), "{body}");
+    let (status, _) = request(&address, "GET", "/health", "");
+    assert_eq!(status, "HTTP/1.1 200 OK", "the server must keep answering");
+
     let report = handle.join().expect("server thread joins");
-    assert_eq!(report.requests, 11);
+    assert_eq!(report.requests, 13);
     assert_eq!(report.runs, 0, "no malformed request may reach the engine");
     let _ = std::fs::remove_dir_all(&dir);
 }

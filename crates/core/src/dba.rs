@@ -4,10 +4,43 @@
 //! Section 3.2.1: the token circulates between the photonic routers on the
 //! control waveguide; the router holding the token acquires or relinquishes
 //! wavelengths so that its held pool approaches its target, then passes the
-//! token on. Acquisition is incremental (a bounded number of wavelengths per
-//! token visit) so that, when the chip-wide demand exceeds the wavelength
-//! budget, the allocation converges to a demand-weighted max-min split
-//! instead of a first-come-take-all outcome.
+//! token on. Acquisition takes one wavelength per token visit, so that, when
+//! the chip-wide demand exceeds the wavelength budget, no router takes the
+//! whole budget on its first visit.
+//!
+//! # Where the split lands
+//!
+//! The controller itself splits without weights: the weighting is in the
+//! targets (see `DhetFabric`'s `proportional` and `paper-max` policies).
+//! From a fresh controller, [`DbaController::converge`] fills every cluster
+//! up to a common level `L`, the largest level whose total fits the dynamic
+//! budget, capped at each cluster's target; what is left over goes one
+//! wavelength each, lowest cluster index first, to clusters still below
+//! their target. `tests/prop_dba_invariants.rs` pins that closed form
+//! exactly. From a non-fresh state the result depends on history: a visit
+//! only releases what its own cluster holds above its target, so a cluster
+//! that acquired wavelengths under an earlier target keeps them while others
+//! stay short of theirs.
+//!
+//! # The Figure 3-2 tables
+//!
+//! The paper's photonic router holds demand, request and current tables.
+//! Nothing here stores them, because nothing reads them beyond what other
+//! state already answers:
+//!
+//! * the demand and request tables (per-destination wavelength demand, and
+//!   its element-wise maximum over a cluster's cores) are the demand
+//!   matrix's class per cluster pair, which `DhetFabric::wavelengths_for`
+//!   turns into a transfer width;
+//! * the request table's maximum, the acquisition goal Section 3.2.1 states,
+//!   is the `paper-max` policy's target;
+//! * the current table (the width granted toward each destination) is
+//!   `wavelengths_for`'s `min` of that width with the cluster's pool.
+//!
+//! What remains per cluster is its target and the identifiers of the
+//! wavelengths it acquired on top of the reserve; the token bitmap and
+//! [`DbaController::check_invariants`] use the identifiers to detect double
+//! allocation.
 //!
 //! The controller upholds three invariants, checked by the property tests in
 //! `tests/`:
@@ -15,7 +48,8 @@
 //! 1. a wavelength is never allocated to two clusters at once,
 //! 2. every cluster always holds at least its reserved minimum (no
 //!    starvation: "This ensures that no cluster starves even if all other
-//!    clusters consume all the data bandwidth"),
+//!    clusters consume all the data bandwidth"); a pool is the reserve plus
+//!    the acquired wavelengths, so this holds by construction,
 //! 3. no cluster ever holds more than the per-channel maximum of the
 //!    bandwidth set.
 //!
@@ -23,28 +57,24 @@
 //!
 //! The protocol only re-allocates when the task mapping changes; under a
 //! stable mapping every token visit after convergence is a no-op. A visit
-//! *changes nothing* when it acquires nothing, releases nothing and its
-//! `refresh` leaves every current-table entry as it was. After as many
-//! consecutive no-change visits as there are clusters, the controller is
-//! *settled*: a visit then only counts `token_visits`, and
+//! *changes* something exactly when it acquires or releases a wavelength.
+//! After as many consecutive no-change visits as there are clusters, the
+//! controller is *settled*: a visit then does nothing, and
 //! [`DbaController::skip_cycles`] jumps every arrival of a span at once.
-//! [`DbaController::set_targets`] and `set_request_table` clear the settled
-//! state, and every reconvergence (a remap, a fault transition) goes through
-//! them.
+//! [`DbaController::set_targets`] clears the settled state, and every
+//! reconvergence (a remap, a fault transition) goes through it.
 //!
 //! This is exact. The ring visits the clusters in cyclic order, so a run of
 //! `num_clusters` no-change ring visits has visited every cluster once, each
 //! against the same unchanged state. A visit that releases nothing has
 //! `held <= target` (with `held > target` the excess is at least one
 //! acquired wavelength). A visit that acquires nothing has `held == target`,
-//! or `held < target` with no free wavelength in the token. `refresh` is a
-//! function of `held` and the request table, so a second application changes
-//! nothing. Nothing else mutates the controller between the setters, so every
-//! later visit finds the same state and changes nothing either.
+//! or `held < target` with no free wavelength in the token. Nothing else
+//! mutates the controller between calls to `set_targets`, so every later
+//! visit finds the same state and changes nothing either.
 //! [`DbaController::converge`] visits the clusters in its own order, so a
 //! streak never runs across the boundary between it and the ring.
 
-use crate::tables::{CurrentTable, RequestTable};
 use crate::token::{Token, TokenRing};
 use pnoc_noc::ids::ClusterId;
 
@@ -57,17 +87,18 @@ pub(crate) enum AllocationPolicy {
     /// This is the default.
     #[default]
     Proportional,
-    /// Each cluster aims for the maximum entry of its request table
-    /// (the literal acquisition goal stated in Section 3.2.1); used as an
-    /// ablation of the allocation policy.
+    /// Each cluster aims for the widest class it sends (the maximum of its
+    /// request table, the literal acquisition goal stated in Section
+    /// 3.2.1); used as an ablation of the allocation policy.
     PaperMax,
 }
 
 /// Per-cluster allocation state.
 #[derive(Debug, Clone, PartialEq, Eq)]
 struct ClusterAllocation {
-    request: RequestTable,
-    current: CurrentTable,
+    /// Identifiers (indices into the token) of the wavelengths acquired on
+    /// top of the reserve, oldest first.
+    acquired: Vec<usize>,
     target: usize,
 }
 
@@ -77,11 +108,9 @@ pub struct DbaController {
     token: Token,
     ring: TokenRing,
     clusters: Vec<ClusterAllocation>,
+    /// Wavelengths every cluster holds permanently (its minimum pool).
+    reserved_per_cluster: usize,
     max_channel_wavelengths: usize,
-    /// Maximum wavelengths acquired per token visit.
-    acquisition_chunk: usize,
-    /// Token arrivals the ring delivered (diagnostic).
-    token_visits: u64,
     /// Consecutive visits that changed nothing, up to `clusters.len()`: at
     /// that cap the controller is settled (see the module docs).
     quiet_visits: usize,
@@ -114,20 +143,19 @@ impl DbaController {
             "the minimum allocation is 1 wavelength"
         );
         assert!(max_channel_wavelengths >= reserved_per_cluster);
-        let clusters = (0..num_clusters)
-            .map(|_| ClusterAllocation {
-                request: RequestTable::new(num_clusters),
-                current: CurrentTable::new(num_clusters, reserved_per_cluster),
+        let clusters = vec![
+            ClusterAllocation {
+                acquired: Vec::new(),
                 target: reserved_per_cluster,
-            })
-            .collect();
+            };
+            num_clusters
+        ];
         Self {
             token: Token::new(dynamic_wavelengths),
             ring: TokenRing::new(num_clusters, token_hop_cycles),
             clusters,
+            reserved_per_cluster,
             max_channel_wavelengths,
-            acquisition_chunk: 1,
-            token_visits: 0,
             quiet_visits: 0,
         }
     }
@@ -145,20 +173,13 @@ impl DbaController {
         self.quiet_visits = 0;
         for (cluster, &target) in self.clusters.iter_mut().zip(targets) {
             cluster.target = target
-                .max(cluster.current.reserved())
+                .max(self.reserved_per_cluster)
                 .min(self.max_channel_wavelengths);
         }
     }
 
-    /// Installs a cluster's request table (per-destination wavelength
-    /// requests, the element-wise max of its cores' demand tables).
-    pub fn set_request_table(&mut self, cluster: ClusterId, request: RequestTable) {
-        self.quiet_visits = 0;
-        self.clusters[cluster.0].request = request;
-    }
-
     /// Whether the allocation is at its fixed point: every visit until the
-    /// next setter call changes nothing.
+    /// next [`DbaController::set_targets`] changes nothing.
     fn settled(&self) -> bool {
         self.quiet_visits == self.clusters.len()
     }
@@ -166,7 +187,7 @@ impl DbaController {
     /// Current pool (reserved + acquired wavelengths) of a cluster.
     #[must_use]
     pub fn pool(&self, cluster: ClusterId) -> usize {
-        self.clusters[cluster.0].current.total_held()
+        self.reserved_per_cluster + self.clusters[cluster.0].acquired.len()
     }
 
     /// Target pool of a cluster.
@@ -179,31 +200,36 @@ impl DbaController {
     /// dynamic).
     #[must_use]
     pub fn total_held(&self) -> usize {
-        self.clusters.iter().map(|c| c.current.total_held()).sum()
+        (0..self.num_clusters())
+            .map(|c| self.pool(ClusterId(c)))
+            .sum()
     }
 
-    /// Processes a token visit at `cluster`: release excess wavelengths, or
-    /// acquire up to `acquisition_chunk` missing ones. A settled controller
-    /// skips the step, which would change nothing.
-    fn on_token(&mut self, cluster: ClusterId) {
+    /// Processes a token visit at `cluster`: release the newest wavelengths
+    /// held above the target, or acquire one missing wavelength. Returns
+    /// whether the visit acquired or released anything. A settled
+    /// controller skips the step, which would change nothing.
+    fn on_token(&mut self, cluster: ClusterId) -> bool {
         if self.settled() {
-            return;
+            return false;
         }
+        let held = self.pool(cluster);
         let state = &mut self.clusters[cluster.0];
-        let held = state.current.total_held();
-        let mut changed = false;
-        if held > state.target {
-            let released = state.current.release(held - state.target);
-            self.token.release(&released);
-            changed = !released.is_empty();
+        let changed = if held > state.target {
+            // `target >= reserved`, so the excess is all acquired.
+            let keep = state.acquired.len() - (held - state.target);
+            self.token.release(&state.acquired[keep..]);
+            state.acquired.truncate(keep);
+            true
         } else if held < state.target {
-            let want = (state.target - held).min(self.acquisition_chunk);
-            let acquired = self.token.allocate(want);
-            state.current.acquire(&acquired);
-            changed = !acquired.is_empty();
-        }
-        changed |= state.current.refresh(&state.request);
+            let acquired = self.token.allocate(1);
+            state.acquired.extend_from_slice(&acquired);
+            !acquired.is_empty()
+        } else {
+            false
+        };
         self.quiet_visits = if changed { 0 } else { self.quiet_visits + 1 };
+        changed
     }
 
     /// Advances one cycle of token circulation; when the token arrives at a
@@ -211,17 +237,15 @@ impl DbaController {
     /// processed the token this cycle, if any.
     pub fn tick(&mut self) -> Option<ClusterId> {
         let arrived = self.ring.tick()?;
-        self.token_visits += 1;
         self.on_token(arrived);
         Some(arrived)
     }
 
     /// Fast-forwards `span` cycles, equivalent to calling
     /// [`DbaController::tick`] `span` times: every token arrival inside the
-    /// span is processed in order, so the allocation state (and the token
-    /// visit count) ends up exactly as if the controller had been ticked
-    /// cycle by cycle. Once the controller is settled, the rest of the span
-    /// is one jump of the ring.
+    /// span is processed in order, so the allocation state ends up exactly
+    /// as if the controller had been ticked cycle by cycle. Once the
+    /// controller is settled, the rest of the span is one jump of the ring.
     pub fn skip_cycles(&mut self, mut span: u64) {
         while !self.settled() {
             let until_arrival = self.ring.cycles_until_arrival();
@@ -231,18 +255,16 @@ impl DbaController {
             span -= until_arrival;
             self.ring.advance(until_arrival - 1);
             let arrived = self.ring.tick().expect("token arrival is due this cycle");
-            self.token_visits += 1;
             self.on_token(arrived);
         }
-        self.token_visits += self.ring.advance(span);
+        self.ring.advance(span);
     }
 
     /// Visits every cluster in index order for up to `max_rotations`
-    /// rotations or until the allocation stops changing, whichever comes
-    /// first. Used when the task mapping changes (and at construction) so
-    /// that measurements see the converged allocation. It models the
-    /// allocation, not the ring: the token does not move and
-    /// `token_visits` does not count these visits.
+    /// rotations or until a rotation changes nothing, whichever comes first.
+    /// Used when the task mapping changes (and at construction) so that
+    /// measurements see the converged allocation. It models the allocation,
+    /// not the ring: the token does not move.
     pub fn converge(&mut self, max_rotations: usize) {
         // A quiet streak proves the fixed point only if it covers every
         // cluster, and this loop's order is not the ring's: no streak runs
@@ -251,16 +273,11 @@ impl DbaController {
             self.quiet_visits = 0;
         }
         for _ in 0..max_rotations {
-            let before: Vec<usize> = (0..self.num_clusters())
-                .map(|c| self.pool(ClusterId(c)))
-                .collect();
+            let mut changed = false;
             for c in 0..self.num_clusters() {
-                self.on_token(ClusterId(c));
+                changed |= self.on_token(ClusterId(c));
             }
-            let after: Vec<usize> = (0..self.num_clusters())
-                .map(|c| self.pool(ClusterId(c)))
-                .collect();
-            if before == after {
+            if !changed {
                 break;
             }
         }
@@ -282,17 +299,14 @@ impl DbaController {
     pub fn check_invariants(&self) -> Result<(), String> {
         let mut seen = std::collections::HashSet::new();
         for (idx, cluster) in self.clusters.iter().enumerate() {
-            if cluster.current.total_held() < cluster.current.reserved() {
-                return Err(format!("cluster {idx} lost its reserved minimum"));
-            }
-            if cluster.current.total_held() > self.max_channel_wavelengths {
+            let pool = self.pool(ClusterId(idx));
+            if pool > self.max_channel_wavelengths {
                 return Err(format!(
-                    "cluster {idx} holds {} wavelengths, above the cap {}",
-                    cluster.current.total_held(),
+                    "cluster {idx} holds {pool} wavelengths, above the cap {}",
                     self.max_channel_wavelengths
                 ));
             }
-            for &w in cluster.current.acquired() {
+            for &w in &cluster.acquired {
                 if !self.token.is_allocated(w) {
                     return Err(format!(
                         "cluster {idx} holds wavelength {w} that the token says is free"
@@ -396,6 +410,41 @@ mod tests {
     }
 
     #[test]
+    fn releases_return_the_newest_wavelengths_and_never_the_reserve() {
+        let mut c = DbaController::new(2, 4, 1, 5, 1);
+        c.set_targets(&[4, 1]);
+        c.converge(8);
+        assert_eq!(c.clusters[0].acquired, [0, 1, 2]);
+        c.set_targets(&[2, 1]);
+        c.converge(8);
+        assert_eq!(c.clusters[0].acquired, [0], "the newest two go back");
+        assert!(!c.token.is_allocated(1) && !c.token.is_allocated(2));
+        // A target below the reserve clamps to it: only acquisitions go back.
+        c.set_targets(&[0, 0]);
+        c.converge(8);
+        assert_eq!(c.allocation_snapshot(), [1, 1]);
+        assert_eq!(c.token.free_count(), 4);
+        assert!(c.check_invariants().is_ok());
+    }
+
+    #[test]
+    fn the_split_depends_on_history() {
+        // Two clusters, two dynamic wavelengths. Fresh, equal targets split
+        // evenly; after cluster 0 took both under an earlier target, it
+        // keeps them, because a visit only releases its own excess.
+        let mut fresh = DbaController::new(2, 2, 1, 3, 1);
+        fresh.set_targets(&[3, 3]);
+        fresh.converge(8);
+        assert_eq!(fresh.allocation_snapshot(), [2, 2]);
+        let mut earlier = DbaController::new(2, 2, 1, 3, 1);
+        earlier.set_targets(&[3, 1]);
+        earlier.converge(8);
+        earlier.set_targets(&[3, 3]);
+        earlier.converge(8);
+        assert_eq!(earlier.allocation_snapshot(), [3, 1]);
+    }
+
+    #[test]
     fn targets_are_clamped_to_the_channel_cap_and_reserve() {
         let mut c = controller();
         c.set_targets(&[100; 16]);
@@ -415,7 +464,6 @@ mod tests {
             }
         }
         assert_eq!(visits, 64, "hop latency 1 means one visit per cycle");
-        assert_eq!(c.token_visits, 64);
         assert!(
             c.total_held() > 16,
             "some wavelengths must have been acquired"
@@ -452,7 +500,6 @@ mod tests {
         }
         c.skip_cycles(1_000);
         assert_eq!(c, ticked);
-        assert_eq!(c.token_visits, 1_000 / 3);
         // A re-target wakes the controller; the next visits move wavelengths.
         let mut targets = vec![8usize; 16];
         targets[0] = 1;

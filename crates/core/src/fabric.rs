@@ -14,7 +14,6 @@
 
 use crate::dba::{AllocationPolicy, DbaController};
 use crate::reservation::ReservationTiming;
-use crate::tables::{DemandTable, RequestTable};
 use crate::token::{token_hop_cycles, token_size_bits};
 use pnoc_faults::{FaultEvent, FaultKind, FaultSurface};
 use pnoc_noc::ids::ClusterId;
@@ -125,34 +124,13 @@ impl DhetFabric {
         fabric
     }
 
-    /// Writes the controller's request tables and targets from the demand
-    /// matrix, derated by the fault surface `faults`, then converges the
-    /// allocation. The request tables take the element-wise max over the
-    /// cores of a cluster; in this traffic model every core of a cluster
-    /// shares the cluster's application mix, so one demand table per cluster
-    /// suffices. Degraded wavelength classes shrink what each cluster
-    /// requests for affected flows; laser dimming derates every pool target
-    /// globally. Construction calls it with a healthy surface and every
-    /// degradation transition (apply and repair) calls it again, so a
-    /// repaired fabric converges back to exactly the healthy requests.
+    /// Installs the controller's targets from the demand matrix (the
+    /// policy's targets, derated by the laser dimming of `faults`), then
+    /// converges the allocation. Construction calls it with a healthy
+    /// surface and every degradation transition (apply and repair) calls it
+    /// again, so a repaired fabric converges back to exactly the healthy
+    /// targets.
     fn allocate(&mut self, faults: &FaultSurface) {
-        let set = self.config.bandwidth_set;
-        let num_clusters = self.config.topology.num_clusters();
-        for src in 0..num_clusters {
-            let mut table = DemandTable::new(num_clusters);
-            for dst in 0..num_clusters {
-                if src == dst {
-                    continue;
-                }
-                let class = self.demand.class(ClusterId(src), ClusterId(dst));
-                let healthy = set.class_wavelengths(class);
-                let derated = (healthy / faults.class_divisor(class) as usize).max(1);
-                table.set(ClusterId(dst), derated);
-            }
-            let mut request = RequestTable::new(num_clusters);
-            request.rebuild(std::slice::from_ref(&table));
-            self.controller.set_request_table(ClusterId(src), request);
-        }
         let mut targets = Self::compute_targets(
             &self.config,
             &self.demand,
@@ -166,7 +144,8 @@ impl DhetFabric {
             }
         }
         self.controller.set_targets(&targets);
-        self.controller.converge(4 * num_clusters);
+        self.controller
+            .converge(4 * self.config.topology.num_clusters());
     }
 
     /// Computes per-cluster wavelength targets from the demand matrix,
@@ -248,7 +227,7 @@ impl PhotonicFabric for DhetFabric {
     }
 
     #[inline]
-    fn pre_cycle(&mut self, _cycle: u64) {
+    fn pre_cycle(&mut self) {
         // Keep the token circulating; with a stable task mapping the
         // allocation is already converged, so visits are cheap no-ops, but
         // the protocol timing (and any remapped targets) is still modelled.
@@ -277,13 +256,16 @@ impl PhotonicFabric for DhetFabric {
     }
 
     #[inline]
-    fn reservation_cycles(&self, _src: ClusterId, _dst: ClusterId) -> u64 {
+    fn reservation_cycles(&self) -> u64 {
         self.reservation.cycles
     }
 
     fn faults_changed(&mut self, event: &FaultEvent, faults: &FaultSurface) {
-        // Only the derating reaches the DBA's requests and targets; a link
-        // or ring transition leaves the allocation where it is.
+        // Laser dimming derates the targets. A degraded class changes none
+        // (`wavelengths_for` derates its transfers), yet it re-converges
+        // too: with `max_wavelengths` up to 512, `converge(4·N)` can stop
+        // short of the fixed point, so this later converge can still move
+        // pools. A link or ring transition leaves the allocation where it is.
         if matches!(
             event.kind,
             FaultKind::WavelengthDegrade | FaultKind::LaserDim
@@ -427,8 +409,8 @@ mod tests {
             &config(BandwidthSet::Set3),
             uniform_demand(BandwidthSet::Set3),
         );
-        assert_eq!(f1.reservation_cycles(ClusterId(0), ClusterId(1)), 1);
-        assert_eq!(f3.reservation_cycles(ClusterId(0), ClusterId(1)), 2);
+        assert_eq!(f1.reservation_cycles(), 1);
+        assert_eq!(f3.reservation_cycles(), 2);
     }
 
     #[test]

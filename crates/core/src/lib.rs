@@ -8,12 +8,13 @@
 //!
 //! The pieces follow the thesis structure:
 //!
-//! * [`tables`] — the demand / request / current tables held by every
-//!   photonic router (Section 3.2.1, Figure 3-2),
 //! * [`token`] — the token that circulates on a dedicated control waveguide
 //!   and serialises wavelength acquisition (equations 1 and 2),
 //! * [`dba`] — the dynamic bandwidth allocation controller that acquires and
-//!   relinquishes wavelengths when a router holds the token,
+//!   relinquishes wavelengths when a router holds the token. The demand /
+//!   request / current tables of every photonic router (Section 3.2.1,
+//!   Figure 3-2) are not stored; its module docs say which state answers
+//!   each,
 //! * [`reservation`] — the reservation-flit timing including the piggybacked
 //!   wavelength identifiers (Section 3.3.1 / 3.4.1.1),
 //! * [`fabric`] — the [`pnoc_sim::system::PhotonicFabric`] implementation
@@ -29,7 +30,6 @@ pub mod dba;
 pub mod fabric;
 pub mod network;
 pub mod reservation;
-pub mod tables;
 pub mod token;
 
 /// Convenient re-exports of the most commonly used items.
@@ -38,7 +38,6 @@ pub mod prelude {
     pub use crate::fabric::DhetFabric;
     pub use crate::network::{build_dhetpnoc_system, register_dhetpnoc_architecture};
     pub use crate::reservation::ReservationTiming;
-    pub use crate::tables::{DemandTable, RequestTable};
     pub use crate::token::{token_hop_cycles, token_size_bits, Token};
 }
 

@@ -159,12 +159,7 @@ mod tests {
             1,
         );
         let system = build_firefly_system(config, traffic);
-        assert_eq!(
-            system
-                .fabric()
-                .reservation_cycles(ClusterId(1), ClusterId(2)),
-            1
-        );
+        assert_eq!(system.fabric().reservation_cycles(), 1);
         assert_eq!(system.fabric().architecture_name(), "firefly");
     }
 
@@ -176,7 +171,7 @@ mod tests {
         // A radix beyond the wavelength budget still leaves one wavelength.
         let starved = firefly_fabric(&config, 128, 2);
         assert_eq!(starved.pool_size(ClusterId(0)), 1);
-        assert_eq!(starved.reservation_cycles(ClusterId(0), ClusterId(1)), 2);
+        assert_eq!(starved.reservation_cycles(), 2);
     }
 
     #[test]

@@ -13,12 +13,12 @@
 //! observably identical to the provided loop.
 //!
 //! The trait's demand interface is two answers, which d-HetPNoC reads once,
-//! when it builds its demand tables (Section 3.2.1 of the thesis: the cores
-//! send demand tables to their photonic router whenever the task mapping
-//! changes): [`TrafficModel::demand_class`] fills each cluster's request
-//! table, so it decides how many wavelengths a transfer to each destination
-//! asks for, and [`TrafficModel::source_intensity`] weighs the per-cluster
-//! wavelength targets the allocation converges to.
+//! when it builds its demand matrix (its stand-in for the demand tables of
+//! Section 3.2.1 of the thesis: the cores send demand tables to their
+//! photonic router whenever the task mapping changes):
+//! [`TrafficModel::demand_class`] decides how many wavelengths a transfer to
+//! each destination asks for, and [`TrafficModel::source_intensity`] weighs
+//! the per-cluster wavelength targets the allocation converges to.
 
 use crate::ids::{ClusterId, CoreId};
 use crate::packet::{BandwidthClass, PacketDescriptor};

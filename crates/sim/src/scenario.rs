@@ -372,6 +372,8 @@ impl ScenarioSpec {
     ///   parse as `NAME[:SIZE]`,
     /// * [`ScenarioError::WorkloadTooLarge`] when a workload's participant
     ///   count does not fit the topology,
+    /// * [`ScenarioError::TrafficUnsupported`] when the traffic pattern
+    ///   cannot run on the effective topology,
     /// * [`ScenarioError::InvalidLoad`] when an explicit ladder entry is not
     ///   a positive finite load,
     /// * [`ScenarioError::InvalidFaults`] when the fault plan does not parse
@@ -470,6 +472,13 @@ impl ScenarioSpec {
             }
             None => {
                 let traffic = lookup_traffic_factory(&self.traffic)?;
+                if let Some(reason) = traffic.unsupported_topology(&effective.topology) {
+                    return Err(ScenarioError::TrafficUnsupported {
+                        scenario: self.id(),
+                        traffic: traffic.name().to_string(),
+                        reason,
+                    });
+                }
                 if let Some(&load) = self.ladder.iter().find(|l| !l.is_finite() || **l <= 0.0) {
                     return Err(ScenarioError::InvalidLoad {
                         scenario: self.id(),
@@ -533,6 +542,16 @@ pub enum ScenarioError {
         /// Cores available in the topology.
         num_cores: usize,
     },
+    /// The traffic pattern cannot run on the architecture's effective
+    /// topology ([`TrafficFactory::unsupported_topology`]).
+    TrafficUnsupported {
+        /// Identifier of the offending scenario.
+        scenario: String,
+        /// Registry name of the traffic pattern.
+        traffic: String,
+        /// Why the pattern does not fit.
+        reason: String,
+    },
     /// An explicit ladder entry is not a positive finite offered load.
     InvalidLoad {
         /// Identifier of the offending scenario.
@@ -579,6 +598,15 @@ impl std::fmt::Display for ScenarioError {
                 f,
                 "scenario '{scenario}' asks for a {size}-node workload; \
                  sizes must be between 2 and the topology's {num_cores} cores"
+            ),
+            ScenarioError::TrafficUnsupported {
+                scenario,
+                traffic,
+                reason,
+            } => write!(
+                f,
+                "scenario '{scenario}' cannot run traffic pattern '{traffic}' on its topology: \
+                 {reason}"
             ),
             ScenarioError::InvalidLoad { scenario, load } => write!(
                 f,

@@ -61,7 +61,7 @@ pub trait PhotonicFabric {
 
     /// Called once at the beginning of every cycle (d-HetPNoC circulates its
     /// allocation token here).
-    fn pre_cycle(&mut self, cycle: u64);
+    fn pre_cycle(&mut self);
 
     /// Fast-forwards the fabric's control plane across the idle cycles
     /// `from..to`, leaving it in exactly the state that calling
@@ -69,8 +69,8 @@ pub trait PhotonicFabric {
     /// The default does just that; fabrics with cheap-to-replay control state
     /// (token rings, credit counters) should override it with a closed form.
     fn skip_cycles(&mut self, from: u64, to: u64) {
-        for cycle in from..to {
-            self.pre_cycle(cycle);
+        for _ in from..to {
+            self.pre_cycle();
         }
     }
 
@@ -84,10 +84,10 @@ pub trait PhotonicFabric {
     /// that a stuck ring pins to one wavelength.
     fn wavelengths_for(&self, src: ClusterId, dst: ClusterId, faults: &FaultSurface) -> usize;
 
-    /// Cycles taken by the reservation broadcast for a `src` → `dst` packet
-    /// (1 for Firefly; 1–2 for d-HetPNoC depending on how many wavelength
-    /// identifiers must be piggybacked, Section 3.4.1.1).
-    fn reservation_cycles(&self, src: ClusterId, dst: ClusterId) -> u64;
+    /// Cycles taken by the reservation broadcast of a packet (1 for Firefly;
+    /// 1–2 for d-HetPNoC depending on how many wavelength identifiers its
+    /// widest channel must piggyback, Section 3.4.1.1).
+    fn reservation_cycles(&self) -> u64;
 
     /// Called after the system applied or repaired `event` on `faults`, so a
     /// fabric whose control plane depends on the derating can react. The
@@ -140,7 +140,7 @@ impl PhotonicFabric for UniformFabric {
     }
 
     #[inline]
-    fn pre_cycle(&mut self, _cycle: u64) {}
+    fn pre_cycle(&mut self) {}
 
     #[inline]
     fn skip_cycles(&mut self, _from: u64, _to: u64) {}
@@ -156,7 +156,7 @@ impl PhotonicFabric for UniformFabric {
     }
 
     #[inline]
-    fn reservation_cycles(&self, _src: ClusterId, _dst: ClusterId) -> u64 {
+    fn reservation_cycles(&self) -> u64 {
         self.reservation_cycles
     }
 }
@@ -941,7 +941,7 @@ impl<F: PhotonicFabric, T: TrafficModel> PhotonicSystem<F, T> {
             self.photonic[dst_cluster.0].ejection_reserved[dst_local] |= 1 << dst_vc.0;
             self.total_active += 1;
             let demand = self.transfer_wavelengths(src_cluster, dst_cluster).max(1);
-            let reservation = self.fabric.reservation_cycles(src_cluster, dst_cluster);
+            let reservation = self.fabric.reservation_cycles();
             let router = &mut self.photonic[cluster_idx];
             router.active_sources[port] |= 1 << vc.0;
             let idx = router.active.len();
@@ -1131,7 +1131,7 @@ impl<F: PhotonicFabric, T: TrafficModel> PhotonicSystem<F, T> {
 impl<F: PhotonicFabric + Send, T: TrafficModel + Send> CycleNetwork for PhotonicSystem<F, T> {
     fn step_observed(&mut self, cycle: u64, sink: &mut dyn EventSink) {
         self.apply_fault_transitions(cycle, sink);
-        self.fabric.pre_cycle(cycle);
+        self.fabric.pre_cycle();
         self.generate_traffic(cycle, sink);
         self.inject_flits(cycle, sink);
         self.drain_ejection(cycle);

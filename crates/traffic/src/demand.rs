@@ -5,7 +5,7 @@
 //! for every (source cluster, destination cluster) pair it records the
 //! bandwidth class of the application serving the pair, and for every
 //! source cluster its relative traffic intensity. The d-HetPNoC fabric
-//! turns the classes into per-cluster wavelength requests and the
+//! turns each class into the width of that pair's transfers and the
 //! intensities into per-cluster wavelength targets.
 
 use pnoc_noc::ids::ClusterId;

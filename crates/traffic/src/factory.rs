@@ -76,6 +76,16 @@ pub trait TrafficFactory: Send + Sync {
 
     /// Builds a fresh traffic model for one run.
     fn build(&self, spec: &TrafficSpec) -> Box<dyn TrafficModel + Send>;
+
+    /// Why the pattern cannot run on `topology`, or `None` when it can (the
+    /// default). Scenarios ask it when they resolve, against the
+    /// architecture's effective topology, so a pattern that fits only some
+    /// chips is a typed error there instead of a panic in
+    /// [`TrafficFactory::build`].
+    fn unsupported_topology(&self, topology: &ClusterTopology) -> Option<String> {
+        let _ = topology;
+        None
+    }
 }
 
 /// A [`TrafficFactory`] from a name and a plain constructor function.
@@ -91,6 +101,35 @@ impl TrafficFactory for FnFactory {
 
     fn build(&self, spec: &TrafficSpec) -> Box<dyn TrafficModel + Send> {
         (self.construct)(spec)
+    }
+}
+
+/// `real-application`: the paper's fixed mapping, which fits only 16
+/// clusters of 4 cores.
+struct RealApplicationFactory;
+
+impl TrafficFactory for RealApplicationFactory {
+    fn name(&self) -> &str {
+        "real-application"
+    }
+
+    fn build(&self, spec: &TrafficSpec) -> Box<dyn TrafficModel + Send> {
+        Box::new(RealApplicationTraffic::paper_mapping(
+            spec.topology,
+            spec.shape,
+            spec.load,
+            spec.seed,
+        ))
+    }
+
+    fn unsupported_topology(&self, topology: &ClusterTopology) -> Option<String> {
+        (!RealApplicationTraffic::fits(topology)).then(|| {
+            format!(
+                "the paper's mapping needs 16 clusters of 4 cores, not {} of {}",
+                topology.num_clusters(),
+                topology.cores_per_cluster()
+            )
+        })
     }
 }
 
@@ -153,11 +192,7 @@ fn builtin_patterns() -> Registry<dyn TrafficFactory> {
         f("hotspot-20pct-skewed-3", |s| {
             hotspot(s, 0.20, SkewLevel::Skewed3)
         }),
-        f("real-application", |s| {
-            Box::new(RealApplicationTraffic::paper_mapping(
-                s.topology, s.shape, s.load, s.seed,
-            ))
-        }),
+        Arc::new(RealApplicationFactory),
         f("transpose", |s| permutation(s, PermutationKind::Transpose)),
         f("bit-reverse", |s| {
             permutation(s, PermutationKind::BitReverse)

@@ -227,6 +227,13 @@ pub struct RealApplicationTraffic {
 }
 
 impl RealApplicationTraffic {
+    /// Whether the paper's mapping fits `topology`: it needs exactly 16
+    /// clusters of 4 cores.
+    #[must_use]
+    pub(crate) fn fits(topology: &ClusterTopology) -> bool {
+        topology.num_clusters() == 16 && topology.cores_per_cluster() == 4
+    }
+
     /// Builds the paper's mapping: MUM on clusters 0-4 (20 cores), BFS on 5,
     /// CP on 6, RAY on 7, LPS on 8-11 (16 cores); clusters 12-15 hold memory.
     ///
@@ -240,12 +247,10 @@ impl RealApplicationTraffic {
         load: OfferedLoad,
         seed: u64,
     ) -> Self {
-        assert_eq!(
-            topology.num_clusters(),
-            16,
-            "the paper maps onto 16 clusters"
+        assert!(
+            Self::fits(&topology),
+            "the paper maps onto 16 clusters of 4 cores"
         );
-        assert_eq!(topology.cores_per_cluster(), 4);
         use BenchmarkSuite::Ispass;
         let catalog = [
             ("MUM", 0.330, 0.040, 0..5),

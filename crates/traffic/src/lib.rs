@@ -25,7 +25,7 @@
 //! All generators implement [`pnoc_noc::traffic_model::TrafficModel`], carry
 //! their own seeded RNG (runs are reproducible), and expose the per-cluster
 //! pair bandwidth classes and per-cluster intensities that d-HetPNoC's
-//! demand tables are built from. The [`factory`] module registers every pattern into a
+//! demand matrix is built from. The [`factory`] module registers every pattern into a
 //! process-global [`pnoc_noc::registry::Registry`] so that downstream
 //! harnesses resolve workloads by name instead of hard-coding a closed set.
 

@@ -57,11 +57,11 @@ proptest! {
     }
 
     /// Skipping is ticking, and a settled controller is a fixed point: over
-    /// random shapes, hop latencies, targets, request tables and spans, with
-    /// re-targets between skips, `skip_cycles(span)` leaves the whole
-    /// controller (`token_visits` included) equal to `span` ticks; after
-    /// enough cycles every cluster is at its target or the budget is spent;
-    /// and one more `converge(1)` then changes nothing.
+    /// random shapes, hop latencies, targets and spans, with re-targets
+    /// between skips, `skip_cycles(span)` leaves the whole controller equal
+    /// to `span` ticks; after enough cycles every cluster is at its target
+    /// or the budget is spent; and one more `converge(1)` then changes
+    /// nothing.
     #[test]
     fn skipping_equals_ticking_and_settled_controllers_stay_put(
         clusters in 2usize..=20,
@@ -70,33 +70,17 @@ proptest! {
         headroom in 0usize..=6,
         dynamic_per_cluster in 0usize..=4,
         rounds in prop::collection::vec(
-            (
-                prop::collection::vec(0usize..=10, 20),
-                prop::collection::vec(0usize..=10, 20),
-                any::<bool>(),
-                0u64..300,
-            ),
+            (prop::collection::vec(0usize..=10, 20), 0u64..300),
             1..6
         ),
     ) {
         let cap = reserved + headroom;
         let dynamic = clusters * dynamic_per_cluster;
         let mut controller = DbaController::new(clusters, dynamic, reserved, cap, hop);
-        for (targets, demands, new_requests, span) in rounds {
+        for (targets, span) in rounds {
             controller.set_targets(&targets[..clusters]);
-            if new_requests {
-                for src in 0..clusters {
-                    let mut demand = DemandTable::new(clusters);
-                    for dst in (0..clusters).filter(|&dst| dst != src) {
-                        demand.set(ClusterId(dst), demands[(src + dst) % 20]);
-                    }
-                    let mut request = RequestTable::new(clusters);
-                    request.rebuild(std::slice::from_ref(&demand));
-                    controller.set_request_table(ClusterId(src), request);
-                }
-            }
             // Acquisition takes at most one wavelength per visit, so `cap`
-            // rotations reach every reachable target and one more refreshes.
+            // rotations reach every reachable target and the next settles.
             let settle = (cap as u64 + 2) * clusters as u64 * hop;
             for span in [span, settle] {
                 let mut ticked = controller.clone();
@@ -144,35 +128,44 @@ proptest! {
         prop_assert_eq!(token.free_count(), size);
     }
 
-    /// Request tables always equal the element-wise maximum of the demand
-    /// tables they were built from.
+    /// From a fresh controller, `converge` lands on a closed form. Clamp the
+    /// targets to `[reserve, cap]`, fill every cluster up to a common level
+    /// `L` (never above its target), the largest level whose total fits the
+    /// dynamic budget, and hand what is left over one wavelength each,
+    /// lowest cluster index first, to clusters still below their target.
     #[test]
-    fn request_table_is_elementwise_max(
-        demands in prop::collection::vec(
-            prop::collection::vec(0usize..=64, 16),
-            1..5
-        ),
+    fn fresh_convergence_is_a_water_fill_of_the_budget(
+        clusters in 1usize..=20,
+        reserved in 1usize..=3,
+        headroom in 0usize..=8,
+        dynamic in 0usize..=160,
+        raw_targets in prop::collection::vec(0usize..=14, 20),
     ) {
-        let tables: Vec<DemandTable> = demands
-            .iter()
-            .map(|row| {
-                let mut t = DemandTable::new(16);
-                for (d, &w) in row.iter().enumerate() {
-                    t.set(ClusterId(d), w);
-                }
-                t
-            })
-            .collect();
-        let mut request = RequestTable::new(16);
-        request.rebuild(&tables);
-        for d in 0..16 {
-            let expected = demands.iter().map(|row| row[d]).max().unwrap();
-            prop_assert_eq!(request.get(ClusterId(d)), expected);
+        let cap = reserved + headroom;
+        let raw_targets = &raw_targets[..clusters];
+        let targets: Vec<usize> = raw_targets.iter().map(|&t| t.clamp(reserved, cap)).collect();
+        let filled = |level: usize| -> usize {
+            targets.iter().map(|&t| t.min(level) - reserved).sum()
+        };
+        let level = (reserved..=cap)
+            .take_while(|&level| filled(level) <= dynamic)
+            .last()
+            .expect("the reserve level spends nothing");
+        let mut leftover = dynamic - filled(level);
+        let mut expected: Vec<usize> = targets.iter().map(|&t| t.min(level)).collect();
+        for (pool, &target) in expected.iter_mut().zip(&targets) {
+            if leftover > 0 && *pool < target {
+                *pool += 1;
+                leftover -= 1;
+            }
         }
-        prop_assert_eq!(
-            request.max_request(),
-            demands.iter().flat_map(|r| r.iter().copied()).max().unwrap()
-        );
+        let mut controller = DbaController::new(clusters, dynamic, reserved, cap, 1);
+        controller.set_targets(raw_targets);
+        // One wavelength per visit: `cap - reserved` rotations fill every
+        // target the budget allows, and one more finds nothing to change.
+        controller.converge(cap - reserved + 1);
+        prop_assert_eq!(controller.allocation_snapshot(), expected);
+        prop_assert!(controller.check_invariants().is_ok());
     }
 
     /// Token sizing (eq. 1) and hop latency (eq. 2) behave monotonically.
