@@ -20,11 +20,65 @@ use pnoc_sim::metrics::{EventSink, MetricReport, MetricValue, QuantileSketch, Si
 use pnoc_sim::registry::ArchitectureBuilder;
 use pnoc_sim::stats::SimStats;
 use std::collections::{BTreeMap, VecDeque};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 
 /// Buffered generator output for one pod: `(cycle, local core, descriptor)`
 /// in the exact `(cycle, core)` order the pod will poll.
 type Feed = VecDeque<(u64, usize, PacketDescriptor)>;
+
+/// Where the hierarchy leaves a pod's generator output. The hierarchy fills
+/// a whole window before the pod steps it, and the pod takes everything
+/// there at its first poll of the window, under one lock: the flag tells it
+/// whether there is anything to take, so the polls after that lock nothing.
+#[derive(Default)]
+struct Inbox {
+    feed: Mutex<Feed>,
+    /// Set when entries were appended that the pod has not taken yet.
+    filled: AtomicBool,
+}
+
+impl Inbox {
+    /// Appends one entry for the pod.
+    fn push(&self, entry: (u64, usize, PacketDescriptor)) {
+        let mut feed = self.feed.lock().expect("pod feed poisoned");
+        feed.push_back(entry);
+        self.filled.store(true, Ordering::Release);
+    }
+
+    /// Moves every entry not taken yet to the back of `feed`: a plain load
+    /// on every poll, the lock once per window.
+    #[inline]
+    fn take_into(&self, feed: &mut Feed) {
+        if self.filled.load(Ordering::Acquire) {
+            self.take_all(feed);
+        }
+    }
+
+    /// [`Inbox::take_into`] once the flag is set. The flag changes only
+    /// under the lock, together with the entries, so it never reads clear
+    /// with entries left.
+    fn take_all(&self, feed: &mut Feed) {
+        let mut shared = self.feed.lock().expect("pod feed poisoned");
+        feed.append(&mut shared);
+        self.filled.store(false, Ordering::Release);
+    }
+
+    /// The first entry not taken yet with a cycle after `now`.
+    fn next_after(&self, now: u64) -> Option<u64> {
+        if !self.filled.load(Ordering::Acquire) {
+            return None;
+        }
+        next_entry_after(&self.feed.lock().expect("pod feed poisoned"), now)
+    }
+}
+
+/// The cycle of `feed`'s first entry after `now`.
+fn next_entry_after(feed: &Feed, now: u64) -> Option<u64> {
+    feed.iter()
+        .find(|&&(at, _, _)| at > now)
+        .map(|&(at, _, _)| at)
+}
 
 /// One pod: a leaf network plus its core-id offset into the global
 /// numbering. Wrapped in a `Mutex` by the system so `pnoc_exec::run_batch`
@@ -108,14 +162,16 @@ impl EventSink for RecordingSink<'_> {
 }
 
 /// The traffic model a pod sees: an exact replay of the global generator's
-/// decisions for this pod's cores, served from the feed the hierarchy fills
-/// during the generate phase. Demand-table queries (`demand_class`,
-/// `source_intensity`) answer from a snapshot of the pod's block of the
-/// global model, taken when the pod is built — the only time a leaf reads
-/// its demand — so a leaf that samples its demand matrix sees exactly its
-/// block of the global pattern.
+/// decisions for this pod's cores, served from the entries the hierarchy
+/// leaves in the pod's inbox during the generate phase. Demand-table
+/// queries (`demand_class`, `source_intensity`) answer from a snapshot of
+/// the pod's block of the global model, taken when the pod is built — the
+/// only time a leaf reads its demand — so a leaf that samples its demand
+/// matrix sees exactly its block of the global pattern.
 struct PodFeedTraffic {
-    feed: Arc<Mutex<Feed>>,
+    inbox: Arc<Inbox>,
+    /// The entries taken from the inbox and not polled yet.
+    feed: Feed,
     pod: usize,
     /// The pod's block of the global `demand_class`, row-major over its
     /// clusters.
@@ -127,10 +183,10 @@ struct PodFeedTraffic {
 }
 
 impl PodFeedTraffic {
-    /// A pod's proxy over `feed`, snapshotting the demand of the
+    /// A pod's proxy over `inbox`, snapshotting the demand of the
     /// `clusters` clusters from `first_cluster` on in `global`.
     fn new(
-        feed: Arc<Mutex<Feed>>,
+        inbox: Arc<Inbox>,
         pod: usize,
         global: &dyn TrafficModel,
         first_cluster: usize,
@@ -149,7 +205,8 @@ impl PodFeedTraffic {
             .map(|src| global.source_intensity(ClusterId(src)))
             .collect();
         Self {
-            feed,
+            inbox,
+            feed: VecDeque::new(),
             pod,
             classes,
             intensity,
@@ -174,30 +231,30 @@ impl PodFeedTraffic {
 
 impl TrafficModel for PodFeedTraffic {
     fn next_packet(&mut self, cycle: u64, src: CoreId) -> Option<PacketDescriptor> {
-        let mut feed = self.feed.lock().expect("pod feed poisoned");
-        let &(at, core, desc) = feed.front()?;
+        self.inbox.take_into(&mut self.feed);
+        let &(at, core, desc) = self.feed.front()?;
         self.assert_not_passed(at, core, cycle);
         (at == cycle && core == src.0).then(|| {
-            feed.pop_front();
+            self.feed.pop_front();
             desc
         })
     }
 
-    /// Pops the feed's head run for `cycle` under one lock: the feed is in
-    /// the `(cycle, core)` order the per-core loop would find it in.
+    /// Pops the feed's head run for `cycle`: the feed is in the
+    /// `(cycle, core)` order the per-core loop would find it in.
     fn poll_cycle(
         &mut self,
         cycle: u64,
         _num_cores: usize,
         emit: &mut dyn FnMut(CoreId, PacketDescriptor),
     ) {
-        let mut feed = self.feed.lock().expect("pod feed poisoned");
-        while let Some(&(at, core, desc)) = feed.front() {
+        self.inbox.take_into(&mut self.feed);
+        while let Some(&(at, core, desc)) = self.feed.front() {
             self.assert_not_passed(at, core, cycle);
             if at != cycle {
                 break;
             }
-            feed.pop_front();
+            self.feed.pop_front();
             emit(CoreId(core), desc);
         }
     }
@@ -219,14 +276,12 @@ impl TrafficModel for PodFeedTraffic {
     }
 
     fn next_generation_cycle(&self, now: u64) -> Option<u64> {
-        // Only the already-buffered feed counts. The hierarchy fills a whole
-        // window before the pods step, so inside the window the head entry
-        // is the pod's next packet; after it the feed holds nothing beyond,
-        // and an empty feed means "idle until the hierarchy says otherwise".
-        let feed = self.feed.lock().expect("pod feed poisoned");
-        feed.iter()
-            .find(|&&(at, _, _)| at > now)
-            .map(|&(at, _, _)| at)
+        // Only the already-buffered entries count. The hierarchy fills a
+        // whole window before the pods step, so inside the window the head
+        // entry is the pod's next packet; after it nothing is buffered
+        // beyond, and no entry means "idle until the hierarchy says
+        // otherwise". Entries not taken yet come after every taken one.
+        next_entry_after(&self.feed, now).or_else(|| self.inbox.next_after(now))
     }
 }
 
@@ -277,7 +332,7 @@ pub(crate) fn pod_pair_label(src: usize, dst: usize) -> String {
 pub(crate) struct HierarchicalSystem {
     config: SimConfig,
     pods: Vec<Mutex<PodShard>>,
-    feeds: Vec<Arc<Mutex<Feed>>>,
+    inboxes: Vec<Arc<Inbox>>,
     traffic: Box<dyn TrafficModel + Send>,
     leaf_cores: usize,
     epoch: u64,
@@ -332,11 +387,11 @@ impl HierarchicalSystem {
         let leaf_clusters = leaf_config.topology.num_clusters();
         let leaf_params = leaf.default_params();
         let mut shards = Vec::with_capacity(pods);
-        let mut feeds = Vec::with_capacity(pods);
+        let mut inboxes = Vec::with_capacity(pods);
         for pod in 0..pods {
-            let feed: Arc<Mutex<Feed>> = Arc::new(Mutex::new(VecDeque::new()));
+            let inbox = Arc::new(Inbox::default());
             let proxy = PodFeedTraffic::new(
-                Arc::clone(&feed),
+                Arc::clone(&inbox),
                 pod,
                 &*traffic,
                 pod * leaf_clusters,
@@ -349,12 +404,12 @@ impl HierarchicalSystem {
                 totals: SimStats::default(),
                 log: Vec::new(),
             }));
-            feeds.push(feed);
+            inboxes.push(inbox);
         }
         Self {
             config,
             pods: shards,
-            feeds,
+            inboxes,
             traffic,
             leaf_cores,
             epoch,
@@ -393,10 +448,7 @@ impl HierarchicalSystem {
                         dst: CoreId(desc.dst.0 - offset),
                         ..desc
                     };
-                    self.feeds[src_pod]
-                        .lock()
-                        .expect("pod feed poisoned")
-                        .push_back((cycle, local.src.0, local));
+                    self.inboxes[src_pod].push((cycle, local.src.0, local));
                 } else {
                     self.spine.transmit(cycle, &desc);
                 }
@@ -640,12 +692,13 @@ mod tests {
 
     /// A pod-3 proxy over `entries`, which must be in `(cycle, core)` order.
     fn pod_feed(entries: &[(u64, usize)]) -> PodFeedTraffic {
-        let feed = entries
-            .iter()
-            .map(|&(cycle, core)| (cycle, core, packet(core, cycle)))
-            .collect();
+        let inbox = Arc::new(Inbox::default());
+        for &(cycle, core) in entries {
+            inbox.push((cycle, core, packet(core, cycle)));
+        }
         PodFeedTraffic {
-            feed: Arc::new(Mutex::new(feed)),
+            inbox,
+            feed: VecDeque::new(),
             pod: 3,
             classes: Vec::new(),
             intensity: Vec::new(),
@@ -681,6 +734,29 @@ mod tests {
                 assert_eq!(runs.delivered_flits, u64::from(flits));
             }
         }
+    }
+
+    #[test]
+    fn a_pod_takes_its_inbox_once_and_still_sees_later_entries() {
+        let mut pod = pod_feed(&[(5, 2), (9, 0)]);
+        // Before the first poll the entries are still in the inbox.
+        assert_eq!(pod.next_generation_cycle(0), Some(5));
+        let mut got = Vec::new();
+        pod.poll_cycle(5, 64, &mut |core, _| got.push(core));
+        assert_eq!(got, [CoreId(2)]);
+        assert!(pod.inbox.feed.lock().unwrap().is_empty());
+        assert!(!pod.inbox.filled.load(Ordering::Relaxed));
+        // An entry appended after the take is seen behind the taken ones.
+        pod.inbox.push((12, 1, packet(1, 12)));
+        assert_eq!(pod.next_generation_cycle(9), Some(12));
+        assert_eq!(
+            pod.next_packet(9, CoreId(0)).map(|p| p.src),
+            Some(CoreId(0))
+        );
+        assert_eq!(pod.next_generation_cycle(9), Some(12));
+        pod.poll_cycle(12, 64, &mut |core, _| got.push(core));
+        assert_eq!(got, [CoreId(2), CoreId(1)]);
+        assert_eq!(pod.next_generation_cycle(12), None);
     }
 
     #[test]
@@ -724,12 +800,12 @@ mod tests {
                     "look-ahead after cycle {cycle} of {entries:?} on {cores} cores"
                 );
                 prop_assert_eq!(
-                    &*batched.feed.lock().unwrap(),
-                    &*looped.feed.lock().unwrap(),
+                    &batched.feed,
+                    &looped.feed,
                     "feed left after cycle {cycle} of {entries:?} on {cores} cores"
                 );
             }
-            prop_assert!(batched.feed.lock().unwrap().is_empty());
+            prop_assert!(batched.feed.is_empty());
         }
     }
 }

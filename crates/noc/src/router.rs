@@ -22,6 +22,7 @@ use crate::arbiter::RoundRobinArbiter;
 use crate::error::{NocError, NocResult};
 use crate::flit::Flit;
 use crate::ids::{CoreId, PortId, RouterId, VcId};
+use crate::routing::ClusterRoutingTable;
 use crate::vc::{set_bits, VcSet};
 use std::fmt;
 
@@ -85,6 +86,24 @@ pub struct OutputGrant {
 /// Route-computation function: maps a destination core to an output port.
 pub(crate) type RouteFn = Box<dyn Fn(CoreId) -> PortId + Send + Sync>;
 
+/// How a router computes a head flit's output port: the cluster routing
+/// table of the switch (held by value, no allocation), or any function.
+enum Route {
+    Table(ClusterRoutingTable),
+    Fn(RouteFn),
+}
+
+impl Route {
+    /// The output port for a packet headed to `dst`.
+    #[inline]
+    fn port(&self, dst: CoreId) -> PortId {
+        match self {
+            Route::Table(table) => table.output_port(dst),
+            Route::Fn(route) => route(dst),
+        }
+    }
+}
+
 /// The three-stage electrical router.
 pub struct ElectricalRouter {
     id: RouterId,
@@ -92,7 +111,7 @@ pub struct ElectricalRouter {
     inputs: Vec<VcSet>,
     input_arbiters: Vec<RoundRobinArbiter>,
     output_arbiters: Vec<RoundRobinArbiter>,
-    route_fn: Option<RouteFn>,
+    route: Option<Route>,
     /// Per-cycle state, kept across cycles so arbitration never allocates:
     /// the VC each input port nominated in stage 1, per output port the mask
     /// of input ports nominating it (the stage-3 requests) and the input port
@@ -133,7 +152,7 @@ impl ElectricalRouter {
             output_arbiters: (0..spec.num_ports)
                 .map(|_| RoundRobinArbiter::new(spec.num_ports))
                 .collect(),
-            route_fn: None,
+            route: None,
             nominated_vc: vec![VcId(0); spec.num_ports],
             output_requests: vec![0; spec.num_ports],
             winner: vec![0; spec.num_ports],
@@ -143,7 +162,12 @@ impl ElectricalRouter {
 
     /// Installs the route-computation function.
     pub fn set_route_fn(&mut self, f: RouteFn) {
-        self.route_fn = Some(f);
+        self.route = Some(Route::Fn(f));
+    }
+
+    /// Routes by `table`, the switch's cluster routing table.
+    pub fn set_routing_table(&mut self, table: ClusterRoutingTable) {
+        self.route = Some(Route::Table(table));
     }
 
     /// Router identifier.
@@ -282,7 +306,7 @@ impl ElectricalRouter {
             let mut requests = 0u64;
             for v in set_bits(set.nonempty_mask()) {
                 let vc = VcId(v);
-                let buffer = set.vc(vc).expect("mask bit names a VC");
+                let buffer = set.occupied(vc);
                 let (head, entered) = buffer.front().expect("non-empty mask bit");
                 if cycle < entered + latency.saturating_sub(1) {
                     in_pipeline = true; // still traversing the router pipeline
@@ -292,11 +316,11 @@ impl ElectricalRouter {
                 let out = match buffer.assigned_output() {
                     Some(out) => out,
                     None if head.is_head() => {
-                        let route = self
-                            .route_fn
+                        let out = self
+                            .route
                             .as_ref()
-                            .expect("routing function must be installed before stepping");
-                        let out = route(head.dst);
+                            .expect("routing function must be installed before stepping")
+                            .port(head.dst);
                         assert!(
                             out.0 < num_ports,
                             "routing function returned invalid port {out} (router has {num_ports})"
@@ -312,15 +336,14 @@ impl ElectricalRouter {
                         self.id, head.packet
                     ),
                 };
-                let (head, _) = set.vc(vc).expect("vc in range").front().expect("non-empty");
+                let (head, _) = set.occupied(vc).front().expect("non-empty");
                 if can_send(out, vc, head) {
                     requests |= 1 << v;
                 }
             }
             if let Some(winner) = self.input_arbiters[p].grant_mask(requests) {
                 let out = set
-                    .vc(VcId(winner))
-                    .expect("vc in range")
+                    .occupied(VcId(winner))
                     .assigned_output()
                     .expect("candidate has assignment");
                 self.nominated_vc[p] = VcId(winner);
@@ -456,6 +479,30 @@ mod tests {
         assert!(r.next_grant().is_some());
         // Empty again: nothing to nominate, nothing in the pipeline.
         assert!(!r.arbitrate(3, |_, _, _| true));
+    }
+
+    #[test]
+    fn a_routing_table_routes_as_the_same_function_would() {
+        let topology = crate::topology::ClusterTopology::paper_default();
+        let spec = RouterSpec::new(topology.switch_ports(), 2, 4);
+        let own = CoreId(9);
+        let table = ClusterRoutingTable::new(topology, own);
+        let (mut by_table, mut by_fn) = (
+            ElectricalRouter::new(RouterId(9), spec),
+            ElectricalRouter::new(RouterId(9), spec),
+        );
+        by_table.set_routing_table(table);
+        by_fn.set_route_fn(Box::new(move |dst| table.output_port(dst)));
+        // Local delivery, two peers and the photonic port.
+        for (packet, dst, port) in [(1, 9, 0), (2, 8, 1), (3, 11, 3), (4, 40, 4)] {
+            let flit = mk_flit(packet, FlitKind::Single, 0, 1, dst);
+            let cycle = 3 * packet;
+            by_table.accept(PortId(0), VcId(0), flit, cycle).unwrap();
+            by_fn.accept(PortId(0), VcId(0), flit, cycle).unwrap();
+            let grants = by_table.step(cycle + 2, |_, _, _| true);
+            assert_eq!(grants, by_fn.step(cycle + 2, |_, _, _| true));
+            assert_eq!(grants[0].output, PortId(port));
+        }
     }
 
     #[test]

@@ -5,11 +5,18 @@
 //! capacity (64 flits per VC in the paper). Virtual channels decouple
 //! independent packets sharing a physical link so that a blocked wormhole
 //! does not stall unrelated traffic (Section 1.4 of the thesis).
+//!
+//! Storage exists once used. A port's VC headers are built on its first
+//! push or route assignment, and each VC's ring grows by doubling to that
+//! VC's own high-water mark, so a leaf's memory follows the ports that carry
+//! traffic and what they buffer, not `ports × VCs × depth`. A set that was
+//! never used answers every query exactly as a freshly built one would.
 
 use crate::error::{NocError, NocResult};
 use crate::flit::Flit;
 use crate::ids::{PortId, VcId};
 use std::collections::VecDeque;
+use std::sync::{Mutex, PoisonError};
 
 /// A single virtual-channel FIFO.
 #[derive(Debug, Clone)]
@@ -137,16 +144,25 @@ pub fn set_bits(mut mask: u64) -> impl Iterator<Item = usize> {
 /// the set ([`VcSet::push`], [`VcSet::pop`], [`VcSet::assign_output`],
 /// [`VcSet::release_output`]), which updates the masks in place, so the
 /// per-cycle scans of the routers walk set bits instead of probing every FIFO.
+///
+/// The VC headers are built on the set's first [`VcSet::push`] or
+/// [`VcSet::assign_output`]. Until then the set holds no heap memory, its
+/// masks are zero, and [`VcSet::vc`] and [`VcSet::iter`] show every VC as an
+/// empty `depth`-flit buffer with no assignment.
 #[derive(Debug, Clone)]
 pub struct VcSet {
-    vcs: Vec<VcBuffer>,
+    /// Empty until the set is first used, then `num_vcs` buffers.
+    vcs: Box<[VcBuffer]>,
     nonempty: u64,
     full: u64,
     assigned: u64,
+    num_vcs: u32,
+    depth: u32,
 }
 
 impl VcSet {
-    /// Creates `num_vcs` virtual channels of `depth` flits each.
+    /// Creates `num_vcs` virtual channels of `depth` flits each. Nothing is
+    /// allocated until the set is first used.
     ///
     /// # Panics
     ///
@@ -158,11 +174,14 @@ impl VcSet {
             (1..=64).contains(&num_vcs),
             "a port needs between 1 and 64 virtual channels, got {num_vcs}"
         );
+        assert!(depth > 0, "VC buffer capacity must be non-zero");
         Self {
-            vcs: (0..num_vcs).map(|_| VcBuffer::new(depth)).collect(),
+            vcs: Box::default(),
             nonempty: 0,
             full: 0,
             assigned: 0,
+            num_vcs: num_vcs as u32,
+            depth: u32::try_from(depth).expect("VC depth fits in 32 bits"),
         }
     }
 
@@ -170,7 +189,7 @@ impl VcSet {
     #[must_use]
     #[inline]
     pub fn num_vcs(&self) -> usize {
-        self.vcs.len()
+        self.num_vcs as usize
     }
 
     /// Immutable access to a VC.
@@ -180,10 +199,60 @@ impl VcSet {
     /// Returns [`NocError::InvalidVc`] if the index is out of range.
     #[inline]
     pub fn vc(&self, vc: VcId) -> NocResult<&VcBuffer> {
-        self.vcs.get(vc.0).ok_or(NocError::InvalidVc {
-            vc,
-            num_vcs: self.vcs.len(),
-        })
+        match self.vcs.get(vc.0) {
+            Some(buffer) => Ok(buffer),
+            None => self.unused_vc(vc),
+        }
+    }
+
+    /// VC `vc` of a set that is in use, the access of the per-cycle scans:
+    /// a VC a mask names, or one feeding a transmission, belongs to a set
+    /// that was pushed to.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the set was never used or `vc` is out of range.
+    #[must_use]
+    #[inline]
+    pub fn occupied(&self, vc: VcId) -> &VcBuffer {
+        &self.vcs[vc.0]
+    }
+
+    /// [`VcSet::vc`] for an index the buffers do not hold: out of range, or
+    /// the set was never used and every VC reads as an empty buffer.
+    #[cold]
+    #[inline(never)]
+    fn unused_vc(&self, vc: VcId) -> NocResult<&VcBuffer> {
+        if vc.0 >= self.num_vcs() {
+            return Err(NocError::InvalidVc {
+                vc,
+                num_vcs: self.num_vcs(),
+            });
+        }
+        // One empty buffer per distinct depth for the life of the process,
+        // leaked so that a never-used set can lend it out without holding it.
+        static BLANKS: Mutex<Vec<&'static VcBuffer>> = Mutex::new(Vec::new());
+        let mut blanks = BLANKS.lock().unwrap_or_else(PoisonError::into_inner);
+        let blank = match blanks.iter().find(|b| b.capacity == self.depth as usize) {
+            Some(&blank) => blank,
+            None => {
+                let blank: &'static VcBuffer =
+                    Box::leak(Box::new(VcBuffer::new(self.depth as usize)));
+                blanks.push(blank);
+                blank
+            }
+        };
+        Ok(blank)
+    }
+
+    /// The first use of the set: builds its `num_vcs` empty buffers.
+    #[cold]
+    #[inline(never)]
+    fn materialise(&mut self) {
+        debug_assert!(self.vcs.is_empty(), "a set is materialised once");
+        self.vcs = (0..self.num_vcs)
+            .map(|_| VcBuffer::new(self.depth as usize))
+            .collect();
     }
 
     /// Pushes a flit into VC `vc`, recording the cycle of arrival.
@@ -194,11 +263,16 @@ impl VcSet {
     /// [`NocError::BufferFull`] when the VC is at capacity.
     #[inline]
     pub fn push(&mut self, vc: VcId, flit: Flit, cycle: u64) -> NocResult<()> {
-        let num_vcs = self.vcs.len();
-        let buffer = self
-            .vcs
-            .get_mut(vc.0)
-            .ok_or(NocError::InvalidVc { vc, num_vcs })?;
+        if vc.0 >= self.vcs.len() {
+            if vc.0 >= self.num_vcs() {
+                return Err(NocError::InvalidVc {
+                    vc,
+                    num_vcs: self.num_vcs(),
+                });
+            }
+            self.materialise();
+        }
+        let buffer = &mut self.vcs[vc.0];
         buffer.push(flit, cycle)?;
         self.nonempty |= 1 << vc.0;
         if buffer.is_full() {
@@ -215,6 +289,11 @@ impl VcSet {
     /// Panics if `vc` is out of range.
     #[inline]
     pub fn pop(&mut self, vc: VcId) -> Option<(Flit, u64)> {
+        if vc.0 >= self.vcs.len() {
+            // A never-used set holds no flit.
+            assert!(vc.0 < self.num_vcs(), "VC out of range");
+            return None;
+        }
         let buffer = &mut self.vcs[vc.0];
         let popped = buffer.pop()?;
         self.full &= !(1 << vc.0);
@@ -231,6 +310,10 @@ impl VcSet {
     /// Panics if `vc` is out of range.
     #[inline]
     pub fn assign_output(&mut self, vc: VcId, port: PortId) {
+        if vc.0 >= self.vcs.len() {
+            assert!(vc.0 < self.num_vcs(), "VC out of range");
+            self.materialise();
+        }
         self.vcs[vc.0].assign_output(port);
         self.assigned |= 1 << vc.0;
     }
@@ -242,7 +325,12 @@ impl VcSet {
     /// Panics if `vc` is out of range.
     #[inline]
     pub fn release_output(&mut self, vc: VcId) {
-        self.vcs[vc.0].release_output();
+        if vc.0 < self.vcs.len() {
+            self.vcs[vc.0].release_output();
+        } else {
+            // A never-used set holds no assignment.
+            assert!(vc.0 < self.num_vcs(), "VC out of range");
+        }
         self.assigned &= !(1 << vc.0);
     }
 
@@ -267,22 +355,26 @@ impl VcSet {
     }
 
     /// Whether the three masks equal a recomputation from the buffers (the
-    /// ground truth behind the engine's debug cross-check).
+    /// ground truth behind the engine's debug cross-check). A set that was
+    /// never used holds no buffer, so its masks must be zero.
     #[must_use]
     pub fn masks_consistent(&self) -> bool {
         let scan = |pred: fn(&VcBuffer) -> bool| {
-            self.iter()
+            self.vcs
+                .iter()
+                .enumerate()
                 .filter(|(_, b)| pred(b))
-                .fold(0u64, |mask, (vc, _)| mask | 1 << vc.0)
+                .fold(0u64, |mask, (vc, _)| mask | 1 << vc)
         };
-        self.nonempty == scan(|b| !b.is_empty())
+        (self.vcs.is_empty() || self.vcs.len() == self.num_vcs())
+            && self.nonempty == scan(|b| !b.is_empty())
             && self.full == scan(VcBuffer::is_full)
             && self.assigned == scan(|b| b.assigned_output().is_some())
     }
 
     /// Iterates over `(VcId, &VcBuffer)` pairs.
     pub fn iter(&self) -> impl Iterator<Item = (VcId, &VcBuffer)> {
-        self.vcs.iter().enumerate().map(|(i, b)| (VcId(i), b))
+        (0..self.num_vcs()).map(|i| (VcId(i), self.vc(VcId(i)).expect("vc in range")))
     }
 
     /// Total occupancy across all VCs, in flits.
@@ -300,7 +392,7 @@ impl VcSet {
     pub fn free_vc(&self) -> Option<VcId> {
         let free = !(self.nonempty | self.assigned);
         let vc = free.trailing_zeros() as usize;
-        (vc < self.vcs.len()).then_some(VcId(vc))
+        (vc < self.num_vcs()).then_some(VcId(vc))
     }
 
     /// True when every VC is completely empty.
@@ -406,8 +498,90 @@ mod tests {
     #[test]
     fn fresh_buffers_own_no_ring() {
         assert_eq!(VcBuffer::new(64).fifo.capacity(), 0);
-        let set = VcSet::new(16, 256);
-        assert!(set.vcs.iter().all(|b| b.fifo.capacity() == 0));
+        let mut set = VcSet::new(16, 256);
+        set.push(VcId(3), flit(3), 0).unwrap();
+        assert!(set
+            .iter()
+            .all(|(vc, b)| (b.fifo.capacity() == 0) == (vc != VcId(3))));
+    }
+
+    /// Every read answer of a set, for comparing two sets.
+    fn answers(set: &VcSet) -> impl PartialEq + std::fmt::Debug + '_ {
+        let buffers: Vec<_> = set
+            .iter()
+            .map(|(vc, b)| {
+                (
+                    vc,
+                    b.capacity(),
+                    b.occupancy(),
+                    b.is_full(),
+                    b.front().map(|(f, c)| (f.seq, c)),
+                    b.assigned_output(),
+                )
+            })
+            .collect();
+        (
+            buffers,
+            set.vc(VcId(set.num_vcs())).map(|_| ()),
+            set.free_vc(),
+            set.total_occupancy(),
+            set.is_idle(),
+            (set.nonempty_mask(), set.full_mask(), set.assigned_mask()),
+            set.masks_consistent(),
+        )
+    }
+
+    #[test]
+    fn a_never_used_set_answers_like_a_used_and_emptied_one() {
+        let (mut unused, mut emptied) = (VcSet::new(4, 3), VcSet::new(4, 3));
+        emptied.assign_output(VcId(2), PortId(1));
+        emptied.push(VcId(2), flit(2), 7).unwrap();
+        assert!(emptied.pop(VcId(2)).is_some());
+        emptied.release_output(VcId(2));
+        assert_eq!(answers(&unused), answers(&emptied));
+        assert!(unused.masks_consistent());
+        assert_eq!(unused.free_vc(), Some(VcId(0)));
+        assert_eq!(unused.total_occupancy(), 0);
+        assert!(matches!(
+            unused.vc(VcId(4)),
+            Err(NocError::InvalidVc { num_vcs: 4, .. })
+        ));
+        let blank = unused.vc(VcId(1)).unwrap();
+        assert_eq!((blank.capacity(), blank.occupancy()), (3, 0));
+        assert_eq!((blank.front(), blank.assigned_output()), (None, None));
+        // Neither a pop nor a release builds anything.
+        assert_eq!(unused.pop(VcId(3)), None);
+        unused.release_output(VcId(0));
+        assert!(unused.vcs.is_empty());
+        assert_eq!(answers(&unused), answers(&emptied));
+    }
+
+    #[test]
+    fn the_first_push_or_assignment_materialises_that_port_only() {
+        let mut ports: Vec<VcSet> = (0..3).map(|_| VcSet::new(16, 64)).collect();
+        ports[1].push(VcId(5), flit(5), 0).unwrap();
+        let built = |ports: &[VcSet]| ports.iter().map(|p| p.vcs.len()).collect::<Vec<_>>();
+        assert_eq!(built(&ports), [0, 16, 0]);
+        ports[2].assign_output(VcId(0), PortId(4));
+        assert_eq!(built(&ports), [0, 16, 16]);
+        // An out-of-range push is refused without building the port.
+        assert!(matches!(
+            ports[0].push(VcId(16), flit(0), 0),
+            Err(NocError::InvalidVc { num_vcs: 16, .. })
+        ));
+        assert_eq!(built(&ports), [0, 16, 16]);
+        assert!(ports.iter().all(VcSet::masks_consistent));
+        assert_eq!(ports[1].vc(VcId(5)).unwrap().occupancy(), 1);
+        assert_eq!(
+            ports[2].vc(VcId(0)).unwrap().assigned_output(),
+            Some(PortId(4))
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "VC out of range")]
+    fn popping_past_a_never_used_sets_vcs_panics() {
+        let _ = VcSet::new(2, 2).pop(VcId(2));
     }
 
     /// Random `push`/`pop`/`assign_output`/`release_output` against a plain
@@ -432,7 +606,7 @@ mod tests {
                 rng ^= rng << 17;
                 let v = (rng >> 8) as usize % 2;
                 let vc = VcId(v);
-                let ring_before = set.vcs[v].fifo.capacity();
+                let ring_before = set.vc(vc).unwrap().fifo.capacity();
                 // Alternating phases of mostly-push and mostly-pop, so each
                 // ring fills to capacity, drains and wraps; a sprinkle of the
                 // other two operations.
@@ -467,7 +641,7 @@ mod tests {
                         assert_eq!(popped, model[v].pop_front());
                     }
                 }
-                reallocations += usize::from(set.vcs[v].fifo.capacity() != ring_before);
+                reallocations += usize::from(set.vc(vc).unwrap().fifo.capacity() != ring_before);
                 assert!(set.masks_consistent());
                 let buffer = set.vc(vc).unwrap();
                 assert_eq!(buffer.occupancy(), model[v].len());

@@ -315,7 +315,7 @@ impl PhotonicRouter {
     fn startable_heads(&self, port: usize) -> impl Iterator<Item = (VcId, Flit)> + '_ {
         let set = &self.inputs[port];
         set_bits(set.nonempty_mask() & !self.active_sources[port]).filter_map(move |v| {
-            let buffer = set.vc(VcId(v)).expect("mask bit names a VC");
+            let buffer = set.occupied(VcId(v));
             let (flit, _) = buffer.front().expect("non-empty mask bit");
             flit.is_head().then_some((VcId(v), *flit))
         })
@@ -344,10 +344,47 @@ struct InjectionProgress {
     next: u32,
 }
 
-/// Sets core switch `switch`'s bit in the wake set.
+/// Sets bit `i` of the bitset `words` (the wake set, or a set of busy cores
+/// or clusters).
 #[inline]
-fn wake(awake: &mut [u64], switch: usize) {
-    awake[switch / 64] |= 1 << (switch % 64);
+fn set_bit(words: &mut [u64], i: usize) {
+    words[i / 64] |= 1 << (i % 64);
+}
+
+/// Clears bit `i` of the bitset `words`.
+#[inline]
+fn clear_bit(words: &mut [u64], i: usize) {
+    words[i / 64] &= !(1 << (i % 64));
+}
+
+/// A walk over the set bits of a bitset, lowest first. Each word is read
+/// when the walk reaches it; no phase sets a bit of the set it walks, so the
+/// walk visits what a scan of every index would, in the same order.
+struct BitWalk {
+    word: usize,
+    bits: u64,
+}
+
+impl BitWalk {
+    #[inline]
+    fn new(words: &[u64]) -> Self {
+        Self {
+            word: 0,
+            bits: words.first().copied().unwrap_or(0),
+        }
+    }
+
+    /// The next set bit of `words`, the bitset the walk was started on.
+    #[inline]
+    fn next(&mut self, words: &[u64]) -> Option<usize> {
+        while self.bits == 0 {
+            self.word += 1;
+            self.bits = *words.get(self.word)?;
+        }
+        let bit = self.bits.trailing_zeros() as usize;
+        self.bits &= self.bits - 1;
+        Some(self.word * 64 + bit)
+    }
 }
 
 /// The complete simulated chip.
@@ -375,6 +412,16 @@ pub struct PhotonicSystem<F: PhotonicFabric, T: TrafficModel> {
     cluster_in_occ: Vec<u32>,
     /// Flits buffered in each cluster's ejection buffers.
     cluster_ej_occ: Vec<u32>,
+    /// The bitsets the per-cycle phases walk instead of every core or
+    /// cluster, each bit set where its counter leaves zero and cleared where
+    /// it returns to zero: cores with a queued or part-injected packet
+    /// (`inject_flits`), and clusters with an active transmission
+    /// (`advance_transmissions`), with ejection flits (`drain_ejection`) and
+    /// with input flits (`start_transmissions`).
+    busy_set: Vec<u64>,
+    active_set: Vec<u64>,
+    ejection_set: Vec<u64>,
+    input_set: Vec<u64>,
     /// Running totals behind the O(1) [`Self::is_quiescent`] and
     /// [`Self::buffered_flits`]: flits buffered anywhere, in-flight photonic
     /// transmissions, and cores with a queued or part-injected packet.
@@ -409,8 +456,7 @@ impl<F: PhotonicFabric, T: TrafficModel> PhotonicSystem<F, T> {
         let mut switches = Vec::with_capacity(topology.num_cores());
         for core in topology.cores() {
             let mut router = ElectricalRouter::new(RouterId(core.0), spec);
-            let table = ClusterRoutingTable::new(topology, core);
-            router.set_route_fn(Box::new(move |dst| table.output_port(dst)));
+            router.set_routing_table(ClusterRoutingTable::new(topology, core));
             switches.push(router);
         }
         let photonic = (0..topology.num_clusters())
@@ -445,6 +491,10 @@ impl<F: PhotonicFabric, T: TrafficModel> PhotonicSystem<F, T> {
             granting: Vec::with_capacity(num_cores),
             cluster_in_occ: vec![0; num_clusters],
             cluster_ej_occ: vec![0; num_clusters],
+            busy_set: vec![0; num_cores.div_ceil(64)],
+            active_set: vec![0; num_clusters.div_ceil(64)],
+            ejection_set: vec![0; num_clusters.div_ceil(64)],
+            input_set: vec![0; num_clusters.div_ceil(64)],
             total_buffered: 0,
             total_active: 0,
             busy_cores: 0,
@@ -481,9 +531,10 @@ impl<F: PhotonicFabric, T: TrafficModel> PhotonicSystem<F, T> {
     }
 
     /// Ground truth behind the incremental state: recomputes the per-switch
-    /// and per-cluster occupancies, the three running totals, every `VcSet`'s
-    /// masks, the active-source masks and each photonic router's wavelength
-    /// counters and waiting set from the buffers and transmissions themselves.
+    /// and per-cluster occupancies, the three running totals, the busy-core
+    /// and three cluster bitsets, every `VcSet`'s masks, the active-source
+    /// masks and each photonic router's wavelength counters and waiting set
+    /// from the cores, buffers and transmissions themselves.
     fn counters_match_buffers(&self) -> bool {
         let occupancy = |sets: &[VcSet]| sets.iter().map(VcSet::total_occupancy).sum::<usize>();
         let switches_ok = self.switches.iter().zip(&self.switch_occ).all(|(s, &occ)| {
@@ -523,13 +574,29 @@ impl<F: PhotonicFabric, T: TrafficModel> PhotonicSystem<F, T> {
             .map(|&o| o as usize)
             .sum::<usize>();
         let active = self.photonic.iter().map(|r| r.active.len()).sum::<usize>();
-        let busy = self
-            .cores
-            .iter()
-            .filter(|c| c.injecting.is_some() || !c.queue.is_empty())
-            .count();
+        let is_busy = |c: &CoreState| c.injecting.is_some() || !c.queue.is_empty();
+        let busy = self.cores.iter().filter(|c| is_busy(c)).count();
+        let bitset = |members: &mut dyn Iterator<Item = bool>| {
+            let mut words = Vec::new();
+            for (i, member) in members.enumerate() {
+                if i % 64 == 0 {
+                    words.push(0);
+                }
+                if member {
+                    set_bit(&mut words, i);
+                }
+            }
+            words
+        };
+        let holds_flits = |sets: &[VcSet]| sets.iter().any(|set| !set.is_idle());
+        let sets_ok = self.busy_set == bitset(&mut self.cores.iter().map(is_busy))
+            && self.active_set == bitset(&mut self.photonic.iter().map(|r| !r.active.is_empty()))
+            && self.ejection_set
+                == bitset(&mut self.photonic.iter().map(|r| holds_flits(&r.ejection)))
+            && self.input_set == bitset(&mut self.photonic.iter().map(|r| holds_flits(&r.inputs)));
         switches_ok
             && clusters_ok
+            && sets_ok
             && self.total_buffered == buffered
             && self.total_active == active
             && self.busy_cores == busy
@@ -559,6 +626,7 @@ impl<F: PhotonicFabric, T: TrafficModel> PhotonicSystem<F, T> {
                 };
                 if state.injecting.is_none() && state.queue.is_empty() {
                     self.busy_cores += 1;
+                    set_bit(&mut self.busy_set, core.0);
                 }
                 state.queue.push_back(packet);
             });
@@ -566,13 +634,10 @@ impl<F: PhotonicFabric, T: TrafficModel> PhotonicSystem<F, T> {
 
     fn inject_flits(&mut self, cycle: u64, sink: &mut dyn EventSink) {
         let local_port = self.topology.local_port();
-        for core_idx in 0..self.topology.num_cores() {
-            // An idle core (nothing queued, nothing mid-injection) cannot make
-            // progress this cycle; the probe below is read-only, so skipping
-            // it is behaviour-preserving.
-            if self.cores[core_idx].injecting.is_none() && self.cores[core_idx].queue.is_empty() {
-                continue;
-            }
+        // Only busy cores are visited: an idle core (nothing queued, nothing
+        // mid-injection) cannot make progress this cycle.
+        let mut walk = BitWalk::new(&self.busy_set);
+        while let Some(core_idx) = walk.next(&self.busy_set) {
             // Start a new packet if the previous one finished injecting.
             if self.cores[core_idx].injecting.is_none() {
                 let Some(vc) = self.switches[core_idx].free_input_vc(local_port) else {
@@ -606,7 +671,7 @@ impl<F: PhotonicFabric, T: TrafficModel> PhotonicSystem<F, T> {
             self.switches[core_idx]
                 .accept(local_port, flit.vc, flit, cycle)
                 .expect("capacity checked");
-            wake(&mut self.awake, core_idx);
+            set_bit(&mut self.awake, core_idx);
             self.switch_occ[core_idx] += 1;
             self.total_buffered += 1;
             self.energy.record_buffer_write(u64::from(flit.bits));
@@ -623,6 +688,7 @@ impl<F: PhotonicFabric, T: TrafficModel> PhotonicSystem<F, T> {
                 state.injecting = None;
                 if state.queue.is_empty() {
                     self.busy_cores -= 1;
+                    clear_bit(&mut self.busy_set, core_idx);
                 }
             }
         }
@@ -686,7 +752,7 @@ impl<F: PhotonicFabric, T: TrafficModel> PhotonicSystem<F, T> {
                 if grant.input != local_port && grant.input != photonic_port {
                     // The feeding peer's full mask for this port may clear.
                     let upstream = cluster.core(topology.peer_of_port(local, grant.input), cpc);
-                    wake(&mut self.awake, upstream.0);
+                    set_bit(&mut self.awake, upstream.0);
                 }
                 self.switch_occ[core_idx] -= 1;
                 self.energy.record_router_traversal(u64::from(flit.bits));
@@ -717,6 +783,9 @@ impl<F: PhotonicFabric, T: TrafficModel> PhotonicSystem<F, T> {
                     }
                 } else if grant.output == photonic_port {
                     self.energy.record_buffer_write(u64::from(flit.bits));
+                    if self.cluster_in_occ[cluster.0] == 0 {
+                        set_bit(&mut self.input_set, cluster.0);
+                    }
                     self.cluster_in_occ[cluster.0] += 1;
                     let router = &mut self.photonic[cluster.0];
                     if router.inputs[local].nonempty_mask() >> grant.vc.0 & 1 == 0 {
@@ -734,7 +803,7 @@ impl<F: PhotonicFabric, T: TrafficModel> PhotonicSystem<F, T> {
                     self.switches[peer.0]
                         .accept(topology.peer_port(peer, core), grant.vc, flit, cycle)
                         .expect("peer capacity checked in phase 1");
-                    wake(&mut self.awake, peer.0);
+                    set_bit(&mut self.awake, peer.0);
                 }
             }
         }
@@ -777,12 +846,11 @@ impl<F: PhotonicFabric, T: TrafficModel> PhotonicSystem<F, T> {
         let bits_per_wavelength = self.config.bits_per_wavelength_per_cycle();
         let cpc = self.topology.cores_per_cluster();
 
-        for cluster_idx in 0..self.topology.num_clusters() {
-            // No active transmission: nothing to advance, nothing to deliver.
+        // Only clusters with an active transmission are visited: with none
+        // there is nothing to advance and nothing to deliver.
+        let mut walk = BitWalk::new(&self.active_set);
+        while let Some(cluster_idx) = walk.next(&self.active_set) {
             let len = self.photonic[cluster_idx].active.len();
-            if len == 0 {
-                continue;
-            }
             let src_cluster = ClusterId(cluster_idx);
             let pool = self.fabric.pool_size(src_cluster);
             // With the pool exhausted now, no waiting transmission can enter
@@ -837,7 +905,7 @@ impl<F: PhotonicFabric, T: TrafficModel> PhotonicSystem<F, T> {
                     tx.credit_bits += tx.wavelengths as f64 * bits_per_wavelength;
                     let source = &mut router.inputs[tx.src_port];
                     loop {
-                        let buffer = source.vc(tx.src_vc).expect("vc in range");
+                        let buffer = source.occupied(tx.src_vc);
                         let Some((flit, _)) = buffer.front() else {
                             // Source stalled: the wavelength·cycles are lost.
                             tx.credit_bits = 0.0;
@@ -852,7 +920,7 @@ impl<F: PhotonicFabric, T: TrafficModel> PhotonicSystem<F, T> {
                         }
                         let (mut flit, _) = source.pop(tx.src_vc).expect("front checked");
                         // The feeding switch's photonic output may have room again.
-                        wake(&mut self.awake, src_cluster.core(tx.src_port, cpc).0);
+                        set_bit(&mut self.awake, src_cluster.core(tx.src_port, cpc).0);
                         popped += 1;
                         tx.credit_bits -= f64::from(flit.bits);
                         tx.flits_sent += 1;
@@ -863,6 +931,9 @@ impl<F: PhotonicFabric, T: TrafficModel> PhotonicSystem<F, T> {
                         // the write into the destination's ejection buffer.
                         self.energy.record_router_traversal(bits);
                         self.energy.record_buffer_write(bits);
+                        if self.cluster_ej_occ[dst_cluster] == 0 {
+                            set_bit(&mut self.ejection_set, dst_cluster);
+                        }
                         self.cluster_ej_occ[dst_cluster] += 1;
                         dst.ejection[tx.dst_local]
                             .push(tx.dst_vc, flit, cycle)
@@ -884,17 +955,22 @@ impl<F: PhotonicFabric, T: TrafficModel> PhotonicSystem<F, T> {
             for idx in finished.drain(..).rev() {
                 router.remove_finished(idx);
             }
+            if router.active.is_empty() {
+                clear_bit(&mut self.active_set, cluster_idx);
+            }
             self.cluster_in_occ[cluster_idx] -= popped;
+            if self.cluster_in_occ[cluster_idx] == 0 {
+                clear_bit(&mut self.input_set, cluster_idx);
+            }
         }
     }
 
     fn start_transmissions(&mut self, cycle: u64) {
-        for cluster_idx in 0..self.topology.num_clusters() {
-            // With no buffered input flit there is no head flit to start; an
-            // all-false request vector never advances the round-robin state.
-            if self.cluster_in_occ[cluster_idx] == 0 {
-                continue;
-            }
+        // Only clusters with a buffered input flit are visited: with none
+        // there is no head flit to start, and an all-false request vector
+        // never advances the round-robin state.
+        let mut walk = BitWalk::new(&self.input_set);
+        while let Some(cluster_idx) = walk.next(&self.input_set) {
             // A sleeping start phase would only grant the requests it slept
             // on and fail; `wake_starts` replays those grants when something
             // it reads changes.
@@ -942,6 +1018,7 @@ impl<F: PhotonicFabric, T: TrafficModel> PhotonicSystem<F, T> {
             self.total_active += 1;
             let demand = self.transfer_wavelengths(src_cluster, dst_cluster).max(1);
             let reservation = self.fabric.reservation_cycles();
+            set_bit(&mut self.active_set, cluster_idx);
             let router = &mut self.photonic[cluster_idx];
             router.active_sources[port] |= 1 << vc.0;
             let idx = router.active.len();
@@ -1028,12 +1105,11 @@ impl<F: PhotonicFabric, T: TrafficModel> PhotonicSystem<F, T> {
         let photonic_port = topology.photonic_port();
 
         let mut freed = false;
-        for cluster_idx in 0..topology.num_clusters() {
-            // Empty ejection buffers yield all-false request vectors, which
-            // leave every round-robin arbiter untouched — skip the cluster.
-            if self.cluster_ej_occ[cluster_idx] == 0 {
-                continue;
-            }
+        // Only clusters holding ejection flits are visited: empty ejection
+        // buffers yield all-false request vectors, which leave every
+        // round-robin arbiter untouched.
+        let mut walk = BitWalk::new(&self.ejection_set);
+        while let Some(cluster_idx) = walk.next(&self.ejection_set) {
             for local in 0..cpc {
                 // An empty port requests nothing, and `grant_mask(0)` leaves
                 // its arbiter untouched.
@@ -1068,7 +1144,10 @@ impl<F: PhotonicFabric, T: TrafficModel> PhotonicSystem<F, T> {
                 self.switches[core.0]
                     .accept(photonic_port, vc, flit, cycle)
                     .expect("acceptance checked in request vector");
-                wake(&mut self.awake, core.0);
+                set_bit(&mut self.awake, core.0);
+            }
+            if self.cluster_ej_occ[cluster_idx] == 0 {
+                clear_bit(&mut self.ejection_set, cluster_idx);
             }
         }
         if freed {

@@ -1,10 +1,12 @@
 //! Memory footprint of a leaf, measured with a counting allocator: a leaf
 //! holds what it buffers, not `ports × VCs × depth`.
 //!
-//! VC rings start empty and grow by doubling to each VC's own high-water
-//! mark, so (a) a freshly built system costs the same whatever the
-//! configured depth, (b) a saturated run stays far below the full
-//! reservation, and (c) a hierarchy pays per pod what that pod buffers. The
+//! VC headers, like rings, exist once used: a port's headers are built on
+//! its first push or route assignment, and each VC's ring grows by doubling
+//! to that VC's own high-water mark. So (a) a freshly built system costs a
+//! fixed, small number of allocation calls and bytes whatever the
+//! configured depth or VC count, (b) a saturated run stays far below the
+//! full reservation, and (c) a hierarchy pays per pod what that pod buffers. The
 //! layer above the leaf follows the same rule: (d) the spine holds one record
 //! per queued packet, not events per flit, and (e) an open loop above spine
 //! capacity costs its backlog in packets. (f) A workload DAG costs
@@ -82,12 +84,17 @@ fn measured<R>(f: impl FnOnce() -> R) -> (R, usize, usize) {
     (value, live, peak)
 }
 
-/// Runs `f` and returns its value with the allocation calls it made.
-fn calls_of<R>(f: impl FnOnce() -> R) -> (R, usize) {
+/// Runs `f` and returns its value with the allocation calls it made and the
+/// bytes it left live.
+fn calls_of<R>(f: impl FnOnce() -> R) -> (R, usize, usize) {
     settle();
-    let before = CALLS.load(Ordering::Relaxed);
+    let (calls, live) = (CALLS.load(Ordering::Relaxed), LIVE.load(Ordering::Relaxed));
     let value = f();
-    (value, CALLS.load(Ordering::Relaxed) - before)
+    (
+        value,
+        CALLS.load(Ordering::Relaxed) - calls,
+        LIVE.load(Ordering::Relaxed).saturating_sub(live),
+    )
 }
 
 /// Waits until the live byte count has held still for 20 ms. Other threads
@@ -162,30 +169,61 @@ fn allreduce_peak(architecture: &str) -> usize {
 fn a_leaf_holds_what_it_buffers() {
     d_hetpnoc_repro::install_architectures();
 
-    // (a) Building a paper-effort leaf reserves no ring: well under 2 MiB
-    // live, and the same bytes whether VCs are 64 or 256 flits deep.
-    let live_after_new = |depth: usize| {
+    // (a) Building a paper-effort leaf reserves no ring and builds no VC
+    // header. Before VC headers were built on first use, building a Firefly
+    // leaf and its traffic took 1 006 allocation calls and left 469 672 B
+    // live (d-HetPNoC: 1 084 calls, 471 256 B; release), 16 headers on each
+    // of the leaf's 448 ports. Now a leaf takes
+    // at most 0.6× those calls and holds at most 0.2× those bytes, the same
+    // bytes whether VCs are 64 or 256 flits deep, and the same calls (bytes
+    // within 1 KiB) whether ports carry 16 or 64 VCs.
+    let fresh = |depth: usize, vcs: usize| {
         let mut config = SimConfig::paper_default(BandwidthSet::Set1);
         config.vc_depth = depth;
-        let (dhet, dhet_live, _) =
-            measured(|| build_dhetpnoc_system(config, saturating_skewed3(&config)));
-        let (firefly, firefly_live, _) =
-            measured(|| build_firefly_system(config, saturating_skewed3(&config)));
+        config.vcs_per_port = vcs;
+        let (dhet, dhet_calls, dhet_live) =
+            calls_of(|| build_dhetpnoc_system(config, saturating_skewed3(&config)));
+        let (firefly, firefly_calls, firefly_live) =
+            calls_of(|| build_firefly_system(config, saturating_skewed3(&config)));
         drop((dhet, firefly));
-        (dhet_live, firefly_live)
+        [(dhet_live, dhet_calls), (firefly_live, firefly_calls)]
     };
-    let (dhet_64, firefly_64) = live_after_new(64);
-    println!("live bytes after new: d-hetpnoc {dhet_64}, firefly {firefly_64}");
-    assert!(dhet_64 < 2 * MIB, "d-hetpnoc holds {dhet_64} B after new");
-    assert!(
-        firefly_64 < 2 * MIB,
-        "firefly holds {firefly_64} B after new"
+    let paper = fresh(64, 16);
+    let [(dhet_64, dhet_calls), (firefly_64, firefly_calls)] = paper;
+    println!(
+        "after new: d-hetpnoc {dhet_64} B in {dhet_calls} calls, \
+         firefly {firefly_64} B in {firefly_calls} calls"
     );
+    for (name, (live, calls), (parent_live, parent_calls)) in [
+        ("d-hetpnoc", paper[0], (471_256, 1_084)),
+        ("firefly", paper[1], (469_672, 1_006)),
+    ] {
+        assert!(
+            live * 5 <= parent_live,
+            "{name} holds {live} B after new, above 0.2 × {parent_live} B"
+        );
+        assert!(
+            calls * 5 <= parent_calls * 3,
+            "{name} takes {calls} allocation calls to build, above 0.6 × {parent_calls}"
+        );
+    }
     assert_eq!(
-        live_after_new(256),
-        (dhet_64, firefly_64),
+        fresh(256, 16),
+        paper,
         "the footprint of a fresh leaf must not depend on vc_depth"
     );
+    let wide = fresh(64, 64);
+    println!("after new with 64 VCs per port: {wide:?}");
+    for ((live, calls), (wide_live, wide_calls)) in paper.into_iter().zip(wide) {
+        assert_eq!(
+            wide_calls, calls,
+            "a fresh leaf's allocation calls must not depend on vcs_per_port"
+        );
+        assert!(
+            wide_live.abs_diff(live) <= 1024,
+            "a fresh leaf holds {wide_live} B with 64 VCs per port, {live} B with 16"
+        );
+    }
 
     // (b) A saturated run grows each ring to its own high-water mark, far
     // below the ports × VCs × depth reservation.
@@ -290,14 +328,14 @@ fn a_leaf_holds_what_it_buffers() {
     let config = SimConfig::paper_default(BandwidthSet::Set1);
     let calls_at = |size: usize| {
         let reversed: Vec<usize> = (0..size).rev().collect();
-        let (workload, built) = calls_of(|| {
+        let (workload, built, _) = calls_of(|| {
             allreduce
                 .build(&WorkloadSpec::new(size))
                 .remap_cores(&reversed)
                 .expect("a permutation")
         });
         let workload = Arc::new(workload);
-        let (driver, driven) = calls_of(|| {
+        let (driver, driven, _) = calls_of(|| {
             let driver = WorkloadDriver::new(Arc::clone(&workload), &config);
             (driver.traffic(), driver.probe(), driver)
         });
@@ -306,7 +344,7 @@ fn a_leaf_holds_what_it_buffers() {
             .with_effort(Effort::Quick)
             .resolve()
             .expect("registered names");
-        let (outcome, run) = calls_of(|| scenario.run_with_mode(SweepMode::Sequential));
+        let (outcome, run, _) = calls_of(|| scenario.run_with_mode(SweepMode::Sequential));
         let point = &outcome.result.points[0];
         assert_eq!(point.metrics.gauge("workload_drained"), Some(1.0));
         (workload.len(), built, driven, run)
