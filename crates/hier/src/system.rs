@@ -39,10 +39,14 @@ struct Inbox {
 }
 
 impl Inbox {
-    /// Appends one entry for the pod.
-    fn push(&self, entry: (u64, usize, PacketDescriptor)) {
+    /// Moves a window's staged entries to the back of the pod's feed, under
+    /// one lock, leaving `staged` empty with its capacity.
+    fn append(&self, staged: &mut Vec<(u64, usize, PacketDescriptor)>) {
+        if staged.is_empty() {
+            return;
+        }
         let mut feed = self.feed.lock().expect("pod feed poisoned");
-        feed.push_back(entry);
+        feed.extend(staged.drain(..));
         self.filled.store(true, Ordering::Release);
     }
 
@@ -333,6 +337,9 @@ pub(crate) struct HierarchicalSystem {
     config: SimConfig,
     pods: Vec<Mutex<PodShard>>,
     inboxes: Vec<Arc<Inbox>>,
+    /// Each pod's pod-local packets of the window being generated, in
+    /// `(cycle, core)` order, appended to its inbox once the window is.
+    staged: Vec<Vec<(u64, usize, PacketDescriptor)>>,
     traffic: Box<dyn TrafficModel + Send>,
     leaf_cores: usize,
     epoch: u64,
@@ -410,6 +417,7 @@ impl HierarchicalSystem {
             config,
             pods: shards,
             inboxes,
+            staged: vec![Vec::new(); pods],
             traffic,
             leaf_cores,
             epoch,
@@ -448,11 +456,14 @@ impl HierarchicalSystem {
                         dst: CoreId(desc.dst.0 - offset),
                         ..desc
                     };
-                    self.inboxes[src_pod].push((cycle, local.src.0, local));
+                    self.staged[src_pod].push((cycle, local.src.0, local));
                 } else {
                     self.spine.transmit(cycle, &desc);
                 }
             });
+        }
+        for (inbox, staged) in self.inboxes.iter().zip(&mut self.staged) {
+            inbox.append(staged);
         }
         // The window that just ended is fully replayed — the engine steps
         // every cycle `next_event_cycle` names — so its logs are spent: each
@@ -693,9 +704,12 @@ mod tests {
     /// A pod-3 proxy over `entries`, which must be in `(cycle, core)` order.
     fn pod_feed(entries: &[(u64, usize)]) -> PodFeedTraffic {
         let inbox = Arc::new(Inbox::default());
-        for &(cycle, core) in entries {
-            inbox.push((cycle, core, packet(core, cycle)));
-        }
+        inbox.append(
+            &mut entries
+                .iter()
+                .map(|&(cycle, core)| (cycle, core, packet(core, cycle)))
+                .collect(),
+        );
         PodFeedTraffic {
             inbox,
             feed: VecDeque::new(),
@@ -747,7 +761,7 @@ mod tests {
         assert!(pod.inbox.feed.lock().unwrap().is_empty());
         assert!(!pod.inbox.filled.load(Ordering::Relaxed));
         // An entry appended after the take is seen behind the taken ones.
-        pod.inbox.push((12, 1, packet(1, 12)));
+        pod.inbox.append(&mut vec![(12, 1, packet(1, 12))]);
         assert_eq!(pod.next_generation_cycle(9), Some(12));
         assert_eq!(
             pod.next_packet(9, CoreId(0)).map(|p| p.src),

@@ -8,7 +8,7 @@ use crate::sweep::{
     default_load_ladder, derive_point_seed, point_spec, run_point, SaturationResult, SweepMode,
     SweepPoint, SweepPointSpec,
 };
-use crate::workload::run_workload_point;
+use crate::workload::{run_workload_point, shared_workload};
 use pnoc_faults::{FaultError, FaultPlan};
 use pnoc_noc::registry::UnknownNameError;
 use pnoc_noc::traffic_model::OfferedLoad;
@@ -355,9 +355,12 @@ impl ScenarioSpec {
 
     /// Validates the spec against the process-global registries
     /// (architecture plus either traffic or workload) and returns the
-    /// resolved, runnable [`Scenario`]. Workload scenarios also build their
+    /// resolved, runnable [`Scenario`]. Workload scenarios also take their
     /// flow DAG here, eagerly — resolution is the last point where a
-    /// malformed workload can fail with a typed error.
+    /// malformed workload can fail with a typed error. The DAG is built at
+    /// most once per process while some scenario holds it: specs that share
+    /// the workload's canonical name, size and placement share one DAG,
+    /// whatever their architecture, fault plan or alias spelling.
     ///
     /// # Errors
     ///
@@ -428,47 +431,49 @@ impl ScenarioSpec {
                         num_cores,
                     });
                 }
-                let workload = factory.build(&WorkloadSpec::new(size));
                 // Architecture-aware placement: the generators emit a dense
                 // rank-on-core-`i` workload; an architecture may spread the
                 // ranks over its effective topology (the hierarchy layer
                 // round-robins ranks across pods). The map is a pure
                 // function of (architecture, params, size), so placement
                 // never varies between runs of the same canonical id.
-                let workload = match architecture.workload_placement(&effective, &params, size) {
-                    Some(map) => {
-                        assert_eq!(
-                            map.len(),
-                            size,
-                            "architecture '{arch_name}' returned a placement map for {} ranks, \
-                             expected {size}",
-                            map.len()
+                let placement = architecture.workload_placement(&effective, &params, size);
+                if let Some(map) = &placement {
+                    assert_eq!(
+                        map.len(),
+                        size,
+                        "architecture '{arch_name}' returned a placement map for {} ranks, \
+                         expected {size}",
+                        map.len()
+                    );
+                    if let Some(core) = map.iter().find(|&&core| core >= num_cores) {
+                        panic!(
+                            "architecture '{arch_name}' produced an invalid placement map: \
+                             core {core} is out of range"
                         );
-                        if let Some(core) = map.iter().find(|&&core| core >= num_cores) {
-                            panic!(
-                                "architecture '{arch_name}' produced an invalid placement map: \
-                                 core {core} is out of range"
-                            );
-                        }
-                        workload.remap_cores(&map).unwrap_or_else(|error| {
-                            panic!(
-                                "architecture '{arch_name}' produced an invalid placement map: \
-                                 {error}"
-                            )
-                        })
                     }
-                    // A factory may ignore the requested size, and the
-                    // driver only debug-checks the range.
-                    None if workload.max_core() >= num_cores => {
-                        return Err(ScenarioError::WorkloadTooLarge {
-                            scenario: self.id(),
-                            size: workload.max_core() + 1,
-                            num_cores,
-                        });
-                    }
-                    None => workload,
-                };
-                ScenarioPayload::Workload(Arc::new(workload))
+                }
+                // Every scenario holding this (factory, size, placement)
+                // shares one DAG; the checks above and below run on every
+                // resolve, whether the DAG was built here or not.
+                let workload = shared_workload(&factory, WorkloadSpec::new(size), placement)
+                    .unwrap_or_else(|error| {
+                        panic!(
+                            "architecture '{arch_name}' produced an invalid placement map: \
+                             {error}"
+                        )
+                    });
+                // A factory may ignore the requested size, and the driver
+                // only debug-checks the range. (A placed DAG passes: its
+                // cores are the map's, checked above.)
+                if workload.max_core() >= num_cores {
+                    return Err(ScenarioError::WorkloadTooLarge {
+                        scenario: self.id(),
+                        size: workload.max_core() + 1,
+                        num_cores,
+                    });
+                }
+                ScenarioPayload::Workload(workload)
             }
             None => {
                 let traffic = lookup_traffic_factory(&self.traffic)?;

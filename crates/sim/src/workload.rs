@@ -47,11 +47,12 @@ use pnoc_noc::ids::{ClusterId, CoreId};
 use pnoc_noc::packet::{BandwidthClass, PacketDescriptor};
 use pnoc_noc::traffic_model::{OfferedLoad, TrafficModel};
 use pnoc_noc::vc::set_bits;
-use pnoc_workload::dag::Workload;
+use pnoc_workload::dag::{Workload, WorkloadValidationError};
 use pnoc_workload::flow::FlowId;
+use pnoc_workload::registry::{WorkloadFactory, WorkloadSpec};
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap, VecDeque};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, Weak};
 
 /// How many simulated cycles a closed-loop run may take before it is
 /// declared stuck, expressed as a multiple of the configuration's
@@ -654,6 +655,68 @@ pub(crate) fn run_workload_point(
         faults,
         drive,
     )
+}
+
+/// A live DAG's key: the factory's canonical name, the spec it was built
+/// from and the placement map it was remapped with (`None`: the generators'
+/// dense placement).
+type DagKey = (String, WorkloadSpec, Option<Vec<usize>>);
+
+/// An interned DAG and the factory that built it, both held weakly.
+struct DagEntry {
+    factory: Weak<dyn WorkloadFactory>,
+    dag: Weak<Workload>,
+}
+
+/// Every workload DAG some scenario of the process still holds.
+static DAGS: Mutex<Vec<(DagKey, DagEntry)>> = Mutex::new(Vec::new());
+
+/// The DAG `factory` builds for `spec`, remapped by `placement`: the one a
+/// scenario still holds when there is one, a fresh build otherwise.
+///
+/// Sharing is sound because [`WorkloadFactory::build`] is a pure function
+/// of its spec and a placement map a pure function of architecture, params
+/// and size, so a shared DAG equals a rebuilt one. The intern holds no
+/// strong reference: a DAG lives exactly as long as the scenarios holding
+/// it, and dead entries are pruned on insert. A factory registered over an
+/// interned one's name builds afresh. The lock is never held during a
+/// build, so two racing calls may both build; the first to insert is the
+/// one both return, and the other build is dropped.
+///
+/// # Errors
+///
+/// What [`Workload::remap_cores`] returns for an invalid `placement`.
+pub(crate) fn shared_workload(
+    factory: &Arc<dyn WorkloadFactory>,
+    spec: WorkloadSpec,
+    placement: Option<Vec<usize>>,
+) -> Result<Arc<Workload>, WorkloadValidationError> {
+    let key = (factory.name().to_string(), spec, placement);
+    let builder = Arc::downgrade(factory);
+    let held = |dags: &[(DagKey, DagEntry)]| {
+        dags.iter()
+            .find(|(k, entry)| *k == key && Weak::ptr_eq(&entry.factory, &builder))
+            .and_then(|(_, entry)| entry.dag.upgrade())
+    };
+    if let Some(dag) = held(&DAGS.lock().expect("workload intern poisoned")) {
+        return Ok(dag);
+    }
+    let built = factory.build(&key.1);
+    let dag = Arc::new(match &key.2 {
+        Some(map) => built.remap_cores(map)?,
+        None => built,
+    });
+    let mut dags = DAGS.lock().expect("workload intern poisoned");
+    if let Some(first) = held(&dags) {
+        return Ok(first);
+    }
+    dags.retain(|(k, entry)| *k != key && entry.dag.strong_count() > 0);
+    let entry = DagEntry {
+        factory: builder,
+        dag: Arc::downgrade(&dag),
+    };
+    dags.push((key, entry));
+    Ok(dag)
 }
 
 #[cfg(test)]

@@ -11,7 +11,8 @@
 //! per queued packet, not events per flit, and (e) an open loop above spine
 //! capacity costs its backlog in packets. (f) A workload DAG costs
 //! allocation *calls* that grow with Vec doublings, not with flows, and so
-//! does a closed-loop run of it.
+//! does a closed-loop run of it. (g) Scenarios that share a workload hold
+//! one DAG between them, and release it when the last of them goes.
 //!
 //! The counters are process-wide, so the whole file is **one** test: a second
 //! test running beside it would allocate into the same figures.
@@ -370,4 +371,41 @@ fn a_leaf_holds_what_it_buffers() {
             small.3
         );
     }
+
+    // (g) `allreduce:64` on two architectures and under a fault plan, all
+    // three live at once, hold what one of them holds plus a scenario's
+    // own few bytes: before resolve shared DAGs they held ≈ 3× one. When
+    // they go, so does the DAG: the intern keeps no strong reference.
+    let resolve = |architecture: &str, faults: &str| {
+        ScenarioSpec::closed_loop(architecture, "allreduce:64")
+            .with_faults(faults)
+            .resolve()
+            .expect("registered architecture, workload and fault preset")
+    };
+    let (one, one_live, _) = measured(|| resolve("d-hetpnoc", ""));
+    drop(one);
+    settle();
+    let start = LIVE.load(Ordering::Relaxed);
+    let (three, three_live, _) = measured(|| {
+        [
+            resolve("d-hetpnoc", ""),
+            resolve("firefly", ""),
+            resolve("d-hetpnoc", "rolling-links"),
+        ]
+    });
+    drop(three);
+    settle();
+    let left = LIVE.load(Ordering::Relaxed).abs_diff(start);
+    println!(
+        "allreduce:64 resolved: one scenario holds {one_live} B, three hold {three_live} B; \
+         {left} B apart after dropping them"
+    );
+    assert!(
+        three_live * 10 <= one_live * 11,
+        "three scenarios of one workload hold {three_live} B, one holds {one_live} B"
+    );
+    assert!(
+        left <= 16 * 1024,
+        "dropping the scenarios left live bytes {left} B from where they started"
+    );
 }
