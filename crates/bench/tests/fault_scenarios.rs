@@ -92,11 +92,7 @@ fn faulted_presets_sweep_both_architectures_deterministically() {
             .find(|h| h.spec.architecture == scenario.spec.architecture)
             .expect("every architecture ran healthy");
         let stats = |result: &pnoc_sim::sweep::SaturationResult| {
-            result
-                .points
-                .iter()
-                .map(|p| p.stats.clone())
-                .collect::<Vec<_>>()
+            result.points.iter().map(|p| p.stats).collect::<Vec<_>>()
         };
         assert_ne!(
             stats(&scenario.result),

@@ -3,8 +3,8 @@
 //!
 //! * **degeneracy** — a single-pod hierarchy with a zero-latency spine is
 //!   the identity composition: bitwise-identical sweep points to running
-//!   the bare leaf fabric directly (modulo the architecture label and the
-//!   hierarchy-only metric families, which only a real hierarchy emits);
+//!   the bare leaf fabric directly (modulo the hierarchy-only metric
+//!   families, which only a real hierarchy emits);
 //! * **sharding determinism** — the per-pod shards run as `pnoc-exec`
 //!   batch jobs, and the merged result must be bitwise-identical whether
 //!   those jobs run on one worker or many; the per-pod families and the
@@ -27,11 +27,10 @@ fn resolve(spec: ScenarioSpec) -> Scenario {
 }
 
 /// Strips what a hierarchy legitimately adds on top of its leaf: the
-/// architecture label and the hierarchy-only metric families. Everything
-/// else — counters, latency histograms, energy, per-node breakdowns — must
-/// survive untouched for the degeneracy comparison to pass.
-fn normalized(mut point: SweepPoint, architecture: &str) -> SweepPoint {
-    point.stats.architecture = architecture.to_string();
+/// hierarchy-only metric families. Everything else — counters, latency
+/// histograms, energy, per-node breakdowns — must survive untouched for the
+/// degeneracy comparison to pass.
+fn normalized(mut point: SweepPoint) -> SweepPoint {
     let mut metrics = MetricReport::new();
     for (name, value) in point.metrics.iter() {
         if !HIER_ONLY_METRICS.contains(&name) {
@@ -74,9 +73,8 @@ fn single_pod_zero_latency_hierarchy_is_bitwise_identical_to_the_bare_leaf() {
             );
             for (hier_point, bare_point) in hier.result.points.iter().zip(bare.result.points.iter())
             {
-                assert_eq!(hier_point.stats.architecture, "hier");
                 assert_eq!(
-                    normalized(hier_point.clone(), leaf),
+                    normalized(hier_point.clone()),
                     bare_point.clone(),
                     "{leaf} seed {seed:?}: pods=1 + zero spine latency must degenerate \
                      to the bare leaf bitwise"

@@ -222,10 +222,6 @@ impl DhetFabric {
 }
 
 impl PhotonicFabric for DhetFabric {
-    fn architecture_name(&self) -> &str {
-        "d-hetpnoc"
-    }
-
     #[inline]
     fn pre_cycle(&mut self) {
         // Keep the token circulating; with a stable task mapping the
@@ -535,6 +531,5 @@ mod tests {
         let after = fabric.controller().allocation_snapshot();
         assert_ne!(before, after, "remapping must change a skewed allocation");
         assert!(after.iter().all(|&p| p == 4));
-        assert_eq!(fabric.architecture_name(), "d-hetpnoc");
     }
 }

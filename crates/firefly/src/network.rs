@@ -22,7 +22,7 @@ const DEFAULT_RADIX: usize = 16;
 /// wavelengths (at least 1) per write channel.
 fn firefly_fabric(config: &SimConfig, radix: usize, reservation_cycles: u64) -> UniformFabric {
     let per_channel = (config.bandwidth_set.total_wavelengths() / radix).max(1);
-    UniformFabric::new("firefly", per_channel, reservation_cycles)
+    UniformFabric::new(per_channel, reservation_cycles)
 }
 
 /// Builds a ready-to-run Firefly system for the given traffic model at the
@@ -160,7 +160,6 @@ mod tests {
         );
         let system = build_firefly_system(config, traffic);
         assert_eq!(system.fabric().reservation_cycles(), 1);
-        assert_eq!(system.fabric().architecture_name(), "firefly");
     }
 
     #[test]
@@ -203,7 +202,6 @@ mod tests {
         let stats = run_to_completion(&mut system);
         assert!(stats.delivered_packets > 0);
         assert!(stats.accepted_bandwidth_gbps() > 0.0);
-        assert_eq!(stats.architecture, "firefly");
     }
 
     #[test]

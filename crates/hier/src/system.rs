@@ -12,7 +12,7 @@
 use crate::spine::Spine;
 use pnoc_noc::ids::{ClusterId, CoreId};
 use pnoc_noc::packet::{BandwidthClass, PacketDescriptor};
-use pnoc_noc::traffic_model::{OfferedLoad, TrafficModel};
+use pnoc_noc::traffic_model::TrafficModel;
 use pnoc_photonics::energy::EnergyBreakdown;
 use pnoc_sim::config::SimConfig;
 use pnoc_sim::engine::{advance_network, CycleNetwork};
@@ -182,8 +182,6 @@ struct PodFeedTraffic {
     classes: Vec<BandwidthClass>,
     /// The pod's clusters' global `source_intensity`.
     intensity: Vec<f64>,
-    load: OfferedLoad,
-    name: String,
 }
 
 impl PodFeedTraffic {
@@ -214,8 +212,6 @@ impl PodFeedTraffic {
             pod,
             classes,
             intensity,
-            load: global.offered_load(),
-            name: global.name(),
         }
     }
 
@@ -263,20 +259,12 @@ impl TrafficModel for PodFeedTraffic {
         }
     }
 
-    fn offered_load(&self) -> OfferedLoad {
-        self.load
-    }
-
     fn demand_class(&self, src: ClusterId, dst: ClusterId) -> BandwidthClass {
         self.classes[src.0 * self.intensity.len() + dst.0]
     }
 
     fn source_intensity(&self, src: ClusterId) -> f64 {
         self.intensity[src.0]
-    }
-
-    fn name(&self) -> String {
-        self.name.clone()
     }
 
     fn next_generation_cycle(&self, now: u64) -> Option<u64> {
@@ -563,16 +551,8 @@ impl CycleNetwork for HierarchicalSystem {
             })
     }
 
-    fn traffic_label(&self) -> (String, f64) {
-        (self.traffic.name(), self.traffic.offered_load().value())
-    }
-
     fn config(&self) -> &SimConfig {
         &self.config
-    }
-
-    fn architecture(&self) -> &str {
-        "hier"
     }
 
     fn next_event_cycle(&mut self, now: u64) -> Option<u64> {
@@ -716,8 +696,6 @@ mod tests {
             pod: 3,
             classes: Vec::new(),
             intensity: Vec::new(),
-            load: OfferedLoad::ZERO,
-            name: "feed".to_string(),
         }
     }
 

@@ -19,6 +19,10 @@
 //! [`TrafficModel::demand_class`] decides how many wavelengths a transfer to
 //! each destination asks for, and [`TrafficModel::source_intensity`] weighs
 //! the per-cluster wavelength targets the allocation converges to.
+//!
+//! A model names nothing and reports no load: the pattern's name is its
+//! factory's registry key, and the load is a constructor argument that a
+//! model spends on its own injection decisions.
 
 use crate::ids::{ClusterId, CoreId};
 use crate::packet::{BandwidthClass, PacketDescriptor};
@@ -81,9 +85,6 @@ pub trait TrafficModel {
         }
     }
 
-    /// The offered load the model is currently configured for.
-    fn offered_load(&self) -> OfferedLoad;
-
     /// Bandwidth class of the application flow from cluster `src` to cluster
     /// `dst`. This is what the cores advertise in their demand tables:
     /// d-HetPNoC requests the class's wavelengths for every transfer of the
@@ -101,9 +102,6 @@ pub trait TrafficModel {
     fn source_intensity(&self, _src: ClusterId) -> f64 {
         1.0
     }
-
-    /// Human-readable name used in reports ("uniform-random", "skewed-3", ...).
-    fn name(&self) -> String;
 
     /// The earliest future cycle (`> now`) at which this model could generate
     /// a packet, or `None` if it will never generate again. Consulted by the
@@ -141,20 +139,12 @@ impl<T: TrafficModel + ?Sized> TrafficModel for Box<T> {
         (**self).poll_cycle(cycle, num_cores, emit);
     }
 
-    fn offered_load(&self) -> OfferedLoad {
-        (**self).offered_load()
-    }
-
     fn demand_class(&self, src: ClusterId, dst: ClusterId) -> BandwidthClass {
         (**self).demand_class(src, dst)
     }
 
     fn source_intensity(&self, src: ClusterId) -> f64 {
         (**self).source_intensity(src)
-    }
-
-    fn name(&self) -> String {
-        (**self).name()
     }
 
     fn next_generation_cycle(&self, now: u64) -> Option<u64> {
@@ -165,18 +155,18 @@ impl<T: TrafficModel + ?Sized> TrafficModel for Box<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::cell::Cell;
+    use std::rc::Rc;
 
     #[test]
-    fn offered_load_is_clamped() {
+    fn a_load_is_clamped_to_a_probability() {
         assert_eq!(OfferedLoad::new(-1.0).value(), 0.0);
         assert_eq!(OfferedLoad::new(0.25).value(), 0.25);
         assert_eq!(OfferedLoad::new(7.0).value(), 1.0);
     }
 
     /// A trivial model used to exercise the boxed blanket implementation.
-    struct Constant {
-        load: OfferedLoad,
-    }
+    struct Constant;
 
     impl TrafficModel for Constant {
         fn next_packet(&mut self, cycle: u64, src: CoreId) -> Option<PacketDescriptor> {
@@ -190,24 +180,17 @@ mod tests {
             })
         }
 
-        fn offered_load(&self) -> OfferedLoad {
-            self.load
-        }
-
         fn demand_class(&self, _src: ClusterId, _dst: ClusterId) -> BandwidthClass {
             BandwidthClass::MediumHigh
         }
-
-        fn name(&self) -> String {
-            "constant".to_string()
-        }
     }
 
-    /// Overrides the batch form (and says so): one packet from core 2, which
-    /// the per-core primitive would never produce.
+    /// Overrides the batch form (and counts its calls in a counter the test
+    /// shares): one packet from core 2, which the per-core primitive would
+    /// never produce.
     struct Batched {
         inner: Constant,
-        batch_polls: u32,
+        batch_polls: Rc<Cell<u32>>,
     }
 
     impl TrafficModel for Batched {
@@ -221,21 +204,13 @@ mod tests {
             _num_cores: usize,
             emit: &mut dyn FnMut(CoreId, PacketDescriptor),
         ) {
-            self.batch_polls += 1;
+            self.batch_polls.set(self.batch_polls.get() + 1);
             let packet = self.inner.next_packet(cycle, CoreId(2)).expect("constant");
             emit(CoreId(2), packet);
         }
 
-        fn offered_load(&self) -> OfferedLoad {
-            self.inner.offered_load()
-        }
-
         fn demand_class(&self, src: ClusterId, dst: ClusterId) -> BandwidthClass {
             self.inner.demand_class(src, dst)
-        }
-
-        fn name(&self) -> String {
-            format!("batched-{}", self.batch_polls)
         }
     }
 
@@ -250,9 +225,7 @@ mod tests {
 
     #[test]
     fn the_provided_batch_poll_is_the_per_core_loop() {
-        let mut model = Constant {
-            load: OfferedLoad::ZERO,
-        };
+        let mut model = Constant;
         let expected: Vec<_> = (0..5).map(|c| (CoreId(c), CoreId(c + 1))).collect();
         assert_eq!(polled(&mut model, 9, 5), expected);
         assert!(polled(&mut model, 9, 0).is_empty());
@@ -260,28 +233,23 @@ mod tests {
 
     #[test]
     fn a_boxed_model_reaches_its_batch_override() {
+        let batch_polls = Rc::new(Cell::new(0));
         let mut boxed: Box<Box<dyn TrafficModel>> = Box::new(Box::new(Batched {
-            inner: Constant {
-                load: OfferedLoad::ZERO,
-            },
-            batch_polls: 0,
+            inner: Constant,
+            batch_polls: Rc::clone(&batch_polls),
         }));
         // Through two boxes: the provided loop over `next_packet` would
         // yield nothing and leave the counter at zero.
         assert_eq!(polled(&mut boxed, 4, 64), vec![(CoreId(2), CoreId(3))]);
-        assert_eq!(boxed.name(), "batched-1");
+        assert_eq!(batch_polls.get(), 1);
     }
 
     #[test]
     fn boxed_models_delegate() {
-        let mut boxed: Box<dyn TrafficModel> = Box::new(Constant {
-            load: OfferedLoad::new(0.75),
-        });
-        assert_eq!(boxed.offered_load().value(), 0.75);
+        let mut boxed: Box<dyn TrafficModel> = Box::new(Constant);
         let pkt = boxed.next_packet(3, CoreId(1)).unwrap();
         assert_eq!(pkt.dst, CoreId(2));
         assert_eq!(pkt.created_cycle, 3);
-        assert_eq!(boxed.name(), "constant");
         assert_eq!(
             boxed.demand_class(ClusterId(0), ClusterId(1)),
             BandwidthClass::MediumHigh

@@ -1,5 +1,6 @@
 #![doc = include_str!("engine.md")]
 
+use crate::clock::Clock;
 use crate::config::SimConfig;
 use crate::metrics::{EventSink, Probe, SimEvent};
 use crate::stats::SimStats;
@@ -46,15 +47,8 @@ pub trait CycleNetwork: Send {
     /// events and cycles of the measurement window.
     fn energy(&self) -> EnergyBreakdown;
 
-    /// The name and offered load (packets per core per cycle) of the traffic
-    /// driving the network, for the [`SimStats`] header.
-    fn traffic_label(&self) -> (String, f64);
-
     /// The configuration the network was built with.
     fn config(&self) -> &SimConfig;
-
-    /// Architecture name used in reports.
-    fn architecture(&self) -> &str;
 
     /// The earliest cycle `> now` at which stepping this network could
     /// differ from doing nothing, or `None` if no future step will ever
@@ -121,19 +115,12 @@ struct ProbeFanout<'a, 'b> {
 }
 
 impl<'a, 'b> ProbeFanout<'a, 'b> {
-    /// An unmeasuring fanout whose statistics carry `network`'s header.
-    fn new<N: CycleNetwork + ?Sized>(network: &N, probes: &'a mut [&'b mut dyn Probe]) -> Self {
-        let (traffic, load) = network.traffic_label();
-        let stats = SimStats::new(
-            network.architecture(),
-            &traffic,
-            load,
-            network.config().clock,
-        );
+    /// An unmeasuring fanout whose statistics run on `clock`.
+    fn new(clock: Clock, probes: &'a mut [&'b mut dyn Probe]) -> Self {
         Self {
             probes,
             measuring: false,
-            stats,
+            stats: SimStats::new(clock),
         }
     }
 
@@ -247,7 +234,7 @@ pub fn run_to_completion_with<N: CycleNetwork + ?Sized>(
 ) -> SimStats {
     let warmup = network.config().warmup_cycles;
     let total = network.config().total_cycles();
-    let mut fanout = ProbeFanout::new(network, probes);
+    let mut fanout = ProbeFanout::new(network.config().clock, probes);
     let mut cycle = 0;
     while cycle < total {
         if cycle == warmup {
@@ -285,7 +272,7 @@ pub fn run_until_with<N: CycleNetwork + ?Sized>(
     mut drained: impl FnMut(u64) -> bool,
     max_cycles: u64,
 ) -> SimStats {
-    let mut fanout = ProbeFanout::new(network, probes);
+    let mut fanout = ProbeFanout::new(network.config().clock, probes);
     fanout.begin(network, 0);
     let mut cycle = 0;
     while cycle < max_cycles {
@@ -305,7 +292,7 @@ pub fn run_until_with<N: CycleNetwork + ?Sized>(
 /// counting every one of them and every event they emit. Useful for
 /// fine-grained tests that want to observe transient behaviour.
 pub fn run_cycles<N: CycleNetwork + ?Sized>(network: &mut N, start: u64, cycles: u64) -> SimStats {
-    let mut fanout = ProbeFanout::new(network, &mut []);
+    let mut fanout = ProbeFanout::new(network.config().clock, &mut []);
     fanout.measuring = true;
     for cycle in start..start + cycles {
         network.step_observed(cycle, &mut fanout);
@@ -348,16 +335,8 @@ mod tests {
             EnergyBreakdown::default()
         }
 
-        fn traffic_label(&self) -> (String, f64) {
-            ("none".to_string(), 0.0)
-        }
-
         fn config(&self) -> &SimConfig {
             &self.config
-        }
-
-        fn architecture(&self) -> &str {
-            "counter"
         }
     }
 
@@ -377,10 +356,6 @@ mod tests {
         let stats = run_to_completion(&mut net);
         assert_eq!(net.measured_from, Some(100));
         assert_eq!(stats.measured_cycles, 400);
-        assert_eq!(
-            (stats.architecture.as_str(), stats.traffic.as_str()),
-            ("counter", "none")
-        );
     }
 
     #[test]
@@ -416,7 +391,7 @@ mod tests {
         }
 
         fn finish(&mut self, stats: &SimStats) {
-            self.finished_with = Some(stats.clone());
+            self.finished_with = Some(*stats);
         }
 
         fn report(&self) -> MetricReport {
@@ -522,16 +497,8 @@ mod tests {
             EnergyBreakdown::default()
         }
 
-        fn traffic_label(&self) -> (String, f64) {
-            ("none".to_string(), 0.0)
-        }
-
         fn config(&self) -> &SimConfig {
             &self.config
-        }
-
-        fn architecture(&self) -> &str {
-            "pulsed"
         }
 
         fn next_event_cycle(&mut self, now: u64) -> Option<u64> {
@@ -630,14 +597,8 @@ mod tests {
             fn energy(&self) -> EnergyBreakdown {
                 EnergyBreakdown::default()
             }
-            fn traffic_label(&self) -> (String, f64) {
-                ("none".to_string(), 0.0)
-            }
             fn config(&self) -> &SimConfig {
                 &self.config
-            }
-            fn architecture(&self) -> &str {
-                "dead"
             }
             fn next_event_cycle(&mut self, now: u64) -> Option<u64> {
                 if now < 3 {

@@ -860,7 +860,7 @@ impl Probe for MetricsProbe {
         if self.window_elapsed > 0 {
             self.close_window();
         }
-        self.stats.clone_from(stats);
+        self.stats = *stats;
     }
 
     fn report(&self) -> MetricReport {
@@ -1234,7 +1234,7 @@ mod tests {
     fn metrics_probe_aggregates_events_into_a_report() {
         let mut probe = MetricsProbe::new(10);
         // What the engine does around the probe: count the same events.
-        let mut stats = SimStats::new("t", "t", 0.0, crate::clock::Clock::paper_default());
+        let mut stats = SimStats::new(crate::clock::Clock::paper_default());
         let mut emit = |probe: &mut MetricsProbe, cycle: u64, event: SimEvent| {
             stats.observe(&event);
             probe.on_event(cycle, &event);

@@ -194,7 +194,7 @@ impl ArchitectureBuilder for UniformFabricArchitecture {
             n => n as usize,
         };
         let per_channel = (wavelengths / config.topology.num_clusters()).max(1);
-        let fabric = UniformFabric::new("uniform-fabric", per_channel, 1);
+        let fabric = UniformFabric::new(per_channel, 1);
         Box::new(PhotonicSystem::new(config, fabric, traffic))
     }
 }
@@ -261,7 +261,6 @@ mod tests {
     /// network end to end.
     struct SingleFlow {
         shape: (u32, u32),
-        load: pnoc_noc::traffic_model::OfferedLoad,
     }
 
     impl TrafficModel for SingleFlow {
@@ -282,20 +281,12 @@ mod tests {
                 })
         }
 
-        fn offered_load(&self) -> pnoc_noc::traffic_model::OfferedLoad {
-            self.load
-        }
-
         fn demand_class(
             &self,
             _src: pnoc_noc::ids::ClusterId,
             _dst: pnoc_noc::ids::ClusterId,
         ) -> pnoc_noc::packet::BandwidthClass {
             pnoc_noc::packet::BandwidthClass::MediumHigh
-        }
-
-        fn name(&self) -> String {
-            "single-flow".to_string()
         }
     }
 
@@ -305,7 +296,6 @@ mod tests {
                 config.bandwidth_set.packet_flits(),
                 config.bandwidth_set.flit_bits(),
             ),
-            load: pnoc_noc::traffic_model::OfferedLoad::new(1.0 / 400.0),
         })
     }
 
@@ -319,7 +309,6 @@ mod tests {
         let mut network = builder.build(config, &params, single_flow(&config));
         let stats = run_to_completion(&mut *network);
         assert!(stats.delivered_packets > 0);
-        assert_eq!(stats.architecture, "uniform-fabric");
     }
 
     #[test]

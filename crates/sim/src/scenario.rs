@@ -296,17 +296,9 @@ impl ScenarioSpec {
     /// or a serialized spec instead).
     #[must_use]
     pub fn id(&self) -> String {
-        // The architecture field may itself embed a param block; merge it
-        // with the explicit overrides (explicit wins, as in resolve()) so
-        // the id renders exactly one brace block and stays re-parseable.
-        let arch = match ArchParams::split_spec(&self.architecture) {
-            Ok((name, embedded)) => {
-                let mut merged = embedded;
-                for (key, value) in self.arch_params.iter() {
-                    merged.insert(key, value);
-                }
-                merged.render_spec(&name)
-            }
+        // One brace block, so the id stays re-parseable.
+        let arch = match self.merged_arch_params() {
+            Ok((name, merged)) => merged.render_spec(&name),
             // A malformed architecture field cannot resolve anyway; render
             // it verbatim so the error context still shows what was asked.
             Err(_) => self.arch_params.render_spec(&self.architecture),
@@ -336,6 +328,18 @@ impl ScenarioSpec {
         let mut config = self.effort.config(self.bandwidth_set);
         config.seed = self.seed;
         config
+    }
+
+    /// The architecture's name and its parameter overrides. The architecture
+    /// field may itself be a `name{key=value,...}` spec (hand-built specs,
+    /// matrix axis entries); its embedded block merges under the explicit
+    /// [`ScenarioSpec::arch_params`], which win on a shared key.
+    fn merged_arch_params(&self) -> Result<(String, ArchParams), ArchParamError> {
+        let (name, mut merged) = ArchParams::split_spec(&self.architecture)?;
+        for (key, value) in self.arch_params.iter() {
+            merged.insert(key, value);
+        }
+        Ok((name, merged))
     }
 
     /// The offered-load ladder of this scenario: the explicit ladder when one
@@ -384,14 +388,7 @@ impl ScenarioSpec {
     /// * [`ScenarioError::FaultsUnsupported`] when the plan is not empty but
     ///   the architecture does not take fault schedules.
     pub fn resolve(&self) -> Result<Scenario, ScenarioError> {
-        // The architecture field may itself be a `name{key=value,...}` spec
-        // (hand-built specs, matrix axis entries); embedded overrides merge
-        // under the explicit `arch_params` field.
-        let (arch_name, embedded) = ArchParams::split_spec(&self.architecture)?;
-        let mut overrides = embedded;
-        for (key, value) in self.arch_params.iter() {
-            overrides.insert(key, value);
-        }
+        let (arch_name, overrides) = self.merged_arch_params()?;
         let architecture = lookup_architecture(&arch_name)?;
         let params = architecture
             .param_schema()

@@ -11,23 +11,20 @@
 //!   saturation" (Section 3.4.1.2): the accumulated [`EnergyBreakdown`]
 //!   divided by the number of delivered packets.
 //!
-//! The engine builds a run's [`SimStats`]: it counts every measured
-//! [`SimEvent`] through [`SimStats::observe`] and every measured cycle, then
-//! fills in the network's energy. Networks keep no counters of their own.
+//! A run's [`SimStats`] are its counters plus the clock that converts cycles
+//! to seconds; they name neither the architecture nor the traffic (a
+//! scenario's canonical id does). The engine builds them: it counts every
+//! measured [`SimEvent`] through [`SimStats::observe`] and every measured
+//! cycle, then fills in the network's energy. Networks keep no counters of
+//! their own.
 
 use crate::clock::Clock;
 use crate::metrics::SimEvent;
 use pnoc_photonics::energy::EnergyBreakdown;
 
 /// Statistics of one simulation run (measurement window only).
-#[derive(Debug, Clone, Default, PartialEq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct SimStats {
-    /// Name of the architecture that produced the run.
-    pub architecture: String,
-    /// Name of the traffic pattern.
-    pub traffic: String,
-    /// Offered load (packets per core per cycle).
-    pub offered_load: f64,
     /// Cycles in the measurement window.
     pub measured_cycles: u64,
     /// Packets created by the traffic generators.
@@ -58,13 +55,10 @@ pub struct SimStats {
 }
 
 impl SimStats {
-    /// Creates an empty statistics record.
+    /// Creates an empty statistics record for a run on `clock`.
     #[must_use]
-    pub fn new(architecture: &str, traffic: &str, offered_load: f64, clock: Clock) -> Self {
+    pub fn new(clock: Clock) -> Self {
         Self {
-            architecture: architecture.to_string(),
-            traffic: traffic.to_string(),
-            offered_load,
             clock,
             ..Self::default()
         }
@@ -157,7 +151,7 @@ mod tests {
     use pnoc_noc::ids::CoreId;
 
     fn stats() -> SimStats {
-        SimStats::new("test-arch", "uniform", 0.01, Clock::paper_default())
+        SimStats::new(Clock::paper_default())
     }
 
     fn deliver(s: &mut SimStats, latency: u64) {

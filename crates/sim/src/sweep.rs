@@ -305,8 +305,8 @@ mod tests {
     use super::*;
     use crate::clock::Clock;
 
-    fn stats_with_bandwidth(load: f64, delivered_bits: u64) -> SimStats {
-        let mut s = SimStats::new("arch", "traffic", load, Clock::paper_default());
+    fn stats_with_bandwidth(delivered_bits: u64) -> SimStats {
+        let mut s = SimStats::new(Clock::paper_default());
         s.measured_cycles = 1000;
         s.delivered_bits = delivered_bits;
         s.delivered_packets = delivered_bits / 2048;
@@ -320,7 +320,7 @@ mod tests {
             .iter()
             .map(|&(load, delivered_bits)| SweepPoint {
                 offered_load: load,
-                stats: stats_with_bandwidth(load, delivered_bits),
+                stats: stats_with_bandwidth(delivered_bits),
                 metrics: MetricReport::new(),
             })
             .collect();
@@ -407,7 +407,6 @@ mod tests {
     struct SeededPeriodic {
         seed: u64,
         period: u64,
-        load: OfferedLoad,
         shape: (u32, u32),
     }
 
@@ -424,16 +423,8 @@ mod tests {
             })
         }
 
-        fn offered_load(&self) -> OfferedLoad {
-            self.load
-        }
-
         fn demand_class(&self, _src: ClusterId, _dst: ClusterId) -> BandwidthClass {
             BandwidthClass::MediumHigh
-        }
-
-        fn name(&self) -> String {
-            "seeded-periodic".to_string()
         }
     }
 
@@ -449,7 +440,6 @@ mod tests {
         Box::new(SeededPeriodic {
             seed: spec.config.seed,
             period,
-            load: OfferedLoad::new(spec.offered_load),
             shape: (
                 spec.config.bandwidth_set.packet_flits(),
                 spec.config.bandwidth_set.flit_bits(),

@@ -56,9 +56,6 @@ use std::collections::VecDeque;
 /// touching a stuck ring to one wavelength itself, and hands the fabric the
 /// surface only where the derating depends on how it allocates.
 pub trait PhotonicFabric {
-    /// Architecture name used in reports ("firefly", "d-hetpnoc", ...).
-    fn architecture_name(&self) -> &str;
-
     /// Called once at the beginning of every cycle (d-HetPNoC circulates its
     /// allocation token here).
     fn pre_cycle(&mut self);
@@ -111,23 +108,16 @@ pub trait PhotonicFabric {
 /// clusters.
 #[derive(Debug, Clone)]
 pub struct UniformFabric {
-    name: &'static str,
     wavelengths_per_channel: usize,
     reservation_cycles: u64,
 }
 
 impl UniformFabric {
-    /// A fabric reported as `name`, with `wavelengths_per_channel`
-    /// wavelengths (never zero) per write channel and a
-    /// `reservation_cycles`-cycle reservation broadcast.
+    /// A fabric with `wavelengths_per_channel` wavelengths (never zero) per
+    /// write channel and a `reservation_cycles`-cycle reservation broadcast.
     #[must_use]
-    pub fn new(
-        name: &'static str,
-        wavelengths_per_channel: usize,
-        reservation_cycles: u64,
-    ) -> Self {
+    pub fn new(wavelengths_per_channel: usize, reservation_cycles: u64) -> Self {
         Self {
-            name,
             wavelengths_per_channel,
             reservation_cycles,
         }
@@ -135,10 +125,6 @@ impl UniformFabric {
 }
 
 impl PhotonicFabric for UniformFabric {
-    fn architecture_name(&self) -> &str {
-        self.name
-    }
-
     #[inline]
     fn pre_cycle(&mut self) {}
 
@@ -1266,16 +1252,8 @@ impl<F: PhotonicFabric + Send, T: TrafficModel + Send> CycleNetwork for Photonic
         self.energy.breakdown()
     }
 
-    fn traffic_label(&self) -> (String, f64) {
-        (self.traffic.name(), self.traffic.offered_load().value())
-    }
-
     fn config(&self) -> &SimConfig {
         &self.config
-    }
-
-    fn architecture(&self) -> &str {
-        self.fabric.architecture_name()
     }
 
     fn install_fault_schedule(&mut self, controller: FaultController) -> bool {
@@ -1296,7 +1274,6 @@ mod tests {
     use crate::config::BandwidthSet;
     use crate::engine::{run_cycles, run_to_completion};
     use pnoc_noc::packet::{BandwidthClass, PacketDescriptor};
-    use pnoc_noc::traffic_model::OfferedLoad;
 
     /// Deterministic test traffic: every `period` cycles each core sends one
     /// packet to a fixed destination (its core id offset by `offset`).
@@ -1306,7 +1283,6 @@ mod tests {
         num_cores: usize,
         packet_flits: u32,
         flit_bits: u32,
-        load: OfferedLoad,
         /// Advertise the next generation cycle so the event-driven engine can
         /// fast-forward drained gaps (legal here: generation is deterministic).
         lookahead: bool,
@@ -1320,7 +1296,6 @@ mod tests {
                 num_cores: 64,
                 packet_flits: set.packet_flits(),
                 flit_bits: set.flit_bits(),
-                load: OfferedLoad::new(1.0 / period as f64),
                 lookahead: false,
             }
         }
@@ -1342,16 +1317,8 @@ mod tests {
             })
         }
 
-        fn offered_load(&self) -> OfferedLoad {
-            self.load
-        }
-
         fn demand_class(&self, _src: ClusterId, _dst: ClusterId) -> BandwidthClass {
             BandwidthClass::MediumHigh
-        }
-
-        fn name(&self) -> String {
-            format!("fixed-offset-{}", self.offset)
         }
 
         fn next_generation_cycle(&self, now: u64) -> Option<u64> {
@@ -1375,7 +1342,7 @@ mod tests {
         // Offset 1 stays within the cluster for 3 of 4 cores; offset 2 also
         // mixes. Use offset 1: cores 0->1, 1->2, 2->3 intra; 3->4 inter.
         let config = small_config(BandwidthSet::Set1);
-        let fabric = UniformFabric::new("uniform-test", 4, 1);
+        let fabric = UniformFabric::new(4, 1);
         let traffic = FixedOffsetTraffic::new(400, 1, BandwidthSet::Set1);
         let mut system = PhotonicSystem::new(config, fabric, traffic);
         let stats = run_to_completion(&mut system);
@@ -1390,7 +1357,7 @@ mod tests {
     #[test]
     fn inter_cluster_packets_cross_the_photonic_fabric() {
         let config = small_config(BandwidthSet::Set1);
-        let fabric = UniformFabric::new("uniform-test", 4, 1);
+        let fabric = UniformFabric::new(4, 1);
         // Offset 4 = always the next cluster, never intra-cluster.
         let traffic = FixedOffsetTraffic::new(400, 4, BandwidthSet::Set1);
         let mut system = PhotonicSystem::new(config, fabric, traffic);
@@ -1408,7 +1375,7 @@ mod tests {
     #[test]
     fn packets_are_conserved_when_below_saturation() {
         let config = small_config(BandwidthSet::Set1);
-        let fabric = UniformFabric::new("uniform-test", 4, 1);
+        let fabric = UniformFabric::new(4, 1);
         let traffic = FixedOffsetTraffic::new(500, 8, BandwidthSet::Set1);
         let mut system = PhotonicSystem::new(config, fabric, traffic);
         let stats = run_to_completion(&mut system);
@@ -1424,7 +1391,7 @@ mod tests {
         // not the 8-wavelength one.
         let run = |per_cluster: usize| {
             let config = small_config(BandwidthSet::Set1);
-            let fabric = UniformFabric::new("uniform-test", per_cluster, 1);
+            let fabric = UniformFabric::new(per_cluster, 1);
             let traffic = FixedOffsetTraffic::new(120, 16, BandwidthSet::Set1);
             let mut system = PhotonicSystem::new(config, fabric, traffic);
             run_to_completion(&mut system).accepted_bandwidth_gbps()
@@ -1440,7 +1407,7 @@ mod tests {
     #[test]
     fn energy_breakdown_components_are_all_positive_under_load() {
         let config = small_config(BandwidthSet::Set2);
-        let fabric = UniformFabric::new("uniform-test", 16, 1);
+        let fabric = UniformFabric::new(16, 1);
         let traffic = FixedOffsetTraffic::new(200, 20, BandwidthSet::Set2);
         let mut system = PhotonicSystem::new(config, fabric, traffic);
         let stats = run_to_completion(&mut system);
@@ -1458,7 +1425,7 @@ mod tests {
         use crate::engine::run_to_completion_with;
         use crate::metrics::{MetricValue, MetricsProbe, Probe};
         let config = small_config(BandwidthSet::Set1);
-        let fabric = UniformFabric::new("uniform-test", 4, 1);
+        let fabric = UniformFabric::new(4, 1);
         let traffic = FixedOffsetTraffic::new(150, 4, BandwidthSet::Set1);
         let mut system = PhotonicSystem::new(config, fabric, traffic);
         let mut probe = MetricsProbe::for_config(&config);
@@ -1518,7 +1485,7 @@ mod tests {
         // including energy and measured cycles.
         let run = |lookahead: bool| {
             let config = small_config(BandwidthSet::Set1);
-            let fabric = UniformFabric::new("uniform-test", 4, 1);
+            let fabric = UniformFabric::new(4, 1);
             // Offset 1: mostly intra-cluster plus one inter-cluster packet
             // per cluster, so each burst drains well within the period and
             // the lookahead run actually fast-forwards the idle tails.
@@ -1536,7 +1503,7 @@ mod tests {
     #[test]
     fn next_event_cycle_reports_quiescence_only_when_drained() {
         let config = small_config(BandwidthSet::Set1);
-        let fabric = UniformFabric::new("uniform-test", 4, 1);
+        let fabric = UniformFabric::new(4, 1);
         let mut traffic = FixedOffsetTraffic::new(400, 1, BandwidthSet::Set1);
         traffic.lookahead = true;
         let mut system = PhotonicSystem::new(config, fabric, traffic);
@@ -1566,7 +1533,7 @@ mod tests {
     #[test]
     fn the_system_applies_faults_for_every_fabric_and_repairs_restore_them() {
         let config = small_config(BandwidthSet::Set2);
-        let fabric = UniformFabric::new("uniform-test", 16, 1);
+        let fabric = UniformFabric::new(16, 1);
         // Offset 4: every packet crosses to the next cluster.
         let traffic = FixedOffsetTraffic::new(1000, 4, BandwidthSet::Set2);
         let mut system = PhotonicSystem::new(config, fabric, traffic);
@@ -1609,7 +1576,7 @@ mod tests {
     fn shallow_vc_depth_is_rejected() {
         let mut config = small_config(BandwidthSet::Set1);
         config.vc_depth = 8; // packet is 64 flits
-        let fabric = UniformFabric::new("uniform-test", 4, 1);
+        let fabric = UniformFabric::new(4, 1);
         let traffic = FixedOffsetTraffic::new(100, 4, BandwidthSet::Set1);
         let _ = PhotonicSystem::new(config, fabric, traffic);
     }

@@ -45,7 +45,7 @@ use crate::registry::ArchitectureBuilder;
 use crate::sweep::{simulate_point, SweepPoint, SweepPointSpec};
 use pnoc_noc::ids::{ClusterId, CoreId};
 use pnoc_noc::packet::{BandwidthClass, PacketDescriptor};
-use pnoc_noc::traffic_model::{OfferedLoad, TrafficModel};
+use pnoc_noc::traffic_model::TrafficModel;
 use pnoc_noc::vc::set_bits;
 use pnoc_workload::dag::{Workload, WorkloadValidationError};
 use pnoc_workload::flow::FlowId;
@@ -473,18 +473,8 @@ impl TrafficModel for FlowTraffic {
         self.batch = batch;
     }
 
-    fn offered_load(&self) -> OfferedLoad {
-        // Closed-loop: the load is whatever the DAG admits; report zero so
-        // open-loop rate math never misreads it.
-        OfferedLoad::ZERO
-    }
-
     fn demand_class(&self, src: ClusterId, dst: ClusterId) -> BandwidthClass {
         self.demand.class(src, dst)
-    }
-
-    fn name(&self) -> String {
-        format!("workload:{}", self.workload.name())
     }
 
     fn next_generation_cycle(&self, now: u64) -> Option<u64> {

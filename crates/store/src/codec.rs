@@ -88,13 +88,6 @@ fn parse_uint(value: &Json, context: &str) -> Result<u64, CodecError> {
         .map_err(|_| CodecError::new(format!("'{context}' is not a u64: '{text}'")))
 }
 
-fn string_field(value: &Json, key: &str) -> Result<String, CodecError> {
-    field(value, key)?
-        .as_str()
-        .map(str::to_string)
-        .ok_or_else(|| CodecError::new(format!("field '{key}' must be a string")))
-}
-
 /// Serializes one sweep point (stats + metric report) losslessly.
 #[must_use]
 pub fn point_json(point: &SweepPoint) -> Json {
@@ -121,9 +114,6 @@ pub fn point_from_json(value: &Json) -> Result<SweepPoint, CodecError> {
 
 fn stats_json(stats: &SimStats) -> Json {
     Json::obj(vec![
-        ("architecture", Json::str(&stats.architecture)),
-        ("traffic", Json::str(&stats.traffic)),
-        ("offered_load", bits(stats.offered_load)),
         ("measured_cycles", uint(stats.measured_cycles)),
         ("generated_packets", uint(stats.generated_packets)),
         ("dropped_packets", uint(stats.dropped_packets)),
@@ -149,9 +139,6 @@ fn stats_json(stats: &SimStats) -> Json {
 fn stats_from_json(value: &Json) -> Result<SimStats, CodecError> {
     let clock = field(value, "clock")?;
     Ok(SimStats {
-        architecture: string_field(value, "architecture")?,
-        traffic: string_field(value, "traffic")?,
-        offered_load: bits_field(value, "offered_load")?,
         measured_cycles: uint_field(value, "measured_cycles")?,
         generated_packets: uint_field(value, "generated_packets")?,
         dropped_packets: uint_field(value, "dropped_packets")?,
@@ -337,7 +324,7 @@ mod tests {
     use pnoc_sim::clock::Clock;
 
     fn sample_point() -> SweepPoint {
-        let mut stats = SimStats::new("firefly", "uniform-random", 0.1, Clock::paper_default());
+        let mut stats = SimStats::new(Clock::paper_default());
         stats.measured_cycles = 1_200;
         stats.generated_packets = u64::MAX - 3;
         stats.delivered_bits = 123_456_789_012_345;

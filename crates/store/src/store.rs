@@ -390,7 +390,7 @@ mod tests {
     }
 
     fn sample_point() -> SweepPoint {
-        let mut stats = SimStats::new("firefly", "tornado", 0.25, Clock::paper_default());
+        let mut stats = SimStats::new(Clock::paper_default());
         stats.measured_cycles = 600;
         stats.delivered_packets = 1;
         stats.total_packet_latency = 42;

@@ -25,12 +25,7 @@ fn build_point(
     energies: (f64, f64, f64),
     gauges: &[f64],
 ) -> SweepPoint {
-    let mut stats = SimStats::new(
-        "prop-arch",
-        "prop-traffic",
-        offered_load,
-        Clock::paper_default(),
-    );
+    let mut stats = SimStats::new(Clock::paper_default());
     stats.measured_cycles = counters[0];
     stats.generated_packets = *counters.last().expect("at least one counter");
     stats.delivered_bits = counters[counters.len() / 2];

@@ -142,16 +142,8 @@ impl TrafficModel for BurstyUniformTraffic {
         })
     }
 
-    fn offered_load(&self) -> OfferedLoad {
-        self.load
-    }
-
     fn demand_class(&self, _src: ClusterId, _dst: ClusterId) -> BandwidthClass {
         BandwidthClass::MediumHigh
-    }
-
-    fn name(&self) -> String {
-        "bursty-uniform".to_string()
     }
 }
 

@@ -70,8 +70,7 @@ impl TrafficSpec {
 /// across sweep worker threads; every call to [`TrafficFactory::build`]
 /// must return a fresh, independent model.
 pub trait TrafficFactory: Send + Sync {
-    /// Stable registry key; by convention equal to the
-    /// [`TrafficModel::name`] of the models it builds.
+    /// Stable registry key: the pattern's one name (its models carry none).
     fn name(&self) -> &str;
 
     /// Builds a fresh traffic model for one run.
@@ -286,28 +285,25 @@ mod tests {
     }
 
     #[test]
-    fn factory_names_match_model_names() {
-        let registry = builtin_patterns();
-        for name in registry.names() {
-            let factory = registry.get(&name).expect("just listed");
-            let model = factory.build(&spec());
-            assert_eq!(
-                model.name(),
-                name,
-                "factory '{name}' builds a model reporting a different name"
-            );
-        }
-    }
-
-    #[test]
     fn built_models_honour_the_spec() {
+        // The spec's load reaches the model: silent at zero, sending at 0.01.
         let registry = builtin_patterns();
+        let topology = ClusterTopology::paper_default();
         for name in registry.names() {
-            let model = registry.get(&name).expect("listed").build(&spec());
-            assert!(
-                (model.offered_load().value() - 0.01).abs() < 1e-12,
-                "pattern '{name}' ignored the spec load"
-            );
+            let factory = registry.get(&name).expect("listed");
+            let packets = |load: f64| {
+                let mut model = factory.build(&TrafficSpec {
+                    load: OfferedLoad::new(load),
+                    ..spec()
+                });
+                let mut count = 0;
+                for cycle in 0..500 {
+                    model.poll_cycle(cycle, topology.num_cores(), &mut |_, _| count += 1);
+                }
+                count
+            };
+            assert_eq!(packets(0.0), 0, "pattern '{name}' sends at load 0");
+            assert!(packets(0.01) > 0, "pattern '{name}' is silent at load 0.01");
         }
     }
 
@@ -380,7 +376,7 @@ mod tests {
             assert_eq!(factory.name(), canonical);
         }
         // Aliases are a lookup convenience only: the catalogue stays
-        // canonical, so every listed factory still matches its model name.
+        // canonical.
         assert!(!registered_traffic_patterns().contains(&"uniform".to_string()));
     }
 }

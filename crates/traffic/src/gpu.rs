@@ -372,10 +372,6 @@ impl TrafficModel for RealApplicationTraffic {
         })
     }
 
-    fn offered_load(&self) -> OfferedLoad {
-        self.load
-    }
-
     fn demand_class(&self, src: ClusterId, dst: ClusterId) -> BandwidthClass {
         if self.is_memory_cluster(src) {
             self.app_of_cluster(dst)
@@ -412,10 +408,6 @@ impl TrafficModel for RealApplicationTraffic {
         } else {
             1.0
         }
-    }
-
-    fn name(&self) -> String {
-        "real-application".to_string()
     }
 }
 

@@ -22,7 +22,6 @@ pub struct HotspotSkewedTraffic {
     inner: SkewedTraffic,
     hotspot: CoreId,
     hotspot_fraction: f64,
-    label: String,
     rng: StdRng,
 }
 
@@ -47,17 +46,11 @@ impl HotspotSkewedTraffic {
             "hotspot fraction must be in [0, 1)"
         );
         let inner = SkewedTraffic::new(topology, shape, skew, load, seed);
-        let label = format!(
-            "hotspot-{}pct-{}",
-            (hotspot_fraction * 100.0).round() as u32,
-            skew.label()
-        );
         Self {
             topology,
             inner,
             hotspot,
             hotspot_fraction,
-            label,
             rng: StdRng::seed_from_u64(seed ^ 0x4854_5350),
         }
     }
@@ -91,20 +84,12 @@ impl TrafficModel for HotspotSkewedTraffic {
         Some(base)
     }
 
-    fn offered_load(&self) -> OfferedLoad {
-        self.inner.offered_load()
-    }
-
     fn demand_class(&self, src: ClusterId, dst: ClusterId) -> BandwidthClass {
         self.inner.demand_class(src, dst)
     }
 
     fn source_intensity(&self, src: ClusterId) -> f64 {
         self.inner.source_intensity(src)
-    }
-
-    fn name(&self) -> String {
-        self.label.clone()
     }
 }
 

@@ -38,16 +38,6 @@ pub(crate) enum PermutationKind {
 }
 
 impl PermutationKind {
-    /// Registry / report name ("transpose", "bit-reverse", "tornado").
-    #[must_use]
-    pub fn label(self) -> &'static str {
-        match self {
-            PermutationKind::Transpose => "transpose",
-            PermutationKind::BitReverse => "bit-reverse",
-            PermutationKind::Tornado => "tornado",
-        }
-    }
-
     /// Destination core for `src` under this permutation, or `None` when the
     /// permutation maps the core to itself (the core stays silent).
     ///
@@ -85,7 +75,6 @@ impl PermutationKind {
 #[derive(Debug, Clone)]
 pub(crate) struct PermutationTraffic {
     shape: PacketShape,
-    kind: PermutationKind,
     load: OfferedLoad,
     /// `mapping[src] = Some(dst)`, or `None` for silent (self-mapped) cores.
     mapping: Vec<Option<CoreId>>,
@@ -132,7 +121,6 @@ impl PermutationTraffic {
         }
         Self {
             shape,
-            kind,
             load,
             mapping,
             intensity,
@@ -157,20 +145,12 @@ impl TrafficModel for PermutationTraffic {
         })
     }
 
-    fn offered_load(&self) -> OfferedLoad {
-        self.load
-    }
-
     fn demand_class(&self, _src: ClusterId, _dst: ClusterId) -> BandwidthClass {
         BandwidthClass::MediumHigh
     }
 
     fn source_intensity(&self, src: ClusterId) -> f64 {
         self.intensity[src.0]
-    }
-
-    fn name(&self) -> String {
-        self.kind.label().to_string()
     }
 }
 

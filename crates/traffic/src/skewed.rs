@@ -49,9 +49,7 @@ use rand::{Rng, RngCore, SeedableRng};
 pub struct SkewedTraffic {
     topology: ClusterTopology,
     shape: PacketShape,
-    skew: SkewLevel,
     classes: ClassMatrix,
-    load: OfferedLoad,
     /// Relative injection intensity per source cluster (mean 1.0): clusters
     /// whose application mix is dominated by high-bandwidth, frequently
     /// communicating applications inject proportionally more traffic.
@@ -116,21 +114,13 @@ impl SkewedTraffic {
         Self {
             topology,
             shape,
-            skew,
             classes,
-            load,
             intensity,
             frequencies,
             row_total,
             threshold,
             rng: StdRng::seed_from_u64(seed ^ 0x534b_4557),
         }
-    }
-
-    /// The skew level of this generator.
-    #[must_use]
-    pub fn skew(&self) -> SkewLevel {
-        self.skew
     }
 
     /// Draws one destination core in cluster `dst_cluster` (uniformly over
@@ -212,20 +202,12 @@ impl TrafficModel for SkewedTraffic {
         self.rng = rng;
     }
 
-    fn offered_load(&self) -> OfferedLoad {
-        self.load
-    }
-
     fn demand_class(&self, src: ClusterId, dst: ClusterId) -> BandwidthClass {
         self.classes.class(src, dst)
     }
 
     fn source_intensity(&self, src: ClusterId) -> f64 {
         self.intensity[src.0]
-    }
-
-    fn name(&self) -> String {
-        self.skew.label().to_string()
     }
 }
 
@@ -509,11 +491,5 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn name_reflects_skew_level() {
-        assert_eq!(model(SkewLevel::Skewed1).name(), "skewed-1");
-        assert_eq!(model(SkewLevel::Skewed3).name(), "skewed-3");
     }
 }

@@ -70,16 +70,8 @@ impl TrafficModel for UniformRandomTraffic {
         })
     }
 
-    fn offered_load(&self) -> OfferedLoad {
-        self.load
-    }
-
     fn demand_class(&self, _src: ClusterId, _dst: ClusterId) -> BandwidthClass {
         Self::uniform_class()
-    }
-
-    fn name(&self) -> String {
-        "uniform-random".to_string()
     }
 }
 
@@ -157,6 +149,5 @@ mod tests {
         assert!(model(0.0).next_packet(0, CoreId(0)).is_none());
         let mut m = model(1.0);
         assert!(m.next_packet(1, CoreId(0)).is_some());
-        assert_eq!(m.name(), "uniform-random");
     }
 }

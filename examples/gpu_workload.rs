@@ -88,9 +88,9 @@ fn main() {
             "packet energy (pJ)",
         ],
     );
-    for stats in [&firefly_stats, &dhet_stats] {
+    for (architecture, stats) in [("firefly", &firefly_stats), ("d-hetpnoc", &dhet_stats)] {
         result.add_row(&[
-            stats.architecture.clone(),
+            architecture.to_string(),
             format!("{:.1}", stats.accepted_bandwidth_gbps()),
             format!("{:.2}", stats.accepted_bandwidth_per_core_gbps(64)),
             format!("{:.1}", stats.packet_energy_pj()),

@@ -1,0 +1,129 @@
+//! `ScenarioSpec::resolve` is total: over every registered architecture with
+//! its declared parameters at in-range, out-of-range and wrong-kind values,
+//! open-loop patterns or `NAME:SIZE` workload references, and the fault
+//! presets, it returns a scenario or a typed [`ScenarioError`] and never
+//! panics. The draws come from a fixed-seed generator, so a failure names a
+//! spec that fails again on every run.
+
+use d_hetpnoc_repro::prelude::*;
+use pnoc_sim::params::{ParamKind, ParamSpec};
+use pnoc_workload::registry::registered_workloads;
+use std::panic::{catch_unwind, AssertUnwindSafe};
+
+/// Specs drawn per run.
+const DRAWS: usize = 3_000;
+
+/// The fault presets, an empty plan and one name that is none of them.
+const FAULTS: [&str; 6] = [
+    "",
+    "none",
+    "single-link",
+    "rolling-links",
+    "ring-drift",
+    "rolling-link",
+];
+
+/// A SplitMix64 stream: enough randomness for spec draws, no dependency.
+struct Draws(u64);
+
+impl Draws {
+    fn next(&mut self) -> u64 {
+        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
+    fn below(&mut self, bound: usize) -> usize {
+        (self.next() % bound as u64) as usize
+    }
+
+    fn pick<'a, T>(&mut self, items: &'a [T]) -> &'a T {
+        &items[self.below(items.len())]
+    }
+}
+
+/// A value for `spec`: in its declared range, outside it, or of another
+/// kind altogether (`1.5` for an int, a word for a float, a number for a
+/// choice, an empty value).
+fn param_value(spec: &ParamSpec, draws: &mut Draws) -> String {
+    let raw = draws.next() % 1_000_000;
+    match (&spec.kind, draws.below(8)) {
+        (_, 7) => draws.pick(&["1.5", "x", "", "-", "1e999", "7"]).to_string(),
+        (ParamKind::Int { min, max }, 0..=4) => {
+            let span = max.abs_diff(*min) + 1;
+            (min + (raw % span) as i64).to_string()
+        }
+        (ParamKind::Int { min, max }, _) => match raw % 3 {
+            0 => (max + 1 + (raw % 1_000) as i64).to_string(),
+            1 => (min - 1 - (raw % 1_000) as i64).to_string(),
+            _ => "99999999999999999999".to_string(),
+        },
+        (ParamKind::Float { min, max }, 0..=4) => {
+            let fraction = (raw % 1_001) as f64 / 1_000.0;
+            (min + fraction * (max - min)).to_string()
+        }
+        (ParamKind::Float { min, max }, _) => match raw % 4 {
+            0 => (max + 1.0 + (raw % 100) as f64).to_string(),
+            1 => (min - 1.0 - (raw % 100) as f64).to_string(),
+            2 => "NaN".to_string(),
+            _ => "inf".to_string(),
+        },
+        (ParamKind::Enum { choices }, 0..=4) => draws.pick(choices).clone(),
+        (ParamKind::Enum { choices }, _) => format!("{}-not", choices[0]),
+    }
+}
+
+/// One spec: an architecture with up to three parameter draws, split
+/// between its embedded block and its explicit overrides (an undeclared key
+/// now and then), an open-loop pattern or a `NAME:SIZE` workload with a
+/// size in 0..=300, and a fault plan from [`FAULTS`].
+fn draw_spec(draws: &mut Draws) -> ScenarioSpec {
+    let name = draws.pick(&registered_architectures()).clone();
+    let schema = lookup_architecture(&name).expect("listed").param_schema();
+    let (mut embedded, mut explicit) = (ArchParams::new(), ArchParams::new());
+    for _ in 0..draws.below(4) {
+        let target = if draws.below(2) == 0 {
+            &mut embedded
+        } else {
+            &mut explicit
+        };
+        if schema.is_empty() || draws.below(10) == 0 {
+            target.insert("warp-factor", draws.below(100));
+        } else {
+            let spec = draws.pick(schema.specs());
+            target.insert(spec.name.clone(), param_value(spec, draws));
+        }
+    }
+    let architecture = embedded.render_spec(&name);
+    let spec = if draws.below(2) == 0 {
+        let workload = draws.pick(&registered_workloads()).clone();
+        ScenarioSpec::closed_loop(architecture, format!("{workload}:{}", draws.below(301)))
+    } else {
+        ScenarioSpec::new(architecture, draws.pick(&registered_traffic_patterns()))
+    };
+    spec.with_arch_params(explicit)
+        .with_faults(*draws.pick(&FAULTS))
+        .with_effort(Effort::Smoke)
+}
+
+#[test]
+fn resolve_returns_a_scenario_or_a_typed_error() {
+    d_hetpnoc_repro::install_architectures();
+    let mut draws = Draws(0x5eed_0f5c_e4a2_1000);
+    let (mut resolved, mut rejected) = (0, 0);
+    for _ in 0..DRAWS {
+        let spec = draw_spec(&mut draws);
+        match catch_unwind(AssertUnwindSafe(|| spec.resolve().map(drop))) {
+            Ok(Ok(())) => resolved += 1,
+            Ok(Err(_)) => rejected += 1,
+            Err(_) => panic!("resolve panicked on {}", spec.id()),
+        }
+    }
+    // Both outcomes are common, so neither half of the space goes unvisited.
+    assert!(
+        resolved > DRAWS / 5 && rejected > DRAWS / 5,
+        "{resolved} resolved, {rejected} rejected of {DRAWS}"
+    );
+}

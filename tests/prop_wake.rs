@@ -22,7 +22,7 @@ use d_hetpnoc_repro::dhetpnoc::network::build_dhetpnoc_system;
 use d_hetpnoc_repro::noc::ids::{ClusterId, CoreId};
 use d_hetpnoc_repro::noc::packet::{BandwidthClass, PacketDescriptor};
 use d_hetpnoc_repro::noc::topology::ClusterTopology;
-use d_hetpnoc_repro::noc::traffic_model::{OfferedLoad, TrafficModel};
+use d_hetpnoc_repro::noc::traffic_model::TrafficModel;
 use d_hetpnoc_repro::sim::config::{BandwidthSet, SimConfig};
 use d_hetpnoc_repro::sim::engine::{run_to_completion_with, set_event_driven, CycleNetwork};
 use d_hetpnoc_repro::sim::metrics::{MetricReport, MetricsProbe, Probe};
@@ -85,16 +85,8 @@ impl TrafficModel for Bursts {
         })
     }
 
-    fn offered_load(&self) -> OfferedLoad {
-        OfferedLoad::new(0.75 / self.period as f64)
-    }
-
     fn demand_class(&self, src: ClusterId, dst: ClusterId) -> BandwidthClass {
         BandwidthClass::ALL[(src.0 + dst.0) % BandwidthClass::ALL.len()]
-    }
-
-    fn name(&self) -> String {
-        format!("bursts-{:?}", self.pattern)
     }
 
     fn next_generation_cycle(&self, now: u64) -> Option<u64> {
