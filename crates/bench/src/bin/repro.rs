@@ -383,10 +383,11 @@ fn run_scenario_batch(
 /// of a finished batch.
 fn log_batch(outcome: &MatrixResult, cached: bool) {
     eprintln!(
-        "[repro] batch: {} scenario(s), {} point(s) ({} unique after dedup) in {:.2}s",
+        "[repro] batch: {} scenario(s), {} point(s) ({} unique after dedup), {} simulated in {:.2}s",
         outcome.scenarios.len(),
         outcome.total_points,
         outcome.unique_points,
+        outcome.cache.simulated,
         outcome.wall_clock_seconds
     );
     if cached {

@@ -463,6 +463,7 @@ mod tests {
                 hits: 3,
                 misses: 2,
                 stored: 2,
+                simulated: 1,
             },
         };
         let text = matrix_json(&result).render();

@@ -112,7 +112,9 @@ pub struct ServerReport {
     pub points: u64,
     /// Deduplicated points answered from the cache without simulating.
     pub cache_hits: u64,
-    /// Deduplicated points that had to be simulated.
+    /// Deduplicated points the cache did not hold. Missed points of one
+    /// network share a simulation, so a batch's `"simulated"` count can be
+    /// lower.
     pub cache_misses: u64,
     /// Connections rejected with `503` because `max_in_flight` was reached.
     pub rejected: u64,
@@ -440,7 +442,7 @@ fn run_batch(
         result.unique_points,
         result.cache.hits,
         result.cache.misses,
-        result.cache.misses,
+        result.cache.simulated,
     );
     let mut sink = JsonlSink::new(Vec::new());
     result

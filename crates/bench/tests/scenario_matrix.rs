@@ -11,7 +11,7 @@ use pnoc_sim::scenario::{Effort, ScenarioMatrix};
 fn smoke_matrix() -> ScenarioMatrix {
     ensure_registered();
     ScenarioMatrix::new()
-        .architectures(["firefly", "d-hetpnoc"])
+        .architectures(["firefly", "d-hetpnoc", "uniform-fabric"])
         .traffics(["tornado", "bursty-uniform"])
         .bandwidth_sets([BandwidthSet::Set1])
         .effort(Effort::Smoke)
@@ -23,7 +23,7 @@ fn matrix_run_is_bitwise_identical_to_sequential_per_scenario_runs() {
     let matrix = smoke_matrix();
     let batched = matrix.run().expect("all names registered");
     let sequential = matrix.run_sequential().expect("all names registered");
-    assert_eq!(batched.scenarios.len(), 4);
+    assert_eq!(batched.scenarios.len(), 6);
     assert!(
         batched
             .scenarios
@@ -35,6 +35,16 @@ fn matrix_run_is_bitwise_identical_to_sequential_per_scenario_runs() {
     assert!(
         batched.bitwise_eq(&sequential),
         "flattened matrix run must be bitwise-identical to per-scenario sequential runs"
+    );
+    // `uniform-fabric` at its default budget builds Firefly's network, so
+    // its points ride on Firefly's runs; the sequential reference shares
+    // nothing.
+    assert_eq!(batched.unique_points, batched.total_points);
+    assert!(
+        batched.cache.simulated < batched.unique_points,
+        "{} simulations for {} unique points: equal networks did not share a run",
+        batched.cache.simulated,
+        batched.unique_points
     );
 }
 

@@ -416,3 +416,51 @@ fn malformed_requests_get_errors_not_crashes() {
     assert_eq!(report.runs, 0, "no malformed request may reach the engine");
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// `firefly` and `uniform-fabric` at the paper point build one network, so
+/// a cold batch of both misses every point but simulates each once, and the
+/// warm replay simulates nothing and returns the same bytes.
+#[test]
+fn equal_networks_share_a_simulation_in_a_cold_post() {
+    let dir = std::env::temp_dir().join(format!("pnoc-server-shared-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let specs: Vec<ScenarioSpec> = ["firefly", "uniform-fabric"]
+        .map(|architecture| {
+            ScenarioSpec::new(architecture, "uniform-random").with_effort(Effort::Smoke)
+        })
+        .into();
+    let document = render_scenarios(&specs);
+    let (address, handle) = start_server(ResultStore::open(&dir).expect("store opens"), 2);
+
+    let (status, cold) = request(&address, "POST", "/run", &document);
+    assert_eq!(status, "HTTP/1.1 200 OK");
+    let (cold_summary, cold_rows) = split_run_response(&cold);
+    let points = run_specs_with_cache(&specs[..1], None)
+        .expect("batch run")
+        .total_points;
+    assert!(points > 0);
+    assert!(
+        cold_summary.contains(&format!(
+            "\"cache_misses\":{},\"simulated\":{points}}}",
+            2 * points
+        )),
+        "{cold_summary}"
+    );
+
+    let (status, warm) = request(&address, "POST", "/run", &document);
+    assert_eq!(status, "HTTP/1.1 200 OK");
+    let (warm_summary, warm_rows) = split_run_response(&warm);
+    assert!(
+        warm_summary.contains("\"cache_misses\":0,\"simulated\":0}"),
+        "{warm_summary}"
+    );
+    assert_eq!(
+        cold_rows, warm_rows,
+        "cached response must be byte-identical"
+    );
+
+    let report = handle.join().expect("server thread joins");
+    assert_eq!(report.cache_misses, 2 * points as u64);
+    assert_eq!(report.cache_hits, 2 * points as u64);
+    let _ = std::fs::remove_dir_all(&dir);
+}

@@ -1,6 +1,7 @@
 //! End-to-end tests of the result cache under the batch engine: a warm
 //! re-run serves every point from the cache byte-identically, an
-//! incremental matrix only simulates the newly added scenarios, and an
+//! incremental matrix only simulates the newly added scenarios (none when
+//! an added scenario's network is already cached), and an
 //! engine-fingerprint change (per-cycle vs event-driven executor) misses
 //! rather than serving results from the other engine.
 
@@ -100,6 +101,25 @@ fn incremental_matrix_only_simulates_the_new_scenarios() {
         first.scenarios[..],
         second.scenarios[..first.scenarios.len()]
     );
+
+    // `firefly` at the paper point is `uniform-fabric`'s network: its points
+    // miss (the cache is keyed per spelling) and are stored under their own
+    // keys, but take the stored points of the equal network instead of
+    // simulating.
+    specs.push(ScenarioSpec::new("firefly", "uniform-random").with_effort(Effort::Smoke));
+    let third = run_specs_with_cache(&specs, Some(&store)).expect("third run");
+    assert_eq!(third.cache.hits, second.unique_points);
+    assert!(third.cache.misses > 0);
+    assert_eq!(third.cache.stored, third.cache.misses);
+    assert_eq!(
+        third.cache.simulated, 0,
+        "an equal network's hit must serve"
+    );
+    let uncached = run_specs_with_cache(&specs, None).expect("uncached run");
+    assert!(uncached.bitwise_eq(&third));
+    assert_eq!(metric_bytes(&uncached), metric_bytes(&third));
+    let fourth = run_specs_with_cache(&specs, Some(&store)).expect("fourth run");
+    assert_eq!(fourth.cache.misses, 0, "the shared points were stored");
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -88,13 +88,22 @@ impl ArchitectureBuilder for FireflyArchitecture {
         params: &ResolvedParams,
         traffic: Box<dyn TrafficModel + Send>,
     ) -> Box<dyn CycleNetwork> {
-        let fabric = firefly_fabric(
-            &config,
-            params.int("radix") as usize,
-            params.int("reservation_cycles") as u64,
-        );
+        let fabric = fabric_of(&config, params);
         Box::new(PhotonicSystem::new(config, fabric, traffic))
     }
+
+    fn network_id(&self, config: &SimConfig, params: &ResolvedParams) -> String {
+        fabric_of(config, params).network_id()
+    }
+}
+
+/// The fabric the registry entry builds from its resolved parameters.
+fn fabric_of(config: &SimConfig, params: &ResolvedParams) -> UniformFabric {
+    firefly_fabric(
+        config,
+        params.int("radix") as usize,
+        params.int("reservation_cycles") as u64,
+    )
 }
 
 /// Registers the Firefly baseline into the process-global architecture

@@ -100,6 +100,23 @@ pub trait ArchitectureBuilder: Send + Sync {
         traffic: Box<dyn TrafficModel + Send>,
     ) -> Box<dyn CycleNetwork>;
 
+    /// The identity of the network [`ArchitectureBuilder::build`] constructs
+    /// from `config` (the **effective** configuration) and `params`. A batch
+    /// simulates each point once per network: two scenarios whose points
+    /// differ only in their architecture component share one run when their
+    /// network ids are equal, so equal ids must mean equal networks: the id
+    /// must name everything `build`, [`ArchitectureBuilder::effective_config`]
+    /// and [`ArchitectureBuilder::workload_placement`] read. The default is
+    /// the name with the full resolved parameter set, the architecture
+    /// component of [`Scenario::canonical_id`](crate::scenario::Scenario::canonical_id),
+    /// which nothing else can equal. An override renders the value `build`
+    /// constructs, with the same helper `build` calls, so the id cannot
+    /// drift from the network.
+    fn network_id(&self, config: &SimConfig, params: &ResolvedParams) -> String {
+        let _ = config;
+        format!("{}{}", self.name(), params.canonical())
+    }
+
     /// Rewrites a scenario-level base configuration into the configuration
     /// this architecture actually simulates under the given parameters. The
     /// default is the identity — a flat architecture simulates exactly the
@@ -189,14 +206,24 @@ impl ArchitectureBuilder for UniformFabricArchitecture {
         params: &ResolvedParams,
         traffic: Box<dyn TrafficModel + Send>,
     ) -> Box<dyn CycleNetwork> {
-        let wavelengths = match params.int("wavelengths") {
-            0 => config.bandwidth_set.total_wavelengths(),
-            n => n as usize,
-        };
-        let per_channel = (wavelengths / config.topology.num_clusters()).max(1);
-        let fabric = UniformFabric::new(per_channel, 1);
+        let fabric = uniform_fabric(&config, params);
         Box::new(PhotonicSystem::new(config, fabric, traffic))
     }
+
+    fn network_id(&self, config: &SimConfig, params: &ResolvedParams) -> String {
+        uniform_fabric(config, params).network_id()
+    }
+}
+
+/// The fabric `uniform-fabric` builds: `wavelengths / clusters` (at least 1)
+/// per channel and a one-cycle reservation.
+fn uniform_fabric(config: &SimConfig, params: &ResolvedParams) -> UniformFabric {
+    let wavelengths = match params.int("wavelengths") {
+        0 => config.bandwidth_set.total_wavelengths(),
+        n => n as usize,
+    };
+    let per_channel = (wavelengths / config.topology.num_clusters()).max(1);
+    UniformFabric::new(per_channel, 1)
 }
 
 /// The process-global architecture catalogue; the architecture crates add

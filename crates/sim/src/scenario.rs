@@ -742,14 +742,30 @@ impl Scenario {
     /// drift must fail a test, not poison the cache.
     #[must_use]
     pub fn canonical_id(&self) -> String {
+        self.id_with_network(&format!(
+            "{}{}",
+            self.architecture.name(),
+            self.params.canonical()
+        ))
+    }
+
+    /// What a batch simulates once: the [`Scenario::canonical_id`] with its
+    /// architecture component replaced by the architecture's
+    /// [`ArchitectureBuilder::network_id`], so spellings of one network
+    /// (`firefly` and `uniform-fabric` at the paper point) share it. Never
+    /// persisted: the cache stays addressed per spelling.
+    fn simulation_id(&self) -> String {
+        self.id_with_network(&self.architecture.network_id(&self.config(), &self.params))
+    }
+
+    /// The canonical id rendering around an architecture component.
+    fn id_with_network(&self, network: &str) -> String {
         let payload = match &self.payload {
             ScenarioPayload::Traffic(factory) => factory.name().to_string(),
             ScenarioPayload::Workload(workload) => workload.name().replace(':', "@"),
         };
         let mut id = format!(
-            "{}{}:{payload}:{}:{}",
-            self.architecture.name(),
-            self.params.canonical(),
+            "{network}:{payload}:{}:{}",
             self.spec.bandwidth_set.short_name(),
             self.spec.effort.label()
         );
@@ -1215,7 +1231,10 @@ impl ScenarioMatrix {
             total_points,
             unique_points: total_points,
             wall_clock_seconds: started.elapsed().as_secs_f64(),
-            cache: CacheStats::default(),
+            cache: CacheStats {
+                simulated: total_points,
+                ..CacheStats::default()
+            },
         })
     }
 }
@@ -1268,7 +1287,7 @@ pub fn engine_fingerprint() -> String {
     format!("v{}+{stepping}", env!("CARGO_PKG_VERSION"))
 }
 
-/// The identity of one *(scenario, ladder point)* simulation — what a batch
+/// The identity of one *(scenario, ladder point)* job — what a batch
 /// deduplicates on and what the cache is addressed by:
 /// `canonical_id|seed=S|load=HEXBITS|fingerprint`, where `canonical_id` is
 /// [`Scenario::canonical_id`], `S` is the derived per-point seed (decimal),
@@ -1293,14 +1312,15 @@ pub fn run_specs(specs: &[ScenarioSpec]) -> Result<MatrixResult, ScenarioError> 
 /// [`run_specs`] with an optional cross-run [`PointCache`].
 ///
 /// With a cache, every deduplicated *(scenario, ladder point)* job is looked
-/// up before the parallel queue is built: hits skip simulation, only misses
-/// are enqueued, and each miss is offered back to the cache (with its own
+/// up before the parallel queue is built: hits skip simulation, misses that
+/// simulate the same network run once (or take a hit's point), and each
+/// miss is offered back to the cache under its own key (with its run's
 /// wall-clock as sidecar metadata) after the batch completes. The assembled
 /// [`MatrixResult`] is **bitwise-identical** to an uncached run — the cache
 /// stores exact simulation output and the per-point seed/load/engine
 /// fingerprint in the key guarantee a hit could only ever have been produced
 /// by the same simulation — and [`MatrixResult::cache`] reports the
-/// hit/miss/stored counts.
+/// hit/miss/stored counts and the simulations run.
 pub fn run_specs_with_cache(
     specs: &[ScenarioSpec],
     cache: Option<&dyn PointCache>,
@@ -1315,23 +1335,32 @@ fn run_scenarios(scenarios: &[Scenario], cache: Option<&dyn PointCache>) -> Matr
 
     // Flatten every (scenario, ladder point) pair into one job list,
     // deduplicating on the canonical point key — the same string the cache
-    // is addressed by, so "would simulate the same network" has exactly one
-    // definition. The key is built from the *resolved* scenario
+    // is addressed by. The key is built from the *resolved* scenario
     // ([`Scenario::canonical_id`]), not the spec spellings: aliases (e.g.
     // "uniform" vs "uniform-random", or "allreduce:16" vs
     // "ring-allreduce:16") and a default named explicitly
-    // (`firefly{radix=16}`) share one simulation, while a genuine override,
-    // another fault plan, another derived seed or another load gets its own.
+    // (`firefly{radix=16}`) are one job, while a genuine override, another
+    // fault plan, another derived seed or another load gets its own. Each
+    // job also carries its simulation key ([`Scenario::simulation_id`]):
+    // jobs that differ only in how their network is spelled share a group.
     let mut jobs: Vec<(usize, SweepPointSpec)> = Vec::new();
     let mut job_keys: Vec<String> = Vec::new();
+    let mut job_group: Vec<usize> = Vec::new();
     let mut index_of: BTreeMap<String, usize> = BTreeMap::new();
+    let mut group_of: BTreeMap<String, usize> = BTreeMap::new();
     let mut assignments: Vec<Vec<usize>> = Vec::with_capacity(scenarios.len());
     let fingerprint = engine_fingerprint();
     for (scenario_index, scenario) in scenarios.iter().enumerate() {
+        let (canonical_id, simulation_id) = (scenario.canonical_id(), scenario.simulation_id());
         let points = scenario.points();
         let mut point_jobs = Vec::with_capacity(points.len());
-        for (point, key) in points.into_iter().zip(scenario.point_keys(&fingerprint)) {
+        for point in points {
+            let (seed, load) = (point.config.seed, point.offered_load);
+            let key = point_cache_key(&canonical_id, seed, load, &fingerprint);
             let job_index = *index_of.entry(key).or_insert_with_key(|key| {
+                let simulation_key = point_cache_key(&simulation_id, seed, load, &fingerprint);
+                let groups = group_of.len();
+                job_group.push(*group_of.entry(simulation_key).or_insert(groups));
                 jobs.push((scenario_index, point));
                 job_keys.push(key.clone());
                 jobs.len() - 1
@@ -1352,24 +1381,51 @@ fn run_scenarios(scenarios: &[Scenario], cache: Option<&dyn PointCache>) -> Matr
         .collect();
     let miss_indices: Vec<usize> = (0..points.len()).filter(|&i| points[i].is_none()).collect();
 
+    // Each group takes its point from one job: its first hit, or else its
+    // first miss, which is simulated once for the whole group.
+    let mut source: Vec<Option<usize>> = vec![None; group_of.len()];
+    for (index, point) in points.iter().enumerate() {
+        if point.is_some() {
+            source[job_group[index]].get_or_insert(index);
+        }
+    }
+    let mut runs: Vec<usize> = Vec::new();
+    for &index in &miss_indices {
+        source[job_group[index]].get_or_insert_with(|| {
+            runs.push(index);
+            index
+        });
+    }
+
     // One flat batch across every scenario, submitted directly to the
     // persistent pnoc-exec pool: workers stay busy across scenario
     // boundaries instead of idling at each per-sweep barrier, and each job
-    // writes its indexed result slot without a shared collector. Each miss
+    // writes its indexed result slot without a shared collector. Each run
     // carries its own wall-clock so the cache can keep timing as sidecar
     // metadata next to the (timing-free) point payload.
-    let fresh: Vec<(SweepPoint, f64)> = pnoc_exec::run_batch(&miss_indices, |_, &index| {
+    let fresh: Vec<(SweepPoint, f64)> = pnoc_exec::run_batch(&runs, |_, &index| {
         let (scenario, point) = &jobs[index];
         let point_started = Instant::now();
         let point = scenarios[*scenario].simulate(point);
         (point, point_started.elapsed().as_secs_f64())
     });
-
-    for (&index, (point, point_seconds)) in miss_indices.iter().zip(fresh) {
-        if let Some(cache) = cache {
-            cache.store(&job_keys[index], &point, point_seconds);
-        }
+    let mut seconds = vec![0.0; jobs.len()];
+    for (&index, (point, point_seconds)) in runs.iter().zip(fresh) {
         points[index] = Some(point);
+        seconds[index] = point_seconds;
+    }
+
+    // Every miss is stored under its own key; one copied from a hit records
+    // no simulation time.
+    for &index in &miss_indices {
+        let from = source[job_group[index]].expect("every group has a source");
+        if let Some(cache) = cache {
+            let point = points[from].as_ref().expect("a source is resolved");
+            cache.store(&job_keys[index], point, seconds[from]);
+        }
+        if from != index {
+            points[index] = points[from].clone();
+        }
     }
 
     let misses = miss_indices.len();
@@ -1393,21 +1449,29 @@ fn run_scenarios(scenarios: &[Scenario], cache: Option<&dyn PointCache>) -> Matr
             hits: unique_points - misses,
             misses,
             stored: if cache.is_some() { misses } else { 0 },
+            simulated: runs.len(),
         },
     }
 }
 
-/// Cross-run cache accounting of one matrix run (all zero when no cache was
-/// attached). Counts are over **deduplicated** jobs:
-/// `hits + misses == unique_points`.
+/// Cross-run cache accounting of one matrix run, and the simulations it
+/// ran. The three cache counts are over **deduplicated** jobs,
+/// `hits + misses == unique_points`; `hits` and `stored` are zero when no
+/// cache was attached. In a batch `simulated` is at most `misses`: missed
+/// jobs of one network share a run, or take a hit's point.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
     /// Deduplicated points served from the cache without simulating.
     pub hits: usize,
-    /// Deduplicated points that had to be simulated.
+    /// Deduplicated points the cache did not hold (every point without a
+    /// cache).
     pub misses: usize,
-    /// Freshly simulated points offered to the cache for storage.
+    /// Missed points offered to the cache for storage, each under its own
+    /// key.
     pub stored: usize,
+    /// Simulations run: one per network among the misses whose group no
+    /// hit answered.
+    pub simulated: usize,
 }
 
 /// The outcome of a matrix run: one [`ScenarioResult`] per expanded spec (in
@@ -1418,12 +1482,13 @@ pub struct MatrixResult {
     pub scenarios: Vec<ScenarioResult>,
     /// Number of (scenario, ladder point) pairs before deduplication.
     pub total_points: usize,
-    /// Number of distinct simulations after deduplication (with a cache
-    /// attached, `cache.misses` of them actually ran).
+    /// Number of distinct canonical points after deduplication (the cache
+    /// is probed once for each; `cache.simulated` counts the simulations
+    /// that ran).
     pub unique_points: usize,
     /// Wall-clock seconds of the whole batch.
     pub wall_clock_seconds: f64,
-    /// Cross-run cache accounting (zero without a cache). Bookkeeping only —
+    /// Cross-run cache and simulation accounting. Bookkeeping only —
     /// excluded from [`MatrixResult::bitwise_eq`] like the wall-clock.
     pub cache: CacheStats,
 }

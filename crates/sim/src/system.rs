@@ -122,6 +122,18 @@ impl UniformFabric {
             reservation_cycles,
         }
     }
+
+    /// The identity of this fabric, for
+    /// [`ArchitectureBuilder::network_id`](crate::registry::ArchitectureBuilder::network_id):
+    /// every architecture that builds an equal `UniformFabric` simulates the
+    /// same network.
+    #[must_use]
+    pub fn network_id(&self) -> String {
+        format!(
+            "UniformFabric(wavelengths_per_channel={},reservation_cycles={})",
+            self.wavelengths_per_channel, self.reservation_cycles
+        )
+    }
 }
 
 impl PhotonicFabric for UniformFabric {
