@@ -119,13 +119,47 @@ fn fault_plans_render_as_a_pinned_canonical_suffix() {
 fn the_engine_fingerprint_is_pinned_and_keys_stale_caches_out() {
     // The fingerprint is the other half of every cache key: bumping the
     // workspace version (0.11.0 → 0.12.0 when faulted `uniform-fabric`
-    // points stopped reading healthy) must retire every older cache entry,
-    // so a store written by a previous engine can never satisfy a lookup.
+    // points stopped reading healthy; 0.12.0 → 0.13.0 when d-HetPNoC
+    // targets above 65 wavelengths were reached before cycle 0 instead of
+    // by the token ring during the run) must retire every older cache
+    // entry, so a store written by a previous engine can never satisfy a
+    // lookup.
     assert_eq!(
         pnoc_sim::scenario::engine_fingerprint(),
-        "v0.12.0+event",
+        "v0.13.0+event",
         "fingerprint changed — deliberate cache invalidation only"
     );
+}
+
+#[test]
+fn a_spec_whose_results_changed_keeps_its_id_and_misses_older_caches() {
+    ensure_registered();
+    // Set 3 skewed-3 demand under a 512-wavelength cap gives targets above
+    // 65 that 0.12.0 left short until the ring filled them, so this spec's
+    // points simulate differently from 0.13.0 on. Its canonical id stays;
+    // its keys change only in the fingerprint, so an older entry misses.
+    let scenario = ScenarioSpec::new("d-hetpnoc{max_wavelengths=512}", "skewed-3")
+        .with_bandwidth_set(BandwidthSet::Set3)
+        .with_effort(Effort::Quick)
+        .resolve()
+        .unwrap();
+    let id = scenario.canonical_id();
+    assert_eq!(
+        id,
+        "d-hetpnoc{max_wavelengths=512,policy=proportional}:skewed-3:set3:quick"
+    );
+    let keys = scenario.point_keys(&pnoc_sim::scenario::engine_fingerprint());
+    assert_eq!(
+        keys[0],
+        "d-hetpnoc{max_wavelengths=512,policy=proportional}:skewed-3:set3:quick\
+         |seed=18260876482268130199|load=3f84000000000000|v0.13.0+event"
+    );
+    for key in &keys {
+        let per_point = key
+            .strip_prefix(id.as_str())
+            .and_then(|rest| rest.strip_suffix("|v0.13.0+event"));
+        assert!(per_point.is_some_and(|p| p.starts_with("|seed=")), "{key}");
+    }
 }
 
 #[test]

@@ -53,34 +53,29 @@
 //! 3. no cluster ever holds more than the per-channel maximum of the
 //!    bandwidth set.
 //!
-//! # Settled controllers skip in O(1)
+//! # The run sees the fixed point
 //!
 //! The protocol only re-allocates when the task mapping changes; under a
-//! stable mapping every token visit after convergence is a no-op. A visit
-//! *changes* something exactly when it acquires or releases a wavelength.
-//! After as many consecutive no-change visits as there are clusters, the
-//! controller is *settled*: a visit then does nothing, and
-//! [`DbaController::skip_cycles`] jumps every arrival of a span at once.
-//! [`DbaController::set_targets`] clears the settled state, and every
-//! reconvergence (a remap, a fault transition) goes through it.
-//!
-//! This is exact. The ring visits the clusters in cyclic order, so a run of
-//! `num_clusters` no-change ring visits has visited every cluster once, each
-//! against the same unchanged state. A visit that releases nothing has
-//! `held <= target` (with `held > target` the excess is at least one
-//! acquired wavelength). A visit that acquires nothing has `held == target`,
-//! or `held < target` with no free wavelength in the token. Nothing else
-//! mutates the controller between calls to `set_targets`, so every later
-//! visit finds the same state and changes nothing either.
-//! [`DbaController::converge`] visits the clusters in its own order, so a
-//! streak never runs across the boundary between it and the ring.
+//! stable mapping every token visit after convergence is a no-op. The
+//! simulator therefore models the protocol at its fixed point:
+//! `DhetFabric` calls [`DbaController::converge`] before cycle 0 and at
+//! every fault transition that retargets, with enough rotations to reach
+//! the fixed point (see its docs), and no simulated cycle moves the token.
+//! A healthy run's allocation is thus fixed before cycle 0, and every
+//! reallocation at a fault transition is instantaneous: the transient of a
+//! remap (the rotations the token needs to move wavelengths) is not
+//! modelled. A retarget starts from the current allocation, so after a
+//! fault's repair the fixed point can differ from the healthy one (the
+//! history dependence above). [`DbaController::tick`] circulates the token
+//! one cycle at a time; only the `dba_token_trace` example and the
+//! benchmark's per-layer token probe call it.
 
 use crate::token::{Token, TokenRing};
 use pnoc_noc::ids::ClusterId;
 
 /// How a cluster's wavelength target is derived from the demand information.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub(crate) enum AllocationPolicy {
+pub enum AllocationPolicy {
     /// Wavelength pools sized in proportion to each cluster's traffic
     /// requirement (Section 3.1: "a variable number of wavelengths are
     /// allocated to the channel in proportion to the traffic requirement").
@@ -111,9 +106,6 @@ pub struct DbaController {
     /// Wavelengths every cluster holds permanently (its minimum pool).
     reserved_per_cluster: usize,
     max_channel_wavelengths: usize,
-    /// Consecutive visits that changed nothing, up to `clusters.len()`: at
-    /// that cap the controller is settled (see the module docs).
-    quiet_visits: usize,
 }
 
 impl DbaController {
@@ -156,7 +148,6 @@ impl DbaController {
             clusters,
             reserved_per_cluster,
             max_channel_wavelengths,
-            quiet_visits: 0,
         }
     }
 
@@ -170,18 +161,11 @@ impl DbaController {
     /// `[reserved, max_channel]`).
     pub fn set_targets(&mut self, targets: &[usize]) {
         assert_eq!(targets.len(), self.clusters.len());
-        self.quiet_visits = 0;
         for (cluster, &target) in self.clusters.iter_mut().zip(targets) {
             cluster.target = target
                 .max(self.reserved_per_cluster)
                 .min(self.max_channel_wavelengths);
         }
-    }
-
-    /// Whether the allocation is at its fixed point: every visit until the
-    /// next [`DbaController::set_targets`] changes nothing.
-    fn settled(&self) -> bool {
-        self.quiet_visits == self.clusters.len()
     }
 
     /// Current pool (reserved + acquired wavelengths) of a cluster.
@@ -207,15 +191,11 @@ impl DbaController {
 
     /// Processes a token visit at `cluster`: release the newest wavelengths
     /// held above the target, or acquire one missing wavelength. Returns
-    /// whether the visit acquired or released anything. A settled
-    /// controller skips the step, which would change nothing.
+    /// whether the visit acquired or released anything.
     fn on_token(&mut self, cluster: ClusterId) -> bool {
-        if self.settled() {
-            return false;
-        }
         let held = self.pool(cluster);
         let state = &mut self.clusters[cluster.0];
-        let changed = if held > state.target {
+        if held > state.target {
             // `target >= reserved`, so the excess is all acquired.
             let keep = state.acquired.len() - (held - state.target);
             self.token.release(&state.acquired[keep..]);
@@ -227,37 +207,17 @@ impl DbaController {
             !acquired.is_empty()
         } else {
             false
-        };
-        self.quiet_visits = if changed { 0 } else { self.quiet_visits + 1 };
-        changed
+        }
     }
 
     /// Advances one cycle of token circulation; when the token arrives at a
     /// router, that router's allocation step runs. Returns the router that
-    /// processed the token this cycle, if any.
+    /// processed the token this cycle, if any. A simulated run never calls
+    /// it (see the module docs).
     pub fn tick(&mut self) -> Option<ClusterId> {
         let arrived = self.ring.tick()?;
         self.on_token(arrived);
         Some(arrived)
-    }
-
-    /// Fast-forwards `span` cycles, equivalent to calling
-    /// [`DbaController::tick`] `span` times: every token arrival inside the
-    /// span is processed in order, so the allocation state ends up exactly
-    /// as if the controller had been ticked cycle by cycle. Once the
-    /// controller is settled, the rest of the span is one jump of the ring.
-    pub fn skip_cycles(&mut self, mut span: u64) {
-        while !self.settled() {
-            let until_arrival = self.ring.cycles_until_arrival();
-            if span < until_arrival {
-                break;
-            }
-            span -= until_arrival;
-            self.ring.advance(until_arrival - 1);
-            let arrived = self.ring.tick().expect("token arrival is due this cycle");
-            self.on_token(arrived);
-        }
-        self.ring.advance(span);
     }
 
     /// Visits every cluster in index order for up to `max_rotations`
@@ -265,13 +225,18 @@ impl DbaController {
     /// Used when the task mapping changes (and at construction) so that
     /// measurements see the converged allocation. It models the allocation,
     /// not the ring: the token does not move.
+    ///
+    /// `max_channel_wavelengths` rotations reach the fixed point from any
+    /// state, so one more finds nothing to change. Rotation 1 releases every
+    /// excess: a visit drops all of its cluster's wavelengths above target,
+    /// and targets do not change inside the loop. From then on no cluster
+    /// is above its target and nothing returns to the token, so every
+    /// rotation gives each short cluster one wavelength until it reaches its
+    /// target or the token runs dry (after which no visit changes anything).
+    /// A short cluster holds at least the reserve of 1 and aims for at most
+    /// `max_channel_wavelengths`, so rotations 2 to `max_channel_wavelengths`
+    /// fill every deficit the budget allows.
     pub fn converge(&mut self, max_rotations: usize) {
-        // A quiet streak proves the fixed point only if it covers every
-        // cluster, and this loop's order is not the ring's: no streak runs
-        // across the boundary (see the module docs).
-        if !self.settled() {
-            self.quiet_visits = 0;
-        }
         for _ in 0..max_rotations {
             let mut changed = false;
             for c in 0..self.num_clusters() {
@@ -280,9 +245,6 @@ impl DbaController {
             if !changed {
                 break;
             }
-        }
-        if !self.settled() {
-            self.quiet_visits = 0;
         }
     }
 
@@ -472,56 +434,15 @@ mod tests {
     }
 
     #[test]
-    fn skip_cycles_is_bitwise_identical_to_repeated_ticks() {
-        // Hop latency 3 so spans start and end mid-hop, exercising the
-        // partial skips on both sides of an arrival.
-        for span in [1u64, 2, 3, 5, 48, 97] {
-            let mut ticked = DbaController::new(16, 48, 1, 8, 3);
-            ticked.set_targets(&[8; 16]);
-            let mut skipped = ticked.clone();
-            for _ in 0..span {
-                let _ = ticked.tick();
-            }
-            skipped.skip_cycles(span);
-            assert_eq!(ticked, skipped, "span {span}");
-            assert!(skipped.check_invariants().is_ok());
-        }
-    }
-
-    #[test]
-    fn a_settled_controller_skips_in_one_jump_and_setters_wake_it() {
+    fn a_converged_controller_ticks_in_place() {
         let mut c = DbaController::new(16, 48, 1, 8, 3);
         c.set_targets(&[8; 16]);
-        c.converge(64);
-        assert!(c.settled(), "an oversubscribed budget settles");
-        let mut ticked = c.clone();
+        c.converge(9);
+        let converged = c.allocation_snapshot();
         for _ in 0..1_000 {
-            let _ = ticked.tick();
+            let _ = c.tick();
         }
-        c.skip_cycles(1_000);
-        assert_eq!(c, ticked);
-        // A re-target wakes the controller; the next visits move wavelengths.
-        let mut targets = vec![8usize; 16];
-        targets[0] = 1;
-        c.set_targets(&targets);
-        assert!(!c.settled());
-        c.converge(64);
-        assert!(c.settled());
-        assert_eq!(c.pool(ClusterId(0)), 1);
+        assert_eq!(c.allocation_snapshot(), converged, "a visit moved a pool");
         assert!(c.check_invariants().is_ok());
-    }
-
-    #[test]
-    fn next_token_cycle_predicts_the_next_arrival() {
-        let mut c = DbaController::new(4, 8, 1, 4, 3);
-        let mut now = 0u64;
-        let predicted = now + c.ring.cycles_until_arrival();
-        loop {
-            now += 1;
-            if c.tick().is_some() {
-                break;
-            }
-        }
-        assert_eq!(now, predicted);
     }
 }

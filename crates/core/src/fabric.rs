@@ -63,7 +63,7 @@ impl DhetFabric {
     /// Panics if `max_channel_wavelengths` is zero or the demand matrix does
     /// not match the topology.
     #[must_use]
-    pub(crate) fn with_options(
+    pub fn with_options(
         config: &SimConfig,
         demand: DemandMatrix,
         policy: AllocationPolicy,
@@ -117,19 +117,21 @@ impl DhetFabric {
             max_channel_wavelengths,
         };
         // The initial task mapping is known before the simulation starts, so
-        // the allocation is converged up front (the token keeps circulating
-        // during the run to model the protocol's steady-state behaviour). A
-        // healthy surface derates nothing.
+        // the run starts at the converged allocation; no simulated cycle
+        // moves the token. A healthy surface derates nothing.
         fabric.allocate(&FaultSurface::new(num_clusters));
         fabric
     }
 
     /// Installs the controller's targets from the demand matrix (the
     /// policy's targets, derated by the laser dimming of `faults`), then
-    /// converges the allocation. Construction calls it with a healthy
-    /// surface and every degradation transition (apply and repair) calls it
-    /// again, so a repaired fabric converges back to exactly the healthy
-    /// targets.
+    /// converges the allocation to its fixed point. Construction calls it
+    /// with a healthy surface and every degradation transition (apply and
+    /// repair) calls it again. A repaired fabric gets the healthy targets
+    /// back, but not always the healthy pools: when the targets oversubscribe
+    /// the budget (as `paper-max`'s can), which clusters stay short depends
+    /// on the order in which they reacquired (see the `dba` module docs on
+    /// history).
     fn allocate(&mut self, faults: &FaultSurface) {
         let mut targets = Self::compute_targets(
             &self.config,
@@ -144,8 +146,7 @@ impl DhetFabric {
             }
         }
         self.controller.set_targets(&targets);
-        self.controller
-            .converge(4 * self.config.topology.num_clusters());
+        self.controller.converge(self.max_channel_wavelengths + 1);
     }
 
     /// Computes per-cluster wavelength targets from the demand matrix,
@@ -223,20 +224,6 @@ impl DhetFabric {
 
 impl PhotonicFabric for DhetFabric {
     #[inline]
-    fn pre_cycle(&mut self) {
-        // Keep the token circulating; with a stable task mapping the
-        // allocation is already converged, so visits are cheap no-ops, but
-        // the protocol timing (and any remapped targets) is still modelled.
-        let _ = self.controller.tick();
-    }
-
-    fn skip_cycles(&mut self, from: u64, to: u64) {
-        // The controller processes every token arrival inside the span
-        // through the same `on_token` path a per-cycle run would take.
-        self.controller.skip_cycles(to - from);
-    }
-
-    #[inline]
     fn pool_size(&self, src: ClusterId) -> usize {
         self.controller.pool(src)
     }
@@ -258,14 +245,9 @@ impl PhotonicFabric for DhetFabric {
 
     fn faults_changed(&mut self, event: &FaultEvent, faults: &FaultSurface) {
         // Laser dimming derates the targets. A degraded class changes none
-        // (`wavelengths_for` derates its transfers), yet it re-converges
-        // too: with `max_wavelengths` up to 512, `converge(4·N)` can stop
-        // short of the fixed point, so this later converge can still move
-        // pools. A link or ring transition leaves the allocation where it is.
-        if matches!(
-            event.kind,
-            FaultKind::WavelengthDegrade | FaultKind::LaserDim
-        ) {
+        // (`wavelengths_for` derates its transfers), and neither does a link
+        // or ring transition: the allocation stays at its fixed point.
+        if event.kind == FaultKind::LaserDim {
             self.allocate(faults);
         }
     }
@@ -514,6 +496,42 @@ mod tests {
             fabric.faults_changed(event, &faults);
         }
         assert_eq!(fabric.controller().allocation_snapshot(), healthy_alloc);
+    }
+
+    #[test]
+    fn paper_max_pools_remember_a_laser_dim_after_its_repair() {
+        // The protocol's history dependence: under `paper-max` every cluster
+        // but 3 aims for 8 wavelengths and 3 for 4, against a fair share of
+        // 4. Dimming halves the targets, so cluster 3 frees two wavelengths;
+        // on the repair the clusters reacquire in index order, 0 and 1 take
+        // them and 3 stays short. The healthy targets come back, the healthy
+        // pools do not.
+        let cfg = config(BandwidthSet::Set1);
+        let demand = skewed_demand(BandwidthSet::Set1, SkewLevel::Skewed1, 0);
+        let max = DhetFabric::default_max_channel_wavelengths(&cfg);
+        let mut fabric = DhetFabric::with_options(&cfg, demand, AllocationPolicy::PaperMax, max);
+        let targets = |f: &DhetFabric| -> Vec<usize> {
+            (0..16)
+                .map(|c| f.controller().target(ClusterId(c)))
+                .collect()
+        };
+        let healthy_targets = targets(&fabric);
+        assert_eq!(healthy_targets[3], 4);
+        assert_eq!(fabric.controller().allocation_snapshot(), [4; 16]);
+        let dim = pnoc_faults::FaultPlan::parse("laser-dim@c10-20:fabric/2")
+            .unwrap()
+            .events()[0];
+        let mut faults = FaultSurface::new(16);
+        faults.apply(&dim);
+        fabric.faults_changed(&dim, &faults);
+        faults.clear(&dim);
+        fabric.faults_changed(&dim, &faults);
+        assert_eq!(targets(&fabric), healthy_targets);
+        let mut repaired = vec![4; 16];
+        repaired[..2].fill(5);
+        repaired[3] = 2;
+        assert_eq!(fabric.controller().allocation_snapshot(), repaired);
+        fabric.controller().check_invariants().unwrap();
     }
 
     #[test]

@@ -159,28 +159,6 @@ impl TokenRing {
             None
         }
     }
-
-    /// Cycles until the token arrives at the next router (≥ 1): the number
-    /// of [`TokenRing::tick`] calls after which the next arrival fires. This
-    /// is the ring's next-deadline accessor for the event-driven engine.
-    #[must_use]
-    pub(crate) fn cycles_until_arrival(&self) -> u64 {
-        self.cycles_until_next_hop
-    }
-
-    /// Fast-forwards `cycles` ticks in O(1): equivalent to calling
-    /// [`TokenRing::tick`] `cycles` times.
-    pub fn advance(&mut self, cycles: u64) {
-        let Some(past_first) = cycles.checked_sub(self.cycles_until_next_hop) else {
-            self.cycles_until_next_hop -= cycles;
-            return;
-        };
-        let arrivals = 1 + past_first / self.hop_cycles;
-        self.cycles_until_next_hop = self.hop_cycles - past_first % self.hop_cycles;
-        // `holder < num_routers`, so only the arrivals need reducing.
-        let hops = (arrivals % self.num_routers as u64) as usize;
-        self.holder = (self.holder + hops) % self.num_routers;
-    }
 }
 
 #[cfg(test)]
@@ -241,29 +219,5 @@ mod tests {
             }
         }
         assert_eq!(arrivals, vec![1, 2, 3, 0, 1, 2, 3, 0]);
-    }
-
-    #[test]
-    fn advance_matches_repeated_ticks() {
-        // Spans inside a hop, ending on an arrival, and across whole
-        // rotations, from every phase of a hop.
-        for hop in 1..=4 {
-            for offset in 0..hop {
-                for cycles in 0..40 {
-                    let mut ticked = TokenRing::new(3, hop);
-                    ticked.advance(offset);
-                    let mut advanced = ticked.clone();
-                    for _ in 0..cycles {
-                        ticked.tick();
-                    }
-                    advanced.advance(cycles);
-                    assert_eq!(ticked, advanced, "hop {hop}, offset {offset}, {cycles}");
-                }
-            }
-        }
-        let mut ring = TokenRing::new(4, 5);
-        ring.advance(4);
-        assert_eq!(ring.cycles_until_arrival(), 1);
-        assert_eq!(ring.tick(), Some(ClusterId(1)));
     }
 }

@@ -51,26 +51,17 @@ use std::collections::VecDeque;
 /// per-channel width; d-HetPNoC answers from its dynamically allocated
 /// wavelength pool and per-destination demand.
 ///
+/// A fabric has no per-cycle work: its allocation moves only when the system
+/// reports a fault transition ([`PhotonicFabric::faults_changed`]), so a
+/// stepped or skipped cycle never calls into its control plane. d-HetPNoC
+/// converges its token protocol to the fixed point at construction and
+/// there.
+///
 /// Fault state is not the fabric's: the system keeps the one
 /// [`FaultSurface`], refuses transfers over a failed link and pins transfers
 /// touching a stuck ring to one wavelength itself, and hands the fabric the
 /// surface only where the derating depends on how it allocates.
 pub trait PhotonicFabric {
-    /// Called once at the beginning of every cycle (d-HetPNoC circulates its
-    /// allocation token here).
-    fn pre_cycle(&mut self);
-
-    /// Fast-forwards the fabric's control plane across the idle cycles
-    /// `from..to`, leaving it in exactly the state that calling
-    /// [`PhotonicFabric::pre_cycle`] for each cycle of the span would have.
-    /// The default does just that; fabrics with cheap-to-replay control state
-    /// (token rings, credit counters) should override it with a closed form.
-    fn skip_cycles(&mut self, from: u64, to: u64) {
-        for _ in from..to {
-            self.pre_cycle();
-        }
-    }
-
     /// Total number of wavelengths cluster `src` may drive concurrently at
     /// this moment (its write-channel width).
     fn pool_size(&self, src: ClusterId) -> usize;
@@ -137,12 +128,6 @@ impl UniformFabric {
 }
 
 impl PhotonicFabric for UniformFabric {
-    #[inline]
-    fn pre_cycle(&mut self) {}
-
-    #[inline]
-    fn skip_cycles(&mut self, _from: u64, _to: u64) {}
-
     #[inline]
     fn pool_size(&self, _src: ClusterId) -> usize {
         self.wavelengths_per_channel
@@ -1168,9 +1153,8 @@ impl<F: PhotonicFabric, T: TrafficModel> PhotonicSystem<F, T> {
 
     /// Applies every fault transition due at `cycle` — repairs before applies,
     /// plan order within each group — to the fault surface, notifying the
-    /// fabric and reporting each transition to the probes. Runs before
-    /// `pre_cycle`, so the fabric's control plane already sees the
-    /// post-transition data plane.
+    /// fabric and reporting each transition to the probes. Runs first in
+    /// the cycle, so every phase after it sees the post-transition surface.
     fn apply_fault_transitions(&mut self, cycle: u64, sink: &mut dyn EventSink) {
         while let Some((action, index)) = self.faults.as_mut().and_then(|c| c.pop_due(cycle)) {
             // A link going down or up changes what every start phase reads.
@@ -1208,7 +1192,6 @@ impl<F: PhotonicFabric, T: TrafficModel> PhotonicSystem<F, T> {
 impl<F: PhotonicFabric + Send, T: TrafficModel + Send> CycleNetwork for PhotonicSystem<F, T> {
     fn step_observed(&mut self, cycle: u64, sink: &mut dyn EventSink) {
         self.apply_fault_transitions(cycle, sink);
-        self.fabric.pre_cycle();
         self.generate_traffic(cycle, sink);
         self.inject_flits(cycle, sink);
         self.drain_ejection(cycle);
@@ -1250,10 +1233,9 @@ impl<F: PhotonicFabric + Send, T: TrafficModel + Send> CycleNetwork for Photonic
             self.photonic.iter().all(|r| r.start_sleep.is_none()),
             "skipping cycles past a sleeping start phase"
         );
-        // Each skipped cycle would have circulated the fabric's control
-        // plane; buffer-energy accounting at zero occupancy adds exactly 0.0
-        // and every other phase is a no-op on a quiescent network.
-        self.fabric.skip_cycles(from, to);
+        // Nothing to replay: buffer-energy accounting at zero occupancy adds
+        // exactly 0.0 and every other phase is a no-op on a quiescent
+        // network.
     }
 
     fn begin_measurement(&mut self, _cycle: u64) {
