@@ -4,14 +4,18 @@
 //! simulation), faulted sweeps stay bitwise-deterministic in parallel and
 //! sequential mode and differ from the healthy run on every architecture
 //! that accepts a plan, `uniform-fabric` at the paper point reports exactly
-//! Firefly's rows healthy and faulted, injected faults measurably degrade
-//! closed-loop completion times on the same seed, and the result cache
-//! never serves a healthy point for a faulted scenario (or vice versa).
+//! Firefly's rows healthy and faulted, healthy uniform-random d-HetPNoC
+//! reports Firefly's results but for the set-3 reservation, injected faults
+//! measurably degrade closed-loop completion times on the same seed, and the
+//! result cache never serves a healthy point for a faulted scenario (or vice
+//! versa).
 
 use pnoc_bench::runner::ensure_registered;
+use pnoc_bench::scenario_io::matrix_json;
+use pnoc_sim::config::BandwidthSet;
 use pnoc_sim::metrics::render_jsonl_row;
 use pnoc_sim::scenario::{run_specs, run_specs_with_cache, Effort, ScenarioMatrix, ScenarioSpec};
-use pnoc_store::ResultStore;
+use pnoc_store::{Json, ResultStore};
 use std::path::PathBuf;
 
 fn scratch_dir(tag: &str) -> PathBuf {
@@ -139,6 +143,56 @@ fn uniform_fabric_rows_equal_firefly_rows_healthy_and_under_every_preset() {
         assert_eq!(f, u, "uniform-fabric must report Firefly's row");
     }
     assert_eq!(firefly.len(), uniform.len());
+}
+
+/// Under uniform demand d-HetPNoC's class table is Firefly's channel table
+/// (the same pools, and every class width equal to the channel) except for
+/// its reservation: at set 3 its widest channel's 64 wavelength identifiers
+/// take two cycles (Section 3.4.1.1). So healthy `d-hetpnoc:uniform-random`
+/// reports Firefly's batch JSON but for `spec` and `id` at sets 1 and 2,
+/// and `firefly{reservation_cycles=2}`'s at set 3. The two never share a run:
+/// a class table's pools depend on its retarget hook's history.
+#[test]
+fn uniform_random_dhetpnoc_reports_firefly_but_for_the_set_3_reservation() {
+    ensure_registered();
+    let specs: Vec<ScenarioSpec> = BandwidthSet::ALL
+        .into_iter()
+        .flat_map(|set| {
+            let firefly = match set {
+                BandwidthSet::Set3 => "firefly{reservation_cycles=2}",
+                _ => "firefly",
+            };
+            ["d-hetpnoc", firefly].map(|architecture| {
+                ScenarioSpec::new(architecture, "uniform-random")
+                    .with_bandwidth_set(set)
+                    .with_effort(Effort::Smoke)
+            })
+        })
+        .collect();
+    let batch = run_specs(&specs).expect("registered names");
+    assert_eq!(
+        batch.cache.simulated, batch.unique_points,
+        "d-hetpnoc must simulate apart from firefly"
+    );
+    let Some(Json::Arr(scenarios)) = matrix_json(&batch).get("scenarios").cloned() else {
+        panic!("a batch document lists its scenarios");
+    };
+    let unlabelled = |scenario: &Json| match scenario {
+        Json::Obj(fields) => fields
+            .iter()
+            .filter(|(key, _)| key != "spec" && key != "id")
+            .map(|(key, value)| (key.clone(), value.render()))
+            .collect::<Vec<_>>(),
+        other => panic!("a scenario is an object, got {other:?}"),
+    };
+    assert_eq!(scenarios.len(), 6);
+    for (pair, set) in scenarios.chunks(2).zip(BandwidthSet::ALL) {
+        assert_eq!(
+            unlabelled(&pair[0]),
+            unlabelled(&pair[1]),
+            "{set:?}: d-hetpnoc must report the matching firefly document"
+        );
+    }
 }
 
 #[test]

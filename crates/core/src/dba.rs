@@ -30,8 +30,9 @@
 //!
 //! * the demand and request tables (per-destination wavelength demand, and
 //!   its element-wise maximum over a cluster's cores) are the demand
-//!   matrix's class per cluster pair, which `DhetFabric::wavelengths_for`
-//!   turns into a transfer width;
+//!   matrix's class per cluster pair, which the class table `DhetFabric`
+//!   hands the system turns into a transfer width
+//!   (`PhotonicFabric::wavelengths_for`);
 //! * the request table's maximum, the acquisition goal Section 3.2.1 states,
 //!   is the `paper-max` policy's target;
 //! * the current table (the width granted toward each destination) is
@@ -58,9 +59,10 @@
 //! The protocol only re-allocates when the task mapping changes; under a
 //! stable mapping every token visit after convergence is a no-op. The
 //! simulator therefore models the protocol at its fixed point:
-//! `DhetFabric` calls [`DbaController::converge`] before cycle 0 and at
-//! every fault transition that retargets, with enough rotations to reach
-//! the fixed point (see its docs), and no simulated cycle moves the token.
+//! `DhetFabric` calls [`DbaController::converge`] before cycle 0 and, as
+//! its class table's retarget hook, at every fault transition that
+//! retargets, with enough rotations to reach the fixed point (see its
+//! docs), and no simulated cycle moves the token.
 //! A healthy run's allocation is thus fixed before cycle 0, and every
 //! reallocation at a fault transition is instantaneous: the transient of a
 //! remap (the rotations the token needs to move wavelengths) is not

@@ -1,12 +1,13 @@
-//! The d-HetPNoC photonic fabric: demand-driven wavelength pools.
+//! The d-HetPNoC allocator: demand-driven wavelength pools.
 //!
-//! The fabric translates the chip's demand information (a
+//! [`DhetFabric`] translates the chip's demand information (a
 //! [`pnoc_traffic::demand::DemandMatrix`] built from the running
-//! applications) into per-cluster wavelength targets, lets the token-based
-//! [`DbaController`] converge to an allocation, and answers the cycle-accurate
-//! system's queries:
+//! applications) into per-cluster wavelength targets and lets the
+//! token-based [`DbaController`] converge to an allocation. It hands the
+//! cycle-accurate system a class table of the one [`PhotonicFabric`]
+//! ([`DhetFabric::into_fabric`]):
 //!
-//! * the *pool size* of a cluster is its currently held wavelengths,
+//! * the *pool* of a cluster is its currently held wavelengths,
 //! * a transmission toward destination `d` uses the wavelengths demanded by
 //!   the application class of the `(src, d)` pair (never more than the pool),
 //! * the reservation broadcast costs 1–2 cycles depending on how many
@@ -22,7 +23,8 @@ use pnoc_sim::config::SimConfig;
 use pnoc_sim::system::PhotonicFabric;
 use pnoc_traffic::demand::DemandMatrix;
 
-/// The dynamic heterogeneous photonic fabric.
+/// The dynamic heterogeneous allocator: demand, policy, cap and the DBA
+/// controller behind a d-HetPNoC class table.
 #[derive(Debug, Clone)]
 pub struct DhetFabric {
     config: SimConfig,
@@ -220,36 +222,32 @@ impl DhetFabric {
     pub fn demand(&self) -> &DemandMatrix {
         &self.demand
     }
-}
 
-impl PhotonicFabric for DhetFabric {
-    #[inline]
-    fn pool_size(&self, src: ClusterId) -> usize {
-        self.controller.pool(src)
-    }
-
-    #[inline]
-    fn wavelengths_for(&self, src: ClusterId, dst: ClusterId, faults: &FaultSurface) -> usize {
-        let class = self.demand.class(src, dst);
-        let demanded = self.config.bandwidth_set.class_wavelengths(class);
-        // Unlike Firefly, only the degraded class's transfers shrink: the
-        // DBA keeps steering healthy classes onto their full demand.
-        let derated = (demanded / faults.class_divisor(class) as usize).max(1);
-        derated.min(self.controller.pool(src)).max(1)
-    }
-
-    #[inline]
-    fn reservation_cycles(&self) -> u64 {
-        self.reservation.cycles
-    }
-
-    fn faults_changed(&mut self, event: &FaultEvent, faults: &FaultSurface) {
-        // Laser dimming derates the targets. A degraded class changes none
-        // (`wavelengths_for` derates its transfers), and neither does a link
-        // or ring transition: the allocation stays at its fixed point.
+    /// Reacts to `event` having been applied to or repaired on `faults` as
+    /// the class table's hook does: only laser dimming retargets. The table
+    /// derates a degraded class's transfers, and only those (the DBA keeps
+    /// steering healthy classes onto their full demand).
+    pub fn faults_changed(&mut self, event: &FaultEvent, faults: &FaultSurface) {
         if event.kind == FaultKind::LaserDim {
             self.allocate(faults);
         }
+    }
+
+    /// The class table the system runs on. Its retarget hook owns this
+    /// allocator and re-converges it from the current allocation, because
+    /// under `paper-max` the pools depend on that history (`dba` docs).
+    #[must_use]
+    pub fn into_fabric(mut self) -> PhotonicFabric {
+        PhotonicFabric::class(
+            self.controller.allocation_snapshot(),
+            self.demand.clone(),
+            self.config.bandwidth_set,
+            self.reservation.cycles,
+            Box::new(move |faults| {
+                self.allocate(faults);
+                self.controller.allocation_snapshot()
+            }),
+        )
     }
 }
 
@@ -295,15 +293,15 @@ mod tests {
         // bandwidth between all pairs of clusters."
         for set in BandwidthSet::ALL {
             let cfg = config(set);
-            let fabric = DhetFabric::new(&cfg, uniform_demand(set));
-            let alloc = fabric.controller().allocation_snapshot();
+            let table = DhetFabric::new(&cfg, uniform_demand(set)).into_fabric();
+            let alloc = table.pools();
             let firefly_width = set.class_wavelengths(pnoc_noc::packet::BandwidthClass::MediumHigh);
             assert!(
                 alloc.iter().all(|&p| p == firefly_width),
                 "{set:?}: allocation {alloc:?} != uniform {firefly_width}"
             );
             assert_eq!(
-                fabric.wavelengths_for(ClusterId(0), ClusterId(5), &FaultSurface::new(16)),
+                table.wavelengths_for(ClusterId(0), ClusterId(5), &FaultSurface::new(16)),
                 firefly_width
             );
         }
@@ -352,8 +350,9 @@ mod tests {
                     .unwrap()
             })
             .unwrap();
+        let pool = |c: usize| fabric.controller().pool(ClusterId(c));
         assert!(
-            fabric.pool_size(ClusterId(busiest)) >= fabric.pool_size(ClusterId(calmest)),
+            pool(busiest) >= pool(calmest),
             "busy cluster must not get less bandwidth than an idle one"
         );
     }
@@ -362,16 +361,16 @@ mod tests {
     fn transmissions_use_the_class_wavelengths_capped_by_the_pool() {
         let cfg = config(BandwidthSet::Set1);
         let demand = skewed_demand(BandwidthSet::Set1, SkewLevel::Skewed2, 9);
-        let fabric = DhetFabric::new(&cfg, demand.clone());
+        let table = DhetFabric::new(&cfg, demand.clone()).into_fabric();
         for s in 0..16 {
             for d in 0..16 {
                 if s == d {
                     continue;
                 }
                 let (src, dst) = (ClusterId(s), ClusterId(d));
-                let w = fabric.wavelengths_for(src, dst, &FaultSurface::new(16));
+                let w = table.wavelengths_for(src, dst, &FaultSurface::new(16));
                 assert!(w >= 1);
-                assert!(w <= fabric.pool_size(src));
+                assert!(w <= table.pool_size(src));
                 assert!(w <= cfg.bandwidth_set.class_wavelengths(demand.class(src, dst)));
             }
         }
@@ -387,8 +386,8 @@ mod tests {
             &config(BandwidthSet::Set3),
             uniform_demand(BandwidthSet::Set3),
         );
-        assert_eq!(f1.reservation_cycles(), 1);
-        assert_eq!(f3.reservation_cycles(), 2);
+        assert_eq!(f1.into_fabric().reservation_cycles(), 1);
+        assert_eq!(f3.into_fabric().reservation_cycles(), 2);
     }
 
     #[test]
@@ -455,25 +454,29 @@ mod tests {
             }
         }
         let (hs, hd) = high_pair.expect("skewed demand has a high-class flow");
+        // A degradation moves no pool, so the healthy table's widths are
+        // the fabric's under any degraded surface.
+        let table = fabric.clone().into_fabric();
         let mut faults = FaultSurface::new(16);
-        let healthy_high = fabric.wavelengths_for(hs, hd, &faults);
+        let healthy_high = table.wavelengths_for(hs, hd, &faults);
         let event = pnoc_faults::FaultPlan::parse("wavelength-degrade@c10-20:class-high/2")
             .unwrap()
             .events()[0];
         faults.apply(&event);
         fabric.faults_changed(&event, &faults);
+        assert_eq!(fabric.controller().allocation_snapshot(), healthy_alloc);
         // The degraded class's transfers shrink; a healthy class is untouched
         // (the DBA keeps steering it onto its full demand).
-        assert!(fabric.wavelengths_for(hs, hd, &faults) < healthy_high);
+        assert!(table.wavelengths_for(hs, hd, &faults) < healthy_high);
         if let Some((ls, ld)) = low_pair {
-            let w = fabric.wavelengths_for(ls, ld, &faults);
+            let w = table.wavelengths_for(ls, ld, &faults);
             assert!(w >= 1);
             assert!(w <= cfg.bandwidth_set.class_wavelengths(demand.class(ls, ld)));
         }
         fabric.controller().check_invariants().unwrap();
         faults.clear(&event);
         fabric.faults_changed(&event, &faults);
-        assert_eq!(fabric.wavelengths_for(hs, hd, &faults), healthy_high);
+        assert_eq!(table.wavelengths_for(hs, hd, &faults), healthy_high);
         assert_eq!(fabric.controller().allocation_snapshot(), healthy_alloc);
 
         // Laser dimming derates every pool target globally.

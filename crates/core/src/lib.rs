@@ -17,8 +17,8 @@
 //!   each,
 //! * [`reservation`] — the reservation-flit timing including the piggybacked
 //!   wavelength identifiers (Section 3.3.1 / 3.4.1.1),
-//! * [`fabric`] — the [`pnoc_sim::system::PhotonicFabric`] implementation
-//!   plugging DBA into the shared cycle-accurate cluster system,
+//! * [`fabric`] — the demand-driven allocator behind d-HetPNoC's class
+//!   table of the shared system's [`pnoc_sim::system::PhotonicFabric`],
 //! * [`network`] — convenience constructors and the `"d-hetpnoc"` registry
 //!   entry used by the scenario-based experiments.
 

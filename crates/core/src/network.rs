@@ -16,13 +16,13 @@ use std::sync::Arc;
 /// demand matrix (and therefore the wavelength allocation) is derived from
 /// the traffic model itself, mirroring the paper's flow where the cores
 /// advertise the demands of their mapped tasks.
-pub fn build_dhetpnoc_system<T: TrafficModel>(
+pub fn build_dhetpnoc_system(
     config: SimConfig,
-    traffic: T,
-) -> PhotonicSystem<DhetFabric, T> {
+    traffic: impl TrafficModel + Send + 'static,
+) -> PhotonicSystem {
     let demand = DemandMatrix::from_model(&traffic, config.topology.num_clusters());
-    let fabric = DhetFabric::new(&config, demand);
-    PhotonicSystem::new(config, fabric, traffic)
+    let fabric = DhetFabric::new(&config, demand).into_fabric();
+    PhotonicSystem::new(config, fabric, Box::new(traffic))
 }
 
 /// The d-HetPNoC [`ArchitectureBuilder`], registered under the name
@@ -86,7 +86,7 @@ impl ArchitectureBuilder for DhetPnocArchitecture {
         };
         let demand = DemandMatrix::from_model(&*traffic, config.topology.num_clusters());
         let fabric = DhetFabric::with_options(&config, demand, policy, max_wavelengths);
-        Box::new(PhotonicSystem::new(config, fabric, traffic))
+        Box::new(PhotonicSystem::new(config, fabric.into_fabric(), traffic))
     }
 }
 
@@ -129,7 +129,9 @@ mod tests {
         let mut system = build_dhetpnoc_system(config, traffic);
         let stats = run_to_completion(&mut system);
         assert!(stats.delivered_packets > 0);
-        system.fabric().controller().check_invariants().unwrap();
+        let pools = system.fabric().pools();
+        assert!(pools.iter().all(|&p| (1..=8).contains(&p)), "{pools:?}");
+        assert!(pools.iter().sum::<usize>() <= 64, "{pools:?}");
     }
 
     #[test]
@@ -142,10 +144,47 @@ mod tests {
             config.seed,
         );
         let system = build_dhetpnoc_system(config, traffic);
-        let alloc = system.fabric().controller().allocation_snapshot();
+        let alloc = system.fabric().pools();
         let firefly_width =
             BandwidthSet::Set2.class_wavelengths(pnoc_noc::packet::BandwidthClass::MediumHigh);
         assert!(alloc.iter().all(|&p| p == firefly_width));
+    }
+
+    #[test]
+    fn a_laser_dim_retargets_the_running_system_through_its_hook() {
+        // The fabric test `paper_max_pools_remember_a_laser_dim_after_its_repair`,
+        // run: the system must ask the hook for the dimmed pools while the
+        // laser is dim, and keep the hook's history after the repair instead
+        // of the healthy pools.
+        use pnoc_faults::{FaultController, FaultPlan};
+        use pnoc_sim::engine::run_cycles;
+        let config = SimConfig::fast(BandwidthSet::Set1);
+        let traffic = SkewedTraffic::new(
+            ClusterTopology::paper_default(),
+            shape(BandwidthSet::Set1),
+            SkewLevel::Skewed1,
+            OfferedLoad::new(0.01),
+            0,
+        );
+        let demand = DemandMatrix::from_model(&traffic, 16);
+        let max = DhetFabric::default_max_channel_wavelengths(&config);
+        let fabric = DhetFabric::with_options(&config, demand, AllocationPolicy::PaperMax, max);
+        let mut system = PhotonicSystem::new(config, fabric.into_fabric(), Box::new(traffic));
+        let plan = FaultPlan::parse("laser-dim@c10-20:fabric/2").unwrap();
+        assert!(system.install_fault_schedule(FaultController::new(&plan)));
+        let mut dimmed = [4; 16];
+        dimmed[3] = 2;
+        let mut repaired = dimmed;
+        repaired[..2].fill(5);
+        for (cycles, pools) in [(0..5, [4; 16]), (5..15, dimmed), (15..25, repaired)] {
+            run_cycles(&mut system, cycles.start, cycles.end - cycles.start);
+            assert_eq!(
+                system.fabric().pools(),
+                pools,
+                "pools at cycle {}",
+                cycles.end
+            );
+        }
     }
 
     #[test]

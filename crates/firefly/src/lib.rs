@@ -9,9 +9,9 @@
 //! channel width regardless of the application's actual bandwidth need —
 //! which is exactly the limitation d-HetPNoC removes.
 //!
-//! That static allocation is [`pnoc_sim::system::UniformFabric`], the one
-//! static fabric (the `uniform-fabric` architecture is the same fabric with
-//! a wavelength-budget knob), so this crate has no fabric of its own:
+//! That static allocation is a channel [`pnoc_sim::system::PhotonicFabric`]
+//! table (`uniform-fabric` builds it too, with a wavelength-budget knob), so
+//! this crate has no fabric of its own:
 //!
 //! * [`network`] — the Firefly constructors (channel width `total
 //!   wavelengths / radix`) and the `"firefly"` registry entry used by the

@@ -11,29 +11,29 @@ use pnoc_sim::config::SimConfig;
 use pnoc_sim::engine::CycleNetwork;
 use pnoc_sim::params::{ParamSchema, ResolvedParams};
 use pnoc_sim::registry::{register_architecture, ArchitectureBuilder, Provisioning};
-use pnoc_sim::system::{PhotonicSystem, UniformFabric};
+use pnoc_sim::system::{PhotonicFabric, PhotonicSystem};
 use std::sync::Arc;
 
 /// The paper's crossbar radix: 16 clusters share the R-SWMR crossbar
 /// (Table 3-3). The default of the registry entry's `radix` parameter.
 const DEFAULT_RADIX: usize = 16;
 
-/// Firefly's fabric: the static allocation with `total wavelengths / radix`
+/// Firefly's fabric: the channel table with `total wavelengths / radix`
 /// wavelengths (at least 1) per write channel.
-fn firefly_fabric(config: &SimConfig, radix: usize, reservation_cycles: u64) -> UniformFabric {
+fn firefly_fabric(config: &SimConfig, radix: usize, reservation_cycles: u64) -> PhotonicFabric {
     let per_channel = (config.bandwidth_set.total_wavelengths() / radix).max(1);
-    UniformFabric::new(per_channel, reservation_cycles)
+    PhotonicFabric::channel(config, per_channel, reservation_cycles)
 }
 
 /// Builds a ready-to-run Firefly system for the given traffic model at the
 /// paper's defaults (radix 16, single-cycle reservation). For other design
 /// points use the registry entry's parameters (`firefly{radix=...}`).
-pub fn build_firefly_system<T: TrafficModel>(
+pub fn build_firefly_system(
     config: SimConfig,
-    traffic: T,
-) -> PhotonicSystem<UniformFabric, T> {
+    traffic: impl TrafficModel + Send + 'static,
+) -> PhotonicSystem {
     let fabric = firefly_fabric(&config, DEFAULT_RADIX, 1);
-    PhotonicSystem::new(config, fabric, traffic)
+    PhotonicSystem::new(config, fabric, Box::new(traffic))
 }
 
 /// The Firefly baseline's [`ArchitectureBuilder`], registered under the name
@@ -98,7 +98,7 @@ impl ArchitectureBuilder for FireflyArchitecture {
 }
 
 /// The fabric the registry entry builds from its resolved parameters.
-fn fabric_of(config: &SimConfig, params: &ResolvedParams) -> UniformFabric {
+fn fabric_of(config: &SimConfig, params: &ResolvedParams) -> PhotonicFabric {
     firefly_fabric(
         config,
         params.int("radix") as usize,
@@ -125,7 +125,6 @@ mod tests {
     use pnoc_noc::topology::ClusterTopology;
     use pnoc_sim::config::BandwidthSet;
     use pnoc_sim::engine::run_to_completion;
-    use pnoc_sim::system::PhotonicFabric;
     use pnoc_traffic::pattern::PacketShape;
     use pnoc_traffic::uniform::UniformRandomTraffic;
 
@@ -153,9 +152,8 @@ mod tests {
     #[test]
     fn allocation_is_uniform_across_clusters() {
         let fabric = firefly_fabric(&SimConfig::paper_default(BandwidthSet::Set1), 16, 1);
-        let pools: Vec<usize> = (0..16).map(|c| fabric.pool_size(ClusterId(c))).collect();
         // The whole aggregate bandwidth budget (64 λ) is used, evenly.
-        assert_eq!(pools, vec![4; 16]);
+        assert_eq!(fabric.pools(), [4; 16]);
     }
 
     #[test]

@@ -121,42 +121,9 @@ pub trait TrafficModel {
     }
 }
 
-/// Blanket implementation so that boxed traffic models can be used wherever a
-/// concrete model is expected.
-impl<T: TrafficModel + ?Sized> TrafficModel for Box<T> {
-    fn next_packet(&mut self, cycle: u64, src: CoreId) -> Option<PacketDescriptor> {
-        (**self).next_packet(cycle, src)
-    }
-
-    // Forwarded explicitly: the provided body would loop over the box's
-    // `next_packet` and never reach the inner model's override.
-    fn poll_cycle(
-        &mut self,
-        cycle: u64,
-        num_cores: usize,
-        emit: &mut dyn FnMut(CoreId, PacketDescriptor),
-    ) {
-        (**self).poll_cycle(cycle, num_cores, emit);
-    }
-
-    fn demand_class(&self, src: ClusterId, dst: ClusterId) -> BandwidthClass {
-        (**self).demand_class(src, dst)
-    }
-
-    fn source_intensity(&self, src: ClusterId) -> f64 {
-        (**self).source_intensity(src)
-    }
-
-    fn next_generation_cycle(&self, now: u64) -> Option<u64> {
-        (**self).next_generation_cycle(now)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::cell::Cell;
-    use std::rc::Rc;
 
     #[test]
     fn a_load_is_clamped_to_a_probability() {
@@ -165,7 +132,7 @@ mod tests {
         assert_eq!(OfferedLoad::new(7.0).value(), 1.0);
     }
 
-    /// A trivial model used to exercise the boxed blanket implementation.
+    /// A trivial model: one packet per core per cycle, to the next core.
     struct Constant;
 
     impl TrafficModel for Constant {
@@ -185,35 +152,6 @@ mod tests {
         }
     }
 
-    /// Overrides the batch form (and counts its calls in a counter the test
-    /// shares): one packet from core 2, which the per-core primitive would
-    /// never produce.
-    struct Batched {
-        inner: Constant,
-        batch_polls: Rc<Cell<u32>>,
-    }
-
-    impl TrafficModel for Batched {
-        fn next_packet(&mut self, _cycle: u64, _src: CoreId) -> Option<PacketDescriptor> {
-            None
-        }
-
-        fn poll_cycle(
-            &mut self,
-            cycle: u64,
-            _num_cores: usize,
-            emit: &mut dyn FnMut(CoreId, PacketDescriptor),
-        ) {
-            self.batch_polls.set(self.batch_polls.get() + 1);
-            let packet = self.inner.next_packet(cycle, CoreId(2)).expect("constant");
-            emit(CoreId(2), packet);
-        }
-
-        fn demand_class(&self, src: ClusterId, dst: ClusterId) -> BandwidthClass {
-            self.inner.demand_class(src, dst)
-        }
-    }
-
     fn polled(model: &mut dyn TrafficModel, cycle: u64, cores: usize) -> Vec<(CoreId, CoreId)> {
         let mut seen = Vec::new();
         model.poll_cycle(cycle, cores, &mut |core, packet| {
@@ -229,19 +167,6 @@ mod tests {
         let expected: Vec<_> = (0..5).map(|c| (CoreId(c), CoreId(c + 1))).collect();
         assert_eq!(polled(&mut model, 9, 5), expected);
         assert!(polled(&mut model, 9, 0).is_empty());
-    }
-
-    #[test]
-    fn a_boxed_model_reaches_its_batch_override() {
-        let batch_polls = Rc::new(Cell::new(0));
-        let mut boxed: Box<Box<dyn TrafficModel>> = Box::new(Box::new(Batched {
-            inner: Constant,
-            batch_polls: Rc::clone(&batch_polls),
-        }));
-        // Through two boxes: the provided loop over `next_packet` would
-        // yield nothing and leave the counter at zero.
-        assert_eq!(polled(&mut boxed, 4, 64), vec![(CoreId(2), CoreId(3))]);
-        assert_eq!(batch_polls.get(), 1);
     }
 
     #[test]

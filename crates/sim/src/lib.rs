@@ -16,10 +16,10 @@
 //!   engine-driven [`metrics::Probe`]s and streamed as JSON lines through
 //!   the [`metrics::JsonlSink`],
 //! * [`system`] — the full cluster system (cores, electrical core switches,
-//!   photonic routers, reservation-assisted photonic transfers) parameterised
-//!   by a [`system::PhotonicFabric`] implementation: the static
-//!   [`system::UniformFabric`] (Firefly, `uniform-fabric`) or d-HetPNoC's
-//!   dynamic allocation,
+//!   photonic routers, reservation-assisted photonic transfers) over one
+//!   [`system::PhotonicFabric`] table: a channel table (Firefly,
+//!   `uniform-fabric`) or a class table (d-HetPNoC). The per-cycle loop is
+//!   compiled once, here,
 //! * [`engine`] — warm-up / measurement driver,
 //! * [`registry`] — the open-ended architecture registry
 //!   ([`registry::ArchitectureBuilder`]) that Firefly, d-HetPNoC and

@@ -12,9 +12,9 @@
 //! harness, the `repro` binary) resolves architectures by name, so adding an
 //! architecture touches only the crate that defines it.
 //!
-//! The static [`UniformFabric`] registers here out of the box under the
-//! name `"uniform-fabric"` (Firefly's allocation with a wavelength-budget
-//! knob); the Firefly
+//! Firefly's static allocation, a channel [`PhotonicFabric`] with a
+//! wavelength-budget knob, registers here out of the box under the name
+//! `"uniform-fabric"`; the Firefly
 //! baseline and d-HetPNoC register from their own crates (see
 //! `pnoc_firefly::register_firefly_architecture` and
 //! `pnoc_dhetpnoc::register_dhetpnoc_architecture`, both invoked by the
@@ -23,7 +23,7 @@
 use crate::config::SimConfig;
 use crate::engine::CycleNetwork;
 use crate::params::{ArchParams, ParamSchema, ResolvedParams};
-use crate::system::{PhotonicSystem, UniformFabric};
+use crate::system::{PhotonicFabric, PhotonicSystem};
 use pnoc_noc::registry::{Registry, UnknownNameError};
 use pnoc_noc::traffic_model::TrafficModel;
 use std::sync::{Arc, LazyLock};
@@ -164,7 +164,7 @@ pub trait ArchitectureBuilder: Send + Sync {
     }
 }
 
-/// Builder for the static [`UniformFabric`] under its own name: every
+/// Builder for Firefly's channel [`PhotonicFabric`] under its own name: every
 /// cluster statically owns `total wavelengths / clusters` wavelengths (at
 /// least 1) — Firefly's allocation, whose paper point has 16 clusters and
 /// radix 16, with the wavelength budget as the knob.
@@ -215,15 +215,15 @@ impl ArchitectureBuilder for UniformFabricArchitecture {
     }
 }
 
-/// The fabric `uniform-fabric` builds: `wavelengths / clusters` (at least 1)
-/// per channel and a one-cycle reservation.
-fn uniform_fabric(config: &SimConfig, params: &ResolvedParams) -> UniformFabric {
+/// The channel table `uniform-fabric` builds: `wavelengths / clusters` (at
+/// least 1) per channel and a one-cycle reservation.
+fn uniform_fabric(config: &SimConfig, params: &ResolvedParams) -> PhotonicFabric {
     let wavelengths = match params.int("wavelengths") {
         0 => config.bandwidth_set.total_wavelengths(),
         n => n as usize,
     };
     let per_channel = (wavelengths / config.topology.num_clusters()).max(1);
-    UniformFabric::new(per_channel, 1)
+    PhotonicFabric::channel(config, per_channel, 1)
 }
 
 /// The process-global architecture catalogue; the architecture crates add

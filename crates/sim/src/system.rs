@@ -10,15 +10,15 @@
 //! * the photonic router buffers outgoing flits per source switch, transmits
 //!   packets over the photonic crossbar after broadcasting a reservation, and
 //!   buffers incoming flits per destination switch (ejection),
-//! * a [`PhotonicFabric`] implementation decides how many wavelengths each
-//!   cluster's channel holds and each transmission may use, and how long
-//!   its reservation takes — this is the only place where Firefly and
-//!   d-HetPNoC differ. Both static architectures (Firefly and
-//!   `uniform-fabric`) are the one [`UniformFabric`],
+//! * a [`PhotonicFabric`] table says how many wavelengths each cluster's
+//!   channel holds and each transmission may use, and how long its
+//!   reservation takes — this is the only place where Firefly and
+//!   d-HetPNoC differ: Firefly and `uniform-fabric` build a channel table,
+//!   d-HetPNoC a class table,
 //! * the system owns the fault state: it applies each scheduled transition
 //!   to its [`FaultSurface`], refuses new transfers over a failed link, pins
-//!   transfers touching a stuck ring to one wavelength, and tells the fabric
-//!   that the surface changed.
+//!   transfers touching a stuck ring to one wavelength, and asks the
+//!   fabric's retarget hook for new pools on a `laser-dim` transition.
 //!
 //! The simulation is flit-level and cycle-accurate: electrical routers follow
 //! the three-stage pipeline of `pnoc-noc`, photonic transfers accumulate
@@ -26,10 +26,10 @@
 //! clock and line rate), and energy is accounted per bit with the
 //! coefficients of Table 3-5.
 
-use crate::config::SimConfig;
+use crate::config::{BandwidthSet, SimConfig};
 use crate::engine::CycleNetwork;
 use crate::metrics::{EventSink, SimEvent};
-use pnoc_faults::{FaultAction, FaultController, FaultEvent, FaultSurface};
+use pnoc_faults::{FaultAction, FaultController, FaultKind, FaultSurface};
 use pnoc_noc::arbiter::RoundRobinArbiter;
 use pnoc_noc::flit::Flit;
 use pnoc_noc::ids::{ClusterId, CoreId, PacketId, PacketIdAllocator, PortId, RouterId, VcId};
@@ -40,106 +40,130 @@ use pnoc_noc::topology::ClusterTopology;
 use pnoc_noc::traffic_model::TrafficModel;
 use pnoc_noc::vc::{set_bits, VcSet};
 use pnoc_photonics::energy::{EnergyAccumulator, EnergyBreakdown, PhotonicEnergyModel};
+use pnoc_traffic::demand::DemandMatrix;
 use std::collections::VecDeque;
 
-/// The photonic interconnect behaviour that distinguishes architectures.
-///
-/// The generic [`PhotonicSystem`] asks the fabric, every time a cluster wants
-/// to start an inter-cluster packet transfer, how many wavelengths that
-/// transfer may use and how long the reservation broadcast takes. The static
-/// [`UniformFabric`] (Firefly, `uniform-fabric`) answers with its fixed
-/// per-channel width; d-HetPNoC answers from its dynamically allocated
-/// wavelength pool and per-destination demand.
-///
-/// A fabric has no per-cycle work: its allocation moves only when the system
-/// reports a fault transition ([`PhotonicFabric::faults_changed`]), so a
-/// stepped or skipped cycle never calls into its control plane. d-HetPNoC
-/// converges its token protocol to the fixed point at construction and
-/// there.
-///
-/// Fault state is not the fabric's: the system keeps the one
-/// [`FaultSurface`], refuses transfers over a failed link and pins transfers
-/// touching a stuck ring to one wavelength itself, and hands the fabric the
-/// surface only where the derating depends on how it allocates.
-pub trait PhotonicFabric {
-    /// Total number of wavelengths cluster `src` may drive concurrently at
-    /// this moment (its write-channel width).
-    fn pool_size(&self, src: ClusterId) -> usize;
-
-    /// Number of wavelengths a single transmission from `src` to `dst` uses
-    /// under the class and laser derating of `faults` (before being limited
-    /// by the currently free part of the pool). Not asked for a transfer
-    /// that a stuck ring pins to one wavelength.
-    fn wavelengths_for(&self, src: ClusterId, dst: ClusterId, faults: &FaultSurface) -> usize;
-
-    /// Cycles taken by the reservation broadcast of a packet (1 for Firefly;
-    /// 1–2 for d-HetPNoC depending on how many wavelength identifiers its
-    /// widest channel must piggyback, Section 3.4.1.1).
-    fn reservation_cycles(&self) -> u64;
-
-    /// Called after the system applied or repaired `event` on `faults`, so a
-    /// fabric whose control plane depends on the derating can react. The
-    /// default ignores it: a fabric that reads `faults` only in
-    /// [`PhotonicFabric::wavelengths_for`] has nothing to update.
-    fn faults_changed(&mut self, event: &FaultEvent, faults: &FaultSurface) {
-        let _ = (event, faults);
-    }
-}
-
-/// Static wavelength allocation: every cluster's write channel always owns
-/// `wavelengths_per_channel` wavelengths and every transmission drives all
-/// of them — "all the modulators and demodulators are on for any
-/// communication ... irrespective of the required data rate" (Sections 2.2.1
-/// and 3.3.1). Being class-blind, it cannot steer transfers away from damaged
-/// wavelengths, so a degraded class or a dimmed laser derates the whole
-/// channel by the worst divisor.
-///
-/// Firefly builds it with `total wavelengths / radix` per channel, the
-/// `uniform-fabric` architecture with a wavelength budget split over the
-/// clusters.
-#[derive(Debug, Clone)]
-pub struct UniformFabric {
-    wavelengths_per_channel: usize,
+/// The photonic fabric, the one place where Firefly and d-HetPNoC differ
+/// (Section 3.1): a table the system reads when a cluster starts an
+/// inter-cluster transfer. It holds every cluster's wavelength pool, a rule
+/// for how many of them one transfer drives, the reservation cycles, and an
+/// optional retarget hook that the system calls on a `laser-dim` transition
+/// for the new pools. No cycle changes the table; only the hook does.
+pub struct PhotonicFabric {
+    pools: Vec<usize>,
+    width: WidthRule,
     reservation_cycles: u64,
+    retarget: Option<Retarget>,
 }
 
-impl UniformFabric {
-    /// A fabric with `wavelengths_per_channel` wavelengths (never zero) per
-    /// write channel and a `reservation_cycles`-cycle reservation broadcast.
+/// The pools once a `laser-dim` transition has left the surface as its
+/// argument; the hook owns whatever they depend on, history included.
+type Retarget = Box<dyn FnMut(&FaultSurface) -> Vec<usize> + Send>;
+
+/// How many of its pool's wavelengths one transfer drives.
+enum WidthRule {
+    /// The whole pool. Class-blind, it cannot steer transfers away from
+    /// damaged wavelengths, so the worst fault divisor derates it.
+    Channel,
+    /// The width `set` gives the pair's class in `demand`, derated by that
+    /// class's divisor only, and never more than the pool.
+    Class {
+        demand: DemandMatrix,
+        set: BandwidthSet,
+    },
+}
+
+impl PhotonicFabric {
+    /// Firefly's channel table: every cluster owns `wavelengths_per_channel`
+    /// wavelengths (never zero) and every transfer drives all of them —
+    /// "all the modulators and demodulators are on for any communication"
+    /// (Sections 2.2.1 and 3.3.1).
     #[must_use]
-    pub fn new(wavelengths_per_channel: usize, reservation_cycles: u64) -> Self {
+    pub fn channel(
+        config: &SimConfig,
+        wavelengths_per_channel: usize,
+        reservation_cycles: u64,
+    ) -> Self {
         Self {
-            wavelengths_per_channel,
+            pools: vec![wavelengths_per_channel; config.topology.num_clusters()],
+            width: WidthRule::Channel,
             reservation_cycles,
+            retarget: None,
         }
     }
 
-    /// The identity of this fabric, for
-    /// [`ArchitectureBuilder::network_id`](crate::registry::ArchitectureBuilder::network_id):
-    /// every architecture that builds an equal `UniformFabric` simulates the
-    /// same network.
+    /// d-HetPNoC's class table: demand-sized `pools`, and every transfer as
+    /// wide as its flow's application class.
+    #[must_use]
+    pub fn class(
+        pools: Vec<usize>,
+        demand: DemandMatrix,
+        set: BandwidthSet,
+        reservation_cycles: u64,
+        retarget: Retarget,
+    ) -> Self {
+        Self {
+            pools,
+            width: WidthRule::Class { demand, set },
+            reservation_cycles,
+            retarget: Some(retarget),
+        }
+    }
+
+    /// The identity of a channel table, for
+    /// [`ArchitectureBuilder::network_id`](crate::registry::ArchitectureBuilder::network_id).
+    ///
+    /// # Panics
+    ///
+    /// Panics on a class table: it does not record its hook's history, so
+    /// it has no identity another architecture could share.
     #[must_use]
     pub fn network_id(&self) -> String {
+        assert!(
+            matches!(self.width, WidthRule::Channel),
+            "a class table has no id"
+        );
         format!(
-            "UniformFabric(wavelengths_per_channel={},reservation_cycles={})",
-            self.wavelengths_per_channel, self.reservation_cycles
+            "channel(wavelengths_per_channel={},reservation_cycles={})",
+            self.pools[0], self.reservation_cycles
         )
     }
-}
 
-impl PhotonicFabric for UniformFabric {
-    #[inline]
-    fn pool_size(&self, _src: ClusterId) -> usize {
-        self.wavelengths_per_channel
+    /// Every cluster's pool, by cluster index.
+    #[must_use]
+    pub fn pools(&self) -> &[usize] {
+        &self.pools
     }
 
+    /// The wavelengths cluster `src` may drive concurrently.
     #[inline]
-    fn wavelengths_for(&self, _src: ClusterId, _dst: ClusterId, faults: &FaultSurface) -> usize {
-        (self.wavelengths_per_channel / faults.max_divisor() as usize).max(1)
+    #[must_use]
+    pub fn pool_size(&self, src: ClusterId) -> usize {
+        self.pools[src.0]
     }
 
+    /// The wavelengths one `src` → `dst` transfer drives under the derating
+    /// of `faults`, before the free part of the pool limits it.
     #[inline]
-    fn reservation_cycles(&self) -> u64 {
+    #[must_use]
+    pub fn wavelengths_for(&self, src: ClusterId, dst: ClusterId, faults: &FaultSurface) -> usize {
+        let pool = self.pools[src.0];
+        match &self.width {
+            WidthRule::Channel => (pool / faults.max_divisor() as usize).max(1),
+            WidthRule::Class { demand, set } => {
+                let class = demand.class(src, dst);
+                let derated =
+                    (set.class_wavelengths(class) / faults.class_divisor(class) as usize).max(1);
+                derated.min(pool).max(1)
+            }
+        }
+    }
+
+    /// Cycles of a packet's reservation broadcast (1 for Firefly; 1–2 for
+    /// d-HetPNoC, by the wavelength identifiers it carries, Section 3.4.1.1).
+    #[inline]
+    #[must_use]
+    pub fn reservation_cycles(&self) -> u64 {
         self.reservation_cycles
     }
 }
@@ -371,11 +395,11 @@ impl BitWalk {
 }
 
 /// The complete simulated chip.
-pub struct PhotonicSystem<F: PhotonicFabric, T: TrafficModel> {
+pub struct PhotonicSystem {
     config: SimConfig,
     topology: ClusterTopology,
-    fabric: F,
-    traffic: T,
+    fabric: PhotonicFabric,
+    traffic: Box<dyn TrafficModel + Send>,
     ids: PacketIdAllocator,
     switches: Vec<ElectricalRouter>,
     photonic: Vec<PhotonicRouter>,
@@ -420,14 +444,18 @@ pub struct PhotonicSystem<F: PhotonicFabric, T: TrafficModel> {
     fault_surface: FaultSurface,
 }
 
-impl<F: PhotonicFabric, T: TrafficModel> PhotonicSystem<F, T> {
+impl PhotonicSystem {
     /// Builds the system.
     ///
     /// # Panics
     ///
     /// Panics if the configured VC depth cannot hold a full packet (the
     /// reservation protocol pre-allocates one ejection VC per packet).
-    pub fn new(config: SimConfig, fabric: F, traffic: T) -> Self {
+    pub fn new(
+        config: SimConfig,
+        fabric: PhotonicFabric,
+        traffic: Box<dyn TrafficModel + Send>,
+    ) -> Self {
         assert!(
             config.vc_depth as u32 >= config.bandwidth_set.packet_flits(),
             "VC depth ({}) must hold a full packet ({} flits)",
@@ -487,15 +515,10 @@ impl<F: PhotonicFabric, T: TrafficModel> PhotonicSystem<F, T> {
         }
     }
 
-    /// Immutable access to the fabric (used by tests and experiments to
+    /// Immutable access to the fabric (used by tests and examples to
     /// inspect allocations).
-    pub fn fabric(&self) -> &F {
+    pub fn fabric(&self) -> &PhotonicFabric {
         &self.fabric
-    }
-
-    /// Immutable access to the traffic model.
-    pub fn traffic(&self) -> &T {
-        &self.traffic
     }
 
     /// Total flits currently buffered anywhere in the network.
@@ -1152,9 +1175,10 @@ impl<F: PhotonicFabric, T: TrafficModel> PhotonicSystem<F, T> {
     }
 
     /// Applies every fault transition due at `cycle` — repairs before applies,
-    /// plan order within each group — to the fault surface, notifying the
-    /// fabric and reporting each transition to the probes. Runs first in
-    /// the cycle, so every phase after it sees the post-transition surface.
+    /// plan order within each group — to the fault surface, taking the
+    /// fabric's retarget pools on `laser-dim` and reporting each transition
+    /// to the probes. Runs first in the cycle, so every phase after it sees
+    /// the post-transition surface.
     fn apply_fault_transitions(&mut self, cycle: u64, sink: &mut dyn EventSink) {
         while let Some((action, index)) = self.faults.as_mut().and_then(|c| c.pop_due(cycle)) {
             // A link going down or up changes what every start phase reads.
@@ -1175,7 +1199,9 @@ impl<F: PhotonicFabric, T: TrafficModel> PhotonicSystem<F, T> {
                     SimEvent::FaultRepaired { fault }
                 }
             };
-            self.fabric.faults_changed(&event, &self.fault_surface);
+            if let (FaultKind::LaserDim, Some(retarget)) = (event.kind, &mut self.fabric.retarget) {
+                self.fabric.pools = retarget(&self.fault_surface);
+            }
             sink.emit(cycle, transition);
         }
     }
@@ -1189,7 +1215,7 @@ impl<F: PhotonicFabric, T: TrafficModel> PhotonicSystem<F, T> {
     }
 }
 
-impl<F: PhotonicFabric + Send, T: TrafficModel + Send> CycleNetwork for PhotonicSystem<F, T> {
+impl CycleNetwork for PhotonicSystem {
     fn step_observed(&mut self, cycle: u64, sink: &mut dyn EventSink) {
         self.apply_fault_transitions(cycle, sink);
         self.generate_traffic(cycle, sink);
@@ -1336,9 +1362,9 @@ mod tests {
         // Offset 1 stays within the cluster for 3 of 4 cores; offset 2 also
         // mixes. Use offset 1: cores 0->1, 1->2, 2->3 intra; 3->4 inter.
         let config = small_config(BandwidthSet::Set1);
-        let fabric = UniformFabric::new(4, 1);
+        let fabric = PhotonicFabric::channel(&config, 4, 1);
         let traffic = FixedOffsetTraffic::new(400, 1, BandwidthSet::Set1);
-        let mut system = PhotonicSystem::new(config, fabric, traffic);
+        let mut system = PhotonicSystem::new(config, fabric, Box::new(traffic));
         let stats = run_to_completion(&mut system);
         assert!(
             stats.delivered_packets > 0,
@@ -1351,10 +1377,10 @@ mod tests {
     #[test]
     fn inter_cluster_packets_cross_the_photonic_fabric() {
         let config = small_config(BandwidthSet::Set1);
-        let fabric = UniformFabric::new(4, 1);
+        let fabric = PhotonicFabric::channel(&config, 4, 1);
         // Offset 4 = always the next cluster, never intra-cluster.
         let traffic = FixedOffsetTraffic::new(400, 4, BandwidthSet::Set1);
-        let mut system = PhotonicSystem::new(config, fabric, traffic);
+        let mut system = PhotonicSystem::new(config, fabric, Box::new(traffic));
         let stats = run_to_completion(&mut system);
         assert!(stats.delivered_packets > 0);
         assert_eq!(
@@ -1369,9 +1395,9 @@ mod tests {
     #[test]
     fn packets_are_conserved_when_below_saturation() {
         let config = small_config(BandwidthSet::Set1);
-        let fabric = UniformFabric::new(4, 1);
+        let fabric = PhotonicFabric::channel(&config, 4, 1);
         let traffic = FixedOffsetTraffic::new(500, 8, BandwidthSet::Set1);
-        let mut system = PhotonicSystem::new(config, fabric, traffic);
+        let mut system = PhotonicSystem::new(config, fabric, Box::new(traffic));
         let stats = run_to_completion(&mut system);
         assert_eq!(stats.dropped_packets, 0, "light load must not drop");
         // Everything injected during the window either arrived or is still in
@@ -1385,9 +1411,9 @@ mod tests {
         // not the 8-wavelength one.
         let run = |per_cluster: usize| {
             let config = small_config(BandwidthSet::Set1);
-            let fabric = UniformFabric::new(per_cluster, 1);
+            let fabric = PhotonicFabric::channel(&config, per_cluster, 1);
             let traffic = FixedOffsetTraffic::new(120, 16, BandwidthSet::Set1);
-            let mut system = PhotonicSystem::new(config, fabric, traffic);
+            let mut system = PhotonicSystem::new(config, fabric, Box::new(traffic));
             run_to_completion(&mut system).accepted_bandwidth_gbps()
         };
         let narrow = run(1);
@@ -1401,9 +1427,9 @@ mod tests {
     #[test]
     fn energy_breakdown_components_are_all_positive_under_load() {
         let config = small_config(BandwidthSet::Set2);
-        let fabric = UniformFabric::new(16, 1);
+        let fabric = PhotonicFabric::channel(&config, 16, 1);
         let traffic = FixedOffsetTraffic::new(200, 20, BandwidthSet::Set2);
-        let mut system = PhotonicSystem::new(config, fabric, traffic);
+        let mut system = PhotonicSystem::new(config, fabric, Box::new(traffic));
         let stats = run_to_completion(&mut system);
         assert!(stats.delivered_packets > 0);
         let e = stats.energy;
@@ -1419,9 +1445,9 @@ mod tests {
         use crate::engine::run_to_completion_with;
         use crate::metrics::{MetricValue, MetricsProbe, Probe};
         let config = small_config(BandwidthSet::Set1);
-        let fabric = UniformFabric::new(4, 1);
+        let fabric = PhotonicFabric::channel(&config, 4, 1);
         let traffic = FixedOffsetTraffic::new(150, 4, BandwidthSet::Set1);
-        let mut system = PhotonicSystem::new(config, fabric, traffic);
+        let mut system = PhotonicSystem::new(config, fabric, Box::new(traffic));
         let mut probe = MetricsProbe::for_config(&config);
         let stats = run_to_completion_with(&mut system, &mut [&mut probe]);
         assert!(stats.delivered_packets > 0);
@@ -1479,13 +1505,13 @@ mod tests {
         // including energy and measured cycles.
         let run = |lookahead: bool| {
             let config = small_config(BandwidthSet::Set1);
-            let fabric = UniformFabric::new(4, 1);
+            let fabric = PhotonicFabric::channel(&config, 4, 1);
             // Offset 1: mostly intra-cluster plus one inter-cluster packet
             // per cluster, so each burst drains well within the period and
             // the lookahead run actually fast-forwards the idle tails.
             let mut traffic = FixedOffsetTraffic::new(400, 1, BandwidthSet::Set1);
             traffic.lookahead = lookahead;
-            let mut system = PhotonicSystem::new(config, fabric, traffic);
+            let mut system = PhotonicSystem::new(config, fabric, Box::new(traffic));
             run_to_completion(&mut system)
         };
         let stepped = run(false);
@@ -1497,10 +1523,10 @@ mod tests {
     #[test]
     fn next_event_cycle_reports_quiescence_only_when_drained() {
         let config = small_config(BandwidthSet::Set1);
-        let fabric = UniformFabric::new(4, 1);
+        let fabric = PhotonicFabric::channel(&config, 4, 1);
         let mut traffic = FixedOffsetTraffic::new(400, 1, BandwidthSet::Set1);
         traffic.lookahead = true;
-        let mut system = PhotonicSystem::new(config, fabric, traffic);
+        let mut system = PhotonicSystem::new(config, fabric, Box::new(traffic));
         let mut cycle = 0u64;
         loop {
             run_cycles(&mut system, cycle, 1);
@@ -1527,10 +1553,10 @@ mod tests {
     #[test]
     fn the_system_applies_faults_for_every_fabric_and_repairs_restore_them() {
         let config = small_config(BandwidthSet::Set2);
-        let fabric = UniformFabric::new(16, 1);
+        let fabric = PhotonicFabric::channel(&config, 16, 1);
         // Offset 4: every packet crosses to the next cluster.
         let traffic = FixedOffsetTraffic::new(1000, 4, BandwidthSet::Set2);
-        let mut system = PhotonicSystem::new(config, fabric, traffic);
+        let mut system = PhotonicSystem::new(config, fabric, Box::new(traffic));
         let plan = pnoc_faults::FaultPlan::parse(
             "wavelength-degrade@c1-300:class-high/2,ring-stuck@c1-300:sw3,link-fail@c1-300:sw7",
         )
@@ -1570,8 +1596,8 @@ mod tests {
     fn shallow_vc_depth_is_rejected() {
         let mut config = small_config(BandwidthSet::Set1);
         config.vc_depth = 8; // packet is 64 flits
-        let fabric = UniformFabric::new(4, 1);
+        let fabric = PhotonicFabric::channel(&config, 4, 1);
         let traffic = FixedOffsetTraffic::new(100, 4, BandwidthSet::Set1);
-        let _ = PhotonicSystem::new(config, fabric, traffic);
+        let _ = PhotonicSystem::new(config, fabric, Box::new(traffic));
     }
 }

@@ -76,7 +76,7 @@ fn main() {
 
     println!(
         "d-HetPNoC wavelength pools (clusters 0-11 are GPUs, 12-15 memory): {:?}\n",
-        dhet.fabric().controller().allocation_snapshot()
+        dhet.fabric().pools()
     );
 
     let mut result = Table::new(

@@ -46,7 +46,7 @@ fn main() {
     let dhet_system = build_dhetpnoc_system(config, traffic);
     println!(
         "  d-HetPNoC wavelength allocation per cluster: {:?}\n",
-        dhet_system.fabric().controller().allocation_snapshot()
+        dhet_system.fabric().pools()
     );
 
     let mut table = Table::new(

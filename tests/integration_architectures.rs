@@ -57,12 +57,51 @@ fn dhetpnoc_allocation_matches_firefly_under_uniform_demand() {
     let traffic =
         UniformRandomTraffic::new(ClusterTopology::paper_default(), shape(&config), load, 1);
     let system = build_dhetpnoc_system(config, traffic);
-    let allocation = system.fabric().controller().allocation_snapshot();
+    let allocation = system.fabric().pools();
     assert_eq!(
         allocation,
         vec![4; 16],
         "uniform demand → 4 wavelengths per cluster"
     );
+}
+
+#[test]
+fn uniform_demand_gives_dhetpnoc_firefly_s_table_but_for_the_set_3_reservation() {
+    // Item 8's degenerate law at the table: the same pools and the same
+    // healthy width for every pair at every set, so healthy uniform runs
+    // differ only where d-HetPNoC's reservation carries 64 wavelength
+    // identifiers (set 3, two cycles against Firefly's one).
+    let healthy = FaultSurface::new(16);
+    for set in BandwidthSet::ALL {
+        let config = SimConfig::paper_default(set);
+        let traffic = || {
+            UniformRandomTraffic::new(
+                ClusterTopology::paper_default(),
+                shape(&config),
+                OfferedLoad::new(0.001),
+                config.seed,
+            )
+        };
+        let firefly = build_firefly_system(config, traffic());
+        let dhet = build_dhetpnoc_system(config, traffic());
+        let (firefly, dhet) = (firefly.fabric(), dhet.fabric());
+        assert_eq!(dhet.pools(), firefly.pools(), "{set:?}");
+        for (s, d) in (0..16).flat_map(|s| (0..16).map(move |d| (s, d))) {
+            let (src, dst) = (ClusterId(s), ClusterId(d));
+            assert_eq!(
+                dhet.wavelengths_for(src, dst, &healthy),
+                firefly.wavelengths_for(src, dst, &healthy),
+                "{set:?}: {s} -> {d}"
+            );
+        }
+        let reservations = (dhet.reservation_cycles(), firefly.reservation_cycles());
+        let expected = if set == BandwidthSet::Set3 {
+            (2, 1)
+        } else {
+            (1, 1)
+        };
+        assert_eq!(reservations, expected, "{set:?}");
+    }
 }
 
 #[test]
@@ -102,16 +141,19 @@ fn dba_invariants_hold_after_a_full_simulation() {
         load,
         7,
     );
-    let mut system = build_dhetpnoc_system(config, traffic);
-    let stats = run_to_completion(&mut system);
-    assert!(stats.delivered_packets > 0);
-    system
-        .fabric()
+    let fabric = DhetFabric::new(&config, DemandMatrix::from_model(&traffic, 16));
+    fabric
         .controller()
         .check_invariants()
-        .expect("DBA invariants must hold after simulation");
-    // Pools stay within [1, 8] for bandwidth set 1 and never exceed the budget.
-    let allocation = system.fabric().controller().allocation_snapshot();
+        .expect("DBA invariants must hold at the converged allocation");
+    let healthy = fabric.controller().allocation_snapshot();
+    let mut system = PhotonicSystem::new(config, fabric.into_fabric(), Box::new(traffic));
+    let stats = run_to_completion(&mut system);
+    assert!(stats.delivered_packets > 0);
+    // A healthy run moves no pool; pools stay within [1, 8] for bandwidth
+    // set 1 and never exceed the budget.
+    let allocation = system.fabric().pools();
+    assert_eq!(allocation, healthy);
     assert!(allocation.iter().all(|&p| (1..=8).contains(&p)));
     assert!(allocation.iter().sum::<usize>() <= 64);
 }
@@ -233,7 +275,7 @@ fn hotspot_and_real_application_traffic_run_end_to_end() {
     );
     // Memory clusters (12-15) should hold at least as much bandwidth on
     // average as the compute clusters running mostly low-bandwidth kernels.
-    let allocation = system.fabric().controller().allocation_snapshot();
+    let allocation = system.fabric().pools();
     let memory_avg: f64 = allocation[12..16].iter().sum::<usize>() as f64 / 4.0;
     let lps_avg: f64 = allocation[8..12].iter().sum::<usize>() as f64 / 4.0;
     assert!(
@@ -254,6 +296,7 @@ fn demand_matrix_round_trips_through_the_fabric() {
     );
     let matrix = DemandMatrix::from_model(&traffic, 16);
     let fabric = DhetFabric::new(&config, matrix.clone());
+    let table = fabric.clone().into_fabric();
     let healthy = FaultSurface::new(16);
     for s in 0..16 {
         for d in 0..16 {
@@ -262,7 +305,7 @@ fn demand_matrix_round_trips_through_the_fabric() {
             }
             let (src, dst) = (ClusterId(s), ClusterId(d));
             assert_eq!(fabric.demand().class(src, dst), matrix.class(src, dst));
-            let w = fabric.wavelengths_for(src, dst, &healthy);
+            let w = table.wavelengths_for(src, dst, &healthy);
             assert!(w >= 1 && w <= DhetFabric::default_max_channel_wavelengths(&config));
         }
     }

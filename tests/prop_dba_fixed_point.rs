@@ -15,7 +15,7 @@ use d_hetpnoc_repro::noc::ids::ClusterId;
 use d_hetpnoc_repro::noc::topology::ClusterTopology;
 use d_hetpnoc_repro::noc::traffic_model::OfferedLoad;
 use d_hetpnoc_repro::sim::config::{BandwidthSet, SimConfig};
-use d_hetpnoc_repro::sim::{FaultPlan, FaultSurface, PhotonicFabric};
+use d_hetpnoc_repro::sim::{FaultPlan, FaultSurface};
 use d_hetpnoc_repro::traffic::demand::DemandMatrix;
 use d_hetpnoc_repro::traffic::factory::{
     lookup_traffic_factory, registered_traffic_patterns, TrafficSpec,
@@ -125,6 +125,6 @@ fn a_target_above_65_is_reached_before_the_run() {
         .map(|c| fabric.controller().target(ClusterId(c)))
         .collect();
     assert_eq!(targets, [72, 30]);
-    assert_eq!(fabric.pool_size(ClusterId(0)), 72);
+    assert_eq!(fabric.controller().pool(ClusterId(0)), 72);
     check_fabric_and_fault_transitions(fabric, 512);
 }
