@@ -31,7 +31,7 @@
 //!                            # with a '#faults=PLAN' suffix instead.
 //! repro --list-faults        # print the fault-plan presets (with their
 //!                            # literal expansions) and the fault-kind grammar
-//! repro --list-workloads     # print the workload registry catalogue
+//! repro --list-workloads     # print the workload catalogue
 //! repro --list-architectures # print the architecture registry catalogue
 //!                            # (with each architecture's parameter count)
 //! repro --list-traffic       # print the traffic-pattern registry catalogue

@@ -44,6 +44,16 @@ fn listings_render_the_live_catalogues() {
         .0
         .contains("hier (7 parameters)"));
     assert!(run_ok(&["--list-faults"]).0.contains("single-link"));
+    assert_eq!(
+        run_ok(&["--list-traffic"]).0,
+        "bit-reverse\nbursty-uniform\nhotspot-10pct-skewed-2\nhotspot-10pct-skewed-3\n\
+         hotspot-20pct-skewed-2\nhotspot-20pct-skewed-3\nreal-application\n\
+         skewed-1\nskewed-2\nskewed-3\ntornado\ntranspose\nuniform-random\n"
+    );
+    assert_eq!(
+        run_ok(&["--list-workloads"]).0,
+        "all-to-all\nincast\nparameter-server\nring-allreduce\ntree-allreduce\n"
+    );
 }
 
 /// `repro ARGS` must exit 2 before doing any work, naming `expected` on
@@ -61,6 +71,24 @@ fn unknown_architecture_exits_2_with_a_suggestion() {
         &["--scenario", "d-hetpnok:uniform"],
         "unknown architecture 'd-hetpnok'; registered: \
          [d-hetpnoc, firefly, hier, uniform-fabric] — did you mean 'd-hetpnoc'?",
+    );
+}
+
+#[test]
+fn a_typo_of_a_shorthand_suggests_the_shorthand() {
+    assert_rejected(
+        &["--workload", "alreduce:8"],
+        "unknown workload 'alreduce'; registered: [all-to-all, incast, parameter-server, \
+         ring-allreduce, tree-allreduce] — did you mean 'allreduce'?",
+    );
+    assert_rejected(
+        &["--scenario", "firefly:unifrm"],
+        "tornado, transpose, uniform-random] — did you mean 'uniform'?",
+    );
+    // A canonical name one edit away still wins over a shorthand.
+    assert_rejected(
+        &["--workload", "ring-alreduce:8"],
+        "did you mean 'ring-allreduce'?",
     );
 }
 

@@ -1,39 +1,29 @@
-//! The one name registry: how a string name becomes an entry, an alias, or a
-//! did-you-mean error.
+//! The one name lookup: how a string name becomes a catalogue entry, an
+//! alias, or a did-you-mean error.
 //!
-//! Architectures (`pnoc-sim`), traffic patterns (`pnoc-traffic`) and
-//! closed-loop workloads (`pnoc-workload`) are all open-ended catalogues
-//! resolved by name. Each crate keeps one `static` [`Registry`] of its own
-//! factory trait, seeded with its built-ins and its alias table; the lookup,
-//! alias and error semantics live here, once:
+//! Traffic patterns (`pnoc-traffic`) and closed-loop workloads
+//! (`pnoc-workload`) are closed catalogues: each crate keeps one `static`,
+//! name-sorted table of a concrete entry type beside a table of shorthand
+//! aliases, and resolves names with [`lookup`]. The architecture catalogue
+//! (`pnoc-sim`) is filled at run time, because its builders live in crates
+//! above the simulator, but fails with the same [`UnknownNameError`]. The
+//! rules:
 //!
-//! * registering under a taken name replaces the entry and hands the previous
-//!   one back,
-//! * an exact registered name always wins; only when nothing is registered
-//!   under a name does the alias table redirect it to its canonical name,
-//! * aliases never appear in [`Registry::names`], and
+//! * an entry's own name resolves to it, and an alias resolves to the entry
+//!   of its canonical name (no alias equals a canonical name, so the two
+//!   never compete),
+//! * aliases are never listed, and
 //! * an unknown name fails with [`UnknownNameError`]: the catalogue's kind,
-//!   the offending name, every registered name, and the nearest one when it is
-//!   within typo distance (see [`crate::suggest`]).
+//!   the offending name, every listed name, and the nearest name — or, after
+//!   them, the nearest alias — when it is within typo distance (see
+//!   [`crate::suggest`]).
 
 use crate::suggest::{nearest_name, unknown_name_message};
-use std::collections::BTreeMap;
-use std::sync::{Arc, Mutex, MutexGuard};
 
 /// Shorthand names accepted by lookups, as `(alias, canonical)` pairs.
-pub(crate) type AliasTable = &'static [(&'static str, &'static str)];
+pub type Aliases = &'static [(&'static str, &'static str)];
 
-/// Resolves a shorthand to its canonical name through an alias table
-/// (identity for names that are not shorthands).
-#[must_use]
-pub(crate) fn canonical_name<'a>(aliases: &[(&'a str, &'a str)], name: &'a str) -> &'a str {
-    aliases
-        .iter()
-        .find(|(alias, _)| *alias == name)
-        .map_or(name, |(_, canonical)| canonical)
-}
-
-/// The failure of resolving a name against a [`Registry`].
+/// The failure of resolving a name against a catalogue.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct UnknownNameError {
     /// Which catalogue the lookup ran against (`"architecture"`,
@@ -41,16 +31,24 @@ pub struct UnknownNameError {
     pub kind: &'static str,
     /// The name that failed to resolve.
     pub name: String,
-    /// Every name registered at the time of the lookup, sorted.
+    /// Every name in the catalogue at the time of the lookup, sorted.
     pub registered: Vec<String>,
+    /// The shorthands the catalogue also accepts: suggested after the
+    /// registered names, never listed.
+    pub aliases: Aliases,
 }
 
 impl UnknownNameError {
-    /// The registered name closest to the unknown one, if any is plausibly a
-    /// typo of it.
+    /// The registered name or alias closest to the unknown one, if any is
+    /// plausibly a typo of it. Registered names come first, so an alias is
+    /// suggested only when it is strictly nearer.
     #[must_use]
     pub fn suggestion(&self) -> Option<&str> {
-        nearest_name(&self.name, self.registered.iter().map(String::as_str))
+        let aliases = self.aliases.iter().map(|&(alias, _)| alias);
+        nearest_name(
+            &self.name,
+            self.registered.iter().map(String::as_str).chain(aliases),
+        )
     }
 }
 
@@ -60,147 +58,69 @@ impl std::fmt::Display for UnknownNameError {
             self.kind,
             &self.name,
             &self.registered,
+            self.suggestion(),
         ))
     }
 }
 
 impl std::error::Error for UnknownNameError {}
 
-/// A name-keyed, thread-safe catalogue of shared entries (typically
-/// `Registry<dyn SomeFactory>`).
-pub struct Registry<T: ?Sized> {
+/// Looks `name` up in the closed catalogue `table` of `kind` things (the
+/// noun error messages use), whose entries `name_of` names, in sorted order:
+/// the entry of that name, or of the canonical name `aliases` maps it to.
+///
+/// # Errors
+///
+/// Returns [`UnknownNameError`] — which lists every name of `table` and
+/// suggests the nearest name or alias — when neither resolves.
+pub fn lookup<'t, T>(
     kind: &'static str,
-    aliases: AliasTable,
-    entries: Mutex<BTreeMap<String, Arc<T>>>,
-}
-
-impl<T: ?Sized> Registry<T> {
-    /// Creates an empty registry of `kind` things (the noun error messages
-    /// use) whose lookups fall back through `aliases`.
-    #[must_use]
-    pub const fn new(kind: &'static str, aliases: AliasTable) -> Self {
-        Self {
+    table: &'t [T],
+    name_of: fn(&T) -> &str,
+    aliases: Aliases,
+    name: &str,
+) -> Result<&'t T, UnknownNameError> {
+    let canonical = aliases
+        .iter()
+        .find(|&&(alias, _)| alias == name)
+        .map_or(name, |&(_, canonical)| canonical);
+    table
+        .iter()
+        .find(|entry| name_of(entry) == canonical)
+        .ok_or_else(|| UnknownNameError {
             kind,
+            name: name.to_string(),
+            registered: table
+                .iter()
+                .map(|entry| name_of(entry).to_string())
+                .collect(),
             aliases,
-            entries: Mutex::new(BTreeMap::new()),
-        }
-    }
-
-    fn entries(&self) -> MutexGuard<'_, BTreeMap<String, Arc<T>>> {
-        // No code path panics while holding the lock, and every map operation
-        // leaves the catalogue valid, so poisoning cannot be observed.
-        self.entries.lock().expect("registry lock poisoned")
-    }
-
-    /// Registers `entry` under `name`, replacing (and returning) any previous
-    /// entry of the same name.
-    pub fn register(&self, name: impl Into<String>, entry: Arc<T>) -> Option<Arc<T>> {
-        self.entries().insert(name.into(), entry)
-    }
-
-    /// Looks an entry up by name: the exact name first, then its alias.
-    #[must_use]
-    pub fn get(&self, name: &str) -> Option<Arc<T>> {
-        self.lookup(name).ok()
-    }
-
-    /// Looks an entry up by name: the exact name first, then its alias.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`UnknownNameError`] — which lists every registered name and
-    /// suggests the nearest match — when neither resolves.
-    pub fn lookup(&self, name: &str) -> Result<Arc<T>, UnknownNameError> {
-        let entries = self.entries();
-        entries
-            .get(name)
-            .or_else(|| entries.get(canonical_name(self.aliases, name)))
-            .cloned()
-            .ok_or_else(|| UnknownNameError {
-                kind: self.kind,
-                name: name.to_string(),
-                registered: entries.keys().cloned().collect(),
-            })
-    }
-
-    /// All registered names, sorted. Aliases are not listed.
-    #[must_use]
-    pub fn names(&self) -> Vec<String> {
-        self.entries().keys().cloned().collect()
-    }
-
-    /// Number of registered entries.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.entries().len()
-    }
-
-    /// Whether the registry is empty.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.entries().is_empty()
-    }
-}
-
-impl<T: ?Sized> std::fmt::Debug for Registry<T> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Registry")
-            .field("kind", &self.kind)
-            .field("names", &self.names())
-            .finish()
-    }
+        })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    const ALIASES: AliasTable = &[("uniform", "uniform-random")];
+    const TABLE: [&str; 3] = ["tornado", "transpose", "uniform-random"];
+    const ALIASES: Aliases = &[("uniform", "uniform-random")];
 
-    fn catalogue() -> Registry<str> {
-        let registry = Registry::new("traffic pattern", ALIASES);
-        for name in ["tornado", "transpose", "uniform-random"] {
-            assert!(registry.register(name, Arc::from(name)).is_none());
-        }
-        registry
-    }
-
-    #[test]
-    fn registering_a_taken_name_replaces_and_returns_the_previous_entry() {
-        let registry: Registry<str> = Registry::new("thing", &[]);
-        assert!(registry.is_empty());
-        assert!(registry.register("a", Arc::from("first")).is_none());
-        assert_eq!(registry.len(), 1);
-        let previous = registry.register("a", Arc::from("second"));
-        assert_eq!(previous.as_deref(), Some("first"));
-        assert_eq!(registry.len(), 1);
-        assert_eq!(registry.get("a").as_deref(), Some("second"));
-        assert!(registry.get("missing").is_none());
+    fn find(name: &str) -> Result<&'static str, UnknownNameError> {
+        lookup("traffic pattern", &TABLE, |entry| entry, ALIASES, name).copied()
     }
 
     #[test]
     fn aliases_resolve_but_are_not_listed() {
-        let registry = catalogue();
-        assert_eq!(canonical_name(ALIASES, "uniform"), "uniform-random");
-        assert_eq!(canonical_name(ALIASES, "tornado"), "tornado");
-        assert_eq!(registry.get("uniform").as_deref(), Some("uniform-random"));
-        assert_eq!(
-            registry.names(),
-            ["tornado", "transpose", "uniform-random"].map(String::from)
-        );
-        assert!(format!("{registry:?}").contains("traffic pattern"));
-    }
-
-    #[test]
-    fn an_exact_registration_beats_the_alias() {
-        let registry = catalogue();
-        registry.register("uniform", Arc::from("exact"));
-        assert_eq!(registry.get("uniform").as_deref(), Some("exact"));
+        assert_eq!(find("uniform"), Ok("uniform-random"));
+        assert_eq!(find("tornado"), Ok("tornado"));
+        let error = find("uniform-randon").expect_err("not in the table");
+        assert_eq!(error.registered, TABLE.map(String::from));
+        assert!(!error.to_string().contains("uniform,"));
     }
 
     #[test]
     fn unknown_names_list_the_catalogue_and_suggest_the_nearest() {
-        let error = catalogue().lookup("tornadoo").expect_err("not registered");
+        let error = find("tornadoo").expect_err("not in the table");
         assert_eq!(error.kind, "traffic pattern");
         assert_eq!(error.name, "tornadoo");
         assert_eq!(error.registered.len(), 3);
@@ -213,10 +133,22 @@ mod tests {
     }
 
     #[test]
+    fn an_alias_is_suggested_only_when_strictly_nearer() {
+        let error = find("unifrm").expect_err("not in the table");
+        assert_eq!(error.suggestion(), Some("uniform"));
+        assert!(error.to_string().ends_with(
+            "registered: [tornado, transpose, uniform-random] — did you mean 'uniform'?"
+        ));
+        // One edit from both the name and the alias: the name wins.
+        let aliases: Aliases = &[("tornadx", "tornado")];
+        let error = lookup("traffic pattern", &TABLE, |entry| entry, aliases, "tornad")
+            .expect_err("not in the table");
+        assert_eq!(error.suggestion(), Some("tornado"));
+    }
+
+    #[test]
     fn names_beyond_typo_distance_get_no_suggestion() {
-        let error = catalogue()
-            .lookup("xyzzy-quux")
-            .expect_err("not registered");
+        let error = find("xyzzy-quux").expect_err("not in the table");
         assert_eq!(error.suggestion(), None);
         assert_eq!(
             error.to_string(),

@@ -1,13 +1,13 @@
-//! Name-suggestion helpers for the registries.
+//! Name-suggestion helpers for the catalogues.
 //!
-//! The three process-global registries (architectures in `pnoc-sim`, traffic
-//! patterns in `pnoc-traffic`, workloads in `pnoc-workload`) are instances of
-//! the one generic [`crate::registry::Registry`] and resolve entries by string
-//! name. When a name is unknown, a bare "not found" is hostile: the caller
-//! typed `d-hetpnok` and has no idea what the catalogue actually contains.
-//! This module provides the pieces of a friendly failure — an edit-distance
-//! metric and a "did you mean" picker over the registered names — which the
-//! registry's error and the parameter / fault-kind catalogues share.
+//! Architectures (`pnoc-sim`), traffic patterns (`pnoc-traffic`) and
+//! workloads (`pnoc-workload`) resolve entries by string name through
+//! [`crate::registry`]. When a name is unknown, a bare "not found" is
+//! hostile: the caller typed `d-hetpnok` and has no idea what the catalogue
+//! actually contains. This module provides the pieces of a friendly failure
+//! — an edit-distance metric and a "did you mean" picker over the names a
+//! catalogue accepts — which the registry's error and the parameter /
+//! fault-kind catalogues share.
 
 /// Levenshtein edit distance between two strings (unit costs), computed over
 /// Unicode scalar values with a two-row dynamic program.
@@ -58,14 +58,19 @@ where
 
 /// Renders the standard unknown-name message used by every catalogue:
 /// the offending name, the sorted catalogue, and a "did you mean" hint when
-/// a registered name is within typo distance.
+/// there is a `suggestion`.
 #[must_use]
-pub(crate) fn unknown_name_message(kind: &str, name: &str, registered: &[String]) -> String {
+pub(crate) fn unknown_name_message(
+    kind: &str,
+    name: &str,
+    registered: &[String],
+    suggestion: Option<&str>,
+) -> String {
     let mut message = format!(
         "unknown {kind} '{name}'; registered: [{}]",
         registered.join(", ")
     );
-    if let Some(suggestion) = nearest_name(name, registered.iter().map(String::as_str)) {
+    if let Some(suggestion) = suggestion {
         message.push_str(&format!(" — did you mean '{suggestion}'?"));
     }
     message
@@ -104,11 +109,14 @@ mod tests {
     #[test]
     fn unknown_name_message_lists_and_suggests() {
         let registered = vec!["tornado".to_string(), "transpose".to_string()];
-        let message = unknown_name_message("traffic pattern", "tornadoo", &registered);
-        assert!(message.contains("unknown traffic pattern 'tornadoo'"));
-        assert!(message.contains("tornado, transpose"));
-        assert!(message.contains("did you mean 'tornado'?"));
-        let message = unknown_name_message("traffic pattern", "xyzzy-quux", &registered);
+        let message =
+            unknown_name_message("traffic pattern", "tornadoo", &registered, Some("tornado"));
+        assert_eq!(
+            message,
+            "unknown traffic pattern 'tornadoo'; registered: [tornado, transpose] \
+             — did you mean 'tornado'?"
+        );
+        let message = unknown_name_message("traffic pattern", "xyzzy-quux", &registered, None);
         assert!(!message.contains("did you mean"));
     }
 }

@@ -1,16 +1,16 @@
-//! The architecture registry: the open-ended catalogue of simulatable
-//! network architectures.
+//! The architecture registry: the catalogue of simulatable network
+//! architectures.
 //!
-//! Historically every architecture crate exposed its own `build_*_system`
-//! constructor and its own saturation-sweep driver, and the benchmark harness
-//! hard-coded a closed two-variant enum. The registry inverts that
-//! dependency: an architecture implements [`ArchitectureBuilder`] — a name
-//! plus a `build(config, traffic) → network` constructor — and registers
-//! itself into the process-global catalogue (a [`pnoc_noc::registry::Registry`]
-//! behind [`register_architecture`] / [`lookup_architecture`]). Everything
-//! downstream (the generic sweep driver in [`crate::sweep`], the experiment
-//! harness, the `repro` binary) resolves architectures by name, so adding an
-//! architecture touches only the crate that defines it.
+//! An architecture implements [`ArchitectureBuilder`] — a name plus a
+//! `build(config, traffic) → network` constructor — and registers itself
+//! into the process-global catalogue through [`register_architecture`].
+//! Everything downstream (the generic sweep driver in [`crate::sweep`], the
+//! experiment harness, the `repro` binary) resolves architectures by name
+//! with [`lookup_architecture`], so adding an architecture touches only the
+//! crate that defines it. Unlike the closed traffic-pattern and workload
+//! tables, this catalogue is filled at run time: the Firefly baseline,
+//! d-HetPNoC and the hierarchy live in crates above this one. An unknown
+//! name fails with the same [`UnknownNameError`] as the closed tables.
 //!
 //! Firefly's static allocation, a channel [`PhotonicFabric`] with a
 //! wavelength-budget knob, registers here out of the box under the name
@@ -24,9 +24,10 @@ use crate::config::SimConfig;
 use crate::engine::CycleNetwork;
 use crate::params::{ArchParams, ParamSchema, ResolvedParams};
 use crate::system::{PhotonicFabric, PhotonicSystem};
-use pnoc_noc::registry::{Registry, UnknownNameError};
+use pnoc_noc::registry::UnknownNameError;
 use pnoc_noc::traffic_model::TrafficModel;
-use std::sync::{Arc, LazyLock};
+use std::collections::BTreeMap;
+use std::sync::{Arc, LazyLock, Mutex, MutexGuard};
 
 /// How an architecture provisions its photonic resources. Cost models (e.g.
 /// the electro-optic area model) differ between the two styles, so the
@@ -226,20 +227,30 @@ fn uniform_fabric(config: &SimConfig, params: &ResolvedParams) -> PhotonicFabric
     PhotonicFabric::channel(config, per_channel, 1)
 }
 
+/// A name-keyed catalogue of shared builders.
+type Architectures = BTreeMap<String, Arc<dyn ArchitectureBuilder>>;
+
 /// The process-global architecture catalogue; the architecture crates add
 /// themselves through [`register_architecture`].
-static ARCHITECTURES: LazyLock<Registry<dyn ArchitectureBuilder>> = LazyLock::new(|| {
-    let registry: Registry<dyn ArchitectureBuilder> = Registry::new("architecture", &[]);
-    registry.register("uniform-fabric", Arc::new(UniformFabricArchitecture));
-    registry
+static ARCHITECTURES: LazyLock<Mutex<Architectures>> = LazyLock::new(|| {
+    let builder: Arc<dyn ArchitectureBuilder> = Arc::new(UniformFabricArchitecture);
+    Mutex::new(BTreeMap::from([(builder.name().to_string(), builder)]))
 });
+
+fn architectures() -> MutexGuard<'static, Architectures> {
+    // No code path panics while holding the lock, and every map operation
+    // leaves the catalogue valid, so poisoning cannot be observed.
+    ARCHITECTURES
+        .lock()
+        .expect("architecture registry lock poisoned")
+}
 
 /// Registers a builder into the process-global registry under its own name,
 /// replacing (and returning) any previous builder of the same name.
 pub fn register_architecture(
     builder: Arc<dyn ArchitectureBuilder>,
 ) -> Option<Arc<dyn ArchitectureBuilder>> {
-    ARCHITECTURES.register(builder.name().to_string(), builder)
+    architectures().insert(builder.name().to_string(), builder)
 }
 
 /// Looks up a builder in the process-global registry.
@@ -249,13 +260,22 @@ pub fn register_architecture(
 /// Returns [`UnknownNameError`] — which lists every registered name and
 /// suggests the nearest match — when no builder of that name is registered.
 pub fn lookup_architecture(name: &str) -> Result<Arc<dyn ArchitectureBuilder>, UnknownNameError> {
-    ARCHITECTURES.lookup(name)
+    let architectures = architectures();
+    architectures
+        .get(name)
+        .cloned()
+        .ok_or_else(|| UnknownNameError {
+            kind: "architecture",
+            name: name.to_string(),
+            registered: architectures.keys().cloned().collect(),
+            aliases: &[],
+        })
 }
 
 /// Names registered in the process-global registry, sorted.
 #[must_use]
 pub fn registered_architectures() -> Vec<String> {
-    ARCHITECTURES.names()
+    architectures().keys().cloned().collect()
 }
 
 #[cfg(test)]

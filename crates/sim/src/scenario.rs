@@ -98,7 +98,7 @@ impl Effort {
 /// effort, which base seed, and (optionally) an explicit offered-load
 /// ladder.
 ///
-/// Specs are plain data. Resolution against the registries — and therefore
+/// Specs are plain data. Resolution against the catalogues — and therefore
 /// name validation — happens in [`ScenarioSpec::resolve`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct ScenarioSpec {
@@ -126,7 +126,7 @@ pub struct ScenarioSpec {
     /// scenarios (a closed-loop run has no offered-load axis).
     pub ladder: Vec<f64>,
     /// Closed-loop workload reference (`NAME[:SIZE]`, validated against the
-    /// workload registry). When set, the scenario runs the workload DAG to
+    /// workload catalogue). When set, the scenario runs the workload DAG to
     /// drain instead of an open-loop saturation sweep: one point, no load
     /// ladder, flow-completion-time and makespan metrics on the point's
     /// report.
@@ -357,8 +357,8 @@ impl ScenarioSpec {
         }
     }
 
-    /// Validates the spec against the process-global registries
-    /// (architecture plus either traffic or workload) and returns the
+    /// Validates the spec against the architecture registry and either the
+    /// traffic-pattern or the workload catalogue, and returns the
     /// resolved, runnable [`Scenario`]. Workload scenarios also take their
     /// flow DAG here, eagerly — resolution is the last point where a
     /// malformed workload can fail with a typed error. The DAG is built at
@@ -451,25 +451,24 @@ impl ScenarioSpec {
                     }
                 }
                 // Every scenario holding this (factory, size, placement)
-                // shares one DAG; the checks above and below run on every
-                // resolve, whether the DAG was built here or not.
-                let workload = shared_workload(&factory, WorkloadSpec::new(size), placement)
+                // shares one DAG; the checks above run on every resolve,
+                // whether the DAG was built here or not.
+                let workload = shared_workload(factory, WorkloadSpec::new(size), placement)
                     .unwrap_or_else(|error| {
                         panic!(
                             "architecture '{arch_name}' produced an invalid placement map: \
                              {error}"
                         )
                     });
-                // A factory may ignore the requested size, and the driver
-                // only debug-checks the range. (A placed DAG passes: its
-                // cores are the map's, checked above.)
-                if workload.max_core() >= num_cores {
-                    return Err(ScenarioError::WorkloadTooLarge {
-                        scenario: self.id(),
-                        size: workload.max_core() + 1,
-                        num_cores,
-                    });
-                }
+                // Every catalogue entry builds on cores `0..size` (a placed
+                // DAG on the map's cores, checked above), and the driver
+                // only debug-checks the range.
+                assert!(
+                    workload.max_core() < num_cores,
+                    "workload '{}' built a {size}-rank DAG that reaches core {}",
+                    factory.name(),
+                    workload.max_core()
+                );
                 ScenarioPayload::Workload(workload)
             }
             None => {
@@ -655,7 +654,7 @@ impl From<ArchParamError> for ScenarioError {
 #[derive(Clone)]
 enum ScenarioPayload {
     /// Open-loop: one saturation sweep over the ladder.
-    Traffic(Arc<dyn TrafficFactory>),
+    Traffic(&'static TrafficFactory),
     /// Closed-loop: one DAG-drain run (the eagerly built workload is shared
     /// by every job that deduplicates onto it).
     Workload(Arc<Workload>),

@@ -650,43 +650,36 @@ pub(crate) fn run_workload_point(
 /// A live DAG's key: the factory's canonical name, the spec it was built
 /// from and the placement map it was remapped with (`None`: the generators'
 /// dense placement).
-type DagKey = (String, WorkloadSpec, Option<Vec<usize>>);
+type DagKey = (&'static str, WorkloadSpec, Option<Vec<usize>>);
 
-/// An interned DAG and the factory that built it, both held weakly.
-struct DagEntry {
-    factory: Weak<dyn WorkloadFactory>,
-    dag: Weak<Workload>,
-}
-
-/// Every workload DAG some scenario of the process still holds.
-static DAGS: Mutex<Vec<(DagKey, DagEntry)>> = Mutex::new(Vec::new());
+/// Every workload DAG some scenario of the process still holds, weakly.
+static DAGS: Mutex<Vec<(DagKey, Weak<Workload>)>> = Mutex::new(Vec::new());
 
 /// The DAG `factory` builds for `spec`, remapped by `placement`: the one a
 /// scenario still holds when there is one, a fresh build otherwise.
 ///
 /// Sharing is sound because [`WorkloadFactory::build`] is a pure function
-/// of its spec and a placement map a pure function of architecture, params
-/// and size, so a shared DAG equals a rebuilt one. The intern holds no
-/// strong reference: a DAG lives exactly as long as the scenarios holding
-/// it, and dead entries are pruned on insert. A factory registered over an
-/// interned one's name builds afresh. The lock is never held during a
-/// build, so two racing calls may both build; the first to insert is the
-/// one both return, and the other build is dropped.
+/// of its spec, a catalogue name names one factory, and a placement map is
+/// a pure function of architecture, params and size, so a shared DAG equals
+/// a rebuilt one. The intern holds no strong reference: a DAG lives exactly
+/// as long as the scenarios holding it, and dead entries are pruned on
+/// insert. The lock is never held during a build, so two racing calls may
+/// both build; the first to insert is the one both return, and the other
+/// build is dropped.
 ///
 /// # Errors
 ///
 /// What [`Workload::remap_cores`] returns for an invalid `placement`.
 pub(crate) fn shared_workload(
-    factory: &Arc<dyn WorkloadFactory>,
+    factory: &'static WorkloadFactory,
     spec: WorkloadSpec,
     placement: Option<Vec<usize>>,
 ) -> Result<Arc<Workload>, WorkloadValidationError> {
-    let key = (factory.name().to_string(), spec, placement);
-    let builder = Arc::downgrade(factory);
-    let held = |dags: &[(DagKey, DagEntry)]| {
+    let key = (factory.name(), spec, placement);
+    let held = |dags: &[(DagKey, Weak<Workload>)]| {
         dags.iter()
-            .find(|(k, entry)| *k == key && Weak::ptr_eq(&entry.factory, &builder))
-            .and_then(|(_, entry)| entry.dag.upgrade())
+            .find(|(k, _)| *k == key)
+            .and_then(|(_, dag)| dag.upgrade())
     };
     if let Some(dag) = held(&DAGS.lock().expect("workload intern poisoned")) {
         return Ok(dag);
@@ -700,12 +693,8 @@ pub(crate) fn shared_workload(
     if let Some(first) = held(&dags) {
         return Ok(first);
     }
-    dags.retain(|(k, entry)| *k != key && entry.dag.strong_count() > 0);
-    let entry = DagEntry {
-        factory: builder,
-        dag: Arc::downgrade(&dag),
-    };
-    dags.push((key, entry));
+    dags.retain(|(k, dag)| *k != key && dag.strong_count() > 0);
+    dags.push((key, Arc::downgrade(&dag)));
     Ok(dag)
 }
 

@@ -1,24 +1,22 @@
-//! The traffic-pattern registry: the open-ended catalogue of workloads.
+//! The traffic-pattern catalogue: the closed table of open-loop patterns.
 //!
-//! Mirrors the architecture registry of `pnoc-sim`: a traffic pattern
-//! implements [`TrafficFactory`] — a name plus a `build(spec) → model`
-//! constructor — and registers into the process-global catalogue (a
-//! [`pnoc_noc::registry::Registry`] behind [`register_traffic_factory`] /
-//! [`lookup_traffic_factory`]).
-//! The benchmark harness resolves workloads by name, so adding a pattern
-//! touches only this crate (or whatever crate defines the new pattern).
+//! A pattern is one [`TrafficFactory`] — a name, a `build(spec) → model`
+//! constructor and the topologies it cannot run on — in one `static`,
+//! name-sorted table, resolved by [`lookup_traffic_factory`] (through
+//! [`pnoc_noc::registry::lookup`]) and listed by
+//! [`registered_traffic_patterns`]. Adding a pattern means adding a row here.
 //!
-//! The registry ships with every pattern of the paper's evaluation plus the
+//! The catalogue holds every pattern of the paper's evaluation plus the
 //! extended scenarios added by this reproduction:
 //!
-//! | name | generator |
-//! |------|-----------|
-//! | `uniform-random` | [`UniformRandomTraffic`] |
-//! | `skewed-1` / `skewed-2` / `skewed-3` | [`SkewedTraffic`] |
-//! | `hotspot-{10,20}pct-skewed-{2,3}` | [`HotspotSkewedTraffic`] |
-//! | `real-application` | [`RealApplicationTraffic`] |
-//! | `transpose`, `bit-reverse`, `tornado` | `PermutationTraffic` |
-//! | `bursty-uniform` | `BurstyUniformTraffic` |
+//! | name | alias | generator |
+//! |------|-------|-----------|
+//! | `uniform-random` | `uniform` | [`UniformRandomTraffic`] |
+//! | `skewed-1` / `skewed-2` / `skewed-3` | | [`SkewedTraffic`] |
+//! | `hotspot-{10,20}pct-skewed-{2,3}` | | [`HotspotSkewedTraffic`] |
+//! | `real-application` | | [`RealApplicationTraffic`] |
+//! | `transpose`, `bit-reverse`, `tornado` | | `PermutationTraffic` |
+//! | `bursty-uniform` | `bursty` | `BurstyUniformTraffic` |
 
 use crate::bursty::BurstyUniformTraffic;
 use crate::gpu::RealApplicationTraffic;
@@ -28,10 +26,9 @@ use crate::permutation::{PermutationKind, PermutationTraffic};
 use crate::skewed::SkewedTraffic;
 use crate::uniform::UniformRandomTraffic;
 use pnoc_noc::ids::CoreId;
-use pnoc_noc::registry::{Registry, UnknownNameError};
+use pnoc_noc::registry::{lookup, Aliases, UnknownNameError};
 use pnoc_noc::topology::ClusterTopology;
 use pnoc_noc::traffic_model::{OfferedLoad, TrafficModel};
-use std::sync::{Arc, LazyLock};
 
 /// Everything a factory needs to instantiate a traffic model for one run.
 #[derive(Debug, Clone, Copy)]
@@ -64,71 +61,49 @@ impl TrafficSpec {
     }
 }
 
-/// A factory for one traffic pattern.
+/// One traffic pattern of the catalogue (see the module docs).
 ///
-/// Like `ArchitectureBuilder` in `pnoc-sim`, implementations are shared
-/// across sweep worker threads; every call to [`TrafficFactory::build`]
-/// must return a fresh, independent model.
-pub trait TrafficFactory: Send + Sync {
-    /// Stable registry key: the pattern's one name (its models carry none).
-    fn name(&self) -> &str;
-
-    /// Builds a fresh traffic model for one run.
-    fn build(&self, spec: &TrafficSpec) -> Box<dyn TrafficModel + Send>;
-
-    /// Why the pattern cannot run on `topology`, or `None` when it can (the
-    /// default). Scenarios ask it when they resolve, against the
-    /// architecture's effective topology, so a pattern that fits only some
-    /// chips is a typed error there instead of a panic in
-    /// [`TrafficFactory::build`].
-    fn unsupported_topology(&self, topology: &ClusterTopology) -> Option<String> {
-        let _ = topology;
-        None
-    }
-}
-
-/// A [`TrafficFactory`] from a name and a plain constructor function.
-struct FnFactory {
+/// Sweep worker threads share the `static` entries; every call to
+/// [`TrafficFactory::build`] returns a fresh, independent model.
+#[derive(Debug)]
+pub struct TrafficFactory {
     name: &'static str,
-    construct: fn(&TrafficSpec) -> Box<dyn TrafficModel + Send>,
+    build: fn(&TrafficSpec) -> Box<dyn TrafficModel + Send>,
+    unsupported_topology: fn(&ClusterTopology) -> Option<String>,
 }
 
-impl TrafficFactory for FnFactory {
-    fn name(&self) -> &str {
+impl TrafficFactory {
+    /// A pattern that runs on every topology.
+    const fn new(
+        name: &'static str,
+        build: fn(&TrafficSpec) -> Box<dyn TrafficModel + Send>,
+    ) -> Self {
+        Self {
+            name,
+            build,
+            unsupported_topology: |_| None,
+        }
+    }
+
+    /// The pattern's one name (its models carry none).
+    #[must_use]
+    pub fn name(&self) -> &'static str {
         self.name
     }
 
-    fn build(&self, spec: &TrafficSpec) -> Box<dyn TrafficModel + Send> {
-        (self.construct)(spec)
-    }
-}
-
-/// `real-application`: the paper's fixed mapping, which fits only 16
-/// clusters of 4 cores.
-struct RealApplicationFactory;
-
-impl TrafficFactory for RealApplicationFactory {
-    fn name(&self) -> &str {
-        "real-application"
+    /// Builds a fresh traffic model for one run.
+    #[must_use]
+    pub fn build(&self, spec: &TrafficSpec) -> Box<dyn TrafficModel + Send> {
+        (self.build)(spec)
     }
 
-    fn build(&self, spec: &TrafficSpec) -> Box<dyn TrafficModel + Send> {
-        Box::new(RealApplicationTraffic::paper_mapping(
-            spec.topology,
-            spec.shape,
-            spec.load,
-            spec.seed,
-        ))
-    }
-
-    fn unsupported_topology(&self, topology: &ClusterTopology) -> Option<String> {
-        (!RealApplicationTraffic::fits(topology)).then(|| {
-            format!(
-                "the paper's mapping needs 16 clusters of 4 cores, not {} of {}",
-                topology.num_clusters(),
-                topology.cores_per_cluster()
-            )
-        })
+    /// Why the pattern cannot run on `topology`, or `None` when it can.
+    /// Scenarios ask it when they resolve, against the architecture's
+    /// effective topology, so a pattern that fits only some chips is a
+    /// typed error there instead of a panic in [`TrafficFactory::build`].
+    #[must_use]
+    pub fn unsupported_topology(&self, topology: &ClusterTopology) -> Option<String> {
+        (self.unsupported_topology)(topology)
     }
 }
 
@@ -164,86 +139,90 @@ fn permutation(spec: &TrafficSpec, kind: PermutationKind) -> Box<dyn TrafficMode
     ))
 }
 
-/// A registry of the built-in factories (see the module docs).
-fn builtin_patterns() -> Registry<dyn TrafficFactory> {
-    let f = |name: &'static str,
-             construct: fn(&TrafficSpec) -> Box<dyn TrafficModel + Send>|
-     -> Arc<dyn TrafficFactory> { Arc::new(FnFactory { name, construct }) };
-    let registry = Registry::new("traffic pattern", &PATTERN_ALIASES);
-    for factory in [
-        f("uniform-random", |s| {
-            Box::new(UniformRandomTraffic::new(
-                s.topology, s.shape, s.load, s.seed,
-            ))
-        }),
-        f("skewed-1", |s| skewed(s, SkewLevel::Skewed1)),
-        f("skewed-2", |s| skewed(s, SkewLevel::Skewed2)),
-        f("skewed-3", |s| skewed(s, SkewLevel::Skewed3)),
-        f("hotspot-10pct-skewed-2", |s| {
-            hotspot(s, 0.10, SkewLevel::Skewed2)
-        }),
-        f("hotspot-10pct-skewed-3", |s| {
-            hotspot(s, 0.10, SkewLevel::Skewed3)
-        }),
-        f("hotspot-20pct-skewed-2", |s| {
-            hotspot(s, 0.20, SkewLevel::Skewed2)
-        }),
-        f("hotspot-20pct-skewed-3", |s| {
-            hotspot(s, 0.20, SkewLevel::Skewed3)
-        }),
-        Arc::new(RealApplicationFactory),
-        f("transpose", |s| permutation(s, PermutationKind::Transpose)),
-        f("bit-reverse", |s| {
-            permutation(s, PermutationKind::BitReverse)
-        }),
-        f("tornado", |s| permutation(s, PermutationKind::Tornado)),
-        f("bursty-uniform", |s| {
-            Box::new(BurstyUniformTraffic::new(
-                s.topology, s.shape, s.load, s.seed,
-            ))
-        }),
-    ] {
-        registry.register(factory.name().to_string(), factory);
-    }
-    registry
+/// `real-application`: the paper's fixed mapping fits only 16 clusters of
+/// 4 cores.
+fn real_application_unsupported(topology: &ClusterTopology) -> Option<String> {
+    (!RealApplicationTraffic::fits(topology)).then(|| {
+        format!(
+            "the paper's mapping needs 16 clusters of 4 cores, not {} of {}",
+            topology.num_clusters(),
+            topology.cores_per_cluster()
+        )
+    })
 }
+
+/// The catalogue, sorted by name.
+static PATTERNS: [TrafficFactory; 13] = [
+    TrafficFactory::new("bit-reverse", |s| {
+        permutation(s, PermutationKind::BitReverse)
+    }),
+    TrafficFactory::new("bursty-uniform", |s| {
+        Box::new(BurstyUniformTraffic::new(
+            s.topology, s.shape, s.load, s.seed,
+        ))
+    }),
+    TrafficFactory::new("hotspot-10pct-skewed-2", |s| {
+        hotspot(s, 0.10, SkewLevel::Skewed2)
+    }),
+    TrafficFactory::new("hotspot-10pct-skewed-3", |s| {
+        hotspot(s, 0.10, SkewLevel::Skewed3)
+    }),
+    TrafficFactory::new("hotspot-20pct-skewed-2", |s| {
+        hotspot(s, 0.20, SkewLevel::Skewed2)
+    }),
+    TrafficFactory::new("hotspot-20pct-skewed-3", |s| {
+        hotspot(s, 0.20, SkewLevel::Skewed3)
+    }),
+    TrafficFactory {
+        name: "real-application",
+        build: |s| {
+            Box::new(RealApplicationTraffic::paper_mapping(
+                s.topology, s.shape, s.load, s.seed,
+            ))
+        },
+        unsupported_topology: real_application_unsupported,
+    },
+    TrafficFactory::new("skewed-1", |s| skewed(s, SkewLevel::Skewed1)),
+    TrafficFactory::new("skewed-2", |s| skewed(s, SkewLevel::Skewed2)),
+    TrafficFactory::new("skewed-3", |s| skewed(s, SkewLevel::Skewed3)),
+    TrafficFactory::new("tornado", |s| permutation(s, PermutationKind::Tornado)),
+    TrafficFactory::new("transpose", |s| permutation(s, PermutationKind::Transpose)),
+    TrafficFactory::new("uniform-random", |s| {
+        Box::new(UniformRandomTraffic::new(
+            s.topology, s.shape, s.load, s.seed,
+        ))
+    }),
+];
 
 /// Shorthand pattern names accepted by lookups, mapped to their canonical
-/// registry keys. Only the canonical names appear in
-/// [`registered_traffic_patterns`]; shorthands are a lookup convenience (e.g. the
-/// `repro --scenario firefly:uniform` CLI spelling).
-pub(crate) const PATTERN_ALIASES: [(&str, &str); 2] =
-    [("uniform", "uniform-random"), ("bursty", "bursty-uniform")];
+/// names. Only the canonical names appear in
+/// [`registered_traffic_patterns`]; shorthands are a lookup convenience (e.g.
+/// the `repro --scenario firefly:uniform` CLI spelling).
+const PATTERN_ALIASES: Aliases = &[("uniform", "uniform-random"), ("bursty", "bursty-uniform")];
 
-/// The process-global pattern catalogue, seeded with the built-ins.
-static PATTERNS: LazyLock<Registry<dyn TrafficFactory>> = LazyLock::new(builtin_patterns);
-
-/// Registers a factory into the process-global registry under its own name,
-/// replacing (and returning) any previous factory of the same name.
-pub fn register_traffic_factory(
-    factory: Arc<dyn TrafficFactory>,
-) -> Option<Arc<dyn TrafficFactory>> {
-    PATTERNS.register(factory.name().to_string(), factory)
-}
-
-/// Looks up a factory in the process-global registry: exact registered names
-/// always win; when nothing is registered under `name`, the
-/// shorthands (`uniform`, `bursty`) fall back to their canonical pattern, so a
-/// factory explicitly registered as `"uniform"` is never shadowed by the
-/// `uniform → uniform-random` convenience.
+/// Looks a pattern up by its name or shorthand (`uniform`, `bursty`).
 ///
 /// # Errors
 ///
-/// Returns [`UnknownNameError`] — which lists every registered name and
-/// suggests the nearest match — when no factory of that name is registered.
-pub fn lookup_traffic_factory(name: &str) -> Result<Arc<dyn TrafficFactory>, UnknownNameError> {
-    PATTERNS.lookup(name)
+/// Returns [`UnknownNameError`] — which lists every pattern and suggests the
+/// nearest name or shorthand — when neither resolves.
+pub fn lookup_traffic_factory(name: &str) -> Result<&'static TrafficFactory, UnknownNameError> {
+    lookup(
+        "traffic pattern",
+        &PATTERNS,
+        TrafficFactory::name,
+        PATTERN_ALIASES,
+        name,
+    )
 }
 
-/// Names registered in the process-global registry, sorted.
+/// Every pattern's name, sorted.
 #[must_use]
 pub fn registered_traffic_patterns() -> Vec<String> {
-    PATTERNS.names()
+    PATTERNS
+        .iter()
+        .map(|factory| factory.name.to_string())
+        .collect()
 }
 
 #[cfg(test)]
@@ -261,12 +240,6 @@ mod tests {
 
     #[test]
     fn registry_covers_the_paper_and_extended_scenarios() {
-        let registry = builtin_patterns();
-        assert!(
-            registry.len() >= 7,
-            "expected at least 7 built-in patterns, found {}",
-            registry.len()
-        );
         for name in [
             "uniform-random",
             "skewed-1",
@@ -280,17 +253,33 @@ mod tests {
             "tornado",
             "bursty-uniform",
         ] {
-            assert!(registry.get(name).is_some(), "pattern '{name}' missing");
+            let factory = lookup_traffic_factory(name).expect("in the catalogue");
+            assert_eq!(factory.name(), name);
+        }
+    }
+
+    #[test]
+    fn the_catalogue_is_sorted_and_its_aliases_are_shorthands() {
+        let names = registered_traffic_patterns();
+        assert!(
+            names.windows(2).all(|pair| pair[0] < pair[1]),
+            "names must be sorted and unique: {names:?}"
+        );
+        for &(alias, canonical) in PATTERN_ALIASES {
+            assert!(
+                names.iter().any(|name| name == canonical),
+                "{alias} → {canonical}"
+            );
+            assert!(!names.iter().any(|name| name == alias), "{alias} is a name");
         }
     }
 
     #[test]
     fn built_models_honour_the_spec() {
         // The spec's load reaches the model: silent at zero, sending at 0.01.
-        let registry = builtin_patterns();
         let topology = ClusterTopology::paper_default();
-        for name in registry.names() {
-            let factory = registry.get(&name).expect("listed");
+        for factory in &PATTERNS {
+            let name = factory.name();
             let packets = |load: f64| {
                 let mut model = factory.build(&TrafficSpec {
                     load: OfferedLoad::new(load),
@@ -309,9 +298,7 @@ mod tests {
 
     #[test]
     fn builds_are_reproducible_per_seed() {
-        let registry = builtin_patterns();
-        for name in registry.names() {
-            let factory = registry.get(&name).expect("listed");
+        for factory in &PATTERNS {
             let mut a = factory.build(&spec());
             let mut b = factory.build(&spec());
             for cycle in 0..2_000 {
@@ -319,7 +306,8 @@ mod tests {
                 assert_eq!(
                     a.next_packet(cycle, src),
                     b.next_packet(cycle, src),
-                    "pattern '{name}' is not reproducible for a fixed seed"
+                    "pattern '{}' is not reproducible for a fixed seed",
+                    factory.name()
                 );
             }
         }
@@ -337,32 +325,9 @@ mod tests {
         assert!(message.contains("unknown traffic pattern 'tornadoo'"));
         assert!(message.contains("uniform-random"));
         assert!(message.contains("did you mean 'tornado'?"));
-    }
-
-    #[test]
-    fn global_registry_serves_and_accepts_registrations() {
-        assert!(lookup_traffic_factory("uniform-random").is_ok());
-        assert!(registered_traffic_patterns().len() >= 7);
-
-        struct Custom;
-
-        impl TrafficFactory for Custom {
-            fn name(&self) -> &str {
-                "custom-test-pattern"
-            }
-
-            fn build(&self, spec: &TrafficSpec) -> Box<dyn TrafficModel + Send> {
-                Box::new(UniformRandomTraffic::new(
-                    spec.topology,
-                    spec.shape,
-                    spec.load,
-                    spec.seed,
-                ))
-            }
-        }
-
-        register_traffic_factory(Arc::new(Custom));
-        assert!(lookup_traffic_factory("custom-test-pattern").is_ok());
+        // A shorthand is a candidate too, after the names.
+        let error = lookup_traffic_factory("unifrm").expect_err("a typo");
+        assert_eq!(error.suggestion(), Some("uniform"));
     }
 
     #[test]

@@ -1,29 +1,24 @@
-//! The workload registry: the open-ended catalogue of closed-loop
-//! workloads, mirroring the architecture registry of `pnoc-sim` and the
-//! traffic registry of `pnoc-traffic`.
+//! The workload catalogue: the closed table of closed-loop workloads.
 //!
-//! A workload implements [`WorkloadFactory`] — a name plus a
-//! `build(spec) → Workload` constructor — and registers into the
-//! process-global catalogue (a [`pnoc_noc::registry::Registry`] behind
-//! [`register_workload_factory`] / [`lookup_workload_factory`]). Downstream
-//! harnesses resolve workloads by `NAME[:SIZE]` references ([`WorkloadRef`]);
-//! unknown names fail with the full catalogue and a "did you mean"
-//! suggestion, exactly like the other two registries.
-//!
-//! Built-in factories:
+//! A workload is one [`WorkloadFactory`] — a name and a
+//! `build(spec) → Workload` constructor — in one `static`, name-sorted
+//! table, resolved by [`lookup_workload_factory`] (through
+//! [`pnoc_noc::registry::lookup`]) and listed by [`registered_workloads`].
+//! Downstream harnesses resolve workloads by `NAME[:SIZE]` references
+//! ([`WorkloadRef`]); unknown names fail with the full catalogue and a "did
+//! you mean" suggestion, exactly like the other two catalogues.
 //!
 //! | name | alias | generator |
 //! |------|-------|-----------|
+//! | `all-to-all` | `shuffle` | [`crate::collectives::all_to_all`] |
+//! | `incast` | | [`crate::collectives::incast`] |
+//! | `parameter-server` | `ps` | [`crate::collectives::parameter_server`] |
 //! | `ring-allreduce` | `allreduce` | [`crate::collectives::ring_allreduce`] |
 //! | `tree-allreduce` | | [`crate::collectives::tree_allreduce`] |
-//! | `all-to-all` | `shuffle` | [`crate::collectives::all_to_all`] |
-//! | `parameter-server` | `ps` | [`crate::collectives::parameter_server`] |
-//! | `incast` | | [`crate::collectives::incast`] |
 
 use crate::collectives;
 use crate::dag::Workload;
-use pnoc_noc::registry::{Registry, UnknownNameError};
-use std::sync::{Arc, LazyLock};
+use pnoc_noc::registry::{lookup, Aliases, UnknownNameError};
 
 /// Default per-node payload of generated workloads: 16 KiB per participant,
 /// i.e. 64 packets of the universal 2048-bit packet — big enough that
@@ -51,112 +46,97 @@ impl WorkloadSpec {
     }
 }
 
-/// A factory for one closed-loop workload family.
-///
-/// Like the architecture and traffic factories, implementations are shared
-/// across sweep worker threads; [`WorkloadFactory::build`] must be a pure
-/// function of the spec so that batch deduplication and the parallel /
-/// sequential determinism guarantee hold.
-pub trait WorkloadFactory: Send + Sync {
-    /// Stable registry key (`"ring-allreduce"`, `"incast"`, ...).
-    fn name(&self) -> &str;
+/// Participant count of a [`WorkloadRef`] that omits `:SIZE`.
+const DEFAULT_SIZE: usize = 16;
 
-    /// Participant count used when a [`WorkloadRef`] omits `:SIZE`.
-    fn default_size(&self) -> usize {
-        16
+/// One closed-loop workload family of the catalogue (see the module docs).
+///
+/// Sweep worker threads share the `static` entries; [`WorkloadFactory::build`]
+/// is a pure function of the spec, so that batch deduplication, DAG sharing
+/// and the parallel / sequential determinism guarantee hold.
+#[derive(Debug)]
+pub struct WorkloadFactory {
+    name: &'static str,
+    build: fn(&WorkloadSpec) -> Workload,
+}
+
+impl WorkloadFactory {
+    /// The workload's canonical name (`"ring-allreduce"`, `"incast"`, ...).
+    #[must_use]
+    pub fn name(&self) -> &'static str {
+        self.name
     }
 
     /// Builds the workload for one run (valid by construction: see
     /// [`crate::dag::WorkloadBuilder::finish`]).
-    fn build(&self, spec: &WorkloadSpec) -> Workload;
-}
-
-/// A [`WorkloadFactory`] from a name and a plain constructor function.
-struct FnWorkloadFactory {
-    name: &'static str,
-    construct: fn(&WorkloadSpec) -> Workload,
-}
-
-impl WorkloadFactory for FnWorkloadFactory {
-    fn name(&self) -> &str {
-        self.name
-    }
-
-    fn build(&self, spec: &WorkloadSpec) -> Workload {
-        (self.construct)(spec)
+    #[must_use]
+    pub fn build(&self, spec: &WorkloadSpec) -> Workload {
+        (self.build)(spec)
     }
 }
 
-/// A registry of the built-in factories (see the module docs) — what the
-/// process-global catalogue starts from.
-#[must_use]
-pub fn builtin_workloads() -> Registry<dyn WorkloadFactory> {
-    let f = |name: &'static str,
-             construct: fn(&WorkloadSpec) -> Workload|
-     -> Arc<dyn WorkloadFactory> { Arc::new(FnWorkloadFactory { name, construct }) };
-    let registry = Registry::new("workload", &WORKLOAD_ALIASES);
-    for factory in [
-        f("ring-allreduce", |s| {
-            collectives::ring_allreduce(s.size, s.bytes_per_node)
-        }),
-        f("tree-allreduce", |s| {
-            collectives::tree_allreduce(s.size, s.bytes_per_node)
-        }),
-        f("all-to-all", |s| {
-            collectives::all_to_all(s.size, s.bytes_per_node)
-        }),
-        f("parameter-server", |s| {
-            collectives::parameter_server(s.size, s.bytes_per_node)
-        }),
-        f("incast", |s| collectives::incast(s.size, s.bytes_per_node)),
-    ] {
-        registry.register(factory.name().to_string(), factory);
-    }
-    registry
-}
+/// The catalogue, sorted by name.
+static WORKLOADS: [WorkloadFactory; 5] = [
+    WorkloadFactory {
+        name: "all-to-all",
+        build: |s| collectives::all_to_all(s.size, s.bytes_per_node),
+    },
+    WorkloadFactory {
+        name: "incast",
+        build: |s| collectives::incast(s.size, s.bytes_per_node),
+    },
+    WorkloadFactory {
+        name: "parameter-server",
+        build: |s| collectives::parameter_server(s.size, s.bytes_per_node),
+    },
+    WorkloadFactory {
+        name: "ring-allreduce",
+        build: |s| collectives::ring_allreduce(s.size, s.bytes_per_node),
+    },
+    WorkloadFactory {
+        name: "tree-allreduce",
+        build: |s| collectives::tree_allreduce(s.size, s.bytes_per_node),
+    },
+];
 
 /// Shorthand workload names accepted by lookups, mapped to their canonical
-/// registry keys (the same convention as `pnoc-traffic`'s pattern aliases:
-/// only canonical names appear in the catalogue).
-pub(crate) const WORKLOAD_ALIASES: [(&str, &str); 3] = [
+/// names (the same convention as `pnoc-traffic`'s pattern aliases: only
+/// canonical names appear in the catalogue).
+const WORKLOAD_ALIASES: Aliases = &[
     ("allreduce", "ring-allreduce"),
     ("shuffle", "all-to-all"),
     ("ps", "parameter-server"),
 ];
 
-/// The process-global workload catalogue, seeded with the built-ins.
-static WORKLOADS: LazyLock<Registry<dyn WorkloadFactory>> = LazyLock::new(builtin_workloads);
-
-/// Registers a factory into the process-global registry under its own name,
-/// replacing (and returning) any previous factory of the same name.
-pub fn register_workload_factory(
-    factory: Arc<dyn WorkloadFactory>,
-) -> Option<Arc<dyn WorkloadFactory>> {
-    WORKLOADS.register(factory.name().to_string(), factory)
-}
-
-/// Looks up a factory in the process-global registry: exact registered names
-/// always win; when nothing is registered under `name`, the
-/// shorthands (`allreduce`, `shuffle`, `ps`) fall back to their canonical
-/// workload.
+/// Looks a workload up by its name or shorthand (`allreduce`, `shuffle`,
+/// `ps`).
 ///
 /// # Errors
 ///
-/// Returns [`UnknownNameError`] — which lists every registered name and
-/// suggests the nearest match — when no factory of that name is registered.
-pub fn lookup_workload_factory(name: &str) -> Result<Arc<dyn WorkloadFactory>, UnknownNameError> {
-    WORKLOADS.lookup(name)
+/// Returns [`UnknownNameError`] — which lists every workload and suggests
+/// the nearest name or shorthand — when neither resolves.
+pub fn lookup_workload_factory(name: &str) -> Result<&'static WorkloadFactory, UnknownNameError> {
+    lookup(
+        "workload",
+        &WORKLOADS,
+        WorkloadFactory::name,
+        WORKLOAD_ALIASES,
+        name,
+    )
 }
 
-/// Names registered in the process-global registry, sorted.
+/// Every workload's name, sorted.
 #[must_use]
 pub fn registered_workloads() -> Vec<String> {
-    WORKLOADS.names()
+    WORKLOADS
+        .iter()
+        .map(|factory| factory.name.to_string())
+        .collect()
 }
 
 /// A `NAME[:SIZE]` workload reference — the spelling accepted by `repro
 /// --workload` and stored in scenario specs. `SIZE` is the participant
-/// count; omitted, the factory's [`WorkloadFactory::default_size`] applies.
+/// count; omitted, 16 participants apply.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WorkloadRef {
     /// Workload name (canonical or alias).
@@ -198,16 +178,15 @@ impl WorkloadRef {
         })
     }
 
-    /// Resolves the reference against the process-global registry, returning
-    /// the factory and the effective participant count.
+    /// Resolves the reference against the catalogue, returning the factory
+    /// and the effective participant count.
     ///
     /// # Errors
     ///
-    /// Returns [`UnknownNameError`] when the name is not registered.
-    pub fn resolve(&self) -> Result<(Arc<dyn WorkloadFactory>, usize), UnknownNameError> {
+    /// Returns [`UnknownNameError`] when the name is not in the catalogue.
+    pub fn resolve(&self) -> Result<(&'static WorkloadFactory, usize), UnknownNameError> {
         let factory = lookup_workload_factory(&self.name)?;
-        let size = self.size.unwrap_or_else(|| factory.default_size());
-        Ok((factory, size))
+        Ok((factory, self.size.unwrap_or(DEFAULT_SIZE)))
     }
 }
 
@@ -226,25 +205,41 @@ mod tests {
 
     #[test]
     fn builtins_cover_the_canonical_collectives() {
-        let registry = builtin_workloads();
-        for name in [
-            "ring-allreduce",
-            "tree-allreduce",
-            "all-to-all",
-            "parameter-server",
-            "incast",
-        ] {
-            assert!(registry.get(name).is_some(), "workload '{name}' missing");
+        assert_eq!(
+            registered_workloads(),
+            [
+                "all-to-all",
+                "incast",
+                "parameter-server",
+                "ring-allreduce",
+                "tree-allreduce",
+            ]
+        );
+        for name in registered_workloads() {
+            let factory = lookup_workload_factory(&name).expect("listed");
+            assert_eq!(factory.name(), name);
         }
-        assert_eq!(registry.len(), 5);
-        assert!(!registry.is_empty());
+    }
+
+    #[test]
+    fn the_catalogue_is_sorted_and_its_aliases_are_shorthands() {
+        let names = registered_workloads();
+        assert!(
+            names.windows(2).all(|pair| pair[0] < pair[1]),
+            "names must be sorted and unique: {names:?}"
+        );
+        for &(alias, canonical) in WORKLOAD_ALIASES {
+            assert!(
+                names.iter().any(|name| name == canonical),
+                "{alias} → {canonical}"
+            );
+            assert!(!names.iter().any(|name| name == alias), "{alias} is a name");
+        }
     }
 
     #[test]
     fn built_workloads_validate_and_scale_with_the_spec() {
-        let registry = builtin_workloads();
-        for name in registry.names() {
-            let factory = registry.get(&name).expect("just listed");
+        for factory in &WORKLOADS {
             for size in [2usize, 5, 16] {
                 let spec = WorkloadSpec {
                     size,
@@ -253,7 +248,8 @@ mod tests {
                 let workload = factory.build(&spec);
                 assert!(
                     workload.max_core() < size,
-                    "workload '{name}' uses cores beyond its size"
+                    "workload '{}' uses cores beyond its size",
+                    factory.name()
                 );
             }
         }
@@ -288,6 +284,14 @@ mod tests {
             "{message}"
         );
         assert!(message.contains("incast"));
+        // Shorthands are candidates too, after the names.
+        for (typo, alias) in [("alreduce", "allreduce"), ("shufle", "shuffle")] {
+            let error = lookup_workload_factory(typo).expect_err("a typo");
+            assert_eq!(error.suggestion(), Some(alias));
+            assert!(error
+                .to_string()
+                .ends_with(&format!("tree-allreduce] — did you mean '{alias}'?")));
+        }
     }
 
     #[test]
@@ -297,7 +301,7 @@ mod tests {
         assert_eq!(bare.to_string(), "incast");
         let (factory, size) = bare.resolve().expect("registered");
         assert_eq!(factory.name(), "incast");
-        assert_eq!(size, factory.default_size());
+        assert_eq!(size, DEFAULT_SIZE);
 
         let sized = WorkloadRef::parse("allreduce:64").unwrap();
         assert_eq!(sized.size, Some(64));
@@ -309,23 +313,5 @@ mod tests {
         for bad in ["", ":8", "allreduce:zero", "allreduce:0", "a:1:2"] {
             assert!(WorkloadRef::parse(bad).is_err(), "'{bad}' should fail");
         }
-    }
-
-    #[test]
-    fn custom_factories_register_into_the_global_registry() {
-        struct Custom;
-
-        impl WorkloadFactory for Custom {
-            fn name(&self) -> &str {
-                "custom-test-workload"
-            }
-
-            fn build(&self, spec: &WorkloadSpec) -> Workload {
-                collectives::incast(spec.size, spec.bytes_per_node)
-            }
-        }
-
-        register_workload_factory(Arc::new(Custom));
-        assert!(lookup_workload_factory("custom-test-workload").is_ok());
     }
 }

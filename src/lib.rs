@@ -16,8 +16,8 @@
 //! ## Quick start: the scenario API
 //!
 //! One experiment is one [`ScenarioSpec`](sim::scenario::ScenarioSpec): the
-//! architecture and workload by registry name, the bandwidth set, the effort
-//! level and the base seed — typed, validated against the registries (with
+//! architecture and workload by catalogue name, the bandwidth set, the
+//! effort level and the base seed — typed, validated against the catalogues (with
 //! "did you mean" suggestions on typos) and serializable. Running it sweeps
 //! the offered-load ladder in parallel, each point an independent
 //! deterministic simulation, bitwise-identical to a sequential run:
@@ -93,10 +93,10 @@ pub use pnoc_photonics as photonics;
 /// Cycle-accurate simulation engine.
 pub use pnoc_sim as sim;
 /// Traffic generators (uniform, skewed, hotspot, GPU applications,
-/// permutation, bursty) and the traffic registry.
+/// permutation, bursty) and their closed catalogue.
 pub use pnoc_traffic as traffic;
-/// Flow-level workloads: collective DAG generators and the workload
-/// registry behind the closed-loop scenario variant.
+/// Flow-level workloads: collective DAG generators and their closed
+/// catalogue, behind the closed-loop scenario variant.
 pub use pnoc_workload as workload;
 
 /// Registers every architecture of this workspace into the process-global

@@ -22,7 +22,9 @@ use d_hetpnoc_repro::traffic::factory::{
 use d_hetpnoc_repro::traffic::pattern::PacketShape;
 use d_hetpnoc_repro::workload::dag::Workload;
 use d_hetpnoc_repro::workload::flow::FlowId;
-use d_hetpnoc_repro::workload::registry::{builtin_workloads, WorkloadSpec};
+use d_hetpnoc_repro::workload::registry::{
+    lookup_workload_factory, registered_workloads, WorkloadSpec,
+};
 use proptest::prelude::*;
 use std::sync::Arc;
 
@@ -228,9 +230,8 @@ proptest! {
         cut in 1usize..=64,
         whole_chip in any::<bool>(),
     ) {
-        let registry = builtin_workloads();
-        for name in registry.names() {
-            let factory = registry.get(&name).expect("just listed");
+        for name in registered_workloads() {
+            let factory = lookup_workload_factory(&name).expect("just listed");
             let workload = factory.build(&WorkloadSpec { size, bytes_per_node: bytes });
             let polled = if whole_chip { 64 } else { cut };
             lock_step(workload, polled, seed)?;

@@ -2,7 +2,9 @@
 //! its declared parameters at in-range, out-of-range and wrong-kind values,
 //! open-loop patterns or `NAME:SIZE` workload references, and the fault
 //! presets, it returns a scenario or a typed [`ScenarioError`] and never
-//! panics. The draws come from a fixed-seed generator, so a failure names a
+//! panics. So is the shorthand grammar: mangled `--scenario` text goes
+//! through `ScenarioSpec::parse_shorthand` and then `resolve` without a
+//! panic. The draws come from a fixed-seed generator, so a failure names a
 //! spec that fails again on every run.
 
 use d_hetpnoc_repro::prelude::*;
@@ -125,5 +127,69 @@ fn resolve_returns_a_scenario_or_a_typed_error() {
     assert!(
         resolved > DRAWS / 5 && rejected > DRAWS / 5,
         "{resolved} resolved, {rejected} rejected of {DRAWS}"
+    );
+}
+
+/// Mangled shorthands drawn per run.
+const MANGLED: usize = 40_000;
+
+/// `--scenario` shorthands that resolve, which the mangling starts from:
+/// parameter blocks, a leaf, every optional part, aliases and fault plans with
+/// colons, slashes and commas of their own.
+const SHORTHANDS: [&str; 8] = [
+    "d-hetpnoc:tornado:set2",
+    "firefly{radix=8}:uniform:1:smoke",
+    "uniform-fabric{wavelengths=16}:bursty:set3:quick",
+    "hier{pods=4,leaf=firefly,spine_latency=0}:skewed-3:1:smoke",
+    "hier{pods=1,leaf=d-hetpnoc}:real-application",
+    "firefly:tornado#faults=link-fail@c150:sw1,laser-dim@c200:fabric/2",
+    "d-hetpnoc{policy=paper-max,max_wavelengths=32}:hotspot-20pct-skewed-3:2:paper#faults=rolling-links",
+    "uniform-fabric:transpose#faults=none",
+];
+
+/// What an edit inserts or writes: the grammar's punctuation, digits,
+/// letters and one multi-byte character.
+const ALPHABET: &str = "{}=,:#@-/0123456789aeflrsxzλ";
+
+/// `text` after one to three random character insertions, deletions and
+/// replacements.
+fn mangle(text: &str, draws: &mut Draws) -> String {
+    let alphabet: Vec<char> = ALPHABET.chars().collect();
+    let mut chars: Vec<char> = text.chars().collect();
+    for _ in 0..=draws.below(3) {
+        let at = draws.below(chars.len() + 1);
+        let c = *draws.pick(&alphabet);
+        match draws.below(3) {
+            0 => chars.insert(at, c),
+            _ if at == chars.len() => chars.push(c),
+            1 => drop(chars.remove(at)),
+            _ => chars[at] = c,
+        }
+    }
+    chars.into_iter().collect()
+}
+
+#[test]
+fn mangled_shorthands_parse_and_resolve_or_fail_typed() {
+    d_hetpnoc_repro::install_architectures();
+    let mut draws = Draws(0x5eed_0f5c_e4a2_2000);
+    let (mut resolved, mut rejected) = (0, 0);
+    for _ in 0..MANGLED {
+        let shorthand = SHORTHANDS[draws.below(SHORTHANDS.len())];
+        let text = mangle(shorthand, &mut draws);
+        let outcome = catch_unwind(AssertUnwindSafe(|| {
+            ScenarioSpec::parse_shorthand(&text).and_then(|spec| spec.resolve().map(drop))
+        }));
+        match outcome {
+            Ok(Ok(())) => resolved += 1,
+            Ok(Err(_)) => rejected += 1,
+            Err(_) => panic!("parse or resolve panicked on {text:?}"),
+        }
+    }
+    // About one mangle in a hundred still resolves (an edit inside a number
+    // or a fault time), so both outcomes are visited.
+    assert!(
+        resolved > MANGLED / 200 && rejected > MANGLED / 2,
+        "{resolved} resolved, {rejected} rejected of {MANGLED}"
     );
 }

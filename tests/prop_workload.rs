@@ -10,7 +10,9 @@ use d_hetpnoc_repro::workload::collectives::{
 };
 use d_hetpnoc_repro::workload::dag::Workload;
 use d_hetpnoc_repro::workload::flow::FlowId;
-use d_hetpnoc_repro::workload::registry::{builtin_workloads, registered_workloads, WorkloadSpec};
+use d_hetpnoc_repro::workload::registry::{
+    lookup_workload_factory, registered_workloads, WorkloadSpec,
+};
 use proptest::prelude::*;
 
 /// Every structural invariant the closed-loop driver relies on, re-checked
@@ -118,17 +120,16 @@ proptest! {
         prop_assert_eq!(fanin.total_bytes(), incast_total_bytes(nodes, bytes));
     }
 
-    /// Every registered factory (the registry surface the scenario engine
-    /// resolves against) builds a valid, size-respecting DAG whose packet
+    /// Every catalogue entry (what the scenario engine resolves against)
+    /// builds a valid, size-respecting DAG whose packet
     /// count covers its byte count.
     #[test]
     fn every_registered_workload_builds_a_valid_dag(
         size in 2usize..64,
         bytes in 1u64..100_000,
     ) {
-        let registry = builtin_workloads();
-        for name in registry.names() {
-            let factory = registry.get(&name).expect("just listed");
+        for name in registered_workloads() {
+            let factory = lookup_workload_factory(&name).expect("just listed");
             let workload = factory.build(&WorkloadSpec { size, bytes_per_node: bytes });
             assert_valid_dag(&workload, size);
             // Packet accounting covers the byte volume (2048-bit packets).

@@ -1,15 +1,12 @@
 //! Resolving a workload scenario shares one DAG between every scenario with
 //! the same workload key — the factory's canonical name, the spec it builds
 //! and the architecture's placement map — for as long as one of them holds
-//! it, and keeps every per-topology check on every resolve.
+//! it.
 //!
 //! The intern is process-wide and the tests of this file run side by side,
 //! so a test that watches a DAG die uses a key no other test resolves.
 
 use d_hetpnoc_repro::prelude::*;
-use pnoc_noc::traffic_model::TrafficModel;
-use pnoc_workload::registry::register_workload_factory;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Weak};
 
 fn resolve(architecture: &str, workload: &str, faults: &str) -> Scenario {
@@ -106,106 +103,5 @@ fn the_intern_retains_no_dag() {
     assert!(
         weak.upgrade().is_none(),
         "a DAG outlived every scenario that held it"
-    );
-}
-
-/// Builds an incast over cores `0..40` whatever size it is asked for, and
-/// counts its builds.
-struct FortyCores;
-
-static FORTY_CORE_BUILDS: AtomicUsize = AtomicUsize::new(0);
-
-impl WorkloadFactory for FortyCores {
-    fn name(&self) -> &str {
-        "forty-cores"
-    }
-
-    fn build(&self, spec: &WorkloadSpec) -> Workload {
-        FORTY_CORE_BUILDS.fetch_add(1, Ordering::Relaxed);
-        incast(40, spec.bytes_per_node)
-    }
-}
-
-/// The uniform fabric on a 16-core topology: four clusters of four cores.
-struct SixteenCores;
-
-impl ArchitectureBuilder for SixteenCores {
-    fn name(&self) -> &str {
-        "sixteen-cores"
-    }
-
-    fn effective_config(&self, mut config: SimConfig, _params: &ResolvedParams) -> SimConfig {
-        config.topology = ClusterTopology::new(4, 4);
-        config
-    }
-
-    fn build(
-        &self,
-        config: SimConfig,
-        _params: &ResolvedParams,
-        traffic: Box<dyn TrafficModel + Send>,
-    ) -> Box<dyn CycleNetwork> {
-        let uniform = lookup_architecture("uniform-fabric").expect("built in");
-        uniform.build(config, &uniform.default_params(), traffic)
-    }
-}
-
-#[test]
-fn a_reused_dag_is_still_checked_against_the_topology() {
-    register_workload_factory(Arc::new(FortyCores));
-    register_architecture(Arc::new(SixteenCores));
-    let held = resolve("d-hetpnoc", "forty-cores:4", "");
-    assert_eq!(dag(&held).max_core(), 39);
-    let error = ScenarioSpec::closed_loop("sixteen-cores", "forty-cores:4")
-        .resolve()
-        .expect_err("40 cores on a 16-core topology");
-    assert!(
-        matches!(
-            error,
-            ScenarioError::WorkloadTooLarge {
-                size: 40,
-                num_cores: 16,
-                ..
-            }
-        ),
-        "{error:?}"
-    );
-    assert_eq!(
-        FORTY_CORE_BUILDS.load(Ordering::Relaxed),
-        1,
-        "the second resolve must reuse the held DAG"
-    );
-}
-
-/// An incast over `size` cores that counts its builds, registered under a
-/// name no other test uses.
-struct CountedIncast(&'static AtomicUsize);
-
-impl WorkloadFactory for CountedIncast {
-    fn name(&self) -> &str {
-        "counted-incast"
-    }
-
-    fn build(&self, spec: &WorkloadSpec) -> Workload {
-        self.0.fetch_add(1, Ordering::Relaxed);
-        incast(spec.size, spec.bytes_per_node)
-    }
-}
-
-#[test]
-fn a_factory_registered_over_a_name_builds_afresh() {
-    static FIRST: AtomicUsize = AtomicUsize::new(0);
-    static SECOND: AtomicUsize = AtomicUsize::new(0);
-    register_workload_factory(Arc::new(CountedIncast(&FIRST)));
-    let held = resolve("d-hetpnoc", "counted-incast:8", "");
-    register_workload_factory(Arc::new(CountedIncast(&SECOND)));
-    let rebuilt = resolve("firefly", "counted-incast:8", "");
-    assert!(!Arc::ptr_eq(dag(&held), dag(&rebuilt)));
-    assert_eq!(
-        (
-            FIRST.load(Ordering::Relaxed),
-            SECOND.load(Ordering::Relaxed)
-        ),
-        (1, 1)
     );
 }
