@@ -14,7 +14,9 @@ use pnoc_bench::runner::ensure_registered;
 use pnoc_bench::scenario_io::matrix_json;
 use pnoc_sim::config::BandwidthSet;
 use pnoc_sim::metrics::render_jsonl_row;
-use pnoc_sim::scenario::{run_specs, run_specs_with_cache, Effort, ScenarioMatrix, ScenarioSpec};
+use pnoc_sim::scenario::{
+    run_specs, run_specs_with_cache, Effort, MatrixResult, ScenarioMatrix, ScenarioSpec,
+};
 use pnoc_store::{Json, ResultStore};
 use std::path::PathBuf;
 
@@ -150,8 +152,10 @@ fn uniform_fabric_rows_equal_firefly_rows_healthy_and_under_every_preset() {
 /// its reservation: at set 3 its widest channel's 64 wavelength identifiers
 /// take two cycles (Section 3.4.1.1). So healthy `d-hetpnoc:uniform-random`
 /// reports Firefly's batch JSON but for `spec` and `id` at sets 1 and 2,
-/// and `firefly{reservation_cycles=2}`'s at set 3. The two never share a run:
-/// a class table's pools depend on its retarget hook's history.
+/// and `firefly{reservation_cycles=2}`'s at set 3. The law is checked on
+/// separate simulations, each spec in its own batch; a joint batch then
+/// renders each pair's table to one network id and simulates half its
+/// points, with every scenario unchanged.
 #[test]
 fn uniform_random_dhetpnoc_reports_firefly_but_for_the_set_3_reservation() {
     ensure_registered();
@@ -169,14 +173,18 @@ fn uniform_random_dhetpnoc_reports_firefly_but_for_the_set_3_reservation() {
             })
         })
         .collect();
-    let batch = run_specs(&specs).expect("registered names");
-    assert_eq!(
-        batch.cache.simulated, batch.unique_points,
-        "d-hetpnoc must simulate apart from firefly"
-    );
-    let Some(Json::Arr(scenarios)) = matrix_json(&batch).get("scenarios").cloned() else {
-        panic!("a batch document lists its scenarios");
+    let scenarios_of = |batch: &MatrixResult| match matrix_json(batch).get("scenarios") {
+        Some(Json::Arr(scenarios)) => scenarios.clone(),
+        _ => panic!("a batch document lists its scenarios"),
     };
+    let apart: Vec<Json> = specs
+        .iter()
+        .flat_map(|spec| {
+            let alone = run_specs(std::slice::from_ref(spec)).expect("registered names");
+            assert_eq!(alone.cache.simulated, alone.unique_points);
+            scenarios_of(&alone)
+        })
+        .collect();
     let unlabelled = |scenario: &Json| match scenario {
         Json::Obj(fields) => fields
             .iter()
@@ -185,12 +193,28 @@ fn uniform_random_dhetpnoc_reports_firefly_but_for_the_set_3_reservation() {
             .collect::<Vec<_>>(),
         other => panic!("a scenario is an object, got {other:?}"),
     };
-    assert_eq!(scenarios.len(), 6);
-    for (pair, set) in scenarios.chunks(2).zip(BandwidthSet::ALL) {
+    assert_eq!(apart.len(), 6);
+    for (pair, set) in apart.chunks(2).zip(BandwidthSet::ALL) {
         assert_eq!(
             unlabelled(&pair[0]),
             unlabelled(&pair[1]),
             "{set:?}: d-hetpnoc must report the matching firefly document"
+        );
+    }
+
+    let batch = run_specs(&specs).expect("registered names");
+    assert_eq!(
+        2 * batch.cache.simulated,
+        batch.unique_points,
+        "each d-hetpnoc point must share its firefly twin's run"
+    );
+    let joint = scenarios_of(&batch);
+    assert_eq!(joint.len(), apart.len());
+    for (shared, alone) in joint.iter().zip(&apart) {
+        assert_eq!(
+            shared.render(),
+            alone.render(),
+            "sharing changed a scenario"
         );
     }
 }

@@ -1,15 +1,25 @@
-//! The law batch sharing rests on: `firefly{radix=R}` and
-//! `uniform-fabric{wavelengths=W}` with equal channel widths
-//! (`total/R == W/16`, each at least 1) build one network, so a batch runs
-//! each of their points once. Over a drawn bandwidth set, open-loop pattern
-//! at one load of its smoke ladder or closed-loop collective, fault preset,
-//! seed and equal-width pair, the
-//! batch must be bitwise-identical to the sequential reference (which
-//! shares nothing), write byte-identical JSONL, simulate half its unique
-//! points, and report the two architectures' rows equal but for their
-//! `scenario` label. A one-cycle-longer reservation or one wavelength more
-//! or fewer per channel is another network and must not share. The vendored
-//! `proptest` does not shrink, so every failure message carries the case.
+//! The law batch sharing rests on: two architecture spellings that build
+//! one network share its runs, and the batch is bitwise-identical to the
+//! sequential reference (which shares nothing).
+//!
+//! - `firefly{radix=R}` and `uniform-fabric{wavelengths=W}` with equal
+//!   channel widths (`total/R == W/16`, each at least 1) build one channel
+//!   table. Over a drawn bandwidth set, open-loop pattern at one load of its
+//!   smoke ladder or closed-loop collective, fault preset, seed and
+//!   equal-width pair, the batch must write byte-identical JSONL, simulate
+//!   half its unique points, and report the two architectures' rows equal
+//!   but for their `scenario` label. A one-cycle-longer reservation or one
+//!   wavelength more or fewer per channel is another network and must not
+//!   share.
+//! - On healthy uniform-class demand (`uniform-random`, `tornado`,
+//!   `bursty-uniform`) d-HetPNoC's class table, under either policy, is
+//!   Firefly's channel table, with set 3's two-cycle reservation. The three
+//!   share every run. Skewed demand, a binding cap, or a fault plan
+//!   (`laser-dim`, `wavelength-degrade`) that the two width rules answer
+//!   differently, is another network and must not share.
+//!
+//! The vendored `proptest` does not shrink, so every failure message
+//! carries the case.
 
 use pnoc_bench::runner::ensure_registered;
 use pnoc_sim::config::BandwidthSet;
@@ -33,6 +43,17 @@ const RADICES: [usize; 6] = [2, 4, 8, 16, 32, 64];
 /// channel narrows (`incast:8` takes ≈ 3× the cycles at radix 64 as at 16),
 /// so closed-loop draws keep to the radices up to the paper's 16.
 const CLOSED_LOOP_RADICES: usize = 4;
+/// The patterns whose every cluster pair demands one class.
+const UNIFORM_CLASS_PATTERNS: [&str; 3] = ["uniform-random", "tornado", "bursty-uniform"];
+
+/// The Firefly spelling of d-HetPNoC's table under uniform-class demand:
+/// the paper's radix, with set 3's two-cycle reservation.
+fn firefly_twin(set: BandwidthSet) -> String {
+    match set {
+        BandwidthSet::Set3 => "firefly{reservation_cycles=2}".to_string(),
+        _ => "firefly".to_string(),
+    }
+}
 
 /// The two architecture entries of one equal-width pair: `firefly` at
 /// `radix` and `uniform-fabric` with a budget that floors to the same
@@ -73,6 +94,18 @@ fn matrix(
         .with_effort(Effort::Smoke)
         .loads();
     matrix.traffics([payload]).ladder(vec![ladder[load_index]])
+}
+
+/// Scenario `index`'s JSONL rows with their `scenario` label cleared.
+fn unlabelled(result: &MatrixResult, index: usize) -> Vec<String> {
+    result.scenarios[index]
+        .metric_rows()
+        .into_iter()
+        .map(|mut row| {
+            row.scenario.clear();
+            render_jsonl_row(&row)
+        })
+        .collect()
 }
 
 fn jsonl(result: &MatrixResult) -> Vec<u8> {
@@ -121,18 +154,13 @@ proptest! {
             case
         );
 
-        let unlabelled = |index: usize| -> Vec<String> {
-            batched.scenarios[index]
-                .metric_rows()
-                .into_iter()
-                .map(|mut row| {
-                    row.scenario.clear();
-                    render_jsonl_row(&row)
-                })
-                .collect()
-        };
         prop_assert_eq!(batched.scenarios.len(), 2, "{}", case);
-        prop_assert_eq!(unlabelled(0), unlabelled(1), "rows differ: {}", case);
+        prop_assert_eq!(
+            unlabelled(&batched, 0),
+            unlabelled(&batched, 1),
+            "rows differ: {}",
+            case
+        );
     }
 
 }
@@ -166,6 +194,93 @@ proptest! {
                 batched.unique_points,
                 "{:?} on {:?} shared a run",
                 pair,
+                set
+            );
+            prop_assert_eq!(batched.unique_points, 2);
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(6))]
+
+    #[test]
+    fn a_class_table_equal_to_a_channel_table_shares_its_runs_bitwise(
+        set_index in 0usize..3,
+        pattern_index in 0usize..UNIFORM_CLASS_PATTERNS.len(),
+        load_index in 0usize..3,
+        seed in 0u64..u64::MAX,
+    ) {
+        ensure_registered();
+        let set = BandwidthSet::ALL[set_index];
+        let pattern = UNIFORM_CLASS_PATTERNS[pattern_index];
+        let architectures = [
+            "d-hetpnoc".to_string(),
+            "d-hetpnoc{policy=paper-max}".to_string(),
+            firefly_twin(set),
+        ];
+        let case = format!(
+            "{architectures:?} × {pattern} (load {load_index}) × {set:?} × seed {seed}"
+        );
+
+        let matrix = matrix(&architectures, pattern, load_index, set, "", seed);
+        let batched = matrix.run().expect("the case resolves");
+        let sequential = matrix.run_sequential().expect("the case resolves");
+        prop_assert!(batched.bitwise_eq(&sequential), "batch ≠ sequential: {case}");
+        prop_assert_eq!(jsonl(&batched), jsonl(&sequential), "JSONL differs: {}", case);
+        prop_assert_eq!(
+            3 * batched.cache.simulated,
+            batched.unique_points,
+            "one table must share every run: {}",
+            case
+        );
+        prop_assert_eq!(
+            unlabelled(&batched, 0),
+            unlabelled(&batched, 2),
+            "rows differ: {}",
+            case
+        );
+        prop_assert_eq!(
+            unlabelled(&batched, 1),
+            unlabelled(&batched, 2),
+            "rows differ: {}",
+            case
+        );
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(3))]
+
+    #[test]
+    fn another_demand_cap_or_fault_plan_is_another_network(
+        set_index in 0usize..3,
+        seed in 0u64..u64::MAX,
+    ) {
+        ensure_registered();
+        let set = BandwidthSet::ALL[set_index];
+        let pair = |dhet: &str, firefly: String| [dhet.to_string(), firefly];
+        let controls = [
+            (pair("d-hetpnoc", "firefly".into()), "skewed-3", ""),
+            (pair("d-hetpnoc{max_wavelengths=2}", firefly_twin(set)), "uniform-random", ""),
+            (pair("d-hetpnoc", firefly_twin(set)), "uniform-random", "laser-dim@c200:fabric/2"),
+            (
+                pair("d-hetpnoc", firefly_twin(set)),
+                "uniform-random",
+                "wavelength-degrade@c200:class-high/2",
+            ),
+        ];
+        for (pair, pattern, plan) in controls {
+            let batched = matrix(&pair, pattern, 2, set, plan, seed)
+                .run()
+                .expect("the control resolves");
+            prop_assert_eq!(
+                batched.cache.simulated,
+                batched.unique_points,
+                "{:?} × {} × faults '{}' on {:?} shared a run",
+                pair,
+                pattern,
+                plan,
                 set
             );
             prop_assert_eq!(batched.unique_points, 2);

@@ -8,7 +8,7 @@ use pnoc_sim::config::SimConfig;
 use pnoc_sim::engine::CycleNetwork;
 use pnoc_sim::params::{ParamSchema, ResolvedParams};
 use pnoc_sim::registry::{register_architecture, ArchitectureBuilder};
-use pnoc_sim::system::PhotonicSystem;
+use pnoc_sim::system::{PhotonicFabric, PhotonicSystem};
 use pnoc_traffic::demand::DemandMatrix;
 use std::sync::Arc;
 
@@ -76,18 +76,43 @@ impl ArchitectureBuilder for DhetPnocArchitecture {
         params: &ResolvedParams,
         traffic: Box<dyn TrafficModel + Send>,
     ) -> Box<dyn CycleNetwork> {
-        let policy = match params.choice("policy") {
-            "paper-max" => AllocationPolicy::PaperMax,
-            _ => AllocationPolicy::Proportional,
-        };
-        let max_wavelengths = match params.int("max_wavelengths") {
-            0 => DhetFabric::default_max_channel_wavelengths(&config),
-            n => n as usize,
-        };
-        let demand = DemandMatrix::from_model(&*traffic, config.topology.num_clusters());
-        let fabric = DhetFabric::with_options(&config, demand, policy, max_wavelengths);
-        Box::new(PhotonicSystem::new(config, fabric.into_fabric(), traffic))
+        let fabric = dhet_fabric(&config, params, &*traffic);
+        Box::new(PhotonicSystem::new(config, fabric, traffic))
     }
+
+    /// With the point's traffic, the class table `build` constructs, so a
+    /// table equal to Firefly's channel table renders Firefly's id; without
+    /// it, the default.
+    fn network_id(
+        &self,
+        config: &SimConfig,
+        params: &ResolvedParams,
+        traffic: Option<&dyn TrafficModel>,
+    ) -> String {
+        match traffic {
+            Some(traffic) => dhet_fabric(config, params, traffic).network_id(),
+            None => format!("{}{}", self.name(), params.canonical()),
+        }
+    }
+}
+
+/// The class table the registry entry builds: `params`' policy and cap over
+/// the demand `traffic` advertises.
+fn dhet_fabric(
+    config: &SimConfig,
+    params: &ResolvedParams,
+    traffic: &dyn TrafficModel,
+) -> PhotonicFabric {
+    let policy = match params.choice("policy") {
+        "paper-max" => AllocationPolicy::PaperMax,
+        _ => AllocationPolicy::Proportional,
+    };
+    let max_wavelengths = match params.int("max_wavelengths") {
+        0 => DhetFabric::default_max_channel_wavelengths(config),
+        n => n as usize,
+    };
+    let demand = DemandMatrix::from_model(traffic, config.topology.num_clusters());
+    DhetFabric::with_options(config, demand, policy, max_wavelengths).into_fabric()
 }
 
 /// Registers d-HetPNoC into the process-global architecture registry.

@@ -92,7 +92,12 @@ impl ArchitectureBuilder for FireflyArchitecture {
         Box::new(PhotonicSystem::new(config, fabric, traffic))
     }
 
-    fn network_id(&self, config: &SimConfig, params: &ResolvedParams) -> String {
+    fn network_id(
+        &self,
+        config: &SimConfig,
+        params: &ResolvedParams,
+        _traffic: Option<&dyn TrafficModel>,
+    ) -> String {
         fabric_of(config, params).network_id()
     }
 }

@@ -102,19 +102,31 @@ pub trait ArchitectureBuilder: Send + Sync {
     ) -> Box<dyn CycleNetwork>;
 
     /// The identity of the network [`ArchitectureBuilder::build`] constructs
-    /// from `config` (the **effective** configuration) and `params`. A batch
-    /// simulates each point once per network: two scenarios whose points
-    /// differ only in their architecture component share one run when their
-    /// network ids are equal, so equal ids must mean equal networks: the id
-    /// must name everything `build`, [`ArchitectureBuilder::effective_config`]
-    /// and [`ArchitectureBuilder::workload_placement`] read. The default is
-    /// the name with the full resolved parameter set, the architecture
-    /// component of [`Scenario::canonical_id`](crate::scenario::Scenario::canonical_id),
+    /// from `config` (the **effective** configuration of one point), `params`
+    /// and, when given, the point's `traffic` model. A batch simulates each
+    /// point once per network: two points that differ only in their
+    /// architecture component share one run when their network ids are
+    /// equal, so equal ids must mean equal networks: the id must name
+    /// everything `build`, [`ArchitectureBuilder::effective_config`] and
+    /// [`ArchitectureBuilder::workload_placement`] read. The default is the
+    /// name with the full resolved parameter set, the architecture component
+    /// of [`Scenario::canonical_id`](crate::scenario::Scenario::canonical_id),
     /// which nothing else can equal. An override renders the value `build`
     /// constructs, with the same helper `build` calls, so the id cannot
     /// drift from the network.
-    fn network_id(&self, config: &SimConfig, params: &ResolvedParams) -> String {
-        let _ = config;
+    ///
+    /// The scenario passes `traffic` only for a healthy open-loop point (an
+    /// empty fault plan), where the table `build` constructs at cycle 0 is
+    /// the whole network. An architecture whose table depends on the traffic
+    /// (d-HetPNoC sizes its pools from the demand) renders it then, and
+    /// keeps the default without it.
+    fn network_id(
+        &self,
+        config: &SimConfig,
+        params: &ResolvedParams,
+        traffic: Option<&dyn TrafficModel>,
+    ) -> String {
+        let _ = (config, traffic);
         format!("{}{}", self.name(), params.canonical())
     }
 
@@ -211,7 +223,12 @@ impl ArchitectureBuilder for UniformFabricArchitecture {
         Box::new(PhotonicSystem::new(config, fabric, traffic))
     }
 
-    fn network_id(&self, config: &SimConfig, params: &ResolvedParams) -> String {
+    fn network_id(
+        &self,
+        config: &SimConfig,
+        params: &ResolvedParams,
+        _traffic: Option<&dyn TrafficModel>,
+    ) -> String {
         uniform_fabric(config, params).network_id()
     }
 }

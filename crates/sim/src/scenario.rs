@@ -11,7 +11,7 @@ use crate::sweep::{
 use crate::workload::{run_workload_point, shared_workload};
 use pnoc_faults::{FaultError, FaultPlan};
 use pnoc_noc::registry::UnknownNameError;
-use pnoc_noc::traffic_model::OfferedLoad;
+use pnoc_noc::traffic_model::{OfferedLoad, TrafficModel};
 use pnoc_traffic::factory::{
     lookup_traffic_factory, registered_traffic_patterns, TrafficFactory, TrafficSpec,
 };
@@ -748,13 +748,29 @@ impl Scenario {
         ))
     }
 
-    /// What a batch simulates once: the [`Scenario::canonical_id`] with its
-    /// architecture component replaced by the architecture's
+    /// What a batch simulates once at `point`: the [`Scenario::canonical_id`]
+    /// with its architecture component replaced by the architecture's
     /// [`ArchitectureBuilder::network_id`], so spellings of one network
-    /// (`firefly` and `uniform-fabric` at the paper point) share it. Never
-    /// persisted: the cache stays addressed per spelling.
-    fn simulation_id(&self) -> String {
-        self.id_with_network(&self.architecture.network_id(&self.config(), &self.params))
+    /// (`firefly` and `uniform-fabric` at the paper point, or `d-hetpnoc`
+    /// on uniform demand at sets 1–2) share it. Per point, because a
+    /// traffic-sized table depends on the point's seed. The point's traffic
+    /// model goes to the architecture only on a healthy open-loop point:
+    /// with no fault plan no retarget fires, so the cycle-0 table is the
+    /// whole network. Never persisted: the cache stays addressed per
+    /// spelling.
+    fn simulation_id(&self, point: &SweepPointSpec) -> String {
+        let traffic = match &self.payload {
+            ScenarioPayload::Traffic(factory) if self.faults.is_empty() => {
+                Some(factory.build(&traffic_spec(point)))
+            }
+            _ => None,
+        };
+        let network = self.architecture.network_id(
+            &point.config,
+            &self.params,
+            traffic.as_deref().map(|model| model as &dyn TrafficModel),
+        );
+        self.id_with_network(&network)
     }
 
     /// The canonical id rendering around an architecture component.
@@ -853,12 +869,8 @@ impl Scenario {
             (self.architecture.as_ref(), &self.params, &self.faults);
         match &self.payload {
             ScenarioPayload::Traffic(factory) => {
-                let config = &point.config;
-                let set = config.bandwidth_set;
-                let shape = PacketShape::new(set.packet_flits(), set.flit_bits());
-                let load = OfferedLoad::new(point.offered_load);
-                let spec = TrafficSpec::new(config.topology, shape, load, config.seed);
-                run_point(architecture, params, point, factory.build(&spec), faults)
+                let traffic = factory.build(&traffic_spec(point));
+                run_point(architecture, params, point, traffic, faults)
             }
             ScenarioPayload::Workload(workload) => {
                 run_workload_point(architecture, params, point, workload, faults)
@@ -873,6 +885,16 @@ impl Scenario {
             result: SaturationResult { points },
         }
     }
+}
+
+/// The traffic spec of an open-loop point: its geometry, topology, derived
+/// seed and offered load.
+fn traffic_spec(point: &SweepPointSpec) -> TrafficSpec {
+    let config = &point.config;
+    let set = config.bandwidth_set;
+    let shape = PacketShape::new(set.packet_flits(), set.flit_bits());
+    let load = OfferedLoad::new(point.offered_load);
+    TrafficSpec::new(config.topology, shape, load, config.seed)
 }
 
 /// The outcome of running one scenario: the spec it came from and the
@@ -1339,27 +1361,20 @@ fn run_scenarios(scenarios: &[Scenario], cache: Option<&dyn PointCache>) -> Matr
     // "uniform" vs "uniform-random", or "allreduce:16" vs
     // "ring-allreduce:16") and a default named explicitly
     // (`firefly{radix=16}`) are one job, while a genuine override, another
-    // fault plan, another derived seed or another load gets its own. Each
-    // job also carries its simulation key ([`Scenario::simulation_id`]):
-    // jobs that differ only in how their network is spelled share a group.
+    // fault plan, another derived seed or another load gets its own.
     let mut jobs: Vec<(usize, SweepPointSpec)> = Vec::new();
     let mut job_keys: Vec<String> = Vec::new();
-    let mut job_group: Vec<usize> = Vec::new();
     let mut index_of: BTreeMap<String, usize> = BTreeMap::new();
-    let mut group_of: BTreeMap<String, usize> = BTreeMap::new();
     let mut assignments: Vec<Vec<usize>> = Vec::with_capacity(scenarios.len());
     let fingerprint = engine_fingerprint();
     for (scenario_index, scenario) in scenarios.iter().enumerate() {
-        let (canonical_id, simulation_id) = (scenario.canonical_id(), scenario.simulation_id());
+        let canonical_id = scenario.canonical_id();
         let points = scenario.points();
         let mut point_jobs = Vec::with_capacity(points.len());
         for point in points {
             let (seed, load) = (point.config.seed, point.offered_load);
             let key = point_cache_key(&canonical_id, seed, load, &fingerprint);
             let job_index = *index_of.entry(key).or_insert_with_key(|key| {
-                let simulation_key = point_cache_key(&simulation_id, seed, load, &fingerprint);
-                let groups = group_of.len();
-                job_group.push(*group_of.entry(simulation_key).or_insert(groups));
                 jobs.push((scenario_index, point));
                 job_keys.push(key.clone());
                 jobs.len() - 1
@@ -1380,9 +1395,35 @@ fn run_scenarios(scenarios: &[Scenario], cache: Option<&dyn PointCache>) -> Matr
         .collect();
     let miss_indices: Vec<usize> = (0..points.len()).filter(|&i| points[i].is_none()).collect();
 
+    // Group the jobs by simulation key ([`Scenario::simulation_id`]): jobs
+    // that differ only in how their network is spelled share a group. The
+    // key may build the point's table, so a batch with nothing to share
+    // computes none and gives each job its own group: one that missed
+    // nothing, or one of a single scenario, whose jobs all differ in seed
+    // or load. Otherwise every job gets a key, because a hit can serve a
+    // miss of its network.
+    let job_group: Vec<usize> = if miss_indices.is_empty() || scenarios.len() < 2 {
+        (0..jobs.len()).collect()
+    } else {
+        let mut group_of: BTreeMap<String, usize> = BTreeMap::new();
+        jobs.iter()
+            .map(|(scenario, point)| {
+                let simulation_id = scenarios[*scenario].simulation_id(point);
+                let key = point_cache_key(
+                    &simulation_id,
+                    point.config.seed,
+                    point.offered_load,
+                    &fingerprint,
+                );
+                let groups = group_of.len();
+                *group_of.entry(key).or_insert(groups)
+            })
+            .collect()
+    };
+
     // Each group takes its point from one job: its first hit, or else its
     // first miss, which is simulated once for the whole group.
-    let mut source: Vec<Option<usize>> = vec![None; group_of.len()];
+    let mut source: Vec<Option<usize>> = vec![None; jobs.len()];
     for (index, point) in points.iter().enumerate() {
         if point.is_some() {
             source[job_group[index]].get_or_insert(index);

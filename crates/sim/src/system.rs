@@ -110,22 +110,48 @@ impl PhotonicFabric {
         }
     }
 
-    /// The identity of a channel table, for
-    /// [`ArchitectureBuilder::network_id`](crate::registry::ArchitectureBuilder::network_id).
+    /// The identity of the table, for
+    /// [`ArchitectureBuilder::network_id`](crate::registry::ArchitectureBuilder::network_id):
+    /// its pools, its widths on a healthy [`FaultSurface`] and its
+    /// reservation cycles. A table whose pools are equal and whose every
+    /// inter-cluster transfer drives the whole pool renders as a channel
+    /// table, `channel(wavelengths_per_channel=…,reservation_cycles=…)`,
+    /// whichever width rule it holds. Any other renders
+    /// `class(pools=[…],widths=[…],reservation_cycles=…)`, the widths
+    /// row-major over the (src, dst ≠ src) pairs.
     ///
-    /// # Panics
-    ///
-    /// Panics on a class table: it does not record its hook's history, so
-    /// it has no identity another architecture could share.
+    /// A channel table's id names its network under any fault plan. A class
+    /// table's names it only on a healthy run: the id holds neither its
+    /// retarget hook nor its per-class derating, so equal ids can diverge
+    /// once a fault transition fires.
     #[must_use]
     pub fn network_id(&self) -> String {
-        assert!(
-            matches!(self.width, WidthRule::Channel),
-            "a class table has no id"
-        );
+        let clusters = self.pools.len();
+        let healthy = FaultSurface::new(clusters);
+        let widths: Vec<usize> = (0..clusters)
+            .flat_map(|src| (0..clusters).map(move |dst| (src, dst)))
+            .filter(|(src, dst)| src != dst)
+            .map(|(src, dst)| self.wavelengths_for(ClusterId(src), ClusterId(dst), &healthy))
+            .collect();
+        let pool = self.pools[0];
+        if self.pools.iter().chain(&widths).all(|&w| w == pool) {
+            return format!(
+                "channel(wavelengths_per_channel={pool},reservation_cycles={})",
+                self.reservation_cycles
+            );
+        }
+        let list = |values: &[usize]| {
+            values
+                .iter()
+                .map(usize::to_string)
+                .collect::<Vec<_>>()
+                .join(",")
+        };
         format!(
-            "channel(wavelengths_per_channel={},reservation_cycles={})",
-            self.pools[0], self.reservation_cycles
+            "class(pools=[{}],widths=[{}],reservation_cycles={})",
+            list(&self.pools),
+            list(&widths),
+            self.reservation_cycles
         )
     }
 
@@ -1588,6 +1614,89 @@ mod tests {
             faulted.delivered_packets + repaired.delivered_packets,
             64,
             "after the repair the held packets drain"
+        );
+    }
+
+    /// A set-1 class table of 16 pools of `pool` wavelengths whose demand
+    /// is medium-high (4 wavelengths) on every pair but `low`, which demands
+    /// the low class (1 wavelength).
+    fn class_table(
+        pool: usize,
+        low: Option<(usize, usize)>,
+        reservation_cycles: u64,
+    ) -> PhotonicFabric {
+        struct Classes(Option<(usize, usize)>);
+        impl TrafficModel for Classes {
+            fn next_packet(&mut self, _cycle: u64, _src: CoreId) -> Option<PacketDescriptor> {
+                None
+            }
+
+            fn demand_class(&self, src: ClusterId, dst: ClusterId) -> BandwidthClass {
+                if self.0 == Some((src.0, dst.0)) {
+                    BandwidthClass::Low
+                } else {
+                    BandwidthClass::MediumHigh
+                }
+            }
+        }
+        PhotonicFabric::class(
+            vec![pool; 16],
+            DemandMatrix::from_model(&Classes(low), 16),
+            BandwidthSet::Set1,
+            reservation_cycles,
+            Box::new(move |_| vec![pool; 16]),
+        )
+    }
+
+    #[test]
+    fn a_class_table_driving_equal_whole_pools_renders_the_channel_id() {
+        let config = small_config(BandwidthSet::Set1);
+        let channel = PhotonicFabric::channel(&config, 4, 1).network_id();
+        assert_eq!(
+            channel,
+            "channel(wavelengths_per_channel=4,reservation_cycles=1)"
+        );
+        assert_eq!(class_table(4, None, 1).network_id(), channel);
+        // A pool narrower than every class width caps each transfer at it.
+        assert_eq!(
+            class_table(2, None, 1).network_id(),
+            PhotonicFabric::channel(&config, 2, 1).network_id()
+        );
+    }
+
+    #[test]
+    fn one_narrower_pair_renders_a_class_id_with_every_width() {
+        let id = class_table(4, Some((0, 1)), 1).network_id();
+        let pools = vec!["4"; 16].join(",");
+        assert!(
+            id.starts_with(&format!("class(pools=[{pools}],widths=[1,4,4,")),
+            "{id}"
+        );
+        assert!(id.ends_with("],reservation_cycles=1)"), "{id}");
+        assert_ne!(
+            id,
+            class_table(4, Some((1, 0)), 1).network_id(),
+            "the narrow pair is part of the id"
+        );
+        let mut unequal = class_table(4, None, 1);
+        unequal.pools[3] = 8;
+        assert!(unequal.network_id().starts_with("class("));
+    }
+
+    #[test]
+    fn reservation_cycles_separate_ids() {
+        let config = small_config(BandwidthSet::Set1);
+        assert_ne!(
+            class_table(4, None, 1).network_id(),
+            class_table(4, None, 2).network_id()
+        );
+        assert_eq!(
+            class_table(4, None, 2).network_id(),
+            PhotonicFabric::channel(&config, 4, 2).network_id()
+        );
+        assert_ne!(
+            class_table(4, Some((0, 1)), 1).network_id(),
+            class_table(4, Some((0, 1)), 2).network_id()
         );
     }
 
