@@ -14,7 +14,9 @@
 //! - On healthy uniform-class demand (`uniform-random`, `tornado`,
 //!   `bursty-uniform`) d-HetPNoC's class table, under either policy, is
 //!   Firefly's channel table, with set 3's two-cycle reservation. The three
-//!   share every run. Skewed demand, a binding cap, or a fault plan
+//!   share every run, on a healthy run and under plans of only `link-fail`
+//!   events (`single-link`, `rolling-links`), which derate no width and
+//!   move no pool. Skewed demand, a binding cap, or a fault plan
 //!   (`laser-dim`, `wavelength-degrade`) that the two width rules answer
 //!   differently, is another network and must not share.
 //!
@@ -243,6 +245,44 @@ proptest! {
         prop_assert_eq!(
             unlabelled(&batched, 1),
             unlabelled(&batched, 2),
+            "rows differ: {}",
+            case
+        );
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(4))]
+
+    #[test]
+    fn a_class_table_equal_to_a_channel_table_shares_its_runs_under_link_faults(
+        set_index in 0usize..3,
+        preset_index in 0usize..2,
+        load_index in 0usize..3,
+        seed in 0u64..u64::MAX,
+    ) {
+        ensure_registered();
+        let set = BandwidthSet::ALL[set_index];
+        let preset = ["single-link", "rolling-links"][preset_index];
+        let architectures = ["d-hetpnoc".to_string(), firefly_twin(set)];
+        let case = format!(
+            "{architectures:?} × uniform-random (load {load_index}) × {set:?} × faults '{preset}' × seed {seed}"
+        );
+
+        let matrix = matrix(&architectures, "uniform-random", load_index, set, preset, seed);
+        let batched = matrix.run().expect("the case resolves");
+        let sequential = matrix.run_sequential().expect("the case resolves");
+        prop_assert!(batched.bitwise_eq(&sequential), "batch ≠ sequential: {case}");
+        prop_assert_eq!(jsonl(&batched), jsonl(&sequential), "JSONL differs: {}", case);
+        prop_assert_eq!(
+            2 * batched.cache.simulated,
+            batched.unique_points,
+            "one table must share every run: {}",
+            case
+        );
+        prop_assert_eq!(
+            unlabelled(&batched, 0),
+            unlabelled(&batched, 1),
             "rows differ: {}",
             case
         );

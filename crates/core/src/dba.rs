@@ -1,5 +1,9 @@
 //! The dynamic bandwidth allocation (DBA) controller.
 //!
+//! A simulated run does not use it: it is the token-level model that the
+//! run's count form, [`pnoc_sim::system::refill`], is tested against (see
+//! "The run sees the fixed point" below).
+//!
 //! One controller instance models the distributed token-based protocol of
 //! Section 3.2.1: the token circulates between the photonic routers on the
 //! control waveguide; the router holding the token acquires or relinquishes
@@ -38,10 +42,12 @@
 //! * the current table (the width granted toward each destination) is
 //!   `wavelengths_for`'s `min` of that width with the cluster's pool.
 //!
-//! What remains per cluster is its target and the identifiers of the
-//! wavelengths it acquired on top of the reserve; the token bitmap and
-//! [`DbaController::check_invariants`] use the identifiers to detect double
-//! allocation.
+//! What remains per cluster is its target and its pool. The controller
+//! also keeps the identifiers of the wavelengths each cluster acquired on
+//! top of the reserve, so that the token bitmap and
+//! [`DbaController::check_invariants`] can detect double allocation; the
+//! simulated table keeps only the pool sizes, where that invariant reads
+//! `Σ pools ≤ reserve × clusters + budget`.
 //!
 //! The controller upholds three invariants, checked by the property tests in
 //! `tests/`:
@@ -58,18 +64,23 @@
 //!
 //! The protocol only re-allocates when the task mapping changes; under a
 //! stable mapping every token visit after convergence is a no-op. The
-//! simulator therefore models the protocol at its fixed point:
-//! `DhetFabric` calls [`DbaController::converge`] before cycle 0 and, as
-//! its class table's retarget hook, at every fault transition that
-//! retargets, with enough rotations to reach the fixed point (see its
-//! docs), and no simulated cycle moves the token.
+//! simulator therefore models the protocol at its fixed point, over pool
+//! counts: `DhetFabric` fills the pools from the reserve with
+//! [`pnoc_sim::system::refill`] before cycle 0, and its class table refills
+//! them from the current pools at every `laser-dim` transition
+//! (`PhotonicFabric::laser_changed`). `refill` is
+//! [`DbaController::converge`]'s visit loop on counts, run until a
+//! rotation changes nothing; its docs carry the proof that `cap + 1`
+//! rotations reach the fixed point from any state, and
+//! `tests/prop_dba_refill.rs` checks it against this controller. No
+//! simulated cycle moves the token.
 //! A healthy run's allocation is thus fixed before cycle 0, and every
 //! reallocation at a fault transition is instantaneous: the transient of a
 //! remap (the rotations the token needs to move wavelengths) is not
-//! modelled. A retarget starts from the current allocation, so after a
-//! fault's repair the fixed point can differ from the healthy one (the
-//! history dependence above). [`DbaController::tick`] circulates the token
-//! one cycle at a time; only the `dba_token_trace` example and the
+//! modelled. A refill starts from the current pools, so after a fault's
+//! repair the fixed point can differ from the healthy one (the history
+//! dependence above). [`DbaController::tick`] circulates the token one
+//! cycle at a time; only the `dba_token_trace` example and the
 //! benchmark's per-layer token probe call it.
 
 use crate::token::{Token, TokenRing};
@@ -229,15 +240,9 @@ impl DbaController {
     /// not the ring: the token does not move.
     ///
     /// `max_channel_wavelengths` rotations reach the fixed point from any
-    /// state, so one more finds nothing to change. Rotation 1 releases every
-    /// excess: a visit drops all of its cluster's wavelengths above target,
-    /// and targets do not change inside the loop. From then on no cluster
-    /// is above its target and nothing returns to the token, so every
-    /// rotation gives each short cluster one wavelength until it reaches its
-    /// target or the token runs dry (after which no visit changes anything).
-    /// A short cluster holds at least the reserve of 1 and aims for at most
-    /// `max_channel_wavelengths`, so rotations 2 to `max_channel_wavelengths`
-    /// fill every deficit the budget allows.
+    /// state, so one more finds nothing to change: the proof is in the docs
+    /// of [`pnoc_sim::system::refill`], which runs this loop over pool
+    /// counts.
     pub fn converge(&mut self, max_rotations: usize) {
         for _ in 0..max_rotations {
             let mut changed = false;

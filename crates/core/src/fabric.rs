@@ -2,8 +2,9 @@
 //!
 //! [`DhetFabric`] translates the chip's demand information (a
 //! [`pnoc_traffic::demand::DemandMatrix`] built from the running
-//! applications) into per-cluster wavelength targets and lets the
-//! token-based [`DbaController`] converge to an allocation. It hands the
+//! applications) into per-cluster wavelength targets and the eq. 1 budget,
+//! and fills the pools from the reserve with [`refill`], the count form of
+//! the token protocol's fixed point (the `dba` module docs). It hands the
 //! cycle-accurate system a class table of the one [`PhotonicFabric`]
 //! ([`DhetFabric::into_fabric`]):
 //!
@@ -11,28 +12,29 @@
 //! * a transmission toward destination `d` uses the wavelengths demanded by
 //!   the application class of the `(src, d)` pair (never more than the pool),
 //! * the reservation broadcast costs 1–2 cycles depending on how many
-//!   wavelength identifiers must be piggybacked (Section 3.4.1.1).
+//!   wavelength identifiers must be piggybacked (Section 3.4.1.1),
+//! * the targets, budget, reserve and cap ride along as the table's
+//!   [`Allocation`], from which a `laser-dim` transition refills the pools
+//!   ([`PhotonicFabric::laser_changed`]).
 
-use crate::dba::{AllocationPolicy, DbaController};
+use crate::dba::AllocationPolicy;
 use crate::reservation::ReservationTiming;
-use crate::token::{token_hop_cycles, token_size_bits};
-use pnoc_faults::{FaultEvent, FaultKind, FaultSurface};
+use crate::token::token_size_bits;
 use pnoc_noc::ids::ClusterId;
 use pnoc_photonics::dwdm::WavelengthGrid;
-use pnoc_sim::config::SimConfig;
-use pnoc_sim::system::PhotonicFabric;
+use pnoc_sim::config::{BandwidthSet, SimConfig};
+use pnoc_sim::system::{refill, Allocation, PhotonicFabric};
 use pnoc_traffic::demand::DemandMatrix;
 
-/// The dynamic heterogeneous allocator: demand, policy, cap and the DBA
-/// controller behind a d-HetPNoC class table.
+/// The dynamic heterogeneous allocator: demand, targets, budget and the
+/// pools they converge to behind a d-HetPNoC class table.
 #[derive(Debug, Clone)]
 pub struct DhetFabric {
-    config: SimConfig,
+    set: BandwidthSet,
     demand: DemandMatrix,
-    controller: DbaController,
+    allocation: Allocation,
+    pools: Vec<usize>,
     reservation: ReservationTiming,
-    policy: AllocationPolicy,
-    max_channel_wavelengths: usize,
 }
 
 impl DhetFabric {
@@ -56,9 +58,8 @@ impl DhetFabric {
 
     /// Builds the fabric with an explicit allocation policy and maximum
     /// per-cluster channel width (what the registry entry's `policy` /
-    /// `max_wavelengths` parameters feed). The width caps both the DBA
-    /// controller's acquisition and the reservation flit's worst-case
-    /// identifier payload.
+    /// `max_wavelengths` parameters feed). The width caps both a cluster's
+    /// pool and the reservation flit's worst-case identifier payload.
     ///
     /// # Panics
     ///
@@ -84,71 +85,46 @@ impl DhetFabric {
         let set = config.bandwidth_set;
         let grid =
             WavelengthGrid::for_total(set.total_wavelengths(), config.wavelengths_per_waveguide);
-        let reserved_per_cluster = 1;
-        let dynamic = token_size_bits(
+        let reserve = 1;
+        let budget = token_size_bits(
             grid.num_waveguides(),
             config.wavelengths_per_waveguide,
-            reserved_per_cluster * num_clusters,
+            reserve * num_clusters,
         );
-        let hop = token_hop_cycles(
-            dynamic,
-            config.wavelengths_per_waveguide,
-            config.wavelength_rate_gbps,
-            config.clock,
-        );
-        let controller = DbaController::new(
-            num_clusters,
-            dynamic,
-            reserved_per_cluster,
-            max_channel_wavelengths,
-            hop,
+        let cap = max_channel_wavelengths;
+        let targets = Self::compute_targets(config, &demand, policy, cap)
+            .into_iter()
+            .map(|target| target.clamp(reserve, cap))
+            .collect();
+        let allocation = Allocation {
+            targets,
+            budget,
+            reserve,
+            cap,
+        };
+        // The initial task mapping is known before the simulation starts, so
+        // the run starts at the converged allocation.
+        let pools = refill(
+            &vec![reserve; num_clusters],
+            &allocation.targets,
+            budget,
+            reserve,
+            cap,
         );
         let reservation = ReservationTiming::with_max_identifiers(
             set,
             config.wavelengths_per_waveguide,
             config.wavelength_rate_gbps,
             config.clock,
-            max_channel_wavelengths,
+            cap,
         );
-        let mut fabric = Self {
-            config: *config,
+        Self {
+            set,
             demand,
-            controller,
+            allocation,
+            pools,
             reservation,
-            policy,
-            max_channel_wavelengths,
-        };
-        // The initial task mapping is known before the simulation starts, so
-        // the run starts at the converged allocation; no simulated cycle
-        // moves the token. A healthy surface derates nothing.
-        fabric.allocate(&FaultSurface::new(num_clusters));
-        fabric
-    }
-
-    /// Installs the controller's targets from the demand matrix (the
-    /// policy's targets, derated by the laser dimming of `faults`), then
-    /// converges the allocation to its fixed point. Construction calls it
-    /// with a healthy surface and every degradation transition (apply and
-    /// repair) calls it again. A repaired fabric gets the healthy targets
-    /// back, but not always the healthy pools: when the targets oversubscribe
-    /// the budget (as `paper-max`'s can), which clusters stay short depends
-    /// on the order in which they reacquired (see the `dba` module docs on
-    /// history).
-    fn allocate(&mut self, faults: &FaultSurface) {
-        let mut targets = Self::compute_targets(
-            &self.config,
-            &self.demand,
-            self.policy,
-            self.max_channel_wavelengths,
-        );
-        let laser = faults.laser_divisor() as usize;
-        if laser > 1 {
-            for target in &mut targets {
-                *target = (*target / laser).max(1);
-            }
         }
-        self.controller.set_targets(&targets);
-        self.controller.converge(self.max_channel_wavelengths + 1);
     }
 
     /// Computes per-cluster wavelength targets from the demand matrix,
@@ -211,42 +187,22 @@ impl DhetFabric {
         }
     }
 
-    /// Access to the DBA controller (allocation snapshots, invariants).
-    #[must_use]
-    pub fn controller(&self) -> &DbaController {
-        &self.controller
-    }
-
     /// The demand matrix the fabric was configured with.
     #[must_use]
     pub fn demand(&self) -> &DemandMatrix {
         &self.demand
     }
 
-    /// Reacts to `event` having been applied to or repaired on `faults` as
-    /// the class table's hook does: only laser dimming retargets. The table
-    /// derates a degraded class's transfers, and only those (the DBA keeps
-    /// steering healthy classes onto their full demand).
-    pub fn faults_changed(&mut self, event: &FaultEvent, faults: &FaultSurface) {
-        if event.kind == FaultKind::LaserDim {
-            self.allocate(faults);
-        }
-    }
-
-    /// The class table the system runs on. Its retarget hook owns this
-    /// allocator and re-converges it from the current allocation, because
-    /// under `paper-max` the pools depend on that history (`dba` docs).
+    /// The class table the system runs on, carrying the [`Allocation`] a
+    /// `laser-dim` transition refills its pools from.
     #[must_use]
-    pub fn into_fabric(mut self) -> PhotonicFabric {
+    pub fn into_fabric(self) -> PhotonicFabric {
         PhotonicFabric::class(
-            self.controller.allocation_snapshot(),
-            self.demand.clone(),
-            self.config.bandwidth_set,
+            self.pools,
+            self.demand,
+            self.set,
             self.reservation.cycles,
-            Box::new(move |faults| {
-                self.allocate(faults);
-                self.controller.allocation_snapshot()
-            }),
+            self.allocation,
         )
     }
 }
@@ -254,9 +210,9 @@ impl DhetFabric {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pnoc_faults::{FaultPlan, FaultSurface};
     use pnoc_noc::topology::ClusterTopology;
     use pnoc_noc::traffic_model::OfferedLoad;
-    use pnoc_sim::config::BandwidthSet;
     use pnoc_traffic::pattern::{PacketShape, SkewLevel};
     use pnoc_traffic::skewed::SkewedTraffic;
     use pnoc_traffic::uniform::UniformRandomTraffic;
@@ -314,7 +270,7 @@ mod tests {
             &cfg,
             skewed_demand(BandwidthSet::Set1, SkewLevel::Skewed3, 11),
         );
-        let alloc = fabric.controller().allocation_snapshot();
+        let alloc = &fabric.pools;
         let total: usize = alloc.iter().sum();
         assert!(total <= 64, "allocation {alloc:?} exceeds the budget");
         assert!(alloc.iter().all(|&p| (1..=8).contains(&p)), "{alloc:?}");
@@ -324,7 +280,6 @@ mod tests {
             max > min,
             "skewed demand must produce a heterogeneous allocation"
         );
-        fabric.controller().check_invariants().unwrap();
     }
 
     #[test]
@@ -350,7 +305,7 @@ mod tests {
                     .unwrap()
             })
             .unwrap();
-        let pool = |c: usize| fabric.controller().pool(ClusterId(c));
+        let pool = |c: usize| fabric.pools[c];
         assert!(
             pool(busiest) >= pool(calmest),
             "busy cluster must not get less bandwidth than an idle one"
@@ -395,13 +350,18 @@ mod tests {
         let cfg = config(BandwidthSet::Set1);
         let demand = skewed_demand(BandwidthSet::Set1, SkewLevel::Skewed1, 3);
         let max = DhetFabric::default_max_channel_wavelengths(&cfg);
-        let fabric = DhetFabric::with_options(&cfg, demand, AllocationPolicy::PaperMax, max);
-        assert_eq!(fabric.policy, AllocationPolicy::PaperMax);
-        // With nearly every cluster having at least one high-class flow, the
-        // targets are all 8 and the budget-constrained allocation stays fair.
-        let alloc = fabric.controller().allocation_snapshot();
-        assert!(alloc.iter().sum::<usize>() <= 64);
-        fabric.controller().check_invariants().unwrap();
+        let fabric =
+            DhetFabric::with_options(&cfg, demand.clone(), AllocationPolicy::PaperMax, max);
+        // Each target is the widest class the cluster sends; with nearly
+        // every cluster sending a high-class flow the targets oversubscribe
+        // the budget, and the allocation stays within it.
+        for (c, &target) in fabric.allocation.targets.iter().enumerate() {
+            let widest = cfg.bandwidth_set.min_class_wavelengths()
+                * demand.max_class_multiplier(ClusterId(c));
+            assert_eq!(target, widest.min(max));
+        }
+        assert!(fabric.allocation.targets.iter().sum::<usize>() > 64);
+        assert!(fabric.pools.iter().sum::<usize>() <= 64);
     }
 
     #[test]
@@ -410,8 +370,8 @@ mod tests {
         let demand = skewed_demand(BandwidthSet::Set1, SkewLevel::Skewed3, 11);
         let capped =
             DhetFabric::with_options(&cfg, demand.clone(), AllocationPolicy::Proportional, 4);
-        assert_eq!(capped.max_channel_wavelengths, 4);
-        let alloc = capped.controller().allocation_snapshot();
+        assert_eq!(capped.allocation.cap, 4);
+        let alloc = &capped.pools;
         assert!(alloc.iter().all(|&p| p <= 4), "{alloc:?}");
         // A narrower maximum channel shrinks the reservation payload too.
         let default = DhetFabric::new(&cfg, demand);
@@ -424,15 +384,14 @@ mod tests {
             capped.reservation.identifier_payload_bits
                 < default.reservation.identifier_payload_bits
         );
-        capped.controller().check_invariants().unwrap();
     }
 
     #[test]
     fn degradation_shrinks_only_the_damaged_class_and_repairs_restore_it() {
         let cfg = config(BandwidthSet::Set1);
         let demand = skewed_demand(BandwidthSet::Set1, SkewLevel::Skewed2, 9);
-        let mut fabric = DhetFabric::new(&cfg, demand.clone());
-        let healthy_alloc = fabric.controller().allocation_snapshot();
+        let mut table = DhetFabric::new(&cfg, demand.clone()).into_fabric();
+        let healthy_alloc = table.pools().to_vec();
         // Find one high-class and one low-class pair to compare.
         let mut high_pair = None;
         let mut low_pair = None;
@@ -454,17 +413,13 @@ mod tests {
             }
         }
         let (hs, hd) = high_pair.expect("skewed demand has a high-class flow");
-        // A degradation moves no pool, so the healthy table's widths are
-        // the fabric's under any degraded surface.
-        let table = fabric.clone().into_fabric();
+        // A degradation moves no pool; it derates widths only.
         let mut faults = FaultSurface::new(16);
         let healthy_high = table.wavelengths_for(hs, hd, &faults);
-        let event = pnoc_faults::FaultPlan::parse("wavelength-degrade@c10-20:class-high/2")
+        let event = FaultPlan::parse("wavelength-degrade@c10-20:class-high/2")
             .unwrap()
             .events()[0];
         faults.apply(&event);
-        fabric.faults_changed(&event, &faults);
-        assert_eq!(fabric.controller().allocation_snapshot(), healthy_alloc);
         // The degraded class's transfers shrink; a healthy class is untouched
         // (the DBA keeps steering it onto its full demand).
         assert!(table.wavelengths_for(hs, hd, &faults) < healthy_high);
@@ -473,32 +428,19 @@ mod tests {
             assert!(w >= 1);
             assert!(w <= cfg.bandwidth_set.class_wavelengths(demand.class(ls, ld)));
         }
-        fabric.controller().check_invariants().unwrap();
         faults.clear(&event);
-        fabric.faults_changed(&event, &faults);
         assert_eq!(table.wavelengths_for(hs, hd, &faults), healthy_high);
-        assert_eq!(fabric.controller().allocation_snapshot(), healthy_alloc);
 
         // Laser dimming derates every pool target globally.
-        let dim = pnoc_faults::FaultPlan::parse("laser-dim@c10-20:fabric/2")
+        let dim = FaultPlan::parse("laser-dim@c10-20:fabric/2")
             .unwrap()
             .events()[0];
         faults.apply(&dim);
-        fabric.faults_changed(&dim, &faults);
-        let dimmed = fabric.controller().allocation_snapshot();
-        assert!(dimmed.iter().sum::<usize>() < healthy_alloc.iter().sum::<usize>());
+        table.laser_changed(&faults);
+        assert!(table.pools().iter().sum::<usize>() < healthy_alloc.iter().sum::<usize>());
         faults.clear(&dim);
-        fabric.faults_changed(&dim, &faults);
-        assert_eq!(fabric.controller().allocation_snapshot(), healthy_alloc);
-
-        // A link or ring transition does not move the allocation.
-        let fail =
-            pnoc_faults::FaultPlan::parse("link-fail@c10-20:sw4,ring-stuck@c10-20:sw2").unwrap();
-        for event in fail.events() {
-            faults.apply(event);
-            fabric.faults_changed(event, &faults);
-        }
-        assert_eq!(fabric.controller().allocation_snapshot(), healthy_alloc);
+        table.laser_changed(&faults);
+        assert_eq!(table.pools(), healthy_alloc);
     }
 
     #[test]
@@ -506,51 +448,58 @@ mod tests {
         // The protocol's history dependence: under `paper-max` every cluster
         // but 3 aims for 8 wavelengths and 3 for 4, against a fair share of
         // 4. Dimming halves the targets, so cluster 3 frees two wavelengths;
-        // on the repair the clusters reacquire in index order, 0 and 1 take
-        // them and 3 stays short. The healthy targets come back, the healthy
-        // pools do not.
+        // on the repair `laser_changed` refills from the dimmed pools in
+        // index order, 0 and 1 take them and 3 stays short. The healthy
+        // targets stay in the table, the healthy pools do not come back.
         let cfg = config(BandwidthSet::Set1);
         let demand = skewed_demand(BandwidthSet::Set1, SkewLevel::Skewed1, 0);
         let max = DhetFabric::default_max_channel_wavelengths(&cfg);
-        let mut fabric = DhetFabric::with_options(&cfg, demand, AllocationPolicy::PaperMax, max);
-        let targets = |f: &DhetFabric| -> Vec<usize> {
-            (0..16)
-                .map(|c| f.controller().target(ClusterId(c)))
-                .collect()
-        };
-        let healthy_targets = targets(&fabric);
-        assert_eq!(healthy_targets[3], 4);
-        assert_eq!(fabric.controller().allocation_snapshot(), [4; 16]);
-        let dim = pnoc_faults::FaultPlan::parse("laser-dim@c10-20:fabric/2")
+        let mut table =
+            DhetFabric::with_options(&cfg, demand, AllocationPolicy::PaperMax, max).into_fabric();
+        let healthy = table.allocation().unwrap().clone();
+        assert_eq!(healthy.targets[3], 4);
+        assert_eq!(table.pools(), [4; 16]);
+        let dim = FaultPlan::parse("laser-dim@c10-20:fabric/2")
             .unwrap()
             .events()[0];
         let mut faults = FaultSurface::new(16);
         faults.apply(&dim);
-        fabric.faults_changed(&dim, &faults);
+        table.laser_changed(&faults);
         faults.clear(&dim);
-        fabric.faults_changed(&dim, &faults);
-        assert_eq!(targets(&fabric), healthy_targets);
+        table.laser_changed(&faults);
+        assert_eq!(table.allocation(), Some(&healthy));
         let mut repaired = vec![4; 16];
         repaired[..2].fill(5);
         repaired[3] = 2;
-        assert_eq!(fabric.controller().allocation_snapshot(), repaired);
-        fabric.controller().check_invariants().unwrap();
+        assert_eq!(table.pools(), repaired);
     }
 
     #[test]
     fn remap_reconverges_the_allocation() {
         let cfg = config(BandwidthSet::Set1);
-        let mut fabric = DhetFabric::new(
+        let fabric = DhetFabric::new(
             &cfg,
             skewed_demand(BandwidthSet::Set1, SkewLevel::Skewed3, 1),
         );
-        let before = fabric.controller().allocation_snapshot();
-        // A task-mapping change installs a new demand matrix and re-runs
-        // target computation and allocation convergence.
-        fabric.demand = uniform_demand(BandwidthSet::Set1);
-        fabric.allocate(&FaultSurface::new(16));
-        let after = fabric.controller().allocation_snapshot();
-        assert_ne!(before, after, "remapping must change a skewed allocation");
+        // A task-mapping change computes the new demand's targets and
+        // refills the pools from the current ones.
+        let targets = DhetFabric::compute_targets(
+            &cfg,
+            &uniform_demand(BandwidthSet::Set1),
+            AllocationPolicy::Proportional,
+            fabric.allocation.cap,
+        );
+        let Allocation {
+            budget,
+            reserve,
+            cap,
+            ..
+        } = fabric.allocation;
+        let after = refill(&fabric.pools, &targets, budget, reserve, cap);
+        assert_ne!(
+            fabric.pools, after,
+            "remapping must change a skewed allocation"
+        );
         assert!(after.iter().all(|&p| p == 4));
     }
 }

@@ -10,11 +10,12 @@
 //!
 //! * [`token`] — the token that circulates on a dedicated control waveguide
 //!   and serialises wavelength acquisition (equations 1 and 2),
-//! * [`dba`] — the dynamic bandwidth allocation controller that acquires and
-//!   relinquishes wavelengths when a router holds the token. The demand /
-//!   request / current tables of every photonic router (Section 3.2.1,
-//!   Figure 3-2) are not stored; its module docs say which state answers
-//!   each,
+//! * [`dba`] — the allocation policies, and the dynamic bandwidth
+//!   allocation controller that acquires and relinquishes wavelengths when a
+//!   router holds the token: the token-level model that the simulated pools
+//!   (`pnoc_sim::system::refill`) are tested against. The demand / request /
+//!   current tables of every photonic router (Section 3.2.1, Figure 3-2)
+//!   are not stored; its module docs say which state answers each,
 //! * [`reservation`] — the reservation-flit timing including the piggybacked
 //!   wavelength identifiers (Section 3.3.1 / 3.4.1.1),
 //! * [`fabric`] — the demand-driven allocator behind d-HetPNoC's class

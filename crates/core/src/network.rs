@@ -178,10 +178,12 @@ mod tests {
     #[test]
     fn a_laser_dim_retargets_the_running_system_through_its_hook() {
         // The fabric test `paper_max_pools_remember_a_laser_dim_after_its_repair`,
-        // run: the system must ask the hook for the dimmed pools while the
-        // laser is dim, and keep the hook's history after the repair instead
-        // of the healthy pools.
-        use pnoc_faults::{FaultController, FaultPlan};
+        // run: the system must refill its table through `laser_changed`
+        // while the laser is dim, and keep the refill's history after the
+        // repair instead of the healthy pools. A copy of the cycle-0 table
+        // driven through the same two transitions by that method lands on
+        // the running system's table.
+        use pnoc_faults::{FaultController, FaultPlan, FaultSurface};
         use pnoc_sim::engine::run_cycles;
         let config = SimConfig::fast(BandwidthSet::Set1);
         let traffic = SkewedTraffic::new(
@@ -195,6 +197,7 @@ mod tests {
         let max = DhetFabric::default_max_channel_wavelengths(&config);
         let fabric = DhetFabric::with_options(&config, demand, AllocationPolicy::PaperMax, max);
         let mut system = PhotonicSystem::new(config, fabric.into_fabric(), Box::new(traffic));
+        let mut copy = system.fabric().clone();
         let plan = FaultPlan::parse("laser-dim@c10-20:fabric/2").unwrap();
         assert!(system.install_fault_schedule(FaultController::new(&plan)));
         let mut dimmed = [4; 16];
@@ -210,6 +213,13 @@ mod tests {
                 cycles.end
             );
         }
+        let dim = plan.events()[0];
+        let mut faults = FaultSurface::new(16);
+        faults.apply(&dim);
+        copy.laser_changed(&faults);
+        faults.clear(&dim);
+        copy.laser_changed(&faults);
+        assert_eq!(&copy, system.fabric());
     }
 
     #[test]

@@ -9,7 +9,7 @@ use crate::sweep::{
     SweepPoint, SweepPointSpec,
 };
 use crate::workload::{run_workload_point, shared_workload};
-use pnoc_faults::{FaultError, FaultPlan};
+use pnoc_faults::{FaultError, FaultKind, FaultPlan};
 use pnoc_noc::registry::UnknownNameError;
 use pnoc_noc::traffic_model::{OfferedLoad, TrafficModel};
 use pnoc_traffic::factory::{
@@ -754,13 +754,20 @@ impl Scenario {
     /// (`firefly` and `uniform-fabric` at the paper point, or `d-hetpnoc`
     /// on uniform demand at sets 1–2) share it. Per point, because a
     /// traffic-sized table depends on the point's seed. The point's traffic
-    /// model goes to the architecture only on a healthy open-loop point:
-    /// with no fault plan no retarget fires, so the cycle-0 table is the
+    /// model goes to the architecture only on an open-loop point whose plan
+    /// holds nothing but `link-fail` and `ring-stuck` events (the empty plan
+    /// included): those derate no width and move no pool, and the system
+    /// applies them alike to either width rule, so the cycle-0 table is the
     /// whole network. Never persisted: the cache stays addressed per
     /// spelling.
     fn simulation_id(&self, point: &SweepPointSpec) -> String {
+        let table_is_the_network = self
+            .faults
+            .events()
+            .iter()
+            .all(|event| matches!(event.kind, FaultKind::LinkFail | FaultKind::RingStuck));
         let traffic = match &self.payload {
-            ScenarioPayload::Traffic(factory) if self.faults.is_empty() => {
+            ScenarioPayload::Traffic(factory) if table_is_the_network => {
                 Some(factory.build(&traffic_spec(point)))
             }
             _ => None,

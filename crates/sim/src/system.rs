@@ -17,8 +17,9 @@
 //!   d-HetPNoC a class table,
 //! * the system owns the fault state: it applies each scheduled transition
 //!   to its [`FaultSurface`], refuses new transfers over a failed link, pins
-//!   transfers touching a stuck ring to one wavelength, and asks the
-//!   fabric's retarget hook for new pools on a `laser-dim` transition.
+//!   transfers touching a stuck ring to one wavelength, and has the fabric
+//!   refill its pools on a `laser-dim` transition
+//!   ([`PhotonicFabric::laser_changed`]).
 //!
 //! The simulation is flit-level and cycle-accurate: electrical routers follow
 //! the three-stage pipeline of `pnoc-noc`, photonic transfers accumulate
@@ -46,21 +47,97 @@ use std::collections::VecDeque;
 /// The photonic fabric, the one place where Firefly and d-HetPNoC differ
 /// (Section 3.1): a table the system reads when a cluster starts an
 /// inter-cluster transfer. It holds every cluster's wavelength pool, a rule
-/// for how many of them one transfer drives, the reservation cycles, and an
-/// optional retarget hook that the system calls on a `laser-dim` transition
-/// for the new pools. No cycle changes the table; only the hook does.
+/// for how many of them one transfer drives, the reservation cycles, and,
+/// for d-HetPNoC, the [`Allocation`] that sized the pools. No cycle changes
+/// the table; only a `laser-dim` transition does, through
+/// [`PhotonicFabric::laser_changed`].
+#[derive(Debug, Clone, PartialEq)]
 pub struct PhotonicFabric {
     pools: Vec<usize>,
     width: WidthRule,
     reservation_cycles: u64,
-    retarget: Option<Retarget>,
+    allocation: Option<Allocation>,
 }
 
-/// The pools once a `laser-dim` transition has left the surface as its
-/// argument; the hook owns whatever they depend on, history included.
-type Retarget = Box<dyn FnMut(&FaultSurface) -> Vec<usize> + Send>;
+/// What d-HetPNoC's pools are refilled from (Section 3.2.1): every
+/// cluster's healthy target, already clamped to `[reserve, cap]`, and the
+/// wavelengths the clusters share. Each cluster holds `reserve` for good;
+/// the other `budget` go to whichever clusters the [`refill`] gives them.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Allocation {
+    /// Every cluster's healthy target, by cluster index.
+    pub targets: Vec<usize>,
+    /// Wavelengths the clusters share on top of their reserves (`N_TW` of
+    /// eq. 1).
+    pub budget: usize,
+    /// Wavelengths every cluster holds permanently.
+    pub reserve: usize,
+    /// The widest pool a cluster may hold.
+    pub cap: usize,
+}
+
+/// The pools the token protocol leaves once `targets` are installed over
+/// `prev_pools`: clusters are visited in index order, rotation after
+/// rotation, until a rotation changes nothing. A visit to a cluster above
+/// its target releases its whole excess; a visit to a cluster below its
+/// target takes one wavelength, while any of the `budget` is free. Each
+/// cluster holds `reserve` of its own, so the free wavelengths are
+/// `reserve × clusters + budget − Σ prev_pools`.
+///
+/// This is `DbaController::converge`'s loop on counts, which is all a run
+/// reads. From the reserve it is a water fill of the budget; from other
+/// pools the result depends on them, because a visit releases only its own
+/// cluster's excess.
+///
+/// `cap + 1` rotations always suffice, with every pool in `[reserve, cap]`
+/// and every target in `[reserve, cap]`, `reserve ≥ 1`. Rotation 1 releases
+/// every excess, and targets do not change inside the loop. From then on no
+/// cluster is above its target and nothing returns to the budget, so every
+/// rotation gives each short cluster one wavelength until it reaches its
+/// target or the budget runs dry (after which no visit changes anything). A
+/// short cluster holds at least the reserve of 1 and aims for at most
+/// `cap`, so rotations 2 to `cap` fill every deficit the budget allows, and
+/// rotation `cap + 1` finds nothing to change.
+///
+/// Debug builds check the result: every pool in `[reserve, cap]`, and
+/// `Σ pools ≤ reserve × clusters + budget`, the count form of "a wavelength
+/// is never allocated to two clusters".
+#[must_use]
+pub fn refill(
+    prev_pools: &[usize],
+    targets: &[usize],
+    budget: usize,
+    reserve: usize,
+    cap: usize,
+) -> Vec<usize> {
+    debug_assert_eq!(prev_pools.len(), targets.len());
+    let mut pools = prev_pools.to_vec();
+    let mut free = reserve * pools.len() + budget - pools.iter().sum::<usize>();
+    let mut changed = true;
+    while changed {
+        changed = false;
+        for (pool, &target) in pools.iter_mut().zip(targets) {
+            if *pool > target {
+                free += *pool - target;
+                *pool = target;
+                changed = true;
+            } else if *pool < target && free > 0 {
+                *pool += 1;
+                free -= 1;
+                changed = true;
+            }
+        }
+    }
+    debug_assert!(
+        pools.iter().all(|pool| (reserve..=cap).contains(pool))
+            && pools.iter().sum::<usize>() <= reserve * pools.len() + budget,
+        "pools {pools:?} break the reserve {reserve}, the cap {cap} or the budget {budget}"
+    );
+    pools
+}
 
 /// How many of its pool's wavelengths one transfer drives.
+#[derive(Debug, Clone, PartialEq)]
 enum WidthRule {
     /// The whole pool. Class-blind, it cannot steer transfers away from
     /// damaged wavelengths, so the worst fault divisor derates it.
@@ -88,26 +165,58 @@ impl PhotonicFabric {
             pools: vec![wavelengths_per_channel; config.topology.num_clusters()],
             width: WidthRule::Channel,
             reservation_cycles,
-            retarget: None,
+            allocation: None,
         }
     }
 
-    /// d-HetPNoC's class table: demand-sized `pools`, and every transfer as
-    /// wide as its flow's application class.
+    /// d-HetPNoC's class table: demand-sized `pools`, refilled from
+    /// `allocation` on a `laser-dim` transition, and every transfer as wide
+    /// as its flow's application class.
     #[must_use]
     pub fn class(
         pools: Vec<usize>,
         demand: DemandMatrix,
         set: BandwidthSet,
         reservation_cycles: u64,
-        retarget: Retarget,
+        allocation: Allocation,
     ) -> Self {
         Self {
             pools,
             width: WidthRule::Class { demand, set },
             reservation_cycles,
-            retarget: Some(retarget),
+            allocation: Some(allocation),
         }
+    }
+
+    /// Refills a class table's pools after a `laser-dim` transition (an
+    /// apply or a repair) has left `faults`: the healthy targets, each
+    /// divided by the laser divisor (at least 1, then clamped to
+    /// `[reserve, cap]`), refilled from the current pools. Under `paper-max`
+    /// a repair can therefore leave other pools than the healthy ones (see
+    /// [`refill`]). A channel table keeps its pools.
+    pub fn laser_changed(&mut self, faults: &FaultSurface) {
+        let Some(Allocation {
+            targets,
+            budget,
+            reserve,
+            cap,
+        }) = &self.allocation
+        else {
+            return;
+        };
+        let laser = faults.laser_divisor() as usize;
+        let derated: Vec<usize> = targets
+            .iter()
+            .map(|&target| (target / laser).max(1).clamp(*reserve, *cap))
+            .collect();
+        self.pools = refill(&self.pools, &derated, *budget, *reserve, *cap);
+    }
+
+    /// The inputs a `laser-dim` transition refills the pools from; `None`
+    /// for a channel table.
+    #[must_use]
+    pub fn allocation(&self) -> Option<&Allocation> {
+        self.allocation.as_ref()
     }
 
     /// The identity of the table, for
@@ -121,9 +230,11 @@ impl PhotonicFabric {
     /// row-major over the (src, dst ≠ src) pairs.
     ///
     /// A channel table's id names its network under any fault plan. A class
-    /// table's names it only on a healthy run: the id holds neither its
-    /// retarget hook nor its per-class derating, so equal ids can diverge
-    /// once a fault transition fires.
+    /// table's names it on a healthy run and under plans of only
+    /// `link-fail` and `ring-stuck` events, which derate no width and move
+    /// no pool. The id holds neither the [`Allocation`] a `laser-dim`
+    /// transition refills from nor the per-class derating of a
+    /// `wavelength-degrade`, so under those equal ids can diverge.
     #[must_use]
     pub fn network_id(&self) -> String {
         let clusters = self.pools.len();
@@ -1201,8 +1312,8 @@ impl PhotonicSystem {
     }
 
     /// Applies every fault transition due at `cycle` — repairs before applies,
-    /// plan order within each group — to the fault surface, taking the
-    /// fabric's retarget pools on `laser-dim` and reporting each transition
+    /// plan order within each group — to the fault surface, refilling the
+    /// fabric's pools on `laser-dim` and reporting each transition
     /// to the probes. Runs first in the cycle, so every phase after it sees
     /// the post-transition surface.
     fn apply_fault_transitions(&mut self, cycle: u64, sink: &mut dyn EventSink) {
@@ -1225,8 +1336,8 @@ impl PhotonicSystem {
                     SimEvent::FaultRepaired { fault }
                 }
             };
-            if let (FaultKind::LaserDim, Some(retarget)) = (event.kind, &mut self.fabric.retarget) {
-                self.fabric.pools = retarget(&self.fault_surface);
+            if event.kind == FaultKind::LaserDim {
+                self.fabric.laser_changed(&self.fault_surface);
             }
             sink.emit(cycle, transition);
         }
@@ -1644,7 +1755,12 @@ mod tests {
             DemandMatrix::from_model(&Classes(low), 16),
             BandwidthSet::Set1,
             reservation_cycles,
-            Box::new(move |_| vec![pool; 16]),
+            Allocation {
+                targets: vec![pool; 16],
+                budget: 16 * (pool - 1),
+                reserve: 1,
+                cap: pool,
+            },
         )
     }
 

@@ -4,6 +4,7 @@
 //! cap, and the budget is never exceeded.
 
 use d_hetpnoc_repro::prelude::*;
+use d_hetpnoc_repro::sim::system::refill;
 use pnoc_noc::ids::ClusterId;
 use proptest::prelude::*;
 
@@ -121,6 +122,7 @@ proptest! {
     /// `L` (never above its target), the largest level whose total fits the
     /// dynamic budget, and hand what is left over one wavelength each,
     /// lowest cluster index first, to clusters still below their target.
+    /// `refill` from the reserve must land on it too.
     #[test]
     fn fresh_convergence_is_a_water_fill_of_the_budget(
         clusters in 1usize..=20,
@@ -152,8 +154,13 @@ proptest! {
         // One wavelength per visit: `cap - reserved` rotations fill every
         // target the budget allows, and one more finds nothing to change.
         controller.converge(cap - reserved + 1);
-        prop_assert_eq!(controller.allocation_snapshot(), expected);
+        prop_assert_eq!(&controller.allocation_snapshot(), &expected);
         prop_assert!(controller.check_invariants().is_ok());
+        // The count form the class table holds lands on the same closed form.
+        prop_assert_eq!(
+            refill(&vec![reserved; clusters], &targets, dynamic, reserved, cap),
+            expected
+        );
     }
 
     /// Token sizing (eq. 1) and hop latency (eq. 2) behave monotonically.
