@@ -11,9 +11,13 @@
 //!   spine totals partition the run's counters;
 //! * **replay order** — the metric rows of a spread of spine shapes are
 //!   pinned against `tests/golden/hier_metrics.jsonl`.
+//!
+//! The flat networks' metric rows are pinned the same way, against
+//! `tests/golden/flat_metrics.jsonl`.
 
 use d_hetpnoc_repro::hier::HIER_ONLY_METRICS;
 use pnoc_bench::runner::ensure_registered;
+use pnoc_sim::config::BandwidthSet;
 use pnoc_sim::metrics::{render_jsonl_row, MetricReport, MetricValue};
 use pnoc_sim::scenario::{run_specs, Effort, Scenario, ScenarioSpec};
 use pnoc_sim::sweep::{SweepMode, SweepPoint};
@@ -224,7 +228,6 @@ fn multi_pod_runs_report_per_pod_and_cross_pod_families() {
 /// text this test writes out.
 #[test]
 fn hier_metric_rows_match_their_golden() {
-    ensure_registered();
     let architectures = [
         "hier{pods=4,spine_latency=0,spine_bandwidth=3}",
         "hier{pods=16,spine_latency=1,spine_bandwidth=1,leaf=firefly}",
@@ -241,23 +244,64 @@ fn hier_metric_rows_match_their_golden() {
         })
         .map(|spec| spec.with_effort(Effort::Smoke))
         .collect();
-    let batch = run_specs(&specs).expect("registered names");
+    assert_rows_match_golden(&specs, "hier_metrics.jsonl");
+}
+
+/// The flat networks' metric rows are pinned too, in particular the three
+/// families a row-level check cannot derive from the counters:
+/// `delivered_bits_by_node` (a src/dst mix-up keeps its sum),
+/// `photonic_bits_by_cluster_pair` and `delivered_bits_by_window`. The
+/// rows cover every leaf fabric under skewed and tornado traffic on all
+/// three bandwidth sets, two closed-loop collectives, a rolling link
+/// failure and a transient laser dim. Not regenerated by any switch: a
+/// deliberate change replaces the file with the text this test writes out.
+#[test]
+fn flat_metric_rows_match_their_golden() {
+    let mut specs: Vec<ScenarioSpec> = Vec::new();
+    for arch in ["d-hetpnoc", "firefly", "uniform-fabric"] {
+        for traffic in ["skewed-3", "tornado"] {
+            for set in [BandwidthSet::Set1, BandwidthSet::Set2, BandwidthSet::Set3] {
+                specs.push(ScenarioSpec::new(arch, traffic).with_bandwidth_set(set));
+            }
+        }
+    }
+    for workload in ["allreduce:16", "incast:16"] {
+        specs.push(ScenarioSpec::closed_loop("d-hetpnoc", workload));
+    }
+    for plan in ["rolling-links", "laser-dim@c200-400:fabric/2"] {
+        specs.push(ScenarioSpec::new("d-hetpnoc", "skewed-3").with_faults(plan));
+    }
+    let specs: Vec<ScenarioSpec> = specs
+        .into_iter()
+        .map(|spec| spec.with_effort(Effort::Smoke))
+        .collect();
+    assert_rows_match_golden(&specs, "flat_metrics.jsonl");
+}
+
+/// Runs `specs` as one batch and compares its JSONL metric rows with
+/// `tests/golden/<file>`. On a mismatch the rendered text is written under
+/// the target tmpdir and both paths are named.
+fn assert_rows_match_golden(specs: &[ScenarioSpec], file: &str) {
+    ensure_registered();
+    let batch = run_specs(specs).expect("registered names");
     let mut actual = String::new();
     for row in batch.scenarios.iter().flat_map(|s| s.metric_rows()) {
         actual.push_str(&render_jsonl_row(&row));
         actual.push('\n');
     }
 
-    let golden_path = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden/hier_metrics.jsonl");
+    let golden_path = Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("tests/golden")
+        .join(file);
     let golden = std::fs::read_to_string(&golden_path)
         .unwrap_or_else(|error| panic!("{}: {error}", golden_path.display()));
     if actual != golden {
         let actual_dir = Path::new(env!("CARGO_TARGET_TMPDIR")).join("hier_determinism");
-        let actual_path = actual_dir.join("hier_metrics.jsonl");
+        let actual_path = actual_dir.join(file);
         std::fs::create_dir_all(&actual_dir).expect("target tmpdir is writable");
         std::fs::write(&actual_path, actual).expect("actual text writes");
         panic!(
-            "hier metric rows: expected {} but rendered {}",
+            "metric rows: expected {} but rendered {}",
             golden_path.display(),
             actual_path.display()
         );
