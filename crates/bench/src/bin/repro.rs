@@ -96,6 +96,7 @@ use pnoc_bench::scenario_io::{matrix_json, parse_scenarios, render_scenarios};
 use pnoc_bench::server::{serve, ServerOptions};
 use pnoc_sim::metrics::{JsonlSink, MetricValue};
 use pnoc_sim::params::ArchParams;
+use pnoc_sim::registry::{lookup_architecture, registered_architectures};
 use pnoc_sim::report::{fmt_f, Table};
 use pnoc_sim::scenario::{
     run_specs_with_cache, Effort, MatrixResult, PointCache, ScenarioMatrix, ScenarioSpec,
@@ -144,7 +145,9 @@ const WORKLOAD_DEFAULT_ARCHITECTURE: &str = "d-hetpnoc";
 /// The default evaluation matrix of `repro --matrix`: every registered
 /// architecture (or the `--arch` specs, when given) × the extended
 /// permutation/bursty workloads × all three bandwidth sets, crossed with
-/// any `--arch-params` axes.
+/// any `--arch-params` axes. When a fault plan of the `--faults` axis holds
+/// an event and no `--arch` is given, the architectures that decline fault
+/// plans are left out, with one line on stderr naming them.
 fn default_matrix(
     effort: Effort,
     archs: &[String],
@@ -156,10 +159,25 @@ fn default_matrix(
         .traffics(["tornado", "bursty-uniform"])
         .all_bandwidth_sets()
         .effort(effort);
-    matrix = if archs.is_empty() {
-        matrix.all_architectures()
-    } else {
+    let faulted = fault_plans
+        .iter()
+        .any(|plan| pnoc_faults::FaultPlan::resolve(plan).is_ok_and(|plan| !plan.is_empty()));
+    matrix = if !archs.is_empty() {
         matrix.architectures(archs.iter().cloned())
+    } else if faulted {
+        let (accepting, declining): (Vec<String>, Vec<String>) =
+            registered_architectures().into_iter().partition(|name| {
+                lookup_architecture(name).is_ok_and(|builder| builder.accepts_fault_schedules())
+            });
+        if !declining.is_empty() {
+            eprintln!(
+                "[repro] --faults: the default matrix leaves out {}, which decline fault plans",
+                declining.join(", ")
+            );
+        }
+        matrix.architectures(accepting)
+    } else {
+        matrix.all_architectures()
     };
     for (key, values) in param_axes {
         matrix = matrix.arch_params(key, values.iter().cloned());

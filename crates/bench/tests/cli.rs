@@ -127,6 +127,27 @@ fn declined_hier_specs_exit_2_before_simulating() {
     );
 }
 
+/// With no `--arch`, a fault plan narrows the default matrix to the
+/// architectures that accept one, and says so, instead of failing on `hier`.
+#[test]
+fn the_default_matrix_under_a_fault_plan_leaves_hier_out() {
+    let dir = scratch_dir("default-matrix-faults");
+    let json = dir.join("m.json");
+    let matrix = format!("--matrix={}", json.to_str().expect("UTF-8"));
+    let (_, stderr) = run_ok(&["--quick", &matrix, "--faults", "single-link"]);
+    assert!(
+        stderr.contains("the default matrix leaves out hier, which decline fault plans"),
+        "{stderr}"
+    );
+    let text = std::fs::read_to_string(&json).expect("the matrix was written");
+    assert!(text.contains("d-hetpnoc:tornado:set1:quick#faults=single-link"));
+    assert!(!text.contains("hier"), "{text}");
+    // A healthy plan keeps every architecture.
+    let specs = dump(&["--quick", "--faults", "none"], &dir.join("d.json"));
+    assert!(specs.iter().any(|spec| spec.architecture == "hier"));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn real_application_on_a_multi_pod_hierarchy_exits_2() {
     // The paper's mapping fits 16 clusters; four pods simulate 64.

@@ -224,7 +224,7 @@ mod tests {
 
     #[test]
     fn dhetpnoc_emits_probe_events_through_the_metrics_pipeline() {
-        use pnoc_sim::engine::run_to_completion_with;
+        use pnoc_sim::engine::{run_to_completion_with, CycleNetwork};
         use pnoc_sim::metrics::{MetricValue, MetricsProbe, Probe};
         let config = SimConfig::fast(BandwidthSet::Set1);
         let traffic = SkewedTraffic::new(
@@ -238,13 +238,14 @@ mod tests {
         let mut probe = MetricsProbe::for_config(&config);
         let stats = run_to_completion_with(&mut system, &mut [&mut probe]);
         assert!(stats.delivered_packets > 0);
-        let report = probe.report();
+        let mut report = probe.report();
+        system.contribute_metrics(&mut report);
         assert_eq!(
             report.counter("delivered_photonic_bits"),
             Some(stats.delivered_photonic_bits),
             "probe event stream must agree with the legacy snapshot"
         );
-        // Skewed traffic concentrates on a few cluster pairs; the streamed
+        // Skewed traffic concentrates on a few cluster pairs; the system's
         // per-pair photonic breakdown must partition the aggregate.
         let by_pair = report
             .family("photonic_bits_by_cluster_pair")

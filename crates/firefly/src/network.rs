@@ -218,7 +218,7 @@ mod tests {
 
     #[test]
     fn firefly_emits_probe_events_through_the_metrics_pipeline() {
-        use pnoc_sim::engine::run_to_completion_with;
+        use pnoc_sim::engine::{run_to_completion_with, CycleNetwork};
         use pnoc_sim::metrics::{MetricsProbe, Probe};
         let config = SimConfig::fast(BandwidthSet::Set1);
         let traffic = UniformRandomTraffic::new(
@@ -231,7 +231,8 @@ mod tests {
         let mut probe = MetricsProbe::for_config(&config);
         let stats = run_to_completion_with(&mut system, &mut [&mut probe]);
         assert!(stats.delivered_packets > 0);
-        let report = probe.report();
+        let mut report = probe.report();
+        system.contribute_metrics(&mut report);
         assert_eq!(
             report.counter("delivered_packets"),
             Some(stats.delivered_packets),

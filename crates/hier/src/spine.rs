@@ -125,18 +125,27 @@ impl Spine {
     }
 
     /// Emits the events visible at `cycle`, in a fixed order the probes rely
-    /// on (deliveries are attributed per pair first-in first-out): runs in
-    /// transmit order; within a run `PacketGenerated`, then one
-    /// `FlitDelivered` for its flits that serialized `latency` cycles ago,
-    /// `PacketInjected` if flit 0 serializes now and one `FlitInjected` for
-    /// the flits serializing now (delivered right after it, without a
-    /// latency), then `PacketDelivered` with the tail flit. A flit event
-    /// carries the run's flit count, so a packet costs one event per slot,
-    /// not one per flit.
+    /// on (deliveries are attributed per pair first-in first-out): for the
+    /// runs in transmit order, `PacketInjected` if flit 0 serializes now and
+    /// `PacketDelivered` with the tail flit; then `PacketGenerated` for the
+    /// runs generated now; last, one [`SimEvent::Flits`] total of the flits
+    /// serializing now (injected) and of those that serialized `latency`
+    /// cycles ago (delivered; without a latency, the same flits), if there
+    /// are any. Every delivered flit is photonic on a photonic spine and
+    /// electrical otherwise.
+    ///
+    /// `deliver(src, dst, bits)` is called once per run with flits arriving
+    /// now, with their bits, for the caller's per-destination and per-pair
+    /// tallies: a packet costs one call per slot, not one per flit.
     ///
     /// Every cycle [`Spine::next_event_after`] names must be replayed, in
     /// ascending order; a cycle costs its events plus a constant.
-    pub fn replay(&mut self, cycle: u64, mut emit: impl FnMut(SimEvent)) {
+    pub fn replay(
+        &mut self,
+        cycle: u64,
+        mut emit: impl FnMut(SimEvent),
+        mut deliver: impl FnMut(CoreId, CoreId, u64),
+    ) {
         // The runs delivering now are a prefix of the queue; the ones
         // serializing now start at `sending` unless that prefix reaches them.
         // Between the two lie runs fully on the wire: nothing to emit. A run
@@ -150,8 +159,28 @@ impl Spine {
             .runs
             .range(self.sending.max(delivering)..)
             .take_while(|r| r.first <= cycle);
+        let (mut injected, mut delivered, mut delivered_bits) = (0, 0, 0);
         for run in self.runs.range(..delivering).chain(serializing) {
-            self.emit_flits(run, cycle, &mut emit);
+            let sending = self.flits_at(run, cycle, 0);
+            if let Some(flits) = run_length(sending.clone()) {
+                if sending.start == 0 {
+                    emit(SimEvent::PacketInjected { src: run.src });
+                }
+                injected += flits;
+            }
+            if let Some(flits) = run_length(self.flits_at(run, cycle, self.latency)) {
+                let bits = u64::from(flits) * u64::from(run.flit_bits);
+                deliver(run.src, run.dst, bits);
+                delivered += flits;
+                delivered_bits += bits;
+            }
+            if cycle == self.last_slot(run) + self.latency {
+                emit(SimEvent::PacketDelivered {
+                    src: run.src,
+                    dst: run.dst,
+                    latency: cycle - run.created_cycle,
+                });
+            }
         }
         while let Some(run) = self.runs.get(self.announced) {
             if run.generated != cycle {
@@ -159,6 +188,14 @@ impl Spine {
             }
             emit(SimEvent::PacketGenerated { src: run.src });
             self.announced += 1;
+        }
+        if injected > 0 || delivered > 0 {
+            emit(SimEvent::Flits {
+                injected,
+                delivered,
+                delivered_bits,
+                photonic_bits: if self.photonic { delivered_bits } else { 0 },
+            });
         }
         while self
             .runs
@@ -175,46 +212,6 @@ impl Spine {
             self.runs.pop_front();
             self.sending -= 1;
             self.announced -= 1;
-        }
-    }
-
-    /// The injection and delivery events of `run` visible at `cycle`.
-    fn emit_flits(&self, run: &Run, cycle: u64, emit: &mut impl FnMut(SimEvent)) {
-        let delivered = |flits: u32| SimEvent::FlitDelivered {
-            src: run.src,
-            dst: run.dst,
-            bits: run.flit_bits,
-            flits,
-            photonic: self.photonic,
-        };
-        // With a latency the flits arriving now precede the ones serializing
-        // now; without one they are the same flits, injected then delivered.
-        if self.latency > 0 {
-            if let Some(arriving) = run_length(self.flits_at(run, cycle, self.latency)) {
-                emit(delivered(arriving));
-            }
-        }
-        let sending = self.flits_at(run, cycle, 0);
-        let holds_head = sending.start == 0;
-        if let Some(flits) = run_length(sending) {
-            if holds_head {
-                emit(SimEvent::PacketInjected { src: run.src });
-            }
-            emit(SimEvent::FlitInjected {
-                src: run.src,
-                bits: run.flit_bits,
-                flits,
-            });
-            if self.latency == 0 {
-                emit(delivered(flits));
-            }
-        }
-        if cycle == self.last_slot(run) + self.latency {
-            emit(SimEvent::PacketDelivered {
-                src: run.src,
-                dst: run.dst,
-                latency: cycle - run.created_cycle,
-            });
         }
     }
 
@@ -260,6 +257,13 @@ impl Spine {
             .min()
     }
 
+    /// Whether the spine is photonic: every flit it delivers counts as
+    /// photonic.
+    #[must_use]
+    pub fn is_photonic(&self) -> bool {
+        self.photonic
+    }
+
     /// Peak serialization backlog (cycles between a packet's generation and
     /// the busy edge of the spine schedule) over the whole run.
     #[must_use]
@@ -296,16 +300,42 @@ mod tests {
         }
     }
 
-    /// Replays every cycle the spine names until it is idle.
+    /// Replays every cycle the spine names until it is idle; checks that
+    /// every cycle's arrivals add up to its `Flits` total.
     fn drain(spine: &mut Spine) -> Vec<(u64, SimEvent)> {
         let mut events = Vec::new();
         let mut next = Some(0);
         while let Some(cycle) = next {
-            spine.replay(cycle, |event| events.push((cycle, event)));
+            let mut arrived = 0;
+            spine.replay(
+                cycle,
+                |event| events.push((cycle, event)),
+                |_, _, bits| arrived += bits,
+            );
+            let total = events.iter().rev().take_while(|(at, _)| *at == cycle);
+            let delivered_bits = total
+                .filter_map(|(_, event)| match *event {
+                    SimEvent::Flits { delivered_bits, .. } => Some(delivered_bits),
+                    _ => None,
+                })
+                .sum::<u64>();
+            assert_eq!(arrived, delivered_bits, "cycle {cycle}");
             next = spine.next_event_after(cycle);
         }
         assert_eq!(spine.queued_packets(), 0, "a drained spine holds nothing");
         events
+    }
+
+    /// The cycle of every flit injected (or delivered), in cycle order.
+    fn flit_cycles(events: &[(u64, SimEvent)], arrivals: bool) -> Vec<u64> {
+        let totals = events.iter().filter_map(|&(cycle, event)| match event {
+            SimEvent::Flits { injected, .. } if !arrivals => Some((cycle, injected)),
+            SimEvent::Flits { delivered, .. } if arrivals => Some((cycle, delivered)),
+            _ => None,
+        });
+        totals
+            .flat_map(|(cycle, flits)| std::iter::repeat_n(cycle, flits as usize))
+            .collect()
     }
 
     fn delivered_latency(events: &[(u64, SimEvent)]) -> Vec<u64> {
@@ -327,18 +357,9 @@ mod tests {
         assert_eq!(spine.queued_packets(), 1);
         let events = drain(&mut spine);
         assert_eq!(delivered_latency(&events), vec![12]);
-        // One cycle entry per flit, each run expanded to its flit count.
-        let flit_cycles = |delivered: bool| -> Vec<u64> {
-            let runs = events.iter().filter_map(|&(cycle, event)| match event {
-                SimEvent::FlitInjected { flits, .. } if !delivered => Some((cycle, flits)),
-                SimEvent::FlitDelivered { flits, .. } if delivered => Some((cycle, flits)),
-                _ => None,
-            });
-            runs.flat_map(|(cycle, flits)| std::iter::repeat_n(cycle, flits as usize))
-                .collect()
-        };
-        assert_eq!(flit_cycles(false), [1, 1, 1, 1, 2, 2, 2, 2]);
-        assert_eq!(flit_cycles(true), [11, 11, 11, 11, 12, 12, 12, 12]);
+        // One cycle entry per flit, each total expanded to its flit count.
+        assert_eq!(flit_cycles(&events, false), [1, 1, 1, 1, 2, 2, 2, 2]);
+        assert_eq!(flit_cycles(&events, true), [11, 11, 11, 11, 12, 12, 12, 12]);
     }
 
     #[test]
@@ -346,24 +367,28 @@ mod tests {
         let mut spine = Spine::new(true, 32, 64);
         spine.transmit(0, &packet(0, 64, 64, 0));
         let events: Vec<SimEvent> = drain(&mut spine).into_iter().map(|(_, e)| e).collect();
-        let (src, dst, bits, flits) = (CoreId(0), CoreId(64), 32, 64);
+        let (src, dst) = (CoreId(0), CoreId(64));
         assert_eq!(
             events,
             [
                 SimEvent::PacketGenerated { src },
                 SimEvent::PacketInjected { src },
-                SimEvent::FlitInjected { src, bits, flits },
-                SimEvent::FlitDelivered {
-                    src,
-                    dst,
-                    bits,
-                    flits,
-                    photonic: true,
+                SimEvent::Flits {
+                    injected: 64,
+                    delivered: 0,
+                    delivered_bits: 0,
+                    photonic_bits: 0,
                 },
                 SimEvent::PacketDelivered {
                     src,
                     dst,
                     latency: 33,
+                },
+                SimEvent::Flits {
+                    injected: 0,
+                    delivered: 64,
+                    delivered_bits: 64 * 32,
+                    photonic_bits: 64 * 32,
                 },
             ]
         );
@@ -397,9 +422,19 @@ mod tests {
             drain(&mut spine)
         };
         let events = run();
-        // Per packet: generated, injected, a two-flit run in each of two
-        // slots for injection and for delivery, delivered.
-        assert_eq!(events.len(), 11 * (1 + 1 + 2 + 2 + 1));
+        // Packet k of 11 is generated at 3k, serializes two flits at 3k + 1
+        // and 3k + 2, and delivers them at 3k + 6 and 3k + 7: three packet
+        // events each, and one flit total in each of the 22 injection
+        // cycles, 11 delivery-only cycles 3k + 6, and 34 and 37.
+        let totals = |flits: bool| {
+            events
+                .iter()
+                .filter(|(_, event)| matches!(event, SimEvent::Flits { .. }) == flits)
+                .count()
+        };
+        assert_eq!((totals(false), totals(true)), (11 * 3, 22 + 11 + 2));
+        assert_eq!(flit_cycles(&events, false).len(), 44);
+        assert_eq!(flit_cycles(&events, true).len(), 44);
         assert_eq!(events, run());
     }
 }

@@ -16,7 +16,9 @@ use pnoc_noc::traffic_model::TrafficModel;
 use pnoc_photonics::energy::EnergyBreakdown;
 use pnoc_sim::config::SimConfig;
 use pnoc_sim::engine::{advance_network, CycleNetwork};
-use pnoc_sim::metrics::{EventSink, MetricReport, MetricValue, QuantileSketch, SimEvent};
+use pnoc_sim::metrics::{
+    delivery_families, EventSink, MetricReport, MetricValue, QuantileSketch, SimEvent,
+};
 use pnoc_sim::registry::ArchitectureBuilder;
 use pnoc_sim::stats::SimStats;
 use std::collections::{BTreeMap, VecDeque};
@@ -129,32 +131,14 @@ impl EventSink for RecordingSink<'_> {
             SimEvent::PacketGenerated { src } => SimEvent::PacketGenerated { src: up(src) },
             SimEvent::PacketDropped { src } => SimEvent::PacketDropped { src: up(src) },
             SimEvent::PacketInjected { src } => SimEvent::PacketInjected { src: up(src) },
-            SimEvent::FlitInjected { src, bits, flits } => SimEvent::FlitInjected {
-                src: up(src),
-                bits,
-                flits,
-            },
-            SimEvent::FlitDelivered {
-                src,
-                dst,
-                bits,
-                flits,
-                photonic,
-            } => SimEvent::FlitDelivered {
-                src: up(src),
-                dst: up(dst),
-                bits,
-                flits,
-                photonic,
-            },
             SimEvent::PacketDelivered { src, dst, latency } => SimEvent::PacketDelivered {
                 src: up(src),
                 dst: up(dst),
                 latency,
             },
-            structural @ (SimEvent::FaultApplied { .. } | SimEvent::FaultRepaired { .. }) => {
-                structural
-            }
+            unnumbered @ (SimEvent::Flits { .. }
+            | SimEvent::FaultApplied { .. }
+            | SimEvent::FaultRepaired { .. }) => unnumbered,
         };
         debug_assert!(
             self.events.last().is_none_or(|&(at, _)| at <= cycle),
@@ -278,7 +262,7 @@ impl TrafficModel for PodFeedTraffic {
 }
 
 /// Spine-side accounting for the measurement window, driven by replayed
-/// spine events (and therefore reset together with the pods at
+/// spine events and arrivals (and therefore reset together with the pods at
 /// `begin_measurement`).
 struct SpineAccount {
     /// The spine's own events; only the packet and flit counters are read.
@@ -286,6 +270,11 @@ struct SpineAccount {
     latency_sketch: QuantileSketch,
     /// Delivered packets per (source pod, destination pod), row-major.
     pod_pair_packets: Vec<u64>,
+    /// Bits the spine delivered per destination core, and, on a photonic
+    /// spine, per (src, dst) global cluster pair. Sparse: a global pair
+    /// array would be clusters² long, and a run touches them once per slot.
+    bits_by_node: BTreeMap<CoreId, u64>,
+    photonic_bits_by_pair: BTreeMap<(ClusterId, ClusterId), u64>,
 }
 
 impl SpineAccount {
@@ -294,14 +283,8 @@ impl SpineAccount {
             totals: SimStats::default(),
             latency_sketch: QuantileSketch::new(),
             pod_pair_packets: vec![0; pods * pods],
-        }
-    }
-
-    fn observe(&mut self, event: &SimEvent, leaf_cores: usize, pods: usize) {
-        self.totals.observe(event);
-        if let SimEvent::PacketDelivered { src, dst, latency } = *event {
-            self.latency_sketch.record(latency);
-            self.pod_pair_packets[src.0 / leaf_cores * pods + dst.0 / leaf_cores] += 1;
+            bits_by_node: BTreeMap::new(),
+            photonic_bits_by_pair: BTreeMap::new(),
         }
     }
 }
@@ -511,10 +494,25 @@ impl HierarchicalSystem {
             }
         }
         let (account, leaf_cores, pods) = (&mut self.account, self.leaf_cores, self.pods.len());
-        self.spine.replay(cycle, |event| {
-            account.observe(&event, leaf_cores, pods);
-            sink.emit(cycle, event);
-        });
+        let (topology, photonic) = (self.config.topology, self.spine.is_photonic());
+        self.spine.replay(
+            cycle,
+            |event| {
+                account.totals.observe(&event);
+                if let SimEvent::PacketDelivered { src, dst, latency } = event {
+                    account.latency_sketch.record(latency);
+                    account.pod_pair_packets[src.0 / leaf_cores * pods + dst.0 / leaf_cores] += 1;
+                }
+                sink.emit(cycle, event);
+            },
+            |src, dst, bits| {
+                *account.bits_by_node.entry(dst).or_insert(0) += bits;
+                if photonic {
+                    let pair = (topology.cluster_of(src), topology.cluster_of(dst));
+                    *account.photonic_bits_by_pair.entry(pair).or_insert(0) += bits;
+                }
+            },
+        );
     }
 }
 
@@ -596,8 +594,22 @@ impl CycleNetwork for HierarchicalSystem {
         let mut delivered = BTreeMap::new();
         let mut bits = BTreeMap::new();
         let mut dropped = BTreeMap::new();
+        // The spine's deliveries plus every pod's, lifted into the global
+        // numbering: a pod's cores and clusters are one block of it.
+        let mut nodes = self.account.bits_by_node.clone();
+        let mut pairs = self.account.photonic_bits_by_pair.clone();
+        let leaf_clusters = self.config.topology.num_clusters() / self.pods.len();
         for (index, pod) in self.pods.iter().enumerate() {
             let pod = pod.lock().expect("pod shard poisoned");
+            if let Some(tally) = pod.network.delivery_tally() {
+                for (core, bits) in tally.nodes() {
+                    *nodes.entry(CoreId(core.0 + pod.core_offset)).or_insert(0) += bits;
+                }
+                let up = |cluster: ClusterId| ClusterId(cluster.0 + index * leaf_clusters);
+                for ((src, dst), bits) in tally.cluster_pairs() {
+                    *pairs.entry((up(src), up(dst))).or_insert(0) += bits;
+                }
+            }
             let totals = &pod.totals;
             let label = pod_label(index);
             for (family, count) in [
@@ -613,6 +625,7 @@ impl CycleNetwork for HierarchicalSystem {
         report.insert("pod_delivered_packets", MetricValue::Family(delivered));
         report.insert("pod_delivered_bits", MetricValue::Family(bits));
         report.insert("pod_dropped_packets", MetricValue::Family(dropped));
+        delivery_families(report, nodes, pairs);
         let spine = &self.account.totals;
         for (name, count) in [
             ("cross_pod_packets", spine.generated_packets),
@@ -700,30 +713,27 @@ mod tests {
     }
 
     #[test]
-    fn a_flit_run_tallies_as_its_flits_one_by_one() {
-        let (src, dst) = (CoreId(1), CoreId(70));
-        let delivered = |bits, flits| SimEvent::FlitDelivered {
-            src,
-            dst,
-            bits,
-            flits,
-            photonic: true,
+    fn a_flit_total_tallies_as_its_flits_one_by_one() {
+        let total = |flits: u32, bits: u64, photonic: bool| SimEvent::Flits {
+            injected: flits,
+            delivered: flits,
+            delivered_bits: u64::from(flits) * bits,
+            photonic_bits: if photonic { u64::from(flits) * bits } else { 0 },
         };
-        for bits in [1, 32, u32::MAX] {
+        for bits in [1, 32, u64::from(u32::MAX)] {
             for flits in [1, 2, 7, 64] {
-                let (mut runs, mut one_by_one) = (SimStats::default(), SimStats::default());
-                runs.observe(&delivered(bits, flits));
-                runs.observe(&SimEvent::FlitInjected { src, bits, flits });
-                for _ in 0..flits {
-                    one_by_one.observe(&delivered(bits, 1));
-                    one_by_one.observe(&SimEvent::FlitInjected {
-                        src,
-                        bits,
-                        flits: 1,
-                    });
+                for photonic in [false, true] {
+                    let (mut whole, mut one_by_one) = (SimStats::default(), SimStats::default());
+                    whole.observe(&total(flits, bits, photonic));
+                    for _ in 0..flits {
+                        one_by_one.observe(&total(1, bits, photonic));
+                    }
+                    assert_eq!(whole, one_by_one, "{flits} flits of {bits} bits");
+                    assert_eq!(whole.delivered_flits, u64::from(flits));
+                    assert_eq!(whole.injected_flits, u64::from(flits));
+                    let photonic_bits = if photonic { whole.delivered_bits } else { 0 };
+                    assert_eq!(whole.delivered_photonic_bits, photonic_bits);
                 }
-                assert_eq!(runs, one_by_one, "{flits} flits of {bits} bits");
-                assert_eq!(runs.delivered_flits, u64::from(flits));
             }
         }
     }

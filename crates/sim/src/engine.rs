@@ -95,13 +95,23 @@ pub trait CycleNetwork: Send {
     }
 
     /// Contributes network-internal metrics to a finished point's report,
-    /// after the probes have built it from the event stream. The default
-    /// adds nothing — most networks are fully described by their events.
-    /// Composite networks (the hierarchy engine) override this to attach
-    /// structure the flat event stream cannot carry, such as per-pod
-    /// delivery families and spine-link counters.
+    /// after the probes have built it from the event stream: what the
+    /// stream's per-step [`SimEvent::Flits`] totals do not carry. A leaf
+    /// network renders its [`DeliveryTally`](crate::metrics::DeliveryTally)
+    /// (`delivered_bits_by_node`, `photonic_bits_by_cluster_pair`); the
+    /// hierarchy engine renders its pods' tallies lifted into the global
+    /// numbering, plus per-pod delivery families and spine-link counters.
+    /// The default adds nothing.
     fn contribute_metrics(&self, report: &mut crate::metrics::MetricReport) {
         let _ = report;
+    }
+
+    /// Where the flits delivered since measurement began went, for a network
+    /// that keeps a [`DeliveryTally`](crate::metrics::DeliveryTally): what a
+    /// composite network sums its parts' families from. The default has
+    /// none.
+    fn delivery_tally(&self) -> Option<&crate::metrics::DeliveryTally> {
+        None
     }
 }
 
@@ -159,11 +169,16 @@ impl<'a, 'b> ProbeFanout<'a, 'b> {
 impl EventSink for ProbeFanout<'_, '_> {
     fn emit(&mut self, cycle: u64, event: SimEvent) {
         debug_assert!(
-            !matches!(
-                event,
-                SimEvent::FlitInjected { flits: 0, .. } | SimEvent::FlitDelivered { flits: 0, .. }
-            ),
-            "a flit event carries at least one flit"
+            match event {
+                SimEvent::Flits {
+                    injected,
+                    delivered,
+                    delivered_bits,
+                    photonic_bits,
+                } => (injected > 0 || delivered > 0) && photonic_bits <= delivered_bits,
+                _ => true,
+            },
+            "a flit total moves at least one flit, and its photonic bits are delivered bits"
         );
         // Fault transitions are schedule replay, not workload statistics:
         // they pass the warm-up gate so the probes' fault counters reconcile

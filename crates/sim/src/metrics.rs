@@ -584,15 +584,14 @@ fn write_report_json(out: &mut String, report: &MetricReport) {
 
 /// One observable simulation event, emitted by a network while it steps.
 ///
-/// The two flit events carry a *run*: `flits ≥ 1` flits of `bits` bits each,
-/// all visible at the event's cycle, between the same pair of cores. A
-/// consumer counts a run exactly as `flits` one-flit events — every flit
-/// consumer is an integer sum keyed by cycle, core or cluster pair, so the
-/// split of a cycle's flits into runs and their order inside the cycle carry
-/// no meaning. A flat network moves at most one flit per core per cycle and
-/// emits `flits: 1`; the hierarchy's spine emits one run per packet per
-/// serialization slot. The packet-level events are never batched and keep
-/// their order.
+/// Flits are counted, not announced: a network sums the flits a stepped
+/// cycle moves and reports them as one [`SimEvent::Flits`] total at the end
+/// of the step, and keeps which core received them and which cluster pair
+/// they crossed in its own [`DeliveryTally`]. Every flit consumer is an
+/// integer sum keyed by cycle, so a total means exactly what the flits one
+/// by one would: a cycle may carry several totals (the hierarchy's pods and
+/// its spine report one each), and their split and order carry no meaning.
+/// The packet-level events are never batched and keep their order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SimEvent {
     /// A traffic generator created a packet at `src`.
@@ -610,27 +609,17 @@ pub enum SimEvent {
         /// Injecting core.
         src: CoreId,
     },
-    /// A run of flits entered the network at `src`.
-    FlitInjected {
-        /// Injecting core.
-        src: CoreId,
-        /// Payload bits of each flit.
-        bits: u32,
-        /// Flits in the run (at least one).
-        flits: u32,
-    },
-    /// A run of flits was delivered to its destination core.
-    FlitDelivered {
-        /// Source core of the flits.
-        src: CoreId,
-        /// Destination core (where they were ejected).
-        dst: CoreId,
-        /// Payload bits of each flit.
-        bits: u32,
-        /// Flits in the run (at least one).
-        flits: u32,
-        /// Whether the flits crossed the photonic fabric (inter-cluster).
-        photonic: bool,
+    /// The flits a stepped cycle moved, at least one of them.
+    Flits {
+        /// Flits that entered the network.
+        injected: u32,
+        /// Flits delivered to their destination core.
+        delivered: u32,
+        /// Payload bits of the delivered flits.
+        delivered_bits: u64,
+        /// The part of `delivered_bits` that crossed the photonic fabric
+        /// (inter-cluster flits).
+        photonic_bits: u64,
     },
     /// A packet's tail flit arrived: the whole packet is delivered.
     PacketDelivered {
@@ -653,9 +642,111 @@ pub enum SimEvent {
     },
 }
 
-// `PacketDelivered` is the largest variant. The hierarchy buffers a window of
-// `(u64, SimEvent)` per pod, so a growth here is a growth of its footprint.
+// `PacketDelivered` and `Flits` are the largest variants. The hierarchy
+// buffers a window of `(u64, SimEvent)` per pod, so a growth here is a growth
+// of its footprint.
 const _: () = assert!(std::mem::size_of::<SimEvent>() == 32);
+
+/// Where a network's delivered flits went over the measurement window: the
+/// bits each destination core received, and the photonic bits of each
+/// (source cluster, destination cluster) pair, both dense and indexed by
+/// number. The network adds to it per flit, beside its step's
+/// [`SimEvent::Flits`] total, and renders it into the point's report as the
+/// `delivered_bits_by_node` and `photonic_bits_by_cluster_pair` families
+/// (see [`delivery_families`]).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct DeliveryTally {
+    clusters: usize,
+    bits_by_node: Vec<u64>,
+    /// Row-major over (src cluster, dst cluster), `clusters²` long.
+    photonic_bits_by_pair: Vec<u64>,
+}
+
+impl DeliveryTally {
+    /// An empty tally for a chip of `cores` cores in `clusters` clusters.
+    #[must_use]
+    pub fn new(cores: usize, clusters: usize) -> Self {
+        Self {
+            clusters,
+            bits_by_node: vec![0; cores],
+            photonic_bits_by_pair: vec![0; clusters * clusters],
+        }
+    }
+
+    /// Forgets everything tallied so far (the measurement window opens).
+    pub fn reset(&mut self) {
+        self.bits_by_node.fill(0);
+        self.photonic_bits_by_pair.fill(0);
+    }
+
+    /// Credits `bits` delivered to core `dst`.
+    #[inline]
+    pub fn deliver(&mut self, dst: CoreId, bits: u64) {
+        self.bits_by_node[dst.0] += bits;
+    }
+
+    /// Credits `bits` that crossed the photonic fabric from cluster `src` to
+    /// cluster `dst`.
+    #[inline]
+    pub fn cross(&mut self, src: ClusterId, dst: ClusterId, bits: u64) {
+        self.photonic_bits_by_pair[src.0 * self.clusters + dst.0] += bits;
+    }
+
+    /// The cores that received bits, with their bits, in core order.
+    pub fn nodes(&self) -> impl Iterator<Item = (CoreId, u64)> + '_ {
+        self.bits_by_node
+            .iter()
+            .enumerate()
+            .filter(|(_, &bits)| bits > 0)
+            .map(|(core, &bits)| (CoreId(core), bits))
+    }
+
+    /// The cluster pairs that carried photonic bits, with their bits, in
+    /// (src, dst) order.
+    pub fn cluster_pairs(&self) -> impl Iterator<Item = ((ClusterId, ClusterId), u64)> + '_ {
+        let clusters = self.clusters;
+        self.photonic_bits_by_pair
+            .iter()
+            .enumerate()
+            .filter(|(_, &bits)| bits > 0)
+            .map(move |(pair, &bits)| {
+                let (src, dst) = (pair / clusters, pair % clusters);
+                ((ClusterId(src), ClusterId(dst)), bits)
+            })
+    }
+
+    /// Inserts the tally's two families into `report`.
+    pub fn render(&self, report: &mut MetricReport) {
+        delivery_families(report, self.nodes(), self.cluster_pairs());
+    }
+}
+
+/// Inserts the `delivered_bits_by_node` and `photonic_bits_by_cluster_pair`
+/// families into `report`, from `(core, bits)` and `((src, dst), bits)`
+/// members given at most once each. A composite network sums its parts'
+/// [`DeliveryTally`]s into these.
+pub fn delivery_families(
+    report: &mut MetricReport,
+    nodes: impl IntoIterator<Item = (CoreId, u64)>,
+    pairs: impl IntoIterator<Item = ((ClusterId, ClusterId), u64)>,
+) {
+    report.insert(
+        "delivered_bits_by_node",
+        counter_family(
+            nodes
+                .into_iter()
+                .map(|(core, bits)| (node_label(core), bits)),
+        ),
+    );
+    report.insert(
+        "photonic_bits_by_cluster_pair",
+        counter_family(
+            pairs
+                .into_iter()
+                .map(|((src, dst), bits)| (cluster_pair_label(src, dst), bits)),
+        ),
+    );
+}
 
 /// Where a stepping network reports its [`SimEvent`]s.
 ///
@@ -703,24 +794,22 @@ pub trait Probe {
     fn report(&self) -> MetricReport;
 }
 
-/// The standard probe: latency quantiles, per-node and per-cluster-pair
-/// delivery breakdowns, time-windowed throughput, and the headline event
-/// counters. This is what the sweep engine attaches to every ladder point.
+/// The standard probe: latency quantiles, per-node drops, time-windowed
+/// throughput, and the headline event counters. This is what the sweep
+/// engine attaches to every ladder point.
 ///
 /// The nine headline counters (`generated_packets` … `measured_cycles`) are
 /// not counted here: [`Probe::finish`] copies them from the engine's
 /// [`SimStats`].
 ///
-/// The hot path (one [`Probe::on_event`] call per flit) touches only
+/// [`Probe::on_event`] runs once per packet event and once per
+/// [`SimEvent::Flits`] total, never per flit, and touches only
 /// integer-indexed accumulators; the labelled [`MetricValue::Family`]
-/// representation is materialised once, in [`Probe::report`].
-///
-/// The per-cluster-pair photonic breakdown needs the
-/// [`ClusterTopology`](pnoc_noc::topology::ClusterTopology) to map cores to
-/// clusters: build the probe with [`MetricsProbe::for_config`] (what the
-/// sweep engine does). A probe built with [`MetricsProbe::new`] has no
-/// topology: its `photonic_bits_by_cluster_pair` stays empty while the
-/// `delivered_photonic_bits` counter is still reported.
+/// representation is materialised once, in [`Probe::report`]. Where the
+/// delivered bits went (per destination core, per photonic cluster pair) is
+/// not in the event stream: the network keeps it in its [`DeliveryTally`]
+/// and adds it to the point's report through
+/// [`CycleNetwork::contribute_metrics`](crate::engine::CycleNetwork::contribute_metrics).
 #[derive(Debug, Clone)]
 pub struct MetricsProbe {
     window_cycles: u64,
@@ -731,12 +820,8 @@ pub struct MetricsProbe {
     /// reported headline counters.
     stats: SimStats,
     latency: QuantileSketch,
-    /// Delivered bits per destination core, indexed by core id.
-    bits_by_node: Vec<u64>,
     /// Dropped packets per source core, indexed by core id.
     drops_by_node: Vec<u64>,
-    /// Photonic bits per (src cluster, dst cluster) pair.
-    photonic_bits_by_pair: BTreeMap<(usize, usize), u64>,
     /// Delivered bits of every closed window, in window order.
     window_series: Vec<u64>,
     /// The largest closed window's delivered bits (starts at 0.0 and only
@@ -744,14 +829,11 @@ pub struct MetricsProbe {
     max_window_bits: f64,
     fault_applied_events: u64,
     fault_repaired_events: u64,
-    topology: Option<pnoc_noc::topology::ClusterTopology>,
 }
 
 impl MetricsProbe {
     /// Creates a probe that closes a throughput window every `window_cycles`
-    /// measured cycles. The probe has no topology — use
-    /// [`MetricsProbe::for_config`] to enable the per-cluster-pair photonic
-    /// breakdown.
+    /// measured cycles.
     ///
     /// # Panics
     ///
@@ -765,30 +847,19 @@ impl MetricsProbe {
             window_bits: 0,
             stats: SimStats::default(),
             latency: QuantileSketch::new(),
-            bits_by_node: Vec::new(),
             drops_by_node: Vec::new(),
-            photonic_bits_by_pair: BTreeMap::new(),
             window_series: Vec::new(),
             max_window_bits: 0.0,
             fault_applied_events: 0,
             fault_repaired_events: 0,
-            topology: None,
         }
     }
 
-    /// Sets the topology used to attribute photonic bits to cluster pairs.
-    #[must_use]
-    pub(crate) fn with_topology(mut self, topology: pnoc_noc::topology::ClusterTopology) -> Self {
-        self.topology = Some(topology);
-        self
-    }
-
     /// A probe windowed for one sweep point: an eighth of the measurement
-    /// window (at least one cycle), so every run yields a small time series,
-    /// with the configuration's topology for per-cluster-pair attribution.
+    /// window (at least one cycle), so every run yields a small time series.
     #[must_use]
     pub fn for_config(config: &crate::config::SimConfig) -> Self {
-        Self::new((config.sim_cycles / 8).max(1)).with_topology(config.topology)
+        Self::new((config.sim_cycles / 8).max(1))
     }
 
     fn close_window(&mut self) {
@@ -822,29 +893,11 @@ impl Probe for MetricsProbe {
     fn on_event(&mut self, _cycle: u64, event: &SimEvent) {
         match *event {
             SimEvent::PacketDropped { src } => bump(&mut self.drops_by_node, src.0, 1),
-            SimEvent::FlitDelivered {
-                src,
-                dst,
-                bits,
-                flits,
-                photonic,
-            } => {
-                let bits = u64::from(flits) * u64::from(bits);
-                self.window_bits += bits;
-                bump(&mut self.bits_by_node, dst.0, bits);
-                if photonic {
-                    if let Some(topology) = &self.topology {
-                        let pair = (topology.cluster_of(src).0, topology.cluster_of(dst).0);
-                        *self.photonic_bits_by_pair.entry(pair).or_insert(0) += bits;
-                    }
-                }
-            }
+            SimEvent::Flits { delivered_bits, .. } => self.window_bits += delivered_bits,
             SimEvent::PacketDelivered { latency, .. } => self.latency.record(latency),
             SimEvent::FaultApplied { .. } => self.fault_applied_events += 1,
             SimEvent::FaultRepaired { .. } => self.fault_repaired_events += 1,
-            SimEvent::PacketGenerated { .. }
-            | SimEvent::PacketInjected { .. }
-            | SimEvent::FlitInjected { .. } => {}
+            SimEvent::PacketGenerated { .. } | SimEvent::PacketInjected { .. } => {}
         }
     }
 
@@ -902,25 +955,14 @@ impl Probe for MetricsProbe {
         );
         // Materialise the labelled families (touched members only — the
         // integer accumulators keep the per-event path allocation-free).
-        let node_family = |slots: &[u64]| {
+        report.insert(
+            "dropped_packets_by_node",
             counter_family(
-                slots
+                self.drops_by_node
                     .iter()
                     .enumerate()
                     .filter(|(_, &count)| count > 0)
                     .map(|(core, &count)| (node_label(CoreId(core)), count)),
-            )
-        };
-        report.insert("delivered_bits_by_node", node_family(&self.bits_by_node));
-        report.insert("dropped_packets_by_node", node_family(&self.drops_by_node));
-        report.insert(
-            "photonic_bits_by_cluster_pair",
-            counter_family(
-                self.photonic_bits_by_pair
-                    .iter()
-                    .map(|(&(src, dst), &count)| {
-                        (cluster_pair_label(ClusterId(src), ClusterId(dst)), count)
-                    }),
             ),
         );
         report.insert(
@@ -1247,12 +1289,11 @@ mod tests {
             emit(
                 &mut probe,
                 cycle,
-                SimEvent::FlitDelivered {
-                    src,
-                    dst,
-                    bits: 32,
-                    flits: 1,
-                    photonic: false,
+                SimEvent::Flits {
+                    injected: 0,
+                    delivered: 1,
+                    delivered_bits: 32,
+                    photonic_bits: 0,
                 },
             );
             if cycle % 5 == 0 {
@@ -1277,13 +1318,47 @@ mod tests {
         assert_eq!(report.counter("delivered_bits"), Some(25 * 32));
         assert_eq!(report.counter("dropped_packets"), Some(1));
         assert_eq!(report.counter("measured_cycles"), Some(25));
-        let by_node = report.family("delivered_bits_by_node").unwrap();
-        assert_eq!(by_node.get("n017"), Some(&MetricValue::Counter(25 * 32)));
-        let windows = report.family("delivered_bits_by_window").unwrap();
+        let by_drop = report.family("dropped_packets_by_node").unwrap();
+        assert_eq!(by_drop.get("n003"), Some(&MetricValue::Counter(1)));
+        // Where bits went is the network's to report, not the probe's.
+        assert_eq!(report.family("delivered_bits_by_node"), None);
+        assert_eq!(report.family("photonic_bits_by_cluster_pair"), None);
         // 25 cycles / window 10 → windows w0000, w0001 and the partial w0002.
-        assert_eq!(windows.len(), 3);
+        let windows = report.family("delivered_bits_by_window").unwrap();
+        let bits: Vec<&MetricValue> = windows.values().collect();
+        assert_eq!(
+            bits,
+            [320, 320, 160]
+                .map(MetricValue::Counter)
+                .iter()
+                .collect::<Vec<_>>()
+        );
         assert_eq!(report.histogram("latency_cycles").unwrap().count(), 5);
-        assert!(report.gauge("max_window_delivered_bits").unwrap() >= 320.0);
+        assert_eq!(report.gauge("max_window_delivered_bits"), Some(320.0));
+    }
+
+    #[test]
+    fn a_delivery_tally_renders_its_touched_members_in_label_order() {
+        let mut tally = DeliveryTally::new(64, 16);
+        tally.deliver(CoreId(17), 64);
+        tally.deliver(CoreId(2), 32);
+        tally.deliver(CoreId(17), 32);
+        tally.cross(ClusterId(4), ClusterId(0), 96);
+        tally.cross(ClusterId(0), ClusterId(15), 32);
+        let mut report = MetricReport::new();
+        tally.render(&mut report);
+        assert_eq!(
+            report.to_json(),
+            r#"{"delivered_bits_by_node":{"n002":32,"n017":96},"#.to_string()
+                + r#""photonic_bits_by_cluster_pair":{"c00->c15":32,"c04->c00":96}}"#
+        );
+        tally.reset();
+        let mut empty = MetricReport::new();
+        tally.render(&mut empty);
+        assert_eq!(
+            empty.to_json(),
+            r#"{"delivered_bits_by_node":{},"photonic_bits_by_cluster_pair":{}}"#
+        );
     }
 
     #[test]

@@ -15,8 +15,11 @@
 //! to seconds; they name neither the architecture nor the traffic (a
 //! scenario's canonical id does). The engine builds them: it counts every
 //! measured [`SimEvent`] through [`SimStats::observe`] and every measured
-//! cycle, then fills in the network's energy. Networks keep no counters of
-//! their own.
+//! cycle, then fills in the network's energy. A network sums the flits of a
+//! step into one [`SimEvent::Flits`] total; the only tallies it keeps are
+//! where the delivered bits went
+//! ([`DeliveryTally`](crate::metrics::DeliveryTally)), which no counter here
+//! reads.
 
 use crate::clock::Clock;
 use crate::metrics::SimEvent;
@@ -64,27 +67,25 @@ impl SimStats {
         }
     }
 
-    /// Counts one event: the single map from [`SimEvent`]s to counters. A
-    /// flit run counts as its `flits` flits. Fault transitions count nothing.
+    /// Counts one event: the single map from [`SimEvent`]s to counters. The
+    /// flit counters add a step's [`SimEvent::Flits`] total. Fault
+    /// transitions count nothing.
     #[inline]
     pub fn observe(&mut self, event: &SimEvent) {
         match *event {
             SimEvent::PacketGenerated { .. } => self.generated_packets += 1,
             SimEvent::PacketDropped { .. } => self.dropped_packets += 1,
             SimEvent::PacketInjected { .. } => self.injected_packets += 1,
-            SimEvent::FlitInjected { flits, .. } => self.injected_flits += u64::from(flits),
-            SimEvent::FlitDelivered {
-                bits,
-                flits,
-                photonic,
-                ..
+            SimEvent::Flits {
+                injected,
+                delivered,
+                delivered_bits,
+                photonic_bits,
             } => {
-                let bits = u64::from(flits) * u64::from(bits);
-                self.delivered_flits += u64::from(flits);
-                self.delivered_bits += bits;
-                if photonic {
-                    self.delivered_photonic_bits += bits;
-                }
+                self.injected_flits += u64::from(injected);
+                self.delivered_flits += u64::from(delivered);
+                self.delivered_bits += delivered_bits;
+                self.delivered_photonic_bits += photonic_bits;
             }
             SimEvent::PacketDelivered { latency, .. } => {
                 self.delivered_packets += 1;
@@ -188,24 +189,17 @@ mod tests {
             SimEvent::PacketGenerated { src },
             SimEvent::PacketDropped { src },
             SimEvent::PacketInjected { src },
-            SimEvent::FlitInjected {
-                src,
-                bits: 32,
-                flits: 1,
+            SimEvent::Flits {
+                injected: 1,
+                delivered: 2,
+                delivered_bits: 48,
+                photonic_bits: 32,
             },
-            SimEvent::FlitDelivered {
-                src,
-                dst,
-                bits: 32,
-                flits: 1,
-                photonic: true,
-            },
-            SimEvent::FlitDelivered {
-                src,
-                dst,
-                bits: 16,
-                flits: 1,
-                photonic: false,
+            SimEvent::Flits {
+                injected: 3,
+                delivered: 0,
+                delivered_bits: 0,
+                photonic_bits: 0,
             },
             SimEvent::PacketDelivered {
                 src,
@@ -231,7 +225,7 @@ mod tests {
                 s.max_packet_latency,
                 s.measured_cycles,
             ],
-            [2, 1, 1, 1, 2, 48, 32, 1, 7, 7, 0]
+            [2, 1, 1, 4, 2, 48, 32, 1, 7, 7, 0]
         );
     }
 

@@ -29,7 +29,7 @@
 
 use crate::config::{BandwidthSet, SimConfig};
 use crate::engine::CycleNetwork;
-use crate::metrics::{EventSink, SimEvent};
+use crate::metrics::{DeliveryTally, EventSink, MetricReport, SimEvent};
 use pnoc_faults::{FaultAction, FaultController, FaultKind, FaultSurface};
 use pnoc_noc::arbiter::RoundRobinArbiter;
 use pnoc_noc::flit::Flit;
@@ -531,6 +531,15 @@ impl BitWalk {
     }
 }
 
+/// The flits one step moved: the four sums of its [`SimEvent::Flits`].
+#[derive(Default)]
+struct StepFlits {
+    injected: u32,
+    delivered: u32,
+    delivered_bits: u64,
+    photonic_bits: u64,
+}
+
 /// The complete simulated chip.
 pub struct PhotonicSystem {
     config: SimConfig,
@@ -574,6 +583,10 @@ pub struct PhotonicSystem {
     busy_cores: usize,
     /// Reusable finished-transmission index list.
     scratch_finished: Vec<usize>,
+    /// The flits the current step moved, emitted as one total when it ends.
+    step_flits: StepFlits,
+    /// Where the flits delivered since measurement began went.
+    tally: DeliveryTally,
     /// Deterministic fault schedule, when one was installed.
     faults: Option<FaultController>,
     /// The data-plane fault state the schedule's transitions have built up
@@ -647,6 +660,8 @@ impl PhotonicSystem {
             total_active: 0,
             busy_cores: 0,
             scratch_finished: Vec::new(),
+            step_flits: StepFlits::default(),
+            tally: DeliveryTally::new(num_cores, num_clusters),
             faults: None,
             fault_surface: FaultSurface::new(num_clusters),
         }
@@ -818,14 +833,7 @@ impl PhotonicSystem {
             self.switch_occ[core_idx] += 1;
             self.total_buffered += 1;
             self.energy.record_buffer_write(u64::from(flit.bits));
-            sink.emit(
-                cycle,
-                SimEvent::FlitInjected {
-                    src: CoreId(core_idx),
-                    bits: flit.bits,
-                    flits: 1,
-                },
-            );
+            self.step_flits.injected += 1;
             progress.next += 1;
             if flit.is_tail() {
                 state.injecting = None;
@@ -902,17 +910,16 @@ impl PhotonicSystem {
                 if grant.output == local_port {
                     debug_assert_eq!(flit.dst, core, "flit ejected at the wrong core");
                     self.total_buffered -= 1;
-                    let photonic = !topology.same_cluster(flit.src, flit.dst);
-                    sink.emit(
-                        cycle,
-                        SimEvent::FlitDelivered {
-                            src: flit.src,
-                            dst: flit.dst,
-                            bits: flit.bits,
-                            flits: 1,
-                            photonic,
-                        },
-                    );
+                    let bits = u64::from(flit.bits);
+                    let step = &mut self.step_flits;
+                    step.delivered += 1;
+                    step.delivered_bits += bits;
+                    self.tally.deliver(core, bits);
+                    let src_cluster = topology.cluster_of(flit.src);
+                    if src_cluster != cluster {
+                        step.photonic_bits += bits;
+                        self.tally.cross(src_cluster, cluster, bits);
+                    }
                     if flit.is_tail() {
                         let latency = cycle.saturating_sub(flit.created_cycle);
                         sink.emit(
@@ -1362,6 +1369,21 @@ impl CycleNetwork for PhotonicSystem {
         self.advance_transmissions(cycle);
         self.start_transmissions(cycle);
         self.account_buffer_energy();
+        let StepFlits {
+            injected,
+            delivered,
+            delivered_bits,
+            photonic_bits,
+        } = std::mem::take(&mut self.step_flits);
+        if injected > 0 || delivered > 0 {
+            let flits = SimEvent::Flits {
+                injected,
+                delivered,
+                delivered_bits,
+                photonic_bits,
+            };
+            sink.emit(cycle, flits);
+        }
     }
 
     fn next_event_cycle(&mut self, now: u64) -> Option<u64> {
@@ -1403,6 +1425,7 @@ impl CycleNetwork for PhotonicSystem {
 
     fn begin_measurement(&mut self, _cycle: u64) {
         self.energy.reset();
+        self.tally.reset();
     }
 
     fn energy(&self) -> EnergyBreakdown {
@@ -1422,6 +1445,14 @@ impl CycleNetwork for PhotonicSystem {
         self.faults
             .as_ref()
             .map_or((0, 0), |c| (c.applied(), c.active()))
+    }
+
+    fn contribute_metrics(&self, report: &mut MetricReport) {
+        self.tally.render(report);
+    }
+
+    fn delivery_tally(&self) -> Option<&DeliveryTally> {
+        Some(&self.tally)
     }
 }
 
@@ -1577,6 +1608,24 @@ mod tests {
         assert!(stats.packet_energy_pj() > 0.0);
     }
 
+    /// Counts the `Flits` totals of each cycle it sees.
+    #[derive(Default)]
+    struct FlitTotals {
+        per_cycle: std::collections::BTreeMap<u64, u32>,
+    }
+
+    impl crate::metrics::Probe for FlitTotals {
+        fn on_event(&mut self, cycle: u64, event: &SimEvent) {
+            if let SimEvent::Flits { .. } = event {
+                *self.per_cycle.entry(cycle).or_insert(0) += 1;
+            }
+        }
+
+        fn report(&self) -> MetricReport {
+            MetricReport::new()
+        }
+    }
+
     #[test]
     fn metrics_probe_stream_matches_the_legacy_snapshot() {
         use crate::engine::run_to_completion_with;
@@ -1586,9 +1635,19 @@ mod tests {
         let traffic = FixedOffsetTraffic::new(150, 4, BandwidthSet::Set1);
         let mut system = PhotonicSystem::new(config, fabric, Box::new(traffic));
         let mut probe = MetricsProbe::for_config(&config);
-        let stats = run_to_completion_with(&mut system, &mut [&mut probe]);
+        let mut totals = FlitTotals::default();
+        let stats = run_to_completion_with(&mut system, &mut [&mut probe, &mut totals]);
         assert!(stats.delivered_packets > 0);
-        let report = probe.report();
+        // A stepped cycle reports its flits as one total, or none.
+        assert!(!totals.per_cycle.is_empty());
+        assert!(
+            totals.per_cycle.values().all(|&count| count == 1),
+            "a cycle emitted several flit totals: {:?}",
+            totals.per_cycle.iter().find(|(_, &count)| count > 1)
+        );
+        let mut report = probe.report();
+        // Where the bits went comes from the system, not the stream.
+        system.contribute_metrics(&mut report);
         for (name, expected) in [
             ("generated_packets", stats.generated_packets),
             ("dropped_packets", stats.dropped_packets),
@@ -1610,7 +1669,8 @@ mod tests {
         assert_eq!(latency.count(), stats.delivered_packets);
         assert_eq!(latency.max(), Some(stats.max_packet_latency));
         assert_eq!(latency.sum(), stats.total_packet_latency);
-        // The per-node delivered-bits family partitions the aggregate.
+        // The per-node delivered-bits family partitions the aggregate;
+        // offset-4 traffic reaches every core.
         let by_node = report.family("delivered_bits_by_node").expect("present");
         let node_sum: u64 = by_node
             .values()
@@ -1620,6 +1680,7 @@ mod tests {
             })
             .sum();
         assert_eq!(node_sum, stats.delivered_bits);
+        assert_eq!(by_node.len(), 64);
         // Offset-4 traffic is always inter-cluster, so the pair family too.
         let by_pair = report
             .family("photonic_bits_by_cluster_pair")
@@ -1632,6 +1693,13 @@ mod tests {
             })
             .sum();
         assert_eq!(pair_sum, stats.delivered_photonic_bits);
+        // Core c sends to c + 4, one cluster on: every pair runs from a
+        // cluster to the next, never back.
+        let pairs: Vec<&str> = by_pair.keys().map(String::as_str).collect();
+        let expected: Vec<String> = (0..16)
+            .map(|c| format!("c{c:02}->c{:02}", (c + 1) % 16))
+            .collect();
+        assert_eq!(pairs, expected);
     }
 
     #[test]

@@ -506,8 +506,8 @@ pub struct FlowProbe {
 impl Probe for FlowProbe {
     fn on_event(&mut self, cycle: u64, event: &SimEvent) {
         // Matched before locking: only the three packet-level events touch
-        // the flow state, and the flit events that make up most of the
-        // stream must not pay for the lock.
+        // the flow state, and the generations and flit totals must not pay
+        // for the lock.
         let state = || self.state.lock().expect("flow state poisoned");
         match *event {
             SimEvent::PacketInjected { src } => {

@@ -1,7 +1,8 @@
 //! Property-based tests of the typed metrics layer: the streaming quantile
 //! sketch stays within its rank/relative error bounds against an exact sort,
 //! sketch merging equals recording the union, metric reports merge
-//! deterministically, and a flit run counts as its flits one by one.
+//! deterministically, and a cycle's flit totals count as its flits one by
+//! one.
 
 use d_hetpnoc_repro::prelude::*;
 use proptest::prelude::*;
@@ -87,25 +88,18 @@ proptest! {
     }
 }
 
-/// A flit event of `flits` flits: a delivery or an injection.
-fn flit_run(
-    delivered: bool,
-    (src, dst): (usize, usize),
-    bits: u32,
-    photonic: bool,
-    flits: u32,
-) -> SimEvent {
-    let (src, dst) = (CoreId(src), CoreId(dst));
-    if delivered {
-        SimEvent::FlitDelivered {
-            src,
-            dst,
-            bits,
-            flits,
-            photonic,
-        }
-    } else {
-        SimEvent::FlitInjected { src, bits, flits }
+/// One flit a cycle moved: delivered (else injected), its bits, and whether
+/// it crossed the photonic fabric.
+type Flit = (bool, u64, bool);
+
+/// The `Flits` total of `flits`.
+fn total(flits: &[Flit]) -> SimEvent {
+    let delivered = || flits.iter().filter(|flit| flit.0);
+    SimEvent::Flits {
+        injected: flits.iter().filter(|flit| !flit.0).count() as u32,
+        delivered: delivered().count() as u32,
+        delivered_bits: delivered().map(|flit| flit.1).sum(),
+        photonic_bits: delivered().filter(|flit| flit.2).map(|flit| flit.1).sum(),
     }
 }
 
@@ -135,17 +129,19 @@ fn count_stream(config: &SimConfig, stream: &[(u64, SimEvent)], cycles: u64) -> 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
-    /// A `k`-flit run counts as `k` one-flit events. A random per-flit
-    /// stream is coalesced at random into runs of flits with the same cycle,
-    /// kind, cores, width and photonic flag; both streams must give equal
-    /// statistics and a byte-equal report. The probe's throughput window is
-    /// three cycles, so window boundaries fall inside the stream, and its
-    /// topology fills the cluster-pair family.
+    /// A cycle's flits count the same as one total, as several partial
+    /// totals, or one by one. A random per-flit stream is summed once into
+    /// one `Flits` total per cycle and once, cut at random, into several per
+    /// cycle (as the hierarchy's pods and spine each report one); both
+    /// streams must give equal statistics and a byte-equal report, and those
+    /// must equal the per-flit sums: the four flit counters, and every
+    /// throughput window's delivered bits. The probe's throughput window is
+    /// three cycles, so window boundaries fall inside the stream.
     #[test]
-    fn a_flit_run_counts_as_its_flits_one_by_one(
+    fn flit_totals_count_as_their_flits_one_by_one(
         groups in prop::collection::vec(
             (
-                (0u64..3, any::<bool>(), (0usize..64, 0usize..64), 0usize..4),
+                (0u64..3, any::<bool>(), 0usize..4),
                 (any::<bool>(), 1u32..=9, 0u16..=u16::MAX, any::<bool>()),
             ),
             1..80,
@@ -154,35 +150,76 @@ proptest! {
         let mut config = SimConfig::paper_default(BandwidthSet::Set1);
         config.sim_cycles = 24;
         prop_assert_eq!(config.sim_cycles / 8, 3, "a three-cycle window");
-        let (mut flit_wise, mut run_wise) = (Vec::new(), Vec::new());
+        // Every flit with its cycle and whether a cut follows it, in order.
+        let mut flits: Vec<(u64, Flit, bool)> = Vec::new();
+        let mut packets: Vec<(u64, SimEvent)> = Vec::new();
         let mut cycle = 0;
-        for ((gap, delivered, cores, width), (photonic, flits, cuts, tail)) in groups {
+        for ((gap, delivered, width), (photonic, count, cuts, tail)) in groups {
             cycle += gap;
-            let bits = [1, 32, 64, u32::MAX][width];
-            let run = |flits| (cycle, flit_run(delivered, cores, bits, photonic, flits));
-            flit_wise.extend((0..flits).map(|_| run(1)));
-            // A cut after flit `i` ends a run there; the last flit ends one.
-            let mut start = 0;
-            for flit in 0..flits {
-                if flit + 1 == flits || cuts >> flit & 1 == 1 {
-                    run_wise.push(run(flit + 1 - start));
-                    start = flit + 1;
-                }
+            let bits = [1, 32, 64, u64::from(u32::MAX)][width];
+            for flit in 0..count {
+                let cut = cuts >> flit & 1 == 1;
+                flits.push((cycle, (delivered, bits, photonic), cut));
             }
             if tail {
-                let delivered = SimEvent::PacketDelivered {
-                    src: CoreId(cores.0),
-                    dst: CoreId(cores.1),
-                    latency: u64::from(flits),
-                };
-                flit_wise.push((cycle, delivered));
-                run_wise.push((cycle, delivered));
+                let (src, dst) = (CoreId(width), CoreId(63 - width));
+                let latency = u64::from(count);
+                packets.push((cycle, SimEvent::PacketDelivered { src, dst, latency }));
             }
         }
         let cycles = cycle + 1;
+        let (mut whole, mut split) = (Vec::new(), Vec::new());
+        for cycle in 0..cycles {
+            let moved: Vec<(Flit, bool)> = flits
+                .iter()
+                .filter(|(at, _, _)| *at == cycle)
+                .map(|&(_, flit, cut)| (flit, cut))
+                .collect();
+            let ours = |stream: &mut Vec<(u64, SimEvent)>| {
+                stream.extend(packets.iter().filter(|(at, _)| *at == cycle).copied());
+            };
+            ours(&mut whole);
+            if !moved.is_empty() {
+                let all: Vec<Flit> = moved.iter().map(|&(flit, _)| flit).collect();
+                whole.push((cycle, total(&all)));
+            }
+            let mut part = Vec::new();
+            for (index, &(flit, cut)) in moved.iter().enumerate() {
+                part.push(flit);
+                if cut || index + 1 == moved.len() {
+                    split.push((cycle, total(&part)));
+                    part.clear();
+                }
+            }
+            ours(&mut split);
+        }
+        let (stats, report) = count_stream(&config, &whole, cycles);
+        prop_assert_eq!((stats, report.clone()), count_stream(&config, &split, cycles));
+
+        let delivered = || flits.iter().filter(|(_, flit, _)| flit.0);
         prop_assert_eq!(
-            count_stream(&config, &flit_wise, cycles),
-            count_stream(&config, &run_wise, cycles)
+            stats.injected_flits,
+            flits.iter().filter(|(_, flit, _)| !flit.0).count() as u64
         );
+        prop_assert_eq!(stats.delivered_flits, delivered().count() as u64);
+        prop_assert_eq!(
+            stats.delivered_bits,
+            delivered().map(|(_, flit, _)| flit.1).sum::<u64>()
+        );
+        prop_assert_eq!(
+            stats.delivered_photonic_bits,
+            delivered().filter(|(_, flit, _)| flit.2).map(|(_, flit, _)| flit.1).sum::<u64>()
+        );
+        let windows: Vec<String> = (0..cycles.div_ceil(3))
+            .map(|window| {
+                let bits: u64 = delivered()
+                    .filter(|(at, _, _)| at / 3 == window)
+                    .map(|(_, flit, _)| flit.1)
+                    .sum();
+                format!("\"w{window:04}\":{bits}")
+            })
+            .collect();
+        let series = format!("\"delivered_bits_by_window\":{{{}}}", windows.join(","));
+        prop_assert!(report.contains(&series), "{series} not in {report}");
     }
 }

@@ -127,17 +127,13 @@ fn lock_step(workload: Workload, polled: usize, seed: u64) -> Result<(), String>
         );
 
         // The same feedback to both probes: some queued packets inject, some
-        // in-flight ones land (any order), plus a flit event neither needs.
+        // in-flight ones land (any order), plus the cycle's flit total,
+        // which neither needs.
         let mut events = Vec::new();
         queued.retain(|&(src, dst)| {
             let inject = settling || stream.one_in(2);
             if inject {
                 events.push(SimEvent::PacketInjected { src });
-                events.push(SimEvent::FlitInjected {
-                    src,
-                    bits: 32,
-                    flits: 1,
-                });
                 in_flight.push((src, dst));
             }
             !inject
@@ -149,6 +145,14 @@ fn lock_step(workload: Workload, polled: usize, seed: u64) -> Result<(), String>
                 src,
                 dst,
                 latency: 7,
+            });
+        }
+        if !events.is_empty() {
+            events.push(SimEvent::Flits {
+                injected: events.len() as u32,
+                delivered: 0,
+                delivered_bits: 0,
+                photonic_bits: 0,
             });
         }
         for event in &events {

@@ -114,7 +114,9 @@ fn run(
     let mut probe = MetricsProbe::for_config(&config);
     let stats = run_to_completion_with(&mut system, &mut [&mut probe]);
     set_event_driven(true);
-    (stats, probe.report())
+    let mut report = probe.report();
+    system.contribute_metrics(&mut report);
+    (stats, report)
 }
 
 /// A chip of `clusters` × `cores_per_cluster` cores with `vcs` VCs per port
