@@ -461,6 +461,7 @@ struct Request {
 }
 
 /// Why a request could not be read, mapped to the response to send.
+#[derive(Debug)]
 struct RequestFailure {
     status: u16,
     reason: &'static str,
@@ -499,8 +500,9 @@ impl RequestFailure {
 
 /// Reads one HTTP/1.1 request (request line, headers, `Content-Length`
 /// body). Returns the response status + reason to send on anything
-/// malformed, oversized or stalled.
-fn read_request(reader: &mut BufReader<TcpStream>) -> Result<Request, RequestFailure> {
+/// malformed, oversized or stalled. Takes any buffered reader, so the tests
+/// can feed it bytes without a socket.
+fn read_request(reader: &mut impl BufRead) -> Result<Request, RequestFailure> {
     // The head is read through a byte budget, so a line that never ends
     // cannot grow a buffer without bound.
     let mut head = reader.by_ref().take(MAX_HEAD_BYTES);
@@ -599,4 +601,195 @@ fn write_response_with_headers(
     stream.write_all(b"\r\n")?;
     stream.write_all(body.as_bytes())?;
     stream.flush()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use proptest::prelude::*;
+    use std::time::{Duration, Instant};
+
+    /// A well-formed `POST /run` with `body`.
+    fn request(body: &[u8]) -> Vec<u8> {
+        let mut bytes = format!(
+            "POST /run HTTP/1.1\r\nHost: localhost\r\nIf-None-Match: \"abc\"\r\n\
+             Content-Length: {}\r\n\r\n",
+            body.len()
+        )
+        .into_bytes();
+        bytes.extend_from_slice(body);
+        bytes
+    }
+
+    /// Reads `bytes` as one request: `Ok`, or a failure that answers 4xx.
+    /// A panic fails the calling test.
+    fn read(bytes: &[u8]) -> Result<Request, RequestFailure> {
+        let result = read_request(&mut io::Cursor::new(bytes));
+        if let Err(failure) = &result {
+            assert!(
+                (400..500).contains(&failure.status),
+                "{} {} for {:?}",
+                failure.status,
+                failure.message,
+                String::from_utf8_lossy(bytes)
+            );
+        }
+        result
+    }
+
+    fn status(bytes: &[u8]) -> u16 {
+        read(bytes).map_or_else(|failure| failure.status, |_| 200)
+    }
+
+    #[test]
+    fn a_well_formed_request_reads_back() {
+        let request = read(&request(b"{\"scenarios\": []}")).expect("reads");
+        assert_eq!(
+            (request.method.as_str(), request.path.as_str()),
+            ("POST", "/run")
+        );
+        assert_eq!(request.body, "{\"scenarios\": []}");
+        assert_eq!(request.if_none_match.as_deref(), Some("\"abc\""));
+    }
+
+    #[test]
+    fn mangled_heads_and_bodies_fail_with_a_4xx() {
+        let head = |length: &str| {
+            format!("POST /run HTTP/1.1\r\nContent-Length: {length}\r\n\r\nbody").into_bytes()
+        };
+        for length in [
+            "-1",
+            "abc",
+            "1e3",
+            "",
+            "+",
+            "0x4",
+            "99999999999999999999999",
+            "4 4",
+        ] {
+            assert_eq!(status(&head(length)), 400, "Content-Length: {length}");
+        }
+        // Longer than what follows: the body read hits the end.
+        assert_eq!(status(&head("5")), 400);
+        assert_eq!(status(&head(&(MAX_BODY_BYTES + 1).to_string())), 413);
+        // Shorter than what follows: the rest is not read.
+        assert_eq!(read(&head("2")).expect("reads").body, "bo");
+        // No blank line: the head ends where the input does.
+        assert_eq!(status(b"GET /health HTTP/1.1\r\nHost: x\r\n"), 200);
+        assert_eq!(status(b"POST /run HTTP/1.1\r\nContent-Length: 4\r\n"), 400);
+        // A body that is not UTF-8.
+        assert_eq!(status(&request(&[b'{', 0xff, 0xfe, b'}'])), 400);
+        for line in [
+            "",
+            "\r\n",
+            "GET",
+            "GET /",
+            "GET / FTP/1.0",
+            "\u{0}\u{0}\u{0}",
+        ] {
+            assert_eq!(
+                status(format!("{line}\r\n\r\n").as_bytes()),
+                400,
+                "{line:?}"
+            );
+        }
+    }
+
+    /// A head of exactly `len` bytes, request line included: `filler`
+    /// header lines, then one header padded to the length, then the blank
+    /// line.
+    fn head_of(len: usize, filler: &str) -> Vec<u8> {
+        let mut head = String::from("GET /health HTTP/1.1\r\n");
+        while !filler.is_empty() && head.len() + filler.len() + 32 < len {
+            head.push_str(filler);
+        }
+        let pad = len - head.len() - "X-Pad: \r\n\r\n".len();
+        head.push_str(&format!("X-Pad: {}\r\n\r\n", "p".repeat(pad)));
+        assert_eq!(head.len(), len);
+        head.into_bytes()
+    }
+
+    #[test]
+    fn a_head_at_the_limit_reads_and_one_byte_more_is_431() {
+        let limit = usize::try_from(MAX_HEAD_BYTES).expect("fits");
+        for filler in ["", "a: b\r\n", "X-Long: ".repeat(200).as_str()] {
+            assert_eq!(status(&head_of(limit, filler)), 200);
+            assert_eq!(status(&head_of(limit + 1, filler)), 431);
+        }
+        // A line that never ends.
+        assert_eq!(status(&vec![b'G'; limit * 2]), 431);
+    }
+
+    /// Best-of-5 nanoseconds per head byte of reading `head`.
+    fn ns_per_byte(head: &[u8]) -> f64 {
+        (0..5)
+            .map(|_| {
+                let started = Instant::now();
+                for _ in 0..8 {
+                    let _ = read(head);
+                }
+                started.elapsed()
+            })
+            .min()
+            .unwrap_or(Duration::ZERO)
+            .as_secs_f64()
+            * 1e9
+            / (8 * head.len()) as f64
+    }
+
+    /// Reading a head costs the same per byte at a sixteenth of the limit
+    /// and at the limit, in each shape: one long line, many short ones.
+    #[test]
+    fn a_head_of_max_bytes_is_read_in_linear_time() {
+        let limit = usize::try_from(MAX_HEAD_BYTES).expect("fits");
+        for filler in ["", "a:b\r\n", "\r"] {
+            let small = ns_per_byte(&head_of(limit / 16, filler));
+            let full = ns_per_byte(&head_of(limit, filler));
+            assert!(
+                full < 4.0 * small + 50.0,
+                "filler {filler:?}: {full:.1} ns/byte at {limit} bytes, {small:.1} at {}",
+                limit / 16
+            );
+        }
+    }
+
+    #[test]
+    fn a_request_cut_at_any_byte_reads_or_fails_with_a_4xx() {
+        for whole in [
+            request(b"{\"scenarios\": [1, 2]}"),
+            request("caf\u{e9} \u{1F600}".as_bytes()),
+            b"GET /stats HTTP/1.0\nHost: a\n\n".to_vec(),
+        ] {
+            for cut in 0..=whole.len() {
+                let _ = read(&whole[..cut]);
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2_000))]
+
+        /// Bytes overwritten, deleted and inserted anywhere in a request —
+        /// request line, headers, the blank line or the body — give a
+        /// request or a 4xx, never a panic.
+        #[test]
+        fn mangled_requests_read_or_fail_with_a_4xx(
+            edits in prop::collection::vec((0usize..200, 0usize..24, 0u32..3), 1..6),
+        ) {
+            const BYTES: &[u8] = b"\r\n :0123456789-+abcGETPOST/HTTP\x00\x7f\x80\xc3\xff";
+            let mut bytes = request(b"{\"scenarios\": []}");
+            for (at, byte, kind) in edits {
+                let at = at.min(bytes.len());
+                let byte = BYTES[byte % BYTES.len()];
+                match kind {
+                    0 if at < bytes.len() => bytes[at] = byte,
+                    1 if at < bytes.len() => {
+                        bytes.remove(at);
+                    }
+                    _ => bytes.insert(at, byte),
+                }
+            }
+            let _ = read(&bytes);
+        }
+    }
 }

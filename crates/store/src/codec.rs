@@ -14,13 +14,28 @@
 //!   invariants.
 //!
 //! Decoding is total over arbitrary input: every malformed shape returns a
-//! [`CodecError`] naming the offending field, so the store can treat any
-//! tampered or truncated entry as a cache miss.
+//! [`CodecError`], so the store can treat any tampered or truncated entry
+//! as a cache miss.
+//!
+//! There is one decoder, written over `FieldReader`: [`point_from_json`]
+//! runs it on a parsed [`Json`] tree, and the store runs it straight off an
+//! entry's text (`read_point`), building no tree. Its rules are those of a
+//! lookup by name in the tree:
+//!
+//! * a fixed field (`offered_load`, every `stats`, `energy` and sketch
+//!   field) is read at its first occurrence; a later duplicate is only
+//!   checked to be JSON;
+//! * a metric's payload is the first of `counter`, `gauge`, `histogram`,
+//!   `family` that is present, whatever the order of the keys; the others
+//!   are only checked to be JSON;
+//! * report names and family labels are decoded at every occurrence, and
+//!   the last one wins;
+//! * unknown keys are checked to be JSON and otherwise ignored.
 
-use crate::json::Json;
+use crate::json::{FieldReader, Json, JsonParseError};
 use pnoc_photonics::energy::EnergyBreakdown;
 use pnoc_sim::clock::Clock;
-use pnoc_sim::metrics::{MetricReport, MetricValue, QuantileSketch};
+use pnoc_sim::metrics::{MetricReport, MetricValue, QuantileSketch, SUB_BITS};
 use pnoc_sim::stats::SimStats;
 use pnoc_sim::sweep::SweepPoint;
 use std::collections::BTreeMap;
@@ -38,6 +53,12 @@ impl CodecError {
             message: message.into(),
         }
     }
+
+    /// This error, as met inside the metric or family member `name`. The
+    /// path is built on the way out of a failed decode only.
+    fn within(self, name: &str) -> Self {
+        Self::new(format!("{name}: {}", self.message))
+    }
 }
 
 impl std::fmt::Display for CodecError {
@@ -48,44 +69,18 @@ impl std::fmt::Display for CodecError {
 
 impl std::error::Error for CodecError {}
 
+impl From<JsonParseError> for CodecError {
+    fn from(error: JsonParseError) -> Self {
+        Self::new(error.to_string())
+    }
+}
+
 fn bits(value: f64) -> Json {
     Json::Str(format!("{:016x}", value.to_bits()))
 }
 
 fn uint(value: u64) -> Json {
     Json::Str(value.to_string())
-}
-
-fn field<'a>(value: &'a Json, key: &str) -> Result<&'a Json, CodecError> {
-    value
-        .get(key)
-        .ok_or_else(|| CodecError::new(format!("missing field '{key}'")))
-}
-
-fn bits_field(value: &Json, key: &str) -> Result<f64, CodecError> {
-    let text = field(value, key)?
-        .as_str()
-        .ok_or_else(|| CodecError::new(format!("field '{key}' must be a hex-bits string")))?;
-    if text.len() != 16 {
-        return Err(CodecError::new(format!(
-            "field '{key}' must be 16 hex digits, got '{text}'"
-        )));
-    }
-    u64::from_str_radix(text, 16)
-        .map(f64::from_bits)
-        .map_err(|_| CodecError::new(format!("field '{key}' is not hex: '{text}'")))
-}
-
-fn uint_field(value: &Json, key: &str) -> Result<u64, CodecError> {
-    parse_uint(field(value, key)?, key)
-}
-
-fn parse_uint(value: &Json, context: &str) -> Result<u64, CodecError> {
-    let text = value
-        .as_str()
-        .ok_or_else(|| CodecError::new(format!("'{context}' must be a decimal u64 string")))?;
-    text.parse::<u64>()
-        .map_err(|_| CodecError::new(format!("'{context}' is not a u64: '{text}'")))
 }
 
 /// Serializes one sweep point (stats + metric report) losslessly.
@@ -105,11 +100,7 @@ pub fn point_json(point: &SweepPoint) -> Json {
 /// Returns a [`CodecError`] naming the offending field on any malformed
 /// shape; the decode is total over arbitrary JSON input.
 pub fn point_from_json(value: &Json) -> Result<SweepPoint, CodecError> {
-    Ok(SweepPoint {
-        offered_load: bits_field(value, "offered_load")?,
-        stats: stats_from_json(field(value, "stats")?)?,
-        metrics: report_from_json(field(value, "metrics")?)?,
-    })
+    read_point(&mut { value })
 }
 
 fn stats_json(stats: &SimStats) -> Json {
@@ -136,25 +127,6 @@ fn stats_json(stats: &SimStats) -> Json {
     ])
 }
 
-fn stats_from_json(value: &Json) -> Result<SimStats, CodecError> {
-    let clock = field(value, "clock")?;
-    Ok(SimStats {
-        measured_cycles: uint_field(value, "measured_cycles")?,
-        generated_packets: uint_field(value, "generated_packets")?,
-        dropped_packets: uint_field(value, "dropped_packets")?,
-        injected_packets: uint_field(value, "injected_packets")?,
-        injected_flits: uint_field(value, "injected_flits")?,
-        delivered_packets: uint_field(value, "delivered_packets")?,
-        delivered_flits: uint_field(value, "delivered_flits")?,
-        delivered_bits: uint_field(value, "delivered_bits")?,
-        delivered_photonic_bits: uint_field(value, "delivered_photonic_bits")?,
-        total_packet_latency: uint_field(value, "total_packet_latency")?,
-        max_packet_latency: uint_field(value, "max_packet_latency")?,
-        energy: energy_from_json(field(value, "energy")?)?,
-        clock: Clock::new(bits_field(clock, "frequency_ghz")?),
-    })
-}
-
 fn energy_json(energy: &EnergyBreakdown) -> Json {
     Json::obj(vec![
         ("launch_pj", bits(energy.launch_pj)),
@@ -165,43 +137,16 @@ fn energy_json(energy: &EnergyBreakdown) -> Json {
     ])
 }
 
-fn energy_from_json(value: &Json) -> Result<EnergyBreakdown, CodecError> {
-    Ok(EnergyBreakdown {
-        launch_pj: bits_field(value, "launch_pj")?,
-        modulation_pj: bits_field(value, "modulation_pj")?,
-        tuning_pj: bits_field(value, "tuning_pj")?,
-        buffer_pj: bits_field(value, "buffer_pj")?,
-        electrical_pj: bits_field(value, "electrical_pj")?,
-    })
-}
-
 /// Serializes a metric report losslessly (names in report order, which is
 /// already deterministic name order).
 #[must_use]
-pub(crate) fn report_json(report: &MetricReport) -> Json {
+fn report_json(report: &MetricReport) -> Json {
     Json::Obj(
         report
             .iter()
             .map(|(name, value)| (name.to_string(), metric_value_json(value)))
             .collect(),
     )
-}
-
-/// Decodes a metric report serialized by [`report_json`].
-///
-/// # Errors
-///
-/// Returns a [`CodecError`] naming the offending metric on any malformed
-/// shape.
-pub(crate) fn report_from_json(value: &Json) -> Result<MetricReport, CodecError> {
-    let Json::Obj(fields) = value else {
-        return Err(CodecError::new("metric report must be an object"));
-    };
-    let mut report = MetricReport::new();
-    for (name, entry) in fields {
-        report.insert(name.clone(), metric_value_from_json(entry, name)?);
-    }
-    Ok(report)
 }
 
 fn metric_value_json(value: &MetricValue) -> Json {
@@ -219,41 +164,6 @@ fn metric_value_json(value: &MetricValue) -> Json {
             ),
         )]),
     }
-}
-
-fn metric_value_from_json(value: &Json, context: &str) -> Result<MetricValue, CodecError> {
-    if let Some(count) = value.get("counter") {
-        return Ok(MetricValue::Counter(parse_uint(count, context)?));
-    }
-    if let Some(level) = value.get("gauge") {
-        let text = level
-            .as_str()
-            .ok_or_else(|| CodecError::new(format!("gauge '{context}' must be hex bits")))?;
-        let raw = u64::from_str_radix(text, 16)
-            .map_err(|_| CodecError::new(format!("gauge '{context}' is not hex: '{text}'")))?;
-        return Ok(MetricValue::Gauge(f64::from_bits(raw)));
-    }
-    if let Some(sketch) = value.get("histogram") {
-        return Ok(MetricValue::Histogram(sketch_from_json(sketch, context)?));
-    }
-    if let Some(members) = value.get("family") {
-        let Json::Obj(fields) = members else {
-            return Err(CodecError::new(format!(
-                "family '{context}' must be an object"
-            )));
-        };
-        let mut decoded: BTreeMap<String, MetricValue> = BTreeMap::new();
-        for (label, member) in fields {
-            decoded.insert(
-                label.clone(),
-                metric_value_from_json(member, &format!("{context}/{label}"))?,
-            );
-        }
-        return Ok(MetricValue::Family(decoded));
-    }
-    Err(CodecError::new(format!(
-        "metric '{context}' has no counter/gauge/histogram/family payload"
-    )))
 }
 
 fn sketch_json(sketch: &QuantileSketch) -> Json {
@@ -275,47 +185,348 @@ fn sketch_json(sketch: &QuantileSketch) -> Json {
     ])
 }
 
-fn sketch_from_json(value: &Json, context: &str) -> Result<QuantileSketch, CodecError> {
-    let optional_uint = |key: &str| -> Result<Option<u64>, CodecError> {
-        match field(value, key)? {
-            Json::Null => Ok(None),
-            other => parse_uint(other, key).map(Some),
-        }
+/// [`FieldReader::object`] with the codec's error: calls `member` with
+/// each key and value of an object; `Ok(false)` for any other value.
+pub(crate) fn fields<'a, R: FieldReader<'a>>(
+    value: &mut R,
+    member: impl FnMut(&str, &mut R) -> Result<(), CodecError>,
+) -> Result<bool, CodecError> {
+    value.object(member)
+}
+
+/// [`FieldReader::array`] with the codec's error.
+fn items<'a, R: FieldReader<'a>>(
+    value: &mut R,
+    item: impl FnMut(&mut R) -> Result<(), CodecError>,
+) -> Result<bool, CodecError> {
+    value.array(item)
+}
+
+/// Reads a fixed field into `slot` at its first occurrence; later
+/// duplicates are left unread.
+fn first<T>(
+    slot: &mut Option<T>,
+    read: impl FnOnce() -> Result<T, CodecError>,
+) -> Result<(), CodecError> {
+    if slot.is_none() {
+        *slot = Some(read()?);
+    }
+    Ok(())
+}
+
+fn required<T>(slot: Option<T>, key: &str) -> Result<T, CodecError> {
+    slot.ok_or_else(|| CodecError::new(format!("missing field '{key}'")))
+}
+
+/// [`required`] over a row of same-typed fields named by `keys`.
+fn required_all<T: Default, const N: usize>(
+    slots: [Option<T>; N],
+    keys: &[&str; N],
+) -> Result<[T; N], CodecError> {
+    if let Some(index) = slots.iter().position(Option::is_none) {
+        return Err(CodecError::new(format!("missing field '{}'", keys[index])));
+    }
+    Ok(slots.map(Option::unwrap_or_default))
+}
+
+/// Reads one of the fields named by `keys` into its slot (first occurrence
+/// wins); `Ok(false)` when `key` is none of them.
+fn row_field<'a, R: FieldReader<'a>, T, const N: usize>(
+    slots: &mut [Option<T>; N],
+    keys: &[&str; N],
+    key: &str,
+    field: &mut R,
+    read: impl FnOnce(&mut R, &str) -> Result<T, CodecError>,
+) -> Result<bool, CodecError> {
+    let Some(index) = keys.iter().position(|name| *name == key) else {
+        return Ok(false);
     };
-    let bins = field(value, "bins")?
-        .as_array()
-        .ok_or_else(|| CodecError::new(format!("sketch '{context}' bins must be an array")))?
-        .iter()
-        .map(|pair| {
-            let items = pair
-                .as_array()
-                .filter(|items| items.len() == 2)
-                .ok_or_else(|| {
-                    CodecError::new(format!(
-                        "sketch '{context}' bins must be [index, count] pairs"
-                    ))
-                })?;
-            let index = items[0]
-                .as_f64()
-                .filter(|n| *n >= 0.0 && n.fract() == 0.0)
-                .ok_or_else(|| {
-                    CodecError::new(format!("sketch '{context}' bin index must be an integer"))
-                })? as usize;
-            Ok((index, parse_uint(&items[1], "bin count")?))
-        })
-        .collect::<Result<Vec<(usize, u64)>, CodecError>>()?;
-    QuantileSketch::from_parts(
-        &bins,
-        uint_field(value, "count")?,
-        uint_field(value, "sum")?,
-        optional_uint("min")?,
-        optional_uint("max")?,
-    )
-    .ok_or_else(|| {
-        CodecError::new(format!(
-            "sketch '{context}' parts violate structural invariants"
-        ))
+    first(&mut slots[index], || read(field, key))?;
+    Ok(true)
+}
+
+fn read_bits<'a>(value: &mut impl FieldReader<'a>, key: &str) -> Result<f64, CodecError> {
+    let text = value
+        .str()?
+        .ok_or_else(|| CodecError::new(format!("field '{key}' must be a hex-bits string")))?;
+    if text.len() != 16 {
+        return Err(CodecError::new(format!(
+            "field '{key}' must be 16 hex digits, got '{text}'"
+        )));
+    }
+    u64::from_str_radix(&text, 16)
+        .map(f64::from_bits)
+        .map_err(|_| CodecError::new(format!("field '{key}' is not hex: '{text}'")))
+}
+
+fn read_uint<'a>(value: &mut impl FieldReader<'a>, context: &str) -> Result<u64, CodecError> {
+    let text = value
+        .str()?
+        .ok_or_else(|| CodecError::new(format!("'{context}' must be a decimal u64 string")))?;
+    text.parse::<u64>()
+        .map_err(|_| CodecError::new(format!("'{context}' is not a u64: '{text}'")))
+}
+
+/// Decodes a sweep point from `value`, which holds what [`point_json`]
+/// wrote.
+pub(crate) fn read_point<'a>(value: &mut impl FieldReader<'a>) -> Result<SweepPoint, CodecError> {
+    let (mut offered_load, mut stats, mut metrics) = (None, None, None);
+    fields(value, |key, field| match key {
+        "offered_load" => first(&mut offered_load, || read_bits(field, key)),
+        "stats" => first(&mut stats, || read_stats(field)),
+        "metrics" => first(&mut metrics, || read_report(field)),
+        _ => Ok(()),
+    })?;
+    Ok(SweepPoint {
+        offered_load: required(offered_load, "offered_load")?,
+        stats: required(stats, "stats")?,
+        metrics: required(metrics, "metrics")?,
     })
+}
+
+const STATS_COUNTERS: [&str; 11] = [
+    "measured_cycles",
+    "generated_packets",
+    "dropped_packets",
+    "injected_packets",
+    "injected_flits",
+    "delivered_packets",
+    "delivered_flits",
+    "delivered_bits",
+    "delivered_photonic_bits",
+    "total_packet_latency",
+    "max_packet_latency",
+];
+
+fn read_stats<'a>(value: &mut impl FieldReader<'a>) -> Result<SimStats, CodecError> {
+    let (mut counters, mut energy, mut clock) = ([None; 11], None, None);
+    fields(value, |key, field| match key {
+        "energy" => first(&mut energy, || read_energy(field)),
+        "clock" => first(&mut clock, || read_clock(field)),
+        _ => row_field(&mut counters, &STATS_COUNTERS, key, field, read_uint).map(drop),
+    })?;
+    let [measured_cycles, generated_packets, dropped_packets, injected_packets, injected_flits, delivered_packets, delivered_flits, delivered_bits, delivered_photonic_bits, total_packet_latency, max_packet_latency] =
+        required_all(counters, &STATS_COUNTERS)?;
+    Ok(SimStats {
+        measured_cycles,
+        generated_packets,
+        dropped_packets,
+        injected_packets,
+        injected_flits,
+        delivered_packets,
+        delivered_flits,
+        delivered_bits,
+        delivered_photonic_bits,
+        total_packet_latency,
+        max_packet_latency,
+        energy: required(energy, "energy")?,
+        clock: required(clock, "clock")?,
+    })
+}
+
+fn read_clock<'a>(value: &mut impl FieldReader<'a>) -> Result<Clock, CodecError> {
+    let mut frequency_ghz = [None];
+    fields(value, |key, field| {
+        row_field(
+            &mut frequency_ghz,
+            &["frequency_ghz"],
+            key,
+            field,
+            read_bits,
+        )
+        .map(drop)
+    })?;
+    let [frequency_ghz] = required_all(frequency_ghz, &["frequency_ghz"])?;
+    // `Clock::new` asserts a positive frequency: a tampered entry is a
+    // miss, not a panic.
+    (frequency_ghz > 0.0)
+        .then(|| Clock::new(frequency_ghz))
+        .ok_or_else(|| {
+            CodecError::new(format!(
+                "clock frequency must be positive, got {frequency_ghz}"
+            ))
+        })
+}
+
+const ENERGY_PARTS: [&str; 5] = [
+    "launch_pj",
+    "modulation_pj",
+    "tuning_pj",
+    "buffer_pj",
+    "electrical_pj",
+];
+
+fn read_energy<'a>(value: &mut impl FieldReader<'a>) -> Result<EnergyBreakdown, CodecError> {
+    let mut parts = [None; 5];
+    fields(value, |key, field| {
+        row_field(&mut parts, &ENERGY_PARTS, key, field, read_bits).map(drop)
+    })?;
+    let [launch_pj, modulation_pj, tuning_pj, buffer_pj, electrical_pj] =
+        required_all(parts, &ENERGY_PARTS)?;
+    Ok(EnergyBreakdown {
+        launch_pj,
+        modulation_pj,
+        tuning_pj,
+        buffer_pj,
+        electrical_pj,
+    })
+}
+
+fn read_report<'a>(value: &mut impl FieldReader<'a>) -> Result<MetricReport, CodecError> {
+    let mut report = MetricReport::new();
+    let is_object = fields(value, |name, entry| {
+        report.insert(
+            name,
+            read_metric(entry).map_err(|error| error.within(name))?,
+        );
+        Ok(())
+    })?;
+    if !is_object {
+        return Err(CodecError::new("metric report must be an object"));
+    }
+    Ok(report)
+}
+
+/// A metric's payload key, in the order that picks one when several are
+/// present.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+enum Payload {
+    Counter,
+    Gauge,
+    Histogram,
+    Family,
+}
+
+impl Payload {
+    fn named(key: &str) -> Option<Self> {
+        match key {
+            "counter" => Some(Self::Counter),
+            "gauge" => Some(Self::Gauge),
+            "histogram" => Some(Self::Histogram),
+            "family" => Some(Self::Family),
+            _ => None,
+        }
+    }
+
+    fn read<'a>(self, value: &mut impl FieldReader<'a>) -> Result<MetricValue, CodecError> {
+        match self {
+            Self::Counter => read_uint(value, "counter").map(MetricValue::Counter),
+            Self::Gauge => {
+                let text = value
+                    .str()?
+                    .ok_or_else(|| CodecError::new("gauge must be hex bits"))?;
+                u64::from_str_radix(&text, 16)
+                    .map(|raw| MetricValue::Gauge(f64::from_bits(raw)))
+                    .map_err(|_| CodecError::new(format!("gauge is not hex: '{text}'")))
+            }
+            Self::Histogram => read_sketch(value).map(MetricValue::Histogram),
+            Self::Family => read_family(value).map(MetricValue::Family),
+        }
+    }
+}
+
+/// Decodes one metric. A payload is decoded when it is the best seen so
+/// far; one that a better payload later displaces may have failed without
+/// failing the metric.
+fn read_metric<'a, R: FieldReader<'a>>(value: &mut R) -> Result<MetricValue, CodecError> {
+    let mut best: Option<(Payload, Result<MetricValue, CodecError>)> = None;
+    fields(value, |key, field| {
+        let Some(payload) = Payload::named(key) else {
+            return Ok(());
+        };
+        if best.as_ref().is_some_and(|(seen, _)| *seen <= payload) {
+            return Ok(());
+        }
+        best = Some((payload, field.attempt(|field| payload.read(field))?));
+        Ok(())
+    })?;
+    best.map_or_else(
+        || Err(CodecError::new("no counter/gauge/histogram/family payload")),
+        |(_, decoded)| decoded,
+    )
+}
+
+fn read_family<'a>(
+    value: &mut impl FieldReader<'a>,
+) -> Result<BTreeMap<String, MetricValue>, CodecError> {
+    let mut members = BTreeMap::new();
+    let is_object = fields(value, |label, member| {
+        let decoded = read_metric(member).map_err(|error| error.within(label))?;
+        members.insert(label.to_owned(), decoded);
+        Ok(())
+    })?;
+    if !is_object {
+        return Err(CodecError::new("family must be an object"));
+    }
+    Ok(members)
+}
+
+const SKETCH_TOTALS: [&str; 2] = ["count", "sum"];
+const SKETCH_BOUNDS: [&str; 2] = ["min", "max"];
+
+fn read_sketch<'a>(value: &mut impl FieldReader<'a>) -> Result<QuantileSketch, CodecError> {
+    let (mut totals, mut bounds, mut bins) = ([None; 2], [None; 2], None);
+    fields(value, |key, field| {
+        if key == "bins" {
+            return first(&mut bins, || read_bins(field));
+        }
+        if !row_field(&mut totals, &SKETCH_TOTALS, key, field, read_uint)? {
+            row_field(&mut bounds, &SKETCH_BOUNDS, key, field, |field, key| {
+                if field.is_null() {
+                    Ok(None)
+                } else {
+                    read_uint(field, key).map(Some)
+                }
+            })?;
+        }
+        Ok(())
+    })?;
+    let bins = required(bins, "bins")?;
+    let [count, sum] = required_all(totals, &SKETCH_TOTALS)?;
+    let [min, max] = required_all(bounds, &SKETCH_BOUNDS)?;
+    QuantileSketch::from_parts(&bins, count, sum, min, max)
+        .ok_or_else(|| CodecError::new("sketch parts violate structural invariants"))
+}
+
+/// The bucket index of `u64::MAX`, the last a sketch has. `from_parts`
+/// allocates up to the largest index it is given, so a tampered index past
+/// this one is a miss here rather than a huge allocation there.
+const MAX_BIN_INDEX: usize = ((65 - SUB_BITS) << SUB_BITS) as usize - 1;
+
+fn read_bins<'a>(value: &mut impl FieldReader<'a>) -> Result<Vec<(usize, u64)>, CodecError> {
+    let not_pairs = || CodecError::new("sketch bins must be [index, count] pairs");
+    let mut bins = Vec::new();
+    let is_array = items(value, |pair| {
+        let (mut index, mut count, mut seen) = (None, None, 0);
+        let is_array = items(pair, |item| {
+            seen += 1;
+            match seen {
+                1 => {
+                    index = item
+                        .number()?
+                        .filter(|n| *n >= 0.0 && n.fract() == 0.0 && *n <= MAX_BIN_INDEX as f64)
+                        .map(|n| n as usize);
+                    if index.is_none() {
+                        return Err(CodecError::new(format!(
+                            "sketch bin index must be an integer in 0..={MAX_BIN_INDEX}"
+                        )));
+                    }
+                }
+                2 => count = Some(read_uint(item, "bin count")?),
+                _ => return Err(not_pairs()),
+            }
+            Ok(())
+        })?;
+        match (is_array, index, count) {
+            (true, Some(index), Some(count)) => bins.push((index, count)),
+            _ => return Err(not_pairs()),
+        }
+        Ok(())
+    })?;
+    if !is_array {
+        return Err(CodecError::new("sketch bins must be an array"));
+    }
+    Ok(bins)
 }
 
 #[cfg(test)]
@@ -418,6 +629,66 @@ mod tests {
 
         let error = point_from_json(&Json::Null).expect_err("not an object");
         assert!(error.to_string().contains("offered_load"), "{error}");
+
+        // `Clock::new` would panic on these.
+        let frequency = format!(
+            "\"frequency_ghz\": \"{:016x}\"",
+            point.stats.clock.frequency_ghz.to_bits()
+        );
+        for bad in [0.0, -0.0, -2.0, f64::NAN] {
+            let text = point_json(&point).render().replace(
+                &frequency,
+                &format!("\"frequency_ghz\": \"{:016x}\"", bad.to_bits()),
+            );
+            let error = point_from_json(&Json::parse(&text).unwrap()).expect_err("bad clock");
+            assert!(error.message.contains("must be positive"), "{error}");
+        }
+    }
+
+    #[test]
+    fn the_last_bin_index_is_that_of_u64_max() {
+        let mut sketch = QuantileSketch::new();
+        sketch.record(u64::MAX);
+        assert_eq!(sketch.nonzero_bins(), [(MAX_BIN_INDEX, 1)]);
+        let mut point = sample_point();
+        point
+            .metrics
+            .insert("latency_cycles", MetricValue::Histogram(sketch));
+        assert_eq!(point_from_json(&point_json(&point)), Ok(point));
+    }
+
+    /// A payload that fails and is displaced is read again to skip it. Each
+    /// level below fails twice — its family, then its counter — and a
+    /// megabyte of junk sits at the bottom: a decoder that re-read every
+    /// failed value at every level above it would read the junk 60 times.
+    #[test]
+    fn nested_failing_payloads_are_read_at_most_twice() {
+        let junk = "j".repeat(1 << 20);
+        let mut metric = format!("{{\"junk\": \"{junk}\", \"gauge\": \"zz\"}}");
+        for _ in 0..60 {
+            metric = format!("{{\"family\": {{\"m\": {metric}}}, \"counter\": \"x\"}}");
+        }
+        let text = format!("{{\"metrics\": {{\"deep\": {metric}}}}}");
+        let best_of_3 = |run: &dyn Fn()| {
+            (0..3)
+                .map(|_| {
+                    let started = std::time::Instant::now();
+                    run();
+                    started.elapsed()
+                })
+                .min()
+                .unwrap()
+        };
+        let parse = best_of_3(&|| assert!(Json::parse(&text).is_ok()));
+        let decode = best_of_3(&|| {
+            let decoded = crate::json::read_document(&text, |point| read_point(point));
+            assert!(decoded.is_err());
+        });
+        assert!(
+            decode < parse * 4,
+            "decoding took {decode:?}, parsing the same {} bytes {parse:?}",
+            text.len()
+        );
     }
 
     #[test]
@@ -433,6 +704,21 @@ mod tests {
                 Json::Arr(vec![Json::Arr(vec![Json::Num(1.0), uint(4)])]),
             ),
         ]);
-        assert!(sketch_from_json(&value, "latency").is_err());
+        assert!(read_sketch(&mut &value).is_err());
+
+        // An index past the last bucket would have `from_parts` allocate a
+        // bin per index up to it.
+        let past_the_end = Json::obj(vec![
+            ("count", uint(1)),
+            ("sum", uint(1)),
+            ("min", uint(1)),
+            ("max", uint(1)),
+            (
+                "bins",
+                Json::Arr(vec![Json::Arr(vec![Json::Num(1e15), uint(1)])]),
+            ),
+        ]);
+        let error = read_sketch(&mut &past_the_end).expect_err("index past the end");
+        assert!(error.message.contains("0..=1919"), "{error}");
     }
 }

@@ -7,14 +7,23 @@
 //! result store is the lowest layer that needs both directions; `pnoc-bench`
 //! re-exports it unchanged.
 //!
+//! The parser reads one grammar two ways: into a [`Json`] tree
+//! ([`Json::parse`]), or field by field with no tree, for a decoder that
+//! knows what it wants (`FieldReader`, which the store's cache hit uses).
+//! Both accept and reject the same documents.
+//!
 //! **Complexity contract:** [`Json::parse`] and [`Json::render`] are linear
 //! in document bytes — each byte is read a constant number of times, whether
 //! it sits in one long string or in many short ones. Documents arrive from
 //! outside the process (request bodies up to the server's body limit, cache
 //! entries, `--from-scenarios` files), so a size limit on the input is also a
 //! limit on the CPU it can buy; `parse_and_render_are_linear_in_document_bytes`
-//! pins it.
+//! pins it. Reading field by field is linear too: a value read again after a
+//! failed `FieldReader::attempt` is remembered as checked, so no byte is
+//! read more than twice however failures nest.
 
+use std::borrow::Cow;
+use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 /// A JSON value.
@@ -127,15 +136,9 @@ impl Json {
     /// Returns a byte offset + message on malformed input, trailing garbage
     /// or arrays/objects nested deeper than 128 levels (`MAX_DEPTH`).
     pub fn parse(text: &str) -> Result<Json, JsonParseError> {
-        let mut cursor = Cursor { text, pos: 0 };
-        let value = cursor.value(0)?;
-        cursor.skip_whitespace();
-        if cursor.pos != text.len() {
-            return Err(error(
-                cursor.pos,
-                "trailing characters after the JSON value",
-            ));
-        }
+        let mut cursor = Cursor::new(text);
+        let value = cursor.value()?;
+        cursor.finish()?;
         Ok(value)
     }
 
@@ -215,12 +218,38 @@ fn error(offset: usize, message: impl Into<String>) -> JsonParseError {
 /// a char boundary — it only ever steps over ASCII bytes or over whole runs
 /// that end at an ASCII delimiter — so slicing `text` at `pos` never splits
 /// a scalar and nothing is re-validated.
-struct Cursor<'a> {
+///
+/// One grammar, read two ways: [`Cursor::value`] builds the tree
+/// [`Json::parse`] returns, and the [`FieldReader`] methods hand a decoder
+/// one value at a time straight off the text, building nothing
+/// ([`read_document`]).
+pub(crate) struct Cursor<'a> {
     text: &'a str,
     pos: usize,
+    /// Arrays and objects open around `pos`.
+    depth: usize,
+    /// Whether the value at `pos` is still to be read: set before a
+    /// [`FieldReader`] caller is handed a value, cleared by whatever reads
+    /// it. A value its caller leaves unread is skipped, and so still checked.
+    unread: bool,
+    /// Start → end of each value [`FieldReader::attempt`] has read a second
+    /// time, which is known to be well formed: a skip that starts on one
+    /// steps over it, so failing attempts nested in failing attempts read no
+    /// byte more than twice.
+    checked: BTreeMap<usize, usize>,
 }
 
-impl Cursor<'_> {
+impl<'a> Cursor<'a> {
+    fn new(text: &'a str) -> Self {
+        Self {
+            text,
+            pos: 0,
+            depth: 0,
+            unread: true,
+            checked: BTreeMap::new(),
+        }
+    }
+
     fn peek(&self) -> Option<u8> {
         self.text.as_bytes().get(self.pos).copied()
     }
@@ -231,31 +260,54 @@ impl Cursor<'_> {
         }
     }
 
-    fn literal(&mut self, literal: &str, value: Json) -> Result<Json, JsonParseError> {
+    /// The first byte of the next token, after whitespace.
+    fn next_byte(&mut self) -> Option<u8> {
+        self.skip_whitespace();
+        self.peek()
+    }
+
+    /// Requires that nothing but whitespace is left.
+    fn finish(&mut self) -> Result<(), JsonParseError> {
+        if self.next_byte().is_some() {
+            return Err(error(self.pos, "trailing characters after the JSON value"));
+        }
+        Ok(())
+    }
+
+    fn literal(&mut self, literal: &str) -> Result<(), JsonParseError> {
         if self.text.as_bytes()[self.pos..].starts_with(literal.as_bytes()) {
             self.pos += literal.len();
-            Ok(value)
+            Ok(())
         } else {
             Err(error(self.pos, format!("expected '{literal}'")))
         }
     }
 
-    /// Parses one value; `depth` counts the arrays and objects enclosing it.
-    fn value(&mut self, depth: usize) -> Result<Json, JsonParseError> {
-        self.skip_whitespace();
-        match self.peek() {
+    /// Parses one value into a tree.
+    fn value(&mut self) -> Result<Json, JsonParseError> {
+        match self.next_byte() {
             None => Err(error(self.pos, "unexpected end of input")),
-            Some(b'n') => self.literal("null", Json::Null),
-            Some(b't') => self.literal("true", Json::Bool(true)),
-            Some(b'f') => self.literal("false", Json::Bool(false)),
-            Some(b'"') => self.string().map(Json::Str),
-            Some(b'[' | b'{') if depth >= MAX_DEPTH => Err(error(
-                self.pos,
-                format!("arrays and objects nest deeper than {MAX_DEPTH} levels"),
-            )),
-            Some(b'[') => self.array(depth + 1),
-            Some(b'{') => self.object(depth + 1),
-            Some(b'-' | b'0'..=b'9') => self.number(),
+            Some(b'n') => self.literal("null").map(|()| Json::Null),
+            Some(b't') => self.literal("true").map(|()| Json::Bool(true)),
+            Some(b'f') => self.literal("false").map(|()| Json::Bool(false)),
+            Some(b'"') => self.scan_string().map(|text| Json::Str(text.into_owned())),
+            Some(b'[') => {
+                let mut items = Vec::new();
+                self.elements(|cursor| {
+                    items.push(cursor.value()?);
+                    Ok::<_, JsonParseError>(())
+                })?;
+                Ok(Json::Arr(items))
+            }
+            Some(b'{') => {
+                let mut fields = Vec::new();
+                self.members(|cursor, key| {
+                    fields.push((key.into_owned(), cursor.value()?));
+                    Ok::<_, JsonParseError>(())
+                })?;
+                Ok(Json::Obj(fields))
+            }
+            Some(b'-' | b'0'..=b'9') => self.scan_number().map(Json::Num),
             Some(c) => Err(error(
                 self.pos,
                 format!("unexpected character '{}'", c as char),
@@ -263,7 +315,23 @@ impl Cursor<'_> {
         }
     }
 
-    fn number(&mut self) -> Result<Json, JsonParseError> {
+    /// Steps over one value, checking it exactly as [`Cursor::value`] does,
+    /// without building anything.
+    fn skip(&mut self) -> Result<(), JsonParseError> {
+        let next = self.next_byte();
+        if let Some(&end) = self.checked.get(&self.pos) {
+            self.pos = end;
+            return Ok(());
+        }
+        match next {
+            Some(b'"') => self.scan_string().map(drop),
+            Some(b'[') => self.elements(Self::skip),
+            Some(b'{') => self.members(|cursor, _| cursor.skip()),
+            _ => self.value().map(drop),
+        }
+    }
+
+    fn scan_number(&mut self) -> Result<f64, JsonParseError> {
         let start = self.pos;
         if self.peek() == Some(b'-') {
             self.pos += 1;
@@ -276,15 +344,15 @@ impl Cursor<'_> {
         }
         let text = &self.text[start..self.pos];
         text.parse::<f64>()
-            .map(Json::Num)
             .map_err(|_| error(start, format!("invalid number '{text}'")))
     }
 
     /// Parses a string — a value or an object key — as runs: everything up
     /// to the next `"` or `\` is appended by slicing the source (both
     /// delimiters are ASCII, so every cut is a char boundary), then the
-    /// escape is decoded and the scan resumes behind it.
-    fn string(&mut self) -> Result<String, JsonParseError> {
+    /// escape is decoded and the scan resumes behind it. A string without
+    /// escapes is borrowed from the source.
+    fn scan_string(&mut self) -> Result<Cow<'a, str>, JsonParseError> {
         debug_assert_eq!(self.peek(), Some(b'"'));
         self.pos += 1;
         let mut out = String::new();
@@ -300,13 +368,12 @@ impl Cursor<'_> {
                 Some(b'"') => {
                     self.pos += 1;
                     // No escape so far (each decodes to at least one char):
-                    // the run is the whole string, copied into an
-                    // allocation of exactly its size.
+                    // the run is the whole string.
                     if out.is_empty() {
-                        return Ok(run.to_owned());
+                        return Ok(Cow::Borrowed(run));
                     }
                     out.push_str(run);
-                    return Ok(out);
+                    return Ok(Cow::Owned(out));
                 }
                 Some(_) => {
                     out.push_str(run);
@@ -360,61 +427,268 @@ impl Cursor<'_> {
         Ok(char::from_u32(code).unwrap_or('\u{FFFD}'))
     }
 
-    fn array(&mut self, depth: usize) -> Result<Json, JsonParseError> {
-        debug_assert_eq!(self.peek(), Some(b'['));
+    /// Steps over the `[` or `{` at `pos` into the array or object it opens.
+    fn enter(&mut self) -> Result<(), JsonParseError> {
+        if self.depth >= MAX_DEPTH {
+            return Err(error(
+                self.pos,
+                format!("arrays and objects nest deeper than {MAX_DEPTH} levels"),
+            ));
+        }
+        self.depth += 1;
         self.pos += 1;
-        let mut items = Vec::new();
-        self.skip_whitespace();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Json::Arr(items));
+        Ok(())
+    }
+
+    /// Steps over the `]` or `}` at `pos`.
+    fn leave(&mut self) {
+        self.depth -= 1;
+        self.pos += 1;
+    }
+
+    /// Reads the array whose `[` is at `pos`, handing the cursor to `item`
+    /// once per element; `item` must read the element.
+    fn elements<E: From<JsonParseError>>(
+        &mut self,
+        mut item: impl FnMut(&mut Self) -> Result<(), E>,
+    ) -> Result<(), E> {
+        debug_assert_eq!(self.peek(), Some(b'['));
+        self.enter()?;
+        if self.next_byte() == Some(b']') {
+            self.leave();
+            return Ok(());
         }
         loop {
-            items.push(self.value(depth)?);
-            self.skip_whitespace();
-            match self.peek() {
+            item(self)?;
+            match self.next_byte() {
                 Some(b',') => self.pos += 1,
                 Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Json::Arr(items));
+                    self.leave();
+                    return Ok(());
                 }
-                _ => return Err(error(self.pos, "expected ',' or ']' in array")),
+                _ => return Err(error(self.pos, "expected ',' or ']' in array").into()),
             }
         }
     }
 
-    fn object(&mut self, depth: usize) -> Result<Json, JsonParseError> {
+    /// Reads the object whose `{` is at `pos`, handing the cursor to
+    /// `member` once per member with its key; `member` must read the value.
+    fn members<E: From<JsonParseError>>(
+        &mut self,
+        mut member: impl FnMut(&mut Self, Cow<'a, str>) -> Result<(), E>,
+    ) -> Result<(), E> {
         debug_assert_eq!(self.peek(), Some(b'{'));
-        self.pos += 1;
-        let mut fields = Vec::new();
-        self.skip_whitespace();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Json::Obj(fields));
+        self.enter()?;
+        if self.next_byte() == Some(b'}') {
+            self.leave();
+            return Ok(());
         }
         loop {
-            self.skip_whitespace();
-            if self.peek() != Some(b'"') {
-                return Err(error(self.pos, "expected a string key"));
+            if self.next_byte() != Some(b'"') {
+                return Err(error(self.pos, "expected a string key").into());
             }
-            let key = self.string()?;
-            self.skip_whitespace();
-            if self.peek() != Some(b':') {
-                return Err(error(self.pos, "expected ':' after object key"));
+            let key = self.scan_string()?;
+            if self.next_byte() != Some(b':') {
+                return Err(error(self.pos, "expected ':' after object key").into());
             }
             self.pos += 1;
-            let value = self.value(depth)?;
-            fields.push((key, value));
-            self.skip_whitespace();
-            match self.peek() {
+            member(self, key)?;
+            match self.next_byte() {
                 Some(b',') => self.pos += 1,
                 Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Json::Obj(fields));
+                    self.leave();
+                    return Ok(());
                 }
-                _ => return Err(error(self.pos, "expected ',' or '}' in object")),
+                _ => return Err(error(self.pos, "expected ',' or '}' in object").into()),
             }
         }
+    }
+
+    /// Skips the value at `pos` unless its reader read it.
+    fn finish_value(&mut self) -> Result<(), JsonParseError> {
+        if std::mem::take(&mut self.unread) {
+            self.skip()?;
+        }
+        Ok(())
+    }
+}
+
+/// Reads the document `text` in one pass, with no tree: `read` gets the
+/// cursor on the top-level value, whatever it leaves unread is skipped (and
+/// so checked), and only whitespace may follow. A document [`Json::parse`]
+/// rejects is rejected here too, before or after `read` has seen the part
+/// that is well formed.
+pub(crate) fn read_document<'a, T, E: From<JsonParseError>>(
+    text: &'a str,
+    read: impl FnOnce(&mut Cursor<'a>) -> Result<T, E>,
+) -> Result<T, E> {
+    let mut cursor = Cursor::new(text);
+    let value = read(&mut cursor)?;
+    cursor.finish_value()?;
+    cursor.finish()?;
+    Ok(value)
+}
+
+/// A JSON value read once, front to back, by a decoder that wants its
+/// fields rather than a tree. [`Cursor`] reads straight off the document
+/// text; `&Json` reads a parsed tree. A decoder written once over this trait
+/// therefore decodes both, with the same rules.
+///
+/// A decoder reads each value it is handed at most once, and may leave it
+/// unread: an unknown key or a duplicate costs no allocation, but the cursor
+/// still reads past it, so a malformed one is still an error.
+pub(crate) trait FieldReader<'a> {
+    /// When the value is an object, calls `member` with each key and a
+    /// reader on its value, in document order, and returns `true`; returns
+    /// `false`, reading nothing, for any other value.
+    fn object<E: From<JsonParseError>>(
+        &mut self,
+        member: impl FnMut(&str, &mut Self) -> Result<(), E>,
+    ) -> Result<bool, E>;
+
+    /// When the value is an array, calls `item` with a reader on each
+    /// element, in order, and returns `true`; `false`, reading nothing,
+    /// otherwise.
+    fn array<E: From<JsonParseError>>(
+        &mut self,
+        item: impl FnMut(&mut Self) -> Result<(), E>,
+    ) -> Result<bool, E>;
+
+    /// The string, or `None`, reading nothing, for any other value.
+    fn str(&mut self) -> Result<Option<Cow<'a, str>>, JsonParseError>;
+
+    /// The number, or `None`, reading nothing, for any other value.
+    fn number(&mut self) -> Result<Option<f64>, JsonParseError>;
+
+    /// Whether the value is `null`. Reads nothing.
+    fn is_null(&mut self) -> bool;
+
+    /// Runs `read` on the value. When `read` fails, the value is read past
+    /// as if `read` had never run, and its error comes back inside `Ok`:
+    /// the caller may still choose another value. A malformed value stays
+    /// the outer error.
+    fn attempt<T, E: From<JsonParseError>>(
+        &mut self,
+        read: impl FnOnce(&mut Self) -> Result<T, E>,
+    ) -> Result<Result<T, E>, E>;
+}
+
+impl<'a> FieldReader<'a> for Cursor<'a> {
+    fn object<E: From<JsonParseError>>(
+        &mut self,
+        mut member: impl FnMut(&str, &mut Self) -> Result<(), E>,
+    ) -> Result<bool, E> {
+        if self.next_byte() != Some(b'{') {
+            return Ok(false);
+        }
+        self.unread = false;
+        self.members(|cursor, key| {
+            cursor.unread = true;
+            member(&key, cursor)?;
+            Ok::<(), E>(cursor.finish_value()?)
+        })?;
+        Ok(true)
+    }
+
+    fn array<E: From<JsonParseError>>(
+        &mut self,
+        mut item: impl FnMut(&mut Self) -> Result<(), E>,
+    ) -> Result<bool, E> {
+        if self.next_byte() != Some(b'[') {
+            return Ok(false);
+        }
+        self.unread = false;
+        self.elements(|cursor| {
+            cursor.unread = true;
+            item(cursor)?;
+            Ok::<(), E>(cursor.finish_value()?)
+        })?;
+        Ok(true)
+    }
+
+    fn str(&mut self) -> Result<Option<Cow<'a, str>>, JsonParseError> {
+        if self.next_byte() != Some(b'"') {
+            return Ok(None);
+        }
+        self.unread = false;
+        self.scan_string().map(Some)
+    }
+
+    fn number(&mut self) -> Result<Option<f64>, JsonParseError> {
+        if !matches!(self.next_byte(), Some(b'-' | b'0'..=b'9')) {
+            return Ok(None);
+        }
+        self.unread = false;
+        self.scan_number().map(Some)
+    }
+
+    fn is_null(&mut self) -> bool {
+        self.next_byte() == Some(b'n')
+    }
+
+    fn attempt<T, E: From<JsonParseError>>(
+        &mut self,
+        read: impl FnOnce(&mut Self) -> Result<T, E>,
+    ) -> Result<Result<T, E>, E> {
+        self.skip_whitespace();
+        let (start, depth) = (self.pos, self.depth);
+        match read(self) {
+            Ok(value) => Ok(Ok(value)),
+            Err(failure) => {
+                (self.pos, self.depth, self.unread) = (start, depth, false);
+                self.skip()?;
+                self.checked.insert(start, self.pos);
+                Ok(Err(failure))
+            }
+        }
+    }
+}
+
+impl<'a> FieldReader<'a> for &'a Json {
+    fn object<E: From<JsonParseError>>(
+        &mut self,
+        mut member: impl FnMut(&str, &mut Self) -> Result<(), E>,
+    ) -> Result<bool, E> {
+        let Json::Obj(fields) = *self else {
+            return Ok(false);
+        };
+        for (key, mut value) in fields.iter().map(|(key, value)| (key, value)) {
+            member(key, &mut value)?;
+        }
+        Ok(true)
+    }
+
+    fn array<E: From<JsonParseError>>(
+        &mut self,
+        mut item: impl FnMut(&mut Self) -> Result<(), E>,
+    ) -> Result<bool, E> {
+        let Json::Arr(items) = *self else {
+            return Ok(false);
+        };
+        for mut value in items {
+            item(&mut value)?;
+        }
+        Ok(true)
+    }
+
+    fn str(&mut self) -> Result<Option<Cow<'a, str>>, JsonParseError> {
+        let value: &'a Json = self;
+        Ok(value.as_str().map(Cow::Borrowed))
+    }
+
+    fn number(&mut self) -> Result<Option<f64>, JsonParseError> {
+        Ok(self.as_f64())
+    }
+
+    fn is_null(&mut self) -> bool {
+        matches!(self, Json::Null)
+    }
+
+    fn attempt<T, E: From<JsonParseError>>(
+        &mut self,
+        read: impl FnOnce(&mut Self) -> Result<T, E>,
+    ) -> Result<Result<T, E>, E> {
+        Ok(read(self))
     }
 }
 

@@ -1,9 +1,10 @@
 #![doc = include_str!("store.md")]
 
-use crate::codec;
-use crate::json::Json;
+use crate::codec::{self, CodecError};
+use crate::json::{self, Cursor, FieldReader, Json};
 use pnoc_sim::scenario::PointCache;
 use pnoc_sim::sweep::SweepPoint;
+use std::borrow::Cow;
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
@@ -301,20 +302,20 @@ fn is_entry((path, _): &(PathBuf, fs::Metadata)) -> bool {
     path.extension().is_some_and(|ext| ext == "json")
 }
 
-/// Whether the entry file at `path` parses and stores a key that hashes to
-/// its file name.
+/// Whether the entry file at `path` is well formed and stores a key that
+/// hashes to its file name.
 fn stored_key_matches_name(path: &Path) -> bool {
     let Ok(text) = fs::read_to_string(path) else {
         return false;
     };
-    let Ok(document) = Json::parse(&text) else {
+    let Ok(entry) = read_entry(&text, |_| Ok(())) else {
         return false;
     };
     let stem = path.file_stem().and_then(|stem| stem.to_str());
-    document
-        .get("key")
-        .and_then(Json::as_str)
-        .is_some_and(|key| Some(content_hash(key).as_str()) == stem)
+    entry
+        .key
+        .flatten()
+        .is_some_and(|key| Some(content_hash(&key).as_str()) == stem)
 }
 
 /// Removes `path`; `Ok(false)` if it was already gone.
@@ -352,14 +353,51 @@ fn write_atomically(path: &Path, text: &str) -> io::Result<()> {
     }
 }
 
+/// The envelope of an entry file: the first occurrence of each field the
+/// store reads, as a lookup by name in the parsed document would find it.
+/// `format` and `key` are `Some(None)` when present but not strings.
+struct Entry<'a, P> {
+    format: Option<Option<Cow<'a, str>>>,
+    key: Option<Option<Cow<'a, str>>>,
+    point: Option<P>,
+}
+
+/// Reads an entry file's envelope in one pass over `text`, handing the
+/// cursor on the first `point` value to `point`. Everything else — the
+/// sidecar, unknown keys, duplicates, and the point when `point` leaves it
+/// unread — is read past, so the text must still be one well-formed JSON
+/// document.
+fn read_entry<'a, P>(
+    text: &'a str,
+    mut point: impl FnMut(&mut Cursor<'a>) -> Result<P, CodecError>,
+) -> Result<Entry<'a, P>, CodecError> {
+    json::read_document(text, |document| {
+        let mut entry = Entry {
+            format: None,
+            key: None,
+            point: None,
+        };
+        codec::fields(document, |name, value| {
+            match name {
+                "format" if entry.format.is_none() => entry.format = Some(value.str()?),
+                "key" if entry.key.is_none() => entry.key = Some(value.str()?),
+                "point" if entry.point.is_none() => entry.point = Some(point(value)?),
+                _ => {}
+            }
+            Ok(())
+        })?;
+        Ok(entry)
+    })
+}
+
 fn decode_entry(text: &str, expected_key: &str) -> Result<SweepPoint, String> {
-    let document = Json::parse(text).map_err(|error| error.to_string())?;
-    match document.get("format").and_then(Json::as_str) {
+    let entry = read_entry(text, codec::read_point).map_err(|error| error.to_string())?;
+    match entry.format.flatten().as_deref() {
         Some(ENTRY_FORMAT) => {}
         Some(other) => return Err(format!("unsupported entry format '{other}'")),
         None => return Err("entry has no 'format' tag".to_string()),
     }
-    match document.get("key").and_then(Json::as_str) {
+    match entry.key.flatten() {
         Some(stored) if stored == expected_key => {}
         Some(stored) => {
             return Err(format!(
@@ -369,10 +407,9 @@ fn decode_entry(text: &str, expected_key: &str) -> Result<SweepPoint, String> {
         }
         None => return Err("entry has no 'key' field".to_string()),
     }
-    let point = document
-        .get("point")
-        .ok_or_else(|| "entry has no 'point' payload".to_string())?;
-    codec::point_from_json(point).map_err(|error| error.to_string())
+    entry
+        .point
+        .ok_or_else(|| "entry has no 'point' payload".to_string())
 }
 
 #[cfg(test)]
