@@ -325,18 +325,12 @@ fn read_stats<'a>(value: &mut impl FieldReader<'a>) -> Result<SimStats, CodecErr
 }
 
 fn read_clock<'a>(value: &mut impl FieldReader<'a>) -> Result<Clock, CodecError> {
-    let mut frequency_ghz = [None];
-    fields(value, |key, field| {
-        row_field(
-            &mut frequency_ghz,
-            &["frequency_ghz"],
-            key,
-            field,
-            read_bits,
-        )
-        .map(drop)
+    let mut frequency_ghz = None;
+    fields(value, |key, field| match key {
+        "frequency_ghz" => first(&mut frequency_ghz, || read_bits(field, key)),
+        _ => Ok(()),
     })?;
-    let [frequency_ghz] = required_all(frequency_ghz, &["frequency_ghz"])?;
+    let frequency_ghz = required(frequency_ghz, "frequency_ghz")?;
     // `Clock::new` asserts a positive frequency: a tampered entry is a
     // miss, not a panic.
     (frequency_ghz > 0.0)
@@ -461,31 +455,33 @@ fn read_family<'a>(
     Ok(members)
 }
 
-const SKETCH_TOTALS: [&str; 2] = ["count", "sum"];
-const SKETCH_BOUNDS: [&str; 2] = ["min", "max"];
+/// A sketch's `min` or `max`, `null` while it is empty.
+fn read_bound<'a>(value: &mut impl FieldReader<'a>, key: &str) -> Result<Option<u64>, CodecError> {
+    if value.is_null() {
+        Ok(None)
+    } else {
+        read_uint(value, key).map(Some)
+    }
+}
 
 fn read_sketch<'a>(value: &mut impl FieldReader<'a>) -> Result<QuantileSketch, CodecError> {
-    let (mut totals, mut bounds, mut bins) = ([None; 2], [None; 2], None);
-    fields(value, |key, field| {
-        if key == "bins" {
-            return first(&mut bins, || read_bins(field));
-        }
-        if !row_field(&mut totals, &SKETCH_TOTALS, key, field, read_uint)? {
-            row_field(&mut bounds, &SKETCH_BOUNDS, key, field, |field, key| {
-                if field.is_null() {
-                    Ok(None)
-                } else {
-                    read_uint(field, key).map(Some)
-                }
-            })?;
-        }
-        Ok(())
+    let (mut count, mut sum, mut min, mut max, mut bins) = (None, None, None, None, None);
+    fields(value, |key, field| match key {
+        "count" => first(&mut count, || read_uint(field, key)),
+        "sum" => first(&mut sum, || read_uint(field, key)),
+        "min" => first(&mut min, || read_bound(field, key)),
+        "max" => first(&mut max, || read_bound(field, key)),
+        "bins" => first(&mut bins, || read_bins(field)),
+        _ => Ok(()),
     })?;
-    let bins = required(bins, "bins")?;
-    let [count, sum] = required_all(totals, &SKETCH_TOTALS)?;
-    let [min, max] = required_all(bounds, &SKETCH_BOUNDS)?;
-    QuantileSketch::from_parts(&bins, count, sum, min, max)
-        .ok_or_else(|| CodecError::new("sketch parts violate structural invariants"))
+    QuantileSketch::from_parts(
+        &required(bins, "bins")?,
+        required(count, "count")?,
+        required(sum, "sum")?,
+        required(min, "min")?,
+        required(max, "max")?,
+    )
+    .ok_or_else(|| CodecError::new("sketch parts violate structural invariants"))
 }
 
 /// The bucket index of `u64::MAX`, the last a sketch has. `from_parts`
@@ -681,7 +677,7 @@ mod tests {
         };
         let parse = best_of_3(&|| assert!(Json::parse(&text).is_ok()));
         let decode = best_of_3(&|| {
-            let decoded = crate::json::read_document(&text, |point| read_point(point));
+            let decoded = crate::json::read_document(&text, read_point);
             assert!(decoded.is_err());
         });
         assert!(
